@@ -93,10 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--journal", type=Path, default=None,
                        help="journal file (default: "
                             "<repository>.workload.jsonl)")
-    query.add_argument("--batch-size", type=int, default=None,
-                       help="rows per RecordBatch in the batch "
-                            "execution engine (default 1024; 1 forces "
-                            "the legacy row-at-a-time path)")
 
     workload = commands.add_parser(
         "workload",
@@ -257,12 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
              "vs the committed baseline")
     from repro.bench.compare import add_compare_arguments
     add_compare_arguments(bench_compare)
-    bench_batch = bench_commands.add_parser(
-        "batch",
-        help="batch-vs-row operator benchmark; records fig7_batch "
-             "trajectory points and gates the scan-pipeline speedup")
-    from repro.bench.batchbench import add_batchbench_arguments
-    add_batchbench_arguments(bench_batch)
 
     trace = commands.add_parser(
         "trace", help="run a query and emit its telemetry JSON")
@@ -336,10 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "when mismatches are found")
     verify.add_argument("--json", action="store_true",
                         help="emit the full report as JSON")
-    verify.add_argument("--batch-size", type=int, default=None,
-                        help="batch size for the compressed-domain "
-                             "engine under test (1 = legacy row "
-                             "path; default: engine default)")
 
     xmlgen = commands.add_parser(
         "xmlgen", help="generate an XMark auction document")
@@ -407,8 +393,7 @@ def _cmd_query(args, out) -> int:
     repository = load_repository(args.repository)
     # One session — and therefore one recorder with one journal
     # handle — per CLI invocation, however many runs it performs.
-    session = Session(repository, recorder=_recorder_for(args),
-                      batch_size=args.batch_size)
+    session = Session(repository, recorder=_recorder_for(args))
     if args.analyze:
         from repro.errors import PlanVerificationError
         options = ExecutionOptions(profile=True) if args.profile \
@@ -656,9 +641,6 @@ def _cmd_bench(args, out) -> int:
     if args.bench_command == "compare":
         from repro.bench.compare import run_compare
         return run_compare(args, out=out)
-    if args.bench_command == "batch":
-        from repro.bench.batchbench import run_batchbench
-        return run_batchbench(args, out=out)
     raise AssertionError(args.bench_command)  # pragma: no cover
 
 
@@ -865,7 +847,6 @@ def _cmd_verify(args, out) -> int:
                         queries=args.queries,
                         codec_rounds=args.rounds,
                         codec_values=args.values, scale=args.scale,
-                        batch_size=args.batch_size,
                         progress=None if args.json else progress)
     if args.json:
         print(report.to_json(), file=out)

@@ -37,7 +37,7 @@ from repro.query.ast import (
     VarRef,
 )
 from repro.query.engine import QueryResult
-from repro.query.options import ExecutionOptions, coerce_options
+from repro.query.options import ExecutionOptions
 from repro.query.parser import parse_query
 from repro.storage.loader import load_document
 from repro.storage.repository import CompressedRepository, SizeReport
@@ -148,17 +148,15 @@ class XQueCSystem:
     # -- querying --------------------------------------------------------------
 
     def query(self, query_text: str | Expression,
-              options: ExecutionOptions | None = None,
-              **legacy) -> QueryResult:
+              options: ExecutionOptions | None = None
+              ) -> QueryResult:
         """Evaluate a query over the compressed repository.
 
         ``options`` is an
-        :class:`~repro.query.options.ExecutionOptions`; the legacy
-        ``telemetry=`` keyword still works behind a
-        ``DeprecationWarning``.  Runs go through the internal session,
-        so re-running a query hits the plan cache.
+        :class:`~repro.query.options.ExecutionOptions`.  Runs go
+        through the internal session, so re-running a query hits the
+        plan cache.
         """
-        options = coerce_options(options, legacy, "XQueCSystem.query")
         return self.session.execute(query_text, options)
 
     def prepare(self, query_text: str | Expression):

@@ -14,7 +14,7 @@ flows* (or a PR merges).
   a fail-fast gate.
 * **Tier B — source lint** (:mod:`repro.lint.source`): an ``ast``-based
   checker for the repo's engine-invariant conventions (operator
-  ``_rows``/``_traced`` routing, codec property declarations, sanctioned
+  ``_batches``/``_traced`` routing, codec property declarations, sanctioned
   decompression sites, no bare ``except``/mutable defaults), run as
   ``repro lint-src`` and in CI.
 """

@@ -80,9 +80,6 @@ class OpaqueSource(Operator):
     def __init__(self, label: str):
         self.label = label
 
-    def _rows(self):
-        return iter(())
-
     def _batches(self, size):
         return iter(())
 

@@ -81,13 +81,9 @@ _ALL: tuple[Rule, ...] = (
          "§3.2"),
     # -- Tier B: source lint --------------------------------------------------
     Rule("src.operator-rows", "error",
-         "Operator subclass implements neither _batches nor _rows",
-         "§4 (operators are row iterators)"),
-    Rule("src.operator-rows-no-batches", "warning",
-         "Operator subclass implements only the deprecated row-pull "
-         "_rows protocol; batch-pull consumers fall back through a "
-         "DeprecationWarning row shim",
-         "DESIGN.md §13 (batch execution engine)"),
+         "Operator subclass does not implement _batches, the one "
+         "protocol its rows and batches are both derived from",
+         "§4 (one physical algebra); DESIGN.md §13"),
     Rule("src.operator-iter-override", "error",
          "Operator subclass overrides __iter__, bypassing the _traced "
          "telemetry routing",

@@ -2,7 +2,7 @@
 
 Unlike the plan verifier (which checks one query's plan), this tier
 checks the *code*: every physical operator routes iteration through the
-traced base ``__iter__`` and implements ``_rows``; every codec wired
+traced base ``__iter__`` and implements ``_batches``; every codec wired
 into :mod:`repro.compression.registry` declares its §3.2
 :class:`~repro.compression.base.CompressionProperties` capability
 tuple; decompression inside :mod:`repro.query.physical` happens only at
@@ -46,8 +46,8 @@ class _ClassRecord:
     """One class definition seen anywhere in the linted tree."""
 
     __slots__ = ("name", "bases", "file", "line",
-                 "declares_properties", "declares_rows",
-                 "declares_iter", "declares_batches")
+                 "declares_properties", "declares_iter",
+                 "declares_batches")
 
     def __init__(self, node: ast.ClassDef, file: str):
         self.name = node.name
@@ -55,7 +55,6 @@ class _ClassRecord:
         self.file = file
         self.line = node.lineno
         self.declares_properties = _assigns(node, "properties")
-        self.declares_rows = _defines(node, "_rows")
         self.declares_iter = _defines(node, "__iter__")
         self.declares_batches = _defines(node, "_batches")
 
@@ -223,30 +222,22 @@ def _check_operators(classes: dict[str, _ClassRecord]
     for record in classes.values():
         if "Operator" not in record.bases:
             continue
-        if not record.declares_rows and not record.declares_batches:
+        if not record.declares_batches:
             diagnostics.append(SourceDiagnostic.make(
                 "src.operator-rows", record.file, record.line,
-                f"operator {record.name} implements neither _batches "
-                "nor _rows",
-                hint="operators yield RecordBatches from _batches "
-                     "(or rows from _rows); __iter__/batches() on "
-                     "the base route them through _traced"))
-        elif record.declares_rows and not record.declares_batches:
-            diagnostics.append(SourceDiagnostic.make(
-                "src.operator-rows-no-batches", record.file,
-                record.line,
-                f"operator {record.name} implements only the "
-                "deprecated row-pull _rows protocol",
-                hint="implement _batches(size) (DESIGN.md §13); "
-                     "return self._compat_batches(size) to chunk an "
-                     "inherently row-at-a-time algorithm"))
+                f"operator {record.name} does not implement _batches",
+                hint="operators yield RecordBatches from "
+                     "_batches(size) (chunk a per-row generator with "
+                     "batches_from_rows); __iter__/batches() on the "
+                     "base route them through _traced"))
         if record.declares_iter:
             diagnostics.append(SourceDiagnostic.make(
                 "src.operator-iter-override", record.file,
                 record.line,
                 f"operator {record.name} overrides __iter__, "
                 "bypassing telemetry",
-                hint="implement _rows and inherit Operator.__iter__"))
+                hint="implement _batches and inherit "
+                     "Operator.__iter__"))
     return diagnostics
 
 

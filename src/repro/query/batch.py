@@ -1,9 +1,8 @@
 """``RecordBatch``: the columnar unit of the batch-pull operator API.
 
-DESIGN.md §13.  Physical operators historically pulled one ``Row``
-(a dict) at a time through Python-level iterators; the batch protocol
-moves them in *batches* of a configurable size, where each batch is a
-small set of named **columns** backed by numpy arrays:
+DESIGN.md §13.  Physical operators move rows in *batches* of a given
+width, where each batch is a small set of named **columns** backed by
+numpy arrays:
 
 * :class:`NodeColumn` — element ids as an ``int64`` array;
 * :class:`ValueColumn` — container values by *slot index* into one
@@ -16,9 +15,8 @@ small set of named **columns** backed by numpy arrays:
 A batch optionally carries a **validity mask** (boolean array over its
 raw rows).  Filters are lazy: ``filter(mask)`` just ANDs masks;
 ``compact()`` materializes the surviving rows.  ``to_rows()`` yields
-exactly the dict rows the row-pull protocol would have produced, so
-the two protocols are interchangeable row-for-row — the differential
-suite holds them to that.
+the dict rows the batch stands for — what iterating an operator
+returns.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
-#: default number of rows per batch (``ExecutionOptions.batch_size``).
+#: default number of rows per batch (``Operator.batches``' chunk width).
 DEFAULT_BATCH_SIZE = 1024
 
 Row = dict
@@ -323,7 +321,7 @@ class RecordBatch:
 
 def batches_from_rows(rows: Iterable[Row],
                       size: int) -> Iterator[RecordBatch]:
-    """Chunk a row stream into batches (the compat shim's engine)."""
+    """Chunk a row stream into batches (how per-row operators emit)."""
     chunk: list[Row] = []
     for row in rows:
         chunk.append(row)
@@ -335,6 +333,6 @@ def batches_from_rows(rows: Iterable[Row],
 
 
 def rows_of_batches(batches: Iterable[RecordBatch]) -> Iterator[Row]:
-    """Flatten batches back into the row-pull protocol's stream."""
+    """Flatten batches into the row stream iteration yields."""
     for batch in batches:
         yield from batch.to_rows()

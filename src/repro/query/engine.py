@@ -59,7 +59,7 @@ from repro.query.context import (
     string_value,
 )
 from repro.query.functions import FUNCTIONS
-from repro.query.options import ExecutionOptions, coerce_options
+from repro.query.options import ExecutionOptions
 from repro.query.optimizer import (
     context_free,
     find_join_plan,
@@ -220,21 +220,20 @@ class QueryEngine:
     def execute(self, query: str | Expression,
                 options: ExecutionOptions | None = None,
                 *, diagnostics: list | None = None,
-                label: str | None = None,
-                **legacy) -> QueryResult:
+                label: str | None = None) -> QueryResult:
         """Parse (if needed) and evaluate a query.
 
         ``options`` is an :class:`~repro.query.options.ExecutionOptions`
-        carrying the run's telemetry, recording and binding knobs; the
-        legacy ``telemetry=`` keyword still works behind a
-        ``DeprecationWarning``.  ``diagnostics`` lets a caller that
-        already verified the query (a prepared plan from the session's
-        plan cache) pass the verifier's findings in, skipping the
-        static verification step entirely.  ``label`` names the run in
+        carrying the run's telemetry, recording and binding knobs.
+        ``diagnostics`` lets a caller that already verified the query
+        (a prepared plan from the session's plan cache) pass the
+        verifier's findings in, skipping the static verification step
+        entirely.  ``label`` names the run in
         spans and workload records when ``query`` is a pre-parsed
         expression (the session passes the original query text).
         """
-        options = coerce_options(options, legacy, "QueryEngine.execute")
+        if options is None:
+            options = ExecutionOptions()
         ast = parse_query(query) if isinstance(query, str) else query
         # Profiling needs open spans to attribute samples to, so a
         # profile request implies an enabled telemetry for the run.
@@ -251,8 +250,7 @@ class QueryEngine:
             for diagnostic in diagnostics:
                 telemetry.metrics.add(f"lint.{diagnostic.severity}")
         evaluator = _Evaluator(self.repository, self._fulltext_indexes,
-                               self.collection, telemetry=telemetry,
-                               batch_size=options.resolve_batch_size())
+                               self.collection, telemetry=telemetry)
         query_text = query if isinstance(query, str) else \
             (label if label is not None else type(ast).__name__)
         base_env = options.binding_environment()
@@ -362,16 +360,10 @@ class _Evaluator:
     def __init__(self, repository: CompressedRepository,
                  fulltext_indexes: dict | None = None,
                  collection: dict[str, CompressedRepository]
-                 | None = None, telemetry: Telemetry | None = None,
-                 batch_size: int | None = None):
-        from repro.query.batch import DEFAULT_BATCH_SIZE
+                 | None = None, telemetry: Telemetry | None = None):
         self.repository = repository
         self._collection = collection or {}
         self._fulltext_indexes = fulltext_indexes or {}
-        #: rows per batch for array-shaped access paths; 1 keeps every
-        #: evaluation step on the legacy scalar path.
-        self.batch_size = DEFAULT_BATCH_SIZE if batch_size is None \
-            else batch_size
         self.telemetry = telemetry if telemetry is not None \
             else Telemetry(enabled=False)
         # The stats view and the telemetry share one registry, so
@@ -649,44 +641,30 @@ class _Evaluator:
         if not leaves:
             return []
         self.stats.summary_accesses += 1
-        structure = repo.structure
-        matched: set[int] = set()
+        # Decide the fallback for every leaf before touching any: an
+        # access path abandoned half way must leave no trace in the
+        # stats or the workload journal.
+        containers = []
         for leaf in leaves:
             if leaf.container_path is None:
                 return None  # the path does not end at a container
             container = repo.container(leaf.container_path)
-            numeric = container.value_type in ("int", "float")
-            if numeric:
-                if plan.constant_kind == "string":
-                    # A string constant orders lexicographically
-                    # against untyped text; the container's numeric
-                    # sort order cannot answer it — fall back.
-                    return None
-                # Numeric sort order: every bound must parse as a number.
-                for bound in (plan.low, plan.high):
-                    if bound is None:
-                        continue
-                    try:
-                        float(bound)
-                    except ValueError:
-                        return None
-            elif plan.constant_kind == "number":
-                # A numeric comparison over untyped text compares by
-                # value ("07" = 7); the lexicographic container order
-                # cannot answer it — fall back to plain evaluation.
+            if not _interval_answerable(container, plan):
                 return None
+            containers.append(container)
+        structure = repo.structure
+        kind = _interval_kind(plan.low, plan.high, plan.low_inclusive,
+                              plan.high_inclusive)
+        matched: set[int] = set()
+        for container in containers:
             self.stats.container_accesses += 1
             if runtime.RECORDER is not None:
-                runtime.RECORDER.record_predicate(
-                    leaf.container_path,
-                    _interval_kind(plan.low, plan.high,
-                                   plan.low_inclusive,
-                                   plan.high_inclusive))
-            if self.batch_size > 1 and not container.is_blob:
-                # Batch path (DESIGN.md §13): the interval is one slot
-                # range of the sorted container, the owning elements
-                # one array slice, and the Parent hops one gather per
-                # ascend level — no per-record Python at all.
+                runtime.RECORDER.record_predicate(container.path, kind)
+            if not container.is_blob:
+                # The interval is one slot range of the sorted
+                # container, the owning elements one array slice, and
+                # the Parent hops one gather per ascend level — no
+                # per-record Python at all (DESIGN.md §13).
                 start, end = container.interval_bounds(
                     plan.low, plan.high, plan.low_inclusive,
                     plan.high_inclusive)
@@ -701,6 +679,7 @@ class _Evaluator:
                         ids = np.where(up >= 0, up, ids)
                 matched.update(int(i) for i in np.unique(ids))
                 continue
+            # Blob container: no record slots, filter a full scan.
             for parent_id, _ in container.interval_search(
                     plan.low, plan.high, plan.low_inclusive,
                     plan.high_inclusive):
@@ -1039,6 +1018,27 @@ def _interval_kind(low, high, low_inclusive: bool,
             and high_inclusive:
         return "eq"
     return "ineq"
+
+
+def _interval_answerable(container, plan) -> bool:
+    """Can the container's sort order answer the plan's interval?"""
+    if container.value_type in ("int", "float"):
+        if plan.constant_kind == "string":
+            # A string constant orders lexicographically against
+            # untyped text; numeric sort order cannot answer it.
+            return False
+        # Numeric sort order: every bound must parse as a number.
+        for bound in (plan.low, plan.high):
+            if bound is None:
+                continue
+            try:
+                float(bound)
+            except ValueError:
+                return False
+        return True
+    # A numeric comparison over untyped text compares by value
+    # ("07" = 7); the lexicographic container order cannot answer it.
+    return plan.constant_kind != "number"
 
 
 def _summary_step(step: Step) -> tuple[str, str]:

@@ -1,22 +1,13 @@
 """``ExecutionOptions``: the one knob surface for running a query.
 
-Before the serving layer, the three public entry points grew three
-subtly different keyword surfaces: ``XQueCSystem.query`` took a bare
-``telemetry=``, ``QueryEngine.execute`` took the same plus engine-level
-flags, and the CLI ``query`` command re-invented both as argparse
-flags.  Every run option now lives on one frozen dataclass that all
-layers accept; each layer consumes the fields that apply to it and
-passes the rest through unchanged.
-
-The old keyword arguments keep working through
-:func:`coerce_options` — callers passing ``telemetry=`` get a
-``DeprecationWarning`` and the value is folded into an
-:class:`ExecutionOptions` for them.
+Every run option lives on one frozen dataclass that all layers
+(``QueryEngine.execute``, ``Session.execute``, ``PreparedQuery.run``,
+``XQueCSystem.query``, the CLI) accept; each layer consumes the fields
+that apply to it and passes the rest through unchanged.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
@@ -56,13 +47,6 @@ class ExecutionOptions:
         profiler attributes samples to open spans); the finished
         :class:`~repro.obs.profiler.SpanProfile` lands on
         ``result.telemetry.profile``.
-    ``batch_size``
-        Rows per :class:`~repro.query.batch.RecordBatch` in the batch
-        execution engine (DESIGN.md §13).  ``None`` inherits the
-        session default (ultimately
-        :data:`~repro.query.batch.DEFAULT_BATCH_SIZE`); ``1`` forces
-        the legacy row-at-a-time path — the knob the differential
-        suite turns to hold both paths to identical results.
     """
 
     telemetry: Telemetry | None = None
@@ -72,21 +56,6 @@ class ExecutionOptions:
     use_block_cache: bool = True
     bindings: Mapping[str, object] | None = None
     profile: ProfileOptions | bool | None = None
-    batch_size: int | None = None
-
-    def __post_init__(self):
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(
-                f"batch_size must be >= 1, got {self.batch_size}")
-
-    def resolve_batch_size(self, default: int | None = None) -> int:
-        """The effective rows-per-batch for this run."""
-        from repro.query.batch import DEFAULT_BATCH_SIZE
-        if self.batch_size is not None:
-            return self.batch_size
-        if default is not None:
-            return default
-        return DEFAULT_BATCH_SIZE
 
     def with_telemetry(self, telemetry: Telemetry) -> "ExecutionOptions":
         """A copy of these options recording into ``telemetry``."""
@@ -110,32 +79,3 @@ class ExecutionOptions:
             return {}
         return {name: value if isinstance(value, list) else [value]
                 for name, value in self.bindings.items()}
-
-
-def coerce_options(options: ExecutionOptions | None,
-                   legacy: dict, owner: str) -> ExecutionOptions:
-    """Normalize ``(options, **legacy)`` into one ExecutionOptions.
-
-    ``legacy`` holds the deprecated keyword arguments an entry point
-    still accepts for backwards compatibility (currently only
-    ``telemetry``); passing one warns and folds the value in.  Unknown
-    keywords raise ``TypeError`` exactly like a real signature would.
-    """
-    unknown = set(legacy) - {"telemetry"}
-    if unknown:
-        raise TypeError(
-            f"{owner}() got unexpected keyword argument(s) "
-            f"{sorted(unknown)}")
-    telemetry = legacy.get("telemetry")
-    if telemetry is not None:
-        warnings.warn(
-            f"{owner}(telemetry=...) is deprecated; pass "
-            "ExecutionOptions(telemetry=...) instead",
-            DeprecationWarning, stacklevel=3)
-        if options is not None and options.telemetry is not None:
-            raise TypeError(
-                f"{owner}(): telemetry passed both as legacy keyword "
-                "and inside ExecutionOptions")
-        options = replace(options if options is not None
-                          else ExecutionOptions(), telemetry=telemetry)
-    return options if options is not None else ExecutionOptions()

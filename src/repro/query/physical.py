@@ -11,17 +11,16 @@ Three operator classes, exactly as the paper groups them:
 * **(de)compression / serialization** — :class:`Decompress`,
   :class:`CompressConstant`, :class:`XMLSerialize`.
 
-Operators move data through the **batch-pull protocol** (DESIGN.md
-§13): ``batches(batch_size)`` yields
-:class:`~repro.query.batch.RecordBatch` columnar slices, and the
-scan/selection/join operators evaluate over numpy arrays — container
+Operators move data through one **batch-pull protocol** (DESIGN.md
+§13): an operator implements ``_batches(size)``, ``batches(size)``
+yields its :class:`~repro.query.batch.RecordBatch` columnar slices, and
+the scan/selection/join operators evaluate over numpy arrays — container
 slot ranges for compressed-domain predicates, ``np.searchsorted`` for
-merge keys.  The historical row-pull protocol survives as a thin
-compatibility layer: iterating an operator still yields *rows* (dicts
-mapping column names to items) with exactly the same contents and
-order, so plans compose by nesting either way.  Operators that only
-implement the legacy ``_rows`` keep working through a chunking shim
-(with a ``DeprecationWarning`` — see ``src.operator-rows-no-batches``).
+merge keys.  Iterating an operator yields *rows* (dicts mapping column
+names to items): the same batches, flattened, so plans compose by
+nesting either way.  Operators whose work is per-row (``Child``
+expansion, theta-join conditions, blob-container fallbacks) run one
+private row generator over their input's batches and chunk it.
 
 Order guarantees mirror §4: ``StructureSummaryAccess`` emits element
 ids in document order, ``Parent``/``Child`` preserve the order of
@@ -31,13 +30,12 @@ which is what lets plans use :class:`MergeJoin` without sorting.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterable, Iterator
 from time import perf_counter_ns
 
 import numpy as np
 
-from repro.errors import StorageError
+from repro.errors import QueryTypeError, StorageError
 from repro.obs import runtime
 from repro.query.batch import (DEFAULT_BATCH_SIZE, ItemColumn,
                                NodeColumn, RecordBatch, ValueColumn,
@@ -48,64 +46,35 @@ from repro.storage.repository import CompressedRepository
 Row = dict
 
 
-def _traced(name: str, rows: Iterator[Row]) -> Iterator[Row]:
-    """Wrap an operator's row stream with telemetry when active.
+def _traced(name: str, batches: Iterator[RecordBatch]
+            ) -> Iterator[RecordBatch]:
+    """Wrap an operator's batch stream with telemetry when active.
 
     Observes one ``span.<name>`` histogram entry for the full
-    iteration's wall time and counts rows in ``op.<name>.rows``; with
-    no active telemetry the stream is returned untouched, so the
-    disabled-mode cost is one global load and an ``is None`` test.
-    """
-    telemetry = runtime.ACTIVE
-    if telemetry is None:
-        return rows
-    return _traced_rows(name, rows, telemetry)
-
-
-def _traced_rows(name: str, rows: Iterator[Row], telemetry
-                 ) -> Iterator[Row]:
-    metrics = telemetry.metrics
-    count = 0
-    start = perf_counter_ns()
-    try:
-        for row in rows:
-            count += 1
-            yield row
-    finally:
-        metrics.observe(f"span.{name}", perf_counter_ns() - start)
-        metrics.add(f"op.{name}.rows", count)
-
-
-def _traced_batches(name: str, batches: Iterator[RecordBatch]
-                    ) -> Iterator[RecordBatch]:
-    """Batch-mode twin of :func:`_traced` (same span/row accounting).
-
-    Rows are counted from batch lengths — EXPLAIN ANALYZE and the
-    profiler read identical ``span.<name>`` / ``op.<name>.rows``
-    series whichever protocol ran — plus an ``op.<name>.batches``
-    counter attributing how many batches carried them.
+    iteration's wall time and counts ``op.<name>.rows`` (from batch
+    lengths) and ``op.<name>.batches``; with no active telemetry the
+    stream is returned untouched, so the disabled-mode cost is one
+    global load and an ``is None`` test.
     """
     telemetry = runtime.ACTIVE
     if telemetry is None:
         return batches
-    return _traced_batch_iter(name, batches, telemetry)
 
-
-def _traced_batch_iter(name: str, batches: Iterator[RecordBatch],
-                       telemetry) -> Iterator[RecordBatch]:
-    metrics = telemetry.metrics
-    rows = 0
-    count = 0
-    start = perf_counter_ns()
-    try:
-        for batch in batches:
-            rows += len(batch)
-            count += 1
-            yield batch
-    finally:
-        metrics.observe(f"span.{name}", perf_counter_ns() - start)
-        metrics.add(f"op.{name}.rows", rows)
-        metrics.add(f"op.{name}.batches", count)
+    def traced() -> Iterator[RecordBatch]:
+        metrics = telemetry.metrics
+        rows = 0
+        count = 0
+        start = perf_counter_ns()
+        try:
+            for batch in batches:
+                rows += len(batch)
+                count += 1
+                yield batch
+        finally:
+            metrics.observe(f"span.{name}", perf_counter_ns() - start)
+            metrics.add(f"op.{name}.rows", rows)
+            metrics.add(f"op.{name}.batches", count)
+    return traced()
 
 
 def _input_batches(source, size: int) -> Iterator[RecordBatch]:
@@ -115,19 +84,28 @@ def _input_batches(source, size: int) -> Iterator[RecordBatch]:
     return batches_from_rows(iter(source), size)
 
 
+def input_rows(source, size: int) -> Iterator[Row]:
+    """Rows from an operator input, pulled ``size`` at a time."""
+    if isinstance(source, Operator):
+        return rows_of_batches(source.batches(size))
+    return iter(source)
+
+
+def _node_ids(batch: RecordBatch, name: str) -> np.ndarray:
+    """The ``int64`` element ids of one (compacted) batch column."""
+    column = batch.column(name)
+    if isinstance(column, NodeColumn):
+        return column.ids
+    return np.fromiter((item.node_id for item in column.to_items()),
+                       dtype=np.int64, count=len(batch))
+
+
 class Operator:
     """Base class: a batch-pull operator that is also iterable as rows.
 
-    Subclasses implement ``_batches(size)`` (and usually keep a scalar
-    ``_rows`` so the legacy row path stays available for differential
-    testing); either protocol is derived from the other:
-
-    * ``batches(batch_size)`` routes through :func:`_traced_batches`;
-      an operator that only has ``_rows`` is chunked by the compat
-      shim, with a ``DeprecationWarning`` naming the class.
-    * ``__iter__`` routes through :func:`_traced` over ``_rows``; an
-      operator that only has ``_batches`` gets its rows by flattening
-      batches.
+    Subclasses implement ``_batches(size)``; ``batches(size)``
+    routes it through :func:`_traced`, and ``__iter__``/``rows()`` are
+    those batches flattened.
 
     ``INPUTS`` names the attributes holding the operator's stream
     inputs, in plan order — the static plan verifier
@@ -139,14 +117,7 @@ class Operator:
     INPUTS: tuple[str, ...] = ()
 
     def __iter__(self) -> Iterator[Row]:
-        return _traced(type(self).__name__, self._rows())
-
-    def _rows(self) -> Iterator[Row]:
-        cls = type(self)
-        if cls._batches is Operator._batches:
-            raise NotImplementedError(
-                f"{cls.__name__} implements neither _batches nor _rows")
-        return rows_of_batches(self._batches(DEFAULT_BATCH_SIZE))
+        return rows_of_batches(self.batches())
 
     def batches(self, batch_size: int | None = None
                 ) -> Iterator[RecordBatch]:
@@ -155,28 +126,11 @@ class Operator:
             else int(batch_size)
         if size < 1:
             raise ValueError(f"batch_size must be >= 1, got {size}")
-        return _traced_batches(type(self).__name__, self._batches(size))
+        return _traced(type(self).__name__, self._batches(size))
 
     def _batches(self, size: int) -> Iterator[RecordBatch]:
-        cls = type(self)
-        if cls._rows is Operator._rows:
-            raise NotImplementedError(
-                f"{cls.__name__} implements neither _batches nor _rows")
-        warnings.warn(
-            f"{cls.__name__} implements _rows() without _batches(); "
-            "the row-pull operator protocol is deprecated — implement "
-            "_batches() (DESIGN.md §13)",
-            DeprecationWarning, stacklevel=3)
-        return batches_from_rows(self._rows(), size)
-
-    def _compat_batches(self, size: int) -> Iterator[RecordBatch]:
-        """Chunk the scalar row path (explicit, warning-free compat).
-
-        For operators whose per-row work is irreducibly scalar
-        (``Child`` expansion, theta-join conditions): declaring
-        ``_batches = row chunking`` is a decision, not an omission.
-        """
-        return batches_from_rows(self._rows(), size)
+        raise NotImplementedError(
+            f"{type(self).__name__} does not implement _batches")
 
     def inputs(self) -> list:
         """The operator's input streams (operators or plain iterables)."""
@@ -192,8 +146,8 @@ class Operator:
 class ContScan(Operator):
     """Scan all (elementID, compressed value) pairs of a container.
 
-    Batch mode never materializes per-record objects: ids come straight
-    from the container's cached parent-id array and values ride as slot
+    Never materializes per-record objects: ids come straight from
+    the container's cached parent-id array and values ride as slot
     ranges (:class:`~repro.query.batch.ValueColumn`).
     """
 
@@ -208,11 +162,6 @@ class ContScan(Operator):
         self.id_column = id_column
         self.value_column = value_column
 
-    def _rows(self) -> Iterator[Row]:
-        if self._stats is not None:
-            self._stats.container_scans += 1
-        yield from self._scan_rows()
-
     def _scan_rows(self) -> Iterator[Row]:
         container = self._container
         codec = container.codec
@@ -226,10 +175,10 @@ class ContScan(Operator):
         if self._stats is not None:
             self._stats.container_scans += 1
         container = self._container
-        arrays = container.as_arrays()
-        if arrays.records is None:  # blob: no per-record slots
+        if container.is_blob:  # no record slots: decompressing scan
             yield from batches_from_rows(self._scan_rows(), size)
             return
+        arrays = container.as_arrays()
         # Mirror scan()'s access accounting without building rows.
         if runtime.ACTIVE is not None:
             runtime.add("container.scans")
@@ -247,8 +196,8 @@ class ContScan(Operator):
 class ContAccess(Operator):
     """Interval access into a container (binary search, §2.2).
 
-    Batch mode resolves the interval to one slot range
-    (``interval_bounds``) and emits array slices of it.
+    Resolves the interval to one slot range (``interval_bounds``)
+    and emits array slices of it.
     """
 
     def __init__(self, repository: CompressedRepository, path: str,
@@ -266,19 +215,6 @@ class ContAccess(Operator):
         self.value_column = value_column
         self.interval = self._interval
 
-    def _record_predicate(self) -> None:
-        if runtime.RECORDER is not None:
-            low, high, low_inc, high_inc = self._interval
-            kind = "eq" if (low is not None and low == high
-                            and low_inc and high_inc) else "ineq"
-            runtime.RECORDER.record_predicate(self._container.path, kind)
-
-    def _rows(self) -> Iterator[Row]:
-        if self._stats is not None:
-            self._stats.container_accesses += 1
-        self._record_predicate()
-        yield from self._interval_rows()
-
     def _interval_rows(self) -> Iterator[Row]:
         container = self._container
         codec = container.codec
@@ -293,15 +229,18 @@ class ContAccess(Operator):
     def _batches(self, size: int) -> Iterator[RecordBatch]:
         if self._stats is not None:
             self._stats.container_accesses += 1
-        self._record_predicate()
         container = self._container
         low, high, low_inc, high_inc = self._interval
-        bounds = container.interval_bounds(low, high, low_inc, high_inc)
-        if bounds is None:  # blob container: filtered full scan
+        if runtime.RECORDER is not None:
+            kind = "eq" if (low is not None and low == high
+                            and low_inc and high_inc) else "ineq"
+            runtime.RECORDER.record_predicate(container.path, kind)
+        if container.is_blob:  # no record slots: filtered full scan
             yield from batches_from_rows(self._interval_rows(), size)
             return
         arrays = container.as_arrays()
-        start, end = bounds
+        start, end = container.interval_bounds(low, high, low_inc,
+                                               high_inc)
         for lo in range(start, end, size):
             hi = min(lo + size, end)
             yield RecordBatch({
@@ -330,12 +269,6 @@ class StructureSummaryAccess(Operator):
         ids.sort()
         return ids
 
-    def _rows(self) -> Iterator[Row]:
-        if self._stats is not None:
-            self._stats.summary_accesses += 1
-        for node_id in self._merged_ids():
-            yield {self._column: NodeItem(int(node_id))}
-
     def _batches(self, size: int) -> Iterator[RecordBatch]:
         if self._stats is not None:
             self._stats.summary_accesses += 1
@@ -349,8 +282,8 @@ class Child(Operator):
     """Append each input node's children (optionally tag-filtered).
 
     Children of one node are emitted in document order; input order is
-    preserved (§4).  Per-node fan-out is irregular, so batch mode is
-    the explicit row-chunking compat path.
+    preserved (§4).  Per-node fan-out is irregular, so the expansion
+    is a row generator over the input's batches, chunked.
     """
 
     INPUTS = ("_source",)
@@ -369,13 +302,13 @@ class Child(Operator):
         self.input_column = input_column
         self.output_column = output_column
 
-    def _rows(self) -> Iterator[Row]:
+    def _expand(self, size: int) -> Iterator[Row]:
         structure = self._repository.structure
         tag_code = (None if self._tag is None
                     else self._repository.dictionary.code_of(self._tag))
         if self._tag is not None and tag_code is None:
             return  # tag absent from the document: no children at all
-        for row in self._source:
+        for row in input_rows(self._source, size):
             node = row[self._input]
             for child_id in structure.children_of(node.node_id, tag_code):
                 if self._stats is not None:
@@ -383,14 +316,14 @@ class Child(Operator):
                 yield {**row, self._output: NodeItem(child_id)}
 
     def _batches(self, size: int) -> Iterator[RecordBatch]:
-        return self._compat_batches(size)
+        return batches_from_rows(self._expand(size), size)
 
 
 class Parent(Operator):
     """Append each input node's parent; preserves input order (§4).
 
-    Batch mode gathers parents from the structure tree's cached
-    parent-id array in one indexing operation per batch.
+    Gathers parents from the structure tree's cached parent-id
+    array in one indexing operation per batch.
     """
 
     INPUTS = ("_source",)
@@ -407,30 +340,13 @@ class Parent(Operator):
         self.input_column = input_column
         self.output_column = output_column
 
-    def _rows(self) -> Iterator[Row]:
-        structure = self._repository.structure
-        for row in self._source:
-            node = row[self._input]
-            parent_id = structure.parent_of(node.node_id)
-            if parent_id is None:
-                continue
-            if self._stats is not None:
-                self._stats.nodes_visited += 1
-            yield {**row, self._output: NodeItem(parent_id)}
-
     def _batches(self, size: int) -> Iterator[RecordBatch]:
         parents = self._repository.structure.parent_array()
         for batch in _input_batches(self._source, size):
             batch = batch.compact()
             if not len(batch):
                 continue
-            column = batch.column(self._input)
-            if isinstance(column, NodeColumn):
-                ids = column.ids
-            else:
-                ids = np.fromiter(
-                    (item.node_id for item in column.to_items()),
-                    dtype=np.int64, count=len(batch))
+            ids = _node_ids(batch, self._input)
             out_parents = parents[ids]
             keep = out_parents >= 0
             if not keep.all():
@@ -463,13 +379,13 @@ class Descendant(Operator):
         self.input_column = input_column
         self.output_column = output_column
 
-    def _rows(self) -> Iterator[Row]:
+    def _expand(self, size: int) -> Iterator[Row]:
         structure = self._repository.structure
         tag_code = (None if self._tag is None
                     else self._repository.dictionary.code_of(self._tag))
         if self._tag is not None and tag_code is None:
             return
-        for row in self._source:
+        for row in input_rows(self._source, size):
             node = row[self._input]
             for descendant_id in structure.descendants_of(
                     node.node_id, tag_code):
@@ -478,7 +394,7 @@ class Descendant(Operator):
                 yield {**row, self._output: NodeItem(descendant_id)}
 
     def _batches(self, size: int) -> Iterator[RecordBatch]:
-        return self._compat_batches(size)
+        return batches_from_rows(self._expand(size), size)
 
 
 def _concat_ranges(lo: np.ndarray, hi: np.ndarray,
@@ -492,11 +408,12 @@ def _concat_ranges(lo: np.ndarray, hi: np.ndarray,
 class TextContent(Operator):
     """Pair element ids with their immediate text content.
 
-    The row path implements it, as in the paper, as a hash join
-    between the input ids and a ``ContScan`` of the text container;
-    the batch path replaces the hash table with ``np.searchsorted``
-    over the container's parent-id array sorted by parent (a
-    vectorized index-nested-loop with the same output order).
+    The paper implements it as a hash join between the input ids and
+    a ``ContScan`` of the text container; here the hash table is
+    ``np.searchsorted`` over the container's parent-id array sorted by
+    parent (a vectorized index-nested-loop with the same output
+    order).  Blob containers, which have no record slots, keep the
+    literal hash join.
     """
 
     INPUTS = ("_source",)
@@ -507,45 +424,37 @@ class TextContent(Operator):
                  container_path: str,
                  stats: EvaluationStats | None = None):
         self._source = source
-        self._repository = repository
         self._input = input_column
         self._output = output_column
-        self._container_path = container_path
         self._stats = stats
         self.input_column = input_column
         self.output_column = output_column
         self.container = repository.container(container_path)
 
-    def _count_join(self) -> None:
-        if self._stats is not None:
-            self._stats.container_scans += 1
-            self._stats.hash_joins += 1
-
-    def _rows(self) -> Iterator[Row]:
-        self._count_join()
-        yield from self._join_rows(self._source)
-
-    def _join_rows(self, source: Iterable[Row]) -> Iterator[Row]:
-        container = self._repository.container(self._container_path)
+    def _hash_join_rows(self, size: int) -> Iterator[Row]:
+        container = self.container
         codec = container.codec
         value_type = container.value_type
         by_parent: dict[int, list[CompressedItem]] = {}
         for parent_id, compressed in container.scan():
             by_parent.setdefault(parent_id, []).append(
                 CompressedItem(compressed, codec, value_type))
-        for row in source:
+        for row in input_rows(self._source, size):
             node = row[self._input]
             for item in by_parent.get(node.node_id, ()):
                 yield {**row, self._output: item}
 
     def _batches(self, size: int) -> Iterator[RecordBatch]:
-        container = self._repository.container(self._container_path)
-        arrays = container.as_arrays()
-        if arrays.records is None:  # blob: keep the hash-join path
-            yield from batches_from_rows(self._rows(), size)
+        if self._stats is not None:
+            self._stats.container_scans += 1
+            self._stats.hash_joins += 1
+        container = self.container
+        if container.is_blob:  # no record slots: literal hash join
+            yield from batches_from_rows(self._hash_join_rows(size), size)
             return
-        self._count_join()
-        if runtime.ACTIVE is not None:  # mirrors the row path's scan()
+        arrays = container.as_arrays()
+        # Mirror scan()'s access accounting without building rows.
+        if runtime.ACTIVE is not None:
             runtime.add("container.scans")
         if runtime.RECORDER is not None:
             runtime.RECORDER.record_access(container.path, "scans")
@@ -557,13 +466,7 @@ class TextContent(Operator):
             batch = batch.compact()
             if not len(batch):
                 continue
-            column = batch.column(self._input)
-            if isinstance(column, NodeColumn):
-                ids = column.ids
-            else:
-                ids = np.fromiter(
-                    (item.node_id for item in column.to_items()),
-                    dtype=np.int64, count=len(batch))
+            ids = _node_ids(batch, self._input)
             lo = np.searchsorted(sorted_parents, ids, side="left")
             hi = np.searchsorted(sorted_parents, ids, side="right")
             total = int((hi - lo).sum())
@@ -588,9 +491,6 @@ class AttributeContent(Operator):
         self._inner = TextContent(source, repository, input_column,
                                   output_column, container_path, stats)
 
-    def _rows(self) -> Iterator[Row]:
-        return iter(self._inner)
-
     def _batches(self, size: int) -> Iterator[RecordBatch]:
         return self._inner.batches(size)
 
@@ -609,12 +509,12 @@ class Select(Operator):
 
     ``interval`` optionally declares the predicate as a value interval
     ``(low, high, low_inclusive, high_inclusive)`` over ``column`` —
-    the declaration the batch path compiles into a vectorized mask:
+    the declaration ``_batches`` compiles into a vectorized mask:
     when the column is a :class:`~repro.query.batch.ValueColumn`, the
     container's sortedness turns the interval into one slot range and
     the predicate into two array comparisons, with no per-row calls.
     The callable must implement exactly the declared interval (it
-    remains the row path's, and any fallback's, source of truth).
+    remains the source of truth for any other column representation).
     """
 
     INPUTS = ("_source",)
@@ -632,12 +532,6 @@ class Select(Operator):
             else ((column,) if column is not None else None)
         self.interval = tuple(interval) if interval is not None else None
         self._bounds_cache: dict[int, tuple[int, int] | None] = {}
-
-    def _rows(self) -> Iterator[Row]:
-        predicate = self._predicate
-        for row in self._source:
-            if predicate(row):
-                yield row
 
     def _vector_mask(self, batch: RecordBatch) -> np.ndarray | None:
         """Mask from the declared interval, or ``None`` to fall back."""
@@ -686,11 +580,6 @@ class Project(Operator):
         self._columns = columns
         self.columns = tuple(columns)
 
-    def _rows(self) -> Iterator[Row]:
-        columns = self._columns
-        for row in self._source:
-            yield {c: row[c] for c in columns}
-
     def _batches(self, size: int) -> Iterator[RecordBatch]:
         for batch in _input_batches(self._source, size):
             yield batch.project(self._columns)
@@ -720,32 +609,18 @@ class HashJoin(Operator):
         self.left_column = left_column
         self.right_column = right_column
 
-    def _rows(self) -> Iterator[Row]:
+    def _probe(self, size: int) -> Iterator[Row]:
         if self._stats is not None:
             self._stats.hash_joins += 1
         index: dict = {}
-        for row in self._right:
+        for row in input_rows(self._right, size):
             index.setdefault(self._right_key(row), []).append(row)
-        for row in self._left:
+        for row in input_rows(self._left, size):
             for match in index.get(self._left_key(row), ()):
                 yield {**row, **match}
 
     def _batches(self, size: int) -> Iterator[RecordBatch]:
-        if self._stats is not None:
-            self._stats.hash_joins += 1
-        index: dict = {}
-        for row in rows_of_batches(_input_batches(self._right, size)):
-            index.setdefault(self._right_key(row), []).append(row)
-        chunk: list[Row] = []
-        for batch in _input_batches(self._left, size):
-            for row in batch.to_rows():
-                for match in index.get(self._left_key(row), ()):
-                    chunk.append({**row, **match})
-                    if len(chunk) >= size:
-                        yield RecordBatch.from_rows(chunk)
-                        chunk = []
-        if chunk:
-            yield RecordBatch.from_rows(chunk)
+        return batches_from_rows(self._probe(size), size)
 
 
 class _BatchCursor:
@@ -824,9 +699,8 @@ class MergeJoin(Operator):
     columns via ``left_column``/``right_column`` and the plan verifier
     proves (or refutes) that order statically.
 
-    Both paths stream: the batch path buffers one batch per side (plus
-    the current equal-key run), the row path materializes only the
-    build (right) side and streams the probe.
+    Both sides stream: one batch per side is buffered, plus the
+    current equal-key run.
     """
 
     INPUTS = ("_left", "_right")
@@ -841,22 +715,6 @@ class MergeJoin(Operator):
         self._right_key = right_key
         self.left_column = left_column
         self.right_column = right_column
-
-    def _rows(self) -> Iterator[Row]:
-        right_rows = list(self._right)
-        right_keys = [self._right_key(row) for row in right_rows]
-        count = len(right_rows)
-        j = 0
-        for left_row in self._left:  # probe side streams
-            left_key = self._left_key(left_row)
-            while j < count and right_keys[j] < left_key:
-                j += 1
-            # j parks at the first key >= left_key; equal left keys in
-            # a row re-emit the same right run from here.
-            k = j
-            while k < count and right_keys[k] == left_key:
-                yield {**left_row, **right_rows[k]}
-                k += 1
 
     def _batches(self, size: int) -> Iterator[RecordBatch]:
         left = _BatchCursor(_input_batches(self._left, size),
@@ -896,15 +754,15 @@ class NestedLoopJoin(Operator):
         self.references = tuple(references) if references is not None \
             else None
 
-    def _rows(self) -> Iterator[Row]:
-        right_rows = list(self._right)
-        for left_row in self._left:
+    def _loop(self, size: int) -> Iterator[Row]:
+        right_rows = list(input_rows(self._right, size))
+        for left_row in input_rows(self._left, size):
             for right_row in right_rows:
                 if self._condition(left_row, right_row):
                     yield {**left_row, **right_row}
 
     def _batches(self, size: int) -> Iterator[RecordBatch]:
-        return self._compat_batches(size)
+        return batches_from_rows(self._loop(size), size)
 
 
 class Distinct(Operator):
@@ -917,14 +775,6 @@ class Distinct(Operator):
         self._source = source
         self._key = key
         self.columns = tuple(columns) if columns is not None else None
-
-    def _rows(self) -> Iterator[Row]:
-        seen: set = set()
-        for row in self._source:
-            key = self._key(row)
-            if key not in seen:
-                seen.add(key)
-                yield row
 
     def _batches(self, size: int) -> Iterator[RecordBatch]:
         seen: set = set()
@@ -963,15 +813,10 @@ class Sort(Operator):
         self._reverse = reverse
         self.columns = tuple(columns) if columns is not None else None
 
-    def _rows(self) -> Iterator[Row]:
-        yield from sorted(self._source, key=self._key,
-                          reverse=self._reverse)
-
     def _batches(self, size: int) -> Iterator[RecordBatch]:
-        ordered = sorted(
-            rows_of_batches(_input_batches(self._source, size)),
-            key=self._key, reverse=self._reverse)
-        return batches_from_rows(iter(ordered), size)
+        ordered = sorted(input_rows(self._source, size),
+                         key=self._key, reverse=self._reverse)
+        return batches_from_rows(ordered, size)
 
 
 # -- compression / decompression operators -------------------------------------
@@ -993,15 +838,6 @@ class Decompress(Operator):
         self._columns = columns
         self._stats = stats
         self.columns = tuple(columns)
-
-    def _rows(self) -> Iterator[Row]:
-        for row in self._source:
-            out = dict(row)
-            for column in self._columns:
-                item = out.get(column)
-                if isinstance(item, CompressedItem):
-                    out[column] = item.decode(self._stats)
-            yield out
 
     def _decoded_column(self, column):
         stats = self._stats
@@ -1043,9 +879,8 @@ class XMLSerialize(Operator):
         self._source = source
         self.columns = tuple(columns)
 
-    def _rows(self) -> Iterator[Row]:
-        from repro.errors import QueryTypeError
-        for row in self._source:
+    def _serialized(self, size: int) -> Iterator[Row]:
+        for row in input_rows(self._source, size):
             out = dict(row)
             for column in self.columns:
                 item = out.get(column)
@@ -1059,37 +894,7 @@ class XMLSerialize(Operator):
             yield out
 
     def _batches(self, size: int) -> Iterator[RecordBatch]:
-        from repro.errors import QueryTypeError
-        for batch in _input_batches(self._source, size):
-            batch = batch.compact()
-            for name in self.columns:
-                try:
-                    column = batch.column(name)
-                except KeyError:
-                    continue
-                if isinstance(column, ValueColumn):
-                    raise QueryTypeError(
-                        f"column {name!r} reached XMLSerialize still "
-                        "compressed; plans must Decompress every "
-                        "serialized value exactly once")
-            rows = list(self._serialized(batch.to_rows()))
-            if rows:
-                yield RecordBatch.from_rows(rows)
-
-    def _serialized(self, rows: Iterable[Row]) -> Iterator[Row]:
-        from repro.errors import QueryTypeError
-        for row in rows:
-            out = dict(row)
-            for column in self.columns:
-                item = out.get(column)
-                if isinstance(item, CompressedItem):
-                    raise QueryTypeError(
-                        f"column {column!r} reached XMLSerialize still "
-                        "compressed; plans must Decompress every "
-                        "serialized value exactly once")
-                if not isinstance(item, str):
-                    out[column] = str(item)
-            yield out
+        return batches_from_rows(self._serialized(size), size)
 
 
 class CompressConstant:

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
+from repro.query.batch import batches_from_rows
 from repro.query.context import EvaluationStats, NodeItem
-from repro.query.physical import Operator, Row
+from repro.query.physical import Operator, Row, input_rows
 from repro.storage.structure import StructureTree
 
 
@@ -53,11 +54,11 @@ class StructuralJoin(Operator):
 
     def _batches(self, size: int):
         # Stack-based holistic join: output order depends on a shared
-        # stack across the whole descendant stream, so the batch form
-        # chunks the row algorithm rather than splitting the stack.
-        return self._compat_batches(size)
+        # stack across the whole descendant stream, so the row
+        # algorithm is chunked rather than the stack split.
+        return batches_from_rows(self._pairs(size), size)
 
-    def _rows(self) -> Iterator[Row]:
+    def _pairs(self, size: int) -> Iterator[Row]:
         structure = self._structure
         a_column = self._ancestor_column
         d_column = self._descendant_column
@@ -71,8 +72,10 @@ class StructuralJoin(Operator):
                             row))
             return out
 
-        ancestors = annotated(self._ancestors, a_column)
-        descendants = annotated(self._descendants, d_column)
+        ancestors = annotated(input_rows(self._ancestors, size),
+                              a_column)
+        descendants = annotated(input_rows(self._descendants, size),
+                                d_column)
         if self._stats is not None:
             self._stats.nodes_visited += len(ancestors) \
                 + len(descendants)

@@ -37,7 +37,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.workload import WorkloadRecorder
 from repro.query.ast import Expression
 from repro.query.engine import QueryEngine, QueryResult
-from repro.query.options import ExecutionOptions, coerce_options
+from repro.query.options import ExecutionOptions
 from repro.query.parser import parse_query
 from repro.service.blocks import CachedRepositoryView
 from repro.service.cache import (
@@ -109,14 +109,15 @@ class PreparedQuery:
         return self.plan.diagnostics
 
     def run(self, options: ExecutionOptions | None = None, *,
-            bindings: dict | None = None, **legacy) -> QueryResult:
+            bindings: dict | None = None) -> QueryResult:
         """Execute the prepared plan (parse/verify already paid).
 
         ``bindings`` rebinds external ``$variables`` to new constants
         for this run only — the prepared-statement idiom: one plan,
         many parameterizations.
         """
-        options = coerce_options(options, legacy, "PreparedQuery.run")
+        if options is None:
+            options = ExecutionOptions()
         if bindings is not None:
             merged = dict(options.bindings or {})
             merged.update(bindings)
@@ -155,16 +156,7 @@ class Session:
                  recorder: WorkloadRecorder | None = None,
                  slow_log: SlowQueryLog | None = None,
                  verify_plans: bool = True,
-                 telemetry_enabled: bool = False,
-                 batch_size: int | None = None):
-        if batch_size is not None and batch_size < 1:
-            raise ValueError(
-                f"batch_size must be >= 1, got {batch_size}")
-        #: session default for ``ExecutionOptions.batch_size`` —
-        #: applied to every run that does not pin its own; ``None``
-        #: falls through to the engine default
-        #: (:data:`repro.query.batch.DEFAULT_BATCH_SIZE`).
-        self.batch_size = batch_size
+                 telemetry_enabled: bool = False):
         self.repository = repository
         self.collection = dict(collection) if collection else {}
         self.metrics = metrics if metrics is not None \
@@ -236,10 +228,11 @@ class Session:
     # -- executing -----------------------------------------------------------
 
     def execute(self, query: str | Expression,
-                options: ExecutionOptions | None = None,
-                **legacy) -> QueryResult:
+                options: ExecutionOptions | None = None
+                ) -> QueryResult:
         """The unified entry point: prepare (cached) + run."""
-        options = coerce_options(options, legacy, "Session.execute")
+        if options is None:
+            options = ExecutionOptions()
         # Snapshot cache counters before prepare(), not inside _run:
         # the plan-cache hit/miss of *this* query lands in prepare,
         # and the slow-query record's deltas should cover it.
@@ -277,8 +270,6 @@ class Session:
     def _run(self, prepared: PreparedQuery,
              options: ExecutionOptions,
              cache_before: dict | None = None) -> QueryResult:
-        if options.batch_size is None and self.batch_size is not None:
-            options = replace(options, batch_size=self.batch_size)
         engine = self._engine_for(options)
         record = options.record
         if record is None:
@@ -454,12 +445,8 @@ class Database:
                  plan_capacity: int = DEFAULT_PLAN_CAPACITY,
                  block_budget: int = DEFAULT_BLOCK_BUDGET,
                  metrics: MetricsRegistry | None = None,
-                 slow_log: SlowQueryLog | None = None,
-                 batch_size: int | None = None):
+                 slow_log: SlowQueryLog | None = None):
         self.repository = repository
-        #: default ``batch_size`` handed to every session (and from
-        #: there to every run that does not pin its own).
-        self.batch_size = batch_size
         self.collection = dict(collection) if collection else {}
         self.metrics = metrics if metrics is not None \
             else MetricsRegistry()
@@ -498,7 +485,6 @@ class Database:
         kwargs.setdefault("block_cache", self.block_cache)
         kwargs.setdefault("metrics", self.metrics)
         kwargs.setdefault("slow_log", self.slow_log)
-        kwargs.setdefault("batch_size", self.batch_size)
         return Session(self.repository,
                        self.collection or None, **kwargs)
 

@@ -124,7 +124,6 @@ class WorkerSettings:
 
     plan_capacity: int = DEFAULT_PLAN_CAPACITY
     block_budget: int = DEFAULT_BLOCK_BUDGET
-    batch_size: int | None = None
     verify_plans: bool = True
 
 
@@ -152,8 +151,7 @@ def _worker_main(conn, repository, collection, shard_id: int,
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     database = Database(repository, collection or None,
                         plan_capacity=settings.plan_capacity,
-                        block_budget=settings.block_budget,
-                        batch_size=settings.batch_size)
+                        block_budget=settings.block_budget)
     database.metrics.set_gauge("shard.id", shard_id)
     database.metrics.set_gauge("shard.pid", os.getpid())
     session = database.session(verify_plans=settings.verify_plans)
@@ -408,7 +406,6 @@ class ShardedDatabase:
                  admission: AdmissionController | None = None,
                  plan_capacity: int = DEFAULT_PLAN_CAPACITY,
                  block_budget: int = DEFAULT_BLOCK_BUDGET,
-                 batch_size: int | None = None,
                  verify_plans: bool = True):
         self.repository = repository
         self.collection = dict(collection) if collection else {}
@@ -424,7 +421,6 @@ class ShardedDatabase:
             else AdmissionController()
         self.settings = WorkerSettings(plan_capacity=plan_capacity,
                                        block_budget=block_budget,
-                                       batch_size=batch_size,
                                        verify_plans=verify_plans)
         self._workers: list[ShardWorker] = []
         self._routes: dict[str, Route] = {}

@@ -28,7 +28,6 @@ from repro.errors import XQueCError
 from repro.obs import runtime
 from repro.query.context import EvaluationStats
 from repro.query.engine import QueryEngine
-from repro.query.options import ExecutionOptions
 from repro.storage.loader import load_document
 from repro.verify.documents import (
     entity_list,
@@ -84,18 +83,16 @@ def _reference_xml(repository) -> str:
 
 
 def _run_pair(xml: str, query: str, codec_variant: str,
-              recorder: _BlameRecorder | None = None,
-              batch_size: int | None = None
+              recorder: _BlameRecorder | None = None
               ) -> tuple[tuple[str, str], tuple[str, str]]:
     repository = load_document(xml, default_string_codec=codec_variant)
     engine = QueryEngine(repository)
-    options = ExecutionOptions(batch_size=batch_size)
 
     def compressed():
         if recorder is None:
-            return engine.execute(query, options).to_xml()
+            return engine.execute(query).to_xml()
         with runtime.recording(recorder):
-            return engine.execute(query, options).to_xml()
+            return engine.execute(query).to_xml()
 
     compressed_outcome = _outcome(compressed)
     reference = GalaxEngine(_reference_xml(repository))
@@ -103,14 +100,12 @@ def _run_pair(xml: str, query: str, codec_variant: str,
     return compressed_outcome, reference_outcome
 
 
-def _blame(xml: str, query: str, codec_variant: str,
-           batch_size: int | None = None
+def _blame(xml: str, query: str, codec_variant: str
            ) -> tuple[str, str | None, str | None]:
     """(codec, container, plan node) the mismatching run touched."""
     recorder = _BlameRecorder()
     try:
-        _run_pair(xml, query, codec_variant, recorder=recorder,
-                  batch_size=batch_size)
+        _run_pair(xml, query, codec_variant, recorder=recorder)
         repository = load_document(xml,
                                    default_string_codec=codec_variant)
     except Exception:  # noqa: BLE001 — blame is best-effort
@@ -134,26 +129,21 @@ def _blame(xml: str, query: str, codec_variant: str,
 
 
 def check_document(entities: dict, queries: list[str],
-                   report: VerifyReport,
-                   batch_size: int | None = None) -> None:
+                   report: VerifyReport) -> None:
     """Diff every query over one document, under every codec variant."""
     xml = render_xml(entities)
     for codec_variant in VARIANTS:
         for query in queries:
             report.checks_run += 1
-            compressed, reference = _run_pair(xml, query, codec_variant,
-                                              batch_size=batch_size)
+            compressed, reference = _run_pair(xml, query, codec_variant)
             if compressed == reference:
                 continue
-            minimal = _minimize(entities, query, codec_variant,
-                                batch_size=batch_size)
+            minimal = _minimize(entities, query, codec_variant)
             minimal_xml = render_xml(minimal)
             codec, container, plan_node = _blame(
-                minimal_xml, query, codec_variant,
-                batch_size=batch_size)
+                minimal_xml, query, codec_variant)
             final_c, final_r = _run_pair(minimal_xml, query,
-                                         codec_variant,
-                                         batch_size=batch_size)
+                                         codec_variant)
             report.add(Mismatch(
                 layer="engine", check="query", codec=codec,
                 container=container, plan_node=plan_node,
@@ -166,14 +156,12 @@ def check_document(entities: dict, queries: list[str],
                             "reference": list(final_r)}))
 
 
-def _minimize(entities: dict, query: str, codec_variant: str,
-              batch_size: int | None = None) -> dict:
+def _minimize(entities: dict, query: str, codec_variant: str) -> dict:
     """Delta-debug the entity list for one mismatching query."""
     def fails(pairs: list) -> bool:
         subset_xml = render_xml(from_entity_list(pairs))
         compressed, reference = _run_pair(subset_xml, query,
-                                          codec_variant,
-                                          batch_size=batch_size)
+                                          codec_variant)
         return compressed != reference
 
     full = entity_list(entities)
@@ -183,20 +171,14 @@ def _minimize(entities: dict, query: str, codec_variant: str,
 
 
 def run_engine_oracle(seed: int, docs: int = 25, queries: int = 40,
-                      scale: int = 10, progress=None,
-                      batch_size: int | None = None) -> VerifyReport:
-    """Engine oracle over ``docs`` generated documents.
-
-    ``batch_size`` pins the compressed path to one batch width (``1``
-    forces the legacy row path); ``None`` runs the engine default.
-    """
+                      scale: int = 10, progress=None) -> VerifyReport:
+    """Engine oracle over ``docs`` generated documents."""
     report = VerifyReport(seed=seed)
     for doc_index in range(docs):
         rng = random.Random(f"{seed}/doc/{doc_index}")
         entities = generate_entities(rng, scale=scale)
         doc_queries = generate_queries(entities, rng, queries)
-        check_document(entities, doc_queries, report,
-                       batch_size=batch_size)
+        check_document(entities, doc_queries, report)
         if progress is not None:
             progress(doc_index + 1, docs, report)
     return report

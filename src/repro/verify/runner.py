@@ -16,14 +16,12 @@ from repro.verify.report import VerifyReport
 
 def run_verify(seed: int = 0, docs: int = 25, queries: int = 40,
                codec_rounds: int = 3, codec_values: int = 48,
-               scale: int = 10, progress=None,
-               batch_size: int | None = None) -> VerifyReport:
+               scale: int = 10, progress=None) -> VerifyReport:
     """Run both oracle layers and merge their reports.
 
     ``progress`` (optional) is called as ``progress(stage, done,
     total)`` with ``stage`` in ``{"codec", "engine"}`` — the CLI uses
-    it to keep CI logs alive during the fuzz budget.  ``batch_size``
-    pins the engine oracle's compressed path to one batch width.
+    it to keep CI logs alive during the fuzz budget.
     """
     report = VerifyReport(seed=seed)
     codec_report = run_codec_oracle(seed, rounds=codec_rounds,
@@ -38,7 +36,6 @@ def run_verify(seed: int = 0, docs: int = 25, queries: int = 40,
 
     engine_report = run_engine_oracle(seed, docs=docs, queries=queries,
                                       scale=scale,
-                                      progress=engine_progress,
-                                      batch_size=batch_size)
+                                      progress=engine_progress)
     report.merge(engine_report)
     return report

@@ -26,7 +26,7 @@ class TestOperatorInvariants:
     def test_missing_rows_reported(self, tmp_path):
         write(tmp_path, "ops.py", """\
             class Operator:
-                def _rows(self):
+                def _batches(self, size):
                     raise NotImplementedError
 
             class Broken(Operator):
@@ -40,7 +40,7 @@ class TestOperatorInvariants:
     def test_iter_override_reported(self, tmp_path):
         write(tmp_path, "ops.py", """\
             class Operator:
-                def _rows(self):
+                def _batches(self, size):
                     raise NotImplementedError
 
             class Sneaky(Operator):
@@ -54,10 +54,10 @@ class TestOperatorInvariants:
             ["src.operator-iter-override"]
 
     def test_rows_only_operator_reported(self, tmp_path):
-        """The deprecated row-pull protocol gets the Tier-B warning."""
+        """A ``_rows`` method is not the protocol: same error."""
         write(tmp_path, "ops.py", """\
             class Operator:
-                def _rows(self):
+                def _batches(self, size):
                     raise NotImplementedError
 
             class Legacy(Operator):
@@ -65,24 +65,17 @@ class TestOperatorInvariants:
                     return iter(())
             """)
         diagnostics = lint_paths([tmp_path])
-        assert rules_of(diagnostics) == ["src.operator-rows-no-batches"]
-        assert diagnostics[0].severity == "warning"
+        assert rules_of(diagnostics) == ["src.operator-rows"]
+        assert diagnostics[0].severity == "error"
         assert "Legacy" in diagnostics[0].message
 
     def test_conforming_operator_is_clean(self, tmp_path):
         write(tmp_path, "ops.py", """\
             class Operator:
-                def _rows(self):
+                def _batches(self, size):
                     raise NotImplementedError
 
             class Fine(Operator):
-                def _rows(self):
-                    return iter(())
-
-                def _batches(self, size):
-                    return self._compat_batches(size)
-
-            class BatchOnly(Operator):
                 def _batches(self, size):
                     return iter(())
             """)
@@ -140,7 +133,7 @@ class TestRawDecode:
     def test_decode_in_operator_body_reported(self, tmp_path):
         write(tmp_path, "query/physical.py", """\
             class Operator:
-                def _rows(self):
+                def _batches(self, size):
                     raise NotImplementedError
 
             class Leaky(Operator):
@@ -154,7 +147,7 @@ class TestRawDecode:
     def test_sanctioned_sites_accepted(self, tmp_path):
         write(tmp_path, "query/physical.py", """\
             class Operator:
-                def _rows(self):
+                def _batches(self, size):
                     raise NotImplementedError
 
             class Decompress(Operator):
@@ -170,7 +163,7 @@ class TestRawDecode:
     def test_decode_outside_physical_py_not_flagged(self, tmp_path):
         write(tmp_path, "storage.py", """\
             class Operator:
-                def _rows(self):
+                def _batches(self, size):
                     raise NotImplementedError
 
             class Container(Operator):

@@ -197,6 +197,25 @@ class TestCompressedDomain:
             "where $a/price/text() > 9 return $a/@id")
         assert result.items == ["a0", "a1"]
 
+    def test_abandoned_access_path_leaves_no_trace(self):
+        """Mixed-type leaves: /r/a/p/v is an int container, /r/b/p/v a
+        string one, so the range plan falls back to plain evaluation —
+        and must not have counted or journalled the first leaf."""
+        from repro.baselines.galax import GalaxEngine
+        from repro.obs import runtime
+        from repro.verify.engine_oracle import _BlameRecorder
+        doc = ("<r><a><p><v>5</v></p><p><v>9</v></p></a>"
+               "<b><p><v>x</v></p><p><v>7</v></p></b></r>")
+        query = ("for $p in //p where $p/v/text() >= 6 "
+                 "return $p/v/text()")
+        recorder = _BlameRecorder()
+        with runtime.recording(recorder):
+            result = QueryEngine(load_document(doc)).execute(query)
+        assert result.to_xml() == GalaxEngine(doc).execute_to_xml(query)
+        assert result.items == ["9", "7"]
+        assert result.stats.container_accesses == 0
+        assert recorder.predicates == []
+
 
 class TestErrors:
     def test_unbound_variable(self, engine):

@@ -1,11 +1,13 @@
-"""Tests for ExecutionOptions and the legacy-keyword shims."""
+"""Tests for ExecutionOptions and the entry points accepting it."""
+
+import dataclasses
 
 import pytest
 
 from repro.core.system import XQueCSystem
 from repro.obs.telemetry import Telemetry
 from repro.query.engine import QueryEngine
-from repro.query.options import ExecutionOptions, coerce_options
+from repro.query.options import ExecutionOptions
 from repro.service.session import Session
 from repro.storage.loader import load_document
 
@@ -31,6 +33,7 @@ class TestExecutionOptions:
         assert options.use_plan_cache is True
         assert options.use_block_cache is True
         assert options.bindings is None
+        assert len(dataclasses.fields(options)) == 7
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -63,76 +66,24 @@ class TestExecutionOptions:
         assert ExecutionOptions().binding_environment() == {}
 
 
-class TestCoerceOptions:
-    def test_none_becomes_defaults(self):
-        options = coerce_options(None, {}, "f")
-        assert options == ExecutionOptions()
-
-    def test_passthrough(self):
-        given = ExecutionOptions(telemetry_enabled=True)
-        assert coerce_options(given, {}, "f") is given
-
-    def test_legacy_telemetry_warns_and_folds(self):
-        telemetry = Telemetry(enabled=True)
-        with pytest.warns(DeprecationWarning, match="f\\(telemetry"):
-            options = coerce_options(None, {"telemetry": telemetry},
-                                     "f")
-        assert options.telemetry is telemetry
-
-    def test_unknown_keyword_raises(self):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            coerce_options(None, {"bogus": 1}, "f")
-
-    def test_double_telemetry_raises(self):
-        telemetry = Telemetry(enabled=True)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="both"):
-                coerce_options(ExecutionOptions(telemetry=telemetry),
-                               {"telemetry": telemetry}, "f")
-
-
 class TestLegacyShims:
-    """The old ``telemetry=`` keyword still works on every entry
-    point, behind a DeprecationWarning naming the caller."""
-
-    def test_engine_execute(self, repository):
-        engine = QueryEngine(repository)
-        telemetry = Telemetry(enabled=True)
-        with pytest.warns(DeprecationWarning,
-                          match="QueryEngine.execute\\(telemetry"):
-            result = engine.execute("/library/book/title",
-                                    telemetry=telemetry)
-        assert result.telemetry is telemetry
-        assert len(result) == 2
-
-    def test_system_query(self, repository):
-        system = XQueCSystem(repository)
-        telemetry = Telemetry(enabled=True)
-        with pytest.warns(DeprecationWarning,
-                          match="XQueCSystem.query\\(telemetry"):
-            result = system.query("/library/book/title",
-                                  telemetry=telemetry)
-        assert result.telemetry is telemetry
-
-    def test_session_execute(self, repository):
-        session = Session(repository)
-        telemetry = Telemetry(enabled=True)
-        with pytest.warns(DeprecationWarning,
-                          match="Session.execute\\(telemetry"):
-            result = session.execute("/library/book/title",
-                                     telemetry=telemetry)
-        assert result.telemetry is telemetry
+    """The ``telemetry=`` keyword shims are gone: options travel as
+    one object and any other keyword is the signature's TypeError."""
 
     def test_unknown_keyword_still_typeerror(self, repository):
-        engine = QueryEngine(repository)
+        telemetry = Telemetry(enabled=True)
         with pytest.raises(TypeError):
-            engine.execute("/library/book", wrong_kwarg=1)
+            QueryEngine(repository).execute("/library/book",
+                                            telemetry=telemetry)
+        with pytest.raises(TypeError):
+            Session(repository).execute("/library/book", wrong_kwarg=1)
+        with pytest.raises(TypeError):
+            XQueCSystem(repository).query("/library/book",
+                                          telemetry=telemetry)
 
     def test_new_api_emits_no_warning(self, repository, recwarn):
         engine = QueryEngine(repository)
         engine.execute("/library/book/title",
                        ExecutionOptions(
                            telemetry=Telemetry(enabled=True)))
-        deprecations = [w for w in recwarn.list
-                        if issubclass(w.category, DeprecationWarning)]
-        assert not deprecations
+        assert not recwarn.list

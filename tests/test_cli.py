@@ -71,23 +71,6 @@ class TestQuery:
         assert "2" in output
         assert "# decompressions" in output
 
-    def test_query_batch_size_flag(self, repository_file):
-        query = ('for $b in /library/book where $b/price/text() < 8 '
-                 "return $b/title/text()")
-        outputs = set()
-        for size in ("1", "2", "1024"):
-            code, output = run("query", str(repository_file), query,
-                               "--batch-size", size)
-            assert code == 0
-            outputs.add(output)
-        assert len(outputs) == 1  # identical across batch widths
-        assert "Foundation" in outputs.pop()
-
-    def test_query_rejects_bad_batch_size(self, repository_file):
-        with pytest.raises(ValueError):
-            run("query", str(repository_file),
-                "/library/book/title/text()", "--batch-size", "0")
-
 
 class TestAnalyze:
     def test_query_analyze_flag(self, repository_file):
