@@ -8,6 +8,7 @@ verifier anyway, this module re-derives those optimizer decisions
 the *plan sketch* they imply from real
 :mod:`repro.query.physical` operators: ``ContAccess`` + ``Parent``
 hops for range plans, ``HashJoin`` for equality conjuncts,
+``ThetaJoin`` for inequality conjuncts over numeric containers,
 ``StructureSummaryAccess`` for absolute paths, one ``Decompress``
 feeding ``XMLSerialize`` on top.  The sketch is verified, never
 executed.
@@ -25,18 +26,20 @@ from repro.query.ast import (
     Expression,
     FLWOR,
     ForClause,
+    FunctionCall,
     LetClause,
     PathExpr,
-    Step,
 )
 from repro.query.context import EvaluationStats
 from repro.query.optimizer import (
     RangePlan,
+    assign_theta_join,
     find_join_plan,
     find_range_plan,
     flatten_conjuncts,
     free_vars,
     is_absolute_simple_path,
+    leaf_summary_steps,
 )
 from repro.query.physical import (
     ContAccess,
@@ -50,7 +53,6 @@ from repro.query.physical import (
     XMLSerialize,
 )
 from repro.storage.repository import CompressedRepository
-from repro.storage.summary import TEXT_STEP
 
 
 def verify_query(expr: Expression, repository: CompressedRepository,
@@ -106,6 +108,9 @@ class _SketchCompiler:
             access = StructureSummaryAccess(
                 repo, [(s.axis, s.test) for s in expr.steps], "$path")
             return [XMLSerialize(access, ("$path",))]
+        if isinstance(expr, FunctionCall):
+            return [sketch for arg in expr.args
+                    for sketch in self.compile(arg)]
         return []
 
     # -- FLWOR ----------------------------------------------------------------
@@ -126,6 +131,15 @@ class _SketchCompiler:
             joined = any(
                 find_join_plan(c, clause.var, bound) is not None
                 for c in decidable)
+            theta = None if plan is None or joined else assign_theta_join(
+                clause, decidable, bound, self._repo, left=plan)
+            if theta is not None:
+                # Inequality conjunct against bound variables: the
+                # engine probes the sorted key containers, which also
+                # produce the clause variable's nodes.
+                plan = theta[1]
+                bound.add(clause.var)
+                continue
             clause_plan = self._clause_plan(clause, decidable,
                                             compressed_columns)
             if plan is None:
@@ -180,10 +194,9 @@ class _SketchCompiler:
                 and is_absolute_simple_path(source)):
             return None
         repo = self._repo(source.document)
-        steps = [_summary_step(s) for s in source.steps]
-        steps += [_summary_step(s) for s in plan.leaf_steps]
         container_path = None
-        for leaf in repo.resolve_path(steps):
+        for leaf in repo.resolve_path(
+                leaf_summary_steps(source, plan.leaf_steps)):
             if leaf.container_path is not None:
                 container_path = leaf.container_path
                 break
@@ -225,11 +238,3 @@ def _predicate_kind(conjunct: Expression) -> str | None:
     if conjunct.op in ("<", "<=", ">", ">="):
         return "ineq"
     return None
-
-
-def _summary_step(step: Step) -> tuple[str, str]:
-    if step.axis == "attribute":
-        return ("child", "@" + step.test)
-    if step.test == "text()":
-        return (step.axis, TEXT_STEP)
-    return (step.axis, step.test)

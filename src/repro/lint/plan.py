@@ -15,6 +15,8 @@ Checked invariants (see :mod:`repro.lint.rules` for the catalog):
   ``<d_c, c_s, c_a, eq, ineq, wild>`` characterization (§3.2);
 * ``MergeJoin`` requires inputs with a statically established sort
   order on the key columns (§4);
+* ``ThetaJoin`` requires key containers whose slot order is the
+  numeric comparison (§2.2);
 * compressed comparisons must stay within one compressed domain
   (shared source model, §3.1);
 * every value reaching ``XMLSerialize`` passed through ``Decompress``
@@ -76,6 +78,7 @@ class PlanVerifier:
             "Project": self._project,
             "HashJoin": self._hash_join,
             "MergeJoin": self._merge_join,
+            "ThetaJoin": self._theta_join,
             "NestedLoopJoin": self._nested_loop_join,
             "Distinct": self._distinct,
             "Sort": self._sort,
@@ -318,6 +321,22 @@ class PlanVerifier:
         # Merge output is ordered by the (equal) key columns.
         return PlanProperties.merge(left, right,
                                     order=(left_column,))
+
+    def _theta_join(self, node: object, path: str,
+                    children: list[PlanProperties]) -> PlanProperties:
+        containers = node.containers  # type: ignore[attr-defined]
+        if not (node.numeric_ordered()  # type: ignore[attr-defined]
+                and all(c.codec.properties.ineq for c in containers)):
+            self._report(
+                "plan.theta-join-unordered", path,
+                f"key containers {[c.path for c in containers]} are "
+                "not all numeric-ordered; a slot range is not the set "
+                "of matching keys", "use a NestedLoopJoin")
+        # Probes stream in the left input's order; the key side adds
+        # the owning-element column.
+        return children[0].with_column(
+            node.output_column,  # type: ignore[attr-defined]
+            ColumnInfo(NODE))
 
     def _nested_loop_join(self, node: object, path: str,
                           children: list[PlanProperties]

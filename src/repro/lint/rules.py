@@ -52,6 +52,11 @@ _ALL: tuple[Rule, ...] = (
          "MergeJoin key columns are undeclared; order cannot be "
          "verified statically",
          "§4"),
+    Rule("plan.theta-join-unordered", "error",
+         "ThetaJoin key container is not numeric-ordered (string-typed, "
+         "blob, or order-agnostic codec): slot position is not the "
+         "numeric comparison",
+         "§2.2/§4 (sorted containers, order-preserving numeric codecs)"),
     Rule("plan.cross-domain-compare", "error",
          "compressed-domain comparison between columns compressed "
          "under different source models",

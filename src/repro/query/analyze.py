@@ -45,6 +45,7 @@ _LINE_METRICS = (
     ("FullTextIndex lookup", "container_accesses",
      "span.FullTextAccess"),
     ("HashJoin", "hash_joins", "span.HashJoin.build"),
+    ("ThetaJoin", "container_accesses", "span.ThetaJoin.build"),
     ("StructureSummaryAccess", "summary_accesses",
      "span.StructureSummaryAccess"),
 )

@@ -12,8 +12,13 @@ compressed for as long as possible:
   (bottom-up strategy), when the optimizer finds a
   :class:`~repro.query.optimizer.RangePlan`;
 * equality joins between binding variables run as hash joins with
-  cacheable build sides (:class:`~repro.query.optimizer.JoinPlan`) —
-  in the compressed domain when both sides share a source model;
+  cacheable build sides (:class:`~repro.query.optimizer.JoinPlan`)
+  over *decoded* keys (``_key_strings``): a default load trains one
+  codec per container, so the two sides' codewords do not compare;
+* inequality joins against a (scaled) numeric path run as one binary
+  search per outer binding on the value-sorted containers
+  (:class:`~repro.query.physical.ThetaJoin`), falling back to the
+  nested loop wherever position is not the reference comparison;
 * everything that reaches the query result passes through an explicit
   decompression step, counted in
   :class:`~repro.query.context.EvaluationStats`.
@@ -21,6 +26,7 @@ compressed for as long as possible:
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 
@@ -61,11 +67,13 @@ from repro.query.context import (
 from repro.query.functions import FUNCTIONS
 from repro.query.options import ExecutionOptions
 from repro.query.optimizer import (
+    assign_theta_join,
     context_free,
     find_join_plan,
     find_range_plan,
     flatten_conjuncts,
     free_vars,
+    leaf_summary_steps,
 )
 from repro.query.parser import parse_query
 from repro.storage.repository import CompressedRepository
@@ -371,8 +379,9 @@ class _Evaluator:
         self.stats = EvaluationStats(registry=self.telemetry.metrics)
         #: cached sequences for binding-independent source expressions.
         self._source_cache: dict[int, list] = {}
-        #: cached hash-join build indexes, keyed by conjunct identity.
-        self._index_cache: dict[tuple[int, int], "_JoinIndex"] = {}
+        #: join build sides of this execution: hash indexes by conjunct
+        #: identity, theta-join classifications by clause identity.
+        self._index_cache: dict[int, object] = {}
 
     def _repo(self, doc: str | None) -> CompressedRepository:
         if doc is None:
@@ -466,6 +475,13 @@ class _Evaluator:
         function = FUNCTIONS.get(expr.name)
         if function is None:
             raise QueryError(f"unknown function {expr.name}()")
+        if expr.name == "count" and len(expr.args) == 1 and \
+                _returns_for_variable(expr.args[0]):
+            # One item per binding: count bindings, and let a theta
+            # join add whole slot ranges without binding them.
+            counter = _BindingCounter()
+            self._eval_flwor(expr.args[0], env, counter)
+            return [float(counter.count)]
         if expr.name in self._SEQUENCE_FUNCTIONS:
             args = [self.eval(arg, env) for arg in expr.args]
         else:
@@ -475,12 +491,13 @@ class _Evaluator:
 
     # -- FLWOR ---------------------------------------------------------------------
 
-    def _eval_flwor(self, expr: FLWOR, env: dict) -> list:
+    def _eval_flwor(self, expr: FLWOR, env: dict, sink=None) -> list:
         conjuncts = flatten_conjuncts(expr.where)
         if not expr.order:
             results: list = []
-            sink = (lambda bound_env:
-                    results.extend(self.eval(expr.result, bound_env)))
+            if sink is None:
+                sink = (lambda bound_env: results.extend(
+                    self.eval(expr.result, bound_env)))
             self._flwor_clause(expr, 0, dict(env), conjuncts, set(env),
                                sink)
             return results
@@ -561,6 +578,25 @@ class _Evaluator:
                                            item, rest, later, new_bound,
                                            results)
             return
+        # Theta-join path: an inequality conjunct between this
+        # variable's numeric path and already-bound ones is one binary
+        # search on the sorted containers per outer binding.
+        theta = self._theta_range(clause, decidable, bound, env) \
+            if decidable else None
+        if theta is not None:
+            conjunct, owners, start, end = theta
+            rest = [c for c in decidable if c is not conjunct]
+            if isinstance(results, _BindingCounter) and not rest \
+                    and not later and index + 1 == len(flwor.clauses):
+                results.count += end - start
+                return
+            # Slots are in value order; bindings leave in document order.
+            for node_id in np.sort(owners[start:end]).tolist():
+                self._bind_and_descend(
+                    flwor, index, env, clause,
+                    NodeItem(node_id, clause.source.document), rest,
+                    later, new_bound, results)
+            return
         items = self._clause_items(clause, env, bound,
                                    conjuncts=decidable)
         for item in items:
@@ -635,9 +671,8 @@ class _Evaluator:
                             env) -> list | None:
         assert isinstance(source, PathExpr)
         repo = self._repo(source.document)
-        summary_steps = [_summary_step(s) for s in source.steps] + \
-            [_summary_step(s) for s in plan.leaf_steps]
-        leaves = repo.resolve_path(summary_steps)
+        leaves = repo.resolve_path(
+            leaf_summary_steps(source, plan.leaf_steps))
         if not leaves:
             return []
         self.stats.summary_accesses += 1
@@ -720,9 +755,8 @@ class _Evaluator:
         assert isinstance(source, PathExpr)
         if source.document is not None:
             return None  # indexes are registered on the default document
-        summary_steps = [_summary_step(s) for s in source.steps] + \
-            [_summary_step(s) for s in plan.leaf_steps]
-        leaves = self.repository.resolve_path(summary_steps)
+        leaves = self.repository.resolve_path(
+            leaf_summary_steps(source, plan.leaf_steps))
         if not leaves:
             return []
         structure = self.repository.structure
@@ -749,8 +783,12 @@ class _Evaluator:
 
     def _join_index(self, plan, clause: ForClause, items: list
                     ) -> "_JoinIndex":
-        cache_key = (id(plan.conjunct), id(items))
-        index = self._index_cache.get(cache_key)
+        # ``items`` of a context-dependent source is a fresh list per
+        # evaluation: only the condition under which _clause_items
+        # memoises the sequence makes the index reusable.
+        cacheable = context_free(clause.source)
+        index = self._index_cache.get(id(plan.conjunct)) \
+            if cacheable else None
         if index is None:
             index = _JoinIndex()
             self.stats.hash_joins += 1
@@ -761,7 +799,8 @@ class _Evaluator:
                     for key in self._key_strings(plan.build_expr,
                                                  child_env):
                         index.add(key, item)
-            self._index_cache[cache_key] = index
+            if cacheable:
+                self._index_cache[id(plan.conjunct)] = index
         return index
 
     def _key_strings(self, expr: Expression, env: dict) -> list[str]:
@@ -770,6 +809,49 @@ class _Evaluator:
         for item in self._atomize_sequence(self.eval(expr, env)):
             keys.append(string_value(item, self.stats))
         return keys
+
+    # -- theta joins ------------------------------------------------------------------
+
+    def _theta_range(self, clause: ForClause,
+                     decidable: list[Expression], bound: set[str],
+                     env: dict):
+        """``(conjunct, owners, start, end)``: the slot range of the
+        clause's theta join matching this binding; ``None`` for the
+        nested loop.  Classified and built once per execution."""
+        if id(clause) not in self._index_cache:
+            found = assign_theta_join(clause, decidable, bound,
+                                      self._repo, stats=self.stats)
+            if found is not None:
+                with self.telemetry.span("ThetaJoin.build"):
+                    if not found[1].build():
+                        found = None
+            self._index_cache[id(clause)] = found
+        if self._index_cache[id(clause)] is None:
+            return None
+        plan, join = self._index_cache[id(clause)]
+        try:
+            items = self._atomize_sequence(
+                self.eval(plan.probe_expr, env))
+        except QueryError:
+            return None  # the nested loop raises it, if it gets there
+        values = []
+        for item in items:
+            # Text orders numerically only against an actual number:
+            # the arithmetic key form.  Unparsable text never matches.
+            if plan.scale is not None and \
+                    isinstance(item, (CompressedItem, str)):
+                try:
+                    item = float(string_value(item, self.stats))
+                except ValueError:
+                    continue
+            if type(item) is not float or not math.isfinite(item):
+                return None
+            values.append(item)
+        # Existential over the probe values: the widest range, a
+        # prefix of the sorted keys for < / <=, a suffix for > / >=.
+        start, end = (0, 0) if not values else join.probe(
+            max(values) if plan.op in ("<", "<=") else min(values))
+        return plan.conjunct, join.owners, start, end
 
     # -- paths ------------------------------------------------------------------------
 
@@ -1011,6 +1093,26 @@ class _JoinIndex:
         return self._buckets.get(key, [])
 
 
+class _BindingCounter:
+    """FLWOR sink of ``count(for … return $forvar)``: one item per
+    binding, so whole matching ranges can be added unbound."""
+
+    count = 0
+
+    def __call__(self, env: dict) -> None:
+        self.count += 1
+
+
+def _returns_for_variable(expr: Expression) -> bool:
+    """An unordered FLWOR returning one of its for-clause variables:
+    exactly one item per binding, nothing else evaluated for it."""
+    if not isinstance(expr, FLWOR) or expr.order or \
+            not isinstance(expr.result, VarRef):
+        return False
+    binders = [c for c in expr.clauses if c.var == expr.result.name]
+    return bool(binders) and isinstance(binders[-1], ForClause)
+
+
 def _interval_kind(low, high, low_inclusive: bool,
                    high_inclusive: bool) -> str:
     """E/I/D kind of an interval probe: a point probe is ``eq``."""
@@ -1039,14 +1141,6 @@ def _interval_answerable(container, plan) -> bool:
     # A numeric comparison over untyped text compares by value
     # ("07" = 7); the lexicographic container order cannot answer it.
     return plan.constant_kind != "number"
-
-
-def _summary_step(step: Step) -> tuple[str, str]:
-    if step.axis == "attribute":
-        return ("child", "@" + step.test)
-    if step.test == "text()":
-        return (step.axis, TEXT_STEP)
-    return (step.axis, step.test)
 
 
 def _test_matches_root(step: Step, root_tag: str) -> bool:

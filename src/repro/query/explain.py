@@ -2,7 +2,7 @@
 
 ``explain(query)`` performs the same static analysis the evaluator
 does — summary-resolvable sources, RangePlan / FullTextPlan access
-paths, hash-joinable conjuncts, order-by — and renders it as an
+paths, hash- and theta-joinable conjuncts, order-by — and renders it as an
 indented plan sketch.  Useful for understanding why a query is (or is
 not) evaluated in the compressed domain.
 """
@@ -18,11 +18,13 @@ from repro.query.ast import (
     FunctionCall,
     LetClause,
     PathExpr,
+    VarRef,
 )
 from repro.query.optimizer import (
     find_fulltext_plan,
     find_join_plan,
     find_range_plan,
+    find_theta_plan,
     flatten_conjuncts,
     free_vars,
     is_absolute_simple_path,
@@ -86,12 +88,31 @@ def _explain_flwor(expr: FLWOR, lines: list[str], depth: int,
         _explain(clause.source, lines, depth + 1, inner_bound)
         decidable = [c for c in conjuncts
                      if free_vars(c) <= inner_bound | {clause.var}]
+        # One theta join per clause, unless a hash join claims it or
+        # the source depends on a binding.
+        theta_open = is_absolute_simple_path(clause.source) and not any(
+            find_join_plan(c, clause.var, inner_bound) for c in decidable)
         for conjunct in decidable:
             join = find_join_plan(conjunct, clause.var, inner_bound)
             if join is not None:
                 _emit(lines, depth + 1,
                       "HashJoin (build side cacheable, probe on "
                       f"bound vars {sorted(free_vars(join.probe_expr))})")
+                continue
+            theta = find_theta_plan(conjunct, clause.var, inner_bound) \
+                if theta_open else None
+            if theta is not None:
+                theta_open = False
+                key = _path_text(PathExpr(VarRef(clause.var),
+                                          theta.leaf_steps))
+                if theta.scale is not None:
+                    key = f"{theta.scale:g} * {key}"
+                _emit(lines, depth + 1,
+                      f"ThetaJoin {key} {theta.op} probe on bound vars "
+                      f"{sorted(free_vars(theta.probe_expr))} (sorted "
+                      "container, one binary search per binding + "
+                      f"Parent^{theta.ascend}; nested loop where its "
+                      "order is not the numeric comparison)")
                 continue
             if free_vars(conjunct) == {clause.var}:
                 range_plan = find_range_plan(conjunct, clause.var)

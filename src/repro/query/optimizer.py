@@ -25,6 +25,7 @@ from repro.query.ast import (
     ElementConstructor,
     Expression,
     FLWOR,
+    ForClause,
     FunctionCall,
     Logical,
     NumberLiteral,
@@ -34,6 +35,7 @@ from repro.query.ast import (
     StringLiteral,
     VarRef,
 )
+from repro.storage.summary import TEXT_STEP
 
 
 def free_vars(expression: Expression | None) -> frozenset[str]:
@@ -128,6 +130,54 @@ def find_join_plan(conjunct: Expression, clause_var: str,
 
 
 @dataclass(frozen=True)
+class ThetaPlan:
+    """An inequality conjunct answerable by position at one for-clause,
+    normalised to ``scale * $clause_var/leaf_steps <op> probe_expr``.
+
+    ``scale`` is ``None`` for a bare key path — untyped text, which
+    orders numerically only against an actual number — and the positive
+    multiplier of ``K * path``, which is a number whatever it faces.
+    """
+
+    conjunct: Comparison
+    leaf_steps: tuple[Step, ...]
+    op: str
+    scale: float | None
+    probe_expr: Expression
+    ascend: int
+
+
+def find_theta_plan(conjunct: Expression, clause_var: str,
+                    bound_vars: set[str]) -> ThetaPlan | None:
+    """Classify a conjunct as a sort-based inequality join, if it is."""
+    if not isinstance(conjunct, Comparison) or \
+            conjunct.op not in ("<", "<=", ">", ">="):
+        return None
+    for key, probe, op in (
+            (conjunct.left, conjunct.right, conjunct.op),
+            (conjunct.right, conjunct.left, _flip(conjunct.op))):
+        probe_vars = free_vars(probe)
+        if not probe_vars or clause_var in probe_vars or \
+                not probe_vars <= bound_vars:
+            continue
+        scale = None
+        if isinstance(key, Arithmetic) and key.op == "*":
+            factor, key = (key.left, key.right) \
+                if isinstance(key.left, NumberLiteral) \
+                else (key.right, key.left)
+            # Only a finite K > 0 keeps the container's order.
+            if not isinstance(factor, NumberLiteral) or \
+                    not 0.0 < factor.value < float("inf"):
+                continue
+            scale = factor.value
+        steps = _simple_value_steps(key, clause_var)
+        if steps is not None:
+            return ThetaPlan(conjunct, steps, op, scale, probe,
+                             _ascend(steps))
+    return None
+
+
+@dataclass(frozen=True)
 class RangePlan:
     """A constant comparison turned into a container interval search.
 
@@ -164,8 +214,7 @@ def find_range_plan(conjunct: Expression, clause_var: str
             continue
         kind = ("number" if isinstance(const_side, NumberLiteral)
                 else "string")
-        ascend = sum(1 for s in steps if s.axis == "child"
-                     and s.test not in ("text()",))
+        ascend = _ascend(steps)
         if op == "=":
             return RangePlan(steps, constant, constant, True, True,
                              ascend, kind)
@@ -219,6 +268,13 @@ def _simple_value_steps(expr: Expression, clause_var: str
     return None
 
 
+def _ascend(steps: tuple[Step, ...]) -> int:
+    """``Parent`` hops from a value's owning element back up to the
+    clause variable's node: one per element step."""
+    return sum(1 for s in steps
+               if s.axis == "child" and s.test != "text()")
+
+
 def _flip(op: str) -> str:
     return {"=": "=", "!=": "!=", "<": ">", "<=": ">=",
             ">": "<", ">=": "<="}[op]
@@ -248,12 +304,10 @@ def find_fulltext_plan(conjunct: Expression, clause_var: str
     steps = _simple_value_steps(path_arg, clause_var)
     if steps is None:
         return None
-    ascend = sum(1 for s in steps if s.axis == "child"
-                 and s.test not in ("text()",))
     words = tuple(needle_arg.value.split())
     if not words:
         return None
-    return FullTextPlan(steps, words, ascend)
+    return FullTextPlan(steps, words, _ascend(steps))
 
 
 def is_absolute_simple_path(expr: Expression) -> bool:
@@ -262,6 +316,47 @@ def is_absolute_simple_path(expr: Expression) -> bool:
         return False
     return all(not s.predicates and s.axis in ("child", "descendant")
                and s.test != "text()" for s in expr.steps)
+
+
+def assign_theta_join(clause: ForClause, decidable: list[Expression],
+                      bound_vars: set[str], repo_of, left=None,
+                      stats=None):
+    """``(ThetaPlan, ThetaJoin)`` for the clause's first theta conjunct
+    whose key path ends at numeric-ordered containers, else ``None``:
+    the assignment the engine runs and the Tier-A sketch verifies.
+
+    The source must be an absolute simple path (binding independent,
+    summary-resolvable); ``repo_of`` maps its document name to a
+    repository.  The operator is returned unbuilt.
+    """
+    from repro.query.physical import ThetaJoin
+    if not is_absolute_simple_path(clause.source):
+        return None
+    repository = repo_of(clause.source.document)
+    for conjunct in decidable:
+        plan = find_theta_plan(conjunct, clause.var, bound_vars)
+        if plan is None:
+            continue
+        paths = [leaf.container_path for leaf in repository.resolve_path(
+            leaf_summary_steps(clause.source, plan.leaf_steps))]
+        if None in paths:
+            continue  # the key path does not end at containers
+        join = ThetaJoin(left, repository, paths, plan.op, None,
+                         f"${clause.var}", scale=plan.scale or 1.0,
+                         ascend=plan.ascend, stats=stats)
+        if join.numeric_ordered():
+            return plan, join
+    return None
+
+
+def leaf_summary_steps(source: PathExpr, leaf_steps: tuple[Step, ...]
+                       ) -> list[tuple[str, str]]:
+    """Structure-summary steps from the document root, through an
+    absolute ``source`` path, down a plan's ``leaf_steps`` to the value
+    containers."""
+    return [("child", "@" + s.test) if s.axis == "attribute"
+            else (s.axis, TEXT_STEP if s.test == "text()" else s.test)
+            for s in source.steps + tuple(leaf_steps)]
 
 
 def context_free(expr: Expression) -> bool:

@@ -6,8 +6,8 @@ Three operator classes, exactly as the paper groups them:
   :class:`StructureSummaryAccess`, :class:`Parent`, :class:`Child`,
   :class:`Descendant`, :class:`TextContent`, :class:`AttributeContent`;
 * **data combination** — :class:`Select`, :class:`MergeJoin`,
-  :class:`HashJoin`, :class:`NestedLoopJoin`, :class:`Project`,
-  :class:`Distinct`, :class:`Sort`;
+  :class:`HashJoin`, :class:`ThetaJoin`, :class:`NestedLoopJoin`,
+  :class:`Project`, :class:`Distinct`, :class:`Sort`;
 * **(de)compression / serialization** — :class:`Decompress`,
   :class:`CompressConstant`, :class:`XMLSerialize`.
 
@@ -19,7 +19,7 @@ slot ranges for compressed-domain predicates, ``np.searchsorted`` for
 merge keys.  Iterating an operator yields *rows* (dicts mapping column
 names to items): the same batches, flattened, so plans compose by
 nesting either way.  Operators whose work is per-row (``Child``
-expansion, theta-join conditions, blob-container fallbacks) run one
+expansion, nested-loop conditions, blob-container fallbacks) run one
 private row generator over their input's batches and chunk it.
 
 Order guarantees mirror §4: ``StructureSummaryAccess`` emits element
@@ -763,6 +763,98 @@ class NestedLoopJoin(Operator):
 
     def _batches(self, size: int) -> Iterator[RecordBatch]:
         return batches_from_rows(self._loop(size), size)
+
+
+class ThetaJoin(Operator):
+    """Sort-based inequality join: ``scale * key <op> probe`` (§2.2/§4).
+
+    Containers are value-sorted and the numeric codecs order
+    preserving, so the scaled ``sort_keys`` of the key containers *are*
+    the sorted run, paired with their owning elements (``ascend``
+    ``Parent`` gathers up).  A probe is one ``np.searchsorted`` per
+    outer value; its slot range's length is the match count.
+    :meth:`build` refuses — before any counter or journal entry —
+    wherever position is not the comparison; callers then evaluate
+    the condition per pair.
+    """
+
+    INPUTS = ("_left",)
+
+    def __init__(self, left: Iterable[Row] | None,
+                 repository: CompressedRepository,
+                 container_paths: list[str], op: str, probe_key,
+                 output_column: str, *, scale: float = 1.0,
+                 ascend: int = 0,
+                 stats: EvaluationStats | None = None):
+        self._left = left
+        self._parents = repository.structure.parent_array
+        self._probe_key = probe_key
+        self._scale = scale
+        self._ascend = ascend
+        self._stats = stats
+        self._keys: np.ndarray | None = None
+        self.containers = [repository.container(path)
+                           for path in container_paths]
+        self.op = op
+        self.output_column = output_column
+        #: owning element per key slot, aligned with the sorted keys.
+        self.owners: np.ndarray | None = None
+
+    def numeric_ordered(self) -> bool:
+        """Every key container keeps record slots in numeric order."""
+        return bool(self.containers) and all(
+            not c.is_blob and c.value_type in ("int", "float")
+            for c in self.containers)
+
+    def build(self) -> bool:
+        """Assemble the sorted key run once; ``False`` means fall back."""
+        if self._keys is not None:
+            return True
+        arrays = [c.as_arrays() for c in self.containers] \
+            if self.numeric_ordered() else [None]
+        if any(a is None or a.sort_keys is None for a in arrays):
+            return False  # blob, string-typed or kernel-less container
+        # The product the reference computes, in float64 — never
+        # probe / scale, which rounds differently.
+        keys = np.concatenate([self._scale * a.sort_keys.astype(np.float64)
+                               for a in arrays])
+        owners = np.concatenate([a.parent_ids for a in arrays])
+        for _ in range(self._ascend):
+            up = self._parents()[owners]
+            owners = np.where(up >= 0, up, owners)
+        if len(np.unique(owners)) != len(owners):
+            return False  # an element owns several keys, not one value
+        if len(arrays) > 1:
+            order = np.argsort(keys, kind="stable")
+            keys, owners = keys[order], owners[order]
+        self._keys, self.owners = keys, owners
+        return True
+
+    def probe(self, value: float) -> tuple[int, int]:
+        """Slot range of the keys with ``key <op> value``."""
+        if self._stats is not None:
+            self._stats.container_accesses += 1
+        if runtime.RECORDER is not None:
+            for container in self.containers:
+                runtime.RECORDER.record_predicate(container.path, "ineq")
+        side = "left" if self.op in ("<", ">=") else "right"
+        cut = int(np.searchsorted(self._keys, value, side=side))
+        return (0, cut) if self.op in ("<", "<=") \
+            else (cut, len(self._keys))
+
+    def _joined(self, size: int) -> Iterator[Row]:
+        for row in input_rows(self._left, size):
+            start, end = self.probe(self._probe_key(row))
+            # Matches of one outer row leave in document order.
+            for node_id in np.sort(self.owners[start:end]).tolist():
+                yield {**row, self.output_column: NodeItem(node_id)}
+
+    def _batches(self, size: int) -> Iterator[RecordBatch]:
+        if not self.build():
+            raise QueryTypeError(
+                "ThetaJoin needs numeric-ordered key containers with "
+                "one key per owning element")
+        return batches_from_rows(self._joined(size), size)
 
 
 class Distinct(Operator):

@@ -7,7 +7,8 @@ a different fast path or fallback); variable-to-variable comparisons
 under one shared source model; ``starts-with`` (the ``wild``
 predicate) at arbitrary codeword boundaries; joins; aggregates over
 numeric and mixed containers; ``order by``; ``distinct-values`` across
-containers.  Constants are drawn from the document's own value pools
+containers; theta joins with a scaled side (``ThetaJoin`` and its
+fallbacks).  Constants are drawn from the document's own value pools
 plus adversarial neighbours (absent values, fractional bounds over int
 containers, the empty string).
 """
@@ -58,6 +59,29 @@ def _number_constant(rng: random.Random, pool: list[str]) -> str:
 
 
 _OPS = ("=", "!=", "<", "<=", ">", ">=")
+
+
+def _theta_join(rng: random.Random) -> str:
+    """``X OP K * Y`` between a person and an auction, either clause
+    order.  ``income`` (float) and ``quantity`` (int) take the
+    sort-based join as scaled or plain side; ``price`` mixes text
+    shapes, stays string-typed and falls back."""
+    plain, scaled = rng.choice((
+        ("$p/income/text()", "$a/price/text()"),
+        ("$a/quantity/text()", "$p/income/text()")))
+    factor = rng.choice((str(rng.randint(1, 60)),
+                         repr(round(rng.uniform(0.01, 2.0), 2)),
+                         "0", str(-rng.randint(1, 9))))
+    sides = [plain, f"{factor} * {scaled}"]
+    clauses = ["$p in /site/people/person",
+               "$a in /site/closed_auctions/auction"]
+    rng.shuffle(sides)
+    rng.shuffle(clauses)
+    flwor = (f"for {clauses[0]}, {clauses[1]} where {sides[0]} "
+             f'{rng.choice(("<", "<=", ">", ">="))} {sides[1]} return ')
+    if rng.random() < 0.5:
+        return f"count({flwor}$p)"
+    return flwor + "$a/quantity/text()"
 
 
 def generate_queries(entities: dict, rng: random.Random,
@@ -134,6 +158,8 @@ def generate_queries(entities: dict, rng: random.Random,
         lambda: ('for $p in /site/people/person where '
                  f'$p/age/text() {rng.choice(("<", ">="))} '
                  '$p/city/text() return $p/@id'),
+        lambda: _theta_join(rng),    # twice: it has 128 shapes
+        lambda: _theta_join(rng),
     )
     while len(queries) < count:
         queries.append(rng.choice(makers)())

@@ -94,6 +94,40 @@ class TestVerifyQuery:
         assert diagnostics == []
 
 
+class TestThetaJoinSketch:
+    XML = ("<r><p><inc>90</inc><id>a</id></p><p><inc>5</inc><id>b</id>"
+           "</p><a><init>4</init><tag>x</tag></a></r>")
+
+    def operators(self, query):
+        repo = load_document(self.XML)
+        names = []
+
+        def walk(node):
+            names.append(type(node).__name__)
+            for child in getattr(node, "inputs", lambda: [])():
+                walk(child)
+
+        for sketch in compile_plan_sketches(parse_query(query), repo):
+            walk(sketch)
+        return names
+
+    def test_numeric_inequality_compiles_to_theta_join(self):
+        """Also inside count(): aggregates' arguments are sketched."""
+        join = ("for $p in /r/p, $a in /r/a "
+                "where $p/inc/text() > 10 * $a/init/text() return $p")
+        for query in (join, f"count({join})"):
+            assert self.operators(query) == [
+                "XMLSerialize", "ThetaJoin", "StructureSummaryAccess"]
+            assert QueryEngine(load_document(self.XML)) \
+                .verify(query) == []
+
+    def test_string_key_container_keeps_the_nested_loop(self):
+        names = self.operators(
+            "for $p in /r/p, $a in /r/a "
+            "where $p/inc/text() > 10 * $a/tag/text() return $p")
+        assert "NestedLoopJoin" in names and "ThetaJoin" not in names
+
+
 class TestEngineGate:
     def test_execute_verifies_by_default(self):
         repo = build_repo()

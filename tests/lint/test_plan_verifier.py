@@ -27,6 +27,7 @@ from repro.query.physical import (
     Sort,
     StructureSummaryAccess,
     TextContent,
+    ThetaJoin,
     XMLSerialize,
 )
 from repro.query.context import EvaluationStats
@@ -156,6 +157,29 @@ class TestMergeJoin:
         diagnostics = verify_plan(plan)
         assert rules_of(diagnostics) == ["plan.merge-join-unverifiable"]
         assert diagnostics[0].severity == "info"
+
+
+class TestThetaJoin:
+    def test_numeric_key_container_accepted(self):
+        repo = load_document(
+            "<r><o><n>3</n></o><k><v>1</v></k><k><v>20</v></k></r>")
+        outer = StructureSummaryAccess(
+            repo, [("child", "r"), ("child", "o")], "o")
+        plan = ThetaJoin(outer, repo, ["/r/k/v/#text"], "<", None, "k",
+                         ascend=1)
+        assert verify_plan(XMLSerialize(plan, ())) == []
+
+    @pytest.mark.parametrize("path", [TITLE, URI, NOTE])
+    def test_key_container_without_numeric_order_rejected(self, repo,
+                                                          path):
+        """Order-agnostic, lexicographic and blob key sides alike: a
+        slot range is not the set of numerically matching keys."""
+        outer = StructureSummaryAccess(repo, [("child", "lib")], "l")
+        plan = ThetaJoin(outer, repo, [path], ">=", None, "b", ascend=1)
+        diagnostics = verify_plan(plan)
+        assert rules_of(errors_of(diagnostics)) == \
+            ["plan.theta-join-unordered"]
+        assert path in diagnostics[0].message
 
 
 class TestCompressedDomains:

@@ -131,6 +131,151 @@ class TestUntypedComparisonOverNumericContainers:
                       ("ok", "1"))
 
 
+class TestThetaJoinExactness:
+    """The sort-based inequality join answers by slot position, which
+
+    is the reference comparison only for numeric containers holding one
+    key per element, against an actual number.  Each case below is a
+    boundary of that rule; the answer must not depend on which side of
+    it the engine lands.
+    """
+
+    XML = ("<r><ps>"
+           "<p><inc>100</inc></p><p><inc>40</inc></p><p><inc>9</inc></p>"
+           "</ps><as>"
+           "<a><init>2</init></a><a><init>10</init></a><a><init>4</init></a>"
+           "</as></r>")
+    JOIN = ("for $p in /r/ps/p, $a in /r/as/a "
+            "where $p/inc/text() {op} {k} * $a/init/text() ")
+
+    def theta_stats(self, xml, query):
+        from repro.obs import runtime
+        from repro.verify.engine_oracle import _BlameRecorder
+        recorder = _BlameRecorder()
+        with runtime.recording(recorder):
+            result = QueryEngine(load_document(xml)).execute(query)
+            result.to_xml()
+        return result.stats, recorder
+
+    def test_count_and_values_agree_with_reference(self):
+        # 100 > 20, 100, 40 / 40 > 20 / 9 > nothing ... strictly.
+        join = self.JOIN.format(op=">", k=10)
+        assert_parity(self.XML, f"count({join}return $p)", ("ok", "3"))
+        assert_parity(self.XML, join + "return $a/init/text()",
+                      ("ok", "2\n4\n2"))
+        stats, recorder = self.theta_stats(self.XML,
+                                           f"count({join}return $p)")
+        assert stats.container_accesses == 3   # one per outer binding
+        assert stats.nodes_visited < 9          # no pair was navigated
+        assert {kind for _, kind in recorder.predicates} == {"ineq"}
+
+    @pytest.mark.parametrize("op,expected", [
+        ("<", "4"), ("<=", "6"), (">", "3"), (">=", "5")])
+    def test_ties_respect_strictness(self, op, expected):
+        # 40 = 10 * 4 and 100 = 10 * 10 are the ties.
+        assert_parity(self.XML,
+                      "count(" + self.JOIN.format(op=op, k=10)
+                      + "return $a)", ("ok", expected))
+
+    def test_int_container_fractional_scale(self):
+        # 0.5 * {2, 10, 4} = {1, 5, 2}: 9 >= all, compared as the
+        # float64 product, never as 9 / 0.5 against the integers.
+        assert_parity(self.XML,
+                      "count(" + self.JOIN.format(op=">=", k=0.5)
+                      + "return $p)", ("ok", "9"))
+
+    @pytest.mark.parametrize("k,expected", [(0, "9"), (-1, "9")])
+    def test_non_positive_scale_keeps_the_nested_loop(self, k, expected):
+        query = "count(" + self.JOIN.format(op=">", k=k) + "return $p)"
+        assert_parity(self.XML, query, ("ok", expected))
+        assert self.theta_stats(self.XML, query)[0] \
+            .container_accesses == 0
+
+    def test_repeated_key_child_falls_back(self):
+        # Arithmetic takes the first <init> only: 10 * 1 = 10, so 40
+        # is not below it although it is below 10 * 9 = 90.
+        xml = self.XML.replace("<a><init>2</init></a>",
+                               "<a><init>1</init><init>9</init></a>")
+        query = self.JOIN.format(op="<", k=10) + "return $p/inc/text()"
+        assert_parity(xml, query, ("ok", "40\n9\n9\n9"))
+        query = self.JOIN.format(op=">", k=10) + "return $a/init[1]/text()"
+        assert_parity(xml, query, ("ok", "1\n4\n1"))
+        stats, recorder = self.theta_stats(xml, query)
+        # The abandoned plan left no trace.
+        assert stats.container_accesses == 0
+        assert recorder.predicates == []
+
+    def test_missing_key_and_missing_probe_value(self):
+        xml = self.XML.replace("<a><init>10</init></a>", "<a/>") \
+                      .replace("<p><inc>40</inc></p>", "<p/>")
+        query = self.JOIN.format(op=">", k=10) + "return $a/init/text()"
+        assert_parity(xml, query, ("ok", "2\n4"))
+        # A binding without a probe value probes nothing.
+        assert self.theta_stats(xml, query)[0].container_accesses == 2
+
+    def test_several_probe_values_are_existential(self):
+        # A bare probe path with two values: one of them matching is
+        # enough (50 > 10 * {2, 4} though 5 is not; 5 < every key).
+        xml = self.XML.replace("<p><inc>40</inc></p>",
+                               "<p><inc>5</inc><inc>50</inc></p>")
+        for op, expected in ((">", "2\n4\n2\n4"),
+                             ("<", "2\n10\n4\n2\n10\n4")):
+            query = self.JOIN.format(op=op, k=10) + "return $a/init/text()"
+            assert_parity(xml, query, ("ok", expected))
+            assert self.theta_stats(xml, query)[0] \
+                .container_accesses == 3
+
+    def test_untyped_sides_stay_lexicographic(self):
+        # No arithmetic, no number: "10" < "100" < "2" < "4" < "40".
+        query = ("for $p in /r/ps/p, $a in /r/as/a "
+                 "where $p/inc/text() < $a/init/text() "
+                 "return $p/inc/text()")
+        assert_parity(self.XML, query, ("ok", "100\n100"))
+        assert self.theta_stats(self.XML, query)[0] \
+            .container_accesses == 0
+
+    def test_string_typed_probe_side(self):
+        # "x" never orders against a number; " 7 " still parses.
+        xml = self.XML.replace("<inc>100</inc>", "<inc>x</inc>") \
+                      .replace("<inc>40</inc>", "<inc> 7 </inc>")
+        query = self.JOIN.format(op=">", k=1) + "return $a/init/text()"
+        assert_parity(xml, query, ("ok", "2\n4\n2\n4"))
+        assert self.theta_stats(xml, query)[0].container_accesses == 2
+
+    def test_plain_key_against_a_number(self):
+        # Clause order swapped: the key side is the bare path, the
+        # probe side the arithmetic — numeric, and existential.
+        query = ("for $a in /r/as/a, $p in /r/ps/p "
+                 "where $p/inc/text() <= 10 * $a/init/text() "
+                 "return $p/inc/text()")
+        assert_parity(self.XML, query, ("ok", "9\n100\n40\n9\n40\n9"))
+        assert self.theta_stats(self.XML, query)[0] \
+            .container_accesses == 3
+
+    def test_second_document(self):
+        other = "<as><a><init>3</init></a><a><init>50</init></a></as>"
+        query = ('for $p in /r/ps/p, $a in document("other")/as/a '
+                 "where 2 * $a/init/text() < $p/inc/text() "
+                 "return $a/init/text()")
+        engine = QueryEngine(load_document(self.XML),
+                             {"other": load_document(other)})
+        result = engine.execute(query)
+        reference = GalaxEngine(self.XML, {"other": other})
+        assert result.to_xml() == reference.execute_to_xml(query) \
+            == "3\n3\n3"
+        assert result.stats.container_accesses == 3
+
+    def test_several_key_containers_are_merged(self):
+        xml = ("<r><ps><p><inc>5</inc></p><p><inc>30</inc></p></ps>"
+               "<x><a><init>4</init></a><a><init>1</init></a></x>"
+               "<y><a><init>2</init></a></y></r>")
+        query = ("for $p in /r/ps/p, $a in //a "
+                 "where 10 * $a/init/text() <= $p/inc/text() "
+                 "return $a/init/text()")
+        assert_parity(xml, query, ("ok", "1\n2"))
+        assert self.theta_stats(xml, query)[0].container_accesses == 2
+
+
 class TestDivisionByZero:
     """Bug: engine raised bare ZeroDivisionError while the reference
 

@@ -123,6 +123,47 @@ class TestFLWOR:
             "return $a/price/text()")
         assert result.stats.hash_joins >= 1
 
+    def test_join_index_of_context_dependent_source_not_cached(self):
+        """The predicate's FLWOR runs once per <g>; its sources are
+        relative, so every run joins a fresh sequence.  An index cached
+        on that temporary's id() is dead weight at best and, once the
+        id is recycled, another group's index."""
+        from repro.baselines.galax import GalaxEngine
+        from repro.query.engine import _Evaluator
+        from repro.query.parser import parse_query
+        doc = "<doc>" + "".join(
+            f"<g><k>{i}</k><t><v>{i + i % 2}</v></t></g>"
+            for i in range(40)) + "</doc>"
+        query = ("/doc/g[count(for $x in k, $t in t "
+                 "where $t/v/text() = $x/text() return $t) > 0]/k/text()")
+        engine = QueryEngine(load_document(doc))
+        evens = "\n".join(str(i) for i in range(0, 40, 2))
+        assert engine.execute(query).to_xml() == evens \
+            == GalaxEngine(doc).execute_to_xml(query)
+        evaluator = _Evaluator(engine.repository)
+        evaluator.eval(parse_query(query), {})
+        assert evaluator.stats.hash_joins == 40
+        assert len(evaluator._index_cache) <= 1
+
+    def test_count_of_bindings_matches_counting_items(self, engine):
+        """count(for … return $forvar) counts bindings without
+        evaluating the return; every other shape counts items."""
+        join = ("for $p in /site/people/person, "
+                "$a in /site/auctions/auction "
+                "where $a/price/text() {op} 0.5 * $p/age/text() ")
+        for op, pairs in (("<", 6), (">", 3), (">=", 3)):
+            flwor = join.format(op=op)
+            for returned in ("$p", "$a", "$a/price", "($p, $a)"):
+                counted = engine.execute(
+                    f"count({flwor} return {returned})").items
+                listed = engine.execute(f"{flwor} return {returned}")
+                assert counted == [float(len(listed))]
+            assert len(engine.execute(flwor + "return $p")) == pairs
+        # A let variable of the same name is a sequence, not a binding.
+        assert engine.execute(
+            "count(for $p in /site/people/person "
+            "let $p := /site/auctions/auction return $p)").items == [9.0]
+
     def test_nested_flwor_count(self, engine):
         result = engine.execute(
             "for $p in /site/people/person "

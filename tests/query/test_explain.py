@@ -1,7 +1,28 @@
 """Tests for the plan explanation facility."""
 
+import difflib
+from pathlib import Path
+
 from repro.query.explain import explain
-from repro.xmark.queries import query_text
+from repro.xmark.queries import XMARK_QUERIES, query_text
+
+PLAN_FILE = Path(__file__).parent / "plans" / "xmark.explain.txt"
+
+
+def test_xmark_plans_match_regression_file():
+    """The expected strategy per XMark query, diffed.
+
+    A change to what any XMark query evaluates as must show up as a
+    reviewed edit of ``plans/xmark.explain.txt`` (regenerate it by
+    joining the blocks below), never as a silent difference.
+    """
+    actual = "\n".join(
+        f"== {query_id} ==\n{explain(query_text(query_id))}\n"
+        for query_id in XMARK_QUERIES)
+    diff = "\n".join(difflib.unified_diff(
+        PLAN_FILE.read_text().splitlines(), actual.splitlines(),
+        "plans/xmark.explain.txt", "explain()", lineterm=""))
+    assert not diff, diff
 
 
 class TestExplain:
@@ -17,9 +38,35 @@ class TestExplain:
         assert "Parent^1" in plan
 
     def test_hash_join_reported(self):
-        plan = explain(query_text("Q8"))
+        plan = explain(
+            "for $p in /site/people/person, $a in /site/auctions/auction "
+            "where $a/buyer/@person = $p/@id return $p/name/text()")
         assert "HashJoin" in plan
         assert "build side cacheable" in plan
+
+    def test_theta_join_reported(self):
+        join = ("for $a in /site/auctions/auction, $p in {source} "
+                "where {where} return $p")
+        plan = explain(join.format(
+            source="/site/people/person",
+            where="2.5 * $a/price/text() >= $p/profile/income/text()"))
+        # Normalised to key-side <op> probe: the operator is flipped.
+        assert "ThetaJoin $p/profile/income/text() <= probe" in plan
+        assert "bound vars ['a']" in plan and "Parent^2" in plan
+        # Not a theta join: a multiplier that reverses the order, a
+        # source that depends on the outer binding, an equality
+        # conjunct that claims the clause as a hash join first.
+        for source, where in (
+                ("/site/people/person",
+                 "$a/price/text() > 0 * $p/profile/income/text()"),
+                ("$a/bidder",
+                 "$a/price/text() > 2 * $p/increase/text()"),
+                ("/site/people/person",
+                 "$a/price/text() > 2 * $p/profile/income/text() "
+                 "and $a/buyer/@person = $p/@id")):
+            plan = explain(join.format(source=source, where=where))
+            assert "ThetaJoin" not in plan
+            assert "Select (evaluated per binding" in plan
 
     def test_fulltext_plan_reported(self):
         plan = explain(
@@ -46,7 +93,12 @@ class TestExplain:
         assert "Decompress" in plan
 
     def test_nested_flwor(self):
-        plan = explain(query_text("Q9"))
+        plan = explain(
+            "for $p in /site/people/person "
+            "let $a := for $t in /site/auctions/auction, "
+            "$i in /site/items/item "
+            "where $t/buyer/@person = $p/@id and $t/@item = $i/@id "
+            "return $i return <p>{$a}</p>")
         assert plan.count("for $") >= 3
         assert "HashJoin" in plan
 

@@ -5,6 +5,7 @@ from repro.query.optimizer import (
     context_free,
     find_join_plan,
     find_range_plan,
+    find_theta_plan,
     flatten_conjuncts,
     free_vars,
     is_absolute_simple_path,
@@ -86,6 +87,47 @@ class TestJoinPlans:
         where = where_of(
             "for $t in /s/t where $t/@id = $unbound/@id return $t")
         assert find_join_plan(where, "t", set()) is None
+
+
+class TestThetaPlans:
+    def theta(self, condition, bound=("p",)):
+        where = where_of(f"for $i in /s/i where {condition} return $i")
+        return find_theta_plan(where, "i", set(bound))
+
+    def test_scaled_key_either_operand_order(self):
+        for condition, op in (
+                ("$p/@income > 50 * $i/initial/text()", "<"),
+                ("$i/initial/text() * 50 <= $p/@income", "<=")):
+            plan = self.theta(condition)
+            assert (plan.op, plan.scale, plan.ascend) == (op, 50.0, 1)
+            assert free_vars(plan.probe_expr) == {"p"}
+            assert [s.test for s in plan.leaf_steps] == \
+                ["initial", "text()"]
+
+    def test_plain_key_has_no_scale(self):
+        plan = self.theta("$i/@a >= 2 * $p/b/text()")
+        assert (plan.op, plan.scale, plan.ascend) == (">=", None, 0)
+
+    def test_plans_are_hashable_values(self):
+        condition = "$p/@income > 50 * $i/initial/text()"
+        assert self.theta(condition) == self.theta(condition)
+        assert len({self.theta(condition), self.theta(condition)}) == 1
+
+    def test_rejected_shapes(self):
+        for condition in (
+                "$p/@income = 50 * $i/initial/text()",    # hash join
+                "$p/@income > 0 * $i/initial/text()",     # order lost
+                "$p/@income > -2 * $i/initial/text()",    # order flipped
+                "$p/@income > $i/initial/text() + 1",     # not K * path
+                "$p/@income > 2 * $i//initial/text()",    # no one leaf
+                "$p/@income > 2 * $i/b[1]/text()",
+                "$i/@a > 2 * $i/b/text()",                # one variable
+                "$i/@a > 40",                             # a selection
+                "$i/@a > $q/@b"):                         # $q unbound
+            assert self.theta(condition) is None, condition
+
+    def test_shadowed_clause_variable_is_not_a_probe(self):
+        assert self.theta("$i/@a > 2 * $i/b/text()", ("i",)) is None
 
 
 class TestRangePlans:

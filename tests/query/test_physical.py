@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import QueryTypeError
 from repro.query.context import CompressedItem, EvaluationStats, NodeItem
 from repro.query.physical import (
     AttributeContent,
@@ -21,6 +22,7 @@ from repro.query.physical import (
     Sort,
     StructureSummaryAccess,
     TextContent,
+    ThetaJoin,
 )
 from repro.storage.loader import load_document
 
@@ -39,6 +41,8 @@ DOC = """
 """
 
 NAME_PATH = "/site/people/person/name/#text"
+AGE_PATH = "/site/people/person/age/#text"
+TOTAL_PATH = "/site/sales/sale/total/#text"
 ID_PATH = "/site/people/person/@id"
 
 
@@ -158,6 +162,46 @@ class TestCombination:
         out = NestedLoopJoin(left, right,
                              lambda a, b: a["l"] < b["r"]).rows()
         assert len(out) == 2  # (1,2) and (1,3)
+
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+    def test_theta_join_matches_nested_loop(self, repo, stats, op):
+        """Key side: 2 * age, owners one Parent hop up (the persons)."""
+        import operator
+        holds = {"<": operator.lt, "<=": operator.le,
+                 ">": operator.gt, ">=": operator.ge}[op]
+        outer = [{"bound": b} for b in (0, 54, 62, 62.5, 90, 1000)]
+        join = ThetaJoin(outer, repo, [AGE_PATH], op,
+                         lambda row: row["bound"], "person", scale=2.0,
+                         ascend=1, stats=stats)
+        ages = {2: 45, 5: 31, 8: 27}   # person node id -> age
+        persons = StructureSummaryAccess(
+            repo, [("child", "site"), ("child", "people"),
+                   ("child", "person")], "person").rows()
+        assert [p["person"].node_id for p in persons] == sorted(ages)
+        expected = NestedLoopJoin(
+            outer, persons,
+            lambda a, b: holds(2.0 * ages[b["person"].node_id],
+                               a["bound"])).rows()
+        assert join.rows() == expected   # document order per outer row
+        assert stats.container_accesses == len(outer)
+
+    def test_theta_join_range_length_is_the_match_count(self, repo):
+        join = ThetaJoin(None, repo, [AGE_PATH], ">", None, "person")
+        assert join.build()
+        start, end = join.probe(30)
+        assert end - start == 2 and join.probe(45) == (3, 3)
+
+    def test_theta_join_refuses_what_position_cannot_answer(self, repo):
+        # String container; and two <total> keys owned by one <sales>.
+        assert not ThetaJoin(None, repo, [NAME_PATH], "<", None,
+                             "p").build()
+        assert ThetaJoin(None, repo, [TOTAL_PATH], "<", None, "s",
+                         ascend=1).build()
+        shared_owner = ThetaJoin(None, repo, [TOTAL_PATH], "<", None,
+                                 "s", ascend=2)
+        assert not shared_owner.build()
+        with pytest.raises(QueryTypeError):
+            shared_owner.rows()
 
     def test_distinct(self):
         out = Distinct(self.ROWS, lambda r: r["k"]).rows()
