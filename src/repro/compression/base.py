@@ -141,6 +141,22 @@ class Codec(ABC):
     def train(cls, values: Iterable[str]) -> "Codec":
         """Build a source model from training values and return a codec."""
 
+    @classmethod
+    def train_and_encode(
+            cls, values: Iterable[str]
+    ) -> "tuple[Codec, list[CompressedValue] | None]":
+        """Train on ``values`` and compress each of them, in order.
+
+        What the loader calls per container: a codec whose training
+        already segments the values (ALM) encodes from that one pass.
+        Equal values share one :class:`CompressedValue`.  ``None`` in
+        place of the list: the codec stores no per-value form (blobs).
+        """
+        values = list(values)
+        codec = cls.train(values)
+        encoded = {value: codec.encode(value) for value in set(values)}
+        return codec, [encoded[value] for value in values]
+
     @abstractmethod
     def encode(self, value: str) -> CompressedValue:
         """Compress one value; raises CodecDomainError when out of domain."""

@@ -40,6 +40,10 @@ class BlobCodec(Codec):
     def train(cls, values: Iterable[str]) -> "BlobCodec":
         return cls()
 
+    @classmethod
+    def train_and_encode(cls, values: Iterable[str]):
+        return cls(), None  # containers store one chunk: encode_many
+
     # -- chunk interface (used by containers and the XMill baseline) ------
 
     def compress_chunk(self, data: bytes) -> bytes:

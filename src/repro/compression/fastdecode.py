@@ -33,9 +33,8 @@ class PrefixDecoder:
         for (code, length), symbol in codes.items():
             if length > self._k:
                 continue
-            base = code << (self._k - length)
-            for slot in range(base, base + (1 << (self._k - length))):
-                table[slot] = (symbol, length)
+            span = 1 << (self._k - length)
+            table[code * span:(code + 1) * span] = [(symbol, length)] * span
         self._table = table
 
     def decode(self, compressed: CompressedValue) -> list:

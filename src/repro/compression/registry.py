@@ -55,6 +55,13 @@ def train_codec(name: str, values: Iterable[str]) -> Codec:
     return codec_class(name).train(values)
 
 
+def train_and_encode(name: str, values: Iterable[str]):
+    """Train the named codec on ``values`` and compress them with it:
+    ``(codec, compressed values in order)`` — see
+    :meth:`Codec.train_and_encode`."""
+    return codec_class(name).train_and_encode(values)
+
+
 def register_codec(cls: type[Codec]) -> type[Codec]:
     """Register a user-supplied codec class (usable as a decorator)."""
     _REGISTRY[cls.name] = cls

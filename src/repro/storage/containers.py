@@ -98,7 +98,8 @@ class ValueContainer:
         the inferred elementary type (``string``/``int``/``float``)."""
         self.path = path
         self.value_type = value_type
-        self._pending: list[tuple[str, int]] = []  # (value, parent id)
+        self._pending: list[str] = []  # staged values, document order
+        self._pending_parents: list[int] = []
         self._codec: Codec | None = None
         self._records: list[ContainerRecord] = []
         self._blob: bytes | None = None
@@ -149,46 +150,52 @@ class ValueContainer:
 
     # -- loading phase ------------------------------------------------------
 
-    def add_value(self, value: str, parent_id: int) -> None:
-        """Stage a raw value during document loading."""
+    def add_value(self, value: str, parent_id: int) -> int:
+        """Stage a raw value during document loading; returns its
+        staging index (what :meth:`sorted_position` later maps)."""
         if self._sealed:
             raise StorageError(f"container {self.path!r} already sealed")
-        self._pending.append((value, parent_id))
+        self._pending.append(value)
+        self._pending_parents.append(parent_id)
+        return len(self._pending) - 1
 
     @property
     def pending_values(self) -> list[str]:
         """Raw staged values (training input for the codec choice)."""
-        return [value for value, _ in self._pending]
+        return list(self._pending)
 
-    def seal(self, codec: Codec) -> None:
+    def seal(self, codec: Codec,
+             encoded: list[CompressedValue] | None = None) -> None:
         """Sort records lexicographically, compress, and freeze.
 
         Loading stages values in document order, but the sealed container
         is value-ordered; :meth:`sorted_position` maps a staging index to
         the record's final slot so structure-tree value pointers can be
-        fixed up.
+        fixed up.  ``encoded`` hands over the staged values already
+        compressed under ``codec``, in staging order (what
+        ``train_and_encode`` returns); without it they are encoded here.
         """
         if self._sealed:
             raise StorageError(f"container {self.path!r} already sealed")
         self._codec = codec
-        order = sorted(range(len(self._pending)),
-                       key=lambda i: self._compare_key(self._pending[i][0]))
+        values, parents = self._pending, self._pending_parents
+        order = sorted(range(len(values)),
+                       key=list(map(self._compare_key, values)).__getitem__)
         self._insertion_to_sorted = [0] * len(order)
         for sorted_pos, insertion_pos in enumerate(order):
             self._insertion_to_sorted[insertion_pos] = sorted_pos
-        ordered = [self._pending[i] for i in order]
         if isinstance(codec, BlobCodec):
-            values = [v for v, _ in ordered]
-            self._blob = codec.encode_many(values)
-            self._blob_values = values
-            self._blob_parents = [p for _, p in ordered]
+            self._blob_values = [values[i] for i in order]
+            self._blob = codec.encode_many(self._blob_values)
+            self._blob_parents = [parents[i] for i in order]
         else:
-            self._records = [
-                ContainerRecord(codec.encode(value), parent_id)
-                for value, parent_id in ordered
-            ]
-        self._count = len(ordered)
+            if encoded is None:
+                encoded = [codec.encode(value) for value in values]
+            self._records = [ContainerRecord(encoded[i], parents[i])
+                             for i in order]
+        self._count = len(order)
         self._pending = []
+        self._pending_parents = []
         self._sealed = True
 
     def sorted_position(self, insertion_index: int) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.compression.registry import train_codec
+from repro.compression.registry import train_and_encode
 from repro.storage.name_dictionary import NameDictionary
 from repro.storage.repository import CompressedRepository
 from repro.storage.statistics import DocumentStatistics
@@ -126,8 +126,8 @@ def load_document(xml_text: str, configuration=None,
                 attr_summary.extent.append(node_id)
                 container = container_for(attr_summary)
                 record.value_pointers.append(
-                    (container.path, len(container.pending_values)))
-                container.add_value(attr_value, node_id)
+                    (container.path,
+                     container.add_value(attr_value, node_id)))
                 statistics.attribute_count += 1
         elif isinstance(event, EndElement):
             node_id = id_stack.pop()
@@ -145,8 +145,8 @@ def load_document(xml_text: str, configuration=None,
             parent_record.content_sequence.append(
                 ("text", len(parent_record.value_pointers)))
             parent_record.value_pointers.append(
-                (container.path, len(container.pending_values)))
-            container.add_value(event.text, parent_id)
+                (container.path,
+                 container.add_value(event.text, parent_id)))
             statistics.text_count += 1
 
     _seal_containers(containers, configuration, default_string_codec)
@@ -180,23 +180,32 @@ def _seal_containers(containers: dict[str, ValueContainer],
             if not members:
                 continue
             # One shared source model per group (§3): train on the union
-            # of the members' values.
-            training = [v for c in members for v in c.pending_values]
-            codec = train_codec(group.algorithm, training)
-            for container in members:
-                # Workload groups always use string codecs, so the
-                # container keeps string ordering: the lexicographic
-                # record order must match the codec's compressed order.
-                container.seal(codec)
+            # of the members' values.  Workload groups always use string
+            # codecs, so the containers keep string ordering: the
+            # lexicographic record order must match the codec's
+            # compressed order.
+            _train_and_seal(group.algorithm, members,
+                            [c.pending_values for c in members])
     for container in remaining.values():
         values = container.pending_values
         container.value_type = infer_value_type(values)
         if container.value_type == "int":
-            codec = train_codec("integer", values)
+            algorithm = "integer"
         elif container.value_type == "float":
-            codec = train_codec("float", values)
+            algorithm = "float"
         else:
-            codec = train_codec(default_string_codec, values)
-        container.seal(codec)
+            algorithm = default_string_codec
+        _train_and_seal(algorithm, [container], [values])
 
 
+def _train_and_seal(algorithm: str, members: list[ValueContainer],
+                    staged: list[list[str]]) -> None:
+    """Train one codec on the members' staged values and seal each
+    member with its share of the values training already compressed."""
+    codec, encoded = train_and_encode(
+        algorithm, [value for values in staged for value in values])
+    start = 0
+    for container, values in zip(members, staged):
+        stop = start + len(values)
+        container.seal(codec, encoded and encoded[start:stop])
+        start = stop

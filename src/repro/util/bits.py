@@ -46,8 +46,15 @@ class BitWriter:
 
     def write_bits(self, value: int, width: int) -> None:
         """Append ``width`` bits of ``value``, most significant first."""
-        for shift in range(width - 1, -1, -1):
-            self.write_bit((value >> shift) & 1)
+        if width <= 0:
+            return
+        pending = self._current << width | value & (1 << width) - 1
+        self._length += width
+        whole, self._filled = divmod(self._filled + width, 8)
+        if whole:
+            self._buffer += (pending >> self._filled).to_bytes(whole, "big")
+            pending &= (1 << self._filled) - 1
+        self._current = pending
 
     def write_bitstring(self, bits: str) -> None:
         """Append a string of ``'0'``/``'1'`` characters."""

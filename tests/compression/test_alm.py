@@ -1,10 +1,17 @@
 """Tests for the ALM order-preserving dictionary codec."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compression import alm
 from repro.compression.alm import ALMCodec, select_tokens
+from repro.compression.serialization import (
+    deserialize_codec,
+    serialize_codec,
+)
 from repro.errors import CodecDomainError
 
 CORPUS = ["there is a tide in the affairs of men",
@@ -133,3 +140,182 @@ def test_order_property_nested_tokens(values):
     for a in values:
         for b in values:
             assert (encoded[a] < encoded[b]) == (a < b), (a, b)
+
+
+# -- exact equivalence with the straight-line miner -------------------------
+
+
+def reference_select_tokens(values, max_tokens):
+    """The miner as written before it was made to run in bulk (one
+    ``Counter`` update per character and n-gram length): the reference
+    every token list — hence every stored byte — must keep matching."""
+    word_counts = Counter()
+    ngram_counts = Counter()
+    budget = alm._TRAINING_CHAR_BUDGET
+    for value in values:
+        if budget <= 0:
+            break
+        budget -= len(value)
+        pieces = value.split(" ")
+        for i, piece in enumerate(pieces):
+            if not piece:
+                continue
+            if i + 1 < len(pieces):
+                word_counts[piece + " "] += 1
+            else:
+                word_counts[piece] += 1
+        for n in alm._NGRAM_LENGTHS:
+            if len(value) < n:
+                continue
+            for i in range(len(value) - n + 1):
+                ngram_counts[value[i:i + n]] += 1
+    scored = [((len(tok) - 1) * cnt, tok)
+              for tok, cnt in word_counts.items()
+              if cnt >= 2 and len(tok) > 1]
+    scored += [((len(tok) - 1) * cnt * 0.1, tok)
+               for tok, cnt in ngram_counts.items()
+               if cnt >= 2 and len(tok) > 1 and tok not in word_counts]
+    scored.sort(key=lambda pair: (-pair[0], pair[1]))
+    return [tok for _, tok in scored[:max_tokens]]
+
+
+MAX_TOKENS = (0, 1, 8, 768)
+
+#: few distinct characters, so n-grams repeat, scores tie and words
+#: coincide with n-grams; a non-BMP character and runs of spaces ride in.
+tight_text = st.text(alphabet="ab \U0001f600", max_size=40)
+values_strategy = st.lists(
+    st.one_of(tight_text, st.text(max_size=30), st.just(""),
+              st.sampled_from(["  ", "    a  ", "abab abab", "the there"])),
+    max_size=12).flatmap(
+        lambda values: st.permutations(values + values[:3]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(values_strategy, st.sampled_from(MAX_TOKENS))
+def test_select_tokens_equals_reference(values, max_tokens):
+    assert select_tokens(values, max_tokens) == \
+        reference_select_tokens(values, max_tokens)
+
+
+@pytest.mark.parametrize("max_tokens", MAX_TOKENS)
+def test_select_tokens_equals_reference_on_prose(max_tokens):
+    values = CORPUS * 3 + [v[::-1] for v in CORPUS] + ["", " ", "the"]
+    assert select_tokens(values, max_tokens) == \
+        reference_select_tokens(values, max_tokens)
+
+
+def test_select_tokens_ties_break_by_token():
+    # "ab", "cd", "ef" all occur twice with equal score; so do the
+    # 3- and 4-grams over them: the cut falls inside a run of ties.
+    values = ["abcdef", "abcdef"]
+    for max_tokens in range(12):
+        assert select_tokens(values, max_tokens) == \
+            reference_select_tokens(values, max_tokens)
+
+
+@pytest.mark.parametrize("distinct", [300, 66_000])
+def test_select_tokens_wide_alphabet(distinct):
+    # More distinct characters than one byte, then two bytes, can rank.
+    run = "".join(chr(0x10000 + i) for i in range(distinct))
+    values = [run, run[::2], run[:400]]
+    assert select_tokens(values, 64) == reference_select_tokens(values, 64)
+
+
+def test_select_tokens_stops_at_the_training_budget(monkeypatch):
+    # The value that crosses the budget is still scanned whole; the
+    # ones after it are not, however often they repeat.
+    monkeypatch.setattr(alm, "_TRAINING_CHAR_BUDGET", 60)
+    values = ["abcabcabc " * 3, "xyzxyz " * 6, "never seen never seen"] * 2
+    expected = reference_select_tokens(values, 768)
+    assert select_tokens(values, 768) == expected
+    assert not any("never" in token for token in expected)
+    assert select_tokens(iter(values), 768) == expected
+
+
+class TestTrainedEqualsRebuilt:
+    """``encode`` on the trained codec and on the codec rebuilt from its
+    serialized model agree bit for bit, seen values or not."""
+
+    PROBES = ["", "the", "there", "their", "these", "th", "hee",
+              "the aa", "the rd", "the rf", "theta", "t", "e r"]
+
+    @pytest.mark.parametrize("values", [
+        CORPUS, ["there", "their", "these", "the"] * 2, [""], [],
+        ["a"], ["ab ab ab", "ab", "abab"]])
+    def test_fixed_corpora(self, values):
+        codec, encoded = ALMCodec.train_and_encode(values)
+        clone = deserialize_codec(serialize_codec(codec))
+        assert encoded == [clone.encode(value) for value in values]
+        alphabet = set("".join(values))
+        for probe in self.PROBES:
+            if set(probe) <= alphabet:
+                assert codec.encode(probe) == clone.encode(probe)
+                assert clone.decode(codec.encode(probe)) == probe
+
+    def test_gap_intervals_of_the_docstring(self):
+        # the/there: "the" owns the gap before and the gap after
+        # "there"'s zone, and suffixes land in the right one.
+        codec = ALMCodec(list(" adefhrtz") + ["the", "there"])
+        clone = ALMCodec.from_code_lengths(codec.tokens,
+                                           codec.code_lengths())
+        ordered = ["the", "the aa", "the rd", "there", "there z",
+                   "the rf", "thez"]
+        ordered.sort()
+        encoded = [codec.encode(value) for value in ordered]
+        assert encoded == sorted(encoded)
+        assert encoded == [clone.encode(value) for value in ordered]
+        before, inside, after = (codec.encode(v)
+                                 for v in ("thea", "there", "thez"))
+        assert before < inside < after
+        # "t" and "the" each own one gap symbol past their first.
+        assert codec.symbol_count == len(codec.tokens) + 2
+
+    def test_deeply_nested_tokens(self):
+        # a, aa, aaa, ...: more tokens prefixing one another than the
+        # longest-match expression nests groups for.
+        depth = 200
+        codec = ALMCodec(["a" * k for k in range(1, depth + 1)]
+                         + ["b", "a" * 20 + "b", "a" * 150 + "b"])
+        clone = ALMCodec.from_code_lengths(codec.tokens,
+                                           codec.code_lengths())
+        values = sorted(["a" * (depth + 5) + "b", "a" * 150 + "bb",
+                         "a" * 149 + "b", "a" * 20 + "b", "a" * 21, "b"])
+        encoded = [codec.encode(value) for value in values]
+        assert encoded == sorted(encoded)
+        assert encoded == [clone.encode(value) for value in values]
+        assert [codec.decode(e) for e in encoded] == values
+
+    def test_unknown_character_still_raises(self):
+        codec, _ = ALMCodec.train_and_encode(CORPUS)
+        clone = deserialize_codec(serialize_codec(codec))
+        for broken in (codec, clone):
+            with pytest.raises(CodecDomainError, match="'Q'"):
+                broken.encode("the Queen")
+            assert broken.try_encode("\n") is None
+
+    def test_nothing_per_value_stays_on_the_codec(self):
+        values = ["a value seen in training %d" % i for i in range(50)]
+        codec, _ = ALMCodec.train_and_encode(values)
+        held = [v for v in vars(codec).values()
+                if isinstance(v, (dict, list, tuple, set))]
+        assert not any(value in container for container in held
+                       for value in values)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.text(alphabet="abct he", max_size=25), min_size=1,
+                max_size=10),
+       st.lists(st.text(alphabet="abct he", max_size=25), max_size=5))
+def test_trained_equals_rebuilt_property(values, unseen):
+    codec, encoded = ALMCodec.train_and_encode(values)
+    clone = deserialize_codec(serialize_codec(codec))
+    assert encoded == [codec.encode(value) for value in values]
+    assert encoded == [clone.encode(value) for value in values]
+    alphabet = set("".join(values))
+    for value in unseen:
+        if set(value) <= alphabet:
+            assert codec.encode(value) == clone.encode(value)
+        else:
+            with pytest.raises(CodecDomainError):
+                codec.encode(value)

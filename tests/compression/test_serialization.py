@@ -64,6 +64,40 @@ class TestErrors:
         with pytest.raises(CorruptDataError):
             deserialize_codec(data[: len(data) // 2])
 
+    def _alm_blob(self, tokens, lengths):
+        from repro.util.bytestream import ByteWriter
+        writer = ByteWriter()
+        writer.byte(4)  # the ALM type tag
+        writer.varint(len(tokens))
+        for token in tokens:
+            writer.string(token)
+        writer.varint(len(lengths))
+        for length in lengths:
+            writer.varint(length)
+        return writer.getvalue()
+
+    @pytest.mark.parametrize("lengths", [
+        [1, 2],              # fewer lengths than interval symbols
+        [2, 2, 2, 2],        # more
+        [1, 1, 1],           # codes outgrow their length
+        [0, 1, 1],           # no codeword is empty
+        [2, 2, 40],          # deeper than any tree over three symbols
+        [3, 3, 3_000_000],
+    ])
+    def test_corrupt_alm_lengths_fail_typed(self, lengths):
+        with pytest.raises(CorruptDataError):
+            deserialize_codec(self._alm_blob(["a", "b", "c"], lengths))
+
+    def test_alm_lengths_validated_whatever_the_table_holds(self):
+        # Codewords longer than the decoder's lookup table never enter
+        # it; they must be checked all the same.
+        tokens = [chr(ord("a") + i) for i in range(20)]
+        good = [min(i + 1, 19) for i in range(20)]
+        codec = deserialize_codec(self._alm_blob(tokens, good))
+        assert codec.decode(codec.encode("tsa")) == "tsa"
+        with pytest.raises(CorruptDataError):
+            deserialize_codec(self._alm_blob(tokens, [15] * 19 + [1]))
+
     def test_unregistered_codec(self):
         from repro.compression.base import Codec
 

@@ -199,3 +199,52 @@ class TestConfigurationSealing:
         # Ungrouped containers still get defaults.
         assert repo.container(
             "/site/people/person/age/#text").codec.name == "integer"
+
+    @pytest.mark.parametrize("algorithm", ["alm", "bzip2"])
+    def test_group_members_keep_their_own_values(self, algorithm):
+        # One codec trained (and, for ALM, the values encoded) over the
+        # union: each member must be sealed with its own share.
+        from repro.partitioning.config import (
+            CompressionConfiguration,
+            ContainerGroup,
+        )
+        paths = ("/site/people/person/name/#text",
+                 "/site/regions/item/name/#text",
+                 "/site/people/person/@id")
+        config = CompressionConfiguration(groups=[
+            ContainerGroup(container_paths=paths, algorithm=algorithm)])
+        grouped = load_document(DOC, configuration=config)
+        plain = load_document(DOC)
+        for path in paths:
+            assert grouped.container(path).codec.name == algorithm
+            assert sorted(grouped.container(path).scan_decoded()) == \
+                sorted(plain.container(path).scan_decoded())
+        for node_id in range(len(plain.structure)):
+            assert grouped.text_of(node_id) == plain.text_of(node_id)
+
+
+class TestStagingIsLinear:
+    def test_staged_values_read_a_constant_number_of_times(
+            self, monkeypatch):
+        # The loader once asked the container for a fresh copy of its
+        # staged values per attribute and text node, just to take its
+        # length: quadratic in the container.
+        from repro.storage.containers import ValueContainer
+        reads = []
+        original = ValueContainer.pending_values
+
+        def spy(container):
+            reads.append(container.path)
+            return original.fget(container)
+
+        monkeypatch.setattr(ValueContainer, "pending_values",
+                            property(spy))
+        count = 2000
+        repo = load_document(
+            "<r>" + "".join(f"<v>value {i % 700}</v>"
+                            for i in range(count)) + "</r>")
+        assert len(repo.container("/r/v/#text")) == count
+        assert 1 <= reads.count("/r/v/#text") <= 3
+        assert [repo.text_of(i + 1) for i in (0, 699, 700, count - 1)] \
+            == ["value 0", "value 699", "value 0",
+                f"value {(count - 1) % 700}"]

@@ -90,3 +90,62 @@ def test_writer_reader_roundtrip(bits):
         writer.write_bit(bit)
     reader = BitReader(writer.getvalue(), writer.bit_length)
     assert [reader.read_bit() for _ in bits] == bits
+
+
+class ReferenceBitWriter:
+    """One bit per step: what ``BitWriter`` must keep producing."""
+
+    def __init__(self):
+        self.bits = []
+
+    def write_bit(self, bit):
+        self.bits.append(bit & 1)
+
+    def write_bits(self, value, width):
+        for shift in range(width - 1, -1, -1):
+            self.write_bit((value >> shift) & 1)
+
+    def write_bitstring(self, bits):
+        for ch in bits:
+            self.write_bit(1 if ch == "1" else 0)
+
+    def getvalue(self, pad_bit=0):
+        padded = self.bits + [pad_bit] * (-len(self.bits) % 8)
+        return bytes(int("".join(map(str, padded[i:i + 8])), 2)
+                     for i in range(0, len(padded), 8))
+
+
+writes = st.one_of(
+    st.tuples(st.just("write_bit"), st.integers(0, 1)),
+    st.tuples(st.just("write_bitstring"),
+              st.text(alphabet="01", max_size=20)),
+    st.integers(0, 130).flatmap(lambda width: st.tuples(
+        st.just("write_bits"),
+        # wider than ``width`` too: the excess high bits are dropped
+        st.integers(0, (1 << width + 3) - 1), st.just(width))))
+
+
+@given(st.lists(writes, max_size=40))
+def test_write_bits_matches_bit_by_bit_reference(operations):
+    writer, reference = BitWriter(), ReferenceBitWriter()
+    for name, *arguments in operations:
+        getattr(writer, name)(*arguments)
+        getattr(reference, name)(*arguments)
+        assert writer.bit_length == len(writer) == len(reference.bits)
+    for pad_bit in (0, 1):
+        assert writer.getvalue(pad_bit) == reference.getvalue(pad_bit)
+
+
+@pytest.mark.parametrize("width", range(131))
+def test_write_bits_every_width_at_every_alignment(width):
+    value = (0xA5C3_96F0_1234_5678_9ABC_DEF0_0FED_CBA9_8765 >> 3) \
+        & ((1 << width) - 1)
+    for lead in range(8):
+        writer, reference = BitWriter(), ReferenceBitWriter()
+        for target in (writer, reference):
+            target.write_bitstring("1" * lead)
+            target.write_bits(value, width)
+            target.write_bit(1)
+        assert len(writer) == lead + width + 1
+        for pad_bit in (0, 1):
+            assert writer.getvalue(pad_bit) == reference.getvalue(pad_bit)
