@@ -42,31 +42,29 @@ class PrefixDecoder:
         bits = compressed.bits
         if bits == 0:
             return []
-        buffer = int.from_bytes(compressed.data, "big")
-        total = len(compressed.data) * 8
-        out: list = []
-        position = 0
+        top = len(compressed.data) * 8
+        if bits > top:
+            # Decoding on would read the zero padding as code words.
+            raise CorruptDataError("truncated code sequence")
+        # Pad by k zero bits once: the k-bit window at any position
+        # below ``bits`` is then a plain right shift.
         k = self._k
+        buffer = int.from_bytes(compressed.data, "big") << k
+        mask = (1 << k) - 1
         table = self._table
+        out: list = []
+        append = out.append
+        position = 0
         while position < bits:
-            remaining = bits - position
-            # Next k bits (zero-padded past the end).
-            shift = total - position - k
-            window = (buffer >> shift) & ((1 << k) - 1) if shift >= 0 \
-                else (buffer << -shift) & ((1 << k) - 1)
-            entry = table[window]
-            if entry is not None:
-                symbol, length = entry
-                if length > remaining:
-                    raise CorruptDataError("truncated code sequence")
-                out.append(symbol)
-                position += length
-                continue
-            # Slow path: extend bit by bit beyond k.
-            symbol, length = self._decode_long(buffer, total, position,
-                                               remaining)
-            out.append(symbol)
-            position += length
+            entry = table[(buffer >> (top - position)) & mask]
+            if entry is None:
+                # Slow path: extend bit by bit beyond k.
+                entry = self._decode_long(buffer, top + k, position,
+                                          bits - position)
+            append(entry[0])
+            position += entry[1]
+        if position != bits:
+            raise CorruptDataError("truncated code sequence")
         return out
 
     def _decode_long(self, buffer: int, total: int, position: int,

@@ -6,12 +6,13 @@ optimizer for access paths.  To gate execution on the Tier-A plan
 verifier anyway, this module re-derives those optimizer decisions
 (exactly the analysis :mod:`repro.query.explain` renders) and builds
 the *plan sketch* they imply from real
-:mod:`repro.query.physical` operators: ``ContAccess`` + ``Parent``
-hops for range plans, ``HashJoin`` for equality conjuncts,
-``ThetaJoin`` for inequality conjuncts over numeric containers,
-``StructureSummaryAccess`` for absolute paths, one ``Decompress``
-feeding ``XMLSerialize`` on top.  The sketch is verified, never
-executed.
+:mod:`repro.query.physical` operators: ``HashJoin`` for equality
+conjuncts, ``ThetaJoin`` for inequality conjuncts over numeric
+containers, ``StructureSummaryAccess`` for absolute paths,
+``XMLSerialize`` on top.  A for-clause's constant selections are the
+exception to "sketch": :func:`~repro.query.optimizer.assign_selection`
+builds the ``ContAccess → Parent → NodeSet`` tree once for both sides,
+so what is verified here is what the engine executes.
 
 :func:`verify_query` is the engine's pre-execution gate and the
 ``repro lint-plan`` CLI entry point.
@@ -22,7 +23,6 @@ from __future__ import annotations
 from repro.lint.diagnostics import PlanDiagnostic
 from repro.lint.plan import verify_plan
 from repro.query.ast import (
-    Comparison,
     Expression,
     FLWOR,
     ForClause,
@@ -30,25 +30,18 @@ from repro.query.ast import (
     LetClause,
     PathExpr,
 )
-from repro.query.context import EvaluationStats
 from repro.query.optimizer import (
-    RangePlan,
+    assign_selection,
     assign_theta_join,
     find_join_plan,
-    find_range_plan,
     flatten_conjuncts,
     free_vars,
     is_absolute_simple_path,
-    leaf_summary_steps,
 )
 from repro.query.physical import (
-    ContAccess,
-    Decompress,
     HashJoin,
     NestedLoopJoin,
     Operator,
-    Parent,
-    Select,
     StructureSummaryAccess,
     XMLSerialize,
 )
@@ -117,7 +110,6 @@ class _SketchCompiler:
 
     def _flwor(self, flwor: FLWOR) -> Operator:
         plan: Operator | None = None
-        compressed_columns: list[str] = []
         pending = flatten_conjuncts(flwor.where)
         bound: set[str] = set()
         for clause in flwor.clauses:
@@ -140,8 +132,8 @@ class _SketchCompiler:
                 plan = theta[1]
                 bound.add(clause.var)
                 continue
-            clause_plan = self._clause_plan(clause, decidable,
-                                            compressed_columns)
+            clause_plan = self._clause_plan(
+                clause, None if joined else decidable)
             if plan is None:
                 plan = clause_plan
             elif joined:
@@ -155,27 +147,18 @@ class _SketchCompiler:
             bound.add(clause.var)
         if plan is None:
             plan = OpaqueSource("empty FLWOR")
-        if compressed_columns:
-            plan = Decompress(plan, list(compressed_columns),
-                              EvaluationStats())
-        return XMLSerialize(plan, tuple(compressed_columns))
+        return XMLSerialize(plan, ())
 
     def _clause_plan(self, clause: ForClause,
-                     decidable: list[Expression],
-                     compressed_columns: list[str]) -> Operator:
-        """Access path for one for-clause (mirrors the evaluator)."""
+                     decidable: list[Expression] | None) -> Operator:
+        """Access path for one for-clause: the tree the evaluator runs
+        for its constant selections, else its source (``decidable`` is
+        ``None`` for the build side of a hash join: the plain source)."""
+        selection = None if decidable is None else \
+            assign_selection(clause, decidable, self._repo)
+        if selection is not None:
+            return selection[1]
         source = clause.source
-        for conjunct in decidable:
-            if free_vars(conjunct) != {clause.var}:
-                continue
-            range_plan = find_range_plan(conjunct, clause.var)
-            if range_plan is None:
-                continue
-            ranged = self._range_sketch(clause, source, conjunct,
-                                        range_plan,
-                                        compressed_columns)
-            if ranged is not None:
-                return ranged
         if isinstance(source, PathExpr) and source.start is None \
                 and is_absolute_simple_path(source) and source.steps:
             repo = self._repo(source.document)
@@ -183,58 +166,3 @@ class _SketchCompiler:
                 repo, [(s.axis, s.test) for s in source.steps],
                 f"${clause.var}")
         return OpaqueSource(f"${clause.var} in opaque source")
-
-    def _range_sketch(self, clause: ForClause, source: Expression,
-                      conjunct: Expression, plan: RangePlan,
-                      compressed_columns: list[str]
-                      ) -> Operator | None:
-        """ContAccess + Parent hops + predicate re-check, or ``None``
-        when the bottom-up strategy does not apply to this source."""
-        if not (isinstance(source, PathExpr) and source.start is None
-                and is_absolute_simple_path(source)):
-            return None
-        repo = self._repo(source.document)
-        container_path = None
-        for leaf in repo.resolve_path(
-                leaf_summary_steps(source, plan.leaf_steps)):
-            if leaf.container_path is not None:
-                container_path = leaf.container_path
-                break
-        if container_path is None:
-            return None
-        owner_column = f"${clause.var}~owner"
-        value_column = f"${clause.var}~value"
-        node: Operator = ContAccess(
-            repo, container_path, owner_column, value_column,
-            plan.low, plan.high, plan.low_inclusive,
-            plan.high_inclusive)
-        input_column = owner_column
-        for hop in range(plan.ascend):
-            output_column = (f"${clause.var}" if hop == plan.ascend - 1
-                             else f"${clause.var}~up{hop + 1}")
-            node = Parent(node, repo, input_column, output_column)
-            input_column = output_column
-        # The engine re-checks the conjunct after the interval access;
-        # in the compressed domain when the codec's capability tuple
-        # allows it, after an explicit Decompress otherwise.
-        kind = _predicate_kind(conjunct)
-        codec = repo.container(container_path).codec
-        if kind is not None and codec.properties.supports(kind):
-            node = Select(node, None, column=value_column,
-                          predicate_kind=kind)
-            compressed_columns.append(value_column)
-        else:
-            node = Decompress(node, [value_column], EvaluationStats())
-            node = Select(node, None, column=value_column)
-        return node
-
-
-def _predicate_kind(conjunct: Expression) -> str | None:
-    """The §3.2 capability kind a comparison conjunct needs."""
-    if not isinstance(conjunct, Comparison):
-        return None
-    if conjunct.op == "=":
-        return "eq"
-    if conjunct.op in ("<", "<=", ">", ">="):
-        return "ineq"
-    return None

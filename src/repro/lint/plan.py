@@ -75,6 +75,7 @@ class PlanVerifier:
             "TextContent": self._content,
             "AttributeContent": self._passthrough,
             "Select": self._select,
+            "NodeSet": self._node_set,
             "Project": self._project,
             "HashJoin": self._hash_join,
             "MergeJoin": self._merge_join,
@@ -233,6 +234,15 @@ class PlanVerifier:
                         "container with a codec supporting the "
                         "predicate")
         return props
+
+    def _node_set(self, node: object, path: str,
+                  children: list[PlanProperties]) -> PlanProperties:
+        column = node.column  # type: ignore[attr-defined]
+        for props in children:
+            self._require_column(props, column, path, "node")
+        # Sorted, duplicate-free ids: document order, like a summary
+        # access; every other input column (values included) is gone.
+        return PlanProperties({column: ColumnInfo(NODE)}, (column,))
 
     def _project(self, node: object, path: str,
                  children: list[PlanProperties]) -> PlanProperties:

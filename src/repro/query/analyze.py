@@ -42,6 +42,7 @@ class AnalyzeReport:
 #: plan-line keyword -> (EvaluationStats counter, span histogram name).
 _LINE_METRICS = (
     ("ContAccess interval", "container_accesses", "span.ContAccess"),
+    ("ContScan ", "container_scans", "span.ContScan"),
     ("FullTextIndex lookup", "container_accesses",
      "span.FullTextAccess"),
     ("HashJoin", "hash_joins", "span.HashJoin.build"),

@@ -7,10 +7,12 @@ compressed for as long as possible:
 * absolute paths resolve through the structure summary
   (``StructureSummaryAccess``) — never by walking the full structure
   tree (Figure 4);
-* value predicates against constants compile to ``ContAccess`` interval
-  searches on the sorted containers, navigating back up with ``Parent``
-  (bottom-up strategy), when the optimizer finds a
-  :class:`~repro.query.optimizer.RangePlan`;
+* a for-clause's constant selections — ``$v/leaf op constant``,
+  ``empty($v/leaf)``, predicates on the source's last step — run once,
+  as the ``ContAccess → Parent → NodeSet`` operator tree of
+  :func:`~repro.query.optimizer.assign_selection` (bottom-up
+  strategy); a conjunct the containers' order answers exactly is not
+  evaluated per binding at all;
 * equality joins between binding variables run as hash joins with
   cacheable build sides (:class:`~repro.query.optimizer.JoinPlan`)
   over *decoded* keys (``_key_strings``): a default load trains one
@@ -67,10 +69,10 @@ from repro.query.context import (
 from repro.query.functions import FUNCTIONS
 from repro.query.options import ExecutionOptions
 from repro.query.optimizer import (
+    assign_selection,
     assign_theta_join,
     context_free,
     find_join_plan,
-    find_range_plan,
     flatten_conjuncts,
     free_vars,
     leaf_summary_steps,
@@ -379,9 +381,10 @@ class _Evaluator:
         self.stats = EvaluationStats(registry=self.telemetry.metrics)
         #: cached sequences for binding-independent source expressions.
         self._source_cache: dict[int, list] = {}
-        #: join build sides of this execution: hash indexes by conjunct
-        #: identity, theta-join classifications by clause identity.
-        self._index_cache: dict[int, object] = {}
+        #: built once per execution: hash indexes by conjunct identity,
+        #: theta-join classifications by clause identity, selected
+        #: node ids by ``("selection", clause identity)``.
+        self._index_cache: dict = {}
 
     def _repo(self, doc: str | None) -> CompressedRepository:
         if doc is None:
@@ -580,18 +583,26 @@ class _Evaluator:
             return
         # Theta-join path: an inequality conjunct between this
         # variable's numeric path and already-bound ones is one binary
-        # search on the sorted containers per outer binding.
+        # search on the sorted containers per outer binding.  Else the
+        # clause's constant selections, decided once on the containers.
         theta = self._theta_range(clause, decidable, bound, env) \
             if decidable else None
         if theta is not None:
             conjunct, owners, start, end = theta
             rest = [c for c in decidable if c is not conjunct]
+            ids = owners[start:end]
+        else:
+            ids, rest = self._selection(clause, decidable)
+        if ids is not None:
             if isinstance(results, _BindingCounter) and not rest \
                     and not later and index + 1 == len(flwor.clauses):
-                results.count += end - start
+                results.count += len(ids)
                 return
-            # Slots are in value order; bindings leave in document order.
-            for node_id in np.sort(owners[start:end]).tolist():
+            if theta is not None:
+                # Slots are in value order; bindings leave in document
+                # order (the selection's ids already are).
+                ids = np.sort(ids).tolist()
+            for node_id in ids:
                 self._bind_and_descend(
                     flwor, index, env, clause,
                     NodeItem(node_id, clause.source.document), rest,
@@ -616,27 +627,43 @@ class _Evaluator:
         self._flwor_clause(flwor, index + 1, child_env, later, bound,
                            results)
 
+    def _selection(self, clause: ForClause,
+                   decidable: list[Expression]):
+        """``(node ids, conjuncts left to check)`` of a clause whose
+        constant selections run as one operator tree on the containers
+        (:func:`~repro.query.optimizer.assign_selection`), ``(None,
+        None)`` for per-binding evaluation.  The source is absolute and
+        the terms constant, so a clause re-entered per outer binding
+        classifies, and selects, once per execution."""
+        key = ("selection", id(clause))
+        if key not in self._index_cache:
+            found = assign_selection(clause, decidable, self._repo,
+                                     stats=self.stats)
+            if found is None:
+                self._index_cache[key] = (None, None)
+            else:
+                plan, operator = found
+                exact = [t.conjunct for t in plan.terms if t.exact]
+                with self.telemetry.span("Selection",
+                                         terms=len(plan.terms)) as span:
+                    ids = [node_id for batch in operator.batches()
+                           for node_id in
+                           batch.column(f"${clause.var}").ids.tolist()]
+                    span.set_attribute("rows", len(ids))
+                self._index_cache[key] = (ids, [
+                    c for c in decidable
+                    if not any(c is e for e in exact)])
+        return self._index_cache[key]
+
     def _clause_items(self, clause: ForClause, env: dict,
                       bound: set[str],
                       conjuncts: list[Expression] | None = None) -> list:
-        """Items for a for-clause, picking the best access path.
-
-        A conjunct of the form ``$v/leaf/path <op> constant`` over an
-        absolute source turns into a ``ContAccess`` interval search plus
-        ``Parent`` hops (the bottom-up strategy); that conjunct still
-        gets re-checked afterwards, which keeps this a pure access-path
-        optimization.
-        """
+        """Items for a for-clause: a registered full-text index answers
+        a ``word-contains`` conjunct (still re-checked afterwards); a
+        binding-independent source is evaluated once."""
         if conjuncts:
             from repro.query.optimizer import find_fulltext_plan
             for conjunct in conjuncts:
-                if free_vars(conjunct) != {clause.var}:
-                    continue
-                plan = find_range_plan(conjunct, clause.var)
-                if plan is not None:
-                    items = self._range_access(clause.source, plan, env)
-                    if items is not None:
-                        return items
                 ft_plan = find_fulltext_plan(conjunct, clause.var)
                 if ft_plan is not None:
                     items = self._fulltext_access(clause.source,
@@ -652,84 +679,6 @@ class _Evaluator:
             cached = self.eval(clause.source, env)
             self._source_cache[cache_key] = cached
         return cached
-
-    def _range_access(self, source: Expression, plan, env) -> list | None:
-        """ContAccess + Parent-hops evaluation of a ranged for-clause."""
-        from repro.query.optimizer import is_absolute_simple_path
-        if not is_absolute_simple_path(source):
-            return None
-        if not self.telemetry.enabled:
-            return self._range_access_inner(source, plan, env)
-        with self.telemetry.span("ContAccess", low=plan.low,
-                                 high=plan.high) as span:
-            items = self._range_access_inner(source, plan, env)
-            span.set_attribute("rows", len(items)
-                               if items is not None else "fallback")
-            return items
-
-    def _range_access_inner(self, source: Expression, plan,
-                            env) -> list | None:
-        assert isinstance(source, PathExpr)
-        repo = self._repo(source.document)
-        leaves = repo.resolve_path(
-            leaf_summary_steps(source, plan.leaf_steps))
-        if not leaves:
-            return []
-        self.stats.summary_accesses += 1
-        # Decide the fallback for every leaf before touching any: an
-        # access path abandoned half way must leave no trace in the
-        # stats or the workload journal.
-        containers = []
-        for leaf in leaves:
-            if leaf.container_path is None:
-                return None  # the path does not end at a container
-            container = repo.container(leaf.container_path)
-            if not _interval_answerable(container, plan):
-                return None
-            containers.append(container)
-        structure = repo.structure
-        kind = _interval_kind(plan.low, plan.high, plan.low_inclusive,
-                              plan.high_inclusive)
-        matched: set[int] = set()
-        for container in containers:
-            self.stats.container_accesses += 1
-            if runtime.RECORDER is not None:
-                runtime.RECORDER.record_predicate(container.path, kind)
-            if not container.is_blob:
-                # The interval is one slot range of the sorted
-                # container, the owning elements one array slice, and
-                # the Parent hops one gather per ascend level — no
-                # per-record Python at all (DESIGN.md §13).
-                start, end = container.interval_bounds(
-                    plan.low, plan.high, plan.low_inclusive,
-                    plan.high_inclusive)
-                ids = container.as_arrays().parent_ids[start:end]
-                if plan.ascend and len(ids):
-                    parents = structure.parent_array()
-                    ids = np.unique(ids)
-                    for _ in range(plan.ascend):
-                        up = parents[ids]
-                        # A node whose parent is the virtual root (-1)
-                        # stops climbing, like the scalar break below.
-                        ids = np.where(up >= 0, up, ids)
-                matched.update(int(i) for i in np.unique(ids))
-                continue
-            # Blob container: no record slots, filter a full scan.
-            for parent_id, _ in container.interval_search(
-                    plan.low, plan.high, plan.low_inclusive,
-                    plan.high_inclusive):
-                # The record's parent is the element *owning* the value;
-                # one Parent hop per element step climbs back to the
-                # clause variable's node.
-                node_id = parent_id
-                for _ in range(plan.ascend):
-                    up = structure.parent_of(node_id)
-                    if up is None:
-                        break
-                    node_id = up
-                matched.add(node_id)
-        return [NodeItem(node_id, source.document)
-                for node_id in sorted(matched)]
 
     def _fulltext_access(self, source: Expression, plan) -> list | None:
         """Inverted-index evaluation of a word-contains conjunct.
@@ -1111,36 +1060,6 @@ def _returns_for_variable(expr: Expression) -> bool:
         return False
     binders = [c for c in expr.clauses if c.var == expr.result.name]
     return bool(binders) and isinstance(binders[-1], ForClause)
-
-
-def _interval_kind(low, high, low_inclusive: bool,
-                   high_inclusive: bool) -> str:
-    """E/I/D kind of an interval probe: a point probe is ``eq``."""
-    if low is not None and low == high and low_inclusive \
-            and high_inclusive:
-        return "eq"
-    return "ineq"
-
-
-def _interval_answerable(container, plan) -> bool:
-    """Can the container's sort order answer the plan's interval?"""
-    if container.value_type in ("int", "float"):
-        if plan.constant_kind == "string":
-            # A string constant orders lexicographically against
-            # untyped text; numeric sort order cannot answer it.
-            return False
-        # Numeric sort order: every bound must parse as a number.
-        for bound in (plan.low, plan.high):
-            if bound is None:
-                continue
-            try:
-                float(bound)
-            except ValueError:
-                return False
-        return True
-    # A numeric comparison over untyped text compares by value
-    # ("07" = 7); the lexicographic container order cannot answer it.
-    return plan.constant_kind != "number"
 
 
 def _test_matches_root(step: Step, root_tag: str) -> bool:

@@ -1,7 +1,7 @@
 """Plan explanation: which strategies the engine will apply.
 
 ``explain(query)`` performs the same static analysis the evaluator
-does — summary-resolvable sources, RangePlan / FullTextPlan access
+does — summary-resolvable sources, SelectionPlan / FullTextPlan access
 paths, hash- and theta-joinable conjuncts, order-by — and renders it as an
 indented plan sketch.  Useful for understanding why a query is (or is
 not) evaluated in the compressed domain.
@@ -23,7 +23,7 @@ from repro.query.ast import (
 from repro.query.optimizer import (
     find_fulltext_plan,
     find_join_plan,
-    find_range_plan,
+    find_selection_plan,
     find_theta_plan,
     flatten_conjuncts,
     free_vars,
@@ -85,13 +85,29 @@ def _explain_flwor(expr: FLWOR, lines: list[str], depth: int,
             continue
         assert isinstance(clause, ForClause)
         _emit(lines, depth, f"for ${clause.var} in")
-        _explain(clause.source, lines, depth + 1, inner_bound)
         decidable = [c for c in conjuncts
                      if free_vars(c) <= inner_bound | {clause.var}]
+        joined = any(find_join_plan(c, clause.var, inner_bound)
+                     for c in decidable)
         # One theta join per clause, unless a hash join claims it or
-        # the source depends on a binding.
-        theta_open = is_absolute_simple_path(clause.source) and not any(
-            find_join_plan(c, clause.var, inner_bound) for c in decidable)
+        # the source depends on a binding; the constant selections run
+        # on the containers when neither join does.
+        theta_open = not joined and \
+            is_absolute_simple_path(clause.source) and any(
+                find_theta_plan(c, clause.var, inner_bound)
+                for c in decidable)
+        selection = None if joined or theta_open else \
+            find_selection_plan(clause, decidable)
+        terms = {}
+        if selection is None:
+            _explain(clause.source, lines, depth + 1, inner_bound)
+        else:
+            _explain(selection.source, lines, depth + 1, inner_bound)
+            terms = {id(term.conjunct): term for term in selection.terms}
+            for predicate in clause.source.steps[-1].predicates:
+                _emit(lines, depth + 1, _term_text(
+                    terms[id(predicate)], clause.var,
+                    "per-step evaluation"))
         for conjunct in decidable:
             join = find_join_plan(conjunct, clause.var, inner_bound)
             if join is not None:
@@ -114,24 +130,25 @@ def _explain_flwor(expr: FLWOR, lines: list[str], depth: int,
                       f"Parent^{theta.ascend}; nested loop where its "
                       "order is not the numeric comparison)")
                 continue
-            if free_vars(conjunct) == {clause.var}:
-                range_plan = find_range_plan(conjunct, clause.var)
-                if range_plan is not None:
-                    _emit(lines, depth + 1,
-                          f"ContAccess interval [{range_plan.low!r}, "
-                          f"{range_plan.high!r}] + Parent^"
-                          f"{range_plan.ascend}")
-                    continue
-                ft_plan = find_fulltext_plan(conjunct, clause.var)
-                if ft_plan is not None:
-                    _emit(lines, depth + 1,
-                          "FullTextIndex lookup "
-                          f"{list(ft_plan.words)} + Parent^"
-                          f"{ft_plan.ascend}")
-                    continue
+            if id(conjunct) in terms:
+                _emit(lines, depth + 1, _term_text(
+                    terms[id(conjunct)], clause.var,
+                    "Select per binding"))
+                continue
+            ft_plan = find_fulltext_plan(conjunct, clause.var)
+            if ft_plan is not None:
+                _emit(lines, depth + 1,
+                      "FullTextIndex lookup "
+                      f"{list(ft_plan.words)} + Parent^"
+                      f"{ft_plan.ascend}")
+                continue
             _emit(lines, depth + 1,
                   "Select (evaluated per binding, compressed "
                   "comparison when codecs allow)")
+        if selection is not None:
+            _emit(lines, depth + 1,
+                  "NodeSet (terms intersected, not-exists subtracted: "
+                  "each node once, in document order)")
         conjuncts = [c for c in conjuncts if c not in decidable]
         inner_bound.add(clause.var)
     for spec in expr.order:
@@ -139,6 +156,24 @@ def _explain_flwor(expr: FLWOR, lines: list[str], depth: int,
         _emit(lines, depth, f"order by ({direction})")
     _emit(lines, depth, "return")
     _explain(expr.result, lines, depth + 1, inner_bound)
+
+
+def _term_text(term, var: str, fallback: str) -> str:
+    """One selection term: its access path and when it is exact."""
+    hops = term.range
+    leaf = _path_text(PathExpr(VarRef(var), hops.leaf_steps))
+    if term.kind == "interval":
+        access = (f"ContAccess interval "
+                  f"{'[' if hops.low_inclusive else '('}{hops.low!r}, "
+                  f"{hops.high!r}{']' if hops.high_inclusive else ')'} "
+                  f"on {leaf}")
+        order = "numeric" if hops.constant_kind == "number" else "string"
+        note = (f"exact where the containers are {order}-ordered "
+                f"records, else {fallback}")
+    else:
+        access = f"ContScan {term.kind} {leaf}"
+        note = f"exact on record containers, else {fallback}"
+    return f"{access} + Parent^{hops.ascend} ({note})"
 
 
 def _path_text(expr: PathExpr) -> str:

@@ -11,12 +11,13 @@ this module provides — are the §4 evaluation strategies:
   root-to-leaf path and a constant turns into a ``ContAccess`` interval
   search on the sorted container, followed by ``Parent`` steps back up —
   bottom-up evaluation — instead of scanning the variable's whole
-  extent top-down.
+  extent top-down.  :func:`assign_selection` assigns every such
+  conjunct of a for-clause at once, as one operator tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.query.ast import (
     Arithmetic,
@@ -198,9 +199,11 @@ class RangePlan:
     constant_kind: str = "string"
 
 
-def find_range_plan(conjunct: Expression, clause_var: str
+def find_range_plan(conjunct: Expression, clause_var: str | None
                     ) -> RangePlan | None:
-    """Turn ``$v/simple/path <op> constant`` into a RangePlan."""
+    """Turn ``$v/simple/path <op> constant`` into a RangePlan
+    (``clause_var`` ``None``: the path starts at the context item of a
+    step predicate)."""
     if not isinstance(conjunct, Comparison):
         return None
     candidates = [(conjunct.left, conjunct.right, conjunct.op),
@@ -233,6 +236,81 @@ def find_range_plan(conjunct: Expression, clause_var: str
     return None
 
 
+@dataclass(frozen=True)
+class SelectionTerm:
+    """One conjunct decided on the containers ``range.leaf_steps``
+    reach, as a set of the clause variable's nodes: ``interval`` — the
+    owners (``range.ascend`` ``Parent`` hops up) of the values inside
+    ``range``'s bounds; ``exists`` — the owners of any value;
+    ``not-exists`` — the source nodes owning none.
+
+    ``exact``: the access path *is* the reference comparison, so the
+    conjunct is not re-checked per binding.  ``assign_selection``
+    clears it, from the data, for blob containers.
+    """
+
+    conjunct: Expression
+    kind: str
+    range: RangePlan
+    exact: bool = True
+
+
+@dataclass(frozen=True)
+class SelectionPlan:
+    """The constant selections of one for-clause over the absolute
+    simple path ``source`` (the clause's source less the predicates of
+    its last step, which are terms like the ``where`` conjuncts)."""
+
+    source: PathExpr
+    terms: tuple[SelectionTerm, ...]
+
+
+def _selection_term(conjunct: Expression, clause_var: str | None
+                    ) -> SelectionTerm | None:
+    """``$v/leaf op const`` (either way round), ``empty($v/leaf)`` or
+    ``not(empty($v/leaf))`` as a term; anything else is ``None``."""
+    plan = find_range_plan(conjunct, clause_var)
+    if plan is not None:
+        return SelectionTerm(conjunct, "interval", plan)
+    kind, call = "not-exists", conjunct
+    if isinstance(call, FunctionCall) and call.name == "not" and \
+            len(call.args) == 1:
+        kind, call = "exists", call.args[0]
+    if isinstance(call, FunctionCall) and call.name == "empty" and \
+            len(call.args) == 1:
+        steps = _simple_value_steps(call.args[0], clause_var)
+        if steps is not None:
+            return SelectionTerm(conjunct, kind, RangePlan(
+                steps, None, None, True, True, _ascend(steps)))
+    return None
+
+
+def find_selection_plan(clause: ForClause, decidable: list[Expression]
+                        ) -> SelectionPlan | None:
+    """Classify every single-variable conjunct of a for-clause.
+
+    The source must be an absolute simple path, save for predicates on
+    its last step — and then each of those must be a term (a positional
+    or general predicate keeps per-step evaluation).  ``where``
+    conjuncts that are not terms stay with the per-binding check.
+    """
+    source = clause.source
+    if not isinstance(source, PathExpr) or not source.steps:
+        return None
+    predicates = source.steps[-1].predicates
+    if predicates:
+        source = replace(source, steps=source.steps[:-1] + (
+            replace(source.steps[-1], predicates=()),))
+    if not is_absolute_simple_path(source):
+        return None
+    terms = [_selection_term(p, None) for p in predicates]
+    if None in terms:
+        return None
+    terms += [term for term in (_selection_term(c, clause.var)
+                                for c in decidable) if term is not None]
+    return SelectionPlan(source, tuple(terms)) if terms else None
+
+
 def _constant_string(expr: Expression) -> str | None:
     if isinstance(expr, StringLiteral):
         return expr.value
@@ -244,16 +322,18 @@ def _constant_string(expr: Expression) -> str | None:
     return None
 
 
-def _simple_value_steps(expr: Expression, clause_var: str
+def _simple_value_steps(expr: Expression, clause_var: str | None
                         ) -> tuple[Step, ...] | None:
     """``$v/a/b/text()`` or ``$v/@id`` -> its steps; else ``None``.
 
     Only predicate-free child/attribute/text chains qualify — those are
     exactly the root-to-leaf paths that have their own container.
+    ``clause_var`` ``None`` asks for a path from the context item.
     """
     if not isinstance(expr, PathExpr):
         return None
-    if not isinstance(expr.start, VarRef) or expr.start.name != clause_var:
+    if expr.start != (ContextItem() if clause_var is None
+                      else VarRef(clause_var)):
         return None
     if not expr.steps:
         return None
@@ -347,6 +427,109 @@ def assign_theta_join(clause: ForClause, decidable: list[Expression],
         if join.numeric_ordered():
             return plan, join
     return None
+
+
+def _order_answers(container, plan: RangePlan) -> bool:
+    """Is the container's slot order the reference comparison against
+    the plan's constant?  A number orders numerically, so only typed
+    numeric containers answer it; a string constant orders untyped text
+    lexicographically ("10" < "9"), so only string containers do.  The
+    whole container (``exists``) needs no order at all."""
+    if plan.low is None and plan.high is None:
+        return True
+    return (plan.constant_kind == "number") == \
+        (container.value_type in ("int", "float"))
+
+
+def _term_owners(term: SelectionTerm, repository, steps, paths,
+                 column: str, stats):
+    """The owners of a term's values as an operator emitting ``column``
+    (one row per value): ``ContAccess`` on every container of
+    ``paths`` — ``ContScan`` for the existence kinds — and one
+    ``Parent`` hop per ``ascend``; several containers united."""
+    from repro.query.physical import (ContAccess, ContScan, NodeSet,
+                                      Parent, StructureSummaryAccess)
+    hops = term.range
+    # The owner column first, the name of each hop's output after it.
+    names = [f"{column}~up{hop}"
+             for hop in range(hops.ascend, 0, -1)] + [column]
+    owners = None
+    for path in paths:
+        node = ContAccess(
+            repository, path, names[0], f"{column}~value", hops.low,
+            hops.high, hops.low_inclusive, hops.high_inclusive,
+            stats=stats) if term.kind == "interval" else ContScan(
+            repository, path, names[0], f"{column}~value", stats)
+        for below, above in zip(names, names[1:]):
+            node = Parent(node, repository, below, above, stats)
+        owners = node if owners is None else \
+            NodeSet(owners, node, column, "union")
+    if owners is None:  # no such path in this document: nobody
+        owners = StructureSummaryAccess(repository, steps, column, stats)
+    return owners
+
+
+def assign_selection(clause: ForClause, decidable: list[Expression],
+                     repo_of, stats=None):
+    """``(SelectionPlan, operator)`` for the clause's constant
+    selections, else ``None``: the tree the engine runs, the Tier-A
+    verifier checks and ``explain`` describes.
+
+    The plan keeps the terms the data can answer: every container
+    under a term's leaf path must be ordered the way its constant
+    compares (:func:`_order_answers`), else the conjunct stays with the
+    per-binding check — or, for a step predicate, which has none,
+    nothing is assigned.  A blob container answers but is not ``exact``.
+    The operator emits the selected nodes of ``$var``, each once, in
+    document order: the terms' owners (:func:`_term_owners`) combined
+    by :class:`~repro.query.physical.NodeSet` — intersected,
+    ``not-exists`` subtracted (from the source's
+    ``StructureSummaryAccess`` when nothing else is left).
+    """
+    from repro.query.physical import NodeSet, StructureSummaryAccess
+    plan = find_selection_plan(clause, decidable)
+    if plan is None:
+        return None
+    repository = repo_of(plan.source.document)
+    column = f"${clause.var}"
+    required = len(clause.source.steps[-1].predicates)
+    terms: list[SelectionTerm] = []
+    selected = excluded = None
+    for position, term in enumerate(plan.terms):
+        steps = leaf_summary_steps(plan.source, term.range.leaf_steps)
+        paths = [leaf.container_path
+                 for leaf in repository.resolve_path(steps)]
+        if stats is not None:
+            stats.summary_accesses += 1
+        containers = [] if None in paths else \
+            [repository.container(path) for path in paths]
+        usable = None not in paths and all(
+            _order_answers(c, term.range) for c in containers)
+        exact = usable and not any(c.is_blob for c in containers)
+        if position < required and not exact:
+            return None
+        if not usable:
+            continue
+        terms.append(term if exact else replace(term, exact=False))
+        owners = _term_owners(term, repository, steps, paths, column,
+                              stats)
+        if term.kind == "not-exists":
+            excluded = owners if excluded is None else \
+                NodeSet(excluded, owners, column, "union")
+        else:
+            selected = owners if selected is None else \
+                NodeSet(selected, owners, column, "intersect")
+    if not terms:
+        return None
+    if excluded is not None:
+        if selected is None:
+            selected = StructureSummaryAccess(
+                repository, leaf_summary_steps(plan.source, ()), column,
+                stats)
+        selected = NodeSet(selected, excluded, column, "difference")
+    elif not isinstance(selected, NodeSet):
+        selected = NodeSet(selected, None, column)
+    return SelectionPlan(plan.source, tuple(terms)), selected
 
 
 def leaf_summary_steps(source: PathExpr, leaf_steps: tuple[Step, ...]

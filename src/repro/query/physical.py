@@ -5,9 +5,10 @@ Three operator classes, exactly as the paper groups them:
 * **data access** — :class:`ContScan`, :class:`ContAccess`,
   :class:`StructureSummaryAccess`, :class:`Parent`, :class:`Child`,
   :class:`Descendant`, :class:`TextContent`, :class:`AttributeContent`;
-* **data combination** — :class:`Select`, :class:`MergeJoin`,
-  :class:`HashJoin`, :class:`ThetaJoin`, :class:`NestedLoopJoin`,
-  :class:`Project`, :class:`Distinct`, :class:`Sort`;
+* **data combination** — :class:`Select`, :class:`NodeSet`,
+  :class:`MergeJoin`, :class:`HashJoin`, :class:`ThetaJoin`,
+  :class:`NestedLoopJoin`, :class:`Project`, :class:`Distinct`,
+  :class:`Sort`;
 * **(de)compression / serialization** — :class:`Decompress`,
   :class:`CompressConstant`, :class:`XMLSerialize`.
 
@@ -568,6 +569,53 @@ class Select(Operator):
             out = batch.filter(mask)
             if len(out):
                 yield out
+
+
+#: ``NodeSet`` modes; each returns its result sorted and duplicate-free.
+_SET_OPERATIONS = {"union": np.union1d, "intersect": np.intersect1d,
+                   "difference": np.setdiff1d}
+
+
+class NodeSet(Operator):
+    """Node ids as a set in document order: ``left``'s ``column``
+    sorted and duplicate-free, or — with a ``right`` input — their
+    ``union`` / ``intersect`` / ``difference`` with its ``column``.
+
+    What turns value-ordered ``ContAccess → Parent`` streams (an owner
+    once per matching value) into the nodes a selection binds, and
+    conjuncts into set algebra.  Every other column is dropped.
+    """
+
+    INPUTS = ("_left", "_right")
+
+    def __init__(self, left: Iterable[Row],
+                 right: Iterable[Row] | None, column: str,
+                 mode: str = "union"):
+        if mode not in _SET_OPERATIONS:
+            raise ValueError(f"unknown NodeSet mode {mode!r}")
+        self._left = left
+        self._right = right
+        self.column = column
+        self.mode = mode
+
+    def inputs(self) -> list:
+        return [self._left] if self._right is None \
+            else [self._left, self._right]
+
+    def _ids(self, source, size: int) -> np.ndarray:
+        parts = [_node_ids(batch, self.column) for batch in
+                 map(RecordBatch.compact, _input_batches(source, size))
+                 if len(batch)]
+        return np.concatenate(parts) if parts \
+            else np.empty(0, dtype=np.int64)
+
+    def _batches(self, size: int) -> Iterator[RecordBatch]:
+        ids = self._ids(self._left, size)
+        ids = np.unique(ids) if self._right is None else \
+            _SET_OPERATIONS[self.mode](ids, self._ids(self._right, size))
+        for start in range(0, len(ids), size):
+            yield RecordBatch({
+                self.column: NodeColumn(ids[start:start + size])})
 
 
 class Project(Operator):

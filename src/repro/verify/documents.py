@@ -8,8 +8,10 @@ The value distributions are chosen to hit every engine path the sweep
 exercises: string containers with shared prefixes, empty and non-ASCII
 values (ALM/Huffman ``eq``/``wild``), pure-int and pure-float
 containers (numeric codecs, ``ContAccess`` over numeric order), a
-*mixed* int/float container (the type-inference edge), and join keys
-between auctions and people.
+*mixed* int/float container (the type-inference edge), join keys
+between auctions and people, owners with several values or none
+(``interest/@category``, repeats included) and items nested in items
+(``//item`` reaches two container paths with the same leaf steps).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ _NAMES = ("ada", "ada", "adam", "bob", "bo", "eve", "evelyn", "",
 _CITIES = ("rome", "roma", "oslo", "kiev", "kyoto", "", "lyon")
 _WORDS = ("gold", "golden", "silver", "old", "bold", "rare", "rarely",
           "fine", "antique", "brass")
+CATEGORIES = ("c1", "c10", "c2", "c7")
 
 
 def generate_entities(rng: random.Random, scale: int = 10) -> dict:
@@ -36,6 +39,8 @@ def generate_entities(rng: random.Random, scale: int = 10) -> dict:
             # Canonical float texts: a pure-float container.
             "income": repr(rng.choice((0.5, 9.25, 100.5, 1200.75,
                                        round(rng.uniform(0, 5e4), 2)))),
+            "interests": rng.choices(CATEGORIES, k=rng.choice(
+                (0, 0, 1, 2, 3))),
         })
     items = []
     for index in range(max(1, scale // 2)):
@@ -44,6 +49,8 @@ def generate_entities(rng: random.Random, scale: int = 10) -> dict:
             "id": f"i{index}",
             "name": rng.choice(_WORDS),
             "description": " ".join(words),
+            # Every third item carries a part: an item inside an item.
+            "part": rng.choice(_WORDS) if index % 3 == 0 else None,
         })
     auctions = []
     for index in range(max(1, scale // 2)):
@@ -86,14 +93,18 @@ def render_xml(entities: dict) -> str:
             f'<age>{person["age"]}</age>'
             f'<city>{person["city"]}</city>'
             f'<income>{person["income"]}</income>'
-            f'</person>')
+            + "".join(f'<interest category="{category}"/>'
+                      for category in person["interests"])
+            + '</person>')
     parts.append("</people><regions>")
     for item in entities["items"]:
         parts.append(
             f'<item id="{item["id"]}">'
             f'<name>{item["name"]}</name>'
             f'<description>{item["description"]}</description>'
-            f'</item>')
+            + (f'<item id="{item["id"]}p"><name>{item["part"]}</name>'
+               '</item>' if item["part"] is not None else "")
+            + '</item>')
     parts.append("</regions><closed_auctions>")
     for auction in entities["auctions"]:
         parts.append(

@@ -8,14 +8,20 @@ under one shared source model; ``starts-with`` (the ``wild``
 predicate) at arbitrary codeword boundaries; joins; aggregates over
 numeric and mixed containers; ``order by``; ``distinct-values`` across
 containers; theta joins with a scaled side (``ThetaJoin`` and its
-fallbacks).  Constants are drawn from the document's own value pools
-plus adversarial neighbours (absent values, fractional bounds over int
-containers, the empty string).
+fallbacks); constant selections decided on the containers alone
+(``assign_selection``: one to three conjuncts, step predicates,
+``empty`` / ``not(empty)``, ``//`` sources over nested elements, owners
+with several values, ``count`` of the bindings).  Constants are drawn
+from the document's own value pools plus adversarial neighbours (absent
+values, fractional bounds over int containers, the empty string, the
+same number spelt as text, values beyond either end of a container).
 """
 
 from __future__ import annotations
 
 import random
+
+from repro.verify.documents import CATEGORIES
 
 
 def _pools(entities: dict) -> dict[str, list[str]]:
@@ -29,7 +35,12 @@ def _pools(entities: dict) -> dict[str, list[str]]:
     descriptions = [i["description"] for i in items] or ["gold"]
     return {"names": names, "ages": ages, "cities": cities,
             "prices": prices, "descriptions": descriptions,
-            "ids": [p["id"] for p in people] or ["p0"]}
+            "ids": [p["id"] for p in people] or ["p0"],
+            "incomes": [p["income"] for p in people] or ["1.5"],
+            "quantities": [a["quantity"] for a in auctions] or ["1"],
+            "categories": list(CATEGORIES) + ["c3"],
+            "words": [i["name"] for i in items] or ["gold"],
+            "item_ids": [i["id"] for i in items] or ["i0"]}
 
 
 def _string_constant(rng: random.Random, pool: list[str]) -> str:
@@ -82,6 +93,70 @@ def _theta_join(rng: random.Random) -> str:
     if rng.random() < 0.5:
         return f"count({flwor}$p)"
     return flwor + "$a/quantity/text()"
+
+
+#: per selection subject: sources, a per-binding result, and the value
+#: leaves with the pool their constants come from.
+_SUBJECTS = (
+    (("/site/people/person", "//person", "/site//person"), "@id",
+     (("@id", "ids"), ("name/text()", "names"), ("age/text()", "ages"),
+      ("income/text()", "incomes"), ("city/text()", "cities"),
+      ("interest/@category", "categories"))),
+    (("/site/closed_auctions/auction", "//auction"), "quantity/text()",
+     (("price/text()", "prices"), ("quantity/text()", "quantities"),
+      ("buyer/text()", "ids"))),
+    # Items nest: //item reaches /site/regions/item and .../item/item.
+    (("//item", "/site/regions//item", "/site/regions/item"), "@id",
+     (("name/text()", "words"), ("@id", "item_ids"),
+      ("description/text()", "descriptions"))),
+)
+
+
+def _selection_constant(rng: random.Random, pool: list[str]) -> str:
+    """A constant as a number, as text, or as another spelling of the
+    same number (``7`` / ``"7"`` / ``"07"`` / ``7.0``; ``100.5`` /
+    ``"100.50"``); absent values and both ends of the range included."""
+    base = rng.choice(pool)
+    try:
+        number = float(base)
+    except ValueError:
+        return f'"{_string_constant(rng, pool)}"'
+    numbers = [float(v) for v in pool]
+    number = rng.choice((number, number, number, number + 0.5,
+                         min(numbers) - 1, max(numbers) + 1))
+    text = str(int(number)) if number == int(number) else repr(number)
+    return rng.choice((text, text, f'"{text}"', f'"0{text}"',
+                       f"{text}0" if "." in text else f"{text}.0",
+                       f'"{text}0"' if "." in text else f'"{base}"'))
+
+
+def _selection(rng: random.Random, pools: dict) -> str:
+    """A for-clause whose where / last-step predicates are constant
+    selections on one variable, sometimes beside a conjunct that is
+    not, returning a value per binding or the count of the bindings."""
+    sources, result, leaves = rng.choice(_SUBJECTS)
+
+    def term(start: str) -> str:
+        leaf, pool = rng.choice(leaves)
+        choice = rng.random()
+        if choice < 0.15:
+            return f"empty({start}{leaf})"
+        if choice < 0.25:
+            return f"not(empty({start}{leaf}))"
+        if choice < 0.32:  # decided per binding, next to the terms
+            return f'contains({start}{leaf}, "a")'
+        sides = [start + leaf, _selection_constant(rng, pools[pool])]
+        rng.shuffle(sides)
+        return f"{sides[0]} {rng.choice(_OPS)} {sides[1]}"
+
+    source = rng.choice(sources) + "".join(
+        f"[{term('')}]" for _ in range(rng.choice((0, 0, 0, 1, 2))))
+    where = " and ".join(term("$v/")
+                         for _ in range(rng.choice((0, 1, 1, 2, 3))))
+    flwor = f"for $v in {source}" + (f" where {where}" if where else "")
+    if rng.random() < 0.4:
+        return f"count({flwor} return $v)"
+    return f"{flwor} return $v/{result}"
 
 
 def generate_queries(entities: dict, rng: random.Random,
@@ -160,6 +235,11 @@ def generate_queries(entities: dict, rng: random.Random,
                  '$p/city/text() return $p/@id'),
         lambda: _theta_join(rng),    # twice: it has 128 shapes
         lambda: _theta_join(rng),
+        lambda: _selection(rng, pools),    # as often as five templates
+        lambda: _selection(rng, pools),
+        lambda: _selection(rng, pools),
+        lambda: _selection(rng, pools),
+        lambda: _selection(rng, pools),
     )
     while len(queries) < count:
         queries.append(rng.choice(makers)())

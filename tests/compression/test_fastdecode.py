@@ -75,3 +75,31 @@ def test_matches_canonical_huffman(freqs, text):
     decoder = PrefixDecoder({(c, l): s for s, (c, l) in codes.items()})
     value = encode_with(codes, text)
     assert decoder.decode(value) == list(text)
+
+
+@pytest.mark.parametrize("name", ("huffman", "hutucker", "alm"))
+def test_bits_beyond_the_data_are_corrupt(name):
+    """A value claiming more bits than its bytes hold must not decode:
+    the decoder used to read on into its own zero padding and invent
+    symbols ("hello" with 64 extra bits came back as "hellolllll...")."""
+    from repro.compression.registry import train_codec
+    codec = train_codec(name, ["hello world", "help", "hollow", "aaaa"])
+    encoded = codec.encode("hello")
+    assert codec.decode(encoded) == "hello"
+    for bits in (8 * len(encoded.data) + 1, encoded.bits + 64):
+        with pytest.raises(CorruptDataError,
+                           match="truncated code sequence"):
+            codec.decode(CompressedValue(encoded.data, bits))
+
+
+def test_long_code_cut_short_is_invalid():
+    """The slow path keeps its own message: a code word longer than
+    the table's 12 bits, cut before its end, matches no symbol."""
+    freqs = {chr(97 + i): 1 << (20 - i) for i in range(18)}
+    codes = canonical_codes(code_lengths_from_frequencies(freqs))
+    decoder = PrefixDecoder({(c, l): s for s, (c, l) in codes.items()})
+    symbol = max(codes, key=lambda s: codes[s][1])
+    assert codes[symbol][1] > 12
+    value = encode_with(codes, symbol)
+    with pytest.raises(CorruptDataError, match="invalid code sequence"):
+        decoder.decode(CompressedValue(value.data, value.bits - 1))

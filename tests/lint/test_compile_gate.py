@@ -4,9 +4,9 @@
 sketches (:mod:`repro.lint.compile`) and verifies them before any row
 is produced: errors raise :class:`~repro.errors.PlanVerificationError`,
 warnings ride along in the run's telemetry.  Engine-compiled sketches
-must be error-free by construction — the compiler falls back to
-Decompress-then-Select whenever a codec lacks the predicate's
-capability.
+must be error-free by construction; a for-clause's constant selections
+are the very operator tree the engine then runs
+(``optimizer.assign_selection``).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pytest
 from repro.errors import PlanVerificationError
 from repro.lint.compile import compile_plan_sketches, verify_query
 from repro.lint.diagnostics import PlanDiagnostic
+from repro.lint.plan import verify_plan
 from repro.obs.telemetry import Telemetry
 from repro.partitioning.config import (
     CompressionConfiguration,
@@ -85,13 +86,71 @@ class TestVerifyQuery:
         assert all(isinstance(s, XMLSerialize) for s in sketches)
 
     def test_ineq_sketch_keeps_alm_compressed(self):
-        """An order-preserving codec lets the re-check Select run in
-        the compressed domain; the sketch carries the predicate kind."""
+        """An order-preserving codec answers the interval on compressed
+        bytes: nothing to warn about."""
         repo = build_repo("alm")
         diagnostics = verify_query(parse_query(
             'for $b in /lib/b where $b/t/text() > "title 05" '
             "return $b/t/text()"), repo)
         assert diagnostics == []
+
+
+class TestSelectionSketch:
+    """What is verified is what runs: one ``assign_selection`` tree."""
+
+    QUERY = ('for $b in /lib/b[u >= "uri02"] where $b/t/text() >= '
+             '"title 03" and empty($b/ghost/@x) and contains($b/u, "1") '
+             "return $b/u/text()")
+
+    @staticmethod
+    def shape(node):
+        inputs = getattr(node, "inputs", lambda: [])()
+        return (type(node).__name__, *map(
+            TestSelectionSketch.shape, inputs))
+
+    def test_sketch_is_the_selection_tree(self):
+        repo = build_repo("alm")
+        (sketch,) = compile_plan_sketches(parse_query(
+            'for $b in /lib/b where $b/t/text() >= "title 03" and '
+            '$b/u/text() < "uri07" and empty($b/ghost/@x) '
+            "return $b"), repo)
+        owners = ("Parent", ("ContAccess",))
+        assert self.shape(sketch) == (
+            "XMLSerialize", ("NodeSet", ("NodeSet", owners, owners),
+                             ("StructureSummaryAccess",)))
+        assert sketch.inputs()[0].mode == "difference"
+        assert verify_plan(sketch) == []
+
+    def test_step_predicate_that_is_no_term_stays_opaque(self):
+        # u atomizes an element: not a value leaf, so per-step.
+        (sketch,) = compile_plan_sketches(parse_query(self.QUERY),
+                                          build_repo("alm"))
+        assert self.shape(sketch) == ("XMLSerialize", ("OpaqueSource",))
+
+    def test_engine_runs_the_tree_the_verifier_saw(self, monkeypatch):
+        from repro.query import optimizer
+        built = []
+        assign = optimizer.assign_selection
+
+        def spy(*args, **kwargs):
+            found = assign(*args, **kwargs)
+            built.append(found)
+            return found
+
+        monkeypatch.setattr("repro.lint.compile.assign_selection", spy)
+        monkeypatch.setattr("repro.query.engine.assign_selection", spy)
+        engine = QueryEngine(build_repo("alm"))
+        result = engine.execute(
+            'for $b in /lib/b[u/text() >= "uri02"] where '
+            '$b/t/text() < "title 04" return $b/u/text()')
+        assert result.items == ["uri02", "uri03"]
+        (verified, _), (executed, tree) = built
+        assert verified == executed and len(executed.terms) == 2
+        assert self.shape(tree) == (
+            "NodeSet", ("Parent", ("ContAccess",)),
+            ("Parent", ("ContAccess",)))
+        assert result.stats.container_accesses == 2
+        assert result.stats.compressed_comparisons == 0
 
 
 class TestThetaJoinSketch:

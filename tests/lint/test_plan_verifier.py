@@ -23,6 +23,7 @@ from repro.query.physical import (
     Decompress,
     HashJoin,
     MergeJoin,
+    NodeSet,
     Select,
     Sort,
     StructureSummaryAccess,
@@ -264,6 +265,30 @@ class TestSchemaChecks:
         diagnostics = verify_plan(plan)
         assert diagnostics[0].operator_path == \
             "XMLSerialize/source=Decompress/source=Select"
+
+
+class TestNodeSet:
+    def test_output_is_the_node_column_in_document_order(self, repo):
+        """Values never pass a NodeSet: nothing left to Decompress,
+        and the ids arrive sorted — a MergeJoin key."""
+        owners = NodeSet(ContAccess(repo, URI, "n", "v", "uri03"),
+                         ContScan(repo, TITLE, "n", "t"), "n",
+                         "intersect")
+        assert verify_plan(XMLSerialize(owners, ())) == []
+        merge = MergeJoin(owners, StructureSummaryAccess(
+            repo, [("descendant", "b")], "m"), None, None,
+            left_column="n", right_column="m")
+        assert verify_plan(merge) == []
+        assert rules_of(verify_plan(XMLSerialize(owners, ("v",)))) == \
+            ["plan.unknown-column"]
+
+    def test_each_input_must_produce_the_column(self, repo):
+        plan = NodeSet(ContScan(repo, TITLE, "n", "t"),
+                       ContScan(repo, URI, "other", "u"), "n", "union")
+        diagnostics = verify_plan(plan)
+        assert rules_of(diagnostics) == ["plan.unknown-column"]
+        assert verify_plan(NodeSet(ContScan(repo, TITLE, "n", "t"),
+                                   None, "n")) == []
 
 
 class TestIntervalAccess:

@@ -276,6 +276,162 @@ class TestThetaJoinExactness:
         assert self.theta_stats(xml, query)[0].container_accesses == 2
 
 
+class TestSelectionExactness:
+    """Constant selections run on the containers alone; a conjunct is
+    left unchecked per binding only where slot order is the reference
+    comparison.  Each case sits on a boundary of that rule, and states
+    by counters which side the engine took."""
+
+    XML = ("<r><ps>"
+           '<p id="a" k="7"><n>7</n><f>100.5</f><s>7</s>'
+           '<i c="c1"/><i c="c2"/><i c="c1"/></p>'
+           '<p id="b" k="07"><n>10</n><f>9.25</f><s>07</s><i c="c2"/></p>'
+           '<p id="c"><n>31</n><f>0.5</f><s>x</s></p>'
+           '<p id="d" k="100"><n>7</n><f>100.5</f><s>10</s><p id="e">'
+           "<n>7</n><s>7</s></p></p>"
+           "</ps></r>")
+
+    def run(self, query, xml=None):
+        from repro.obs import runtime
+        from repro.verify.engine_oracle import _BlameRecorder
+        recorder = _BlameRecorder()
+        with runtime.recording(recorder):
+            result = QueryEngine(load_document(xml or self.XML)) \
+                .execute(query)
+            result.to_xml()
+        return result.stats, recorder
+
+    def ids(self, source, where, expected, *, comparisons=0,
+            accesses=None):
+        """``where`` over ``source`` selects ``expected``; the count
+        form agrees; ``comparisons`` per-binding comparisons ran."""
+        query = f"for $v in {source} where {where} return $v/@id"
+        assert_parity(self.XML, query,
+                      ("ok", "\n".join(expected.split())))
+        assert_parity(self.XML,
+                      f"count(for $v in {source} where {where} return $v)",
+                      ("ok", str(len(expected.split()))))
+        stats, _ = self.run(query)
+        assert stats.compressed_comparisons \
+            + stats.decompressed_comparisons == comparisons
+        if accesses is not None:
+            assert stats.container_accesses == accesses
+
+    def test_number_on_an_int_container(self):
+        self.ids("/r/ps/p", "$v/n/text() = 7", "a d", accesses=1)
+        self.ids("/r/ps/p", "7 < $v/n/text()", "b c", accesses=1)
+        self.ids("/r/ps/p", "$v/n/text() >= 9.5", "b c", accesses=1)
+
+    def test_number_on_a_float_container(self):
+        self.ids("/r/ps/p", "$v/f/text() = 100.50", "a d", accesses=1)
+        self.ids("/r/ps/p", "$v/f/text() < 100.5", "b c", accesses=1)
+
+    def test_constants_outside_the_container(self):
+        self.ids("/r/ps/p", "$v/n/text() = 8", "", accesses=1)
+        self.ids("/r/ps/p", "$v/n/text() < 0", "", accesses=1)
+        self.ids("/r/ps/p", "$v/n/text() <= 1000", "a b c d",
+                 accesses=1)
+        self.ids("/r/ps/p", '$v/@id > "zz"', "", accesses=1)
+        self.ids("/r/ps/p", '$v/@id >= ""', "a b c d", accesses=1)
+
+    def test_string_on_a_string_container(self):
+        # "07" and "7" are different texts; "10" < "7" as text.
+        self.ids("/r/ps/p", '$v/s/text() = "7"', "a", accesses=1)
+        self.ids("/r/ps/p", '$v/s/text() < "7"', "b d", accesses=1)
+        self.ids("/r/ps/p", '$v/@k = "07"', "b", accesses=1)
+
+    def test_string_on_a_numeric_container_is_checked_per_binding(self):
+        # Text order on typed numbers ("10" < "7"): not slot order.
+        self.ids("/r/ps/p", '$v/n/text() < "7"', "b c", comparisons=4,
+                 accesses=0)
+        self.ids("/r/ps/p", '$v/f/text() = "100.50"', "", comparisons=4,
+                 accesses=0)
+
+    def test_number_on_a_string_container_is_checked_per_binding(self):
+        # "07" = 7 by value; "x" is no number at all.
+        self.ids("/r/ps/p", "$v/s/text() = 7", "a b", comparisons=4,
+                 accesses=0)
+        self.ids("/r/ps/p", "$v/@k >= 7", "a b d", comparisons=3,
+                 accesses=0)
+
+    def test_conjuncts_intersect(self):
+        self.ids("/r/ps/p", "$v/n/text() = 7 and $v/f/text() > 1",
+                 "a d", accesses=2)
+        self.ids("/r/ps/p", '$v/n/text() >= 7 and $v/n/text() < 31 '
+                 'and $v/@id != "a"', "b d", comparisons=3, accesses=2)
+        # One exact, one not: only the second is compared, and only
+        # on what the first let through.
+        self.ids("/r/ps/p", "$v/n/text() = 7 and $v/s/text() = 7",
+                 "a", comparisons=2, accesses=1)
+
+    def test_existence(self):
+        self.ids("/r/ps/p", "empty($v/@k)", "c", accesses=0)
+        self.ids("/r/ps/p", "not(empty($v/@k))", "a b d", accesses=0)
+        self.ids("/r/ps/p", "empty($v/i/@c) and $v/n/text() = 7", "d",
+                 accesses=1)
+        self.ids("/r/ps/p", "empty($v/ghost/text())", "a b c d")
+        self.ids("/r/ps/p", "not(empty($v/ghost/text()))", "")
+        self.ids("/r/ps/p", '$v/ghost/@x = "1"', "")
+
+    def test_owner_of_several_values_binds_once(self):
+        self.ids("/r/ps/p", '$v/i/@c = "c1"', "a", accesses=1)
+        self.ids("/r/ps/p", '$v/i/@c >= "c1"', "a b", accesses=1)
+        self.ids("/r/ps/p", '$v/i/@c = "c1" and $v/i/@c = "c2"', "a",
+                 accesses=2)
+
+    def test_descendant_source_reaches_nested_elements(self):
+        # //p: /r/ps/p and /r/ps/p/p — two containers per leaf path.
+        self.ids("//p", "$v/n/text() = 7", "a d e", accesses=2)
+        # The nested <s> container holds "7" alone and is typed int:
+        # the text constant is compared on what the first term left.
+        self.ids("//p", 'empty($v/f/text()) and $v/s/text() = "7"', "e",
+                 comparisons=1, accesses=0)
+        self.ids("/r/ps/p/p", "$v/n/text() = 7", "e", accesses=1)
+
+    def test_step_predicates_with_and_without_a_where(self):
+        self.ids('/r/ps/p[@id = "d"]', "$v/n/text() = 7", "d",
+                 accesses=2)
+        self.ids("//p[n/text() = 7][not(empty(f/text()))]",
+                 '$v/@id > "a"', "d", accesses=4)   # n and @id twice
+        assert_parity(self.XML,
+                      'for $v in //p[@id = "e"] return $v/s/text()',
+                      ("ok", "7"))
+        # Not a term (position; number against text): per step.
+        self.ids("/r/ps/p[2]", "$v/n/text() = 10", "b", comparisons=1,
+                 accesses=0)
+        self.ids("/r/ps/p[s/text() = 7]", "$v/n/text() = 7", "a",
+                 comparisons=6, accesses=0)
+
+    def test_inner_clause_selects_once(self):
+        query = ("for $a in /r/ps/p, $b in /r/ps/p where $b/n/text() = 7 "
+                 "return $b/@id")
+        assert_parity(self.XML, query, ("ok", "\n".join("ad" * 4)))
+        stats, recorder = self.run(query)
+        assert stats.container_accesses == 1
+        assert recorder.predicates == [("/r/ps/p/n/#text", "eq")]
+
+    def test_blob_container_keeps_the_check(self):
+        from repro.partitioning.config import (
+            CompressionConfiguration,
+            ContainerGroup,
+        )
+        configuration = CompressionConfiguration(groups=[
+            ContainerGroup(("/r/ps/p/@id",), "bzip2")])
+        engine = QueryEngine(load_document(
+            self.XML, configuration=configuration))
+        assert engine.repository.container("/r/ps/p/@id").is_blob
+        where = 'for $v in /r/ps/p where $v/@id >= "c" return $v/@id'
+        result = engine.execute(where)
+        assert result.items == ["c", "d"]
+        assert result.stats.container_accesses == 1
+        assert result.stats.decompressed_comparisons \
+            + result.stats.compressed_comparisons == 2
+        predicate = engine.execute(
+            'for $v in /r/ps/p[@id >= "c"] return $v/@id')
+        assert predicate.items == ["c", "d"]
+        assert predicate.stats.container_accesses == 0
+
+
 class TestDivisionByZero:
     """Bug: engine raised bare ZeroDivisionError while the reference
 

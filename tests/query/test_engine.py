@@ -222,9 +222,14 @@ class TestCompressedDomain:
             'for $p in /site/people/person '
             'where $p/name/text() < "Bob" return $p/name/text()')
         assert result.items == ["Alice"]
-        # The filter itself ran compressed (decompressions only for the
-        # final result serialization).
-        assert result.stats.compressed_comparisons >= 1
+        # The filter itself ran compressed — one interval probe on the
+        # order-preserving container, no comparison per binding — and
+        # the only decompression is the result's serialization.
+        stats = result.stats
+        assert stats.container_accesses == 1
+        assert (stats.compressed_comparisons,
+                stats.decompressed_comparisons) == (0, 0)
+        assert stats.decompressions == 1
 
     def test_range_plan_uses_container_access(self, engine):
         result = engine.execute(
@@ -256,6 +261,47 @@ class TestCompressedDomain:
         assert result.items == ["9", "7"]
         assert result.stats.container_accesses == 0
         assert recorder.predicates == []
+
+
+class TestXMarkSelections:
+    """Q1 and Q20 run on the containers alone (ROADMAP item 1's "a
+    point lookup costs ~200 probes"): no comparison per binding."""
+
+    @pytest.fixture(scope="class")
+    def xmark(self):
+        from repro.baselines.galax import GalaxEngine
+        from repro.xmark import generate_xmark
+        xml = generate_xmark(0.01, seed=42)
+        return QueryEngine(load_document(xml)), GalaxEngine(xml)
+
+    @staticmethod
+    def comparisons(stats):
+        return stats.compressed_comparisons \
+            + stats.decompressed_comparisons
+
+    def test_q1_is_one_container_access(self, xmark):
+        from repro.xmark.queries import query_text
+        engine, reference = xmark
+        result = engine.execute(query_text("Q1"))
+        assert result.to_xml() == \
+            reference.execute_to_xml(query_text("Q1")) != ""
+        assert result.stats.container_accesses == 1
+        assert self.comparisons(result.stats) == 0
+
+    def test_q20_counts_without_binding_anybody(self, xmark):
+        from repro.xmark.queries import query_text
+        engine, reference = xmark
+        result = engine.execute(query_text("Q20"))
+        assert result.to_xml() == \
+            reference.execute_to_xml(query_text("Q20"))
+        stats = result.stats
+        assert self.comparisons(stats) == 0
+        # Four interval probes (the band is two) and one scan for
+        # empty(); the only nodes touched are the Parent hops.
+        assert (stats.container_accesses, stats.container_scans) == (4, 1)
+        owners = len(engine.repository.container(
+            "/site/people/person/profile/@income"))
+        assert stats.nodes_visited <= 5 * owners
 
 
 class TestErrors:

@@ -5,6 +5,7 @@ from repro.query.optimizer import (
     context_free,
     find_join_plan,
     find_range_plan,
+    find_selection_plan,
     find_theta_plan,
     flatten_conjuncts,
     free_vars,
@@ -192,6 +193,76 @@ class TestRangePlans:
         where = where_of(
             "for $v in /a/b where $v/c/text() = $w/d/text() return $v")
         assert find_range_plan(where, "v") is None
+
+
+class TestSelectionPlans:
+    @staticmethod
+    def plan(query: str):
+        flwor = parse_query(query)
+        return find_selection_plan(flwor.clauses[0],
+                                   flatten_conjuncts(flwor.where))
+
+    def kinds(self, query: str):
+        plan = self.plan(query)
+        return None if plan is None else \
+            [(t.kind, t.range.low, t.range.high, t.range.ascend)
+             for t in plan.terms]
+
+    def test_every_single_variable_conjunct_is_a_term(self):
+        assert self.kinds(
+            'for $v in /a//b where $v/c/text() >= 3 and "m" > $v/@k '
+            "and empty($v/d/e/text()) and not(empty($v/@k)) "
+            "return $v") == [
+            ("interval", "3", None, 1), ("interval", None, "m", 0),
+            ("not-exists", None, None, 2), ("exists", None, None, 0)]
+
+    def test_both_operand_orders_give_one_interval(self):
+        for where in ("$v/c/text() < 7", "7 > $v/c/text()"):
+            (term,) = self.plan(
+                f"for $v in /a/b where {where} return $v").terms
+            hops = term.range
+            assert (hops.low, hops.high, hops.high_inclusive,
+                    hops.constant_kind) == (None, "7", False, "number")
+
+    def test_last_step_predicates_are_terms_on_the_bare_source(self):
+        plan = self.plan('for $v in /a/b[@id = "x"][not(empty(c/text()))]'
+                         ' where $v/@n > 1 return $v')
+        assert plan.source == parse_query("/a/b")
+        assert [t.kind for t in plan.terms] == \
+            ["interval", "exists", "interval"]
+        assert plan.terms[0].conjunct == \
+            parse_query('/a/b[@id = "x"]').steps[-1].predicates[0]
+
+    def test_other_conjuncts_stay_with_the_binding(self):
+        plan = self.plan('for $v in /a/b where $v/c/text() = "x" and '
+                         'contains($v/d/text(), "y") and $v/e = 1 '
+                         "return $v")
+        assert [t.kind for t in plan.terms] == ["interval"]
+
+    def test_plans_are_hashable_values(self):
+        query = ('for $v in /a/b[@id = "x"] where $v/c/text() >= 3 '
+                 "and empty($v/@k) return $v")
+        assert self.plan(query) == self.plan(query)
+        assert len({self.plan(query), self.plan(query)}) == 1
+        assert self.plan(query).terms[0].exact
+
+    def test_refused_shapes(self):
+        for query in (
+                'for $v in /a/b[@id = "x"]/c where $v/@k = 1 return $v',
+                'for $v in /a/b[1] where $v/@k = 1 return $v',
+                'for $v in /a/b[@id = "x"][2] return $v',
+                'for $v in /a/b[c = "x"] return $v',      # c atomizes
+                'for $v in /a/b[@id = $w/@id] return $v',
+                "for $v in $w/b where $v/@k = 1 return $v",
+                "for $v in /a/b/text() where $v = 1 return $v",
+                "for $v in /a/b where $v/@k != 1 return $v",
+                "for $v in /a/b where $v/@k = $v/@j return $v",
+                "for $v in /a/b where $v/@k = $w/@k return $v",
+                "for $v in /a/b where not($v/@k = 1) return $v",
+                "for $v in /a/b where empty($v/c) return $v",
+                "for $v in /a/b where empty($v//c/text()) return $v",
+                "for $v in /a/b return $v"):
+            assert self.plan(query) is None, query
 
 
 class TestPathClassifiers:

@@ -16,6 +16,7 @@ from repro.query.physical import (
     HashJoin,
     MergeJoin,
     NestedLoopJoin,
+    NodeSet,
     Parent,
     Project,
     Select,
@@ -155,6 +156,58 @@ class TestCombination:
     def test_merge_join_empty_side(self):
         assert MergeJoin([], [{"r": 1}], lambda r: r.get("l"),
                          lambda r: r["r"]).rows() == []
+
+    @staticmethod
+    def nodes(*ids):
+        return [{"n": NodeItem(i), "other": "x"} for i in ids]
+
+    def node_set(self, left, right, mode, size=None):
+        operator = NodeSet(self.nodes(*left),
+                           None if right is None else self.nodes(*right),
+                           "n", mode)
+        rows = [row for batch in operator.batches(size)
+                for row in batch.to_rows()]
+        assert all(list(row) == ["n"] for row in rows)   # ids only
+        return [row["n"].node_id for row in rows]
+
+    def test_node_set_alone_sorts_and_dedupes(self):
+        assert self.node_set([7, 3, 7, 1, 3], None, "union") == [1, 3, 7]
+        assert self.node_set([], None, "union") == []
+
+    def test_node_set_modes(self):
+        left, right = [9, 2, 2, 5, 7], [5, 5, 11, 2]
+        assert self.node_set(left, right, "union") == [2, 5, 7, 9, 11]
+        assert self.node_set(left, right, "intersect") == [2, 5]
+        assert self.node_set(left, right, "difference") == [7, 9]
+        # The same sets whatever the batch width on either side.
+        assert self.node_set(left, right, "difference", size=1) == [7, 9]
+        assert self.node_set(left, right, "union", size=2) == \
+            [2, 5, 7, 9, 11]
+
+    @pytest.mark.parametrize("mode, left_only, right_only", [
+        ("union", [1, 4], [1, 4]), ("intersect", [], []),
+        ("difference", [1, 4], [])])
+    def test_node_set_empty_sides(self, mode, left_only, right_only):
+        assert self.node_set([4, 1, 4], [], mode) == left_only
+        assert self.node_set([], [4, 1, 4], mode) == right_only
+        assert self.node_set([], [], mode) == []
+
+    def test_node_set_over_operators(self, repo, stats):
+        """ContAccess -> Parent streams: persons aged >= 30 that are
+        not named Carol, in document order."""
+        older = Parent(ContAccess(repo, AGE_PATH, "o", "v", low="30",
+                                  stats=stats), repo, "o", "n", stats)
+        carol = Parent(ContAccess(repo, NAME_PATH, "o", "v", low="Carol",
+                                  high="Carol"), repo, "o", "n")
+        rows = NodeSet(older, carol, "n", "difference").rows()
+        assert [repo.tag_of(r["n"].node_id) for r in rows] == ["person"]
+        ids = [r["n"].node_id for r in NodeSet(older, None, "n").rows()]
+        assert ids == sorted(ids) and len(ids) == 2
+        assert rows[0]["n"].node_id == ids[1]   # p1, Alice
+
+    def test_node_set_rejects_unknown_mode(self):
+        with pytest.raises(ValueError):
+            NodeSet([], None, "n", "xor")
 
     def test_nested_loop_join_theta(self):
         left = [{"l": 1}, {"l": 4}]
