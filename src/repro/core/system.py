@@ -31,12 +31,12 @@ from repro.query.ast import (
     FLWOR,
     FunctionCall,
     PathExpr,
-    Step,
     StringLiteral,
     NumberLiteral,
     VarRef,
 )
 from repro.query.engine import QueryResult
+from repro.query.optimizer import leaf_summary_steps
 from repro.query.options import ExecutionOptions
 from repro.query.parser import parse_query
 from repro.storage.loader import load_document
@@ -286,9 +286,9 @@ class _PathResolver:
             base = self._bindings.get(expr.start.name)
             if base is None:
                 return None
-            return base + [_summary_step(s) for s in expr.steps]
+            return base + leaf_summary_steps(expr, ())
         if expr.start is None:
-            return [_summary_step(s) for s in expr.steps]
+            return leaf_summary_steps(expr, ())
         return None
 
     def _container_paths(self, expr) -> list[str]:
@@ -300,11 +300,3 @@ class _PathResolver:
         nodes = self._repository.resolve_path(steps)
         return [n.container_path for n in nodes
                 if n.container_path is not None]
-
-
-def _summary_step(step: Step) -> tuple[str, str]:
-    if step.axis == "attribute":
-        return ("child", "@" + step.test)
-    if step.test == "text()":
-        return (step.axis, "#text")
-    return (step.axis, step.test)

@@ -8,10 +8,11 @@ flows* (or a PR merges).
   plan properties — column schema, sortedness, compressed-vs-plain
   state, codec capabilities — and emits rule-tagged
   :class:`PlanDiagnostic` objects for violations of the paper's
-  capability (§3.2) and order (§4) assumptions.
-  :func:`repro.lint.compile.verify_query` compiles the engine's chosen
-  strategies into a plan sketch and verifies it; the engine runs it as
-  a fail-fast gate.
+  capability (§3.2) and order (§4) assumptions.  The engine plans a
+  query once (:func:`repro.query.optimizer.plan_query`), binds that
+  plan to its repositories (:func:`~repro.query.optimizer.bind_plan`)
+  and verifies every resulting tree before executing the same plan
+  (:meth:`repro.query.engine.QueryEngine.plan`, a fail-fast gate).
 * **Tier B — source lint** (:mod:`repro.lint.source`): an ``ast``-based
   checker for the repo's engine-invariant conventions (operator
   ``_batches``/``_traced`` routing, codec property declarations, sanctioned

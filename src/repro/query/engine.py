@@ -2,7 +2,11 @@
 
 Evaluates the supported XQuery subset directly over a
 :class:`~repro.storage.repository.CompressedRepository`, keeping values
-compressed for as long as possible:
+compressed for as long as possible.  A query is planned once
+(:func:`~repro.query.optimizer.plan_query`, at prepare time); that
+:class:`~repro.query.optimizer.QueryPlan` is what the Tier-A verifier
+checks, what the plan cache holds and what the evaluator dispatches on
+— the evaluator classifies nothing itself:
 
 * absolute paths resolve through the structure summary
   (``StructureSummaryAccess``) — never by walking the full structure
@@ -31,10 +35,13 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
+from contextlib import nullcontext
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.errors import QueryError, QueryTypeError
+from repro.errors import PlanVerificationError, QueryError, QueryTypeError
+from repro.lint.plan import verify_plan
 from repro.obs import runtime
 from repro.obs.telemetry import Telemetry
 from repro.query.ast import (
@@ -69,13 +76,12 @@ from repro.query.context import (
 from repro.query.functions import FUNCTIONS
 from repro.query.options import ExecutionOptions
 from repro.query.optimizer import (
-    assign_selection,
-    assign_theta_join,
-    context_free,
-    find_join_plan,
-    flatten_conjuncts,
-    free_vars,
+    ClausePlan,
+    FlworPlan,
+    QueryPlan,
+    bind_plan,
     leaf_summary_steps,
+    plan_query,
 )
 from repro.query.parser import parse_query
 from repro.storage.repository import CompressedRepository
@@ -134,13 +140,8 @@ class QueryResult:
 
     def values(self) -> list:
         """Items with Elements serialized to XML strings."""
-        out = []
-        for item in self.items:
-            if isinstance(item, Element):
-                out.append(serialize(item))
-            else:
-                out.append(item)
-        return out
+        return [serialize(item) if isinstance(item, Element) else item
+                for item in self.items]
 
     def ship(self) -> bytes:
         """Package the result *without decompressing* (§1: compressed
@@ -171,8 +172,17 @@ class QueryResult:
         return iter(self.items)
 
 
+class VerifiedPlan(NamedTuple):
+    """A query's plan and what the Tier-A verifier found in its
+    operator trees over one engine's repositories."""
+
+    plan: QueryPlan
+    diagnostics: list
+
+
 class QueryEngine:
-    """Compiles and evaluates queries over compressed repositories.
+    """Plans, verifies and evaluates queries over compressed
+    repositories.
 
     ``repository`` is the default document; ``collection`` optionally
     maps further document names to repositories, dispatched through
@@ -184,7 +194,7 @@ class QueryEngine:
     def __init__(self, repository: CompressedRepository,
                  collection: dict[str, CompressedRepository]
                  | None = None, telemetry_enabled: bool = False,
-                 verify_plans: bool = True, recorder=None):
+                 recorder=None):
         self.repository = repository
         self.collection = collection or {}
         #: when True, every ``execute`` records spans and histograms;
@@ -194,18 +204,13 @@ class QueryEngine:
         #: when attached and enabled, every ``execute`` appends one
         #: observation to its workload journal.
         self.recorder = recorder
-        #: when True, the Tier-A plan verifier gates every ``execute``:
-        #: error diagnostics raise
-        #: :class:`~repro.errors.PlanVerificationError` before any row
-        #: is produced; warnings flow into the run's telemetry.
-        self.verify_plans = verify_plans
         self._fulltext_indexes: dict[str, "FullTextIndex"] = {}
-        #: verifier results per parsed query (the AST is kept alive so
+        #: verified plans per parsed query (the AST is kept alive so
         #: its id() cannot be reused by a different expression).  LRU
         #: bounded: a long-lived serving engine must not pin every AST
-        #: it ever verified.
-        self._verify_cache: OrderedDict[int, tuple[Expression, list]] \
-            = OrderedDict()
+        #: it ever planned.
+        self._verify_cache: OrderedDict[
+            int, tuple[Expression, VerifiedPlan]] = OrderedDict()
         self._verify_cache_capacity = 256
         self._verify_lock = threading.Lock()
 
@@ -229,18 +234,19 @@ class QueryEngine:
 
     def execute(self, query: str | Expression,
                 options: ExecutionOptions | None = None,
-                *, diagnostics: list | None = None,
+                *, plan: VerifiedPlan | None = None,
                 label: str | None = None) -> QueryResult:
-        """Parse (if needed) and evaluate a query.
+        """Parse and plan (if needed) and evaluate a query.
 
         ``options`` is an :class:`~repro.query.options.ExecutionOptions`
         carrying the run's telemetry, recording and binding knobs.
-        ``diagnostics`` lets a caller that already verified the query
-        (a prepared plan from the session's plan cache) pass the
-        verifier's findings in, skipping the static verification step
-        entirely.  ``label`` names the run in
-        spans and workload records when ``query`` is a pre-parsed
-        expression (the session passes the original query text).
+        ``plan`` is ``query``'s :meth:`plan` from an earlier call (a
+        prepared plan from the session's plan cache): the run skips
+        planning and verification entirely.  Either way the Tier-A
+        gate has passed before any row is produced; the verifier's
+        warnings flow into the run's telemetry.  ``label`` names the
+        run in spans and workload records when ``query`` is a
+        pre-parsed expression (the session passes the original text).
         """
         if options is None:
             options = ExecutionOptions()
@@ -249,18 +255,12 @@ class QueryEngine:
         # profile request implies an enabled telemetry for the run.
         telemetry = options.resolve_telemetry(
             self.telemetry_enabled or bool(options.profile))
-        if self.verify_plans:
-            if diagnostics is None:
-                diagnostics = self.verify(ast)
-            errors = [d for d in diagnostics if d.severity == "error"]
-            if errors:
-                from repro.errors import PlanVerificationError
-                raise PlanVerificationError(diagnostics)
-            telemetry.diagnostics.extend(diagnostics)
-            for diagnostic in diagnostics:
-                telemetry.metrics.add(f"lint.{diagnostic.severity}")
-        evaluator = _Evaluator(self.repository, self._fulltext_indexes,
-                               self.collection, telemetry=telemetry)
+        if plan is None:
+            plan = self.plan(ast)
+        telemetry.diagnostics.extend(plan.diagnostics)
+        for diagnostic in plan.diagnostics:
+            telemetry.metrics.add(f"lint.{diagnostic.severity}")
+        evaluator = _Evaluator(self, plan.plan, telemetry)
         query_text = query if isinstance(query, str) else \
             (label if label is not None else type(ast).__name__)
         base_env = options.binding_environment()
@@ -285,37 +285,48 @@ class QueryEngine:
             raise QueryError(
                 "recording requested but no workload recorder is "
                 "attached to this engine")
-        if record:
-            with self.recorder.capture(query_text, ast,
-                                       self.repository, telemetry):
-                items = run()
-        else:
+        with self.recorder.capture(
+                query_text, ast, self.repository, telemetry) \
+                if record else nullcontext():
             items = run()
         return QueryResult(items, evaluator.stats, self,
                            telemetry=telemetry)
 
-    def verify(self, query: str | Expression) -> list:
-        """Statically verify the plans a query would evaluate as.
+    def plan(self, query: str | Expression) -> VerifiedPlan:
+        """The query's plan, past the Tier-A gate: error diagnostics
+        raise :class:`~repro.errors.PlanVerificationError` — here, for
+        ``execute`` and ``Session.prepare`` alike."""
+        ast = parse_query(query) if isinstance(query, str) else query
+        diagnostics = self.verify(ast)
+        if any(d.severity == "error" for d in diagnostics):
+            raise PlanVerificationError(diagnostics)
+        return self._planned(ast)
 
-        Compiles the optimizer's decisions into plan sketches and runs
-        the Tier-A verifier over them; returns the
-        :class:`~repro.lint.PlanDiagnostic` list (LRU-cached per parsed
-        expression — ``execute`` calls this on every run).
-        """
+    def verify(self, query: str | Expression) -> list:
+        """The :class:`~repro.lint.PlanDiagnostic` list of the query's
+        plan, errors included (``repro lint-plan`` prints them)."""
+        return self._planned(query).diagnostics
+
+    def _planned(self, query: str | Expression) -> VerifiedPlan:
+        """Plan the query and run the Tier-A verifier over the plan's
+        operator trees — every FLWOR, every absolute path — bound to
+        this engine's repositories.  LRU-cached per parsed expression:
+        verifying and then preparing one AST plans once."""
         ast = parse_query(query) if isinstance(query, str) else query
         with self._verify_lock:
             cached = self._verify_cache.get(id(ast))
             if cached is not None and cached[0] is ast:
                 self._verify_cache.move_to_end(id(ast))
                 return cached[1]
-        from repro.lint.compile import verify_query
-        diagnostics = verify_query(ast, self.repository,
-                                   self.collection)
+        plan = plan_query(ast)
+        verified = VerifiedPlan(plan, [
+            diagnostic for tree in bind_plan(plan, self.repository_of)
+            for diagnostic in verify_plan(tree)])
         with self._verify_lock:
-            self._verify_cache[id(ast)] = (ast, diagnostics)
+            self._verify_cache[id(ast)] = (ast, verified)
             while len(self._verify_cache) > self._verify_cache_capacity:
                 self._verify_cache.popitem(last=False)
-        return diagnostics
+        return verified
 
     def explain(self, query: str | Expression) -> str:
         """Describe the evaluation strategy without running the query."""
@@ -367,13 +378,12 @@ class QueryEngine:
 
 
 class _Evaluator:
-    def __init__(self, repository: CompressedRepository,
-                 fulltext_indexes: dict | None = None,
-                 collection: dict[str, CompressedRepository]
-                 | None = None, telemetry: Telemetry | None = None):
-        self.repository = repository
-        self._collection = collection or {}
-        self._fulltext_indexes = fulltext_indexes or {}
+    def __init__(self, engine: QueryEngine, plan: QueryPlan,
+                 telemetry: Telemetry | None = None):
+        self._engine = engine
+        self._repo = engine.repository_of
+        #: the evaluated query's plan: every FLWOR dispatches on it.
+        self._flwors = plan.by_node()
         self.telemetry = telemetry if telemetry is not None \
             else Telemetry(enabled=False)
         # The stats view and the telemetry share one registry, so
@@ -382,14 +392,9 @@ class _Evaluator:
         #: cached sequences for binding-independent source expressions.
         self._source_cache: dict[int, list] = {}
         #: built once per execution: hash indexes by conjunct identity,
-        #: theta-join classifications by clause identity, selected
-        #: node ids by ``("selection", clause identity)``.
+        #: theta joins by clause identity, selected node ids by
+        #: ``("selection", clause identity)``.
         self._index_cache: dict = {}
-
-    def _repo(self, doc: str | None) -> CompressedRepository:
-        if doc is None:
-            return self.repository
-        return self._collection.get(doc, self.repository)
 
     # -- dispatch -------------------------------------------------------------
 
@@ -495,33 +500,27 @@ class _Evaluator:
     # -- FLWOR ---------------------------------------------------------------------
 
     def _eval_flwor(self, expr: FLWOR, env: dict, sink=None) -> list:
-        conjuncts = flatten_conjuncts(expr.where)
-        if not expr.order:
-            results: list = []
-            if sink is None:
-                sink = (lambda bound_env: results.extend(
-                    self.eval(expr.result, bound_env)))
-            self._flwor_clause(expr, 0, dict(env), conjuncts, set(env),
-                               sink)
-            return results
+        results: list = []
         # order by: collect (sort keys, result items) per binding,
         # then stable-sort from the last key to the first.
         keyed: list[tuple[tuple, list]] = []
 
-        def ordered_sink(bound_env: dict) -> None:
-            keys = tuple(self._order_key(spec.key, bound_env)
-                         for spec in expr.order)
-            keyed.append((keys, self.eval(expr.result, bound_env)))
+        def collect(bound_env: dict) -> None:
+            items = self.eval(expr.result, bound_env)
+            if expr.order:
+                keyed.append((tuple(self._order_key(spec.key, bound_env)
+                                    for spec in expr.order), items))
+            else:
+                results.extend(items)
 
-        self._flwor_clause(expr, 0, dict(env), conjuncts, set(env),
-                           ordered_sink)
+        self._flwor_clause(self._flwors[id(expr)], 0, dict(env),
+                           collect if sink is None else sink)
         for position in range(len(expr.order) - 1, -1, -1):
             keyed.sort(key=lambda pair, p=position: pair[0][p],
                        reverse=expr.order[position].descending)
-        out: list = []
         for _, items in keyed:
-            out.extend(items)
-        return out
+            results.extend(items)
+        return results
 
     def _order_key(self, key_expr: Expression, env: dict) -> tuple:
         """A totally ordered sort key: empty < numbers < strings."""
@@ -534,68 +533,48 @@ class _Evaluator:
         except (ValueError, TypeError, QueryError):
             return (1, 0.0, string_value(atom, self.stats))
 
-    def _flwor_clause(self, flwor: FLWOR, index: int, env: dict,
-                      pending: list[Expression], bound: set[str],
+    def _flwor_clause(self, plan: FlworPlan, index: int, env: dict,
                       results) -> None:
-        if index == len(flwor.clauses):
-            for conjunct in pending:
+        """Bind clause ``index`` onwards the way its
+        :class:`~repro.query.optimizer.ClausePlan` says."""
+        if index == len(plan.clauses):
+            for conjunct in plan.residual:
                 if not effective_boolean(self.eval(conjunct, env)):
                     return
             results(env)
             return
-        clause = flwor.clauses[index]
+        step = plan.clauses[index]
+        clause = step.clause
         if isinstance(clause, LetClause):
             env = dict(env)
             env[clause.var] = self.eval(clause.source, env)
-            self._flwor_clause(flwor, index + 1, env, pending,
-                               bound | {clause.var}, results)
+            self._flwor_clause(plan, index + 1, env, results)
             return
-        assert isinstance(clause, ForClause)
-        # Partition the pending conjuncts into those decidable once this
-        # clause's variable is bound, and the rest (pushed down later).
-        decidable: list[Expression] = []
-        later: list[Expression] = []
-        new_bound = bound | {clause.var}
-        for conjunct in pending:
-            if free_vars(conjunct) <= new_bound:
-                decidable.append(conjunct)
-            else:
-                later.append(conjunct)
         # Hash-join path: an equality conjunct between this variable and
         # already-bound ones, over a binding-independent source.
-        join_plan = None
-        for conjunct in decidable:
-            join_plan = find_join_plan(conjunct, clause.var, bound)
-            if join_plan is not None:
-                join_conjunct = conjunct
-                break
-        if join_plan is not None and \
-                not (free_vars(clause.source) & bound):
-            items = self._clause_items(clause, env, bound)
-            join_index = self._join_index(join_plan, clause, items)
-            probe_keys = self._key_strings(join_plan.probe_expr, env)
-            rest = [c for c in decidable if c is not join_conjunct]
-            for key in probe_keys:
-                for item in join_index.lookup(key):
-                    self._bind_and_descend(flwor, index, env, clause,
-                                           item, rest, later, new_bound,
+        if step.join is not None:
+            join_index = self._join_index(
+                step, self._clause_items(step, env))
+            rest = step.rest(step.join.conjunct)
+            for key in self._key_strings(step.join.probe_expr, env):
+                for item in join_index.get(key, ()):
+                    self._bind_and_descend(plan, index, env, item, rest,
                                            results)
             return
         # Theta-join path: an inequality conjunct between this
         # variable's numeric path and already-bound ones is one binary
         # search on the sorted containers per outer binding.  Else the
         # clause's constant selections, decided once on the containers.
-        theta = self._theta_range(clause, decidable, bound, env) \
-            if decidable else None
+        theta = self._theta_range(step, env)
         if theta is not None:
             conjunct, owners, start, end = theta
-            rest = [c for c in decidable if c is not conjunct]
+            rest = step.rest(conjunct)
             ids = owners[start:end]
         else:
-            ids, rest = self._selection(clause, decidable)
+            ids, rest = self._selection(step)
         if ids is not None:
-            if isinstance(results, _BindingCounter) and not rest \
-                    and not later and index + 1 == len(flwor.clauses):
+            if isinstance(results, _BindingCounter) and not rest and \
+                    not plan.residual and index + 1 == len(plan.clauses):
                 results.count += len(ids)
                 return
             if theta is not None:
@@ -604,80 +583,69 @@ class _Evaluator:
                 ids = np.sort(ids).tolist()
             for node_id in ids:
                 self._bind_and_descend(
-                    flwor, index, env, clause,
+                    plan, index, env,
                     NodeItem(node_id, clause.source.document), rest,
-                    later, new_bound, results)
+                    results)
             return
-        items = self._clause_items(clause, env, bound,
-                                   conjuncts=decidable)
-        for item in items:
-            self._bind_and_descend(flwor, index, env, clause, item,
-                                   decidable, later, new_bound, results)
+        for item in self._clause_items(step, env, fulltext=True):
+            self._bind_and_descend(plan, index, env, item,
+                                   step.decidable, results)
 
-    def _bind_and_descend(self, flwor: FLWOR, index: int, env: dict,
-                          clause: ForClause, item,
-                          decidable: list[Expression],
-                          later: list[Expression], bound: set[str],
-                          results: list) -> None:
+    def _bind_and_descend(self, plan: FlworPlan, index: int, env: dict,
+                          item, conjuncts, results) -> None:
         child_env = dict(env)
-        child_env[clause.var] = [item]
-        for conjunct in decidable:
+        child_env[plan.clauses[index].clause.var] = [item]
+        for conjunct in conjuncts:
             if not effective_boolean(self.eval(conjunct, child_env)):
                 return
-        self._flwor_clause(flwor, index + 1, child_env, later, bound,
-                           results)
+        self._flwor_clause(plan, index + 1, child_env, results)
 
-    def _selection(self, clause: ForClause,
-                   decidable: list[Expression]):
+    def _selection(self, step: ClausePlan):
         """``(node ids, conjuncts left to check)`` of a clause whose
         constant selections run as one operator tree on the containers
         (:func:`~repro.query.optimizer.assign_selection`), ``(None,
         None)`` for per-binding evaluation.  The source is absolute and
         the terms constant, so a clause re-entered per outer binding
-        classifies, and selects, once per execution."""
-        key = ("selection", id(clause))
+        selects once per execution."""
+        if step.selection is None:
+            return None, None
+        key = ("selection", id(step))
         if key not in self._index_cache:
-            found = assign_selection(clause, decidable, self._repo,
-                                     stats=self.stats)
+            found = step.bind_selection(self._repo, stats=self.stats)
             if found is None:
                 self._index_cache[key] = (None, None)
             else:
-                plan, operator = found
-                exact = [t.conjunct for t in plan.terms if t.exact]
-                with self.telemetry.span("Selection",
-                                         terms=len(plan.terms)) as span:
+                selection, operator = found
+                exact = [t.conjunct for t in selection.terms if t.exact]
+                with self.telemetry.span(
+                        "Selection", terms=len(selection.terms)) as span:
                     ids = [node_id for batch in operator.batches()
-                           for node_id in
-                           batch.column(f"${clause.var}").ids.tolist()]
+                           for node_id in batch.column(
+                               f"${step.clause.var}").ids.tolist()]
                     span.set_attribute("rows", len(ids))
                 self._index_cache[key] = (ids, [
-                    c for c in decidable
+                    c for c in step.decidable
                     if not any(c is e for e in exact)])
         return self._index_cache[key]
 
-    def _clause_items(self, clause: ForClause, env: dict,
-                      bound: set[str],
-                      conjuncts: list[Expression] | None = None) -> list:
-        """Items for a for-clause: a registered full-text index answers
-        a ``word-contains`` conjunct (still re-checked afterwards); a
-        binding-independent source is evaluated once."""
-        if conjuncts:
-            from repro.query.optimizer import find_fulltext_plan
-            for conjunct in conjuncts:
-                ft_plan = find_fulltext_plan(conjunct, clause.var)
-                if ft_plan is not None:
-                    items = self._fulltext_access(clause.source,
-                                                  ft_plan)
-                    if items is not None:
-                        return items
-        if free_vars(clause.source) & bound or \
-                not context_free(clause.source):
-            return self.eval(clause.source, env)
-        cache_key = id(clause.source)
-        cached = self._source_cache.get(cache_key)
+    def _clause_items(self, step: ClausePlan, env: dict,
+                      fulltext: bool = False) -> list:
+        """Items for a for-clause: with ``fulltext``, a registered
+        full-text index answers a ``word-contains`` conjunct (still
+        re-checked afterwards); a binding-independent source is
+        evaluated once."""
+        source = step.clause.source
+        if fulltext:
+            for ft_plan in step.fulltexts:
+                items = self._fulltext_access(source, ft_plan)
+                if items is not None:
+                    return items
+        if not (step.independent and step.context_free):
+            return self.eval(source, env)
+        cached = self._source_cache.get(id(source))
         if cached is None:
-            cached = self.eval(clause.source, env)
-            self._source_cache[cache_key] = cached
+            cached = self.eval(source, env)
+            self._source_cache[id(source)] = cached
         return cached
 
     def _fulltext_access(self, source: Expression, plan) -> list | None:
@@ -687,33 +655,28 @@ class _Evaluator:
         set *is* the answer set for the conjunct (which is still
         re-checked upstream, harmlessly).
         """
-        from repro.query.optimizer import is_absolute_simple_path
-        if not is_absolute_simple_path(source):
-            return None
-        if not self.telemetry.enabled:
-            return self._fulltext_access_inner(source, plan)
         with self.telemetry.span("FullTextAccess",
                                  words=sorted(plan.words)) as span:
-            items = self._fulltext_access_inner(source, plan)
+            items = self._indexed_items(source, plan)
             span.set_attribute("rows", len(items)
                                if items is not None else "fallback")
             return items
 
-    def _fulltext_access_inner(self, source: Expression,
-                               plan) -> list | None:
-        assert isinstance(source, PathExpr)
+    def _indexed_items(self, source: PathExpr, plan) -> list | None:
         if source.document is not None:
             return None  # indexes are registered on the default document
-        leaves = self.repository.resolve_path(
+        repository = self._engine.repository
+        leaves = repository.resolve_path(
             leaf_summary_steps(source, plan.leaf_steps))
         if not leaves:
             return []
-        structure = self.repository.structure
+        structure = repository.structure
         matched: set[int] = set()
         for leaf in leaves:
             if leaf.container_path is None:
                 return None
-            index = self._fulltext_indexes.get(leaf.container_path)
+            index = self._engine._fulltext_indexes.get(
+                leaf.container_path)
             if index is None:
                 return None  # no index on this container: evaluate plainly
             self.stats.container_accesses += 1
@@ -730,54 +693,52 @@ class _Evaluator:
 
     # -- hash joins -------------------------------------------------------------------
 
-    def _join_index(self, plan, clause: ForClause, items: list
-                    ) -> "_JoinIndex":
+    def _join_index(self, step: ClausePlan, items: list
+                    ) -> dict[str, list]:
+        """Build index of a hash join: the clause's items by key."""
         # ``items`` of a context-dependent source is a fresh list per
         # evaluation: only the condition under which _clause_items
         # memoises the sequence makes the index reusable.
-        cacheable = context_free(clause.source)
-        index = self._index_cache.get(id(plan.conjunct)) \
-            if cacheable else None
+        join = step.join
+        index = self._index_cache.get(id(join.conjunct)) \
+            if step.context_free else None
         if index is None:
-            index = _JoinIndex()
+            index = {}
             self.stats.hash_joins += 1
             with self.telemetry.span("HashJoin.build",
                                      rows=len(items)):
                 for item in items:
-                    child_env = {clause.var: [item]}
-                    for key in self._key_strings(plan.build_expr,
+                    child_env = {step.clause.var: [item]}
+                    for key in self._key_strings(join.build_expr,
                                                  child_env):
-                        index.add(key, item)
-            if cacheable:
-                self._index_cache[id(plan.conjunct)] = index
+                        index.setdefault(key, []).append(item)
+            if step.context_free:
+                self._index_cache[id(join.conjunct)] = index
         return index
 
     def _key_strings(self, expr: Expression, env: dict) -> list[str]:
         """Join-key values of an expression, as canonical strings."""
-        keys = []
-        for item in self._atomize_sequence(self.eval(expr, env)):
-            keys.append(string_value(item, self.stats))
-        return keys
+        return [string_value(item, self.stats) for item in
+                self._atomize_sequence(self.eval(expr, env))]
 
     # -- theta joins ------------------------------------------------------------------
 
-    def _theta_range(self, clause: ForClause,
-                     decidable: list[Expression], bound: set[str],
-                     env: dict):
+    def _theta_range(self, step: ClausePlan, env: dict):
         """``(conjunct, owners, start, end)``: the slot range of the
         clause's theta join matching this binding; ``None`` for the
-        nested loop.  Classified and built once per execution."""
-        if id(clause) not in self._index_cache:
-            found = assign_theta_join(clause, decidable, bound,
-                                      self._repo, stats=self.stats)
+        nested loop.  Assigned and built once per execution."""
+        if not step.thetas:
+            return None
+        if id(step) not in self._index_cache:
+            found = step.bind_theta(self._repo, stats=self.stats)
             if found is not None:
                 with self.telemetry.span("ThetaJoin.build"):
                     if not found[1].build():
                         found = None
-            self._index_cache[id(clause)] = found
-        if self._index_cache[id(clause)] is None:
+            self._index_cache[id(step)] = found
+        if self._index_cache[id(step)] is None:
             return None
-        plan, join = self._index_cache[id(clause)]
+        plan, join = self._index_cache[id(step)]
         try:
             items = self._atomize_sequence(
                 self.eval(plan.probe_expr, env))
@@ -977,10 +938,8 @@ class _Evaluator:
 
     def _append_content(self, element: Element, item) -> None:
         if isinstance(item, NodeItem):
-            engine = QueryEngine(self.repository, self._collection)
-            element.append(
-                engine.materialize_node(item.node_id, self.stats,
-                                        doc=item.doc))
+            element.append(self._engine.materialize_node(
+                item.node_id, self.stats, doc=item.doc))
         elif isinstance(item, Element):
             element.append(item)
         elif isinstance(item, Text):
@@ -1027,19 +986,6 @@ class _Evaluator:
         PathExpr: _eval_path,
         ElementConstructor: _eval_constructor,
     }
-
-
-class _JoinIndex:
-    """String-keyed build index for FLWOR hash joins."""
-
-    def __init__(self):
-        self._buckets: dict[str, list] = {}
-
-    def add(self, key: str, item) -> None:
-        self._buckets.setdefault(key, []).append(item)
-
-    def lookup(self, key: str) -> list:
-        return self._buckets.get(key, [])
 
 
 class _BindingCounter:

@@ -1,18 +1,22 @@
-"""Query analysis and access-path selection.
+"""Query planning: one walk decides how every FLWOR is evaluated.
 
 The full cost-based optimizer is ongoing work in the paper (§5 notes the
-measured plans do not use it); what the engine does apply — and what
-this module provides — are the §4 evaluation strategies:
+measured plans do not use it); what this module provides are the §4
+evaluation strategies, chosen **once per query**:
 
-* **conjunct analysis** of ``where`` clauses, so equality joins between
-  binding variables are executed with hash/merge joins instead of
-  nested loops (the Figure 5 three-way join shape);
-* **access-path selection**: a comparison between a variable's
-  root-to-leaf path and a constant turns into a ``ContAccess`` interval
-  search on the sorted container, followed by ``Parent`` steps back up —
-  bottom-up evaluation — instead of scanning the variable's whole
-  extent top-down.  :func:`assign_selection` assigns every such
-  conjunct of a for-clause at once, as one operator tree.
+* :func:`plan_query` walks a parsed query with the variables actually
+  in scope and returns a frozen :class:`QueryPlan`: per FLWOR, per
+  clause, the ``where`` conjuncts that become decidable there and the
+  strategy they select (:class:`ClausePlan` holds the precedence).  The
+  engine executes that plan, ``explain`` renders it, the plan cache
+  keeps it — nobody else classifies a conjunct;
+* :func:`bind_plan` binds a plan to repositories and returns the
+  operator trees the Tier-A verifier checks.  Constant selections
+  (:func:`assign_selection`: ``ContAccess`` interval searches on the
+  sorted containers, ``Parent`` steps back up — bottom-up evaluation)
+  and inequality joins (:func:`assign_theta_join`) are the very trees
+  the engine runs; equality joins appear as ``HashJoin`` over the
+  enclosing binding stream.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from repro.query.ast import (
     FLWOR,
     ForClause,
     FunctionCall,
+    LetClause,
     Logical,
     NumberLiteral,
     PathExpr,
@@ -36,55 +41,56 @@ from repro.query.ast import (
     StringLiteral,
     VarRef,
 )
+from repro.query.physical import (ContAccess, ContScan, HashJoin,
+                                  NestedLoopJoin, NodeSet, OpaqueSource,
+                                  Operator, Parent,
+                                  StructureSummaryAccess, ThetaJoin,
+                                  XMLSerialize)
 from repro.storage.summary import TEXT_STEP
 
 
-def free_vars(expression: Expression | None) -> frozenset[str]:
-    """Variables an expression references but does not bind."""
+def _children(expr: Expression) -> tuple[Expression, ...]:
+    """The sub-expressions the evaluator can reach from ``expr``, a
+    FLWOR's in binding order: clause sources, where, order keys,
+    result."""
+    if isinstance(expr, PathExpr):
+        start = () if expr.start is None else (expr.start,)
+        return start + tuple(p for s in expr.steps for p in s.predicates)
+    if isinstance(expr, (Comparison, Logical, Arithmetic)):
+        return (expr.left, expr.right)
+    if isinstance(expr, FunctionCall):
+        return expr.args
+    if isinstance(expr, SequenceExpr):
+        return expr.items
+    if isinstance(expr, FLWOR):
+        where = () if expr.where is None else (expr.where,)
+        return (*(c.source for c in expr.clauses), *where,
+                *(s.key for s in expr.order), expr.result)
+    if isinstance(expr, ElementConstructor):
+        return (*(p for _, parts in expr.attributes for p in parts),
+                *expr.content)
+    return ()  # literals, VarRef, ContextItem
+
+
+def free_vars(expression: Expression | None,
+              bound: frozenset[str] = frozenset()) -> frozenset[str]:
+    """Variables an expression references but does not bind (nor does
+    ``bound``)."""
     if expression is None:
         return frozenset()
-    names: set[str] = set()
-    _collect_free(expression, set(), names)
-    return frozenset(names)
-
-
-def _collect_free(expr: Expression, bound: set[str],
-                  names: set[str]) -> None:
-    if isinstance(expr, VarRef):
-        if expr.name not in bound:
-            names.add(expr.name)
-    elif isinstance(expr, PathExpr):
-        if expr.start is not None:
-            _collect_free(expr.start, bound, names)
-        for step in expr.steps:
-            for predicate in step.predicates:
-                _collect_free(predicate, bound, names)
-    elif isinstance(expr, (Comparison, Logical, Arithmetic)):
-        _collect_free(expr.left, bound, names)
-        _collect_free(expr.right, bound, names)
-    elif isinstance(expr, FunctionCall):
-        for arg in expr.args:
-            _collect_free(arg, bound, names)
-    elif isinstance(expr, SequenceExpr):
-        for item in expr.items:
-            _collect_free(item, bound, names)
-    elif isinstance(expr, FLWOR):
-        inner_bound = set(bound)
-        for clause in expr.clauses:
-            _collect_free(clause.source, inner_bound, names)
-            inner_bound.add(clause.var)
-        if expr.where is not None:
-            _collect_free(expr.where, inner_bound, names)
-        for spec in expr.order:
-            _collect_free(spec.key, inner_bound, names)
-        _collect_free(expr.result, inner_bound, names)
-    elif isinstance(expr, ElementConstructor):
-        for _, parts in expr.attributes:
-            for part in parts:
-                _collect_free(part, bound, names)
-        for item in expr.content:
-            _collect_free(item, bound, names)
-    # Literals, TextLiteral, ContextItem: nothing to collect.
+    if isinstance(expression, VarRef):
+        return frozenset({expression.name}) - bound
+    names: frozenset[str] = frozenset()
+    children = _children(expression)
+    if isinstance(expression, FLWOR):
+        # A clause's variable is bound for whatever follows its source.
+        for clause in expression.clauses:
+            names |= free_vars(clause.source, bound)
+            bound = bound | {clause.var}
+        children = children[len(expression.clauses):]
+    for child in children:
+        names |= free_vars(child, bound)
+    return names
 
 
 def flatten_conjuncts(expression: Expression | None) -> list[Expression]:
@@ -103,12 +109,13 @@ class JoinPlan:
 
     ``build_expr`` references only the clause's variable (plus nothing
     else), so its key index can be cached across outer bindings;
-    ``probe_expr`` references only already-bound variables.
+    ``probe_expr`` references only the already-bound ``probe_vars``.
     """
 
     conjunct: Comparison
     build_expr: Expression
     probe_expr: Expression
+    probe_vars: tuple[str, ...]
 
 
 def find_join_plan(conjunct: Expression, clause_var: str,
@@ -116,17 +123,15 @@ def find_join_plan(conjunct: Expression, clause_var: str,
     """Classify a conjunct as a hash-joinable equality, if it is one."""
     if not isinstance(conjunct, Comparison) or conjunct.op != "=":
         return None
-    left_vars = free_vars(conjunct.left)
-    right_vars = free_vars(conjunct.right)
-    # The probe side must actually reference bound variables; a
-    # variable-vs-constant equality is a selection (RangePlan), not a
-    # join.
-    if left_vars == {clause_var} and right_vars and \
-            right_vars <= bound_vars:
-        return JoinPlan(conjunct, conjunct.left, conjunct.right)
-    if right_vars == {clause_var} and left_vars and \
-            left_vars <= bound_vars:
-        return JoinPlan(conjunct, conjunct.right, conjunct.left)
+    for build, probe in ((conjunct.left, conjunct.right),
+                         (conjunct.right, conjunct.left)):
+        # The probe side must actually reference bound variables; a
+        # variable-vs-constant equality is a selection (RangePlan).
+        probe_vars = free_vars(probe)
+        if free_vars(build) == {clause_var} and probe_vars and \
+                probe_vars <= bound_vars:
+            return JoinPlan(conjunct, build, probe,
+                            tuple(sorted(probe_vars)))
     return None
 
 
@@ -146,6 +151,7 @@ class ThetaPlan:
     scale: float | None
     probe_expr: Expression
     ascend: int
+    probe_vars: tuple[str, ...]
 
 
 def find_theta_plan(conjunct: Expression, clause_var: str,
@@ -174,7 +180,7 @@ def find_theta_plan(conjunct: Expression, clause_var: str,
         steps = _simple_value_steps(key, clause_var)
         if steps is not None:
             return ThetaPlan(conjunct, steps, op, scale, probe,
-                             _ascend(steps))
+                             _ascend(steps), tuple(sorted(probe_vars)))
     return None
 
 
@@ -199,6 +205,15 @@ class RangePlan:
     constant_kind: str = "string"
 
 
+#: comparison -> (bounded below, bounded above, low inclusive, high
+#: inclusive) of ``path <op> constant``.
+_INTERVALS = {"=": (True, True, True, True),
+              "<": (False, True, True, False),
+              "<=": (False, True, True, True),
+              ">": (True, False, False, True),
+              ">=": (True, False, True, True)}
+
+
 def find_range_plan(conjunct: Expression, clause_var: str | None
                     ) -> RangePlan | None:
     """Turn ``$v/simple/path <op> constant`` into a RangePlan
@@ -215,24 +230,14 @@ def find_range_plan(conjunct: Expression, clause_var: str | None
         steps = _simple_value_steps(path_side, clause_var)
         if steps is None:
             continue
-        kind = ("number" if isinstance(const_side, NumberLiteral)
+        if op in _INTERVALS:
+            low, high, low_inclusive, high_inclusive = _INTERVALS[op]
+            return RangePlan(
+                steps, constant if low else None,
+                constant if high else None, low_inclusive,
+                high_inclusive, _ascend(steps),
+                "number" if isinstance(const_side, NumberLiteral)
                 else "string")
-        ascend = _ascend(steps)
-        if op == "=":
-            return RangePlan(steps, constant, constant, True, True,
-                             ascend, kind)
-        if op == "<":
-            return RangePlan(steps, None, constant, True, False,
-                             ascend, kind)
-        if op == "<=":
-            return RangePlan(steps, None, constant, True, True,
-                             ascend, kind)
-        if op == ">":
-            return RangePlan(steps, constant, None, False, True,
-                             ascend, kind)
-        if op == ">=":
-            return RangePlan(steps, constant, None, True, True,
-                             ascend, kind)
     return None
 
 
@@ -365,6 +370,7 @@ class FullTextPlan:
     """A ``word-contains($v/path, "w")`` conjunct answerable by a
     full-text index (§6 extension)."""
 
+    conjunct: FunctionCall
     leaf_steps: tuple[Step, ...]
     words: tuple[str, ...]
     ascend: int
@@ -387,7 +393,7 @@ def find_fulltext_plan(conjunct: Expression, clause_var: str
     words = tuple(needle_arg.value.split())
     if not words:
         return None
-    return FullTextPlan(steps, words, _ascend(steps))
+    return FullTextPlan(conjunct, steps, words, _ascend(steps))
 
 
 def is_absolute_simple_path(expr: Expression) -> bool:
@@ -398,25 +404,19 @@ def is_absolute_simple_path(expr: Expression) -> bool:
                and s.test != "text()" for s in expr.steps)
 
 
-def assign_theta_join(clause: ForClause, decidable: list[Expression],
-                      bound_vars: set[str], repo_of, left=None,
-                      stats=None):
-    """``(ThetaPlan, ThetaJoin)`` for the clause's first theta conjunct
-    whose key path ends at numeric-ordered containers, else ``None``:
-    the assignment the engine runs and the Tier-A sketch verifies.
+def assign_theta_join(clause: ForClause, plans: tuple[ThetaPlan, ...],
+                      repo_of, left=None, stats=None):
+    """``(ThetaPlan, ThetaJoin)`` for the first of the clause's theta
+    candidates whose key path ends at numeric-ordered containers, else
+    ``None``: the assignment the engine runs and the Tier-A verifier
+    checks.
 
-    The source must be an absolute simple path (binding independent,
-    summary-resolvable); ``repo_of`` maps its document name to a
-    repository.  The operator is returned unbuilt.
+    The clause's source is an absolute simple path (``plan_query``
+    keeps no candidate otherwise); ``repo_of`` maps its document name
+    to a repository.  The operator is returned unbuilt.
     """
-    from repro.query.physical import ThetaJoin
-    if not is_absolute_simple_path(clause.source):
-        return None
     repository = repo_of(clause.source.document)
-    for conjunct in decidable:
-        plan = find_theta_plan(conjunct, clause.var, bound_vars)
-        if plan is None:
-            continue
+    for plan in plans:
         paths = [leaf.container_path for leaf in repository.resolve_path(
             leaf_summary_steps(clause.source, plan.leaf_steps))]
         if None in paths:
@@ -447,8 +447,6 @@ def _term_owners(term: SelectionTerm, repository, steps, paths,
     (one row per value): ``ContAccess`` on every container of
     ``paths`` — ``ContScan`` for the existence kinds — and one
     ``Parent`` hop per ``ascend``; several containers united."""
-    from repro.query.physical import (ContAccess, ContScan, NodeSet,
-                                      Parent, StructureSummaryAccess)
     hops = term.range
     # The owner column first, the name of each hop's output after it.
     names = [f"{column}~up{hop}"
@@ -469,11 +467,11 @@ def _term_owners(term: SelectionTerm, repository, steps, paths,
     return owners
 
 
-def assign_selection(clause: ForClause, decidable: list[Expression],
-                     repo_of, stats=None):
+def assign_selection(clause: ForClause, plan: SelectionPlan, repo_of,
+                     stats=None):
     """``(SelectionPlan, operator)`` for the clause's constant
-    selections, else ``None``: the tree the engine runs, the Tier-A
-    verifier checks and ``explain`` describes.
+    selections ``plan``, else ``None``: the tree the engine runs, the
+    Tier-A verifier checks and ``explain`` describes.
 
     The plan keeps the terms the data can answer: every container
     under a term's leaf path must be ordered the way its constant
@@ -486,10 +484,6 @@ def assign_selection(clause: ForClause, decidable: list[Expression],
     ``not-exists`` subtracted (from the source's
     ``StructureSummaryAccess`` when nothing else is left).
     """
-    from repro.query.physical import NodeSet, StructureSummaryAccess
-    plan = find_selection_plan(clause, decidable)
-    if plan is None:
-        return None
     repository = repo_of(plan.source.document)
     column = f"${clause.var}"
     required = len(clause.source.steps[-1].predicates)
@@ -544,26 +538,190 @@ def leaf_summary_steps(source: PathExpr, leaf_steps: tuple[Step, ...]
 
 def context_free(expr: Expression) -> bool:
     """True when the expression never touches the context item."""
-    if isinstance(expr, ContextItem):
-        return False
-    if isinstance(expr, PathExpr):
-        if expr.start is not None and not context_free(expr.start):
-            return False
-        return all(context_free(p) for s in expr.steps
-                   for p in s.predicates)
-    if isinstance(expr, (Comparison, Logical, Arithmetic)):
-        return context_free(expr.left) and context_free(expr.right)
-    if isinstance(expr, FunctionCall):
-        return all(context_free(a) for a in expr.args)
-    if isinstance(expr, SequenceExpr):
-        return all(context_free(i) for i in expr.items)
-    if isinstance(expr, FLWOR):
-        return (all(context_free(c.source) for c in expr.clauses)
-                and (expr.where is None or context_free(expr.where))
-                and all(context_free(s.key) for s in expr.order)
-                and context_free(expr.result))
-    if isinstance(expr, ElementConstructor):
-        return (all(context_free(p) for _, parts in expr.attributes
-                    for p in parts)
-                and all(context_free(c) for c in expr.content))
-    return True
+    return not isinstance(expr, ContextItem) and \
+        all(map(context_free, _children(expr)))
+
+
+@dataclass(frozen=True)
+class ClausePlan:
+    """How one for/let clause of a FLWOR is evaluated.
+
+    ``decidable``: the ``where`` conjuncts whose variables are all
+    bound once this clause's is.  A source that is ``independent`` (of
+    every variable bound so far) and ``context_free`` is evaluated once
+    per execution.  The strategy is the first candidate present of
+    ``join`` (an equality against bound variables; only over an
+    ``independent`` source, and nothing below it is kept), ``thetas``
+    (inequalities against them), ``selection`` (constant terms),
+    ``fulltexts`` (``word-contains``); else every binding of the source
+    checks every ``decidable`` conjunct.  The later candidates are what
+    the engine falls back to when the data refuse an earlier one.
+    """
+
+    clause: ForClause | LetClause
+    decidable: tuple[Expression, ...] = ()
+    independent: bool = False
+    context_free: bool = False
+    join: JoinPlan | None = None
+    thetas: tuple[ThetaPlan, ...] = ()
+    selection: SelectionPlan | None = None
+    fulltexts: tuple[FullTextPlan, ...] = ()
+
+    @property
+    def strategy(self):
+        return self.join or next(iter(self.thetas), None) or \
+            self.selection or next(iter(self.fulltexts), None)
+
+    def rest(self, conjunct: Expression) -> tuple[Expression, ...]:
+        """``decidable`` less the conjunct a join already decided."""
+        return tuple(c for c in self.decidable if c is not conjunct)
+
+    def bind_theta(self, repo_of, left=None, stats=None):
+        return assign_theta_join(self.clause, self.thetas, repo_of, left,
+                                 stats) if self.thetas else None
+
+    def bind_selection(self, repo_of, stats=None):
+        return assign_selection(self.clause, self.selection, repo_of,
+                                stats) if self.selection else None
+
+
+@dataclass(frozen=True)
+class FlworPlan:
+    """A FLWOR's clauses in order, and the ``where`` conjuncts no
+    for-clause decides (checked after the last one)."""
+
+    flwor: FLWOR
+    clauses: tuple[ClausePlan, ...]
+    residual: tuple[Expression, ...]
+
+
+@dataclass(frozen=True)
+class QueryPlan:
+    """Every FLWOR the evaluator can reach, outermost first, and the
+    absolute simple paths that are no for-clause's access path: a value
+    (equal queries plan equal) shared across sessions and threads."""
+
+    flwors: tuple[FlworPlan, ...]
+    paths: tuple[PathExpr, ...]
+
+    def by_node(self) -> dict[int, FlworPlan]:
+        """The FLWOR plans by ``id()`` of their FLWOR node (the plan
+        keeps the nodes alive): how a walk of the planned AST finds
+        the plan of the FLWOR it stands on."""
+        return {id(plan.flwor): plan for plan in self.flwors}
+
+
+def plan_query(ast: Expression) -> QueryPlan:
+    """Plan every FLWOR of a parsed query, once.
+
+    Variables in scope are the enclosing for/let variables plus the
+    query's free variables — external bindings, bound before anything
+    runs."""
+    flwors: list = []
+    paths: list[PathExpr] = []
+    _plan(ast, free_vars(ast), flwors, paths)
+    return QueryPlan(tuple(flwors), tuple(paths))
+
+
+def _plan(expr: Expression, scope: frozenset[str], flwors: list,
+          paths: list[PathExpr]) -> None:
+    if not isinstance(expr, FLWOR):
+        if is_absolute_simple_path(expr) and expr.steps:
+            paths.append(expr)
+        for child in _children(expr):
+            _plan(child, scope, flwors, paths)
+        return
+    slot = len(flwors)
+    flwors.append(None)  # outermost first
+    pending = flatten_conjuncts(expr.where)
+    clauses = []
+    for clause in expr.clauses:
+        planned = ClausePlan(clause)
+        if isinstance(clause, ForClause):
+            planned, pending = _plan_clause(clause, pending, scope)
+        # A for-clause's summary-resolved source is its access path.
+        if isinstance(clause, LetClause) or \
+                not is_absolute_simple_path(clause.source):
+            _plan(clause.source, scope, flwors, paths)
+        clauses.append(planned)
+        scope = scope | {clause.var}
+    for child in _children(expr)[len(expr.clauses):]:
+        _plan(child, scope, flwors, paths)
+    flwors[slot] = FlworPlan(expr, tuple(clauses), tuple(pending))
+
+
+def _plan_clause(clause: ForClause, pending: list[Expression],
+                 bound: frozenset[str]
+                 ) -> tuple[ClausePlan, list[Expression]]:
+    """Classify a for-clause: its plan, and the conjuncts of
+    ``pending`` still undecidable once its variable is bound."""
+    now_bound = bound | {clause.var}
+    decidable: list[Expression] = []
+    later: list[Expression] = []
+    for conjunct in pending:
+        (decidable if free_vars(conjunct) <= now_bound
+         else later).append(conjunct)
+
+    def found(find, *scope) -> tuple:
+        plans = (find(c, clause.var, *scope) for c in decidable)
+        return tuple(p for p in plans if p is not None)
+
+    independent = not free_vars(clause.source) & bound
+    joins = found(find_join_plan, bound) if independent else ()
+    # Positional joins and index lookups need the summary to resolve
+    # the source; the selection strips last-step predicates itself.
+    simple = not joins and is_absolute_simple_path(clause.source)
+    return ClausePlan(
+        clause, tuple(decidable), independent,
+        context_free(clause.source), joins[0] if joins else None,
+        thetas=found(find_theta_plan, bound) if simple else (),
+        selection=None if joins else
+        find_selection_plan(clause, decidable),
+        fulltexts=found(find_fulltext_plan) if simple else ()), later
+
+
+def bind_plan(plan: QueryPlan, repo_of) -> list[Operator]:
+    """The plan's operator trees over the repositories ``repo_of``
+    names, each under ``XMLSerialize``: one per FLWOR — its for-clauses
+    joined left to right — and one per absolute path."""
+    trees = [XMLSerialize(_bind_flwor(f, repo_of), ())
+             for f in plan.flwors]
+    return trees + [
+        XMLSerialize(_source_access(path, "$path", repo_of), ("$path",))
+        for path in plan.paths]
+
+
+def _source_access(source: Expression, column: str, repo_of) -> Operator:
+    if is_absolute_simple_path(source) and source.steps:
+        return StructureSummaryAccess(
+            repo_of(source.document),
+            [(s.axis, s.test) for s in source.steps], column)
+    return OpaqueSource(f"{column} in opaque source")
+
+
+def _bind_flwor(plan: FlworPlan, repo_of) -> Operator:
+    tree = None
+    for step in plan.clauses:
+        clause = step.clause
+        if isinstance(clause, LetClause):
+            continue
+        column = f"${clause.var}"
+        if tree is None and (step.join or step.thetas):
+            # A nested FLWOR joining against outer variables: the
+            # binding stream it runs under is its left input.
+            tree = OpaqueSource("enclosing bindings")
+        theta = step.bind_theta(repo_of, left=tree)
+        if theta is not None:
+            tree = theta[1]
+            continue
+        selection = step.bind_selection(repo_of)
+        access = selection[1] if selection is not None else \
+            _source_access(clause.source, column, repo_of)
+        if tree is None:
+            tree = access
+        elif step.join is not None:
+            # Key expressions are general: the columns stay undeclared.
+            tree = HashJoin(tree, access, left_key=None, right_key=None)
+        else:
+            tree = NestedLoopJoin(tree, access, None)
+    return tree if tree is not None else OpaqueSource("empty FLWOR")

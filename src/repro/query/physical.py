@@ -279,6 +279,18 @@ class StructureSummaryAccess(Operator):
                 self._column: NodeColumn(ids[start:start + size])})
 
 
+class OpaqueSource(Operator):
+    """Plan placeholder for a row stream no operator produces — a
+    for-clause source evaluated per binding, the bindings enclosing a
+    nested FLWOR; the verifier treats it as an open schema."""
+
+    def __init__(self, label: str):
+        self.label = label
+
+    def _batches(self, size: int) -> Iterator[RecordBatch]:
+        return iter(())
+
+
 class Child(Operator):
     """Append each input node's children (optionally tag-filtered).
 

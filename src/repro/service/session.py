@@ -7,13 +7,13 @@ A :class:`Database` holds one loaded
 caches tied to it; a :class:`Session` is the unit of query serving over
 it — the one public way to run queries:
 
-* :meth:`Session.prepare` parses and statically verifies a query
-  **once**, returning a :class:`PreparedQuery` that re-runs any number
-  of times (optionally under fresh constant bindings) without touching
-  the parser or the plan verifier again;
+* :meth:`Session.prepare` parses, plans and statically verifies a
+  query **once**, returning a :class:`PreparedQuery` that re-runs any
+  number of times (optionally under fresh constant bindings) without
+  touching the parser, the planner or the plan verifier again;
 * every textual ``execute`` goes through the LRU **plan cache** keyed
-  on normalized query text — a warm hit skips parse + verification
-  entirely (``cache.plan.hit`` counts it);
+  on normalized query text — a warm hit skips parse + planning +
+  verification entirely (``cache.plan.hit`` counts it);
 * the engine underneath evaluates over a
   :class:`~repro.service.blocks.CachedRepositoryView`, so decoded
   container records and structure-summary resolutions are memoised in
@@ -30,13 +30,14 @@ from __future__ import annotations
 import threading
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.workload import WorkloadRecorder
 from repro.query.ast import Expression
-from repro.query.engine import QueryEngine, QueryResult
+from repro.query.engine import QueryEngine, QueryResult, VerifiedPlan
 from repro.query.options import ExecutionOptions
 from repro.query.parser import parse_query
 from repro.service.blocks import CachedRepositoryView
@@ -61,21 +62,23 @@ from repro.util.clock import elapsed_ns, now_ns
 
 
 class PreparedPlan:
-    """The cacheable product of parse + static verification.
+    """The cacheable product of parse + planning + verification: the
+    AST and its :class:`~repro.query.engine.VerifiedPlan`, the very
+    object every run executes.
 
     Holds no session reference, so one plan cache can back several
     sessions over the same repository; a :class:`PreparedQuery` binds a
     plan to the session it will run on.
     """
 
-    __slots__ = ("key", "text", "ast", "diagnostics", "query_class")
+    __slots__ = ("key", "text", "ast", "verified", "query_class")
 
     def __init__(self, key: str | None, text: str | None,
-                 ast: Expression, diagnostics: list):
+                 ast: Expression, verified: VerifiedPlan):
         self.key = key
         self.text = text
         self.ast = ast
-        self.diagnostics = diagnostics
+        self.verified = verified
         #: SLO bucket the plan's serving latencies are filed under
         #: (computed once here, reused by every cached-plan run).
         self.query_class = classify_query(ast)
@@ -85,7 +88,7 @@ class PreparedPlan:
 
 
 class PreparedQuery:
-    """A parsed, verified query bound to a session, ready to re-run."""
+    """A planned, verified query bound to a session, ready to re-run."""
 
     __slots__ = ("session", "plan")
 
@@ -106,11 +109,11 @@ class PreparedQuery:
     @property
     def diagnostics(self) -> list:
         """The static verifier's findings, computed at prepare time."""
-        return self.plan.diagnostics
+        return self.plan.verified.diagnostics
 
     def run(self, options: ExecutionOptions | None = None, *,
             bindings: dict | None = None) -> QueryResult:
-        """Execute the prepared plan (parse/verify already paid).
+        """Execute the prepared plan (parse/plan/verify already paid).
 
         ``bindings`` rebinds external ``$variables`` to new constants
         for this run only — the prepared-statement idiom: one plan,
@@ -155,7 +158,6 @@ class Session:
                  journal=None,
                  recorder: WorkloadRecorder | None = None,
                  slow_log: SlowQueryLog | None = None,
-                 verify_plans: bool = True,
                  telemetry_enabled: bool = False):
         self.repository = repository
         self.collection = dict(collection) if collection else {}
@@ -177,8 +179,7 @@ class Session:
         self._view = CachedRepositoryView(repository, self.block_cache)
         self.engine = QueryEngine(
             self._view, collection=self.collection or None,
-            telemetry_enabled=telemetry_enabled,
-            verify_plans=verify_plans, recorder=recorder)
+            telemetry_enabled=telemetry_enabled, recorder=recorder)
         self._raw_engine: QueryEngine | None = None
         self._engine_lock = threading.Lock()
         #: serializes runs that activate the process-wide telemetry /
@@ -191,12 +192,13 @@ class Session:
 
     def prepare(self, query: str | Expression,
                 use_cache: bool = True) -> PreparedQuery:
-        """Parse + statically verify once; re-run many times.
+        """Parse + plan + statically verify once; re-run many times.
 
         Textual queries go through the plan cache (keyed on normalized
-        text); a hit returns without touching the parser or the
-        verifier.  Verification *errors* surface here, at prepare time
-        — a plan that cannot run is never cached.
+        text); a hit returns without touching the parser, the planner
+        or the verifier.  Verification *errors* surface here, at
+        prepare time (:meth:`QueryEngine.plan` raises them) — a plan
+        that cannot run is never cached.
         """
         self.metrics.add("session.prepares")
         if isinstance(query, Expression):
@@ -217,13 +219,7 @@ class Session:
         if ast is None:
             self.metrics.add("session.parses")
             ast = parse_query(text)
-        diagnostics: list = []
-        if self.engine.verify_plans:
-            diagnostics = self.engine.verify(ast)
-            if any(d.severity == "error" for d in diagnostics):
-                from repro.errors import PlanVerificationError
-                raise PlanVerificationError(diagnostics)
-        return PreparedPlan(key, text, ast, diagnostics)
+        return PreparedPlan(key, text, ast, self.engine.plan(ast))
 
     # -- executing -----------------------------------------------------------
 
@@ -297,16 +293,10 @@ class Session:
         start_ns = now_ns()
         failed = True
         try:
-            if telemetry_on or record:
-                with self._activation_lock:
-                    result = engine.execute(
-                        prepared.ast, options,
-                        diagnostics=prepared.diagnostics,
-                        label=prepared.plan.text)
-            else:
+            with self._activation_lock if telemetry_on or record \
+                    else nullcontext():
                 result = engine.execute(
-                    prepared.ast, options,
-                    diagnostics=prepared.diagnostics,
+                    prepared.ast, options, plan=prepared.plan.verified,
                     label=prepared.plan.text)
             failed = False
             return result
@@ -343,7 +333,6 @@ class Session:
                     self.repository,
                     collection=self.collection or None,
                     telemetry_enabled=self.telemetry_enabled,
-                    verify_plans=self.engine.verify_plans,
                     recorder=self.recorder)
                 # Full-text indexes are registered once per session;
                 # both engines must see the same registrations.

@@ -124,7 +124,6 @@ class WorkerSettings:
 
     plan_capacity: int = DEFAULT_PLAN_CAPACITY
     block_budget: int = DEFAULT_BLOCK_BUDGET
-    verify_plans: bool = True
 
 
 class _Shutdown(Exception):
@@ -154,7 +153,7 @@ def _worker_main(conn, repository, collection, shard_id: int,
                         block_budget=settings.block_budget)
     database.metrics.set_gauge("shard.id", shard_id)
     database.metrics.set_gauge("shard.pid", os.getpid())
-    session = database.session(verify_plans=settings.verify_plans)
+    session = database.session()
     try:
         while not stopping:
             try:
@@ -405,8 +404,7 @@ class ShardedDatabase:
                  slow_log=None,
                  admission: AdmissionController | None = None,
                  plan_capacity: int = DEFAULT_PLAN_CAPACITY,
-                 block_budget: int = DEFAULT_BLOCK_BUDGET,
-                 verify_plans: bool = True):
+                 block_budget: int = DEFAULT_BLOCK_BUDGET):
         self.repository = repository
         self.collection = dict(collection) if collection else {}
         if assignment is None:
@@ -420,8 +418,7 @@ class ShardedDatabase:
         self.admission = admission if admission is not None \
             else AdmissionController()
         self.settings = WorkerSettings(plan_capacity=plan_capacity,
-                                       block_budget=block_budget,
-                                       verify_plans=verify_plans)
+                                       block_budget=block_budget)
         self._workers: list[ShardWorker] = []
         self._routes: dict[str, Route] = {}
         self._routes_lock = threading.Lock()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import QueryError
 from repro.query.engine import QueryEngine
+from repro.query.options import ExecutionOptions
 from repro.storage.loader import load_document
 
 DOC = """
@@ -130,6 +131,7 @@ class TestFLWOR:
         id is recycled, another group's index."""
         from repro.baselines.galax import GalaxEngine
         from repro.query.engine import _Evaluator
+        from repro.query.optimizer import plan_query
         from repro.query.parser import parse_query
         doc = "<doc>" + "".join(
             f"<g><k>{i}</k><t><v>{i + i % 2}</v></t></g>"
@@ -140,10 +142,52 @@ class TestFLWOR:
         evens = "\n".join(str(i) for i in range(0, 40, 2))
         assert engine.execute(query).to_xml() == evens \
             == GalaxEngine(doc).execute_to_xml(query)
-        evaluator = _Evaluator(engine.repository)
-        evaluator.eval(parse_query(query), {})
+        ast = parse_query(query)
+        evaluator = _Evaluator(engine, plan_query(ast))
+        evaluator.eval(ast, {})
         assert evaluator.stats.hash_joins == 40
         assert len(evaluator._index_cache) <= 1
+
+    def test_prepared_query_runs_without_planning_again(self, monkeypatch):
+        """Plan once: after ``prepare`` nothing classifies a conjunct,
+        computes a free-variable set or looks at a source again — the
+        evaluator only dispatches on the prepared ``QueryPlan``."""
+        from repro.query import optimizer
+        from repro.service.session import Session
+        session = Session(load_document(DOC))
+        queries = {
+            "for $p in /site/people/person, $a in /site/auctions/auction "
+            "where $a/buyer/@person = $p/@id and $a/price/text() >= 10 "
+            "return $p/name/text()": ["Alice", "Bob"],
+            "count(for $p in /site/people/person, "
+            "$a in /site/auctions/auction "
+            "where $a/price/text() < 0.5 * $p/age/text() return $a)":
+                [6.0],
+            'for $p in /site/people/person[city/text() = "Paris"] '
+            "where $p/age/text() > 40 return <p>{count("
+            "for $a in /site/auctions/auction "
+            "where $a/buyer/@person = $p/@id return $a)}</p>": ["<p>0</p>"],
+            "for $p in /site/people/person for $c in $p/city "
+            "where $c/text() = $p/city/text() and $p/@id = $wanted "
+            "return $c/text()": ["Lyon"],
+        }
+        prepared = {text: session.prepare(text) for text in queries}
+
+        def planned_twice(*args, **kwargs):
+            raise AssertionError("planned again after prepare")
+
+        for name in ("free_vars", "context_free", "flatten_conjuncts",
+                     "find_join_plan", "find_theta_plan",
+                     "find_selection_plan", "find_range_plan",
+                     "find_fulltext_plan", "plan_query"):
+            monkeypatch.setattr(optimizer, name, planned_twice)
+        for text, expected in queries.items():
+            for _ in range(2):
+                result = prepared[text].run(bindings={"wanted": "person1"})
+                assert result.values() == expected
+            assert session.execute(
+                text, ExecutionOptions(bindings={"wanted": "person1"})
+            ).values() == expected  # plan-cache hit
 
     def test_count_of_bindings_matches_counting_items(self, engine):
         """count(for … return $forvar) counts bindings without

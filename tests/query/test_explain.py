@@ -44,6 +44,17 @@ class TestExplain:
         assert "HashJoin" in plan
         assert "build side cacheable" in plan
 
+    def test_hash_join_needs_a_binding_independent_source(self):
+        """The engine hash-joins only over a source it can evaluate
+        once; over ``$p/watches/watch`` the equality is checked per
+        binding, and EXPLAIN says so."""
+        plan = explain(
+            "for $p in /site/people/person for $w in $p/watches/watch "
+            "where $w/@open_auction = $p/@id return $w")
+        assert "HashJoin" not in plan
+        assert "navigate $p/watches/watch" in plan
+        assert "Select (evaluated per binding" in plan
+
     def test_theta_join_reported(self):
         join = ("for $a in /site/auctions/auction, $p in {source} "
                 "where {where} return $p")

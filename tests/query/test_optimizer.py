@@ -2,6 +2,10 @@
 
 from repro.query.ast import Comparison, NumberLiteral, StringLiteral
 from repro.query.optimizer import (
+    FullTextPlan,
+    JoinPlan,
+    SelectionPlan,
+    ThetaPlan,
     context_free,
     find_join_plan,
     find_range_plan,
@@ -10,6 +14,7 @@ from repro.query.optimizer import (
     flatten_conjuncts,
     free_vars,
     is_absolute_simple_path,
+    plan_query,
 )
 from repro.query.parser import parse_query
 
@@ -395,34 +400,140 @@ class TestVerifierAgreement:
             ContainerGroup(("/a/b/c/#text",), codec)])
         return load_document(xml, configuration=configuration)
 
+    def _verify(self, codec: str, query: str):
+        from repro.query.engine import QueryEngine
+        return QueryEngine(self._repo(codec)).verify(query)
+
     def test_flipped_ineq_on_order_preserving_codec_clean(self):
-        from repro.lint.compile import verify_query
-        repo = self._repo("alm")
-        diagnostics = verify_query(parse_query(
-            'for $v in /a/b where "v03" < $v/c/text() return $v'),
-            repo)
+        diagnostics = self._verify(
+            "alm", 'for $v in /a/b where "v03" < $v/c/text() return $v')
         assert diagnostics == []
 
     def test_flipped_ineq_on_order_agnostic_codec_degrades(self):
-        """huffman cannot answer the flipped `<` compressed: the sketch
+        """huffman cannot answer the flipped `<` compressed: the plan
         decompresses first, so no error — only the pivot warning."""
-        from repro.lint.compile import verify_query
-        repo = self._repo("huffman")
-        diagnostics = verify_query(parse_query(
-            'for $v in /a/b where "v03" < $v/c/text() return $v'),
-            repo)
+        diagnostics = self._verify(
+            "huffman",
+            'for $v in /a/b where "v03" < $v/c/text() return $v')
         assert [d.severity for d in diagnostics] == ["warning"]
         assert [d.rule for d in diagnostics] == \
             ["plan.interval-decompressing"]
 
     def test_flipped_and_direct_forms_agree(self):
-        from repro.lint.compile import verify_query
-        repo = self._repo("hutucker")
-        direct = verify_query(parse_query(
-            'for $v in /a/b where $v/c/text() > "v03" return $v'),
-            repo)
-        flipped = verify_query(parse_query(
-            'for $v in /a/b where "v03" < $v/c/text() return $v'),
-            repo)
+        direct = self._verify(
+            "hutucker",
+            'for $v in /a/b where $v/c/text() > "v03" return $v')
+        flipped = self._verify(
+            "hutucker",
+            'for $v in /a/b where "v03" < $v/c/text() return $v')
         assert [d.rule for d in direct] == [d.rule for d in flipped]
         assert direct == flipped == []
+
+
+class TestPlanQuery:
+    """One walk, real scopes, one precedence."""
+
+    @staticmethod
+    def strategies(query: str):
+        """Per FLWOR (outermost first), its clauses' chosen strategy."""
+        return [[type(step.strategy).__name__ for step in flwor.clauses]
+                for flwor in plan_query(parse_query(query)).flwors]
+
+    def test_inner_flwor_sees_outer_variables_as_bound(self):
+        for nest in ("let $a := {} return count($a)",
+                     "return <n>{{{}}}</n>",
+                     "return count({})",
+                     "where not(empty({})) return $p",
+                     "order by count({}) return $p",
+                     'return <n k="{{{}}}"/>'):
+            inner = "for $t in /s/t where $t/@p = $p/@id return $t"
+            outer, nested = plan_query(parse_query(
+                "for $p in /s/p " + nest.format(inner))).flwors
+            assert outer.clauses[0].strategy is None
+            join = nested.clauses[0].join
+            assert join.probe_vars == ("p",), nest
+            assert nested.residual == ()
+
+    def test_let_variables_and_external_bindings_are_bound(self):
+        (flwor,) = plan_query(parse_query(
+            "for $t in /s/t where $t/@p = $wanted return $t")).flwors
+        assert flwor.clauses[0].join.probe_vars == ("wanted",)
+        outer, nested = plan_query(parse_query(
+            "for $p in /s/p let $k := $p/@id return "
+            "for $t in /s/t where $t/@p = $k return $t")).flwors
+        assert [type(c.clause).__name__ for c in outer.clauses] == \
+            ["ForClause", "LetClause"]
+        assert nested.clauses[0].join.probe_vars == ("k",)
+
+    def test_step_predicates_and_function_arguments_are_visited(self):
+        plan = plan_query(parse_query(
+            "/s/g[count(for $x in k, $t in t "
+            "where $t/v/text() = $x/text() return $t) > 0]/k"))
+        (flwor,) = plan.flwors
+        first, second = flwor.clauses
+        assert first.independent and not first.context_free
+        assert isinstance(second.strategy, JoinPlan)
+        assert plan.paths == ()  # predicated: not summary-resolvable
+
+    def test_conjuncts_are_decided_at_the_first_clause_binding_them(self):
+        (flwor,) = plan_query(parse_query(
+            "for $a in /s/a, $b in /s/b, $c in /s/c where $c/@x = $a/@x "
+            'and $a/k/text() = "1" and $b/@y = $a/@y and $q/z return $a'
+        )).flwors
+        assert [len(c.decidable) for c in flwor.clauses] == [2, 1, 1]
+        assert flwor.residual == ()  # $q is external: bound from the start
+        assert [type(c.strategy).__name__ for c in flwor.clauses] == \
+            ["SelectionPlan", "JoinPlan", "JoinPlan"]
+
+    def test_precedence_equality_beats_inequality(self):
+        (clauses,) = self.strategies(
+            "for $a in /s/a, $p in /s/p where "
+            "$a/price/text() > 2 * $p/income/text() "
+            "and $a/@buyer = $p/@id return $p")
+        assert clauses == ["NoneType", "JoinPlan"]
+        (flwor,) = plan_query(parse_query(
+            "for $a in /s/a, $p in /s/p where "
+            "$a/price/text() > 2 * $p/income/text() "
+            "and $a/@buyer = $p/@id return $p")).flwors
+        step = flwor.clauses[1]
+        assert step.thetas == () and step.selection is None
+        assert len(step.rest(step.join.conjunct)) == 1
+
+    def test_precedence_equality_needs_an_independent_source(self):
+        (clauses,) = self.strategies(
+            "for $p in /s/p for $w in $p/w where $w/@a = $p/@id "
+            "return $w")
+        assert clauses == ["NoneType", "NoneType"]
+
+    def test_precedence_inequality_beats_selection_beats_fulltext(self):
+        query = ("for $p in /s/p, $a in /s/a where {} "
+                 '$a/k/text() = "x" and word-contains($a/d/text(), "gold")'
+                 " return $a")
+        (flwor,) = plan_query(parse_query(query.format(
+            "$a/price/text() > 2 * $p/income/text() and"))).flwors
+        step = flwor.clauses[1]
+        assert isinstance(step.strategy, ThetaPlan)
+        # The candidates the engine falls back to when the data refuse.
+        assert isinstance(step.selection, SelectionPlan)
+        assert [type(f) for f in step.fulltexts] == [FullTextPlan]
+        (flwor,) = plan_query(parse_query(query.format(""))).flwors
+        assert isinstance(flwor.clauses[1].strategy, SelectionPlan)
+        (flwor,) = plan_query(parse_query(
+            'for $a in /s/a where word-contains($a/d/text(), "gold") '
+            "return $a")).flwors
+        assert isinstance(flwor.clauses[0].strategy, FullTextPlan)
+
+    def test_equal_asts_plan_equal(self):
+        from repro.xmark.queries import XMARK_QUERIES, query_text
+        for query_id in XMARK_QUERIES:
+            first, second = (plan_query(parse_query(query_text(query_id)))
+                             for _ in range(2))
+            assert first == second and hash(first) == hash(second)
+        assert plan_query(parse_query("for $a in /s/a return $a")) != \
+            plan_query(parse_query("for $a in /s/b return $a"))
+
+    def test_absolute_paths_outside_for_sources_are_planned(self):
+        plan = plan_query(parse_query(
+            "for $a in /s/a let $all := /s/b "
+            "where $a/@k = /s/keys/k return count(/s/c)"))
+        assert [len(p.steps) for p in plan.paths] == [2, 3, 2]
