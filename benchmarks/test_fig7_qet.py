@@ -24,9 +24,6 @@ import time
 import pytest
 
 from repro.bench.reporting import format_table, record_result
-from repro.bench.trajectory import (
-    record_point as record_trajectory_point,
-)
 from repro.obs import runtime
 from repro.obs.telemetry import Telemetry
 from repro.query.options import ExecutionOptions
@@ -47,25 +44,13 @@ def test_xquec_qet(benchmark, query_id, xquec_system, galax_engine,
         rounds=3, iterations=1)
     assert result == expected
     # One instrumented run (outside the timed rounds) attaches the
-    # operator counts behind this figure to the result files and one
-    # point to the persistent benchmark trajectory.
+    # operator counts behind this figure to the result files.
     telemetry = Telemetry(enabled=True)
-    start = time.perf_counter()
     with runtime.activated(telemetry):
         xquec_system.query(
             query_text(query_id),
             ExecutionOptions(telemetry=telemetry)).to_xml()
-    wall_s = time.perf_counter() - start
     telemetry_sink(telemetry, experiment=f"fig7_{query_id.lower()}")
-    counters = telemetry.metrics.counters()
-    comparisons = counters.get("compressed_comparisons", 0) \
-        + counters.get("decompressed_comparisons", 0)
-    record_trajectory_point(
-        query=query_id, wall_s=wall_s,
-        compressed_ratio=(counters.get("compressed_comparisons", 0)
-                          / comparisons if comparisons else None),
-        decompressions=counters.get("decompressions", 0),
-        experiment="fig7_qet")
 
 
 @pytest.mark.benchmark(group="fig7-galax")

@@ -1,27 +1,11 @@
-"""Benchmark support: experiment registry, table formatting, the
-persistent trajectory, and the noise-aware regression gate."""
+"""Benchmark support for the paper-figure tables of ``benchmarks/``:
+result-table formatting (:mod:`~repro.bench.reporting`) and their
+collation into ``benchmarks/results/INDEX.md``
+(:mod:`~repro.bench.collate`)."""
 
-from repro.bench.compare import (
-    BASELINE_PATH,
-    CompareEntry,
-    CompareReport,
-    compare_points,
-)
 from repro.bench.reporting import format_table, record_result
-from repro.bench.trajectory import (
-    TRAJECTORY_PATH,
-    load_trajectory,
-    record_point,
-)
 
 __all__ = [
-    "BASELINE_PATH",
-    "CompareEntry",
-    "CompareReport",
-    "compare_points",
     "format_table",
-    "load_trajectory",
-    "record_point",
     "record_result",
-    "TRAJECTORY_PATH",
 ]

@@ -6,8 +6,6 @@ Commands mirror how the paper's system is used:
   optionally workload-driven (one query per line in a file);
 * ``query``      — evaluate an XQuery over a repository;
 * ``trace``      — run a query and emit its telemetry JSON;
-* ``profile``    — run a query under the span-attributed sampling
-  profiler: per-span CPU shares + folded-stack flamegraph export;
 * ``perf``       — serving SLO report (per-query-class latency
   quantiles, cache hit rates) over a batch of queries;
 * ``top``        — live serving console: QPS, rolling latency
@@ -16,11 +14,6 @@ Commands mirror how the paper's system is used:
 * ``serve``      — sharded multi-process serving plane: fork N
   workers partitioned by structure-summary subtree, expose the
   coordinator's ``/metrics`` endpoint, run until interrupted;
-* ``loadgen``    — drive a sharded serving plane with concurrent
-  clients and report p50/p99 latency, QPS and the
-  compressed-vs-plain shipped-bytes ratio;
-* ``bench``      — benchmark trajectory tools; ``bench compare`` is
-  the noise-aware perf-regression gate CI runs;
 * ``stats``      — storage occupancy breakdown of a repository;
 * ``decompress`` — reconstruct the XML document from a repository;
 * ``workload``   — observatory reports over a recorded query journal
@@ -84,9 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--analyze", action="store_true",
                        help="run with telemetry and print the plan "
                             "annotated with actual counts and timings")
-    query.add_argument("--profile", action="store_true",
-                       help="with --analyze: attach the sampling "
-                            "profiler and add the hot-spans section")
     query.add_argument("--record", action="store_true",
                        help="journal this run's workload observation "
                             "for the observatory")
@@ -115,29 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--top-k", type=int, default=None,
                         help="limit hottest-container and "
                              "recommendation listings")
-
-    profile = commands.add_parser(
-        "profile",
-        help="run a query under the span-attributed sampling "
-             "profiler")
-    profile.add_argument("repository", type=Path)
-    profile.add_argument("xquery", help="the query text")
-    profile.add_argument("--hz", type=float, default=None,
-                         help="sampling rate (default 97 Hz)")
-    profile.add_argument("--repeat", type=int, default=1,
-                         help="run the query this many times under "
-                              "one profile (more samples for fast "
-                              "queries; default 1)")
-    profile.add_argument("--flamegraph", type=Path, default=None,
-                         help="write folded stacks here (input for "
-                              "flamegraph.pl / speedscope / inferno)")
-    profile.add_argument("--tracemalloc", action="store_true",
-                         help="also record per-span allocation "
-                              "deltas (slower)")
-    profile.add_argument("--top", type=int, default=10,
-                         help="hot-span rows to print (default 10)")
-    profile.add_argument("--json", action="store_true",
-                         help="emit the full profile as JSON")
 
     perf = commands.add_parser(
         "perf", help="serving performance reports (SLOs)")
@@ -209,50 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--per-client", type=int, default=8,
                        help="admission control: per-client in-flight "
                             "quota (default 8)")
-
-    loadgen = commands.add_parser(
-        "loadgen",
-        help="drive a sharded serving plane and report p50/p99 "
-             "latency, QPS and the shipped-bytes ratio")
-    loadgen.add_argument("repository", type=Path)
-    loadgen.add_argument("--query", action="append", default=None,
-                         help="a query in the mix (repeatable)")
-    loadgen.add_argument("--queries-file", type=Path, default=None,
-                         help="file with one query per line")
-    loadgen.add_argument("--xmark", action="store_true",
-                         help="use the built-in XMark query set as "
-                              "the mix")
-    loadgen.add_argument("--shards", type=int, default=2,
-                         help="worker processes to fork (default 2)")
-    loadgen.add_argument("--rounds", type=int, default=3,
-                         help="times the mix is replayed (default 3)")
-    loadgen.add_argument("--clients", type=int, default=4,
-                         help="concurrent client threads (default 4)")
-    loadgen.add_argument("--max-inflight", type=int, default=64,
-                         help="admission control: global in-flight "
-                              "limit (default 64)")
-    loadgen.add_argument("--per-client", type=int, default=8,
-                         help="admission control: per-client quota "
-                              "(default 8)")
-    loadgen.add_argument("--trajectory", type=Path, default=None,
-                         help="trajectory JSON to append the summary "
-                              "point to (default: the repo-wide "
-                              "BENCH_trajectory.json)")
-    loadgen.add_argument("--no-record", action="store_true",
-                         help="do not write a trajectory point")
-    loadgen.add_argument("--json", action="store_true",
-                         help="emit the report as JSON")
-
-    bench = commands.add_parser(
-        "bench", help="benchmark trajectory tools")
-    bench_commands = bench.add_subparsers(dest="bench_command",
-                                          required=True)
-    bench_compare = bench_commands.add_parser(
-        "compare",
-        help="noise-aware regression gate: fresh trajectory medians "
-             "vs the committed baseline")
-    from repro.bench.compare import add_compare_arguments
-    add_compare_arguments(bench_compare)
 
     trace = commands.add_parser(
         "trace", help="run a query and emit its telemetry JSON")
@@ -343,12 +266,9 @@ def main(argv: list[str] | None = None,
     commands = {
         "compress": _cmd_compress,
         "query": _cmd_query,
-        "profile": _cmd_profile,
         "perf": _cmd_perf,
         "top": _cmd_top,
         "serve": _cmd_serve,
-        "loadgen": _cmd_loadgen,
-        "bench": _cmd_bench,
         "trace": _cmd_trace,
         "stats": _cmd_stats,
         "decompress": _cmd_decompress,
@@ -396,10 +316,8 @@ def _cmd_query(args, out) -> int:
     session = Session(repository, recorder=_recorder_for(args))
     if args.analyze:
         from repro.errors import PlanVerificationError
-        options = ExecutionOptions(profile=True) if args.profile \
-            else None
         try:
-            report = session.analyze(args.xquery, options)
+            report = session.analyze(args.xquery)
         except PlanVerificationError as exc:
             # Surface what the verifier found instead of masking the
             # failure behind a bare error line — and exit non-zero.
@@ -444,56 +362,12 @@ def _recorder_for(args):
     return WorkloadRecorder(WorkloadJournal(journal))
 
 
-def _cmd_profile(args, out) -> int:
-    import json
-
-    from repro.obs.profiler import (
-        DEFAULT_HZ,
-        ProfileOptions,
-        SpanProfiler,
-    )
-
-    repository = load_repository(args.repository)
-    session = Session(repository)
-    profile_options = ProfileOptions(
-        hz=args.hz if args.hz is not None else DEFAULT_HZ,
-        trace_allocations=args.tracemalloc)
-    # One shared telemetry + one profiler attach across every repeat:
-    # short queries only collect enough samples when the sampler does
-    # not restart per run, and materialization (the final Decompress)
-    # happens inside the profiled window.
-    telemetry = Telemetry(enabled=True)
-    profiler = SpanProfiler(profile_options)
-    options = ExecutionOptions(telemetry=telemetry)
-    with runtime.activated(telemetry):
-        with profiler.attach(telemetry.tracer):
-            for _ in range(max(args.repeat, 1)):
-                result = session.execute(args.xquery, options)
-                result.items
-    profile = profiler.profile
-    if args.json:
-        print(json.dumps(profile.to_dict(), indent=2,
-                         sort_keys=True), file=out)
-    else:
-        print(profile.render_text(top=args.top), file=out)
-    if args.flamegraph is not None:
-        profile.write_folded(args.flamegraph)
-        print(f"wrote {len(profile.folded)} folded stacks to "
-              f"{args.flamegraph}", file=out)
-    return 0
-
-
 def _cmd_perf(args, out) -> int:
     import json
 
     from repro.service.slo import LatencyObjective, render_slo_report
 
-    queries = list(args.query or [])
-    if args.queries_file is not None:
-        queries.extend(
-            line.strip() for line in
-            args.queries_file.read_text(encoding="utf-8").splitlines()
-            if line.strip())
+    queries = _read_query_mix(args)
     if not queries:
         print("error: perf report needs --query or --queries-file",
               file=out)
@@ -522,12 +396,7 @@ def _cmd_perf(args, out) -> int:
 def _cmd_top(args, out) -> int:
     from repro.service.top import build_source, run_top
 
-    queries = list(args.query or [])
-    if args.queries_file is not None:
-        queries.extend(
-            line.strip() for line in
-            args.queries_file.read_text(encoding="utf-8").splitlines()
-            if line.strip())
+    queries = _read_query_mix(args)
     try:
         source = build_source(args.target, queries=queries,
                               workers=args.workers,
@@ -539,17 +408,14 @@ def _cmd_top(args, out) -> int:
                    once=args.once)
 
 
-def _read_query_mix(args, out):
-    """The query list for serve/loadgen (None + message when empty)."""
+def _read_query_mix(args) -> list[str]:
+    """``--query`` values plus the non-blank lines of ``--queries-file``."""
     queries = list(getattr(args, "query", None) or [])
     if args.queries_file is not None:
         queries.extend(
             line.strip() for line in
             args.queries_file.read_text(encoding="utf-8").splitlines()
             if line.strip())
-    if getattr(args, "xmark", False):
-        from repro.xmark.queries import XMARK_QUERIES, query_text
-        queries.extend(query_text(qid) for qid in XMARK_QUERIES)
     return queries
 
 
@@ -562,7 +428,7 @@ def _cmd_serve(args, out) -> int:
     )
 
     repository = load_repository(args.repository)
-    queries = _read_query_mix(args, out)
+    queries = _read_query_mix(args)
     admission = AdmissionController(max_inflight=args.max_inflight,
                                     per_client=args.per_client)
     database = ShardedDatabase(repository, shard_count=args.shards,
@@ -589,58 +455,6 @@ def _cmd_serve(args, out) -> int:
             database.gather_metrics()
     print("stopped", file=out)
     return 0
-
-
-def _cmd_loadgen(args, out) -> int:
-    import json
-
-    from repro.bench.loadgen import run_loadgen
-    from repro.service.shards import (
-        AdmissionController,
-        ShardedDatabase,
-    )
-
-    queries = _read_query_mix(args, out)
-    if not queries:
-        print("error: loadgen needs --query, --queries-file or "
-              "--xmark", file=out)
-        return 1
-    repository = load_repository(args.repository)
-    admission = AdmissionController(max_inflight=args.max_inflight,
-                                    per_client=args.per_client)
-    with ShardedDatabase(repository, shard_count=args.shards,
-                         queries=queries,
-                         admission=admission) as database:
-        report = run_loadgen(database, queries, rounds=args.rounds,
-                             clients=args.clients,
-                             trajectory_path=args.trajectory,
-                             record=not args.no_record)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True),
-              file=out)
-    else:
-        print(f"completed {report.completed} queries "
-              f"({report.errors} errors, {report.shed} shed) in "
-              f"{report.wall_s:.2f}s — {report.qps:.1f} QPS", file=out)
-        print(f"latency p50 {report.p50_ms:.2f} ms, "
-              f"p99 {report.p99_ms:.2f} ms", file=out)
-        print(f"cross-shard queries: {report.cross_shard_queries}",
-              file=out)
-        ratio = report.shipped_bytes_ratio
-        print(f"shipped bytes: {report.wire_bytes} wire / "
-              f"{report.plain_bytes} plain "
-              f"(ratio {ratio:.3f})" if ratio is not None else
-              "shipped bytes: none recorded", file=out)
-        for shard, routed in sorted(report.routed_by_shard.items()):
-            print(f"shard {shard}: {routed} queries routed", file=out)
-    return 1 if report.errors else 0
-
-
-def _cmd_bench(args, out) -> int:
-    if args.bench_command == "compare":
-        from repro.bench.compare import run_compare
-        return run_compare(args, out=out)
-    raise AssertionError(args.bench_command)  # pragma: no cover
 
 
 def _cmd_workload(args, out) -> int:

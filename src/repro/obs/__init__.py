@@ -20,10 +20,6 @@ compressed domain, decompression is deferred to serialization — is
 * :class:`~repro.obs.telemetry.Telemetry` — one tracer + one registry
   per query run, JSON-exportable (``to_json``) for benchmark reports
   and the ``repro trace`` CLI;
-* :class:`~repro.obs.profiler.SpanProfiler` — a background sampling
-  profiler that attributes ``sys._current_frames()`` samples to the
-  span stack each thread has open, yielding per-span self/total CPU
-  shares and folded-stack flamegraph exports;
 * :class:`~repro.obs.lockwatch.LockOrderWatchdog` — opt-in runtime
   recorder of per-thread lock acquisition orders, cross-checked
   against the Tier-C static acquisition graph
@@ -54,11 +50,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     WindowedHistogram,
 )
-from repro.obs.profiler import (
-    ProfileOptions,
-    SpanProfile,
-    SpanProfiler,
-)
 from repro.obs.telemetry import Telemetry
 from repro.obs.tracer import Span, Tracer
 from repro.obs.workload import (
@@ -75,10 +66,7 @@ __all__ = [
     "LockOrderViolation",
     "LockOrderWatchdog",
     "MetricsRegistry",
-    "ProfileOptions",
     "Span",
-    "SpanProfile",
-    "SpanProfiler",
     "Telemetry",
     "Tracer",
     "WatchedLock",

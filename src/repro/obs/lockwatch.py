@@ -3,10 +3,10 @@
 The static analyzer (:mod:`repro.lint.concurrency`) proves what lock
 orders *can* happen from the source; this module observes what orders
 *do* happen in a live process and cross-checks the two.  It is opt-in
-and proxy-based, like the profiler's span registry: attach a
-:class:`LockOrderWatchdog`, wrap the locks you care about (or a whole
-:class:`~repro.service.session.Session` via :func:`watch_session`),
-run the workload, then ask the watchdog what it saw:
+and proxy-based: attach a :class:`LockOrderWatchdog`, wrap the locks
+you care about (or a whole :class:`~repro.service.session.Session`
+via :func:`watch_session`), run the workload, then ask the watchdog
+what it saw:
 
 * :meth:`LockOrderWatchdog.violations` — acquisition-order inversions
   actually witnessed: thread A took ``x`` then ``y`` while some thread

@@ -18,8 +18,7 @@ from repro.obs.tracer import Tracer
 class Telemetry:
     """Tracer + metrics registry for one engine run."""
 
-    __slots__ = ("enabled", "tracer", "metrics", "diagnostics",
-                 "profile")
+    __slots__ = ("enabled", "tracer", "metrics", "diagnostics")
 
     def __init__(self, enabled: bool = True,
                  metrics: MetricsRegistry | None = None):
@@ -30,9 +29,6 @@ class Telemetry:
         #: non-fatal plan-verifier findings of the run
         #: (:class:`repro.lint.PlanDiagnostic` objects).
         self.diagnostics: list = []
-        #: the run's :class:`~repro.obs.profiler.SpanProfile` when it
-        #: executed under ``ExecutionOptions(profile=...)``.
-        self.profile = None
 
     def _span_ended(self, span) -> None:
         self.metrics.observe(f"span.{span.name}", span.duration_ns)
@@ -57,16 +53,13 @@ class Telemetry:
 
     def to_dict(self) -> dict:
         """The full JSON-ready telemetry document."""
-        document = {
+        return {
             "enabled": self.enabled,
             "metrics": self.metrics.to_dict(),
             "operators": self.operator_profile(),
             "trace": self.tracer.to_dict(),
             "diagnostics": [d.to_dict() for d in self.diagnostics],
         }
-        if self.profile is not None:
-            document["profile"] = self.profile.to_dict()
-        return document
 
     def to_json(self, indent: int | None = None) -> str:
         """Serialize the telemetry document as JSON."""

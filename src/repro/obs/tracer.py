@@ -5,52 +5,11 @@ nest by dynamic scope, so the finished trace is a forest mirroring the
 evaluation.  A disabled tracer returns one shared no-op span whose
 enter/exit do nothing — the instrumentation cost of a cold engine is a
 boolean test plus a constant return.
-
-The module also hosts the **active-span-path registry** the sampling
-profiler (:mod:`repro.obs.profiler`) reads from its sampler thread:
-while at least one profiler is attached, every tracer publishes its
-open span stack under the executing thread's ident, so a sample taken
-of that thread can be attributed to the span it was inside.  With no
-profiler attached the registry is never touched — the per-span cost is
-one module-global load and a falsy test.
 """
 
 from __future__ import annotations
 
-import threading
 from time import perf_counter_ns
-
-#: count of attached profilers; the registry below is only maintained
-#: while this is nonzero (one global load + falsy test per span else).
-_PROFILING = 0
-
-#: thread ident -> tuple of open span names, root first.  Written by
-#: the thread running the spans, read by the profiler's sampler thread;
-#: assignment/deletion of dict entries is atomic under the GIL.
-_ACTIVE_PATHS: dict[int, tuple[str, ...]] = {}
-
-_PROFILING_LOCK = threading.Lock()
-
-
-def profiling_attach() -> None:
-    """Turn the active-span-path registry on (profiler attach)."""
-    global _PROFILING
-    with _PROFILING_LOCK:
-        _PROFILING += 1
-
-
-def profiling_detach() -> None:
-    """Turn the registry off again once no profiler remains."""
-    global _PROFILING
-    with _PROFILING_LOCK:
-        _PROFILING = max(0, _PROFILING - 1)
-        if _PROFILING == 0:
-            _ACTIVE_PATHS.clear()
-
-
-def active_span_paths() -> dict[int, tuple[str, ...]]:
-    """Snapshot of thread ident -> open span-name path (root first)."""
-    return dict(_ACTIVE_PATHS)
 
 
 class Span:
@@ -136,19 +95,15 @@ class Tracer:
 
     ``on_end`` (optional) is called with each span as it closes — the
     telemetry layer uses it to feed span durations into histograms.
-    ``on_start`` (optional) is called as each span opens — the profiler
-    uses the pair to take allocation snapshots at span boundaries.
     """
 
-    __slots__ = ("enabled", "roots", "_stack", "on_end", "on_start")
+    __slots__ = ("enabled", "roots", "_stack", "on_end")
 
-    def __init__(self, enabled: bool = True, on_end=None,
-                 on_start=None):
+    def __init__(self, enabled: bool = True, on_end=None):
         self.enabled = enabled
         self.roots: list[Span] = []
         self._stack: list[Span] = []
         self.on_end = on_end
-        self.on_start = on_start
 
     def span(self, name: str, **attributes):
         """A context manager timing ``name``; no-op when disabled."""
@@ -167,11 +122,6 @@ class Tracer:
         else:
             self.roots.append(span)
         self._stack.append(span)
-        if _PROFILING:
-            _ACTIVE_PATHS[threading.get_ident()] = \
-                tuple(s.name for s in self._stack)
-        if self.on_start is not None:
-            self.on_start(span)
 
     def _pop(self, span: Span) -> None:
         # Tolerate exits out of order (exceptions unwinding): pop back
@@ -180,13 +130,6 @@ class Tracer:
             top = self._stack.pop()
             if top is span:
                 break
-        if _PROFILING:
-            ident = threading.get_ident()
-            if self._stack:
-                _ACTIVE_PATHS[ident] = \
-                    tuple(s.name for s in self._stack)
-            else:
-                _ACTIVE_PATHS.pop(ident, None)
         if self.on_end is not None:
             self.on_end(span)
 

@@ -60,9 +60,9 @@ def explain_analyze(query: str | Expression, target,
     :class:`~repro.storage.repository.CompressedRepository`.  The query
     runs to full materialization, so the report includes the final
     Decompress step the paper defers to serialization.  ``options``
-    (an :class:`~repro.query.options.ExecutionOptions`) carries extra
-    run knobs — ``profile=`` adds the sampling profiler's "hot spans"
-    section to the report.
+    (an :class:`~repro.query.options.ExecutionOptions`) carries the
+    run's other knobs (bindings, cache switches); its ``telemetry`` is
+    replaced by the report's own.
     """
     from dataclasses import replace
 
@@ -97,9 +97,6 @@ def _render(sketch: str, result, telemetry: Telemetry,
     lines.extend(_counter_section(result.stats))
     lines.append("")
     lines.extend(_compression_section(result.stats, metrics))
-    if telemetry.profile is not None:
-        lines.append("")
-        lines.extend(_hot_spans_section(telemetry))
     if telemetry.diagnostics:
         lines.append("")
         lines.extend(_diagnostics_section(telemetry))
@@ -140,18 +137,6 @@ def _workload_drift_section(engine) -> list[str]:
                        f"(est. saving {rec.saving_total:.1f})")
     else:
         out.append("no recompression recommended")
-    return out
-
-
-def _hot_spans_section(telemetry: Telemetry) -> list[str]:
-    """Where the CPU went inside the spans (sampling profiler).
-
-    Span histograms say how long an operator ran; the profile says
-    which spans the interpreter was actually *executing in* when
-    sampled — self shares sum to at most 100 %.
-    """
-    out = ["-- hot spans (sampling profiler) --"]
-    out.extend(telemetry.profile.render_text(top=8).splitlines())
     return out
 
 

@@ -251,10 +251,7 @@ class QueryEngine:
         if options is None:
             options = ExecutionOptions()
         ast = parse_query(query) if isinstance(query, str) else query
-        # Profiling needs open spans to attribute samples to, so a
-        # profile request implies an enabled telemetry for the run.
-        telemetry = options.resolve_telemetry(
-            self.telemetry_enabled or bool(options.profile))
+        telemetry = options.resolve_telemetry(self.telemetry_enabled)
         if plan is None:
             plan = self.plan(ast)
         telemetry.diagnostics.extend(plan.diagnostics)
@@ -268,15 +265,9 @@ class QueryEngine:
         def run() -> list:
             if not telemetry.enabled:
                 return evaluator.eval(ast, base_env)
-            from repro.obs.profiler import profiled
             with runtime.activated(telemetry):
-                with profiled(telemetry.tracer,
-                              options.profile) as profiler:
-                    with telemetry.span("Execute", query=query_text):
-                        items = evaluator.eval(ast, base_env)
-                if profiler is not None:
-                    telemetry.profile = profiler.profile
-                return items
+                with telemetry.span("Execute", query=query_text):
+                    return evaluator.eval(ast, base_env)
 
         record = options.record
         if record is None:

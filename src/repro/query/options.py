@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
-from repro.obs.profiler import ProfileOptions
 from repro.obs.telemetry import Telemetry
 
 
@@ -39,14 +38,6 @@ class ExecutionOptions:
         evaluation environment, so one prepared query re-runs under
         different constants without re-parsing.  Scalar values are
         wrapped into singleton sequences.
-    ``profile``
-        Attach the span-attributed sampling profiler for this run:
-        ``True`` for defaults, a
-        :class:`~repro.obs.profiler.ProfileOptions` for custom
-        rate/allocation tracing.  Implies an enabled telemetry (the
-        profiler attributes samples to open spans); the finished
-        :class:`~repro.obs.profiler.SpanProfile` lands on
-        ``result.telemetry.profile``.
     """
 
     telemetry: Telemetry | None = None
@@ -55,7 +46,6 @@ class ExecutionOptions:
     use_plan_cache: bool = True
     use_block_cache: bool = True
     bindings: Mapping[str, object] | None = None
-    profile: ProfileOptions | bool | None = None
 
     def with_telemetry(self, telemetry: Telemetry) -> "ExecutionOptions":
         """A copy of these options recording into ``telemetry``."""

@@ -273,13 +273,13 @@ class Session:
         # Slow-query exemplar sampling: every Nth execution runs with
         # a fresh per-run telemetry so an over-threshold run has a
         # span breakdown to attach.  Caller-provided telemetry serves
-        # the same purpose for free; profiled runs already carry one.
+        # the same purpose for free.
         slow_log = self.slow_log
         exemplar_source = options.telemetry
         if slow_log is not None:
             if cache_before is None:
                 cache_before = snapshot_cache_counters(self.metrics)
-            if exemplar_source is None and not options.profile:
+            if exemplar_source is None:
                 sampled = slow_log.maybe_sample()
                 if sampled is not None:
                     options = replace(options, telemetry=sampled)
@@ -287,8 +287,7 @@ class Session:
         telemetry_on = (options.telemetry.enabled
                         if options.telemetry is not None
                         else options.telemetry_enabled
-                        or self.telemetry_enabled
-                        or bool(options.profile))
+                        or self.telemetry_enabled)
         self.metrics.add("session.executions")
         start_ns = now_ns()
         failed = True

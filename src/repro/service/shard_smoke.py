@@ -5,12 +5,11 @@ the whole chain:
 
 1. load a small XMark document, compute the subtree shard placement
    and fork 2 worker processes;
-2. drive a bounded load-generator run (every XMark query, a few
-   rounds, concurrent clients) through the coordinator;
-3. assert the run completed cleanly: zero errors, nonzero completed
-   queries, **nonzero cross-shard queries** (the XMark joins must
-   span the placement), shipped-byte accounting recorded, and a
-   trajectory point written;
+2. replay every XMark query for a few rounds from concurrent
+   threads through the coordinator (``execute_many``);
+3. assert the run completed cleanly: every query answered with zero
+   errors, **nonzero cross-shard queries** (the XMark joins must
+   span the placement) and shipped-byte accounting recorded;
 4. scrape the folded per-shard counters off the coordinator's
    registry and assert every worker reported executions;
 5. shut down via SIGTERM and assert both workers exited (exitcode
@@ -22,31 +21,24 @@ Any broken link fails the job with a named FAIL line.
 from __future__ import annotations
 
 import argparse
-import json
 import signal
 import sys
-import tempfile
-from pathlib import Path
 
 
 def main(argv: list[str] | None = None, out=sys.stdout) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.service.shard_smoke",
         description="end-to-end smoke of the sharded serving plane: "
-                    "placement, workers, loadgen, shutdown")
+                    "placement, workers, queries, shutdown")
     parser.add_argument("--factor", type=float, default=0.002,
                         help="XMark scale factor (default 0.002)")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--shards", type=int, default=2)
     parser.add_argument("--rounds", type=int, default=2)
     parser.add_argument("--clients", type=int, default=4)
-    parser.add_argument("--trajectory", default=None,
-                        help="trajectory JSON path (default: a "
-                             "temporary file; CI archives it)")
     args = parser.parse_args(argv)
 
-    from repro.bench.loadgen import run_loadgen
-    from repro.bench.trajectory import load_trajectory
+    from repro.errors import XQueCError
     from repro.service.shards import ShardedDatabase
     from repro.storage.loader import load_document
     from repro.xmark.generator import generate_xmark
@@ -58,10 +50,6 @@ def main(argv: list[str] | None = None, out=sys.stdout) -> int:
         print(f"{'ok' if ok else 'FAIL'}: {what}", file=out)
         if not ok:
             failures.append(what)
-
-    trajectory = Path(args.trajectory) if args.trajectory else \
-        Path(tempfile.mkdtemp(prefix="shard-smoke-")) \
-        / "BENCH_trajectory.json"
 
     texts = [query_text(qid) for qid in XMARK_QUERIES]
     repository = load_document(generate_xmark(factor=args.factor,
@@ -79,37 +67,28 @@ def main(argv: list[str] | None = None, out=sys.stdout) -> int:
           f"{args.shards} worker processes forked: {pids}")
     check(database.ready(), "coordinator is ready (all workers ping)")
 
-    report = run_loadgen(database, texts, rounds=args.rounds,
-                         clients=args.clients,
-                         experiment="shard-serving-smoke",
-                         trajectory_path=trajectory)
-    expected = len(texts) * args.rounds
-    check(report.completed == expected and report.errors == 0,
-          f"loadgen completed {report.completed}/{expected} "
-          f"queries with 0 errors")
-    check(report.cross_shard_queries > 0,
-          f"cross-shard queries observed "
-          f"({report.cross_shard_queries})")
-    check(report.wire_bytes > 0 and report.plain_bytes > 0,
-          f"shipped-byte accounting recorded "
-          f"({report.wire_bytes}B wire / {report.plain_bytes}B "
-          f"plain)")
-    check(report.p99_ms >= report.p50_ms > 0,
-          f"latency percentiles sane "
-          f"(p50 {report.p50_ms:.2f}ms, p99 {report.p99_ms:.2f}ms)")
-    check(report.qps > 0, f"sustained {report.qps:.1f} QPS")
-
+    batch = texts * max(args.rounds, 1)
+    try:
+        database.execute_many(batch, max_workers=args.clients)
+        failure = ""
+    except XQueCError as exc:
+        failure = f": {exc}"
+    check(not failure,
+          f"all {len(batch)} queries answered with 0 errors{failure}")
     database.gather_metrics()
     counters = database.metrics.counters()
+    cross_shard = counters.get("coordinator.cross_shard_queries", 0)
+    check(cross_shard > 0,
+          f"cross-shard queries observed ({cross_shard})")
+    wire_bytes = counters.get("shipping.wire_bytes", 0)
+    plain_bytes = counters.get("shipping.plain_bytes", 0)
+    check(wire_bytes > 0 and plain_bytes > 0,
+          f"shipped-byte accounting recorded "
+          f"({wire_bytes}B wire / {plain_bytes}B plain)")
     per_shard = [counters.get(f"shard.{i}.session.executions", 0)
                  for i in range(args.shards)]
     check(all(count > 0 for count in per_shard),
           f"every worker executed queries {per_shard}")
-
-    points = load_trajectory(trajectory)
-    check(len(points) == 1 and points[0].get("rolling", {})
-          .get("qps") is not None,
-          f"trajectory point written to {trajectory}")
 
     # SIGTERM-path shutdown: skip the polite pipe op and signal the
     # workers directly, the way a process supervisor stops the plane.
@@ -127,7 +106,6 @@ def main(argv: list[str] | None = None, out=sys.stdout) -> int:
     database._workers = []
     database.close()
 
-    print(json.dumps(report.to_dict(), indent=1), file=out)
     if failures:
         print(f"{len(failures)} shard smoke failure(s)", file=out)
         return 1

@@ -1,4 +1,4 @@
-"""Atomic file replacement for journals and trajectory files.
+"""Atomic file replacement for journals and other observability files.
 
 Observability files are written while queries (or benchmark runs) are
 in flight; a crash mid-write must never leave a truncated JSON/JSONL

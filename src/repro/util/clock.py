@@ -1,12 +1,10 @@
 """The one monotonic clock every measurement layer shares.
 
 Spans (:mod:`repro.obs.tracer`), workload records
-(:mod:`repro.obs.workload`), trajectory points
-(:mod:`repro.bench.trajectory`) and the serving smoke benchmark all
-time things — and before this module they mixed ``perf_counter()``
-seconds with ``perf_counter_ns()`` nanoseconds, so their numbers were
-not directly comparable.  Everything now measures in **integer
-nanoseconds on the same monotonic clock** and converts to seconds only
+(:mod:`repro.obs.workload`), rolling-window metrics
+(:mod:`repro.obs.metrics`) and the serving layer's latency, slow-log
+and SLO accounting (:mod:`repro.service`) all time things in **integer
+nanoseconds on the same monotonic clock** and convert to seconds only
 at the reporting edge.
 """
 
@@ -26,38 +24,3 @@ def now_ns() -> int:
 def elapsed_ns(start_ns: int) -> int:
     """Nanoseconds elapsed since a ``now_ns()`` reading."""
     return perf_counter_ns() - start_ns
-
-
-def ns_to_s(ns: int | float) -> float:
-    """Convert nanoseconds to float seconds (reporting only)."""
-    return ns / NS_PER_S
-
-
-def s_to_ns(seconds: float) -> int:
-    """Convert float seconds to integer nanoseconds."""
-    return round(seconds * NS_PER_S)
-
-
-class Stopwatch:
-    """A tiny restartable timer over :func:`now_ns`.
-
-    ``with Stopwatch() as watch: ...`` — afterwards ``watch.ns`` (and
-    ``watch.seconds``) hold the block's duration.
-    """
-
-    __slots__ = ("start_ns", "ns")
-
-    def __init__(self):
-        self.start_ns = 0
-        self.ns = 0
-
-    def __enter__(self) -> "Stopwatch":
-        self.start_ns = perf_counter_ns()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.ns = perf_counter_ns() - self.start_ns
-
-    @property
-    def seconds(self) -> float:
-        return self.ns / NS_PER_S

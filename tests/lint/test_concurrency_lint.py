@@ -407,7 +407,7 @@ class TestOnRealSources:
         assert {"Session._activation_lock", "PlanCache._lock",
                 "BlockCache._lock", "MetricsRegistry._lock",
                 "WorkloadJournal._lock",
-                "tracer:_PROFILING_LOCK"} <= identities
+                "cli:_SERVE_STOP"} <= identities
 
     def test_static_graph_has_no_cycles_and_session_on_top(self):
         report = lint_concurrency([REPRO_SRC])

@@ -33,7 +33,7 @@ class TestExecutionOptions:
         assert options.use_plan_cache is True
         assert options.use_block_cache is True
         assert options.bindings is None
-        assert len(dataclasses.fields(options)) == 7
+        assert len(dataclasses.fields(options)) == 6
 
     def test_frozen(self):
         with pytest.raises(AttributeError):

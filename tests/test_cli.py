@@ -424,50 +424,26 @@ class TestVerify:
                    for p in corpus.iterdir())
 
 
-class TestProfile:
-    QUERY = ("for $b in /library/book where $b/price > 8.0 "
-             "return $b/title/text()")
-
-    def test_emits_hot_span_table_or_short_run_note(
+class TestRetiredTimingVerbs:
+    def test_verbs_rejected_and_analyze_has_no_hot_spans(
             self, repository_file):
-        code, output = run("profile", str(repository_file),
-                           self.QUERY, "--hz", "500",
-                           "--repeat", "50")
+        for verb in ("bench", "loadgen", "profile"):
+            with pytest.raises(SystemExit) as exit_info:
+                run(verb, str(repository_file))
+            assert exit_info.value.code == 2
+        with pytest.raises(SystemExit) as exit_info:
+            run("query", str(repository_file), "/library/book",
+                "--analyze", "--profile")
+        assert exit_info.value.code == 2
+        code, output = run(
+            "query", str(repository_file),
+            "for $b in /library/book where $b/price > 8.0 "
+            "return $b/title/text()", "--analyze")
         assert code == 0
-        assert "self%" in output or "no samples" in output
-
-    def test_flamegraph_file(self, repository_file, tmp_path):
-        folded = tmp_path / "out.folded"
-        code, output = run("profile", str(repository_file),
-                           self.QUERY, "--hz", "997",
-                           "--repeat", "200",
-                           "--flamegraph", str(folded))
-        assert code == 0
-        assert folded.exists()
-        # acceptance: folded stacks with per-span shares <= 100%
-        for line in folded.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            stack, count = line.rsplit(" ", 1)
-            assert int(count) >= 1
-            assert stack  # span path prefix present
-
-    def test_json_shares_sum_to_at_most_one(self, repository_file):
-        import json as json_module
-        code, output = run("profile", str(repository_file),
-                           self.QUERY, "--hz", "997",
-                           "--repeat", "200", "--json")
-        assert code == 0
-        payload = json_module.loads(output)
-        total = sum(row["self_share"] for row in payload["shares"])
-        assert total <= 1.0 + 1e-9
-
-    def test_query_analyze_profile_renders_hot_spans(
-            self, repository_file):
-        code, output = run("query", str(repository_file),
-                           self.QUERY, "--analyze", "--profile")
-        assert code == 0
-        assert "hot spans" in output
+        assert "hot spans" not in output
+        assert "# -- operators --" in output
+        assert "# -- counters (== QueryResult.stats) --" in output
+        assert "# -- compressed vs decompressed --" in output
 
 
 class TestPerfReport:
@@ -529,37 +505,6 @@ class TestPerfReport:
                            "--slo", "nonsense")
         assert code == 1
         assert "not CLASS:pNN:MILLIS" in output
-
-
-class TestBenchCompare:
-    def make_trajectory(self, path, walls):
-        import json as json_module
-        points = [{"experiment": "smoke", "query": "Q1",
-                   "wall_s": w} for w in walls]
-        path.write_text(json_module.dumps({"points": points}),
-                        encoding="utf-8")
-
-    def test_pass_exits_zero(self, tmp_path):
-        baseline = tmp_path / "base.json"
-        current = tmp_path / "cur.json"
-        self.make_trajectory(baseline, [1.0, 1.0, 1.0])
-        self.make_trajectory(current, [1.0, 1.1, 0.9])
-        code, output = run("bench", "compare",
-                           "--baseline", str(baseline),
-                           "--trajectory", str(current))
-        assert code == 0
-        assert "gate: PASS" in output
-
-    def test_regression_exits_one(self, tmp_path):
-        baseline = tmp_path / "base.json"
-        current = tmp_path / "cur.json"
-        self.make_trajectory(baseline, [1.0, 1.0, 1.0])
-        self.make_trajectory(current, [10.0, 10.0, 10.0])
-        code, output = run("bench", "compare",
-                           "--baseline", str(baseline),
-                           "--trajectory", str(current))
-        assert code == 1
-        assert "regression" in output
 
 
 class TestTop:
