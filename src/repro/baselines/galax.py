@@ -345,7 +345,7 @@ def _function(expr: FunctionCall, env: dict, document) -> list:
         prefix = _string(args[1][0]) if args[1] else ""
         return [hay.startswith(prefix)]
     if name == "word-contains":
-        from repro.query.fulltext import tokenize
+        from repro.query.functions import tokenize
         needle = _string(args[1][0]) if args[1] else ""
         wanted = tokenize(needle)
         if not wanted:

@@ -70,7 +70,8 @@ class HuffmanCodec(Codec):
 
     name = "huffman"
     properties = CompressionProperties(eq=True, ineq=False, wild=True)
-    # Bit-by-bit tree walk per output character: the slowest decoder here.
+    # One table lookup per output character (``fastdecode.PrefixDecoder``):
+    # the unit the other codecs' costs are relative to.
     decompression_cost = 1.0
 
     def __init__(self, lengths: dict[str, int]):

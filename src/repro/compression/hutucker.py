@@ -102,7 +102,7 @@ class HuTuckerCodec(Codec):
 
     name = "hutucker"
     properties = CompressionProperties(eq=True, ineq=True, wild=True)
-    # Same bit-by-bit decode loop as Huffman.
+    # Same table-driven decode loop as Huffman.
     decompression_cost = 1.0
 
     def __init__(self, symbols: Sequence[str], lengths: Sequence[int]):

@@ -172,10 +172,6 @@ class XQueCSystem:
         """Run the query and render the plan with actual counts."""
         return self.session.explain_analyze(query_text)
 
-    def build_fulltext_index(self, container_path: str):
-        """Register a §6 full-text index on one container."""
-        return self.session.build_fulltext_index(container_path)
-
     # -- accounting -------------------------------------------------------------
 
     @property

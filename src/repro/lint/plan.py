@@ -23,7 +23,8 @@ Checked invariants (see :mod:`repro.lint.rules` for the catalog):
   exactly once (§4);
 * operators only reference columns produced upstream;
 * ``ContAccess`` interval search wants a binary-searchable container
-  (§2.2).
+  (§2.2);
+* ``ContSubstring`` wants a container that can index the needle.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ class PlanVerifier:
         self._handlers: dict[str, Callable[[object, str, list[PlanProperties]], PlanProperties]] = {
             "ContScan": self._container_source,
             "ContAccess": self._cont_access,
+            "ContSubstring": self._cont_substring,
             "StructureSummaryAccess": self._summary_access,
             "Child": self._navigation,
             "Parent": self._navigation,
@@ -166,6 +168,20 @@ class PlanVerifier:
                 "search decompresses O(log n) pivot records",
                 "prefer an order-preserving codec (alm/hutucker) for "
                 "range-probed containers")
+        return self._container_source(node, path, children)
+
+    def _cont_substring(self, node: object, path: str,
+                        children: list[PlanProperties]
+                        ) -> PlanProperties:
+        container = node.container  # type: ignore[attr-defined]
+        needle = node.needle  # type: ignore[attr-defined]
+        if not container.substring_indexable(needle):
+            self._report(
+                "plan.substring-not-indexable", path,
+                f"container {container.path!r} has no q-gram "
+                f"candidates for needle {needle!r} (a blob chunk, or "
+                "a needle shorter than q)",
+                "evaluate the predicate per binding")
         return self._container_source(node, path, children)
 
     def _summary_access(self, node: object, path: str,

@@ -80,6 +80,11 @@ _ALL: tuple[Rule, ...] = (
          "ContAccess bounds on an order-agnostic codec: binary search "
          "must decompress O(log n) pivot records",
          "§2.2/§3.2"),
+    Rule("plan.substring-not-indexable", "error",
+         "ContSubstring on a container that cannot answer the needle "
+         "(blob chunk, or needle shorter than the index's q): it has "
+         "no candidate slots to emit",
+         "§4 (bottom-up evaluation from the containers)"),
     Rule("plan.invalid-metadata", "error",
          "declared operator metadata is malformed (e.g. an unknown "
          "predicate kind)",

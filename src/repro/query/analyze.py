@@ -43,8 +43,7 @@ class AnalyzeReport:
 _LINE_METRICS = (
     ("ContAccess interval", "container_accesses", "span.ContAccess"),
     ("ContScan ", "container_scans", "span.ContScan"),
-    ("FullTextIndex lookup", "container_accesses",
-     "span.FullTextAccess"),
+    ("ContSubstring", "container_accesses", "span.ContSubstring"),
     ("HashJoin", "hash_joins", "span.HashJoin.build"),
     ("ThetaJoin", "container_accesses", "span.ThetaJoin.build"),
     ("StructureSummaryAccess", "summary_accesses",

@@ -12,11 +12,13 @@ checks, what the plan cache holds and what the evaluator dispatches on
   (``StructureSummaryAccess``) — never by walking the full structure
   tree (Figure 4);
 * a for-clause's constant selections — ``$v/leaf op constant``,
-  ``empty($v/leaf)``, predicates on the source's last step — run once,
-  as the ``ContAccess → Parent → NodeSet`` operator tree of
+  ``empty($v/leaf)``, ``contains($v/leaf, "literal")``, predicates on
+  the source's last step — run once, as the ``ContAccess → Parent →
+  NodeSet`` operator tree of
   :func:`~repro.query.optimizer.assign_selection` (bottom-up
   strategy); a conjunct the containers' order answers exactly is not
-  evaluated per binding at all;
+  evaluated per binding at all, a ``contains`` is re-checked on the
+  candidates only;
 * equality joins between binding variables run as hash joins with
   cacheable build sides (:class:`~repro.query.optimizer.JoinPlan`)
   over *decoded* keys (``_key_strings``): a default load trains one
@@ -80,7 +82,6 @@ from repro.query.optimizer import (
     FlworPlan,
     QueryPlan,
     bind_plan,
-    leaf_summary_steps,
     plan_query,
 )
 from repro.query.parser import parse_query
@@ -204,7 +205,6 @@ class QueryEngine:
         #: when attached and enabled, every ``execute`` appends one
         #: observation to its workload journal.
         self.recorder = recorder
-        self._fulltext_indexes: dict[str, "FullTextIndex"] = {}
         #: verified plans per parsed query (the AST is kept alive so
         #: its id() cannot be reused by a different expression).  LRU
         #: bounded: a long-lived serving engine must not pin every AST
@@ -219,18 +219,6 @@ class QueryEngine:
         if doc is None:
             return self.repository
         return self.collection.get(doc, self.repository)
-
-    def build_fulltext_index(self, container_path: str):
-        """Build (and register) a §6 full-text index on a container.
-
-        Subsequent ``word-contains`` conjuncts over that container use
-        the inverted index as an access path.
-        """
-        from repro.query.fulltext import FullTextIndex
-        index = FullTextIndex.build(
-            self.repository.container(container_path))
-        self._fulltext_indexes[container_path] = index
-        return index
 
     def execute(self, query: str | Expression,
                 options: ExecutionOptions | None = None,
@@ -578,7 +566,7 @@ class _Evaluator:
                     NodeItem(node_id, clause.source.document), rest,
                     results)
             return
-        for item in self._clause_items(step, env, fulltext=True):
+        for item in self._clause_items(step, env):
             self._bind_and_descend(plan, index, env, item,
                                    step.decidable, results)
 
@@ -619,18 +607,10 @@ class _Evaluator:
                     if not any(c is e for e in exact)])
         return self._index_cache[key]
 
-    def _clause_items(self, step: ClausePlan, env: dict,
-                      fulltext: bool = False) -> list:
-        """Items for a for-clause: with ``fulltext``, a registered
-        full-text index answers a ``word-contains`` conjunct (still
-        re-checked afterwards); a binding-independent source is
+    def _clause_items(self, step: ClausePlan, env: dict) -> list:
+        """Items for a for-clause; a binding-independent source is
         evaluated once."""
         source = step.clause.source
-        if fulltext:
-            for ft_plan in step.fulltexts:
-                items = self._fulltext_access(source, ft_plan)
-                if items is not None:
-                    return items
         if not (step.independent and step.context_free):
             return self.eval(source, env)
         cached = self._source_cache.get(id(source))
@@ -638,49 +618,6 @@ class _Evaluator:
             cached = self.eval(source, env)
             self._source_cache[id(source)] = cached
         return cached
-
-    def _fulltext_access(self, source: Expression, plan) -> list | None:
-        """Inverted-index evaluation of a word-contains conjunct.
-
-        Whole-word semantics make the index exact, so the candidate
-        set *is* the answer set for the conjunct (which is still
-        re-checked upstream, harmlessly).
-        """
-        with self.telemetry.span("FullTextAccess",
-                                 words=sorted(plan.words)) as span:
-            items = self._indexed_items(source, plan)
-            span.set_attribute("rows", len(items)
-                               if items is not None else "fallback")
-            return items
-
-    def _indexed_items(self, source: PathExpr, plan) -> list | None:
-        if source.document is not None:
-            return None  # indexes are registered on the default document
-        repository = self._engine.repository
-        leaves = repository.resolve_path(
-            leaf_summary_steps(source, plan.leaf_steps))
-        if not leaves:
-            return []
-        structure = repository.structure
-        matched: set[int] = set()
-        for leaf in leaves:
-            if leaf.container_path is None:
-                return None
-            index = self._engine._fulltext_indexes.get(
-                leaf.container_path)
-            if index is None:
-                return None  # no index on this container: evaluate plainly
-            self.stats.container_accesses += 1
-            for parent_id in index.lookup_all(list(plan.words)):
-                node_id = parent_id
-                for _ in range(plan.ascend):
-                    up = structure.parent_of(node_id)
-                    if up is None:
-                        break
-                    node_id = up
-                matched.add(node_id)
-        self.stats.summary_accesses += 1
-        return [NodeItem(node_id) for node_id in sorted(matched)]
 
     # -- hash joins -------------------------------------------------------------------
 

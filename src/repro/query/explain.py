@@ -4,8 +4,8 @@
 :class:`~repro.query.optimizer.QueryPlan` — the plan the engine
 executes and the Tier-A verifier checks — as indented text: summary-
 resolvable sources, the strategy each for-clause's conjuncts select
-(hash join, theta join, container selection, full-text lookup or a
-per-binding ``Select``), order-by.  It classifies nothing itself.
+(hash join, theta join, container selection or a per-binding
+``Select``), order-by.  It classifies nothing itself.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.query.ast import (
     VarRef,
 )
 from repro.query.optimizer import (
-    FullTextPlan,
     JoinPlan,
     SelectionPlan,
     SelectionTerm,
@@ -80,7 +79,7 @@ def _explain_flwor(expr: FLWOR, lines: list[str], depth: int,
         chosen = step.strategy
         selected = isinstance(chosen, SelectionPlan)
         # What each conjunct chose: a selection's terms (step
-        # predicates first), else the one join or index lookup.
+        # predicates first), else the one join.
         parts = chosen.terms if selected else \
             () if chosen is None else (chosen,)
         chosen_for = {id(part.conjunct): part for part in parts}
@@ -122,9 +121,6 @@ def _conjunct_text(chosen, var: str) -> str:
                 "comparison)")
     if isinstance(chosen, SelectionTerm):
         return _term_text(chosen, var, "Select per binding")
-    if isinstance(chosen, FullTextPlan):
-        return (f"FullTextIndex lookup {list(chosen.words)} + Parent^"
-                f"{chosen.ascend}")
     return ("Select (evaluated per binding, compressed comparison "
             "when codecs allow)")
 
@@ -133,6 +129,11 @@ def _term_text(term, var: str, fallback: str) -> str:
     """One selection term: its access path and when it is exact."""
     hops = term.range
     leaf = _path_text(PathExpr(VarRef(var), hops.leaf_steps))
+    if term.kind == "substring":
+        return (f"ContSubstring {term.needle!r} on {leaf} + Parent^n "
+                "(q-gram candidates, n per container from the summary; "
+                f"a superset, so re-checked per binding; {fallback} "
+                "where a container cannot index the needle)")
     if term.kind == "interval":
         access = (f"ContAccess interval "
                   f"{'[' if hops.low_inclusive else '('}{hops.low!r}, "

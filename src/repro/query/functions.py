@@ -9,6 +9,8 @@ Huffman-compressed values without decompression.
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import QueryTypeError
 from repro.query.context import (
     CompressedItem,
@@ -17,6 +19,13 @@ from repro.query.context import (
     number_value,
     string_value,
 )
+
+_WORD = re.compile(r"[^\W_]+", re.UNICODE)
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercased word tokens of a text value."""
+    return [match.group(0).lower() for match in _WORD.finditer(text)]
 
 
 def fn_contains(args: list[list], stats: EvaluationStats) -> list:
@@ -57,7 +66,6 @@ def fn_word_contains(args: list[list], stats: EvaluationStats) -> list:
     the value equals the needle (case-insensitive); a multi-word
     needle requires all its words.
     """
-    from repro.query.fulltext import tokenize
     _require_arity("word-contains", args, 2)
     needle = (string_value(args[1][0], stats) if args[1] else "")
     wanted = tokenize(needle)

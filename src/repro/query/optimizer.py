@@ -13,8 +13,9 @@ evaluation strategies, chosen **once per query**:
 * :func:`bind_plan` binds a plan to repositories and returns the
   operator trees the Tier-A verifier checks.  Constant selections
   (:func:`assign_selection`: ``ContAccess`` interval searches on the
-  sorted containers, ``Parent`` steps back up — bottom-up evaluation)
-  and inequality joins (:func:`assign_theta_join`) are the very trees
+  sorted containers, ``ContSubstring`` candidates for ``contains``,
+  ``Parent`` steps back up — bottom-up evaluation) and inequality
+  joins (:func:`assign_theta_join`) are the very trees
   the engine runs; equality joins appear as ``HashJoin`` over the
   enclosing binding stream.
 """
@@ -41,9 +42,10 @@ from repro.query.ast import (
     StringLiteral,
     VarRef,
 )
-from repro.query.physical import (ContAccess, ContScan, HashJoin,
-                                  NestedLoopJoin, NodeSet, OpaqueSource,
-                                  Operator, Parent,
+from repro.query.functions import tokenize
+from repro.query.physical import (ContAccess, ContScan, ContSubstring,
+                                  HashJoin, NestedLoopJoin, NodeSet,
+                                  OpaqueSource, Operator, Parent,
                                   StructureSummaryAccess, ThetaJoin,
                                   XMLSerialize)
 from repro.storage.summary import TEXT_STEP
@@ -191,7 +193,9 @@ class RangePlan:
     ``leaf_steps`` navigates from the clause variable down to the value
     (all plain child/attribute/text steps); ``low``/``high`` bound the
     sorted container; ``ascend`` counts the ``Parent`` hops from the
-    container's parent elements back up to the variable's nodes.
+    container's parent elements back up to the variable's nodes —
+    ``None`` where ``leaf_steps`` has a ``//`` and the count is read
+    per container from the structure summary.
     """
 
     leaf_steps: tuple[Step, ...]
@@ -199,7 +203,7 @@ class RangePlan:
     high: str | None
     low_inclusive: bool
     high_inclusive: bool
-    ascend: int
+    ascend: int | None
     #: "string" or "number" — the access path is only sound when the
     #: container's sort order matches the constant's comparison order.
     constant_kind: str = "string"
@@ -247,17 +251,21 @@ class SelectionTerm:
     reach, as a set of the clause variable's nodes: ``interval`` — the
     owners (``range.ascend`` ``Parent`` hops up) of the values inside
     ``range``'s bounds; ``exists`` — the owners of any value;
-    ``not-exists`` — the source nodes owning none.
+    ``not-exists`` — the source nodes owning none; ``substring`` — every
+    source node above a value that may contain ``needle``.
 
     ``exact``: the access path *is* the reference comparison, so the
     conjunct is not re-checked per binding.  ``assign_selection``
-    clears it, from the data, for blob containers.
+    clears it, from the data, for blob containers; a ``substring`` term
+    never is — ``contains`` reads the first item of its sequence only,
+    ``word-contains`` wants whole words, the candidates are a superset.
     """
 
     conjunct: Expression
     kind: str
     range: RangePlan
     exact: bool = True
+    needle: str | None = None
 
 
 @dataclass(frozen=True)
@@ -272,11 +280,27 @@ class SelectionPlan:
 
 def _selection_term(conjunct: Expression, clause_var: str | None
                     ) -> SelectionTerm | None:
-    """``$v/leaf op const`` (either way round), ``empty($v/leaf)`` or
-    ``not(empty($v/leaf))`` as a term; anything else is ``None``."""
+    """``$v/leaf op const`` (either way round), ``empty($v/leaf)``,
+    ``not(empty($v/leaf))`` or — in a ``where``, which re-checks —
+    ``contains`` / ``word-contains($v/leaf, "literal")`` as a term;
+    anything else is ``None``."""
     plan = find_range_plan(conjunct, clause_var)
     if plan is not None:
         return SelectionTerm(conjunct, "interval", plan)
+    if clause_var is not None and isinstance(conjunct, FunctionCall) \
+            and conjunct.name in ("contains", "word-contains") \
+            and len(conjunct.args) == 2 \
+            and isinstance(conjunct.args[1], StringLiteral):
+        steps = _simple_value_steps(conjunct.args[0], clause_var,
+                                    descendants=True)
+        # Every word must be in the value: the longest selects best.
+        needle = conjunct.args[1].value if conjunct.name == "contains" \
+            else max(tokenize(conjunct.args[1].value), key=len,
+                     default="")
+        return None if steps is None or not needle else SelectionTerm(
+            conjunct, "substring",
+            RangePlan(steps, None, None, True, True, ascend=None),
+            exact=False, needle=needle)
     kind, call = "not-exists", conjunct
     if isinstance(call, FunctionCall) and call.name == "not" and \
             len(call.args) == 1:
@@ -327,12 +351,14 @@ def _constant_string(expr: Expression) -> str | None:
     return None
 
 
-def _simple_value_steps(expr: Expression, clause_var: str | None
+def _simple_value_steps(expr: Expression, clause_var: str | None,
+                        descendants: bool = False
                         ) -> tuple[Step, ...] | None:
     """``$v/a/b/text()`` or ``$v/@id`` -> its steps; else ``None``.
 
     Only predicate-free child/attribute/text chains qualify — those are
-    exactly the root-to-leaf paths that have their own container.
+    exactly the root-to-leaf paths that have their own container — and,
+    with ``descendants``, ``//`` steps, which reach several.
     ``clause_var`` ``None`` asks for a path from the context item.
     """
     if not isinstance(expr, PathExpr):
@@ -345,7 +371,8 @@ def _simple_value_steps(expr: Expression, clause_var: str | None
     for step in expr.steps:
         if step.predicates:
             return None
-        if step.axis not in ("child", "attribute"):
+        if step.axis not in ("child", "attribute") and \
+                not (descendants and step.axis == "descendant"):
             return None
     last = expr.steps[-1]
     if last.axis == "attribute" or last.test == "text()":
@@ -363,37 +390,6 @@ def _ascend(steps: tuple[Step, ...]) -> int:
 def _flip(op: str) -> str:
     return {"=": "=", "!=": "!=", "<": ">", "<=": ">=",
             ">": "<", ">=": "<="}[op]
-
-
-@dataclass(frozen=True)
-class FullTextPlan:
-    """A ``word-contains($v/path, "w")`` conjunct answerable by a
-    full-text index (§6 extension)."""
-
-    conjunct: FunctionCall
-    leaf_steps: tuple[Step, ...]
-    words: tuple[str, ...]
-    ascend: int
-
-
-def find_fulltext_plan(conjunct: Expression, clause_var: str
-                       ) -> FullTextPlan | None:
-    """Classify an indexable whole-word containment conjunct."""
-    if not isinstance(conjunct, FunctionCall) or \
-            conjunct.name != "word-contains":
-        return None
-    if len(conjunct.args) != 2:
-        return None
-    path_arg, needle_arg = conjunct.args
-    if not isinstance(needle_arg, StringLiteral):
-        return None
-    steps = _simple_value_steps(path_arg, clause_var)
-    if steps is None:
-        return None
-    words = tuple(needle_arg.value.split())
-    if not words:
-        return None
-    return FullTextPlan(conjunct, steps, words, _ascend(steps))
 
 
 def is_absolute_simple_path(expr: Expression) -> bool:
@@ -441,29 +437,62 @@ def _order_answers(container, plan: RangePlan) -> bool:
         (container.value_type in ("int", "float"))
 
 
-def _term_owners(term: SelectionTerm, repository, steps, paths,
-                 column: str, stats):
+def _leaf_access(term: SelectionTerm, repository, path: str,
+                 id_column: str, value_column: str, stats) -> Operator:
+    """The container operator of a term's kind: ``ContAccess``
+    (interval), ``ContSubstring`` or — existence — ``ContScan``."""
+    if term.kind == "interval":
+        bounds = term.range
+        return ContAccess(repository, path, id_column, value_column,
+                          bounds.low, bounds.high, bounds.low_inclusive,
+                          bounds.high_inclusive, stats=stats)
+    if term.kind == "substring":
+        return ContSubstring(repository, path, id_column, value_column,
+                             term.needle, stats)
+    return ContScan(repository, path, id_column, value_column, stats)
+
+
+def _summary_hops(leaf, sources) -> list[int]:
+    """``Parent`` hops from the element owning ``leaf``'s values up to
+    each of the summary nodes ``sources`` above it: several when a
+    source element nests inside itself."""
+    found, hops, node = [], 0, leaf.parent
+    while node is not None:
+        if node in sources:
+            found.append(hops)
+        node, hops = node.parent, hops + 1
+    return found
+
+
+def _term_owners(term: SelectionTerm, repository, source: PathExpr,
+                 leaves, column: str, stats):
     """The owners of a term's values as an operator emitting ``column``
-    (one row per value): ``ContAccess`` on every container of
-    ``paths`` — ``ContScan`` for the existence kinds — and one
-    ``Parent`` hop per ``ascend``; several containers united."""
-    hops = term.range
-    # The owner column first, the name of each hop's output after it.
-    names = [f"{column}~up{hop}"
-             for hop in range(hops.ascend, 0, -1)] + [column]
+    (one row per value): :func:`_leaf_access` on the container of every
+    summary node of ``leaves`` and ``Parent`` hops up to the source's
+    nodes — ``ascend`` of them, else as many as the summary says lie
+    between (:func:`_summary_hops`); the chains united."""
+    ascend, sources = term.range.ascend, ()
+    if ascend is None:
+        sources = repository.resolve_path(leaf_summary_steps(source, ()))
+        if stats is not None:
+            stats.summary_accesses += 1
     owners = None
-    for path in paths:
-        node = ContAccess(
-            repository, path, names[0], f"{column}~value", hops.low,
-            hops.high, hops.low_inclusive, hops.high_inclusive,
-            stats=stats) if term.kind == "interval" else ContScan(
-            repository, path, names[0], f"{column}~value", stats)
-        for below, above in zip(names, names[1:]):
-            node = Parent(node, repository, below, above, stats)
-        owners = node if owners is None else \
-            NodeSet(owners, node, column, "union")
+    for leaf in leaves:
+        for hops in [ascend] if ascend is not None \
+                else _summary_hops(leaf, sources):
+            # The owner column first, each hop's output after it.
+            names = [f"{column}~up{hop}"
+                     for hop in range(hops, 0, -1)] + [column]
+            node = _leaf_access(term, repository, leaf.container_path,
+                                names[0], f"{column}~value", stats)
+            for below, above in zip(names, names[1:]):
+                node = Parent(node, repository, below, above, stats)
+            owners = node if owners is None else \
+                NodeSet(owners, node, column, "union")
     if owners is None:  # no such path in this document: nobody
-        owners = StructureSummaryAccess(repository, steps, column, stats)
+        owners = StructureSummaryAccess(
+            repository, leaf_summary_steps(source, term.range.leaf_steps),
+            column, stats)
     return owners
 
 
@@ -475,9 +504,10 @@ def assign_selection(clause: ForClause, plan: SelectionPlan, repo_of,
 
     The plan keeps the terms the data can answer: every container
     under a term's leaf path must be ordered the way its constant
-    compares (:func:`_order_answers`), else the conjunct stays with the
-    per-binding check — or, for a step predicate, which has none,
-    nothing is assigned.  A blob container answers but is not ``exact``.
+    compares (:func:`_order_answers`) — for a ``substring`` term, able
+    to index its needle — else the conjunct stays with the per-binding
+    check — or, for a step predicate, which has none, nothing is
+    assigned.  A blob container answers but is not ``exact``.
     The operator emits the selected nodes of ``$var``, each once, in
     document order: the terms' owners (:func:`_term_owners`) combined
     by :class:`~repro.query.physical.NodeSet` — intersected,
@@ -490,23 +520,26 @@ def assign_selection(clause: ForClause, plan: SelectionPlan, repo_of,
     terms: list[SelectionTerm] = []
     selected = excluded = None
     for position, term in enumerate(plan.terms):
-        steps = leaf_summary_steps(plan.source, term.range.leaf_steps)
-        paths = [leaf.container_path
-                 for leaf in repository.resolve_path(steps)]
+        leaves = repository.resolve_path(
+            leaf_summary_steps(plan.source, term.range.leaf_steps))
         if stats is not None:
             stats.summary_accesses += 1
+        paths = [leaf.container_path for leaf in leaves]
         containers = [] if None in paths else \
             [repository.container(path) for path in paths]
         usable = None not in paths and all(
+            c.substring_indexable(term.needle)
+            if term.kind == "substring" else
             _order_answers(c, term.range) for c in containers)
-        exact = usable and not any(c.is_blob for c in containers)
+        exact = usable and term.exact and \
+            not any(c.is_blob for c in containers)
         if position < required and not exact:
             return None
         if not usable:
             continue
         terms.append(term if exact else replace(term, exact=False))
-        owners = _term_owners(term, repository, steps, paths, column,
-                              stats)
+        owners = _term_owners(term, repository, plan.source, leaves,
+                              column, stats)
         if term.kind == "not-exists":
             excluded = owners if excluded is None else \
                 NodeSet(excluded, owners, column, "union")
@@ -552,10 +585,10 @@ class ClausePlan:
     per execution.  The strategy is the first candidate present of
     ``join`` (an equality against bound variables; only over an
     ``independent`` source, and nothing below it is kept), ``thetas``
-    (inequalities against them), ``selection`` (constant terms),
-    ``fulltexts`` (``word-contains``); else every binding of the source
-    checks every ``decidable`` conjunct.  The later candidates are what
-    the engine falls back to when the data refuse an earlier one.
+    (inequalities against them), ``selection`` (constant terms); else
+    every binding of the source checks every ``decidable`` conjunct.
+    The later candidates are what the engine falls back to when the
+    data refuse an earlier one.
     """
 
     clause: ForClause | LetClause
@@ -565,12 +598,11 @@ class ClausePlan:
     join: JoinPlan | None = None
     thetas: tuple[ThetaPlan, ...] = ()
     selection: SelectionPlan | None = None
-    fulltexts: tuple[FullTextPlan, ...] = ()
 
     @property
     def strategy(self):
         return self.join or next(iter(self.thetas), None) or \
-            self.selection or next(iter(self.fulltexts), None)
+            self.selection
 
     def rest(self, conjunct: Expression) -> tuple[Expression, ...]:
         """``decidable`` less the conjunct a join already decided."""
@@ -668,16 +700,15 @@ def _plan_clause(clause: ForClause, pending: list[Expression],
 
     independent = not free_vars(clause.source) & bound
     joins = found(find_join_plan, bound) if independent else ()
-    # Positional joins and index lookups need the summary to resolve
-    # the source; the selection strips last-step predicates itself.
+    # Positional joins need the summary to resolve the source; the
+    # selection strips last-step predicates itself.
     simple = not joins and is_absolute_simple_path(clause.source)
     return ClausePlan(
         clause, tuple(decidable), independent,
         context_free(clause.source), joins[0] if joins else None,
         thetas=found(find_theta_plan, bound) if simple else (),
         selection=None if joins else
-        find_selection_plan(clause, decidable),
-        fulltexts=found(find_fulltext_plan) if simple else ()), later
+        find_selection_plan(clause, decidable)), later
 
 
 def bind_plan(plan: QueryPlan, repo_of) -> list[Operator]:

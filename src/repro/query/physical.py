@@ -3,8 +3,9 @@
 Three operator classes, exactly as the paper groups them:
 
 * **data access** — :class:`ContScan`, :class:`ContAccess`,
-  :class:`StructureSummaryAccess`, :class:`Parent`, :class:`Child`,
-  :class:`Descendant`, :class:`TextContent`, :class:`AttributeContent`;
+  :class:`ContSubstring`, :class:`StructureSummaryAccess`,
+  :class:`Parent`, :class:`Child`, :class:`Descendant`,
+  :class:`TextContent`, :class:`AttributeContent`;
 * **data combination** — :class:`Select`, :class:`NodeSet`,
   :class:`MergeJoin`, :class:`HashJoin`, :class:`ThetaJoin`,
   :class:`NestedLoopJoin`, :class:`Project`, :class:`Distinct`,
@@ -248,6 +249,41 @@ class ContAccess(Operator):
                 self._id_column: NodeColumn(arrays.parent_ids[lo:hi]),
                 self._value_column:
                     ValueColumn(container, np.arange(lo, hi))})
+
+
+class ContSubstring(Operator):
+    """Candidate access into a container for a substring needle: the
+    records whose value may contain it, in slot order.
+
+    A superset (``substring_candidates``: q-gram matches, any letter
+    case) in ``ContAccess``'s shape — whoever means ``contains`` or
+    ``word-contains`` re-checks the candidates it binds.
+    """
+
+    def __init__(self, repository: CompressedRepository, path: str,
+                 id_column: str, value_column: str, needle: str,
+                 stats: EvaluationStats | None = None):
+        self._stats = stats
+        self.container = repository.container(path)
+        self.id_column = id_column
+        self.value_column = value_column
+        self.needle = needle
+
+    def _batches(self, size: int) -> Iterator[RecordBatch]:
+        if self._stats is not None:
+            self._stats.container_accesses += 1
+        container = self.container
+        slots = container.substring_candidates(self.needle)
+        if slots is None:
+            raise QueryTypeError(
+                f"container {container.path!r} has no substring "
+                f"candidates for {self.needle!r}")
+        parents = container.as_arrays().parent_ids
+        for start in range(0, len(slots), size):
+            part = slots[start:start + size]
+            yield RecordBatch({
+                self.id_column: NodeColumn(parents[part]),
+                self.value_column: ValueColumn(container, part)})
 
 
 class StructureSummaryAccess(Operator):

@@ -328,15 +328,11 @@ class Session:
             return self.engine
         with self._engine_lock:
             if self._raw_engine is None:
-                raw = QueryEngine(
+                self._raw_engine = QueryEngine(
                     self.repository,
                     collection=self.collection or None,
                     telemetry_enabled=self.telemetry_enabled,
                     recorder=self.recorder)
-                # Full-text indexes are registered once per session;
-                # both engines must see the same registrations.
-                raw._fulltext_indexes = self.engine._fulltext_indexes
-                self._raw_engine = raw
             return self._raw_engine
 
     # -- explain / analyze ---------------------------------------------------
@@ -363,10 +359,6 @@ class Session:
         return self.analyze(query).text
 
     # -- repository-level helpers -------------------------------------------
-
-    def build_fulltext_index(self, container_path: str):
-        """Register a §6 full-text index on one container."""
-        return self.engine.build_fulltext_index(container_path)
 
     def decompress(self) -> str:
         """Reconstruct the whole document as XML text."""

@@ -29,6 +29,21 @@ from repro.compression.blob import BlobCodec
 from repro.errors import StorageError
 from repro.obs import runtime
 
+#: q of the substring index: the shortest needle it can answer.
+_Q = 3
+
+
+def _qgrams(text: str) -> np.ndarray:
+    """The q-grams of ``text`` at every position, each as one integer
+    (21 bits per code point), in text order."""
+    points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
+                           dtype="<u4").astype(np.uint64)
+    count = max(len(points) - _Q + 1, 0)
+    grams = np.zeros(count, dtype=np.uint64)
+    for offset in range(_Q):
+        grams = grams << np.uint64(21) | points[offset:offset + count]
+    return grams
+
 
 class ContainerArrays:
     """Array-shaped view of a sealed container (batch engine input).
@@ -109,6 +124,8 @@ class ValueContainer:
         self._count = 0
         self._sealed = False
         self._arrays: ContainerArrays | None = None
+        #: lazily built (q-grams, posting offsets, posting slots).
+        self._substring_index: tuple | None = None
         self._compressed_keys: list[CompressedValue] | None = None
 
     def _compare_key(self, value: str):
@@ -338,7 +355,8 @@ class ValueContainer:
         return self._arrays
 
     def drop_arrays(self) -> None:
-        """Release the memoized :meth:`as_arrays` view.
+        """Release the memoized :meth:`as_arrays` view and the
+        :meth:`substring_candidates` index.
 
         The serving layer charges the view's bytes to its block cache;
         a cache invalidation that evicted the charged entry must drop
@@ -349,6 +367,65 @@ class ValueContainer:
         records are frozen at seal, so a rebuilt view is identical.
         """
         self._arrays = None
+        self._substring_index = None
+
+    def substring_indexable(self, needle: str) -> bool:
+        """Can :meth:`substring_candidates` answer ``needle``?  Not on
+        a blob chunk (no record slots), and not below ``q`` folded
+        characters (nothing to look up)."""
+        return not self.is_blob and len(needle.casefold()) >= _Q
+
+    def substring_candidates(self, needle: str) -> np.ndarray | None:
+        """Sorted slots of the values that may contain ``needle`` —
+        every value that does, in any letter case — or ``None`` where
+        :meth:`substring_indexable` says no.
+
+        The slots holding all of the needle's q-grams, from an index of
+        q-gram -> sorted slots over the ``str.casefold`` of each value.
+        Folding is per character, so it keeps containment: one index
+        serves exact and case-insensitive matching, and callers
+        re-check the candidates they care about.  Built on first use
+        and kept beside :meth:`as_arrays` (:meth:`drop_arrays` frees
+        both); never stored.
+        """
+        if not self.substring_indexable(needle):
+            return None
+        if self._substring_index is None:
+            self._substring_index = self._build_substring_index()
+        grams, offsets, slots = self._substring_index
+        wanted = np.unique(_qgrams(needle.casefold()))
+        at = np.searchsorted(grams, wanted)
+        if (at == len(grams)).any() or (grams[at] != wanted).any():
+            return np.empty(0, dtype=np.int64)
+        postings = sorted((slots[offsets[i]:offsets[i + 1]] for i in at),
+                          key=len)
+        found = postings[0]
+        for posting in postings[1:]:
+            found = np.intersect1d(found, posting, assume_unique=True)
+        return found.astype(np.int64)
+
+    def _build_substring_index(self) -> tuple:
+        """``(q-grams, offsets, slots)``: the distinct q-grams of the
+        folded values, sorted, and for the i-th the sorted slots
+        ``slots[offsets[i]:offsets[i + 1]]`` it occurs in.  One sort of
+        (q-gram, slot) over every position whose window fits inside its
+        value, so no q-gram spans two values."""
+        folded = [value.casefold() for _, value in self.scan_decoded()]
+        lengths = np.fromiter(map(len, folded), dtype=np.int64,
+                              count=len(folded))
+        grams = _qgrams("".join(folded))
+        left = (np.repeat(np.cumsum(lengths), lengths)
+                - np.arange(lengths.sum()))[:len(grams)]
+        slots = np.repeat(np.arange(len(folded)), lengths)[:len(grams)]
+        inside = left >= _Q
+        grams, slots = grams[inside], slots[inside]
+        order = np.lexsort((slots, grams))
+        grams, slots = grams[order], slots[order]
+        fresh = np.ones(len(grams), dtype=bool)
+        fresh[1:] = (grams[1:] != grams[:-1]) | (slots[1:] != slots[:-1])
+        grams, first = np.unique(grams[fresh], return_index=True)
+        return (grams, np.append(first, fresh.sum()),
+                slots[fresh].astype(np.min_scalar_type(len(folded))))
 
     def interval_positions(self, low: str | None, high: str | None,
                            low_inclusive: bool = True,

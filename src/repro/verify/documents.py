@@ -10,8 +10,10 @@ values (ALM/Huffman ``eq``/``wild``), pure-int and pure-float
 containers (numeric codecs, ``ContAccess`` over numeric order), a
 *mixed* int/float container (the type-inference edge), join keys
 between auctions and people, owners with several values or none
-(``interest/@category``, repeats included) and items nested in items
-(``//item`` reaches two container paths with the same leaf steps).
+(``interest/@category``, repeats included), items nested in items
+(``//item`` reaches two container paths with the same leaf steps) and
+descriptions holding a ``note`` or a description of their own (several
+text nodes below one element; a text below two elements of one name).
 """
 
 from __future__ import annotations
@@ -51,6 +53,11 @@ def generate_entities(rng: random.Random, scale: int = 10) -> dict:
             "description": " ".join(words),
             # Every third item carries a part: an item inside an item.
             "part": rng.choice(_WORDS) if index % 3 == 0 else None,
+            # Text nodes after the description's first, in an element
+            # of another name and in one of its own.
+            "note": rng.choice(_WORDS) if index % 2 else None,
+            "inner": " ".join(rng.sample(_WORDS, k=2))
+            if index % 4 < 2 else None,
         })
     auctions = []
     for index in range(max(1, scale // 2)):
@@ -101,7 +108,10 @@ def render_xml(entities: dict) -> str:
         parts.append(
             f'<item id="{item["id"]}">'
             f'<name>{item["name"]}</name>'
-            f'<description>{item["description"]}</description>'
+            f'<description>{item["description"]}'
+            + (f'<note>{item["note"]}</note>' if item["note"] else "")
+            + (f'<description>{item["inner"]}</description>'
+               if item["inner"] else "") + '</description>'
             + (f'<item id="{item["id"]}p"><name>{item["part"]}</name>'
                '</item>' if item["part"] is not None else "")
             + '</item>')

@@ -11,10 +11,13 @@ containers; theta joins with a scaled side (``ThetaJoin`` and its
 fallbacks); constant selections decided on the containers alone
 (``assign_selection``: one to three conjuncts, step predicates,
 ``empty`` / ``not(empty)``, ``//`` sources over nested elements, owners
-with several values, ``count`` of the bindings).  Constants are drawn
-from the document's own value pools plus adversarial neighbours (absent
-values, fractional bounds over int containers, the empty string, the
-same number spelt as text, values beyond either end of a container).
+with several values, ``count`` of the bindings; ``contains`` /
+``word-contains`` as ``substring`` terms — ``//`` leaf paths, needles
+of any length and case, candidates the re-check must reject).
+Constants are drawn from the document's own value pools plus
+adversarial neighbours (absent values, fractional bounds over int
+containers, the empty string, the same number spelt as text, values
+beyond either end of a container).
 """
 
 from __future__ import annotations
@@ -109,7 +112,30 @@ _SUBJECTS = (
     (("//item", "/site/regions//item", "/site/regions/item"), "@id",
      (("name/text()", "words"), ("@id", "item_ids"),
       ("description/text()", "descriptions"))),
+    # So do descriptions: a text below the inner one is below both.
+    (("//description", "/site/regions/item/description"), "text()",
+     (("text()", "descriptions"), ("note/text()", "words"),
+      ("description/text()", "descriptions"))),
 )
+
+
+def _substring_term(rng: random.Random, start: str, leaf: str,
+                    pools: dict) -> str:
+    """``contains`` / ``word-contains`` over ``leaf``, its ``//`` form
+    or every text below the variable, against 0-6 characters cut from
+    the item texts at a random offset, sometimes in another case."""
+    paths = [start + leaf]
+    if leaf.endswith("/text()"):
+        paths.append(start + leaf[:-len("/text()")] + "//text()")
+    if start:
+        paths.append(start.rstrip("/") + "//text()")
+    base = rng.choice(pools["descriptions"] + pools["words"])
+    at = rng.randrange(len(base) + 1)
+    needle = base[at:at + rng.randint(0, 6)]
+    if rng.random() < 0.3:
+        needle = "".join(rng.choice((c, c.upper())) for c in needle)
+    return (f'{rng.choice(("contains", "word-contains"))}('
+            f'{rng.choice(paths)}, "{needle}")')
 
 
 def _selection_constant(rng: random.Random, pool: list[str]) -> str:
@@ -143,8 +169,8 @@ def _selection(rng: random.Random, pools: dict) -> str:
             return f"empty({start}{leaf})"
         if choice < 0.25:
             return f"not(empty({start}{leaf}))"
-        if choice < 0.32:  # decided per binding, next to the terms
-            return f'contains({start}{leaf}, "a")'
+        if choice < 0.4:
+            return _substring_term(rng, start, leaf, pools)
         sides = [start + leaf, _selection_constant(rng, pools[pool])]
         rng.shuffle(sides)
         return f"{sides[0]} {rng.choice(_OPS)} {sides[1]}"

@@ -109,14 +109,3 @@ class TestFacadePassthroughs:
             'where $p/name/text() = "x" return $p')
         assert "ContAccess" in plan
 
-    def test_build_fulltext_index(self, xml_text):
-        system = XQueCSystem.load(xml_text)
-        path = next(p for p in system.repository.container_paths()
-                    if p.endswith("description/text/#text"))
-        index = system.build_fulltext_index(path)
-        assert index.word_count > 0
-        result = system.query(
-            "for $i in /site/regions/africa/item "
-            'where word-contains($i/description/text/text(), "the") '
-            "return $i/@id")
-        assert result.to_xml() is not None

@@ -215,6 +215,10 @@ class TestNestedJoins:
         if query_id in ("Q1", "Q4", "Q5", "Q20"):
             assert "NodeSet" in names and "ContAccess" in names
             assert stats.container_accesses > 0
+        # Q14's contains: one verified probe per description container.
+        assert names.count("ContSubstring") == \
+            (stats.container_accesses if query_id == "Q14" else 0)
+        assert ("ContSubstring" in names) == (query_id == "Q14")
 
     def test_relative_source_is_no_hash_join(self, engine):
         """An equality against a bound variable over a *binding-

@@ -20,6 +20,7 @@ from repro.partitioning.config import (
 from repro.query.physical import (
     ContAccess,
     ContScan,
+    ContSubstring,
     Decompress,
     HashJoin,
     MergeJoin,
@@ -158,6 +159,30 @@ class TestMergeJoin:
         diagnostics = verify_plan(plan)
         assert rules_of(diagnostics) == ["plan.merge-join-unverifiable"]
         assert diagnostics[0].severity == "info"
+
+
+class TestContSubstring:
+    def test_record_container_accepted_and_value_ordered(self, repo):
+        plan = NodeSet(ContSubstring(repo, URI, "b", "uri", "uri0"),
+                       None, "b")
+        assert verify_plan(plan) == []
+        assert [row["b"].node_id for row in plan] == \
+            sorted(row["b"].node_id for row in plan)
+        assert len(plan.rows()) == 10
+
+    @pytest.mark.parametrize("path,needle", [(NOTE, "note"), (URI, "ur"),
+                                             (URI, "")])
+    def test_blob_or_short_needle_rejected(self, repo, path, needle):
+        """Nothing to emit: running it would select nobody (it raises
+        instead), so the gate refuses the plan."""
+        from repro.errors import QueryTypeError
+        plan = ContSubstring(repo, path, "b", "text", needle)
+        diagnostics = verify_plan(plan)
+        assert rules_of(errors_of(diagnostics)) == \
+            ["plan.substring-not-indexable"]
+        assert path in diagnostics[0].message
+        with pytest.raises(QueryTypeError):
+            plan.rows()
 
 
 class TestThetaJoin:

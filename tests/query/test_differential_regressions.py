@@ -432,6 +432,75 @@ class TestSelectionExactness:
         assert predicate.stats.container_accesses == 0
 
 
+class TestSubstringCandidates:
+    """``contains`` / ``word-contains`` start from the containers'
+    q-gram candidates — a superset — and are re-checked per binding.
+    Each case is a candidate only the re-check tells from a result (or
+    a result the hop count must not lose); the counters say the index
+    was asked and how many bindings it left to check."""
+
+    XML = ("<r>"
+           # a: the needle sits in the second text node only.
+           '<item id="a"><d><t>plain brass</t><t>pure gold</t></d></item>'
+           # b: "go" ends one text node, "ld" starts the next.
+           '<item id="b"><d><t>indigo</t><t>ld lamp</t></d></item>'
+           # c: a longer word around the needle.
+           '<item id="c"><d><t>golden bowl</t></d></item>'
+           # d: an item inside an item, the needle in the inner one.
+           '<item id="d"><d><t>tin cup</t></d>'
+           '<item id="e"><d><t>gold leaf</t></d></item></item>'
+           '<item id="f"><d><t>Gold ring</t></d></item>'
+           "</r>")
+
+    def ids(self, where, expected, *, bound=None, accesses=3):
+        """``where`` over ``//item`` selects ``expected`` after
+        ``accesses`` probes — /r/item/d/t once, /r/item/item/d/t once
+        per item above it; ``bound``: the bindings a ``contains``
+        re-checked (it decodes the first text node of each)."""
+        query = f"for $v in //item where {where} return $v/@id"
+        assert_parity(self.XML, query,
+                      ("ok", "\n".join(expected.split())))
+        stats = QueryEngine(load_document(self.XML)).execute(query).stats
+        assert stats.container_accesses == accesses
+        if bound is not None:
+            assert stats.decompressions == bound
+
+    def test_contains_reads_the_first_text_node_only(self):
+        # Bound: a (second node), c, e, f ("Gold" folds to the same
+        # q-grams) and d, which e's value also lies below.
+        self.ids('contains($v/d/t/text(), "gold")', "c e", bound=5)
+        self.ids('contains($v/d/t/text(), "Gold")', "f", bound=5)
+
+    def test_word_contains_reads_every_text_node(self):
+        self.ids('word-contains($v/d/t/text(), "gold")', "a e f")
+        self.ids('word-contains($v/d/t/text(), "GOLD leaf")', "e")
+
+    def test_longer_word_is_a_candidate_not_a_result(self):
+        self.ids('word-contains($v/d/t/text(), "gold")', "a e f")
+        self.ids('word-contains($v/d/t/text(), "golden")', "c")
+        self.ids('contains($v/d/t/text(), "olde")', "c", bound=1)
+
+    def test_needle_across_two_text_nodes_is_no_candidate(self):
+        self.ids('contains($v/d/t/text(), "gold lamp")', "", bound=0)
+        self.ids('contains($v/d/t/text(), "igold")', "", bound=0)
+        self.ids('word-contains($v/d/t/text(), "indigold")', "")
+
+    def test_nested_item_binds_every_item_above_the_value(self):
+        # e's text is text of d as well under //, not under d/t.
+        self.ids('word-contains($v//text(), "leaf")', "d e")
+        self.ids('contains($v//text(), "gold leaf")', "e", bound=2)
+        self.ids('word-contains($v/d//text(), "leaf")', "e")
+        self.ids('contains($v/d//text(), "tin")', "d", bound=1)
+
+    def test_short_and_empty_needles_are_checked_per_binding(self):
+        self.ids('contains($v/d/t/text(), "go")', "b c e", bound=6,
+                 accesses=0)
+        self.ids('contains($v/d/t/text(), "")', "a b c d e f", bound=6,
+                 accesses=0)
+        self.ids('word-contains($v/d/t/text(), "")', "", accesses=0)
+        self.ids('word-contains($v/d/t/text(), "a of")', "", accesses=0)
+
+
 class TestDivisionByZero:
     """Bug: engine raised bare ZeroDivisionError while the reference
 

@@ -179,7 +179,7 @@ class TestFLWOR:
         for name in ("free_vars", "context_free", "flatten_conjuncts",
                      "find_join_plan", "find_theta_plan",
                      "find_selection_plan", "find_range_plan",
-                     "find_fulltext_plan", "plan_query"):
+                     "plan_query"):
             monkeypatch.setattr(optimizer, name, planned_twice)
         for text, expected in queries.items():
             for _ in range(2):

@@ -80,11 +80,18 @@ class TestExplain:
             assert "Select (evaluated per binding" in plan
 
     def test_fulltext_plan_reported(self):
-        plan = explain(
-            'for $i in /site/item '
-            'where word-contains($i/desc/text(), "gold") return $i')
-        assert "FullTextIndex lookup" in plan
-        assert "'gold'" in plan
+        for conjunct in ('word-contains($i/desc/text(), "a gold ring")',
+                         'contains($i/desc//text(), "gold")'):
+            plan = explain(f"for $i in /site//item where {conjunct} "
+                           "return $i")
+            assert "ContSubstring 'gold' on $i/desc/" in plan
+            assert "re-checked per binding" in plan
+            assert "Select (evaluated per binding" not in plan
+        # A path the planner cannot see through stays per binding.
+        plan = explain('for $i in /site/item where '
+                       'contains(string($i/desc/text()), "gold") return $i')
+        assert "ContSubstring" not in plan
+        assert "Select (evaluated per binding" in plan
 
     def test_fallback_select_reported(self):
         plan = explain(

@@ -86,6 +86,23 @@ class TestRangePlan:
         assert profile["Execute"]["total"] >= 0
 
 
+class TestSubstringPlan:
+    QUERY = ("for $p in /site/people/person "
+             'where contains($p/name/text(), "aro") return $p/@id')
+
+    def test_probe_annotated_and_counted(self, engine):
+        report = explain_analyze(self.QUERY, engine)
+        assert report.result.items == ["person2"]
+        stats = report.result.stats
+        assert stats.container_accesses == 1
+        line = next(line for line in report.text.splitlines()
+                    if "ContSubstring 'aro'" in line)
+        assert "[actual container_accesses=1," in line
+        assert report.telemetry.operator_profile()[
+            "ContSubstring"]["count"] == 1
+        assert rendered_counters(report.text) == stats.as_dict()
+
+
 class TestHashJoin:
     def test_join_annotated_and_counted(self, engine):
         report = explain_analyze(JOIN_QUERY, engine)

@@ -1,10 +1,11 @@
-"""Tests for the §6 full-text extension."""
+"""Tests for the §6 full-text extension: ``word-contains`` and the
+substring access path that answers it (and ``contains``)."""
 
 import pytest
 
 from repro.baselines.galax import GalaxEngine
 from repro.query.engine import QueryEngine
-from repro.query.fulltext import FullTextIndex, tokenize
+from repro.query.functions import tokenize
 from repro.storage.loader import load_document
 
 DOC = """
@@ -69,54 +70,47 @@ class TestWordContainsFunction:
             GalaxEngine(DOC).execute_to_xml(QUERY)
 
 
-class TestFullTextIndex:
-    def test_build_and_lookup(self, repo):
-        index = FullTextIndex.build(
-            repo.container("/site/item/desc/#text"))
-        assert index.word_count > 5
-        assert len(index.lookup("gold")) == 2
-        assert index.lookup("ghostword") == []
-
-    def test_lookup_all_conjunctive(self, repo):
-        index = FullTextIndex.build(
-            repo.container("/site/item/desc/#text"))
-        assert len(index.lookup_all(["gold", "leaf"])) == 1
-        assert index.lookup_all(["gold", "silver"]) == []
-        assert index.lookup_all([]) == []
-
-    def test_size_accounting(self, repo):
-        index = FullTextIndex.build(
-            repo.container("/site/item/desc/#text"))
-        assert index.size_bytes() > 0
-
-
 class TestIndexedAccessPath:
-    def test_registered_index_used(self, repo):
+    CONTAINER = "/site/item/desc/#text"
+
+    def test_registered_index_used(self):
+        # A run leaves the q-gram index on the container; the next run
+        # probes it instead of scanning.
+        repo = load_document(DOC)
         engine = QueryEngine(repo)
-        engine.build_fulltext_index("/site/item/desc/#text")
+        assert repo.container(self.CONTAINER)._substring_index is None
+        assert engine.execute(QUERY).items == ["i0", "i2"]
+        index = repo.container(self.CONTAINER)._substring_index
         result = engine.execute(QUERY)
         assert result.items == ["i0", "i2"]
-        # The access path shows up as a container access without a
-        # per-record scan.
-        assert result.stats.container_accesses >= 1
+        assert repo.container(self.CONTAINER)._substring_index is index
+        # One probe; the re-check decodes the two candidates and the
+        # results their ids — the silver chain is never touched.
+        assert result.stats.container_accesses == 1
+        assert result.stats.decompressions == 2 + len(result.items)
 
     def test_index_results_equal_plain_results(self, repo):
-        plain = QueryEngine(repo)
-        indexed = QueryEngine(repo)
-        indexed.build_fulltext_index("/site/item/desc/#text")
-        for needle in ("gold", "silver", "golden", "bowl gold",
-                       "nothing"):
-            query = ('for $i in /site/item where '
-                     f'word-contains($i/desc/text(), "{needle}") '
-                     "return $i/@id")
-            assert indexed.execute(query).items == \
-                plain.execute(query).items, needle
+        engine = QueryEngine(repo)
+        for function in ("contains", "word-contains"):
+            for needle in ("gold", "silver", "golden", "bowl gold",
+                           "Gold", "nothing", "go", ""):
+                indexed = engine.execute(
+                    f'for $i in /site/item where {function}('
+                    f'$i/desc/text(), "{needle}") return $i/@id')
+                # string() hides the path from the planner: every item
+                # is bound and checked.
+                plain = engine.execute(
+                    f'for $i in /site/item where {function}('
+                    f'string($i/desc/text()), "{needle}") return $i/@id')
+                assert plain.stats.container_accesses == 0
+                assert indexed.items == plain.items, (function, needle)
 
     def test_unindexed_container_falls_back(self, repo):
-        engine = QueryEngine(repo)
-        engine.build_fulltext_index("/site/item/desc/#text")
-        result = engine.execute(
+        # Two folded characters are below q: no candidates, so the
+        # conjunct is evaluated per binding.
+        result = QueryEngine(repo).execute(
             'for $i in /site/item '
-            'where word-contains($i/name/text(), "gold") '
+            'where contains($i/name/text(), "go") '
             "return $i/@id")
-        assert result.items == ["i0"]
+        assert result.items == ["i0", "i2"]
+        assert result.stats.container_accesses == 0

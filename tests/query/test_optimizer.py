@@ -2,7 +2,6 @@
 
 from repro.query.ast import Comparison, NumberLiteral, StringLiteral
 from repro.query.optimizer import (
-    FullTextPlan,
     JoinPlan,
     SelectionPlan,
     ThetaPlan,
@@ -240,7 +239,7 @@ class TestSelectionPlans:
 
     def test_other_conjuncts_stay_with_the_binding(self):
         plan = self.plan('for $v in /a/b where $v/c/text() = "x" and '
-                         'contains($v/d/text(), "y") and $v/e = 1 '
+                         'starts-with($v/d/text(), "y") and $v/e = 1 '
                          "return $v")
         assert [t.kind for t in plan.terms] == ["interval"]
 
@@ -299,44 +298,63 @@ class TestPathClassifiers:
 
 
 class TestFullTextPlans:
+    """``contains`` / ``word-contains`` conjuncts as ``substring``
+    selection terms."""
+
+    @staticmethod
+    def term(conjunct: str):
+        flwor = parse_query(
+            f"for $v in /a/b where {conjunct} return $v")
+        plan = find_selection_plan(flwor.clauses[0],
+                                   flatten_conjuncts(flwor.where))
+        return None if plan is None else plan.terms[0]
+
     def test_classified(self):
-        from repro.query.optimizer import find_fulltext_plan
-        where = where_of(
-            'for $v in /a/b where word-contains($v/d/text(), "gold") '
-            "return $v")
-        plan = find_fulltext_plan(where, "v")
-        assert plan is not None
-        assert plan.words == ("gold",)
-        assert plan.ascend == 1
+        for function in ("contains", "word-contains"):
+            term = self.term(f'{function}($v/d/text(), "gold")')
+            assert (term.kind, term.needle) == ("substring", "gold")
+            # Never the reference comparison: always re-checked.
+            assert not term.exact
+
+    def test_descendant_and_attribute_leaves_classified(self):
+        for leaf in ("$v/d//text()", "$v//text()", "$v//d/e/text()",
+                     "$v/@k", "$v/d/@k"):
+            term = self.term(f'contains({leaf}, "gold")')
+            assert term.kind == "substring", leaf
+            # Hops are read per container from the summary.
+            assert term.range.ascend is None
 
     def test_multi_word_needle_split(self):
-        from repro.query.optimizer import find_fulltext_plan
-        where = where_of(
-            'for $v in /a/b where word-contains($v/d/text(), '
-            '"gold leaf") return $v')
-        plan = find_fulltext_plan(where, "v")
-        assert plan is not None and plan.words == ("gold", "leaf")
+        # Every word must be in the value; the longest is looked up.
+        term = self.term('word-contains($v/d/text(), "a golden bowl")')
+        assert term.needle == "golden"
+        # contains wants the literal as it stands.
+        term = self.term('contains($v/d/text(), "a golden bowl")')
+        assert term.needle == "a golden bowl"
 
     def test_non_literal_needle_rejected(self):
-        from repro.query.optimizer import find_fulltext_plan
-        where = where_of(
-            "for $v in /a/b where word-contains($v/d/text(), $w) "
-            "return $v")
-        assert find_fulltext_plan(where, "v") is None
+        assert self.term("word-contains($v/d/text(), $w)") is None
+        assert self.term("contains($v/d/text(), $v/e/text())") is None
 
     def test_contains_not_indexable(self):
-        from repro.query.optimizer import find_fulltext_plan
-        where = where_of(
-            'for $v in /a/b where contains($v/d/text(), "gold") '
-            "return $v")
-        assert find_fulltext_plan(where, "v") is None
+        # Only a bare leaf path of the clause variable has containers:
+        # a wrapped, element-valued or predicated one does not.
+        for haystack in ("string($v/d/text())", "$v/d", "$v/d[1]/text()",
+                         "$w/d/text()", "/a/b/d/text()"):
+            assert self.term(f'contains({haystack}, "gold")') is None, \
+                haystack
 
     def test_empty_needle_rejected(self):
-        from repro.query.optimizer import find_fulltext_plan
-        where = where_of(
-            'for $v in /a/b where word-contains($v/d/text(), "  ") '
-            "return $v")
-        assert find_fulltext_plan(where, "v") is None
+        # No word: word-contains is false; "": contains is true — on
+        # every binding, items without text included.
+        assert self.term('word-contains($v/d/text(), "  ")') is None
+        assert self.term('contains($v/d/text(), "")') is None
+
+    def test_step_predicates_keep_per_step_evaluation(self):
+        # A predicate has no per-binding re-check to lean on.
+        flwor = parse_query(
+            'for $v in /a/b[contains(d/text(), "gold")] return $v')
+        assert find_selection_plan(flwor.clauses[0], []) is None
 
 
 class TestFlip:
@@ -515,13 +533,15 @@ class TestPlanQuery:
         assert isinstance(step.strategy, ThetaPlan)
         # The candidates the engine falls back to when the data refuse.
         assert isinstance(step.selection, SelectionPlan)
-        assert [type(f) for f in step.fulltexts] == [FullTextPlan]
+        assert [t.kind for t in step.selection.terms] == \
+            ["interval", "substring"]
         (flwor,) = plan_query(parse_query(query.format(""))).flwors
         assert isinstance(flwor.clauses[1].strategy, SelectionPlan)
         (flwor,) = plan_query(parse_query(
             'for $a in /s/a where word-contains($a/d/text(), "gold") '
             "return $a")).flwors
-        assert isinstance(flwor.clauses[0].strategy, FullTextPlan)
+        assert [t.kind for t in flwor.clauses[0].strategy.terms] == \
+            ["substring"]
 
     def test_equal_asts_plan_equal(self):
         from repro.xmark.queries import XMARK_QUERIES, query_text

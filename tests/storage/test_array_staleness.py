@@ -57,6 +57,56 @@ class TestContainerDropArrays:
             assert container.as_arrays() is not views[container.path]
 
 
+    def test_drop_arrays_releases_the_substring_index(self, repository):
+        container = repository.container("/site/people/person/name/#text")
+        assert container._substring_index is None  # lazy
+        found = container.substring_candidates("n00")
+        assert len(found) == 10
+        index = container._substring_index
+        container.substring_candidates("n01")
+        assert container._substring_index is index  # memoized
+        repository.drop_array_views()
+        assert container._substring_index is None
+        assert (container.substring_candidates("n00") == found).all()
+
+
+def test_only_a_substring_term_builds_an_index(tmp_path):
+    """Loading, saving, opening and every XMark query but Q14 leave
+    every container without a q-gram index: what the index costs is
+    paid by the queries it serves, and never stored."""
+    from repro.storage.serialization import save_repository
+    from repro.xmark.generator import generate_xmark
+    from repro.xmark.queries import XMARK_QUERIES, query_text
+
+    def indexed(repo):
+        return [c.path for c in repo.containers()
+                if c._substring_index is not None]
+
+    loaded = load_document(generate_xmark(0.004, seed=3))
+    save_repository(loaded, tmp_path / "x.xqc")
+    database = Database.open(tmp_path / "x.xqc")
+    session = database.session()
+    for query_id in XMARK_QUERIES:
+        if query_id != "Q14":
+            session.execute(query_text(query_id)).to_xml()
+    assert indexed(loaded) == indexed(database.repository) == []
+    session.execute(query_text("Q14")).to_xml()
+    built = indexed(database.repository)
+    assert built and all(path.endswith("/description/text/#text")
+                         for path in built)
+    # The view the block cache wraps and the raw repository share it.
+    from repro.query.options import ExecutionOptions
+    before = [database.repository.container(p)._substring_index
+              for p in built]
+    session.execute(query_text("Q14"),
+                    ExecutionOptions(use_block_cache=False)).to_xml()
+    assert all(database.repository.container(p)._substring_index is b
+               for p, b in zip(built, before))
+    size = (tmp_path / "x.xqc").stat().st_size
+    save_repository(database.repository, tmp_path / "y.xqc")
+    assert (tmp_path / "y.xqc").stat().st_size == size
+
+
 class TestServingInvalidation:
     def test_session_invalidate_drops_memoized_views(self, repository):
         session = Session(repository)

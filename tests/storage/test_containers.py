@@ -121,6 +121,78 @@ class TestBlobContainers:
         assert container.value_at(0) == "alpha"
 
 
+class TestSubstringCandidates:
+    """The q-gram candidates are a superset of the slots whose value
+    contains the needle — as it stands or in another letter case."""
+
+    VALUES = ["gold ring", "Golden bowl", "old goLD", "silver", "go",
+              "", "straße", "STRASSE", "İstanbul", "istanbul",
+              "ΟΔΥΣΣΕΥΣ", "οδυσσευς", "a 😀😀😀 b"]
+
+    def slots(self, needle, values=None, codec_name="alm"):
+        container = make_container(values or self.VALUES, codec_name)
+        found = container.substring_candidates(needle)
+        return None if found is None else \
+            [container.value_at(slot) for slot in found.tolist()]
+
+    def test_needles_below_q_have_no_candidates(self):
+        for needle in ("", "g", "go", "ß", "Σσ"):
+            assert self.slots(needle) is None, needle
+        # Three folded characters from two: "ßa" is "ssa".
+        assert self.slots("ßa") == []
+
+    def test_absent_character_or_gram_is_empty_not_none(self):
+        assert self.slots("golz") == []
+        assert self.slots("dlo") == []
+        found = make_container(self.VALUES).substring_candidates("xyz")
+        assert found.dtype.kind == "i" and len(found) == 0
+
+    def test_candidates_come_sorted_by_slot_in_any_case(self):
+        container = make_container(self.VALUES)
+        found = container.substring_candidates("gold")
+        assert found.tolist() == sorted(found.tolist())
+        assert sorted(self.slots("gold")) == \
+            ["Golden bowl", "gold ring", "old goLD"]
+        assert self.slots("GOLD") == self.slots("gold")
+        # Every q-gram somewhere in the value is all it takes: a
+        # superset is all the index promises.
+        assert self.slots("abab", ["babxaba", "abab", "aba"]) == \
+            ["abab", "babxaba"]
+
+    def test_folding_keeps_containment(self):
+        # ß folds to ss, İ to i + combining dot, final and medial
+        # sigma to one letter; a non-BMP character is one character.
+        assert sorted(self.slots("straße")) == ["STRASSE", "straße"]
+        assert sorted(self.slots("RASS")) == ["STRASSE", "straße"]
+        assert "İstanbul" in self.slots("İst")
+        assert sorted(self.slots("tanb")) == ["istanbul", "İstanbul"]
+        assert sorted(self.slots("σευς")) == ["ΟΔΥΣΣΕΥΣ", "οδυσσευς"]
+        assert sorted(self.slots("ΣΕΥΣ")) == ["ΟΔΥΣΣΕΥΣ", "οδυσσευς"]
+        assert self.slots("😀😀😀") == ["a 😀😀😀 b"]
+        assert self.slots(" 😀😀") == ["a 😀😀😀 b"]
+
+    def test_lowering_then_folding_is_folding(self):
+        # What lets one index serve word-contains, which lowercases:
+        # str.lower never leaves a character's fold class.
+        import sys
+        for point in range(sys.maxunicode + 1):
+            char = chr(point)
+            assert char.lower().casefold() == char.casefold(), hex(point)
+
+    def test_no_gram_spans_two_values(self):
+        assert self.slots("abcd", ["ab", "cd", "abcd"]) == ["abcd"]
+        assert self.slots("bcd", ["ab", "cd"]) == []
+
+    def test_order_agnostic_codec_answers_too(self):
+        assert sorted(self.slots("gold", codec_name="huffman")) == \
+            ["Golden bowl", "gold ring", "old goLD"]
+
+    def test_blob_container_has_no_candidates(self):
+        container = make_container(WORDS, "bzip2")
+        assert not container.substring_indexable("alpha")
+        assert container.substring_candidates("alpha") is None
+
+
 class TestAccounting:
     def test_data_size_positive(self):
         container = make_container(WORDS)
@@ -151,3 +223,22 @@ def test_interval_matches_filter_model(values, low, high):
     got = sorted(codec.decode(cv)
                  for _, cv in container.interval_search(low, high))
     assert got == sorted(v for v in values if low <= v <= high)
+
+
+_FOLDING = "abAB ßsSİiıΣσς😀"
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.text(alphabet=_FOLDING, max_size=10), min_size=1,
+                max_size=20),
+       st.text(alphabet=_FOLDING, min_size=1, max_size=5))
+def test_substring_candidates_are_a_superset(values, needle):
+    container = make_container(values)
+    found = container.substring_candidates(needle)
+    if found is None:
+        assert len(needle.casefold()) < 3
+        return
+    decoded = [v for _, v in container.scan_decoded()]
+    for slot, value in enumerate(decoded):
+        if needle in value or needle.lower() in value.lower():
+            assert slot in found, (value, needle)
