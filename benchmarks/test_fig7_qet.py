@@ -45,7 +45,7 @@ def test_xquec_qet(benchmark, query_id, xquec_system, galax_engine,
     assert result == expected
     # One instrumented run (outside the timed rounds) attaches the
     # operator counts behind this figure to the result files.
-    telemetry = Telemetry(enabled=True)
+    telemetry = Telemetry()
     with runtime.activated(telemetry):
         xquec_system.query(
             query_text(query_id),

@@ -25,7 +25,7 @@ LINT_BENCH_QUERIES = ("Q1", "Q3", "Q8")
 @pytest.mark.parametrize("query_id", LINT_BENCH_QUERIES)
 def test_diagnostics_persisted_with_telemetry(query_id, xquec_system,
                                               telemetry_sink):
-    telemetry = Telemetry(enabled=True)
+    telemetry = Telemetry()
     with runtime.activated(telemetry):
         xquec_system.query(
             query_text(query_id),
@@ -44,7 +44,7 @@ def test_diagnostics_persisted_with_telemetry(query_id, xquec_system,
 
 def test_lint_counters_match_diagnostics(xquec_system):
     """`lint.<severity>` counters mirror the diagnostics list."""
-    telemetry = Telemetry(enabled=True)
+    telemetry = Telemetry()
     with runtime.activated(telemetry):
         xquec_system.query(query_text("Q3"),
                            ExecutionOptions(telemetry=telemetry)

@@ -43,6 +43,7 @@ from repro.query.options import ExecutionOptions
 from repro.service.session import Session
 from repro.storage.loader import load_document
 from repro.storage.serialization import load_repository, save_repository
+from repro.util.text import table
 from repro.xmark.generator import generate_xmark
 
 #: set by SIGINT/SIGTERM to stop a running ``repro serve`` loop; a
@@ -482,7 +483,7 @@ def _cmd_workload(args, out) -> int:
 def _cmd_trace(args, out) -> int:
     repository = load_repository(args.repository)
     session = Session(repository)
-    telemetry = Telemetry(enabled=True)
+    telemetry = Telemetry()
     with runtime.activated(telemetry):
         with telemetry.span("Query", query=args.xquery):
             result = session.execute(
@@ -530,29 +531,22 @@ def _print_container_table(repository, out) -> None:
     runs under an active telemetry; the codec totals printed afterwards
     come from the registry those decodes populated.
     """
-    telemetry = Telemetry(enabled=True)
-    table = []
+    telemetry = Telemetry()
+    rows = []
     with runtime.activated(telemetry):
         for container in repository.containers():
             compressed = container.data_size_bytes()
             plain = container.uncompressed_size_bytes()
             ratio = f"{compressed / plain:.3f}" if plain else "n/a"
-            table.append((container.path, container.codec.name,
+            rows.append((container.path, container.codec.name,
                           str(len(container)), str(compressed),
                           str(plain), ratio))
     headers = ("container", "codec", "records", "compressed_B",
                "plain_B", "ratio")
-    widths = [len(h) for h in headers]
-    for row in table:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
     print(file=out)
     print("-- containers --", file=out)
-    print("  ".join(h.ljust(w) for h, w in zip(headers, widths)),
-          file=out)
-    for row in table:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)),
-              file=out)
+    for line in table(headers, rows):
+        print(line, file=out)
     counters = telemetry.metrics.counters()
     codec_names = sorted({name.split(".")[1] for name in counters
                           if name.startswith("codec.")})

@@ -7,26 +7,25 @@ compressed domain, decompression is deferred to serialization — is
 
 * :class:`~repro.obs.tracer.Tracer` — hierarchical wall-clock spans
   (``perf_counter_ns``) naming the paper's physical operators
-  (Figure 4 access paths); a disabled tracer hands out one shared
-  no-op span, so the hot path pays ~nothing;
+  (Figure 4 access paths); an untraced run has no tracer and its
+  span sites get one shared no-op span;
 * :class:`~repro.obs.metrics.MetricsRegistry` — named counters,
-  gauges, bounded p50/p95/max histograms and fixed-memory **rolling
-  windows** (:class:`~repro.obs.metrics.WindowedHistogram`);
-  :class:`repro.query.context.EvaluationStats` is now a thin view
-  over one of these;
+  gauges and histograms (exact lifetime count/total/max plus a
+  fixed-memory rolling window for p50/p95/p99 and rate);
 * :mod:`~repro.obs.export` — the registry rendered as (and parsed
   back from) Prometheus text exposition, the serving telemetry
   plane's scrape format;
 * :class:`~repro.obs.telemetry.Telemetry` — one tracer + one registry
-  per query run, JSON-exportable (``to_json``) for benchmark reports
-  and the ``repro trace`` CLI;
+  + the run's ``EvaluationStats`` per *traced* query run,
+  JSON-exportable (``to_json``) for benchmark reports and the
+  ``repro trace`` CLI;
 * :class:`~repro.obs.lockwatch.LockOrderWatchdog` — opt-in runtime
   recorder of per-thread lock acquisition orders, cross-checked
   against the Tier-C static acquisition graph
   (:mod:`repro.lint.concurrency`);
 * :mod:`~repro.obs.runtime` — the module-level activation point the
   storage and compression layers check (one global load + ``is None``
-  test when telemetry is off) to report codec encode/decode calls,
+  test on an untraced run) to report codec encode/decode calls,
   B+-tree page reads and container accesses without threading a
   handle through every signature.
 """
@@ -48,7 +47,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    WindowedHistogram,
 )
 from repro.obs.telemetry import Telemetry
 from repro.obs.tracer import Span, Tracer
@@ -70,7 +68,6 @@ __all__ = [
     "Telemetry",
     "Tracer",
     "WatchedLock",
-    "WindowedHistogram",
     "WorkloadCapture",
     "WorkloadJournal",
     "WorkloadRecord",

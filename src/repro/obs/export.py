@@ -1,8 +1,8 @@
 """Prometheus text exposition of a :class:`MetricsRegistry`.
 
-The serving telemetry plane's export surface: every counter, gauge,
-histogram and windowed histogram in a registry rendered in the
-Prometheus text exposition format (version 0.0.4), served by
+The serving telemetry plane's export surface: every counter, gauge
+and histogram in a registry rendered in the Prometheus text
+exposition format (version 0.0.4), served by
 :class:`repro.service.telemetry_http.TelemetryServer` at ``/metrics``
 and scraped back by ``repro top``.
 
@@ -13,11 +13,9 @@ families* carrying the original name as a label:
 
 * ``repro_counter{name="cache.plan.hit"} 12``
 * ``repro_gauge{name="slowlog.threshold_ms"} 100.0``
-* ``repro_histogram_count/_sum/_max{name="span.Execute"} ...``
-  (lifetime histograms)
-* ``repro_window_count/_sum/_max/_rate_per_s{name=...}`` and
-  ``repro_window{name=...,quantile="p50|p95|p99"}``
-  (rolling windows — the operational latency view)
+* ``repro_histogram_count/_sum/_max/_rate_per_s{name="span.Execute"}``
+  and ``repro_histogram{name=...,quantile="p50|p95|p99"}`` (lifetime
+  count / sum / max; rate and quantiles over the rolling window)
 
 Per-shard metrics from the sharded serving plane arrive in the
 registry as ``shard.<i>.<name>`` (the coordinator's fold — see
@@ -29,8 +27,8 @@ carries every shard::
 
 This keeps the mapping lossless and mechanical in both directions:
 :func:`parse_prometheus` reconstructs
-``{counters, gauges, histograms, windows}`` dictionaries from the
-text (shard labels folded back into the dotted ``shard.<i>.`` form),
+``{counters, gauges, histograms}`` dictionaries from the text (shard
+labels folded back into the dotted ``shard.<i>.`` form),
 so a scraper sees exactly what an in-process reader sees.
 """
 
@@ -38,13 +36,17 @@ from __future__ import annotations
 
 import re
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import PERCENTILES, MetricsRegistry
 
 #: the content type ``/metrics`` responses declare.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
-#: window quantile labels, in rendering order.
-WINDOW_QUANTILES = ("p50", "p95", "p99")
+#: ``repro_histogram_<family>`` -> :meth:`Histogram.summary` key.
+_HISTOGRAM_FAMILIES = {"count": "count", "sum": "total", "max": "max",
+                       "rate_per_s": "rate_per_s"}
+
+#: ``quantile=`` labels of the ``repro_histogram`` family.
+_QUANTILES = tuple(f"p{p:g}" for p in PERCENTILES)
 
 
 def _escape_label(value: str) -> str:
@@ -124,34 +126,21 @@ def render_prometheus(metrics: MetricsRegistry,
                      f"{_fmt(gauges[name])}")
 
     histograms = metrics.histograms()
-    for family in ("count", "sum", "max"):
+    for family, key in _HISTOGRAM_FAMILIES.items():
         lines.append(f"# TYPE repro_histogram_{family} gauge")
-        key = {"count": "count", "sum": "total", "max": "max"}[family]
         for name, summary in histograms.items():
             lines.append(
                 f'repro_histogram_{family}'
                 f'{{{_name_labels(name)}}} '
                 f"{_fmt(summary[key])}")
-
-    windows = metrics.windows()
-    for family in ("count", "sum", "max", "rate_per_s"):
-        lines.append(f"# TYPE repro_window_{family} gauge")
-        key = {"count": "count", "sum": "total", "max": "max",
-               "rate_per_s": "rate_per_s"}[family]
-        for name, summary in windows.items():
-            lines.append(
-                f'repro_window_{family}'
-                f'{{{_name_labels(name)}}} '
-                f"{_fmt(summary[key])}")
-    lines.append("# TYPE repro_window summary")
-    for name, summary in windows.items():
-        for quantile in WINDOW_QUANTILES:
-            value = summary[quantile]
-            if value is None:
-                continue
-            lines.append(
-                f'repro_window{{{_name_labels(name)},'
-                f'quantile="{quantile}"}} {_fmt(value)}')
+    lines.append("# TYPE repro_histogram summary")
+    for name, summary in histograms.items():
+        for quantile in _QUANTILES:
+            if summary[quantile] is not None:
+                lines.append(
+                    f'repro_histogram{{{_name_labels(name)},'
+                    f'quantile="{quantile}"}} '
+                    f"{_fmt(summary[quantile])}")
     return "\n".join(lines) + "\n"
 
 
@@ -181,15 +170,12 @@ def parse_prometheus(text: str) -> dict:
     """Reconstruct registry-shaped dictionaries from exposition text.
 
     Returns ``{"counters": {name: value}, "gauges": {...},
-    "histograms": {name: {count,total,max}}, "windows": {name:
-    {count,total,max,rate_per_s,p50,p95,p99}}}``.  Lines from foreign
-    metric families are ignored, so the parser survives a ``/metrics``
-    page that grows new families.
+    "histograms": {name: {count,total,max,rate_per_s,p50,p95,p99}}}``
+    (a quantile the window could not answer is absent).  Lines from
+    foreign metric families are ignored, so the parser survives a
+    ``/metrics`` page that grows new families.
     """
-    out: dict = {"counters": {}, "gauges": {},
-                 "histograms": {}, "windows": {}}
-    window_keys = {"count": "count", "sum": "total", "max": "max",
-                   "rate_per_s": "rate_per_s"}
+    out: dict = {"counters": {}, "gauges": {}, "histograms": {}}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -214,18 +200,13 @@ def parse_prometheus(text: str) -> dict:
             out["counters"][name] = int(value)
         elif family == "repro_gauge":
             out["gauges"][name] = value
-        elif family.startswith("repro_histogram_"):
-            key = family[len("repro_histogram_"):]
-            mapped = window_keys.get(key)
-            if mapped:
-                out["histograms"].setdefault(name, {})[mapped] = value
-        elif family == "repro_window":
+        elif family == "repro_histogram":
             quantile = labels.get("quantile")
-            if quantile in WINDOW_QUANTILES:
-                out["windows"].setdefault(name, {})[quantile] = value
-        elif family.startswith("repro_window_"):
-            key = family[len("repro_window_"):]
-            mapped = window_keys.get(key)
-            if mapped:
-                out["windows"].setdefault(name, {})[mapped] = value
+            if quantile in _QUANTILES:
+                out["histograms"].setdefault(name, {})[quantile] = value
+        elif family.startswith("repro_histogram_"):
+            key = _HISTOGRAM_FAMILIES.get(
+                family[len("repro_histogram_"):])
+            if key:
+                out["histograms"].setdefault(name, {})[key] = value
     return out

@@ -1,28 +1,27 @@
-"""Named counters, gauges, histograms and windowed histograms.
+"""Named counters, gauges and histograms: the three metric kinds.
 
-A :class:`MetricsRegistry` is the per-run source of truth for every
-operator counter the engine keeps.  Counters are plain mutable cells so
-the long-standing ``stats.decompressions += 1`` idiom stays a couple of
-attribute accesses; histograms capture per-operator wall times and
-report p50/p95/max; :class:`Gauge` holds the latest value of a
-non-monotonic quantity (cache hit rate, slow-log threshold); and
-:class:`WindowedHistogram` keeps a fixed-memory ring of time-bucketed
-digests over the monotonic clock so a long-running serving process
-reports *recent* p50/p95/p99 and rate-per-second, not lifetime
-aggregates.
+A :class:`MetricsRegistry` is what a serving process (one per
+:class:`~repro.service.session.Database` or shard coordinator) and a
+*traced* query run (one per :class:`~repro.obs.telemetry.Telemetry`)
+keep their books in.  :class:`Counter` only counts up, :class:`Gauge`
+holds the latest value of a quantity that moves both ways, and
+:class:`Histogram` is the one distribution kind: exact lifetime
+count / total / max plus a fixed-memory ring of time buckets over the
+monotonic clock, so a long-running process reports *recent*
+p50/p95/p99 and rate-per-second without growing.
 
-Thread safety: :meth:`Counter.add` and the registry's get-or-create /
-snapshot / merge paths take locks, so a registry *shared across
-threads* (the session layer's ``cache.*`` counters, batch-serving
-aggregation) never loses increments.  Direct ``cell.value`` mutation —
-the ``EvaluationStats`` hot-path idiom — stays lock-free and is only
-legal on per-run registries, which are confined to one thread.
+Thread safety: every mutation takes the metric's own lock and the
+registry's get-or-create / snapshot paths take the registry lock, so a
+registry shared across ``execute_many`` worker threads never loses an
+increment.  All of these locks are leaves — nothing is called while
+holding one.
 """
 
 from __future__ import annotations
 
 import random
 import threading
+import zlib
 
 from repro.util.clock import NS_PER_S, now_ns
 
@@ -30,11 +29,8 @@ from repro.util.clock import NS_PER_S, now_ns
 class Counter:
     """A named, monotonically adjustable integer cell.
 
-    ``value`` is deliberately *not* in a guarded-field registry: the
-    ``EvaluationStats`` hot path mutates it directly (``cell.value +=
-    1``) on per-run registries that are confined to one thread, and
-    reads are GIL-atomic.  Cross-thread increments must go through
-    :meth:`add`.
+    Reads of ``value`` are GIL-atomic and need no lock; increments go
+    through :meth:`add`.
     """
 
     __slots__ = ("name", "value", "_lock")
@@ -61,165 +57,6 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"<Counter {self.name}={self.value}>"
-
-
-#: retained samples per histogram: beyond this, reservoir sampling
-#: keeps a uniform subset while count/total/max stay exact.
-HISTOGRAM_SAMPLE_CAP = 4096
-
-
-class Histogram:
-    """A named distribution with p50/p95/max summaries.
-
-    Retained memory is **bounded**: the first
-    :data:`HISTOGRAM_SAMPLE_CAP` observations are kept verbatim; after
-    that, reservoir sampling (Vitter's algorithm R, seeded per
-    histogram for reproducibility) keeps a uniform subset of all
-    observations so far.  ``count``/``total``/``max`` stay *exact*
-    regardless — only the percentiles degrade, from exact
-    nearest-rank to a reservoir estimate whose error shrinks as
-    1/sqrt(cap); with the default cap of 4096 the p95 of a
-    million-observation stream is still within a fraction of a
-    percentile rank.  A long-running serving process can therefore
-    observe forever without growing.
-
-    Thread safety: the SLO layer observes latencies into *shared*
-    histograms from ``execute_many`` worker threads, so the
-    observation list is guarded — a torn ``sorted()`` over a list
-    mid-``append`` must not corrupt a percentile report.
-    """
-
-    __slots__ = ("name", "values", "sample_cap", "_count", "_total",
-                 "_max", "_rng", "_lock")
-
-    GUARDED_BY = {"values": "_lock", "_count": "_lock",
-                  "_total": "_lock", "_max": "_lock"}
-
-    def __init__(self, name: str,
-                 sample_cap: int = HISTOGRAM_SAMPLE_CAP):
-        if sample_cap < 1:
-            raise ValueError(f"histogram {name!r}: sample cap must "
-                             f"be >= 1, got {sample_cap}")
-        self.name = name
-        self.values: list[float] = []
-        self.sample_cap = sample_cap
-        self._count = 0
-        self._total = 0.0
-        self._max = 0.0
-        #: deterministic reservoir choices, keyed on the metric name.
-        self._rng = random.Random(hash(name) & 0xFFFFFFFF)
-        self._lock = threading.Lock()
-
-    def observe(self, value: float) -> None:
-        with self._lock:
-            self._count += 1
-            self._total += value
-            if self._count == 1 or value > self._max:
-                self._max = value
-            if len(self.values) < self.sample_cap:
-                self.values.append(value)
-            else:
-                slot = self._rng.randrange(self._count)
-                if slot < self.sample_cap:
-                    self.values[slot] = value
-
-    def absorb(self, count: int, total: float, maximum: float,
-               samples: list[float]) -> None:
-        """Fold another histogram's exact aggregates + samples in.
-
-        Used by :meth:`MetricsRegistry.merge`: re-observing the
-        retained samples alone would lose the exact ``count`` and
-        ``total`` of a capped source histogram.
-        """
-        if count <= 0:
-            return
-        with self._lock:
-            had_any = self._count > 0
-            self._count += count
-            self._total += total
-            if not had_any or maximum > self._max:
-                self._max = maximum
-            for value in samples:
-                if len(self.values) < self.sample_cap:
-                    self.values.append(value)
-                else:
-                    slot = self._rng.randrange(len(self.values) * 2)
-                    if slot < self.sample_cap:
-                        self.values[slot] = value
-
-    def snapshot(self) -> list[float]:
-        """A consistent copy of the *retained* observations.
-
-        Exact up to :attr:`sample_cap` observations; a uniform sample
-        of the stream beyond that.
-        """
-        with self._lock:
-            return list(self.values)
-
-    def state(self) -> tuple[int, float, float, list[float]]:
-        """(count, total, max, retained samples) — one consistent
-        view, for :meth:`absorb`."""
-        with self._lock:
-            return (self._count, self._total, self._max,
-                    list(self.values))
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    @property
-    def total(self) -> float:
-        with self._lock:
-            return self._total
-
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile, ``p`` in [0, 100].
-
-        Exact while the histogram holds at most ``sample_cap``
-        observations; a reservoir estimate beyond that (see the class
-        docstring for the accuracy tradeoff).  Both an out-of-range
-        ``p`` and an empty histogram raise: a fabricated 0.0 would
-        read as "this operator was instant" in a report.
-        (:meth:`summary` stays total — it marks emptiness with an
-        explicit ``count: 0`` row instead.)
-        """
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(
-                f"histogram {self.name!r}: percentile {p!r} outside "
-                "[0, 100]")
-        ordered = sorted(self.snapshot())
-        if not ordered:
-            raise ValueError(
-                f"histogram {self.name!r} is empty: no observations "
-                "to take a percentile of")
-        rank = max(0, min(len(ordered) - 1,
-                          round(p / 100.0 * (len(ordered) - 1))))
-        return ordered[rank]
-
-    def summary(self) -> dict:
-        """count/total/p50/p95/max as a plain dict (JSON-ready).
-
-        ``count``/``total``/``max`` are exact over every observation;
-        the percentiles come from the retained (possibly sampled)
-        values.
-        """
-        count, total, maximum, values = self.state()
-        ordered = sorted(values)
-        if not ordered:
-            return {"count": 0, "total": 0.0, "p50": 0.0,
-                    "p95": 0.0, "max": 0.0}
-        last = len(ordered) - 1
-        return {
-            "count": count,
-            "total": total,
-            "p50": ordered[round(0.50 * last)],
-            "p95": ordered[round(0.95 * last)],
-            "max": maximum,
-        }
-
-    def __repr__(self) -> str:
-        return f"<Histogram {self.name} n={self.count}>"
 
 
 class Gauge:
@@ -258,104 +95,97 @@ class Gauge:
         return f"<Gauge {self.name}={self.value}>"
 
 
-#: windowed-histogram defaults: a one-minute window of 5 s buckets.
+#: histogram window: one minute of 5 s buckets.
 WINDOW_SECONDS = 60.0
 WINDOW_BUCKETS = 12
 
-#: retained samples per window bucket (memory bound per window:
+#: retained samples per window bucket (memory bound per histogram:
 #: buckets * cap floats).
 WINDOW_BUCKET_SAMPLE_CAP = 256
 
+#: the percentiles :meth:`Histogram.summary` quotes.
+PERCENTILES = (50.0, 95.0, 99.0)
 
-class _WindowBucket:
-    """One time bucket of a :class:`WindowedHistogram` (no locking —
-    the owning window guards it)."""
 
-    __slots__ = ("epoch", "count", "total", "max", "samples")
+class _Bucket:
+    """One time bucket of a :class:`Histogram` (no locking — the
+    owning histogram guards it)."""
 
-    def __init__(self, epoch: int = -1):
-        self.reset(epoch)
+    __slots__ = ("epoch", "count", "samples")
 
-    def reset(self, epoch: int) -> None:
-        self.epoch = epoch
+    def __init__(self):
+        self.epoch = -1
         self.count = 0
-        self.total = 0.0
-        self.max = 0.0
         self.samples: list[float] = []
 
 
-class WindowedHistogram:
-    """A fixed-memory rolling distribution over the monotonic clock.
+class Histogram:
+    """A named distribution: exact lifetime scalars + a rolling window.
 
-    Observations land in a ring of ``buckets`` time buckets, each
-    ``window_s / buckets`` seconds wide; a bucket is recycled in place
-    when its ring slot comes around again, so memory never exceeds
-    ``buckets * bucket_sample_cap`` retained floats however long the
-    process serves.  :meth:`summary` aggregates only the buckets still
-    inside the window: rolling count, total, max, p50/p95/p99 and
-    rate-per-second — the "recent behaviour" view the lifetime
-    :class:`Histogram` cannot give a long-running server.
+    ``count`` / ``total`` / ``max`` are exact over every observation
+    ever made.  Percentiles and the rate come from a ring of
+    ``buckets`` time buckets, each ``window_s / buckets`` seconds wide;
+    a bucket is recycled in place when its ring slot comes around
+    again, so memory never exceeds ``buckets * bucket_sample_cap``
+    retained floats however long the process serves.  A bucket keeps
+    its first ``bucket_sample_cap`` observations verbatim and a
+    uniform reservoir (Vitter's algorithm R) beyond that, seeded from
+    a CRC of the metric name — not ``hash()``, which
+    ``PYTHONHASHSEED`` randomises per process — so two processes fed
+    the same stream report the same percentiles.
 
     ``clock`` is injectable (monotonic nanoseconds) for tests; the
-    default is :func:`repro.util.clock.now_ns`, the same clock every
-    other measurement layer uses.
-
-    Thread safety: one lock guards the ring; ``execute_many`` worker
-    threads observe concurrently.  The lock is a leaf — nothing is
-    called while holding it.
+    default is :func:`repro.util.clock.now_ns`, the clock every other
+    measurement layer uses.
     """
 
     __slots__ = ("name", "window_ns", "bucket_ns", "buckets",
-                 "bucket_sample_cap", "_ring", "_rng", "_clock",
-                 "_lock")
+                 "bucket_sample_cap", "_count", "_total", "_max",
+                 "_ring", "_rng", "_clock", "_lock")
 
-    GUARDED_BY = {"_ring": "_lock"}
-
-    PERCENTILES = (50.0, 95.0, 99.0)
+    GUARDED_BY = {"_count": "_lock", "_total": "_lock",
+                  "_max": "_lock", "_ring": "_lock"}
 
     def __init__(self, name: str, window_s: float = WINDOW_SECONDS,
                  buckets: int = WINDOW_BUCKETS,
                  bucket_sample_cap: int = WINDOW_BUCKET_SAMPLE_CAP,
                  clock=None):
         if window_s <= 0:
-            raise ValueError(f"window {name!r}: window_s must be "
+            raise ValueError(f"histogram {name!r}: window_s must be "
                              f"positive, got {window_s}")
         if buckets < 2:
-            raise ValueError(f"window {name!r}: need >= 2 buckets, "
+            raise ValueError(f"histogram {name!r}: need >= 2 buckets, "
                              f"got {buckets}")
         if bucket_sample_cap < 1:
-            raise ValueError(f"window {name!r}: bucket sample cap "
+            raise ValueError(f"histogram {name!r}: bucket sample cap "
                              f"must be >= 1, got {bucket_sample_cap}")
         self.name = name
         self.window_ns = int(window_s * NS_PER_S)
         self.buckets = buckets
         self.bucket_ns = max(1, self.window_ns // buckets)
         self.bucket_sample_cap = bucket_sample_cap
-        self._ring = [_WindowBucket() for _ in range(buckets)]
-        self._rng = random.Random(hash(name) & 0xFFFFFFFF)
+        self._count = 0
+        self._total = 0.0
+        self._max = 0.0
+        self._ring = [_Bucket() for _ in range(buckets)]
+        self._rng = random.Random(zlib.crc32(name.encode("utf-8")))
         self._clock = clock if clock is not None else now_ns
         self._lock = threading.Lock()
 
-    @property
-    def window_s(self) -> float:
-        return self.window_ns / NS_PER_S
-
-    def _bucket_at(self, ts_ns: int) -> _WindowBucket:  # holds: _lock
-        epoch = ts_ns // self.bucket_ns
-        bucket = self._ring[epoch % self.buckets]
-        if bucket.epoch != epoch:
-            bucket.reset(epoch)
-        return bucket
-
-    def observe(self, value: float, ts_ns: int | None = None) -> None:
+    def observe(self, value: float) -> None:
         """File one observation under the clock's current bucket."""
-        ts_ns = ts_ns if ts_ns is not None else self._clock()
+        epoch = self._clock() // self.bucket_ns
         with self._lock:
-            bucket = self._bucket_at(ts_ns)
+            self._count += 1
+            self._total += value
+            if self._count == 1 or value > self._max:
+                self._max = value
+            bucket = self._ring[epoch % self.buckets]
+            if bucket.epoch != epoch:
+                bucket.epoch = epoch
+                bucket.count = 0
+                bucket.samples = []
             bucket.count += 1
-            bucket.total += value
-            if bucket.count == 1 or value > bucket.max:
-                bucket.max = value
             if len(bucket.samples) < self.bucket_sample_cap:
                 bucket.samples.append(value)
             else:
@@ -363,102 +193,87 @@ class WindowedHistogram:
                 if slot < self.bucket_sample_cap:
                     bucket.samples[slot] = value
 
-    def _live(self, now: int) -> list[_WindowBucket]:  # holds: _lock
-        """Buckets still inside the window, oldest first."""
+    @property
+    def count(self) -> int:
+        with self._lock:
+            return self._count
+
+    def _window(self, now: int) -> tuple:  # holds: _lock
+        """``(observations, start ns of the oldest live bucket,
+        retained samples)`` of the buckets still inside the window."""
         horizon = now // self.bucket_ns - self.buckets + 1
-        return sorted((b for b in self._ring
-                       if b.epoch >= horizon and b.count > 0),
-                      key=lambda b: b.epoch)
+        live = [b for b in self._ring
+                if b.epoch >= horizon and b.count > 0]
+        return (sum(b.count for b in live),
+                min((b.epoch for b in live), default=0) * self.bucket_ns,
+                [v for b in live for v in b.samples])
 
-    def summary(self, now_ns_: int | None = None) -> dict:
-        """Rolling count/total/max/p50/p95/p99/rate (JSON-ready).
+    def percentile(self, p: float) -> float:
+        """Nearest-rank percentile of the window, ``p`` in [0, 100].
 
-        Percentiles are nearest-rank over the window's retained
-        samples (exact up to the per-bucket cap); ``rate_per_s``
-        divides the window count by the covered span — the seconds
+        Exact while no live bucket holds more than its sample cap; a
+        reservoir estimate beyond that.  Both an out-of-range ``p``
+        and an empty window raise: a fabricated 0.0 would read as
+        "this operator was instant" in a report.  (:meth:`summary`
+        stays total — it reports ``None`` percentiles instead.)
+        """
+        if not 0.0 <= p <= 100.0:
+            raise ValueError(
+                f"histogram {self.name!r}: percentile {p!r} outside "
+                "[0, 100]")
+        with self._lock:
+            samples = self._window(self._clock())[2]
+        if not samples:
+            raise ValueError(
+                f"histogram {self.name!r} is empty: no observations "
+                "in the window to take a percentile of")
+        samples.sort()
+        return samples[round(p / 100.0 * (len(samples) - 1))]
+
+    def summary(self) -> dict:
+        """count/total/max/rate_per_s/p50/p95/p99 (JSON-ready).
+
+        ``count`` / ``total`` / ``max`` are lifetime and exact.  The
+        percentiles are nearest-rank over the window's retained
+        samples (``None`` when it holds none); ``rate_per_s`` divides
+        the window's observations by the covered span — the seconds
         between the start of the oldest live bucket and now, clamped
-        to the window — so freshly started processes report a sane
+        to the window — so a freshly started process reports a sane
         rate instead of count/60.
         """
-        now = now_ns_ if now_ns_ is not None else self._clock()
+        now = self._clock()
         with self._lock:
-            live = self._live(now)
-            count = sum(b.count for b in live)
-            total = sum(b.total for b in live)
-            maximum = max((b.max for b in live), default=0.0)
-            samples: list[float] = []
-            for bucket in live:
-                samples.extend(bucket.samples)
-            oldest_start = (live[0].epoch * self.bucket_ns
-                            if live else now)
-        covered_ns = min(self.window_ns, max(now - oldest_start,
-                                             self.bucket_ns))
-        out = {
-            "count": count,
-            "total": total,
-            "max": maximum,
-            "rate_per_s": count / (covered_ns / NS_PER_S),
-            "window_s": self.window_s,
-        }
-        ordered = sorted(samples)
-        last = len(ordered) - 1
-        for p in self.PERCENTILES:
-            out[f"p{p:g}"] = (ordered[round(p / 100.0 * last)]
-                              if ordered else None)
+            out = {"count": self._count, "total": self._total,
+                   "max": self._max}
+            in_window, oldest_start, samples = self._window(now)
+        covered_ns = min(self.window_ns,
+                         max(now - oldest_start, self.bucket_ns))
+        out["rate_per_s"] = in_window / (covered_ns / NS_PER_S)
+        samples.sort()
+        last = len(samples) - 1
+        for p in PERCENTILES:
+            out[f"p{p:g}"] = (samples[round(p / 100.0 * last)]
+                              if samples else None)
         return out
 
-    def merge(self, other: "WindowedHistogram") -> None:
-        """Fold another window's live buckets into this one.
-
-        Both windows must share clock semantics (they do: everything
-        uses :mod:`repro.util.clock`); buckets align on their absolute
-        epoch, so merged observations stay in their original time
-        slots.  Used by :meth:`MetricsRegistry.merge`.
-        """
-        now = self._clock()
-        with other._lock:
-            live = [(b.epoch, b.count, b.total, b.max,
-                     list(b.samples)) for b in other._live(now)]
-        # fold outside other's lock; self._lock stays a leaf.
-        for epoch, count, total, maximum, samples in live:
-            ts = epoch * other.bucket_ns
-            with self._lock:
-                bucket = self._bucket_at(ts)
-                had_any = bucket.count > 0
-                bucket.count += count
-                bucket.total += total
-                if not had_any or maximum > bucket.max:
-                    bucket.max = maximum
-                for value in samples:
-                    if len(bucket.samples) < self.bucket_sample_cap:
-                        bucket.samples.append(value)
-                    else:
-                        slot = self._rng.randrange(
-                            len(bucket.samples) * 2)
-                        if slot < self.bucket_sample_cap:
-                            bucket.samples[slot] = value
-
     def __repr__(self) -> str:
-        return (f"<WindowedHistogram {self.name} "
-                f"{self.window_s:g}s/{self.buckets}>")
+        return f"<Histogram {self.name} n={self.count}>"
 
 
 class MetricsRegistry:
-    """Get-or-create registry of named counters, gauges, histograms
-    and windowed histograms."""
+    """Get-or-create registry of named counters, gauges and
+    histograms."""
 
-    __slots__ = ("_counters", "_histograms", "_gauges", "_windows",
-                 "_lock")
+    __slots__ = ("_counters", "_gauges", "_histograms", "_lock")
 
-    GUARDED_BY = {"_counters": "_lock", "_histograms": "_lock",
-                  "_gauges": "_lock", "_windows": "_lock"}
+    GUARDED_BY = {"_counters": "_lock", "_gauges": "_lock",
+                  "_histograms": "_lock"}
 
     def __init__(self):
         self._counters: dict[str, Counter] = {}
-        self._histograms: dict[str, Histogram] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._windows: dict[str, WindowedHistogram] = {}
-        self._lock = threading.RLock()
+        self._histograms: dict[str, Histogram] = {}
+        self._lock = threading.Lock()
 
     def counter(self, name: str) -> Counter:
         """The counter called ``name``, created at 0 on first use."""
@@ -475,21 +290,6 @@ class MetricsRegistry:
         """Increment the counter called ``name`` by ``n``."""
         self.counter(name).add(n)
 
-    def histogram(self, name: str) -> Histogram:
-        """The histogram called ``name``, created empty on first use."""
-        hist = self._histograms.get(name)  # lockfree-read (double-checked)
-        if hist is None:
-            with self._lock:
-                hist = self._histograms.get(name)
-                if hist is None:
-                    hist = Histogram(name)
-                    self._histograms[name] = hist
-        return hist
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one observation into histogram ``name``."""
-        self.histogram(name).observe(value)
-
     def gauge(self, name: str) -> Gauge:
         """The gauge called ``name``, created at 0.0 on first use."""
         cell = self._gauges.get(name)  # lockfree-read (double-checked)
@@ -505,32 +305,31 @@ class MetricsRegistry:
         """Set the gauge called ``name`` to ``value``."""
         self.gauge(name).set(value)
 
-    def window(self, name: str,
-               window_s: float = WINDOW_SECONDS,
-               buckets: int = WINDOW_BUCKETS) -> WindowedHistogram:
-        """The windowed histogram called ``name`` (get-or-create).
-
-        Configuration arguments apply only on first creation; later
-        callers get the existing window unchanged.
-        """
-        win = self._windows.get(name)  # lockfree-read (double-checked)
-        if win is None:
+    def histogram(self, name: str) -> Histogram:
+        """The histogram called ``name``, created empty on first use."""
+        hist = self._histograms.get(name)  # lockfree-read (double-checked)
+        if hist is None:
             with self._lock:
-                win = self._windows.get(name)
-                if win is None:
-                    win = WindowedHistogram(name, window_s=window_s,
-                                            buckets=buckets)
-                    self._windows[name] = win
-        return win
+                hist = self._histograms.get(name)
+                if hist is None:
+                    hist = Histogram(name)
+                    self._histograms[name] = hist
+        return hist
 
-    def observe_window(self, name: str, value: float) -> None:
-        """Record one observation into windowed histogram ``name``."""
-        self.window(name).observe(value)
+    def observe(self, name: str, value: float) -> None:
+        """Record one observation into histogram ``name``."""
+        self.histogram(name).observe(value)
 
     def counters(self) -> dict[str, int]:
         """All counter values, by name (zero-valued ones included)."""
         with self._lock:
             cells = sorted(self._counters.items())
+        return {name: cell.value for name, cell in cells}
+
+    def gauges(self) -> dict[str, float]:
+        """All gauge values, by name."""
+        with self._lock:
+            cells = sorted(self._gauges.items())
         return {name: cell.value for name, cell in cells}
 
     def histograms(self) -> dict[str, dict]:
@@ -539,52 +338,11 @@ class MetricsRegistry:
             hists = sorted(self._histograms.items())
         return {name: hist.summary() for name, hist in hists}
 
-    def gauges(self) -> dict[str, float]:
-        """All gauge values, by name."""
-        with self._lock:
-            cells = sorted(self._gauges.items())
-        return {name: cell.value for name, cell in cells}
-
-    def windows(self) -> dict[str, dict]:
-        """All windowed-histogram rolling summaries, by name."""
-        with self._lock:
-            wins = sorted(self._windows.items())
-        return {name: win.summary() for name, win in wins}
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's metrics into this one.
-
-        Counters add up; histograms fold exact count/total/max plus
-        the retained samples; windows merge bucket-wise on the shared
-        monotonic clock; gauges take the other registry's latest
-        value.  Used by the session layer to aggregate per-run
-        registries into one serving-wide view; safe against concurrent
-        merges into the same target.
-        """
-        for name, value in other.counters().items():
-            if value:
-                self.add(name, value)
-        with other._lock:
-            hists = list(other._histograms.items())
-            gauges = list(other._gauges.items())
-            windows = list(other._windows.items())
-        # snapshot outside the registry lock: the per-metric locks
-        # stay leaves of the lock hierarchy.
-        for name, hist in hists:
-            count, total, maximum, samples = hist.state()
-            self.histogram(name).absorb(count, total, maximum,
-                                        samples)
-        for name, cell in gauges:
-            self.gauge(name).set(cell.value)
-        for name, win in windows:
-            self.window(name).merge(win)
-
     def to_dict(self) -> dict:
         """JSON-ready snapshot of every metric."""
         return {"counters": self.counters(),
-                "histograms": self.histograms(),
                 "gauges": self.gauges(),
-                "windows": self.windows()}
+                "histograms": self.histograms()}
 
     def __repr__(self) -> str:
         return (f"<MetricsRegistry "

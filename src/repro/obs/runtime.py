@@ -27,27 +27,16 @@ ACTIVE = None
 RECORDER = None
 
 
-def active():
-    """The currently active :class:`~repro.obs.telemetry.Telemetry`."""
-    return ACTIVE
-
-
-def recorder():
-    """The active :class:`~repro.obs.workload.WorkloadCapture`."""
-    return RECORDER
-
-
 @contextmanager
 def activated(telemetry):
     """Make ``telemetry`` the active sink while the block runs.
 
-    A disabled (or ``None``) telemetry deactivates for the block —
-    the deep layers then skip all reporting.
+    ``None`` deactivates for the block — the deep layers then skip
+    all reporting.
     """
     global ACTIVE
     previous = ACTIVE
-    ACTIVE = telemetry if telemetry is not None and telemetry.enabled \
-        else None
+    ACTIVE = telemetry
     try:
         yield telemetry
     finally:
@@ -78,12 +67,6 @@ def add(counter: str, n: int = 1) -> None:
         ACTIVE.metrics.add(counter, n)
 
 
-def observe(histogram: str, value: float) -> None:
-    """Record a histogram observation on the active registry (guarded)."""
-    if ACTIVE is not None:
-        ACTIVE.metrics.observe(histogram, value)
-
-
 def record_codec(operation: str, codec_name: str,
                  compressed_bytes: int, plain_chars: int) -> None:
     """Report one codec encode/decode: call count and byte totals.
@@ -103,14 +86,3 @@ def record_codec(operation: str, codec_name: str,
 def record_page_reads(n: int) -> None:
     """Report B+-tree node visits (the paper's page reads)."""
     ACTIVE.metrics.add("btree.page_reads", n)
-
-
-@contextmanager
-def span(name: str, **attributes):
-    """A span on the active tracer, or a no-op when inactive."""
-    telemetry = ACTIVE
-    if telemetry is None:
-        yield None
-        return
-    with telemetry.span(name, **attributes) as opened:
-        yield opened

@@ -1,7 +1,12 @@
-"""One query run's worth of observability: tracer + metrics + export.
+"""One traced query run's worth of observability.
 
-A :class:`Telemetry` bundles the tracer and the metrics registry the
-engine uses for one execution.  Span durations are mirrored into
+A :class:`Telemetry` exists only for a run someone asked to trace
+(``ExecutionOptions(telemetry=Telemetry())``); an untraced run has
+none.  It bundles the tracer, the metrics registry the deep layers
+report codec / page / container activity into, the plan verifier's
+findings and the run's :class:`~repro.query.context.EvaluationStats`
+— the same object ``QueryResult.stats`` is, so every view of the run
+quotes the same eight counters.  Span durations are mirrored into
 ``span.<name>`` histograms as spans close, so per-operator p50/p95/max
 come for free.  ``to_json()`` is the machine-readable operator profile
 attached to benchmark results and emitted by ``repro trace``.
@@ -12,20 +17,24 @@ from __future__ import annotations
 import json
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import NOOP_SPAN, Tracer
 
 
 class Telemetry:
-    """Tracer + metrics registry for one engine run."""
+    """Tracer + metrics registry + evaluation counters of a traced
+    run."""
 
-    __slots__ = ("enabled", "tracer", "metrics", "diagnostics")
+    __slots__ = ("tracer", "metrics", "stats", "diagnostics")
 
-    def __init__(self, enabled: bool = True,
-                 metrics: MetricsRegistry | None = None):
-        self.enabled = enabled
+    def __init__(self, metrics: MetricsRegistry | None = None):
+        # imported here: the query package imports this module.
+        from repro.query.context import EvaluationStats
         self.metrics = metrics if metrics is not None else \
             MetricsRegistry()
-        self.tracer = Tracer(enabled=enabled, on_end=self._span_ended)
+        self.tracer = Tracer(on_end=self._span_ended)
+        #: the evaluation counters of the run(s) recorded here; the
+        #: engine counts into it and hands it out as the result's.
+        self.stats = EvaluationStats()
         #: non-fatal plan-verifier findings of the run
         #: (:class:`repro.lint.PlanDiagnostic` objects).
         self.diagnostics: list = []
@@ -34,12 +43,12 @@ class Telemetry:
         self.metrics.observe(f"span.{span.name}", span.duration_ns)
 
     def span(self, name: str, **attributes):
-        """Open a span (no-op when disabled)."""
+        """Open a span."""
         return self.tracer.span(name, **attributes)
 
     def operator_profile(self) -> dict[str, dict]:
-        """Per-operator {count, total_ns, p50, p95, max} from the
-        ``span.*`` histograms (names without the prefix).
+        """Per-operator histogram summaries from the ``span.*``
+        histograms (names without the prefix).
 
         Insertion order is the sorted operator name, independent of
         span-open order, so exported documents are stable across runs
@@ -54,7 +63,7 @@ class Telemetry:
     def to_dict(self) -> dict:
         """The full JSON-ready telemetry document."""
         return {
-            "enabled": self.enabled,
+            "stats": self.stats.as_dict(),
             "metrics": self.metrics.to_dict(),
             "operators": self.operator_profile(),
             "trace": self.tracer.to_dict(),
@@ -67,5 +76,13 @@ class Telemetry:
                           sort_keys=True, default=str)
 
     def __repr__(self) -> str:
-        state = "enabled" if self.enabled else "disabled"
-        return f"<Telemetry {state}>"
+        return f"<Telemetry spans={len(self.tracer.roots)}>"
+
+
+def span_on(telemetry: Telemetry | None, name: str, **attributes):
+    """A span on ``telemetry``, or the shared no-op for an untraced
+    run (``None``): the one helper every engine span site goes
+    through."""
+    if telemetry is None:
+        return NOOP_SPAN
+    return telemetry.tracer.span(name, **attributes)

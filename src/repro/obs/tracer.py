@@ -2,9 +2,9 @@
 
 ``Tracer.span(name, **attributes)`` is used as a context manager; spans
 nest by dynamic scope, so the finished trace is a forest mirroring the
-evaluation.  A disabled tracer returns one shared no-op span whose
-enter/exit do nothing — the instrumentation cost of a cold engine is a
-boolean test plus a constant return.
+evaluation.  A tracer exists only for a traced run; untraced span
+sites get :data:`NOOP_SPAN`, one shared span whose enter/exit do
+nothing (:func:`repro.obs.telemetry.span_on` hands it out).
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ class Span:
 
 
 class _NoOpSpan:
-    """The shared span a disabled tracer hands out; does nothing."""
+    """The shared span an untraced run's span sites get; does
+    nothing."""
 
     __slots__ = ()
 
@@ -86,7 +87,7 @@ class _NoOpSpan:
         return False
 
 
-#: the one no-op span every disabled tracer returns.
+#: the one no-op span every untraced span site gets.
 NOOP_SPAN = _NoOpSpan()
 
 
@@ -97,18 +98,15 @@ class Tracer:
     telemetry layer uses it to feed span durations into histograms.
     """
 
-    __slots__ = ("enabled", "roots", "_stack", "on_end")
+    __slots__ = ("roots", "_stack", "on_end")
 
-    def __init__(self, enabled: bool = True, on_end=None):
-        self.enabled = enabled
+    def __init__(self, on_end=None):
         self.roots: list[Span] = []
         self._stack: list[Span] = []
         self.on_end = on_end
 
     def span(self, name: str, **attributes):
-        """A context manager timing ``name``; no-op when disabled."""
-        if not self.enabled:
-            return NOOP_SPAN
+        """A context manager timing ``name``."""
         return Span(name, self, attributes or None)
 
     @property
@@ -133,23 +131,9 @@ class Tracer:
         if self.on_end is not None:
             self.on_end(span)
 
-    def aggregate(self) -> dict[str, dict]:
-        """Per-span-name {count, total_ns, max_ns} over the forest."""
-        out: dict[str, dict] = {}
-        for root in self.roots:
-            for span in root.walk():
-                row = out.setdefault(span.name, {"count": 0,
-                                                 "total_ns": 0,
-                                                 "max_ns": 0})
-                row["count"] += 1
-                row["total_ns"] += span.duration_ns
-                row["max_ns"] = max(row["max_ns"], span.duration_ns)
-        return out
-
     def to_dict(self) -> dict:
         """JSON-ready trace forest."""
         return {"spans": [root.to_dict() for root in self.roots]}
 
     def __repr__(self) -> str:
-        state = "enabled" if self.enabled else "disabled"
-        return f"<Tracer {state} roots={len(self.roots)}>"
+        return f"<Tracer roots={len(self.roots)}>"

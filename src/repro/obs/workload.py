@@ -40,7 +40,8 @@ from repro.partitioning.workload import PREDICATE_KINDS
 #: per-container access operations the deep layers report.
 ACCESS_OPS = ("scans", "interval_searches", "record_reads")
 
-#: registry counters diffed into each record's ``counters`` section.
+#: ``EvaluationStats`` counters diffed into each record's
+#: ``counters`` section.
 _RECORD_COUNTERS = ("decompressions", "compressed_comparisons",
                     "decompressed_comparisons", "container_accesses",
                     "summary_accesses", "hash_joins")
@@ -86,8 +87,8 @@ class WorkloadRecord:
     #: statically extracted E/I/D predicates:
     #: [{"kind", "left", "right"(or None)}], reusing the §3.2 extractor.
     predicates: list[dict] = field(default_factory=list)
-    #: registry counter deltas of the run (decompressions, compressed
-    #: vs decompressed comparisons, ...).
+    #: evaluation counter deltas of the run (decompressions,
+    #: compressed vs decompressed comparisons, ...).
     counters: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -162,24 +163,25 @@ class WorkloadRecorder:
             self._pid = os.getpid()
 
     @contextmanager
-    def capture(self, query_text: str, ast, repository, telemetry):
+    def capture(self, query_text: str, ast, repository, stats,
+                telemetry=None):
         """Record the execution inside the block as one journal entry.
 
         ``ast`` is the parsed query (for static E/I/D extraction
-        against ``repository``'s structure summary); ``telemetry`` is
-        the run's :class:`~repro.obs.telemetry.Telemetry`, whose
-        registry counters are diffed across the block.
+        against ``repository``'s structure summary); ``stats`` is the
+        run's :class:`~repro.query.context.EvaluationStats`, diffed
+        across the block; a traced run's ``telemetry`` also gets the
+        record mirrored into its ``workload.*`` counters.
         """
         from repro.obs import runtime
-        metrics = telemetry.metrics
-        before = {name: metrics.counter(name).value
+        before = {name: getattr(stats, name)
                   for name in _RECORD_COUNTERS}
         capture = WorkloadCapture()
         start = now_ns()
         with runtime.recording(capture):
             yield capture
         wall_ns = elapsed_ns(start)
-        deltas = {name: metrics.counter(name).value - before[name]
+        deltas = {name: getattr(stats, name) - before[name]
                   for name in _RECORD_COUNTERS}
         record = WorkloadRecord(
             query=query_text,
@@ -189,7 +191,8 @@ class WorkloadRecorder:
             predicates=_extract_predicates(ast, repository),
             counters=deltas,
         )
-        self._bump_metrics(metrics, record)
+        if telemetry is not None:
+            self._bump_metrics(telemetry.metrics, record)
         self.journal.append(record.to_dict())
         self._check_fork()
         with self._count_lock:

@@ -1,7 +1,7 @@
 """``EXPLAIN ANALYZE``: the static plan annotated with what really ran.
 
-:func:`explain_analyze` executes the query with telemetry enabled,
-then re-renders the :func:`repro.query.explain.explain` sketch with the
+:func:`explain_analyze` executes the query traced, then re-renders
+the :func:`repro.query.explain.explain` sketch with the
 *actual* per-operator counts and wall times, followed by the full
 operator/counter profile and the compressed-vs-decompressed ratios
 that quantify the paper's §5–6 claim (predicates run compressed,
@@ -10,7 +10,7 @@ decompression is deferred to serialization).
 Plan-line annotations carry the run's aggregate for that operator
 class — the counters shown are exactly the
 :class:`~repro.query.context.EvaluationStats` totals of the same run
-(they share one :class:`~repro.obs.metrics.MetricsRegistry`).
+(the telemetry holds the object ``QueryResult.stats`` is).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from repro.obs import runtime
 from repro.obs.telemetry import Telemetry
 from repro.query.ast import Expression
 from repro.query.explain import explain
+from repro.util.text import table
 
 
 @dataclass
@@ -69,7 +70,7 @@ def explain_analyze(query: str | Expression, target,
     from repro.query.options import ExecutionOptions
     engine = target if isinstance(target, QueryEngine) \
         else QueryEngine(target)
-    telemetry = Telemetry(enabled=True)
+    telemetry = Telemetry()
     options = options if options is not None else ExecutionOptions()
     options = replace(options, telemetry=telemetry)
     with runtime.activated(telemetry):
@@ -163,19 +164,12 @@ def _operator_table(telemetry: Telemetry) -> list[str]:
         return ["-- operators: none traced --"]
     headers = ("operator", "calls", "total_ns", "p50_ns", "p95_ns",
                "max_ns")
-    rows = [(name, s["count"], int(s["total"]), int(s["p50"]),
-             int(s["p95"]), int(s["max"]))
+    # a percentile is None once its spans left the rolling window
+    rows = [[name, str(s["count"]), str(int(s["total"]))]
+            + ["n/a" if s[p] is None else str(int(s[p]))
+               for p in ("p50", "p95")] + [str(int(s["max"]))]
             for name, s in sorted(profile.items())]
-    widths = [len(h) for h in headers]
-    str_rows = [[str(c) for c in row] for row in rows]
-    for row in str_rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    out = ["-- operators --"]
-    out.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    for row in str_rows:
-        out.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return out
+    return ["-- operators --"] + table(headers, rows)
 
 
 def _counter_section(stats) -> list[str]:

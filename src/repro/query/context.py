@@ -20,21 +20,15 @@ from dataclasses import dataclass
 
 from repro.compression.base import Codec, CompressedValue
 from repro.errors import QueryTypeError
-from repro.obs.metrics import MetricsRegistry
 from repro.xmlio.dom import Element
 
 
 class EvaluationStats:
-    """Counters exposed by :class:`repro.query.engine.QueryResult`.
+    """The eight counters of one query run, as plain integers.
 
-    Since the observability layer landed this is a thin view over a
-    :class:`~repro.obs.metrics.MetricsRegistry` — the per-run source of
-    truth ``explain_analyze`` and the telemetry JSON read.  The counter
-    attributes keep their historical names and the ``stats.x += 1``
-    idiom still works, but new code should prefer incrementing the
-    registry (``stats.registry.add(name)``) so counts, traces and
-    histograms stay in one place; direct attribute mutation is kept
-    only for backwards compatibility.
+    ``stats.decompressions += 1`` is a slot store.  Exposed as
+    :attr:`repro.query.engine.QueryResult.stats`; a traced run's
+    :class:`~repro.obs.telemetry.Telemetry` holds the same object.
     """
 
     FIELDS = ("decompressions", "compressed_comparisons",
@@ -42,24 +36,16 @@ class EvaluationStats:
               "container_accesses", "summary_accesses", "hash_joins",
               "nodes_visited")
 
-    __slots__ = ("registry",) + tuple("_" + name for name in FIELDS)
+    __slots__ = FIELDS
 
-    def __init__(self, registry: MetricsRegistry | None = None,
-                 **initial: int):
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
+    def __init__(self, **initial: int):
         for name in self.FIELDS:
-            # Each view attribute holds the registry's counter cell, so
-            # reads/writes are two plain attribute hops — no dict
-            # lookups on the hot path.
-            setattr(self, "_" + name, self.registry.counter(name))
-        for name, value in initial.items():
-            if name not in self.FIELDS:
-                raise TypeError(f"unknown counter {name!r}")
-            setattr(self, name, value)
+            setattr(self, name, initial.pop(name, 0))
+        if initial:
+            raise TypeError(f"unknown counter {next(iter(initial))!r}")
 
     def as_dict(self) -> dict[str, int]:
-        """All counters by name (the historical dataclass fields)."""
+        """All counters by name."""
         return {name: getattr(self, name) for name in self.FIELDS}
 
     def __eq__(self, other: object) -> bool:
@@ -71,72 +57,6 @@ class EvaluationStats:
         inner = ", ".join(f"{name}={getattr(self, name)}"
                           for name in self.FIELDS)
         return f"EvaluationStats({inner})"
-
-    # -- counter views (kept explicit so += stays two attribute hops) ------
-
-    @property
-    def decompressions(self) -> int:
-        return self._decompressions.value
-
-    @decompressions.setter
-    def decompressions(self, value: int) -> None:
-        self._decompressions.value = value
-
-    @property
-    def compressed_comparisons(self) -> int:
-        return self._compressed_comparisons.value
-
-    @compressed_comparisons.setter
-    def compressed_comparisons(self, value: int) -> None:
-        self._compressed_comparisons.value = value
-
-    @property
-    def decompressed_comparisons(self) -> int:
-        return self._decompressed_comparisons.value
-
-    @decompressed_comparisons.setter
-    def decompressed_comparisons(self, value: int) -> None:
-        self._decompressed_comparisons.value = value
-
-    @property
-    def container_scans(self) -> int:
-        return self._container_scans.value
-
-    @container_scans.setter
-    def container_scans(self, value: int) -> None:
-        self._container_scans.value = value
-
-    @property
-    def container_accesses(self) -> int:
-        return self._container_accesses.value
-
-    @container_accesses.setter
-    def container_accesses(self, value: int) -> None:
-        self._container_accesses.value = value
-
-    @property
-    def summary_accesses(self) -> int:
-        return self._summary_accesses.value
-
-    @summary_accesses.setter
-    def summary_accesses(self, value: int) -> None:
-        self._summary_accesses.value = value
-
-    @property
-    def hash_joins(self) -> int:
-        return self._hash_joins.value
-
-    @hash_joins.setter
-    def hash_joins(self, value: int) -> None:
-        self._hash_joins.value = value
-
-    @property
-    def nodes_visited(self) -> int:
-        return self._nodes_visited.value
-
-    @nodes_visited.setter
-    def nodes_visited(self, value: int) -> None:
-        self._nodes_visited.value = value
 
 
 @dataclass(frozen=True, slots=True)

@@ -45,7 +45,7 @@ import numpy as np
 from repro.errors import PlanVerificationError, QueryError, QueryTypeError
 from repro.lint.plan import verify_plan
 from repro.obs import runtime
-from repro.obs.telemetry import Telemetry
+from repro.obs.telemetry import Telemetry, span_on
 from repro.query.ast import (
     Arithmetic,
     Comparison,
@@ -108,9 +108,8 @@ class QueryResult:
         self._materialized: list | None = None
         self.stats = stats
         self._engine = engine
-        #: the run's tracer + metrics (disabled unless requested).
-        self.telemetry = telemetry if telemetry is not None \
-            else Telemetry(enabled=False, metrics=stats.registry)
+        #: the traced run's tracer + metrics; ``None`` when untraced.
+        self.telemetry = telemetry
 
     @property
     def items(self) -> list:
@@ -122,8 +121,8 @@ class QueryResult:
         """
         if self._materialized is not None:
             return self._materialized
-        if not self.telemetry.enabled:
-            # No global activation on the disabled path: thread-pooled
+        if self.telemetry is None:
+            # No global activation on the untraced path: thread-pooled
             # batch runs materialize concurrently without touching the
             # process-wide runtime slot.
             self._materialized = [
@@ -194,13 +193,9 @@ class QueryEngine:
 
     def __init__(self, repository: CompressedRepository,
                  collection: dict[str, CompressedRepository]
-                 | None = None, telemetry_enabled: bool = False,
-                 recorder=None):
+                 | None = None, recorder=None):
         self.repository = repository
         self.collection = collection or {}
-        #: when True, every ``execute`` records spans and histograms;
-        #: counters are always kept (they back ``QueryResult.stats``).
-        self.telemetry_enabled = telemetry_enabled
         #: optional :class:`~repro.obs.workload.WorkloadRecorder`;
         #: when attached and enabled, every ``execute`` appends one
         #: observation to its workload journal.
@@ -227,31 +222,33 @@ class QueryEngine:
         """Parse and plan (if needed) and evaluate a query.
 
         ``options`` is an :class:`~repro.query.options.ExecutionOptions`
-        carrying the run's telemetry, recording and binding knobs.
+        carrying the run's telemetry, recording and binding knobs; the
+        run is traced exactly when ``options.telemetry`` is given.
         ``plan`` is ``query``'s :meth:`plan` from an earlier call (a
         prepared plan from the session's plan cache): the run skips
         planning and verification entirely.  Either way the Tier-A
         gate has passed before any row is produced; the verifier's
-        warnings flow into the run's telemetry.  ``label`` names the
+        warnings flow into a traced run's telemetry.  ``label`` names the
         run in spans and workload records when ``query`` is a
         pre-parsed expression (the session passes the original text).
         """
         if options is None:
             options = ExecutionOptions()
         ast = parse_query(query) if isinstance(query, str) else query
-        telemetry = options.resolve_telemetry(self.telemetry_enabled)
+        telemetry = options.telemetry
         if plan is None:
             plan = self.plan(ast)
-        telemetry.diagnostics.extend(plan.diagnostics)
-        for diagnostic in plan.diagnostics:
-            telemetry.metrics.add(f"lint.{diagnostic.severity}")
+        if telemetry is not None:
+            telemetry.diagnostics.extend(plan.diagnostics)
+            for diagnostic in plan.diagnostics:
+                telemetry.metrics.add(f"lint.{diagnostic.severity}")
         evaluator = _Evaluator(self, plan.plan, telemetry)
         query_text = query if isinstance(query, str) else \
             (label if label is not None else type(ast).__name__)
         base_env = options.binding_environment()
 
         def run() -> list:
-            if not telemetry.enabled:
+            if telemetry is None:
                 return evaluator.eval(ast, base_env)
             with runtime.activated(telemetry):
                 with telemetry.span("Execute", query=query_text):
@@ -265,8 +262,8 @@ class QueryEngine:
                 "recording requested but no workload recorder is "
                 "attached to this engine")
         with self.recorder.capture(
-                query_text, ast, self.repository, telemetry) \
-                if record else nullcontext():
+                query_text, ast, self.repository, evaluator.stats,
+                telemetry) if record else nullcontext():
             items = run()
         return QueryResult(items, evaluator.stats, self,
                            telemetry=telemetry)
@@ -363,11 +360,11 @@ class _Evaluator:
         self._repo = engine.repository_of
         #: the evaluated query's plan: every FLWOR dispatches on it.
         self._flwors = plan.by_node()
-        self.telemetry = telemetry if telemetry is not None \
-            else Telemetry(enabled=False)
-        # The stats view and the telemetry share one registry, so
-        # explain_analyze's rendered counters are EvaluationStats'.
-        self.stats = EvaluationStats(registry=self.telemetry.metrics)
+        self.telemetry = telemetry
+        # A traced run counts into its telemetry's stats, so every view
+        # of the telemetry quotes QueryResult.stats.
+        self.stats = telemetry.stats if telemetry is not None \
+            else EvaluationStats()
         #: cached sequences for binding-independent source expressions.
         self._source_cache: dict[int, list] = {}
         #: built once per execution: hash indexes by conjunct identity,
@@ -596,8 +593,8 @@ class _Evaluator:
             else:
                 selection, operator = found
                 exact = [t.conjunct for t in selection.terms if t.exact]
-                with self.telemetry.span(
-                        "Selection", terms=len(selection.terms)) as span:
+                with span_on(self.telemetry, "Selection",
+                             terms=len(selection.terms)) as span:
                     ids = [node_id for batch in operator.batches()
                            for node_id in batch.column(
                                f"${step.clause.var}").ids.tolist()]
@@ -633,8 +630,8 @@ class _Evaluator:
         if index is None:
             index = {}
             self.stats.hash_joins += 1
-            with self.telemetry.span("HashJoin.build",
-                                     rows=len(items)):
+            with span_on(self.telemetry, "HashJoin.build",
+                         rows=len(items)):
                 for item in items:
                     child_env = {step.clause.var: [item]}
                     for key in self._key_strings(join.build_expr,
@@ -660,7 +657,7 @@ class _Evaluator:
         if id(step) not in self._index_cache:
             found = step.bind_theta(self._repo, stats=self.stats)
             if found is not None:
-                with self.telemetry.span("ThetaJoin.build"):
+                with span_on(self.telemetry, "ThetaJoin.build"):
                     if not found[1].build():
                         found = None
             self._index_cache[id(step)] = found
@@ -713,7 +710,8 @@ class _Evaluator:
         if prefix:
             self.stats.summary_accesses += 1
             summary_steps = [(s.axis, s.test) for s in prefix]
-            with self.telemetry.span("StructureSummaryAccess") as span:
+            with span_on(self.telemetry,
+                         "StructureSummaryAccess") as span:
                 nodes = repo.resolve_path(summary_steps)
                 ids = sorted({i for n in nodes for i in n.extent})
                 span.set_attribute("rows", len(ids))

@@ -9,7 +9,7 @@ that apply to it and passes the rest through unchanged.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.obs.telemetry import Telemetry
 
@@ -19,11 +19,12 @@ class ExecutionOptions:
     """Every per-run option of the unified execution API.
 
     ``telemetry``
-        An enabled :class:`~repro.obs.telemetry.Telemetry` to record
-        the run into; ``None`` lets the executing layer create one.
-    ``telemetry_enabled``
-        When ``telemetry`` is ``None``, create the run's telemetry
-        enabled (spans + histograms) instead of counters-only.
+        The one tracing switch: a
+        :class:`~repro.obs.telemetry.Telemetry` to record the run's
+        spans, histograms and deep-layer counters into.  ``None``
+        (the default) runs untraced — only the eight
+        :class:`~repro.query.context.EvaluationStats` counters of
+        ``QueryResult.stats`` are kept.
     ``record``
         Tri-state workload journalling: ``None`` follows the attached
         :class:`~repro.obs.workload.WorkloadRecorder`'s own ``enabled``
@@ -41,23 +42,10 @@ class ExecutionOptions:
     """
 
     telemetry: Telemetry | None = None
-    telemetry_enabled: bool = False
     record: bool | None = None
     use_plan_cache: bool = True
     use_block_cache: bool = True
     bindings: Mapping[str, object] | None = None
-
-    def with_telemetry(self, telemetry: Telemetry) -> "ExecutionOptions":
-        """A copy of these options recording into ``telemetry``."""
-        return replace(self, telemetry=telemetry)
-
-    def resolve_telemetry(self, default_enabled: bool = False
-                          ) -> Telemetry:
-        """The run's telemetry: the given one, or a fresh instance."""
-        if self.telemetry is not None:
-            return self.telemetry
-        return Telemetry(
-            enabled=self.telemetry_enabled or default_enabled)
 
     def binding_environment(self) -> dict[str, list]:
         """The initial evaluation environment from ``bindings``.

@@ -157,8 +157,7 @@ class Session:
                  metrics: MetricsRegistry | None = None,
                  journal=None,
                  recorder: WorkloadRecorder | None = None,
-                 slow_log: SlowQueryLog | None = None,
-                 telemetry_enabled: bool = False):
+                 slow_log: SlowQueryLog | None = None):
         self.repository = repository
         self.collection = dict(collection) if collection else {}
         self.metrics = metrics if metrics is not None \
@@ -167,7 +166,6 @@ class Session:
             else PlanCache(plan_capacity, metrics=self.metrics)
         self.block_cache = block_cache if block_cache is not None \
             else BlockCache(block_budget, metrics=self.metrics)
-        self.telemetry_enabled = telemetry_enabled
         #: one recorder — and therefore one journal file handle — per
         #: session, however many queries it records.
         if recorder is None and journal is not None:
@@ -179,13 +177,13 @@ class Session:
         self._view = CachedRepositoryView(repository, self.block_cache)
         self.engine = QueryEngine(
             self._view, collection=self.collection or None,
-            telemetry_enabled=telemetry_enabled, recorder=recorder)
+            recorder=recorder)
         self._raw_engine: QueryEngine | None = None
         self._engine_lock = threading.Lock()
         #: serializes runs that activate the process-wide telemetry /
-        #: recorder slots (enabled tracing, workload capture) — those
-        #: globals are not thread-local, so traced runs take turns
-        #: while plain counter-only runs stay fully parallel.
+        #: recorder slots (tracing, workload capture) — those globals
+        #: are not thread-local, so traced runs take turns while
+        #: untraced runs stay fully parallel.
         self._activation_lock = threading.Lock()
 
     # -- preparing -----------------------------------------------------------
@@ -245,17 +243,16 @@ class Session:
 
         Results come back in input order and match what serial
         execution returns.  One shared ``options.telemetry`` cannot
-        record N concurrent runs, so it is rejected; per-run telemetry
-        (``telemetry_enabled=True``) and workload recording work, but
+        record N concurrent runs, so it is rejected; the slow log's
+        sampled per-run telemetry and workload recording work, but
         serialize on the process-wide activation slot.
         """
         options = options if options is not None else ExecutionOptions()
         if options.telemetry is not None:
             raise ValueError(
                 "execute_many cannot share one Telemetry across "
-                "concurrent runs; use "
-                "ExecutionOptions(telemetry_enabled=True) for per-run "
-                "telemetry")
+                "concurrent runs; trace single queries through "
+                "execute()")
         self.metrics.add("session.batches")
         if max_workers <= 1 or len(queries) <= 1:
             return [self.execute(query, options) for query in queries]
@@ -275,24 +272,19 @@ class Session:
         # span breakdown to attach.  Caller-provided telemetry serves
         # the same purpose for free.
         slow_log = self.slow_log
-        exemplar_source = options.telemetry
         if slow_log is not None:
             if cache_before is None:
                 cache_before = snapshot_cache_counters(self.metrics)
-            if exemplar_source is None:
+            if options.telemetry is None:
                 sampled = slow_log.maybe_sample()
                 if sampled is not None:
                     options = replace(options, telemetry=sampled)
-                    exemplar_source = sampled
-        telemetry_on = (options.telemetry.enabled
-                        if options.telemetry is not None
-                        else options.telemetry_enabled
-                        or self.telemetry_enabled)
         self.metrics.add("session.executions")
         start_ns = now_ns()
         failed = True
         try:
-            with self._activation_lock if telemetry_on or record \
+            with self._activation_lock \
+                    if options.telemetry is not None or record \
                     else nullcontext():
                 result = engine.execute(
                     prepared.ast, options, plan=prepared.plan.verified,
@@ -309,7 +301,7 @@ class Session:
                 slow_log.maybe_record(
                     query=prepared.plan.text, ast=prepared.ast,
                     query_class=prepared.plan.query_class,
-                    wall_ns=wall_ns, telemetry=exemplar_source,
+                    wall_ns=wall_ns, telemetry=options.telemetry,
                     cache_before=cache_before,
                     cache_after=snapshot_cache_counters(self.metrics),
                     error=failed)
@@ -331,7 +323,6 @@ class Session:
                 self._raw_engine = QueryEngine(
                     self.repository,
                     collection=self.collection or None,
-                    telemetry_enabled=self.telemetry_enabled,
                     recorder=self.recorder)
             return self._raw_engine
 

@@ -53,6 +53,7 @@ from repro.service.cache import (
     normalize_query_text,
 )
 from repro.service.session import Database
+from repro.service.slo import classify_query, observe_latency
 from repro.util.clock import elapsed_ns, now_ns
 
 #: seconds a worker waits between stop-flag checks while idle.
@@ -330,11 +331,13 @@ def _hash_shard(text: str, shard_count: int) -> int:
 
 @dataclasses.dataclass(frozen=True)
 class Route:
-    """A routing decision: primary worker + cross-shard flag."""
+    """A routing decision: primary worker + cross-shard flag, with
+    the SLO class the query's end-to-end latency is filed under."""
 
     primary: int
     cross_shard: bool
     keys: tuple[str, ...]
+    query_class: str = "other"
 
 
 def resolve_route(assignment: ShardAssignment, keys: Sequence[str],
@@ -392,8 +395,11 @@ class ShardedDatabase:
 
     Duck-types the telemetry surface (``metrics`` / ``uptime_ns`` /
     ``ready`` / ``slow_log``), so :meth:`serve_telemetry` exposes the
-    coordinator — with every worker's counters folded in under
-    ``shard.<i>.`` names — on the standard ``/metrics`` endpoint.
+    coordinator — its own ``session.executions`` and per-class
+    ``slo.latency_ns.*`` end-to-end latencies, with every worker's
+    counters folded in under ``shard.<i>.`` names — on the standard
+    ``/metrics`` endpoint, readable by ``repro top`` like a
+    single-process :class:`~repro.service.session.Database`.
     """
 
     def __init__(self, repository, collection=None, *,
@@ -422,10 +428,6 @@ class ShardedDatabase:
         self._workers: list[ShardWorker] = []
         self._routes: dict[str, Route] = {}
         self._routes_lock = threading.Lock()
-        self._stats_lock = threading.Lock()
-        #: summed worker-side evaluation counters, gathered per query.
-        from repro.query.context import EvaluationStats
-        self.aggregate_stats = EvaluationStats()
         self._started_ns = now_ns()
         self._telemetry_server = None
         self.metrics.set_gauge("coordinator.shards", self.shard_count)
@@ -497,9 +499,10 @@ class ShardedDatabase:
             route = self._routes.get(key)
         if route is not None:
             return route
-        route = resolve_route(self.assignment,
-                              query_route_keys(parse_query(query)),
-                              key)
+        ast = parse_query(query)
+        route = dataclasses.replace(
+            resolve_route(self.assignment, query_route_keys(ast), key),
+            query_class=classify_query(ast))
         with self._routes_lock:
             self._routes[key] = route
         return route
@@ -514,27 +517,25 @@ class ShardedDatabase:
         self.admission.acquire(client)
         try:
             route = self.route(query)
+            self.metrics.add("session.executions")
             self.metrics.add("coordinator.queries")
             if route.cross_shard:
                 self.metrics.add("coordinator.cross_shard_queries")
             self.metrics.add(f"shard.{route.primary}.routed")
             worker = self._workers[route.primary]
             start_ns = now_ns()
-            frame = worker.request(("execute", query))
-            received = receive_result(frame)
-            wall_ns = elapsed_ns(start_ns)
-            self.metrics.observe("coordinator.latency_ms",
-                                 wall_ns / 1e6)
+            try:
+                frame = worker.request(("execute", query))
+                received = receive_result(frame)
+            finally:
+                # End-to-end, failed runs included (as Session._run).
+                observe_latency(self.metrics, route.query_class,
+                                elapsed_ns(start_ns))
             self.metrics.add("shipping.wire_bytes", len(frame))
             self.metrics.add("shipping.plain_bytes",
                              received.plain_bytes)
             self.metrics.add("shipping.compressed_value_bytes",
                              received.compressed_value_bytes)
-            with self._stats_lock:
-                for name, value in received.stats.as_dict().items():
-                    setattr(self.aggregate_stats, name,
-                            getattr(self.aggregate_stats, name)
-                            + value)
             return received
         except AdmissionError:
             raise
@@ -589,15 +590,6 @@ class ShardedDatabase:
             for name, value in snapshot["gauges"].items():
                 self.metrics.set_gauge(f"shard.{shard}.{name}",
                                        value)
-
-    def shipped_bytes_ratio(self) -> float | None:
-        """Cumulative ``wire / plain`` shipped-bytes ratio (< 1 means
-        the compressed transport spared bandwidth)."""
-        counters = self.metrics.counters()
-        plain = counters.get("shipping.plain_bytes", 0)
-        if plain <= 0:
-            return None
-        return counters.get("shipping.wire_bytes", 0) / plain
 
     def uptime_ns(self) -> int:
         """Nanoseconds since the coordinator was constructed."""

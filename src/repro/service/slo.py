@@ -19,26 +19,29 @@ the class is derived from the prepared plan's AST shape:
 ``construct``  element constructors at the top level;
 ``other``      everything else.
 
-:func:`slo_report` folds those histograms (p50/p95/p99) together with
-plan/block-cache hit-rate gauges into one JSON-ready document —
-``repro perf report`` renders it — and optionally checks a list of
-:class:`LatencyObjective` targets against it, the serving layer's
-analogue of the benchmark regression gate.
+:func:`latency_rows` turns those histograms' summaries into per-class
+millisecond rows and :func:`cache_rates` turns the ``cache.*`` counters
+into hit rates; every view of the serving plane — :func:`slo_report`
+(``repro perf report``), ``repro top`` in both modes and the
+``/metrics`` endpoint's derived gauges — reads through these two, from
+a live registry or from a scrape of one, so they agree.
+:func:`slo_report` also checks a list of :class:`LatencyObjective`
+targets against the rows, the serving layer's analogue of the
+benchmark regression gate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.export import split_shard_name
+from repro.obs.metrics import PERCENTILES, WINDOW_SECONDS, MetricsRegistry
 from repro.query import ast as qast
 from repro.util.clock import NS_PER_S
+from repro.util.text import table
 
 #: histogram name prefix for per-class serving latencies (ns values).
 LATENCY_PREFIX = "slo.latency_ns."
-
-#: the percentiles the report quotes, in rendering order.
-PERCENTILES = (50.0, 95.0, 99.0)
 
 #: every class :func:`classify_query` can produce.
 QUERY_CLASSES = ("point", "scan", "join", "path", "construct",
@@ -90,17 +93,8 @@ def _predicate_operators(expression) -> set[str]:
 
 def observe_latency(metrics: MetricsRegistry, query_class: str,
                     wall_ns: int) -> None:
-    """File one serving latency under its query class.
-
-    Each latency lands twice: in the lifetime histogram (exact counts
-    for objectives and totals) and in the class's **rolling window**
-    (:class:`~repro.obs.metrics.WindowedHistogram`), so a long-running
-    process reports recent p50/p95/p99 and QPS, not lifetime
-    aggregates.
-    """
-    name = LATENCY_PREFIX + query_class
-    metrics.observe(name, wall_ns)
-    metrics.observe_window(name, wall_ns)
+    """File one serving latency under its query class."""
+    metrics.observe(LATENCY_PREFIX + query_class, wall_ns)
     metrics.add(f"slo.served.{query_class}")
 
 
@@ -158,71 +152,82 @@ class LatencyObjective:
                    target_ms=target_ms)
 
 
-def _cache_gauges(counters: dict[str, int]) -> dict[str, dict]:
-    """Plan/block-cache hit-rate gauges from ``cache.*`` counters."""
-    gauges: dict[str, dict] = {}
+def latency_rows(histograms: dict[str, dict]) -> dict[str, dict]:
+    """Per-class millisecond rows from histogram summaries.
+
+    ``histograms`` is :meth:`MetricsRegistry.histograms` or the
+    ``histograms`` section of a parsed scrape of it.  ``count`` and
+    ``max_ms`` are lifetime; ``qps`` and the percentiles cover the
+    rolling window (``None`` when it holds no observation).
+    """
+    rows: dict[str, dict] = {}
+    for name, summary in sorted(histograms.items()):
+        if not name.startswith(LATENCY_PREFIX):
+            continue
+        row = {"count": int(summary["count"]),
+               "qps": summary["rate_per_s"]}
+        for p in PERCENTILES:
+            value = summary.get(f"p{p:g}")
+            row[f"p{p:g}_ms"] = (value / _NS_PER_MS
+                                 if value is not None else None)
+        row["max_ms"] = summary["max"] / _NS_PER_MS
+        rows[name[len(LATENCY_PREFIX):]] = row
+    return rows
+
+
+def cache_rates(counters: dict[str, int]) -> dict[str, dict]:
+    """Plan/block-cache hit rates from ``cache.*`` counters.
+
+    A shard coordinator holds its workers' counters as
+    ``shard.<i>.cache.*``; those are summed, so the plane reports one
+    rate per cache.
+    """
+    totals = dict.fromkeys(
+        (f"cache.{cache}.{kind}" for cache in ("plan", "block")
+         for kind in ("hit", "miss")), 0)
+    for name, value in counters.items():
+        base = split_shard_name(name)[0]
+        if base in totals:
+            totals[base] += value
+    rates: dict[str, dict] = {}
     for cache in ("plan", "block"):
-        hits = counters.get(f"cache.{cache}.hit", 0)
-        misses = counters.get(f"cache.{cache}.miss", 0)
-        total = hits + misses
-        gauges[cache] = {
+        hits = totals[f"cache.{cache}.hit"]
+        misses = totals[f"cache.{cache}.miss"]
+        rates[cache] = {
             "hit": hits,
             "miss": misses,
-            "hit_rate": (hits / total) if total else None,
+            "hit_rate": hits / (hits + misses)
+            if hits + misses else None,
         }
-    return gauges
+    return rates
 
 
 def slo_report(metrics: MetricsRegistry,
                objectives: list[LatencyObjective] | None = None
                ) -> dict:
-    """The serving-SLO document: latencies, gauges, objective checks.
+    """The serving-SLO document: latencies, hit rates, objective
+    checks.
 
     Latency quantiles are reported in milliseconds (measurements are
     nanoseconds on the monotonic clock); ``objectives`` entries are
     checked against the matching class percentile — an objective over
-    a class with no observations is reported as unmet-by-absence
-    (``actual_ms: None, ok: False``) rather than silently passing.
+    a class with no observations in the window is reported as
+    unmet-by-absence (``actual_ms: None, ok: False``) rather than
+    silently passing.
     """
-    classes: dict[str, dict] = {}
-    for name, hist in metrics.histograms().items():
-        if not name.startswith(LATENCY_PREFIX):
-            continue
-        query_class = name[len(LATENCY_PREFIX):]
-        histogram = metrics.histogram(name)
-        row = {"count": hist["count"]}
-        for p in PERCENTILES:
-            row[f"p{p:g}_ms"] = (
-                histogram.percentile(p) / _NS_PER_MS
-                if hist["count"] else None)
-        row["max_ms"] = hist["max"] / _NS_PER_MS
-        classes[query_class] = row
-    rolling: dict[str, dict] = {}
-    total_qps = 0.0
-    for name, summary in metrics.windows().items():
-        if not name.startswith(LATENCY_PREFIX):
-            continue
-        query_class = name[len(LATENCY_PREFIX):]
-        row = {"count": summary["count"],
-               "qps": summary["rate_per_s"],
-               "window_s": summary["window_s"]}
-        for p in PERCENTILES:
-            value = summary[f"p{p:g}"]
-            row[f"p{p:g}_ms"] = (value / _NS_PER_MS
-                                 if value is not None else None)
-        row["max_ms"] = summary["max"] / _NS_PER_MS
-        rolling[query_class] = row
-        total_qps += summary["rate_per_s"]
+    classes = latency_rows(metrics.histograms())
     checks = []
     for objective in objectives or []:
-        row = classes.get(objective.query_class)
-        key = f"p{objective.percentile:g}_ms"
-        actual = row.get(key) if row else None
-        if actual is None and row and row["count"]:
-            histogram = metrics.histogram(
-                LATENCY_PREFIX + objective.query_class)
-            actual = histogram.percentile(objective.percentile) \
-                / _NS_PER_MS
+        row = classes.get(objective.query_class, {})
+        actual = row.get(f"p{objective.percentile:g}_ms")
+        if actual is None and row:
+            # a percentile the rows do not quote (p90, p99.9)
+            try:
+                actual = metrics.histogram(
+                    LATENCY_PREFIX + objective.query_class
+                ).percentile(objective.percentile) / _NS_PER_MS
+            except ValueError:
+                pass  # nothing in the window
         checks.append({
             "class": objective.query_class,
             "percentile": objective.percentile,
@@ -232,67 +237,38 @@ def slo_report(metrics: MetricsRegistry,
             and actual <= objective.target_ms,
         })
     return {
-        "classes": dict(sorted(classes.items())),
-        "rolling": dict(sorted(rolling.items())),
-        "qps": total_qps,
-        "caches": _cache_gauges(metrics.counters()),
+        "classes": classes,
+        "qps": sum(row["qps"] for row in classes.values()),
+        "caches": cache_rates(metrics.counters()),
         "objectives": checks,
     }
+
+
+def render_class_table(classes: dict[str, dict]) -> list[str]:
+    """The per-class latency rows as aligned monospace lines."""
+    headers = ["class", "count", "qps"] + \
+        [f"p{p:g}_ms" for p in PERCENTILES] + ["max_ms"]
+    rows = []
+    for name, row in classes.items():
+        cells = [name, str(row["count"]), f"{row['qps']:.2f}"]
+        for p in PERCENTILES:
+            value = row[f"p{p:g}_ms"]
+            cells.append("n/a" if value is None else f"{value:.3f}")
+        cells.append(f"{row['max_ms']:.3f}")
+        rows.append(cells)
+    return table(headers, rows)
 
 
 def render_slo_report(report: dict) -> str:
     """The SLO document as aligned monospace text."""
     out = ["-- serving latency by query class --"]
-    classes = report["classes"]
-    if not classes:
+    if not report["classes"]:
         out.append("no latencies recorded")
     else:
-        headers = ["class", "count"] + \
-            [f"p{p:g}_ms" for p in PERCENTILES] + ["max_ms"]
-        rows = []
-        for name, row in classes.items():
-            cells = [name, str(row["count"])]
-            for p in PERCENTILES:
-                value = row[f"p{p:g}_ms"]
-                cells.append("n/a" if value is None
-                             else f"{value:.3f}")
-            cells.append(f"{row['max_ms']:.3f}")
-            rows.append(cells)
-        widths = [len(h) for h in headers]
-        for cells in rows:
-            for i, cell in enumerate(cells):
-                widths[i] = max(widths[i], len(cell))
-        out.append("  ".join(h.ljust(w)
-                             for h, w in zip(headers, widths)))
-        for cells in rows:
-            out.append("  ".join(c.ljust(w)
-                                 for c, w in zip(cells, widths)))
-    rolling = report.get("rolling", {})
-    if rolling:
-        window_s = next(iter(rolling.values()))["window_s"]
-        out.append("")
-        out.append(f"-- rolling window (last {window_s:g} s) — "
-                   f"QPS {report.get('qps', 0.0):.2f} --")
-        headers = ["class", "count", "qps"] + \
-            [f"p{p:g}_ms" for p in PERCENTILES] + ["max_ms"]
-        rows = []
-        for name, row in rolling.items():
-            cells = [name, str(row["count"]), f"{row['qps']:.2f}"]
-            for p in PERCENTILES:
-                value = row[f"p{p:g}_ms"]
-                cells.append("n/a" if value is None
-                             else f"{value:.3f}")
-            cells.append(f"{row['max_ms']:.3f}")
-            rows.append(cells)
-        widths = [len(h) for h in headers]
-        for cells in rows:
-            for i, cell in enumerate(cells):
-                widths[i] = max(widths[i], len(cell))
-        out.append("  ".join(h.ljust(w)
-                             for h, w in zip(headers, widths)))
-        for cells in rows:
-            out.append("  ".join(c.ljust(w)
-                                 for c, w in zip(cells, widths)))
+        out.append(f"QPS {report['qps']:.2f}; qps and percentiles "
+                   f"over the rolling window (last "
+                   f"{WINDOW_SECONDS:g} s)")
+        out.extend(render_class_table(report["classes"]))
     out.append("")
     out.append("-- cache hit rates --")
     for cache, gauge in report["caches"].items():

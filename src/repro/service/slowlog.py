@@ -13,8 +13,8 @@ plan*, or *where the time went*.  This module keeps that record:
   so differently-spelled queries with one plan group together), the
   SLO query class, the latency, and the plan/block-cache hit deltas
   of the run;
-* at most **1-in-N** executions (``exemplar_rate``) run with per-run
-  telemetry enabled; when such a sampled run turns out slow, its
+* at most **1-in-N** executions (``exemplar_rate``) run traced, with
+  a per-run telemetry; when such a sampled run turns out slow, its
   EXPLAIN-ANALYZE-style per-operator span breakdown is attached to
   the record as the *exemplar* — a trace of where a real slow
   execution spent its time, captured automatically, without paying
@@ -147,9 +147,9 @@ class SlowQueryLog:
             self._pid = os.getpid()
 
     def maybe_sample(self) -> Telemetry | None:
-        """The pre-run 1-in-N decision: an enabled telemetry, or None.
+        """The pre-run 1-in-N decision: a telemetry, or None.
 
-        Every Nth execution (``exemplar_rate``) gets a fresh enabled
+        Every Nth execution (``exemplar_rate``) gets a fresh
         :class:`~repro.obs.telemetry.Telemetry` so that *if* the run
         turns out slow, its span breakdown is available as the
         exemplar.  The other runs pay nothing.
@@ -162,7 +162,7 @@ class SlowQueryLog:
             return None
         if self.metrics is not None:
             self.metrics.add("slowlog.sampled")
-        return Telemetry(enabled=True)
+        return Telemetry()
 
     def maybe_record(self, *, query: str | None, ast,
                      query_class: str, wall_ns: int,
@@ -173,8 +173,9 @@ class SlowQueryLog:
         """Append a record when ``wall_ns`` crosses the threshold.
 
         Returns the record dict, or ``None`` when the run was fast
-        enough.  ``telemetry`` (when given and enabled) contributes
-        the exemplar span breakdown; ``cache_before``/``cache_after``
+        enough.  ``telemetry`` (a traced run's) contributes the
+        exemplar span breakdown and evaluation counters;
+        ``cache_before``/``cache_after``
         are :data:`CACHE_COUNTERS` snapshots around the run, whose
         deltas are best-effort under concurrency (other workers'
         hits land in the same shared counters).
@@ -247,17 +248,21 @@ def _cache_deltas(before: dict | None,
 
 
 def _exemplar(telemetry: Telemetry | None) -> dict | None:
-    """The EXPLAIN-ANALYZE-style span breakdown of a sampled run."""
-    if telemetry is None or not telemetry.enabled:
+    """The EXPLAIN-ANALYZE-style span breakdown of a sampled run,
+    with the run's evaluation counters."""
+    if telemetry is None:
         return None
     operators = telemetry.operator_profile()
     if not operators:
         return None
     return {
+        "stats": telemetry.stats.as_dict(),
         "operators": {
             name: {"count": summary["count"],
                    "total_ns": int(summary["total"]),
-                   "p95_ns": int(summary["p95"]),
+                   # None once the span left the rolling window
+                   "p95_ns": None if summary["p95"] is None
+                   else int(summary["p95"]),
                    "max_ns": int(summary["max"])}
             for name, summary in operators.items()
         },

@@ -7,8 +7,8 @@ serving
 
 * ``/metrics`` — the shared registry in Prometheus text exposition
   (:func:`repro.obs.export.render_prometheus`), counters + gauges +
-  lifetime histograms + rolling windows, plus derived gauges
-  (uptime, plan/block-cache hit rates);
+  histograms, plus derived gauges (uptime, plan/block-cache hit
+  rates);
 * ``/health``  — liveness: 200 with uptime/served JSON while the
   exporter thread runs;
 * ``/ready``   — readiness: 200 once the repository is loaded and the
@@ -35,6 +35,7 @@ from repro.obs.export import (
     PROMETHEUS_CONTENT_TYPE,
     render_prometheus,
 )
+from repro.service.slo import cache_rates
 from repro.util.clock import NS_PER_S
 
 #: default number of slow-log records ``/slowlog`` returns.
@@ -99,14 +100,12 @@ class TelemetryServer:
 
 def derived_gauges(database) -> dict[str, float]:
     """Gauges computed at scrape time, not stored in the registry."""
-    counters = database.metrics.counters()
     gauges = {"telemetry.uptime_s":
               database.uptime_ns() / NS_PER_S}
-    for cache in ("plan", "block"):
-        hits = counters.get(f"cache.{cache}.hit", 0)
-        total = hits + counters.get(f"cache.{cache}.miss", 0)
-        if total:
-            gauges[f"cache.{cache}.hit_rate"] = hits / total
+    for cache, rate in cache_rates(
+            database.metrics.counters()).items():
+        if rate["hit_rate"] is not None:
+            gauges[f"cache.{cache}.hit_rate"] = rate["hit_rate"]
     return gauges
 
 

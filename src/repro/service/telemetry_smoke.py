@@ -1,4 +1,5 @@
-"""Telemetry-plane smoke run (the CI ``telemetry-smoke`` job).
+"""Telemetry-plane smoke run (tier-1:
+``tests/service/test_telemetry_smoke.py``).
 
 Exercises the whole serving telemetry plane end-to-end, the way an
 operator would meet it:
@@ -7,10 +8,10 @@ operator would meet it:
    :class:`~repro.service.Database` with a slow-query log attached
    and ``serve_telemetry()`` running;
 2. serve a batch of XMark queries through ``execute_many`` (so the
-   windows see concurrent traffic);
+   histograms see concurrent traffic);
 3. **scrape** ``/metrics`` over real HTTP and assert the exposition
-   carries the serving counters, cache counters and per-class rolling
-   windows; assert ``/health`` answers 200 and ``/ready`` is true;
+   carries the serving counters, cache counters and per-class latency
+   histograms; assert ``/health`` answers 200 and ``/ready`` is true;
 4. force one guaranteed-slow query (threshold 0 on a second log
    would hide the point — instead the smoke drops the threshold to
    0 ms and samples every run) and assert the slow-query log holds a
@@ -18,8 +19,8 @@ operator would meet it:
 5. shut the endpoint down cleanly and assert the port is released
    (a second ``serve_telemetry`` on the same Database must succeed).
 
-Any broken link in that chain — exporter, parser, window plumbing,
-slow-log wiring, lifecycle — fails the job with a named FAIL line.
+Any broken link in that chain — exporter, parser, histogram plumbing,
+slow-log wiring, lifecycle — fails the run with a named FAIL line.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import sys
 from urllib.request import urlopen
 
 from repro.obs.export import parse_prometheus
-from repro.service.slo import LATENCY_PREFIX
+from repro.service.slo import latency_rows
 
 
 def main(argv: list[str] | None = None, out=sys.stdout) -> int:
@@ -90,14 +91,15 @@ def main(argv: list[str] | None = None, out=sys.stdout) -> int:
               "scrape carries plan-cache counters")
         check("cache.block.hit" in scraped["counters"],
               "scrape carries block-cache counters")
-        windows = [name for name in scraped["windows"]
-                   if name.startswith(LATENCY_PREFIX)]
-        check(bool(windows),
-              f"scrape carries rolling latency windows "
-              f"({len(windows)} classes)")
-        check(any(scraped["windows"][name].get("rate_per_s", 0) > 0
-                  for name in windows),
-              "rolling windows report a nonzero rate")
+        classes = latency_rows(scraped["histograms"])
+        check(bool(classes),
+              f"scrape carries per-class latency histograms "
+              f"({len(classes)} classes)")
+        check(sum(row["count"] for row in classes.values())
+              == expected, "class counts add up to the served total")
+        check(all(row["qps"] > 0 and row["p95_ms"] is not None
+                  for row in classes.values()),
+              "every class reports a rate and a rolling p95")
         check("telemetry.uptime_s" in scraped["gauges"],
               "scrape carries the uptime gauge")
 

@@ -1,12 +1,14 @@
 """``repro top``: a live console over the serving telemetry plane.
 
-The operational view the windowed metrics exist for: one screen with
-the process's QPS, per-query-class **rolling** latency percentiles
+The operational view the histograms' rolling window exists for: one
+screen with the process's QPS, per-query-class latency percentiles
 (last window, not lifetime), plan/block-cache hit rates, and the
 latest slow-query records — refreshed every ``--interval`` seconds,
 or rendered once with ``--once`` (scriptable, testable).
 
-Two interchangeable sources produce the same snapshot shape:
+Two interchangeable sources produce the same snapshot shape, through
+the same :func:`~repro.service.slo.latency_rows` /
+:func:`~repro.service.slo.cache_rates`:
 
 * :class:`LocalSource` — opens the repository in-process and *drives*
   it: each tick serves one round of the given query batch through
@@ -31,11 +33,13 @@ from pathlib import Path
 from urllib.request import urlopen
 
 from repro.obs.export import parse_prometheus
-from repro.service.slo import LATENCY_PREFIX, PERCENTILES
+from repro.service.slo import (
+    cache_rates,
+    latency_rows,
+    render_class_table,
+)
 from repro.util.clock import NS_PER_S
-
-#: nanoseconds per millisecond, for display conversions.
-_NS_PER_MS = NS_PER_S / 1000.0
+from repro.util.text import table
 
 #: how many slow-query records a snapshot carries.
 SLOW_RECORDS_SHOWN = 5
@@ -76,7 +80,7 @@ class LocalSource:
             "uptime_s": self.database.uptime_ns() / NS_PER_S,
             "served": counters.get("session.executions", 0),
             "qps": report["qps"],
-            "classes": report["rolling"],
+            "classes": report["classes"],
             "caches": report["caches"],
             "slow": (slow_log.recent(SLOW_RECORDS_SHOWN)
                      if slow_log is not None else []),
@@ -108,67 +112,16 @@ class ScrapeSource:
         except Exception:  # noqa: BLE001 - slowlog is optional garnish
             slow = []
         counters = scraped["counters"]
-        gauges = scraped["gauges"]
-        classes, qps = rolling_from_windows(scraped["windows"])
+        classes = latency_rows(scraped["histograms"])
         return {
             "source": self.label,
-            "uptime_s": gauges.get("telemetry.uptime_s"),
+            "uptime_s": scraped["gauges"].get("telemetry.uptime_s"),
             "served": counters.get("session.executions", 0),
-            "qps": qps,
+            "qps": sum(row["qps"] for row in classes.values()),
             "classes": classes,
-            "caches": caches_from_counters(counters),
+            "caches": cache_rates(counters),
             "slow": slow,
         }
-
-
-def rolling_from_windows(windows: dict) -> tuple[dict, float]:
-    """Scraped ``slo.latency_ns.*`` windows -> per-class ms rows."""
-    classes: dict[str, dict] = {}
-    qps = 0.0
-    for name, summary in sorted(windows.items()):
-        if not name.startswith(LATENCY_PREFIX):
-            continue
-        row = {"count": int(summary.get("count", 0)),
-               "qps": summary.get("rate_per_s", 0.0)}
-        for p in PERCENTILES:
-            value = summary.get(f"p{p:g}")
-            row[f"p{p:g}_ms"] = (value / _NS_PER_MS
-                                 if value is not None else None)
-        maximum = summary.get("max")
-        row["max_ms"] = (maximum / _NS_PER_MS
-                         if maximum is not None else 0.0)
-        classes[name[len(LATENCY_PREFIX):]] = row
-        qps += row["qps"]
-    return classes, qps
-
-
-def caches_from_counters(counters: dict) -> dict:
-    """Scraped ``cache.*`` counters -> the report's cache gauges."""
-    caches: dict[str, dict] = {}
-    for cache in ("plan", "block"):
-        hits = counters.get(f"cache.{cache}.hit", 0)
-        misses = counters.get(f"cache.{cache}.miss", 0)
-        total = hits + misses
-        caches[cache] = {"hit": hits, "miss": misses,
-                         "hit_rate": (hits / total) if total
-                         else None}
-    return caches
-
-
-def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
-    widths = [len(h) for h in headers]
-    for cells in rows:
-        for i, cell in enumerate(cells):
-            widths[i] = max(widths[i], len(cell))
-    out = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-    for cells in rows:
-        out.append("  ".join(c.ljust(w)
-                             for c, w in zip(cells, widths)))
-    return out
-
-
-def _ms(value) -> str:
-    return "n/a" if value is None else f"{value:.3f}"
 
 
 def render_top(snapshot: dict) -> str:
@@ -181,20 +134,10 @@ def render_top(snapshot: dict) -> str:
                if uptime is not None else "")]
     out = head + [""]
 
-    classes = snapshot["classes"]
-    if classes:
-        headers = ["class", "count", "qps"] + \
-            [f"p{p:g}_ms" for p in PERCENTILES] + ["max_ms"]
-        rows = []
-        for name, row in classes.items():
-            rows.append([name, str(row["count"]),
-                         f"{row['qps']:.2f}"]
-                        + [_ms(row[f"p{p:g}_ms"])
-                           for p in PERCENTILES]
-                        + [_ms(row["max_ms"])])
-        out.extend(_table(headers, rows))
+    if snapshot["classes"]:
+        out.extend(render_class_table(snapshot["classes"]))
     else:
-        out.append("no traffic in the rolling window")
+        out.append("no traffic recorded")
     out.append("")
 
     cache_bits = []
@@ -224,7 +167,7 @@ def render_top(snapshot: dict) -> str:
                 "yes" if record.get("exemplar") else "-",
                 query,
             ])
-        out.extend(_table(headers, rows))
+        out.extend(table(headers, rows))
     else:
         out.append("no slow queries recorded")
     return "\n".join(out)

@@ -1,9 +1,10 @@
-"""Small text helpers shared by the codecs and the data generators."""
+"""Small text helpers shared by the codecs, the data generators and
+the report renderers."""
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 
 def char_frequencies(values: Iterable[str]) -> Counter:
@@ -54,3 +55,14 @@ def is_numeric_string(value: str) -> bool:
     except ValueError:
         return False
     return True
+
+
+def table(headers: Sequence[str],
+          rows: Sequence[Sequence[str]]) -> list[str]:
+    """Header line + one line per row, columns left-aligned to the
+    widest cell (the aligned monospace tables of the reports)."""
+    widths = [max(len(cells[i]) for cells in (headers, *rows))
+              for i in range(len(headers))]
+    return ["  ".join(cell.ljust(width)
+                      for cell, width in zip(cells, widths))
+            for cells in (headers, *rows)]

@@ -264,7 +264,7 @@ class TestEngineGate:
     def test_warnings_flow_into_telemetry(self):
         repo = build_repo("huffman")
         engine = QueryEngine(repo)
-        telemetry = Telemetry(enabled=True)
+        telemetry = Telemetry()
         engine.execute(
             'for $b in /lib/b where $b/t/text() = "title 03" '
             "return $b/t/text()",

@@ -1,11 +1,13 @@
 """Prometheus exposition: render/parse round trip."""
 
+import pytest
+
 from repro.obs.export import (
     PROMETHEUS_CONTENT_TYPE,
     parse_prometheus,
     render_prometheus,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 
 def populated_registry() -> MetricsRegistry:
@@ -16,7 +18,7 @@ def populated_registry() -> MetricsRegistry:
     for value in (1.0, 2.0, 3.0):
         registry.observe("span.Execute", value)
     for value in (10.0, 20.0, 30.0, 40.0):
-        registry.observe_window("slo.latency_ns.point", value)
+        registry.observe("slo.latency_ns.point", value)
     return registry
 
 
@@ -27,9 +29,11 @@ class TestRender:
         assert 'repro_counter{name="cache.plan.hit"} 7' in text
         assert 'repro_gauge{name="slowlog.threshold_ms"} 100' in text
         assert 'repro_histogram_count{name="span.Execute"} 3' in text
-        assert 'repro_window_count{name="slo.latency_ns.point"} 4' \
+        assert 'repro_histogram_count{name="slo.latency_ns.point"} 4' \
             in text
-        assert 'quantile="p95"' in text
+        assert ('repro_histogram{name="slo.latency_ns.point",'
+                'quantile="p95"} 40') in text
+        assert "repro_window" not in text
         assert text.endswith("\n")
 
     def test_extra_gauges_do_not_touch_the_registry(self):
@@ -56,16 +60,28 @@ class TestRoundTrip:
         parsed = parse_prometheus(render_prometheus(registry))
         assert parsed["counters"] == registry.counters()
         assert parsed["gauges"] == registry.gauges()
-        hist = registry.histograms()["span.Execute"]
-        scraped = parsed["histograms"]["span.Execute"]
-        assert scraped["count"] == hist["count"]
-        assert scraped["total"] == hist["total"]
-        assert scraped["max"] == hist["max"]
-        window = registry.windows()["slo.latency_ns.point"]
-        scraped_window = parsed["windows"]["slo.latency_ns.point"]
-        assert scraped_window["count"] == window["count"]
-        assert scraped_window["p95"] == window["p95"]
-        assert scraped_window["rate_per_s"] == window["rate_per_s"]
+        for name in ("span.Execute", "slo.latency_ns.point"):
+            hist = registry.histograms()[name]
+            scraped = parsed["histograms"][name]
+            assert sorted(scraped) == sorted(hist)
+            for key in ("count", "total", "max", "p50", "p95", "p99"):
+                assert scraped[key] == hist[key]
+            # the rate is over the real clock: it moves between reads
+            assert scraped["rate_per_s"] == pytest.approx(
+                hist["rate_per_s"], rel=0.2)
+
+    def test_unanswerable_quantiles_are_left_out(self):
+        clock_ns = [1_000_000_000]
+        registry = MetricsRegistry()
+        registry._histograms["old"] = Histogram(
+            "old", clock=lambda: clock_ns[0])
+        registry.observe("old", 5.0)
+        clock_ns[0] += 600 * 1_000_000_000  # ten minutes idle
+        text = render_prometheus(registry)
+        assert 'repro_histogram_count{name="old"} 1' in text
+        assert 'quantile=' not in text
+        assert parse_prometheus(text)["histograms"]["old"] == {
+            "count": 1.0, "total": 5.0, "max": 5.0, "rate_per_s": 0.0}
 
     def test_parser_skips_foreign_families(self):
         text = ("# HELP something else\n"
@@ -79,7 +95,7 @@ class TestRoundTrip:
         parsed = parse_prometheus(
             render_prometheus(MetricsRegistry()))
         assert parsed == {"counters": {}, "gauges": {},
-                          "histograms": {}, "windows": {}}
+                          "histograms": {}}
 
 
 class TestShardLabels:

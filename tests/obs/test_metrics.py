@@ -1,10 +1,26 @@
-"""Counters, histograms and the registry."""
+"""Counters, gauges, histograms and the registry."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
+
+
+class _FakeClock:
+    """A controllable monotonic clock for window tests."""
+
+    def __init__(self, start_ns=0):
+        self.ns = start_ns
+
+    def __call__(self):
+        return self.ns
+
+    def advance_s(self, seconds):
+        self.ns += int(seconds * 1_000_000_000)
 
 
 class TestCounter:
@@ -19,8 +35,9 @@ class TestCounter:
 class TestHistogram:
     def test_empty_summary(self):
         hist = Histogram("h")
-        assert hist.summary() == {"count": 0, "total": 0.0, "p50": 0.0,
-                                  "p95": 0.0, "max": 0.0}
+        assert hist.summary() == {"count": 0, "total": 0.0, "max": 0.0,
+                                  "rate_per_s": 0.0, "p50": None,
+                                  "p95": None, "p99": None}
 
     def test_nearest_rank_percentiles(self):
         hist = Histogram("h")
@@ -123,17 +140,20 @@ class TestGuards:
 
 class TestBoundedHistogram:
     def test_exact_aggregates_beyond_cap(self):
-        hist = Histogram("h", sample_cap=100)
+        clock = _FakeClock(1_000_000_000)
+        hist = Histogram("h", bucket_sample_cap=100, clock=clock)
         for value in range(1, 1001):  # 1..1000, 10x the cap
             hist.observe(value)
         summary = hist.summary()
         assert summary["count"] == 1000
         assert summary["total"] == sum(range(1, 1001))
         assert summary["max"] == 1000
-        assert len(hist.values) == 100  # memory stays bounded
+        # one bucket took them all: memory stays bounded
+        assert sum(len(b.samples) for b in hist._ring) == 100
 
     def test_reservoir_percentiles_are_plausible(self):
-        hist = Histogram("h", sample_cap=256)
+        hist = Histogram("h", bucket_sample_cap=256,
+                         clock=_FakeClock(1_000_000_000))
         for value in range(1, 10_001):
             hist.observe(value)
         # reservoir sampling keeps a uniform subsample: the median
@@ -141,27 +161,35 @@ class TestBoundedHistogram:
         assert 2500 <= hist.percentile(50) <= 7500
 
     def test_exact_below_cap(self):
-        hist = Histogram("h", sample_cap=1000)
+        hist = Histogram("h", bucket_sample_cap=1000)
         for value in range(1, 101):
             hist.observe(value)
         assert abs(hist.percentile(50) - 50) <= 1
 
     def test_cap_must_be_positive(self):
         with pytest.raises(ValueError, match="sample cap"):
-            Histogram("h", sample_cap=0)
+            Histogram("h", bucket_sample_cap=0)
 
-    def test_absorb_preserves_exact_aggregates(self):
-        a, b = Histogram("a", sample_cap=8), Histogram("b",
-                                                       sample_cap=8)
-        for value in range(1, 101):
-            a.observe(value)
-        for value in range(1, 51):
-            b.observe(value)
-        a.absorb(*b.state())
-        assert a.summary()["count"] == 150
-        assert a.summary()["total"] == sum(range(1, 101)) \
-            + sum(range(1, 51))
-        assert len(a.values) <= 8
+    def test_sampling_is_reproducible_across_processes(self):
+        """The reservoir is seeded from a CRC of the name, not from
+        ``hash()``: past the per-bucket cap, two interpreters with
+        different ``PYTHONHASHSEED`` still keep the same samples."""
+        script = (
+            "import json\n"
+            "from repro.obs.metrics import Histogram\n"
+            "hist = Histogram('slo.latency_ns.point',"
+            " bucket_sample_cap=16, clock=lambda: 10**9)\n"
+            "for value in range(1, 2001):\n"
+            "    hist.observe(float(value))\n"
+            "print(json.dumps(hist.summary(), sort_keys=True))\n")
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        outputs = [subprocess.run(
+            [sys.executable, "-c", script], check=True,
+            capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": src, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "2")]
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["count"] == 2000
 
 
 class TestGauge:
@@ -182,26 +210,14 @@ class TestGauge:
         assert registry.gauges() == {"threshold_ms": 100.0}
 
 
-class _FakeClock:
-    """A controllable monotonic clock for window tests."""
-
-    def __init__(self, start_ns=0):
-        self.ns = start_ns
-
-    def __call__(self):
-        return self.ns
-
-    def advance_s(self, seconds):
-        self.ns += int(seconds * 1_000_000_000)
-
-
 class TestWindowedHistogram:
+    """The rolling window every :class:`Histogram` keeps."""
+
     def _window(self, **kwargs):
-        from repro.obs.metrics import WindowedHistogram
         clock = _FakeClock(1_000_000_000)
         kwargs.setdefault("window_s", 60.0)
         kwargs.setdefault("buckets", 12)
-        return WindowedHistogram("w", clock=clock, **kwargs), clock
+        return Histogram("w", clock=clock, **kwargs), clock
 
     def test_empty_summary(self):
         window, _ = self._window()
@@ -214,16 +230,25 @@ class TestWindowedHistogram:
         window, clock = self._window()
         window.observe(100.0)
         window.observe(200.0)
-        assert window.summary()["count"] == 2
+        assert window.summary()["p99"] == 200.0
         clock.advance_s(30.0)
-        window.observe(300.0)
-        assert window.summary()["count"] == 3
+        window.observe(150.0)
+        assert window.percentile(0) == 100.0
         clock.advance_s(45.0)  # first two are now > 60 s old
         summary = window.summary()
-        assert summary["count"] == 1
-        assert summary["max"] == 300.0
+        assert summary["p50"] == summary["p99"] == 150.0
+        # one observation since its bucket opened at t = 30 s; now 76 s
+        assert summary["rate_per_s"] == 1 / 46.0
+        # the lifetime scalars never roll
+        assert summary["count"] == 3
+        assert summary["max"] == 200.0
         clock.advance_s(120.0)  # everything expired
-        assert window.summary()["count"] == 0
+        summary = window.summary()
+        assert summary["p50"] is None
+        assert summary["rate_per_s"] == 0.0
+        assert summary["count"] == 3 and summary["total"] == 450.0
+        with pytest.raises(ValueError, match="empty"):
+            window.percentile(50)
 
     def test_percentiles_over_live_buckets(self):
         window, clock = self._window()
@@ -253,54 +278,25 @@ class TestWindowedHistogram:
                             for bucket in window._ring)
         assert total_samples <= 12 * 16
 
-    def test_merge_aligns_epochs(self):
-        from repro.obs.metrics import WindowedHistogram
-        clock = _FakeClock(1_000_000_000)
-        a = WindowedHistogram("a", window_s=60.0, buckets=12,
-                              clock=clock)
-        b = WindowedHistogram("b", window_s=60.0, buckets=12,
-                              clock=clock)
-        a.observe(10.0)
-        b.observe(20.0)
-        clock.advance_s(10.0)
-        b.observe(30.0)
-        a.merge(b)
-        summary = a.summary()
-        assert summary["count"] == 3
-        assert summary["max"] == 30.0
-
 
 class TestRegistryWindows:
     def test_observe_window_and_windows(self):
         registry = MetricsRegistry()
-        registry.observe_window("lat", 5.0)
-        registry.observe_window("lat", 15.0)
-        summary = registry.windows()["lat"]
+        registry.observe("lat", 5.0)
+        registry.observe("lat", 15.0)
+        summary = registry.histograms()["lat"]
         assert summary["count"] == 2
         assert summary["max"] == 15.0
+        assert summary["p99"] == 15.0
+        assert summary["rate_per_s"] > 0
 
-    def test_to_dict_carries_all_four_kinds(self):
+    def test_to_dict_carries_exactly_three_sections(self):
         registry = MetricsRegistry()
         registry.add("c")
         registry.observe("h", 1.0)
         registry.set_gauge("g", 2.0)
-        registry.observe_window("w", 3.0)
         doc = json.loads(json.dumps(registry.to_dict()))
+        assert sorted(doc) == ["counters", "gauges", "histograms"]
         assert doc["counters"] == {"c": 1}
         assert doc["gauges"] == {"g": 2.0}
-        assert "h" in doc["histograms"]
-        assert doc["windows"]["w"]["count"] == 1
-
-    def test_merge_folds_gauges_and_windows(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.add("hits", 1)
-        b.add("hits", 2)
-        b.set_gauge("g", 9.0)
-        b.observe_window("w", 4.0)
-        for value in range(1, 101):
-            b.observe("h", value)
-        a.merge(b)
-        assert a.counter("hits").value == 3
-        assert a.gauges()["g"] == 9.0
-        assert a.windows()["w"]["count"] == 1
-        assert a.histograms()["h"]["count"] == 100
+        assert doc["histograms"]["h"]["count"] == 1

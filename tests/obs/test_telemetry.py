@@ -4,12 +4,13 @@ import json
 
 from repro.obs import runtime
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import Telemetry
+from repro.obs.telemetry import Telemetry, span_on
+from repro.obs.tracer import NOOP_SPAN
 
 
 class TestSpanHistograms:
     def test_closed_spans_feed_histograms(self):
-        telemetry = Telemetry(enabled=True)
+        telemetry = Telemetry()
         for _ in range(2):
             with telemetry.span("ContScan"):
                 pass
@@ -17,7 +18,7 @@ class TestSpanHistograms:
         assert summary["count"] == 2
 
     def test_operator_profile_strips_prefix(self):
-        telemetry = Telemetry(enabled=True)
+        telemetry = Telemetry()
         with telemetry.span("HashJoin.build"):
             pass
         telemetry.metrics.observe("other.metric", 1.0)
@@ -25,17 +26,25 @@ class TestSpanHistograms:
         assert "HashJoin.build" in profile
         assert "other.metric" not in profile
 
+
     def test_disabled_records_no_spans(self):
-        telemetry = Telemetry(enabled=False)
-        with telemetry.span("ContScan"):
+        """An untraced run has no telemetry at all: its span sites go
+        through ``span_on(None, …)``, which hands out the shared
+        no-op; the same site on a traced run files its duration."""
+        with span_on(None, "ContScan", rows=3) as span:
+            span.set_attribute("ignored", 1)
+        assert span is NOOP_SPAN and NOOP_SPAN.attributes == {}
+        telemetry = Telemetry()
+        with span_on(telemetry, "ContScan", rows=3):
             pass
-        assert telemetry.metrics.histograms() == {}
+        assert telemetry.operator_profile()["ContScan"]["count"] == 1
+        assert telemetry.tracer.roots[0].attributes == {"rows": 3}
 
 
 class TestSharedRegistry:
     def test_external_registry_is_used_directly(self):
         registry = MetricsRegistry()
-        telemetry = Telemetry(enabled=True, metrics=registry)
+        telemetry = Telemetry(metrics=registry)
         assert telemetry.metrics is registry
         with telemetry.span("X"):
             pass
@@ -44,19 +53,22 @@ class TestSharedRegistry:
 
 class TestJsonExport:
     def test_document_shape(self):
-        telemetry = Telemetry(enabled=True)
+        telemetry = Telemetry()
         with telemetry.span("Execute", query="/a/b"):
             telemetry.metrics.add("decompressions", 3)
         doc = json.loads(telemetry.to_json(indent=2))
-        assert sorted(doc) == ["diagnostics", "enabled", "metrics",
-                               "operators", "trace"]
-        assert doc["enabled"] is True
+        assert sorted(doc) == ["diagnostics", "metrics", "operators",
+                               "stats", "trace"]
+        assert sum(doc["stats"].values()) == 0  # no engine run here
+        assert list(doc["stats"]) == sorted(telemetry.stats.FIELDS)
+        assert sorted(doc["metrics"]) == ["counters", "gauges",
+                                          "histograms"]
         assert doc["metrics"]["counters"]["decompressions"] == 3
         assert doc["trace"]["spans"][0]["name"] == "Execute"
         assert doc["trace"]["spans"][0]["attributes"]["query"] == "/a/b"
 
     def test_operators_section_matches_profile(self):
-        telemetry = Telemetry(enabled=True)
+        telemetry = Telemetry()
         with telemetry.span("Parent"):
             pass
         doc = json.loads(telemetry.to_json())
@@ -65,26 +77,27 @@ class TestJsonExport:
 
 class TestRuntimeActivation:
     def test_activated_sets_and_restores(self):
-        telemetry = Telemetry(enabled=True)
+        telemetry = Telemetry()
         assert runtime.ACTIVE is None
         with runtime.activated(telemetry):
             assert runtime.ACTIVE is telemetry
         assert runtime.ACTIVE is None
 
     def test_disabled_telemetry_deactivates(self):
-        with runtime.activated(Telemetry(enabled=False)):
-            assert runtime.ACTIVE is None
+        with runtime.activated(Telemetry()):
+            with runtime.activated(None):  # an untraced nested run
+                assert runtime.ACTIVE is None
 
     def test_reentrant_restores_previous(self):
-        outer = Telemetry(enabled=True)
-        inner = Telemetry(enabled=True)
+        outer = Telemetry()
+        inner = Telemetry()
         with runtime.activated(outer):
             with runtime.activated(inner):
                 assert runtime.ACTIVE is inner
             assert runtime.ACTIVE is outer
 
     def test_helpers_report_to_active_registry(self):
-        telemetry = Telemetry(enabled=True)
+        telemetry = Telemetry()
         with runtime.activated(telemetry):
             runtime.add("container.scans", 2)
             runtime.record_codec("decode", "alm", 10, 25)
@@ -103,7 +116,7 @@ class TestRuntimeActivation:
 
 class TestDeterministicExport:
     def test_json_keys_sorted_at_every_level(self):
-        telemetry = Telemetry(enabled=True)
+        telemetry = Telemetry()
         telemetry.metrics.add("zeta", 1)
         telemetry.metrics.add("alpha", 2)
         with telemetry.span("B"):
@@ -118,7 +131,7 @@ class TestDeterministicExport:
 
     def test_operator_profile_order_independent_of_span_order(self):
         def run(names):
-            telemetry = Telemetry(enabled=True)
+            telemetry = Telemetry()
             for name in names:
                 with telemetry.span(name):
                     pass
@@ -129,7 +142,7 @@ class TestDeterministicExport:
 
     def test_identical_runs_export_identically(self):
         def run():
-            telemetry = Telemetry(enabled=False)
+            telemetry = Telemetry()
             telemetry.metrics.add("decompressions", 5)
             telemetry.metrics.observe("span.Select", 100.0)
             return telemetry.to_json(indent=2)
@@ -137,7 +150,7 @@ class TestDeterministicExport:
         assert run() == run()
 
     def test_default_str_keeps_foreign_values_serializable(self):
-        telemetry = Telemetry(enabled=True)
+        telemetry = Telemetry()
         with telemetry.span("Op", where=object()):
             pass
         json.loads(telemetry.to_json())  # must not raise

@@ -6,12 +6,14 @@ import pytest
 
 from repro.obs import runtime
 from repro.obs.journal import WorkloadJournal
+from repro.obs.telemetry import Telemetry
 from repro.obs.workload import (
     WorkloadCapture,
     WorkloadRecord,
     WorkloadRecorder,
 )
 from repro.query.engine import QueryEngine
+from repro.query.options import ExecutionOptions
 from repro.storage.loader import load_document
 
 XML = "<site><people>%s</people></site>" % "".join(
@@ -114,8 +116,11 @@ class TestRecorderWithEngine:
     def test_workload_metrics_mirrored(self, repository, journal):
         engine = QueryEngine(repository,
                              recorder=WorkloadRecorder(journal))
-        result = engine.execute(EQ_QUERY)
-        metrics = result.telemetry.metrics
+        telemetry = Telemetry()  # a traced run mirrors its record
+        result = engine.execute(
+            EQ_QUERY, ExecutionOptions(telemetry=telemetry))
+        assert result.telemetry is telemetry
+        metrics = telemetry.metrics
         assert metrics.counter("workload.records").value == 1
         assert metrics.counter("workload.predicates.eq").value == 1
 

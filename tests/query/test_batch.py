@@ -241,7 +241,7 @@ class TestOperatorProtocol:
 class TestBatchTelemetry:
     @staticmethod
     def _counters(run):
-        telemetry = Telemetry(enabled=True)
+        telemetry = Telemetry()
         with runtime.activated(telemetry):
             run()
         return telemetry, telemetry.metrics.counters()

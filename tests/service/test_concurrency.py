@@ -89,12 +89,16 @@ class TestExecuteMany:
 
     def test_per_run_enabled_telemetry_in_parallel(self, repository,
                                                    serial_results):
-        from repro.query.options import ExecutionOptions
-        session = Session(repository)
+        # The slow log's sampling is what hands a batch per-run
+        # telemetries; rate 1 traces every run, serialized on the
+        # session's activation lock.
+        from repro.service.slowlog import SlowQueryLog
+        session = Session(repository,
+                          slow_log=SlowQueryLog(exemplar_rate=1))
         results = session.execute_many(
-            [query_text("Q1")] * 6, max_workers=3,
-            options=ExecutionOptions(telemetry_enabled=True))
-        assert all(r.telemetry.enabled for r in results)
+            [query_text("Q1")] * 6, max_workers=3)
+        assert len({id(r.telemetry) for r in results}) == 6
+        assert all(r.telemetry.stats is r.stats for r in results)
         assert [r.to_xml() for r in results] == \
             [serial_results["Q1"]] * 6
 
@@ -131,17 +135,3 @@ class TestRegistryThreadSafety:
         for thread in pool:
             thread.join()
         assert len({id(counter) for counter in seen}) == 1
-
-    def test_merge_accumulates_counters_and_histograms(self):
-        target = MetricsRegistry()
-        target.add("shared", 1)
-        source = MetricsRegistry()
-        source.add("shared", 2)
-        source.add("only.source", 5)
-        source.histogram("lat").observe(1.0)
-        source.histogram("lat").observe(3.0)
-        target.merge(source)
-        counters = target.counters()
-        assert counters["shared"] == 3
-        assert counters["only.source"] == 5
-        assert target.histograms()["lat"]["count"] == 2

@@ -28,33 +28,29 @@ class TestExecutionOptions:
     def test_defaults(self):
         options = ExecutionOptions()
         assert options.telemetry is None
-        assert options.telemetry_enabled is False
         assert options.record is None
         assert options.use_plan_cache is True
         assert options.use_block_cache is True
         assert options.bindings is None
-        assert len(dataclasses.fields(options)) == 6
+        assert [f.name for f in dataclasses.fields(options)] == [
+            "telemetry", "record", "use_plan_cache",
+            "use_block_cache", "bindings"]
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
-            ExecutionOptions().telemetry_enabled = True
+            ExecutionOptions().telemetry = Telemetry()
 
-    def test_with_telemetry(self):
-        telemetry = Telemetry(enabled=True)
-        options = ExecutionOptions().with_telemetry(telemetry)
-        assert options.telemetry is telemetry
-
-    def test_resolve_telemetry_prefers_given(self):
-        telemetry = Telemetry(enabled=True)
-        options = ExecutionOptions(telemetry=telemetry)
-        assert options.resolve_telemetry() is telemetry
-
-    def test_resolve_telemetry_creates_enabled(self):
-        assert ExecutionOptions(
-            telemetry_enabled=True).resolve_telemetry().enabled
-        assert not ExecutionOptions().resolve_telemetry().enabled
-        assert ExecutionOptions().resolve_telemetry(
-            default_enabled=True).enabled
+    def test_with_telemetry(self, repository):
+        """``telemetry`` is the one tracing switch: given, the run
+        records into it; absent, the run has none."""
+        telemetry = Telemetry()
+        engine = QueryEngine(repository)
+        traced = engine.execute("/library/book/title",
+                                ExecutionOptions(telemetry=telemetry))
+        assert traced.telemetry is telemetry
+        assert telemetry.stats is traced.stats
+        assert telemetry.tracer.roots[0].name == "Execute"
+        assert engine.execute("/library/book/title").telemetry is None
 
     def test_binding_environment_wraps_scalars(self):
         options = ExecutionOptions(
@@ -71,7 +67,7 @@ class TestLegacyShims:
     one object and any other keyword is the signature's TypeError."""
 
     def test_unknown_keyword_still_typeerror(self, repository):
-        telemetry = Telemetry(enabled=True)
+        telemetry = Telemetry()
         with pytest.raises(TypeError):
             QueryEngine(repository).execute("/library/book",
                                             telemetry=telemetry)
@@ -80,10 +76,19 @@ class TestLegacyShims:
         with pytest.raises(TypeError):
             XQueCSystem(repository).query("/library/book",
                                           telemetry=telemetry)
+        # the three retired tracing switches
+        with pytest.raises(TypeError):
+            ExecutionOptions(telemetry_enabled=True)
+        with pytest.raises(TypeError):
+            Session(repository, telemetry_enabled=True)
+        with pytest.raises(TypeError):
+            QueryEngine(repository, telemetry_enabled=True)
+        with pytest.raises(TypeError):
+            Telemetry(enabled=True)
 
     def test_new_api_emits_no_warning(self, repository, recwarn):
         engine = QueryEngine(repository)
         engine.execute("/library/book/title",
                        ExecutionOptions(
-                           telemetry=Telemetry(enabled=True)))
+                           telemetry=Telemetry()))
         assert not recwarn.list

@@ -203,6 +203,45 @@ class TestRecording:
         session.execute(QUERY, ExecutionOptions(record=False))
         assert session.recorder.records_written == 0
 
+    def test_untraced_run_keeps_one_set_of_books(self, session,
+                                                 monkeypatch):
+        """A warm untraced execute builds no registry, no tracer and
+        no lock: the run's books are the eight plain counters of
+        ``result.stats``; the session's shared registry already
+        exists."""
+        import threading
+
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.tracer import Tracer
+        for _ in range(2):  # plan + class histogram, then hit counters
+            session.execute(QUERY)
+        built = []
+
+        def counting(cls):
+            original = cls.__init__
+
+            def __init__(self, *args, **kwargs):
+                built.append(cls.__name__)
+                original(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", __init__)
+
+        counting(MetricsRegistry)
+        counting(Tracer)
+        for name in ("Lock", "RLock"):
+            original = getattr(threading, name)
+            monkeypatch.setattr(
+                threading, name,
+                lambda original=original, name=name:
+                built.append(name) or original())
+        result = session.execute(QUERY)
+        assert result.items == ["9.99"]
+        assert built == []
+        assert result.telemetry is None
+        assert type(result.stats).__slots__ == result.stats.FIELDS
+        assert not any(isinstance(value, property) for value in
+                       vars(type(result.stats)).values())
+        assert result.stats.decompressions >= 1
+
     def test_record_true_without_recorder_raises(self, session):
         with pytest.raises(QueryError, match="no workload recorder"):
             session.execute(QUERY, ExecutionOptions(record=True))
@@ -221,7 +260,7 @@ class TestExecuteMany:
 
     def test_rejects_shared_telemetry(self, session):
         from repro.obs.telemetry import Telemetry
-        options = ExecutionOptions(telemetry=Telemetry(enabled=True))
+        options = ExecutionOptions(telemetry=Telemetry())
         with pytest.raises(ValueError, match="execute_many"):
             session.execute_many([QUERY, QUERY], options=options)
 

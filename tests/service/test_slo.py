@@ -4,7 +4,7 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.query.parser import parse_query
-from repro.service.session import Session
+from repro.service.session import Database, Session
 from repro.service.slo import (
     LATENCY_PREFIX,
     LatencyObjective,
@@ -209,20 +209,82 @@ class TestRollingReport:
             'for $b in /library/book where $b/title = "Dune" '
             "return $b")
         report = session.slo_report()
-        assert set(report["rolling"]) == {"path", "point"}
-        row = report["rolling"]["path"]
+        assert "rolling" not in report  # one table, not a pair
+        assert set(report["classes"]) == {"path", "point"}
+        row = report["classes"]["path"]
         assert row["count"] == 1
         assert row["qps"] > 0
         assert row["p95_ms"] is not None
-        assert report["qps"] > 0
+        assert report["qps"] == sum(
+            row["qps"] for row in report["classes"].values())
 
     def test_render_includes_rolling_table(self, session):
         session.execute("/library/book/title")
         text = render_slo_report(session.slo_report())
         assert "rolling window" in text
         assert "QPS" in text
+        assert text.count("p95_ms") == 1  # one latency table
 
     def test_empty_registry_has_no_rolling_rows(self):
         report = slo_report(MetricsRegistry())
-        assert report["rolling"] == {}
+        assert report["classes"] == {}
         assert report["qps"] == 0.0
+
+
+POINT = 'for $b in /library/book where $b/title = "Dune" return $b'
+SCAN = "for $b in /library/book where $b/price > 8.0 return $b"
+PATH = "/library/book/title"
+
+
+class TestConcurrentWindows:
+    """Four workers hammering one session must leave the per-class
+    latency histograms (a) filed under the *correct* class and (b)
+    with **no lost increments**: histogram counts and the
+    ``slo.served.*`` counters agree with the queries served."""
+
+    def test_no_lost_increments_across_four_workers(self):
+        database = Database.from_xml(DOC)
+        session = database.session()
+        rounds = 6
+        batch = [POINT, SCAN, PATH, POINT, SCAN, PATH, PATH, POINT]
+        for _ in range(rounds):
+            results = session.execute_many(batch, max_workers=4)
+            assert len(results) == len(batch)
+
+        expected = {
+            "point": rounds * batch.count(POINT),
+            "scan": rounds * batch.count(SCAN),
+            "path": rounds * batch.count(PATH),
+        }
+        histograms = database.metrics.histograms()
+        counters = database.metrics.counters()
+        for query_class, count in expected.items():
+            name = LATENCY_PREFIX + query_class
+            assert histograms[name]["count"] == count, query_class
+            assert counters[f"slo.served.{query_class}"] == count
+        # every latency is filed once: nothing but the class
+        # histograms, nothing misfiled into a class nobody ran
+        assert set(histograms) == {LATENCY_PREFIX + c for c in expected}
+        total = sum(expected.values())
+        assert counters["session.executions"] == total
+
+    def test_windows_feed_the_rolling_report(self):
+        database = Database.from_xml(DOC)
+        session = database.session()
+        session.execute_many([POINT, SCAN, PATH, PATH],
+                             max_workers=4)
+        report = session.slo_report()
+        assert set(report["classes"]) == {"point", "scan", "path"}
+        assert report["classes"]["path"]["count"] == 2
+        assert report["qps"] > 0
+        for row in report["classes"].values():
+            assert row["p95_ms"] is not None
+            assert row["p95_ms"] >= 0
+
+    def test_window_percentiles_bound_the_lifetime_max(self):
+        database = Database.from_xml(DOC)
+        session = database.session()
+        session.execute_many([PATH] * 8, max_workers=4)
+        hist = database.metrics.histograms()[LATENCY_PREFIX + "path"]
+        assert hist["count"] == 8
+        assert hist["p50"] <= hist["p95"] <= hist["p99"] <= hist["max"]

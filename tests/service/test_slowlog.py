@@ -108,8 +108,11 @@ class TestSampling:
         assert all(log.maybe_sample() is not None for _ in range(4))
 
     def test_sampled_telemetry_is_enabled(self):
+        # a sampled telemetry is a tracing one: there is no other kind
         telemetry = SlowQueryLog(exemplar_rate=1).maybe_sample()
-        assert telemetry.enabled
+        with telemetry.span("Execute"):
+            pass
+        assert telemetry.operator_profile()["Execute"]["count"] == 1
 
 
 class TestJournalPersistence:
@@ -155,6 +158,10 @@ class TestSessionIntegration:
         assert record["wall_ns"] > 0
         assert record["exemplar"] is not None
         assert record["exemplar"]["operators"]
+        # the exemplar quotes the run's own books (the record is cut
+        # when execute() returns, before the lazy final Decompress)
+        assert record["exemplar"]["stats"] == {
+            **result.stats.as_dict(), "decompressions": 0}
         assert record["cache_deltas"] is not None
         assert record["cache_deltas"]["plan.miss"] == 1
 

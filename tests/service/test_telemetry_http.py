@@ -40,7 +40,8 @@ class TestEndpoints:
         assert status == 200
         scraped = parse_prometheus(body.decode())
         assert scraped["counters"]["session.executions"] == 3
-        assert "slo.latency_ns.path" in scraped["windows"]
+        assert sorted(scraped) == ["counters", "gauges", "histograms"]
+        assert scraped["histograms"]["slo.latency_ns.path"]["count"] == 3
         assert scraped["gauges"]["telemetry.uptime_s"] > 0
 
     def test_metrics_content_type(self, database):
@@ -115,3 +116,31 @@ class TestLifecycle:
             get(server.url + "/health")
         assert database.metrics.counters()[
             "telemetry.http.requests"] == 2
+
+
+class TestViewsAgree:
+    def test_scrape_equals_report(self, database):
+        """``repro top`` over HTTP, ``repro top`` in-process and
+        ``repro perf report`` read one registry through the same two
+        functions, so they quote the same rows."""
+        from repro.service.top import ScrapeSource, render_top
+        session = database.session()
+        for query in ("/library/book/title",
+                      "for $b in /library/book where $b/price > 8.0 "
+                      "return $b/title", "/library/book/title"):
+            session.execute(query)
+        with database.serve_telemetry() as server:
+            snapshot = ScrapeSource(server.url).sample()
+        report = session.slo_report()
+        assert snapshot["served"] == 3
+        assert snapshot["caches"] == report["caches"]
+        assert set(snapshot["classes"]) == {"path", "scan"}
+        text = render_top(snapshot)
+        assert "served 3" in text
+        assert "plan 33.3% (1/3)" in text
+        for query_class, row in report["classes"].items():
+            scraped = snapshot["classes"][query_class]
+            # the rate is over the real clock: it moves between reads
+            assert scraped.pop("qps") == pytest.approx(
+                row.pop("qps"), rel=0.05)
+            assert scraped == row

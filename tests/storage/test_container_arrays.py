@@ -93,11 +93,11 @@ class TestIntervalPositions:
 
     def test_interval_bounds_counts_like_interval_search(self, repo):
         container = repo.container(NAME_PATH)
-        t1 = Telemetry(enabled=True)
+        t1 = Telemetry()
         with runtime.activated(t1):
             list(container.interval_search("alpha", "delta",
                                            True, True))
-        t2 = Telemetry(enabled=True)
+        t2 = Telemetry()
         with runtime.activated(t2):
             container.interval_bounds("alpha", "delta", True, True)
         key = "container.interval_searches"
@@ -106,7 +106,7 @@ class TestIntervalPositions:
 
     def test_interval_positions_is_uncounted(self, repo):
         container = repo.container(NAME_PATH)
-        telemetry = Telemetry(enabled=True)
+        telemetry = Telemetry()
         with runtime.activated(telemetry):
             container.interval_positions("alpha", "delta", True, True)
         assert "container.interval_searches" not in \

@@ -92,9 +92,48 @@ class TestTrace:
                            "/library/book/title/text()")
         assert code == 0
         doc = json.loads(output)
-        assert doc["enabled"] is True
-        assert doc["metrics"]["counters"]["summary_accesses"] >= 1
+        assert sorted(doc) == ["diagnostics", "metrics", "operators",
+                               "stats", "trace"]
+        assert doc["stats"]["summary_accesses"] >= 1
+        # read after materialisation: the final Decompress is counted
+        assert doc["stats"]["decompressions"] >= 1
         assert doc["trace"]["spans"][0]["name"] == "Query"
+
+    def test_trace_and_analyze_quote_the_results_stats(self, tmp_path):
+        """Q14 decodes its result in the final Decompress step: the
+        trace JSON and the EXPLAIN ANALYZE counter section must both
+        quote ``result.stats`` as read *after* ``result.items``."""
+        import json
+        import re
+
+        from repro.service.session import Session
+        from repro.storage.serialization import load_repository
+        from repro.xmark.generator import generate_xmark
+        from repro.xmark.queries import query_text
+        source = tmp_path / "xmark.xml"
+        source.write_text(generate_xmark(factor=0.005, seed=3),
+                          encoding="utf-8")
+        target = tmp_path / "xmark.xqc"
+        assert run("compress", str(source), str(target))[0] == 0
+        result = Session(load_repository(target)).execute(
+            query_text("Q14"))
+        before = result.stats.decompressions
+        assert len(result.items) > 0
+        assert result.stats.decompressions > before
+        expected = result.stats.as_dict()
+
+        code, output = run("trace", str(target), query_text("Q14"))
+        assert code == 0
+        assert json.loads(output)["stats"] == expected
+
+        code, output = run("query", str(target), query_text("Q14"),
+                           "--analyze")
+        assert code == 0
+        section = output.split(
+            "-- counters (== QueryResult.stats) --\n", 1)[1]
+        assert dict(re.findall(r"^# (\w+) +(\d+)$",
+                               section.split("\n#\n", 1)[0], re.M)) \
+            == {name: str(value) for name, value in expected.items()}
 
     def test_output_file(self, repository_file, tmp_path):
         import json
