@@ -2,7 +2,7 @@
 
 Prints, for each benchmark query, the strategy the engine will apply —
 where the summary is used, where predicates become container interval
-searches, and where joins become cacheable hash joins.
+searches, and where joins become merge joins run once per execution.
 
 Run:  python examples/explain_plans.py
 """

@@ -347,6 +347,8 @@ def _cmd_query(args, out) -> int:
               file=out)
         print(f"# container accesses:     {stats.container_accesses}",
               file=out)
+        print(f"# container scans:        {stats.container_scans}",
+              file=out)
         print(f"# hash joins:             {stats.hash_joins}",
               file=out)
     return 0

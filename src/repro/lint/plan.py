@@ -78,6 +78,7 @@ class PlanVerifier:
             "AttributeContent": self._passthrough,
             "Select": self._select,
             "NodeSet": self._node_set,
+            "Concat": self._concat,
             "Project": self._project,
             "HashJoin": self._hash_join,
             "MergeJoin": self._merge_join,
@@ -259,6 +260,12 @@ class PlanVerifier:
         # Sorted, duplicate-free ids: document order, like a summary
         # access; every other input column (values included) is gone.
         return PlanProperties({column: ColumnInfo(NODE)}, (column,))
+
+    def _concat(self, node: object, path: str,
+                children: list[PlanProperties]) -> PlanProperties:
+        left, right = children
+        # One run after the other: the columns of both, no order.
+        return PlanProperties.merge(left, right, order=())
 
     def _project(self, node: object, path: str,
                  children: list[PlanProperties]) -> PlanProperties:

@@ -43,9 +43,10 @@ class AnalyzeReport:
 #: plan-line keyword -> (EvaluationStats counter, span histogram name).
 _LINE_METRICS = (
     ("ContAccess interval", "container_accesses", "span.ContAccess"),
+    # Before "ContScan ": a merge join's line names its scans.
+    ("MergeJoin", "container_scans", "span.MergeJoin.build"),
     ("ContScan ", "container_scans", "span.ContScan"),
     ("ContSubstring", "container_accesses", "span.ContSubstring"),
-    ("HashJoin", "hash_joins", "span.HashJoin.build"),
     ("ThetaJoin", "container_accesses", "span.ThetaJoin.build"),
     ("StructureSummaryAccess", "summary_accesses",
      "span.StructureSummaryAccess"),

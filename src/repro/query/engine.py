@@ -19,10 +19,12 @@ checks, what the plan cache holds and what the evaluator dispatches on
   strategy); a conjunct the containers' order answers exactly is not
   evaluated per binding at all, a ``contains`` is re-checked on the
   candidates only;
-* equality joins between binding variables run as hash joins with
-  cacheable build sides (:class:`~repro.query.optimizer.JoinPlan`)
-  over *decoded* keys (``_key_strings``): a default load trains one
-  codec per container, so the two sides' codewords do not compare;
+* equality joins between binding variables run once per execution,
+  as one ``MergeJoin`` over the two value-sorted key containers
+  (:func:`~repro.query.optimizer.assign_equi_join`), keys decoded — a
+  default load trains one codec per container, so the two sides'
+  codewords do not compare; each outer binding looks its matches up,
+  and each match binds once, in document order;
 * inequality joins against a (scaled) numeric path run as one binary
   search per outer binding on the value-sorted containers
   (:class:`~repro.query.physical.ThetaJoin`), falling back to the
@@ -65,6 +67,7 @@ from repro.query.ast import (
     TextLiteral,
     VarRef,
 )
+from repro.query.batch import RecordBatch
 from repro.query.context import (
     CompressedItem,
     EvaluationStats,
@@ -85,6 +88,7 @@ from repro.query.optimizer import (
     plan_query,
 )
 from repro.query.parser import parse_query
+from repro.query.physical import node_ids
 from repro.storage.repository import CompressedRepository
 from repro.storage.summary import TEXT_STEP
 from repro.xmlio.dom import Element, Text
@@ -367,9 +371,9 @@ class _Evaluator:
             else EvaluationStats()
         #: cached sequences for binding-independent source expressions.
         self._source_cache: dict[int, list] = {}
-        #: built once per execution: hash indexes by conjunct identity,
-        #: theta joins by clause identity, selected node ids by
-        #: ``("selection", clause identity)``.
+        #: built once per execution: theta joins by clause identity,
+        #: equality-join matches by ``("join", clause identity)``,
+        #: selected node ids by ``("selection", clause identity)``.
         self._index_cache: dict = {}
 
     # -- dispatch -------------------------------------------------------------
@@ -526,46 +530,33 @@ class _Evaluator:
             env[clause.var] = self.eval(clause.source, env)
             self._flwor_clause(plan, index + 1, env, results)
             return
-        # Hash-join path: an equality conjunct between this variable and
-        # already-bound ones, over a binding-independent source.
-        if step.join is not None:
-            join_index = self._join_index(
-                step, self._clause_items(step, env))
-            rest = step.rest(step.join.conjunct)
-            for key in self._key_strings(step.join.probe_expr, env):
-                for item in join_index.get(key, ()):
-                    self._bind_and_descend(plan, index, env, item, rest,
-                                           results)
-            return
-        # Theta-join path: an inequality conjunct between this
-        # variable's numeric path and already-bound ones is one binary
-        # search on the sorted containers per outer binding.  Else the
-        # clause's constant selections, decided once on the containers.
-        theta = self._theta_range(step, env)
-        if theta is not None:
-            conjunct, owners, start, end = theta
-            rest = step.rest(conjunct)
-            ids = owners[start:end]
-        else:
+        # One operator run per execution decides the clause's bindings:
+        # an equality join (matches looked up per outer binding), an
+        # inequality join (one binary search per outer binding), else
+        # the constant selections.  Refused, every binding of the
+        # source checks every conjunct.
+        ids, rest = self._join(step, env) if step.join is not None \
+            else self._theta_range(step, env)
+        if ids is None:
             ids, rest = self._selection(step)
-        if ids is not None:
-            if isinstance(results, _BindingCounter) and not rest and \
-                    not plan.residual and index + 1 == len(plan.clauses):
-                results.count += len(ids)
-                return
-            if theta is not None:
-                # Slots are in value order; bindings leave in document
-                # order (the selection's ids already are).
-                ids = np.sort(ids).tolist()
-            for node_id in ids:
-                self._bind_and_descend(
-                    plan, index, env,
-                    NodeItem(node_id, clause.source.document), rest,
-                    results)
+        if ids is None:
+            for item in self._clause_items(step, env):
+                self._bind_and_descend(plan, index, env, item,
+                                       step.decidable, results)
             return
-        for item in self._clause_items(step, env):
-            self._bind_and_descend(plan, index, env, item,
-                                   step.decidable, results)
+        if isinstance(results, _BindingCounter) and not rest and \
+                not plan.residual and index + 1 == len(plan.clauses):
+            results.count += len(ids)
+            return
+        if isinstance(ids, np.ndarray):
+            # A theta join's slots are in value order; bindings leave
+            # in document order (the other strategies' ids already do).
+            ids = np.sort(ids).tolist()
+        document = clause.source.document
+        for node_id in ids:
+            self._bind_and_descend(plan, index, env,
+                                   NodeItem(node_id, document), rest,
+                                   results)
 
     def _bind_and_descend(self, plan: FlworPlan, index: int, env: dict,
                           item, conjuncts, results) -> None:
@@ -616,44 +607,41 @@ class _Evaluator:
             self._source_cache[id(source)] = cached
         return cached
 
-    # -- hash joins -------------------------------------------------------------------
+    # -- equality joins ---------------------------------------------------------------
 
-    def _join_index(self, step: ClausePlan, items: list
-                    ) -> dict[str, list]:
-        """Build index of a hash join: the clause's items by key."""
-        # ``items`` of a context-dependent source is a fresh list per
-        # evaluation: only the condition under which _clause_items
-        # memoises the sequence makes the index reusable.
-        join = step.join
-        index = self._index_cache.get(id(join.conjunct)) \
-            if step.context_free else None
-        if index is None:
-            index = {}
-            self.stats.hash_joins += 1
-            with span_on(self.telemetry, "HashJoin.build",
-                         rows=len(items)):
-                for item in items:
-                    child_env = {step.clause.var: [item]}
-                    for key in self._key_strings(join.build_expr,
-                                                 child_env):
-                        index.setdefault(key, []).append(item)
-            if step.context_free:
-                self._index_cache[id(join.conjunct)] = index
-        return index
-
-    def _key_strings(self, expr: Expression, env: dict) -> list[str]:
-        """Join-key values of an expression, as canonical strings."""
-        return [string_value(item, self.stats) for item in
-                self._atomize_sequence(self.eval(expr, env))]
+    def _join(self, step: ClausePlan, env: dict):
+        """``(node ids, conjuncts left to check)`` of a clause whose
+        equality join runs as one ``MergeJoin`` on the key containers
+        (:func:`~repro.query.optimizer.assign_equi_join`), ``(None,
+        None)`` for per-binding evaluation.  Both sides are absolute
+        paths, so the join runs once per execution: the ids are the
+        probe node's matches, each once, in document order."""
+        key = ("join", id(step))
+        if key not in self._index_cache:
+            found = step.bind_join(self._repo, stats=self.stats)
+            if found is not None:
+                with span_on(self.telemetry, "MergeJoin.build") as span:
+                    matches = _matches_by_probe(
+                        found[1], f"${step.join.probe_vars[0]}",
+                        f"${step.clause.var}")
+                    span.set_attribute("rows", len(matches))
+                found = matches, step.rest(step.join.conjunct)
+            self._index_cache[key] = found
+        if self._index_cache[key] is None:
+            return None, None
+        matches, rest = self._index_cache[key]
+        (probe,) = env[step.join.probe_vars[0]]
+        return matches.get(probe.node_id, ()), rest
 
     # -- theta joins ------------------------------------------------------------------
 
     def _theta_range(self, step: ClausePlan, env: dict):
-        """``(conjunct, owners, start, end)``: the slot range of the
-        clause's theta join matching this binding; ``None`` for the
-        nested loop.  Assigned and built once per execution."""
+        """``(owners, conjuncts left to check)``: the owners of the slot
+        range of the clause's theta join matching this binding, in value
+        order; ``(None, None)`` for the nested loop.  Assigned and built
+        once per execution."""
         if not step.thetas:
-            return None
+            return None, None
         if id(step) not in self._index_cache:
             found = step.bind_theta(self._repo, stats=self.stats)
             if found is not None:
@@ -662,13 +650,14 @@ class _Evaluator:
                         found = None
             self._index_cache[id(step)] = found
         if self._index_cache[id(step)] is None:
-            return None
+            return None, None
         plan, join = self._index_cache[id(step)]
         try:
             items = self._atomize_sequence(
                 self.eval(plan.probe_expr, env))
         except QueryError:
-            return None  # the nested loop raises it, if it gets there
+            # The nested loop raises it, if it gets there.
+            return None, None
         values = []
         for item in items:
             # Text orders numerically only against an actual number:
@@ -680,13 +669,13 @@ class _Evaluator:
                 except ValueError:
                     continue
             if type(item) is not float or not math.isfinite(item):
-                return None
+                return None, None
             values.append(item)
         # Existential over the probe values: the widest range, a
         # prefix of the sorted keys for < / <=, a suffix for > / >=.
         start, end = (0, 0) if not values else join.probe(
             max(values) if plan.op in ("<", "<=") else min(values))
-        return plan.conjunct, join.owners, start, end
+        return join.owners[start:end], step.rest(plan.conjunct)
 
     # -- paths ------------------------------------------------------------------------
 
@@ -912,6 +901,18 @@ class _Evaluator:
         PathExpr: _eval_path,
         ElementConstructor: _eval_constructor,
     }
+
+
+def _matches_by_probe(join, probe: str, build: str) -> dict[int, list]:
+    """The ``build`` node ids of a join's rows by ``probe`` node id,
+    each list sorted and duplicate-free: a value shared twice, or two
+    values shared, still binds a node once, and in document order."""
+    matches: dict[int, set] = {}
+    for batch in map(RecordBatch.compact, join.batches()):
+        for probe_id, build_id in zip(node_ids(batch, probe).tolist(),
+                                      node_ids(batch, build).tolist()):
+            matches.setdefault(probe_id, set()).add(build_id)
+    return {probe_id: sorted(ids) for probe_id, ids in matches.items()}
 
 
 class _BindingCounter:

@@ -4,7 +4,7 @@
 :class:`~repro.query.optimizer.QueryPlan` — the plan the engine
 executes and the Tier-A verifier checks — as indented text: summary-
 resolvable sources, the strategy each for-clause's conjuncts select
-(hash join, theta join, container selection or a per-binding
+(merge join, theta join, container selection or a per-binding
 ``Select``), order-by.  It classifies nothing itself.
 """
 
@@ -107,9 +107,16 @@ def _explain_flwor(expr: FLWOR, lines: list[str], depth: int,
 def _conjunct_text(chosen, var: str) -> str:
     """One decidable conjunct: the strategy it selected for its
     clause, else the per-binding check."""
-    if isinstance(chosen, JoinPlan):
-        return ("HashJoin (build side cacheable, probe on bound vars "
-                f"{list(chosen.probe_vars)})")
+    if isinstance(chosen, JoinPlan) and chosen.probe_source is not None:
+        (probe,) = chosen.probe_vars
+        build = _path_text(PathExpr(VarRef(var), chosen.build_steps))
+        key = _path_text(PathExpr(VarRef(probe), chosen.probe_steps))
+        return (f"MergeJoin {build} = {key}, ${probe} over "
+                f"{_path_text(chosen.probe_source)} (ContScan + Parent "
+                "per value-sorted key container, keys decoded, once per "
+                f"execution; matches looked up per ${probe}; Select per "
+                "binding where a key container is not string-typed "
+                "records)")
     if isinstance(chosen, ThetaPlan):
         key = _path_text(PathExpr(VarRef(var), chosen.leaf_steps))
         if chosen.scale is not None:

@@ -14,15 +14,16 @@ evaluation strategies, chosen **once per query**:
   operator trees the Tier-A verifier checks.  Constant selections
   (:func:`assign_selection`: ``ContAccess`` interval searches on the
   sorted containers, ``ContSubstring`` candidates for ``contains``,
-  ``Parent`` steps back up — bottom-up evaluation) and inequality
-  joins (:func:`assign_theta_join`) are the very trees
-  the engine runs; equality joins appear as ``HashJoin`` over the
-  enclosing binding stream.
+  ``Parent`` steps back up — bottom-up evaluation), equality joins
+  (:func:`assign_equi_join`: one ``MergeJoin`` over the two
+  value-sorted key containers) and inequality joins
+  (:func:`assign_theta_join`) are the very trees the engine runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 from repro.query.ast import (
     Arithmetic,
@@ -43,9 +44,10 @@ from repro.query.ast import (
     VarRef,
 )
 from repro.query.functions import tokenize
-from repro.query.physical import (ContAccess, ContScan, ContSubstring,
-                                  HashJoin, NestedLoopJoin, NodeSet,
-                                  OpaqueSource, Operator, Parent,
+from repro.query.physical import (Concat, ContAccess, ContScan,
+                                  ContSubstring, Decompress, MergeJoin,
+                                  NestedLoopJoin, NodeSet, OpaqueSource,
+                                  Operator, Parent, Sort,
                                   StructureSummaryAccess, ThetaJoin,
                                   XMLSerialize)
 from repro.storage.summary import TEXT_STEP
@@ -107,22 +109,32 @@ def flatten_conjuncts(expression: Expression | None) -> list[Expression]:
 
 @dataclass(frozen=True)
 class JoinPlan:
-    """An equality conjunct usable as a hash join at one for-clause.
+    """An equality conjunct between one for-clause's variable and
+    already-bound ones.
 
-    ``build_expr`` references only the clause's variable (plus nothing
-    else), so its key index can be cached across outer bindings;
-    ``probe_expr`` references only the already-bound ``probe_vars``.
+    ``build_expr`` references only the clause's variable, ``probe_expr``
+    only the bound ``probe_vars``.  The key fields are filled when both
+    sides are simple value paths (``$t/buyer/@person = $p/@id``), the
+    clause's source is an absolute simple path and the one probe
+    variable's nodes are found on the summary: ``probe_source`` is the
+    absolute path of the for-clause that binds it in scope, step
+    predicates dropped (a superset of its nodes).  That is the plan
+    :func:`assign_equi_join` runs as a ``MergeJoin``; without the key
+    fields the conjunct is checked per binding.
     """
 
     conjunct: Comparison
     build_expr: Expression
     probe_expr: Expression
     probe_vars: tuple[str, ...]
+    build_steps: tuple[Step, ...] | None = None
+    probe_steps: tuple[Step, ...] | None = None
+    probe_source: PathExpr | None = None
 
 
 def find_join_plan(conjunct: Expression, clause_var: str,
                    bound_vars: set[str]) -> JoinPlan | None:
-    """Classify a conjunct as a hash-joinable equality, if it is one."""
+    """Classify a conjunct as an equality join, if it is one."""
     if not isinstance(conjunct, Comparison) or conjunct.op != "=":
         return None
     for build, probe in ((conjunct.left, conjunct.right),
@@ -131,10 +143,39 @@ def find_join_plan(conjunct: Expression, clause_var: str,
         # variable-vs-constant equality is a selection (RangePlan).
         probe_vars = free_vars(probe)
         if free_vars(build) == {clause_var} and probe_vars and \
-                probe_vars <= bound_vars:
+                clause_var not in probe_vars and probe_vars <= bound_vars:
             return JoinPlan(conjunct, build, probe,
                             tuple(sorted(probe_vars)))
     return None
+
+
+def _with_key_paths(plan: JoinPlan, clause: ForClause,
+                    nodes: dict[str, PathExpr | None]) -> JoinPlan:
+    """``plan`` with its key fields filled where they can be; ``nodes``
+    maps the variables in scope to :func:`_node_path` of their
+    binding for-clause (``None`` for any other binding)."""
+    if len(plan.probe_vars) != 1 or \
+            not is_absolute_simple_path(clause.source):
+        return plan
+    (probe_var,) = plan.probe_vars
+    build_steps = _simple_value_steps(plan.build_expr, clause.var)
+    probe_steps = _simple_value_steps(plan.probe_expr, probe_var)
+    probe_source = nodes.get(probe_var)
+    if build_steps is None or probe_steps is None or probe_source is None:
+        return plan
+    return replace(plan, build_steps=build_steps, probe_steps=probe_steps,
+                   probe_source=probe_source)
+
+
+def _node_path(source: Expression) -> PathExpr | None:
+    """A for-clause source's absolute element path without its step
+    predicates — summary-resolvable, and a superset of the nodes the
+    clause binds — else ``None``."""
+    if not isinstance(source, PathExpr):
+        return None
+    bare = replace(source, steps=tuple(
+        replace(step, predicates=()) for step in source.steps))
+    return bare if bare.steps and is_absolute_simple_path(bare) else None
 
 
 @dataclass(frozen=True)
@@ -425,6 +466,65 @@ def assign_theta_join(clause: ForClause, plans: tuple[ThetaPlan, ...],
     return None
 
 
+def assign_equi_join(clause: ForClause, plan: JoinPlan, repo_of,
+                     stats=None):
+    """``(JoinPlan, MergeJoin)`` pairing every node of the probe
+    variable with every node of the clause's source that shares a key
+    value, else ``None``: the assignment the engine runs and the Tier-A
+    verifier checks.
+
+    Each side is :func:`_key_stream` over its own document's
+    repository; the join's rows carry both owners (``$probe`` and
+    ``$var`` columns).  Refused — the conjunct is then checked per
+    binding — without the plan's key fields, or where a side is not
+    a string record container path (:func:`_key_stream`).
+    """
+    if plan.probe_source is None:
+        return None
+    (probe_var,) = plan.probe_vars
+    sides = [_key_stream(repo_of(source.document), source, steps,
+                         f"${var}", stats)
+             for source, steps, var in (
+                 (plan.probe_source, plan.probe_steps, probe_var),
+                 (clause.source, plan.build_steps, clause.var))]
+    if None in sides:
+        return None
+    (probe, probe_key), (build, build_key) = sides
+    return plan, MergeJoin(probe, build, None, None,
+                           left_column=probe_key, right_column=build_key)
+
+
+def _key_stream(repository, source: PathExpr, steps: tuple[Step, ...],
+                column: str, stats):
+    """``(operator, key column)``: every value ``steps`` reach below the
+    nodes of ``source``, decoded, beside its owner in ``column``, in
+    value order — ``ContScan → Parent^ascend → Decompress`` on each
+    key container the summary names, several concatenated and then
+    ``Sort``-ed.  ``None`` unless the summary names a key container
+    and each is a string-typed record container: slot order is then
+    the string order the reference compares by, and decoded keys
+    compare across two sides trained on different source models."""
+    leaves = repository.resolve_path(leaf_summary_steps(source, steps))
+    if stats is not None:
+        stats.summary_accesses += 1
+    paths = [leaf.container_path for leaf in leaves]
+    if not paths or None in paths:
+        return None
+    if any(c.is_blob or c.value_type != "string"
+           for c in map(repository.container, paths)):
+        return None
+    key, hops = f"{column}~key", _ascend(steps)
+    stream = None
+    for path in paths:
+        node = _climb(ContScan(repository, path, _hop_column(column, hops),
+                               key, stats), repository, column, hops, stats)
+        stream = node if stream is None else Concat(stream, node)
+    stream = Decompress(stream, [key], stats)
+    if len(paths) > 1:
+        stream = Sort(stream, itemgetter(key), columns=(key,))
+    return stream, key
+
+
 def _order_answers(container, plan: RangePlan) -> bool:
     """Is the container's slot order the reference comparison against
     the plan's constant?  A number orders numerically, so only typed
@@ -450,6 +550,22 @@ def _leaf_access(term: SelectionTerm, repository, path: str,
         return ContSubstring(repository, path, id_column, value_column,
                              term.needle, stats)
     return ContScan(repository, path, id_column, value_column, stats)
+
+
+def _hop_column(column: str, hop: int) -> str:
+    """The column of the nodes ``hop`` ``Parent`` steps below
+    ``column``'s."""
+    return f"{column}~up{hop}" if hop else column
+
+
+def _climb(node: Operator, repository, column: str, hops: int,
+           stats) -> Operator:
+    """``node`` and ``hops`` ``Parent`` steps from its
+    ``_hop_column(column, hops)`` up to ``column``."""
+    for hop in range(hops, 0, -1):
+        node = Parent(node, repository, _hop_column(column, hop),
+                      _hop_column(column, hop - 1), stats)
+    return node
 
 
 def _summary_hops(leaf, sources) -> list[int]:
@@ -480,13 +596,10 @@ def _term_owners(term: SelectionTerm, repository, source: PathExpr,
     for leaf in leaves:
         for hops in [ascend] if ascend is not None \
                 else _summary_hops(leaf, sources):
-            # The owner column first, each hop's output after it.
-            names = [f"{column}~up{hop}"
-                     for hop in range(hops, 0, -1)] + [column]
-            node = _leaf_access(term, repository, leaf.container_path,
-                                names[0], f"{column}~value", stats)
-            for below, above in zip(names, names[1:]):
-                node = Parent(node, repository, below, above, stats)
+            node = _climb(_leaf_access(
+                term, repository, leaf.container_path,
+                _hop_column(column, hops), f"{column}~value", stats),
+                repository, column, hops, stats)
             owners = node if owners is None else \
                 NodeSet(owners, node, column, "union")
     if owners is None:  # no such path in this document: nobody
@@ -580,15 +693,15 @@ class ClausePlan:
     """How one for/let clause of a FLWOR is evaluated.
 
     ``decidable``: the ``where`` conjuncts whose variables are all
-    bound once this clause's is.  A source that is ``independent`` (of
-    every variable bound so far) and ``context_free`` is evaluated once
-    per execution.  The strategy is the first candidate present of
-    ``join`` (an equality against bound variables; only over an
-    ``independent`` source, and nothing below it is kept), ``thetas``
-    (inequalities against them), ``selection`` (constant terms); else
-    every binding of the source checks every ``decidable`` conjunct.
-    The later candidates are what the engine falls back to when the
-    data refuse an earlier one.
+    bound once this clause's is, and by no later clause of the FLWOR.
+    A source that is ``independent`` (of every variable bound so far)
+    and ``context_free`` is evaluated once per execution.  The strategy
+    is the first candidate present of ``join`` (an equality against
+    bound variables; only over an ``independent`` source, and nothing
+    below it is kept), ``thetas`` (inequalities against them),
+    ``selection`` (constant terms); else every binding of the source
+    checks every ``decidable`` conjunct.  The later candidates are what
+    the engine falls back to when the data refuse an earlier one.
     """
 
     clause: ForClause | LetClause
@@ -607,6 +720,10 @@ class ClausePlan:
     def rest(self, conjunct: Expression) -> tuple[Expression, ...]:
         """``decidable`` less the conjunct a join already decided."""
         return tuple(c for c in self.decidable if c is not conjunct)
+
+    def bind_join(self, repo_of, stats=None):
+        return assign_equi_join(self.clause, self.join, repo_of,
+                                stats) if self.join else None
 
     def bind_theta(self, repo_of, left=None, stats=None):
         return assign_theta_join(self.clause, self.thetas, repo_of, left,
@@ -651,12 +768,15 @@ def plan_query(ast: Expression) -> QueryPlan:
     runs."""
     flwors: list = []
     paths: list[PathExpr] = []
-    _plan(ast, free_vars(ast), flwors, paths)
+    _plan(ast, dict.fromkeys(free_vars(ast)), flwors, paths)
     return QueryPlan(tuple(flwors), tuple(paths))
 
 
-def _plan(expr: Expression, scope: frozenset[str], flwors: list,
-          paths: list[PathExpr]) -> None:
+def _plan(expr: Expression, scope: dict[str, PathExpr | None],
+          flwors: list, paths: list[PathExpr]) -> None:
+    """``scope`` maps every variable in scope, lexically, to
+    :func:`_node_path` of the for-clause binding it (``None`` for a
+    let or an external binding)."""
     if not isinstance(expr, FLWOR):
         if is_absolute_simple_path(expr) and expr.steps:
             paths.append(expr)
@@ -667,35 +787,42 @@ def _plan(expr: Expression, scope: frozenset[str], flwors: list,
     flwors.append(None)  # outermost first
     pending = flatten_conjuncts(expr.where)
     clauses = []
-    for clause in expr.clauses:
+    for position, clause in enumerate(expr.clauses):
         planned = ClausePlan(clause)
         if isinstance(clause, ForClause):
-            planned, pending = _plan_clause(clause, pending, scope)
+            # ``where`` sees the last binding of each name.
+            rebound = {c.var for c in expr.clauses[position + 1:]}
+            planned, pending = _plan_clause(clause, pending, scope,
+                                            rebound)
         # A for-clause's summary-resolved source is its access path.
         if isinstance(clause, LetClause) or \
                 not is_absolute_simple_path(clause.source):
             _plan(clause.source, scope, flwors, paths)
         clauses.append(planned)
-        scope = scope | {clause.var}
+        scope = {**scope, clause.var: _node_path(clause.source)
+                 if isinstance(clause, ForClause) else None}
     for child in _children(expr)[len(expr.clauses):]:
         _plan(child, scope, flwors, paths)
     flwors[slot] = FlworPlan(expr, tuple(clauses), tuple(pending))
 
 
 def _plan_clause(clause: ForClause, pending: list[Expression],
-                 bound: frozenset[str]
+                 scope: dict[str, PathExpr | None], rebound: set[str]
                  ) -> tuple[ClausePlan, list[Expression]]:
     """Classify a for-clause: its plan, and the conjuncts of
-    ``pending`` still undecidable once its variable is bound."""
+    ``pending`` not decidable here — some variable unbound, or bound
+    again by a later clause (``rebound``)."""
+    bound = frozenset(scope)
     now_bound = bound | {clause.var}
     decidable: list[Expression] = []
     later: list[Expression] = []
     for conjunct in pending:
-        (decidable if free_vars(conjunct) <= now_bound
+        names = free_vars(conjunct)
+        (decidable if names <= now_bound and not names & rebound
          else later).append(conjunct)
 
-    def found(find, *scope) -> tuple:
-        plans = (find(c, clause.var, *scope) for c in decidable)
+    def found(find, *args) -> tuple:
+        plans = (find(c, clause.var, *args) for c in decidable)
         return tuple(p for p in plans if p is not None)
 
     independent = not free_vars(clause.source) & bound
@@ -705,7 +832,8 @@ def _plan_clause(clause: ForClause, pending: list[Expression],
     simple = not joins and is_absolute_simple_path(clause.source)
     return ClausePlan(
         clause, tuple(decidable), independent,
-        context_free(clause.source), joins[0] if joins else None,
+        context_free(clause.source),
+        _with_key_paths(joins[0], clause, scope) if joins else None,
         thetas=found(find_theta_plan, bound) if simple else (),
         selection=None if joins else
         find_selection_plan(clause, decidable)), later
@@ -745,14 +873,15 @@ def _bind_flwor(plan: FlworPlan, repo_of) -> Operator:
         if theta is not None:
             tree = theta[1]
             continue
+        join = step.bind_join(repo_of)
+        if join is not None:
+            # Run once; each binding of the probe variable looks its
+            # matches up.
+            tree = NestedLoopJoin(tree, join[1], None)
+            continue
         selection = step.bind_selection(repo_of)
         access = selection[1] if selection is not None else \
             _source_access(clause.source, column, repo_of)
-        if tree is None:
-            tree = access
-        elif step.join is not None:
-            # Key expressions are general: the columns stay undeclared.
-            tree = HashJoin(tree, access, left_key=None, right_key=None)
-        else:
-            tree = NestedLoopJoin(tree, access, None)
+        tree = access if tree is None else \
+            NestedLoopJoin(tree, access, None)
     return tree if tree is not None else OpaqueSource("empty FLWOR")

@@ -7,9 +7,9 @@ Three operator classes, exactly as the paper groups them:
   :class:`Parent`, :class:`Child`, :class:`Descendant`,
   :class:`TextContent`, :class:`AttributeContent`;
 * **data combination** — :class:`Select`, :class:`NodeSet`,
-  :class:`MergeJoin`, :class:`HashJoin`, :class:`ThetaJoin`,
-  :class:`NestedLoopJoin`, :class:`Project`, :class:`Distinct`,
-  :class:`Sort`;
+  :class:`Concat`, :class:`MergeJoin`, :class:`HashJoin`,
+  :class:`ThetaJoin`, :class:`NestedLoopJoin`, :class:`Project`,
+  :class:`Distinct`, :class:`Sort`;
 * **(de)compression / serialization** — :class:`Decompress`,
   :class:`CompressConstant`, :class:`XMLSerialize`.
 
@@ -93,7 +93,7 @@ def input_rows(source, size: int) -> Iterator[Row]:
     return iter(source)
 
 
-def _node_ids(batch: RecordBatch, name: str) -> np.ndarray:
+def node_ids(batch: RecordBatch, name: str) -> np.ndarray:
     """The ``int64`` element ids of one (compacted) batch column."""
     column = batch.column(name)
     if isinstance(column, NodeColumn):
@@ -395,7 +395,7 @@ class Parent(Operator):
             batch = batch.compact()
             if not len(batch):
                 continue
-            ids = _node_ids(batch, self._input)
+            ids = node_ids(batch, self._input)
             out_parents = parents[ids]
             keep = out_parents >= 0
             if not keep.all():
@@ -515,7 +515,7 @@ class TextContent(Operator):
             batch = batch.compact()
             if not len(batch):
                 continue
-            ids = _node_ids(batch, self._input)
+            ids = node_ids(batch, self._input)
             lo = np.searchsorted(sorted_parents, ids, side="left")
             hi = np.searchsorted(sorted_parents, ids, side="right")
             total = int((hi - lo).sum())
@@ -651,7 +651,7 @@ class NodeSet(Operator):
             else [self._left, self._right]
 
     def _ids(self, source, size: int) -> np.ndarray:
-        parts = [_node_ids(batch, self.column) for batch in
+        parts = [node_ids(batch, self.column) for batch in
                  map(RecordBatch.compact, _input_batches(source, size))
                  if len(batch)]
         return np.concatenate(parts) if parts \
@@ -664,6 +664,22 @@ class NodeSet(Operator):
         for start in range(0, len(ids), size):
             yield RecordBatch({
                 self.column: NodeColumn(ids[start:start + size])})
+
+
+class Concat(Operator):
+    """Bag union: ``left``'s rows, then ``right``'s — what a ``Sort``
+    merges several containers' value-ordered runs from.  No order is
+    established."""
+
+    INPUTS = ("_left", "_right")
+
+    def __init__(self, left: Iterable[Row], right: Iterable[Row]):
+        self._left = left
+        self._right = right
+
+    def _batches(self, size: int) -> Iterator[RecordBatch]:
+        yield from _input_batches(self._left, size)
+        yield from _input_batches(self._right, size)
 
 
 class Project(Operator):
@@ -727,9 +743,11 @@ class _BatchCursor:
     batch boundaries, in which case only the run is buffered.
     """
 
-    def __init__(self, batches: Iterator[RecordBatch], key):
+    def __init__(self, batches: Iterator[RecordBatch], key,
+                 column: str | None):
         self._batches = batches
         self._key = key
+        self._column = column
         self._batch: RecordBatch | None = None
         self._keys: np.ndarray | None = None
         self._pos = 0
@@ -741,8 +759,11 @@ class _BatchCursor:
                 continue
             keys = np.empty(len(batch), dtype=object)
             key = self._key
-            for i, row in enumerate(batch.to_rows()):
-                keys[i] = key(row)
+            if key is None:
+                keys[:] = batch.column(self._column).to_items()
+            else:
+                for i, row in enumerate(batch.to_rows()):
+                    keys[i] = key(row)
             self._batch = batch
             self._keys = keys
             self._pos = 0
@@ -761,11 +782,24 @@ class _BatchCursor:
         assert self._keys is not None
         return self._keys[self._pos]
 
+    def last_key(self):
+        assert self._keys is not None
+        return self._keys[-1]
+
     def skip_below(self, key) -> None:
         """Drop rows with keys ``< key`` from the current batch."""
         assert self._keys is not None
         self._pos += int(np.searchsorted(self._keys[self._pos:], key,
                                          side="left"))
+
+    def take_below(self, key) -> tuple[RecordBatch, np.ndarray]:
+        """Consume the current batch's rows with keys ``< key``: the
+        rows and their keys."""
+        assert self._batch is not None and self._keys is not None
+        start = self._pos
+        self.skip_below(key)
+        return (self._batch.slice(start, self._pos),
+                self._keys[start:self._pos])
 
     def take_run(self) -> RecordBatch:
         """Consume the current equal-key run (may span batches)."""
@@ -786,6 +820,19 @@ class _BatchCursor:
         return parts[0] if len(parts) == 1 else RecordBatch.concat(parts)
 
 
+def _equal_key_rows(left: RecordBatch, left_keys: np.ndarray,
+                    right: RecordBatch, right_keys: np.ndarray
+                    ) -> RecordBatch:
+    """Every pair of equal-key rows of two key-sorted batches, merged:
+    by key, then left row, then right row — a run's cross product in
+    the order the run-by-run merge emits it."""
+    lo = np.searchsorted(right_keys, left_keys, side="left")
+    hi = np.searchsorted(right_keys, left_keys, side="right")
+    total = int((hi - lo).sum())
+    return left.take(np.repeat(np.arange(len(left_keys)), hi - lo)) \
+        .merged_with(right.take(_concat_ranges(lo, hi, total)))
+
+
 class MergeJoin(Operator):
     """1-pass merge join over inputs already sorted on their keys.
 
@@ -793,10 +840,15 @@ class MergeJoin(Operator):
     of choice for value joins (§4): no sort is needed — but *only* when
     both inputs really arrive sorted on their keys.  Declare the key
     columns via ``left_column``/``right_column`` and the plan verifier
-    proves (or refutes) that order statically.
+    proves (or refutes) that order statically; a key function ``None``
+    then compares the declared column's items themselves.
 
     Both sides stream: one batch per side is buffered, plus the
-    current equal-key run.
+    current equal-key run.  The keys below both batches' last key have
+    every row in the batches at hand and join in one vectorized step
+    (``np.searchsorted`` of one key array in the other); the run at
+    that key, which may continue in the next batches, merges row-run
+    by row-run.
     """
 
     INPUTS = ("_left", "_right")
@@ -814,10 +866,17 @@ class MergeJoin(Operator):
 
     def _batches(self, size: int) -> Iterator[RecordBatch]:
         left = _BatchCursor(_input_batches(self._left, size),
-                            self._left_key)
+                            self._left_key, self.left_column)
         right = _BatchCursor(_input_batches(self._right, size),
-                             self._right_key)
+                             self._right_key, self.right_column)
         while left.ensure() and right.ensure():
+            # No row below the smaller last key is in a later batch.
+            bound = min(left.last_key(), right.last_key())
+            out = _equal_key_rows(*left.take_below(bound),
+                                  *right.take_below(bound))
+            for start in range(0, len(out), size):
+                yield out.slice(start, start + size)
+            # Both batches still hold their last key's rows.
             left_key = left.current_key()
             right_key = right.current_key()
             if left_key < right_key:

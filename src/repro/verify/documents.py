@@ -10,10 +10,13 @@ values (ALM/Huffman ``eq``/``wild``), pure-int and pure-float
 containers (numeric codecs, ``ContAccess`` over numeric order), a
 *mixed* int/float container (the type-inference edge), join keys
 between auctions and people, owners with several values or none
-(``interest/@category``, repeats included), items nested in items
-(``//item`` reaches two container paths with the same leaf steps) and
-descriptions holding a ``note`` or a description of their own (several
-text nodes below one element; a text below two elements of one name).
+(``interest/@category``, repeats and any order included), categories
+whose ids repeat and whose document order is not their key order
+(equality joins must bind each node once, in document order), items
+nested in items (``//item`` reaches two container paths with the same
+leaf steps) and descriptions holding a ``note`` or a description of
+their own (several text nodes below one element; a text below two
+elements of one name).
 """
 
 from __future__ import annotations
@@ -71,14 +74,22 @@ def generate_entities(rng: random.Random, scale: int = 10) -> dict:
             "price": price,
             "quantity": str(rng.randint(1, 9)),
         })
-    return {"people": people, "items": items, "auctions": auctions}
+    # Document order is not key order, and an id may repeat.
+    categories = [{"id": category, "name": rng.choice(_WORDS)}
+                  for category in CATEGORIES]
+    rng.shuffle(categories)
+    if rng.random() < 0.5:
+        categories.append(dict(rng.choice(categories)))
+    return {"people": people, "items": items, "auctions": auctions,
+            "categories": categories}
 
 
 def entity_list(entities: dict) -> list[tuple[str, dict]]:
     """Flatten to (kind, record) pairs — the minimizer's item list."""
     return ([("person", p) for p in entities["people"]] +
             [("item", i) for i in entities["items"]] +
-            [("auction", a) for a in entities["auctions"]])
+            [("auction", a) for a in entities["auctions"]] +
+            [("category", c) for c in entities["categories"]])
 
 
 def from_entity_list(pairs: list[tuple[str, dict]]) -> dict:
@@ -87,6 +98,7 @@ def from_entity_list(pairs: list[tuple[str, dict]]) -> dict:
         "people": [r for kind, r in pairs if kind == "person"],
         "items": [r for kind, r in pairs if kind == "item"],
         "auctions": [r for kind, r in pairs if kind == "auction"],
+        "categories": [r for kind, r in pairs if kind == "category"],
     }
 
 
@@ -123,5 +135,9 @@ def render_xml(entities: dict) -> str:
             f'<price>{auction["price"]}</price>'
             f'<quantity>{auction["quantity"]}</quantity>'
             f'</auction>')
-    parts.append("</closed_auctions></site>")
+    parts.append("</closed_auctions><categories>")
+    for category in entities["categories"]:
+        parts.append(f'<category id="{category["id"]}">'
+                     f'<name>{category["name"]}</name></category>')
+    parts.append("</categories></site>")
     return "".join(parts)

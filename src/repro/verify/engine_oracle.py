@@ -114,7 +114,7 @@ def _blame(xml: str, query: str, codec_variant: str
     paths |= {path for path, _ in recorder.predicates}
     codecs = sorted({
         repository.container(path).codec.name
-        for path in paths if path in repository.containers})
+        for path in paths & set(repository.container_paths())})
     container = ",".join(sorted(paths)) if paths else None
     kinds = {kind for _, kind in recorder.accesses}
     if recorder.predicates or "interval_searches" in kinds:

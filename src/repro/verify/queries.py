@@ -8,7 +8,11 @@ under one shared source model; ``starts-with`` (the ``wild``
 predicate) at arbitrary codeword boundaries; joins; aggregates over
 numeric and mixed containers; ``order by``; ``distinct-values`` across
 containers; theta joins with a scaled side (``ThetaJoin`` and its
-fallbacks); constant selections decided on the containers alone
+fallbacks); equality joins between two variables (``MergeJoin`` on
+the key containers: ``let``-nested and same-FLWOR, either side first,
+multi-valued and repeated keys, keys whose containers refuse, a probe
+variable shadowed or bound again); constant selections decided on the
+containers alone
 (``assign_selection``: one to three conjuncts, step predicates,
 ``empty`` / ``not(empty)``, ``//`` sources over nested elements, owners
 with several values, ``count`` of the bindings; ``contains`` /
@@ -96,6 +100,51 @@ def _theta_join(rng: random.Random) -> str:
     if rng.random() < 0.5:
         return f"count({flwor}$p)"
     return flwor + "$a/quantity/text()"
+
+
+#: equality-join subjects: source and a per-binding result.
+_JOIN_SUBJECTS = {
+    "person": ("/site/people/person", "@id"),
+    "category": ("/site/categories/category", "name/text()"),
+    "auction": ("/site/closed_auctions/auction", "quantity/text()"),
+    "item": ("//item", "@id"),
+}
+
+#: key paths of two subjects that share values: a multi-valued key,
+#: text against attributes, a ``//`` source over nested items, equal
+#: words in two containers, int containers (refused: checked per
+#: binding).
+_JOIN_KEYS = (
+    ("person", "interest/@category", "category", "@id"),
+    ("auction", "buyer/text()", "person", "@id"),
+    ("auction", "itemref/text()", "item", "@id"),
+    ("category", "name/text()", "item", "name/text()"),
+    ("auction", "quantity/text()", "person", "age/text()"),
+)
+
+
+def _equi_join(rng: random.Random) -> str:
+    """``$x/key = $y/key`` between two subjects, either operand order,
+    either subject outside: ``let``-nested (XMark Q8), one FLWOR (Q9),
+    counted (Q10), under an outer ``for`` of the probe's name, and
+    with the probe's name bound again after the join's clause."""
+    outer, outer_key, inner, inner_key = rng.choice(_JOIN_KEYS)
+    if rng.random() < 0.5:
+        outer, outer_key, inner, inner_key = \
+            inner, inner_key, outer, outer_key
+    (x, _), (y, result) = _JOIN_SUBJECTS[outer], _JOIN_SUBJECTS[inner]
+    sides = [f"$x/{outer_key}", f"$y/{inner_key}"]
+    rng.shuffle(sides)
+    where = f"where {sides[0]} = {sides[1]}"
+    return rng.choice((
+        f"for $x in {x} let $a := for $y in {y} {where} return $y "
+        "return <n>{count($a)}</n>",
+        f"for $x in {x}, $y in {y} {where} return $y/{result}",
+        f"for $x in {x} return count(for $y in {y} {where} return $y)",
+        f"for $x in {y} return <r>{{for $x in {x}, $y in {y} {where} "
+        f"return $y/{result}}}</r>",
+        f"for $x in {y}, $y in {y}, $x in {x} {where} "
+        f"return $y/{result}"))
 
 
 #: per selection subject: sources, a per-binding result, and the value
@@ -261,6 +310,8 @@ def generate_queries(entities: dict, rng: random.Random,
                  '$p/city/text() return $p/@id'),
         lambda: _theta_join(rng),    # twice: it has 128 shapes
         lambda: _theta_join(rng),
+        lambda: _equi_join(rng),     # twice: it has 100 shapes
+        lambda: _equi_join(rng),
         lambda: _selection(rng, pools),    # as often as five templates
         lambda: _selection(rng, pools),
         lambda: _selection(rng, pools),

@@ -64,8 +64,9 @@ def test_invalidate_races_execute_many(repository, serial_results):
     # Accounting stayed coherent: every prepare either hit or missed.
     counters = session.metrics.counters()
     assert counters["session.executions"] == len(queries)
-    assert counters["cache.plan.hit"] + counters["cache.plan.miss"] \
-        == len(queries)
+    # (An invalidator that wins every race leaves no hit counted.)
+    assert counters.get("cache.plan.hit", 0) + \
+        counters.get("cache.plan.miss", 0) == len(queries)
 
     # A final invalidation leaves nothing resident.
     session.invalidate_caches()

@@ -4,6 +4,11 @@ import pytest
 
 from repro.baselines.galax import GalaxEngine
 from repro.core.system import XQueCSystem
+from repro.obs.telemetry import Telemetry
+from repro.query.optimizer import plan_query
+from repro.query.physical import ContScan
+from repro.query.options import ExecutionOptions
+from repro.query.parser import parse_query
 from repro.query.engine import QueryEngine
 from repro.storage.loader import load_document
 
@@ -27,6 +32,13 @@ JOIN_QUERY = (
     '$o in document("orders.xml")/orders/order '
     "where $o/@buyer = $p/@id "
     'return <sale who="{$p/name/text()}">{$o/total/text()}</sale>')
+
+
+def _scans(node) -> list:
+    """The ``ContScan`` operators of a plan tree."""
+    if isinstance(node, ContScan):
+        return [node]
+    return [scan for child in node.inputs() for scan in _scans(child)]
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +71,24 @@ class TestCrossDocumentJoin:
         assert 'who="Alice"' in xml and 'who="Bob"' in xml
 
     def test_join_uses_hash_index(self, system):
-        assert system.query(JOIN_QUERY).stats.hash_joins >= 1
+        """The equality runs as one MergeJoin on the key containers,
+        each side scanned in its own document's repository."""
+        telemetry = Telemetry()
+        traced = system.query(JOIN_QUERY,
+                              ExecutionOptions(telemetry=telemetry))
+        assert traced.to_xml() == system.query(JOIN_QUERY).to_xml()
+        assert telemetry.operator_profile()["MergeJoin"]["count"] == 1
+        assert traced.stats.container_scans == 2
+        assert traced.stats.hash_joins == 0
+        engine = system.session.engine
+        (flwor,) = plan_query(parse_query(JOIN_QUERY)).flwors
+        _, join = flwor.clauses[1].bind_join(engine.repository_of)
+        people, orders = (scan.container for side in join.inputs()
+                          for scan in _scans(side))
+        assert people is engine.repository_of(
+            "people.xml").container("/people/person/@id")
+        assert orders is engine.repository_of(
+            "orders.xml").container("/orders/order/@buyer")
 
     def test_galax_agrees(self, system):
         galax = GalaxEngine(PEOPLE, collection={"people.xml": PEOPLE,

@@ -5,8 +5,9 @@ binds the plan to its repositories (``optimizer.bind_plan``) and
 verifies every tree before any row is produced: errors raise
 :class:`~repro.errors.PlanVerificationError`, warnings ride along in
 the run's telemetry.  Engine-planned trees must be error-free by
-construction; constant selections and theta joins are the very
-operator trees the engine then runs (``optimizer.assign_selection`` /
+construction; constant selections, equality and theta joins are the
+very operator trees the engine then runs
+(``optimizer.assign_selection`` / ``assign_equi_join`` /
 ``assign_theta_join``), and the plan verified is the plan executed.
 """
 
@@ -208,9 +209,14 @@ class TestNestedJoins:
         assert [d for d in verified.diagnostics
                 if d.severity == "error"] == []
         names = operators(bind_plan(verified.plan, engine.repository_of))
-        stats = engine.execute(text).stats
-        assert names.count("HashJoin") == stats.hash_joins == \
+        telemetry = Telemetry()
+        stats = engine.execute(
+            text, ExecutionOptions(telemetry=telemetry)).stats
+        # Equality joins: each verified MergeJoin ran, once.
+        ran = telemetry.operator_profile().get("MergeJoin", {})
+        assert names.count("MergeJoin") == ran.get("count", 0) == \
             {"Q8": 1, "Q9": 2, "Q10": 1}.get(query_id, 0)
+        assert "HashJoin" not in names and stats.hash_joins == 0
         assert ("ThetaJoin" in names) == (query_id == "Q11")
         if query_id in ("Q1", "Q4", "Q5", "Q20"):
             assert "NodeSet" in names and "ContAccess" in names

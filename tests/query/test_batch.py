@@ -469,10 +469,30 @@ class TestMergeJoinStreaming:
             {"r": i} for i in range(total))
         join = MergeJoin(left, right,
                          lambda r: r["l"], lambda r: r["r"])
-        first_batch = next(join.batches(64))
-        assert list(first_batch.to_rows()) == [{"l": 0, "r": 0}]
+        first_batch = list(next(join.batches(64)).to_rows())
+        assert first_batch[0] == {"l": 0, "r": 0}
+        assert all(row["l"] == row["r"] for row in first_batch)
         assert lstate["pulled"] < total // 10
         assert rstate["pulled"] < total // 10
+
+    def test_runs_across_batches_match_the_nested_loop(self):
+        """Bulk-joined keys and the runs at each batch's last key give
+        every equal pair once, in key, left, right order."""
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            left = [{"l": int(k), "i": i} for i, k in
+                    enumerate(np.sort(rng.integers(0, 12, 30)))]
+            right = [{"r": int(k), "j": j} for j, k in
+                     enumerate(np.sort(rng.integers(0, 12, 25)))]
+            expected = [{**a, **b} for a in left for b in right
+                        if a["l"] == b["r"]]
+            _check(lambda: MergeJoin(list(left), list(right),
+                                     lambda r: r["l"], lambda r: r["r"]),
+                   expected)
+            # Declared key columns with no key functions: the same.
+            _check(lambda: MergeJoin(list(left), list(right), None, None,
+                                     left_column="l", right_column="r"),
+                   expected)
 
     def test_full_equijoin_result_matches(self):
         left = [{"l": i // 2} for i in range(10)]

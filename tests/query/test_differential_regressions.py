@@ -276,6 +276,94 @@ class TestThetaJoinExactness:
         assert self.theta_stats(xml, query)[0].container_accesses == 2
 
 
+class TestEquiJoinBindings:
+    """Bug: equality joins probed a hash index per outer binding, so a
+    node sharing a key value twice was bound twice (a person with two
+    equal interests counted twice), and the matches of a multi-valued
+    probe left in its key order, not in document order.  The join now
+    runs once as a MergeJoin on the key containers and each match
+    binds once, in document order: in a ``let`` (Q8's form) and in one
+    FLWOR (Q9's), with either variable on the multi-valued side."""
+
+    CATEGORY = ("for $c in /site/categories/category let $a := "
+                "for $p in /site/people/person "
+                "where $p/profile/interest/@category = $c/@id "
+                "return $p return count($a)")
+    PERSON = ("for $p in /site/people/person, "
+              "$c in /site/categories/category "
+              "where $p/profile/interest/@category = $c/@id "
+              "return $c/name/text()")
+
+    @staticmethod
+    def xml(*interests, person="p1"):
+        return (f'<site><people><person id="{person}"><profile>'
+                + "".join(f'<interest category="{category}"/>'
+                          for category in interests)
+                + "</profile></person></people><categories>"
+                '<category id="c1"><name>one</name></category>'
+                '<category id="c2"><name>two</name></category>'
+                "</categories></site>")
+
+    @staticmethod
+    def merge_joins(xml, query) -> int:
+        """How many MergeJoins one execution ran."""
+        from repro.obs.telemetry import Telemetry
+        from repro.query.options import ExecutionOptions
+        telemetry = Telemetry()
+        result = QueryEngine(load_document(xml)).execute(
+            query, ExecutionOptions(telemetry=telemetry))
+        result.to_xml()
+        assert result.stats.hash_joins == 0
+        return telemetry.operator_profile().get(
+            "MergeJoin", {}).get("count", 0)
+
+    def check(self, xml, query, expected, merge_joins=1):
+        assert_parity(xml, query, ("ok", expected))
+        assert self.merge_joins(xml, query) == merge_joins
+
+    def test_repeated_key_binds_once_in_a_let(self):
+        self.check(self.xml("c1", "c1"), self.CATEGORY, "1\n0")
+
+    def test_repeated_key_binds_once_in_one_flwor(self):
+        self.check(self.xml("c1", "c1"),
+                   "for $c in /site/categories/category, "
+                   "$p in /site/people/person "
+                   "where $c/@id = $p/profile/interest/@category "
+                   "return $p/@id", "p1")
+
+    def test_matches_leave_in_document_order_in_one_flwor(self):
+        self.check(self.xml("c2", "c1"), self.PERSON, "one\ntwo")
+
+    def test_matches_leave_in_document_order_in_a_let(self):
+        self.check(self.xml("c2", "c1", "c2"),
+                   "for $p in /site/people/person let $a := "
+                   "for $c in /site/categories/category "
+                   "where $c/@id = $p/profile/interest/@category "
+                   "return $c/name/text() return <r>{$a}</r>",
+                   "<r>onetwo</r>")
+
+    def test_rebound_probe_variable_is_the_inner_one(self):
+        """``where`` sees the inner ``$p``, bound after ``$t``: the
+        join waits for it instead of probing the outer person."""
+        self.check(self.xml(person="c2"),
+                   "for $p in /site/people/person return <r>{"
+                   "for $t in /site/categories/category, "
+                   "$p in /site/categories/category "
+                   "where $t/@id = $p/@id return $t/name/text()}</r>",
+                   "<r>onetwo</r>")
+
+    def test_relative_source_is_checked_per_binding(self):
+        """The predicate's FLWOR runs once per ``<g>`` over relative
+        sources: no container holds one run's keys, so the equality
+        is checked per binding — and still answers."""
+        xml = "<doc>" + "".join(
+            f"<g><k>{i}</k><t><v>{i + i % 2}</v></t></g>"
+            for i in range(6)) + "</doc>"
+        self.check(xml, "/doc/g[count(for $x in k, $t in t "
+                        "where $t/v/text() = $x/text() return $t) > 0]"
+                        "/k/text()", "0\n2\n4", merge_joins=0)
+
+
 class TestSelectionExactness:
     """Constant selections run on the containers alone; a conjunct is
     left unchecked per binding only where slot order is the reference

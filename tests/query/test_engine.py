@@ -117,18 +117,25 @@ class TestFLWOR:
         assert sorted(result.items) == ["Alice", "Bob", "Bob"]
 
     def test_join_uses_hash_index(self, engine):
+        """One MergeJoin over the two key containers decides the
+        equality for every binding: two scans, no hash join."""
+        from repro.obs.telemetry import Telemetry
+        telemetry = Telemetry()
         result = engine.execute(
             "for $p in /site/people/person, "
             "$a in /site/auctions/auction "
             "where $a/buyer/@person = $p/@id "
-            "return $a/price/text()")
-        assert result.stats.hash_joins >= 1
+            "return $a/price/text()", ExecutionOptions(telemetry=telemetry))
+        assert sorted(result.items) == ["10", "55", "7"]
+        assert telemetry.operator_profile()["MergeJoin"]["count"] == 1
+        assert result.stats.container_scans == 2
+        assert result.stats.hash_joins == 0
 
     def test_join_index_of_context_dependent_source_not_cached(self):
         """The predicate's FLWOR runs once per <g>; its sources are
-        relative, so every run joins a fresh sequence.  An index cached
-        on that temporary's id() is dead weight at best and, once the
-        id is recycled, another group's index."""
+        relative, so no container holds the keys of one run: the
+        equality is checked per binding, and nothing built for one
+        group can answer another."""
         from repro.baselines.galax import GalaxEngine
         from repro.query.engine import _Evaluator
         from repro.query.optimizer import plan_query
@@ -145,8 +152,9 @@ class TestFLWOR:
         ast = parse_query(query)
         evaluator = _Evaluator(engine, plan_query(ast))
         evaluator.eval(ast, {})
-        assert evaluator.stats.hash_joins == 40
-        assert len(evaluator._index_cache) <= 1
+        assert evaluator.stats.hash_joins == 0
+        assert evaluator.stats.container_scans == 0
+        assert list(evaluator._index_cache.values()) in ([], [None])
 
     def test_prepared_query_runs_without_planning_again(self, monkeypatch):
         """Plan once: after ``prepare`` nothing classifies a conjunct,

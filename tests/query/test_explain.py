@@ -41,17 +41,24 @@ class TestExplain:
         plan = explain(
             "for $p in /site/people/person, $a in /site/auctions/auction "
             "where $a/buyer/@person = $p/@id return $p/name/text()")
-        assert "HashJoin" in plan
-        assert "build side cacheable" in plan
+        assert "MergeJoin $a/buyer/@person = $p/@id, $p over " \
+            "/site/people/person" in plan
+        assert "once per execution" in plan and "HashJoin" not in plan
+        # Keys that are no container path: checked per binding.
+        plan = explain(
+            "for $p in /site/people/person, $a in /site/auctions/auction "
+            "where $a/buyer = $p/@id return $p/name/text()")
+        assert "MergeJoin" not in plan
+        assert "Select (evaluated per binding" in plan
 
     def test_hash_join_needs_a_binding_independent_source(self):
-        """The engine hash-joins only over a source it can evaluate
-        once; over ``$p/watches/watch`` the equality is checked per
-        binding, and EXPLAIN says so."""
+        """The engine joins only over a source it can evaluate once;
+        over ``$p/watches/watch`` the equality is checked per binding,
+        and EXPLAIN says so."""
         plan = explain(
             "for $p in /site/people/person for $w in $p/watches/watch "
             "where $w/@open_auction = $p/@id return $w")
-        assert "HashJoin" not in plan
+        assert "MergeJoin" not in plan
         assert "navigate $p/watches/watch" in plan
         assert "Select (evaluated per binding" in plan
 
@@ -66,7 +73,7 @@ class TestExplain:
         assert "bound vars ['a']" in plan and "Parent^2" in plan
         # Not a theta join: a multiplier that reverses the order, a
         # source that depends on the outer binding, an equality
-        # conjunct that claims the clause as a hash join first.
+        # conjunct that claims the clause as an equality join first.
         for source, where in (
                 ("/site/people/person",
                  "$a/price/text() > 0 * $p/profile/income/text()"),
@@ -118,7 +125,7 @@ class TestExplain:
             "where $t/buyer/@person = $p/@id and $t/@item = $i/@id "
             "return $i return <p>{$a}</p>")
         assert plan.count("for $") >= 3
-        assert "HashJoin" in plan
+        assert plan.count("MergeJoin") == 2
 
     def test_aggregate_path(self):
         plan = explain("count(//person)")

@@ -107,11 +107,15 @@ class TestSubstringPlan:
 
 
 class TestHashJoin:
+    """The equality join's plan line: one MergeJoin, two scans."""
+
     def test_join_annotated_and_counted(self, engine):
         report = explain_analyze(JOIN_QUERY, engine)
         stats = report.result.stats
-        assert stats.hash_joins >= 1
-        assert f"[actual hash_joins={stats.hash_joins}," in report.text
+        assert stats.container_scans == 2 and stats.hash_joins == 0
+        line = next(line for line in report.text.splitlines()
+                    if "MergeJoin" in line)
+        assert "[actual container_scans=2," in line
         assert sorted(report.result.items) == ["Alice", "Bob", "Bob"]
 
     def test_counters_equal_result_stats(self, engine):
@@ -120,8 +124,11 @@ class TestHashJoin:
             report.result.stats.as_dict()
 
     def test_join_build_span_recorded(self, engine):
-        report = explain_analyze(JOIN_QUERY, engine)
-        assert "HashJoin.build" in report.telemetry.operator_profile()
+        profile = explain_analyze(JOIN_QUERY, engine).telemetry \
+            .operator_profile()
+        assert profile["MergeJoin.build"]["count"] == 1
+        assert profile["MergeJoin"]["count"] == 1
+        assert "HashJoin.build" not in profile
 
 
 class TestJsonExport:

@@ -517,6 +517,66 @@ class TestPlanQuery:
         assert step.thetas == () and step.selection is None
         assert len(step.rest(step.join.conjunct)) == 1
 
+    def test_equality_join_key_paths(self):
+        """Both sides simple value paths, the clause's source and the
+        probe variable's for-source absolute: the plan carries what
+        the MergeJoin reads — the probe source without predicates."""
+        outer, nested = plan_query(parse_query(
+            'for $p in /s/p[@k = "x"] return count(for $t in /s/t '
+            "where $p/@id = $t/buyer/@person return $t)")).flwors
+        join = nested.clauses[0].join
+        assert [s.test for s in join.build_steps] == ["buyer", "person"]
+        assert [s.test for s in join.probe_steps] == ["id"]
+        assert join.probe_source == parse_query("/s/p")
+        for query in (
+                # the probe variable is bound by a let, externally, or
+                # over a relative source; a key is an element; the
+                # clause's own source has a predicate; two probe vars.
+                "for $p in /s/p let $q := $p return for $t in /s/t "
+                "where $t/@k = $q/@id return $t",
+                "for $t in /s/t where $t/@k = $wanted/@id return $t",
+                "for $g in /s/g, $x in $g/k return for $t in /s/t "
+                "where $t/@k = $x/@id return $t",
+                "for $p in /s/p, $t in /s/t where $t/k = $p/@id "
+                "return $t",
+                "for $p in /s/p, $t in /s/t[@a] where $t/@k = $p/@id "
+                "return $t",
+                "for $p in /s/p, $q in /s/q, $t in /s/t "
+                "where $t/@k = $p/@id + $q/@id return $t"):
+            join = plan_query(parse_query(query)).flwors[-1] \
+                .clauses[-1].join
+            assert join is not None and join.probe_source is None, query
+
+    def test_probe_source_is_the_binding_in_scope(self):
+        """Resolved lexically: an inner for of the same name shadows
+        the outer one, a let of the same name hides it."""
+        outer, nested = plan_query(parse_query(
+            "for $p in /s/a return for $p in /s/b, $t in /s/t "
+            "where $t/@k = $p/@id return $t")).flwors
+        assert nested.clauses[1].join.probe_source == parse_query("/s/b")
+        outer, nested = plan_query(parse_query(
+            "for $p in /s/a let $p := /s/b return for $t in /s/t "
+            "where $t/@k = $p/@id return $t")).flwors
+        assert nested.clauses[0].join.probe_source is None
+
+    def test_where_sees_the_last_binding_of_a_name(self):
+        """A conjunct naming a variable a later clause binds again is
+        decided there, not against the earlier binding."""
+        (flwor,) = plan_query(parse_query(
+            "for $p in /s/p, $t in /s/t, $p in /s/q "
+            "where $t/@k = $p/@id return $t")).flwors
+        assert [len(c.decidable) for c in flwor.clauses] == [0, 0, 1]
+        join = flwor.clauses[2].join
+        assert join.probe_vars == ("t",)
+        assert join.probe_source == parse_query("/s/t")
+        (flwor,) = plan_query(parse_query(
+            "for $t in /s/t let $t := 1 where $t = 1 return $t")).flwors
+        assert flwor.clauses[0].decidable == () and len(flwor.residual) == 1
+
+    def test_clause_variable_is_never_its_own_probe(self):
+        where = where_of("for $v in /a/b where $v/c = $v/d return $v")
+        assert find_join_plan(where, "v", {"v"}) is None
+
     def test_precedence_equality_needs_an_independent_source(self):
         (clauses,) = self.strategies(
             "for $p in /s/p for $w in $p/w where $w/@a = $p/@id "
