@@ -1,7 +1,7 @@
 """Shared benchmark fixtures.
 
-Documents and loaded systems are expensive; they are generated once per
-session and shared by all benches.  ``BENCH_FACTOR`` scales the XMark
+Documents and loaded databases are expensive; they are generated once
+per session and shared by all benches.  ``BENCH_FACTOR`` scales the XMark
 document (0.05 ~= 600 KB here vs the paper's 11.3 MB XMark11 — the
 *shape* of every comparison is scale-free, see EXPERIMENTS.md).
 """
@@ -11,7 +11,9 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.galax import GalaxEngine
-from repro.core.system import XQueCSystem
+from repro.core.system import tuned_configuration
+from repro.service.session import Database, Session
+from repro.storage.loader import load_document
 from repro.xmark.generator import generate_xmark
 from repro.xmark.queries import XMARK_QUERIES
 
@@ -25,24 +27,20 @@ def xmark_text() -> str:
 
 
 @pytest.fixture(scope="session")
-def xquec_system(xmark_text) -> XQueCSystem:
+def xquec_system(xmark_text) -> Session:
     """XQueC loaded the way the paper benchmarks it: with the XMark
     query workload driving the compression configuration."""
     queries = [text for _, text in XMARK_QUERIES.values()]
-    return XQueCSystem.load(xmark_text, workload_queries=queries)
+    configuration = tuned_configuration(load_document(xmark_text),
+                                        queries)
+    return Database.from_xml(xmark_text,
+                             configuration=configuration).session()
 
 
 @pytest.fixture(scope="session")
-def xquec_default(xmark_text) -> XQueCSystem:
+def xquec_default(xmark_text) -> Session:
     """XQueC under the no-workload defaults (§2.1)."""
-    return XQueCSystem.load(xmark_text)
-
-
-@pytest.fixture(scope="session")
-def xquec_session(xquec_system):
-    """The workload-tuned system's serving session (plan + block
-    caches shared by every bench that uses it)."""
-    return xquec_system.session
+    return Database.from_xml(xmark_text).session()
 
 
 @pytest.fixture(scope="session")

@@ -70,7 +70,7 @@ def test_engine_stays_compressed_on_inequality(benchmark,
              'where $p/name/text() < "C" return $p/@id')
 
     result = benchmark.pedantic(
-        lambda: xquec_default.query(query), rounds=3, iterations=1)
+        lambda: xquec_default.execute(query), rounds=3, iterations=1)
     stats = result.stats
     # The selection must not decompress each candidate: decompressions
     # are bounded by the result size (final serialization only).

@@ -16,7 +16,8 @@ from repro.baselines.xgrind import XGrindDocument
 from repro.baselines.xmill import XMillArchive
 from repro.baselines.xpress import XPressDocument
 from repro.bench.reporting import format_table, record_result
-from repro.core.system import XQueCSystem
+from repro.core.system import tuned_configuration
+from repro.storage.loader import load_document
 from repro.xmark.datasets import TABLE1_DATASETS
 from repro.util.stats import mean
 
@@ -55,9 +56,10 @@ def test_fig6_left_average_cf(benchmark):
         for name, (generator, _, _) in TABLE1_DATASETS.items():
             text = generator(factor=_SCALE)
             xmill = XMillArchive.compress(text).compression_factor
-            xquec = XQueCSystem.load(
-                text,
-                workload_queries=_WORKLOADS[name]).compression_factor
+            configuration = tuned_configuration(load_document(text),
+                                                _WORKLOADS[name])
+            xquec = load_document(
+                text, configuration=configuration).compression_factor
             xpress = XPressDocument.compress(text).compression_factor
             xgrind = XGrindDocument.compress(text).compression_factor
             per_system["XMill"].append(xmill)

@@ -16,7 +16,8 @@ import pytest
 from repro.baselines.xmill import XMillArchive
 from repro.baselines.xpress import XPressDocument
 from repro.bench.reporting import format_table, record_result
-from repro.core.system import XQueCSystem
+from repro.core.system import tuned_configuration
+from repro.storage.loader import load_document
 from repro.xmark.generator import generate_xmark
 from repro.xmark.queries import XMARK_QUERIES
 
@@ -33,8 +34,10 @@ def test_fig6_right_cf_vs_size(benchmark):
         for factor in _FACTORS:
             text = generate_xmark(factor=factor, seed=7)
             size_kb = len(text.encode("utf-8")) // 1024
-            xquec = XQueCSystem.load(
-                text, workload_queries=queries).compression_factor
+            configuration = tuned_configuration(load_document(text),
+                                                queries)
+            xquec = load_document(
+                text, configuration=configuration).compression_factor
             xpress = XPressDocument.compress(text).compression_factor
             xmill = XMillArchive.compress(text).compression_factor
             rows.append((f"{size_kb} KB", xmill, xquec, xpress))

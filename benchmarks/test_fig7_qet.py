@@ -40,14 +40,15 @@ def test_xquec_qet(benchmark, query_id, xquec_system, galax_engine,
                    telemetry_sink):
     expected = galax_engine.execute_to_xml(query_text(query_id))
     result = benchmark.pedantic(
-        lambda: xquec_system.query(query_text(query_id)).to_xml(),
+        lambda: xquec_system.execute(
+            query_text(query_id)).to_xml(),
         rounds=3, iterations=1)
     assert result == expected
     # One instrumented run (outside the timed rounds) attaches the
     # operator counts behind this figure to the result files.
     telemetry = Telemetry()
     with runtime.activated(telemetry):
-        xquec_system.query(
+        xquec_system.execute(
             query_text(query_id),
             ExecutionOptions(telemetry=telemetry)).to_xml()
     telemetry_sink(telemetry, experiment=f"fig7_{query_id.lower()}")
@@ -68,7 +69,7 @@ def test_fig7_summary_table(benchmark, xquec_system, galax_engine):
         for query_id in FIGURE7_QUERIES + JOIN_QUERIES:
             query = query_text(query_id)
             start = time.perf_counter()
-            ours = xquec_system.query(query).to_xml()
+            ours = xquec_system.execute(query).to_xml()
             xquec_s = time.perf_counter() - start
             start = time.perf_counter()
             theirs = galax_engine.execute_to_xml(query)
@@ -103,6 +104,6 @@ def test_fig7_summary_table(benchmark, xquec_system, galax_engine):
 def test_q8_q9_joins(benchmark, query_id, xquec_system):
     """The §5 headline: join queries at interactive speed on XQueC."""
     result = benchmark.pedantic(
-        lambda: xquec_system.query(query_text(query_id)),
+        lambda: xquec_system.execute(query_text(query_id)),
         rounds=3, iterations=1)
     assert len(result) > 0

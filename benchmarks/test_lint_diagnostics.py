@@ -27,7 +27,7 @@ def test_diagnostics_persisted_with_telemetry(query_id, xquec_system,
                                               telemetry_sink):
     telemetry = Telemetry()
     with runtime.activated(telemetry):
-        xquec_system.query(
+        xquec_system.execute(
             query_text(query_id),
             ExecutionOptions(telemetry=telemetry)).to_xml()
     document = telemetry.to_dict()
@@ -46,9 +46,9 @@ def test_lint_counters_match_diagnostics(xquec_system):
     """`lint.<severity>` counters mirror the diagnostics list."""
     telemetry = Telemetry()
     with runtime.activated(telemetry):
-        xquec_system.query(query_text("Q3"),
-                           ExecutionOptions(telemetry=telemetry)
-                           ).to_xml()
+        xquec_system.execute(query_text("Q3"),
+                             ExecutionOptions(telemetry=telemetry)
+                             ).to_xml()
     counters = telemetry.metrics.counters()
     for severity in ("warning", "info"):
         expected = sum(d.severity == severity

@@ -20,8 +20,8 @@ from repro.bench.reporting import format_table, record_result
 
 @pytest.mark.benchmark(group="sec22")
 def test_storage_occupancy_breakdown(benchmark, xquec_system):
-    report = benchmark.pedantic(xquec_system.size_report, rounds=1,
-                                iterations=1)
+    report = benchmark.pedantic(xquec_system.repository.size_report,
+                                rounds=1, iterations=1)
     original = report.original
     rows = [
         ("name dictionary", report.name_dictionary,

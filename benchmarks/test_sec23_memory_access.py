@@ -85,7 +85,7 @@ def test_resident_footprint_q14(benchmark, xquec_system, xmark_text):
     """
     query = query_text(_Q14)
     engine = QueryEngine(xquec_system.repository)
-    repository_bytes = xquec_system.size_report().total
+    repository_bytes = xquec_system.repository.size_report().total
 
     def dom_allocations() -> int:
         tracemalloc.start()

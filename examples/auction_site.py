@@ -11,8 +11,9 @@ Run:  python examples/auction_site.py
 
 import time
 
-from repro import XQueCSystem
+from repro import Database, load_document
 from repro.baselines.galax import GalaxEngine
+from repro.core.system import tuned_configuration
 from repro.xmark.generator import generate_xmark
 from repro.xmark.queries import XMARK_QUERIES, query_text
 
@@ -29,11 +30,12 @@ def main() -> None:
     print("loading into XQueC (workload-driven compression)...")
     workload = [text for _, text in XMARK_QUERIES.values()]
     start = time.perf_counter()
-    system = XQueCSystem.load(xml_text, workload_queries=workload)
+    configuration = tuned_configuration(load_document(xml_text), workload)
+    database = Database.from_xml(xml_text, configuration=configuration)
+    session = database.session()
     print(f"  loaded in {time.perf_counter() - start:.1f}s, "
-          f"CF = {system.compression_factor:.2f}")
-    print(f"  configuration groups: "
-          f"{len(system.configuration.groups)}")
+          f"CF = {database.repository.compression_factor:.2f}")
+    print(f"  configuration groups: {len(configuration.groups)}")
 
     print("loading the uncompressed comparator (Galax stand-in)...")
     galax = GalaxEngine(xml_text)
@@ -43,7 +45,7 @@ def main() -> None:
     for query_id in ("Q1", "Q5", "Q14", "Q20", "Q8", "Q9"):
         description, text = XMARK_QUERIES[query_id]
         start = time.perf_counter()
-        ours = system.query(text).to_xml()
+        ours = session.execute(text).to_xml()
         xquec_s = time.perf_counter() - start
         start = time.perf_counter()
         theirs = galax.execute_to_xml(text)
@@ -54,7 +56,7 @@ def main() -> None:
 
     print()
     print("sample result (Q1):",
-          system.query(query_text("Q1")).to_xml())
+          session.execute(query_text("Q1")).to_xml())
 
 
 if __name__ == "__main__":

@@ -1,14 +1,15 @@
 """Multi-document collections: join compressed documents.
 
-Loads two separately compressed documents into one system and runs
+Loads two separately compressed documents into one database and runs
 ``document("...")`` queries — including a cross-document join and a
 compressed result shipped as the paper's §1 network scenario suggests.
 
 Run:  python examples/multi_document.py
 """
 
-from repro.core.system import XQueCSystem
 from repro.query.shipping import receive
+from repro.service.session import Database
+from repro.storage.loader import load_document
 
 CUSTOMERS = """
 <customers>
@@ -29,13 +30,15 @@ INVOICES = """
 
 
 def main() -> None:
-    system = XQueCSystem.load_collection({
-        "customers.xml": CUSTOMERS,
-        "invoices.xml": INVOICES,
-    })
+    repositories = {
+        "customers.xml": load_document(CUSTOMERS),
+        "invoices.xml": load_document(INVOICES),
+    }
+    session = Database(repositories["customers.xml"],
+                       repositories).session()
 
     print("gold customers:")
-    result = system.query(
+    result = session.execute(
         'for $c in document("customers.xml")/customers/customer '
         'where $c/tier/text() = "gold" return $c/name/text()')
     for name in result.items:
@@ -43,7 +46,7 @@ def main() -> None:
 
     print()
     print("revenue per gold customer (cross-document join):")
-    result = system.query(
+    result = session.execute(
         'for $c in document("customers.xml")/customers/customer '
         'where $c/tier/text() = "gold" '
         'return <revenue name="{$c/name/text()}">{'
@@ -56,7 +59,7 @@ def main() -> None:
 
     print()
     print("shipping a compressed result (the paper's network scenario):")
-    result = system.query(
+    result = session.execute(
         'document("customers.xml")/customers/customer/name/text()')
     payload = result.ship()
     print(f"  payload: {len(payload)} bytes for "

@@ -3,7 +3,7 @@
 Run:  python examples/quickstart.py
 """
 
-from repro import XQueCSystem
+from repro import Database
 
 CATALOG = """
 <library>
@@ -34,16 +34,18 @@ def main() -> None:
     #    a name dictionary, a structure tree, per-path value containers
     #    (ALM-compressed strings, typed numeric codecs) and a path
     #    summary.
-    system = XQueCSystem.load(CATALOG)
-    report = system.size_report()
+    database = Database.from_xml(CATALOG)
+    repository = database.repository
+    report = repository.size_report()
     print(f"original size      : {report.original} bytes")
     print(f"compressed (total) : {report.total} bytes "
-          f"(CF = {system.compression_factor:.2f})")
+          f"(CF = {repository.compression_factor:.2f})")
     print(f"containers         : "
-          f"{', '.join(system.repository.container_paths()[:3])}, ...")
+          f"{', '.join(repository.container_paths()[:3])}, ...")
     print()
 
     # 2. Query with XQuery; predicates run in the compressed domain.
+    session = database.session()
     queries = [
         ("titles", "/library/book/title/text()"),
         ("cheap books",
@@ -56,7 +58,7 @@ def main() -> None:
          "avg(/library/book/price/text())"),
     ]
     for label, query in queries:
-        result = system.query(query)
+        result = session.execute(query)
         print(f"{label}:")
         print(f"  {result.to_xml()}")
         print(f"  [compressed comparisons: "

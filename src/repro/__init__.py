@@ -8,14 +8,15 @@ inventory and EXPERIMENTS.md for the paper-vs-measured record.
 
 Quickstart::
 
-    from repro import XQueCSystem
-    system = XQueCSystem.load(xml_text)
-    print(system.compression_factor)
-    print(system.query("/site/people/person/name/text()").items)
+    from repro import Database
+    database = Database.from_xml(xml_text)
+    print(database.repository.compression_factor)
+    session = database.session()
+    print(session.execute("/site/people/person/name/text()").items)
 """
 
-from repro.core.system import XQueCSystem
 from repro.query.engine import QueryEngine, QueryResult
+from repro.service.session import Database
 from repro.storage.loader import load_document
 from repro.storage.repository import CompressedRepository
 
@@ -23,9 +24,9 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CompressedRepository",
+    "Database",
     "QueryEngine",
     "QueryResult",
-    "XQueCSystem",
     "load_document",
     "__version__",
 ]

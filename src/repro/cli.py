@@ -34,7 +34,7 @@ import sys
 import threading
 from pathlib import Path
 
-from repro.core.system import XQueCSystem
+from repro.core.system import tuned_configuration
 from repro.errors import XQueCError
 from repro.obs import runtime
 from repro.obs.telemetry import Telemetry
@@ -296,11 +296,10 @@ def _cmd_compress(args, out) -> int:
         queries = [line.strip() for line in
                    args.workload.read_text(encoding="utf-8").splitlines()
                    if line.strip()]
-        system = XQueCSystem.load(xml_text, workload_queries=queries)
-        repository = system.repository
+        config = tuned_configuration(load_document(xml_text), queries)
+        repository = load_document(xml_text, configuration=config)
         print(f"workload: {len(queries)} queries, "
-              f"{len(system.configuration.groups)} container groups",
-              file=out)
+              f"{len(config.groups)} container groups", file=out)
     else:
         repository = load_document(xml_text)
     save_repository(repository, args.output)

@@ -1,5 +1,5 @@
-"""The XQueC system facade (the paper's primary contribution)."""
+"""The §3 workload-driven loader (the paper's primary contribution)."""
 
-from repro.core.system import XQueCSystem
+from repro.core.system import tuned_configuration
 
-__all__ = ["XQueCSystem"]
+__all__ = ["tuned_configuration"]

@@ -35,7 +35,7 @@ from pathlib import Path
 
 from repro.obs.journal import WorkloadJournal
 from repro.util.clock import elapsed_ns, now_ns
-from repro.partitioning.workload import PREDICATE_KINDS
+from repro.compression.base import PREDICATE_KINDS
 
 #: per-container access operations the deep layers report.
 ACCESS_OPS = ("scans", "interval_searches", "record_reads")
@@ -52,7 +52,7 @@ class WorkloadCapture:
 
     ``containers`` maps container path -> {op/kind -> count}; the keys
     are the :data:`ACCESS_OPS` plus the predicate kinds of
-    :data:`~repro.partitioning.workload.PREDICATE_KINDS` (the two name
+    :data:`~repro.compression.base.PREDICATE_KINDS` (the two name
     sets are disjoint).
     """
 

@@ -65,31 +65,3 @@ def similarity_matrix(value_lists: Sequence[Sequence[str]]) -> np.ndarray:
             matrix[j, i] = similarity
     return matrix
 
-
-def cluster_by_similarity(value_lists: Sequence[Sequence[str]],
-                          threshold: float = 0.55) -> list[list[int]]:
-    """Group container indexes whose pairwise similarity >= threshold.
-
-    Single-linkage union-find over ``F``: the source-model sharing the
-    paper's §3 example arrives at (the three Shakespeare containers in
-    one set) falls out of data similarity alone when no workload is
-    available to drive the full cost model.
-    """
-    n = len(value_lists)
-    matrix = similarity_matrix(value_lists)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if matrix[i, j] >= threshold:
-                parent[find(i)] = find(j)
-    clusters: dict[int, list[int]] = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
-    return sorted(clusters.values())

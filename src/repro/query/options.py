@@ -2,7 +2,7 @@
 
 Every run option lives on one frozen dataclass that all layers
 (``QueryEngine.execute``, ``Session.execute``, ``PreparedQuery.run``,
-``XQueCSystem.query``, the CLI) accept; each layer consumes the fields
+the CLI) accept; each layer consumes the fields
 that apply to it and passes the rest through unchanged.
 """
 

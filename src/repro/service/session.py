@@ -21,8 +21,8 @@ it — the one public way to run queries:
 * :meth:`Session.execute_many` serves a batch from a thread pool,
   sharing both caches and the session's thread-safe metrics registry;
 * workload recording, telemetry and plan verification all flow through
-  this one code path — the system facade, the CLI and the benchmarks
-  are thin callers of it.
+  this one code path — the CLI and the benchmarks are thin callers of
+  it.
 """
 
 from __future__ import annotations
@@ -138,11 +138,10 @@ class Session:
     shared by every query the session runs — including the worker
     threads of :meth:`execute_many` — and all of them are thread-safe.
 
-    Cache sizing knobs: ``plan_capacity`` bounds the number of resident
-    prepared plans; ``block_budget`` bounds the approximate decoded
-    bytes the block cache holds (both can also be injected pre-built
-    via ``plan_cache=``/``block_cache=`` to share across sessions, the
-    way :class:`Database` does).
+    The caches are sized by ``DEFAULT_PLAN_CAPACITY`` and
+    ``DEFAULT_BLOCK_BUDGET``, or injected pre-built via
+    ``plan_cache=``/``block_cache=`` to share across sessions, the way
+    :class:`Database` does.
     """
 
     GUARDED_BY = {"_raw_engine": "_engine_lock"}
@@ -152,10 +151,7 @@ class Session:
                  | None = None, *,
                  plan_cache: PlanCache | None = None,
                  block_cache: BlockCache | None = None,
-                 plan_capacity: int = DEFAULT_PLAN_CAPACITY,
-                 block_budget: int = DEFAULT_BLOCK_BUDGET,
                  metrics: MetricsRegistry | None = None,
-                 journal=None,
                  recorder: WorkloadRecorder | None = None,
                  slow_log: SlowQueryLog | None = None):
         self.repository = repository
@@ -163,13 +159,11 @@ class Session:
         self.metrics = metrics if metrics is not None \
             else MetricsRegistry()
         self.plan_cache = plan_cache if plan_cache is not None \
-            else PlanCache(plan_capacity, metrics=self.metrics)
+            else PlanCache(DEFAULT_PLAN_CAPACITY, metrics=self.metrics)
         self.block_cache = block_cache if block_cache is not None \
-            else BlockCache(block_budget, metrics=self.metrics)
+            else BlockCache(DEFAULT_BLOCK_BUDGET, metrics=self.metrics)
         #: one recorder — and therefore one journal file handle — per
         #: session, however many queries it records.
-        if recorder is None and journal is not None:
-            recorder = WorkloadRecorder(journal)
         self.recorder = recorder
         #: over-threshold executions append here (usually the owning
         #: Database's shared log); None disables slow-query logging.
@@ -413,17 +407,15 @@ class Database:
     def __init__(self, repository: CompressedRepository,
                  collection: dict[str, CompressedRepository]
                  | None = None, *,
-                 plan_capacity: int = DEFAULT_PLAN_CAPACITY,
-                 block_budget: int = DEFAULT_BLOCK_BUDGET,
                  metrics: MetricsRegistry | None = None,
                  slow_log: SlowQueryLog | None = None):
         self.repository = repository
         self.collection = dict(collection) if collection else {}
         self.metrics = metrics if metrics is not None \
             else MetricsRegistry()
-        self.plan_cache = PlanCache(plan_capacity,
+        self.plan_cache = PlanCache(DEFAULT_PLAN_CAPACITY,
                                     metrics=self.metrics)
-        self.block_cache = BlockCache(block_budget,
+        self.block_cache = BlockCache(DEFAULT_BLOCK_BUDGET,
                                       metrics=self.metrics)
         self.slow_log = slow_log
         if slow_log is not None and slow_log.metrics is None:
@@ -479,18 +471,15 @@ class Database:
         return elapsed_ns(self._started_ns)
 
     def ready(self) -> bool:
-        """Readiness: repository loaded and caches warm-capable.
+        """Readiness: the repository is loaded.
 
         The telemetry endpoint's ``/ready`` answer — ``True`` once the
-        structure tree is resident and both caches can accept entries.
-        (``/health`` is liveness and always answers while the exporter
-        thread runs.)
+        structure tree is resident.  (``/health`` is liveness and always
+        answers while the exporter thread runs.)
         """
         try:
             return (self.repository is not None
-                    and len(self.repository.structure) > 0
-                    and self.plan_cache.capacity >= 1
-                    and self.block_cache.budget_bytes >= 1)
+                    and len(self.repository.structure) > 0)
         except Exception:  # noqa: BLE001 - readiness must not raise
             return False
 

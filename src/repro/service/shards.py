@@ -47,11 +47,7 @@ from repro.partitioning.sharding import ShardAssignment, assign_shards
 from repro.query.ast import Expression, PathExpr
 from repro.query.parser import parse_query
 from repro.query.shipping import ReceivedResultSet, receive_result
-from repro.service.cache import (
-    DEFAULT_BLOCK_BUDGET,
-    DEFAULT_PLAN_CAPACITY,
-    normalize_query_text,
-)
+from repro.service.cache import normalize_query_text
 from repro.service.session import Database
 from repro.service.slo import classify_query, observe_latency
 from repro.util.clock import elapsed_ns, now_ns
@@ -119,20 +115,11 @@ class AdmissionController:
 
 # -- worker process ----------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class WorkerSettings:
-    """Per-worker serving knobs, fixed at fork time."""
-
-    plan_capacity: int = DEFAULT_PLAN_CAPACITY
-    block_budget: int = DEFAULT_BLOCK_BUDGET
-
-
 class _Shutdown(Exception):
     """Raised inside the worker loop by the SIGTERM handler."""
 
 
-def _worker_main(conn, repository, collection, shard_id: int,
-                 settings: WorkerSettings) -> None:
+def _worker_main(conn, repository, collection, shard_id: int) -> None:
     """The worker process body: serve requests until told to stop.
 
     Runs in the forked child.  Builds a private
@@ -149,9 +136,7 @@ def _worker_main(conn, repository, collection, shard_id: int,
 
     signal.signal(signal.SIGTERM, _on_sigterm)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    database = Database(repository, collection or None,
-                        plan_capacity=settings.plan_capacity,
-                        block_budget=settings.block_budget)
+    database = Database(repository, collection or None)
     database.metrics.set_gauge("shard.id", shard_id)
     database.metrics.set_gauge("shard.pid", os.getpid())
     session = database.session()
@@ -408,9 +393,7 @@ class ShardedDatabase:
                  queries: Sequence[str] = (),
                  metrics: MetricsRegistry | None = None,
                  slow_log=None,
-                 admission: AdmissionController | None = None,
-                 plan_capacity: int = DEFAULT_PLAN_CAPACITY,
-                 block_budget: int = DEFAULT_BLOCK_BUDGET):
+                 admission: AdmissionController | None = None):
         self.repository = repository
         self.collection = dict(collection) if collection else {}
         if assignment is None:
@@ -423,8 +406,6 @@ class ShardedDatabase:
         self.slow_log = slow_log
         self.admission = admission if admission is not None \
             else AdmissionController()
-        self.settings = WorkerSettings(plan_capacity=plan_capacity,
-                                       block_budget=block_budget)
         self._workers: list[ShardWorker] = []
         self._routes: dict[str, Route] = {}
         self._routes_lock = threading.Lock()
@@ -448,8 +429,7 @@ class ShardedDatabase:
             process = context.Process(
                 target=_worker_main,
                 args=(child_conn, self.repository,
-                      self.collection or None, shard_id,
-                      self.settings),
+                      self.collection or None, shard_id),
                 name=f"xquec-shard-{shard_id}", daemon=True)
             process.start()
             child_conn.close()  # the child's end lives in the child

@@ -18,6 +18,7 @@ import pytest
 
 from repro.lint.concurrency import lint_concurrency
 from repro.obs.lockwatch import LockOrderWatchdog, watch_session
+from repro.obs.workload import WorkloadRecorder
 from repro.query.options import ExecutionOptions
 from repro.service.session import Session
 from repro.xmark.generator import generate_xmark
@@ -60,8 +61,8 @@ def _assert_discipline(watchdog: LockOrderWatchdog) -> None:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_serving_surface_interleaved(seed, repository, static_edges,
                                      expected_q1, tmp_path):
-    session = Session(repository,
-                      journal=tmp_path / f"stress-{seed}.jsonl")
+    session = Session(repository, recorder=WorkloadRecorder(
+        tmp_path / f"stress-{seed}.jsonl"))
     watchdog = LockOrderWatchdog(static_edges)
     watch_session(watchdog, session)
     outputs: list[str] = []

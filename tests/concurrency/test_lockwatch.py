@@ -128,12 +128,13 @@ class TestInPlaceWatching:
         assert cache._lock is original
 
     def test_watch_session_covers_serving_locks(self, tmp_path):
+        from repro.obs.workload import WorkloadRecorder
         from repro.service.session import Session
         from repro.storage.loader import load_document
         from repro.xmark.generator import generate_xmark
         session = Session(
             load_document(generate_xmark(factor=0.003, seed=7)),
-            journal=tmp_path / "w.jsonl")
+            recorder=WorkloadRecorder(tmp_path / "w.jsonl"))
         watchdog = LockOrderWatchdog()
         with watchdog:
             watch_session(watchdog, session)

@@ -10,6 +10,7 @@ from repro.partitioning.similarity import (
     similarity_matrix,
     value_overlap,
 )
+from repro.xmark.text_source import TextSource
 
 
 class TestCharCosine:
@@ -61,3 +62,13 @@ class TestSimilarityMatrix:
     def test_values_in_unit_interval(self):
         F = similarity_matrix([["hello"], ["world"], ["12345"]])
         assert (F >= 0.0).all() and (F <= 1.0 + 1e-12).all()
+
+    def test_text_families_separate(self):
+        """Three prose containers and two date containers: F is high
+        within each family and low across them."""
+        source = TextSource(seed=21)
+        prose = [[source.sentence() for _ in range(60)] for _ in range(3)]
+        dates = [[source.date() for _ in range(80)] for _ in range(2)]
+        F = similarity_matrix(prose + dates)
+        assert min(F[0, 1], F[0, 2], F[1, 2], F[3, 4]) >= 0.55
+        assert F[:3, 3:].max() < 0.55

@@ -12,6 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.workload import WorkloadRecorder
 from repro.service.session import Database, Session
 from repro.xmark.generator import generate_xmark
 from repro.xmark.queries import query_text
@@ -78,8 +79,8 @@ class TestExecuteMany:
 
     def test_recording_batch_journals_every_run(self, repository,
                                                 tmp_path):
-        session = Session(repository,
-                          journal=tmp_path / "batch.jsonl")
+        session = Session(repository, recorder=WorkloadRecorder(
+            tmp_path / "batch.jsonl"))
         queries = [query_text(qid) for qid in QUERY_IDS] * 2
         session.execute_many(queries, max_workers=4)
         journal = session.recorder.journal

@@ -4,7 +4,6 @@ import dataclasses
 
 import pytest
 
-from repro.core.system import XQueCSystem
 from repro.obs.telemetry import Telemetry
 from repro.query.engine import QueryEngine
 from repro.query.options import ExecutionOptions
@@ -73,9 +72,6 @@ class TestLegacyShims:
                                             telemetry=telemetry)
         with pytest.raises(TypeError):
             Session(repository).execute("/library/book", wrong_kwarg=1)
-        with pytest.raises(TypeError):
-            XQueCSystem(repository).query("/library/book",
-                                          telemetry=telemetry)
         # the three retired tracing switches
         with pytest.raises(TypeError):
             ExecutionOptions(telemetry_enabled=True)

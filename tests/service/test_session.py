@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.system import XQueCSystem
 from repro.errors import PlanVerificationError, QueryError
 from repro.lint.diagnostics import PlanDiagnostic
+from repro.obs.workload import WorkloadRecorder
 from repro.query.engine import QueryEngine, QueryResult
 from repro.query.options import ExecutionOptions
 from repro.service.session import Database, PreparedQuery, Session
@@ -185,7 +185,8 @@ class TestRecording:
     def test_journal_session_reuses_one_handle(self, repository,
                                                tmp_path):
         journal_path = tmp_path / "session.workload.jsonl"
-        with Session(repository, journal=journal_path) as session:
+        with Session(repository,
+                     recorder=WorkloadRecorder(journal_path)) as session:
             for _ in range(3):
                 session.execute(QUERY)
             journal = session.recorder.journal
@@ -198,8 +199,8 @@ class TestRecording:
 
     def test_record_false_skips_journalling(self, repository,
                                             tmp_path):
-        session = Session(repository,
-                          journal=tmp_path / "skip.jsonl")
+        session = Session(repository, recorder=WorkloadRecorder(
+            tmp_path / "skip.jsonl"))
         session.execute(QUERY, ExecutionOptions(record=False))
         assert session.recorder.records_written == 0
 
@@ -302,25 +303,12 @@ class TestDatabase:
         session = database.session()
         assert session.execute(QUERY).items == ["9.99"]
 
-
-class TestSystemFacade:
-    def test_query_goes_through_session(self, repository):
-        system = XQueCSystem(repository)
-        system.query(QUERY)
-        system.query(QUERY)
-        counters = system.session.metrics.counters()
-        assert counters["cache.plan.hit"] == 1
-
-    def test_prepare_on_system(self, repository):
-        system = XQueCSystem(repository)
-        prepared = system.prepare(QUERY)
-        assert prepared.run().items == ["9.99"]
-
-    def test_load_collection_still_joins(self):
+    def test_collection_joins_across_documents(self):
         other = "<catalog><entry><ref>Dune</ref></entry></catalog>"
-        system = XQueCSystem.load_collection(
-            {"lib": DOC, "cat": other}, default="lib")
-        result = system.query(
+        repositories = {"lib": load_document(DOC),
+                        "cat": load_document(other)}
+        session = Database(repositories["lib"], repositories).session()
+        result = session.execute(
             'for $e in document("cat")/catalog/entry, '
             "$b in /library/book "
             "where $b/title = $e/ref return $b/price/text()")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.system import XQueCSystem
+from repro.core.system import tuned_configuration
 from repro.errors import PageError
 from repro.query.engine import QueryEngine
 from repro.storage.loader import load_document
@@ -95,14 +95,15 @@ class TestRoundTrip:
 
 class TestWorkloadConfiguredRepository:
     def test_shared_models_stay_shared(self, tmp_path, xml_text):
-        system = XQueCSystem.load(xml_text, workload_queries=[
+        configuration = tuned_configuration(load_document(xml_text), [
             "for $p in /site/people/person, "
             "$a in /site/closed_auctions/closed_auction "
             "where $a/buyer/@person = $p/@id return $p"])
         path = tmp_path / "tuned.xqc"
-        save_repository(system.repository, path)
+        save_repository(load_document(xml_text,
+                                      configuration=configuration), path)
         loaded = load_repository(path)
-        group = system.configuration.group_of(
+        group = configuration.group_of(
             "/site/people/person/@id")
         if group is not None and len(group.container_paths) > 1:
             codecs = {id(loaded.container(p).codec)

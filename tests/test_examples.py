@@ -1,0 +1,28 @@
+"""Every script under ``examples/`` runs to completion.
+
+Each one runs in a fresh interpreter with the working directory set to
+a temporary directory, so whatever it writes lands there.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
+
+
+def test_examples_found():
+    assert len(EXAMPLES) >= 7
+
+
+@pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.name)
+def test_example_runs(script, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    completed = subprocess.run(
+        [sys.executable, str(script)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300)
+    assert completed.returncode == 0, completed.stderr
