@@ -10,20 +10,17 @@ container/codec handles).
 
 Checked invariants (see :mod:`repro.lint.rules` for the catalog):
 
-* compressed-domain predicates are legal only if the container's codec
-  supports the predicate kind per the paper's
-  ``<d_c, c_s, c_a, eq, ineq, wild>`` characterization (§3.2);
 * ``MergeJoin`` requires inputs with a statically established sort
   order on the key columns (§4);
 * ``ThetaJoin`` requires key containers whose slot order is the
   numeric comparison (§2.2);
-* compressed comparisons must stay within one compressed domain
-  (shared source model, §3.1);
+* a ``MergeJoin``'s compressed keys must stay within one compressed
+  domain (shared source model, §3.1);
 * every value reaching ``XMLSerialize`` passed through ``Decompress``
   exactly once (§4);
 * operators only reference columns produced upstream;
 * ``ContAccess`` interval search wants a binary-searchable container
-  (§2.2);
+  whose codec preserves order (§2.2/§3.2);
 * ``ContSubstring`` wants a container that can index the needle.
 """
 
@@ -31,7 +28,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.compression.base import PREDICATE_KINDS
 from repro.lint.diagnostics import PlanDiagnostic
 from repro.lint.properties import (
     COMPRESSED,
@@ -40,14 +36,6 @@ from repro.lint.properties import (
     ColumnInfo,
     PlanProperties,
 )
-
-#: rule id per unsupported predicate kind.
-_CAPABILITY_RULES = {
-    "eq": "plan.eq-unsupported",
-    "ineq": "plan.ineq-order-agnostic",
-    "wild": "plan.wild-unsupported",
-}
-
 
 def verify_plan(root: object) -> list[PlanDiagnostic]:
     """Verify a physical plan; returns every diagnostic found.
@@ -71,20 +59,12 @@ class PlanVerifier:
             "ContAccess": self._cont_access,
             "ContSubstring": self._cont_substring,
             "StructureSummaryAccess": self._summary_access,
-            "Child": self._navigation,
-            "Parent": self._navigation,
-            "Descendant": self._navigation,
-            "TextContent": self._content,
-            "AttributeContent": self._passthrough,
-            "Select": self._select,
+            "Parent": self._parent,
             "NodeSet": self._node_set,
             "Concat": self._concat,
-            "Project": self._project,
-            "HashJoin": self._hash_join,
             "MergeJoin": self._merge_join,
             "ThetaJoin": self._theta_join,
             "NestedLoopJoin": self._nested_loop_join,
-            "Distinct": self._distinct,
             "Sort": self._sort,
             "Decompress": self._decompress,
             "XMLSerialize": self._xml_serialize,
@@ -120,11 +100,9 @@ class PlanVerifier:
         self.diagnostics.append(
             PlanDiagnostic.make(rule_id, path, message, hint))
 
-    def _require_column(self, props: PlanProperties, name: str | None,
+    def _require_column(self, props: PlanProperties, name: str,
                         path: str, role: str) -> ColumnInfo | None:
         """Column lookup with the unknown-column check applied."""
-        if name is None:
-            return None
         info = props.column(name)
         if info is None and not props.open_schema:
             self._report(
@@ -192,65 +170,20 @@ class PlanVerifier:
         # Extents merge-sort to document order, i.e. ascending node id.
         return PlanProperties({column: ColumnInfo(NODE)}, (column,))
 
-    def _navigation(self, node: object, path: str,
-                    children: list[PlanProperties]) -> PlanProperties:
+    def _parent(self, node: object, path: str,
+                children: list[PlanProperties]) -> PlanProperties:
         props = children[0]
         self._require_column(props,
                              node.input_column,  # type: ignore[attr-defined]
                              path, "input")
-        # Parent/Child/Descendant preserve their input's row order
-        # (§4), so established order keys stay valid; the new node
-        # column itself carries no order.
+        # Parent preserves its input's row order (§4), so established
+        # order keys stay valid; the new node column itself carries no
+        # order.
         return props.with_column(
             node.output_column,  # type: ignore[attr-defined]
             ColumnInfo(NODE))
 
-    def _content(self, node: object, path: str,
-                 children: list[PlanProperties]) -> PlanProperties:
-        props = children[0]
-        self._require_column(props,
-                             node.input_column,  # type: ignore[attr-defined]
-                             path, "input")
-        container = node.container  # type: ignore[attr-defined]
-        return props.with_column(
-            node.output_column,  # type: ignore[attr-defined]
-            ColumnInfo(COMPRESSED, container.codec, container.path))
-
-    def _passthrough(self, node: object, path: str,
-                     children: list[PlanProperties]) -> PlanProperties:
-        return children[0]
-
     # -- data combination ------------------------------------------------------
-
-    def _select(self, node: object, path: str,
-                children: list[PlanProperties]) -> PlanProperties:
-        props = children[0]
-        references = node.references  # type: ignore[attr-defined]
-        for name in references or ():
-            self._require_column(props, name, path, "predicate")
-        kind = node.predicate_kind  # type: ignore[attr-defined]
-        column = node.column  # type: ignore[attr-defined]
-        if kind is not None:
-            if kind not in PREDICATE_KINDS:
-                self._report(
-                    "plan.invalid-metadata", path,
-                    f"unknown predicate kind {kind!r}",
-                    f"use one of {', '.join(PREDICATE_KINDS)}")
-                return props
-            info = props.column(column) if column is not None else None
-            if info is not None and info.kind == COMPRESSED:
-                capabilities = info.capabilities
-                assert capabilities is not None
-                if not capabilities.supports(kind):
-                    self._report(
-                        _CAPABILITY_RULES[kind], path,
-                        f"predicate kind {kind!r} on column {column!r} "
-                        f"compressed with {info.codec.name!r} "  # type: ignore[union-attr]
-                        f"(capabilities {capabilities})",
-                        "Decompress the column first, or seal the "
-                        "container with a codec supporting the "
-                        "predicate")
-        return props
 
     def _node_set(self, node: object, path: str,
                   children: list[PlanProperties]) -> PlanProperties:
@@ -267,26 +200,10 @@ class PlanVerifier:
         # One run after the other: the columns of both, no order.
         return PlanProperties.merge(left, right, order=())
 
-    def _project(self, node: object, path: str,
-                 children: list[PlanProperties]) -> PlanProperties:
-        props = children[0]
-        kept: dict[str, ColumnInfo] = {}
-        for name in node.columns:  # type: ignore[attr-defined]
-            info = self._require_column(props, name, path, "projected")
-            if info is not None:
-                kept[name] = info
-        order: list[str] = []
-        for key in props.order:
-            if key not in node.columns:  # type: ignore[attr-defined]
-                break
-            order.append(key)
-        return PlanProperties(kept, tuple(order), props.open_schema)
-
     def _join_domains(self, path: str, left: ColumnInfo | None,
                       right: ColumnInfo | None,
-                      left_name: str | None,
-                      right_name: str | None) -> None:
-        """Cross-domain check for a declared compressed-domain join."""
+                      left_name: str, right_name: str) -> None:
+        """Cross-domain check for a compressed-domain join."""
         if left is None or right is None:
             return
         if left.kind != COMPRESSED or right.kind != COMPRESSED:
@@ -303,33 +220,11 @@ class PlanVerifier:
                 "group the two containers under one source model "
                 "(§3.1) or decompress the keys")
 
-    def _hash_join(self, node: object, path: str,
-                   children: list[PlanProperties]) -> PlanProperties:
-        left, right = children
-        left_info = self._require_column(
-            left, node.left_column,  # type: ignore[attr-defined]
-            path, "left key")
-        right_info = self._require_column(
-            right, node.right_column,  # type: ignore[attr-defined]
-            path, "right key")
-        self._join_domains(path, left_info, right_info,
-                           node.left_column,  # type: ignore[attr-defined]
-                           node.right_column)  # type: ignore[attr-defined]
-        # Probe side streams: output follows the left input's order.
-        return PlanProperties.merge(left, right)
-
     def _merge_join(self, node: object, path: str,
                     children: list[PlanProperties]) -> PlanProperties:
         left, right = children
         left_column = node.left_column  # type: ignore[attr-defined]
         right_column = node.right_column  # type: ignore[attr-defined]
-        if left_column is None or right_column is None:
-            self._report(
-                "plan.merge-join-unverifiable", path,
-                "key columns are undeclared; sortedness of the inputs "
-                "cannot be proven",
-                "pass left_column=/right_column= to MergeJoin")
-            return PlanProperties.merge(left, right, order=())
         left_info = self._require_column(left, left_column, path,
                                          "left key")
         right_info = self._require_column(right, right_column, path,
@@ -380,21 +275,13 @@ class PlanVerifier:
             self._require_column(merged, name, path, "condition")
         return merged
 
-    def _distinct(self, node: object, path: str,
-                  children: list[PlanProperties]) -> PlanProperties:
-        props = children[0]
-        for name in node.columns or ():  # type: ignore[attr-defined]
-            self._require_column(props, name, path, "key")
-        return props
-
     def _sort(self, node: object, path: str,
               children: list[PlanProperties]) -> PlanProperties:
         props = children[0]
         columns = node.columns  # type: ignore[attr-defined]
-        for name in columns or ():
+        for name in columns:
             self._require_column(props, name, path, "sort key")
-        return PlanProperties(props.columns,
-                              tuple(columns) if columns else (),
+        return PlanProperties(props.columns, tuple(columns),
                               props.open_schema)
 
     # -- (de)compression / serialization --------------------------------------

@@ -32,26 +32,10 @@ class Rule:
 
 _ALL: tuple[Rule, ...] = (
     # -- Tier A: plan verifier ------------------------------------------------
-    Rule("plan.ineq-order-agnostic", "error",
-         "inequality predicate evaluated in the compressed domain of an "
-         "order-agnostic codec (compressed order != value order)",
-         "§3.2 (ineq capability)"),
-    Rule("plan.wild-unsupported", "error",
-         "wildcard/prefix predicate on a codec without the wild "
-         "capability (ALM codes whole character sequences)",
-         "§3.2 (wild capability)"),
-    Rule("plan.eq-unsupported", "error",
-         "compressed-domain equality on a codec without the eq "
-         "capability (non-deterministic or chunked encoding)",
-         "§3.2 (eq capability)"),
     Rule("plan.merge-join-unordered", "error",
          "MergeJoin input has no established sort order on its key "
          "column",
          "§4 (order guarantees of the access operators)"),
-    Rule("plan.merge-join-unverifiable", "info",
-         "MergeJoin key columns are undeclared; order cannot be "
-         "verified statically",
-         "§4"),
     Rule("plan.theta-join-unordered", "error",
          "ThetaJoin key container is not numeric-ordered (string-typed, "
          "blob, or order-agnostic codec): slot position is not the "
@@ -85,10 +69,6 @@ _ALL: tuple[Rule, ...] = (
          "(blob chunk, or needle shorter than the index's q): it has "
          "no candidate slots to emit",
          "§4 (bottom-up evaluation from the containers)"),
-    Rule("plan.invalid-metadata", "error",
-         "declared operator metadata is malformed (e.g. an unknown "
-         "predicate kind)",
-         "§3.2"),
     # -- Tier B: source lint --------------------------------------------------
     Rule("src.operator-rows", "error",
          "Operator subclass does not implement _batches, the one "
@@ -105,7 +85,7 @@ _ALL: tuple[Rule, ...] = (
          "tuple)"),
     Rule("src.raw-decode", "error",
          "direct codec decode call inside a physical operator body "
-         "outside the sanctioned TextContent/Decompress sites",
+         "outside the sanctioned Decompress site",
          "§4 (decompression is an explicit plan operator)"),
     Rule("src.bare-except", "error",
          "naked except: swallows typed XQueC errors",

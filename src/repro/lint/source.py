@@ -6,7 +6,7 @@ traced base ``__iter__`` and implements ``_batches``; every codec wired
 into :mod:`repro.compression.registry` declares its §3.2
 :class:`~repro.compression.base.CompressionProperties` capability
 tuple; decompression inside :mod:`repro.query.physical` happens only at
-the sanctioned ``TextContent``/``Decompress`` sites; every
+the sanctioned ``Decompress`` site; every
 ``threading`` primitive is created where the Tier-C concurrency
 inventory (:mod:`repro.lint.concurrency`) can see it; and the usual
 Python footguns (bare ``except:``, mutable default arguments) stay out
@@ -24,8 +24,8 @@ from typing import Iterable
 from repro.lint.diagnostics import SourceDiagnostic
 
 #: physical-operator classes allowed to call ``.decode(...)`` directly:
-#: the two sanctioned decompression sites of the plan algebra (§4).
-SANCTIONED_DECODE_SITES = frozenset({"TextContent", "Decompress"})
+#: the sanctioned decompression site of the plan algebra (§4).
+SANCTIONED_DECODE_SITES = frozenset({"Decompress"})
 
 #: constructor names whose call as a default argument is mutable.
 _MUTABLE_FACTORIES = frozenset({"list", "dict", "set"})
@@ -385,7 +385,7 @@ def _check_defaults(file: Path,
 def _check_raw_decode(file: Path, tree: ast.Module
                       ) -> list[SourceDiagnostic]:
     """``.decode(...)`` calls inside operator bodies in physical.py
-    outside the sanctioned TextContent/Decompress sites."""
+    outside the sanctioned Decompress site."""
     diagnostics: list[SourceDiagnostic] = []
     for cls in tree.body:
         if not isinstance(cls, ast.ClassDef):
@@ -402,5 +402,5 @@ def _check_raw_decode(file: Path, tree: ast.Module
                     "src.raw-decode", str(file), node.lineno,
                     f"operator {cls.name} decodes values inline",
                     hint="decompression belongs to the explicit "
-                         "Decompress/TextContent operators (§4)"))
+                         "Decompress operator (§4)"))
     return diagnostics

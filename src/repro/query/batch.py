@@ -12,10 +12,9 @@ numpy arrays:
 * :class:`ItemColumn` — arbitrary Python items (the compatibility
   representation produced by :func:`RecordBatch.from_rows`).
 
-A batch optionally carries a **validity mask** (boolean array over its
-raw rows).  Filters are lazy: ``filter(mask)`` just ANDs masks;
-``compact()`` materializes the surviving rows.  ``to_rows()`` yields
-the dict rows the batch stands for — what iterating an operator
+A batch is nothing but equal-length columns: ``take``/``slice`` pick
+rows, ``with_column``/``merged_with`` add columns.  ``to_rows()``
+yields the dict rows the batch stands for — what iterating an operator
 returns.
 """
 
@@ -68,8 +67,7 @@ class ValueColumn:
     """Container values by slot index into one value-sorted container.
 
     The codewords never leave the container: the column holds record
-    *positions*, so an interval predicate over the (sorted) container
-    is a vectorized range test on ``indices`` and materializing a
+    *positions* into the (sorted) container, and materializing a
     :class:`~repro.query.context.CompressedItem` happens only when a
     consumer genuinely needs the row form.
     """
@@ -110,15 +108,6 @@ class ValueColumn:
         value_type = self._value_type
         return [CompressedItem(records[i].compressed, codec, value_type)
                 for i in self.indices]
-
-    def interval_mask(self, start: int, end: int) -> np.ndarray:
-        """Rows whose container slot falls in ``[start, end)``.
-
-        Because the container is value-sorted, this *is* the
-        compressed-domain interval predicate, evaluated without
-        touching a single codeword.
-        """
-        return (self.indices >= start) & (self.indices < end)
 
     @classmethod
     def concat(cls, columns: Sequence["ValueColumn"]) -> "ValueColumn":
@@ -163,12 +152,11 @@ class ItemColumn:
 
 
 class RecordBatch:
-    """A fixed set of equal-length named columns plus a validity mask."""
+    """A fixed set of equal-length named columns."""
 
-    __slots__ = ("_columns", "_length", "validity")
+    __slots__ = ("_columns", "_length")
 
-    def __init__(self, columns: dict, length: int | None = None,
-                 validity: np.ndarray | None = None):
+    def __init__(self, columns: dict, length: int | None = None):
         self._columns = columns
         if length is None:
             if not columns:
@@ -181,22 +169,11 @@ class RecordBatch:
                     f"column {name!r} has {len(column)} rows, "
                     f"batch has {length}")
         self._length = length
-        if validity is not None and len(validity) != length:
-            raise ValueError("validity mask length mismatch")
-        self.validity = validity
 
     # -- shape ---------------------------------------------------------------
 
-    @property
-    def raw_length(self) -> int:
-        """Physical rows, including ones masked out by ``validity``."""
-        return self._length
-
     def __len__(self) -> int:
-        """Logical (valid) rows."""
-        if self.validity is None:
-            return self._length
-        return int(np.count_nonzero(self.validity))
+        return self._length
 
     def column_names(self) -> tuple:
         return tuple(self._columns)
@@ -210,70 +187,37 @@ class RecordBatch:
 
     # -- transforms ----------------------------------------------------------
 
-    def filter(self, mask: np.ndarray) -> "RecordBatch":
-        """Lazily keep only rows where ``mask`` (raw-length) is true."""
-        mask = np.asarray(mask, dtype=bool)
-        if self.validity is not None:
-            mask = mask & self.validity
-        return RecordBatch(self._columns, self._length, mask)
-
-    def compact(self) -> "RecordBatch":
-        """Materialize the valid rows; the result has no mask."""
-        if self.validity is None:
-            return self
-        keep = np.flatnonzero(self.validity)
-        return RecordBatch(
-            {name: column.take(keep)
-             for name, column in self._columns.items()},
-            len(keep))
-
     def take(self, indices: np.ndarray) -> "RecordBatch":
-        """Rows by position (positions count valid rows only)."""
-        base = self.compact()
+        """Rows by position."""
         indices = np.asarray(indices, dtype=np.int64)
         return RecordBatch(
             {name: column.take(indices)
-             for name, column in base._columns.items()},
+             for name, column in self._columns.items()},
             len(indices))
 
     def slice(self, start: int, stop: int) -> "RecordBatch":
-        base = self.compact()
-        stop = min(stop, base._length)
+        stop = min(stop, self._length)
         return RecordBatch(
             {name: column.slice(start, stop)
-             for name, column in base._columns.items()},
+             for name, column in self._columns.items()},
             max(stop - start, 0))
 
     def with_column(self, name: str, column) -> "RecordBatch":
-        """This batch plus (or replacing) one column.
-
-        The batch must be compacted first — a new column has no say
-        about rows the mask already dropped.
-        """
-        if self.validity is not None:
-            raise ValueError("with_column on an uncompacted batch")
+        """This batch plus (or replacing) one column."""
         merged = dict(self._columns)
         merged[name] = column
         return RecordBatch(merged, self._length)
 
     def merged_with(self, other: "RecordBatch") -> "RecordBatch":
         """Column-wise merge (``{**left_row, **right_row}`` semantics)."""
-        left = self.compact()
-        right = other.compact()
-        if left._length != right._length:
+        if self._length != other._length:
             raise ValueError("merged batches must have equal lengths")
-        merged = dict(left._columns)
-        merged.update(right._columns)
-        return RecordBatch(merged, left._length)
-
-    def project(self, names: Iterable[str]) -> "RecordBatch":
-        """Keep only the named columns (KeyError on a missing name)."""
-        return RecordBatch({name: self._columns[name] for name in names},
-                           self._length, self.validity)
+        merged = dict(self._columns)
+        merged.update(other._columns)
+        return RecordBatch(merged, self._length)
 
     @classmethod
     def concat(cls, batches: Sequence["RecordBatch"]) -> "RecordBatch":
-        batches = [b.compact() for b in batches]
         if not batches:
             raise ValueError("concat of no batches")
         names = batches[0].column_names()
@@ -300,11 +244,7 @@ class RecordBatch:
         """The dict rows this batch stands for, in order."""
         names = tuple(self._columns)
         columns = tuple(self._columns.values())
-        if self.validity is None:
-            positions: Iterable[int] = range(self._length)
-        else:
-            positions = np.flatnonzero(self.validity)
-        for position in positions:
+        for position in range(self._length):
             yield {name: column.item_at(position)
                    for name, column in zip(names, columns)}
 

@@ -67,7 +67,6 @@ from repro.query.ast import (
     TextLiteral,
     VarRef,
 )
-from repro.query.batch import RecordBatch
 from repro.query.context import (
     CompressedItem,
     EvaluationStats,
@@ -908,7 +907,7 @@ def _matches_by_probe(join, probe: str, build: str) -> dict[int, list]:
     each list sorted and duplicate-free: a value shared twice, or two
     values shared, still binds a node once, and in document order."""
     matches: dict[int, set] = {}
-    for batch in map(RecordBatch.compact, join.batches()):
+    for batch in join.batches():
         for probe_id, build_id in zip(node_ids(batch, probe).tolist(),
                                       node_ids(batch, build).tolist()):
             matches.setdefault(probe_id, set()).add(build_id)

@@ -23,7 +23,6 @@ evaluation strategies, chosen **once per query**:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import itemgetter
 
 from repro.query.ast import (
     Arithmetic,
@@ -490,8 +489,7 @@ def assign_equi_join(clause: ForClause, plan: JoinPlan, repo_of,
     if None in sides:
         return None
     (probe, probe_key), (build, build_key) = sides
-    return plan, MergeJoin(probe, build, None, None,
-                           left_column=probe_key, right_column=build_key)
+    return plan, MergeJoin(probe, build, probe_key, build_key)
 
 
 def _key_stream(repository, source: PathExpr, steps: tuple[Step, ...],
@@ -521,7 +519,7 @@ def _key_stream(repository, source: PathExpr, steps: tuple[Step, ...],
         stream = node if stream is None else Concat(stream, node)
     stream = Decompress(stream, [key], stats)
     if len(paths) > 1:
-        stream = Sort(stream, itemgetter(key), columns=(key,))
+        stream = Sort(stream, (key,))
     return stream, key
 
 

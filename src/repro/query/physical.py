@@ -1,17 +1,16 @@
 """The physical operators of the XQueC query engine (paper §4).
 
-Three operator classes, exactly as the paper groups them:
+The operators the optimizer's plans contain, in the paper's three
+groups:
 
 * **data access** — :class:`ContScan`, :class:`ContAccess`,
   :class:`ContSubstring`, :class:`StructureSummaryAccess`,
-  :class:`Parent`, :class:`Child`, :class:`Descendant`,
-  :class:`TextContent`, :class:`AttributeContent`;
-* **data combination** — :class:`Select`, :class:`NodeSet`,
-  :class:`Concat`, :class:`MergeJoin`, :class:`HashJoin`,
-  :class:`ThetaJoin`, :class:`NestedLoopJoin`, :class:`Project`,
-  :class:`Distinct`, :class:`Sort`;
+  :class:`OpaqueSource`, :class:`Parent`;
+* **data combination** — :class:`NodeSet`, :class:`Concat`,
+  :class:`MergeJoin`, :class:`ThetaJoin`, :class:`NestedLoopJoin`,
+  :class:`Sort`;
 * **(de)compression / serialization** — :class:`Decompress`,
-  :class:`CompressConstant`, :class:`XMLSerialize`.
+  :class:`XMLSerialize`.
 
 Operators move data through one **batch-pull protocol** (DESIGN.md
 §13): an operator implements ``_batches(size)``, ``batches(size)``
@@ -20,13 +19,13 @@ the scan/selection/join operators evaluate over numpy arrays — container
 slot ranges for compressed-domain predicates, ``np.searchsorted`` for
 merge keys.  Iterating an operator yields *rows* (dicts mapping column
 names to items): the same batches, flattened, so plans compose by
-nesting either way.  Operators whose work is per-row (``Child``
-expansion, nested-loop conditions, blob-container fallbacks) run one
-private row generator over their input's batches and chunk it.
+nesting either way.  Operators whose work is per-row (nested-loop
+conditions, theta probes, blob-container fallbacks) run one private
+row generator over their input's batches and chunk it.
 
-Order guarantees mirror §4: ``StructureSummaryAccess`` emits element
-ids in document order, ``Parent``/``Child`` preserve the order of
-their input, and ``ContScan``/``ContAccess`` emit in *value* order —
+Order guarantees mirror §4: ``StructureSummaryAccess`` and ``NodeSet``
+emit element ids in document order, ``Parent`` preserves the order of
+its input, and ``ContScan``/``ContAccess`` emit in *value* order —
 which is what lets plans use :class:`MergeJoin` without sorting.
 """
 
@@ -37,7 +36,7 @@ from time import perf_counter_ns
 
 import numpy as np
 
-from repro.errors import QueryTypeError, StorageError
+from repro.errors import QueryTypeError
 from repro.obs import runtime
 from repro.query.batch import (DEFAULT_BATCH_SIZE, ItemColumn,
                                NodeColumn, RecordBatch, ValueColumn,
@@ -94,7 +93,7 @@ def input_rows(source, size: int) -> Iterator[Row]:
 
 
 def node_ids(batch: RecordBatch, name: str) -> np.ndarray:
-    """The ``int64`` element ids of one (compacted) batch column."""
+    """The ``int64`` element ids of one batch column."""
     column = batch.column(name)
     if isinstance(column, NodeColumn):
         return column.ids
@@ -327,47 +326,6 @@ class OpaqueSource(Operator):
         return iter(())
 
 
-class Child(Operator):
-    """Append each input node's children (optionally tag-filtered).
-
-    Children of one node are emitted in document order; input order is
-    preserved (§4).  Per-node fan-out is irregular, so the expansion
-    is a row generator over the input's batches, chunked.
-    """
-
-    INPUTS = ("_source",)
-
-    def __init__(self, source: Iterable[Row],
-                 repository: CompressedRepository,
-                 input_column: str, output_column: str,
-                 tag: str | None = None,
-                 stats: EvaluationStats | None = None):
-        self._source = source
-        self._repository = repository
-        self._input = input_column
-        self._output = output_column
-        self._tag = tag
-        self._stats = stats
-        self.input_column = input_column
-        self.output_column = output_column
-
-    def _expand(self, size: int) -> Iterator[Row]:
-        structure = self._repository.structure
-        tag_code = (None if self._tag is None
-                    else self._repository.dictionary.code_of(self._tag))
-        if self._tag is not None and tag_code is None:
-            return  # tag absent from the document: no children at all
-        for row in input_rows(self._source, size):
-            node = row[self._input]
-            for child_id in structure.children_of(node.node_id, tag_code):
-                if self._stats is not None:
-                    self._stats.nodes_visited += 1
-                yield {**row, self._output: NodeItem(child_id)}
-
-    def _batches(self, size: int) -> Iterator[RecordBatch]:
-        return batches_from_rows(self._expand(size), size)
-
-
 class Parent(Operator):
     """Append each input node's parent; preserves input order (§4).
 
@@ -392,9 +350,6 @@ class Parent(Operator):
     def _batches(self, size: int) -> Iterator[RecordBatch]:
         parents = self._repository.structure.parent_array()
         for batch in _input_batches(self._source, size):
-            batch = batch.compact()
-            if not len(batch):
-                continue
             ids = node_ids(batch, self._input)
             out_parents = parents[ids]
             keep = out_parents >= 0
@@ -409,214 +364,12 @@ class Parent(Operator):
                                     NodeColumn(out_parents))
 
 
-class Descendant(Operator):
-    """Append each input node's descendants (optionally tag-filtered)."""
-
-    INPUTS = ("_source",)
-
-    def __init__(self, source: Iterable[Row],
-                 repository: CompressedRepository,
-                 input_column: str, output_column: str,
-                 tag: str | None = None,
-                 stats: EvaluationStats | None = None):
-        self._source = source
-        self._repository = repository
-        self._input = input_column
-        self._output = output_column
-        self._tag = tag
-        self._stats = stats
-        self.input_column = input_column
-        self.output_column = output_column
-
-    def _expand(self, size: int) -> Iterator[Row]:
-        structure = self._repository.structure
-        tag_code = (None if self._tag is None
-                    else self._repository.dictionary.code_of(self._tag))
-        if self._tag is not None and tag_code is None:
-            return
-        for row in input_rows(self._source, size):
-            node = row[self._input]
-            for descendant_id in structure.descendants_of(
-                    node.node_id, tag_code):
-                if self._stats is not None:
-                    self._stats.nodes_visited += 1
-                yield {**row, self._output: NodeItem(descendant_id)}
-
-    def _batches(self, size: int) -> Iterator[RecordBatch]:
-        return batches_from_rows(self._expand(size), size)
-
-
 def _concat_ranges(lo: np.ndarray, hi: np.ndarray,
                    total: int) -> np.ndarray:
     """Concatenate the integer ranges ``[lo[i], hi[i])`` vectorized."""
     counts = hi - lo
     offsets = np.repeat(np.cumsum(counts) - counts, counts)
     return np.repeat(lo, counts) + (np.arange(total) - offsets)
-
-
-class TextContent(Operator):
-    """Pair element ids with their immediate text content.
-
-    The paper implements it as a hash join between the input ids and
-    a ``ContScan`` of the text container; here the hash table is
-    ``np.searchsorted`` over the container's parent-id array sorted by
-    parent (a vectorized index-nested-loop with the same output
-    order).  Blob containers, which have no record slots, keep the
-    literal hash join.
-    """
-
-    INPUTS = ("_source",)
-
-    def __init__(self, source: Iterable[Row],
-                 repository: CompressedRepository,
-                 input_column: str, output_column: str,
-                 container_path: str,
-                 stats: EvaluationStats | None = None):
-        self._source = source
-        self._input = input_column
-        self._output = output_column
-        self._stats = stats
-        self.input_column = input_column
-        self.output_column = output_column
-        self.container = repository.container(container_path)
-
-    def _hash_join_rows(self, size: int) -> Iterator[Row]:
-        container = self.container
-        codec = container.codec
-        value_type = container.value_type
-        by_parent: dict[int, list[CompressedItem]] = {}
-        for parent_id, compressed in container.scan():
-            by_parent.setdefault(parent_id, []).append(
-                CompressedItem(compressed, codec, value_type))
-        for row in input_rows(self._source, size):
-            node = row[self._input]
-            for item in by_parent.get(node.node_id, ()):
-                yield {**row, self._output: item}
-
-    def _batches(self, size: int) -> Iterator[RecordBatch]:
-        if self._stats is not None:
-            self._stats.container_scans += 1
-            self._stats.hash_joins += 1
-        container = self.container
-        if container.is_blob:  # no record slots: literal hash join
-            yield from batches_from_rows(self._hash_join_rows(size), size)
-            return
-        arrays = container.as_arrays()
-        # Mirror scan()'s access accounting without building rows.
-        if runtime.ACTIVE is not None:
-            runtime.add("container.scans")
-        if runtime.RECORDER is not None:
-            runtime.RECORDER.record_access(container.path, "scans")
-        # Stable sort by parent keeps each node's texts in value order,
-        # exactly the order the hash join's scan built its buckets in.
-        order = np.argsort(arrays.parent_ids, kind="stable")
-        sorted_parents = arrays.parent_ids[order]
-        for batch in _input_batches(self._source, size):
-            batch = batch.compact()
-            if not len(batch):
-                continue
-            ids = node_ids(batch, self._input)
-            lo = np.searchsorted(sorted_parents, ids, side="left")
-            hi = np.searchsorted(sorted_parents, ids, side="right")
-            total = int((hi - lo).sum())
-            if total == 0:
-                continue
-            source_rows = np.repeat(np.arange(len(ids)), hi - lo)
-            slots = order[_concat_ranges(lo, hi, total)]
-            yield batch.take(source_rows).with_column(
-                self._output, ValueColumn(container, slots))
-
-
-class AttributeContent(Operator):
-    """Pair element ids with one attribute's compressed value."""
-
-    INPUTS = ("_inner",)
-
-    def __init__(self, source: Iterable[Row],
-                 repository: CompressedRepository,
-                 input_column: str, output_column: str,
-                 container_path: str,
-                 stats: EvaluationStats | None = None):
-        self._inner = TextContent(source, repository, input_column,
-                                  output_column, container_path, stats)
-
-    def _batches(self, size: int) -> Iterator[RecordBatch]:
-        return self._inner.batches(size)
-
-
-# -- data combination operators --------------------------------------------------
-
-class Select(Operator):
-    """Filter rows by a Python predicate over the row.
-
-    The predicate callable is opaque; the keyword-only metadata
-    declares what it does so the plan verifier can check it statically:
-    ``column`` names the (possibly compressed) column it tests,
-    ``predicate_kind`` is the paper's capability kind (``"eq"``,
-    ``"ineq"`` or ``"wild"``) when the test runs *in the compressed
-    domain*, and ``references`` lists every column the predicate reads.
-
-    ``interval`` optionally declares the predicate as a value interval
-    ``(low, high, low_inclusive, high_inclusive)`` over ``column`` —
-    the declaration ``_batches`` compiles into a vectorized mask:
-    when the column is a :class:`~repro.query.batch.ValueColumn`, the
-    container's sortedness turns the interval into one slot range and
-    the predicate into two array comparisons, with no per-row calls.
-    The callable must implement exactly the declared interval (it
-    remains the source of truth for any other column representation).
-    """
-
-    INPUTS = ("_source",)
-
-    def __init__(self, source: Iterable[Row], predicate, *,
-                 column: str | None = None,
-                 predicate_kind: str | None = None,
-                 references: tuple[str, ...] | None = None,
-                 interval: tuple | None = None):
-        self._source = source
-        self._predicate = predicate
-        self.column = column
-        self.predicate_kind = predicate_kind
-        self.references = tuple(references) if references is not None \
-            else ((column,) if column is not None else None)
-        self.interval = tuple(interval) if interval is not None else None
-        self._bounds_cache: dict[int, tuple[int, int] | None] = {}
-
-    def _vector_mask(self, batch: RecordBatch) -> np.ndarray | None:
-        """Mask from the declared interval, or ``None`` to fall back."""
-        if self.interval is None or self.column is None:
-            return None
-        try:
-            column = batch.column(self.column)
-        except KeyError:
-            return None
-        if not isinstance(column, ValueColumn):
-            return None
-        container = column.container
-        key = id(container)
-        if key not in self._bounds_cache:
-            try:
-                self._bounds_cache[key] = container.interval_positions(
-                    *self.interval)
-            except StorageError:
-                self._bounds_cache[key] = None
-        bounds = self._bounds_cache[key]
-        if bounds is None:
-            return None
-        return column.interval_mask(*bounds)
-
-    def _batches(self, size: int) -> Iterator[RecordBatch]:
-        predicate = self._predicate
-        for batch in _input_batches(self._source, size):
-            mask = self._vector_mask(batch)
-            if mask is None:
-                batch = batch.compact()
-                mask = np.empty(len(batch), dtype=bool)
-                for i, row in enumerate(batch.to_rows()):
-                    mask[i] = bool(predicate(row))
-            out = batch.filter(mask)
-            if len(out):
-                yield out
 
 
 #: ``NodeSet`` modes; each returns its result sorted and duplicate-free.
@@ -651,9 +404,8 @@ class NodeSet(Operator):
             else [self._left, self._right]
 
     def _ids(self, source, size: int) -> np.ndarray:
-        parts = [node_ids(batch, self.column) for batch in
-                 map(RecordBatch.compact, _input_batches(source, size))
-                 if len(batch)]
+        parts = [node_ids(batch, self.column)
+                 for batch in _input_batches(source, size) if len(batch)]
         return np.concatenate(parts) if parts \
             else np.empty(0, dtype=np.int64)
 
@@ -682,71 +434,16 @@ class Concat(Operator):
         yield from _input_batches(self._right, size)
 
 
-class Project(Operator):
-    """Keep only the named columns."""
-
-    INPUTS = ("_source",)
-
-    def __init__(self, source: Iterable[Row], columns: list[str]):
-        self._source = source
-        self._columns = columns
-        self.columns = tuple(columns)
-
-    def _batches(self, size: int) -> Iterator[RecordBatch]:
-        for batch in _input_batches(self._source, size):
-            yield batch.project(self._columns)
-
-
-class HashJoin(Operator):
-    """Equi-join on key functions; builds on the right input.
-
-    Output order follows the probe (left) input.  ``left_column`` /
-    ``right_column`` optionally name the key columns so the verifier
-    can check that a compressed-domain join compares values from one
-    compressed domain (same source model).
-    """
-
-    INPUTS = ("_left", "_right")
-
-    def __init__(self, left: Iterable[Row], right: Iterable[Row],
-                 left_key, right_key,
-                 stats: EvaluationStats | None = None, *,
-                 left_column: str | None = None,
-                 right_column: str | None = None):
-        self._left = left
-        self._right = right
-        self._left_key = left_key
-        self._right_key = right_key
-        self._stats = stats
-        self.left_column = left_column
-        self.right_column = right_column
-
-    def _probe(self, size: int) -> Iterator[Row]:
-        if self._stats is not None:
-            self._stats.hash_joins += 1
-        index: dict = {}
-        for row in input_rows(self._right, size):
-            index.setdefault(self._right_key(row), []).append(row)
-        for row in input_rows(self._left, size):
-            for match in index.get(self._left_key(row), ()):
-                yield {**row, **match}
-
-    def _batches(self, size: int) -> Iterator[RecordBatch]:
-        return batches_from_rows(self._probe(size), size)
-
-
 class _BatchCursor:
     """Streaming cursor over one merge-join input.
 
-    Holds exactly one (compacted) batch plus its key array at a time;
+    Holds exactly one batch plus its key column's items at a time;
     equal-key *runs* are located with ``np.searchsorted`` and may span
     batch boundaries, in which case only the run is buffered.
     """
 
-    def __init__(self, batches: Iterator[RecordBatch], key,
-                 column: str | None):
+    def __init__(self, batches: Iterator[RecordBatch], column: str):
         self._batches = batches
-        self._key = key
         self._column = column
         self._batch: RecordBatch | None = None
         self._keys: np.ndarray | None = None
@@ -754,16 +451,10 @@ class _BatchCursor:
 
     def _fetch(self) -> bool:
         for batch in self._batches:
-            batch = batch.compact()
             if not len(batch):
                 continue
             keys = np.empty(len(batch), dtype=object)
-            key = self._key
-            if key is None:
-                keys[:] = batch.column(self._column).to_items()
-            else:
-                for i, row in enumerate(batch.to_rows()):
-                    keys[i] = key(row)
+            keys[:] = batch.column(self._column).to_items()
             self._batch = batch
             self._keys = keys
             self._pos = 0
@@ -838,10 +529,9 @@ class MergeJoin(Operator):
 
     The order-preserving container scans make this the paper's operator
     of choice for value joins (§4): no sort is needed — but *only* when
-    both inputs really arrive sorted on their keys.  Declare the key
-    columns via ``left_column``/``right_column`` and the plan verifier
-    proves (or refutes) that order statically; a key function ``None``
-    then compares the declared column's items themselves.
+    both inputs really arrive sorted on their keys.  The join compares
+    the items of its key columns ``left_column``/``right_column``,
+    whose order the plan verifier proves (or refutes) statically.
 
     Both sides stream: one batch per side is buffered, plus the
     current equal-key run.  The keys below both batches' last key have
@@ -854,21 +544,17 @@ class MergeJoin(Operator):
     INPUTS = ("_left", "_right")
 
     def __init__(self, left: Iterable[Row], right: Iterable[Row],
-                 left_key, right_key, *,
-                 left_column: str | None = None,
-                 right_column: str | None = None):
+                 left_column: str, right_column: str):
         self._left = left
         self._right = right
-        self._left_key = left_key
-        self._right_key = right_key
         self.left_column = left_column
         self.right_column = right_column
 
     def _batches(self, size: int) -> Iterator[RecordBatch]:
         left = _BatchCursor(_input_batches(self._left, size),
-                            self._left_key, self.left_column)
+                            self.left_column)
         right = _BatchCursor(_input_batches(self._right, size),
-                             self._right_key, self.right_column)
+                             self.right_column)
         while left.ensure() and right.ensure():
             # No row below the smaller last key is in a later batch.
             bound = min(left.last_key(), right.last_key())
@@ -1012,57 +698,20 @@ class ThetaJoin(Operator):
         return batches_from_rows(self._joined(size), size)
 
 
-class Distinct(Operator):
-    """Drop duplicate rows (by a key function)."""
-
-    INPUTS = ("_source",)
-
-    def __init__(self, source: Iterable[Row], key, *,
-                 columns: tuple[str, ...] | None = None):
-        self._source = source
-        self._key = key
-        self.columns = tuple(columns) if columns is not None else None
-
-    def _batches(self, size: int) -> Iterator[RecordBatch]:
-        seen: set = set()
-        key_of = self._key
-        for batch in _input_batches(self._source, size):
-            batch = batch.compact()
-            if not len(batch):
-                continue
-            mask = np.empty(len(batch), dtype=bool)
-            for i, row in enumerate(batch.to_rows()):
-                key = key_of(row)
-                if key in seen:
-                    mask[i] = False
-                else:
-                    seen.add(key)
-                    mask[i] = True
-            out = batch.filter(mask)
-            if len(out):
-                yield out
-
-
 class Sort(Operator):
-    """Sort rows by a key function (needed only when order was lost).
-
-    ``columns`` optionally declares which columns the key reads, in
-    significance order — downstream order-dependent operators
-    (``MergeJoin``) are then statically known to be safe.
-    """
+    """Sort rows stably on ``columns``, in significance order (needed
+    only when order was lost) — downstream order-dependent operators
+    (``MergeJoin``) are then statically known to be safe."""
 
     INPUTS = ("_source",)
 
-    def __init__(self, source: Iterable[Row], key, reverse: bool = False,
-                 *, columns: tuple[str, ...] | None = None):
+    def __init__(self, source: Iterable[Row], columns: tuple[str, ...]):
         self._source = source
-        self._key = key
-        self._reverse = reverse
-        self.columns = tuple(columns) if columns is not None else None
+        self.columns = tuple(columns)
 
     def _batches(self, size: int) -> Iterator[RecordBatch]:
         ordered = sorted(input_rows(self._source, size),
-                         key=self._key, reverse=self._reverse)
+                         key=lambda row: [row[c] for c in self.columns])
         return batches_from_rows(ordered, size)
 
 
@@ -1100,12 +749,11 @@ class Decompress(Operator):
     def _batches(self, size: int) -> Iterator[RecordBatch]:
         targets = self._columns
         for batch in _input_batches(self._source, size):
-            batch = batch.compact()
             columns = batch.columns()
             for name in targets:
                 if name in columns:
                     columns[name] = self._decoded_column(columns[name])
-            yield RecordBatch(columns, batch.raw_length)
+            yield RecordBatch(columns, len(batch))
 
 
 class XMLSerialize(Operator):
@@ -1142,17 +790,3 @@ class XMLSerialize(Operator):
 
     def _batches(self, size: int) -> Iterator[RecordBatch]:
         return batches_from_rows(self._serialized(size), size)
-
-
-class CompressConstant:
-    """Compress a query constant once with a container's source model.
-
-    Not an iterator — a helper the optimizer uses to push a comparison
-    into the compressed domain (one encode instead of N decodes).
-    """
-
-    def __init__(self, repository: CompressedRepository, path: str):
-        self._codec = repository.container(path).codec
-
-    def encode(self, constant: str):
-        return self._codec.try_encode(constant)

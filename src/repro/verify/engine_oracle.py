@@ -116,16 +116,22 @@ def _blame(xml: str, query: str, codec_variant: str
         repository.container(path).codec.name
         for path in paths & set(repository.container_paths())})
     container = ",".join(sorted(paths)) if paths else None
+    return (",".join(codecs) or codec_variant, container,
+            _plan_node(recorder))
+
+
+def _plan_node(recorder: _BlameRecorder) -> str | None:
+    """The physical operator behind the run's container activity:
+    predicates and interval searches are ``ContAccess``, whole scans
+    ``ContScan``, record reads the ``Decompress`` of a bound value."""
     kinds = {kind for _, kind in recorder.accesses}
     if recorder.predicates or "interval_searches" in kinds:
-        plan_node = "ContAccess"
-    elif "scans" in kinds:
-        plan_node = "ContScan+Select"
-    elif "record_reads" in kinds:
-        plan_node = "TextContent/Decompress"
-    else:
-        plan_node = None
-    return (",".join(codecs) or codec_variant, container, plan_node)
+        return "ContAccess"
+    if "scans" in kinds:
+        return "ContScan"
+    if "record_reads" in kinds:
+        return "Decompress"
+    return None
 
 
 def check_document(entities: dict, queries: list[str],

@@ -1,136 +1,106 @@
-"""Figure 5 — hand-built physical plan for XMark Q9.
+"""Figure 5 — the engine's physical plan for XMark Q9.
 
 The paper's Figure 5 shows Q9 evaluated as a three-way join over
 *compressed* attributes (person/@id, buyer/@person, itemref/@item),
-navigating with Parent/Child between top-down and bottom-up phases,
-and decompressing only the final person/item names.
+navigating with Parent between the attribute containers and their
+owners, and decompressing nothing before it is needed.
 
-This test rebuilds that plan from the physical operators directly and
-checks it against the declarative engine's answer — proving the
-operator algebra really composes into the paper's QEP shapes.
+This test reads that plan off the optimizer (``bind_plan`` of
+``plan_query(Q9)``), checks its shape and its verification, and checks
+the engine's answer against the reference engine — the operator
+algebra composes into the paper's QEP shape because the optimizer
+builds it so.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.baselines.galax import GalaxEngine
+from repro.lint.plan import verify_plan
 from repro.query.context import EvaluationStats
 from repro.query.engine import QueryEngine
+from repro.query.optimizer import bind_plan, plan_query
+from repro.query.parser import parse_query
 from repro.query.physical import (
-    Child,
     ContScan,
     Decompress,
-    HashJoin,
     MergeJoin,
-    StructureSummaryAccess,
-    TextContent,
+    Operator,
+    Parent,
+    XMLSerialize,
 )
 from repro.storage.loader import load_document
 from repro.xmark.generator import generate_xmark
+from repro.xmark.queries import query_text
 
 PERSON_ID = "/site/people/person/@id"
-BUYER_REF = "/site/closed_auctions/closed_auction/buyer/@person"
-ITEM_REF = "/site/closed_auctions/closed_auction/itemref/@item"
-EUROPE_ITEM_ID = "/site/regions/europe/item/@id"
-PERSON_NAME = "/site/people/person/name/#text"
-ITEM_NAME = "/site/regions/europe/item/name/#text"
+Q9 = query_text("Q9")
 
 
 @pytest.fixture(scope="module")
-def repo():
-    return load_document(generate_xmark(factor=0.02, seed=11))
+def xml():
+    return generate_xmark(factor=0.02, seed=11)
 
 
-def figure5_rows(repo, stats):
-    """The Figure 5 plan, bottom-up, joining compressed attributes."""
-    # Bottom phase: scan the two reference containers of the closed
-    # auctions.  Container scans come out in value order, so the
-    # pairing with the person ids can be a MergeJoin without sorting.
-    buyer_scan = ContScan(repo, BUYER_REF, "buyer_node", "buyer_ref",
-                          stats)
-    person_scan = ContScan(repo, PERSON_ID, "person", "person_id",
-                           stats)
-    # person/@id and buyer/@person were compressed with different
-    # source models here (no workload grouping), so the merge keys are
-    # the decoded strings; under a §3 configuration grouping the two
-    # containers, the compressed bytes themselves would be the keys.
-    buyers = MergeJoin(
-        person_scan, buyer_scan,
-        lambda r: r["person_id"].decode(stats),
-        lambda r: r["buyer_ref"].decode(stats)).rows()
-
-    # The buyer element's parent is the closed_auction; fetch its
-    # itemref/@item (Child + attribute content).
-    from repro.query.physical import Parent
-    auctions = Parent(buyers, repo, "buyer_node", "auction").rows()
-    itemrefs = Child(auctions, repo, "auction", "itemref",
-                     tag="itemref", stats=stats).rows()
-    item_scan = ContScan(repo, ITEM_REF, "itemref_owner", "item_ref",
-                         stats)
-    ref_by_owner = {row["itemref_owner"].node_id: row["item_ref"]
-                    for row in item_scan}
-    for row in itemrefs:
-        row["item_ref"] = ref_by_owner[row["itemref"].node_id]
-
-    # Join against the European items on @id (hash join: itemrefs are
-    # no longer in value order after the navigation steps).
-    europe_items = ContScan(repo, EUROPE_ITEM_ID, "item", "item_id",
-                            stats)
-    matched = HashJoin(
-        itemrefs, europe_items.rows(),
-        lambda r: r["item_ref"].decode(stats),
-        lambda r: r["item_id"].decode(stats), stats).rows()
-
-    # Top: navigate to the two <name> elements and fetch their text,
-    # decompressing only here (Figure 5's topmost operators).
-    named = Child(matched, repo, "person", "person_name_el",
-                  tag="name", stats=stats)
-    named = TextContent(named, repo, "person_name_el", "person_name",
-                        PERSON_NAME, stats)
-    named = Child(named, repo, "item", "item_name_el", tag="name",
-                  stats=stats)
-    named = TextContent(named, repo, "item_name_el", "item_name",
-                        ITEM_NAME, stats)
-    final = Decompress(named, ["person_name", "item_name"],
-                       stats).rows()
-    return final
+@pytest.fixture(scope="module")
+def repo(xml):
+    return load_document(xml)
 
 
-def engine_pairs(repo):
-    engine = QueryEngine(repo)
-    result = engine.execute(
-        "for $p in /site/people/person, "
-        "$t in /site/closed_auctions/closed_auction, "
-        "$t2 in /site/regions/europe/item "
-        "where $t/buyer/@person = $p/@id "
-        "and $t/itemref/@item = $t2/@id "
-        'return <r person="{$p/name/text()}" '
-        'item="{$t2/name/text()}"/>')
-    pairs = []
-    for element in result.items:
-        pairs.append((element.attribute("person"),
-                      element.attribute("item")))
-    return sorted(pairs)
+@pytest.fixture(scope="module")
+def q9_tree(repo):
+    """The bound tree of Q9's join FLWOR (the one with MergeJoins)."""
+    trees = bind_plan(plan_query(parse_query(Q9)), lambda doc: repo)
+    (tree,) = [t for t in trees
+               if any(isinstance(n, MergeJoin) for n in nodes(t))]
+    return tree
+
+
+def nodes(tree) -> list[Operator]:
+    """Every operator of a tree, pre-order."""
+    found = [tree]
+    for child in tree.inputs():
+        if isinstance(child, Operator):
+            found.extend(nodes(child))
+    return found
+
+
+def is_key_stream(node) -> bool:
+    """``ContScan → Parent^k → Decompress``: one container's values,
+    decoded, beside their owners in value order."""
+    if not isinstance(node, Decompress):
+        return False
+    (below,) = node.inputs()
+    while isinstance(below, Parent):
+        (below,) = below.inputs()
+    return isinstance(below, ContScan)
 
 
 class TestFigure5Plan:
-    def test_plan_matches_engine(self, repo):
-        stats = EvaluationStats()
-        rows = figure5_rows(repo, stats)
-        plan_pairs = sorted((row["person_name"], row["item_name"])
-                            for row in rows)
-        assert plan_pairs == engine_pairs(repo)
-        assert plan_pairs, "the join should produce matches"
+    def test_two_merge_joins_over_key_streams(self, q9_tree):
+        joins = [n for n in nodes(q9_tree) if isinstance(n, MergeJoin)]
+        assert len(joins) == 2
+        for join in joins:
+            assert all(map(is_key_stream, join.inputs()))
 
-    def test_decompression_only_at_the_top(self, repo):
-        """Joins run on compressed values; names decode only for the
-        surviving rows (plus the merge keys in this ungrouped setup)."""
-        stats = EvaluationStats()
-        rows = figure5_rows(repo, stats)
-        assert stats.hash_joins >= 2  # HashJoin + TextContent joins
-        # The two Decompress columns decode exactly once per output row;
-        # CompressedItem memoisation means the count is bounded.
-        assert stats.decompressions > 0
+    def test_decompression_only_at_the_top(self, q9_tree):
+        """XMLSerialize sits on top, and the only decoding is each key
+        stream's Decompress, just beneath its join: the plan verifies
+        clean."""
+        assert isinstance(q9_tree, XMLSerialize)
+        decompressions = [n for n in nodes(q9_tree)
+                          if isinstance(n, Decompress)]
+        assert len(decompressions) == 4
+        assert all(map(is_key_stream, decompressions))
+        assert verify_plan(q9_tree) == []
+
+    def test_plan_matches_engine(self, xml, repo):
+        result = QueryEngine(repo).execute(Q9)
+        assert result.to_xml() == GalaxEngine(xml).execute_to_xml(Q9)
+        assert "<item>" in result.to_xml(), \
+            "the join should produce matches"
+        assert result.stats.hash_joins == 0
 
     def test_merge_join_needs_no_sort(self, repo):
         """Container scans arrive in value order (the §4 property)."""

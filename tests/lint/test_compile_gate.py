@@ -258,14 +258,14 @@ class TestEngineGate:
     def test_errors_raise_before_execution(self, monkeypatch):
         engine = QueryEngine(build_repo())
         bad = PlanDiagnostic.make(
-            "plan.ineq-order-agnostic", "Select",
+            "plan.missing-decompress", "XMLSerialize",
             "injected error for the gate test")
         monkeypatch.setattr(QueryEngine, "verify",
                             lambda self, query: [bad])
         with pytest.raises(PlanVerificationError) as exc_info:
             engine.execute("/lib/b/t")
         assert exc_info.value.diagnostics == [bad]
-        assert "plan.ineq-order-agnostic" in str(exc_info.value)
+        assert "plan.missing-decompress" in str(exc_info.value)
 
     def test_warnings_flow_into_telemetry(self):
         repo = build_repo("huffman")

@@ -1,9 +1,9 @@
 """Tier A plan verifier over hand-built physical plans.
 
-The acceptance cases of the issue live here: an ``ineq`` predicate
-pushed to a Huffman-compressed container and a ``MergeJoin`` over
-unsorted inputs must be rejected with rule-tagged diagnostics, while
-plans respecting the paper's invariants verify clean.
+Plans breaking the paper's invariants — a ``MergeJoin`` over inputs
+not sorted on its keys, compressed keys of two source models meeting,
+a value reaching serialization compressed — must be rejected with
+rule-tagged diagnostics, while plans respecting them verify clean.
 """
 
 from __future__ import annotations
@@ -18,17 +18,15 @@ from repro.partitioning.config import (
     ContainerGroup,
 )
 from repro.query.physical import (
+    Concat,
     ContAccess,
     ContScan,
     ContSubstring,
     Decompress,
-    HashJoin,
     MergeJoin,
     NodeSet,
-    Select,
     Sort,
     StructureSummaryAccess,
-    TextContent,
     ThetaJoin,
     XMLSerialize,
 )
@@ -64,101 +62,46 @@ def errors_of(diagnostics):
     return [d for d in diagnostics if d.severity == "error"]
 
 
-class TestCapabilityRules:
-    def test_ineq_on_huffman_rejected(self, repo):
-        """The issue's first acceptance plan: an inequality pushed into
-        the compressed domain of an order-agnostic codec."""
-        scan = ContScan(repo, TITLE, "node", "title")
-        plan = Select(scan, None, column="title",
-                      predicate_kind="ineq")
-        diagnostics = verify_plan(plan)
-        assert rules_of(errors_of(diagnostics)) == \
-            ["plan.ineq-order-agnostic"]
-        assert "huffman" in diagnostics[0].message
-
-    def test_eq_on_huffman_accepted(self, repo):
-        scan = ContScan(repo, TITLE, "node", "title")
-        plan = Select(scan, None, column="title", predicate_kind="eq")
-        assert verify_plan(plan) == []
-
-    def test_wild_on_alm_rejected(self, repo):
-        scan = ContScan(repo, URI, "node", "uri")
-        plan = Select(scan, None, column="uri", predicate_kind="wild")
-        assert rules_of(verify_plan(plan)) == ["plan.wild-unsupported"]
-
-    def test_ineq_on_alm_accepted(self, repo):
-        scan = ContScan(repo, URI, "node", "uri")
-        plan = Select(scan, None, column="uri", predicate_kind="ineq")
-        assert verify_plan(plan) == []
-
-    def test_predicate_on_decompressed_column_accepted(self, repo):
-        """After an explicit Decompress any predicate kind is fine."""
-        scan = ContScan(repo, TITLE, "node", "title")
-        plan = Select(Decompress(scan, ["title"], EvaluationStats()),
-                      None, column="title", predicate_kind="ineq")
-        assert verify_plan(plan) == []
-
-    def test_unknown_predicate_kind_is_invalid_metadata(self, repo):
-        scan = ContScan(repo, TITLE, "node", "title")
-        plan = Select(scan, None, column="title",
-                      predicate_kind="fuzzy")
-        assert rules_of(verify_plan(plan)) == ["plan.invalid-metadata"]
-
-
 class TestMergeJoin:
     def test_unsorted_input_rejected(self, repo):
-        """The issue's second acceptance plan: merging on a column the
-        input is not value-ordered on (document order != value order
-        after navigation)."""
-        titles = TextContent(
-            StructureSummaryAccess(repo, [("child", "b")], "b"),
-            repo, "b", "title", TITLE, EvaluationStats())
-        scan = ContScan(repo, TITLE, "node", "other")
-        plan = MergeJoin(titles, scan, lambda r: r["title"],
-                         lambda r: r["other"],
-                         left_column="title", right_column="other")
+        """Merging on a column the input is not ordered on: a scan's
+        owners come in value order, not document order."""
+        scan = ContScan(repo, TITLE, "node", "title")
+        books = StructureSummaryAccess(repo, [("descendant", "b")], "b")
+        plan = MergeJoin(scan, books, "node", "b")
         rules = rules_of(errors_of(verify_plan(plan)))
         assert rules == ["plan.merge-join-unordered"]
 
     def test_sort_without_declared_keys_rejected(self, repo):
+        """A Sort orders on its declared columns only: none, or not
+        the join key, proves nothing about the key's order."""
         scan = ContScan(repo, TITLE, "node", "title")
-        shuffled = Sort(scan, key=lambda r: 0)  # order undeclared
-        plan = MergeJoin(shuffled, ContScan(repo, TITLE, "n2", "t2"),
-                         lambda r: r["title"], lambda r: r["t2"],
-                         left_column="title", right_column="t2")
-        assert "plan.merge-join-unordered" in \
-            rules_of(verify_plan(plan))
+        for columns in ((), ("node",)):
+            plan = MergeJoin(Sort(scan, columns),
+                             ContScan(repo, TITLE, "n2", "t2"),
+                             "title", "t2")
+            assert "plan.merge-join-unordered" in \
+                rules_of(verify_plan(plan))
 
     def test_value_ordered_scans_accepted(self, repo):
         """Two scans of one container are value-ordered and share a
         source model: the paper's compressed merge join."""
         left = ContScan(repo, TITLE, "ln", "lv")
         right = ContScan(repo, TITLE, "rn", "rv")
-        plan = MergeJoin(left, right, lambda r: r["lv"],
-                         lambda r: r["rv"],
-                         left_column="lv", right_column="rv")
+        plan = MergeJoin(left, right, "lv", "rv")
         assert verify_plan(plan) == []
 
     def test_declared_sort_establishes_order(self, repo):
-        titles = TextContent(
-            StructureSummaryAccess(repo, [("child", "b")], "b"),
-            repo, "b", "title", TITLE, EvaluationStats())
-        sorted_titles = Sort(titles, key=lambda r: r["title"],
-                             columns=("title",))
-        plan = MergeJoin(sorted_titles, ContScan(repo, TITLE, "n", "v"),
-                         lambda r: r["title"], lambda r: r["v"],
-                         left_column="title", right_column="v")
+        """Two value-ordered runs concatenated lose their order; a Sort
+        on the key column restores it."""
+        runs = Concat(ContScan(repo, TITLE, "node", "title"),
+                      ContScan(repo, TITLE, "node", "title"))
+        assert "plan.merge-join-unordered" in rules_of(verify_plan(
+            MergeJoin(runs, ContScan(repo, TITLE, "n", "v"),
+                      "title", "v")))
+        plan = MergeJoin(Sort(runs, ("title",)),
+                         ContScan(repo, TITLE, "n", "v"), "title", "v")
         assert errors_of(verify_plan(plan)) == []
-
-    def test_undeclared_keys_downgrade_to_info(self, repo):
-        """Plans predating the metadata (e.g. Figure 5's) are not
-        rejected — the verifier just flags them unverifiable."""
-        plan = MergeJoin(ContScan(repo, TITLE, "a", "b"),
-                         ContScan(repo, URI, "c", "d"),
-                         lambda r: r["b"], lambda r: r["d"])
-        diagnostics = verify_plan(plan)
-        assert rules_of(diagnostics) == ["plan.merge-join-unverifiable"]
-        assert diagnostics[0].severity == "info"
 
 
 class TestContSubstring:
@@ -214,25 +157,10 @@ class TestCompressedDomains:
         share a source model; their bit strings must not meet."""
         plan = MergeJoin(ContScan(repo, TITLE, "a", "title"),
                          ContScan(repo, URI, "c", "uri"),
-                         lambda r: r["title"], lambda r: r["uri"],
-                         left_column="title", right_column="uri")
-        assert "plan.cross-domain-compare" in \
-            rules_of(verify_plan(plan))
-
-    def test_cross_domain_hash_join_rejected(self, repo):
-        plan = HashJoin(ContScan(repo, TITLE, "a", "title"),
-                        ContScan(repo, URI, "c", "uri"),
-                        lambda r: r["title"], lambda r: r["uri"],
-                        left_column="title", right_column="uri")
+                         "title", "uri")
         assert rules_of(verify_plan(plan)) == \
             ["plan.cross-domain-compare"]
 
-    def test_same_model_hash_join_accepted(self, repo):
-        plan = HashJoin(ContScan(repo, TITLE, "a", "lv"),
-                        ContScan(repo, TITLE, "c", "rv"),
-                        lambda r: r["lv"], lambda r: r["rv"],
-                        left_column="lv", right_column="rv")
-        assert verify_plan(plan) == []
 
 
 class TestDecompressDiscipline:
@@ -267,8 +195,7 @@ class TestDecompressDiscipline:
 class TestSchemaChecks:
     def test_unknown_column_rejected(self, repo):
         scan = ContScan(repo, TITLE, "node", "title")
-        plan = Select(scan, None, column="no_such_column",
-                      predicate_kind="eq")
+        plan = Sort(scan, ("no_such_column",))
         diagnostics = verify_plan(plan)
         assert rules_of(diagnostics) == ["plan.unknown-column"]
         assert "no_such_column" in diagnostics[0].message
@@ -276,20 +203,18 @@ class TestSchemaChecks:
     def test_open_schema_suppresses_unknown_column(self, repo):
         """A plain-list input is untyped: no false positives."""
         rows = [{"anything": 1}]
-        plan = Select(rows, None, column="anything",
-                      predicate_kind="eq")
+        plan = Sort(rows, ("anything",))
         assert verify_plan(plan) == []
 
     def test_operator_path_locates_the_offender(self, repo):
         scan = ContScan(repo, TITLE, "node", "title")
-        inner = Select(scan, None, column="missing",
-                       predicate_kind="eq")
+        inner = Sort(scan, ("missing",))
         plan = XMLSerialize(
             Decompress(inner, ["title"], EvaluationStats()),
             ("title",))
         diagnostics = verify_plan(plan)
         assert diagnostics[0].operator_path == \
-            "XMLSerialize/source=Decompress/source=Select"
+            "XMLSerialize/source=Decompress/source=Sort"
 
 
 class TestNodeSet:
@@ -301,8 +226,7 @@ class TestNodeSet:
                          "intersect")
         assert verify_plan(XMLSerialize(owners, ())) == []
         merge = MergeJoin(owners, StructureSummaryAccess(
-            repo, [("descendant", "b")], "m"), None, None,
-            left_column="n", right_column="m")
+            repo, [("descendant", "b")], "m"), "n", "m")
         assert verify_plan(merge) == []
         assert rules_of(verify_plan(XMLSerialize(owners, ("v",)))) == \
             ["plan.unknown-column"]
@@ -343,18 +267,21 @@ class TestIntervalAccess:
 class TestErrorType:
     def test_plan_verification_error_lists_errors(self, repo):
         scan = ContScan(repo, TITLE, "node", "title")
-        plan = Select(scan, None, column="title",
-                      predicate_kind="ineq")
+        plan = XMLSerialize(scan, ("title",))
         diagnostics = verify_plan(plan)
         error = PlanVerificationError(diagnostics)
         assert error.diagnostics == diagnostics
-        assert "plan.ineq-order-agnostic" in str(error)
+        assert "plan.missing-decompress" in str(error)
 
     def test_every_diagnostic_rule_is_cataloged(self, repo):
-        scan = ContScan(repo, TITLE, "node", "title")
+        merge = MergeJoin(ContAccess(repo, TITLE, "a", "title", "t", "u"),
+                          ContScan(repo, URI, "c", "uri"), "a", "uri")
         plan = XMLSerialize(
-            Select(scan, None, column="title",
-                   predicate_kind="ineq"), ("title",))
-        for diagnostic in verify_plan(plan):
+            Decompress(merge, ["a"], EvaluationStats()), ("title",))
+        diagnostics = verify_plan(plan)
+        assert {d.rule for d in diagnostics} == {
+            "plan.interval-decompressing", "plan.merge-join-unordered",
+            "plan.duplicate-decompress", "plan.missing-decompress"}
+        for diagnostic in diagnostics:
             assert diagnostic.rule in RULES
             assert diagnostic.severity == RULES[diagnostic.rule].severity

@@ -158,7 +158,10 @@ class TestRawDecode:
                 def _batches(self, size):
                     yield {"v": self._codec.decode(b"x")}
             """)
-        assert lint_paths([tmp_path]) == []
+        # Decompress is the one sanctioned site.
+        diagnostics = lint_paths([tmp_path])
+        assert rules_of(diagnostics) == ["src.raw-decode"]
+        assert "TextContent" in diagnostics[0].message
 
     def test_decode_outside_physical_py_not_flagged(self, tmp_path):
         write(tmp_path, "storage.py", """\

@@ -23,23 +23,15 @@ from repro.query.batch import (
 )
 from repro.query.context import EvaluationStats, NodeItem
 from repro.query.physical import (
-    AttributeContent,
-    Child,
     ContAccess,
     ContScan,
     Decompress,
-    Descendant,
-    Distinct,
-    HashJoin,
     MergeJoin,
     NestedLoopJoin,
     Operator,
     Parent,
-    Project,
-    Select,
     Sort,
     StructureSummaryAccess,
-    TextContent,
 )
 from repro.storage.loader import load_document
 
@@ -79,7 +71,7 @@ class TestRecordBatch:
     def test_from_rows_to_rows_roundtrip(self):
         batch = RecordBatch.from_rows(self.ROWS)
         assert list(batch.to_rows()) == self.ROWS
-        assert len(batch) == batch.raw_length == 3
+        assert len(batch) == 3
 
     def test_from_rows_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -90,27 +82,9 @@ class TestRecordBatch:
             RecordBatch({"a": ItemColumn([1, 2]),
                          "b": ItemColumn([1])})
 
-    def test_filter_is_lazy_and_ands_masks(self):
+    def test_take_picks_rows_by_position(self):
         batch = RecordBatch.from_rows(self.ROWS)
-        once = batch.filter(np.array([True, True, False]))
-        assert once.raw_length == 3 and len(once) == 2
-        twice = once.filter(np.array([False, True, True]))
-        # raw rows survive; only the conjunction is valid.
-        assert twice.raw_length == 3 and len(twice) == 1
-        assert [r["v"] for r in twice.to_rows()] == ["b"]
-
-    def test_compact_materializes_and_drops_mask(self):
-        batch = RecordBatch.from_rows(self.ROWS).filter(
-            np.array([True, False, True]))
-        compacted = batch.compact()
-        assert compacted.validity is None
-        assert compacted.raw_length == 2
-        assert [r["v"] for r in compacted.to_rows()] == ["a", "c"]
-
-    def test_take_counts_valid_rows_only(self):
-        batch = RecordBatch.from_rows(self.ROWS).filter(
-            np.array([False, True, True]))
-        taken = batch.take(np.array([1, 0, 1]))
+        taken = batch.take(np.array([2, 1, 2]))
         assert [r["v"] for r in taken.to_rows()] == ["c", "b", "c"]
 
     def test_slice_clamps(self):
@@ -119,28 +93,21 @@ class TestRecordBatch:
             ["b", "c"]
         assert len(batch.slice(3, 5)) == 0
 
-    def test_with_column_requires_compacted(self):
-        batch = RecordBatch.from_rows(self.ROWS).filter(
-            np.array([True, True, False]))
+    def test_with_column_adds_or_replaces(self):
+        batch = RecordBatch.from_rows(self.ROWS)
+        grown = batch.with_column("x", ItemColumn([7, 8, 9]))
+        assert [r["x"] for r in grown.to_rows()] == [7, 8, 9]
+        replaced = grown.with_column("v", ItemColumn(["z"] * 3))
+        assert [r["v"] for r in replaced.to_rows()] == ["z"] * 3
+        assert batch.column_names() == ("k", "v")   # unchanged
         with pytest.raises(ValueError):
-            batch.with_column("x", ItemColumn([1, 2, 3]))
-        grown = batch.compact().with_column("x", ItemColumn([7, 8]))
-        assert [r["x"] for r in grown.to_rows()] == [7, 8]
+            batch.with_column("x", ItemColumn([1]))
 
     def test_merged_with_is_dict_merge(self):
         left = RecordBatch.from_rows([{"a": 1, "s": "l"}])
         right = RecordBatch.from_rows([{"b": 2, "s": "r"}])
         merged = left.merged_with(right)
         assert list(merged.to_rows()) == [{"a": 1, "s": "r", "b": 2}]
-
-    def test_project_preserves_validity_and_raises_on_missing(self):
-        batch = RecordBatch.from_rows(self.ROWS).filter(
-            np.array([True, False, True]))
-        projected = batch.project(["v"])
-        assert [r for r in projected.to_rows()] == \
-            [{"v": "a"}, {"v": "c"}]
-        with pytest.raises(KeyError):
-            batch.project(["ghost"])
 
     def test_concat_mixed_column_kinds_falls_back_to_items(self, repo):
         container = repo.container(NAME_PATH)
@@ -149,7 +116,7 @@ class TestRecordBatch:
         items = RecordBatch(
             {"v": ItemColumn(["x"])})
         merged = RecordBatch.concat([value, items])
-        assert merged.raw_length == 3
+        assert len(merged) == 3
         assert isinstance(merged.column("v"), ItemColumn)
 
     def test_batches_from_rows_roundtrip_all_sizes(self):
@@ -176,12 +143,6 @@ class TestColumns:
         records = container.as_arrays().records
         assert decoded == [codec.decode(records[2].compressed),
                            codec.decode(records[0].compressed)]
-
-    def test_value_column_interval_mask_is_positional(self, repo):
-        container = repo.container(NAME_PATH)
-        column = ValueColumn(container, np.array([0, 3, 1, 2]))
-        mask = column.interval_mask(1, 3)
-        assert mask.tolist() == [False, False, True, True]
 
     def test_value_column_concat_rejects_mixed_containers(self, repo):
         left = ValueColumn(repo.container(NAME_PATH), np.array([0]))
@@ -216,7 +177,7 @@ class TestOperatorProtocol:
         for size, lengths in ((1, [1] * 5), (2, [2, 2, 1]),
                               (7, [5]), (1024, [5])):
             batches = list(_Chunked(self.ROWS).batches(size))
-            assert [b.raw_length for b in batches] == lengths
+            assert [len(b) for b in batches] == lengths
             assert list(rows_of_batches(batches)) == self.ROWS
 
     def test_neither_protocol_raises(self):
@@ -232,7 +193,7 @@ class TestOperatorProtocol:
     def test_default_batch_size(self):
         batches = list(_Chunked(
             [{"i": i} for i in range(DEFAULT_BATCH_SIZE + 1)]).batches())
-        assert [b.raw_length for b in batches] == \
+        assert [len(b) for b in batches] == \
             [DEFAULT_BATCH_SIZE, 1]
 
 
@@ -265,17 +226,20 @@ class TestBatchTelemetry:
             assert self._counters(run)[1]["container.scans"] == 1
 
     def test_per_row_operator_keeps_upstream_on_batches(self, repo):
-        """A ``Child`` mid-pipeline pulls its input as batches."""
+        """A ``NestedLoopJoin`` mid-pipeline pulls its input as
+        batches."""
         def run():
             scan = ContScan(repo, ID_PATH, "person", "pid")
-            ages = Child(scan, repo, "person", "age", tag="age")
-            plan = Select(ages, lambda r: r["age"].node_id > 4)
-            assert [r["age"].node_id for r in plan] == [7, 10, 13]
+            plan = Parent(NestedLoopJoin(
+                scan, [{"k": 4}],
+                lambda a, b: a["person"].node_id > b["k"]),
+                repo, "person", "up")
+            assert [r["person"].node_id for r in plan] == [5, 8, 11]
         _, counters = self._counters(run)
         assert counters["op.ContScan.batches"] > 0
         assert counters["op.ContScan.rows"] == 4
-        assert counters["op.Child.rows"] == 4
-        assert counters["op.Select.rows"] == 3
+        assert counters["op.NestedLoopJoin.rows"] == 3
+        assert counters["op.Parent.rows"] == 3
 
 
 # -- per-operator output at every batch width -----------------------------------
@@ -301,7 +265,7 @@ def _check(build, expected):
     assert _plain(build()) == expected
     for size in SIZES:
         batches = list(build().batches(size))
-        assert all(b.raw_length <= size for b in batches), size
+        assert all(len(b) <= size for b in batches), size
         assert _plain(rows_of_batches(batches)) == expected, size
 
 
@@ -331,11 +295,6 @@ class TestOperatorParity:
         _check(lambda: _persons(repo),
                [{"n": 2}, {"n": 5}, {"n": 8}, {"n": 11}])
 
-    def test_child(self, repo):
-        _check(lambda: Child(_persons(repo), repo, "n", "c", tag="age"),
-               [{"n": 2, "c": 4}, {"n": 5, "c": 7},
-                {"n": 8, "c": 10}, {"n": 11, "c": 13}])
-
     def test_parent(self, repo):
         _check(lambda: Parent(_persons(repo), repo, "n", "up"),
                [{"n": n, "up": 1} for n in (2, 5, 8, 11)])
@@ -345,52 +304,24 @@ class TestOperatorParity:
                [])
 
     def test_descendant(self, repo):
-        _check(lambda: Descendant([{"n": NodeItem(0)}], repo,
-                                  "n", "d", tag="total"),
-               [{"n": 0, "d": 16}, {"n": 0, "d": 18},
-                {"n": 0, "d": 20}])
+        _check(lambda: StructureSummaryAccess(
+            repo, [("child", "site"), ("descendant", "total")], "d"),
+            [{"d": 16}, {"d": 18}, {"d": 20}])
 
     def test_text_content(self, repo):
-        _check(lambda: TextContent(_persons(repo, "name"), repo,
-                                   "n", "text", NAME_PATH),
-               [{"n": 3, "text": "Carol"}, {"n": 6, "text": "Alice"},
-                {"n": 9, "text": "Bob"}, {"n": 12, "text": "Dave"}])
+        """Each name text beside its element and, one Parent up, its
+        person — the key streams of the engine's joins."""
+        _check(lambda: Parent(ContScan(repo, NAME_PATH, "t", "text"),
+                              repo, "t", "n"),
+               [{"t": 6, "text": "Alice", "n": 5},
+                {"t": 9, "text": "Bob", "n": 8},
+                {"t": 3, "text": "Carol", "n": 2},
+                {"t": 12, "text": "Dave", "n": 11}])
 
     def test_attribute_content(self, repo):
-        _check(lambda: AttributeContent(_persons(repo), repo,
-                                        "n", "id", ID_PATH),
+        _check(lambda: ContScan(repo, ID_PATH, "n", "id"),
                [{"n": 2, "id": "p0"}, {"n": 5, "id": "p1"},
                 {"n": 8, "id": "p2"}, {"n": 11, "id": "p3"}])
-
-    def test_select_row_predicate(self, repo):
-        rows = [{"k": i % 3, "i": i} for i in range(10)]
-        _check(lambda: Select(list(rows), lambda r: r["k"] == 1),
-               [{"k": 1, "i": i} for i in (1, 4, 7)])
-
-    def test_select_vectorized_interval(self, repo):
-        def decoding_predicate(row):
-            raise AssertionError("interval not vectorized")
-
-        _check(lambda: Select(ContScan(repo, NAME_PATH, "id", "v"),
-                              decoding_predicate,
-                              column="v", predicate_kind="ineq",
-                              interval=("Alice", "Bob", True, True)),
-               [{"id": 6, "v": "Alice"}, {"id": 9, "v": "Bob"}])
-
-    def test_project(self, repo):
-        rows = [{"a": 1, "b": 2}, {"a": 3, "b": 4}]
-        _check(lambda: Project(list(rows), ["b"]),
-               [{"b": 2}, {"b": 4}])
-
-    def test_hash_join(self, repo):
-        left = [{"l": i} for i in (1, 2, 3, 2)]
-        right = [{"r": 2, "t": "x"}, {"r": 2, "t": "y"},
-                 {"r": 3, "t": "z"}]
-        _check(lambda: HashJoin(list(left), list(right),
-                                lambda r: r["l"], lambda r: r["r"]),
-               [{"l": 2, "r": 2, "t": "x"}, {"l": 2, "r": 2, "t": "y"},
-                {"l": 3, "r": 3, "t": "z"},
-                {"l": 2, "r": 2, "t": "x"}, {"l": 2, "r": 2, "t": "y"}])
 
     def test_nested_loop_join(self, repo):
         _check(lambda: NestedLoopJoin(
@@ -402,8 +333,7 @@ class TestOperatorParity:
         left = [{"l": k} for k in (1, 2, 2, 5, 5, 5)]
         right = [{"r": k, "i": i}
                  for i, k in enumerate((2, 2, 5, 7))]
-        _check(lambda: MergeJoin(list(left), list(right),
-                                 lambda r: r["l"], lambda r: r["r"]),
+        _check(lambda: MergeJoin(list(left), list(right), "l", "r"),
                [{"l": 2, "r": 2, "i": i} for i in (0, 1, 0, 1)]
                + [{"l": 5, "r": 5, "i": 2}] * 3)
 
@@ -411,19 +341,13 @@ class TestOperatorParity:
         # equal-key runs longer than the batch size must be stitched.
         left = [{"l": 4}] * 9 + [{"l": 6}]
         right = [{"r": 4, "i": i} for i in range(5)] + [{"r": 6, "i": 9}]
-        _check(lambda: MergeJoin(list(left), list(right),
-                                 lambda r: r["l"], lambda r: r["r"]),
+        _check(lambda: MergeJoin(list(left), list(right), "l", "r"),
                [{"l": 4, "r": 4, "i": i} for i in range(5)] * 9
                + [{"l": 6, "r": 6, "i": 9}])
 
-    def test_distinct(self, repo):
-        rows = [{"k": i % 4, "i": i} for i in range(13)]
-        _check(lambda: Distinct(list(rows), lambda r: r["k"]),
-               [{"k": i, "i": i} for i in range(4)])
-
     def test_sort(self, repo):
         rows = [{"k": i} for i in (5, 2, 9, 1)]
-        _check(lambda: Sort(list(rows), lambda r: r["k"]),
+        _check(lambda: Sort(list(rows), ("k",)),
                [{"k": 1}, {"k": 2}, {"k": 5}, {"k": 9}])
 
     def test_decompress(self, repo):
@@ -455,8 +379,7 @@ class TestMergeJoinStreaming:
         left, state = self._tracking(
             {"l": i} for i in range(total))
         right = [{"r": i} for i in range(0, total, 500)]
-        join = iter(MergeJoin(left, right,
-                              lambda r: r["l"], lambda r: r["r"]))
+        join = iter(MergeJoin(left, right, "l", "r"))
         assert next(join) == {"l": 0, "r": 0}
         # the probe side was pulled on demand, not list()-ed.
         assert state["pulled"] < total // 10
@@ -467,8 +390,7 @@ class TestMergeJoinStreaming:
             {"l": i} for i in range(total))
         right, rstate = self._tracking(
             {"r": i} for i in range(total))
-        join = MergeJoin(left, right,
-                         lambda r: r["l"], lambda r: r["r"])
+        join = MergeJoin(left, right, "l", "r")
         first_batch = list(next(join.batches(64)).to_rows())
         assert first_batch[0] == {"l": 0, "r": 0}
         assert all(row["l"] == row["r"] for row in first_batch)
@@ -486,12 +408,7 @@ class TestMergeJoinStreaming:
                      enumerate(np.sort(rng.integers(0, 12, 25)))]
             expected = [{**a, **b} for a in left for b in right
                         if a["l"] == b["r"]]
-            _check(lambda: MergeJoin(list(left), list(right),
-                                     lambda r: r["l"], lambda r: r["r"]),
-                   expected)
-            # Declared key columns with no key functions: the same.
-            _check(lambda: MergeJoin(list(left), list(right), None, None,
-                                     left_column="l", right_column="r"),
+            _check(lambda: MergeJoin(list(left), list(right), "l", "r"),
                    expected)
 
     def test_full_equijoin_result_matches(self):
@@ -499,8 +416,7 @@ class TestMergeJoinStreaming:
         right = [{"r": i} for i in range(5)]
         expected = [(i // 2, i // 2) for i in range(10)]
         for size in SIZES:
-            join = MergeJoin(list(left), list(right),
-                             lambda r: r["l"], lambda r: r["r"])
+            join = MergeJoin(list(left), list(right), "l", "r")
             assert [(r["l"], r["r"]) for r in rows_of_batches(
                 join.batches(size))] == expected
 

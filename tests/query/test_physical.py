@@ -3,26 +3,17 @@
 import pytest
 
 from repro.errors import QueryTypeError
-from repro.query.context import CompressedItem, EvaluationStats, NodeItem
+from repro.query.context import EvaluationStats, NodeItem
 from repro.query.physical import (
-    AttributeContent,
-    Child,
     ContAccess,
     ContScan,
-    CompressConstant,
     Decompress,
-    Descendant,
-    Distinct,
-    HashJoin,
     MergeJoin,
     NestedLoopJoin,
     NodeSet,
     Parent,
-    Project,
-    Select,
     Sort,
     StructureSummaryAccess,
-    TextContent,
     ThetaJoin,
 )
 from repro.storage.loader import load_document
@@ -81,17 +72,10 @@ class TestDataAccess:
         assert len(ids) == 3
         assert stats.summary_accesses == 1
 
-    def test_child_preserves_input_order(self, repo):
-        people = StructureSummaryAccess(repo, [("child", "site"),
-                                               ("child", "people")], "p")
-        persons = Child(people, repo, "p", "c", tag="person").rows()
-        assert len(persons) == 3
-        ids = [r["c"].node_id for r in persons]
-        assert ids == sorted(ids)
-
     def test_child_unknown_tag_empty(self, repo):
-        people = StructureSummaryAccess(repo, [("child", "site")], "p")
-        assert Child(people, repo, "p", "c", tag="ghost").rows() == []
+        absent = StructureSummaryAccess(repo, [("child", "site"),
+                                               ("child", "ghost")], "p")
+        assert absent.rows() == []
 
     def test_parent(self, repo):
         persons = StructureSummaryAccess(
@@ -105,57 +89,31 @@ class TestDataAccess:
         assert Parent(root_rows, repo, "n", "up").rows() == []
 
     def test_descendant(self, repo):
-        site = [{"n": NodeItem(0)}]
-        rows = Descendant(site, repo, "n", "d", tag="total").rows()
-        assert len(rows) == 2
-
-    def test_text_content_hash_join(self, repo, stats):
-        persons = StructureSummaryAccess(
-            repo, [("descendant", "name")], "n")
-        rows = TextContent(persons, repo, "n", "text", NAME_PATH,
-                           stats).rows()
-        assert len(rows) == 3
-        assert stats.hash_joins == 1
-        decoded = sorted(r["text"].decode(stats) for r in rows)
-        assert decoded == ["Alice", "Bob", "Carol"]
+        totals = StructureSummaryAccess(
+            repo, [("child", "site"), ("descendant", "total")], "d")
+        assert [repo.tag_of(r["d"].node_id) for r in totals.rows()] == \
+            ["total", "total"]
 
     def test_attribute_content(self, repo):
-        persons = StructureSummaryAccess(
-            repo, [("descendant", "person")], "n")
-        rows = AttributeContent(persons, repo, "n", "id_val",
-                                ID_PATH).rows()
-        assert len(rows) == 3
+        """An attribute container pairs each owner with its value."""
+        rows = Decompress(ContScan(repo, ID_PATH, "n", "id_val"),
+                          ["id_val"], EvaluationStats()).rows()
+        assert [r["id_val"] for r in rows] == ["p0", "p1", "p2"]
+        assert {repo.tag_of(r["n"].node_id) for r in rows} == {"person"}
 
 
 class TestCombination:
     ROWS = [{"k": 1, "v": "a"}, {"k": 2, "v": "b"}, {"k": 1, "v": "c"}]
 
-    def test_select(self):
-        out = Select(self.ROWS, lambda r: r["k"] == 1).rows()
-        assert [r["v"] for r in out] == ["a", "c"]
-
-    def test_project(self):
-        out = Project(self.ROWS, ["k"]).rows()
-        assert out == [{"k": 1}, {"k": 2}, {"k": 1}]
-
-    def test_hash_join(self):
-        left = [{"l": 1}, {"l": 2}, {"l": 3}]
-        right = [{"r": 2, "tag": "x"}, {"r": 2, "tag": "y"}]
-        out = HashJoin(left, right, lambda r: r["l"],
-                       lambda r: r["r"]).rows()
-        assert [(r["l"], r["tag"]) for r in out] == [(2, "x"), (2, "y")]
-
     def test_merge_join_with_duplicate_runs(self):
         left = [{"l": 1}, {"l": 2}, {"l": 2}, {"l": 5}]
         right = [{"r": 2}, {"r": 2}, {"r": 5}]
-        out = MergeJoin(left, right, lambda r: r["l"],
-                        lambda r: r["r"]).rows()
+        out = MergeJoin(left, right, "l", "r").rows()
         # 2x2 cross product on key 2 plus one match on key 5.
         assert len(out) == 5
 
     def test_merge_join_empty_side(self):
-        assert MergeJoin([], [{"r": 1}], lambda r: r.get("l"),
-                         lambda r: r["r"]).rows() == []
+        assert MergeJoin([], [{"r": 1}], "l", "r").rows() == []
 
     @staticmethod
     def nodes(*ids):
@@ -256,13 +214,12 @@ class TestCombination:
         with pytest.raises(QueryTypeError):
             shared_owner.rows()
 
-    def test_distinct(self):
-        out = Distinct(self.ROWS, lambda r: r["k"]).rows()
-        assert [r["k"] for r in out] == [1, 2]
-
     def test_sort(self):
-        out = Sort(self.ROWS, lambda r: r["v"], reverse=True).rows()
-        assert [r["v"] for r in out] == ["c", "b", "a"]
+        out = Sort(self.ROWS, ("v",)).rows()
+        assert [r["v"] for r in out] == ["a", "b", "c"]
+        # Stable, significance order: k first, then v.
+        out = Sort(self.ROWS[::-1], ("k", "v")).rows()
+        assert [r["v"] for r in out] == ["a", "c", "b"]
 
 
 class TestCompressionOperators:
@@ -277,14 +234,6 @@ class TestCompressionOperators:
         assert out == [{"v": "already plain"}]
         assert stats.decompressions == 0
 
-    def test_compress_constant(self, repo):
-        helper = CompressConstant(repo, NAME_PATH)
-        encoded = helper.encode("Alice")
-        assert encoded is not None
-        codec = repo.container(NAME_PATH).codec
-        assert codec.decode(encoded) == "Alice"
-        assert helper.encode("ZZZ~unseen") is None
-
 
 class TestCompressedJoinPipeline:
     """A miniature Figure 5: join two containers on compressed keys."""
@@ -294,13 +243,12 @@ class TestCompressedJoinPipeline:
         # join via decoded keys (with a shared model the compressed
         # bytes themselves would be the keys).
         stats = EvaluationStats()
-        persons = ContScan(repo, ID_PATH, "person", "pid", stats)
-        sales = ContScan(repo, "/site/sales/sale/@buyer", "sale",
-                         "buyer", stats)
-        out = HashJoin(persons.rows(), sales.rows(),
-                       lambda r: r["pid"].decode(stats),
-                       lambda r: r["buyer"].decode(stats),
-                       stats).rows()
-        assert len(out) == 2
-        joined = {(r["pid"].decode(stats)) for r in out}
-        assert joined == {"p0", "p1"}
+        persons = Decompress(ContScan(repo, ID_PATH, "person", "pid",
+                                      stats), ["pid"], stats)
+        sales = Decompress(ContScan(repo, "/site/sales/sale/@buyer",
+                                    "sale", "buyer", stats),
+                           ["buyer"], stats)
+        out = MergeJoin(persons, sales, "pid", "buyer").rows()
+        assert [r["pid"] for r in out] == ["p0", "p1"]
+        assert all(r["pid"] == r["buyer"] for r in out)
+        assert stats.container_scans == 2 and stats.hash_joins == 0

@@ -101,7 +101,7 @@ class TestPlanCache:
                                                   monkeypatch):
         session = Session(repository)
         bad = PlanDiagnostic.make(
-            "plan.ineq-order-agnostic", "Select",
+            "plan.missing-decompress", "XMLSerialize",
             "injected error for the prepare gate test")
         monkeypatch.setattr(QueryEngine, "verify",
                             lambda self, ast: [bad])

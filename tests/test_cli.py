@@ -408,7 +408,7 @@ class TestAnalyzeExitCode:
         from repro.lint.diagnostics import PlanDiagnostic
         from repro.query.engine import QueryEngine
         bad = PlanDiagnostic.make(
-            "plan.ineq-order-agnostic", "Select",
+            "plan.missing-decompress", "XMLSerialize",
             "injected error for the CLI gate test")
         monkeypatch.setattr(QueryEngine, "verify",
                             lambda self, query: [bad])
@@ -416,7 +416,7 @@ class TestAnalyzeExitCode:
                            "/library/book/title/text()", "--analyze")
         assert code == 1
         assert "plan verification failed" in output
-        assert "plan.ineq-order-agnostic" in output
+        assert "plan.missing-decompress" in output
 
 
 class TestVerify:

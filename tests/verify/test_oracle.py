@@ -17,7 +17,9 @@ from repro.compression.base import (
     CompressionProperties,
 )
 from repro.verify.codec_oracle import run_codec_oracle
-from repro.verify.engine_oracle import run_engine_oracle
+from repro.query import physical
+from repro.verify.engine_oracle import (_BlameRecorder, _plan_node,
+                                        run_engine_oracle)
 from repro.verify.report import Mismatch, VerifyReport, write_corpus
 from repro.verify.runner import run_verify
 from repro.verify.values import float_values, int_values, string_values
@@ -160,6 +162,22 @@ class TestReporting:
         assert doc["seed"] == 7
         assert doc["ok"] is False
         assert doc["mismatches"][0]["plan_node"] == "ContAccess"
+
+    def test_blame_names_plan_operators(self):
+        """Blame maps container activity onto operators plans contain."""
+        cases = [([], [("/a", "eq")], "ContAccess"),
+                 ([("/a", "interval_searches")], [], "ContAccess"),
+                 ([("/a", "scans")], [], "ContScan"),
+                 ([("/a", "record_reads")], [], "Decompress"),
+                 ([], [], None)]
+        for accesses, predicates, expected in cases:
+            recorder = _BlameRecorder()
+            recorder.accesses.extend(accesses)
+            recorder.predicates.extend(predicates)
+            assert _plan_node(recorder) == expected
+            if expected is not None:
+                assert issubclass(getattr(physical, expected),
+                                  physical.Operator)
 
     def test_write_corpus(self, tmp_path):
         report = VerifyReport(seed=7)
