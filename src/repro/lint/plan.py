@@ -13,7 +13,8 @@ Checked invariants (see :mod:`repro.lint.rules` for the catalog):
 * ``MergeJoin`` requires inputs with a statically established sort
   order on the key columns (§4);
 * ``ThetaJoin`` requires key containers whose slot order is the
-  numeric comparison (§2.2);
+  numeric comparison (§2.2), ``ColumnCompare`` the same of both its
+  sides;
 * a ``MergeJoin``'s compressed keys must stay within one compressed
   domain (shared source model, §3.1);
 * every value reaching ``XMLSerialize`` passed through ``Decompress``
@@ -64,6 +65,7 @@ class PlanVerifier:
             "Concat": self._concat,
             "MergeJoin": self._merge_join,
             "ThetaJoin": self._theta_join,
+            "ColumnCompare": self._column_compare,
             "NestedLoopJoin": self._nested_loop_join,
             "Sort": self._sort,
             "Decompress": self._decompress,
@@ -265,6 +267,23 @@ class PlanVerifier:
         return children[0].with_column(
             node.output_column,  # type: ignore[attr-defined]
             ColumnInfo(NODE))
+
+    def _column_compare(self, node: object, path: str,
+                        children: list[PlanProperties]) -> PlanProperties:
+        for side in ("left", "right"):
+            containers = getattr(node, side)
+            if not containers or not all(
+                    not c.is_blob and c.value_type in ("int", "float")
+                    and c.codec.properties.ineq for c in containers):
+                self._report(
+                    "plan.compare-not-numeric", path,
+                    f"{side} containers {[c.path for c in containers]} "
+                    "are not all numeric-ordered records; their values "
+                    "do not compare as numbers",
+                    "check the conjunct per binding")
+        # Owners intersected and sorted: document order; no values.
+        column = node.column  # type: ignore[attr-defined]
+        return PlanProperties({column: ColumnInfo(NODE)}, (column,))
 
     def _nested_loop_join(self, node: object, path: str,
                           children: list[PlanProperties]

@@ -41,6 +41,11 @@ _ALL: tuple[Rule, ...] = (
          "blob, or order-agnostic codec): slot position is not the "
          "numeric comparison",
          "§2.2/§4 (sorted containers, order-preserving numeric codecs)"),
+    Rule("plan.compare-not-numeric", "error",
+         "ColumnCompare side is not a numeric-ordered record container "
+         "(string-typed, blob, or order-agnostic codec): its values do "
+         "not compare as numbers",
+         "§2.2/§4 (typed containers, order-preserving numeric codecs)"),
     Rule("plan.cross-domain-compare", "error",
          "compressed-domain comparison between columns compressed "
          "under different source models",

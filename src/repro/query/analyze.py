@@ -40,11 +40,14 @@ class AnalyzeReport:
         return self.text
 
 
-#: plan-line keyword -> (EvaluationStats counter, span histogram name).
+#: plan-line keyword -> (EvaluationStats counter, span histogram name);
+#: a projection reads memoised owner groups and counts nothing.
 _LINE_METRICS = (
     ("ContAccess interval", "container_accesses", "span.ContAccess"),
-    # Before "ContScan ": a merge join's line names its scans.
+    # Before "ContScan ": these lines name their scans.
     ("MergeJoin", "container_scans", "span.MergeJoin.build"),
+    ("ColumnCompare", "container_scans", "span.ColumnCompare"),
+    ("Projection ", None, "span.Projection.build"),
     ("ContScan ", "container_scans", "span.ContScan"),
     ("ContSubstring", "container_accesses", "span.ContSubstring"),
     ("ThetaJoin", "container_accesses", "span.ThetaJoin.build"),
@@ -151,9 +154,11 @@ def _diagnostics_section(telemetry: Telemetry) -> list[str]:
 def _annotate(line: str, stats, histograms: dict) -> str:
     for keyword, counter_name, span_name in _LINE_METRICS:
         if keyword in line:
-            count = getattr(stats, counter_name)
             total_ns = int(histograms.get(span_name,
                                           {}).get("total", 0))
+            if counter_name is None:
+                return f"{line}  [actual {total_ns} ns]"
+            count = getattr(stats, counter_name)
             return (f"{line}  [actual {counter_name}={count}, "
                     f"{total_ns} ns]")
     return line

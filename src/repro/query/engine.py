@@ -11,14 +11,18 @@ checks, what the plan cache holds and what the evaluator dispatches on
 * absolute paths resolve through the structure summary
   (``StructureSummaryAccess``) — never by walking the full structure
   tree (Figure 4);
-* a for-clause's constant selections — ``$v/leaf op constant``,
-  ``empty($v/leaf)``, ``contains($v/leaf, "literal")``, predicates on
-  the source's last step — run once, as the ``ContAccess → Parent →
-  NodeSet`` operator tree of
+* a for-clause's selections — ``$v/leaf op constant``, ``empty(…)``,
+  ``contains($v/leaf, "literal")``, ``$v/p op K * $v/q``, predicates
+  on the source's last step — run once, as the ``ContAccess → Parent
+  → NodeSet`` tree (``ColumnCompare`` for ``K *``) of
   :func:`~repro.query.optimizer.assign_selection` (bottom-up
-  strategy); a conjunct the containers' order answers exactly is not
+  strategy); a conjunct the containers answer exactly is not
   evaluated per binding at all, a ``contains`` is re-checked on the
   candidates only;
+* a relative value path below a for-variable (``$b/initial/text()``)
+  is a projection (:func:`~repro.query.optimizer.assign_projection`):
+  a binding looks its values up among the leaf containers' records,
+  grouped by owner once — it navigates only where the data refuse;
 * equality joins between binding variables run once per execution,
   as one ``MergeJoin`` over the two value-sorted key containers
   (:func:`~repro.query.optimizer.assign_equi_join`), keys decoded — a
@@ -83,6 +87,7 @@ from repro.query.optimizer import (
     ClausePlan,
     FlworPlan,
     QueryPlan,
+    assign_projection,
     bind_plan,
     plan_query,
 )
@@ -361,8 +366,9 @@ class _Evaluator:
                  telemetry: Telemetry | None = None):
         self._engine = engine
         self._repo = engine.repository_of
-        #: the evaluated query's plan: every FLWOR dispatches on it.
-        self._flwors = plan.by_node()
+        #: the evaluated query's plan: every FLWOR and every projected
+        #: path dispatches on it.
+        self._plans = plan.by_node()
         self.telemetry = telemetry
         # A traced run counts into its telemetry's stats, so every view
         # of the telemetry quotes QueryResult.stats.
@@ -372,7 +378,8 @@ class _Evaluator:
         self._source_cache: dict[int, list] = {}
         #: built once per execution: theta joins by clause identity,
         #: equality-join matches by ``("join", clause identity)``,
-        #: selected node ids by ``("selection", clause identity)``.
+        #: selected node ids by ``("selection", clause identity)``,
+        #: projections by ``("projection", plan identity)``.
         self._index_cache: dict = {}
 
     # -- dispatch -------------------------------------------------------------
@@ -492,7 +499,7 @@ class _Evaluator:
             else:
                 results.extend(items)
 
-        self._flwor_clause(self._flwors[id(expr)], 0, dict(env),
+        self._flwor_clause(self._plans[id(expr)], 0, dict(env),
                            collect if sink is None else sink)
         for position in range(len(expr.order) - 1, -1, -1):
             keyed.sort(key=lambda pair, p=position: pair[0][p],
@@ -680,6 +687,10 @@ class _Evaluator:
 
     def _eval_path(self, expr: PathExpr, env: dict) -> list:
         if expr.start is not None:
+            projection = self._projection(expr)
+            if projection is not None:
+                (item,) = env[projection.plan.var]
+                return projection.values(item.node_id)
             start_items = self.eval(expr.start, env)
             return self._apply_steps(start_items, expr.steps, env)
         repo = self._repo(expr.document)
@@ -708,6 +719,19 @@ class _Evaluator:
             context = self._document_step(steps.pop(0), env,
                                           expr.document)
         return self._apply_steps(context, steps, env)
+
+    def _projection(self, expr: PathExpr):
+        """The bound projection of a planned relative value path
+        (:func:`~repro.query.optimizer.assign_projection`), assigned
+        once per execution; ``None``: navigate."""
+        plan = self._plans.get(id(expr))
+        if plan is None:
+            return None
+        key = ("projection", id(plan))
+        if key not in self._index_cache:
+            with span_on(self.telemetry, "Projection.build"):
+                self._index_cache[key] = assign_projection(plan, self._repo)
+        return self._index_cache[key]
 
     def _document_step(self, step: Step, env: dict,
                        doc: str | None) -> list:

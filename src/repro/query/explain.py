@@ -22,6 +22,7 @@ from repro.query.ast import (
 )
 from repro.query.optimizer import (
     JoinPlan,
+    ProjectionPlan,
     SelectionPlan,
     SelectionTerm,
     ThetaPlan,
@@ -49,6 +50,8 @@ def _explain(expr: Expression, lines: list[str], depth: int,
         _explain_flwor(expr, lines, depth, plans)
     elif is_absolute_simple_path(expr):
         _emit(lines, depth, f"StructureSummaryAccess {_path_text(expr)}")
+    elif isinstance(plans.get(id(expr)), ProjectionPlan):
+        _emit(lines, depth, _projection_text(plans[id(expr)]))
     elif isinstance(expr, PathExpr):
         _emit(lines, depth, f"navigate {_path_text(expr)}" + (
             "" if expr.start is not None else
@@ -56,8 +59,9 @@ def _explain(expr: Expression, lines: list[str], depth: int,
     elif isinstance(expr, ElementConstructor):
         _emit(lines, depth, f"construct <{expr.name}> "
                             "(Decompress + XMLSerialize)")
-        for content in expr.content:
-            _explain(content, lines, depth + 1, plans)
+        for part in [p for _, parts in expr.attributes for p in parts] \
+                + list(expr.content):
+            _explain(part, lines, depth + 1, plans)
     elif isinstance(expr, FunctionCall):
         _emit(lines, depth, f"{expr.name}(...)")
         for arg in expr.args:
@@ -132,10 +136,31 @@ def _conjunct_text(chosen, var: str) -> str:
             "when codecs allow)")
 
 
+def _projection_text(plan: ProjectionPlan) -> str:
+    """A relative value path read as a column of its owners."""
+    leaf = _path_text(plan.source) + "".join(
+        "/#text" if step.test == "text()" else
+        f"/@{step.test}" if step.axis == "attribute" else f"/{step.test}"
+        for step in plan.steps)
+    return (f"Projection {_path_text(plan.path)} ← ContScan {leaf} + "
+            f"Parent^{plan.ascend} (records grouped by owner once per "
+            "container, looked up per binding; navigated where a "
+            "container is a blob or has mixed content)")
+
+
 def _term_text(term, var: str, fallback: str) -> str:
     """One selection term: its access path and when it is exact."""
     hops = term.range
     leaf = _path_text(PathExpr(VarRef(var), hops.leaf_steps))
+    if term.kind == "compare":
+        scaled = term.scaled
+        right = _path_text(PathExpr(VarRef(var), scaled.leaf_steps))
+        return (f"ColumnCompare {leaf} {term.op} {term.scale:g} * {right} "
+                f"(ContScan + Parent^{hops.ascend} | ContScan + "
+                f"Parent^{scaled.ascend}, decoded in bulk, once per "
+                "execution; exact where both are int/float record "
+                "containers with a decode kernel and one value per "
+                f"owner, else {fallback})")
     if term.kind == "substring":
         return (f"ContSubstring {term.needle!r} on {leaf} + Parent^n "
                 "(q-gram candidates, n per container from the summary; "

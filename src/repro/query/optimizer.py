@@ -7,22 +7,30 @@ evaluation strategies, chosen **once per query**:
 * :func:`plan_query` walks a parsed query with the variables actually
   in scope and returns a frozen :class:`QueryPlan`: per FLWOR, per
   clause, the ``where`` conjuncts that become decidable there and the
-  strategy they select (:class:`ClausePlan` holds the precedence).  The
-  engine executes that plan, ``explain`` renders it, the plan cache
-  keeps it — nobody else classifies a conjunct;
+  strategy they select (:class:`ClausePlan` holds the precedence), and
+  per relative value path below a for-variable its
+  :class:`ProjectionPlan`.  The engine executes that plan, ``explain``
+  renders it, the plan cache keeps it — nobody else classifies a
+  conjunct or a path;
 * :func:`bind_plan` binds a plan to repositories and returns the
   operator trees the Tier-A verifier checks.  Constant selections
   (:func:`assign_selection`: ``ContAccess`` interval searches on the
   sorted containers, ``ContSubstring`` candidates for ``contains``,
-  ``Parent`` steps back up — bottom-up evaluation), equality joins
+  ``Parent`` steps back up — bottom-up evaluation — and
+  ``ColumnCompare`` for ``$v/p <op> K * $v/q``), equality joins
   (:func:`assign_equi_join`: one ``MergeJoin`` over the two
   value-sorted key containers) and inequality joins
-  (:func:`assign_theta_join`) are the very trees the engine runs.
+  (:func:`assign_theta_join`) are the very trees the engine runs;
+  a projection (:func:`assign_projection`) is ``ContScan →
+  Parent^k`` over the path's leaf containers, read off their
+  memoised owner groups.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from repro.query.ast import (
     Arithmetic,
@@ -42,11 +50,12 @@ from repro.query.ast import (
     StringLiteral,
     VarRef,
 )
+from repro.query.context import CompressedItem
 from repro.query.functions import tokenize
-from repro.query.physical import (Concat, ContAccess, ContScan,
-                                  ContSubstring, Decompress, MergeJoin,
-                                  NestedLoopJoin, NodeSet, OpaqueSource,
-                                  Operator, Parent, Sort,
+from repro.query.physical import (ColumnCompare, Concat, ContAccess,
+                                  ContScan, ContSubstring, Decompress,
+                                  MergeJoin, NestedLoopJoin, NodeSet,
+                                  OpaqueSource, Operator, Parent, Sort,
                                   StructureSummaryAccess, ThetaJoin,
                                   XMLSerialize)
 from repro.storage.summary import TEXT_STEP
@@ -292,7 +301,9 @@ class SelectionTerm:
     owners (``range.ascend`` ``Parent`` hops up) of the values inside
     ``range``'s bounds; ``exists`` — the owners of any value;
     ``not-exists`` — the source nodes owning none; ``substring`` — every
-    source node above a value that may contain ``needle``.
+    source node above a value that may contain ``needle``; ``compare``
+    — the owners of a value ``l`` of ``range`` and a value ``r`` of
+    ``scaled`` with ``l <op> scale * r`` (``$v/p <op> K * $v/q``).
 
     ``exact``: the access path *is* the reference comparison, so the
     conjunct is not re-checked per binding.  ``assign_selection``
@@ -306,6 +317,9 @@ class SelectionTerm:
     range: RangePlan
     exact: bool = True
     needle: str | None = None
+    op: str | None = None
+    scale: float | None = None
+    scaled: RangePlan | None = None
 
 
 @dataclass(frozen=True)
@@ -327,6 +341,9 @@ def _selection_term(conjunct: Expression, clause_var: str | None
     plan = find_range_plan(conjunct, clause_var)
     if plan is not None:
         return SelectionTerm(conjunct, "interval", plan)
+    compare = _compare_term(conjunct, clause_var)
+    if compare is not None:
+        return compare
     if clause_var is not None and isinstance(conjunct, FunctionCall) \
             and conjunct.name in ("contains", "word-contains") \
             and len(conjunct.args) == 2 \
@@ -349,9 +366,46 @@ def _selection_term(conjunct: Expression, clause_var: str | None
             len(call.args) == 1:
         steps = _simple_value_steps(call.args[0], clause_var)
         if steps is not None:
-            return SelectionTerm(conjunct, kind, RangePlan(
-                steps, None, None, True, True, _ascend(steps)))
+            return SelectionTerm(conjunct, kind, _whole(steps))
     return None
+
+
+def _compare_term(conjunct: Expression, clause_var: str | None
+                  ) -> SelectionTerm | None:
+    """``$v/p <op> K * $v/q`` in a ``where`` (either way round, ``K``
+    a finite number on either side of ``*``) as a ``compare`` term."""
+    if clause_var is None or not isinstance(conjunct, Comparison) or \
+            conjunct.op not in _INTERVALS:
+        return None
+    for plain, scaled, op in (
+            (conjunct.left, conjunct.right, conjunct.op),
+            (conjunct.right, conjunct.left, _flip(conjunct.op))):
+        if not isinstance(scaled, Arithmetic) or scaled.op != "*":
+            continue
+        factor, path = (scaled.left, scaled.right) \
+            if _number(scaled.left) is not None \
+            else (scaled.right, scaled.left)
+        scale = _number(factor)
+        left = _simple_value_steps(plain, clause_var)
+        right = _simple_value_steps(path, clause_var)
+        if scale is not None and math.isfinite(scale) and left and right:
+            return SelectionTerm(conjunct, "compare", _whole(left), op=op,
+                                 scale=scale, scaled=_whole(right))
+    return None
+
+
+def _number(expr: Expression) -> float | None:
+    """A number literal's value — ``-K`` parses as ``0 - K`` — else
+    ``None``."""
+    if isinstance(expr, Arithmetic) and expr.op == "-":
+        left, right = _number(expr.left), _number(expr.right)
+        return None if left is None or right is None else left - right
+    return expr.value if isinstance(expr, NumberLiteral) else None
+
+
+def _whole(steps: tuple[Step, ...]) -> RangePlan:
+    """Every value ``steps`` reach, unbounded."""
+    return RangePlan(steps, None, None, True, True, _ascend(steps))
 
 
 def find_selection_plan(clause: ForClause, decidable: list[Expression]
@@ -607,6 +661,24 @@ def _term_owners(term: SelectionTerm, repository, source: PathExpr,
     return owners
 
 
+def _compared_owners(term: SelectionTerm, repository, source: PathExpr,
+                     column: str, stats) -> ColumnCompare | None:
+    """The ``ColumnCompare`` deciding a ``compare`` term over both
+    sides' containers, or ``None`` where the summary names none on a
+    side or the data refuse it (:meth:`ColumnCompare.build`)."""
+    if stats is not None:
+        stats.summary_accesses += 1
+    sides = [[leaf.container_path for leaf in repository.resolve_path(
+        leaf_summary_steps(source, side.leaf_steps))]
+        for side in (term.range, term.scaled)]
+    if any(not paths or None in paths for paths in sides):
+        return None
+    compare = ColumnCompare(repository, sides[0], term.range.ascend,
+                            sides[1], term.scaled.ascend, term.op,
+                            term.scale, column, stats)
+    return compare if compare.build() else None
+
+
 def assign_selection(clause: ForClause, plan: SelectionPlan, repo_of,
                      stats=None):
     """``(SelectionPlan, operator)`` for the clause's constant
@@ -631,6 +703,14 @@ def assign_selection(clause: ForClause, plan: SelectionPlan, repo_of,
     terms: list[SelectionTerm] = []
     selected = excluded = None
     for position, term in enumerate(plan.terms):
+        if term.kind == "compare":  # a ``where`` conjunct: may refuse
+            owners = _compared_owners(term, repository, plan.source,
+                                      column, stats)
+            if owners is not None:
+                terms.append(term)
+                selected = owners if selected is None else \
+                    NodeSet(selected, owners, column, "intersect")
+            continue
         leaves = repository.resolve_path(
             leaf_summary_steps(plan.source, term.range.leaf_steps))
         if stats is not None:
@@ -678,6 +758,89 @@ def leaf_summary_steps(source: PathExpr, leaf_steps: tuple[Step, ...]
     return [("child", "@" + s.test) if s.axis == "attribute"
             else (s.axis, TEXT_STEP if s.test == "text()" else s.test)
             for s in source.steps + tuple(leaf_steps)]
+
+
+@dataclass(frozen=True)
+class ProjectionPlan:
+    """A relative simple value path ``path`` (``$v/a/b/text()``,
+    ``$v/@x``, ``$v/a/@x``) read as a column: ``steps`` below the
+    nodes of ``var``, whose binding for-clause in scope iterates
+    ``source`` (:func:`_node_path` of it).  Keyed by the ``path`` node,
+    the way a :class:`FlworPlan` is by its FLWOR."""
+
+    path: PathExpr
+    var: str
+    steps: tuple[Step, ...]
+    source: PathExpr
+
+    @property
+    def ascend(self) -> int:
+        """``Parent`` hops from a value's owning element up to the
+        variable's node."""
+        return _ascend(self.steps)
+
+
+class Projection(NamedTuple):
+    """A :class:`ProjectionPlan` bound to its document: per leaf
+    container the summary names, its records grouped by owner — the
+    rows of ``ContScan → Parent^ascend``, read off
+    ``ContainerArrays.by_owner`` — with its codec and value type."""
+
+    plan: ProjectionPlan
+    groups: tuple[tuple[dict, object, str], ...]
+
+    def values(self, node_id: int) -> list:
+        """The path's values below node ``node_id``, compressed, in
+        document order: by the element owning each, across leaves."""
+        if len(self.groups) == 1:
+            ((groups, codec, value_type),) = self.groups
+            return [CompressedItem(record.compressed, codec, value_type)
+                    for record in groups.get(node_id, ())]
+        found = [(record, codec, value_type)
+                 for groups, codec, value_type in self.groups
+                 for record in groups.get(node_id, ())]
+        found.sort(key=lambda hit: hit[0].parent_id)
+        return [CompressedItem(record.compressed, codec, value_type)
+                for record, codec, value_type in found]
+
+
+def assign_projection(plan: ProjectionPlan, repo_of) -> Projection | None:
+    """The bound projection the engine looks a binding's values up in,
+    else ``None``: then the path is navigated per binding.
+
+    Refused, from the data, where a leaf container is a blob (no
+    record slots) or holds two values of one element (mixed content:
+    slot order is not their document order).  A path the summary lacks
+    projects to empty."""
+    repository = repo_of(plan.source.document)
+    paths = [leaf.container_path for leaf in repository.resolve_path(
+        leaf_summary_steps(plan.source, plan.steps))]
+    if None in paths:
+        return None
+    containers = [repository.container(path) for path in paths]
+    if any(c.is_blob or not c.as_arrays().one_per_parent
+           for c in containers):
+        return None
+    parents = repository.structure.parent_array()
+    return Projection(plan, tuple(
+        (c.as_arrays().by_owner(plan.ascend, parents), c.codec,
+         c.value_type)
+        for c in containers))
+
+
+def _projection_plan(expr: Expression, scope: dict[str, PathExpr | None]
+                     ) -> ProjectionPlan | None:
+    """``expr`` as a projection: a simple value path from a variable a
+    for-clause in ``scope`` binds over a summary-resolvable source."""
+    if not isinstance(expr, PathExpr) or \
+            not isinstance(expr.start, VarRef):
+        return None
+    var = expr.start.name
+    steps = _simple_value_steps(expr, var)
+    source = scope.get(var)
+    if steps is None or source is None:
+        return None
+    return ProjectionPlan(expr, var, steps, source)
 
 
 def context_free(expr: Expression) -> bool:
@@ -744,18 +907,21 @@ class FlworPlan:
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """Every FLWOR the evaluator can reach, outermost first, and the
-    absolute simple paths that are no for-clause's access path: a value
-    (equal queries plan equal) shared across sessions and threads."""
+    """Every FLWOR the evaluator can reach, outermost first, the
+    absolute simple paths that are no for-clause's access path and the
+    relative value paths read as projections: a value (equal queries
+    plan equal) shared across sessions and threads."""
 
     flwors: tuple[FlworPlan, ...]
     paths: tuple[PathExpr, ...]
+    projections: tuple[ProjectionPlan, ...]
 
-    def by_node(self) -> dict[int, FlworPlan]:
-        """The FLWOR plans by ``id()`` of their FLWOR node (the plan
-        keeps the nodes alive): how a walk of the planned AST finds
-        the plan of the FLWOR it stands on."""
-        return {id(plan.flwor): plan for plan in self.flwors}
+    def by_node(self) -> dict[int, FlworPlan | ProjectionPlan]:
+        """The FLWOR and projection plans by ``id()`` of their FLWOR or
+        path node (the plan keeps the nodes alive): how a walk of the
+        planned AST finds the plan of the node it stands on."""
+        return {**{id(plan.flwor): plan for plan in self.flwors},
+                **{id(plan.path): plan for plan in self.projections}}
 
 
 def plan_query(ast: Expression) -> QueryPlan:
@@ -766,20 +932,25 @@ def plan_query(ast: Expression) -> QueryPlan:
     runs."""
     flwors: list = []
     paths: list[PathExpr] = []
-    _plan(ast, dict.fromkeys(free_vars(ast)), flwors, paths)
-    return QueryPlan(tuple(flwors), tuple(paths))
+    projections: list[ProjectionPlan] = []
+    _plan(ast, dict.fromkeys(free_vars(ast)), flwors, paths, projections)
+    return QueryPlan(tuple(flwors), tuple(paths), tuple(projections))
 
 
 def _plan(expr: Expression, scope: dict[str, PathExpr | None],
-          flwors: list, paths: list[PathExpr]) -> None:
+          flwors: list, paths: list[PathExpr],
+          projections: list[ProjectionPlan]) -> None:
     """``scope`` maps every variable in scope, lexically, to
     :func:`_node_path` of the for-clause binding it (``None`` for a
     let or an external binding)."""
     if not isinstance(expr, FLWOR):
-        if is_absolute_simple_path(expr) and expr.steps:
+        projection = _projection_plan(expr, scope)
+        if projection is not None:
+            projections.append(projection)
+        elif is_absolute_simple_path(expr) and expr.steps:
             paths.append(expr)
         for child in _children(expr):
-            _plan(child, scope, flwors, paths)
+            _plan(child, scope, flwors, paths, projections)
         return
     slot = len(flwors)
     flwors.append(None)  # outermost first
@@ -795,12 +966,12 @@ def _plan(expr: Expression, scope: dict[str, PathExpr | None],
         # A for-clause's summary-resolved source is its access path.
         if isinstance(clause, LetClause) or \
                 not is_absolute_simple_path(clause.source):
-            _plan(clause.source, scope, flwors, paths)
+            _plan(clause.source, scope, flwors, paths, projections)
         clauses.append(planned)
         scope = {**scope, clause.var: _node_path(clause.source)
                  if isinstance(clause, ForClause) else None}
     for child in _children(expr)[len(expr.clauses):]:
-        _plan(child, scope, flwors, paths)
+        _plan(child, scope, flwors, paths, projections)
     flwors[slot] = FlworPlan(expr, tuple(clauses), tuple(pending))
 
 

@@ -7,8 +7,8 @@ groups:
   :class:`ContSubstring`, :class:`StructureSummaryAccess`,
   :class:`OpaqueSource`, :class:`Parent`;
 * **data combination** — :class:`NodeSet`, :class:`Concat`,
-  :class:`MergeJoin`, :class:`ThetaJoin`, :class:`NestedLoopJoin`,
-  :class:`Sort`;
+  :class:`MergeJoin`, :class:`ThetaJoin`, :class:`ColumnCompare`,
+  :class:`NestedLoopJoin`, :class:`Sort`;
 * **(de)compression / serialization** — :class:`Decompress`,
   :class:`XMLSerialize`.
 
@@ -651,21 +651,15 @@ class ThetaJoin(Operator):
         """Assemble the sorted key run once; ``False`` means fall back."""
         if self._keys is not None:
             return True
-        arrays = [c.as_arrays() for c in self.containers] \
-            if self.numeric_ordered() else [None]
-        if any(a is None or a.sort_keys is None for a in arrays):
-            return False  # blob, string-typed or kernel-less container
+        found = _owned_values(self.containers, self._ascend,
+                              self._parents())
+        if found is None:
+            return False
+        owners, keys = found
         # The product the reference computes, in float64 — never
         # probe / scale, which rounds differently.
-        keys = np.concatenate([self._scale * a.sort_keys.astype(np.float64)
-                               for a in arrays])
-        owners = np.concatenate([a.parent_ids for a in arrays])
-        for _ in range(self._ascend):
-            up = self._parents()[owners]
-            owners = np.where(up >= 0, up, owners)
-        if len(np.unique(owners)) != len(owners):
-            return False  # an element owns several keys, not one value
-        if len(arrays) > 1:
+        keys = self._scale * keys
+        if len(self.containers) > 1:
             order = np.argsort(keys, kind="stable")
             keys, owners = keys[order], owners[order]
         self._keys, self.owners = keys, owners
@@ -696,6 +690,89 @@ class ThetaJoin(Operator):
                 "ThetaJoin needs numeric-ordered key containers with "
                 "one key per owning element")
         return batches_from_rows(self._joined(size), size)
+
+
+#: ``ColumnCompare`` comparisons, elementwise over float64 columns.
+_COMPARE = {"=": np.equal, "<": np.less, "<=": np.less_equal,
+            ">": np.greater, ">=": np.greater_equal}
+
+
+class ColumnCompare(Operator):
+    """Same-owner comparison of two projected numeric columns: the
+    nodes owning one value ``l`` of the ``left`` containers and one
+    value ``r`` of the ``right`` ones with ``l <op> scale * r``.
+
+    Each side's owners are its values' parents climbed ``ascend``
+    levels (``ContScan → Parent^ascend``), and both columns decode in
+    bulk (``sort_keys``, :mod:`repro.compression.kernels`), so the
+    conjunct is decided once for every binding — an owner missing
+    either value fails it, like the reference's empty arithmetic.
+    :meth:`build` refuses, before any counter, where ``ThetaJoin``
+    would or an owner holds two values of one side; callers then
+    check the conjunct per binding.  Owners leave in document order.
+    """
+
+    def __init__(self, repository: CompressedRepository,
+                 left_paths: list[str], left_ascend: int,
+                 right_paths: list[str], right_ascend: int, op: str,
+                 scale: float, column: str,
+                 stats: EvaluationStats | None = None):
+        self._parents = repository.structure.parent_array
+        self._ascend = (left_ascend, right_ascend)
+        self._stats = stats
+        self._sides: list | None = None
+        self.left = [repository.container(path) for path in left_paths]
+        self.right = [repository.container(path) for path in right_paths]
+        self.op = op
+        self.scale = scale
+        self.column = column
+
+    def build(self) -> bool:
+        """Each side's ``(owners, float64 values)``, once; ``False``
+        means check per binding."""
+        if self._sides is None:
+            self._sides = [_owned_values(containers, ascend,
+                                         self._parents())
+                           for containers, ascend in zip(
+                               (self.left, self.right), self._ascend)]
+        return None not in self._sides
+
+    def _batches(self, size: int) -> Iterator[RecordBatch]:
+        if not self.build():
+            raise QueryTypeError(
+                "ColumnCompare needs numeric record containers with a "
+                "decode kernel and one value per owner on each side")
+        if self._stats is not None:
+            self._stats.container_scans += len(self.left) + len(self.right)
+        (left_owners, left), (right_owners, right) = self._sides
+        owners, at_left, at_right = np.intersect1d(
+            left_owners, right_owners, assume_unique=True,
+            return_indices=True)
+        # The product the reference computes, in float64.
+        ids = owners[_COMPARE[self.op](left[at_left],
+                                       self.scale * right[at_right])]
+        for start in range(0, len(ids), size):
+            yield RecordBatch({
+                self.column: NodeColumn(ids[start:start + size])})
+
+
+def _owned_values(containers, ascend: int, parents: np.ndarray):
+    """``(owners, values)`` of every slot of ``containers``, the values
+    as float64; ``None`` unless each is a numeric record container with
+    a decode kernel, float64 is exact (no int beyond 2**53) and no
+    owner holds two values."""
+    if not containers or any(c.is_blob or c.value_type not in
+                             ("int", "float") for c in containers):
+        return None
+    arrays = [c.as_arrays() for c in containers]
+    keys = [a.sort_keys for a in arrays]
+    if any(k is None or (k.dtype.kind == "i" and len(k)
+                         and np.abs(k).max() > 2 ** 53) for k in keys):
+        return None
+    owners = np.concatenate([a.owners(ascend, parents) for a in arrays])
+    if len(np.unique(owners)) != len(owners):
+        return None
+    return owners, np.concatenate([k.astype(np.float64) for k in keys])
 
 
 class Sort(Operator):

@@ -20,6 +20,7 @@ one compressed chunk, any record access decompresses the whole chunk
 from __future__ import annotations
 
 import bisect
+import sys
 from collections.abc import Iterator
 
 import numpy as np
@@ -58,19 +59,63 @@ class ContainerArrays:
         Lazily decoded numeric keys (int64/float64) when the codec has
         a vectorized kernel; ``None`` otherwise — see
         :mod:`repro.compression.kernels`.
+    ``owners(hops, parents)`` / ``by_owner(hops, parents)``
+        Each slot's element ``hops`` ``Parent`` steps above its parent,
+        and the records grouped by that owner in document order —
+        memoised per ``hops``, what a projected path reads.
     """
 
-    __slots__ = ("parent_ids", "records", "_codec", "_sort_keys")
+    __slots__ = ("parent_ids", "records", "_codec", "_sort_keys",
+                 "_owners", "_by_owner", "_one_per_parent")
 
     def __init__(self, parent_ids: np.ndarray, records, codec):
         self.parent_ids = parent_ids
         self.records = records
         self._codec = codec
         self._sort_keys = False  # not yet computed (None is a result)
+        self._owners: dict[int, np.ndarray] = {}
+        self._by_owner: dict[int, dict[int, list]] = {}
+        self._one_per_parent: bool | None = None
 
     @property
     def count(self) -> int:
         return len(self.parent_ids)
+
+    @property
+    def one_per_parent(self) -> bool:
+        """No element owns two of the container's values.  Always so
+        for an attribute; a text container breaks it where an element
+        has mixed content — and its slot order then says nothing about
+        the document order of one element's texts."""
+        if self._one_per_parent is None:
+            self._one_per_parent = \
+                len(np.unique(self.parent_ids)) == self.count
+        return self._one_per_parent
+
+    def owners(self, hops: int, parents: np.ndarray) -> np.ndarray:
+        """The element ``hops`` parent steps above each slot's parent
+        (``parents``: the structure's parent array; ``-1`` past the
+        root), by slot."""
+        owners = self._owners.get(hops)
+        if owners is None:
+            owners = self.parent_ids
+            for _ in range(hops):
+                owners = np.where(owners >= 0, parents[owners], -1)
+            self._owners[hops] = owners
+        return owners
+
+    def by_owner(self, hops: int, parents: np.ndarray) -> dict[int, list]:
+        """The records by :meth:`owners` element, each list in the
+        document order of the records' parents."""
+        groups = self._by_owner.get(hops)
+        if groups is None:
+            owners = self.owners(hops, parents)
+            order = np.lexsort((self.parent_ids, owners))
+            groups = {}
+            for owner, slot in zip(owners[order].tolist(), order.tolist()):
+                groups.setdefault(owner, []).append(self.records[slot])
+            self._by_owner[hops] = groups
+        return groups
 
     @property
     def sort_keys(self) -> np.ndarray | None:
@@ -85,10 +130,13 @@ class ContainerArrays:
     @property
     def nbytes(self) -> int:
         """Array bytes this view pins (block-cache budget accounting)."""
-        total = self.parent_ids.nbytes
+        total = self.parent_ids.nbytes + sum(
+            owners.nbytes for hops, owners in self._owners.items() if hops)
         if self._sort_keys is not False and self._sort_keys is not None:
             total += self._sort_keys.nbytes
-        return total
+        # A group is a dict slot and a one-record list per owner.
+        return total + sum(sys.getsizeof(groups) + 64 * len(groups)
+                           for groups in self._by_owner.values())
 
 
 class ContainerRecord:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import NodeNotFoundError
 from repro.storage.btree import BPlusTree
 from repro.storage.ids import StructuralId
@@ -52,6 +54,7 @@ class StructureTree:
         self._records: list[NodeRecord] = []
         self._index: BPlusTree | None = None
         self._parents = None  # cached parent-id array (lazy)
+        self._tags = None  # cached tag-code array (lazy)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -65,6 +68,7 @@ class StructureTree:
         self._records.append(record)
         self._index = None  # invalidated; rebuilt lazily
         self._parents = None
+        self._tags = None
 
     def record(self, node_id: int) -> NodeRecord:
         """The record for ``node_id``; raises NodeNotFoundError."""
@@ -91,11 +95,19 @@ class StructureTree:
         directly instead of calling :meth:`parent_of` per node.
         """
         if self._parents is None:
-            import numpy as np
             self._parents = np.fromiter(
                 (r.parent_id for r in self._records),
                 dtype=np.int64, count=len(self._records))
         return self._parents
+
+    def tag_array(self) -> np.ndarray:
+        """int64 array of tag codes by node id; cached like
+        :meth:`parent_array`."""
+        if self._tags is None:
+            self._tags = np.fromiter(
+                (r.tag_code for r in self._records),
+                dtype=np.int64, count=len(self._records))
+        return self._tags
 
     # -- navigation primitives used by the physical operators -------------
 
@@ -115,18 +127,20 @@ class StructureTree:
 
     def descendants_of(self, node_id: int,
                        tag_code: int | None = None) -> list[int]:
-        """Descendant ids in document order (pre/post interval scan)."""
+        """Descendant ids in document order.
+
+        Ids are preorder ranks, so the descendants are the dense range
+        after ``node_id``.  ``post`` counts the nodes closed before
+        this one: its descendants plus the ``pre - level`` earlier
+        nodes that are not its ancestors — so the range ends at
+        ``post + level``, read off the record, never scanned.
+        """
         record = self.record(node_id)
-        # Descendants of a preorder node are exactly the dense ID range
-        # (node_id, x] where x is found via the post numbers.
-        result = []
-        records = self._records
-        for candidate in range(node_id + 1, len(records)):
-            if records[candidate].post > record.post:
-                break
-            if tag_code is None or records[candidate].tag_code == tag_code:
-                result.append(candidate)
-        return result
+        start, end = node_id + 1, record.post + record.level + 1
+        if tag_code is None:
+            return list(range(start, end))
+        hits = np.flatnonzero(self.tag_array()[start:end] == tag_code)
+        return (hits + start).tolist()
 
     # -- accounting --------------------------------------------------------
 

@@ -54,10 +54,13 @@ class SummaryNode:
         return node
 
     def walk(self) -> Iterator["SummaryNode"]:
-        """This node and all descendants, preorder."""
-        yield self
-        for child in self.children.values():
-            yield from child.walk()
+        """This node and all descendants, preorder (one stack, not a
+        generator per level: ``//`` steps walk the whole summary)."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children.values()))
 
     def __repr__(self) -> str:
         return f"<SummaryNode {self.path} extent={len(self.extent)}>"

@@ -10,13 +10,15 @@ values (ALM/Huffman ``eq``/``wild``), pure-int and pure-float
 containers (numeric codecs, ``ContAccess`` over numeric order), a
 *mixed* int/float container (the type-inference edge), join keys
 between auctions and people, owners with several values or none
-(``interest/@category``, repeats and any order included), categories
+(``interest/@category``, repeats and any order included; zero to two
+``phone`` texts, an int container; a missing ``income``), categories
 whose ids repeat and whose document order is not their key order
 (equality joins must bind each node once, in document order), items
 nested in items (``//item`` reaches two container paths with the same
 leaf steps) and descriptions holding a ``note`` or a description of
 their own (several text nodes below one element; a text below two
-elements of one name).
+elements of one name), some with text after the ``note`` (mixed
+content: one element owning two values of one container).
 """
 
 from __future__ import annotations
@@ -41,11 +43,16 @@ def generate_entities(rng: random.Random, scale: int = 10) -> dict:
             "age": str(rng.choice((5, 7, 9, 10, 12, 31, 47,
                                    rng.randint(0, 99)))),
             "city": rng.choice(_CITIES),
-            # Canonical float texts: a pure-float container.
+            # Canonical float texts: a pure-float container; not
+            # everybody has one.
             "income": repr(rng.choice((0.5, 9.25, 100.5, 1200.75,
-                                       round(rng.uniform(0, 5e4), 2)))),
+                                       round(rng.uniform(0, 5e4), 2))))
+            if rng.random() < 0.8 else None,
             "interests": rng.choices(CATEGORIES, k=rng.choice(
                 (0, 0, 1, 2, 3))),
+            # A repeated and a missing child in an int container.
+            "phones": [str(rng.randint(100, 999))
+                       for _ in range(rng.choice((0, 1, 2)))],
         })
     items = []
     for index in range(max(1, scale // 2)):
@@ -61,6 +68,8 @@ def generate_entities(rng: random.Random, scale: int = 10) -> dict:
             "note": rng.choice(_WORDS) if index % 2 else None,
             "inner": " ".join(rng.sample(_WORDS, k=2))
             if index % 4 < 2 else None,
+            # Text after the note: the description's second text node.
+            "tail": rng.choice(_WORDS) if index % 6 == 1 else None,
         })
     auctions = []
     for index in range(max(1, scale // 2)):
@@ -111,9 +120,12 @@ def render_xml(entities: dict) -> str:
             f'<name>{person["name"]}</name>'
             f'<age>{person["age"]}</age>'
             f'<city>{person["city"]}</city>'
-            f'<income>{person["income"]}</income>'
+            + (f'<income>{person["income"]}</income>'
+               if person["income"] is not None else "")
             + "".join(f'<interest category="{category}"/>'
                       for category in person["interests"])
+            + "".join(f"<phone>{phone}</phone>"
+                      for phone in person["phones"])
             + '</person>')
     parts.append("</people><regions>")
     for item in entities["items"]:
@@ -121,7 +133,8 @@ def render_xml(entities: dict) -> str:
             f'<item id="{item["id"]}">'
             f'<name>{item["name"]}</name>'
             f'<description>{item["description"]}'
-            + (f'<note>{item["note"]}</note>' if item["note"] else "")
+            + (f'<note>{item["note"]}</note>{item["tail"] or ""}'
+               if item["note"] else "")
             + (f'<description>{item["inner"]}</description>'
                if item["inner"] else "") + '</description>'
             + (f'<item id="{item["id"]}p"><name>{item["part"]}</name>'

@@ -17,7 +17,11 @@ containers alone
 ``empty`` / ``not(empty)``, ``//`` sources over nested elements, owners
 with several values, ``count`` of the bindings; ``contains`` /
 ``word-contains`` as ``substring`` terms — ``//`` leaf paths, needles
-of any length and case, candidates the re-check must reject).
+of any length and case, candidates the re-check must reject);
+relative value paths read as projections (missing, repeated, nested
+and mixed-content leaves; ``return``, attributes, ``order by``, a
+shadowed variable) and same-binding comparisons ``$v/a <op> K *
+$v/b`` decided in bulk (``ColumnCompare``) or refused.
 Constants are drawn from the document's own value pools plus
 adversarial neighbours (absent values, fractional bounds over int
 containers, the empty string, the same number spelt as text, values
@@ -43,7 +47,8 @@ def _pools(entities: dict) -> dict[str, list[str]]:
     return {"names": names, "ages": ages, "cities": cities,
             "prices": prices, "descriptions": descriptions,
             "ids": [p["id"] for p in people] or ["p0"],
-            "incomes": [p["income"] for p in people] or ["1.5"],
+            "incomes": [p["income"] for p in people
+                        if p["income"] is not None] or ["1.5"],
             "quantities": [a["quantity"] for a in auctions] or ["1"],
             "categories": list(CATEGORIES) + ["c3"],
             "words": [i["name"] for i in items] or ["gold"],
@@ -234,6 +239,58 @@ def _selection(rng: random.Random, pools: dict) -> str:
     return f"{flwor} return $v/{result}"
 
 
+#: per projection subject: sources, value paths below the variable —
+#: a missing child (``income``), a repeated one (``phone``,
+#: ``interest/@category``), ``//item`` over two container paths, a
+#: mixed-content leaf (``description/text()``) — and the numbers a
+#: same-binding comparison pairs: int, float and (``price``) string-
+#: typed containers; the other side is any path, which compares as a
+#: number only where it parses as one.
+_PROJECTIONS = (
+    (("/site/people/person", "//person"),
+     ("name/text()", "@id", "income/text()", "phone/text()",
+      "interest/@category", "age/text()"),
+     ("age/text()", "income/text()", "phone/text()")),
+    (("/site/closed_auctions/auction",),
+     ("price/text()", "quantity/text()", "buyer/text()"),
+     ("quantity/text()", "price/text()")),
+    (("//item", "/site/regions//item", "/site/regions/item"),
+     ("name/text()", "@id", "description/text()",
+      "description/note/text()", "description/description/text()"),
+     ()),
+)
+
+
+def _projection(rng: random.Random) -> str:
+    """Relative value paths read as projections — in ``return``, in
+    constructor attributes and content, as ``order by`` keys, under an
+    inner ``for`` of the same name — and same-binding comparisons
+    ``$v/a <op> K * $v/b`` (either operand order; ``K`` an integer, a
+    fraction, 0 or negative) over int, float and string containers."""
+    sources, paths, numeric = rng.choice(_PROJECTIONS)
+    source = rng.choice(sources)
+    first, second = rng.choice(paths), rng.choice(paths)
+    # K = 1 over one path twice ties on every binding: strictness.
+    factor = rng.choice(("1", "1", str(rng.randint(2, 9)), "0.5", "0",
+                         str(-rng.randint(1, 5))))
+    where = ""
+    if numeric and rng.random() < 0.7:
+        scaled = rng.choice(numeric)
+        plain = scaled if rng.random() < 0.5 else rng.choice(
+            numeric + paths)
+        sides = [f"$v/{plain}", f"{factor} * $v/{scaled}"]
+        rng.shuffle(sides)
+        where = f" where {sides[0]} {rng.choice(_OPS)} {sides[1]}"
+    flwor = f"for $v in {source}{where}"
+    return rng.choice((
+        f"{flwor} return $v/{first}",
+        f'{flwor} return <r a="{{$v/{first}}}">{{$v/{second}}}</r>',
+        f"{flwor} order by $v/{first} return <r>{{$v/{second}}}</r>",
+        f"count({flwor} return $v)",
+        f"for $v in {rng.choice(sources)} return <o>{{for $v in "
+        f"{source}{where} return $v/{first}}}</o>"))
+
+
 def generate_queries(entities: dict, rng: random.Random,
                      count: int) -> list[str]:
     """``count`` template instantiations for one document."""
@@ -317,6 +374,10 @@ def generate_queries(entities: dict, rng: random.Random,
         lambda: _selection(rng, pools),
         lambda: _selection(rng, pools),
         lambda: _selection(rng, pools),
+        lambda: _projection(rng),    # four times: 270 path pairs
+        lambda: _projection(rng),
+        lambda: _projection(rng),
+        lambda: _projection(rng),
     )
     while len(queries) < count:
         queries.append(rng.choice(makers)())

@@ -18,6 +18,7 @@ from repro.partitioning.config import (
     ContainerGroup,
 )
 from repro.query.physical import (
+    ColumnCompare,
     Concat,
     ContAccess,
     ContScan,
@@ -30,7 +31,7 @@ from repro.query.physical import (
     ThetaJoin,
     XMLSerialize,
 )
-from repro.query.context import EvaluationStats
+from repro.query.context import EvaluationStats, NodeItem
 from repro.storage.loader import load_document
 
 TITLE = "/lib/b/t/#text"
@@ -149,6 +150,26 @@ class TestThetaJoin:
         assert rules_of(errors_of(diagnostics)) == \
             ["plan.theta-join-unordered"]
         assert path in diagnostics[0].message
+
+
+class TestColumnCompare:
+    def test_numeric_sides_accepted(self):
+        repo = load_document("<r><a><n>3</n><m>1.5</m></a>"
+                             "<a><n>20</n><m>4.0</m></a></r>")
+        plan = ColumnCompare(repo, ["/r/a/n/#text"], 1, ["/r/a/m/#text"],
+                             1, ">=", 2.0, "a")
+        assert verify_plan(XMLSerialize(plan, ())) == []
+        assert plan.build() and \
+            plan.rows() == [{"a": NodeItem(1)}, {"a": NodeItem(4)}]
+
+    @pytest.mark.parametrize("path", [TITLE, URI, NOTE])
+    def test_side_without_numeric_order_rejected(self, repo, path):
+        """Either side string-typed, order-agnostic or a blob: its
+        values are not the numbers the reference compares."""
+        plan = ColumnCompare(repo, [path], 1, [URI], 1, "<", 1.0, "b")
+        assert rules_of(errors_of(verify_plan(plan))) == \
+            ["plan.compare-not-numeric"] * 2
+        assert not plan.build()
 
 
 class TestCompressedDomains:

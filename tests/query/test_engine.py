@@ -356,6 +356,101 @@ class TestXMarkSelections:
         assert stats.nodes_visited <= 5 * owners
 
 
+class TestProjectionExactness:
+    """Relative value paths are looked up by owner, not navigated:
+    literal answers for the shapes where a column could go wrong."""
+
+    DOC = ("<site><people>"
+           '<person id="p0"><name>Ann</name><phone>30</phone>'
+           "<phone>10</phone><age>40</age><score>20</score></person>"
+           '<person id="p1"><name>Ben</name><age>7</age>'
+           "<score>-3</score></person>"
+           '<person id="p2"><name>Cy</name><phone>5</phone>'
+           "<score>0</score></person>"
+           "</people><notes><note>one<b>x</b>two</note>"
+           "<note>three</note></notes></site>")
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        from repro.baselines.galax import GalaxEngine
+        engine = QueryEngine(load_document(self.DOC))
+        reference = GalaxEngine(self.DOC)
+
+        def run(query):
+            result = engine.execute(query)
+            assert result.to_xml() == reference.execute_to_xml(query)
+            return result
+        return run
+
+    @staticmethod
+    def projections(query, repo):
+        """Each projected path of ``query``: bound, or ``None``."""
+        from repro.query.optimizer import assign_projection, plan_query
+        from repro.query.parser import parse_query
+        return [assign_projection(plan, lambda doc: repo)
+                for plan in plan_query(parse_query(query)).projections]
+
+    def test_missing_child_is_empty(self, run):
+        result = run('for $p in /site/people/person[@id = "p1"] '
+                     "return $p/phone/text()")
+        assert result.items == []
+        assert result.stats.nodes_visited == 0
+
+    def test_repeated_child_in_document_order(self, run):
+        # Slot order is value order: 10 before 30.
+        result = run("for $p in /site/people/person "
+                     "return $p/phone/text()")
+        assert result.items == ["30", "10", "5"]
+        assert result.stats.nodes_visited == 0
+
+    def test_mixed_content_is_refused_and_navigated(self, run):
+        query = "for $n in /site/notes/note return $n/text()"
+        assert self.projections(query, load_document(self.DOC)) == [None]
+        assert run(query).items == ["one", "two", "three"]
+
+    def test_path_absent_from_summary_is_empty(self, run):
+        query = "for $p in /site/people/person return $p/fax/text()"
+        (projection,) = self.projections(query, load_document(self.DOC))
+        assert projection is not None and projection.values(1) == []
+        assert run(query).items == []
+
+    def test_inner_for_shadows_outer(self, run):
+        result = run("for $b in /site/people/person return "
+                     'for $b in /site/people/person[@id = "p2"] '
+                     "return $b/name/text()")
+        assert result.items == ["Cy", "Cy", "Cy"]
+
+    def test_document_source_in_a_collection(self):
+        other = self.DOC.replace("Ann", "Zoe").replace("Cy", "Max")
+        engine = QueryEngine(load_document(self.DOC),
+                             {"x": load_document(other)})
+        result = engine.execute('for $p in document("x")/site/people/'
+                                "person return $p/name/text()")
+        assert result.items == ["Zoe", "Ben", "Max"]
+
+    @pytest.mark.parametrize("where,ids,bulk", [
+        # string container: refused, checked per binding (never a number)
+        ("$p/name/text() > 0 * $p/age/text()", [], False),
+        # repeated numeric child: refused; existential per binding
+        ("$p/phone/text() > 1 * $p/score/text()", ["p0", "p2"], False),
+        # K = 0; a missing age fails the conjunct
+        ("$p/score/text() >= 0 * $p/age/text()", ["p0"], True),
+        # negative K, either operand order, ties included
+        ("$p/score/text() > -1 * $p/age/text()", ["p0", "p1"], True),
+        ("-0.5 * $p/age/text() <= $p/score/text()", ["p0", "p1"], True),
+        ("$p/score/text() = 0.5 * $p/score/text()", ["p2"], True),
+        ("$p/age/text() >= 1 * $p/age/text()", ["p0", "p1"], True),
+    ])
+    def test_bulk_comparison(self, run, where, ids, bulk):
+        result = run(f"for $p in /site/people/person where {where} "
+                     "return $p/@id")
+        assert result.items == ids
+        # Decided in bulk: one scan per side, no comparison per binding.
+        assert result.stats.container_scans == (2 if bulk else 0)
+        assert (result.stats.compressed_comparisons
+                + result.stats.decompressed_comparisons == 0) == bulk
+
+
 class TestErrors:
     def test_unbound_variable(self, engine):
         with pytest.raises(QueryError):

@@ -118,6 +118,15 @@ class TestHashJoin:
         assert "[actual container_scans=2," in line
         assert sorted(report.result.items) == ["Alice", "Bob", "Bob"]
 
+    def test_projection_line_carries_its_build_span(self, engine):
+        """``$p/name/text()`` is a projection: its plan line shows the
+        ``Projection.build`` span, and no counter (it reads memoised
+        owner groups)."""
+        report = explain_analyze(JOIN_QUERY, engine)
+        line = next(line for line in report.text.splitlines()
+                    if "Projection $p/name/text()" in line)
+        assert re.search(r"\[actual [1-9]\d* ns\]$", line), line
+
     def test_counters_equal_result_stats(self, engine):
         report = explain_analyze(JOIN_QUERY, engine)
         assert rendered_counters(report.text) == \

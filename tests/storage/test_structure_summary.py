@@ -38,6 +38,39 @@ class TestStructureTree:
         assert tree.descendants_of(1) == [2]
         assert tree.descendants_of(3) == []
 
+    def test_descendants_filtered_by_tag(self):
+        tree = build_tree()
+        assert tree.descendants_of(0, tag_code=2) == [2]
+        assert tree.descendants_of(0, tag_code=0) == []
+
+    @pytest.mark.parametrize("document", ["oracle", "xmark"])
+    def test_descendant_range_matches_post_order_scan(self, document):
+        """The O(1) range is the record-by-record scan it replaced, on
+        every node, with and without a tag filter."""
+        import random
+
+        from repro.storage.loader import load_document
+        from repro.verify.documents import generate_entities, render_xml
+        from repro.xmark.generator import generate_xmark
+        xml = render_xml(generate_entities(random.Random(3), 12)) \
+            if document == "oracle" else generate_xmark(0.002, seed=42)
+        tree = load_document(xml).structure
+
+        def scanned(node_id, tag_code=None):
+            post, found = tree.record(node_id).post, []
+            for candidate in range(node_id + 1, len(tree)):
+                if tree.record(candidate).post > post:
+                    break
+                if tag_code in (None, tree.record(candidate).tag_code):
+                    found.append(candidate)
+            return found
+
+        for record in tree:
+            assert tree.descendants_of(record.node_id) == \
+                scanned(record.node_id)
+            assert tree.descendants_of(record.node_id, record.tag_code) \
+                == scanned(record.node_id, record.tag_code)
+
     def test_btree_index(self):
         tree = build_tree()
         record = tree.index.search(2)
