@@ -25,9 +25,9 @@ compressed domain, decompression is deferred to serialization — is
   (:mod:`repro.lint.concurrency`);
 * :mod:`~repro.obs.runtime` — the module-level activation point the
   storage and compression layers check (one global load + ``is None``
-  test on an untraced run) to report codec encode/decode calls,
-  B+-tree page reads and container accesses without threading a
-  handle through every signature.
+  test on an untraced run) to report codec encode/decode calls and
+  container accesses without threading a handle through every
+  signature.
 """
 
 from repro.obs.export import (

@@ -82,7 +82,3 @@ def record_codec(operation: str, codec_name: str,
     metrics.add(prefix + ".compressed_bytes", compressed_bytes)
     metrics.add(prefix + ".plain_chars", plain_chars)
 
-
-def record_page_reads(n: int) -> None:
-    """Report B+-tree node visits (the paper's page reads)."""
-    ACTIVE.metrics.add("btree.page_reads", n)

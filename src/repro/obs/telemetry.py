@@ -3,7 +3,7 @@
 A :class:`Telemetry` exists only for a run someone asked to trace
 (``ExecutionOptions(telemetry=Telemetry())``); an untraced run has
 none.  It bundles the tracer, the metrics registry the deep layers
-report codec / page / container activity into, the plan verifier's
+report codec / container activity into, the plan verifier's
 findings and the run's :class:`~repro.query.context.EvaluationStats`
 — the same object ``QueryResult.stats`` is, so every view of the run
 quotes the same eight counters.  Span durations are mirrored into

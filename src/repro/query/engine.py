@@ -340,25 +340,33 @@ class QueryEngine:
     def materialize_node(self, node_id: int,
                          stats: EvaluationStats,
                          doc: str | None = None) -> Element:
-        """Rebuild a repository node as an XML element (XMLSerialize)."""
+        """Rebuild a repository node as an XML element (XMLSerialize):
+        every element of the subtree first, then each takes its
+        attributes and, in content order, its texts and children."""
         repo = self.repository_of(doc)
-        record = repo.structure.record(node_id)
-        element = Element(repo.tag_of(node_id))
-        for path, index in record.value_pointers:
-            step = path.rsplit("/", 1)[-1]
-            if step.startswith("@"):
-                stats.decompressions += 1
-                element.set_attribute(
-                    step[1:], repo.container(path).value_at(index))
-        for kind, ref in record.content_sequence:
-            if kind == "elem":
-                element.append(self.materialize_node(ref, stats,
-                                                     doc=doc))
-            else:
-                path, index = record.value_pointers[ref]
-                stats.decompressions += 1
-                element.append(Text(repo.container(path).value_at(index)))
-        return element
+        structure, steps = repo.structure, repo.structure.steps
+        tags, pointers, indexes, slots, offsets, content = \
+            structure.subtree(node_id)
+        names = repo.dictionary.names()
+        containers: list = [None] * len(steps)
+
+        def value(pointer: int) -> str:
+            index = indexes[pointer]
+            if containers[index] is None:
+                containers[index] = repo.container(structure.paths[index])
+            stats.decompressions += 1
+            return containers[index].value_at(slots[pointer])
+
+        elements = [Element(names[tag]) for tag in tags]
+        for local, element in enumerate(elements):
+            for pointer in range(pointers[local], pointers[local + 1]):
+                step = steps[indexes[pointer]]
+                if step != TEXT_STEP:
+                    element.set_attribute(step[1:], value(pointer))
+            for entry in content[offsets[local]:offsets[local + 1]]:
+                element.append(elements[entry] if entry >= 0 else
+                               Text(value(pointers[local] + ~entry)))
+        return elements[0]
 
 
 class _Evaluator:
@@ -786,14 +794,8 @@ class _Evaluator:
         if step.axis == "attribute":
             return self._node_values(item, "@" + step.test)
         if step.test == "text()":
-            if step.axis == "descendant":
-                items: list = []
-                for descendant in [node_id] + \
-                        structure.descendants_of(node_id):
-                    items.extend(self._node_values(
-                        NodeItem(descendant, item.doc), TEXT_STEP))
-                return items
-            return self._node_values(item, TEXT_STEP)
+            return self._node_values(item, TEXT_STEP,
+                                     subtree=step.axis == "descendant")
         tag_code = (None if step.test == "*"
                     else repo.dictionary.code_of(step.test))
         if step.test != "*" and tag_code is None:
@@ -805,18 +807,18 @@ class _Evaluator:
             ids = structure.descendants_of(node_id, tag_code)
         return [NodeItem(i, item.doc) for i in ids]
 
-    def _node_values(self, item: NodeItem, step_name: str) -> list:
-        """Attribute/text values of one node, as CompressedItems."""
+    def _node_values(self, item: NodeItem, step_name: str,
+                     subtree: bool = False) -> list:
+        """Attribute/text values of one node (``subtree``: of each node
+        below it too), as CompressedItems."""
         repo = self._repo(item.doc)
-        record = repo.structure.record(item.node_id)
-        suffix = "/" + step_name
-        items: list = []
-        for path, index in record.value_pointers:
-            if path.endswith(suffix):
-                container = repo.container(path)
-                items.append(CompressedItem(
-                    container.record_at(index).compressed,
-                    container.codec, container.value_type))
+        items = []
+        for index, slot in repo.structure.values_of(item.node_id,
+                                                    step_name, subtree):
+            container = repo.container(repo.structure.paths[index])
+            items.append(CompressedItem(container.record_at(slot).compressed,
+                                        container.codec,
+                                        container.value_type))
         return items
 
     def _step_from_element(self, element: Element, step: Step) -> list:
@@ -897,8 +899,8 @@ class _Evaluator:
         if isinstance(item, NodeItem):
             values = self._node_values(item, TEXT_STEP)
             repo = self._repo(item.doc)
-            if len(values) == 1 and not \
-                    repo.structure.record(item.node_id).children:
+            if len(values) == 1 and \
+                    not repo.structure.children_of(item.node_id):
                 return values[0]
             self.stats.decompressions += 1
             return repo.full_text_of(item.node_id)

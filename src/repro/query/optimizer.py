@@ -821,7 +821,7 @@ def assign_projection(plan: ProjectionPlan, repo_of) -> Projection | None:
     if any(c.is_blob or not c.as_arrays().one_per_parent
            for c in containers):
         return None
-    parents = repository.structure.parent_array()
+    parents = repository.structure.parents
     return Projection(plan, tuple(
         (c.as_arrays().by_owner(plan.ascend, parents), c.codec,
          c.value_type)

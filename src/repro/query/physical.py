@@ -329,8 +329,8 @@ class OpaqueSource(Operator):
 class Parent(Operator):
     """Append each input node's parent; preserves input order (§4).
 
-    Gathers parents from the structure tree's cached parent-id
-    array in one indexing operation per batch.
+    Gathers parents from the structure tree's parent column in one
+    indexing operation per batch.
     """
 
     INPUTS = ("_source",)
@@ -348,7 +348,7 @@ class Parent(Operator):
         self.output_column = output_column
 
     def _batches(self, size: int) -> Iterator[RecordBatch]:
-        parents = self._repository.structure.parent_array()
+        parents = self._repository.structure.parents
         for batch in _input_batches(self._source, size):
             ids = node_ids(batch, self._input)
             out_parents = parents[ids]
@@ -628,7 +628,7 @@ class ThetaJoin(Operator):
                  ascend: int = 0,
                  stats: EvaluationStats | None = None):
         self._left = left
-        self._parents = repository.structure.parent_array
+        self._parents = repository.structure.parents
         self._probe_key = probe_key
         self._scale = scale
         self._ascend = ascend
@@ -652,7 +652,7 @@ class ThetaJoin(Operator):
         if self._keys is not None:
             return True
         found = _owned_values(self.containers, self._ascend,
-                              self._parents())
+                              self._parents)
         if found is None:
             return False
         owners, keys = found
@@ -717,7 +717,7 @@ class ColumnCompare(Operator):
                  right_paths: list[str], right_ascend: int, op: str,
                  scale: float, column: str,
                  stats: EvaluationStats | None = None):
-        self._parents = repository.structure.parent_array
+        self._parents = repository.structure.parents
         self._ascend = (left_ascend, right_ascend)
         self._stats = stats
         self._sides: list | None = None
@@ -732,7 +732,7 @@ class ColumnCompare(Operator):
         means check per binding."""
         if self._sides is None:
             self._sides = [_owned_values(containers, ascend,
-                                         self._parents())
+                                         self._parents)
                            for containers, ascend in zip(
                                (self.left, self.right), self._ascend)]
         return None not in self._sides

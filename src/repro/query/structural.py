@@ -8,8 +8,8 @@ pre-post encoding / the structural-join primitive [26, 27, 28].
 
 This module implements that extension:
 
-* the loader already assigns ``pre`` (= the simple ID), ``post`` and
-  ``level`` to every node record;
+* the structure tree already carries ``pre`` (= the simple ID), and
+  ``post`` and ``level`` columns;
 * :class:`StructuralJoin` is the classic *stack-tree-descendant* merge:
   both inputs arrive in document (pre) order, a stack carries the open
   ancestors, and every ancestor/descendant (or parent/child) pair is
@@ -65,12 +65,10 @@ class StructuralJoin(Operator):
         child_only = self._axis == "child"
 
         def annotated(rows: Iterable[Row], column: str):
-            out = []
-            for row in rows:
-                record = structure.record(row[column].node_id)
-                out.append((record.node_id, record.post, record.level,
-                            row))
-            return out
+            rows = list(rows)
+            ids = [row[column].node_id for row in rows]
+            return list(zip(ids, structure.posts[ids].tolist(),
+                            structure.levels[ids].tolist(), rows))
 
         ancestors = annotated(input_rows(self._ancestors, size),
                               a_column)

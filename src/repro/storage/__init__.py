@@ -4,9 +4,9 @@ An XML document is shredded into:
 
 * a :class:`~repro.storage.name_dictionary.NameDictionary` encoding tag
   and attribute names on ``log2(N_t)`` bits;
-* a :class:`~repro.storage.structure.StructureTree` of node records
-  (id, tag code, parent, children, value pointers) indexed by a
-  :class:`~repro.storage.btree.BPlusTree`;
+* a :class:`~repro.storage.structure.StructureTree`: per node id its
+  parent, tag code, post and level, value pointers and content, stored
+  as columns (a node id is a position, so no search tree is built);
 * one :class:`~repro.storage.containers.ValueContainer` per
   ``<type, root-to-leaf path>``, holding individually compressed values
   in lexicographic order;
@@ -23,14 +23,13 @@ from repro.storage.containers import ContainerRecord, ValueContainer
 from repro.storage.loader import load_document
 from repro.storage.name_dictionary import NameDictionary
 from repro.storage.repository import CompressedRepository
-from repro.storage.structure import NodeRecord, StructureTree
+from repro.storage.structure import StructureTree
 from repro.storage.summary import StructureSummary, SummaryNode
 
 __all__ = [
     "CompressedRepository",
     "ContainerRecord",
     "NameDictionary",
-    "NodeRecord",
     "StructureSummary",
     "StructureTree",
     "SummaryNode",

@@ -168,7 +168,7 @@ class ValueContainer:
         self._blob: bytes | None = None
         self._blob_values: list[str] | None = None
         self._blob_parents: list[int] | None = None
-        self._insertion_to_sorted: list[int] = []
+        self._insertion_to_sorted = np.empty(0, dtype=np.int64)
         self._count = 0
         self._sealed = False
         self._arrays: ContainerArrays | None = None
@@ -246,9 +246,8 @@ class ValueContainer:
         values, parents = self._pending, self._pending_parents
         order = sorted(range(len(values)),
                        key=list(map(self._compare_key, values)).__getitem__)
-        self._insertion_to_sorted = [0] * len(order)
-        for sorted_pos, insertion_pos in enumerate(order):
-            self._insertion_to_sorted[insertion_pos] = sorted_pos
+        self._insertion_to_sorted = np.empty(len(order), dtype=np.int64)
+        self._insertion_to_sorted[order] = np.arange(len(order))
         if isinstance(codec, BlobCodec):
             self._blob_values = [values[i] for i in order]
             self._blob = codec.encode_many(self._blob_values)
@@ -263,8 +262,9 @@ class ValueContainer:
         self._pending_parents = []
         self._sealed = True
 
-    def sorted_position(self, insertion_index: int) -> int:
-        """Final slot of the value staged ``insertion_index``-th."""
+    def sorted_position(self, insertion_index):
+        """Final slot of the value staged ``insertion_index``-th; an
+        int64 array of slots for an array of indexes."""
         self._require_sealed()
         return self._insertion_to_sorted[insertion_index]
 

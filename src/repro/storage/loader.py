@@ -16,11 +16,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+import numpy as np
+
 from repro.compression.registry import train_and_encode
 from repro.storage.name_dictionary import NameDictionary
 from repro.storage.repository import CompressedRepository
 from repro.storage.statistics import DocumentStatistics
-from repro.storage.structure import NodeRecord, StructureTree
+from repro.storage.structure import StructureTree, offsets_of
 from repro.storage.summary import TEXT_STEP, StructureSummary
 from repro.storage.containers import ValueContainer
 from repro.xmlio.events import (
@@ -78,42 +80,55 @@ def load_document(xml_text: str, configuration=None,
     by the workload-driven search; without one, the §2.1 defaults apply.
     """
     dictionary = NameDictionary()
-    structure = StructureTree()
     summary = StructureSummary()
     statistics = DocumentStatistics()
     containers: dict[str, ValueContainer] = {}
 
+    # The structure columns, by node id.  Value pointers and content
+    # entries arrive interleaved across the open elements, so they are
+    # staged with their owner and grouped by it once, at the end.
+    parents: list[int] = []
+    tags: list[int] = []
+    posts: list[int] = []
+    levels: list[int] = []
+    pointer_counts: list[int] = []
+    pointer_owners: list[int] = []
+    pointer_paths: list[str] = []
+    pointer_staged: list[int] = []
+    content_owners: list[int] = []
+    content: list[int] = []
+
     # Parsing state: stacks of open elements.
     id_stack: list[int] = []
     summary_stack = [summary.root]
-    next_id = 0
     next_post = 0
     original_size = len(xml_text.encode("utf-8"))
 
-    def container_for(summary_node) -> ValueContainer:
+    def add_value(owner: int, summary_node, value: str) -> None:
         path = summary_node.path
         container = containers.get(path)
         if container is None:
-            container = ValueContainer(path)
-            containers[path] = container
+            container = containers[path] = ValueContainer(path)
             summary_node.container_path = path
-        return container
+        pointer_owners.append(owner)
+        pointer_paths.append(path)
+        pointer_staged.append(container.add_value(value, owner))
+        pointer_counts[owner] += 1
 
     for event in iter_events(xml_text):
         if isinstance(event, StartElement):
-            node_id = next_id
-            next_id += 1
+            node_id = len(parents)
             parent_id = id_stack[-1] if id_stack else -1
-            tag_code = dictionary.intern(event.name)
-            record = NodeRecord(node_id, tag_code, parent_id,
-                                level=len(id_stack))
-            structure.add(record)
+            parents.append(parent_id)
+            tags.append(dictionary.intern(event.name))
+            posts.append(-1)
+            levels.append(len(id_stack))
+            pointer_counts.append(0)
             if parent_id >= 0:
-                parent_record = structure.record(parent_id)
-                parent_record.children.append(node_id)
-                parent_record.content_sequence.append(("elem", node_id))
+                content_owners.append(parent_id)
+                content.append(node_id)
                 statistics.record_child(
-                    dictionary.name_of(parent_record.tag_code))
+                    dictionary.name_of(tags[parent_id]))
             summary_node = summary_stack[-1].child(event.name)
             summary_node.extent.append(node_id)
             statistics.record_element(event.name, summary_node.path,
@@ -124,14 +139,10 @@ def load_document(xml_text: str, configuration=None,
                 dictionary.intern("@" + attr_name)
                 attr_summary = summary_node.child("@" + attr_name)
                 attr_summary.extent.append(node_id)
-                container = container_for(attr_summary)
-                record.value_pointers.append(
-                    (container.path,
-                     container.add_value(attr_value, node_id)))
+                add_value(node_id, attr_summary, attr_value)
                 statistics.attribute_count += 1
         elif isinstance(event, EndElement):
-            node_id = id_stack.pop()
-            structure.record(node_id).post = next_post
+            posts[id_stack.pop()] = next_post
             next_post += 1
             summary_stack.pop()
         elif isinstance(event, Characters):
@@ -140,24 +151,30 @@ def load_document(xml_text: str, configuration=None,
             parent_id = id_stack[-1]
             text_summary = summary_stack[-1].child(TEXT_STEP)
             text_summary.extent.append(parent_id)
-            container = container_for(text_summary)
-            parent_record = structure.record(parent_id)
-            parent_record.content_sequence.append(
-                ("text", len(parent_record.value_pointers)))
-            parent_record.value_pointers.append(
-                (container.path,
-                 container.add_value(event.text, parent_id)))
+            content_owners.append(parent_id)
+            content.append(~pointer_counts[parent_id])
+            add_value(parent_id, text_summary, event.text)
             statistics.text_count += 1
 
     _seal_containers(containers, configuration, default_string_codec)
-    # Sealing sorted the containers by value; remap the structure tree's
-    # value pointers from staging order to final record slots.
-    for record in structure:
-        if record.value_pointers:
-            record.value_pointers = [
-                (path, containers[path].sorted_position(index))
-                for path, index in record.value_pointers
-            ]
+    # Number the containers by sorted path, as the stored form does.
+    # Sealing sorted each one by value: one gather per container maps
+    # its staged indexes to final slots.
+    paths = sorted(containers)
+    rank = {path: i for i, path in enumerate(paths)}
+    which = np.array([rank[path] for path in pointer_paths], dtype=np.int64)
+    staged = np.asarray(pointer_staged, dtype=np.int64)
+    slots = np.empty_like(staged)
+    for index, path in enumerate(paths):
+        mine = which == index
+        slots[mine] = containers[path].sorted_position(staged[mine])
+    pointer_offsets, by_owner = _grouped(pointer_owners, len(parents))
+    content_offsets, content_by_owner = _grouped(content_owners,
+                                                  len(parents))
+    structure = StructureTree(
+        parents, tags, posts, levels, paths, pointer_offsets,
+        which[by_owner], slots[by_owner], content_offsets,
+        np.asarray(content, dtype=np.int64)[content_by_owner])
     return CompressedRepository(
         dictionary=dictionary,
         structure=structure,
@@ -166,6 +183,15 @@ def load_document(xml_text: str, configuration=None,
         statistics=statistics,
         original_size_bytes=original_size,
     )
+
+
+def _grouped(owners: list[int], count: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """CSR offsets of entries staged with their ``owners`` over ``count``
+    nodes, and the stable order that groups the entries by owner."""
+    owners = np.asarray(owners, dtype=np.int64)
+    return offsets_of(np.bincount(owners, minlength=count)), \
+        np.argsort(owners, kind="stable")
 
 
 def _seal_containers(containers: dict[str, ValueContainer],

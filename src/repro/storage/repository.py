@@ -99,34 +99,30 @@ class CompressedRepository:
     def text_of(self, node_id: int) -> str:
         """Concatenated decompressed text of a node's *direct* text
         children (not descendants)."""
-        record = self.structure.record(node_id)
-        parts = []
-        for path, index in record.value_pointers:
-            if path.endswith("/" + TEXT_STEP):
-                parts.append(self._containers[path].value_at(index))
-        return "".join(parts)
+        return "".join(self._value(container, slot) for container, slot
+                       in self.structure.values_of(node_id, TEXT_STEP))
 
     def full_text_of(self, node_id: int) -> str:
-        """Concatenated text of the node's whole subtree (string value)."""
-        parts = [self.text_of(node_id)]
-        record = self.structure.record(node_id)
-        for child in record.children:
-            parts.append(self.full_text_of(child))
-        return "".join(parts)
+        """The node's string value: every text of its subtree, in
+        document order."""
+        return "".join(self._value(container, slot) for container, slot
+                       in self.structure.subtree_texts(node_id))
 
     def attribute_of(self, node_id: int, name: str) -> str | None:
         """Decompressed value of attribute ``name``, or ``None``."""
-        record = self.structure.record(node_id)
-        suffix = "/@" + name
-        for path, index in record.value_pointers:
-            if path.endswith(suffix):
-                return self._containers[path].value_at(index)
+        for container, slot in self.structure.values_of(node_id,
+                                                        "@" + name):
+            return self._value(container, slot)
         return None
+
+    def _value(self, container: int, slot: int) -> str:
+        return self._containers[self.structure.paths[container]] \
+            .value_at(slot)
 
     def tag_of(self, node_id: int) -> str:
         """Element name of a node."""
         return self.dictionary.name_of(
-            self.structure.record(node_id).tag_code)
+            self.structure.tag_code_of(node_id))
 
     def resolve_path(self, steps: list[tuple[str, str]]
                      ) -> list[SummaryNode]:

@@ -18,21 +18,24 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 from repro.compression.serialization import (
     deserialize_codec,
     serialize_codec,
 )
 from repro.compression.base import CompressedValue
-from repro.errors import PageError
+from repro.errors import CorruptDataError, PageError
 from repro.storage.containers import ContainerRecord, ValueContainer
 from repro.storage.name_dictionary import NameDictionary
 from repro.storage.pages import PageFile, PagedReader, PagedWriter, \
     PT_CATALOG
 from repro.storage.repository import CompressedRepository
 from repro.storage.statistics import DocumentStatistics
-from repro.storage.structure import NodeRecord, StructureTree
+from repro.storage.structure import StructureTree, offsets_of
 from repro.storage.summary import StructureSummary, SummaryNode
 from repro.util.bytestream import ByteReader, ByteWriter
+from repro.util.varint import decode_varints, encode_varints
 
 _MAGIC = b"XQC1"
 _STREAMS = ("meta", "dictionary", "codecs", "containers", "structure",
@@ -105,7 +108,7 @@ def load_repository(path: str | Path) -> CompressedRepository:
     codecs = _read_codecs(streams["codecs"])
     containers, container_paths = _read_containers(
         streams["containers"], codecs)
-    structure = _read_structure(streams["structure"], container_paths)
+    structure = _read_structure(streams["structure"], containers)
     summary = _read_summary(streams["summary"], container_paths)
     statistics = _read_statistics(streams["statistics"])
     return CompressedRepository(
@@ -237,53 +240,105 @@ def _read_containers(data: bytes, codecs: list
 
 def _write_structure(structure: StructureTree,
                      path_index: dict[str, int]) -> bytes:
-    writer = ByteWriter()
-    writer.varint(len(structure))
-    for record in structure:
-        writer.varint(record.tag_code)
-        writer.varint(record.node_id - record.parent_id
-                      if record.parent_id >= 0 else 0)
-        writer.varint(record.post)
-        writer.varint(record.level)
-        writer.varint(len(record.value_pointers))
-        for path, offset in record.value_pointers:
-            writer.varint(path_index[path])
-            writer.varint(offset)
-        writer.varint(len(record.content_sequence))
-        for kind, ref in record.content_sequence:
-            writer.byte(0 if kind == "elem" else 1)
-            writer.varint(ref)
-    return writer.getvalue()
+    """Per node, varints: tag, parent delta (0 at the root), post,
+    level, the value pointers as a count and (container, slot) pairs,
+    the content as a count and (kind, ref) pairs — kind 0 a child id,
+    1 a value-pointer index.  Laid out in bulk, then encoded at once."""
+    count = len(structure)
+    ids = np.arange(count, dtype=np.int64)
+    pointer_counts = np.diff(structure.pointer_offsets)
+    content_counts = np.diff(structure.content_offsets)
+    lengths = 6 + 2 * (pointer_counts + content_counts)
+    starts = 1 + np.cumsum(lengths) - lengths
+    fields = np.empty(1 + int(lengths.sum()), dtype=np.int64)
+    fields[0] = count
+    parents = structure.parents
+    for offset, column in enumerate((
+            structure.tags, np.where(parents >= 0, ids - parents, 0),
+            structure.posts, structure.levels, pointer_counts)):
+        fields[starts + offset] = column
+    renumber = np.array([path_index[path] for path in structure.paths],
+                        dtype=np.int64)
+    at = _pair_positions(starts + 5, structure.pointer_offsets)
+    fields[at] = renumber[structure.pointer_containers]
+    fields[at + 1] = structure.pointer_slots
+    content_starts = starts + 5 + 2 * pointer_counts
+    fields[content_starts] = content_counts
+    at = _pair_positions(content_starts + 1, structure.content_offsets)
+    content = structure.content
+    fields[at] = content < 0
+    fields[at + 1] = np.where(content >= 0, content, ~content)
+    return encode_varints(fields)
 
 
 def _read_structure(data: bytes,
-                    container_paths: list[str]) -> StructureTree:
-    reader = ByteReader(data)
-    structure = StructureTree()
-    count = reader.varint()
-    for node_id in range(count):
-        tag_code = reader.varint()
-        parent_delta = reader.varint()
-        parent_id = node_id - parent_delta if parent_delta else -1
-        if node_id == 0:
-            parent_id = -1
-        post = reader.varint()
-        level = reader.varint()
-        pointers = []
-        for _ in range(reader.varint()):
-            pointers.append((container_paths[reader.varint()],
-                             reader.varint()))
-        content = []
-        for _ in range(reader.varint()):
-            kind = "elem" if reader.byte() == 0 else "text"
-            content.append((kind, reader.varint()))
-        record = NodeRecord(node_id, tag_code, parent_id, post=post,
-                            level=level, value_pointers=pointers,
-                            content_sequence=content)
-        structure.add(record)
-        if parent_id >= 0:
-            structure.record(parent_id).children.append(node_id)
-    return structure
+                    containers: dict[str, ValueContainer]
+                    ) -> StructureTree:
+    """The inverse of :func:`_write_structure`; every reference is
+    checked, so a corrupt stream raises :class:`PageError` rather than
+    wrapping a negative index or pointing past a column."""
+    try:
+        fields = decode_varints(data)
+    except CorruptDataError as exc:
+        raise PageError(f"structure stream: {exc}") from None
+    # Each record's length depends on its two counts: one pass finds
+    # the record starts, the rest is gathered in bulk.
+    values = fields.tolist()
+    starts = []
+    at = 1
+    try:
+        for _ in range(values[0]):
+            starts.append(at)
+            at += 5 + 2 * values[at + 4]
+            at += 1 + 2 * values[at]
+    except IndexError:
+        raise PageError("structure stream truncated") from None
+    if at != len(values):
+        raise PageError("structure stream has trailing fields")
+    count = len(starts)
+    starts = np.array(starts, dtype=np.int64)
+    ids = np.arange(count, dtype=np.int64)
+    deltas = fields[starts + 1]
+    parents = np.where(ids == 0, -1, ids - deltas)
+    if ((deltas == 0) & (ids > 0)).any() or (parents[1:] < 0).any():
+        raise PageError("structure parent delta points before the root")
+    pointer_counts = fields[starts + 4]
+    pointer_offsets = offsets_of(pointer_counts)
+    at = _pair_positions(starts + 5, pointer_offsets)
+    pointer_containers, slots = fields[at], fields[at + 1]
+    lengths = np.array([len(c) for c in containers.values()],
+                       dtype=np.int64)
+    if (pointer_containers >= len(containers)).any():
+        raise PageError("structure value pointer names no container")
+    if (slots >= lengths[pointer_containers]).any():
+        raise PageError("structure value pointer slot past its container")
+    content_starts = starts + 5 + 2 * pointer_counts
+    content_offsets = offsets_of(fields[content_starts])
+    at = _pair_positions(content_starts + 1, content_offsets)
+    kinds, refs = fields[at], fields[at + 1]
+    owners = np.repeat(ids, np.diff(content_offsets))
+    texts = kinds == 1
+    if (kinds > 1).any() or \
+            (refs[texts] >= pointer_counts[owners[texts]]).any():
+        raise PageError("structure text reference past the node's values")
+    children = refs[~texts]
+    if (children >= count).any() or \
+            (parents[children] != owners[~texts]).any() or \
+            not np.array_equal(np.sort(children), ids[1:]):
+        raise PageError("structure content names a node that is not a "
+                        "child")
+    return StructureTree(
+        parents, fields[starts], fields[starts + 2], fields[starts + 3],
+        list(containers), pointer_offsets, pointer_containers, slots,
+        content_offsets, np.where(texts, ~refs, refs))
+
+
+def _pair_positions(firsts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Field position of each CSR entry stored as a pair: run *i*'s
+    pairs start at ``firsts[i]``."""
+    counts = np.diff(offsets)
+    within = np.arange(offsets[-1]) - np.repeat(offsets[:-1], counts)
+    return np.repeat(firsts, counts) + 2 * within
 
 
 def _write_summary(summary: StructureSummary,

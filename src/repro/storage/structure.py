@@ -1,152 +1,183 @@
-"""The structure tree: one record per non-value XML node (paper §2.2).
+"""The structure tree (paper §2.2), stored as columns over node ids.
 
-Each record holds its own ID, the tag code, the IDs of its children,
-(redundantly) the parent ID, and pointers to its attribute and text
-children in their containers.  A B+ search tree over the records is the
-paper's access-support structure; ``Parent``/``Child`` operators resolve
-through it.
+Node ids are dense preorder ranks, so a node's id is its position in
+every column and iterating ids ascending is document order — the
+property the order-preserving operators (§4) rely on.  Per node the
+tree keeps its parent (-1 at the root), tag code, postorder rank and
+depth as int64 arrays, and two CSR columns: ``X_offsets[i]:
+X_offsets[i + 1]`` is node *i*'s run in the flat arrays.
 
-IDs are assigned in document order, so iterating records by ascending ID
-is document order — the property the order-preserving operators (§4)
-rely on.
+* **Value pointers** — ``(pointer_containers, pointer_slots)``: the
+  container (an index into :attr:`StructureTree.paths`) and record slot
+  of each attribute value and text node, attributes first, texts in
+  arrival order.
+* **Content** — the node's children and texts in document order: a
+  child's id (``>= 0``), or ``~k`` for the node's *k*-th value pointer,
+  a text.  The element entries *are* the children.
+
+The paper's prototype keeps a B+ search tree over the records; a node
+id is already a position here, so no tree is built, and
+:meth:`StructureTree.index_size_bytes` accounts what a disk-resident
+format would carry for one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.errors import NodeNotFoundError
-from repro.storage.btree import BPlusTree
-from repro.storage.ids import StructuralId
+from repro.util.varint import varint_sizes
+
+#: keys per node of the accounted B+ index, and bytes per internal node.
+_INDEX_ORDER = 64
+_INDEX_PAGE_BYTES = 512
 
 
-@dataclass(slots=True)
-class NodeRecord:
-    """One structure-tree node record."""
+def offsets_of(counts: np.ndarray) -> np.ndarray:
+    """CSR offsets of consecutive runs of ``counts`` entries."""
+    return np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
-    node_id: int
-    tag_code: int
-    parent_id: int  # -1 for the root
-    children: list[int] = field(default_factory=list)
-    #: (container name, record index) pointers to value children —
-    #: attribute values and text nodes living in containers.
-    value_pointers: list[tuple[str, int]] = field(default_factory=list)
-    #: arrival order of element children and text values, as
-    #: ``("elem", child id)`` / ``("text", value_pointers index)`` —
-    #: what lets XMLSerialize rebuild mixed content exactly.
-    content_sequence: list[tuple[str, int]] = field(default_factory=list)
-    #: 3-valued ID (pre == node_id); filled by the loader.
-    post: int = -1
-    level: int = -1
 
-    @property
-    def structural_id(self) -> StructuralId:
-        """The (pre, post, level) identifier of this node."""
-        return StructuralId(self.node_id, self.post, self.level)
+def _column(values) -> np.ndarray:
+    array = np.asarray(values, dtype=np.int64)
+    array.flags.writeable = False
+    return array
 
 
 class StructureTree:
-    """All node records of one document plus the B+ index over them."""
+    """One document's node columns; immutable once built."""
 
-    def __init__(self):
-        self._records: list[NodeRecord] = []
-        self._index: BPlusTree | None = None
-        self._parents = None  # cached parent-id array (lazy)
-        self._tags = None  # cached tag-code array (lazy)
+    __slots__ = ("parents", "tags", "posts", "levels", "paths", "steps",
+                 "pointer_offsets", "pointer_containers", "pointer_slots",
+                 "content_offsets", "content")
+
+    def __init__(self, parents, tags, posts, levels, paths,
+                 pointer_offsets, pointer_containers, pointer_slots,
+                 content_offsets, content):
+        self.parents = _column(parents)
+        self.tags = _column(tags)
+        self.posts = _column(posts)
+        self.levels = _column(levels)
+        #: container path per container index, each stored once, and its
+        #: last step (``@name`` or ``#text``).
+        self.paths = tuple(paths)
+        self.steps = tuple(path.rsplit("/", 1)[-1] for path in self.paths)
+        self.pointer_offsets = _column(pointer_offsets)
+        self.pointer_containers = _column(pointer_containers)
+        self.pointer_slots = _column(pointer_slots)
+        self.content_offsets = _column(content_offsets)
+        self.content = _column(content)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.parents)
 
-    def add(self, record: NodeRecord) -> None:
-        """Append a record; IDs must arrive dense and in order."""
-        if record.node_id != len(self._records):
-            raise ValueError(
-                f"node ids must be dense/sequential; expected "
-                f"{len(self._records)}, got {record.node_id}")
-        self._records.append(record)
-        self._index = None  # invalidated; rebuilt lazily
-        self._parents = None
-        self._tags = None
-
-    def record(self, node_id: int) -> NodeRecord:
-        """The record for ``node_id``; raises NodeNotFoundError."""
-        if not 0 <= node_id < len(self._records):
+    def _check(self, node_id: int) -> None:
+        if not 0 <= node_id < len(self.parents):
             raise NodeNotFoundError(f"no node with id {node_id}")
-        return self._records[node_id]
-
-    def __iter__(self):
-        return iter(self._records)
-
-    @property
-    def index(self) -> BPlusTree:
-        """B+ search tree over node id -> record (built lazily)."""
-        if self._index is None:
-            self._index = BPlusTree.bulk_load(
-                ((r.node_id, r) for r in self._records))
-        return self._index
-
-    def parent_array(self):
-        """int64 array of parent ids by node id (-1 at the root).
-
-        Cached until the next :meth:`add`; the batch engine's
-        vectorized ``Parent`` steps and ancestor climbs index it
-        directly instead of calling :meth:`parent_of` per node.
-        """
-        if self._parents is None:
-            self._parents = np.fromiter(
-                (r.parent_id for r in self._records),
-                dtype=np.int64, count=len(self._records))
-        return self._parents
-
-    def tag_array(self) -> np.ndarray:
-        """int64 array of tag codes by node id; cached like
-        :meth:`parent_array`."""
-        if self._tags is None:
-            self._tags = np.fromiter(
-                (r.tag_code for r in self._records),
-                dtype=np.int64, count=len(self._records))
-        return self._tags
 
     # -- navigation primitives used by the physical operators -------------
 
     def parent_of(self, node_id: int) -> int | None:
         """Parent id, or ``None`` at the root."""
-        parent = self.record(node_id).parent_id
+        self._check(node_id)
+        parent = self.parents.item(node_id)
         return None if parent < 0 else parent
+
+    def tag_code_of(self, node_id: int) -> int:
+        """The node's tag code."""
+        self._check(node_id)
+        return self.tags.item(node_id)
 
     def children_of(self, node_id: int,
                     tag_code: int | None = None) -> list[int]:
         """Child ids in document order, optionally filtered by tag."""
-        children = self.record(node_id).children
-        if tag_code is None:
-            return list(children)
-        records = self._records
-        return [c for c in children if records[c].tag_code == tag_code]
+        self._check(node_id)
+        offsets, tags = self.content_offsets, self.tags
+        return [child for child in self.content[
+                offsets.item(node_id):offsets.item(node_id + 1)].tolist()
+                if child >= 0 and (tag_code is None
+                                   or tags.item(child) == tag_code)]
 
-    def descendants_of(self, node_id: int,
-                       tag_code: int | None = None) -> list[int]:
-        """Descendant ids in document order.
+    def subtree_end(self, node_id: int) -> int:
+        """One past the last id of ``node_id``'s subtree.
 
         Ids are preorder ranks, so the descendants are the dense range
         after ``node_id``.  ``post`` counts the nodes closed before
         this one: its descendants plus the ``pre - level`` earlier
         nodes that are not its ancestors — so the range ends at
-        ``post + level``, read off the record, never scanned.
+        ``post + level``, read off the columns, never scanned.
         """
-        record = self.record(node_id)
-        start, end = node_id + 1, record.post + record.level + 1
+        self._check(node_id)
+        return self.posts.item(node_id) + self.levels.item(node_id) + 1
+
+    def descendants_of(self, node_id: int,
+                       tag_code: int | None = None) -> list[int]:
+        """Descendant ids in document order, optionally by tag."""
+        start, end = node_id + 1, self.subtree_end(node_id)
         if tag_code is None:
             return list(range(start, end))
-        hits = np.flatnonzero(self.tag_array()[start:end] == tag_code)
+        hits = np.flatnonzero(self.tags[start:end] == tag_code)
         return (hits + start).tolist()
+
+    def values_of(self, node_id: int, step: str, subtree: bool = False
+                  ) -> list[tuple[int, int]]:
+        """``(container index, slot)`` of the node's values whose
+        container ends in ``step`` (``@name`` or ``#text``), in pointer
+        order — document order for one node's texts.  ``subtree``: of
+        every node of its subtree, node by node in id order."""
+        self._check(node_id)
+        stop_node = self.subtree_end(node_id) if subtree else node_id + 1
+        start = self.pointer_offsets.item(node_id)
+        stop = self.pointer_offsets.item(stop_node)
+        steps = self.steps
+        return [(container, slot) for container, slot in zip(
+            self.pointer_containers[start:stop].tolist(),
+            self.pointer_slots[start:stop].tolist())
+            if steps[container] == step]
+
+    def subtree(self, node_id: int) -> tuple[list[int], ...]:
+        """Every column's run over ``node_id``'s subtree, sliced once —
+        its nodes, pointers and content are contiguous — as lists
+        rebased to its root: ``(tags, pointer_offsets, containers,
+        slots, content_offsets, content)``, where local node *i* is the
+        root's id plus *i* and a child entry is its local number."""
+        end = self.subtree_end(node_id)
+        pointers = self.pointer_offsets[node_id:end + 1].tolist()
+        offsets = self.content_offsets[node_id:end + 1].tolist()
+        p0, c0 = pointers[0], offsets[0]
+        return (self.tags[node_id:end].tolist(),
+                [pointer - p0 for pointer in pointers],
+                self.pointer_containers[p0:pointers[-1]].tolist(),
+                self.pointer_slots[p0:pointers[-1]].tolist(),
+                [offset - c0 for offset in offsets],
+                [entry - node_id if entry >= 0 else entry
+                 for entry in self.content[c0:offsets[-1]].tolist()])
+
+    def subtree_texts(self, node_id: int) -> list[tuple[int, int]]:
+        """``(container index, slot)`` of every text below ``node_id``,
+        in document order: a walk of the content with a stack, so any
+        depth walks."""
+        _, pointers, containers, slots, offsets, content = \
+            self.subtree(node_id)
+        found = []
+        stack = [(0, 0)]
+        while stack:
+            local, at = stack.pop()
+            while at < offsets[local + 1]:
+                entry = content[at]
+                at += 1
+                if entry >= 0:
+                    stack += [(local, at), (entry, offsets[entry])]
+                    break
+                pointer = pointers[local] + ~entry
+                found.append((containers[pointer], slots[pointer]))
+        return found
 
     # -- accounting --------------------------------------------------------
 
-    def record_size_bytes(self, record: NodeRecord,
-                          tag_bits: int = 8) -> int:
-        """Serialized size of one record in a compact binary layout.
+    def serialized_size_bytes(self, tag_bits: int = 8) -> int:
+        """Serialized record bytes in a compact binary layout (without
+        the B+ index).
 
         IDs are dense and document-ordered, so they are implicit (the
         record's position); the parent is a backward delta varint, the
@@ -156,43 +187,45 @@ class StructureTree:
         the 4-bytes-everything estimate would dominate the document and
         make the paper's compression factors unreachable.
         """
-        from repro.util.varint import varint_size
-        tag_bytes = (tag_bits + 7) // 8
-        size = tag_bytes
-        size += varint_size(record.node_id - record.parent_id
-                            if record.parent_id >= 0 else 0)
+        count = len(self)
+        ids = np.arange(count, dtype=np.int64)
+        size = count * ((tag_bits + 7) // 8)
+        size += self.backward_edge_bytes() + int((self.parents < 0).sum())
         # post numbers track preorder ranks closely (they differ by the
         # open-ancestor count), so the zigzag delta is ~1 byte.
-        size += varint_size(abs(record.post - record.node_id) * 2 + 1
-                            if record.post >= 0 else 0)
-        size += varint_size(len(record.children))
-        previous = record.node_id
-        for child in record.children:
-            size += varint_size(child - previous)
-            previous = child
-        for _, offset in record.value_pointers:
-            size += 1 + varint_size(offset)  # container id + slot
+        size += int(varint_sizes(
+            np.abs(self.posts - ids) * 2 + 1).sum())
+        owners = np.repeat(ids, np.diff(self.content_offsets))
+        is_child = self.content >= 0
+        children, owners = self.content[is_child], owners[is_child]
+        size += int(varint_sizes(
+            np.bincount(owners, minlength=count)).sum())
+        previous = owners.copy()
+        same = owners[1:] == owners[:-1]
+        previous[1:][same] = children[:-1][same]
+        size += int(varint_sizes(children - previous).sum())
+        size += len(self.pointer_slots) \
+            + int(varint_sizes(self.pointer_slots).sum())
         return size
 
     def backward_edge_bytes(self) -> int:
         """Bytes spent on the redundant parent pointers (§2.2: part of
         the access support that can be dropped to shrink the store)."""
-        from repro.util.varint import varint_size
-        return sum(
-            varint_size(r.node_id - r.parent_id)
-            for r in self._records if r.parent_id >= 0)
-
-    def serialized_size_bytes(self, tag_bits: int = 8) -> int:
-        """Total serialized record bytes (without the B+ index)."""
-        return sum(self.record_size_bytes(r, tag_bits)
-                   for r in self._records)
+        has_parent = self.parents >= 0
+        deltas = np.flatnonzero(has_parent) - self.parents[has_parent]
+        return int(varint_sizes(deltas).sum())
 
     def index_size_bytes(self) -> int:
-        """Approximate serialized size of the B+ search tree.
+        """Accounted size of a B+ search tree over the node ids.
 
-        The leaf payload *is* the record sequence (already counted by
-        :meth:`serialized_size_bytes`); the index proper is the internal
-        separator levels.
+        The internal separator levels of an order-64 bulk load — full
+        leaves of 64 keys, then groups of 65 children per level up to
+        one root — at 512 bytes a node.  The leaf payload *is* the
+        record sequence, counted by :meth:`serialized_size_bytes`.
         """
-        internal, _ = self.index.node_count()
-        return internal * 512
+        level = max(1, -(-len(self) // _INDEX_ORDER))
+        internal = 0
+        while level > 1:
+            level = -(-level // (_INDEX_ORDER + 1))
+            internal += level
+        return internal * _INDEX_PAGE_BYTES

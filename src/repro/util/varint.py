@@ -8,6 +8,8 @@ format (including the paper's Berkeley DB records) would use.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import CorruptDataError
 
 
@@ -53,6 +55,41 @@ def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
         shift += 7
         if shift > 63:
             raise CorruptDataError("varint too long")
+
+
+def varint_sizes(values: np.ndarray) -> np.ndarray:
+    """Per-element :func:`varint_size` of non-negative integers."""
+    return 1 + sum((values >= 1 << shift).astype(np.int64)
+                   for shift in range(7, 63, 7))
+
+
+def encode_varints(values: np.ndarray) -> bytes:
+    """The concatenated :func:`encode_varint` of each non-negative
+    int64, encoded in bulk."""
+    sizes = varint_sizes(values)
+    starts = np.cumsum(sizes) - sizes
+    byte = np.arange(int(sizes.sum())) - np.repeat(starts, sizes)
+    out = (np.repeat(values, sizes) >> (7 * byte)) & 0x7F
+    out[byte < np.repeat(sizes, sizes) - 1] |= 0x80
+    return out.astype(np.uint8).tobytes()
+
+
+def decode_varints(data: bytes) -> np.ndarray:
+    """Every varint of ``data``, as int64, decoded in bulk; raises
+    :class:`CorruptDataError` on a truncated or over-long one."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    if not len(raw):
+        return np.empty(0, dtype=np.int64)
+    ends = np.flatnonzero(raw < 0x80)
+    if not len(ends) or ends[-1] != len(raw) - 1:
+        raise CorruptDataError("truncated varint")
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    sizes = ends - starts + 1
+    if sizes.max() > 9:
+        raise CorruptDataError("varint too long")
+    shifts = 7 * (np.arange(len(raw)) - np.repeat(starts, sizes))
+    parts = (raw & 0x7F).astype(np.int64) << shifts
+    return np.bitwise_or.reduceat(parts, starts)
 
 
 def encode_zigzag(value: int) -> bytes:

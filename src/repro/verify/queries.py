@@ -21,7 +21,8 @@ of any length and case, candidates the re-check must reject);
 relative value paths read as projections (missing, repeated, nested
 and mixed-content leaves; ``return``, attributes, ``order by``, a
 shadowed variable) and same-binding comparisons ``$v/a <op> K *
-$v/b`` decided in bulk (``ColumnCompare``) or refused.
+$v/b`` decided in bulk (``ColumnCompare``) or refused; the string value
+of mixed content (``string()``, ``=`` and ``contains`` across a child).
 Constants are drawn from the document's own value pools plus
 adversarial neighbours (absent values, fractional bounds over int
 containers, the empty string, the same number spelt as text, values
@@ -52,7 +53,15 @@ def _pools(entities: dict) -> dict[str, list[str]]:
             "quantities": [a["quantity"] for a in auctions] or ["1"],
             "categories": list(CATEGORIES) + ["c3"],
             "words": [i["name"] for i in items] or ["gold"],
-            "item_ids": [i["id"] for i in items] or ["i0"]}
+            "item_ids": [i["id"] for i in items] or ["i0"],
+            # A description's string value: its text, the note's, the
+            # tail and the inner description's, in document order.
+            "strings": [i["description"] + (i["note"] or "")
+                        + (i["note"] and i["tail"] or "")
+                        + (i["inner"] or "") for i in items] or [""],
+            "spans": [i["description"][-2:] + i["note"]
+                      + (i["tail"] or "")[:2]
+                      for i in items if i["note"]] or ["gold"]}
 
 
 def _string_constant(rng: random.Random, pool: list[str]) -> str:
@@ -291,6 +300,23 @@ def _projection(rng: random.Random) -> str:
         f"{source}{where} return $v/{first}}}</o>"))
 
 
+def _string_value(rng: random.Random, pools: dict) -> str:
+    """A mixed-content ``description`` atomized — by ``string()``, by
+    ``=`` against a whole string value, by ``contains`` with a needle
+    that spans the note — where the tail text follows the note."""
+    source = rng.choice(("//item", "/site/regions/item"))
+    value = rng.choice(pools["strings"])
+    needle = rng.choice(pools["spans"])
+    return rng.choice((
+        f"for $v in {source} return <s>{{string($v/description)}}</s>",
+        f'for $v in {source} where $v/description = "{value}" '
+        "return $v/@id",
+        f"count(for $v in {source} where contains($v/description, "
+        f'"{needle}") return $v)',
+        f"for $v in {source} where contains(string($v/description), "
+        f'"{needle}") return $v/@id'))
+
+
 def generate_queries(entities: dict, rng: random.Random,
                      count: int) -> list[str]:
     """``count`` template instantiations for one document."""
@@ -378,6 +404,7 @@ def generate_queries(entities: dict, rng: random.Random,
         lambda: _projection(rng),
         lambda: _projection(rng),
         lambda: _projection(rng),
+        lambda: _string_value(rng, pools),
     )
     while len(queries) < count:
         queries.append(rng.choice(makers)())

@@ -101,13 +101,11 @@ class TestRuntimeActivation:
         with runtime.activated(telemetry):
             runtime.add("container.scans", 2)
             runtime.record_codec("decode", "alm", 10, 25)
-            runtime.record_page_reads(3)
         counters = telemetry.metrics.counters()
         assert counters["container.scans"] == 2
         assert counters["codec.alm.decode.calls"] == 1
         assert counters["codec.alm.decode.compressed_bytes"] == 10
         assert counters["codec.alm.decode.plain_chars"] == 25
-        assert counters["btree.page_reads"] == 3
 
     def test_helpers_are_silent_when_inactive(self):
         runtime.add("nothing")  # must not raise, must not record

@@ -697,3 +697,33 @@ class TestNonFiniteRendering:
         assert_parity(self.XML,
                       "for $v in /doc/v return $v/text() * 10",
                       ("ok", "INF"))
+
+
+class TestMixedContentStringValue:
+    """Bug: a node's string value concatenated its own texts before its
+    children's, so ``string(/r/a)`` over ``<a>x<b>y</b>z</a>`` was
+    ``"xzy"``; comparisons and ``contains`` over the atomized node saw
+    the same wrong order.  The reference gives ``"xyz"``.
+    """
+
+    XML = "<r><a>x<b>y</b>z</a><a>p<b>q<c>s</c>t</b></a></r>"
+
+    def test_string_value_in_document_order(self):
+        assert_parity(self.XML, "string(/r/a[1])", ("ok", "xyz"))
+        assert_parity(self.XML, "string(/r/a[2])", ("ok", "pqst"))
+
+    def test_comparison_atomizes_in_document_order(self):
+        assert_parity(self.XML,
+                      'for $a in /r/a where $a = "xyz" return $a/b',
+                      ("ok", "<b>y</b>"))
+
+    def test_contains_spans_the_child(self):
+        assert_parity(self.XML,
+                      'count(for $a in /r/a where contains($a, "xy") '
+                      'return $a)', ("ok", "1"))
+
+    def test_one_decompression_per_atomization(self):
+        repository = load_document(self.XML)
+        result = QueryEngine(repository).execute("string(/r/a[1])")
+        assert result.to_xml() == "xyz"
+        assert result.stats.decompressions == 1

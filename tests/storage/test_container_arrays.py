@@ -2,7 +2,7 @@
 
 ``as_arrays()`` caching, ``interval_positions``/``interval_bounds``
 parity with the scalar ``interval_search``, the vectorized codec
-kernels, the structure tree's ``parent_array`` and the block-cache
+kernels, the structure tree's ``parents`` column and the block-cache
 memoization of the array view.
 """
 
@@ -156,15 +156,13 @@ class TestKernels:
 class TestParentArray:
     def test_matches_scalar_parents(self, repo):
         structure = repo.structure
-        parents = structure.parent_array()
+        parents = structure.parents
         assert parents.dtype == np.int64
         for node_id in range(len(parents)):
-            assert parents[node_id] == \
-                structure.record(node_id).parent_id
-
-    def test_cached(self, repo):
-        structure = repo.structure
-        assert structure.parent_array() is structure.parent_array()
+            parent = structure.parent_of(node_id)
+            assert parents[node_id] == (-1 if parent is None else parent)
+            assert parent is None or \
+                node_id in structure.children_of(parent)
 
 
 class TestBlockCacheArrays:

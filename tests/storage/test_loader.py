@@ -52,8 +52,8 @@ class TestStructure(object):
         assert len(repo.structure) == 12
 
     def test_root_record(self, repo):
-        root = repo.structure.record(0)
-        assert root.parent_id == -1
+        assert repo.structure.parent_of(0) is None
+        assert repo.structure.parents[0] == -1
         assert repo.tag_of(0) == "site"
 
     def test_document_order_ids(self, repo):
@@ -70,12 +70,15 @@ class TestStructure(object):
         assert len(descendants) == 11
 
     def test_levels(self, repo):
-        assert repo.structure.record(0).level == 0
-        assert repo.structure.record(2).level == 2
+        assert repo.structure.levels[0] == 0
+        assert repo.structure.levels[2] == 2
 
     def test_missing_node(self, repo):
-        with pytest.raises(NodeNotFoundError):
-            repo.structure.record(999)
+        for node_id in (999, -1):
+            with pytest.raises(NodeNotFoundError):
+                repo.structure.parent_of(node_id)
+            with pytest.raises(NodeNotFoundError):
+                repo.tag_of(node_id)
 
 
 class TestContainers:

@@ -120,3 +120,20 @@ class TestCollate:
             report.index("CUSTOM")
         assert main([str(tmp_path)]) == 0
         assert (tmp_path / "INDEX.md").exists()
+
+
+class TestDeepDocument:
+    """A document nested deeper than Python's recursion limit loads, and
+    its string value and reconstruction walk the columns iteratively."""
+
+    DEPTH = 1_500
+
+    def test_string_value_and_materialization(self):
+        from repro.query.context import EvaluationStats
+        from repro.query.engine import QueryEngine
+        xml = "<a>" * self.DEPTH + "x" + "</a>" * self.DEPTH
+        repository = load_document(xml)
+        assert repository.full_text_of(0) == "x"
+        element = QueryEngine(repository).materialize_node(
+            0, EvaluationStats())
+        assert element.name == "a" and len(element.children) == 1

@@ -1,12 +1,19 @@
 """Repository save/load round-trips, including query equivalence."""
 
+import numpy as np
 import pytest
 
 from repro.core.system import tuned_configuration
 from repro.errors import PageError
 from repro.query.engine import QueryEngine
 from repro.storage.loader import load_document
-from repro.storage.serialization import load_repository, save_repository
+from repro.storage.serialization import (
+    _read_structure,
+    _write_structure,
+    load_repository,
+    save_repository,
+)
+from repro.util.varint import decode_varints, encode_varints
 from repro.xmark.generator import generate_xmark
 
 QUERIES = [
@@ -18,6 +25,11 @@ QUERIES = [
     "$a in /site/closed_auctions/closed_auction "
     "where $a/buyer/@person = $p/@id return $p/name/text()",
 ]
+
+#: every column of a StructureTree.
+COLUMNS = ("parents", "tags", "posts", "levels", "pointer_offsets",
+           "pointer_containers", "pointer_slots", "content_offsets",
+           "content")
 
 
 @pytest.fixture(scope="module")
@@ -38,14 +50,10 @@ class TestRoundTrip:
         repo, path = saved
         loaded = load_repository(path)
         assert len(loaded.structure) == len(repo.structure)
-        for node_id in range(len(repo.structure)):
-            a = repo.structure.record(node_id)
-            b = loaded.structure.record(node_id)
-            assert (a.tag_code, a.parent_id, a.post, a.level) == \
-                (b.tag_code, b.parent_id, b.post, b.level)
-            assert a.children == b.children
-            assert a.value_pointers == b.value_pointers
-            assert a.content_sequence == b.content_sequence
+        assert loaded.structure.paths == repo.structure.paths
+        for column in COLUMNS:
+            assert np.array_equal(getattr(loaded.structure, column),
+                                  getattr(repo.structure, column)), column
 
     def test_dictionary_identical(self, saved):
         repo, path = saved
@@ -128,3 +136,71 @@ class TestFailureInjection:
         target.write_bytes(bytes(data))
         with pytest.raises(PageError):
             load_repository(target)
+
+
+class TestCorruptStructureStream:
+    """Each reference field of the structure stream is checked on read:
+    a bad one raises :class:`PageError`, never a bare ``IndexError`` or
+    a silently wrapped negative index.
+
+    ``<r a="1"><b>x</b>y</r>`` over the containers ``/r/#text``,
+    ``/r/@a``, ``/r/b/#text`` is the varint fields::
+
+        2                                  node count
+        t 0 1 0  2 1 0 0 0  2 0 1 1 1      r: @a, "y"; content b, "y"
+        t 1 0 1  1 2 0      1 1 0          b: "x"; content "x"
+    """
+
+    XML = '<r a="1"><b>x</b>y</r>'
+
+    @pytest.fixture(scope="class")
+    def stored(self):
+        repository = load_document(self.XML)
+        paths = repository.container_paths()
+        containers = {path: repository.container(path) for path in paths}
+        data = _write_structure(repository.structure,
+                                {path: i for i, path in enumerate(paths)})
+        return decode_varints(data), containers
+
+    def read(self, stored, position=None, value=None):
+        fields, containers = stored
+        fields = fields.copy()
+        if position is not None:
+            fields[position] = value
+        return _read_structure(encode_varints(fields), containers)
+
+    def test_layout_is_the_documented_one(self, stored):
+        fields, _ = stored
+        assert fields[[0, 2, 5, 6, 7, 10, 11, 12, 13, 14]].tolist() == \
+            [2, 0, 2, 1, 0, 2, 0, 1, 1, 1]
+        assert fields[16:].tolist() == [1, 0, 1, 1, 2, 0, 1, 1, 0]
+        assert self.read(stored).children_of(0) == [1]
+
+    def test_parent_delta_before_the_root(self, stored):
+        with pytest.raises(PageError, match="parent"):
+            self.read(stored, 16, 2)
+
+    def test_container_index_out_of_range(self, stored):
+        with pytest.raises(PageError, match="container"):
+            self.read(stored, 6, 3)
+
+    def test_slot_past_the_container(self, stored):
+        with pytest.raises(PageError, match="slot"):
+            self.read(stored, 7, 1)
+
+    def test_text_reference_past_the_values(self, stored):
+        with pytest.raises(PageError, match="text"):
+            self.read(stored, 24, 1)
+
+    def test_element_reference_not_a_child(self, stored):
+        # b's text entry becomes an element entry naming b itself.
+        with pytest.raises(PageError, match="child"):
+            self.read(stored, 23, 0)
+        # r's element entry names r.
+        with pytest.raises(PageError, match="child"):
+            self.read(stored, 12, 0)
+
+    def test_truncated_stream(self, stored):
+        fields, containers = stored
+        with pytest.raises(PageError):
+            _read_structure(encode_varints(fields[:-3]), containers)

@@ -1,27 +1,35 @@
 """Direct tests for StructureTree and StructureSummary internals."""
 
+import numpy as np
 import pytest
 
-from repro.storage.structure import NodeRecord, StructureTree
+from repro.storage.structure import StructureTree
 from repro.storage.summary import StructureSummary
 
 
 def build_tree():
-    """a -> (b -> d), c  with post/level numbers filled in."""
-    tree = StructureTree()
-    tree.add(NodeRecord(0, 0, -1, children=[1, 3], post=3, level=0))
-    tree.add(NodeRecord(1, 1, 0, children=[2], post=1, level=1))
-    tree.add(NodeRecord(2, 2, 1, post=0, level=2))
-    tree.add(NodeRecord(3, 3, 0, post=2, level=1))
-    return tree
+    """a -> (b -> d), c  with post/level numbers filled in; ``a`` holds
+    one attribute value and a text after ``b``."""
+    return StructureTree(
+        parents=[-1, 0, 1, 0], tags=[0, 1, 2, 3], posts=[3, 1, 0, 2],
+        levels=[0, 1, 2, 1], paths=["/a/#text", "/a/@x"],
+        pointer_offsets=[0, 2, 2, 2, 2], pointer_containers=[1, 0],
+        pointer_slots=[0, 0], content_offsets=[0, 3, 4, 4, 4],
+        content=[1, ~1, 3, 2])
+
+
+def chain(count):
+    """``count`` nodes, each the only child of the one before."""
+    ids = np.arange(count)
+    return StructureTree(
+        parents=ids - 1, tags=np.zeros(count), posts=ids[::-1],
+        levels=ids, paths=[], pointer_offsets=np.zeros(count + 1),
+        pointer_containers=[], pointer_slots=[],
+        content_offsets=np.minimum(ids.tolist() + [count], count - 1),
+        content=ids[1:])
 
 
 class TestStructureTree:
-    def test_dense_ids_enforced(self):
-        tree = StructureTree()
-        with pytest.raises(ValueError):
-            tree.add(NodeRecord(5, 0, -1))
-
     def test_parent_navigation(self):
         tree = build_tree()
         assert tree.parent_of(2) == 1
@@ -45,7 +53,7 @@ class TestStructureTree:
 
     @pytest.mark.parametrize("document", ["oracle", "xmark"])
     def test_descendant_range_matches_post_order_scan(self, document):
-        """The O(1) range is the record-by-record scan it replaced, on
+        """The O(1) range is the node-by-node scan it replaced, on
         every node, with and without a tag filter."""
         import random
 
@@ -55,37 +63,47 @@ class TestStructureTree:
         xml = render_xml(generate_entities(random.Random(3), 12)) \
             if document == "oracle" else generate_xmark(0.002, seed=42)
         tree = load_document(xml).structure
+        posts, tags = tree.posts.tolist(), tree.tags.tolist()
 
         def scanned(node_id, tag_code=None):
-            post, found = tree.record(node_id).post, []
+            found = []
             for candidate in range(node_id + 1, len(tree)):
-                if tree.record(candidate).post > post:
+                if posts[candidate] > posts[node_id]:
                     break
-                if tag_code in (None, tree.record(candidate).tag_code):
+                if tag_code in (None, tags[candidate]):
                     found.append(candidate)
             return found
 
-        for record in tree:
-            assert tree.descendants_of(record.node_id) == \
-                scanned(record.node_id)
-            assert tree.descendants_of(record.node_id, record.tag_code) \
-                == scanned(record.node_id, record.tag_code)
+        for node_id, tag_code in enumerate(tags):
+            assert tree.descendants_of(node_id) == scanned(node_id)
+            assert tree.descendants_of(node_id, tag_code) \
+                == scanned(node_id, tag_code)
 
-    def test_btree_index(self):
+    def test_subtree_texts_in_document_order(self):
         tree = build_tree()
-        record = tree.index.search(2)
-        assert record is not None and record.node_id == 2
+        assert tree.subtree_texts(0) == [(0, 0)]
+        assert tree.subtree_texts(1) == []
 
-    def test_index_invalidated_on_add(self):
+    def test_subtree_is_rebased(self):
+        assert build_tree().subtree(1) == \
+            ([1, 2], [0, 0, 0], [], [], [0, 1, 1], [1])
+
+    def test_subtree_texts_any_depth(self):
+        assert chain(5000).subtree_texts(0) == []
+
+    def test_values_of_by_step(self):
         tree = build_tree()
-        _ = tree.index
-        tree.add(NodeRecord(4, 1, 3, post=4, level=2))
-        assert tree.index.search(4) is not None
+        assert tree.values_of(0, "#text") == [(0, 0)]
+        assert tree.values_of(0, "@x") == [(1, 0)]
+        assert tree.values_of(3, "#text") == []
+
+    def test_columns_read_only(self):
+        with pytest.raises(ValueError):
+            build_tree().parents[0] = 5
 
     def test_structural_id(self):
         tree = build_tree()
-        sid = tree.record(1).structural_id
-        assert (sid.pre, sid.post, sid.level) == (1, 1, 1)
+        assert (tree.posts[1], tree.levels[1]) == (1, 1)
 
     def test_size_accounting(self):
         tree = build_tree()
@@ -93,10 +111,7 @@ class TestStructureTree:
         assert tree.backward_edge_bytes() > 0
         # A four-node tree has a single-leaf index: no internal nodes.
         assert tree.index_size_bytes() == 0
-        big = StructureTree()
-        for i in range(500):
-            big.add(NodeRecord(i, 0, i - 1, post=i, level=0))
-        assert big.index_size_bytes() > 0
+        assert chain(500).index_size_bytes() > 0
 
 
 class TestStructureSummaryDirect:

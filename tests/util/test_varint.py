@@ -1,5 +1,6 @@
 """Tests for varint encoding and size helpers."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,9 +8,12 @@ from hypothesis import strategies as st
 from repro.errors import CorruptDataError
 from repro.util.varint import (
     decode_varint,
+    decode_varints,
     delta_sizes,
     encode_varint,
+    encode_varints,
     varint_size,
+    varint_sizes,
 )
 
 
@@ -69,3 +73,21 @@ def test_roundtrip_property(value):
     data = encode_varint(value)
     assert len(data) == varint_size(value)
     assert decode_varint(data)[0] == value
+
+
+class TestBulkVarints:
+    """The bulk codec is the scalar one, value for value."""
+
+    @given(st.lists(st.integers(min_value=0, max_value=2 ** 63 - 1)))
+    def test_matches_the_scalar_codec(self, values):
+        array = np.array(values, dtype=np.int64)
+        data = b"".join(map(encode_varint, values))
+        assert encode_varints(array) == data
+        assert decode_varints(data).tolist() == values
+        assert varint_sizes(array).tolist() == list(map(varint_size, values))
+
+    def test_truncated_and_overlong(self):
+        with pytest.raises(CorruptDataError):
+            decode_varints(encode_varint(300)[:1])
+        with pytest.raises(CorruptDataError):
+            decode_varints(b"\x80" * 9 + b"\x01")
