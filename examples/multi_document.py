@@ -7,7 +7,7 @@ compressed result shipped as the paper's §1 network scenario suggests.
 Run:  python examples/multi_document.py
 """
 
-from repro.query.shipping import receive
+from repro.query.shipping import receive_result
 from repro.service.session import Database
 from repro.storage.loader import load_document
 
@@ -61,10 +61,11 @@ def main() -> None:
     print("shipping a compressed result (the paper's network scenario):")
     result = session.execute(
         'document("customers.xml")/customers/customer/name/text()')
-    payload = result.ship()
-    print(f"  payload: {len(payload)} bytes for "
-          f"{len(result.items)} values")
-    print(f"  received: {receive(payload)}")
+    frame = result.ship()
+    received = receive_result(frame)
+    print(f"  frame: {len(frame)} bytes for {len(received)} values "
+          f"({received.plain_bytes} bytes plain)")
+    print(f"  received: {received.values}")
 
 
 if __name__ == "__main__":

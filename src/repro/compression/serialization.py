@@ -10,6 +10,9 @@ equality across sessions).
 
 from __future__ import annotations
 
+import hashlib
+import weakref
+
 from repro.compression.alm import ALMCodec
 from repro.compression.arithmetic import ArithmeticCodec
 from repro.compression.base import Codec
@@ -28,6 +31,10 @@ _TYPE_INTEGER = 5
 _TYPE_FLOAT = 6
 _TYPE_ZLIB = 7
 _TYPE_BZIP2 = 8
+
+#: :func:`codec_digest` per codec object, computed once.
+_DIGESTS: "weakref.WeakKeyDictionary[Codec, bytes]" = \
+    weakref.WeakKeyDictionary()
 
 
 def serialize_codec(codec: Codec) -> bytes:
@@ -75,6 +82,21 @@ def serialize_codec(codec: Codec) -> bytes:
         raise UnknownCodecError(
             f"cannot serialize codec type {type(codec).__name__}")
     return writer.getvalue()
+
+
+def codec_digest(codec: Codec) -> bytes:
+    """8-byte content digest of the codec's serialized source model.
+
+    Equal models have equal digests in every process, so a digest
+    names a codec across a process boundary without shipping its
+    model (:mod:`repro.query.shipping`).  Computed once per codec.
+    """
+    digest = _DIGESTS.get(codec)
+    if digest is None:
+        digest = hashlib.blake2b(serialize_codec(codec),
+                                 digest_size=8).digest()
+        _DIGESTS[codec] = digest
+    return digest
 
 
 def deserialize_codec(data: bytes) -> Codec:

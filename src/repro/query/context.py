@@ -7,7 +7,8 @@ Items flowing through the engine are:
   compressed form (the whole point: predicates evaluate on these
   without decompressing);
 * plain Python ``str``/``float``/``bool`` — computed atomics;
-* :class:`repro.xmlio.dom.Element` — constructed results.
+* :class:`repro.xmlio.dom.Element` — constructed results, whose text
+  content stays compressed as :class:`LazyText` until read.
 
 :class:`EvaluationStats` counts decompressions and operator activity;
 the compressed-domain comparison helpers charge it only when they must
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 from repro.compression.base import Codec, CompressedValue
 from repro.errors import QueryTypeError
-from repro.xmlio.dom import Element
+from repro.xmlio.dom import Element, Node, Text
 
 
 class EvaluationStats:
@@ -92,8 +93,37 @@ class CompressedItem:
             self._decoded = self.codec.decode(self.compressed)
         return self._decoded
 
+    @property
+    def decoded(self) -> bool:
+        """Whether :meth:`decode` has run (the value is in hand)."""
+        return self._decoded is not None
+
     def __repr__(self) -> str:
         return f"<CompressedItem bits={self.compressed.bits}>"
+
+
+class LazyText(Text):
+    """A text node whose content is still a :class:`CompressedItem`.
+
+    Constructors and :meth:`~repro.query.engine.QueryEngine
+    .materialize_node` build these instead of decoding: the first read
+    of :attr:`value` decompresses and charges the run's ``stats``, and
+    the result-set frame ships an unread one as its code bits.
+    """
+
+    __slots__ = ("item", "_stats")
+
+    def __init__(self, item: CompressedItem, stats: EvaluationStats):
+        Node.__init__(self)
+        self.item = item
+        self._stats = stats
+
+    @property
+    def value(self) -> str:
+        return self.item.decode(self._stats)
+
+    def __repr__(self) -> str:
+        return f"LazyText({self.item!r})"
 
 
 def compare_items(op: str, left, right, stats: EvaluationStats) -> bool:

@@ -74,6 +74,7 @@ from repro.query.ast import (
 from repro.query.context import (
     CompressedItem,
     EvaluationStats,
+    LazyText,
     NodeItem,
     _format_number,
     compare_items,
@@ -111,13 +112,16 @@ class QueryResult:
 
     def __init__(self, items: list, stats: EvaluationStats,
                  engine: "QueryEngine",
-                 telemetry: Telemetry | None = None):
+                 telemetry: Telemetry | None = None,
+                 lazy_texts: list | None = None):
         self._raw_items = items
         self._materialized: list | None = None
         self.stats = stats
         self._engine = engine
         #: the traced run's tracer + metrics; ``None`` when untraced.
         self.telemetry = telemetry
+        #: every :class:`~repro.query.context.LazyText` the run built.
+        self._lazy_texts = lazy_texts if lazy_texts is not None else []
 
     @property
     def items(self) -> list:
@@ -125,7 +129,9 @@ class QueryResult:
 
         Materialized once and memoised — repeated access (``to_xml``
         after ``values``, the sequence protocol) must not redo — or
-        double-count — the final Decompress step.
+        double-count — the final Decompress step.  Every text the run
+        left compressed is read here, so the counters are those of a
+        run that decoded its constructed content eagerly.
         """
         if self._materialized is not None:
             return self._materialized
@@ -133,18 +139,22 @@ class QueryResult:
             # No global activation on the untraced path: thread-pooled
             # batch runs materialize concurrently without touching the
             # process-wide runtime slot.
-            self._materialized = [
-                self._engine.materialize_item(item, self.stats)
-                for item in self._raw_items]
+            self._materialized = self._materialize()
             return self._materialized
         # Materialization is the final Decompress step; keep it under
         # the run's telemetry so codec activity lands in one registry.
         with runtime.activated(self.telemetry):
             with self.telemetry.span("Decompress"):
-                self._materialized = [
-                    self._engine.materialize_item(item, self.stats)
-                    for item in self._raw_items]
+                self._materialized = self._materialize()
         return self._materialized
+
+    def _materialize(self) -> list:
+        lazy = self._lazy_texts
+        items = [self._engine.materialize_item(item, self.stats, lazy)
+                 for item in self._raw_items]
+        for text in lazy:
+            text.value  # decodes, charging the run's stats
+        return items
 
     def values(self) -> list:
         """Items with Elements serialized to XML strings."""
@@ -152,11 +162,12 @@ class QueryResult:
                 for item in self.items]
 
     def ship(self) -> bytes:
-        """Package the result *without decompressing* (§1: compressed
-        results spare network bandwidth); unpack with
-        :func:`repro.query.shipping.receive`."""
-        from repro.query.shipping import ship
-        return ship(self)
+        """The result-set frame of :func:`repro.query.shipping
+        .ship_result`: values and text content still compressed (§1:
+        compressed results spare network bandwidth); unpack with
+        :func:`~repro.query.shipping.receive_result`."""
+        from repro.query.shipping import ship_result
+        return ship_result(self)
 
     def to_xml(self) -> str:
         """Serialize the whole result sequence as XML/text."""
@@ -274,7 +285,8 @@ class QueryEngine:
                 telemetry) if record else nullcontext():
             items = run()
         return QueryResult(items, evaluator.stats, self,
-                           telemetry=telemetry)
+                           telemetry=telemetry,
+                           lazy_texts=evaluator.lazy_texts)
 
     def plan(self, query: str | Expression) -> VerifiedPlan:
         """The query's plan, past the Tier-A gate: error diagnostics
@@ -328,34 +340,60 @@ class QueryEngine:
 
     # -- result materialization ------------------------------------------------
 
-    def materialize_item(self, item, stats: EvaluationStats):
-        """Decompress one result item (the final Decompress step)."""
+    def materialize_item(self, item, stats: EvaluationStats,
+                         lazy_texts: list | None = None):
+        """Decompress one result item (the final Decompress step); a
+        node's texts stay compressed (see :meth:`materialize_node`)."""
         if isinstance(item, CompressedItem):
             return item.decode(stats)
         if isinstance(item, NodeItem):
             return self.materialize_node(item.node_id, stats,
-                                         doc=item.doc)
+                                         doc=item.doc,
+                                         lazy_texts=lazy_texts)
         return item
 
     def materialize_node(self, node_id: int,
                          stats: EvaluationStats,
-                         doc: str | None = None) -> Element:
+                         doc: str | None = None,
+                         lazy_texts: list | None = None) -> Element:
         """Rebuild a repository node as an XML element (XMLSerialize):
         every element of the subtree first, then each takes its
-        attributes and, in content order, its texts and children."""
+        attributes and, in content order, its texts and children.
+
+        Attributes are decoded; each text is a
+        :class:`~repro.query.context.LazyText` over its record, decoded
+        on first read (blob texts, already plain, excepted).
+        ``lazy_texts`` collects them."""
         repo = self.repository_of(doc)
         structure, steps = repo.structure, repo.structure.steps
         tags, pointers, indexes, slots, offsets, content = \
             structure.subtree(node_id)
         names = repo.dictionary.names()
-        containers: list = [None] * len(steps)
+        # (container, codec — None for a blob —, value type) by index.
+        sources: list = [None] * len(steps)
+        lazy = lazy_texts if lazy_texts is not None else []
+
+        def source(pointer: int) -> tuple:
+            index = indexes[pointer]
+            if sources[index] is None:
+                container = repo.container(structure.paths[index])
+                sources[index] = (
+                    container, None if container.is_blob
+                    else container.codec, container.value_type)
+            return sources[index]
 
         def value(pointer: int) -> str:
-            index = indexes[pointer]
-            if containers[index] is None:
-                containers[index] = repo.container(structure.paths[index])
             stats.decompressions += 1
-            return containers[index].value_at(slots[pointer])
+            return source(pointer)[0].value_at(slots[pointer])
+
+        def text(pointer: int) -> Text:
+            container, codec, value_type = source(pointer)
+            if codec is None:
+                return Text(value(pointer))
+            lazy.append(LazyText(CompressedItem(
+                container.record_at(slots[pointer]).compressed, codec,
+                value_type), stats))
+            return lazy[-1]
 
         elements = [Element(names[tag]) for tag in tags]
         for local, element in enumerate(elements):
@@ -365,7 +403,7 @@ class QueryEngine:
                     element.set_attribute(step[1:], value(pointer))
             for entry in content[offsets[local]:offsets[local + 1]]:
                 element.append(elements[entry] if entry >= 0 else
-                               Text(value(pointers[local] + ~entry)))
+                               text(pointers[local] + ~entry))
         return elements[0]
 
 
@@ -389,6 +427,9 @@ class _Evaluator:
         #: selected node ids by ``("selection", clause identity)``,
         #: projections by ``("projection", plan identity)``.
         self._index_cache: dict = {}
+        #: the still-compressed texts constructors built
+        #: (:attr:`QueryResult.items` reads them).
+        self.lazy_texts: list = []
 
     # -- dispatch -------------------------------------------------------------
 
@@ -879,14 +920,16 @@ class _Evaluator:
     def _append_content(self, element: Element, item) -> None:
         if isinstance(item, NodeItem):
             element.append(self._engine.materialize_node(
-                item.node_id, self.stats, doc=item.doc))
-        elif isinstance(item, Element):
+                item.node_id, self.stats, doc=item.doc,
+                lazy_texts=self.lazy_texts))
+        elif isinstance(item, (Element, Text)):
             element.append(item)
-        elif isinstance(item, Text):
-            element.append(item)
+        elif isinstance(item, CompressedItem):
+            # Content stays compressed until read: decompress at the end.
+            self.lazy_texts.append(LazyText(item, self.stats))
+            element.append(self.lazy_texts[-1])
         else:
-            element.append(Text(string_value(
-                self._atomize(item), self.stats)))
+            element.append(Text(string_value(item, self.stats)))
 
     # -- atomization --------------------------------------------------------------------
 

@@ -5,45 +5,58 @@ results allows to spare network bandwidth when sending these results
 to a remote location" / "can be a huge advantage when query results
 must be shipped around a network".
 
-:func:`ship` packages a query's *raw* result sequence without
-decompressing it: still-compressed values travel as their code bits
-plus one serialized source model per distinct codec; nodes are
-materialized (they must be serialized as XML anyway) and atomics go as
-text.  :func:`receive` unpacks on the other side, decoding with the
-shipped models.
+:func:`ship_result` frames a query's *raw* result sequence for the
+sharded serving plane without decompressing it, and
+:func:`receive_result` unpacks it in the coordinator.  Frame v2:
 
-On top of the item payload, :func:`ship_result` / :func:`receive_result`
-add the **result-set frame** the sharded serving plane moves between
-worker and coordinator processes: a magic/version header, the run's
-:class:`~repro.query.context.EvaluationStats` counters, and the item
-payload — so a gathered result still knows how it was computed, and
-the coordinator can account bytes-on-the-wire against what plain
-(decompressed) shipping would have cost.
+* ``XQRS`` magic, version byte ``2``;
+* the run's :class:`~repro.query.context.EvaluationStats`: eight
+  varints in ``EvaluationStats.FIELDS`` order, no names;
+* the codec table: a count, then one 8-byte content digest per
+  distinct codec (:func:`~repro.compression.serialization
+  .codec_digest`) — the codec is named, its model never travels;
+* the items: a count, then per item a kind byte and its body.  A
+  still-compressed value is one *hole* ``(codec ref, bits, bytes)``;
+  an element (constructed, or a repository node rebuilt by
+  :meth:`~repro.query.engine.QueryEngine.materialize_node`) is the
+  :func:`~repro.xmlio.writer.markup` walk: escaped markup strings with
+  one hole in place of each unread
+  :class:`~repro.query.context.LazyText`.  Attribute values, numbers,
+  booleans and computed strings go plain.
 
-Error contract: a payload that does not decode — truncated stream,
-unknown codec id, garbage code bits, trailing junk — raises
-:class:`~repro.errors.CorruptDataError`, never a low-level
+A digest resolves against the codecs of the repositories alive in the
+receiving process, so **frames decode only in a process holding the
+repository** — the coordinator the workers were forked from, or the
+worker's own process.  Holes decode at the end, in the receiver: the
+worker decompresses nothing it ships.
+
+Error contract: a frame that does not decode — truncated stream,
+codec reference out of range, a digest no live repository holds, hole
+bits that disagree with its bytes, garbage code bits, trailing junk —
+raises :class:`~repro.errors.CorruptDataError`, never a low-level
 ``struct.error``/``KeyError``, and never returns a partially
 materialized result.
 """
 
 from __future__ import annotations
 
-from repro.compression.serialization import (
-    deserialize_codec,
-    serialize_codec,
-)
+import weakref
+
+from repro.compression.base import Codec, CompressedValue
+from repro.compression.serialization import codec_digest
 from repro.errors import CorruptDataError, XQueCError
-from repro.compression.base import CompressedValue
 from repro.query.context import (
     CompressedItem,
     EvaluationStats,
+    LazyText,
     NodeItem,
     _format_number,
 )
+from repro.storage.repository import live_repositories
 from repro.util.bytestream import ByteReader, ByteWriter
 from repro.xmlio.dom import Element
-from repro.xmlio.writer import serialize
+from repro.xmlio.escape import escape_text
+from repro.xmlio.writer import markup
 
 _KIND_COMPRESSED = 0
 _KIND_TEXT = 1
@@ -53,67 +66,14 @@ _KIND_BOOLEAN = 4
 
 #: result-set frame header (:func:`ship_result`).
 FRAME_MAGIC = b"XQRS"
-FRAME_VERSION = 1
+FRAME_VERSION = 2
+#: bytes of a codec digest in the codec table.
+DIGEST_BYTES = 8
 
-
-def ship(result) -> bytes:
-    """Package a :class:`~repro.query.engine.QueryResult` compressed.
-
-    Values that are still compressed stay compressed; each distinct
-    source model ships exactly once.
-    """
-    writer = ByteWriter()
-    models: list = []
-    model_index: dict[int, int] = {}
-    body = ByteWriter()
-    items = result._raw_items
-    body.varint(len(items))
-    for item in items:
-        if isinstance(item, CompressedItem):
-            key = id(item.codec)
-            if key not in model_index:
-                model_index[key] = len(models)
-                models.append(serialize_codec(item.codec))
-            body.byte(_KIND_COMPRESSED)
-            body.varint(model_index[key])
-            body.varint(item.compressed.bits)
-            body.exact(item.compressed.data)
-        elif isinstance(item, NodeItem):
-            engine = result._engine
-            element = engine.materialize_node(
-                item.node_id, EvaluationStats(), doc=item.doc)
-            body.byte(_KIND_XML)
-            body.string(serialize(element))
-        elif isinstance(item, Element):
-            body.byte(_KIND_XML)
-            body.string(serialize(item))
-        elif isinstance(item, bool):
-            body.byte(_KIND_BOOLEAN)
-            body.byte(1 if item else 0)
-        elif isinstance(item, float):
-            body.byte(_KIND_NUMBER)
-            body.float64(item)
-        else:
-            body.byte(_KIND_TEXT)
-            body.string(str(item))
-    writer.varint(len(models))
-    for model in models:
-        writer.raw(model)
-    writer.exact(body.getvalue())
-    return writer.getvalue()
-
-
-def receive(payload: bytes) -> list:
-    """Unpack a shipped result into plain values/XML strings.
-
-    Raises :class:`~repro.errors.CorruptDataError` on any malformed
-    payload — truncated stream, out-of-range codec reference, code
-    bits the shipped model cannot decode, trailing bytes — and never
-    returns a partially decoded list: either every item materializes
-    or nothing does.
-    """
-    out, _ = _receive_accounted(ByteReader(payload))
-    return out
+#: digest → a live codec with that model, weakly held: filled from
+#: :func:`~repro.storage.repository.live_repositories` on a miss.
+_CODECS: "weakref.WeakValueDictionary[bytes, Codec]" = \
+    weakref.WeakValueDictionary()
 
 
 class ReceivedResultSet:
@@ -122,12 +82,14 @@ class ReceivedResultSet:
     ``values`` mirror what :meth:`QueryResult.values
     <repro.query.engine.QueryResult.values>` returns on the worker
     (decoded strings, XML strings, floats, bools); ``stats`` carries
-    the worker run's evaluation counters across the process boundary.
+    the worker run's evaluation counters across the process boundary
+    — decompressions the receiver does are not among them.
 
     The byte accounting quantifies the paper's network claim per
     result: ``wire_bytes`` is what actually crossed the pipe (values
-    still compressed), ``plain_bytes`` what shipping the decompressed
-    text would have cost.
+    and text content still compressed), ``plain_bytes`` what shipping
+    the decompressed XML would have cost, ``compressed_value_bytes``
+    the code bytes of the frame's holes.
     """
 
     __slots__ = ("values", "stats", "wire_bytes", "plain_bytes",
@@ -171,31 +133,92 @@ class ReceivedResultSet:
                 f"{self.wire_bytes}B wire / {self.plain_bytes}B plain>")
 
 
-def ship_result(result) -> bytes:
-    """Frame a :class:`~repro.query.engine.QueryResult` for transport.
+class _FrameWriter:
+    """The item section of one frame, plus the codecs its holes name."""
 
-    Layout: ``XQRS`` magic, version byte, the evaluation-stats counter
-    section, then the length-prefixed :func:`ship` item payload.
-    Unpack with :func:`receive_result`.
-    """
+    def __init__(self):
+        self.body = ByteWriter()
+        self.digests: list[bytes] = []
+        self._refs: dict[int, int] = {}
+
+    def hole(self, compressed: CompressedValue, codec: Codec) -> None:
+        ref = self._refs.get(id(codec))
+        if ref is None:
+            ref = self._refs[id(codec)] = len(self.digests)
+            self.digests.append(codec_digest(codec))
+        self.body.varint(ref).varint(compressed.bits).raw(compressed.data)
+
+    def element(self, element: Element) -> None:
+        """Markup runs between holes: ``h``, a run, then ``h`` × (hole,
+        run)."""
+        runs: list[str] = []
+        holes: list[CompressedItem] = []
+        run: list[str] = []
+        for part in markup(element, keep_texts=True):
+            if part.__class__ is str:
+                run.append(part)
+            elif part.__class__ is LazyText and not part.item.decoded:
+                runs.append("".join(run))
+                holes.append(part.item)
+                run = []
+            else:
+                run.append(escape_text(part.value))
+        runs.append("".join(run))
+        self.body.varint(len(holes)).string(runs[0])
+        for item, following in zip(holes, runs[1:]):
+            self.hole(item.compressed, item.codec)
+            self.body.string(following)
+
+
+def ship_result(result) -> bytes:
+    """Frame a :class:`~repro.query.engine.QueryResult` for transport
+    without decompressing it (layout in the module docstring).  Unpack
+    with :func:`receive_result` in a process holding the repository."""
+    frame = _FrameWriter()
+    body = frame.body
+    items = result._raw_items
+    body.varint(len(items))
+    for item in items:
+        if isinstance(item, CompressedItem):
+            body.byte(_KIND_COMPRESSED)
+            frame.hole(item.compressed, item.codec)
+        elif isinstance(item, (NodeItem, Element)):
+            if isinstance(item, NodeItem):
+                item = result._engine.materialize_node(
+                    item.node_id, EvaluationStats(), doc=item.doc)
+            body.byte(_KIND_XML)
+            frame.element(item)
+        elif isinstance(item, bool):
+            body.byte(_KIND_BOOLEAN)
+            body.byte(1 if item else 0)
+        elif isinstance(item, float):
+            body.byte(_KIND_NUMBER)
+            body.float64(item)
+        else:
+            body.byte(_KIND_TEXT)
+            body.string(str(item))
     writer = ByteWriter()
     writer.exact(FRAME_MAGIC)
     writer.byte(FRAME_VERSION)
-    counters = result.stats.as_dict()
-    writer.varint(len(counters))
-    for name in sorted(counters):
-        writer.string(name)
-        writer.varint(max(int(counters[name]), 0))
-    writer.raw(ship(result))
+    for name in EvaluationStats.FIELDS:
+        writer.varint(max(int(getattr(result.stats, name)), 0))
+    writer.varint(len(frame.digests))
+    for digest in frame.digests:
+        writer.exact(digest)
+    writer.exact(body.getvalue())
     return writer.getvalue()
 
 
 def receive_result(frame: bytes) -> ReceivedResultSet:
-    """Unpack a :func:`ship_result` frame (stats + items + accounting).
+    """Unpack a :func:`ship_result` frame (stats + items + accounting),
+    decoding every hole against the live repositories' codecs.
 
-    Same error contract as :func:`receive`: anything malformed raises
-    :class:`~repro.errors.CorruptDataError` without partially
-    materializing the result.
+    All decoding happens into a local list that is returned only once
+    the frame is fully consumed and validated — a corrupt tail can
+    never hand the caller a partial result.  Low-level decode failures
+    (``struct.error`` from a codec, ``KeyError`` from a code table,
+    ``IndexError``/``UnicodeDecodeError`` from torn bytes) are
+    normalized to :class:`~repro.errors.CorruptDataError`.
     """
     reader = ByteReader(frame)
     try:
@@ -206,88 +229,88 @@ def receive_result(frame: bytes) -> ReceivedResultSet:
         if version != FRAME_VERSION:
             raise CorruptDataError(
                 f"unsupported result-set frame version {version}")
-        counters = {}
-        for _ in range(reader.varint()):
-            name = reader.string()
-            counters[name] = reader.varint()
-        payload = ByteReader(reader.raw())
+        stats = EvaluationStats(**{name: reader.varint()
+                                   for name in EvaluationStats.FIELDS})
+        codecs = [_codec_of(reader.exact(DIGEST_BYTES))
+                  for _ in range(reader.varint())]
+        values, plain_bytes, hole_bytes = _read_items(reader, codecs)
     except XQueCError:
         raise
     except Exception as exc:  # noqa: BLE001 - normalize to the contract
         raise CorruptDataError(
-            f"malformed result-set frame: {exc}") from exc
+            f"shipped result-set frame does not decode: {exc}") from exc
     if not reader.exhausted:
         raise CorruptDataError(
             "trailing bytes after shipped result-set frame")
-    values, accounting = _receive_accounted(payload)
-    known = {name: counters.get(name, 0)
-             for name in EvaluationStats.FIELDS}
-    return ReceivedResultSet(
-        values, EvaluationStats(**known),
-        wire_bytes=len(frame),
-        plain_bytes=accounting["plain_bytes"],
-        compressed_value_bytes=accounting["compressed_value_bytes"])
+    return ReceivedResultSet(values, stats, wire_bytes=len(frame),
+                             plain_bytes=plain_bytes,
+                             compressed_value_bytes=hole_bytes)
 
 
-def _receive_accounted(reader: ByteReader) -> tuple[list, dict]:
-    """Decode one item payload; returns (values, byte accounting).
-
-    All decoding happens into a local list that is returned only once
-    the payload is fully consumed and validated — a corrupt tail can
-    never hand the caller a partial result.  Low-level decode failures
-    (``struct.error`` from a codec, ``KeyError`` from a code table,
-    ``IndexError``/``UnicodeDecodeError`` from torn bytes) are
-    normalized to :class:`~repro.errors.CorruptDataError`.
-    """
+def _read_items(reader: ByteReader, codecs: list
+                ) -> tuple[list, int, int]:
+    """The item section: (values, plain bytes, hole code bytes)."""
     out: list = []
-    compressed_value_bytes = 0
-    plain_bytes = 0
-    try:
-        codecs = [deserialize_codec(reader.raw())
-                  for _ in range(reader.varint())]
-        for _ in range(reader.varint()):
-            kind = reader.byte()
-            if kind == _KIND_COMPRESSED:
-                index = reader.varint()
-                if index >= len(codecs):
-                    raise CorruptDataError(
-                        f"shipped item references codec {index} but "
-                        f"only {len(codecs)} models were shipped")
-                codec = codecs[index]
-                bits = reader.varint()
-                data = reader.exact((bits + 7) // 8)
-                compressed_value_bytes += len(data)
-                value = codec.decode(CompressedValue(data, bits))
-                plain_bytes += len(value.encode("utf-8"))
-                out.append(value)
-            elif kind == _KIND_TEXT:
-                value = reader.string()
-                plain_bytes += len(value.encode("utf-8"))
-                out.append(value)
-            elif kind == _KIND_XML:
-                value = reader.string()
-                plain_bytes += len(value.encode("utf-8"))
-                out.append(value)
-            elif kind == _KIND_NUMBER:
-                number = reader.float64()
-                plain_bytes += len(_format_number(number))
-                out.append(number)
-            elif kind == _KIND_BOOLEAN:
-                flag = reader.byte()
-                if flag not in (0, 1):
-                    raise CorruptDataError(
-                        f"shipped boolean must be 0/1, got {flag}")
-                plain_bytes += 4 if flag else 5
-                out.append(flag == 1)
-            else:
+    plain_bytes = hole_bytes = 0
+
+    def hole() -> str:
+        nonlocal hole_bytes
+        ref = reader.varint()
+        if ref >= len(codecs):
+            raise CorruptDataError(
+                f"shipped hole references codec {ref} but the frame "
+                f"names only {len(codecs)}")
+        bits = reader.varint()
+        data = reader.raw()
+        if (bits + 7) // 8 != len(data):
+            raise CorruptDataError(
+                f"shipped hole of {bits} bits carries {len(data)} bytes")
+        hole_bytes += len(data)
+        return codecs[ref].decode(CompressedValue(data, bits))
+
+    for _ in range(reader.varint()):
+        kind = reader.byte()
+        if kind == _KIND_COMPRESSED:
+            value = hole()
+            plain_bytes += len(value.encode("utf-8"))
+        elif kind == _KIND_TEXT:
+            value = reader.string()
+            plain_bytes += len(value.encode("utf-8"))
+        elif kind == _KIND_XML:
+            holes = reader.varint()
+            parts = [reader.string()]
+            for _ in range(holes):
+                parts.append(escape_text(hole()))
+                parts.append(reader.string())
+            value = "".join(parts)
+            plain_bytes += len(value.encode("utf-8"))
+        elif kind == _KIND_NUMBER:
+            value = reader.float64()
+            plain_bytes += len(_format_number(value))
+        elif kind == _KIND_BOOLEAN:
+            flag = reader.byte()
+            if flag not in (0, 1):
                 raise CorruptDataError(
-                    f"unknown shipped item kind {kind}")
-    except XQueCError:
-        raise
-    except Exception as exc:  # noqa: BLE001 - normalize to the contract
+                    f"shipped boolean must be 0/1, got {flag}")
+            plain_bytes += 4 if flag else 5
+            value = flag == 1
+        else:
+            raise CorruptDataError(f"unknown shipped item kind {kind}")
+        out.append(value)
+    return out, plain_bytes, hole_bytes
+
+
+def _codec_of(digest: bytes) -> Codec:
+    """The live codec whose model has ``digest``."""
+    codec = _CODECS.get(digest)
+    if codec is None:
+        for repository in live_repositories():
+            for container in repository.containers():
+                _CODECS.setdefault(codec_digest(container.codec),
+                                   container.codec)
+        codec = _CODECS.get(digest)
+    if codec is None:
         raise CorruptDataError(
-            f"shipped payload does not decode: {exc}") from exc
-    if not reader.exhausted:
-        raise CorruptDataError("trailing bytes after shipped items")
-    return out, {"compressed_value_bytes": compressed_value_bytes,
-                 "plain_bytes": plain_bytes}
+            f"shipped codec {digest.hex()} is held by no repository "
+            f"in this process")
+    return codec

@@ -16,9 +16,11 @@ subtrees) but is counted as *cross-shard*: the telemetry that tells an
 operator when the placement no longer matches the workload.
 
 Results cross the process boundary through the §1 shipping frame
-(:func:`repro.query.shipping.ship_result`): values travel compressed,
-and the coordinator accounts bytes-on-the-wire against what plain
-decompressed shipping would have cost.
+(:func:`repro.query.shipping.ship_result`): values and text content
+travel as code bits naming their codec by digest, the coordinator
+decodes them against the repository it forked the workers from, and
+accounts bytes-on-the-wire against what plain decompressed shipping
+would have cost.
 
 Admission control guards the front door: a global in-flight limit plus
 per-client quotas, refused work raising
@@ -37,6 +39,7 @@ import multiprocessing
 import os
 import signal
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Sequence
 
@@ -124,10 +127,11 @@ def _worker_main(conn, repository, collection, shard_id: int) -> None:
 
     Runs in the forked child.  Builds a private
     :class:`~repro.service.session.Database` over the inherited
-    (copy-on-write) repository, then answers ``(op, ...)`` tuples on
-    the pipe.  SIGTERM and a ``shutdown`` op both exit cleanly (code
-    0); the parent dying closes the pipe and ends the loop too, so a
-    worker can never outlive its coordinator as an orphan.
+    (copy-on-write) repository, then answers ``(request id, op, ...)``
+    tuples on the pipe, echoing the id in front of each reply.  SIGTERM
+    and a ``shutdown`` op both exit cleanly (code 0); the parent dying
+    closes the pipe and ends the loop too, so a worker can never
+    outlive its coordinator as an orphan.
     """
     stopping = False
 
@@ -145,7 +149,7 @@ def _worker_main(conn, repository, collection, shard_id: int) -> None:
             try:
                 if not conn.poll(_POLL_S):
                     continue
-                request = conn.recv()
+                request_id, *request = conn.recv()
             except (EOFError, OSError):
                 break  # coordinator went away
             try:
@@ -155,11 +159,11 @@ def _worker_main(conn, repository, collection, shard_id: int) -> None:
             except BaseException as exc:  # noqa: BLE001 - ship to parent
                 reply = ("err", type(exc).__name__, str(exc))
             if reply is None:  # shutdown op
-                conn.send(("ok", None))
+                conn.send((request_id, "ok", None))
                 stopping = True
             else:
                 try:
-                    conn.send(reply)
+                    conn.send((request_id, *reply))
                 except (BrokenPipeError, OSError):
                     break
     except _Shutdown:
@@ -175,9 +179,8 @@ def _serve_request(session, database, request):
     """Dispatch one ``(op, ...)`` tuple; ``None`` means shutdown."""
     op = request[0]
     if op == "execute":
-        from repro.query.shipping import ship_result
         result = session.execute(request[1])
-        return ("ok", ship_result(result))
+        return ("ok", result.ship())
     if op == "metrics":
         return ("ok", {"counters": database.metrics.counters(),
                        "gauges": database.metrics.gauges()})
@@ -196,7 +199,10 @@ class ShardWorker:
 
     The pipe is a strict request/reply channel; ``request`` serializes
     concurrent callers on a per-worker lock so replies can never
-    interleave.
+    interleave.  Each message carries an increasing request id that
+    the worker echoes: a reply to an earlier request — one that came
+    after its caller timed out — is discarded, never taken as the
+    answer to a later one.
     """
 
     def __init__(self, shard_id: int, process, conn):
@@ -204,6 +210,8 @@ class ShardWorker:
         self.process = process
         self.conn = conn
         self.lock = threading.Lock()
+        #: id of the last request sent (under ``lock``).
+        self.last_request_id = 0
         #: last folded counter values (delta tracking for telemetry).
         self.counter_base: dict[str, int] = {}
 
@@ -214,28 +222,38 @@ class ShardWorker:
             if not self.process.is_alive():
                 raise ShardError(
                     f"shard {self.shard_id} worker is not running")
+            self.last_request_id += 1
+            request_id = self.last_request_id
+            deadline = time.monotonic() + timeout
             try:
-                self.conn.send(message)
-                if not self.conn.poll(timeout):
-                    raise ShardError(
-                        f"shard {self.shard_id} did not reply within "
-                        f"{timeout:.0f}s")
-                reply = self.conn.recv()
+                self.conn.send((request_id, *message))
+                while True:
+                    if not self.conn.poll(max(deadline - time.monotonic(),
+                                              0.0)):
+                        raise ShardError(
+                            f"shard {self.shard_id} did not reply within "
+                            f"{timeout:g}s")
+                    reply = self.conn.recv()
+                    if not (isinstance(reply, tuple) and reply
+                            and isinstance(reply[0], int)
+                            and reply[0] < request_id):
+                        break  # else: a timed-out request's late reply
             except (EOFError, OSError, BrokenPipeError) as exc:
                 raise ShardError(
                     f"shard {self.shard_id} pipe failed: "
                     f"{exc}") from exc
-        if not isinstance(reply, tuple) or not reply:
+        if not isinstance(reply, tuple) or len(reply) < 3 \
+                or reply[0] != request_id:
             raise ShardError(
                 f"shard {self.shard_id} sent a malformed reply")
-        if reply[0] == "ok":
-            return reply[1]
-        if reply[0] == "err":
-            _, type_name, message_text = reply
+        if reply[1] == "ok":
+            return reply[2]
+        if reply[1] == "err":
+            _, _, type_name, message_text = reply
             raise _rehydrate_error(type_name, message_text,
                                    self.shard_id)
         raise ShardError(
-            f"shard {self.shard_id} sent unknown reply {reply[0]!r}")
+            f"shard {self.shard_id} sent unknown reply {reply[1]!r}")
 
 
 def _rehydrate_error(type_name: str, message: str,

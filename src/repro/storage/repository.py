@@ -8,6 +8,7 @@ occupancy breakdown of §2.2.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from repro.errors import ContainerNotFoundError
@@ -58,6 +59,16 @@ class SizeReport:
         return 1.0 - self.total / self.original
 
 
+#: every repository alive in this process (:func:`live_repositories`).
+_LIVE: "weakref.WeakSet[CompressedRepository]" = weakref.WeakSet()
+
+
+def live_repositories() -> list["CompressedRepository"]:
+    """The repositories alive in this process: the codecs a shipped
+    result frame may name (:mod:`repro.query.shipping`)."""
+    return list(_LIVE)
+
+
 class CompressedRepository:
     """One compressed, queryable document."""
 
@@ -73,6 +84,7 @@ class CompressedRepository:
         self._containers = containers
         self.statistics = statistics
         self.original_size_bytes = original_size_bytes
+        _LIVE.add(self)
 
     # -- container access ---------------------------------------------------
 

@@ -20,7 +20,10 @@ class ByteWriter:
         self._buffer = bytearray()
 
     def varint(self, value: int) -> "ByteWriter":
-        self._buffer.extend(encode_varint(value))
+        if 0 <= value < 0x80:
+            self._buffer.append(value)  # the one-byte common case
+        else:
+            self._buffer.extend(encode_varint(value))
         return self
 
     def signed(self, value: int) -> "ByteWriter":
@@ -68,7 +71,11 @@ class ByteReader:
         return self._pos >= len(self._data)
 
     def varint(self) -> int:
-        value, self._pos = decode_varint(self._data, self._pos)
+        pos = self._pos
+        if pos < len(self._data) and self._data[pos] < 0x80:
+            self._pos = pos + 1  # the one-byte common case
+            return self._data[pos]
+        value, self._pos = decode_varint(self._data, pos)
         return value
 
     def signed(self) -> int:

@@ -190,6 +190,21 @@ class TestWorkerFailures:
         with pytest.raises(ShardError):
             sharded._workers[0].request(("no-such-op",))
 
+    def test_late_reply_never_answers_the_next_request(self,
+                                                       repository):
+        """Request 1 times out and its answer arrives later; request 2
+        gets its own answer (or a ShardError), never request 1's."""
+        slow = "count(for $a in //*, $b in //*, $c in //item return 1)"
+        with ShardedDatabase(repository, shard_count=1) as database:
+            worker = database._workers[0]
+            with pytest.raises(ShardError, match="did not reply"):
+                worker.request(("execute", slow), timeout=0.05)
+            try:
+                reply = worker.request(("ping",))
+            except ShardError:
+                return
+            assert reply == worker.process.pid
+
     def test_cross_shard_counter_advances(self, repository):
         assignment = ShardAssignment(
             2, [["/site/people"],

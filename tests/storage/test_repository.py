@@ -124,7 +124,8 @@ class TestCollate:
 
 class TestDeepDocument:
     """A document nested deeper than Python's recursion limit loads, and
-    its string value and reconstruction walk the columns iteratively."""
+    its string value, reconstruction, serialization and shipping walk
+    it iteratively."""
 
     DEPTH = 1_500
 
@@ -137,3 +138,17 @@ class TestDeepDocument:
         element = QueryEngine(repository).materialize_node(
             0, EvaluationStats())
         assert element.name == "a" and len(element.children) == 1
+
+    def test_decompress_equals_the_source(self):
+        from repro.service.session import Session
+        xml = "<a>" * self.DEPTH + "x" + "</a>" * self.DEPTH
+        assert Session(load_document(xml)).decompress() == xml
+
+    def test_shipping_the_subtree_round_trips(self):
+        from repro.query.engine import QueryEngine
+        from repro.query.shipping import receive_result, ship_result
+        xml = "<a>" * self.DEPTH + "x" + "</a>" * self.DEPTH
+        result = QueryEngine(load_document(xml)).execute("/a/a")
+        received = receive_result(ship_result(result))
+        assert received.values == [xml[3:-4]]
+        assert received.compressed_value_bytes > 0
