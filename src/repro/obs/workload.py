@@ -56,10 +56,29 @@ class WorkloadCapture:
     sets are disjoint).
     """
 
-    __slots__ = ("containers",)
+    __slots__ = ("containers", "deferred_decompressions")
 
     def __init__(self):
         self.containers: dict[str, dict[str, int]] = {}
+        #: decompressions the run left to ``QueryResult.items``.
+        self.deferred_decompressions = 0
+
+    def defer(self, texts) -> None:
+        """Charge the run with the still-unread
+        :class:`~repro.query.context.LazyText` nodes it built: they
+        decode after the capture closes, yet the record counts what an
+        eager run would have read."""
+        items = set()
+        for text in texts:
+            if text.read:
+                continue
+            if text.container is not None:
+                self.record_access(text.container.path, "record_reads")
+            elif id(text.item) in items:
+                continue  # one item decodes once
+            else:
+                items.add(id(text.item))
+            self.deferred_decompressions += 1
 
     def record_access(self, path: str, op: str, n: int = 1) -> None:
         """Report ``n`` accesses of kind ``op`` on container ``path``."""

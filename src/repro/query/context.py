@@ -103,27 +103,57 @@ class CompressedItem:
 
 
 class LazyText(Text):
-    """A text node whose content is still a :class:`CompressedItem`.
+    """A text node whose content is still compressed.
 
     Constructors and :meth:`~repro.query.engine.QueryEngine
     .materialize_node` build these instead of decoding: the first read
     of :attr:`value` decompresses and charges the run's ``stats``, and
-    the result-set frame ships an unread one as its code bits.
+    the result-set frame ships an unread one as its code bits
+    (:meth:`hole`).  The content is a :class:`CompressedItem`, or — for
+    a repository node's text — the ``container`` and ``slot`` it lives
+    at, read through ``container.value_at`` so that a session's block
+    cache serves it.
     """
 
-    __slots__ = ("item", "_stats")
+    __slots__ = ("item", "container", "slot", "_stats", "_value")
 
-    def __init__(self, item: CompressedItem, stats: EvaluationStats):
+    def __init__(self, stats: EvaluationStats,
+                 item: CompressedItem | None = None,
+                 container=None, slot: int = 0):
         Node.__init__(self)
         self.item = item
+        self.container = container
+        self.slot = slot
         self._stats = stats
+        self._value: str | None = None
 
     @property
     def value(self) -> str:
-        return self.item.decode(self._stats)
+        if self._value is None:
+            if self.container is None:
+                self._value = self.item.decode(self._stats)
+            else:
+                self._stats.decompressions += 1
+                self._value = self.container.value_at(self.slot)
+        return self._value
+
+    @property
+    def read(self) -> bool:
+        """Whether the content is in hand (reading it again is free)."""
+        return self._value is not None or (
+            self.container is None and self.item.decoded)
+
+    def hole(self) -> tuple[CompressedValue, Codec]:
+        """The content's code bits and the codec that decodes them."""
+        if self.container is None:
+            return self.item.compressed, self.item.codec
+        return (self.container.record_at(self.slot).compressed,
+                self.container.codec)
 
     def __repr__(self) -> str:
-        return f"LazyText({self.item!r})"
+        if self.container is None:
+            return f"LazyText({self.item!r})"
+        return f"LazyText({self.container.path!r}[{self.slot}])"
 
 
 def compare_items(op: str, left, right, stats: EvaluationStats) -> bool:

@@ -361,38 +361,33 @@ class QueryEngine:
         attributes and, in content order, its texts and children.
 
         Attributes are decoded; each text is a
-        :class:`~repro.query.context.LazyText` over its record, decoded
-        on first read (blob texts, already plain, excepted).
+        :class:`~repro.query.context.LazyText` over its container slot,
+        decoded on first read (blob texts, already plain, excepted).
         ``lazy_texts`` collects them."""
         repo = self.repository_of(doc)
         structure, steps = repo.structure, repo.structure.steps
         tags, pointers, indexes, slots, offsets, content = \
             structure.subtree(node_id)
         names = repo.dictionary.names()
-        # (container, codec — None for a blob —, value type) by index.
-        sources: list = [None] * len(steps)
+        containers: list = [None] * len(steps)
         lazy = lazy_texts if lazy_texts is not None else []
 
-        def source(pointer: int) -> tuple:
+        def container_of(pointer: int):
             index = indexes[pointer]
-            if sources[index] is None:
-                container = repo.container(structure.paths[index])
-                sources[index] = (
-                    container, None if container.is_blob
-                    else container.codec, container.value_type)
-            return sources[index]
+            if containers[index] is None:
+                containers[index] = repo.container(structure.paths[index])
+            return containers[index]
 
         def value(pointer: int) -> str:
             stats.decompressions += 1
-            return source(pointer)[0].value_at(slots[pointer])
+            return container_of(pointer).value_at(slots[pointer])
 
         def text(pointer: int) -> Text:
-            container, codec, value_type = source(pointer)
-            if codec is None:
+            container = container_of(pointer)
+            if container.is_blob:
                 return Text(value(pointer))
-            lazy.append(LazyText(CompressedItem(
-                container.record_at(slots[pointer]).compressed, codec,
-                value_type), stats))
+            lazy.append(LazyText(stats, container=container,
+                                 slot=slots[pointer]))
             return lazy[-1]
 
         elements = [Element(names[tag]) for tag in tags]
@@ -926,7 +921,7 @@ class _Evaluator:
             element.append(item)
         elif isinstance(item, CompressedItem):
             # Content stays compressed until read: decompress at the end.
-            self.lazy_texts.append(LazyText(item, self.stats))
+            self.lazy_texts.append(LazyText(self.stats, item=item))
             element.append(self.lazy_texts[-1])
         else:
             element.append(Text(string_value(item, self.stats)))

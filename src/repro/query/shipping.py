@@ -152,21 +152,21 @@ class _FrameWriter:
         """Markup runs between holes: ``h``, a run, then ``h`` × (hole,
         run)."""
         runs: list[str] = []
-        holes: list[CompressedItem] = []
+        holes: list[LazyText] = []
         run: list[str] = []
         for part in markup(element, keep_texts=True):
             if part.__class__ is str:
                 run.append(part)
-            elif part.__class__ is LazyText and not part.item.decoded:
+            elif part.__class__ is LazyText and not part.read:
                 runs.append("".join(run))
-                holes.append(part.item)
+                holes.append(part)
                 run = []
             else:
                 run.append(escape_text(part.value))
         runs.append("".join(run))
         self.body.varint(len(holes)).string(runs[0])
-        for item, following in zip(holes, runs[1:]):
-            self.hole(item.compressed, item.codec)
+        for text, following in zip(holes, runs[1:]):
+            self.hole(*text.hole())
             self.body.string(following)
 
 

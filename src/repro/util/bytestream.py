@@ -20,10 +20,7 @@ class ByteWriter:
         self._buffer = bytearray()
 
     def varint(self, value: int) -> "ByteWriter":
-        if 0 <= value < 0x80:
-            self._buffer.append(value)  # the one-byte common case
-        else:
-            self._buffer.extend(encode_varint(value))
+        self._buffer.extend(encode_varint(value))
         return self
 
     def signed(self, value: int) -> "ByteWriter":
@@ -71,11 +68,7 @@ class ByteReader:
         return self._pos >= len(self._data)
 
     def varint(self) -> int:
-        pos = self._pos
-        if pos < len(self._data) and self._data[pos] < 0x80:
-            self._pos = pos + 1  # the one-byte common case
-            return self._data[pos]
-        value, self._pos = decode_varint(self._data, pos)
+        value, self._pos = decode_varint(self._data, self._pos)
         return value
 
     def signed(self) -> int:
