@@ -6,7 +6,8 @@ Figure 7).  The paper names the fix as immediate future work: 3-valued
 ``(pre, post, level)`` IDs in the spirit of TIMBER / Grust's
 pre-post encoding / the structural-join primitive [26, 27, 28].
 
-This module implements that extension:
+This module implements that extension for ablation A4
+(``test_ablation_structural_join.py``); the engine never runs it:
 
 * the structure tree already carries ``pre`` (= the simple ID), and
   ``post`` and ``level`` columns;

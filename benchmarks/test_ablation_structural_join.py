@@ -5,7 +5,7 @@ IDs ("our data model imposes a large number of parent-child joins")
 and expects "much better once XQueC will migrate to 3-valued IDs"
 (§5/§6).  We implemented that migration: the loader assigns
 ``(pre, post, level)`` to every node, and
-:class:`repro.query.structural.StructuralJoin` pairs ancestors with
+:class:`structural_join.StructuralJoin` pairs ancestors with
 descendants in one stack-tree merge pass.
 
 This ablation measures both strategies on an ancestor/descendant
@@ -19,7 +19,7 @@ import time
 import pytest
 
 from repro.bench.reporting import format_table, record_result
-from repro.query.structural import navigation_pairs, structural_pairs
+from structural_join import navigation_pairs, structural_pairs
 
 
 @pytest.mark.benchmark(group="ablation-structural")

@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.query.structural import (
+from repro.query.context import NodeItem
+from repro.storage.loader import load_document
+from repro.xmark.generator import generate_xmark
+from structural_join import (
     StructuralJoin,
     navigation_pairs,
     structural_pairs,
 )
-from repro.query.context import NodeItem
-from repro.storage.loader import load_document
-from repro.xmark.generator import generate_xmark
 
 DOC = """
 <site>

@@ -16,8 +16,6 @@ Commands mirror how the paper's system is used:
   coordinator's ``/metrics`` endpoint, run until interrupted;
 * ``stats``      — storage occupancy breakdown of a repository;
 * ``decompress`` — reconstruct the XML document from a repository;
-* ``workload``   — observatory reports over a recorded query journal
-  (capture with ``query --record``);
 * ``lint-plan``  — statically verify the plans a query would run as;
 * ``lint-src``   — check engine-wide source invariants (Tier B lint);
 * ``lint-concurrency`` — check lock discipline: acquisition order,
@@ -78,34 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--analyze", action="store_true",
                        help="run with telemetry and print the plan "
                             "annotated with actual counts and timings")
-    query.add_argument("--record", action="store_true",
-                       help="journal this run's workload observation "
-                            "for the observatory")
-    query.add_argument("--journal", type=Path, default=None,
-                       help="journal file (default: "
-                            "<repository>.workload.jsonl)")
-
-    workload = commands.add_parser(
-        "workload",
-        help="observatory reports over a recorded query journal")
-    workload_commands = workload.add_subparsers(
-        dest="workload_command", required=True)
-    report = workload_commands.add_parser(
-        "report",
-        help="fold the journal through the cost model and report "
-             "drift + recompression recommendations")
-    report.add_argument("repository", type=Path)
-    report.add_argument("--journal", type=Path, default=None,
-                        help="journal file (default: "
-                             "<repository>.workload.jsonl)")
-    report.add_argument("--json", action="store_true",
-                        help="emit the full drift report as JSON")
-    report.add_argument("--since", default=None,
-                        help="only consider records with an ISO "
-                             "timestamp >= this")
-    report.add_argument("--top-k", type=int, default=None,
-                        help="limit hottest-container and "
-                             "recommendation listings")
 
     perf = commands.add_parser(
         "perf", help="serving performance reports (SLOs)")
@@ -273,7 +243,6 @@ def main(argv: list[str] | None = None,
         "trace": _cmd_trace,
         "stats": _cmd_stats,
         "decompress": _cmd_decompress,
-        "workload": _cmd_workload,
         "lint-plan": _cmd_lint_plan,
         "lint-src": _cmd_lint_src,
         "lint-concurrency": _cmd_lint_concurrency,
@@ -311,9 +280,7 @@ def _cmd_compress(args, out) -> int:
 
 def _cmd_query(args, out) -> int:
     repository = load_repository(args.repository)
-    # One session — and therefore one recorder with one journal
-    # handle — per CLI invocation, however many runs it performs.
-    session = Session(repository, recorder=_recorder_for(args))
+    session = Session(repository)
     if args.analyze:
         from repro.errors import PlanVerificationError
         try:
@@ -351,17 +318,6 @@ def _cmd_query(args, out) -> int:
         print(f"# hash joins:             {stats.hash_joins}",
               file=out)
     return 0
-
-
-def _recorder_for(args):
-    """A WorkloadRecorder when ``--record`` was given, else None."""
-    if not getattr(args, "record", False):
-        return None
-    from repro.obs import WorkloadJournal, WorkloadRecorder
-    from repro.obs.journal import default_journal_path
-    journal = args.journal if args.journal is not None \
-        else default_journal_path(args.repository)
-    return WorkloadRecorder(WorkloadJournal(journal))
 
 
 def _cmd_perf(args, out) -> int:
@@ -456,28 +412,6 @@ def _cmd_serve(args, out) -> int:
         while not stop.wait(1.0):
             database.gather_metrics()
     print("stopped", file=out)
-    return 0
-
-
-def _cmd_workload(args, out) -> int:
-    import json
-
-    from repro.advisor import analyze_drift, render_report
-    from repro.obs import WorkloadJournal
-    from repro.obs.journal import default_journal_path
-
-    repository = load_repository(args.repository)
-    journal_path = args.journal if args.journal is not None \
-        else default_journal_path(args.repository)
-    journal = WorkloadJournal(journal_path)
-    records = journal.records(since=args.since)
-    report = analyze_drift(repository, records)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True),
-              file=out)
-    else:
-        print(f"journal: {journal_path}", file=out)
-        print(render_report(report, top_k=args.top_k), file=out)
     return 0
 
 

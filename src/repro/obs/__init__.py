@@ -35,7 +35,7 @@ from repro.obs.export import (
     parse_prometheus,
     render_prometheus,
 )
-from repro.obs.journal import WorkloadJournal, default_journal_path
+from repro.obs.journal import WorkloadJournal
 from repro.obs.lockwatch import (
     LockOrderViolation,
     LockOrderWatchdog,
@@ -50,11 +50,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.telemetry import Telemetry
 from repro.obs.tracer import Span, Tracer
-from repro.obs.workload import (
-    WorkloadCapture,
-    WorkloadRecord,
-    WorkloadRecorder,
-)
 
 __all__ = [
     "Counter",
@@ -68,11 +63,7 @@ __all__ = [
     "Telemetry",
     "Tracer",
     "WatchedLock",
-    "WorkloadCapture",
     "WorkloadJournal",
-    "WorkloadRecord",
-    "WorkloadRecorder",
-    "default_journal_path",
     "parse_prometheus",
     "render_prometheus",
     "watch_session",

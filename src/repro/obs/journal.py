@@ -1,16 +1,13 @@
-"""The append-only workload journal: one JSONL line per query run.
+"""The append-only JSONL journal: one line per record.
 
-The :class:`~repro.obs.workload.WorkloadRecorder` serializes each
-finished :class:`~repro.obs.workload.WorkloadRecord` here; the advisor
-(:mod:`repro.advisor`) folds the journal back into observed E/I/D
-matrices for cost-model drift analysis.
+The slow-query log (:class:`~repro.service.slowlog.SlowQueryLog`)
+persists its over-threshold executions here.
 
 The journal keeps **one** append-mode file handle for its lifetime,
 opened lazily on the first append and reused for every subsequent
-record — a serving session journalling thousands of queries pays one
-``open()`` total, not one per query (and, unlike the earlier
-rewrite-the-whole-file scheme, appending is O(record), not
-O(journal)).  Each record is a single ``write()`` of one complete
+record — a serving process journalling thousands of queries pays one
+``open()`` total, not one per query, and appending is O(record), not
+O(journal).  Each record is a single ``write()`` of one complete
 line followed by a flush: appends of that size are atomic on POSIX,
 so a crash mid-run can truncate at most the line being written, never
 previously journalled history.  Reads tolerate a trailing partial
@@ -35,29 +32,12 @@ import threading
 from pathlib import Path
 from typing import IO
 
-#: journal filename suffix, appended to the repository file name.
-JOURNAL_SUFFIX = ".workload.jsonl"
-
-
-def default_journal_path(repository_path: str | Path) -> Path:
-    """The journal that rides along a repository file.
-
-    ``auction.xqc`` journals to ``auction.xqc.workload.jsonl`` in the
-    same directory, so shipping the repository directory ships its
-    observed workload too.
-    """
-    repository_path = Path(repository_path)
-    return repository_path.with_name(repository_path.name
-                                     + JOURNAL_SUFFIX)
-
-
 class WorkloadJournal:
-    """Append-only JSONL store of workload records.
+    """Append-only JSONL store of records.
 
-    Records are plain JSON-ready dicts (see
-    :meth:`repro.obs.workload.WorkloadRecord.to_dict`); the journal
-    itself is schema-agnostic so old journals stay readable as the
-    record grows fields.
+    Records are plain JSON-ready dicts; the journal itself is
+    schema-agnostic so old journals stay readable as the record grows
+    fields.
     """
 
     GUARDED_BY = {"_handle": "_lock", "opens": "_lock"}
@@ -149,12 +129,9 @@ class WorkloadJournal:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def records(self, since: str | None = None) -> list[dict]:
+    def records(self) -> list[dict]:
         """All journalled records, oldest first.
 
-        ``since`` (an ISO-8601 timestamp string) keeps only records
-        whose ``ts`` compares greater-or-equal — ISO timestamps order
-        lexicographically, so no datetime parsing is needed.
         Unparseable lines (e.g. a torn tail from a foreign appender)
         are skipped, never fatal.
         """
@@ -170,11 +147,8 @@ class WorkloadJournal:
                 record = json.loads(line)
             except json.JSONDecodeError:
                 continue
-            if not isinstance(record, dict):
-                continue
-            if since is not None and record.get("ts", "") < since:
-                continue
-            out.append(record)
+            if isinstance(record, dict):
+                out.append(record)
         return out
 
     def __repr__(self) -> str:

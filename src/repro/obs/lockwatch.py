@@ -239,8 +239,7 @@ def watch_session(watchdog: LockOrderWatchdog, session) -> None:
 
     Covers the locks the Tier-C analyzer names in its DESIGN
     hierarchy: both session locks, both cache locks, the metrics
-    registry, and (when present) the recorder and its journal.  Undo
-    with ``watchdog.unwatch_all()``.
+    registry.  Undo with ``watchdog.unwatch_all()``.
     """
     watchdog.watch(session, "_activation_lock",
                    "Session._activation_lock")
@@ -248,8 +247,3 @@ def watch_session(watchdog: LockOrderWatchdog, session) -> None:
     watchdog.watch(session.plan_cache, "_lock", "PlanCache._lock")
     watchdog.watch(session.block_cache, "_lock", "BlockCache._lock")
     watchdog.watch(session.metrics, "_lock", "MetricsRegistry._lock")
-    if session.recorder is not None:
-        watchdog.watch(session.recorder, "_count_lock",
-                       "WorkloadRecorder._count_lock")
-        watchdog.watch(session.recorder.journal, "_lock",
-                       "WorkloadJournal._lock")

@@ -20,12 +20,6 @@ from contextlib import contextmanager
 #: Deep layers read this directly: ``if runtime.ACTIVE is not None:``.
 ACTIVE = None
 
-#: the currently active WorkloadCapture, or None when workload
-#: recording is off.  Same contract as ``ACTIVE``: deep layers guard
-#: with ``if runtime.RECORDER is not None:`` — one module-global load
-#: plus an ``is None`` test is the entire disabled-mode cost.
-RECORDER = None
-
 
 @contextmanager
 def activated(telemetry):
@@ -41,22 +35,6 @@ def activated(telemetry):
         yield telemetry
     finally:
         ACTIVE = previous
-
-
-@contextmanager
-def recording(capture):
-    """Make ``capture`` the active workload sink while the block runs.
-
-    Reentrant like :func:`activated`: the previous capture is restored
-    on exit, so nested engine calls each observe their own run.
-    """
-    global RECORDER
-    previous = RECORDER
-    RECORDER = capture
-    try:
-        yield capture
-    finally:
-        RECORDER = previous
 
 
 # -- reporting helpers (call only after checking ACTIVE is not None) ----------

@@ -81,12 +81,12 @@ def explain_analyze(query: str | Expression, target,
         result = engine.execute(query, options)
         items = result.items  # force the Decompress step under telemetry
     sketch = explain(query)
-    text = _render(sketch, result, telemetry, len(items), engine)
+    text = _render(sketch, result, telemetry, len(items))
     return AnalyzeReport(text, result, telemetry)
 
 
 def _render(sketch: str, result, telemetry: Telemetry,
-            item_count: int, engine=None) -> str:
+            item_count: int) -> str:
     metrics = telemetry.metrics
     # A summaries snapshot, so lookups never create empty histograms.
     histograms = metrics.histograms()
@@ -104,44 +104,7 @@ def _render(sketch: str, result, telemetry: Telemetry,
     if telemetry.diagnostics:
         lines.append("")
         lines.extend(_diagnostics_section(telemetry))
-    drift = _workload_drift_section(engine)
-    if drift:
-        lines.append("")
-        lines.extend(drift)
     return "\n".join(lines)
-
-
-def _workload_drift_section(engine) -> list[str]:
-    """Observatory summary, when the engine records its workload.
-
-    Folds the engine's journal (including the run just analyzed)
-    through the advisor and condenses the verdict: how far the live
-    configuration has drifted from what the observed workload wants,
-    and the top recompression moves.
-    """
-    recorder = getattr(engine, "recorder", None)
-    if recorder is None or not recorder.enabled:
-        return []
-    from repro.advisor import analyze_drift
-    report = analyze_drift(engine.repository,
-                           recorder.journal.records())
-    out = ["-- workload drift (observatory) --"]
-    out.append(f"journal records: {report.record_count} "
-               f"({sum(report.predicate_totals.values())} observed "
-               "predicates)")
-    if report.live_breakdown:
-        out.append(f"cost: live {report.live_breakdown['total']:.1f} "
-                   f"vs recommended "
-                   f"{report.recommended_breakdown['total']:.1f} "
-                   f"(drift {report.drift_total:.1f})")
-    if report.recommendations:
-        for rec in report.recommendations[:3]:
-            out.append(f"recompress {rec.path}: {rec.current} -> "
-                       f"{rec.recommended} "
-                       f"(est. saving {rec.saving_total:.1f})")
-    else:
-        out.append("no recompression recommended")
-    return out
 
 
 def _diagnostics_section(telemetry: Telemetry) -> list[str]:

@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from contextlib import nullcontext
 from typing import NamedTuple
 
 import numpy as np
@@ -212,13 +211,9 @@ class QueryEngine:
 
     def __init__(self, repository: CompressedRepository,
                  collection: dict[str, CompressedRepository]
-                 | None = None, recorder=None):
+                 | None = None):
         self.repository = repository
         self.collection = collection or {}
-        #: optional :class:`~repro.obs.workload.WorkloadRecorder`;
-        #: when attached and enabled, every ``execute`` appends one
-        #: observation to its workload journal.
-        self.recorder = recorder
         #: verified plans per parsed query (the AST is kept alive so
         #: its id() cannot be reused by a different expression).  LRU
         #: bounded: a long-lived serving engine must not pin every AST
@@ -241,15 +236,15 @@ class QueryEngine:
         """Parse and plan (if needed) and evaluate a query.
 
         ``options`` is an :class:`~repro.query.options.ExecutionOptions`
-        carrying the run's telemetry, recording and binding knobs; the
-        run is traced exactly when ``options.telemetry`` is given.
+        carrying the run's telemetry and binding knobs; the run is
+        traced exactly when ``options.telemetry`` is given.
         ``plan`` is ``query``'s :meth:`plan` from an earlier call (a
         prepared plan from the session's plan cache): the run skips
         planning and verification entirely.  Either way the Tier-A
         gate has passed before any row is produced; the verifier's
         warnings flow into a traced run's telemetry.  ``label`` names the
-        run in spans and workload records when ``query`` is a
-        pre-parsed expression (the session passes the original text).
+        run's span when ``query`` is a pre-parsed expression (the
+        session passes the original text).
         """
         if options is None:
             options = ExecutionOptions()
@@ -262,28 +257,15 @@ class QueryEngine:
             for diagnostic in plan.diagnostics:
                 telemetry.metrics.add(f"lint.{diagnostic.severity}")
         evaluator = _Evaluator(self, plan.plan, telemetry)
-        query_text = query if isinstance(query, str) else \
-            (label if label is not None else type(ast).__name__)
         base_env = options.binding_environment()
-
-        def run() -> list:
-            if telemetry is None:
-                return evaluator.eval(ast, base_env)
+        if telemetry is None:
+            items = evaluator.eval(ast, base_env)
+        else:
+            query_text = query if isinstance(query, str) else \
+                (label if label is not None else type(ast).__name__)
             with runtime.activated(telemetry):
                 with telemetry.span("Execute", query=query_text):
-                    return evaluator.eval(ast, base_env)
-
-        record = options.record
-        if record is None:
-            record = self.recorder is not None and self.recorder.enabled
-        elif record and self.recorder is None:
-            raise QueryError(
-                "recording requested but no workload recorder is "
-                "attached to this engine")
-        with self.recorder.capture(
-                query_text, ast, self.repository, evaluator.stats,
-                telemetry) if record else nullcontext():
-            items = run()
+                    items = evaluator.eval(ast, base_env)
         return QueryResult(items, evaluator.stats, self,
                            telemetry=telemetry,
                            lazy_texts=evaluator.lazy_texts)

@@ -25,12 +25,6 @@ class ExecutionOptions:
         (the default) runs untraced — only the eight
         :class:`~repro.query.context.EvaluationStats` counters of
         ``QueryResult.stats`` are kept.
-    ``record``
-        Tri-state workload journalling: ``None`` follows the attached
-        :class:`~repro.obs.workload.WorkloadRecorder`'s own ``enabled``
-        flag (the historical behaviour); ``True`` requires a recorder
-        and journals the run; ``False`` skips journalling even with an
-        enabled recorder attached.
     ``use_plan_cache`` / ``use_block_cache``
         Session-level switches for the prepared-plan LRU and the
         decoded-block cache; the bare engine ignores them.
@@ -42,7 +36,6 @@ class ExecutionOptions:
     """
 
     telemetry: Telemetry | None = None
-    record: bool | None = None
     use_plan_cache: bool = True
     use_block_cache: bool = True
     bindings: Mapping[str, object] | None = None

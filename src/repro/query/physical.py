@@ -183,8 +183,6 @@ class ContScan(Operator):
         # Mirror scan()'s access accounting without building rows.
         if runtime.ACTIVE is not None:
             runtime.add("container.scans")
-        if runtime.RECORDER is not None:
-            runtime.RECORDER.record_access(container.path, "scans")
         for start in range(0, arrays.count, size):
             stop = min(start + size, arrays.count)
             yield RecordBatch({
@@ -232,10 +230,6 @@ class ContAccess(Operator):
             self._stats.container_accesses += 1
         container = self._container
         low, high, low_inc, high_inc = self._interval
-        if runtime.RECORDER is not None:
-            kind = "eq" if (low is not None and low == high
-                            and low_inc and high_inc) else "ineq"
-            runtime.RECORDER.record_predicate(container.path, kind)
         if container.is_blob:  # no record slots: filtered full scan
             yield from batches_from_rows(self._interval_rows(), size)
             return
@@ -614,7 +608,7 @@ class ThetaJoin(Operator):
     the sorted run, paired with their owning elements (``ascend``
     ``Parent`` gathers up).  A probe is one ``np.searchsorted`` per
     outer value; its slot range's length is the match count.
-    :meth:`build` refuses — before any counter or journal entry —
+    :meth:`build` refuses — before any counter —
     wherever position is not the comparison; callers then evaluate
     the condition per pair.
     """
@@ -669,9 +663,6 @@ class ThetaJoin(Operator):
         """Slot range of the keys with ``key <op> value``."""
         if self._stats is not None:
             self._stats.container_accesses += 1
-        if runtime.RECORDER is not None:
-            for container in self.containers:
-                runtime.RECORDER.record_predicate(container.path, "ineq")
         side = "left" if self.op in ("<", ">=") else "right"
         cut = int(np.searchsorted(self._keys, value, side=side))
         return (0, cut) if self.op in ("<", "<=") \

@@ -14,8 +14,8 @@ two block-shaped lookups the paper's processor repeats across queries:
 
 Everything else (structure tree, name dictionary, codecs, interval
 searches) forwards to the wrapped objects unchanged, so operator
-counters, workload capture and plan verification observe the same
-repository they always did.  The views themselves are stateless apart
+counters and plan verification observe the same repository they
+always did.  The views themselves are stateless apart
 from the shared :class:`~repro.service.cache.BlockCache`; one cache can
 back any number of sessions over the same repository.
 """

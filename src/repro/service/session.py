@@ -20,9 +20,8 @@ it — the one public way to run queries:
   the byte-budgeted **block cache**;
 * :meth:`Session.execute_many` serves a batch from a thread pool,
   sharing both caches and the session's thread-safe metrics registry;
-* workload recording, telemetry and plan verification all flow through
-  this one code path — the CLI and the benchmarks are thin callers of
-  it.
+* telemetry and plan verification both flow through this one code
+  path — the CLI and the benchmarks are thin callers of it.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.workload import WorkloadRecorder
 from repro.query.ast import Expression
 from repro.query.engine import QueryEngine, QueryResult, VerifiedPlan
 from repro.query.options import ExecutionOptions
@@ -134,9 +132,9 @@ class PreparedQuery:
 class Session:
     """One serving session over a resident compressed repository.
 
-    All caches, the metrics registry and the workload recorder are
-    shared by every query the session runs — including the worker
-    threads of :meth:`execute_many` — and all of them are thread-safe.
+    All caches and the metrics registry are shared by every query the
+    session runs — including the worker threads of
+    :meth:`execute_many` — and all of them are thread-safe.
 
     The caches are sized by ``DEFAULT_PLAN_CAPACITY`` and
     ``DEFAULT_BLOCK_BUDGET``, or injected pre-built via
@@ -152,7 +150,6 @@ class Session:
                  plan_cache: PlanCache | None = None,
                  block_cache: BlockCache | None = None,
                  metrics: MetricsRegistry | None = None,
-                 recorder: WorkloadRecorder | None = None,
                  slow_log: SlowQueryLog | None = None):
         self.repository = repository
         self.collection = dict(collection) if collection else {}
@@ -162,22 +159,17 @@ class Session:
             else PlanCache(DEFAULT_PLAN_CAPACITY, metrics=self.metrics)
         self.block_cache = block_cache if block_cache is not None \
             else BlockCache(DEFAULT_BLOCK_BUDGET, metrics=self.metrics)
-        #: one recorder — and therefore one journal file handle — per
-        #: session, however many queries it records.
-        self.recorder = recorder
         #: over-threshold executions append here (usually the owning
         #: Database's shared log); None disables slow-query logging.
         self.slow_log = slow_log
         self._view = CachedRepositoryView(repository, self.block_cache)
         self.engine = QueryEngine(
-            self._view, collection=self.collection or None,
-            recorder=recorder)
+            self._view, collection=self.collection or None)
         self._raw_engine: QueryEngine | None = None
         self._engine_lock = threading.Lock()
-        #: serializes runs that activate the process-wide telemetry /
-        #: recorder slots (tracing, workload capture) — those globals
-        #: are not thread-local, so traced runs take turns while
-        #: untraced runs stay fully parallel.
+        #: serializes runs that activate the process-wide telemetry
+        #: slot — that global is not thread-local, so traced runs take
+        #: turns while untraced runs stay fully parallel.
         self._activation_lock = threading.Lock()
 
     # -- preparing -----------------------------------------------------------
@@ -238,8 +230,8 @@ class Session:
         Results come back in input order and match what serial
         execution returns.  One shared ``options.telemetry`` cannot
         record N concurrent runs, so it is rejected; the slow log's
-        sampled per-run telemetry and workload recording work, but
-        serialize on the process-wide activation slot.
+        sampled per-run telemetry works, but serializes on the
+        process-wide activation slot.
         """
         options = options if options is not None else ExecutionOptions()
         if options.telemetry is not None:
@@ -258,9 +250,6 @@ class Session:
              options: ExecutionOptions,
              cache_before: dict | None = None) -> QueryResult:
         engine = self._engine_for(options)
-        record = options.record
-        if record is None:
-            record = self.recorder is not None and self.recorder.enabled
         # Slow-query exemplar sampling: every Nth execution runs with
         # a fresh per-run telemetry so an over-threshold run has a
         # span breakdown to attach.  Caller-provided telemetry serves
@@ -278,8 +267,7 @@ class Session:
         failed = True
         try:
             with self._activation_lock \
-                    if options.telemetry is not None or record \
-                    else nullcontext():
+                    if options.telemetry is not None else nullcontext():
                 result = engine.execute(
                     prepared.ast, options, plan=prepared.plan.verified,
                     label=prepared.plan.text)
@@ -316,8 +304,7 @@ class Session:
             if self._raw_engine is None:
                 self._raw_engine = QueryEngine(
                     self.repository,
-                    collection=self.collection or None,
-                    recorder=self.recorder)
+                    collection=self.collection or None)
             return self._raw_engine
 
     # -- explain / analyze ---------------------------------------------------
@@ -366,16 +353,11 @@ class Session:
         self.block_cache.invalidate()
         _drop_array_views(self.repository, self.collection)
 
-    def close(self) -> None:
-        """Release session resources (the recorder's journal handle)."""
-        if self.recorder is not None:
-            self.recorder.journal.close()
-
     def __enter__(self) -> "Session":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.close()
+        """Nothing to release: a session holds no file or thread."""
 
     def __repr__(self) -> str:
         return (f"<Session over {self.repository!r} "

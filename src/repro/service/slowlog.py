@@ -5,8 +5,8 @@ latency histogram absorbed it — no record of *which* query, *what
 plan*, or *where the time went*.  This module keeps that record:
 
 * every over-threshold execution appends one JSONL record — via the
-  same atomic single-line appends as the workload journal
-  (:class:`~repro.obs.journal.WorkloadJournal`), so a crash can tear
+  atomic single-line appends of
+  :class:`~repro.obs.journal.WorkloadJournal`, so a crash can tear
   at most the line in flight — carrying the query text, a **query
   fingerprint** (hash of the normalized text, the plan-cache key),
   a **plan fingerprint** (hash of the rendered evaluation strategy,

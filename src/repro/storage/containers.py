@@ -326,8 +326,6 @@ class ValueContainer:
         self._require_sealed()
         if runtime.ACTIVE is not None:
             runtime.add("container.scans")
-        if runtime.RECORDER is not None:
-            runtime.RECORDER.record_access(self.path, "scans")
         if self._blob is not None:
             assert self._blob_values is not None
             assert self._blob_parents is not None
@@ -356,8 +354,6 @@ class ValueContainer:
         self._require_sealed()
         if runtime.ACTIVE is not None:
             runtime.add("container.record_reads")
-        if runtime.RECORDER is not None:
-            runtime.RECORDER.record_access(self.path, "record_reads")
         if self._blob is not None:
             assert self._blob_values is not None
             assert self._blob_parents is not None
@@ -372,8 +368,6 @@ class ValueContainer:
         self._require_sealed()
         if runtime.ACTIVE is not None:
             runtime.add("container.record_reads")
-        if runtime.RECORDER is not None:
-            runtime.RECORDER.record_access(self.path, "record_reads")
         if self._blob is not None:
             assert self._blob_values is not None
             return self._blob_values[index]
@@ -507,14 +501,11 @@ class ValueContainer:
 
         Bumps the same access metrics as :meth:`interval_search`, so a
         batch-mode interval access is indistinguishable from a row-mode
-        one in the workload observatory.
+        one in a run's telemetry.
         """
         self._require_sealed()
         if runtime.ACTIVE is not None:
             runtime.add("container.interval_searches")
-        if runtime.RECORDER is not None:
-            runtime.RECORDER.record_access(self.path,
-                                           "interval_searches")
         return self.interval_positions(low, high, low_inclusive,
                                        high_inclusive)
 
@@ -550,9 +541,6 @@ class ValueContainer:
         self._require_sealed()
         if runtime.ACTIVE is not None:
             runtime.add("container.interval_searches")
-        if runtime.RECORDER is not None:
-            runtime.RECORDER.record_access(self.path,
-                                           "interval_searches")
         if self._blob is not None:
             # XMill-style chunk: no random access; filter a full scan.
             key = self._compare_key

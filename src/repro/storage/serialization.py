@@ -343,9 +343,12 @@ def _pair_positions(firsts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 def _write_summary(summary: StructureSummary,
                    path_index: dict[str, int]) -> bytes:
+    """The summary nodes in preorder, children by step, each followed
+    by its child count; an explicit stack, so any depth saves."""
     writer = ByteWriter()
-
-    def write_node(node: SummaryNode) -> None:
+    stack = [summary.root]
+    while stack:
+        node = stack.pop()
         writer.string(node.step)
         writer.varint(len(node.extent))
         previous = 0
@@ -355,19 +358,20 @@ def _write_summary(summary: StructureSummary,
         writer.signed(path_index[node.container_path]
                       if node.container_path is not None else -1)
         writer.varint(len(node.children))
-        for step in sorted(node.children):
-            write_node(node.children[step])
-
-    write_node(summary.root)
+        stack.extend(node.children[step]
+                     for step in sorted(node.children, reverse=True))
     return writer.getvalue()
 
 
 def _read_summary(data: bytes,
                   container_paths: list[str]) -> StructureSummary:
+    """The inverse of :func:`_write_summary`, on an explicit stack of
+    ``[node, children still to read]``; a container index outside
+    ``container_paths`` raises :class:`PageError`."""
     reader = ByteReader(data)
     summary = StructureSummary()
 
-    def read_into(node: SummaryNode) -> None:
+    def read_node(node: SummaryNode) -> int:
         node.step = reader.string()
         extent = []
         previous = 0
@@ -376,14 +380,22 @@ def _read_summary(data: bytes,
             extent.append(previous)
         node.extent = extent
         container = reader.signed()
+        if container >= len(container_paths):
+            raise PageError("summary node names no container")
         if container >= 0:
             node.container_path = container_paths[container]
-        for _ in range(reader.varint()):
-            child = SummaryNode("", node)
-            read_into(child)
-            node.children[child.step] = child
+        return reader.varint()
 
-    read_into(summary.root)
+    pending = [[summary.root, read_node(summary.root)]]
+    while pending:
+        top = pending[-1]
+        if top[1] == 0:
+            pending.pop()
+            continue
+        top[1] -= 1
+        child = SummaryNode("", top[0])
+        pending.append([child, read_node(child)])
+        top[0].children[child.step] = child
     return summary
 
 

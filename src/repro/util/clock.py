@@ -1,7 +1,6 @@
 """The one monotonic clock every measurement layer shares.
 
-Spans (:mod:`repro.obs.tracer`), workload records
-(:mod:`repro.obs.workload`), rolling-window metrics
+Spans (:mod:`repro.obs.tracer`), rolling-window metrics
 (:mod:`repro.obs.metrics`) and the serving layer's latency, slow-log
 and SLO accounting (:mod:`repro.service`) all time things in **integer
 nanoseconds on the same monotonic clock** and convert to seconds only

@@ -25,7 +25,6 @@ import random
 
 from repro.baselines.galax import GalaxEngine
 from repro.errors import XQueCError
-from repro.obs import runtime
 from repro.query.context import EvaluationStats
 from repro.query.engine import QueryEngine
 from repro.storage.loader import load_document
@@ -44,26 +43,54 @@ from repro.xmlio.writer import serialize
 VARIANTS = ("alm", "huffman")
 
 
+#: container reads the blame watches, by the access they stand for.
+_READS = {"scan": "scans", "as_arrays": "scans",
+          "record_at": "record_reads", "value_at": "record_reads"}
+
+#: container interval probes (a ``ContAccess``).
+_PROBES = ("interval_bounds", "interval_search")
+
+
 class _BlameRecorder:
     """Collects the container activity of one compressed run.
 
-    Implements the subset of the workload-capture interface the deep
-    layers call (``record_access``/``record_predicate``); anything else
-    is a no-op so future recorder methods cannot break the oracle.
+    Wraps the read methods of every container of ``repository`` (a
+    throwaway load, so nothing else sees the wrappers): reads land in
+    ``accesses`` as ``(path, kind)``, interval probes in
+    ``predicates`` as ``(path, "eq" | "ineq")``.
     """
 
-    def __init__(self):
+    def __init__(self, repository=None):
         self.accesses: list[tuple[str, str]] = []
         self.predicates: list[tuple[str, str]] = []
+        if repository is not None:
+            for path in repository.container_paths():
+                self._watch(repository.container(path))
 
-    def record_access(self, path: str, kind: str) -> None:
-        self.accesses.append((path, kind))
+    def _watch(self, container) -> None:
+        path = container.path
+        for name, kind in _READS.items():
+            _log_calls(container, name, self.accesses,
+                       lambda *_, kind=kind, **__: (path, kind))
+        for name in _PROBES:
+            _log_calls(container, name, self.predicates,
+                       lambda low, high, low_inclusive=True,
+                       high_inclusive=True: (path, "eq" if (
+                           low is not None and low == high
+                           and low_inclusive and high_inclusive)
+                           else "ineq"))
 
-    def record_predicate(self, path: str, kind: str) -> None:
-        self.predicates.append((path, kind))
 
-    def __getattr__(self, name: str):
-        return lambda *args, **kwargs: None
+def _log_calls(container, name: str, log: list, entry) -> None:
+    """Shadow ``container.name`` with a wrapper appending
+    ``entry(*args)`` to ``log`` before each call."""
+    method = getattr(container, name)
+
+    def logged(*args, **kwargs):
+        log.append(entry(*args, **kwargs))
+        return method(*args, **kwargs)
+
+    setattr(container, name, logged)
 
 
 def _outcome(run) -> tuple[str, str]:
@@ -82,19 +109,12 @@ def _reference_xml(repository) -> str:
     return serialize(engine.materialize_node(0, EvaluationStats()))
 
 
-def _run_pair(xml: str, query: str, codec_variant: str,
-              recorder: _BlameRecorder | None = None
+def _run_pair(xml: str, query: str, codec_variant: str
               ) -> tuple[tuple[str, str], tuple[str, str]]:
     repository = load_document(xml, default_string_codec=codec_variant)
     engine = QueryEngine(repository)
-
-    def compressed():
-        if recorder is None:
-            return engine.execute(query).to_xml()
-        with runtime.recording(recorder):
-            return engine.execute(query).to_xml()
-
-    compressed_outcome = _outcome(compressed)
+    compressed_outcome = _outcome(
+        lambda: engine.execute(query).to_xml())
     reference = GalaxEngine(_reference_xml(repository))
     reference_outcome = _outcome(lambda: reference.execute_to_xml(query))
     return compressed_outcome, reference_outcome
@@ -103,18 +123,17 @@ def _run_pair(xml: str, query: str, codec_variant: str,
 def _blame(xml: str, query: str, codec_variant: str
            ) -> tuple[str, str | None, str | None]:
     """(codec, container, plan node) the mismatching run touched."""
-    recorder = _BlameRecorder()
     try:
-        _run_pair(xml, query, codec_variant, recorder=recorder)
         repository = load_document(xml,
                                    default_string_codec=codec_variant)
     except Exception:  # noqa: BLE001 — blame is best-effort
         return (codec_variant, None, None)
+    recorder = _BlameRecorder(repository)
+    _outcome(lambda: QueryEngine(repository).execute(query).to_xml())
     paths = {path for path, _ in recorder.accesses}
     paths |= {path for path, _ in recorder.predicates}
-    codecs = sorted({
-        repository.container(path).codec.name
-        for path in paths & set(repository.container_paths())})
+    codecs = sorted({repository.container(path).codec.name
+                     for path in paths})
     container = ",".join(sorted(paths)) if paths else None
     return (",".join(codecs) or codec_variant, container,
             _plan_node(recorder))
@@ -122,10 +141,10 @@ def _blame(xml: str, query: str, codec_variant: str
 
 def _plan_node(recorder: _BlameRecorder) -> str | None:
     """The physical operator behind the run's container activity:
-    predicates and interval searches are ``ContAccess``, whole scans
-    ``ContScan``, record reads the ``Decompress`` of a bound value."""
+    interval probes are ``ContAccess``, whole scans ``ContScan``,
+    record reads the ``Decompress`` of a bound value."""
     kinds = {kind for _, kind in recorder.accesses}
-    if recorder.predicates or "interval_searches" in kinds:
+    if recorder.predicates:
         return "ContAccess"
     if "scans" in kinds:
         return "ContScan"

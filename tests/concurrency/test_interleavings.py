@@ -18,9 +18,10 @@ import pytest
 
 from repro.lint.concurrency import lint_concurrency
 from repro.obs.lockwatch import LockOrderWatchdog, watch_session
-from repro.obs.workload import WorkloadRecorder
+from repro.obs.telemetry import Telemetry
 from repro.query.options import ExecutionOptions
 from repro.service.session import Session
+from repro.service.slowlog import SlowQueryLog
 from repro.xmark.generator import generate_xmark
 from repro.xmark.queries import query_text
 
@@ -61,10 +62,13 @@ def _assert_discipline(watchdog: LockOrderWatchdog) -> None:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_serving_surface_interleaved(seed, repository, static_edges,
                                      expected_q1, tmp_path):
-    session = Session(repository, recorder=WorkloadRecorder(
-        tmp_path / f"stress-{seed}.jsonl"))
+    # A zero threshold journals every run through the slow log.
+    session = Session(repository, slow_log=SlowQueryLog(
+        tmp_path / f"stress-{seed}.jsonl", threshold_ms=0.0))
+    journal = session.slow_log.journal
     watchdog = LockOrderWatchdog(static_edges)
     watch_session(watchdog, session)
+    watchdog.watch(journal, "_lock", "WorkloadJournal._lock")
     outputs: list[str] = []
 
     def executor(step):
@@ -72,11 +76,11 @@ def test_serving_surface_interleaved(seed, repository, static_edges,
         step()
         outputs.append(session.execute(query_text("Q1")).to_xml())
         step()
-        # A recorded run: takes the activation lock, then journal +
-        # recorder locks inside the engine.
+        # A traced run: takes the activation lock, then the journal
+        # lock once the slow log records it.
         outputs.append(session.execute(
             query_text("Q1"),
-            ExecutionOptions(record=True)).to_xml())
+            ExecutionOptions(telemetry=Telemetry())).to_xml())
 
     def invalidator(step):
         session.invalidate_caches()
@@ -94,9 +98,9 @@ def test_serving_surface_interleaved(seed, repository, static_edges,
         session.metrics.histograms()
 
     def journalist(step):
-        session.recorder.journal.append({"seed": seed, "op": 1})
+        journal.append({"seed": seed, "op": 1})
         step()
-        session.recorder.journal.append({"seed": seed, "op": 2})
+        journal.append({"seed": seed, "op": 2})
 
     with watchdog:
         sched = InterleavingScheduler(seed)
@@ -110,9 +114,10 @@ def test_serving_surface_interleaved(seed, repository, static_edges,
     assert outputs == [expected_q1] * 3
     _assert_discipline(watchdog)
     # The journal interleaved whole lines, never torn ones.
-    records = session.recorder.journal.records()
+    records = journal.records()
     assert {(r["seed"], r["op"]) for r in records
             if "op" in r} >= {(seed, 1), (seed, 2)}
+    assert sum(1 for r in records if r.get("query")) == 3
 
 
 @pytest.mark.parametrize("seed", SEEDS)

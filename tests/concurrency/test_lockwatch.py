@@ -127,14 +127,12 @@ class TestInPlaceWatching:
             assert cache._lock is not original
         assert cache._lock is original
 
-    def test_watch_session_covers_serving_locks(self, tmp_path):
-        from repro.obs.workload import WorkloadRecorder
+    def test_watch_session_covers_serving_locks(self):
         from repro.service.session import Session
         from repro.storage.loader import load_document
         from repro.xmark.generator import generate_xmark
         session = Session(
-            load_document(generate_xmark(factor=0.003, seed=7)),
-            recorder=WorkloadRecorder(tmp_path / "w.jsonl"))
+            load_document(generate_xmark(factor=0.003, seed=7)))
         watchdog = LockOrderWatchdog()
         with watchdog:
             watch_session(watchdog, session)
@@ -142,8 +140,4 @@ class TestInPlaceWatching:
             assert isinstance(session.plan_cache._lock, WatchedLock)
             assert isinstance(session.block_cache._lock, WatchedLock)
             assert isinstance(session.metrics._lock, WatchedLock)
-            assert isinstance(session.recorder._count_lock,
-                              WatchedLock)
-            assert isinstance(session.recorder.journal._lock,
-                              WatchedLock)
         assert not isinstance(session.plan_cache._lock, WatchedLock)

@@ -1,20 +1,16 @@
-"""Tests for the append-only workload journal."""
+"""Tests for the append-only JSONL journal."""
 
 import json
 import os
 
 import pytest
 
-from repro.obs.journal import (
-    JOURNAL_SUFFIX,
-    WorkloadJournal,
-    default_journal_path,
-)
+from repro.obs.journal import WorkloadJournal
 
 
 @pytest.fixture
 def journal(tmp_path):
-    return WorkloadJournal(tmp_path / "doc.workload.jsonl")
+    return WorkloadJournal(tmp_path / "doc.jsonl")
 
 
 class TestAppend:
@@ -115,21 +111,7 @@ class TestRecords:
         queries = [r["query"] for r in journal.records()]
         assert queries == ["good", "also good"]
 
-    def test_since_filters_lexicographically(self, journal):
-        journal.append({"query": "old", "ts": "2026-01-01T00:00:00"})
-        journal.append({"query": "new", "ts": "2026-06-01T00:00:00"})
-        queries = [r["query"] for r in
-                   journal.records(since="2026-03-01")]
-        assert queries == ["new"]
-
     def test_missing_file_yields_nothing(self, tmp_path):
         journal = WorkloadJournal(tmp_path / "absent.jsonl")
         assert list(journal.records()) == []
 
-
-class TestDefaultPath:
-    def test_sibling_with_suffix(self, tmp_path):
-        repository = tmp_path / "auction.xqrepo"
-        path = default_journal_path(repository)
-        assert path.parent == tmp_path
-        assert path.name == "auction.xqrepo" + JOURNAL_SUFFIX

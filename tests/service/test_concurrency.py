@@ -2,7 +2,7 @@
 
 The serving contract: ``execute_many`` over N threads returns exactly
 what serial execution returns, and no metric increment is ever lost —
-the session's registry, the caches and the workload journal are all
+the session's registry, the caches and the slow log's journal are all
 thread-safe.
 """
 
@@ -12,8 +12,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.workload import WorkloadRecorder
 from repro.service.session import Database, Session
+from repro.service.slowlog import SlowQueryLog
 from repro.xmark.generator import generate_xmark
 from repro.xmark.queries import query_text
 
@@ -79,12 +79,11 @@ class TestExecuteMany:
 
     def test_recording_batch_journals_every_run(self, repository,
                                                 tmp_path):
-        session = Session(repository, recorder=WorkloadRecorder(
-            tmp_path / "batch.jsonl"))
+        session = Session(repository, slow_log=SlowQueryLog(
+            tmp_path / "batch.jsonl", threshold_ms=0.0))
         queries = [query_text(qid) for qid in QUERY_IDS] * 2
         session.execute_many(queries, max_workers=4)
-        journal = session.recorder.journal
-        assert session.recorder.records_written == len(queries)
+        journal = session.slow_log.journal
         assert len(journal.records()) == len(queries)
         assert journal.opens == 1
 

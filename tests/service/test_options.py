@@ -27,13 +27,11 @@ class TestExecutionOptions:
     def test_defaults(self):
         options = ExecutionOptions()
         assert options.telemetry is None
-        assert options.record is None
         assert options.use_plan_cache is True
         assert options.use_block_cache is True
         assert options.bindings is None
         assert [f.name for f in dataclasses.fields(options)] == [
-            "telemetry", "record", "use_plan_cache",
-            "use_block_cache", "bindings"]
+            "telemetry", "use_plan_cache", "use_block_cache", "bindings"]
 
     def test_frozen(self):
         with pytest.raises(AttributeError):

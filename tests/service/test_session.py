@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.errors import PlanVerificationError, QueryError
+from repro.errors import PlanVerificationError
 from repro.lint.diagnostics import PlanDiagnostic
-from repro.obs.workload import WorkloadRecorder
 from repro.query.engine import QueryEngine, QueryResult
 from repro.query.options import ExecutionOptions
 from repro.service.session import Database, PreparedQuery, Session
+from repro.service.slowlog import SlowQueryLog
 from repro.storage.loader import load_document
 from repro.storage.serialization import save_repository
 
@@ -184,25 +184,17 @@ class TestBlockCache:
 class TestRecording:
     def test_journal_session_reuses_one_handle(self, repository,
                                                tmp_path):
-        journal_path = tmp_path / "session.workload.jsonl"
-        with Session(repository,
-                     recorder=WorkloadRecorder(journal_path)) as session:
+        # A zero threshold journals every run through the slow log.
+        with SlowQueryLog(tmp_path / "session.jsonl",
+                          threshold_ms=0.0) as slow_log:
+            session = Session(repository, slow_log=slow_log)
             for _ in range(3):
                 session.execute(QUERY)
-            journal = session.recorder.journal
-            assert journal.opens == 1
-            records = journal.records()
+            assert slow_log.journal.opens == 1
+            records = slow_log.journal.records()
         assert len(records) == 3
         # The journalled query is the original text, not an AST label.
         assert {r["query"] for r in records} == {QUERY}
-        assert session.recorder.records_written == 3
-
-    def test_record_false_skips_journalling(self, repository,
-                                            tmp_path):
-        session = Session(repository, recorder=WorkloadRecorder(
-            tmp_path / "skip.jsonl"))
-        session.execute(QUERY, ExecutionOptions(record=False))
-        assert session.recorder.records_written == 0
 
     def test_untraced_run_keeps_one_set_of_books(self, session,
                                                  monkeypatch):
@@ -242,10 +234,6 @@ class TestRecording:
         assert not any(isinstance(value, property) for value in
                        vars(type(result.stats)).values())
         assert result.stats.decompressions >= 1
-
-    def test_record_true_without_recorder_raises(self, session):
-        with pytest.raises(QueryError, match="no workload recorder"):
-            session.execute(QUERY, ExecutionOptions(record=True))
 
 
 class TestExecuteMany:

@@ -124,8 +124,8 @@ class TestCollate:
 
 class TestDeepDocument:
     """A document nested deeper than Python's recursion limit loads, and
-    its string value, reconstruction, serialization and shipping walk
-    it iteratively."""
+    its string value, reconstruction, serialization, shipping, save and
+    reopen walk it iteratively."""
 
     DEPTH = 1_500
 
@@ -143,6 +143,15 @@ class TestDeepDocument:
         from repro.service.session import Session
         xml = "<a>" * self.DEPTH + "x" + "</a>" * self.DEPTH
         assert Session(load_document(xml)).decompress() == xml
+
+    def test_save_and_reopen_equals_the_source(self, tmp_path):
+        from repro.service.session import Session
+        from repro.storage.serialization import (load_repository,
+                                                 save_repository)
+        xml = "<a>" * self.DEPTH + "x" + "</a>" * self.DEPTH
+        save_repository(load_document(xml), tmp_path / "deep.xqc")
+        reopened = load_repository(tmp_path / "deep.xqc")
+        assert Session(reopened).decompress() == xml
 
     def test_shipping_the_subtree_round_trips(self):
         from repro.query.engine import QueryEngine

@@ -9,7 +9,9 @@ from repro.query.engine import QueryEngine
 from repro.storage.loader import load_document
 from repro.storage.serialization import (
     _read_structure,
+    _read_summary,
     _write_structure,
+    _write_summary,
     load_repository,
     save_repository,
 )
@@ -204,3 +206,16 @@ class TestCorruptStructureStream:
         fields, containers = stored
         with pytest.raises(PageError):
             _read_structure(encode_varints(fields[:-3]), containers)
+
+
+class TestCorruptSummaryStream:
+    """A summary node's container index is checked on read: one past
+    the container list raises :class:`PageError`, not ``IndexError``."""
+
+    def test_container_index_out_of_range(self):
+        repository = load_document(TestCorruptStructureStream.XML)
+        paths = repository.container_paths()
+        data = _write_summary(repository.summary,
+                              {path: len(paths) for path in paths})
+        with pytest.raises(PageError, match="container"):
+            _read_summary(data, paths)

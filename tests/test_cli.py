@@ -315,91 +315,17 @@ class TestLintSrc:
             ["src.mutable-default"]
 
 
-class TestWorkloadRecording:
-    QUERY = ('for $b in /library/book where $b/title/text() = "Dune" '
-             "return $b/@isbn")
-
-    def test_record_writes_default_journal(self, repository_file):
-        code, _ = run("query", str(repository_file), self.QUERY,
-                      "--record")
-        assert code == 0
-        journal = repository_file.with_name(
-            repository_file.name + ".workload.jsonl")
-        assert journal.exists()
-        assert journal.read_text().count("\n") == 1
-
-    def test_record_custom_journal(self, repository_file, tmp_path):
-        journal = tmp_path / "custom.jsonl"
-        code, _ = run("query", str(repository_file), self.QUERY,
-                      "--record", "--journal", str(journal))
-        assert code == 0
-        assert journal.exists()
-
-    def test_no_record_no_journal(self, repository_file):
-        code, _ = run("query", str(repository_file), self.QUERY)
-        assert code == 0
-        journal = repository_file.with_name(
-            repository_file.name + ".workload.jsonl")
-        assert not journal.exists()
-
-    def test_analyze_includes_drift_section(self, repository_file):
-        code, output = run("query", str(repository_file), self.QUERY,
-                           "--analyze", "--record")
-        assert code == 0
-        assert "# -- workload drift (observatory) --" in output
-        assert "# journal records: 1" in output
-
-
-class TestWorkloadReport:
-    QUERY = ('for $b in /library/book where $b/title/text() = "Dune" '
-             "return $b/@isbn")
-
-    def _record(self, repository_file, times=2):
-        for _ in range(times):
-            code, _ = run("query", str(repository_file), self.QUERY,
-                          "--record")
-            assert code == 0
-
-    def test_report_names_container(self, repository_file):
-        self._record(repository_file)
-        code, output = run("workload", "report",
-                           str(repository_file))
-        assert code == 0
-        assert "Workload observatory" in output
-        assert "/library/book/title/#text" in output
-
-    def test_report_json(self, repository_file):
-        import json
-        self._record(repository_file)
-        code, output = run("workload", "report",
-                           str(repository_file), "--json")
-        assert code == 0
-        document = json.loads(output)
-        assert document["record_count"] == 2
-        assert "/library/book/title/#text" in \
-            document["container_activity"]
-
-    def test_report_since_filters(self, repository_file):
-        self._record(repository_file)
-        code, output = run("workload", "report",
-                           str(repository_file), "--json",
-                           "--since", "9999-01-01")
-        assert code == 0
-        import json
-        assert json.loads(output)["record_count"] == 0
-
-    def test_report_empty_journal(self, repository_file):
-        code, output = run("workload", "report",
-                           str(repository_file))
-        assert code == 0
-        assert "journal is empty" in output
-
-    def test_report_top_k(self, repository_file):
-        self._record(repository_file)
-        code, output = run("workload", "report",
-                           str(repository_file), "--top-k", "1")
-        assert code == 0
-        assert output.count("accesses=") == 1
+class TestRetiredObservatory:
+    def test_workload_verb_and_record_flags_rejected(
+            self, repository_file):
+        with pytest.raises(SystemExit) as exit_info:
+            run("workload", "report", str(repository_file))
+        assert exit_info.value.code == 2
+        for flags in (["--record"], ["--journal", "j.jsonl"]):
+            with pytest.raises(SystemExit) as exit_info:
+                run("query", str(repository_file), "/library/book",
+                    *flags)
+            assert exit_info.value.code == 2
 
 
 class TestAnalyzeExitCode:

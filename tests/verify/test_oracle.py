@@ -166,7 +166,6 @@ class TestReporting:
     def test_blame_names_plan_operators(self):
         """Blame maps container activity onto operators plans contain."""
         cases = [([], [("/a", "eq")], "ContAccess"),
-                 ([("/a", "interval_searches")], [], "ContAccess"),
                  ([("/a", "scans")], [], "ContScan"),
                  ([("/a", "record_reads")], [], "Decompress"),
                  ([], [], None)]
