@@ -260,7 +260,8 @@ def main(argv: list[str] | None = None,
 
 
 def _cmd_compress(args, out) -> int:
-    xml_text = args.input.read_text(encoding="utf-8")
+    # Undecoded line ends: the XML parser normalizes them (XML 1.0 §2.11).
+    xml_text = args.input.read_bytes().decode("utf-8")
     if args.workload is not None:
         queries = [line.strip() for line in
                    args.workload.read_text(encoding="utf-8").splitlines()

@@ -97,13 +97,15 @@ def _repeated_ngrams(values: Sequence[str],
                      keep: int) -> list[tuple[str, int]]:
     """``(n-gram, occurrences)`` for every n-gram of a length in
     ``_NGRAM_LENGTHS`` seen at least twice inside ``values``, cut to the
-    ``keep`` best by ``(len - 1) * occurrences`` (ties at the cut stay).
+    ``keep`` best by ``(len - 1) * occurrences`` (ties at the cut stay),
+    in no particular order.
 
-    One sort replaces one dictionary update per character and length:
-    the window of ``_NGRAM_LENGTHS[-1]`` characters starting at every
-    position — zero-padded where its value ends, so no n-gram spans two
-    values — is sorted once; the occurrences of an n-gram are then the
-    run of adjacent windows sharing their first ``n`` characters.
+    The windows of ``_NGRAM_LENGTHS[-1]`` characters starting at every
+    position (a pad after each value keeps n-grams inside it) are put
+    in lexicographic order by one-key sorts, most significant first:
+    each keys a window by the rank of its prefix so far and the next
+    characters, packed in one word.  An n-gram's occurrences are then
+    the run of adjacent windows sharing their first ``n`` characters.
     """
     text = "".join(values)
     if not text:
@@ -111,32 +113,54 @@ def _repeated_ngrams(values: Sequence[str],
     width = _NGRAM_LENGTHS[-1]
     points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
                            dtype="<u4")
-    alphabet, ranks = np.unique(points, return_inverse=True)
-    # Characters become 1-based ranks (0 pads) in the narrowest unit, so
-    # that eight bytes of a window, big-endian, compare as one integer.
-    unit = next(u for u in (np.uint8, np.uint16, np.uint32)
-                if len(alphabet) <= np.iinfo(u).max)
-    padded = np.zeros(len(points) + width, dtype=unit)
-    padded[:len(points)] = ranks.reshape(-1) + 1
+    # Characters become 1-based ranks (0 pads), read from a table over
+    # the code points present.
+    present = np.zeros(int(points.max()) + 1, dtype=bool)
+    present[points] = True
+    bits = int(present.sum()).bit_length()
     lengths = np.fromiter(map(len, values), dtype=np.int64,
-                          count=len(values))
-    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(points))
-    windows = np.lib.stride_tricks.sliding_window_view(
-        padded, width)[:len(points)] * (np.arange(width) < left[:, None])
-    keys = windows.astype(windows.dtype.newbyteorder(">")).view(">u8")
-    order = np.lexsort(keys.T[::-1].astype(np.uint64))
-    windows = windows[order]
-    differs = windows[1:] != windows[:-1]
-    # Characters each sorted window shares with the one before it.
-    shared = np.where(differs.any(axis=1), differs.argmax(axis=1), width)
-    found = []
-    for n in _NGRAM_LENGTHS:
-        starts = np.flatnonzero(np.concatenate(([True], shared < n)))
-        counts = np.diff(np.append(starts, len(order)))
-        repeated = (counts >= 2) & (windows[starts, n - 1] != 0)
-        found.append((order[starts[repeated]], counts[repeated],
-                      np.full(int(repeated.sum()), n)))
-    at, counts, sizes = (np.concatenate(column) for column in zip(*found))
+                          count=len(values)) + 1
+    owner = np.repeat(np.arange(len(values)), lengths)
+    size = len(owner)  # one window per character and per pad
+    left = (np.cumsum(lengths) - 1)[owner] - np.arange(size)
+    padded = np.zeros(size + width, dtype=np.uint64)
+    padded[np.flatnonzero(left)] = np.cumsum(present,
+                                             dtype=np.uint64)[points]
+    words, first, ranks = [], 0, None
+    while first < width:
+        count = min(width - first,
+                    (64 - (ranks is not None) * size.bit_length()) // bits)
+        word = np.zeros(size, dtype=np.uint64)
+        for j in range(first, first + count):
+            word <<= np.uint64(bits)
+            word |= padded[j:j + size]
+        key = word if ranks is None else \
+            ranks << np.uint64(count * bits) | word
+        order = np.argsort(key)
+        ordered = key[order]
+        ranks = np.empty(size, dtype=np.uint64)
+        ranks[order] = np.concatenate(
+            ([0], np.cumsum(ordered[1:] != ordered[:-1], dtype=np.uint64)))
+        words.append((first, count, word))
+        first += count
+    # Row k: where the sorted windows' first _NGRAM_LENGTHS[k] characters
+    # change (True at both ends); a run of two or more starts at True, False.
+    sizes = np.array(_NGRAM_LENGTHS)
+    change = np.ones((len(sizes), size + 1), dtype=bool)
+    changed = np.zeros(size - 1, dtype=bool)
+    for first, count, word in words:
+        word = word[order]
+        for k, n in enumerate(_NGRAM_LENGTHS):
+            if first < n <= first + count:
+                prefix = word >> np.uint64((first + count - n) * bits)
+                change[k, 1:-1] = changed | (prefix[1:] != prefix[:-1])
+        changed |= word[1:] != word[:-1]
+    starts = np.flatnonzero(change[:, :-1] & ~change[:, 1:])
+    counts = np.flatnonzero(change[:, 1:] & ~change[:, :-1]) + 1 - starts
+    at, sizes = order[starts % size], sizes[starts // size]
+    repeated = left[at] >= sizes  # no pad inside
+    at, counts, sizes = at[repeated], counts[repeated], sizes[repeated]
+    at -= owner[at]  # window -> text offset
     if 0 < keep < len(at):
         scores = (sizes - 1) * counts * 0.1
         best = scores >= np.partition(scores, -keep)[-keep]
@@ -238,7 +262,7 @@ class ALMCodec(Codec):
         self._gapped = {token: (found, gaps[token])
                         for token, found in extensions.items()}
         self._longest = max(map(len, self._tokens), default=0)
-        self._scan = None  # compiled by the first ``_segment``
+        self._scan = None  # compiled by the first ``_segments``
 
     def _weigh(self, weights: Sequence[float]) -> None:
         """Give each symbol its code from the symbols' weights."""
@@ -247,7 +271,7 @@ class ALMCodec(Codec):
 
     def _set_codes(self, codes: list[tuple[int, int]]) -> None:
         self._codes = codes
-        self._decoder = PrefixDecoder(dict(zip(codes, self._symbols)))
+        self._decoder = None  # built by the first ``decode``
 
     @classmethod
     def from_code_lengths(cls, tokens: Sequence[str],
@@ -308,20 +332,19 @@ class ALMCodec(Codec):
             set(text).union(select_tokens(values, budget)) or [chr(0)])
         # Second pass: count symbol occurrences to weight the code.
         occurrences = Counter(values)
-        segmented = {value: codec._segment(value) for value in occurrences}
+        segments = codec._segments(occurrences)
         weights = np.bincount(
-            np.fromiter(chain.from_iterable(segmented.values()),
-                        dtype=np.int64),
+            np.fromiter(chain.from_iterable(segments), dtype=np.int64),
             weights=np.repeat(list(occurrences.values()),
-                              list(map(len, segmented.values()))),
+                              list(map(len, segments))),
             minlength=len(codec._symbols)) + 1.0
         codec._weigh(weights.tolist())
-        return codec, segmented
+        return codec, dict(zip(occurrences, segments))
 
     # -- encoding ---------------------------------------------------------
 
-    def _segment(self, value: str) -> list[int]:
-        """The interval-symbol id sequence for ``value``.
+    def _segments(self, values: Iterable[str]) -> list[list[int]]:
+        """The interval-symbol id sequence of each of ``values``.
 
         Greedy longest-token segmentation; a token with extensions owns
         one symbol per gap between them, and because it was the longest
@@ -331,23 +354,27 @@ class ALMCodec(Codec):
         if self._scan is None:
             self._scan = re.compile(_matcher(self._tokens),
                                     re.DOTALL).findall
-        plain, gapped, longest = self._plain.get, self._gapped, self._longest
-        ids = []
-        start = 0
-        for token in self._scan(value):
-            symbol = plain(token)
-            if symbol is None:
-                try:
-                    extensions, gaps = gapped[token]
-                except KeyError:
-                    raise CodecDomainError(
-                        f"character {token!r} absent from ALM "
-                        "dictionary") from None
-                symbol = gaps[bisect_left(extensions,
-                                          value[start:start + longest])]
-            ids.append(symbol)
-            start += len(token)
-        return ids
+        scan, plain = self._scan, self._plain.get
+        gapped, longest = self._gapped, self._longest
+        segments = []
+        for value in values:
+            ids = []
+            start = 0
+            for token in scan(value):
+                symbol = plain(token)
+                if symbol is None:
+                    try:
+                        extensions, gaps = gapped[token]
+                    except KeyError:
+                        raise CodecDomainError(
+                            f"character {token!r} absent from ALM "
+                            "dictionary") from None
+                    symbol = gaps[bisect_left(extensions,
+                                              value[start:start + longest])]
+                ids.append(symbol)
+                start += len(token)
+            segments.append(ids)
+        return segments
 
     def _pack(self, ids: Sequence[int]) -> CompressedValue:
         """Concatenate the codewords of ``ids`` in one integer."""
@@ -361,13 +388,16 @@ class ALMCodec(Codec):
             (packed << -bits % 8).to_bytes((bits + 7) // 8, "big"), bits)
 
     def encode(self, value: str) -> CompressedValue:
-        compressed = self._pack(self._segment(value))
+        compressed = self._pack(self._segments([value])[0])
         if runtime.ACTIVE is not None:
             runtime.record_codec("encode", self.name,
                                  compressed.nbytes, len(value))
         return compressed
 
     def decode(self, compressed: CompressedValue) -> str:
+        if self._decoder is None:
+            self._decoder = PrefixDecoder(dict(zip(self._codes,
+                                                   self._symbols)))
         value = "".join(self._decoder.decode(compressed))
         if runtime.ACTIVE is not None:
             runtime.record_codec("decode", self.name,
@@ -394,14 +424,6 @@ class ALMCodec(Codec):
         symbols reference tokens by id and add one code-length byte
         each.
         """
-        size = 0
-        previous = ""
-        for token in self._tokens:
-            lcp = 0
-            limit = min(len(previous), len(token))
-            while lcp < limit and previous[lcp] == token[lcp]:
-                lcp += 1
-            size += 2 + len(token[lcp:].encode("utf-8"))
-            previous = token
-        size += len(self._symbols)  # one code-length byte per symbol
-        return size
+        return len(self._symbols) + sum(  # + one code-length byte each
+            2 + len(token[len(common_prefix(previous, token)):].encode())
+            for previous, token in zip([""] + self._tokens, self._tokens))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 from collections.abc import Sequence
+from itertools import accumulate, repeat
 
 
 def weight_balanced_code_lengths(weights: Sequence[float]) -> list[int]:
@@ -30,10 +31,7 @@ def weight_balanced_code_lengths(weights: Sequence[float]) -> list[int]:
         return []
     if n == 1:
         return [1]
-    positive = [max(w, 1e-12) for w in weights]
-    prefix = [0.0]
-    for w in positive:
-        prefix.append(prefix[-1] + w)
+    prefix = list(accumulate(map(max, weights, repeat(1e-12)), initial=0.0))
     lengths = [0] * n
 
     # Explicit stack of (lo, hi, depth) half-open symbol ranges.

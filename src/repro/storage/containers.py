@@ -218,11 +218,15 @@ class ValueContainer:
     def add_value(self, value: str, parent_id: int) -> int:
         """Stage a raw value during document loading; returns its
         staging index (what :meth:`sorted_position` later maps)."""
+        self.stage([value], [parent_id])
+        return len(self._pending) - 1
+
+    def stage(self, values: list[str], parent_ids: list[int]) -> None:
+        """Stage a run of raw values with their parents at once."""
         if self._sealed:
             raise StorageError(f"container {self.path!r} already sealed")
-        self._pending.append(value)
-        self._pending_parents.append(parent_id)
-        return len(self._pending) - 1
+        self._pending += values
+        self._pending_parents += parent_ids
 
     @property
     def pending_values(self) -> list[str]:

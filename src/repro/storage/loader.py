@@ -1,11 +1,12 @@
 """The loader/compressor: XML text -> compressed repository (paper §1.1).
 
-Streams SAX-like events (never materialising a DOM), assigning document-
-order IDs, building the structure tree, the structure summary with its
-extents, the per-path value containers, and the statistics.  Containers
-are then *sealed*: their elementary type is inferred (XPRESS-style), a
-compression configuration decides codec and source-model sharing, and
-every value is individually compressed.
+Reads the XML scanner's tuples in one pass (never materialising a DOM),
+assigning document-order IDs, then builds the structure tree, the
+structure summary with its extents, the per-path value containers and
+the statistics from flat columns.  Containers are then *sealed*: their
+elementary type is inferred (XPRESS-style), a compression configuration
+decides codec and source-model sharing, and every value is individually
+compressed.
 
 Codec choice without a workload follows §2.1: ALM for strings (so that
 any later inequality predicate stays in the compressed domain), typed
@@ -25,12 +26,7 @@ from repro.storage.statistics import DocumentStatistics
 from repro.storage.structure import StructureTree, offsets_of
 from repro.storage.summary import TEXT_STEP, StructureSummary
 from repro.storage.containers import ValueContainer
-from repro.xmlio.events import (
-    Characters,
-    EndElement,
-    StartElement,
-    iter_events,
-)
+from repro.xmlio.events import END_TAG, START_TAG, scan
 
 #: default string codec when no workload is given (paper §2.1).
 DEFAULT_STRING_CODEC = "alm"
@@ -50,22 +46,10 @@ def infer_value_type(values: Iterable[str]) -> str:
         is_canonical_float,
         is_canonical_int,
     )
-    saw_any = False
-    all_int = True
-    all_float = True
-    for value in values:
-        saw_any = True
-        if all_int and not is_canonical_int(value):
-            all_int = False
-        if all_float and not is_canonical_float(value):
-            all_float = False
-        if not all_int and not all_float:
-            return "string"
-    if not saw_any:
-        return "string"
-    if all_int:
+    values = list(values)
+    if values and all(map(is_canonical_int, values)):
         return "int"
-    if all_float:
+    if values and all(map(is_canonical_float, values)):
         return "float"
     return "string"
 
@@ -80,109 +64,127 @@ def load_document(xml_text: str, configuration=None,
     by the workload-driven search; without one, the §2.1 defaults apply.
     """
     dictionary = NameDictionary()
+    intern = dictionary.intern
     summary = StructureSummary()
-    statistics = DocumentStatistics()
-    containers: dict[str, ValueContainer] = {}
-
-    # The structure columns, by node id.  Value pointers and content
-    # entries arrive interleaved across the open elements, so they are
-    # staged with their owner and grouped by it once, at the end.
+    # One pass over the scanner's tuples appends to flat lists: per
+    # element its parent, tag code and depth; per value its summary
+    # leaf, owner and text; per content entry its owner and entry (a
+    # child's id, or ~k for the owner's k-th value: a text's k is
+    # filled in afterwards).  Everything else is built from the lists.
     parents: list[int] = []
     tags: list[int] = []
-    posts: list[int] = []
     levels: list[int] = []
-    pointer_counts: list[int] = []
-    pointer_owners: list[int] = []
-    pointer_paths: list[str] = []
-    pointer_staged: list[int] = []
+    closed: list[int] = []      # element ids in end-tag order
+    values: list[str] = []
+    value_leaves: list = []
+    value_owners: list[int] = []
     content_owners: list[int] = []
     content: list[int] = []
+    leaves: list = []           # summary leaves in creation order
+    open_ids = [-1]
+    open_nodes = [summary.root]
 
-    # Parsing state: stacks of open elements.
-    id_stack: list[int] = []
-    summary_stack = [summary.root]
-    next_post = 0
-    original_size = len(xml_text.encode("utf-8"))
+    def leaf_of(node, step: str):
+        leaf = node.children.get(step)
+        if leaf is None:
+            leaf = node.child(step)
+            leaves.append(leaf)
+            if step != TEXT_STEP:
+                intern(step)
+        return leaf
 
-    def add_value(owner: int, summary_node, value: str) -> None:
-        path = summary_node.path
-        container = containers.get(path)
-        if container is None:
-            container = containers[path] = ValueContainer(path)
-            summary_node.container_path = path
-        pointer_owners.append(owner)
-        pointer_paths.append(path)
-        pointer_staged.append(container.add_value(value, owner))
-        pointer_counts[owner] += 1
-
-    for event in iter_events(xml_text):
-        if isinstance(event, StartElement):
+    for kind, value, attributes in scan(xml_text):
+        if kind == START_TAG:
             node_id = len(parents)
-            parent_id = id_stack[-1] if id_stack else -1
-            parents.append(parent_id)
-            tags.append(dictionary.intern(event.name))
-            posts.append(-1)
-            levels.append(len(id_stack))
-            pointer_counts.append(0)
-            if parent_id >= 0:
-                content_owners.append(parent_id)
-                content.append(node_id)
-                statistics.record_child(
-                    dictionary.name_of(tags[parent_id]))
-            summary_node = summary_stack[-1].child(event.name)
-            summary_node.extent.append(node_id)
-            statistics.record_element(event.name, summary_node.path,
-                                      len(id_stack) + 1)
-            id_stack.append(node_id)
-            summary_stack.append(summary_node)
-            for attr_name, attr_value in event.attributes:
-                dictionary.intern("@" + attr_name)
-                attr_summary = summary_node.child("@" + attr_name)
-                attr_summary.extent.append(node_id)
-                add_value(node_id, attr_summary, attr_value)
-                statistics.attribute_count += 1
-        elif isinstance(event, EndElement):
-            posts[id_stack.pop()] = next_post
-            next_post += 1
-            summary_stack.pop()
-        elif isinstance(event, Characters):
-            if not id_stack:
-                continue
-            parent_id = id_stack[-1]
-            text_summary = summary_stack[-1].child(TEXT_STEP)
-            text_summary.extent.append(parent_id)
-            content_owners.append(parent_id)
-            content.append(~pointer_counts[parent_id])
-            add_value(parent_id, text_summary, event.text)
-            statistics.text_count += 1
+            parents.append(open_ids[-1])
+            levels.append(len(open_ids) - 1)
+            tags.append(intern(value))
+            content_owners.append(open_ids[-1])
+            content.append(node_id)
+            node = open_nodes[-1].child(value)
+            node.extent.append(node_id)
+            open_ids.append(node_id)
+            open_nodes.append(node)
+            for name, text in attributes:
+                value_leaves.append(leaf_of(node, "@" + name))
+                value_owners.append(node_id)
+                values.append(text)
+        elif kind == END_TAG:
+            closed.append(open_ids.pop())
+            open_nodes.pop()
+        else:
+            content_owners.append(open_ids[-1])
+            content.append(~len(values))
+            value_leaves.append(leaf_of(open_nodes[-1], TEXT_STEP))
+            value_owners.append(open_ids[-1])
+            values.append(value)
 
-    _seal_containers(containers, configuration, default_string_codec)
-    # Number the containers by sorted path, as the stored form does.
-    # Sealing sorted each one by value: one gather per container maps
-    # its staged indexes to final slots.
+    # One container per leaf, numbered by sorted path as the stored
+    # form does; one stable sort groups the values by container.
+    containers = {leaf.path: ValueContainer(leaf.path) for leaf in leaves}
     paths = sorted(containers)
-    rank = {path: i for i, path in enumerate(paths)}
-    which = np.array([rank[path] for path in pointer_paths], dtype=np.int64)
-    staged = np.asarray(pointer_staged, dtype=np.int64)
-    slots = np.empty_like(staged)
+    position = {path: index for index, path in enumerate(paths)}
+    rank = {leaf: position[leaf.path] for leaf in leaves}
+    which = np.fromiter(map(rank.__getitem__, value_leaves), np.int64,
+                        len(values))
+    owners = np.asarray(value_owners, dtype=np.int64)
+    offsets, order = _grouped(which, len(paths))
+    for leaf in leaves:
+        mine = order[offsets[rank[leaf]]:offsets[rank[leaf] + 1]]
+        leaf.extent = owners[mine].tolist()
+        leaf.container_path = leaf.path
+        containers[leaf.path].stage(
+            list(map(values.__getitem__, mine.tolist())), leaf.extent)
+    _seal_containers(containers, configuration, default_string_codec)
+    # Sealing sorted each container by value: its staged run maps to
+    # final slots in one gather.
+    slots = np.empty(len(values), dtype=np.int64)
     for index, path in enumerate(paths):
-        mine = which == index
-        slots[mine] = containers[path].sorted_position(staged[mine])
-    pointer_offsets, by_owner = _grouped(pointer_owners, len(parents))
-    content_offsets, content_by_owner = _grouped(content_owners,
-                                                  len(parents))
+        mine = order[offsets[index]:offsets[index + 1]]
+        slots[mine] = containers[path].sorted_position(np.arange(len(mine)))
+    pointer_offsets, by_owner = _grouped(owners, len(parents))
+    # A text's k: its rank among its owner's value pointers.
+    rank_in_owner = np.empty(len(values), dtype=np.int64)
+    rank_in_owner[by_owner] = np.arange(len(values)) - np.repeat(
+        pointer_offsets[:-1], np.diff(pointer_offsets))
+    content = np.asarray(content[1:], dtype=np.int64)  # not the root
+    texts = content < 0
+    content[texts] = ~rank_in_owner[~content[texts]]
+    content_offsets, by_parent = _grouped(content_owners[1:], len(parents))
+    posts = np.empty(len(closed), dtype=np.int64)
+    posts[closed] = np.arange(len(closed))
     structure = StructureTree(
         parents, tags, posts, levels, paths, pointer_offsets,
         which[by_owner], slots[by_owner], content_offsets,
-        np.asarray(content, dtype=np.int64)[content_by_owner])
+        content[by_parent])
     return CompressedRepository(
         dictionary=dictionary,
         structure=structure,
         summary=summary,
         containers=containers,
-        statistics=statistics,
-        original_size_bytes=original_size,
+        statistics=_statistics(dictionary, summary, structure,
+                               len(values) - int(texts.sum())),
+        original_size_bytes=len(xml_text.encode("utf-8")),
     )
+
+
+def _statistics(dictionary: NameDictionary, summary: StructureSummary,
+                structure: StructureTree,
+                attribute_count: int) -> DocumentStatistics:
+    """The §2.2 counters, from the structure columns and the extents."""
+    tags = structure.tags
+    statistics = DocumentStatistics(
+        element_count=len(tags), attribute_count=attribute_count,
+        text_count=len(structure.pointer_slots) - attribute_count,
+        max_depth=int(structure.levels.max()) + 1)
+    name_of = dictionary.names().__getitem__
+    statistics.tag_cardinality.update(map(name_of, tags.tolist()))
+    statistics._fanout_sum.update(map(name_of, tags[
+        structure.parents[structure.parents >= 0]].tolist()))
+    for node in summary.root.walk():
+        if node.parent is not None and node.container_path is None:
+            statistics.path_cardinality[node.path] = len(node.extent)
+    return statistics
 
 
 def _grouped(owners: list[int], count: int

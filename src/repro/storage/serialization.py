@@ -372,7 +372,6 @@ def _read_summary(data: bytes,
     summary = StructureSummary()
 
     def read_node(node: SummaryNode) -> int:
-        node.step = reader.string()
         extent = []
         previous = 0
         for _ in range(reader.varint()):
@@ -386,6 +385,7 @@ def _read_summary(data: bytes,
             node.container_path = container_paths[container]
         return reader.varint()
 
+    summary.root.step = reader.string()
     pending = [[summary.root, read_node(summary.root)]]
     while pending:
         top = pending[-1]
@@ -393,7 +393,7 @@ def _read_summary(data: bytes,
             pending.pop()
             continue
         top[1] -= 1
-        child = SummaryNode("", top[0])
+        child = SummaryNode(reader.string(), top[0])
         pending.append([child, read_node(child)])
         top[0].children[child.step] = child
     return summary

@@ -24,26 +24,20 @@ TEXT_STEP = "#text"
 class SummaryNode:
     """One distinct path in the document."""
 
-    __slots__ = ("step", "parent", "children", "extent", "container_path")
+    __slots__ = ("step", "parent", "path", "children", "extent",
+                 "container_path")
 
     def __init__(self, step: str, parent: "SummaryNode | None" = None):
         self.step = step
         self.parent = parent
+        #: absolute path expression, e.g. ``/site/people/person/@id``.
+        self.path = "/" if parent is None else \
+            f"{parent.path if parent.parent else ''}/{step}"
         self.children: dict[str, SummaryNode] = {}
         #: document node ids reachable by this path, document order.
         self.extent: list[int] = []
         #: container fed by this path (leaf steps only).
         self.container_path: str | None = None
-
-    @property
-    def path(self) -> str:
-        """Absolute path expression, e.g. ``/site/people/person/@id``."""
-        parts: list[str] = []
-        node: SummaryNode | None = self
-        while node is not None and node.parent is not None:
-            parts.append(node.step)
-            node = node.parent
-        return "/" + "/".join(reversed(parts))
 
     def child(self, step: str) -> "SummaryNode":
         """Get or create the child summary node for ``step``."""

@@ -1,7 +1,7 @@
-"""From-scratch XML layer: tokenizer, event stream, DOM, serializer.
+"""From-scratch XML layer: scanner, event stream, DOM, serializer.
 
-The XQueC loader consumes the event stream (:func:`iter_events`); the
-"Galax" baseline and the examples use the small DOM (:func:`parse`).
+The loader and the DOM (:func:`parse`) read the tuples of
+:func:`repro.xmlio.events.scan`; :func:`iter_events` wraps them as objects.
 """
 
 from repro.xmlio.dom import Attribute, Document, Element, Text, parse

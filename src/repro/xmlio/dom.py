@@ -9,12 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.xmlio.events import (
-    Characters,
-    EndElement,
-    StartElement,
-    iter_events,
-)
+from repro.xmlio.events import END_TAG, START_TAG, scan
 
 
 class Node:
@@ -147,19 +142,18 @@ def parse(text: str, keep_whitespace: bool = False) -> Document:
     """Parse XML text into a :class:`Document`."""
     root: Element | None = None
     stack: list[Element] = []
-    for event in iter_events(text, keep_whitespace=keep_whitespace):
-        if isinstance(event, StartElement):
-            element = Element(
-                event.name,
-                [Attribute(n, v) for n, v in event.attributes])
+    for kind, value, attributes in scan(text, keep_whitespace):
+        if kind == START_TAG:
+            element = Element(value,
+                              [Attribute(n, v) for n, v in attributes])
             if stack:
                 stack[-1].append(element)
             else:
                 root = element
             stack.append(element)
-        elif isinstance(event, EndElement):
+        elif kind == END_TAG:
             stack.pop()
-        elif isinstance(event, Characters):
-            stack[-1].append(Text(event.text))
-    assert root is not None  # iter_events guarantees one root
+        else:
+            stack[-1].append(Text(value))
+    assert root is not None  # scan guarantees one root
     return Document(root)

@@ -1,6 +1,7 @@
 """End-to-end CLI tests (compress -> stats/query/decompress)."""
 
 import io
+from pathlib import Path
 
 import pytest
 
@@ -184,6 +185,20 @@ class TestDecompress:
         code, output = run("decompress", str(repository_file))
         assert code == 0
         assert "<title>Dune</title>" in output
+
+    def test_rare_constructs_fixture(self, tmp_path):
+        # Comment, PI, CDATA, DOCTYPE with an internal subset, single
+        # quotes, entity and character references, CRLF line ends: the
+        # same files CI's telemetry-smoke job diffs.
+        data = Path(__file__).parent / "data"
+        assert b"\r\n" in (data / "rare_constructs.xml").read_bytes()
+        target = tmp_path / "rare.xqc"
+        assert run("compress", str(data / "rare_constructs.xml"),
+                   str(target))[0] == 0
+        code, _ = run("decompress", str(target), str(tmp_path / "out.xml"))
+        assert code == 0
+        assert (tmp_path / "out.xml").read_bytes() == \
+            (data / "rare_constructs.expected.xml").read_bytes()
 
 
 class TestXmlgen:

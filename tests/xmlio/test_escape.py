@@ -66,3 +66,73 @@ def test_text_roundtrip_property(text):
 @given(st.text(max_size=60))
 def test_attribute_roundtrip_property(text):
     assert unescape(escape_attribute(text)) == text
+
+
+class TestDocumentOffsets:
+    """A bad reference is reported where it sits in the document, with
+    its line and column — by the loader and by ``dom.parse`` alike."""
+
+    @pytest.mark.parametrize("text,offset,line,column", [
+        ("<a>x &amp y</a>", 5, 1, 6),          # unterminated
+        ("<a>&#x110000;</a>", 3, 1, 4),        # beyond Unicode
+        ("<a>\n  ok &bogus; y</a>", 9, 2, 6),  # unknown, second line
+        ('<a b="1" c="x &nope; y"/>', 14, 1, 15),
+        ("<a>x\r\ny &#0;</a>", 8, 2, 3),       # CRLF before it
+    ])
+    def test_offset_line_column(self, text, offset, line, column):
+        from repro.storage.loader import load_document
+        from repro.xmlio.dom import parse
+        for reader in (parse, load_document):
+            with pytest.raises(XMLSyntaxError) as excinfo:
+                reader(text)
+            error = excinfo.value
+            assert (error.offset, error.line, error.column) == \
+                (offset, line, column), reader
+            assert text[offset] == "&"
+
+    def test_unescape_reports_offsets_in_its_text(self):
+        with pytest.raises(XMLSyntaxError) as excinfo:
+            unescape("ab\ncd &zz; ef", 3)
+        assert (excinfo.value.offset, excinfo.value.line,
+                excinfo.value.column) == (6, 2, 4)
+
+    def test_unescape_span(self):
+        assert unescape("<a>1 &lt; 2</a>", 3, 11) == "1 < 2"
+
+
+class TestLegalCharacters:
+    """XML 1.0 §4.1: a character reference must name a Char (§2.2)."""
+
+    @pytest.mark.parametrize("name", [
+        "#0", "#x0", "#8", "#x1F", "#xD800", "#xDFFF", "#xFFFE", "#xFFFF",
+        "#x110000"])
+    def test_illegal_rejected(self, name):
+        from repro.storage.loader import load_document
+        from repro.xmlio.dom import parse
+        with pytest.raises(XMLSyntaxError):
+            resolve_entity(name)
+        for reader in (parse, load_document):
+            with pytest.raises(XMLSyntaxError):
+                reader(f"<a>&{name};</a>")
+            with pytest.raises(XMLSyntaxError):
+                reader(f'<a b="&{name};"/>')
+
+    @pytest.mark.parametrize("name,char", [
+        ("#9", "\t"), ("#xA", "\n"), ("#13", "\r"), ("#x20", " "),
+        ("#xD7FF", "퟿"), ("#xE000", ""), ("#xFFFD", "�"),
+        ("#x10000", "\U00010000"), ("#x10FFFF", "\U0010ffff")])
+    def test_legal_accepted(self, name, char):
+        assert resolve_entity(name) == char
+
+    @pytest.mark.parametrize("name", ["#+65", "# 65", "#x-41", "#٣"])
+    def test_only_ascii_digits(self, name):
+        with pytest.raises(XMLSyntaxError):
+            resolve_entity(name)
+
+
+class TestEscapeKeepsNormalizedCharacters:
+    def test_carriage_return_in_text_is_a_reference(self):
+        assert escape_text("a\rb") == "a&#13;b"
+
+    def test_attribute_whitespace_is_referenced(self):
+        assert escape_attribute("a\tb\nc\rd") == "a&#9;b&#10;c&#13;d"

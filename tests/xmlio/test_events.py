@@ -1,5 +1,7 @@
 """Tests for the event stream and well-formedness enforcement."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import XMLSyntaxError
@@ -64,3 +66,43 @@ class TestWellFormedness:
     def test_trailing_whitespace_ok(self):
         events = list(iter_events("<a/>\n\n"))
         assert isinstance(events[-1], EndDocument)
+
+
+def event_digest(text: str) -> str:
+    """sha256 over every event's class name and fields."""
+    digest = hashlib.sha256()
+    for event in iter_events(text):
+        digest.update(repr((
+            type(event).__name__, getattr(event, "name", None),
+            getattr(event, "attributes", None),
+            getattr(event, "text", None))).encode("utf-8", "surrogatepass")
+            + b"\n")
+    return digest.hexdigest()
+
+
+#: the event streams of the benchmark's ingest documents and of XMark
+#: f 0.05, as the character-at-a-time tokenizer produced them: the
+#: scanner must reproduce them event for event.
+PINNED_EVENT_DIGESTS = [
+    ("xmark", 0.008, 42,
+     "82e80d98a323988f499b352bfde51d918497acd7ea8a7ec3f75cfc48174c52f4"),
+    ("shakespeare", 0.027, 7,
+     "efedbcd476a77c88493c7802117d9d559d3db26da11f70e57acd0b2621ed54ca"),
+    ("course", 0.05, 11,
+     "83f8f5e60cbe16c1f00c8648de18fc5850c3bd9402fe7e6faab357ceda4bdad4"),
+    ("baseball", 0.09, 13,
+     "589df477a63a7085101d3411cc1262471b64e5935a131db52aa0d9f928258023"),
+    ("xmark", 0.05, 42,
+     "435120b288814d3690b144e98a6ae990390d34235a37ee01cc78c38dd29c0132"),
+]
+
+
+@pytest.mark.parametrize("generator,factor,seed,expected",
+                         PINNED_EVENT_DIGESTS)
+def test_event_stream_pinned(generator, factor, seed, expected):
+    from repro import xmark
+    generate = {"xmark": xmark.generate_xmark,
+                "shakespeare": xmark.generate_shakespeare,
+                "course": xmark.generate_washington_course,
+                "baseball": xmark.generate_baseball}[generator]
+    assert event_digest(generate(factor, seed=seed)) == expected

@@ -5,12 +5,17 @@ carrying a position) but must never raise anything else or hang —
 the loader is exposed to arbitrary user files.
 """
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import XMLSyntaxError
+from repro.service.session import Database, Session
 from repro.storage.loader import load_document
+from repro.storage.serialization import save_repository
+from repro.xmark import generate_xmark
 from repro.xmlio.dom import parse
 from repro.xmlio.tokenizer import tokenize
 from repro.xmlio.writer import serialize
@@ -84,3 +89,52 @@ class TestPathological:
         repo = load_document(text)
         assert len(repo.dictionary) == 301
         assert repo.dictionary.code_bits >= 9
+
+
+FIXTURE = (Path(__file__).parent.parent / "data" /
+           "rare_constructs.xml").read_bytes().decode("utf-8")
+XMARK = generate_xmark(0.001, seed=3)
+#: each markup character replaced by the next one.
+FLIP = dict(zip('<>"\'=&/', '>"\'=&/<'))
+
+
+def check_mutation(text: str) -> None:
+    """Loading ``text`` either raises a located :class:`XMLSyntaxError`
+    (and so does ``parse``) or yields a whole repository."""
+    try:
+        repository = load_document(text)
+    except XMLSyntaxError as error:
+        assert 0 <= error.offset <= len(text)
+        assert error.line == text.count("\n", 0, error.offset) + 1
+        assert error.column >= 1
+        with pytest.raises(XMLSyntaxError):
+            parse(text)
+        return
+    assert Session(repository).decompress() == serialize(parse(text))
+
+
+class TestMutatedDocuments:
+    @pytest.mark.parametrize("text,step", [(FIXTURE, 1), (XMARK, 97)])
+    def test_truncated(self, text, step):
+        for end in range(0, len(text), step):
+            check_mutation(text[:end])
+
+    @pytest.mark.parametrize("text,step", [(FIXTURE, 1), (XMARK, 23)])
+    def test_one_markup_character_flipped(self, text, step):
+        sites = [i for i, char in enumerate(text) if char in FLIP]
+        for i in sites[::step]:
+            check_mutation(text[:i] + FLIP[text[i]] + text[i + 1:])
+
+
+def test_deep_document_round_trip(tmp_path):
+    """Depth 2 000 goes load -> save -> open -> decompress: nothing on
+    the path recurses per level."""
+    depth = 2000
+    text = "".join(f'<n{i % 7} k="{i}">' for i in range(depth)) + "x" + \
+        "".join(f"</n{i % 7}>" for i in reversed(range(depth)))
+    repository = load_document(text)
+    assert repository.statistics.max_depth == depth
+    path = tmp_path / "deep.xqc"
+    save_repository(repository, path)
+    assert Database.open(path).session().decompress() == \
+        serialize(parse(text))

@@ -3,64 +3,74 @@
 import pytest
 
 from repro.errors import XMLSyntaxError
-from repro.xmlio.tokenizer import TokenType, tokenize
+from repro.xmlio.tokenizer import (
+    CDATA,
+    COMMENT,
+    DOCTYPE,
+    END_TAG,
+    PI,
+    START_TAG,
+    TEXT,
+    tokenize,
+)
 
 
 class TestBasicTokens:
     def test_simple_element(self):
         tokens = tokenize("<a>hi</a>")
-        assert [t.type for t in tokens] == [
-            TokenType.START_TAG, TokenType.TEXT, TokenType.END_TAG]
-        assert tokens[0].value == "a"
-        assert tokens[1].value == "hi"
+        assert [kind for kind, *_ in tokens] == [START_TAG, TEXT, END_TAG]
+        assert tokens[0][1] == "a"
+        assert tokens[1][1] == "hi"
 
     def test_empty_tag(self):
-        (token,) = tokenize("<a/>")
-        assert token.type == TokenType.EMPTY_TAG
+        assert tokenize("<a/>") == [(START_TAG, "a", (), 0),
+                                    (END_TAG, "a", (), 0)]
 
     def test_attributes_in_order(self):
-        (token,) = tokenize('<a x="1" y="2"/>')
-        assert token.attributes == (("x", "1"), ("y", "2"))
+        token, _ = tokenize('<a x="1" y="2"/>')
+        assert token[2] == (("x", "1"), ("y", "2"))
 
     def test_single_quoted_attribute(self):
-        (token,) = tokenize("<a x='v'/>")
-        assert token.attributes == (("x", "v"),)
+        token, _ = tokenize("<a x='v'/>")
+        assert token[2] == (("x", "v"),)
 
     def test_attribute_entity_resolved(self):
-        (token,) = tokenize('<a x="a&amp;b"/>')
-        assert token.attributes == (("x", "a&b"),)
+        token, _ = tokenize('<a x="a&amp;b"/>')
+        assert token[2] == (("x", "a&b"),)
 
     def test_text_entities(self):
         tokens = tokenize("<a>&lt;x&gt; &#65;&#x42;</a>")
-        assert tokens[1].value == "<x> AB"
+        assert tokens[1][1] == "<x> AB"
 
     def test_comment(self):
         tokens = tokenize("<a><!-- note --></a>")
-        assert tokens[1].type == TokenType.COMMENT
-        assert tokens[1].value == " note "
+        assert tokens[1][:2] == (COMMENT, " note ")
 
     def test_cdata(self):
         tokens = tokenize("<a><![CDATA[<raw>&]]></a>")
-        assert tokens[1].type == TokenType.CDATA
-        assert tokens[1].value == "<raw>&"
+        assert tokens[1][:2] == (CDATA, "<raw>&")
 
     def test_pi(self):
         tokens = tokenize('<?xml version="1.0"?><a/>')
-        assert tokens[0].type == TokenType.PI
+        assert tokens[0][0] == PI
 
     def test_doctype_with_subset(self):
         tokens = tokenize('<!DOCTYPE a [<!ELEMENT a (#PCDATA)>]><a/>')
-        assert tokens[0].type == TokenType.DOCTYPE
-        assert tokens[1].type == TokenType.EMPTY_TAG
+        assert tokens[0][0] == DOCTYPE
+        assert tokens[1][0] == START_TAG
 
     def test_whitespace_in_tags(self):
-        (token,) = tokenize('<a  x = "1"  />')
-        assert token.type == TokenType.EMPTY_TAG
-        assert token.attributes == (("x", "1"),)
+        token, _ = tokenize('<a  x = "1"  />')
+        assert token[0] == START_TAG
+        assert token[2] == (("x", "1"),)
 
     def test_names_with_punctuation(self):
         tokens = tokenize("<ns:a-b.c_1/>")
-        assert tokens[0].value == "ns:a-b.c_1"
+        assert tokens[0][1] == "ns:a-b.c_1"
+
+    def test_offsets(self):
+        tokens = tokenize("<a> x <!--c--></a>")
+        assert [offset for *_, offset in tokens] == [0, 3, 6, 14]
 
 
 class TestErrors:
