@@ -1,8 +1,9 @@
 """Persistence: compress once, query across sessions.
 
-Builds an XMark repository, saves it to a paged ``.xqc`` file, loads
-it back (bit-identical compressed values), and queries it — including
-a whole-word text predicate answered from the containers.
+Builds an XMark repository, saves it to an ``.xqc`` file (seven
+checksummed sections), loads it back (bit-identical compressed
+values), and queries it — including a whole-word text predicate
+answered from the containers.
 
 Run:  python examples/persistent_store.py
 """
@@ -27,7 +28,7 @@ def main() -> None:
         on_disk = path.stat().st_size
         print(f"repository file: {on_disk / 1024:.0f} KB "
               f"({on_disk / len(xml_text.encode()):.0%} of the "
-              "document, checksummed pages)")
+              "document, checksummed sections)")
 
         # A "new session": load and query.
         loaded = load_repository(path)

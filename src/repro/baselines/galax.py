@@ -208,13 +208,9 @@ def _apply_step(context: list, step: Step, env: dict,
             if value is not None:
                 output.append(value)
         elif step.test == "text()":
-            if step.axis == "descendant":
-                for element in [item, *item.descendants()]:
-                    output.extend(c.value for c in element.children
-                                  if isinstance(c, Text))
-            else:
-                output.extend(c.value for c in item.children
-                              if isinstance(c, Text))
+            output.extend(text.value for text in (
+                item.descendant_texts() if step.axis == "descendant"
+                else item.child_texts()))
         elif step.axis == "child":
             output.extend(item.child_elements(
                 None if step.test == "*" else step.test))

@@ -58,7 +58,7 @@ class StorageError(XQueCError):
 
 
 class PageError(StorageError):
-    """A page file is corrupt, truncated, or carries a bad checksum."""
+    """A repository file is corrupt, truncated, or carries a bad checksum."""
 
 
 class NodeNotFoundError(StorageError):

@@ -827,13 +827,15 @@ class _Evaluator:
 
     def _node_values(self, item: NodeItem, step_name: str,
                      subtree: bool = False) -> list:
-        """Attribute/text values of one node (``subtree``: of each node
-        below it too), as CompressedItems."""
+        """Attribute/text values of one node (``subtree``: every text
+        below it, in document order), as CompressedItems."""
         repo = self._repo(item.doc)
+        structure = repo.structure
         items = []
-        for index, slot in repo.structure.values_of(item.node_id,
-                                                    step_name, subtree):
-            container = repo.container(repo.structure.paths[index])
+        for index, slot in (structure.subtree_texts(item.node_id)
+                            if subtree else
+                            structure.values_of(item.node_id, step_name)):
+            container = repo.container(structure.paths[index])
             items.append(CompressedItem(container.record_at(slot).compressed,
                                         container.codec,
                                         container.value_type))
@@ -844,8 +846,9 @@ class _Evaluator:
             value = element.attribute(step.test)
             return [] if value is None else [value]
         if step.test == "text()":
-            return [child.value for child in element.children
-                    if isinstance(child, Text)]
+            return [text.value for text in (
+                element.descendant_texts() if step.axis == "descendant"
+                else element.child_texts())]
         if step.axis == "child":
             candidates = element.child_elements(
                 None if step.test == "*" else step.test)

@@ -1,12 +1,22 @@
-"""Repository persistence: save/load over the paged file format.
+"""Repository persistence: one file of seven checksummed sections.
 
-The paper's prototype keeps its structures in Berkeley DB; ours
-persists to a single :class:`~repro.storage.pages.PageFile` with one
-checksummed stream per storage component and a catalog page (page 0)
-mapping streams to their page ranges.  The format is fully binary —
-varints, length-prefixed strings, serialized codec models — and loads
-back into a repository whose compressed values are bit-identical (a
-requirement for compressed-domain equality across sessions).
+The paper's prototype keeps its structures in Berkeley DB; ours writes
+one flat file.  A header (magic ``XQC`` and a version byte) is
+followed by a section table — for each of the seven streams its name,
+payload length and CRC32 — and then the payloads, concatenated in
+table order.  Nothing reads a section at random, so there are no
+pages: the file is the stored streams plus a ~110-byte header and
+table, the bytes the compression-factor experiments report.  The
+streams themselves are fully binary — varints, length-prefixed
+strings, serialized codec models — and load back into a repository
+whose compressed values are bit-identical (a requirement for
+compressed-domain equality across sessions).
+
+Saving writes a temporary sibling and renames it over the target, so
+a save that dies midway leaves the previous file as it was.  Loading
+checks the whole frame (magic, version, every section named once,
+lengths that add up to the file, every CRC) before it builds anything;
+a file that fails raises :class:`~repro.errors.PageError`.
 
 ::
 
@@ -16,6 +26,7 @@ requirement for compressed-domain equality across sessions).
 
 from __future__ import annotations
 
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -28,23 +39,24 @@ from repro.compression.base import CompressedValue
 from repro.errors import CorruptDataError, PageError
 from repro.storage.containers import ContainerRecord, ValueContainer
 from repro.storage.name_dictionary import NameDictionary
-from repro.storage.pages import PageFile, PagedReader, PagedWriter, \
-    PT_CATALOG
 from repro.storage.repository import CompressedRepository
 from repro.storage.statistics import DocumentStatistics
 from repro.storage.structure import StructureTree, offsets_of
 from repro.storage.summary import StructureSummary, SummaryNode
+from repro.util.atomic import atomic_write_bytes
 from repro.util.bytestream import ByteReader, ByteWriter
 from repro.util.varint import decode_varints, encode_varints
 
-_MAGIC = b"XQC1"
+_MAGIC = b"XQC"
+_VERSION = 2
 _STREAMS = ("meta", "dictionary", "codecs", "containers", "structure",
             "summary", "statistics")
+_RECOMPRESS = "; re-compress the document from its XML"
 
 
 def save_repository(repository: CompressedRepository,
                     path: str | Path) -> None:
-    """Write the repository to ``path`` (overwrites)."""
+    """Write the repository to ``path``, replacing it atomically."""
     container_paths = repository.container_paths()
     path_index = {p: i for i, p in enumerate(container_paths)}
     codec_blobs, codec_of_container = _collect_codecs(repository,
@@ -59,50 +71,13 @@ def save_repository(repository: CompressedRepository,
         "summary": _write_summary(repository.summary, path_index),
         "statistics": _write_statistics(repository.statistics),
     }
-    with PageFile(path, create=True) as pagefile:
-        catalog_page = pagefile.allocate()  # reserve page 0
-        ranges: dict[str, tuple[int, int]] = {}
-        for name in _STREAMS:
-            writer = PagedWriter(pagefile)
-            writer.write(streams[name])
-            pages = writer.finish()
-            first = pages[0] if pages else 0
-            ranges[name] = (first, len(pages))
-        catalog = ByteWriter()
-        catalog.raw(_MAGIC)
-        catalog.varint(len(_STREAMS))
-        for name in _STREAMS:
-            first, count = ranges[name]
-            catalog.string(name)
-            catalog.varint(first)
-            catalog.varint(count)
-        pagefile.write_page(catalog_page, catalog.getvalue(),
-                            page_type=PT_CATALOG)
+    atomic_write_bytes(path, _frame(
+        [(name, streams[name]) for name in _STREAMS]))
 
 
 def load_repository(path: str | Path) -> CompressedRepository:
     """Read a repository previously written by :func:`save_repository`."""
-    with PageFile(path) as pagefile:
-        page_type, payload = pagefile.read_page(0)
-        if page_type != PT_CATALOG:
-            raise PageError("page 0 is not a catalog page")
-        catalog = ByteReader(payload)
-        if catalog.raw() != _MAGIC:
-            raise PageError("not an XQueC repository file")
-        ranges: dict[str, tuple[int, int]] = {}
-        for _ in range(catalog.varint()):
-            name = catalog.string()
-            first = catalog.varint()
-            count = catalog.varint()
-            ranges[name] = (first, count)
-        streams = {}
-        for name in _STREAMS:
-            if name not in ranges:
-                raise PageError(f"stream {name!r} missing from catalog")
-            first, count = ranges[name]
-            pages = list(range(first, first + count))
-            streams[name] = PagedReader(pagefile, pages).read_all()
-
+    streams = _sections(Path(path).read_bytes())
     original_size = _read_meta(streams["meta"])
     dictionary = _read_dictionary(streams["dictionary"])
     codecs = _read_codecs(streams["codecs"])
@@ -119,6 +94,63 @@ def load_repository(path: str | Path) -> CompressedRepository:
         statistics=statistics,
         original_size_bytes=original_size,
     )
+
+
+# -- the frame: header, section table, payloads --------------------------------
+
+def _frame(sections: list[tuple[str, bytes]]) -> bytes:
+    """Header, then per section its name, length and CRC32, then the
+    payloads in table order."""
+    table = ByteWriter().exact(_MAGIC).byte(_VERSION).varint(len(sections))
+    for name, payload in sections:
+        table.string(name).varint(len(payload)) \
+            .exact(zlib.crc32(payload).to_bytes(4, "big"))
+    return b"".join([table.getvalue(), *(p for _, p in sections)])
+
+
+def _sections(data: bytes) -> dict[str, bytes]:
+    """The inverse of :func:`_frame`: every section's payload, after
+    the whole frame checks out."""
+    if data[:3] != _MAGIC:
+        if data[8:12] == b"XQC1":  # catalog magic of the paged layout
+            raise PageError("paged XQC1 repository files are no longer "
+                            "read" + _RECOMPRESS)
+        raise PageError("not an XQueC repository file")
+    if data[3:4] != bytes([_VERSION]):
+        raise PageError(f"repository file version {data[3:4].hex() or '?'}"
+                        f" is not {_VERSION:02x}" + _RECOMPRESS)
+    reader = ByteReader(data)
+    reader.exact(4)
+    table = []
+    try:
+        count = reader.varint()
+        if count != len(_STREAMS):
+            raise PageError(f"section table lists {count} sections, not "
+                            f"{len(_STREAMS)}")
+        for _ in range(count):
+            table.append((reader.raw(), reader.varint(),
+                          int.from_bytes(reader.exact(4), "big")))
+    except CorruptDataError:
+        raise PageError("repository file truncated in its section "
+                        "table") from None
+    names = sorted(name for name, _, _ in table)
+    if names != sorted(name.encode() for name in _STREAMS):
+        raise PageError("section table does not name each of "
+                        f"{', '.join(_STREAMS)} once")
+    at = reader.position
+    if at + sum(length for _, length, _ in table) != len(data):
+        raise PageError("section lengths do not add up to the file's "
+                        f"{len(data)} bytes (truncated or trailing "
+                        "bytes)")
+    sections = {}
+    for name, length, crc in table:
+        payload = data[at:at + length]
+        at += length
+        if zlib.crc32(payload) != crc:
+            raise PageError(f"section {name.decode()!r} fails its "
+                            "checksum")
+        sections[name.decode()] = payload
+    return sections
 
 
 # -- per-stream writers/readers ------------------------------------------------

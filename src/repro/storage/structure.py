@@ -119,16 +119,15 @@ class StructureTree:
         hits = np.flatnonzero(self.tags[start:end] == tag_code)
         return (hits + start).tolist()
 
-    def values_of(self, node_id: int, step: str, subtree: bool = False
+    def values_of(self, node_id: int, step: str
                   ) -> list[tuple[int, int]]:
         """``(container index, slot)`` of the node's values whose
         container ends in ``step`` (``@name`` or ``#text``), in pointer
-        order — document order for one node's texts.  ``subtree``: of
-        every node of its subtree, node by node in id order."""
+        order — document order for one node's texts (for every text
+        below it, :meth:`subtree_texts`)."""
         self._check(node_id)
-        stop_node = self.subtree_end(node_id) if subtree else node_id + 1
         start = self.pointer_offsets.item(node_id)
-        stop = self.pointer_offsets.item(stop_node)
+        stop = self.pointer_offsets.item(node_id + 1)
         steps = self.steps
         return [(container, slot) for container, slot in zip(
             self.pointer_containers[start:stop].tolist(),

@@ -1,10 +1,9 @@
-"""Atomic file replacement for journals and other observability files.
+"""Atomic file replacement for repository files.
 
-Observability files are written while queries (or benchmark runs) are
-in flight; a crash mid-write must never leave a truncated JSON/JSONL
-file behind.  The standard recipe applies: write the full content to a
-temporary sibling, fsync it, then ``os.replace`` over the target —
-rename within one directory is atomic on POSIX.
+A save that dies midway must never destroy the previous good file.
+The standard recipe applies: write the full content to a temporary
+sibling, fsync it, then ``os.replace`` it over the target — rename
+within one directory is atomic on POSIX.
 """
 
 from __future__ import annotations
@@ -13,18 +12,22 @@ import os
 from pathlib import Path
 
 
-def atomic_write_text(path: str | Path, text: str) -> Path:
-    """Write ``text`` to ``path`` via a temp file + atomic rename.
+def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
+    """Write ``data`` to ``path`` via a temp file + atomic rename.
 
     Readers either see the previous complete content or the new
-    complete content, never a prefix.  Returns the target path.
+    complete content, never a prefix; a failed write removes the
+    temp file and leaves the target as it was.  Returns the target.
     """
     target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
     temp = target.with_name(target.name + ".tmp")
-    with open(temp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp, target)
+    try:
+        with open(temp, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
     return target

@@ -67,6 +67,11 @@ class ByteReader:
     def exhausted(self) -> bool:
         return self._pos >= len(self._data)
 
+    @property
+    def position(self) -> int:
+        """Offset of the next unread byte."""
+        return self._pos
+
     def varint(self) -> int:
         value, self._pos = decode_varint(self._data, self._pos)
         return value

@@ -22,7 +22,9 @@ relative value paths read as projections (missing, repeated, nested
 and mixed-content leaves; ``return``, attributes, ``order by``, a
 shadowed variable) and same-binding comparisons ``$v/a <op> K *
 $v/b`` decided in bulk (``ColumnCompare``) or refused; the string value
-of mixed content (``string()``, ``=`` and ``contains`` across a child).
+of mixed content (``string()``, ``=`` and ``contains`` across a child);
+every text below a variable (``$v//text()``, stored and constructed) in
+document order.
 Constants are drawn from the document's own value pools plus
 adversarial neighbours (absent values, fractional bounds over int
 containers, the empty string, the same number spelt as text, values
@@ -317,6 +319,18 @@ def _string_value(rng: random.Random, pools: dict) -> str:
         f'"{needle}") return $v/@id'))
 
 
+def _descendant_texts(rng: random.Random) -> str:
+    """``$v//text()`` over mixed content — a description's text, its
+    note's, the tail after the note, an inner description's — read
+    from the store, inside a constructor and from a constructed copy."""
+    source = rng.choice(("//item", "/site/regions/item", "//description"))
+    return rng.choice((
+        f"for $v in {source} return $v//text()",
+        f"for $v in {source} return <t>{{$v//text()}}</t>",
+        f"for $v in {source} let $e := <e>{{$v}}</e> return $e//text()",
+        f"for $v in {source} return <t>{{<e>{{$v}}</e>//text()}}</t>"))
+
+
 def generate_queries(entities: dict, rng: random.Random,
                      count: int) -> list[str]:
     """``count`` template instantiations for one document."""
@@ -405,6 +419,7 @@ def generate_queries(entities: dict, rng: random.Random,
         lambda: _projection(rng),
         lambda: _projection(rng),
         lambda: _string_value(rng, pools),
+        lambda: _descendant_texts(rng),
     )
     while len(queries) < count:
         queries.append(rng.choice(makers)())

@@ -106,15 +106,29 @@ class Element(Node):
                     yield child
                 yield from child.descendants(name)
 
+    def child_texts(self) -> list[Text]:
+        """The text children, in document order."""
+        return [c for c in self.children if isinstance(c, Text)]
+
+    def descendant_texts(self) -> list[Text]:
+        """Every text node below this element, in document order: a
+        walk with an explicit stack, so any depth walks."""
+        texts: list[Text] = []
+        stack = [iter(self.children)]
+        while stack:
+            for child in stack[-1]:
+                if isinstance(child, Text):
+                    texts.append(child)
+                elif isinstance(child, Element):
+                    stack.append(iter(child.children))
+                    break
+            else:
+                stack.pop()
+        return texts
+
     def text(self) -> str:
         """Concatenated text of all descendant text nodes."""
-        parts: list[str] = []
-        for child in self.children:
-            if isinstance(child, Text):
-                parts.append(child.value)
-            elif isinstance(child, Element):
-                parts.append(child.text())
-        return "".join(parts)
+        return "".join(text.value for text in self.descendant_texts())
 
     def __repr__(self) -> str:
         return (f"Element({self.name!r}, {len(self.attributes)} attrs, "

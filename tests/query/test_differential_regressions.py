@@ -726,3 +726,25 @@ class TestMixedContentStringValue:
         result = QueryEngine(repository).execute("string(/r/a[1])")
         assert result.to_xml() == "xyz"
         assert result.stats.decompressions == 1
+
+
+class TestDescendantTextsInDocumentOrder:
+    """Bug, shared by both engines: ``//text()`` listed a node's own
+    texts before its children's, so ``/a//text()`` over
+    ``<a>p<b>q<c>s</c>t</b></a>`` gave ``p q t s``.  On constructed
+    elements the engine also ignored the descendant axis: ``$e//text()``
+    over ``<x>a<y>b</y>c</x>`` gave ``a c``, and over ``<x>{/a/b}</x>``
+    nothing.  XQuery returns every text in document order.
+    """
+
+    XML = "<a>p<b>q<c>s</c>t</b></a>"
+
+    @pytest.mark.parametrize("query, expected", [
+        ("/a//text()", "p\nq\ns\nt"),
+        ("for $v in /a/b return $v//text()", "q\ns\nt"),
+        ("let $e := <x>a<y>b</y>c</x> return $e//text()", "a\nb\nc"),
+        ("<x>{/a/b}</x>//text()", "q\ns\nt"),
+        ("<x>{/a/b}</x>/b/text()", "q\nt"),
+    ])
+    def test_document_order(self, query, expected):
+        assert_parity(self.XML, query, ("ok", expected))

@@ -10,6 +10,7 @@ from repro.storage.loader import load_document
 from repro.storage.serialization import (
     _read_structure,
     _read_summary,
+    _sections,
     _write_structure,
     _write_summary,
     load_repository,
@@ -132,11 +133,14 @@ class TestFailureInjection:
         _, source = saved
         target = tmp_path / "corrupt.xqc"
         data = bytearray(source.read_bytes())
-        # Flip the first payload byte of page 1 (first stream page);
-        # the page checksum must catch it.
-        data[4096 + 7] ^= 0xFF
+        # Flip a byte inside the structure section (the payloads end
+        # the file, in table order); its checksum must catch it.
+        sections = _sections(bytes(data))
+        start = len(data) - sum(len(sections[name]) for name in
+                                ("structure", "summary", "statistics"))
+        data[start + 7] ^= 0xFF
         target.write_bytes(bytes(data))
-        with pytest.raises(PageError):
+        with pytest.raises(PageError, match="'structure' fails"):
             load_repository(target)
 
 
