@@ -24,7 +24,6 @@ import time
 import pytest
 
 from repro.bench.reporting import format_table, record_result
-from repro.obs import runtime
 from repro.obs.telemetry import Telemetry
 from repro.query.options import ExecutionOptions
 from repro.xmark.queries import (
@@ -47,10 +46,9 @@ def test_xquec_qet(benchmark, query_id, xquec_system, galax_engine,
     # One instrumented run (outside the timed rounds) attaches the
     # operator counts behind this figure to the result files.
     telemetry = Telemetry()
-    with runtime.activated(telemetry):
-        xquec_system.execute(
-            query_text(query_id),
-            ExecutionOptions(telemetry=telemetry)).to_xml()
+    xquec_system.execute(
+        query_text(query_id),
+        ExecutionOptions(telemetry=telemetry)).to_xml()
     telemetry_sink(telemetry, experiment=f"fig7_{query_id.lower()}")
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import runtime
 from repro.obs.telemetry import Telemetry
 from repro.query.options import ExecutionOptions
 from repro.xmark.queries import query_text
@@ -26,10 +25,9 @@ LINT_BENCH_QUERIES = ("Q1", "Q3", "Q8")
 def test_diagnostics_persisted_with_telemetry(query_id, xquec_system,
                                               telemetry_sink):
     telemetry = Telemetry()
-    with runtime.activated(telemetry):
-        xquec_system.execute(
-            query_text(query_id),
-            ExecutionOptions(telemetry=telemetry)).to_xml()
+    xquec_system.execute(
+        query_text(query_id),
+        ExecutionOptions(telemetry=telemetry)).to_xml()
     document = telemetry.to_dict()
     assert "diagnostics" in document
     # The gate raises on errors before execution, so a run that got
@@ -45,10 +43,8 @@ def test_diagnostics_persisted_with_telemetry(query_id, xquec_system,
 def test_lint_counters_match_diagnostics(xquec_system):
     """`lint.<severity>` counters mirror the diagnostics list."""
     telemetry = Telemetry()
-    with runtime.activated(telemetry):
-        xquec_system.execute(query_text("Q3"),
-                             ExecutionOptions(telemetry=telemetry)
-                             ).to_xml()
+    xquec_system.execute(query_text("Q3"),
+                         ExecutionOptions(telemetry=telemetry)).to_xml()
     counters = telemetry.metrics.counters()
     for severity in ("warning", "info"):
         expected = sum(d.severity == severity

@@ -34,7 +34,6 @@ from pathlib import Path
 
 from repro.core.system import tuned_configuration
 from repro.errors import XQueCError
-from repro.obs import runtime
 from repro.obs.telemetry import Telemetry
 from repro.query.engine import QueryEngine
 from repro.query.options import ExecutionOptions
@@ -420,11 +419,10 @@ def _cmd_trace(args, out) -> int:
     repository = load_repository(args.repository)
     session = Session(repository)
     telemetry = Telemetry()
-    with runtime.activated(telemetry):
-        with telemetry.span("Query", query=args.xquery):
-            result = session.execute(
-                args.xquery, ExecutionOptions(telemetry=telemetry))
-            result.items  # force the final Decompress step
+    with telemetry.span("Query", query=args.xquery):
+        result = session.execute(
+            args.xquery, ExecutionOptions(telemetry=telemetry))
+        result.items  # force the final Decompress step
     text = telemetry.to_json(indent=args.indent or None)
     if args.output is not None:
         args.output.write_text(text + "\n", encoding="utf-8")
@@ -461,41 +459,31 @@ def _cmd_stats(args, out) -> int:
 
 
 def _print_container_table(repository, out) -> None:
-    """Per-container codec/size table plus per-codec decode totals.
-
-    Sizing a container's plain text decodes every value, so the scan
-    runs under an active telemetry; the codec totals printed afterwards
-    come from the registry those decodes populated.
-    """
-    telemetry = Telemetry()
+    """Per-container codec/size table plus its per-codec totals."""
     rows = []
-    with runtime.activated(telemetry):
-        for container in repository.containers():
-            compressed = container.data_size_bytes()
-            plain = container.uncompressed_size_bytes()
-            ratio = f"{compressed / plain:.3f}" if plain else "n/a"
-            rows.append((container.path, container.codec.name,
-                          str(len(container)), str(compressed),
-                          str(plain), ratio))
+    totals: dict[str, list[int]] = {}
+    for container in repository.containers():
+        sizes = [len(container), container.data_size_bytes(),
+                 container.uncompressed_size_bytes()]
+        codec = container.codec.name
+        totals[codec] = [total + size for total, size
+                         in zip(totals.get(codec, [0, 0, 0]), sizes)]
+        records, compressed, plain = sizes
+        ratio = f"{compressed / plain:.3f}" if plain else "n/a"
+        rows.append((container.path, codec, str(records),
+                     str(compressed), str(plain), ratio))
     headers = ("container", "codec", "records", "compressed_B",
                "plain_B", "ratio")
     print(file=out)
     print("-- containers --", file=out)
     for line in table(headers, rows):
         print(line, file=out)
-    counters = telemetry.metrics.counters()
-    codec_names = sorted({name.split(".")[1] for name in counters
-                          if name.startswith("codec.")})
-    if codec_names:
+    if totals:
         print(file=out)
-        print("-- codec totals (from registry) --", file=out)
-        for codec in codec_names:
-            calls = counters.get(f"codec.{codec}.decode.calls", 0)
-            packed = counters.get(
-                f"codec.{codec}.decode.compressed_bytes", 0)
-            plain = counters.get(f"codec.{codec}.decode.plain_chars", 0)
-            print(f"{codec}: {calls} decodes, {packed} B compressed "
-                  f"-> {plain} chars", file=out)
+        print("-- codec totals --", file=out)
+        for codec, (records, compressed, plain) in sorted(totals.items()):
+            print(f"{codec}: {records} records, {compressed} B "
+                  f"compressed -> {plain} B plain", file=out)
 
 
 def _cmd_decompress(args, out) -> int:

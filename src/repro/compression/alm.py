@@ -43,7 +43,6 @@ from repro.compression.alphabetic import (
 from repro.compression.base import Codec, CompressionProperties, CompressedValue
 from repro.compression.fastdecode import PrefixDecoder
 from repro.errors import CodecDomainError, CorruptDataError
-from repro.obs import runtime
 from repro.util.text import common_prefix
 
 #: default cap on multi-character dictionary tokens.
@@ -388,21 +387,13 @@ class ALMCodec(Codec):
             (packed << -bits % 8).to_bytes((bits + 7) // 8, "big"), bits)
 
     def encode(self, value: str) -> CompressedValue:
-        compressed = self._pack(self._segments([value])[0])
-        if runtime.ACTIVE is not None:
-            runtime.record_codec("encode", self.name,
-                                 compressed.nbytes, len(value))
-        return compressed
+        return self._pack(self._segments([value])[0])
 
     def decode(self, compressed: CompressedValue) -> str:
         if self._decoder is None:
             self._decoder = PrefixDecoder(dict(zip(self._codes,
                                                    self._symbols)))
-        value = "".join(self._decoder.decode(compressed))
-        if runtime.ACTIVE is not None:
-            runtime.record_codec("decode", self.name,
-                                 compressed.nbytes, len(value))
-        return value
+        return "".join(self._decoder.decode(compressed))
 
     # -- introspection ----------------------------------------------------
 

@@ -18,7 +18,6 @@ from collections.abc import Iterable
 
 from repro.compression.base import Codec, CompressionProperties, CompressedValue
 from repro.errors import CodecDomainError, CorruptDataError
-from repro.obs import runtime
 from repro.util.bits import BitReader, BitWriter
 
 _STATE_BITS = 32
@@ -106,12 +105,8 @@ class ArithmeticCodec(Codec):
             emit(0)
         else:
             emit(1)
-        compressed = CompressedValue(writer.getvalue(),
-                                     writer.bit_length)
-        if runtime.ACTIVE is not None:
-            runtime.record_codec("encode", self.name,
-                                 compressed.nbytes, len(value))
-        return compressed
+        return CompressedValue(writer.getvalue(),
+                               writer.bit_length)
 
     def decode(self, compressed: CompressedValue) -> str:
         cum = self._cum
@@ -147,11 +142,7 @@ class ArithmeticCodec(Codec):
             high = low + span * cum[lo + 1] // total - 1
             low = low + span * cum[lo] // total
             if symbol == _EOS:
-                value = "".join(out)
-                if runtime.ACTIVE is not None:
-                    runtime.record_codec("decode", self.name,
-                                         compressed.nbytes, len(value))
-                return value
+                return "".join(out)
             out.append(symbol)
             while True:
                 if high < _HALF:

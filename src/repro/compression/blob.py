@@ -21,7 +21,6 @@ from collections.abc import Iterable
 
 from repro.compression.base import Codec, CompressionProperties, CompressedValue
 from repro.errors import CorruptDataError
-from repro.obs import runtime
 
 #: separator for coalescing values into one chunk; XML character data
 #: can never contain it.
@@ -58,18 +57,11 @@ class BlobCodec(Codec):
         """Coalesce values (count header + NUL-separated) and compress."""
         parts = [v.encode("utf-8") for v in values]
         chunk = _SEPARATOR.join([str(len(parts)).encode("ascii"), *parts])
-        blob = self.compress_chunk(chunk)
-        if runtime.ACTIVE is not None:
-            runtime.record_codec("encode", self.name, len(blob),
-                                 len(chunk))
-        return blob
+        return self.compress_chunk(chunk)
 
     def decode_many(self, blob: bytes) -> list[str]:
         """Inverse of :meth:`encode_many`."""
         chunk = self.decompress_chunk(blob)
-        if runtime.ACTIVE is not None:
-            runtime.record_codec("decode", self.name, len(blob),
-                                 len(chunk))
         header, _, body = chunk.partition(_SEPARATOR)
         try:
             count = int(header)
@@ -87,9 +79,6 @@ class BlobCodec(Codec):
 
     def encode(self, value: str) -> CompressedValue:
         data = self.compress_chunk(value.encode("utf-8"))
-        if runtime.ACTIVE is not None:
-            runtime.record_codec("encode", self.name, len(data),
-                                 len(value))
         return CompressedValue(data, len(data) * 8)
 
     def decode(self, compressed: CompressedValue) -> str:
@@ -98,9 +87,6 @@ class BlobCodec(Codec):
                 compressed.data).decode("utf-8")
         except (OSError, ValueError) as exc:
             raise CorruptDataError(f"bad blob payload: {exc}") from exc
-        if runtime.ACTIVE is not None:
-            runtime.record_codec("decode", self.name,
-                                 compressed.nbytes, len(value))
         return value
 
     def model_size_bytes(self) -> int:

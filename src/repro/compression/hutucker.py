@@ -25,7 +25,6 @@ from collections.abc import Iterable, Sequence
 from repro.compression.alphabetic import assign_alphabetic_codes
 from repro.compression.base import Codec, CompressionProperties, CompressedValue
 from repro.errors import CodecDomainError
-from repro.obs import runtime
 from repro.util.bits import BitWriter
 
 
@@ -141,19 +140,11 @@ class HuTuckerCodec(Codec):
                 raise CodecDomainError(
                     f"character {ch!r} absent from Hu-Tucker source model")
             writer.write_bits(entry[0], entry[1])
-        compressed = CompressedValue(writer.getvalue(),
-                                     writer.bit_length)
-        if runtime.ACTIVE is not None:
-            runtime.record_codec("encode", self.name,
-                                 compressed.nbytes, len(value))
-        return compressed
+        return CompressedValue(writer.getvalue(),
+                               writer.bit_length)
 
     def decode(self, compressed: CompressedValue) -> str:
-        value = "".join(self._decoder.decode(compressed))
-        if runtime.ACTIVE is not None:
-            runtime.record_codec("decode", self.name,
-                                 compressed.nbytes, len(value))
-        return value
+        return "".join(self._decoder.decode(compressed))
 
     def model_size_bytes(self) -> int:
         return sum(len(s.encode("utf-8")) + 1 for s in self._symbols)

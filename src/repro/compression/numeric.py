@@ -19,7 +19,6 @@ from collections.abc import Iterable
 
 from repro.compression.base import Codec, CompressionProperties, CompressedValue
 from repro.errors import CodecDomainError, CorruptDataError
-from repro.obs import runtime
 
 
 def is_canonical_int(text: str) -> bool:
@@ -99,20 +98,13 @@ class IntegerCodec(Codec):
                 f"{number} outside trained range "
                 f"[{self._minimum}, {self._maximum}]")
         data = (number - self._minimum).to_bytes(self._width, "big")
-        if runtime.ACTIVE is not None:
-            runtime.record_codec("encode", self.name, self._width,
-                                 len(value))
         return CompressedValue(data, self._width * 8)
 
     def decode(self, compressed: CompressedValue) -> str:
         if compressed.bits != self._width * 8:
             raise CorruptDataError(
                 f"expected {self._width * 8} bits, got {compressed.bits}")
-        value = str(int.from_bytes(compressed.data, "big") + self._minimum)
-        if runtime.ACTIVE is not None:
-            runtime.record_codec("decode", self.name,
-                                 compressed.nbytes, len(value))
-        return value
+        return str(int.from_bytes(compressed.data, "big") + self._minimum)
 
     def model_size_bytes(self) -> int:
         return 9  # 8-byte minimum + 1-byte width
@@ -143,9 +135,6 @@ class FloatCodec(Codec):
             bits ^= 0xFFFFFFFFFFFFFFFF  # negative: flip everything
         else:
             bits ^= 1 << 63  # positive: flip sign bit only
-        if runtime.ACTIVE is not None:
-            runtime.record_codec("encode", self.name, self._WIDTH,
-                                 len(value))
         return CompressedValue(bits.to_bytes(8, "big"), 64)
 
     def decode(self, compressed: CompressedValue) -> str:
@@ -157,11 +146,7 @@ class FloatCodec(Codec):
             bits ^= 1 << 63
         else:
             bits ^= 0xFFFFFFFFFFFFFFFF
-        value = repr(struct.unpack(">d", struct.pack(">Q", bits))[0])
-        if runtime.ACTIVE is not None:
-            runtime.record_codec("decode", self.name,
-                                 compressed.nbytes, len(value))
-        return value
+        return repr(struct.unpack(">d", struct.pack(">Q", bits))[0])
 
     def model_size_bytes(self) -> int:
         return 0

@@ -1,9 +1,10 @@
 """Engine-wide observability: tracing, metrics, telemetry export.
 
-A zero-dependency layer threaded through storage, compression and the
-query engine so that the paper's central claim — predicates run in the
+A zero-dependency layer the query engine and the serving plane report
+into, so that the paper's central claim — predicates run in the
 compressed domain, decompression is deferred to serialization — is
-*measurable* per operator instead of asserted:
+*measurable* per operator instead of asserted (storage and compression
+never import it; a run's access counts are its ``EvaluationStats``):
 
 * :class:`~repro.obs.tracer.Tracer` — hierarchical wall-clock spans
   (``perf_counter_ns``) naming the paper's physical operators
@@ -22,12 +23,7 @@ compressed domain, decompression is deferred to serialization — is
 * :class:`~repro.obs.lockwatch.LockOrderWatchdog` — opt-in runtime
   recorder of per-thread lock acquisition orders, cross-checked
   against the Tier-C static acquisition graph
-  (:mod:`repro.lint.concurrency`);
-* :mod:`~repro.obs.runtime` — the module-level activation point the
-  storage and compression layers check (one global load + ``is None``
-  test on an untraced run) to report codec encode/decode calls and
-  container accesses without threading a handle through every
-  signature.
+  (:mod:`repro.lint.concurrency`).
 """
 
 from repro.obs.export import (

@@ -2,11 +2,12 @@
 
 A :class:`Telemetry` exists only for a run someone asked to trace
 (``ExecutionOptions(telemetry=Telemetry())``); an untraced run has
-none.  It bundles the tracer, the metrics registry the deep layers
-report codec / container activity into, the plan verifier's
-findings and the run's :class:`~repro.query.context.EvaluationStats`
-— the same object ``QueryResult.stats`` is, so every view of the run
-quotes the same eight counters.  Span durations are mirrored into
+none.  It bundles the tracer, the metrics registry the physical
+operators report their rows, batches and wall time into, the plan
+verifier's findings and the run's
+:class:`~repro.query.context.EvaluationStats` — the same object
+``QueryResult.stats`` is, so every view of the run quotes the same
+eight counters.  Span durations are mirrored into
 ``span.<name>`` histograms as spans close, so per-operator p50/p95/max
 come for free.  ``to_json()`` is the machine-readable operator profile
 attached to benchmark results and emitted by ``repro trace``.
@@ -26,11 +27,10 @@ class Telemetry:
 
     __slots__ = ("tracer", "metrics", "stats", "diagnostics")
 
-    def __init__(self, metrics: MetricsRegistry | None = None):
+    def __init__(self):
         # imported here: the query package imports this module.
         from repro.query.context import EvaluationStats
-        self.metrics = metrics if metrics is not None else \
-            MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.tracer = Tracer(on_end=self._span_ended)
         #: the evaluation counters of the run(s) recorded here; the
         #: engine counts into it and hands it out as the result's.

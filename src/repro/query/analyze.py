@@ -3,8 +3,8 @@
 :func:`explain_analyze` executes the query traced, then re-renders
 the :func:`repro.query.explain.explain` sketch with the
 *actual* per-operator counts and wall times, followed by the full
-operator/counter profile and the compressed-vs-decompressed ratios
-that quantify the paper's §5–6 claim (predicates run compressed,
+operator/counter profile and the compressed-vs-decompressed split
+that quantifies the paper's §5–6 claim (predicates run compressed,
 decompression is deferred to serialization).
 
 Plan-line annotations carry the run's aggregate for that operator
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.obs import runtime
 from repro.obs.telemetry import Telemetry
 from repro.query.ast import Expression
 from repro.query.explain import explain
@@ -77,9 +76,8 @@ def explain_analyze(query: str | Expression, target,
     telemetry = Telemetry()
     options = options if options is not None else ExecutionOptions()
     options = replace(options, telemetry=telemetry)
-    with runtime.activated(telemetry):
-        result = engine.execute(query, options)
-        items = result.items  # force the Decompress step under telemetry
+    result = engine.execute(query, options)
+    items = result.items  # force the traced Decompress step
     sketch = explain(query)
     text = _render(sketch, result, telemetry, len(items))
     return AnalyzeReport(text, result, telemetry)
@@ -87,9 +85,8 @@ def explain_analyze(query: str | Expression, target,
 
 def _render(sketch: str, result, telemetry: Telemetry,
             item_count: int) -> str:
-    metrics = telemetry.metrics
     # A summaries snapshot, so lookups never create empty histograms.
-    histograms = metrics.histograms()
+    histograms = telemetry.metrics.histograms()
     wall_ns = int(histograms.get("span.Execute", {}).get("total", 0))
     lines = [f"EXPLAIN ANALYZE  (wall {wall_ns} ns, "
              f"{item_count} items)"]
@@ -100,7 +97,7 @@ def _render(sketch: str, result, telemetry: Telemetry,
     lines.append("")
     lines.extend(_counter_section(result.stats))
     lines.append("")
-    lines.extend(_compression_section(result.stats, metrics))
+    lines.extend(_compression_section(result.stats))
     if telemetry.diagnostics:
         lines.append("")
         lines.extend(_diagnostics_section(telemetry))
@@ -149,7 +146,7 @@ def _counter_section(stats) -> list[str]:
     return out
 
 
-def _compression_section(stats, metrics) -> list[str]:
+def _compression_section(stats) -> list[str]:
     out = ["-- compressed vs decompressed --"]
     comparisons = stats.compressed_comparisons \
         + stats.decompressed_comparisons
@@ -160,21 +157,5 @@ def _compression_section(stats, metrics) -> list[str]:
                    f"decompressed ({share:.1f}% stayed compressed)")
     else:
         out.append("comparisons: none")
-    counters = metrics.counters()
-    codec_names = sorted({name.split(".")[1] for name in counters
-                          if name.startswith("codec.")})
-    for codec in codec_names:
-        for op in ("encode", "decode"):
-            calls = counters.get(f"codec.{codec}.{op}.calls", 0)
-            if not calls:
-                continue
-            packed = counters.get(
-                f"codec.{codec}.{op}.compressed_bytes", 0)
-            plain = counters.get(f"codec.{codec}.{op}.plain_chars", 0)
-            ratio = f"{packed / plain:.2f}" if plain else "n/a"
-            out.append(f"codec {codec}: {op} {calls} calls, "
-                       f"{packed} B compressed <-> {plain} chars "
-                       f"(ratio {ratio})")
-    if len(out) == 2 and not codec_names:
-        out.append("codecs: no encode/decode activity recorded")
+    out.append(f"decompressions: {stats.decompressions}")
     return out

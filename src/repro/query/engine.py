@@ -49,7 +49,6 @@ import numpy as np
 
 from repro.errors import PlanVerificationError, QueryError, QueryTypeError
 from repro.lint.plan import verify_plan
-from repro.obs import runtime
 from repro.obs.telemetry import Telemetry, span_on
 from repro.query.ast import (
     Arithmetic,
@@ -92,7 +91,7 @@ from repro.query.optimizer import (
     plan_query,
 )
 from repro.query.parser import parse_query
-from repro.query.physical import node_ids
+from repro.query.physical import TELEMETRY, node_ids
 from repro.storage.repository import CompressedRepository
 from repro.storage.summary import TEXT_STEP
 from repro.xmlio.dom import Element, Text
@@ -134,17 +133,9 @@ class QueryResult:
         """
         if self._materialized is not None:
             return self._materialized
-        if self.telemetry is None:
-            # No global activation on the untraced path: thread-pooled
-            # batch runs materialize concurrently without touching the
-            # process-wide runtime slot.
+        # Materialization is the final Decompress step of the run.
+        with span_on(self.telemetry, "Decompress"):
             self._materialized = self._materialize()
-            return self._materialized
-        # Materialization is the final Decompress step; keep it under
-        # the run's telemetry so codec activity lands in one registry.
-        with runtime.activated(self.telemetry):
-            with self.telemetry.span("Decompress"):
-                self._materialized = self._materialize()
         return self._materialized
 
     def _materialize(self) -> list:
@@ -263,9 +254,12 @@ class QueryEngine:
         else:
             query_text = query if isinstance(query, str) else \
                 (label if label is not None else type(ast).__name__)
-            with runtime.activated(telemetry):
+            token = TELEMETRY.set(telemetry)
+            try:
                 with telemetry.span("Execute", query=query_text):
                     items = evaluator.eval(ast, base_env)
+            finally:
+                TELEMETRY.reset(token)
         return QueryResult(items, evaluator.stats, self,
                            telemetry=telemetry,
                            lazy_texts=evaluator.lazy_texts)

@@ -21,7 +21,7 @@ class ExecutionOptions:
     ``telemetry``
         The one tracing switch: a
         :class:`~repro.obs.telemetry.Telemetry` to record the run's
-        spans, histograms and deep-layer counters into.  ``None``
+        spans, per-operator histograms and row counters into.  ``None``
         (the default) runs untraced — only the eight
         :class:`~repro.query.context.EvaluationStats` counters of
         ``QueryResult.stats`` are kept.

@@ -32,12 +32,12 @@ which is what lets plans use :class:`MergeJoin` without sorting.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from contextvars import ContextVar
 from time import perf_counter_ns
 
 import numpy as np
 
 from repro.errors import QueryTypeError
-from repro.obs import runtime
 from repro.query.batch import (DEFAULT_BATCH_SIZE, ItemColumn,
                                NodeColumn, RecordBatch, ValueColumn,
                                batches_from_rows, rows_of_batches)
@@ -46,18 +46,22 @@ from repro.storage.repository import CompressedRepository
 
 Row = dict
 
+#: the traced run's Telemetry while ``QueryEngine.execute`` evaluates
+#: it.  Context-local: a thread starts with an empty context, so a
+#: concurrent untraced run reads ``None`` and never reports here.
+TELEMETRY: ContextVar = ContextVar("telemetry", default=None)
+
 
 def _traced(name: str, batches: Iterator[RecordBatch]
             ) -> Iterator[RecordBatch]:
-    """Wrap an operator's batch stream with telemetry when active.
+    """Wrap an operator's batch stream with the run's telemetry.
 
     Observes one ``span.<name>`` histogram entry for the full
     iteration's wall time and counts ``op.<name>.rows`` (from batch
-    lengths) and ``op.<name>.batches``; with no active telemetry the
-    stream is returned untouched, so the disabled-mode cost is one
-    global load and an ``is None`` test.
+    lengths) and ``op.<name>.batches``; on an untraced run the stream
+    is returned untouched.
     """
-    telemetry = runtime.ACTIVE
+    telemetry = TELEMETRY.get()
     if telemetry is None:
         return batches
 
@@ -180,9 +184,6 @@ class ContScan(Operator):
             yield from batches_from_rows(self._scan_rows(), size)
             return
         arrays = container.as_arrays()
-        # Mirror scan()'s access accounting without building rows.
-        if runtime.ACTIVE is not None:
-            runtime.add("container.scans")
         for start in range(0, arrays.count, size):
             stop = min(start + size, arrays.count)
             yield RecordBatch({
@@ -195,7 +196,7 @@ class ContScan(Operator):
 class ContAccess(Operator):
     """Interval access into a container (binary search, §2.2).
 
-    Resolves the interval to one slot range (``interval_bounds``)
+    Resolves the interval to one slot range (``interval_positions``)
     and emits array slices of it.
     """
 
@@ -234,8 +235,8 @@ class ContAccess(Operator):
             yield from batches_from_rows(self._interval_rows(), size)
             return
         arrays = container.as_arrays()
-        start, end = container.interval_bounds(low, high, low_inc,
-                                               high_inc)
+        start, end = container.interval_positions(low, high, low_inc,
+                                                  high_inc)
         for lo in range(start, end, size):
             hi = min(lo + size, end)
             yield RecordBatch({

@@ -29,7 +29,6 @@ from __future__ import annotations
 import threading
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -167,10 +166,6 @@ class Session:
             self._view, collection=self.collection or None)
         self._raw_engine: QueryEngine | None = None
         self._engine_lock = threading.Lock()
-        #: serializes runs that activate the process-wide telemetry
-        #: slot — that global is not thread-local, so traced runs take
-        #: turns while untraced runs stay fully parallel.
-        self._activation_lock = threading.Lock()
 
     # -- preparing -----------------------------------------------------------
 
@@ -230,8 +225,8 @@ class Session:
         Results come back in input order and match what serial
         execution returns.  One shared ``options.telemetry`` cannot
         record N concurrent runs, so it is rejected; the slow log's
-        sampled per-run telemetry works, but serializes on the
-        process-wide activation slot.
+        sampled per-run telemetry works (each run reports only into
+        its own).
         """
         options = options if options is not None else ExecutionOptions()
         if options.telemetry is not None:
@@ -266,11 +261,9 @@ class Session:
         start_ns = now_ns()
         failed = True
         try:
-            with self._activation_lock \
-                    if options.telemetry is not None else nullcontext():
-                result = engine.execute(
-                    prepared.ast, options, plan=prepared.plan.verified,
-                    label=prepared.plan.text)
+            result = engine.execute(
+                prepared.ast, options, plan=prepared.plan.verified,
+                label=prepared.plan.text)
             failed = False
             return result
         finally:
@@ -322,9 +315,8 @@ class Session:
         prepared = self.prepare(
             query, use_cache=options.use_plan_cache
             if options is not None else True)
-        with self._activation_lock:
-            return explain_analyze(prepared.ast, self.engine,
-                                   options=options)
+        return explain_analyze(prepared.ast, self.engine,
+                               options=options)
 
     def explain_analyze(self, query: str | Expression) -> str:
         """The rendered ``EXPLAIN ANALYZE`` text."""

@@ -28,7 +28,6 @@ import numpy as np
 from repro.compression.base import Codec, CompressedValue
 from repro.compression.blob import BlobCodec
 from repro.errors import StorageError
-from repro.obs import runtime
 
 #: q of the substring index: the shortest needle it can answer.
 _Q = 3
@@ -328,8 +327,6 @@ class ValueContainer:
         standalone so downstream operators see a uniform record shape.
         """
         self._require_sealed()
-        if runtime.ACTIVE is not None:
-            runtime.add("container.scans")
         if self._blob is not None:
             assert self._blob_values is not None
             assert self._blob_parents is not None
@@ -356,8 +353,6 @@ class ValueContainer:
     def record_at(self, index: int) -> ContainerRecord:
         """Record by position (value pointers from the structure tree)."""
         self._require_sealed()
-        if runtime.ACTIVE is not None:
-            runtime.add("container.record_reads")
         if self._blob is not None:
             assert self._blob_values is not None
             assert self._blob_parents is not None
@@ -370,8 +365,6 @@ class ValueContainer:
     def value_at(self, index: int) -> str:
         """Plain value by position."""
         self._require_sealed()
-        if runtime.ACTIVE is not None:
-            runtime.add("container.record_reads")
         if self._blob is not None:
             assert self._blob_values is not None
             return self._blob_values[index]
@@ -480,9 +473,8 @@ class ValueContainer:
         """Slot range ``[start, end)`` of the interval, or ``None``.
 
         The positional core of :meth:`interval_search` (same bound
-        semantics), without the access-accounting side effects — the
-        batch engine turns the range into a boolean mask over record
-        slots.  ``None`` means the container is a blob and has no
+        semantics) and ``ContAccess``'s probe — the batch engine turns
+        the range into a boolean mask over record slots.  ``None`` means the container is a blob and has no
         positional access path.
         """
         self._require_sealed()
@@ -496,22 +488,6 @@ class ValueContainer:
                 return positions
         return self._positions_decompressing(
             low, high, low_inclusive, high_inclusive)
-
-    def interval_bounds(self, low: str | None, high: str | None,
-                        low_inclusive: bool = True,
-                        high_inclusive: bool = True
-                        ) -> tuple[int, int] | None:
-        """Counted :meth:`interval_positions` (a ``ContAccess`` probe).
-
-        Bumps the same access metrics as :meth:`interval_search`, so a
-        batch-mode interval access is indistinguishable from a row-mode
-        one in a run's telemetry.
-        """
-        self._require_sealed()
-        if runtime.ACTIVE is not None:
-            runtime.add("container.interval_searches")
-        return self.interval_positions(low, high, low_inclusive,
-                                       high_inclusive)
 
     def interval_search(self, low: str | None, high: str | None,
                         low_inclusive: bool = True,
@@ -543,8 +519,6 @@ class ValueContainer:
         probe pivots.
         """
         self._require_sealed()
-        if runtime.ACTIVE is not None:
-            runtime.add("container.interval_searches")
         if self._blob is not None:
             # XMill-style chunk: no random access; filter a full scan.
             key = self._compare_key

@@ -12,7 +12,6 @@ import weakref
 from dataclasses import dataclass
 
 from repro.errors import ContainerNotFoundError
-from repro.obs import runtime
 from repro.storage.containers import ValueContainer
 from repro.storage.name_dictionary import NameDictionary
 from repro.storage.statistics import DocumentStatistics
@@ -94,8 +93,6 @@ class CompressedRepository:
         if container is None:
             raise ContainerNotFoundError(
                 f"no container for path {path!r}")
-        if runtime.ACTIVE is not None:
-            runtime.add("repository.container_lookups")
         return container
 
     def containers(self) -> list[ValueContainer]:

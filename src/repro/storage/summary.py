@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.obs import runtime
-
 #: virtual step names for value children.
 TEXT_STEP = "#text"
 
@@ -78,8 +76,6 @@ class StructureSummary:
         element/attribute name (attributes prefixed ``@``), or
         ``#text``.  Returns every summary node the path reaches.
         """
-        if runtime.ACTIVE is not None:
-            runtime.add("summary.resolves")
         frontier = [self.root]
         for axis, name in steps:
             matched: list[SummaryNode] = []

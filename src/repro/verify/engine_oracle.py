@@ -48,7 +48,7 @@ _READS = {"scan": "scans", "as_arrays": "scans",
           "record_at": "record_reads", "value_at": "record_reads"}
 
 #: container interval probes (a ``ContAccess``).
-_PROBES = ("interval_bounds", "interval_search")
+_PROBES = ("interval_positions", "interval_search")
 
 
 class _BlameRecorder:

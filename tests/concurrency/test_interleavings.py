@@ -76,8 +76,8 @@ def test_serving_surface_interleaved(seed, repository, static_edges,
         step()
         outputs.append(session.execute(query_text("Q1")).to_xml())
         step()
-        # A traced run: takes the activation lock, then the journal
-        # lock once the slow log records it.
+        # A traced run: the slow log takes the journal lock as it
+        # records it.
         outputs.append(session.execute(
             query_text("Q1"),
             ExecutionOptions(telemetry=Telemetry())).to_xml())

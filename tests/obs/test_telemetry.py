@@ -1,9 +1,7 @@
-"""The Telemetry bundle: span histograms, JSON export, activation."""
+"""The Telemetry bundle: span histograms, JSON export."""
 
 import json
 
-from repro.obs import runtime
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import Telemetry, span_on
 from repro.obs.tracer import NOOP_SPAN
 
@@ -41,16 +39,6 @@ class TestSpanHistograms:
         assert telemetry.tracer.roots[0].attributes == {"rows": 3}
 
 
-class TestSharedRegistry:
-    def test_external_registry_is_used_directly(self):
-        registry = MetricsRegistry()
-        telemetry = Telemetry(metrics=registry)
-        assert telemetry.metrics is registry
-        with telemetry.span("X"):
-            pass
-        assert "span.X" in registry.histograms()
-
-
 class TestJsonExport:
     def test_document_shape(self):
         telemetry = Telemetry()
@@ -73,43 +61,6 @@ class TestJsonExport:
             pass
         doc = json.loads(telemetry.to_json())
         assert doc["operators"]["Parent"]["count"] == 1
-
-
-class TestRuntimeActivation:
-    def test_activated_sets_and_restores(self):
-        telemetry = Telemetry()
-        assert runtime.ACTIVE is None
-        with runtime.activated(telemetry):
-            assert runtime.ACTIVE is telemetry
-        assert runtime.ACTIVE is None
-
-    def test_disabled_telemetry_deactivates(self):
-        with runtime.activated(Telemetry()):
-            with runtime.activated(None):  # an untraced nested run
-                assert runtime.ACTIVE is None
-
-    def test_reentrant_restores_previous(self):
-        outer = Telemetry()
-        inner = Telemetry()
-        with runtime.activated(outer):
-            with runtime.activated(inner):
-                assert runtime.ACTIVE is inner
-            assert runtime.ACTIVE is outer
-
-    def test_helpers_report_to_active_registry(self):
-        telemetry = Telemetry()
-        with runtime.activated(telemetry):
-            runtime.add("container.scans", 2)
-            runtime.record_codec("decode", "alm", 10, 25)
-        counters = telemetry.metrics.counters()
-        assert counters["container.scans"] == 2
-        assert counters["codec.alm.decode.calls"] == 1
-        assert counters["codec.alm.decode.compressed_bytes"] == 10
-        assert counters["codec.alm.decode.plain_chars"] == 25
-
-    def test_helpers_are_silent_when_inactive(self):
-        runtime.add("nothing")  # must not raise, must not record
-        assert runtime.ACTIVE is None
 
 
 class TestDeterministicExport:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.obs import runtime
 from repro.obs.telemetry import Telemetry
 from repro.query.batch import (
     DEFAULT_BATCH_SIZE,
@@ -24,6 +23,7 @@ from repro.query.batch import (
 from repro.query.context import EvaluationStats, NodeItem
 from repro.query.physical import (
     ContAccess,
+    TELEMETRY,
     ContScan,
     Decompress,
     MergeJoin,
@@ -203,8 +203,11 @@ class TestBatchTelemetry:
     @staticmethod
     def _counters(run):
         telemetry = Telemetry()
-        with runtime.activated(telemetry):
+        token = TELEMETRY.set(telemetry)
+        try:
             run()
+        finally:
+            TELEMETRY.reset(token)
         return telemetry, telemetry.metrics.counters()
 
     def test_batch_path_reports_same_row_counts_plus_batches(self, repo):
@@ -219,11 +222,10 @@ class TestBatchTelemetry:
         assert "ContScan" in telemetry.operator_profile()
 
     def test_batch_path_mirrors_container_access_counters(self, repo):
-        for run in (
-                lambda: list(ContScan(repo, NAME_PATH, "id", "v")),
-                lambda: list(
-                    ContScan(repo, NAME_PATH, "id", "v").batches(2))):
-            assert self._counters(run)[1]["container.scans"] == 1
+        for pull in (list, lambda scan: list(scan.batches(2))):
+            stats = EvaluationStats()
+            pull(ContScan(repo, NAME_PATH, "id", "v", stats=stats))
+            assert stats.container_scans == 1
 
     def test_per_row_operator_keeps_upstream_on_batches(self, repo):
         """A ``NestedLoopJoin`` mid-pipeline pulls its input as

@@ -1,6 +1,6 @@
 """The container array view backing the batch engine (DESIGN.md §13).
 
-``as_arrays()`` caching, ``interval_positions``/``interval_bounds``
+``as_arrays()`` caching, ``interval_positions``
 parity with the scalar ``interval_search``, the vectorized codec
 kernels, the structure tree's ``parents`` column and the block-cache
 memoization of the array view.
@@ -18,8 +18,6 @@ from repro.compression.kernels import (
     IntegerKernel,
     kernel_for,
 )
-from repro.obs import runtime
-from repro.obs.telemetry import Telemetry
 from repro.service.blocks import CachedRepositoryView
 from repro.service.cache import BlockCache
 from repro.storage.loader import load_document
@@ -90,27 +88,6 @@ class TestIntervalPositions:
         start, end = container.interval_positions("2", "7", True, True)
         values = [container.value_at(i) for i in range(start, end)]
         assert values == ["2", "2", "5", "7"]
-
-    def test_interval_bounds_counts_like_interval_search(self, repo):
-        container = repo.container(NAME_PATH)
-        t1 = Telemetry()
-        with runtime.activated(t1):
-            list(container.interval_search("alpha", "delta",
-                                           True, True))
-        t2 = Telemetry()
-        with runtime.activated(t2):
-            container.interval_bounds("alpha", "delta", True, True)
-        key = "container.interval_searches"
-        assert t1.metrics.counters().get(key) == \
-            t2.metrics.counters().get(key) == 1
-
-    def test_interval_positions_is_uncounted(self, repo):
-        container = repo.container(NAME_PATH)
-        telemetry = Telemetry()
-        with runtime.activated(telemetry):
-            container.interval_positions("alpha", "delta", True, True)
-        assert "container.interval_searches" not in \
-            telemetry.metrics.counters()
 
     def test_blob_returns_none(self):
         blob_repo = load_document("<r><t>aa</t><t>bb</t></r>",
