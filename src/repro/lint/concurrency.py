@@ -58,8 +58,10 @@ PRIMITIVE_KINDS = frozenset({
     "Event", "Barrier", "Thread",
 })
 
-#: the subset that participates in the acquisition graph.
-LOCK_KINDS = frozenset({"Lock", "RLock"})
+#: the subset that participates in the acquisition graph.  A
+#: ``Condition`` is entered with ``with`` like a lock and is checked
+#: as a plain one: re-entering it counts as a self-deadlock.
+LOCK_KINDS = frozenset({"Lock", "RLock", "Condition"})
 
 #: kinds a thread may legally re-acquire while holding.
 REENTRANT_KINDS = frozenset({"RLock"})

@@ -13,8 +13,11 @@ the whole chain:
    XML** the same results would have cost;
 4. scrape the folded per-shard counters off the coordinator's
    registry and assert every worker reported executions;
-5. shut down via SIGTERM and assert both workers exited (exitcode
-   ``0`` or ``-SIGTERM``) with **no orphan processes** left.
+5. SIGKILL worker 0 and assert one more round still answers with zero
+   errors (the survivors take its queries) while ``ready()`` turns
+   false;
+6. shut down the survivors via SIGTERM and assert they exited
+   (exitcode ``0`` or ``-SIGTERM``) with **no orphan processes** left.
 
 Any broken link fails the job with a named FAIL line.
 """
@@ -22,6 +25,7 @@ Any broken link fails the job with a named FAIL line.
 from __future__ import annotations
 
 import argparse
+import os
 import signal
 import sys
 
@@ -68,12 +72,15 @@ def main(argv: list[str] | None = None, out=sys.stdout) -> int:
           f"{args.shards} worker processes forked: {pids}")
     check(database.ready(), "coordinator is ready (all workers ping)")
 
+    def answer(batch: list[str]) -> str:
+        try:
+            database.execute_many(batch, max_workers=args.clients)
+            return ""
+        except XQueCError as exc:
+            return f": {exc}"
+
     batch = texts * max(args.rounds, 1)
-    try:
-        database.execute_many(batch, max_workers=args.clients)
-        failure = ""
-    except XQueCError as exc:
-        failure = f": {exc}"
+    failure = answer(batch)
     check(not failure,
           f"all {len(batch)} queries answered with 0 errors{failure}")
     database.gather_metrics()
@@ -92,14 +99,22 @@ def main(argv: list[str] | None = None, out=sys.stdout) -> int:
     check(all(count > 0 for count in per_shard),
           f"every worker executed queries {per_shard}")
 
+    victim, *survivors = database._workers
+    os.kill(victim.process.pid, signal.SIGKILL)
+    victim.process.join(15.0)
+    failure = answer(texts)
+    check(not failure,
+          f"worker 0 killed: {len(texts)} more queries answered with "
+          f"0 errors{failure}")
+    check(not database.ready(), "coordinator reports not ready")
+
     # SIGTERM-path shutdown: skip the polite pipe op and signal the
     # workers directly, the way a process supervisor stops the plane.
-    for worker in database._workers:
+    for worker in survivors:
         worker.process.terminate()
-    for worker in database._workers:
+    for worker in survivors:
         worker.process.join(15.0)
-    exit_codes = [worker.process.exitcode
-                  for worker in database._workers]
+    exit_codes = [worker.process.exitcode for worker in survivors]
     check(all(code in (0, -signal.SIGTERM) for code in exit_codes),
           f"workers exited cleanly on SIGTERM {exit_codes}")
     orphans = [worker.process.pid for worker in database._workers

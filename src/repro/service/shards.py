@@ -3,17 +3,22 @@
 One :class:`ShardedDatabase` front door forks ``N`` worker processes,
 each holding the repository (copy-on-write — fork shares the resident
 compressed pages) behind its *own* :class:`~repro.service.session
-.Database` — private plan cache, block cache and metrics registry, so
-a worker warms exactly the slice of the document it is routed.
+.Database` — private plan cache, block cache and metrics registry.
 
 Routing follows the structure-summary subtree placement chosen by
 :func:`repro.partitioning.assign_shards`: the coordinator extracts the
 absolute path roots of each query, maps their subtrees to owning
-shards, and sends the query to the shard owning its driving subtree.
-A query whose roots span several shards still runs on one worker
-(every worker answers every query — XQuery joins reach across
-subtrees) but is counted as *cross-shard*: the telemetry that tells an
-operator when the placement no longer matches the workload.
+shards, and *prefers* the shard owning its driving subtree.  Every
+worker holds the whole repository and answers every query (XQuery
+joins reach across subtrees), so the workers form one pool: a query
+runs on its routed worker when that worker is idle, otherwise on any
+idle worker, otherwise on the first one to come free.  Sequential
+traffic therefore stays on the routed worker and keeps its caches
+warm; under load a worker also warms what it takes over from a busy
+one.  A query whose roots span several shards is counted as
+*cross-shard*: the telemetry that tells an operator when the
+placement no longer matches the workload.  A worker whose process
+died leaves the pool; the plane keeps answering while one is alive.
 
 Results cross the process boundary through the §1 shipping frame
 (:func:`repro.query.shipping.ship_result`): values and text content
@@ -202,7 +207,8 @@ class ShardWorker:
     interleave.  Each message carries an increasing request id that
     the worker echoes: a reply to an earlier request — one that came
     after its caller timed out — is discarded, never taken as the
-    answer to a later one.
+    answer to a later one.  A pipe that fails is closed for good, so
+    :meth:`alive` turns false even before the process is reaped.
     """
 
     def __init__(self, shard_id: int, process, conn):
@@ -215,11 +221,15 @@ class ShardWorker:
         #: last folded counter values (delta tracking for telemetry).
         self.counter_base: dict[str, int] = {}
 
+    def alive(self) -> bool:
+        """The process runs and its pipe has not failed."""
+        return not self.conn.closed and self.process.is_alive()
+
     def request(self, message, timeout: float = REPLY_TIMEOUT_S):
         """One round trip; raises :class:`ShardError` on a dead shard
         or re-raises the worker-side failure by its original type."""
         with self.lock:
-            if not self.process.is_alive():
+            if not self.alive():
                 raise ShardError(
                     f"shard {self.shard_id} worker is not running")
             self.last_request_id += 1
@@ -239,6 +249,7 @@ class ShardWorker:
                             and reply[0] < request_id):
                         break  # else: a timed-out request's late reply
             except (EOFError, OSError, BrokenPipeError) as exc:
+                self.conn.close()
                 raise ShardError(
                     f"shard {self.shard_id} pipe failed: "
                     f"{exc}") from exc
@@ -405,6 +416,12 @@ class ShardedDatabase:
     single-process :class:`~repro.service.session.Database`.
     """
 
+    #: the worker pool: ``_live`` holds the workers not known dead,
+    #: ``_idle`` (by shard id) those of them free to take a query.
+    #: ``_pool`` is never held across a pipe round trip or while
+    #: taking a :attr:`ShardWorker.lock`.
+    GUARDED_BY = {"_idle": "_pool", "_live": "_pool"}
+
     def __init__(self, repository, collection=None, *,
                  shard_count: int = 2,
                  assignment: ShardAssignment | None = None,
@@ -425,6 +442,9 @@ class ShardedDatabase:
         self.admission = admission if admission is not None \
             else AdmissionController()
         self._workers: list[ShardWorker] = []
+        self._pool = threading.Condition()
+        self._idle: dict[int, ShardWorker] = {}
+        self._live: set[ShardWorker] = set()
         self._routes: dict[str, Route] = {}
         self._routes_lock = threading.Lock()
         self._started_ns = now_ns()
@@ -455,12 +475,21 @@ class ShardedDatabase:
                                              parent_conn))
         for worker in self._workers:
             worker.request(("ping",))
+        with self._pool:
+            self._idle = {worker.shard_id: worker
+                          for worker in self._workers}
+            self._live = set(self._workers)
         return self
 
     def close(self, timeout: float = 10.0) -> None:
         """Stop every worker: polite shutdown op, then SIGTERM, then
-        (last resort) SIGKILL — no orphans survive."""
+        (last resort) SIGKILL — no orphans survive.  Callers waiting
+        for a worker wake up and raise :class:`ShardError`."""
         workers, self._workers = self._workers, []
+        with self._pool:
+            self._idle.clear()
+            self._live.clear()
+            self._pool.notify_all()
         for worker in workers:
             try:
                 worker.request(("shutdown",), timeout=timeout)
@@ -507,10 +536,11 @@ class ShardedDatabase:
 
     def execute(self, query: str,
                 client: str = "") -> ReceivedResultSet:
-        """Admit, route, scatter to the owning worker, gather.
+        """Admit, route, run on a pooled worker, gather.
 
-        Raises :class:`~repro.errors.AdmissionError` when refused;
-        worker-side query failures re-raise by their original type.
+        Raises :class:`~repro.errors.AdmissionError` when refused and
+        :class:`ShardError` when no worker is running; worker-side
+        query failures re-raise by their original type.
         """
         self.admission.acquire(client)
         try:
@@ -520,10 +550,13 @@ class ShardedDatabase:
             if route.cross_shard:
                 self.metrics.add("coordinator.cross_shard_queries")
             self.metrics.add(f"shard.{route.primary}.routed")
-            worker = self._workers[route.primary]
             start_ns = now_ns()
             try:
-                frame = worker.request(("execute", query))
+                worker = self._acquire(route.primary)
+                try:
+                    frame = worker.request(("execute", query))
+                finally:
+                    self._release(worker)
                 received = receive_result(frame)
             finally:
                 # End-to-end, failed runs included (as Session._run).
@@ -535,10 +568,44 @@ class ShardedDatabase:
             self.metrics.add("shipping.compressed_value_bytes",
                              received.compressed_value_bytes)
             return received
-        except AdmissionError:
-            raise
         finally:
             self.admission.release(client)
+
+    def _acquire(self, preferred: int) -> ShardWorker:
+        """Take the preferred worker if idle, else any idle one, else
+        wait for the first to come free.  A dead worker leaves the
+        pool; with none alive (or before :meth:`start`, after
+        :meth:`close`) raises :class:`ShardError`."""
+        with self._pool:
+            while True:
+                if not self._live:
+                    raise ShardError("no shard worker is running")
+                worker = self._idle.pop(preferred, None)
+                if worker is None and self._idle:
+                    worker = self._idle.pop(next(iter(self._idle)))
+                if worker is None:
+                    self._pool.wait()
+                elif worker.alive():
+                    return worker
+                else:
+                    self._forget(worker)
+
+    def _release(self, worker: ShardWorker) -> None:
+        """Hand a worker back to the pool unless it died or the pool
+        was closed under it."""
+        with self._pool:
+            if worker not in self._live:
+                return
+            if worker.alive():
+                self._idle[worker.shard_id] = worker
+                self._pool.notify()
+            else:
+                self._forget(worker)
+
+    def _forget(self, worker: ShardWorker) -> None:  # holds: _pool
+        self._live.discard(worker)
+        # Waiters must learn when the last worker is gone.
+        self._pool.notify_all()
 
     def execute_many(self, queries: Sequence[str],
                      client: str = "",

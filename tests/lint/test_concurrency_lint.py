@@ -273,6 +273,37 @@ class TestGuardedFields:
         report = lint_concurrency([tmp_path])
         assert rules_of(report) == ["conc.unguarded-field"]
 
+    def test_condition_guards_and_orders_like_a_lock(self, tmp_path):
+        write(tmp_path, "pool.py", """\
+            import threading
+
+
+            class Pool:
+                GUARDED_BY = {"idle": "_pool"}
+
+                def __init__(self):
+                    self._pool = threading.Condition()
+                    self._lock = threading.Lock()
+                    self.idle = []
+
+                def take(self):
+                    with self._pool:
+                        while not self.idle:
+                            self._pool.wait()
+                        return self.idle.pop()
+
+                def nested(self):
+                    with self._pool:
+                        with self._lock:
+                            pass
+
+                def bad(self):
+                    self.idle.append(1)
+            """)
+        report = lint_concurrency([tmp_path])
+        assert rules_of(report) == ["conc.unguarded-field"]
+        assert report.static_edges() == {("Pool._pool", "Pool._lock")}
+
     def test_unknown_guard_reported(self, tmp_path):
         write(tmp_path, "ghost.py", """\
             import threading
@@ -406,8 +437,8 @@ class TestOnRealSources:
         identities = {p.identity for p in report.primitives}
         assert {"Session._engine_lock", "PlanCache._lock",
                 "BlockCache._lock", "MetricsRegistry._lock",
-                "WorkloadJournal._lock",
-                "cli:_SERVE_STOP"} <= identities
+                "WorkloadJournal._lock", "ShardedDatabase._pool",
+                "ShardWorker.lock", "cli:_SERVE_STOP"} <= identities
 
     def test_static_graph_is_flat(self):
         """The hierarchy is flat: no lock is held while another is

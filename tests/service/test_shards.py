@@ -8,6 +8,10 @@ compressed result frame back) is **byte-identical** to single-process
 
 import multiprocessing
 import os
+import signal
+import sys
+import threading
+import time
 
 import pytest
 
@@ -32,6 +36,18 @@ pytestmark = pytest.mark.skipif(
 
 QUERIES = {qid: query_text(qid) for qid in XMARK_QUERIES}
 
+#: ≈ 0.4 s on the ``larger`` document; routed like Q1 (/site/people).
+SLOW = "count(for $a in /site/people//*, $b in /site/people//* return 1)"
+
+
+def wait_for(predicate) -> None:
+    """Spin until ``predicate()`` holds; the deadline only stops a
+    hang, it is not what the test measures."""
+    deadline = time.monotonic() + 60.0
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
 
 @pytest.fixture(scope="module")
 def repository():
@@ -44,6 +60,12 @@ def oracle(repository):
     session = Session(repository)
     return {qid: session.execute(text).to_xml()
             for qid, text in QUERIES.items()}
+
+
+@pytest.fixture(scope="module")
+def larger():
+    """Big enough that ``SLOW`` keeps a worker busy for a while."""
+    return load_document(generate_xmark(factor=0.01, seed=5))
 
 
 @pytest.fixture(scope="module", params=[1, 2, 4])
@@ -296,3 +318,150 @@ class TestLifecycle:
         # Still serves correctly after a cold restart of the caches.
         received = sharded.execute(QUERIES["Q1"], client="inv")
         assert received.to_xml() is not None
+
+
+class TestWorkerPool:
+    def test_idle_worker_answers_while_routed_one_is_busy(self, larger):
+        """Head-of-line blocking: Q1 must not queue behind a slow query
+        routed to the same shard while the other worker is idle."""
+        q1 = QUERIES["Q1"]
+        with ShardedDatabase(larger, shard_count=2) as database:
+            primary = database.route(q1).primary
+            assert database.route(SLOW).primary == primary
+            for worker in database._workers:  # both warm for Q1
+                worker.request(("execute", q1))
+            slow_done = threading.Event()
+            errors = []
+
+            def run_slow() -> None:
+                try:
+                    database.execute(SLOW)
+                except Exception as exc:  # noqa: BLE001
+                    errors.append(exc)
+                slow_done.set()
+
+            thread = threading.Thread(target=run_slow)
+            thread.start()
+            wait_for(database._workers[primary].lock.locked)
+            received = database.execute(q1)
+            answered_first = not slow_done.is_set()
+            thread.join(60.0)
+        assert not thread.is_alive()
+        assert errors == []
+        assert answered_first, "Q1 waited behind the slow query"
+        assert received.to_xml() == Session(larger).execute(q1).to_xml()
+
+    def test_pool_loses_no_worker_under_contention(self, repository,
+                                                   oracle):
+        """More callers than workers and cores, switching often: every
+        answer is right and both workers end idle in the pool."""
+        ids = list(QUERIES) * 2
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ShardedDatabase(repository, shard_count=2) as database:
+                errors = []
+
+                def run(offset: int) -> None:
+                    for qid in ids[offset:] + ids[:offset]:
+                        received = database.execute(QUERIES[qid])
+                        if received.to_xml() != oracle[qid]:
+                            errors.append(qid)
+
+                threads = [threading.Thread(target=run, args=(i,))
+                           for i in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(120.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                with database._pool:
+                    assert sorted(database._idle) == [0, 1]
+                database.gather_metrics()
+                counters = database.metrics.counters()
+                assert sum(counters.get(f"shard.{i}.session.executions",
+                                        0) for i in range(2)) \
+                    == 6 * len(ids)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_dead_worker_leaves_the_pool(self, larger):
+        session = Session(larger)
+        with ShardedDatabase(larger, shard_count=2,
+                             queries=list(QUERIES.values())) as database:
+            victim = database._workers[0]
+            os.kill(victim.process.pid, signal.SIGKILL)
+            victim.process.join(30.0)
+            for qid, text in QUERIES.items():
+                assert database.execute(text).to_xml() == \
+                    session.execute(text).to_xml(), qid
+            assert not database.ready()
+            survivor = database._workers[1]
+            os.kill(survivor.process.pid, signal.SIGKILL)
+            survivor.process.join(30.0)
+            with pytest.raises(ShardError, match="no shard worker"):
+                database.execute(QUERIES["Q1"])
+
+    def test_query_in_flight_on_a_dying_worker_fails(self, larger):
+        """No retry: the query the worker died under fails; the next
+        one runs on the survivor."""
+        with ShardedDatabase(larger, shard_count=2) as database:
+            primary = database.route(SLOW).primary
+            victim = database._workers[primary]
+            errors = []
+
+            def run_slow() -> None:
+                try:
+                    database.execute(SLOW)
+                except ShardError as exc:
+                    errors.append(exc)
+
+            thread = threading.Thread(target=run_slow)
+            thread.start()
+            wait_for(victim.lock.locked)
+            os.kill(victim.process.pid, signal.SIGKILL)
+            thread.join(60.0)
+            assert not thread.is_alive()
+            assert len(errors) == 1
+            assert database.execute(QUERIES["Q1"]).to_xml() == \
+                Session(larger).execute(QUERIES["Q1"]).to_xml()
+
+
+class TestPlaneNotRunning:
+    def test_execute_before_start_raises_shard_error(self, repository):
+        database = ShardedDatabase(repository, shard_count=2)
+        with pytest.raises(ShardError, match="no shard worker"):
+            database.execute(QUERIES["Q1"])
+        assert database.admission.inflight == 0
+
+    def test_execute_after_close_raises_shard_error(self, repository):
+        database = ShardedDatabase(repository, shard_count=2).start()
+        database.execute(QUERIES["Q1"])
+        database.close()
+        with pytest.raises(ShardError, match="no shard worker"):
+            database.execute(QUERIES["Q1"])
+
+    def test_close_wakes_callers_waiting_for_a_worker(self, larger):
+        database = ShardedDatabase(larger, shard_count=1).start()
+        outcomes = []
+
+        def run(text: str) -> None:
+            try:
+                database.execute(text)
+                outcomes.append((text, "answered"))
+            except ShardError:
+                outcomes.append((text, "ShardError"))
+
+        busy = threading.Thread(target=run, args=(SLOW,))
+        busy.start()
+        wait_for(database._workers[0].lock.locked)
+        waiting = threading.Thread(target=run, args=(QUERIES["Q1"],))
+        waiting.start()
+        wait_for(lambda: len(database._pool._waiters) == 1)
+        database.close()
+        waiting.join(60.0)
+        busy.join(60.0)
+        assert not waiting.is_alive() and not busy.is_alive()
+        assert sorted(outcomes) == sorted(
+            [(SLOW, "answered"), (QUERIES["Q1"], "ShardError")])
