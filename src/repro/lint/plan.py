@@ -22,7 +22,9 @@ Checked invariants (see :mod:`repro.lint.rules` for the catalog):
 * operators only reference columns produced upstream;
 * ``ContAccess`` interval search wants a binary-searchable container
   whose codec preserves order (§2.2/§3.2);
-* ``ContSubstring`` wants a container that can index the needle.
+* ``ContSubstring`` wants a container that can index the needle, and
+  an exact one a ``contains`` needle the positional index decides;
+* ``FirstHit`` reads its owner and value columns from its input.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ class PlanVerifier:
             "ContScan": self._container_source,
             "ContAccess": self._cont_access,
             "ContSubstring": self._cont_substring,
+            "FirstHit": self._first_hit,
             "StructureSummaryAccess": self._summary_access,
             "Parent": self._parent,
             "NodeSet": self._node_set,
@@ -163,7 +166,28 @@ class PlanVerifier:
                 f"candidates for needle {needle!r} (a blob chunk, or "
                 "a needle shorter than q)",
                 "evaluate the predicate per binding")
+        function = node.function  # type: ignore[attr-defined]
+        if node.exact and (  # type: ignore[attr-defined]
+                function != "contains"
+                or not container.substring_decidable(needle)):
+            self._report(
+                "plan.substring-inexact", path,
+                f"exact substring access on {container.path!r} for "
+                f"{function}() needle {needle!r}: the positional "
+                "q-grams decide only contains() needles of at least q "
+                "characters",
+                "take the candidates and re-check them per binding")
         return self._container_source(node, path, children)
+
+    def _first_hit(self, node: object, path: str,
+                   children: list[PlanProperties]) -> PlanProperties:
+        column = node.column  # type: ignore[attr-defined]
+        self._require_column(children[0], column, path, "owner")
+        self._require_column(children[0],
+                             node.value_column,  # type: ignore[attr-defined]
+                             path, "value")
+        # Sorted, duplicate-free owners: document order, no values.
+        return PlanProperties({column: ColumnInfo(NODE)}, (column,))
 
     def _summary_access(self, node: object, path: str,
                         children: list[PlanProperties]

@@ -74,6 +74,11 @@ _ALL: tuple[Rule, ...] = (
          "(blob chunk, or needle shorter than the index's q): it has "
          "no candidate slots to emit",
          "§4 (bottom-up evaluation from the containers)"),
+    Rule("plan.substring-inexact", "error",
+         "exact ContSubstring whose needle the positional q-gram index "
+         "cannot decide (shorter than q, or a word-contains word): its "
+         "candidates would be taken as answers",
+         "§4 (bottom-up evaluation from the containers)"),
     # -- Tier B: source lint --------------------------------------------------
     Rule("src.operator-rows", "error",
          "Operator subclass does not implement _batches, the one "

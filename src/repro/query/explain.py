@@ -162,10 +162,14 @@ def _term_text(term, var: str, fallback: str) -> str:
                 "containers with a decode kernel and one value per "
                 f"owner, else {fallback})")
     if term.kind == "substring":
-        return (f"ContSubstring {term.needle!r} on {leaf} + Parent^n "
-                "(q-gram candidates, n per container from the summary; "
-                f"a superset, so re-checked per binding; {fallback} "
-                "where a container cannot index the needle)")
+        access, decided = (
+            ("Parent^n + FirstHit", "exact (positional q-grams), no "
+             "per-binding check: the owners whose first value holds it")
+            if term.exact else
+            ("Parent^n", "q-gram candidates, re-checked per binding"))
+        return (f"ContSubstring {term.needle!r} on {leaf} + {access} "
+                f"({decided}; n per container from the summary; "
+                f"{fallback} where a container cannot index the needle)")
     if term.kind == "interval":
         access = (f"ContAccess interval "
                   f"{'[' if hops.low_inclusive else '('}{hops.low!r}, "

@@ -54,10 +54,11 @@ from repro.query.context import CompressedItem
 from repro.query.functions import tokenize
 from repro.query.physical import (ColumnCompare, Concat, ContAccess,
                                   ContScan, ContSubstring, Decompress,
-                                  MergeJoin, NestedLoopJoin, NodeSet,
-                                  OpaqueSource, Operator, Parent, Sort,
-                                  StructureSummaryAccess, ThetaJoin,
+                                  FirstHit, MergeJoin, NestedLoopJoin,
+                                  NodeSet, OpaqueSource, Operator, Parent,
+                                  Sort, StructureSummaryAccess, ThetaJoin,
                                   XMLSerialize)
+from repro.storage.containers import SUBSTRING_Q
 from repro.storage.summary import TEXT_STEP
 
 
@@ -300,16 +301,20 @@ class SelectionTerm:
     reach, as a set of the clause variable's nodes: ``interval`` — the
     owners (``range.ascend`` ``Parent`` hops up) of the values inside
     ``range``'s bounds; ``exists`` — the owners of any value;
-    ``not-exists`` — the source nodes owning none; ``substring`` — every
-    source node above a value that may contain ``needle``; ``compare``
-    — the owners of a value ``l`` of ``range`` and a value ``r`` of
-    ``scaled`` with ``l <op> scale * r`` (``$v/p <op> K * $v/q``).
+    ``not-exists`` — the source nodes owning none; ``substring`` — the
+    source nodes whose first value (``contains`` reads the first item
+    of its sequence) contains ``needle``, or, inexact, every one above
+    a value that may; ``compare`` — the owners of a value ``l`` of
+    ``range`` and a value ``r`` of ``scaled`` with ``l <op> scale * r``
+    (``$v/p <op> K * $v/q``).
 
     ``exact``: the access path *is* the reference comparison, so the
     conjunct is not re-checked per binding.  ``assign_selection``
-    clears it, from the data, for blob containers; a ``substring`` term
-    never is — ``contains`` reads the first item of its sequence only,
-    ``word-contains`` wants whole words, the candidates are a superset.
+    clears it, from the data, for blob containers.  A ``substring``
+    term is exact for ``contains`` with a needle of at least q
+    characters (positional q-grams decide it); ``word-contains`` wants
+    whole words in any case, and a shorter needle has no q-gram, so
+    those get a superset of candidates.
     """
 
     conjunct: Expression
@@ -335,8 +340,8 @@ class SelectionPlan:
 def _selection_term(conjunct: Expression, clause_var: str | None
                     ) -> SelectionTerm | None:
     """``$v/leaf op const`` (either way round), ``empty($v/leaf)``,
-    ``not(empty($v/leaf))`` or — in a ``where``, which re-checks —
-    ``contains`` / ``word-contains($v/leaf, "literal")`` as a term;
+    ``not(empty($v/leaf))`` or ``contains`` / ``word-contains($v/leaf,
+    "literal")`` — in a step predicate only an exact one — as a term;
     anything else is ``None``."""
     plan = find_range_plan(conjunct, clause_var)
     if plan is not None:
@@ -344,7 +349,7 @@ def _selection_term(conjunct: Expression, clause_var: str | None
     compare = _compare_term(conjunct, clause_var)
     if compare is not None:
         return compare
-    if clause_var is not None and isinstance(conjunct, FunctionCall) \
+    if isinstance(conjunct, FunctionCall) \
             and conjunct.name in ("contains", "word-contains") \
             and len(conjunct.args) == 2 \
             and isinstance(conjunct.args[1], StringLiteral):
@@ -354,10 +359,15 @@ def _selection_term(conjunct: Expression, clause_var: str | None
         needle = conjunct.args[1].value if conjunct.name == "contains" \
             else max(tokenize(conjunct.args[1].value), key=len,
                      default="")
-        return None if steps is None or not needle else SelectionTerm(
+        exact = conjunct.name == "contains" and len(needle) >= SUBSTRING_Q
+        # A step predicate has no per-binding check to re-check with.
+        if steps is None or not needle or \
+                clause_var is None and not exact:
+            return None
+        return SelectionTerm(
             conjunct, "substring",
             RangePlan(steps, None, None, True, True, ascend=None),
-            exact=False, needle=needle)
+            exact=exact, needle=needle)
     kind, call = "not-exists", conjunct
     if isinstance(call, FunctionCall) and call.name == "not" and \
             len(call.args) == 1:
@@ -600,7 +610,8 @@ def _leaf_access(term: SelectionTerm, repository, path: str,
                           bounds.high_inclusive, stats=stats)
     if term.kind == "substring":
         return ContSubstring(repository, path, id_column, value_column,
-                             term.needle, stats)
+                             term.needle, stats, term.conjunct.name,
+                             term.exact)
     return ContScan(repository, path, id_column, value_column, stats)
 
 
@@ -620,13 +631,15 @@ def _climb(node: Operator, repository, column: str, hops: int,
     return node
 
 
-def _summary_hops(leaf, sources) -> list[int]:
+def _summary_hops(leaf, reach: dict) -> list[int]:
     """``Parent`` hops from the element owning ``leaf``'s values up to
-    each of the summary nodes ``sources`` above it: several when a
-    source element nests inside itself."""
+    each summary node of ``reach`` above it from which the leaf is
+    reached (``reach``: ``id`` of a source node -> the ids of the leaf
+    nodes its leaf steps resolve to): several when a source element
+    nests inside itself."""
     found, hops, node = [], 0, leaf.parent
     while node is not None:
-        if node in sources:
+        if id(leaf) in reach.get(id(node), ()):
             found.append(hops)
         node, hops = node.parent, hops + 1
     return found
@@ -634,31 +647,41 @@ def _summary_hops(leaf, sources) -> list[int]:
 
 def _term_owners(term: SelectionTerm, repository, source: PathExpr,
                  leaves, column: str, stats):
-    """The owners of a term's values as an operator emitting ``column``
-    (one row per value): :func:`_leaf_access` on the container of every
-    summary node of ``leaves`` and ``Parent`` hops up to the source's
-    nodes — ``ascend`` of them, else as many as the summary says lie
-    between (:func:`_summary_hops`); the chains united."""
-    ascend, sources = term.range.ascend, ()
+    """The owners of a term's values as an operator emitting ``column``:
+    :func:`_leaf_access` on the container of every summary node of
+    ``leaves`` and ``Parent`` hops up to the source's nodes — ``ascend``
+    of them, else as many as the summary says lie between
+    (:func:`_summary_hops`).  The chains are united (one row per
+    value), or — an exact ``substring`` term — concatenated under the
+    ``FirstHit`` that keeps the owners whose first value they hold."""
+    ascend, reach = term.range.ascend, {}
     if ascend is None:
-        sources = repository.resolve_path(leaf_summary_steps(source, ()))
+        steps = _summary_steps(term.range.leaf_steps)
+        reach = {id(node): {id(leaf) for leaf in
+                            repository.summary.resolve(steps, node)}
+                 for node in repository.resolve_path(
+                     leaf_summary_steps(source, ()))}
         if stats is not None:
             stats.summary_accesses += 1
-    owners = None
+    first = term.kind == "substring" and term.exact
+    owners, chains = None, []
     for leaf in leaves:
         for hops in [ascend] if ascend is not None \
-                else _summary_hops(leaf, sources):
+                else _summary_hops(leaf, reach):
             node = _climb(_leaf_access(
                 term, repository, leaf.container_path,
                 _hop_column(column, hops), f"{column}~value", stats),
                 repository, column, hops, stats)
+            chains.append((leaf.container_path, hops))
             owners = node if owners is None else \
+                Concat(owners, node) if first else \
                 NodeSet(owners, node, column, "union")
     if owners is None:  # no such path in this document: nobody
-        owners = StructureSummaryAccess(
+        return StructureSummaryAccess(
             repository, leaf_summary_steps(source, term.range.leaf_steps),
             column, stats)
-    return owners
+    return FirstHit(owners, repository, chains, column, f"{column}~value",
+                    stats) if first else owners
 
 
 def _compared_owners(term: SelectionTerm, repository, source: PathExpr,
@@ -728,7 +751,8 @@ def assign_selection(clause: ForClause, plan: SelectionPlan, repo_of,
             return None
         if not usable:
             continue
-        terms.append(term if exact else replace(term, exact=False))
+        term = term if exact else replace(term, exact=False)
+        terms.append(term)
         owners = _term_owners(term, repository, plan.source, leaves,
                               column, stats)
         if term.kind == "not-exists":
@@ -755,9 +779,14 @@ def leaf_summary_steps(source: PathExpr, leaf_steps: tuple[Step, ...]
     """Structure-summary steps from the document root, through an
     absolute ``source`` path, down a plan's ``leaf_steps`` to the value
     containers."""
+    return _summary_steps(source.steps + tuple(leaf_steps))
+
+
+def _summary_steps(steps: tuple[Step, ...]) -> list[tuple[str, str]]:
+    """Structure-summary steps of query steps."""
     return [("child", "@" + s.test) if s.axis == "attribute"
             else (s.axis, TEXT_STEP if s.test == "text()" else s.test)
-            for s in source.steps + tuple(leaf_steps)]
+            for s in steps]
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ groups:
 * **data access** — :class:`ContScan`, :class:`ContAccess`,
   :class:`ContSubstring`, :class:`StructureSummaryAccess`,
   :class:`OpaqueSource`, :class:`Parent`;
-* **data combination** — :class:`NodeSet`, :class:`Concat`,
-  :class:`MergeJoin`, :class:`ThetaJoin`, :class:`ColumnCompare`,
-  :class:`NestedLoopJoin`, :class:`Sort`;
+* **data combination** — :class:`NodeSet`, :class:`FirstHit`,
+  :class:`Concat`, :class:`MergeJoin`, :class:`ThetaJoin`,
+  :class:`ColumnCompare`, :class:`NestedLoopJoin`, :class:`Sort`;
 * **(de)compression / serialization** — :class:`Decompress`,
   :class:`XMLSerialize`.
 
@@ -23,10 +23,11 @@ nesting either way.  Operators whose work is per-row (nested-loop
 conditions, theta probes, blob-container fallbacks) run one private
 row generator over their input's batches and chunk it.
 
-Order guarantees mirror §4: ``StructureSummaryAccess`` and ``NodeSet``
-emit element ids in document order, ``Parent`` preserves the order of
-its input, and ``ContScan``/``ContAccess`` emit in *value* order —
-which is what lets plans use :class:`MergeJoin` without sorting.
+Order guarantees mirror §4: ``StructureSummaryAccess``, ``NodeSet`` and
+``FirstHit`` emit element ids in document order, ``Parent`` preserves
+the order of its input, and ``ContScan``/``ContAccess`` emit in
+*value* order — which is what lets plans use :class:`MergeJoin` without
+sorting.
 """
 
 from __future__ import annotations
@@ -246,38 +247,130 @@ class ContAccess(Operator):
 
 
 class ContSubstring(Operator):
-    """Candidate access into a container for a substring needle: the
-    records whose value may contain it, in slot order.
+    """Substring access into a container: the records whose value
+    contains ``needle``, in slot order, in ``ContAccess``'s shape.
 
-    A superset (``substring_candidates``: q-gram matches, any letter
-    case) in ``ContAccess``'s shape — whoever means ``contains`` or
-    ``word-contains`` re-checks the candidates it binds.
+    ``exact`` (``contains`` with a needle of at least q characters):
+    exactly those records (``substring_slots``, positional q-grams),
+    so nobody re-checks them.  Otherwise a superset
+    (``substring_candidates``: q-gram matches, any letter case) that
+    whoever means ``contains`` or ``word-contains`` (``function``)
+    re-checks per binding.
     """
 
     def __init__(self, repository: CompressedRepository, path: str,
                  id_column: str, value_column: str, needle: str,
-                 stats: EvaluationStats | None = None):
+                 stats: EvaluationStats | None = None,
+                 function: str = "contains", exact: bool = False):
         self._stats = stats
         self.container = repository.container(path)
         self.id_column = id_column
         self.value_column = value_column
         self.needle = needle
+        self.function = function
+        self.exact = exact
 
     def _batches(self, size: int) -> Iterator[RecordBatch]:
         if self._stats is not None:
             self._stats.container_accesses += 1
         container = self.container
-        slots = container.substring_candidates(self.needle)
+        slots = container.substring_slots(self.needle) if self.exact \
+            else container.substring_candidates(self.needle)
         if slots is None:
             raise QueryTypeError(
                 f"container {container.path!r} has no substring "
-                f"candidates for {self.needle!r}")
+                f"{'slots' if self.exact else 'candidates'} for "
+                f"{self.needle!r}")
         parents = container.as_arrays().parent_ids
         for start in range(0, len(slots), size):
             part = slots[start:start + size]
             yield RecordBatch({
                 self.id_column: NodeColumn(parents[part]),
                 self.value_column: ValueColumn(container, part)})
+
+
+class FirstHit(Operator):
+    """The owners whose *first* value under ``leaves``, in document
+    order, is one of the input's — what ``contains`` reads of a
+    sequence: its first item.
+
+    ``leaves`` are ``(container path, hops)`` pairs: each slot of the
+    container belongs to the element ``hops`` ``Parent`` steps above
+    its parent.  The input carries the owners (``column``) of some of
+    those values (``value_column``, as slots) — exact ``ContSubstring
+    → Parent^hops`` chains.  An owner holding one value is decided by
+    counting the owner columns; one holding several by structure
+    order: the first of its texts (``subtree_texts``), else — an
+    attribute leaf, one value per element — the one of the lowest
+    parent.  No value is decoded.  Owners leave in document order.
+    """
+
+    INPUTS = ("_source",)
+
+    def __init__(self, source: Iterable[Row],
+                 repository: CompressedRepository,
+                 leaves: list[tuple[str, int]], column: str,
+                 value_column: str, stats: EvaluationStats | None = None):
+        self._source = source
+        self._repository = repository
+        self._stats = stats
+        self.leaves = tuple(leaves)
+        self.column = column
+        self.value_column = value_column
+
+    def _batches(self, size: int) -> Iterator[RecordBatch]:
+        owners, hit_slots = [], {}
+        for batch in _input_batches(self._source, size):
+            owners.append(node_ids(batch, self.column))
+            values = batch.column(self.value_column)
+            hit_slots.setdefault(values.container.path, []).append(
+                values.indices)
+        if not owners:
+            return
+        repository = self._repository
+        parents = repository.structure.parents
+        owned: dict[str, list[np.ndarray]] = {}
+        for path, hops in self.leaves:
+            owned.setdefault(path, []).append(
+                repository.container(path).as_arrays().owners(hops,
+                                                              parents))
+        every, counts = np.unique(np.concatenate(
+            [o for arrays in owned.values() for o in arrays]),
+            return_counts=True)
+        found = np.unique(np.concatenate(owners))
+        several = counts[np.searchsorted(every, found)] > 1
+        hits = {path: set(np.concatenate(parts).tolist())
+                for path, parts in hit_slots.items()}
+        firsts = [owner for owner in found[several].tolist()
+                  if self._first_is_hit(owner, owned, hits)]
+        ids = np.union1d(found[~several], firsts).astype(np.int64)
+        for start in range(0, len(ids), size):
+            yield RecordBatch({
+                self.column: NodeColumn(ids[start:start + size])})
+
+    def _first_is_hit(self, owner: int, owned: dict, hits: dict) -> bool:
+        """Is the first of ``owner``'s values one of ``hits``?"""
+        structure = self._repository.structure
+        if next(iter(owned)).endswith("/#text"):
+            if self._stats is not None:
+                self._stats.nodes_visited += \
+                    structure.subtree_end(owner) - owner
+            for container, slot in structure.subtree_texts(owner):
+                path = structure.paths[container]
+                if any(o[slot] == owner for o in owned.get(path, ())):
+                    return slot in hits.get(path, ())
+            return False
+        # An attribute leaf: each element holds one, so the first is
+        # the lowest parent's.
+        values = []
+        for path, arrays in owned.items():
+            parent_ids = self._repository.container(path).as_arrays() \
+                .parent_ids
+            mine = np.logical_or.reduce([o == owner for o in arrays])
+            values += [(parent_ids[slot], path, slot)
+                       for slot in np.flatnonzero(mine).tolist()]
+        _, path, slot = min(values)
+        return slot in hits.get(path, ())
 
 
 class StructureSummaryAccess(Operator):

@@ -30,19 +30,157 @@ from repro.compression.blob import BlobCodec
 from repro.errors import StorageError
 
 #: q of the substring index: the shortest needle it can answer.
-_Q = 3
+SUBSTRING_Q = 3
+
+#: bits per code point in a packed q-gram.
+_POINT_BITS = 21
 
 
-def _qgrams(text: str) -> np.ndarray:
-    """The q-grams of ``text`` at every position, each as one integer
-    (21 bits per code point), in text order."""
-    points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
-                           dtype="<u4").astype(np.uint64)
-    count = max(len(points) - _Q + 1, 0)
+def _code_points(text: str) -> np.ndarray:
+    """The code points of ``text``, one ``uint64`` each."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
+                         dtype="<u4").astype(np.uint64)
+
+
+def _qgrams(points: np.ndarray) -> np.ndarray:
+    """The q-grams of a code point array at every position, each as one
+    integer (21 bits per code point), in text order."""
+    count = max(len(points) - SUBSTRING_Q + 1, 0)
     grams = np.zeros(count, dtype=np.uint64)
-    for offset in range(_Q):
-        grams = grams << np.uint64(21) | points[offset:offset + count]
+    for offset in range(SUBSTRING_Q):
+        grams = grams << np.uint64(_POINT_BITS) \
+            | points[offset:offset + count]
     return grams
+
+
+def _compact(array: np.ndarray, top: int) -> np.ndarray:
+    """``array`` (values in ``[0, top]``) in the smallest dtype."""
+    return array.astype(np.min_scalar_type(max(top, 0)))
+
+
+def _common(keys: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """The sorted ``keys`` also in the sorted ``others``."""
+    if not len(others):
+        return others
+    at = np.minimum(np.searchsorted(others, keys), len(others) - 1)
+    return keys[others[at] == keys]
+
+
+class SubstringIndex:
+    """Positional q-gram postings over one container's values as
+    stored: for the i-th of the distinct q-grams ``grams`` (sorted),
+    ``slots[runs[i]:runs[i + 1]]`` and ``places[...]`` are every
+    (slot, offset in the value) it occurs at, sorted, each array in
+    the smallest dtype that fits.  No q-gram spans two values.
+
+    :meth:`slots_of` decides ``needle in value`` exactly from the
+    postings; :meth:`candidates` answers any letter case, a superset,
+    from the same postings: ``folded`` holds each distinct q-gram's
+    per-character ``str.casefold`` (sorted; ``by_fold`` maps back),
+    and ``odd_grams`` / ``odd_slots`` the folded q-grams of the few
+    values holding a character that folds to several (``ß`` → ``ss``).
+    """
+
+    __slots__ = ("grams", "runs", "slots", "places", "folded", "by_fold",
+                 "odd_grams", "odd_slots")
+
+    def __init__(self, values: list[str]):
+        lengths = np.fromiter(map(len, values), dtype=np.int64,
+                              count=len(values))
+        points = _code_points("".join(values))
+        grams = _qgrams(points)
+        slot_of = np.repeat(np.arange(len(values)), lengths)
+        places = np.arange(len(points)) \
+            - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        slots, places = slot_of[:len(grams)], places[:len(grams)]
+        inside = places + SUBSTRING_Q <= lengths[slots]
+        grams, slots, places = grams[inside], slots[inside], places[inside]
+        # Stable: each q-gram's occurrences stay in text order, which
+        # is (slot, offset) order.
+        order = np.argsort(grams, kind="stable")
+        grams = grams[order]
+        fresh = np.ones(len(grams), dtype=bool)
+        fresh[1:] = grams[1:] != grams[:-1]
+        self.grams = grams[fresh]
+        self.runs = _compact(np.append(np.flatnonzero(fresh), len(grams)),
+                             len(grams))
+        self.slots = _compact(slots[order], len(values))
+        self.places = _compact(places[order], int(lengths.max(initial=0)))
+        # Case folding, one character at a time: a character folding
+        # to several stays itself, which no folded needle holds.
+        alphabet = np.unique(points)
+        folds = [chr(point).casefold() for point in alphabet.tolist()]
+        single = np.array([len(fold) == 1 for fold in folds], dtype=bool)
+        folded_points = np.where(single, np.array(
+            [ord(fold[0]) for fold in folds], dtype=np.uint64), alphabet)
+        mask = np.uint64((1 << _POINT_BITS) - 1)
+        keys = np.zeros(len(self.grams), dtype=np.uint64)
+        for offset in range(SUBSTRING_Q - 1, -1, -1):
+            field = self.grams >> np.uint64(_POINT_BITS * offset) & mask
+            keys = keys << np.uint64(_POINT_BITS) | folded_points[
+                np.searchsorted(alphabet, field)]
+        self.by_fold = _compact(np.argsort(keys, kind="stable"),
+                                len(keys))
+        self.folded = keys[self.by_fold]
+        odd = np.unique(slot_of[np.isin(points, alphabet[~single])])
+        pairs = [(gram, slot) for slot in odd.tolist() for gram in
+                 np.unique(_qgrams(_code_points(values[slot].casefold())))
+                 .tolist()]
+        pairs.sort()
+        self.odd_grams = np.array([g for g, _ in pairs], dtype=np.uint64)
+        self.odd_slots = np.array([s for _, s in pairs], dtype=np.int64)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(getattr(self, name).nbytes for name in self.__slots__)
+
+    def _run(self, index: int) -> slice:
+        return slice(int(self.runs[index]), int(self.runs[index + 1]))
+
+    def slots_of(self, needle: str) -> np.ndarray:
+        """Sorted slots of the values containing ``needle`` (at least
+        q characters), exactly: a start ``(slot, offset)`` of the
+        rarest of a cover of the needle's q-grams, kept where each
+        other q-gram of the cover occurs ``i`` places further."""
+        grams = _qgrams(_code_points(needle))
+        at = np.searchsorted(self.grams, grams)
+        if (at == len(self.grams)).any() or \
+                (self.grams[np.minimum(at, len(self.grams) - 1)]
+                 != grams).any():
+            return np.empty(0, dtype=np.int64)
+        last = len(grams) - 1
+        sizes = self.runs[at + 1] - self.runs[at]
+        cover = sorted({*range(0, last, SUBSTRING_Q), last},
+                       key=sizes.__getitem__)
+        starts = self._starts(at[cover[0]], cover[0])
+        for i in cover[1:]:
+            starts = _common(starts, self._starts(at[i], i))
+        return np.unique(starts >> np.int64(32))
+
+    def _starts(self, index: int, shift: int) -> np.ndarray:
+        """``slot << 32 | offset - shift`` of every occurrence of the
+        ``index``-th q-gram with ``offset >= shift``: sorted."""
+        run = self._run(index)
+        places = self.places[run].astype(np.int64) - shift
+        keep = places >= 0
+        return self.slots[run][keep].astype(np.int64) << np.int64(32) \
+            | places[keep]
+
+    def candidates(self, needle: str) -> np.ndarray:
+        """Sorted slots of every value whose ``str.casefold`` holds
+        all the q-grams of the needle's (at least q characters)."""
+        found = None
+        for gram in np.unique(_qgrams(_code_points(needle.casefold()))):
+            lo, hi = np.searchsorted(self.folded, [gram, gram + 1])
+            first, last = np.searchsorted(self.odd_grams, [gram, gram + 1])
+            slots = np.unique(np.concatenate(
+                [self.slots[self._run(i)] for i in self.by_fold[lo:hi]]
+                + [self.odd_slots[first:last]]))
+            found = slots if found is None else \
+                np.intersect1d(found, slots, assume_unique=True)
+            if not len(found):
+                break
+        return found.astype(np.int64)
 
 
 class ContainerArrays:
@@ -171,8 +309,8 @@ class ValueContainer:
         self._count = 0
         self._sealed = False
         self._arrays: ContainerArrays | None = None
-        #: lazily built (q-grams, posting offsets, posting slots).
-        self._substring_index: tuple | None = None
+        #: lazily built by :meth:`substring_index`.
+        self._substring_index: SubstringIndex | None = None
         self._compressed_keys: list[CompressedValue] | None = None
 
     def _compare_key(self, value: str):
@@ -395,7 +533,7 @@ class ValueContainer:
 
     def drop_arrays(self) -> None:
         """Release the memoized :meth:`as_arrays` view and the
-        :meth:`substring_candidates` index.
+        :meth:`substring_index`.
 
         The serving layer charges the view's bytes to its block cache;
         a cache invalidation that evicted the charged entry must drop
@@ -412,59 +550,44 @@ class ValueContainer:
         """Can :meth:`substring_candidates` answer ``needle``?  Not on
         a blob chunk (no record slots), and not below ``q`` folded
         characters (nothing to look up)."""
-        return not self.is_blob and len(needle.casefold()) >= _Q
+        return not self.is_blob and len(needle.casefold()) >= SUBSTRING_Q
+
+    def substring_decidable(self, needle: str) -> bool:
+        """Can :meth:`substring_slots` decide ``needle`` exactly?  Not
+        on a blob chunk, and not below ``q`` characters."""
+        return not self.is_blob and len(needle) >= SUBSTRING_Q
+
+    def substring_index(self) -> SubstringIndex:
+        """The container's :class:`SubstringIndex`: built on first use
+        from the decoded values and kept beside :meth:`as_arrays`
+        (:meth:`drop_arrays` frees both); never stored."""
+        if self._substring_index is None:
+            self._substring_index = SubstringIndex(
+                [value for _, value in self.scan_decoded()])
+        return self._substring_index
+
+    def substring_slots(self, needle: str) -> np.ndarray | None:
+        """Sorted slots of exactly the values containing ``needle``
+        (case-sensitive, as ``contains`` compares), decided on the
+        positional q-gram postings without decoding a value — or
+        ``None`` where :meth:`substring_decidable` says no."""
+        if not self.substring_decidable(needle):
+            return None
+        return self.substring_index().slots_of(needle)
 
     def substring_candidates(self, needle: str) -> np.ndarray | None:
         """Sorted slots of the values that may contain ``needle`` —
         every value that does, in any letter case — or ``None`` where
         :meth:`substring_indexable` says no.
 
-        The slots holding all of the needle's q-grams, from an index of
-        q-gram -> sorted slots over the ``str.casefold`` of each value.
-        Folding is per character, so it keeps containment: one index
-        serves exact and case-insensitive matching, and callers
-        re-check the candidates they care about.  Built on first use
-        and kept beside :meth:`as_arrays` (:meth:`drop_arrays` frees
-        both); never stored.
+        The slots holding all of the needle's q-grams under
+        ``str.casefold``.  Folding is per character, so it keeps
+        containment: callers (``word-contains``, short needles)
+        re-check the candidates they care about.
         """
         if not self.substring_indexable(needle):
             return None
-        if self._substring_index is None:
-            self._substring_index = self._build_substring_index()
-        grams, offsets, slots = self._substring_index
-        wanted = np.unique(_qgrams(needle.casefold()))
-        at = np.searchsorted(grams, wanted)
-        if (at == len(grams)).any() or (grams[at] != wanted).any():
-            return np.empty(0, dtype=np.int64)
-        postings = sorted((slots[offsets[i]:offsets[i + 1]] for i in at),
-                          key=len)
-        found = postings[0]
-        for posting in postings[1:]:
-            found = np.intersect1d(found, posting, assume_unique=True)
-        return found.astype(np.int64)
-
-    def _build_substring_index(self) -> tuple:
-        """``(q-grams, offsets, slots)``: the distinct q-grams of the
-        folded values, sorted, and for the i-th the sorted slots
-        ``slots[offsets[i]:offsets[i + 1]]`` it occurs in.  One sort of
-        (q-gram, slot) over every position whose window fits inside its
-        value, so no q-gram spans two values."""
-        folded = [value.casefold() for _, value in self.scan_decoded()]
-        lengths = np.fromiter(map(len, folded), dtype=np.int64,
-                              count=len(folded))
-        grams = _qgrams("".join(folded))
-        left = (np.repeat(np.cumsum(lengths), lengths)
-                - np.arange(lengths.sum()))[:len(grams)]
-        slots = np.repeat(np.arange(len(folded)), lengths)[:len(grams)]
-        inside = left >= _Q
-        grams, slots = grams[inside], slots[inside]
-        order = np.lexsort((slots, grams))
-        grams, slots = grams[order], slots[order]
-        fresh = np.ones(len(grams), dtype=bool)
-        fresh[1:] = (grams[1:] != grams[:-1]) | (slots[1:] != slots[:-1])
-        grams, first = np.unique(grams[fresh], return_index=True)
-        return (grams, np.append(first, fresh.sum()),
-                slots[fresh].astype(np.min_scalar_type(len(folded))))
+        return self.substring_index().candidates(needle)
 
     def interval_positions(self, low: str | None, high: str | None,
                            low_inclusive: bool = True,

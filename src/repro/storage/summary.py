@@ -68,15 +68,17 @@ class StructureSummary:
         """Number of distinct paths (excluding the virtual root)."""
         return sum(1 for _ in self.root.walk()) - 1
 
-    def resolve(self, steps: list[tuple[str, str]]) -> list[SummaryNode]:
-        """Resolve a path against the summary.
+    def resolve(self, steps: list[tuple[str, str]],
+                start: SummaryNode | None = None) -> list[SummaryNode]:
+        """Resolve a path against the summary, from the root or from
+        the summary node ``start``.
 
         ``steps`` is a list of (axis, name) pairs with axis ``child`` or
         ``descendant``; ``name`` may be ``*`` (any element step), an
         element/attribute name (attributes prefixed ``@``), or
         ``#text``.  Returns every summary node the path reaches.
         """
-        frontier = [self.root]
+        frontier = [self.root if start is None else start]
         for axis, name in steps:
             matched: list[SummaryNode] = []
             seen: set[int] = set()

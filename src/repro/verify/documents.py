@@ -18,7 +18,9 @@ nested in items (``//item`` reaches two container paths with the same
 leaf steps) and descriptions holding a ``note`` or a description of
 their own (several text nodes below one element; a text below two
 elements of one name), some with text after the ``note`` (mixed
-content: one element owning two values of one container).
+content: one element owning two values of one container), some with a
+word repeating a q-gram (``shhh``, ``tartar``: a substring index must
+match positions, not just q-grams).
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ _NAMES = ("ada", "ada", "adam", "bob", "bo", "eve", "evelyn", "",
 _CITIES = ("rome", "roma", "oslo", "kiev", "kyoto", "", "lyon")
 _WORDS = ("gold", "golden", "silver", "old", "bold", "rare", "rarely",
           "fine", "antique", "brass")
+#: words repeating a q-gram (a run, a period): needles longer than
+#: them can hold only their q-grams (``shhhh``, ``tartartar``).
+REPEATS = ("shhh", "tartar")
 CATEGORIES = ("c1", "c10", "c2", "c7")
 
 
@@ -60,7 +65,9 @@ def generate_entities(rng: random.Random, scale: int = 10) -> dict:
         items.append({
             "id": f"i{index}",
             "name": rng.choice(_WORDS),
-            "description": " ".join(words),
+            # Every third description ends in a word repeating a q-gram.
+            "description": " ".join(
+                words + [REPEATS[index % 2]] * (index % 3 == 2)),
             # Every third item carries a part: an item inside an item.
             "part": rng.choice(_WORDS) if index % 3 == 0 else None,
             # Text nodes after the description's first, in an element

@@ -17,7 +17,10 @@ containers alone
 ``empty`` / ``not(empty)``, ``//`` sources over nested elements, owners
 with several values, ``count`` of the bindings; ``contains`` /
 ``word-contains`` as ``substring`` terms — ``//`` leaf paths, needles
-of any length and case, candidates the re-check must reject);
+of any length and case, candidates the re-check must reject — and
+``contains`` decided on positions, in a step predicate too: needles
+whose every q-gram the value holds but not in order, runs and periods
+stretched past their word, needles of exactly q characters);
 relative value paths read as projections (missing, repeated, nested
 and mixed-content leaves; ``return``, attributes, ``order by``, a
 shadowed variable) and same-binding comparisons ``$v/a <op> K *
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import random
 
-from repro.verify.documents import CATEGORIES
+from repro.verify.documents import CATEGORIES, REPEATS
 
 
 def _pools(entities: dict) -> dict[str, list[str]]:
@@ -201,6 +204,49 @@ def _substring_term(rng: random.Random, start: str, leaf: str,
         needle = "".join(rng.choice((c, c.upper())) for c in needle)
     return (f'{rng.choice(("contains", "word-contains"))}('
             f'{rng.choice(paths)}, "{needle}")')
+
+
+def _positional_needle(rng: random.Random, pools: dict) -> str:
+    """A needle whose q-grams a description holds where the needle may
+    not be: two pieces of one value spliced at a repeated pair of
+    characters (else just two pieces), a run or a period stretched past
+    its word (``shhh`` → ``hhhh``, ``tartar`` → ``tartartar``), or
+    exactly q characters cut from a value."""
+    value = rng.choice(pools["descriptions"] + pools["strings"])
+    choice = rng.random()
+    if choice < 0.45:
+        pairs = [(i, j) for i in range(len(value) - 1)
+                 for j in range(i + 1, len(value) - 1)
+                 if value[i:i + 2] == value[j:j + 2]]
+        i, j = rng.choice(pairs) if pairs else (2, 4)
+        return (value[max(i - rng.randint(1, 4), 0):i + 2]
+                + value[j + 2:j + 2 + rng.randint(1, 4)])
+    if choice < 0.75:
+        word = rng.choice(REPEATS)
+        return rng.choice((word + word[-1], word[-1] * 4,
+                           word[-3:] + word[-1], word + word[:3],
+                           word[1:] + word[1:3]))
+    at = rng.randrange(max(len(value) - 2, 1))
+    return value[at:at + 3]
+
+
+def _exact_contains(rng: random.Random, pools: dict) -> str:
+    """``contains`` decided on the positional q-gram index, in a step
+    predicate or a ``where``, over nested items and descriptions of
+    several texts (only the first one counts)."""
+    needle = _positional_needle(rng, pools)
+    source = rng.choice(("//item", "/site/regions//item",
+                         "/site/regions/item"))
+    leaf = rng.choice(("description//text()", "description/text()",
+                       "description/description/text()"))
+    predicate = f'contains({leaf}, "{needle}")'
+    where = f'contains($v/{leaf}, "{needle}")'
+    return rng.choice((
+        f"for $v in {source}[{predicate}] return $v/@id",
+        f"count(for $v in {source}[{predicate}] return $v)",
+        f"for $v in {source} where {where} return $v/@id",
+        f"for $v in {source}[{predicate}] where {where} "
+        "return $v/name/text()"))
 
 
 def _selection_constant(rng: random.Random, pool: list[str]) -> str:
@@ -420,6 +466,8 @@ def generate_queries(entities: dict, rng: random.Random,
         lambda: _projection(rng),
         lambda: _string_value(rng, pools),
         lambda: _descendant_texts(rng),
+        lambda: _exact_contains(rng, pools),    # twice: four needle kinds
+        lambda: _exact_contains(rng, pools),
     )
     while len(queries) < count:
         queries.append(rng.choice(makers)())

@@ -24,6 +24,7 @@ from repro.query.physical import (
     ContScan,
     ContSubstring,
     Decompress,
+    FirstHit,
     MergeJoin,
     NodeSet,
     Sort,
@@ -127,6 +128,28 @@ class TestContSubstring:
         assert path in diagnostics[0].message
         with pytest.raises(QueryTypeError):
             plan.rows()
+
+
+    def test_exact_access_under_first_hit_accepted(self, repo):
+        plan = FirstHit(ContSubstring(repo, URI, "b", "uri", "uri0",
+                                      exact=True),
+                        repo, [(URI, 0)], "b", "uri")
+        assert verify_plan(plan) == []
+        assert len(plan.rows()) == 10
+
+    @pytest.mark.parametrize("needle,function,rules", [
+        ("uri0", "word-contains", ["plan.substring-inexact"]),
+        # Three folded characters are candidates, not positions.
+        ("ßu", "contains", ["plan.substring-inexact"]),
+        ("ur", "contains", ["plan.substring-not-indexable",
+                            "plan.substring-inexact"]),
+    ])
+    def test_exact_needle_the_index_cannot_decide_rejected(
+            self, repo, needle, function, rules):
+        """Candidates taken for answers: the gate refuses the plan."""
+        plan = ContSubstring(repo, URI, "b", "uri", needle,
+                             function=function, exact=True)
+        assert rules_of(errors_of(verify_plan(plan))) == rules
 
 
 class TestThetaJoin:

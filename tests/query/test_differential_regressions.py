@@ -521,10 +521,13 @@ class TestSelectionExactness:
 
 class TestSubstringCandidates:
     """``contains`` / ``word-contains`` start from the containers'
-    q-gram candidates — a superset — and are re-checked per binding.
-    Each case is a candidate only the re-check tells from a result (or
-    a result the hop count must not lose); the counters say the index
-    was asked and how many bindings it left to check."""
+    q-gram index.  ``contains`` with a needle of q characters or more is
+    decided there exactly — on its first text node — and never
+    re-checked; ``word-contains`` and shorter needles get a superset of
+    candidates re-checked per binding.  Each case is a candidate only
+    the positions or the re-check tell from a result (or a result the
+    hop count must not lose); the counters say the index was asked and
+    how many bindings were decoded to check."""
 
     XML = ("<r>"
            # a: the needle sits in the second text node only.
@@ -539,11 +542,12 @@ class TestSubstringCandidates:
            '<item id="f"><d><t>Gold ring</t></d></item>'
            "</r>")
 
-    def ids(self, where, expected, *, bound=None, accesses=3):
+    def ids(self, where, expected, *, bound=None, accesses=2):
         """``where`` over ``//item`` selects ``expected`` after
-        ``accesses`` probes — /r/item/d/t once, /r/item/item/d/t once
-        per item above it; ``bound``: the bindings a ``contains``
-        re-checked (it decodes the first text node of each)."""
+        ``accesses`` probes — /r/item/d/t once and /r/item/item/d/t
+        once, for the inner item: the outer one does not reach it by
+        ``d/t``; ``bound``: the values decoded to check the bindings
+        (none where ``contains`` is exact)."""
         query = f"for $v in //item where {where} return $v/@id"
         assert_parity(self.XML, query,
                       ("ok", "\n".join(expected.split())))
@@ -553,10 +557,11 @@ class TestSubstringCandidates:
             assert stats.decompressions == bound
 
     def test_contains_reads_the_first_text_node_only(self):
-        # Bound: a (second node), c, e, f ("Gold" folds to the same
-        # q-grams) and d, which e's value also lies below.
-        self.ids('contains($v/d/t/text(), "gold")', "c e", bound=5)
-        self.ids('contains($v/d/t/text(), "Gold")', "f", bound=5)
+        # Decided on the positions: a (second node), d (e's value lies
+        # below it, not below its d/t) and f ("Gold") are no results,
+        # and nothing is decoded to say so.
+        self.ids('contains($v/d/t/text(), "gold")', "c e", bound=0)
+        self.ids('contains($v/d/t/text(), "Gold")', "f", bound=0)
 
     def test_word_contains_reads_every_text_node(self):
         self.ids('word-contains($v/d/t/text(), "gold")', "a e f")
@@ -565,7 +570,7 @@ class TestSubstringCandidates:
     def test_longer_word_is_a_candidate_not_a_result(self):
         self.ids('word-contains($v/d/t/text(), "gold")', "a e f")
         self.ids('word-contains($v/d/t/text(), "golden")', "c")
-        self.ids('contains($v/d/t/text(), "olde")', "c", bound=1)
+        self.ids('contains($v/d/t/text(), "olde")', "c", bound=0)
 
     def test_needle_across_two_text_nodes_is_no_candidate(self):
         self.ids('contains($v/d/t/text(), "gold lamp")', "", bound=0)
@@ -574,10 +579,11 @@ class TestSubstringCandidates:
 
     def test_nested_item_binds_every_item_above_the_value(self):
         # e's text is text of d as well under //, not under d/t.
-        self.ids('word-contains($v//text(), "leaf")', "d e")
-        self.ids('contains($v//text(), "gold leaf")', "e", bound=2)
+        self.ids('word-contains($v//text(), "leaf")', "d e", accesses=3)
+        self.ids('contains($v//text(), "gold leaf")', "e", bound=0,
+                 accesses=3)
         self.ids('word-contains($v/d//text(), "leaf")', "e")
-        self.ids('contains($v/d//text(), "tin")', "d", bound=1)
+        self.ids('contains($v/d//text(), "tin")', "d", bound=0)
 
     def test_short_and_empty_needles_are_checked_per_binding(self):
         self.ids('contains($v/d/t/text(), "go")', "b c e", bound=6,

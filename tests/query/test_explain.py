@@ -87,13 +87,20 @@ class TestExplain:
             assert "Select (evaluated per binding" in plan
 
     def test_fulltext_plan_reported(self):
-        for conjunct in ('word-contains($i/desc/text(), "a gold ring")',
-                         'contains($i/desc//text(), "gold")'):
+        for conjunct, decided in (
+                ('word-contains($i/desc/text(), "a gold ring")',
+                 "q-gram candidates, re-checked per binding"),
+                ('contains($i/desc//text(), "gold")',
+                 "exact (positional q-grams), no per-binding check")):
             plan = explain(f"for $i in /site//item where {conjunct} "
                            "return $i")
             assert "ContSubstring 'gold' on $i/desc/" in plan
-            assert "re-checked per binding" in plan
+            assert decided in plan
             assert "Select (evaluated per binding" not in plan
+        # The step predicate takes the exact term too.
+        plan = explain('for $i in /site//item[contains(desc//text(), '
+                       '"gold")] return $i')
+        assert "ContSubstring 'gold'" in plan and "FirstHit" in plan
         # A path the planner cannot see through stays per binding.
         plan = explain('for $i in /site/item where '
                        'contains(string($i/desc/text()), "gold") return $i')

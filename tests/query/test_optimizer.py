@@ -313,8 +313,11 @@ class TestFullTextPlans:
         for function in ("contains", "word-contains"):
             term = self.term(f'{function}($v/d/text(), "gold")')
             assert (term.kind, term.needle) == ("substring", "gold")
-            # Never the reference comparison: always re-checked.
-            assert not term.exact
+            # contains with q characters or more is decided on the
+            # positions; whole words in any case are re-checked.
+            assert term.exact == (function == "contains")
+        # Below q characters there is no q-gram to place.
+        assert not self.term('contains($v/d/text(), "go")').exact
 
     def test_descendant_and_attribute_leaves_classified(self):
         for leaf in ("$v/d//text()", "$v//text()", "$v//d/e/text()",
@@ -351,10 +354,15 @@ class TestFullTextPlans:
         assert self.term('contains($v/d/text(), "")') is None
 
     def test_step_predicates_keep_per_step_evaluation(self):
-        # A predicate has no per-binding re-check to lean on.
-        flwor = parse_query(
-            'for $v in /a/b[contains(d/text(), "gold")] return $v')
-        assert find_selection_plan(flwor.clauses[0], []) is None
+        # A predicate has no per-binding re-check to lean on: only an
+        # exact term serves it, anything else keeps per-step evaluation.
+        for conjunct, exact in (('contains(d/text(), "gold")', True),
+                                ('contains(d/text(), "go")', False),
+                                ('word-contains(d/text(), "gold")', False)):
+            flwor = parse_query(f"for $v in /a/b[{conjunct}] return $v")
+            plan = find_selection_plan(flwor.clauses[0], [])
+            assert (plan is not None) == exact, conjunct
+            assert plan is None or plan.terms[0].exact
 
 
 class TestFlip:

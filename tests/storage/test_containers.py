@@ -193,6 +193,35 @@ class TestSubstringCandidates:
         assert container.substring_candidates("alpha") is None
 
 
+class TestSubstringSlots:
+    """The positional q-grams decide ``needle in value`` exactly, case
+    and all: a q-gram counts only at its place in the needle."""
+
+    def slots(self, needle, values):
+        container = make_container(values)
+        found = container.substring_slots(needle)
+        return None if found is None else \
+            [container.value_at(slot) for slot in found.tolist()]
+
+    def test_q_grams_must_sit_in_order(self):
+        values = ["aaa", "aaaa", "aba bab", "abab", "gold old", "Gold"]
+        assert self.slots("aaaa", values) == ["aaaa"]
+        assert self.slots("abab", values) == ["abab"]
+        assert self.slots("goldold", values) == []
+        assert self.slots("gold", values) == ["gold old"]
+        assert self.slots("old", values) == ["Gold", "gold old"]
+        assert self.slots("😀😀😀", TestSubstringCandidates.VALUES) == \
+            ["a 😀😀😀 b"]
+
+    def test_below_q_or_blob_undecided(self):
+        assert self.slots("go", ["gold"]) is None
+        # casefolds to three characters: a candidate, not a position
+        assert self.slots("ßa", ["ssa"]) is None
+        container = make_container(WORDS, "bzip2")
+        assert not container.substring_decidable("alpha")
+        assert container.substring_slots("alpha") is None
+
+
 class TestAccounting:
     def test_data_size_positive(self):
         container = make_container(WORDS)
@@ -242,3 +271,14 @@ def test_substring_candidates_are_a_superset(values, needle):
     for slot, value in enumerate(decoded):
         if needle in value or needle.lower() in value.lower():
             assert slot in found, (value, needle)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.text(alphabet="ab" + _FOLDING, max_size=12),
+                min_size=1, max_size=20),
+       st.text(alphabet="ab" + _FOLDING, min_size=3, max_size=6))
+def test_substring_slots_are_exact(values, needle):
+    container = make_container(values)
+    decoded = [v for _, v in container.scan_decoded()]
+    assert container.substring_slots(needle).tolist() == \
+        [slot for slot, value in enumerate(decoded) if needle in value]

@@ -8,9 +8,11 @@ planted bug verifies nothing.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.compression import registry
+from repro.storage.containers import SubstringIndex
 from repro.compression.base import (
     Codec,
     CompressedValue,
@@ -137,6 +139,47 @@ class TestPlantedBugs:
                   if m.check == "round-trip"][0]
         # A single non-empty value suffices to witness the truncation.
         assert len(broken.reproducer["values"]) == 1
+
+
+def _offset_blind_slots(index, needle):
+    """Deliberately broken ``SubstringIndex.slots_of``: any value
+    holding every q-gram of the needle counts, wherever they sit."""
+    found = None
+    for gram in SubstringIndex([needle]).grams:  # the needle's q-grams
+        at = int(np.searchsorted(index.grams, gram))
+        held = at < len(index.grams) and index.grams[at] == gram
+        slots = set(index.slots[index.runs[at]:index.runs[at + 1]]
+                    .tolist()) if held else set()
+        found = slots if found is None else found & slots
+    return np.array(sorted(found), dtype=np.int64)
+
+
+class _Caught(Exception):
+    pass
+
+
+class TestPlantedOffsetBlindLookup:
+    """``contains`` decided on the q-gram index is exact only if the
+    q-grams are joined on their positions: the templates' needles
+    (spliced, stretched runs and periods, q long, in step predicates)
+    must catch a lookup that ignores them, on every CI seed."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mismatch_reported(self, seed, monkeypatch):
+        monkeypatch.setattr(SubstringIndex, "slots_of",
+                            _offset_blind_slots)
+
+        def stop_at_first(done, total, report):
+            if not report.ok:
+                raise _Caught(report)
+
+        # The budget ``repro verify`` runs in CI; the first mismatch
+        # ends the sweep.
+        with pytest.raises(_Caught) as caught:
+            run_engine_oracle(seed, docs=25, queries=40,
+                              progress=stop_at_first)
+        mismatch = caught.value.args[0].mismatches[0]
+        assert "contains(" in mismatch.reproducer["query"], mismatch
 
 
 class TestReporting:
