@@ -6,11 +6,6 @@ Commands mirror how the paper's system is used:
   optionally workload-driven (one query per line in a file);
 * ``query``      — evaluate an XQuery over a repository;
 * ``trace``      — run a query and emit its telemetry JSON;
-* ``perf``       — serving SLO report (per-query-class latency
-  quantiles, cache hit rates) over a batch of queries;
-* ``top``        — live serving console: QPS, rolling latency
-  percentiles, cache hit rates, latest slow queries — over an
-  in-process repository or a scraped ``/metrics`` endpoint;
 * ``serve``      — sharded multi-process serving plane: fork N
   workers partitioned by structure-summary subtree, expose the
   coordinator's ``/metrics`` endpoint, run until interrupted;
@@ -75,57 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--analyze", action="store_true",
                        help="run with telemetry and print the plan "
                             "annotated with actual counts and timings")
-
-    perf = commands.add_parser(
-        "perf", help="serving performance reports (SLOs)")
-    perf_commands = perf.add_subparsers(dest="perf_command",
-                                        required=True)
-    perf_report = perf_commands.add_parser(
-        "report",
-        help="run a query batch through a session and report "
-             "per-query-class latency quantiles + cache hit rates")
-    perf_report.add_argument("repository", type=Path)
-    perf_report.add_argument("--query", action="append", default=None,
-                             help="a query to serve (repeatable)")
-    perf_report.add_argument("--queries-file", type=Path, default=None,
-                             help="file with one query per line")
-    perf_report.add_argument("--repeat", type=int, default=3,
-                             help="how many times to serve the batch "
-                                  "(default 3)")
-    perf_report.add_argument("--workers", type=int, default=4,
-                             help="execute_many thread-pool width "
-                                  "(default 4)")
-    perf_report.add_argument("--slo", action="append", default=None,
-                             help="latency objective CLASS:pNN:MILLIS "
-                                  "(e.g. point:p95:5; repeatable; "
-                                  "exit 1 on violation)")
-    perf_report.add_argument("--json", action="store_true",
-                             help="emit the report as JSON")
-
-    top = commands.add_parser(
-        "top",
-        help="live serving console: QPS, rolling latency "
-             "percentiles, cache hit rates, latest slow queries")
-    top.add_argument("target",
-                     help="a repository path (drive it in-process "
-                          "with --query/--queries-file) or the "
-                          "http://host:port of a running process's "
-                          "telemetry endpoint (scrape mode)")
-    top.add_argument("--query", action="append", default=None,
-                     help="a query to drive each tick in local mode "
-                          "(repeatable)")
-    top.add_argument("--queries-file", type=Path, default=None,
-                     help="file with one query per line (local mode)")
-    top.add_argument("--workers", type=int, default=4,
-                     help="execute_many thread-pool width in local "
-                          "mode (default 4)")
-    top.add_argument("--interval", type=float, default=2.0,
-                     help="seconds between refreshes (default 2)")
-    top.add_argument("--once", action="store_true",
-                     help="render one snapshot and exit (scriptable)")
-    top.add_argument("--slow-ms", type=float, default=None,
-                     help="local mode: slow-query threshold in ms "
-                          "(default 100)")
 
     serve = commands.add_parser(
         "serve",
@@ -236,8 +180,6 @@ def main(argv: list[str] | None = None,
     commands = {
         "compress": _cmd_compress,
         "query": _cmd_query,
-        "perf": _cmd_perf,
-        "top": _cmd_top,
         "serve": _cmd_serve,
         "trace": _cmd_trace,
         "stats": _cmd_stats,
@@ -262,9 +204,7 @@ def _cmd_compress(args, out) -> int:
     # Undecoded line ends: the XML parser normalizes them (XML 1.0 §2.11).
     xml_text = args.input.read_bytes().decode("utf-8")
     if args.workload is not None:
-        queries = [line.strip() for line in
-                   args.workload.read_text(encoding="utf-8").splitlines()
-                   if line.strip()]
+        queries = _query_lines(args.workload)
         config = tuned_configuration(load_document(xml_text), queries)
         repository = load_document(xml_text, configuration=config)
         print(f"workload: {len(queries)} queries, "
@@ -276,6 +216,13 @@ def _cmd_compress(args, out) -> int:
     print(f"compressed {report.original} -> {report.total} bytes "
           f"(CF {report.compression_factor:.3f})", file=out)
     return 0
+
+
+def _query_lines(path: Path) -> list[str]:
+    """The non-blank lines of a one-query-per-line file."""
+    return [line.strip() for line in
+            path.read_text(encoding="utf-8").splitlines()
+            if line.strip()]
 
 
 def _cmd_query(args, out) -> int:
@@ -320,63 +267,6 @@ def _cmd_query(args, out) -> int:
     return 0
 
 
-def _cmd_perf(args, out) -> int:
-    import json
-
-    from repro.service.slo import LatencyObjective, render_slo_report
-
-    queries = _read_query_mix(args)
-    if not queries:
-        print("error: perf report needs --query or --queries-file",
-              file=out)
-        return 1
-    try:
-        objectives = [LatencyObjective.parse(spec)
-                      for spec in args.slo or []]
-    except ValueError as exc:
-        print(f"error: {exc}", file=out)
-        return 1
-    repository = load_repository(args.repository)
-    session = Session(repository)
-    for _ in range(max(args.repeat, 1)):
-        for result in session.execute_many(queries,
-                                           max_workers=args.workers):
-            len(result.items)
-    report = session.slo_report(objectives)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True), file=out)
-    else:
-        print(render_slo_report(report), file=out)
-    return 1 if any(not check["ok"]
-                    for check in report["objectives"]) else 0
-
-
-def _cmd_top(args, out) -> int:
-    from repro.service.top import build_source, run_top
-
-    queries = _read_query_mix(args)
-    try:
-        source = build_source(args.target, queries=queries,
-                              workers=args.workers,
-                              slow_threshold_ms=args.slow_ms)
-    except ValueError as exc:
-        print(f"error: {exc}", file=out)
-        return 1
-    return run_top(source, out, interval=args.interval,
-                   once=args.once)
-
-
-def _read_query_mix(args) -> list[str]:
-    """``--query`` values plus the non-blank lines of ``--queries-file``."""
-    queries = list(getattr(args, "query", None) or [])
-    if args.queries_file is not None:
-        queries.extend(
-            line.strip() for line in
-            args.queries_file.read_text(encoding="utf-8").splitlines()
-            if line.strip())
-    return queries
-
-
 def _cmd_serve(args, out) -> int:
     import signal as signal_module
 
@@ -386,7 +276,8 @@ def _cmd_serve(args, out) -> int:
     )
 
     repository = load_repository(args.repository)
-    queries = _read_query_mix(args)
+    queries = [] if args.queries_file is None \
+        else _query_lines(args.queries_file)
     admission = AdmissionController(max_inflight=args.max_inflight,
                                     per_client=args.per_client)
     database = ShardedDatabase(repository, shard_count=args.shards,

@@ -11,11 +11,10 @@ never import it; a run's access counts are its ``EvaluationStats``):
   (Figure 4 access paths); an untraced run has no tracer and its
   span sites get one shared no-op span;
 * :class:`~repro.obs.metrics.MetricsRegistry` — named counters,
-  gauges and histograms (exact lifetime count/total/max plus a
-  fixed-memory rolling window for p50/p95/p99 and rate);
-* :mod:`~repro.obs.export` — the registry rendered as (and parsed
-  back from) Prometheus text exposition, the serving telemetry
-  plane's scrape format;
+  gauges and histograms (a traced run's exact per-operator
+  distributions);
+* :mod:`~repro.obs.export` — a registry's counters and gauges
+  rendered as Prometheus text exposition, the ``/metrics`` format;
 * :class:`~repro.obs.telemetry.Telemetry` — one tracer + one registry
   + the run's ``EvaluationStats`` per *traced* query run,
   JSON-exportable (``to_json``) for benchmark reports and the
@@ -28,7 +27,6 @@ never import it; a run's access counts are its ``EvaluationStats``):
 
 from repro.obs.export import (
     PROMETHEUS_CONTENT_TYPE,
-    parse_prometheus,
     render_prometheus,
 )
 from repro.obs.journal import WorkloadJournal
@@ -60,7 +58,6 @@ __all__ = [
     "Tracer",
     "WatchedLock",
     "WorkloadJournal",
-    "parse_prometheus",
     "render_prometheus",
     "watch_session",
 ]

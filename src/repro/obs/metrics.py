@@ -5,10 +5,10 @@ A :class:`MetricsRegistry` is what a serving process (one per
 *traced* query run (one per :class:`~repro.obs.telemetry.Telemetry`)
 keep their books in.  :class:`Counter` only counts up, :class:`Gauge`
 holds the latest value of a quantity that moves both ways, and
-:class:`Histogram` is the one distribution kind: exact lifetime
-count / total / max plus a fixed-memory ring of time buckets over the
-monotonic clock, so a long-running process reports *recent*
-p50/p95/p99 and rate-per-second without growing.
+:class:`Histogram` is the one distribution kind, observed only by a
+traced run: exact count / total / max and every sample, so its
+p50/p95/p99 are exact nearest-rank percentiles.  A serving registry
+holds counters and gauges only.
 
 Thread safety: every mutation takes the metric's own lock and the
 registry's get-or-create / snapshot paths take the registry lock, so a
@@ -19,11 +19,7 @@ holding one.
 
 from __future__ import annotations
 
-import random
 import threading
-import zlib
-
-from repro.util.clock import NS_PER_S, now_ns
 
 
 class Counter:
@@ -61,7 +57,7 @@ class Counter:
 
 class Gauge:
     """A named, settable value — the latest reading of a quantity that
-    can move both ways (resident bytes, hit rate, threshold).
+    can move both ways (resident bytes, threshold, worker pid).
 
     Unlike :class:`Counter` there is no monotonicity contract;
     :meth:`set` replaces and :meth:`add` adjusts in either direction.
@@ -95,161 +91,72 @@ class Gauge:
         return f"<Gauge {self.name}={self.value}>"
 
 
-#: histogram window: one minute of 5 s buckets.
-WINDOW_SECONDS = 60.0
-WINDOW_BUCKETS = 12
-
-#: retained samples per window bucket (memory bound per histogram:
-#: buckets * cap floats).
-WINDOW_BUCKET_SAMPLE_CAP = 256
-
 #: the percentiles :meth:`Histogram.summary` quotes.
 PERCENTILES = (50.0, 95.0, 99.0)
 
 
-class _Bucket:
-    """One time bucket of a :class:`Histogram` (no locking — the
-    owning histogram guards it)."""
-
-    __slots__ = ("epoch", "count", "samples")
-
-    def __init__(self):
-        self.epoch = -1
-        self.count = 0
-        self.samples: list[float] = []
-
-
 class Histogram:
-    """A named distribution: exact lifetime scalars + a rolling window.
+    """A named distribution, exact: count / total / max and every
+    sample.
 
-    ``count`` / ``total`` / ``max`` are exact over every observation
-    ever made.  Percentiles and the rate come from a ring of
-    ``buckets`` time buckets, each ``window_s / buckets`` seconds wide;
-    a bucket is recycled in place when its ring slot comes around
-    again, so memory never exceeds ``buckets * bucket_sample_cap``
-    retained floats however long the process serves.  A bucket keeps
-    its first ``bucket_sample_cap`` observations verbatim and a
-    uniform reservoir (Vitter's algorithm R) beyond that, seeded from
-    a CRC of the metric name — not ``hash()``, which
-    ``PYTHONHASHSEED`` randomises per process — so two processes fed
-    the same stream report the same percentiles.
-
-    ``clock`` is injectable (monotonic nanoseconds) for tests; the
-    default is :func:`repro.util.clock.now_ns`, the clock every other
-    measurement layer uses.
+    Only a traced run's :class:`~repro.obs.telemetry.Telemetry`
+    observes into one, and a run is bounded, so keeping each sample
+    costs what the run's span count costs.  Percentiles are
+    nearest-rank over all of them.
     """
 
-    __slots__ = ("name", "window_ns", "bucket_ns", "buckets",
-                 "bucket_sample_cap", "_count", "_total", "_max",
-                 "_ring", "_rng", "_clock", "_lock")
+    __slots__ = ("name", "_total", "_max", "_samples", "_lock")
 
-    GUARDED_BY = {"_count": "_lock", "_total": "_lock",
-                  "_max": "_lock", "_ring": "_lock"}
+    GUARDED_BY = {"_total": "_lock", "_max": "_lock",
+                  "_samples": "_lock"}
 
-    def __init__(self, name: str, window_s: float = WINDOW_SECONDS,
-                 buckets: int = WINDOW_BUCKETS,
-                 bucket_sample_cap: int = WINDOW_BUCKET_SAMPLE_CAP,
-                 clock=None):
-        if window_s <= 0:
-            raise ValueError(f"histogram {name!r}: window_s must be "
-                             f"positive, got {window_s}")
-        if buckets < 2:
-            raise ValueError(f"histogram {name!r}: need >= 2 buckets, "
-                             f"got {buckets}")
-        if bucket_sample_cap < 1:
-            raise ValueError(f"histogram {name!r}: bucket sample cap "
-                             f"must be >= 1, got {bucket_sample_cap}")
+    def __init__(self, name: str):
         self.name = name
-        self.window_ns = int(window_s * NS_PER_S)
-        self.buckets = buckets
-        self.bucket_ns = max(1, self.window_ns // buckets)
-        self.bucket_sample_cap = bucket_sample_cap
-        self._count = 0
         self._total = 0.0
         self._max = 0.0
-        self._ring = [_Bucket() for _ in range(buckets)]
-        self._rng = random.Random(zlib.crc32(name.encode("utf-8")))
-        self._clock = clock if clock is not None else now_ns
+        self._samples: list[float] = []
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
-        """File one observation under the clock's current bucket."""
-        epoch = self._clock() // self.bucket_ns
+        """Record one observation."""
         with self._lock:
-            self._count += 1
-            self._total += value
-            if self._count == 1 or value > self._max:
+            if not self._samples or value > self._max:
                 self._max = value
-            bucket = self._ring[epoch % self.buckets]
-            if bucket.epoch != epoch:
-                bucket.epoch = epoch
-                bucket.count = 0
-                bucket.samples = []
-            bucket.count += 1
-            if len(bucket.samples) < self.bucket_sample_cap:
-                bucket.samples.append(value)
-            else:
-                slot = self._rng.randrange(bucket.count)
-                if slot < self.bucket_sample_cap:
-                    bucket.samples[slot] = value
+            self._total += value
+            self._samples.append(value)
 
     @property
     def count(self) -> int:
         with self._lock:
-            return self._count
-
-    def _window(self, now: int) -> tuple:  # holds: _lock
-        """``(observations, start ns of the oldest live bucket,
-        retained samples)`` of the buckets still inside the window."""
-        horizon = now // self.bucket_ns - self.buckets + 1
-        live = [b for b in self._ring
-                if b.epoch >= horizon and b.count > 0]
-        return (sum(b.count for b in live),
-                min((b.epoch for b in live), default=0) * self.bucket_ns,
-                [v for b in live for v in b.samples])
+            return len(self._samples)
 
     def percentile(self, p: float) -> float:
-        """Nearest-rank percentile of the window, ``p`` in [0, 100].
+        """Nearest-rank percentile of every sample, ``p`` in [0, 100].
 
-        Exact while no live bucket holds more than its sample cap; a
-        reservoir estimate beyond that.  Both an out-of-range ``p``
-        and an empty window raise: a fabricated 0.0 would read as
-        "this operator was instant" in a report.  (:meth:`summary`
-        stays total — it reports ``None`` percentiles instead.)
+        Both an out-of-range ``p`` and an empty histogram raise: a
+        fabricated 0.0 would read as "this operator was instant" in a
+        report.  (:meth:`summary` stays total — it reports ``None``
+        percentiles instead.)
         """
         if not 0.0 <= p <= 100.0:
             raise ValueError(
                 f"histogram {self.name!r}: percentile {p!r} outside "
                 "[0, 100]")
         with self._lock:
-            samples = self._window(self._clock())[2]
+            samples = sorted(self._samples)
         if not samples:
             raise ValueError(
                 f"histogram {self.name!r} is empty: no observations "
-                "in the window to take a percentile of")
-        samples.sort()
+                "to take a percentile of")
         return samples[round(p / 100.0 * (len(samples) - 1))]
 
     def summary(self) -> dict:
-        """count/total/max/rate_per_s/p50/p95/p99 (JSON-ready).
-
-        ``count`` / ``total`` / ``max`` are lifetime and exact.  The
-        percentiles are nearest-rank over the window's retained
-        samples (``None`` when it holds none); ``rate_per_s`` divides
-        the window's observations by the covered span — the seconds
-        between the start of the oldest live bucket and now, clamped
-        to the window — so a freshly started process reports a sane
-        rate instead of count/60.
-        """
-        now = self._clock()
+        """count/total/max/p50/p95/p99 (JSON-ready; ``None``
+        percentiles while empty)."""
         with self._lock:
-            out = {"count": self._count, "total": self._total,
+            samples = sorted(self._samples)
+            out = {"count": len(samples), "total": self._total,
                    "max": self._max}
-            in_window, oldest_start, samples = self._window(now)
-        covered_ns = min(self.window_ns,
-                         max(now - oldest_start, self.bucket_ns))
-        out["rate_per_s"] = in_window / (covered_ns / NS_PER_S)
-        samples.sort()
         last = len(samples) - 1
         for p in PERCENTILES:
             out[f"p{p:g}"] = (samples[round(p / 100.0 * last)]

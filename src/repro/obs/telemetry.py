@@ -9,8 +9,9 @@ verifier's findings and the run's
 ``QueryResult.stats`` is, so every view of the run quotes the same
 eight counters.  Span durations are mirrored into
 ``span.<name>`` histograms as spans close, so per-operator p50/p95/max
-come for free.  ``to_json()`` is the machine-readable operator profile
-attached to benchmark results and emitted by ``repro trace``.
+come for free, exact, since a run keeps every span's duration.
+``to_json()`` is the machine-readable operator profile attached to
+benchmark results and emitted by ``repro trace``.
 """
 
 from __future__ import annotations

@@ -130,10 +130,8 @@ def _operator_table(telemetry: Telemetry) -> list[str]:
         return ["-- operators: none traced --"]
     headers = ("operator", "calls", "total_ns", "p50_ns", "p95_ns",
                "max_ns")
-    # a percentile is None once its spans left the rolling window
-    rows = [[name, str(s["count"]), str(int(s["total"]))]
-            + ["n/a" if s[p] is None else str(int(s[p]))
-               for p in ("p50", "p95")] + [str(int(s["max"]))]
+    rows = [[name, str(s["count"]), str(int(s["total"])),
+             str(int(s["p50"])), str(int(s["p95"])), str(int(s["max"]))]
             for name, s in sorted(profile.items())]
     return ["-- operators --"] + table(headers, rows)
 

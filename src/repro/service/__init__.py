@@ -1,7 +1,7 @@
 """The serving layer: ``Database``/``Session`` over a resident
 compressed repository, with a prepared-plan LRU, a byte-budgeted
 decoded-block cache, and a telemetry plane (``/metrics`` endpoint,
-slow-query log, ``repro top``) behind one unified execution API."""
+slow-query log) behind one unified execution API."""
 
 from repro.query.options import ExecutionOptions
 from repro.service.blocks import (
@@ -21,12 +21,6 @@ from repro.service.session import (
     PreparedQuery,
     Session,
 )
-from repro.service.slo import (
-    LatencyObjective,
-    classify_query,
-    render_slo_report,
-    slo_report,
-)
 from repro.service.slowlog import SlowQueryLog, default_slowlog_path
 from repro.service.telemetry_http import TelemetryServer
 
@@ -34,19 +28,15 @@ __all__ = [
     "BlockCache",
     "CachedContainerView",
     "CachedRepositoryView",
-    "classify_query",
     "Database",
     "DEFAULT_BLOCK_BUDGET",
     "DEFAULT_PLAN_CAPACITY",
     "ExecutionOptions",
-    "LatencyObjective",
     "normalize_query_text",
     "PlanCache",
     "PreparedPlan",
     "PreparedQuery",
-    "render_slo_report",
     "Session",
-    "slo_report",
     "SlowQueryLog",
     "TelemetryServer",
     "default_slowlog_path",

@@ -45,11 +45,6 @@ from repro.service.cache import (
     PlanCache,
     normalize_query_text,
 )
-from repro.service.slo import (
-    classify_query,
-    observe_latency,
-    slo_report,
-)
 from repro.service.slowlog import (
     SlowQueryLog,
     snapshot_cache_counters,
@@ -68,7 +63,7 @@ class PreparedPlan:
     plan to the session it will run on.
     """
 
-    __slots__ = ("key", "text", "ast", "verified", "query_class")
+    __slots__ = ("key", "text", "ast", "verified")
 
     def __init__(self, key: str | None, text: str | None,
                  ast: Expression, verified: VerifiedPlan):
@@ -76,9 +71,6 @@ class PreparedPlan:
         self.text = text
         self.ast = ast
         self.verified = verified
-        #: SLO bucket the plan's serving latencies are filed under
-        #: (computed once here, reused by every cached-plan run).
-        self.query_class = classify_query(ast)
 
     def __repr__(self) -> str:
         return f"<PreparedPlan {self.text or type(self.ast).__name__!r}>"
@@ -267,28 +259,16 @@ class Session:
             failed = False
             return result
         finally:
-            # Per-class serving latency, failed runs included — a
-            # query that errors out still occupied the session.
-            wall_ns = elapsed_ns(start_ns)
-            observe_latency(self.metrics, prepared.plan.query_class,
-                            wall_ns)
+            # Failed runs are logged too: a query that errors out
+            # still occupied the session.
             if slow_log is not None:
                 slow_log.maybe_record(
                     query=prepared.plan.text, ast=prepared.ast,
-                    query_class=prepared.plan.query_class,
-                    wall_ns=wall_ns, telemetry=options.telemetry,
+                    wall_ns=elapsed_ns(start_ns),
+                    telemetry=options.telemetry,
                     cache_before=cache_before,
                     cache_after=snapshot_cache_counters(self.metrics),
                     error=failed)
-
-    def slo_report(self, objectives=None) -> dict:
-        """Per-query-class latency quantiles + cache hit-rate gauges.
-
-        ``objectives`` is an optional list of
-        :class:`~repro.service.slo.LatencyObjective` targets to check;
-        rendered by ``repro perf report``.
-        """
-        return slo_report(self.metrics, objectives)
 
     def _engine_for(self, options: ExecutionOptions) -> QueryEngine:
         if options.use_block_cache:

@@ -57,7 +57,6 @@ from repro.query.parser import parse_query
 from repro.query.shipping import ReceivedResultSet, receive_result
 from repro.service.cache import normalize_query_text
 from repro.service.session import Database
-from repro.service.slo import classify_query, observe_latency
 from repro.util.clock import elapsed_ns, now_ns
 
 #: seconds a worker waits between stop-flag checks while idle.
@@ -345,13 +344,11 @@ def _hash_shard(text: str, shard_count: int) -> int:
 
 @dataclasses.dataclass(frozen=True)
 class Route:
-    """A routing decision: primary worker + cross-shard flag, with
-    the SLO class the query's end-to-end latency is filed under."""
+    """A routing decision: primary worker + cross-shard flag."""
 
     primary: int
     cross_shard: bool
     keys: tuple[str, ...]
-    query_class: str = "other"
 
 
 def resolve_route(assignment: ShardAssignment, keys: Sequence[str],
@@ -408,12 +405,12 @@ class ShardedDatabase:
     :meth:`Session.execute <repro.service.session.Session.execute>`.
 
     Duck-types the telemetry surface (``metrics`` / ``uptime_ns`` /
-    ``ready`` / ``slow_log``), so :meth:`serve_telemetry` exposes the
-    coordinator — its own ``session.executions`` and per-class
-    ``slo.latency_ns.*`` end-to-end latencies, with every worker's
-    counters folded in under ``shard.<i>.`` names — on the standard
-    ``/metrics`` endpoint, readable by ``repro top`` like a
-    single-process :class:`~repro.service.session.Database`.
+    ``ready``), so :meth:`serve_telemetry` exposes the coordinator —
+    its own ``session.executions`` and ``coordinator.*`` counters, with
+    every worker's counters and gauges folded in under ``shard.<i>.``
+    names — on the same ``/metrics`` endpoint as a single-process
+    :class:`~repro.service.session.Database`.  It keeps no slow log:
+    its ``/slowlog`` answers ``enabled: false``.
     """
 
     #: the worker pool: ``_live`` holds the workers not known dead,
@@ -427,7 +424,6 @@ class ShardedDatabase:
                  assignment: ShardAssignment | None = None,
                  queries: Sequence[str] = (),
                  metrics: MetricsRegistry | None = None,
-                 slow_log=None,
                  admission: AdmissionController | None = None):
         self.repository = repository
         self.collection = dict(collection) if collection else {}
@@ -438,7 +434,6 @@ class ShardedDatabase:
         self.shard_count = assignment.shard_count
         self.metrics = metrics if metrics is not None \
             else MetricsRegistry()
-        self.slow_log = slow_log
         self.admission = admission if admission is not None \
             else AdmissionController()
         self._workers: list[ShardWorker] = []
@@ -526,10 +521,8 @@ class ShardedDatabase:
             route = self._routes.get(key)
         if route is not None:
             return route
-        ast = parse_query(query)
-        route = dataclasses.replace(
-            resolve_route(self.assignment, query_route_keys(ast), key),
-            query_class=classify_query(ast))
+        route = resolve_route(self.assignment,
+                              query_route_keys(parse_query(query)), key)
         with self._routes_lock:
             self._routes[key] = route
         return route
@@ -550,18 +543,12 @@ class ShardedDatabase:
             if route.cross_shard:
                 self.metrics.add("coordinator.cross_shard_queries")
             self.metrics.add(f"shard.{route.primary}.routed")
-            start_ns = now_ns()
+            worker = self._acquire(route.primary)
             try:
-                worker = self._acquire(route.primary)
-                try:
-                    frame = worker.request(("execute", query))
-                finally:
-                    self._release(worker)
-                received = receive_result(frame)
+                frame = worker.request(("execute", query))
             finally:
-                # End-to-end, failed runs included (as Session._run).
-                observe_latency(self.metrics, route.query_class,
-                                elapsed_ns(start_ns))
+                self._release(worker)
+            received = receive_result(frame)
             self.metrics.add("shipping.wire_bytes", len(frame))
             self.metrics.add("shipping.plain_bytes",
                              received.plain_bytes)

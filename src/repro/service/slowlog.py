@@ -1,8 +1,8 @@
 """Structured slow-query log with exemplar traces.
 
-A slow query on a serving session used to vanish the moment its
-latency histogram absorbed it — no record of *which* query, *what
-plan*, or *where the time went*.  This module keeps that record:
+The serving registry only counts executions, so a slow query leaves no
+trace of *which* query, *what plan*, or *where the time went*.  This
+module keeps that record:
 
 * every over-threshold execution appends one JSONL record — via the
   atomic single-line appends of
@@ -11,16 +11,15 @@ plan*, or *where the time went*.  This module keeps that record:
   fingerprint** (hash of the normalized text, the plan-cache key),
   a **plan fingerprint** (hash of the rendered evaluation strategy,
   so differently-spelled queries with one plan group together), the
-  SLO query class, the latency, and the plan/block-cache hit deltas
-  of the run;
+  latency, and the plan/block-cache hit deltas of the run;
 * at most **1-in-N** executions (``exemplar_rate``) run traced, with
   a per-run telemetry; when such a sampled run turns out slow, its
   EXPLAIN-ANALYZE-style per-operator span breakdown is attached to
   the record as the *exemplar* — a trace of where a real slow
   execution spent its time, captured automatically, without paying
   span overhead on the other N-1 runs;
-* a bounded in-memory ring of the latest records feeds ``repro top``
-  and the ``/slowlog`` endpoint without touching the file.
+* a bounded in-memory ring of the latest records feeds the
+  ``/slowlog`` endpoint without touching the file.
 
 :meth:`Session._run <repro.service.session.Session._run>` drives both
 halves: :meth:`maybe_sample` before the run (the 1-in-N telemetry
@@ -164,8 +163,7 @@ class SlowQueryLog:
             self.metrics.add("slowlog.sampled")
         return Telemetry()
 
-    def maybe_record(self, *, query: str | None, ast,
-                     query_class: str, wall_ns: int,
+    def maybe_record(self, *, query: str | None, ast, wall_ns: int,
                      telemetry: Telemetry | None = None,
                      cache_before: dict | None = None,
                      cache_after: dict | None = None,
@@ -187,7 +185,6 @@ class SlowQueryLog:
             "query": query,
             "query_fingerprint": query_fingerprint(query),
             "plan_fingerprint": plan_fingerprint(ast),
-            "class": query_class,
             "wall_ns": wall_ns,
             "wall_ms": wall_ns / (NS_PER_S / 1000.0),
             "threshold_ms": self.threshold_ms,
@@ -260,9 +257,7 @@ def _exemplar(telemetry: Telemetry | None) -> dict | None:
         "operators": {
             name: {"count": summary["count"],
                    "total_ns": int(summary["total"]),
-                   # None once the span left the rolling window
-                   "p95_ns": None if summary["p95"] is None
-                   else int(summary["p95"]),
+                   "p95_ns": int(summary["p95"]),
                    "max_ns": int(summary["max"])}
             for name, summary in operators.items()
         },

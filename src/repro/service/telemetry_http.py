@@ -1,14 +1,13 @@
 """The embedded telemetry HTTP endpoint a :class:`Database` owns.
 
 A resident serving process needs an export surface an operator (or a
-Prometheus scraper, or ``repro top``) can poll without touching the
-process: a stdlib :mod:`http.server` bound to localhost by default,
-serving
+Prometheus scraper) can poll without touching the process: a stdlib
+:mod:`http.server` bound to localhost by default, serving
 
-* ``/metrics`` — the shared registry in Prometheus text exposition
-  (:func:`repro.obs.export.render_prometheus`), counters + gauges +
-  histograms, plus derived gauges (uptime, plan/block-cache hit
-  rates);
+* ``/metrics`` — the shared registry's counters and gauges in
+  Prometheus text exposition
+  (:func:`repro.obs.export.render_prometheus`), plus the uptime
+  gauge;
 * ``/health``  — liveness: 200 with uptime/served JSON while the
   exporter thread runs;
 * ``/ready``   — readiness: 200 once the repository is loaded and the
@@ -35,7 +34,6 @@ from repro.obs.export import (
     PROMETHEUS_CONTENT_TYPE,
     render_prometheus,
 )
-from repro.service.slo import cache_rates
 from repro.util.clock import NS_PER_S
 
 #: default number of slow-log records ``/slowlog`` returns.
@@ -98,17 +96,6 @@ class TelemetryServer:
         return f"<TelemetryServer {state} {self.url}>"
 
 
-def derived_gauges(database) -> dict[str, float]:
-    """Gauges computed at scrape time, not stored in the registry."""
-    gauges = {"telemetry.uptime_s":
-              database.uptime_ns() / NS_PER_S}
-    for cache, rate in cache_rates(
-            database.metrics.counters()).items():
-        if rate["hit_rate"] is not None:
-            gauges[f"cache.{cache}.hit_rate"] = rate["hit_rate"]
-    return gauges
-
-
 def _handler_class(database):
     """A request-handler class closed over one database."""
 
@@ -122,8 +109,9 @@ def _handler_class(database):
             route = parsed.path.rstrip("/") or "/"
             if route == "/metrics":
                 body = render_prometheus(
-                    database.metrics,
-                    extra_gauges=derived_gauges(database))
+                    database.metrics, extra_gauges={
+                        "telemetry.uptime_s":
+                            database.uptime_ns() / NS_PER_S})
                 self._reply(200, body.encode("utf-8"),
                             PROMETHEUS_CONTENT_TYPE)
             elif route == "/health":

@@ -1,10 +1,9 @@
 """The one monotonic clock every measurement layer shares.
 
-Spans (:mod:`repro.obs.tracer`), rolling-window metrics
-(:mod:`repro.obs.metrics`) and the serving layer's latency, slow-log
-and SLO accounting (:mod:`repro.service`) all time things in **integer
-nanoseconds on the same monotonic clock** and convert to seconds only
-at the reporting edge.
+Spans (:mod:`repro.obs.tracer`) and the serving layer's slow-log
+latencies and uptime (:mod:`repro.service`) all time things in
+**integer nanoseconds on the same monotonic clock** and convert to
+seconds only at the reporting edge.
 """
 
 from __future__ import annotations

@@ -1,13 +1,7 @@
-"""Prometheus exposition: render/parse round trip."""
+"""Prometheus exposition of a registry's counters and gauges."""
 
-import pytest
-
-from repro.obs.export import (
-    PROMETHEUS_CONTENT_TYPE,
-    parse_prometheus,
-    render_prometheus,
-)
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.export import PROMETHEUS_CONTENT_TYPE, render_prometheus
+from repro.obs.metrics import MetricsRegistry
 
 
 def populated_registry() -> MetricsRegistry:
@@ -15,10 +9,7 @@ def populated_registry() -> MetricsRegistry:
     registry.add("cache.plan.hit", 7)
     registry.add("cache.plan.miss", 3)
     registry.set_gauge("slowlog.threshold_ms", 100.0)
-    for value in (1.0, 2.0, 3.0):
-        registry.observe("span.Execute", value)
-    for value in (10.0, 20.0, 30.0, 40.0):
-        registry.observe("slo.latency_ns.point", value)
+    registry.set_gauge("cache.block.resident_bytes", 1536.5)
     return registry
 
 
@@ -26,14 +17,12 @@ class TestRender:
     def test_families_and_values(self):
         text = render_prometheus(populated_registry())
         assert '# TYPE repro_counter counter' in text
+        assert '# TYPE repro_gauge gauge' in text
         assert 'repro_counter{name="cache.plan.hit"} 7' in text
         assert 'repro_gauge{name="slowlog.threshold_ms"} 100' in text
-        assert 'repro_histogram_count{name="span.Execute"} 3' in text
-        assert 'repro_histogram_count{name="slo.latency_ns.point"} 4' \
+        assert 'repro_gauge{name="cache.block.resident_bytes"} 1536.5' \
             in text
-        assert ('repro_histogram{name="slo.latency_ns.point",'
-                'quantile="p95"} 40') in text
-        assert "repro_window" not in text
+        assert "repro_histogram" not in text
         assert text.endswith("\n")
 
     def test_extra_gauges_do_not_touch_the_registry(self):
@@ -47,8 +36,8 @@ class TestRender:
         registry = MetricsRegistry()
         registry.add('weird"name\\with\nstuff')
         text = render_prometheus(registry)
-        parsed = parse_prometheus(text)
-        assert parsed["counters"]['weird"name\\with\nstuff'] == 1
+        assert 'repro_counter{name="weird\\"name\\\\with\\nstuff"} 1' \
+            in text
 
     def test_content_type_names_the_format_version(self):
         assert "version=0.0.4" in PROMETHEUS_CONTENT_TYPE
@@ -56,50 +45,27 @@ class TestRender:
 
 class TestRoundTrip:
     def test_scrape_sees_what_a_reader_sees(self):
+        """One line per counter and per gauge, carrying the value an
+        in-process reader sees, and nothing else."""
         registry = populated_registry()
-        parsed = parse_prometheus(render_prometheus(registry))
-        assert parsed["counters"] == registry.counters()
-        assert parsed["gauges"] == registry.gauges()
-        for name in ("span.Execute", "slo.latency_ns.point"):
-            hist = registry.histograms()[name]
-            scraped = parsed["histograms"][name]
-            assert sorted(scraped) == sorted(hist)
-            for key in ("count", "total", "max", "p50", "p95", "p99"):
-                assert scraped[key] == hist[key]
-            # the rate is over the real clock: it moves between reads
-            assert scraped["rate_per_s"] == pytest.approx(
-                hist["rate_per_s"], rel=0.2)
-
-    def test_unanswerable_quantiles_are_left_out(self):
-        clock_ns = [1_000_000_000]
-        registry = MetricsRegistry()
-        registry._histograms["old"] = Histogram(
-            "old", clock=lambda: clock_ns[0])
-        registry.observe("old", 5.0)
-        clock_ns[0] += 600 * 1_000_000_000  # ten minutes idle
-        text = render_prometheus(registry)
-        assert 'repro_histogram_count{name="old"} 1' in text
-        assert 'quantile=' not in text
-        assert parse_prometheus(text)["histograms"]["old"] == {
-            "count": 1.0, "total": 5.0, "max": 5.0, "rate_per_s": 0.0}
-
-    def test_parser_skips_foreign_families(self):
-        text = ("# HELP something else\n"
-                "go_goroutines 42\n"
-                'other_family{name="x"} 1\n'
-                'repro_counter{name="kept"} 5\n')
-        parsed = parse_prometheus(text)
-        assert parsed["counters"] == {"kept": 5}
+        registry.observe("span.Execute", 1.0)  # never exported
+        lines = render_prometheus(registry).splitlines()
+        expected = (
+            ["# TYPE repro_counter counter"]
+            + [f'repro_counter{{name="{name}"}} {value}'
+               for name, value in registry.counters().items()]
+            + ["# TYPE repro_gauge gauge"]
+            + [f'repro_gauge{{name="{name}"}} {value:g}'
+               for name, value in registry.gauges().items()])
+        assert lines == expected
 
     def test_empty_registry_round_trips(self):
-        parsed = parse_prometheus(
-            render_prometheus(MetricsRegistry()))
-        assert parsed == {"counters": {}, "gauges": {},
-                          "histograms": {}}
+        assert render_prometheus(MetricsRegistry()) == (
+            "# TYPE repro_counter counter\n# TYPE repro_gauge gauge\n")
 
 
 class TestShardLabels:
-    """Per-shard folded names render as a shard= label, losslessly."""
+    """Per-shard folded names render as a shard= label."""
 
     def test_shard_ordinal_lifted_into_label(self):
         registry = MetricsRegistry()
@@ -113,15 +79,16 @@ class TestShardLabels:
                 'shard="12"} 7') in text
         assert 'repro_gauge{name="shard.pid",shard="3"} 999' in text
 
-    def test_parse_folds_shard_label_back(self):
+    def test_coordinator_names_keep_no_shard_label(self):
         registry = MetricsRegistry()
         registry.add("shard.1.cache.plan.hit", 5)
         registry.add("coordinator.queries", 2)
-        registry.observe("shard.1.span.Execute", 1.5)
-        back = parse_prometheus(render_prometheus(registry))
-        assert back["counters"]["shard.1.cache.plan.hit"] == 5
-        assert back["counters"]["coordinator.queries"] == 2
-        assert "shard.1.span.Execute" in back["histograms"]
+        registry.set_gauge("shard.id", 1)
+        lines = render_prometheus(registry).splitlines()
+        assert 'repro_counter{name="cache.plan.hit",shard="1"} 5' \
+            in lines
+        assert 'repro_counter{name="coordinator.queries"} 2' in lines
+        assert 'repro_gauge{name="shard.id"} 1' in lines
 
     def test_non_ordinal_shard_prefix_stays_whole(self):
         registry = MetricsRegistry()

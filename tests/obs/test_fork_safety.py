@@ -111,7 +111,7 @@ class TestSlowLogForkSafety:
         def child():
             for i in range(10):
                 log.maybe_record(query=f"child q{i}", ast=None,
-                                 query_class="point", wall_ns=10_000)
+                                 wall_ns=10_000)
             log.close()
             os._exit(0)
 
@@ -120,7 +120,7 @@ class TestSlowLogForkSafety:
             worker.start()
         for i in range(10):
             log.maybe_record(query=f"parent q{i}", ast=None,
-                             query_class="point", wall_ns=10_000)
+                             wall_ns=10_000)
         for worker in workers:
             worker.join(timeout=30)
             assert worker.exitcode == 0

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.obs.metrics import Histogram
 from repro.query.analyze import explain_analyze
 from repro.query.engine import QueryEngine
 from repro.storage.loader import load_document
@@ -138,6 +139,47 @@ class TestHashJoin:
         assert profile["MergeJoin.build"]["count"] == 1
         assert profile["MergeJoin"]["count"] == 1
         assert "HashJoin.build" not in profile
+
+
+def rendered_operators(text: str) -> dict[str, tuple[int, ...]]:
+    """Parse the ``-- operators --`` table: name -> (calls, total_ns,
+    p50_ns, p95_ns, max_ns)."""
+    lines = text.splitlines()
+    start = lines.index("-- operators --") + 2  # past the header row
+    out = {}
+    for line in lines[start:]:
+        if not line.strip():
+            break
+        name, *numbers = line.split()
+        out[name] = tuple(int(number) for number in numbers)
+    return out
+
+
+class TestOperatorPercentiles:
+    def test_rows_quote_nearest_rank_of_the_runs_spans(self, engine,
+                                                        monkeypatch):
+        observed: dict[str, list[float]] = {}
+        observe = Histogram.observe
+
+        def recording(self, value):
+            observed.setdefault(self.name, []).append(value)
+            observe(self, value)
+
+        monkeypatch.setattr(Histogram, "observe", recording)
+        report = explain_analyze(JOIN_QUERY, engine)
+        rows = rendered_operators(report.text)
+        assert max(len(values) for values in observed.values()) > 1
+        assert set(rows) == {name.removeprefix("span.")
+                             for name in observed}
+        for name, values in observed.items():
+            ranked = sorted(values)
+
+            def rank(p):
+                return int(ranked[round(p / 100 * (len(ranked) - 1))])
+
+            assert rows[name.removeprefix("span.")] == (
+                len(ranked), int(sum(ranked)), rank(50), rank(95),
+                int(ranked[-1]))
 
 
 class TestJsonExport:

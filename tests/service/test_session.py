@@ -54,6 +54,15 @@ class TestExecute:
         session.execute(QUERY)
         assert session.metrics.counters()["session.executions"] == 2
 
+    def test_untraced_runs_leave_no_histograms(self, session):
+        """The serving registry counts; only a traced run's own
+        registry holds distributions."""
+        session.execute(QUERY)
+        session.execute_many([QUERY, "/library/book/title"] * 2,
+                             max_workers=2)
+        assert session.metrics.counters()["session.executions"] == 5
+        assert session.metrics.histograms() == {}
+
 
 class TestPlanCache:
     def test_warm_hit_skips_parse_and_verify(self, repository,
@@ -206,7 +215,7 @@ class TestRecording:
 
         from repro.obs.metrics import MetricsRegistry
         from repro.obs.tracer import Tracer
-        for _ in range(2):  # plan + class histogram, then hit counters
+        for _ in range(2):  # plan + miss counters, then hit counters
             session.execute(QUERY)
         built = []
 

@@ -6,12 +6,14 @@ compressed result frame back) is **byte-identical** to single-process
 ``Session.execute`` — at shard counts 1, 2 and 4.
 """
 
+import json
 import multiprocessing
 import os
 import signal
 import sys
 import threading
 import time
+from urllib.request import urlopen
 
 import pytest
 
@@ -272,45 +274,52 @@ class TestLifecycle:
             assert gauges.get(f"shard.{shard}.shard.pid", 0) > 0
 
     def test_console_sees_the_sharded_plane(self, repository):
-        """``repro top`` against a coordinator's endpoint reads the
-        rows ``slo_report`` computes from the coordinator's registry:
-        served count, per-class end-to-end latencies, and the
-        workers' cache counters summed into one hit rate."""
-        from repro.service.slo import slo_report
-        from repro.service.top import ScrapeSource, render_top
+        """The coordinator's endpoint carries the workers' folded cache
+        counters: three texts each served four times or twice over two
+        shards plan three times and hit seven times, wherever the pool
+        put each run."""
         texts = [QUERIES[qid] for qid in ("Q1", "Q5", "Q8", "Q1", "Q5")]
         with ShardedDatabase(repository, shard_count=2) as database:
             with database.serve_telemetry() as server:
                 for text in texts + texts:
                     database.execute(text)
                 database.gather_metrics()
-                snapshot = ScrapeSource(server.url).sample()
-                report = slo_report(database.metrics)
-        assert snapshot["served"] == 10
-        assert snapshot["caches"] == report["caches"]
-        assert report["caches"]["plan"]["hit"] == 7  # 3 texts planned
-        assert sum(row["count"]
-                   for row in report["classes"].values()) == 10
-        assert set(snapshot["classes"]) == set(report["classes"])
-        text = render_top(snapshot)
-        assert "served 10" in text
-        assert "plan 70.0% (7/10)" in text
-        assert "no traffic" not in text
-        for query_class, row in report["classes"].items():
-            scraped = snapshot["classes"][query_class]
-            # the rate is over the real clock: it moves between reads
-            assert scraped.pop("qps") == pytest.approx(
-                row.pop("qps"), rel=0.05)
-            assert scraped == row
+                with urlopen(server.url + "/metrics",
+                             timeout=5.0) as response:
+                    lines = response.read().decode().splitlines()
+        counters = database.metrics.counters()
+        assert counters["session.executions"] == 10
+        folded = {outcome: sum(
+            counters.get(f"shard.{i}.cache.plan.{outcome}", 0)
+            for i in range(2)) for outcome in ("hit", "miss")}
+        assert folded == {"hit": 7, "miss": 3}  # 3 texts planned
+        assert 'repro_counter{name="session.executions"} 10' in lines
+        rendered = {outcome: sum(
+            int(line.rsplit(" ", 1)[1]) for line in lines
+            if line.startswith(f'repro_counter{{name="cache.plan.'
+                               f'{outcome}",shard="'))
+            for outcome in ("hit", "miss")}
+        assert rendered == folded
 
-    def test_route_carries_the_query_class(self, sharded):
-        from repro.service.slo import classify_query
-        for text in QUERIES.values():
-            assert sharded.route(text).query_class == \
-                classify_query(parse_query(text))
-        assert sharded.route(QUERIES["Q4"]).query_class == "point"
-        assert sharded.route(QUERIES["Q4"]) \
-            is sharded.route(QUERIES["Q4"])  # classified once
+    def test_coordinator_keeps_no_slow_log(self, repository):
+        """Only worker sessions run queries, so the coordinator has no
+        slow log to offer: ``/slowlog`` says so."""
+        with pytest.raises(TypeError):
+            ShardedDatabase(repository, shard_count=1, slow_log=None)
+        with ShardedDatabase(repository, shard_count=1) as database:
+            database.execute(QUERIES["Q1"])
+            with database.serve_telemetry() as server:
+                with urlopen(server.url + "/slowlog",
+                             timeout=5.0) as response:
+                    document = json.loads(response.read())
+        assert document == {"enabled": False, "records": []}
+
+    def test_coordinator_registry_holds_no_histograms(self, sharded):
+        sharded.execute(QUERIES["Q1"], client="hist")
+        sharded.execute_many([QUERIES["Q1"], QUERIES["Q5"]],
+                             client="hist")
+        sharded.gather_metrics()
+        assert sharded.metrics.histograms() == {}
 
     def test_invalidate_reaches_workers(self, sharded):
         sharded.execute(QUERIES["Q1"], client="inv")

@@ -61,8 +61,7 @@ class TestThresholdGating:
     def test_under_threshold_records_nothing(self):
         log = SlowQueryLog(threshold_ms=1000.0)
         record = log.maybe_record(
-            query="/library/book", ast=None, query_class="path",
-            wall_ns=1_000_000)  # 1 ms
+            query="/library/book", ast=None, wall_ns=1_000_000)  # 1 ms
         assert record is None
         assert log.recent() == []
 
@@ -70,9 +69,8 @@ class TestThresholdGating:
         log = SlowQueryLog(threshold_ms=1.0)
         record = log.maybe_record(
             query="/library/book", ast=parse_query("/library/book"),
-            query_class="path", wall_ns=5_000_000)  # 5 ms
+            wall_ns=5_000_000)  # 5 ms
         assert record is not None
-        assert record["class"] == "path"
         assert record["wall_ms"] == pytest.approx(5.0)
         assert record["query_fingerprint"]
         assert record["plan_fingerprint"]
@@ -82,8 +80,7 @@ class TestThresholdGating:
     def test_ring_is_bounded(self):
         log = SlowQueryLog(threshold_ms=0.0, keep=3)
         for i in range(10):
-            log.maybe_record(query=f"q{i}", ast=None,
-                             query_class="other", wall_ns=1)
+            log.maybe_record(query=f"q{i}", ast=None, wall_ns=1)
         recent = log.recent()
         assert len(recent) == 3
         assert [r["query"] for r in recent] == ["q7", "q8", "q9"]
@@ -91,8 +88,7 @@ class TestThresholdGating:
     def test_recent_n(self):
         log = SlowQueryLog(threshold_ms=0.0)
         for i in range(5):
-            log.maybe_record(query=f"q{i}", ast=None,
-                             query_class="other", wall_ns=1)
+            log.maybe_record(query=f"q{i}", ast=None, wall_ns=1)
         assert [r["query"] for r in log.recent(2)] == ["q3", "q4"]
 
 
@@ -120,7 +116,7 @@ class TestJournalPersistence:
         path = tmp_path / "lib.slowlog.jsonl"
         with SlowQueryLog(path, threshold_ms=0.0) as log:
             log.maybe_record(query="/library/book", ast=None,
-                             query_class="path", wall_ns=123)
+                             wall_ns=123)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1
         record = json.loads(lines[0])
@@ -139,7 +135,7 @@ class TestMetricsWiring:
                            metrics=metrics)
         assert metrics.gauges()["slowlog.threshold_ms"] == 7.0
         log.maybe_sample()
-        log.maybe_record(query="q", ast=None, query_class="other",
+        log.maybe_record(query="q", ast=None,
                          wall_ns=10_000_000)
         counters = metrics.counters()
         assert counters["slowlog.sampled"] == 1
@@ -154,7 +150,7 @@ class TestSessionIntegration:
         result = session.execute("/library/book/title")
         assert len(result.items) == 2
         [record] = log.recent()
-        assert record["class"] == "path"
+        assert record["query"] == "/library/book/title"
         assert record["wall_ns"] > 0
         assert record["exemplar"] is not None
         assert record["exemplar"]["operators"]

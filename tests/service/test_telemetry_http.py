@@ -6,7 +6,6 @@ from urllib.request import urlopen
 
 import pytest
 
-from repro.obs.export import parse_prometheus
 from repro.service.session import Database
 from repro.service.slowlog import SlowQueryLog
 
@@ -38,11 +37,17 @@ class TestEndpoints:
         with database.serve_telemetry() as server:
             status, body = get(server.url + "/metrics")
         assert status == 200
-        scraped = parse_prometheus(body.decode())
-        assert scraped["counters"]["session.executions"] == 3
-        assert sorted(scraped) == ["counters", "gauges", "histograms"]
-        assert scraped["histograms"]["slo.latency_ns.path"]["count"] == 3
-        assert scraped["gauges"]["telemetry.uptime_s"] > 0
+        lines = body.decode().splitlines()
+        assert 'repro_counter{name="session.executions"} 3' in lines
+        assert 'repro_counter{name="cache.plan.hit"} 2' in lines
+        assert 'repro_gauge{name="slowlog.threshold_ms"} 0' in lines
+        uptime = [line for line in lines if line.startswith(
+            'repro_gauge{name="telemetry.uptime_s"} ')]
+        assert len(uptime) == 1 and float(uptime[0].split()[-1]) > 0
+        # counters and gauges only: no family beyond the two
+        assert {line.split("{")[0] for line in lines
+                if not line.startswith("#")} \
+            == {"repro_counter", "repro_gauge"}
 
     def test_metrics_content_type(self, database):
         with database.serve_telemetry() as server:
@@ -74,7 +79,7 @@ class TestEndpoints:
         document = json.loads(body)
         assert document["enabled"] is True
         assert len(document["records"]) == 2
-        assert document["records"][-1]["class"] == "path"
+        assert document["records"][-1]["query"] == "/library/book/title"
 
     def test_unknown_route_404s(self, database):
         with database.serve_telemetry() as server:
@@ -120,27 +125,21 @@ class TestLifecycle:
 
 class TestViewsAgree:
     def test_scrape_equals_report(self, database):
-        """``repro top`` over HTTP, ``repro top`` in-process and
-        ``repro perf report`` read one registry through the same two
-        functions, so they quote the same rows."""
-        from repro.service.top import ScrapeSource, render_top
+        """``/metrics`` quotes every counter of the registry at the
+        value an in-process reader sees."""
         session = database.session()
         for query in ("/library/book/title",
                       "for $b in /library/book where $b/price > 8.0 "
                       "return $b/title", "/library/book/title"):
             session.execute(query)
         with database.serve_telemetry() as server:
-            snapshot = ScrapeSource(server.url).sample()
-        report = session.slo_report()
-        assert snapshot["served"] == 3
-        assert snapshot["caches"] == report["caches"]
-        assert set(snapshot["classes"]) == {"path", "scan"}
-        text = render_top(snapshot)
-        assert "served 3" in text
-        assert "plan 33.3% (1/3)" in text
-        for query_class, row in report["classes"].items():
-            scraped = snapshot["classes"][query_class]
-            # the rate is over the real clock: it moves between reads
-            assert scraped.pop("qps") == pytest.approx(
-                row.pop("qps"), rel=0.05)
-            assert scraped == row
+            _, body = get(server.url + "/metrics")
+        counters = database.metrics.counters()
+        assert counters["session.executions"] == 3
+        assert counters["cache.plan.hit"] == 1
+        assert counters["cache.plan.miss"] == 2
+        lines = body.decode().splitlines()
+        for name, value in counters.items():
+            if name.startswith("telemetry.http."):
+                continue  # the scrape itself moves these
+            assert f'repro_counter{{name="{name}"}} {value}' in lines

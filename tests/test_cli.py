@@ -438,98 +438,12 @@ class TestRetiredTimingVerbs:
         assert "# -- compressed vs decompressed --" in output
 
 
-class TestPerfReport:
-    def test_report_tables(self, repository_file):
-        code, output = run(
-            "perf", "report", str(repository_file),
-            "--query", "/library/book/title",
-            "--query", ("for $b in /library/book "
-                        "where $b/price > 8.0 return $b/title"),
-            "--repeat", "2", "--workers", "2")
-        assert code == 0
-        assert "-- serving latency by query class --" in output
-        assert "path" in output and "scan" in output
-        assert "-- cache hit rates --" in output
-
-    def test_json_report(self, repository_file):
-        import json as json_module
-        code, output = run(
-            "perf", "report", str(repository_file),
-            "--query", "/library/book/title", "--json")
-        assert code == 0
-        payload = json_module.loads(output)
-        assert payload["classes"]["path"]["count"] >= 1
-        assert "plan" in payload["caches"]
-
-    def test_queries_file(self, repository_file, tmp_path):
-        queries = tmp_path / "queries.txt"
-        queries.write_text("/library/book/title\n\n"
-                           "/library/book/price\n", encoding="utf-8")
-        code, output = run("perf", "report", str(repository_file),
-                           "--queries-file", str(queries))
-        assert code == 0
-        assert "path" in output
-
-    def test_no_queries_errors(self, repository_file):
-        code, output = run("perf", "report", str(repository_file))
-        assert code == 1
-        assert "needs --query" in output
-
-    def test_violated_slo_exits_one(self, repository_file):
-        code, output = run(
-            "perf", "report", str(repository_file),
-            "--query", "/library/book/title",
-            "--slo", "path:p95:0.000001")
-        assert code == 1
-        assert "VIOLATED" in output
-
-    def test_met_slo_exits_zero(self, repository_file):
-        code, output = run(
-            "perf", "report", str(repository_file),
-            "--query", "/library/book/title",
-            "--slo", "path:p95:60000")
-        assert code == 0
-        assert "[OK]" in output
-
-    def test_bad_slo_spec_errors(self, repository_file):
-        code, output = run("perf", "report", str(repository_file),
-                           "--query", "/library/book/title",
-                           "--slo", "nonsense")
-        assert code == 1
-        assert "not CLASS:pNN:MILLIS" in output
-
-
-class TestTop:
-    def test_once_local_mode(self, repository_file):
-        code, output = run(
-            "top", str(repository_file), "--once", "--slow-ms", "0",
-            "--query", "/library/book/title",
-            "--query",
-            'for $b in /library/book where $b/title = "Dune" '
-            "return $b")
-        assert code == 0
-        assert "repro top" in output
-        assert "QPS" in output
-        assert "caches:" in output
-        assert "path" in output and "point" in output
-        assert "latest slow queries" in output
-
-    def test_local_mode_without_queries_errors(self, repository_file):
-        code, output = run("top", str(repository_file), "--once")
-        assert code == 1
-        assert "workload" in output
-
-    def test_once_scrape_mode(self, repository_file):
-        from repro.service.session import Database
-        from repro.service.slowlog import SlowQueryLog
-
-        database = Database.open(
-            repository_file,
-            slow_log=SlowQueryLog(threshold_ms=0.0))
-        database.session().execute("/library/book/title")
-        with database.serve_telemetry() as server:
-            code, output = run("top", server.url, "--once")
-        assert code == 0
-        assert f"scrape {server.url}" in output
-        assert "path" in output
-        assert "latest slow queries" in output
+class TestRetiredServingConsole:
+    def test_perf_and_top_verbs_rejected(self, repository_file):
+        for argv in (["perf", "report", str(repository_file),
+                      "--query", "/library/book"],
+                     ["top", str(repository_file), "--once"],
+                     ["top", "http://127.0.0.1:9464", "--once"]):
+            with pytest.raises(SystemExit) as exit_info:
+                run(*argv)
+            assert exit_info.value.code == 2
