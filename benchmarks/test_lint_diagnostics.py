@@ -39,14 +39,3 @@ def test_diagnostics_persisted_with_telemetry(query_id, xquec_system,
     telemetry_sink(telemetry,
                    experiment=f"lint_{query_id.lower()}")
 
-
-def test_lint_counters_match_diagnostics(xquec_system):
-    """`lint.<severity>` counters mirror the diagnostics list."""
-    telemetry = Telemetry()
-    xquec_system.execute(query_text("Q3"),
-                         ExecutionOptions(telemetry=telemetry)).to_xml()
-    counters = telemetry.metrics.counters()
-    for severity in ("warning", "info"):
-        expected = sum(d.severity == severity
-                       for d in telemetry.diagnostics)
-        assert counters.get(f"lint.{severity}", 0) == expected

@@ -7,7 +7,10 @@ searches, and where joins become merge joins run once per execution.
 Run:  python examples/explain_plans.py
 """
 
+from repro.query.engine import PreparedPlan
 from repro.query.explain import explain
+from repro.query.optimizer import plan_query
+from repro.query.parser import parse_query
 from repro.xmark.queries import XMARK_QUERIES
 
 
@@ -15,8 +18,9 @@ def main() -> None:
     for query_id in sorted(XMARK_QUERIES,
                            key=lambda q: int(q.lstrip("Q"))):
         description, text = XMARK_QUERIES[query_id]
+        ast = parse_query(text)
         print(f"=== {query_id}: {description}")
-        print(explain(text))
+        print(explain(PreparedPlan(ast, plan_query(ast), text=text)))
         print()
 
 

@@ -8,17 +8,17 @@ never import it; a run's access counts are its ``EvaluationStats``):
 
 * :class:`~repro.obs.tracer.Tracer` — hierarchical wall-clock spans
   (``perf_counter_ns``) naming the paper's physical operators
-  (Figure 4 access paths); an untraced run has no tracer and its
-  span sites get one shared no-op span;
-* :class:`~repro.obs.metrics.MetricsRegistry` — named counters,
-  gauges and histograms (a traced run's exact per-operator
-  distributions);
+  (Figure 4 access paths), one per operator stream; an untraced run
+  has no tracer and its span sites get one shared no-op span;
+* :class:`~repro.obs.metrics.MetricsRegistry` — named counters and
+  gauges, the serving process's books;
 * :mod:`~repro.obs.export` — a registry's counters and gauges
   rendered as Prometheus text exposition, the ``/metrics`` format;
-* :class:`~repro.obs.telemetry.Telemetry` — one tracer + one registry
-  + the run's ``EvaluationStats`` per *traced* query run,
-  JSON-exportable (``to_json``) for benchmark reports and the
-  ``repro trace`` CLI;
+* :class:`~repro.obs.telemetry.Telemetry` — the run record of a
+  *traced* query run: its spans, its ``EvaluationStats`` and its plan
+  diagnostics; per-operator profiles are read off the spans, and the
+  record is JSON-exportable (``to_json``) for the ``repro trace``
+  CLI;
 * :class:`~repro.obs.lockwatch.LockOrderWatchdog` — opt-in runtime
   recorder of per-thread lock acquisition orders, cross-checked
   against the Tier-C static acquisition graph
@@ -39,7 +39,6 @@ from repro.obs.lockwatch import (
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
 )
 from repro.obs.telemetry import Telemetry
@@ -48,7 +47,6 @@ from repro.obs.tracer import Span, Tracer
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "PROMETHEUS_CONTENT_TYPE",
     "LockOrderViolation",
     "LockOrderWatchdog",

@@ -2,7 +2,9 @@
 
 ``Tracer.span(name, **attributes)`` is used as a context manager; spans
 nest by dynamic scope, so the finished trace is a forest mirroring the
-evaluation.  A tracer exists only for a traced run; untraced span
+evaluation.  ``Tracer.record`` files a region timed elsewhere (a
+physical operator's batch stream) as one finished span under the span
+open when it ends.  A tracer exists only for a traced run; untraced span
 sites get :data:`NOOP_SPAN`, one shared span whose enter/exit do
 nothing (:func:`repro.obs.telemetry.span_on` hands it out).
 """
@@ -92,18 +94,13 @@ NOOP_SPAN = _NoOpSpan()
 
 
 class Tracer:
-    """Produces spans; collects the finished forest under ``roots``.
+    """Produces spans; collects the finished forest under ``roots``."""
 
-    ``on_end`` (optional) is called with each span as it closes — the
-    telemetry layer uses it to feed span durations into histograms.
-    """
+    __slots__ = ("roots", "_stack")
 
-    __slots__ = ("roots", "_stack", "on_end")
-
-    def __init__(self, on_end=None):
+    def __init__(self):
         self.roots: list[Span] = []
         self._stack: list[Span] = []
-        self.on_end = on_end
 
     def span(self, name: str, **attributes):
         """A context manager timing ``name``."""
@@ -128,8 +125,15 @@ class Tracer:
             top = self._stack.pop()
             if top is span:
                 break
-        if self.on_end is not None:
-            self.on_end(span)
+
+    def record(self, name: str, start_ns: int, end_ns: int,
+               **attributes) -> None:
+        """File a finished span (an operator's batch stream) under the
+        innermost open one, or as a root when none is open."""
+        span = Span(name, self, attributes or None)
+        span.start_ns, span.end_ns = start_ns, end_ns
+        (self._stack[-1].children if self._stack
+         else self.roots).append(span)
 
     def to_dict(self) -> dict:
         """JSON-ready trace forest."""

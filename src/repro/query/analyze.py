@@ -1,16 +1,18 @@
 """``EXPLAIN ANALYZE``: the static plan annotated with what really ran.
 
-:func:`explain_analyze` executes the query traced, then re-renders
-the :func:`repro.query.explain.explain` sketch with the
+:func:`explain_analyze` executes the query's plan traced, then renders
+that same plan (:func:`repro.query.explain.explain`) with the
 *actual* per-operator counts and wall times, followed by the full
 operator/counter profile and the compressed-vs-decompressed split
 that quantifies the paper's §5–6 claim (predicates run compressed,
 decompression is deferred to serialization).
 
 Plan-line annotations carry the run's aggregate for that operator
-class — the counters shown are exactly the
-:class:`~repro.query.context.EvaluationStats` totals of the same run
-(the telemetry holds the object ``QueryResult.stats`` is).
+class: wall times from the run's spans
+(:meth:`~repro.obs.telemetry.Telemetry.operator_profile`), counters
+exactly the :class:`~repro.query.context.EvaluationStats` totals of
+the same run (the telemetry holds the object ``QueryResult.stats``
+is).
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.obs.telemetry import Telemetry
-from repro.query.ast import Expression
 from repro.query.explain import explain
 from repro.util.text import table
 
@@ -39,27 +40,30 @@ class AnalyzeReport:
         return self.text
 
 
-#: plan-line keyword -> (EvaluationStats counter, span histogram name);
+#: plan-line keyword -> (EvaluationStats counter, operator span name);
 #: a projection reads memoised owner groups and counts nothing.
 _LINE_METRICS = (
-    ("ContAccess interval", "container_accesses", "span.ContAccess"),
+    ("ContAccess interval", "container_accesses", "ContAccess"),
     # Before "ContScan ": these lines name their scans.
-    ("MergeJoin", "container_scans", "span.MergeJoin.build"),
-    ("ColumnCompare", "container_scans", "span.ColumnCompare"),
-    ("Projection ", None, "span.Projection.build"),
-    ("ContScan ", "container_scans", "span.ContScan"),
-    ("ContSubstring", "container_accesses", "span.ContSubstring"),
-    ("ThetaJoin", "container_accesses", "span.ThetaJoin.build"),
+    ("MergeJoin", "container_scans", "MergeJoin.build"),
+    ("ColumnCompare", "container_scans", "ColumnCompare"),
+    ("Projection ", None, "Projection.build"),
+    ("ContScan ", "container_scans", "ContScan"),
+    ("ContSubstring", "container_accesses", "ContSubstring"),
+    ("ThetaJoin", "container_accesses", "ThetaJoin.build"),
     ("StructureSummaryAccess", "summary_accesses",
-     "span.StructureSummaryAccess"),
+     "StructureSummaryAccess"),
 )
 
 
-def explain_analyze(query: str | Expression, target,
-                    options=None) -> AnalyzeReport:
+def explain_analyze(query, target, options=None) -> AnalyzeReport:
     """Run ``query`` against ``target`` and render plan + actuals.
 
-    ``target`` is a :class:`~repro.query.engine.QueryEngine` or a bare
+    ``query`` is a query text, a parsed expression or the
+    :class:`~repro.query.engine.PreparedPlan` its caller already holds
+    (the session passes its cached one); anything else is planned
+    once, and the plan that runs is the plan rendered.  ``target`` is
+    a :class:`~repro.query.engine.QueryEngine` or a bare
     :class:`~repro.storage.repository.CompressedRepository`.  The query
     runs to full materialization, so the report includes the final
     Decompress step the paper defers to serialization.  ``options``
@@ -69,31 +73,30 @@ def explain_analyze(query: str | Expression, target,
     """
     from dataclasses import replace
 
-    from repro.query.engine import QueryEngine
+    from repro.query.engine import PreparedPlan, QueryEngine
     from repro.query.options import ExecutionOptions
     engine = target if isinstance(target, QueryEngine) \
         else QueryEngine(target)
+    prepared = query if isinstance(query, PreparedPlan) \
+        else engine.plan(query)
     telemetry = Telemetry()
-    options = options if options is not None else ExecutionOptions()
-    options = replace(options, telemetry=telemetry)
-    result = engine.execute(query, options)
+    result = engine.execute(prepared, replace(
+        options or ExecutionOptions(), telemetry=telemetry))
     items = result.items  # force the traced Decompress step
-    sketch = explain(query)
-    text = _render(sketch, result, telemetry, len(items))
+    text = _render(explain(prepared), result, telemetry, len(items))
     return AnalyzeReport(text, result, telemetry)
 
 
 def _render(sketch: str, result, telemetry: Telemetry,
             item_count: int) -> str:
-    # A summaries snapshot, so lookups never create empty histograms.
-    histograms = telemetry.metrics.histograms()
-    wall_ns = int(histograms.get("span.Execute", {}).get("total", 0))
+    profile = telemetry.operator_profile()
+    wall_ns = profile.get("Execute", {}).get("total", 0)
     lines = [f"EXPLAIN ANALYZE  (wall {wall_ns} ns, "
              f"{item_count} items)"]
     for line in sketch.splitlines():
-        lines.append(_annotate(line, result.stats, histograms))
+        lines.append(_annotate(line, result.stats, profile))
     lines.append("")
-    lines.extend(_operator_table(telemetry))
+    lines.extend(_operator_table(profile))
     lines.append("")
     lines.extend(_counter_section(result.stats))
     lines.append("")
@@ -111,11 +114,10 @@ def _diagnostics_section(telemetry: Telemetry) -> list[str]:
     return out
 
 
-def _annotate(line: str, stats, histograms: dict) -> str:
+def _annotate(line: str, stats, profile: dict) -> str:
     for keyword, counter_name, span_name in _LINE_METRICS:
         if keyword in line:
-            total_ns = int(histograms.get(span_name,
-                                          {}).get("total", 0))
+            total_ns = profile.get(span_name, {}).get("total", 0)
             if counter_name is None:
                 return f"{line}  [actual {total_ns} ns]"
             count = getattr(stats, counter_name)
@@ -124,15 +126,14 @@ def _annotate(line: str, stats, histograms: dict) -> str:
     return line
 
 
-def _operator_table(telemetry: Telemetry) -> list[str]:
-    profile = telemetry.operator_profile()
+def _operator_table(profile: dict) -> list[str]:
     if not profile:
         return ["-- operators: none traced --"]
     headers = ("operator", "calls", "total_ns", "p50_ns", "p95_ns",
                "max_ns")
-    rows = [[name, str(s["count"]), str(int(s["total"])),
-             str(int(s["p50"])), str(int(s["p95"])), str(int(s["max"]))]
-            for name, s in sorted(profile.items())]
+    rows = [[name] + [str(s[key]) for key in
+                      ("count", "total", "p50", "p95", "max")]
+            for name, s in profile.items()]
     return ["-- operators --"] + table(headers, rows)
 
 

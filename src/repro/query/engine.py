@@ -3,10 +3,11 @@
 Evaluates the supported XQuery subset directly over a
 :class:`~repro.storage.repository.CompressedRepository`, keeping values
 compressed for as long as possible.  A query is planned once
-(:func:`~repro.query.optimizer.plan_query`, at prepare time); that
-:class:`~repro.query.optimizer.QueryPlan` is what the Tier-A verifier
-checks, what the plan cache holds and what the evaluator dispatches on
-— the evaluator classifies nothing itself:
+(:func:`~repro.query.optimizer.plan_query`, at prepare time) into a
+:class:`PreparedPlan`; that one object is what the Tier-A verifier
+checks, what the plan cache holds, what EXPLAIN and the slow log
+render and what the evaluator dispatches on — the evaluator
+classifies nothing itself:
 
 * absolute paths resolve through the structure summary
   (``StructureSummaryAccess``) — never by walking the full structure
@@ -41,9 +42,6 @@ checks, what the plan cache holds and what the evaluator dispatches on
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
-from typing import NamedTuple
 
 import numpy as np
 
@@ -116,7 +114,7 @@ class QueryResult:
         self._materialized: list | None = None
         self.stats = stats
         self._engine = engine
-        #: the traced run's tracer + metrics; ``None`` when untraced.
+        #: the traced run's record; ``None`` when untraced.
         self.telemetry = telemetry
         #: every :class:`~repro.query.context.LazyText` the run built.
         self._lazy_texts = lazy_texts if lazy_texts is not None else []
@@ -181,12 +179,42 @@ class QueryResult:
         return iter(self.items)
 
 
-class VerifiedPlan(NamedTuple):
-    """A query's plan and what the Tier-A verifier found in its
-    operator trees over one engine's repositories."""
+class PreparedPlan:
+    """A query planned and verified once: its AST, its
+    :class:`~repro.query.optimizer.QueryPlan`, what the Tier-A verifier
+    found in the plan's operator trees and the text it was prepared
+    from (``None`` for a pre-parsed expression).
 
-    plan: QueryPlan
-    diagnostics: list
+    The one copy of a query's plan, which the plan cache holds, every
+    run executes and EXPLAIN, EXPLAIN ANALYZE and the slow log render.
+    Holds no engine or session reference, so one plan cache can back
+    several sessions over the same repository.
+    """
+
+    __slots__ = ("ast", "plan", "diagnostics", "text")
+
+    def __init__(self, ast: Expression, plan: QueryPlan,
+                 diagnostics: list = (), text: str | None = None):
+        self.ast = ast
+        self.plan = plan
+        self.diagnostics = list(diagnostics)
+        self.text = text
+
+    @property
+    def has_errors(self) -> bool:
+        """Whether the verifier found an error: such a plan can be
+        explained, never run."""
+        return any(d.severity == "error" for d in self.diagnostics)
+
+    def checked(self) -> "PreparedPlan":
+        """This plan, past the Tier-A gate: error diagnostics raise
+        :class:`~repro.errors.PlanVerificationError`."""
+        if self.has_errors:
+            raise PlanVerificationError(self.diagnostics)
+        return self
+
+    def __repr__(self) -> str:
+        return f"<PreparedPlan {self.text or type(self.ast).__name__!r}>"
 
 
 class QueryEngine:
@@ -196,23 +224,15 @@ class QueryEngine:
     ``repository`` is the default document; ``collection`` optionally
     maps further document names to repositories, dispatched through
     ``document("name")/...`` paths (joins across documents included).
+    The engine keeps no plans: a caller that re-runs a query holds
+    its :class:`PreparedPlan` (the session's plan cache does).
     """
-
-    GUARDED_BY = {"_verify_cache": "_verify_lock"}
 
     def __init__(self, repository: CompressedRepository,
                  collection: dict[str, CompressedRepository]
                  | None = None):
         self.repository = repository
         self.collection = collection or {}
-        #: verified plans per parsed query (the AST is kept alive so
-        #: its id() cannot be reused by a different expression).  LRU
-        #: bounded: a long-lived serving engine must not pin every AST
-        #: it ever planned.
-        self._verify_cache: OrderedDict[
-            int, tuple[Expression, VerifiedPlan]] = OrderedDict()
-        self._verify_cache_capacity = 256
-        self._verify_lock = threading.Lock()
 
     def repository_of(self, doc: str | None) -> CompressedRepository:
         """Repository for a document name (default when unknown)."""
@@ -220,43 +240,36 @@ class QueryEngine:
             return self.repository
         return self.collection.get(doc, self.repository)
 
-    def execute(self, query: str | Expression,
-                options: ExecutionOptions | None = None,
-                *, plan: VerifiedPlan | None = None,
-                label: str | None = None) -> QueryResult:
-        """Parse and plan (if needed) and evaluate a query.
+    def execute(self, query: str | Expression | PreparedPlan,
+                options: ExecutionOptions | None = None) -> QueryResult:
+        """Evaluate a query, planning it first unless it is a
+        :class:`PreparedPlan` already.
 
         ``options`` is an :class:`~repro.query.options.ExecutionOptions`
         carrying the run's telemetry and binding knobs; the run is
-        traced exactly when ``options.telemetry`` is given.
-        ``plan`` is ``query``'s :meth:`plan` from an earlier call (a
-        prepared plan from the session's plan cache): the run skips
-        planning and verification entirely.  Either way the Tier-A
-        gate has passed before any row is produced; the verifier's
-        warnings flow into a traced run's telemetry.  ``label`` names the
-        run's span when ``query`` is a pre-parsed expression (the
-        session passes the original text).
+        traced exactly when ``options.telemetry`` is given.  A prepared
+        plan (the session's, from its plan cache) skips planning and
+        verification entirely.  Either way the Tier-A gate has passed
+        before any row is produced; the verifier's warnings flow into a
+        traced run's telemetry, whose ``Execute`` span is named by the
+        plan's text (the expression's type for a pre-parsed one).
         """
         if options is None:
             options = ExecutionOptions()
-        ast = parse_query(query) if isinstance(query, str) else query
+        prepared = (query if isinstance(query, PreparedPlan)
+                    else self.prepare(query)).checked()
+        ast = prepared.ast
         telemetry = options.telemetry
-        if plan is None:
-            plan = self.plan(ast)
-        if telemetry is not None:
-            telemetry.diagnostics.extend(plan.diagnostics)
-            for diagnostic in plan.diagnostics:
-                telemetry.metrics.add(f"lint.{diagnostic.severity}")
-        evaluator = _Evaluator(self, plan.plan, telemetry)
+        evaluator = _Evaluator(self, prepared.plan, telemetry)
         base_env = options.binding_environment()
         if telemetry is None:
             items = evaluator.eval(ast, base_env)
         else:
-            query_text = query if isinstance(query, str) else \
-                (label if label is not None else type(ast).__name__)
+            telemetry.diagnostics.extend(prepared.diagnostics)
             token = TELEMETRY.set(telemetry)
             try:
-                with telemetry.span("Execute", query=query_text):
+                with telemetry.span("Execute", query=prepared.text
+                                    or type(ast).__name__):
                     items = evaluator.eval(ast, base_env)
             finally:
                 TELEMETRY.reset(token)
@@ -264,46 +277,33 @@ class QueryEngine:
                            telemetry=telemetry,
                            lazy_texts=evaluator.lazy_texts)
 
-    def plan(self, query: str | Expression) -> VerifiedPlan:
-        """The query's plan, past the Tier-A gate: error diagnostics
-        raise :class:`~repro.errors.PlanVerificationError` — here, for
-        ``execute`` and ``Session.prepare`` alike."""
-        ast = parse_query(query) if isinstance(query, str) else query
-        diagnostics = self.verify(ast)
-        if any(d.severity == "error" for d in diagnostics):
-            raise PlanVerificationError(diagnostics)
-        return self._planned(ast)
+    def prepare(self, query: str | Expression) -> PreparedPlan:
+        """Plan the query and run the Tier-A verifier over the plan's
+        operator trees — every FLWOR, every absolute path — bound to
+        this engine's repositories.  Error diagnostics are kept, not
+        raised: a failed plan can still be explained."""
+        text, ast = (query, parse_query(query)) \
+            if isinstance(query, str) else (None, query)
+        plan = plan_query(ast)
+        return PreparedPlan(ast, plan, [
+            diagnostic for tree in bind_plan(plan, self.repository_of)
+            for diagnostic in verify_plan(tree)], text)
+
+    def plan(self, query: str | Expression) -> PreparedPlan:
+        """The query's plan, past the Tier-A gate
+        (:meth:`PreparedPlan.checked`) that ``execute`` and
+        ``Session.prepare`` apply too."""
+        return self.prepare(query).checked()
 
     def verify(self, query: str | Expression) -> list:
         """The :class:`~repro.lint.PlanDiagnostic` list of the query's
         plan, errors included (``repro lint-plan`` prints them)."""
-        return self._planned(query).diagnostics
-
-    def _planned(self, query: str | Expression) -> VerifiedPlan:
-        """Plan the query and run the Tier-A verifier over the plan's
-        operator trees — every FLWOR, every absolute path — bound to
-        this engine's repositories.  LRU-cached per parsed expression:
-        verifying and then preparing one AST plans once."""
-        ast = parse_query(query) if isinstance(query, str) else query
-        with self._verify_lock:
-            cached = self._verify_cache.get(id(ast))
-            if cached is not None and cached[0] is ast:
-                self._verify_cache.move_to_end(id(ast))
-                return cached[1]
-        plan = plan_query(ast)
-        verified = VerifiedPlan(plan, [
-            diagnostic for tree in bind_plan(plan, self.repository_of)
-            for diagnostic in verify_plan(tree)])
-        with self._verify_lock:
-            self._verify_cache[id(ast)] = (ast, verified)
-            while len(self._verify_cache) > self._verify_cache_capacity:
-                self._verify_cache.popitem(last=False)
-        return verified
+        return self.prepare(query).diagnostics
 
     def explain(self, query: str | Expression) -> str:
         """Describe the evaluation strategy without running the query."""
         from repro.query.explain import explain
-        return explain(query)
+        return explain(self.prepare(query))
 
     def explain_analyze(self, query: str | Expression) -> str:
         """Run the query and render the plan with actual counts/timings.

@@ -1,11 +1,13 @@
 """Plan explanation: the strategies the engine will apply.
 
-``explain(query)`` renders the query's
-:class:`~repro.query.optimizer.QueryPlan` — the plan the engine
-executes and the Tier-A verifier checks — as indented text: summary-
+``explain(prepared)`` renders a
+:class:`~repro.query.engine.PreparedPlan` — the plan the engine
+executes and the Tier-A verifier checked — as indented text: summary-
 resolvable sources, the strategy each for-clause's conjuncts select
 (merge join, theta join, container selection or a per-binding
-``Select``), order-by.  It classifies nothing itself.
+``Select``), order-by.  It neither plans nor classifies anything
+itself: each caller passes the plan it already holds, so a plan with
+error diagnostics renders too.
 """
 
 from __future__ import annotations
@@ -27,16 +29,14 @@ from repro.query.optimizer import (
     SelectionTerm,
     ThetaPlan,
     is_absolute_simple_path,
-    plan_query,
 )
-from repro.query.parser import parse_query
 
 
-def explain(query: str | Expression) -> str:
-    """Render the evaluation strategy of a query as text."""
-    ast = parse_query(query) if isinstance(query, str) else query
+def explain(prepared) -> str:
+    """Render a :class:`~repro.query.engine.PreparedPlan`'s
+    evaluation strategy as text."""
     lines: list[str] = []
-    _explain(ast, lines, 0, plan_query(ast).by_node())
+    _explain(prepared.ast, lines, 0, prepared.plan.by_node())
     return "\n".join(lines)
 
 

@@ -57,19 +57,17 @@ def _traced(name: str, batches: Iterator[RecordBatch]
             ) -> Iterator[RecordBatch]:
     """Wrap an operator's batch stream with the run's telemetry.
 
-    Observes one ``span.<name>`` histogram entry for the full
-    iteration's wall time and counts ``op.<name>.rows`` (from batch
-    lengths) and ``op.<name>.batches``; on an untraced run the stream
-    is returned untouched.
+    Records the full iteration as one finished span named ``name``,
+    with its ``rows`` (from batch lengths) and ``batches`` attributes,
+    under the span open when the stream ends; on an untraced run the
+    stream is returned untouched.
     """
     telemetry = TELEMETRY.get()
     if telemetry is None:
         return batches
 
     def traced() -> Iterator[RecordBatch]:
-        metrics = telemetry.metrics
-        rows = 0
-        count = 0
+        rows = count = 0
         start = perf_counter_ns()
         try:
             for batch in batches:
@@ -77,9 +75,8 @@ def _traced(name: str, batches: Iterator[RecordBatch]
                 count += 1
                 yield batch
         finally:
-            metrics.observe(f"span.{name}", perf_counter_ns() - start)
-            metrics.add(f"op.{name}.rows", rows)
-            metrics.add(f"op.{name}.batches", count)
+            telemetry.tracer.record(name, start, perf_counter_ns(),
+                                    rows=rows, batches=count)
     return traced()
 
 

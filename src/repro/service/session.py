@@ -10,7 +10,9 @@ it — the one public way to run queries:
 * :meth:`Session.prepare` parses, plans and statically verifies a
   query **once**, returning a :class:`PreparedQuery` that re-runs any
   number of times (optionally under fresh constant bindings) without
-  touching the parser, the planner or the plan verifier again;
+  touching the parser, the planner or the plan verifier again —
+  :meth:`Session.explain`, :meth:`Session.analyze` and the slow log
+  render that same :class:`~repro.query.engine.PreparedPlan`;
 * every textual ``execute`` goes through the LRU **plan cache** keyed
   on normalized query text — a warm hit skips parse + planning +
   verification entirely (``cache.plan.hit`` counts it);
@@ -34,9 +36,8 @@ from pathlib import Path
 
 from repro.obs.metrics import MetricsRegistry
 from repro.query.ast import Expression
-from repro.query.engine import QueryEngine, QueryResult, VerifiedPlan
+from repro.query.engine import PreparedPlan, QueryEngine, QueryResult
 from repro.query.options import ExecutionOptions
-from repro.query.parser import parse_query
 from repro.service.blocks import CachedRepositoryView
 from repro.service.cache import (
     DEFAULT_BLOCK_BUDGET,
@@ -53,31 +54,10 @@ from repro.storage.repository import CompressedRepository
 from repro.util.clock import elapsed_ns, now_ns
 
 
-class PreparedPlan:
-    """The cacheable product of parse + planning + verification: the
-    AST and its :class:`~repro.query.engine.VerifiedPlan`, the very
-    object every run executes.
-
-    Holds no session reference, so one plan cache can back several
-    sessions over the same repository; a :class:`PreparedQuery` binds a
-    plan to the session it will run on.
-    """
-
-    __slots__ = ("key", "text", "ast", "verified")
-
-    def __init__(self, key: str | None, text: str | None,
-                 ast: Expression, verified: VerifiedPlan):
-        self.key = key
-        self.text = text
-        self.ast = ast
-        self.verified = verified
-
-    def __repr__(self) -> str:
-        return f"<PreparedPlan {self.text or type(self.ast).__name__!r}>"
-
-
 class PreparedQuery:
-    """A planned, verified query bound to a session, ready to re-run."""
+    """A planned, verified query bound to a session, ready to re-run:
+    the session's :class:`~repro.query.engine.PreparedPlan` (``plan``)
+    and the session it runs on."""
 
     __slots__ = ("session", "plan")
 
@@ -98,7 +78,7 @@ class PreparedQuery:
     @property
     def diagnostics(self) -> list:
         """The static verifier's findings, computed at prepare time."""
-        return self.plan.verified.diagnostics
+        return self.plan.diagnostics
 
     def run(self, options: ExecutionOptions | None = None, *,
             bindings: dict | None = None) -> QueryResult:
@@ -168,29 +148,29 @@ class Session:
         Textual queries go through the plan cache (keyed on normalized
         text); a hit returns without touching the parser, the planner
         or the verifier.  Verification *errors* surface here, at
-        prepare time (:meth:`QueryEngine.plan` raises them) — a plan
-        that cannot run is never cached.
+        prepare time (:meth:`~repro.query.engine.PreparedPlan.checked`
+        raises them) — a plan that cannot run is never cached.
         """
         self.metrics.add("session.prepares")
+        return PreparedQuery(self, self._plan_of(query, use_cache)
+                             .checked())
+
+    def _plan_of(self, query: str | Expression,
+                 use_cache: bool = True) -> PreparedPlan:
+        """The session's plan of ``query``: the plan cache's, else
+        planned and verified now — and cached unless it failed."""
         if isinstance(query, Expression):
-            return PreparedQuery(self, self._build_plan(None, None,
-                                                        query))
+            return self.engine.prepare(query)
         key = normalize_query_text(query)
         if use_cache:
             plan = self.plan_cache.get(key)
             if plan is not None:
-                return PreparedQuery(self, plan)
-        plan = self._build_plan(key, query, None)
-        if use_cache:
+                return plan
+        self.metrics.add("session.parses")
+        plan = self.engine.prepare(query)
+        if use_cache and not plan.has_errors:
             self.plan_cache.put(key, plan)
-        return PreparedQuery(self, plan)
-
-    def _build_plan(self, key: str | None, text: str | None,
-                    ast: Expression | None) -> PreparedPlan:
-        if ast is None:
-            self.metrics.add("session.parses")
-            ast = parse_query(text)
-        return PreparedPlan(key, text, ast, self.engine.plan(ast))
+        return plan
 
     # -- executing -----------------------------------------------------------
 
@@ -253,9 +233,7 @@ class Session:
         start_ns = now_ns()
         failed = True
         try:
-            result = engine.execute(
-                prepared.ast, options, plan=prepared.plan.verified,
-                label=prepared.plan.text)
+            result = engine.execute(prepared.plan, options)
             failed = False
             return result
         finally:
@@ -263,7 +241,7 @@ class Session:
             # still occupied the session.
             if slow_log is not None:
                 slow_log.maybe_record(
-                    query=prepared.plan.text, ast=prepared.ast,
+                    query=prepared.text, plan=prepared.plan,
                     wall_ns=elapsed_ns(start_ns),
                     telemetry=options.telemetry,
                     cache_before=cache_before,
@@ -283,19 +261,21 @@ class Session:
     # -- explain / analyze ---------------------------------------------------
 
     def explain(self, query: str | Expression) -> str:
-        """Describe the evaluation strategy without running the query."""
-        return self.engine.explain(query)
+        """Describe the evaluation strategy without running the query:
+        the session's plan of it (cached or planned now), rendered —
+        error diagnostics included."""
+        from repro.query.explain import explain
+        return explain(self._plan_of(query))
 
     def analyze(self, query: str | Expression,
                 options: ExecutionOptions | None = None):
-        """``EXPLAIN ANALYZE`` through the session (plan cache
-        included): returns the full
-        :class:`~repro.query.analyze.AnalyzeReport`."""
+        """``EXPLAIN ANALYZE`` of the session's prepared plan (plan
+        cache included) on the engine ``options`` selects: returns the
+        full :class:`~repro.query.analyze.AnalyzeReport`."""
         from repro.query.analyze import explain_analyze
-        prepared = self.prepare(
-            query, use_cache=options.use_plan_cache
-            if options is not None else True)
-        return explain_analyze(prepared.ast, self.engine,
+        options = options if options is not None else ExecutionOptions()
+        prepared = self.prepare(query, use_cache=options.use_plan_cache)
+        return explain_analyze(prepared.plan, self._engine_for(options),
                                options=options)
 
     def explain_analyze(self, query: str | Expression) -> str:

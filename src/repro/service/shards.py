@@ -45,8 +45,9 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import OrderedDict
 from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
 
 import repro.errors as errors_module
 from repro.errors import AdmissionError, ShardError, XQueCError
@@ -55,7 +56,8 @@ from repro.partitioning.sharding import ShardAssignment, assign_shards
 from repro.query.ast import Expression, PathExpr
 from repro.query.parser import parse_query
 from repro.query.shipping import ReceivedResultSet, receive_result
-from repro.service.cache import normalize_query_text
+from repro.service.cache import DEFAULT_PLAN_CAPACITY, \
+    normalize_query_text
 from repro.service.session import Database
 from repro.util.clock import elapsed_ns, now_ns
 
@@ -186,8 +188,7 @@ def _serve_request(session, database, request):
         result = session.execute(request[1])
         return ("ok", result.ship())
     if op == "metrics":
-        return ("ok", {"counters": database.metrics.counters(),
-                       "gauges": database.metrics.gauges()})
+        return ("ok", database.metrics.to_dict())
     if op == "invalidate":
         database.invalidate_caches()
         return ("ok", None)
@@ -417,7 +418,8 @@ class ShardedDatabase:
     #: ``_idle`` (by shard id) those of them free to take a query.
     #: ``_pool`` is never held across a pipe round trip or while
     #: taking a :attr:`ShardWorker.lock`.
-    GUARDED_BY = {"_idle": "_pool", "_live": "_pool"}
+    GUARDED_BY = {"_idle": "_pool", "_live": "_pool",
+                  "_routes": "_routes_lock"}
 
     def __init__(self, repository, collection=None, *,
                  shard_count: int = 2,
@@ -440,7 +442,7 @@ class ShardedDatabase:
         self._pool = threading.Condition()
         self._idle: dict[int, ShardWorker] = {}
         self._live: set[ShardWorker] = set()
-        self._routes: dict[str, Route] = {}
+        self._routes: OrderedDict[str, Route] = OrderedDict()
         self._routes_lock = threading.Lock()
         self._started_ns = now_ns()
         self._telemetry_server = None
@@ -515,16 +517,20 @@ class ShardedDatabase:
     # -- serving -------------------------------------------------------------
 
     def route(self, query: str) -> Route:
-        """The routing decision for a query (cached on its text)."""
+        """The routing decision for a query (cached on its text, the
+        ``DEFAULT_PLAN_CAPACITY`` most recent texts kept)."""
         key = normalize_query_text(query)
         with self._routes_lock:
             route = self._routes.get(key)
-        if route is not None:
-            return route
+            if route is not None:
+                self._routes.move_to_end(key)
+                return route
         route = resolve_route(self.assignment,
                               query_route_keys(parse_query(query)), key)
         with self._routes_lock:
             self._routes[key] = route
+            while len(self._routes) > DEFAULT_PLAN_CAPACITY:
+                self._routes.popitem(last=False)
         return route
 
     def execute(self, query: str,

@@ -9,8 +9,9 @@ module keeps that record:
   :class:`~repro.obs.journal.WorkloadJournal`, so a crash can tear
   at most the line in flight — carrying the query text, a **query
   fingerprint** (hash of the normalized text, the plan-cache key),
-  a **plan fingerprint** (hash of the rendered evaluation strategy,
-  so differently-spelled queries with one plan group together), the
+  a **plan fingerprint** (hash of the run's own prepared plan,
+  rendered, so differently-spelled queries with one plan group
+  together), the
   latency, and the plan/block-cache hit deltas of the run;
 * at most **1-in-N** executions (``exemplar_rate``) run traced, with
   a per-run telemetry; when such a sampled run turns out slow, its
@@ -73,15 +74,17 @@ def query_fingerprint(text: str | None) -> str | None:
     return hashlib.sha256(normalized.encode("utf-8")).hexdigest()[:12]
 
 
-def plan_fingerprint(ast) -> str | None:
-    """A stable 12-hex-digit id of the rendered evaluation strategy.
+def plan_fingerprint(plan) -> str | None:
+    """A stable 12-hex-digit id of a
+    :class:`~repro.query.engine.PreparedPlan`'s rendered evaluation
+    strategy — the run's own plan, never re-planned.
 
     Two spellings of one query share a plan fingerprint even when
     their query fingerprints differ, so the log groups by *plan*.
     """
     from repro.query.explain import explain
     try:
-        sketch = explain(ast)
+        sketch = explain(plan)
     except Exception:  # noqa: BLE001 - fingerprinting must not fail a run
         return None
     if not sketch:
@@ -163,7 +166,7 @@ class SlowQueryLog:
             self.metrics.add("slowlog.sampled")
         return Telemetry()
 
-    def maybe_record(self, *, query: str | None, ast, wall_ns: int,
+    def maybe_record(self, *, query: str | None, plan, wall_ns: int,
                      telemetry: Telemetry | None = None,
                      cache_before: dict | None = None,
                      cache_after: dict | None = None,
@@ -171,7 +174,9 @@ class SlowQueryLog:
         """Append a record when ``wall_ns`` crosses the threshold.
 
         Returns the record dict, or ``None`` when the run was fast
-        enough.  ``telemetry`` (a traced run's) contributes the
+        enough.  ``plan`` is the run's
+        :class:`~repro.query.engine.PreparedPlan` (its fingerprint is
+        taken from it); ``telemetry`` (a traced run's) contributes the
         exemplar span breakdown and evaluation counters;
         ``cache_before``/``cache_after``
         are :data:`CACHE_COUNTERS` snapshots around the run, whose
@@ -184,7 +189,7 @@ class SlowQueryLog:
             "ts": datetime.now(timezone.utc).isoformat(),
             "query": query,
             "query_fingerprint": query_fingerprint(query),
-            "plan_fingerprint": plan_fingerprint(ast),
+            "plan_fingerprint": plan_fingerprint(plan),
             "wall_ns": wall_ns,
             "wall_ms": wall_ns / (NS_PER_S / 1000.0),
             "threshold_ms": self.threshold_ms,
@@ -256,9 +261,9 @@ def _exemplar(telemetry: Telemetry | None) -> dict | None:
         "stats": telemetry.stats.as_dict(),
         "operators": {
             name: {"count": summary["count"],
-                   "total_ns": int(summary["total"]),
-                   "p95_ns": int(summary["p95"]),
-                   "max_ns": int(summary["max"])}
+                   "total_ns": summary["total"],
+                   "p95_ns": summary["p95"],
+                   "max_ns": summary["max"]}
             for name, summary in operators.items()
         },
     }

@@ -92,10 +92,10 @@ def test_serving_surface_interleaved(seed, repository, static_edges,
     def metrician(step):
         session.metrics.add("stress.ticks")
         step()
-        session.metrics.observe("stress.lat", 1.5)
+        session.metrics.set_gauge("stress.lat", 1.5)
         step()
         session.metrics.counters()
-        session.metrics.histograms()
+        session.metrics.gauges()
 
     def journalist(step):
         journal.append({"seed": seed, "op": 1})

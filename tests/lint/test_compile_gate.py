@@ -25,7 +25,6 @@ from repro.partitioning.config import (
     ContainerGroup,
 )
 from repro.query.engine import QueryEngine
-from repro.query.explain import explain
 from repro.query.optimizer import bind_plan, plan_query
 from repro.query.options import ExecutionOptions
 from repro.query.parser import parse_query
@@ -236,7 +235,7 @@ class TestNestedJoins:
                                     engine.repository_of))
         assert names == ["XMLSerialize", "NestedLoopJoin",
                          "StructureSummaryAccess", "OpaqueSource"]
-        assert "HashJoin" not in explain(text)
+        assert "HashJoin" not in engine.explain(text)
         result = engine.execute(text)
         assert result.stats.hash_joins == 0
         assert result.to_xml() == GalaxEngine(
@@ -260,8 +259,8 @@ class TestEngineGate:
         bad = PlanDiagnostic.make(
             "plan.missing-decompress", "XMLSerialize",
             "injected error for the gate test")
-        monkeypatch.setattr(QueryEngine, "verify",
-                            lambda self, query: [bad])
+        monkeypatch.setattr("repro.query.engine.verify_plan",
+                            lambda tree: [bad])
         with pytest.raises(PlanVerificationError) as exc_info:
             engine.execute("/lib/b/t")
         assert exc_info.value.diagnostics == [bad]
@@ -277,20 +276,24 @@ class TestEngineGate:
             ExecutionOptions(telemetry=telemetry))
         rules = [d.rule for d in telemetry.diagnostics]
         assert rules == ["plan.interval-decompressing"]
-        assert telemetry.metrics.counters()["lint.warning"] == 1
+        assert [d.severity for d in telemetry.diagnostics] == ["warning"]
         assert telemetry.to_dict()["diagnostics"][0]["rule"] == \
             "plan.interval-decompressing"
 
-    def test_verification_is_cached_per_parsed_query(self):
-        """Verifying and then planning one AST plans once: the ad-hoc
-        path (``engine.verify(ast)``, then ``session.prepare(ast)``)."""
-        engine = QueryEngine(build_repo())
+    def test_plan_carries_what_verify_reports(self):
+        """The engine keeps no plans: ``verify`` and ``plan`` each plan
+        the AST once and find the same diagnostics, and the plan they
+        return is the one the engine runs."""
+        engine = QueryEngine(build_repo("huffman"))
         ast = parse_query(
             'for $b in /lib/b where $b/t/text() = "title 03" return $b')
-        first = engine.verify(ast)
-        assert engine.verify(ast) is first
-        assert engine.plan(ast).diagnostics is first
-        assert engine.plan(ast).plan is engine.plan(ast).plan
+        prepared = engine.plan(ast)
+        assert prepared.ast is ast and prepared.text is None
+        assert engine.verify(ast) == prepared.diagnostics != []
+        assert engine.plan(ast).plan is not prepared.plan
+        telemetry = Telemetry()
+        engine.execute(prepared, ExecutionOptions(telemetry=telemetry))
+        assert telemetry.diagnostics == prepared.diagnostics
 
     def test_explain_analyze_renders_diagnostics(self):
         repo = build_repo("huffman")

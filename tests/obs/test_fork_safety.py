@@ -110,7 +110,7 @@ class TestSlowLogForkSafety:
 
         def child():
             for i in range(10):
-                log.maybe_record(query=f"child q{i}", ast=None,
+                log.maybe_record(query=f"child q{i}", plan=None,
                                  wall_ns=10_000)
             log.close()
             os._exit(0)
@@ -119,7 +119,7 @@ class TestSlowLogForkSafety:
         for worker in workers:
             worker.start()
         for i in range(10):
-            log.maybe_record(query=f"parent q{i}", ast=None,
+            log.maybe_record(query=f"parent q{i}", plan=None,
                              wall_ns=10_000)
         for worker in workers:
             worker.join(timeout=30)

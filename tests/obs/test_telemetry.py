@@ -1,4 +1,4 @@
-"""The Telemetry bundle: span histograms, JSON export."""
+"""The Telemetry run record: operator profile, JSON export."""
 
 import json
 
@@ -6,23 +6,34 @@ from repro.obs.telemetry import Telemetry, span_on
 from repro.obs.tracer import NOOP_SPAN
 
 
+def _profile(durations, name="Op", **attributes):
+    """The profile row of finished spans of the given durations."""
+    telemetry = Telemetry()
+    for duration in durations:
+        telemetry.tracer.record(name, 1000, 1000 + duration, **attributes)
+    return telemetry.operator_profile()[name]
+
+
 class TestSpanHistograms:
     def test_closed_spans_feed_histograms(self):
+        """Every finished span, nested ones included, counts in its
+        name's distribution; a span still open does not."""
         telemetry = Telemetry()
-        for _ in range(2):
-            with telemetry.span("ContScan"):
-                pass
-        summary = telemetry.metrics.histograms()["span.ContScan"]
-        assert summary["count"] == 2
+        with telemetry.span("Execute"):
+            for _ in range(2):
+                with telemetry.span("ContScan"):
+                    pass
+            profile = telemetry.operator_profile()
+        assert profile["ContScan"]["count"] == 2
+        assert "Execute" not in profile
+        assert telemetry.operator_profile()["Execute"]["count"] == 1
 
     def test_operator_profile_strips_prefix(self):
+        """Profile rows are keyed by the bare span name."""
         telemetry = Telemetry()
         with telemetry.span("HashJoin.build"):
             pass
-        telemetry.metrics.observe("other.metric", 1.0)
-        profile = telemetry.operator_profile()
-        assert "HashJoin.build" in profile
-        assert "other.metric" not in profile
+        assert list(telemetry.operator_profile()) == ["HashJoin.build"]
 
 
     def test_disabled_records_no_spans(self):
@@ -39,19 +50,54 @@ class TestSpanHistograms:
         assert telemetry.tracer.roots[0].attributes == {"rows": 3}
 
 
+class TestProfileSummary:
+    """Each profile row summarizes its spans' durations exactly:
+    nearest-rank percentiles over every one of them."""
+
+    def test_no_finished_span_no_row(self):
+        telemetry = Telemetry()
+        assert telemetry.operator_profile() == {}
+        with telemetry.span("Op"):
+            assert telemetry.operator_profile() == {}
+
+    def test_nearest_rank_percentiles(self):
+        row = _profile(range(1, 101))  # 1..100
+        assert row["p50"] == 51  # round(0.5 * 99) = 50th index
+        assert row["p95"] == 95
+        assert row["p99"] == 99
+        assert row["max"] == 100
+
+    def test_summary_fields(self):
+        row = _profile((3, 1, 2), rows=4, batches=1)
+        assert row == {"count": 3, "total": 6, "max": 3, "p50": 2,
+                       "p95": 3, "p99": 3, "rows": 12, "batches": 3}
+
+    def test_order_independent(self):
+        assert _profile((5, 1, 9, 3)) == _profile((9, 5, 3, 1))
+
+    def test_every_sample_is_kept(self):
+        """Percentiles are exact however many spans a run records."""
+        values = [(i * 7919) % 1024 for i in range(1024)]
+        ranked = sorted(values)
+        row = _profile(values)
+        assert row["count"] == 1024
+        assert row["total"] == sum(values)
+        assert row["max"] == 1023
+        for p in (50, 95, 99):
+            assert row[f"p{p}"] == ranked[round(p / 100 * 1023)]
+
+
 class TestJsonExport:
     def test_document_shape(self):
         telemetry = Telemetry()
         with telemetry.span("Execute", query="/a/b"):
-            telemetry.metrics.add("decompressions", 3)
+            pass
         doc = json.loads(telemetry.to_json(indent=2))
-        assert sorted(doc) == ["diagnostics", "metrics", "operators",
-                               "stats", "trace"]
+        assert sorted(doc) == ["diagnostics", "operators", "stats",
+                               "trace"]
         assert sum(doc["stats"].values()) == 0  # no engine run here
         assert list(doc["stats"]) == sorted(telemetry.stats.FIELDS)
-        assert sorted(doc["metrics"]) == ["counters", "gauges",
-                                          "histograms"]
-        assert doc["metrics"]["counters"]["decompressions"] == 3
+        assert doc["operators"]["Execute"]["count"] == 1
         assert doc["trace"]["spans"][0]["name"] == "Execute"
         assert doc["trace"]["spans"][0]["attributes"]["query"] == "/a/b"
 
@@ -66,16 +112,17 @@ class TestJsonExport:
 class TestDeterministicExport:
     def test_json_keys_sorted_at_every_level(self):
         telemetry = Telemetry()
-        telemetry.metrics.add("zeta", 1)
-        telemetry.metrics.add("alpha", 2)
-        with telemetry.span("B"):
+        telemetry.stats.decompressions = 2
+        with telemetry.span("B", zeta=1, alpha=2):
             pass
         with telemetry.span("A"):
             pass
         text = telemetry.to_json()
         doc = json.loads(text)
         assert list(doc) == sorted(doc)
-        assert list(doc["metrics"]["counters"]) == ["alpha", "zeta"]
+        assert list(doc["stats"]) == sorted(doc["stats"])
+        assert list(doc["trace"]["spans"][0]["attributes"]) == \
+            ["alpha", "zeta"]
         assert list(doc["operators"]) == ["A", "B"]
 
     def test_operator_profile_order_independent_of_span_order(self):
@@ -92,8 +139,8 @@ class TestDeterministicExport:
     def test_identical_runs_export_identically(self):
         def run():
             telemetry = Telemetry()
-            telemetry.metrics.add("decompressions", 5)
-            telemetry.metrics.observe("span.Select", 100.0)
+            telemetry.stats.decompressions = 5
+            telemetry.tracer.record("Select", 0, 100, rows=3, batches=1)
             return telemetry.to_json(indent=2)
 
         assert run() == run()

@@ -119,11 +119,3 @@ class TestDisabled:
                 pass
         elapsed = time.perf_counter() - start
         assert elapsed < 0.5
-
-    def test_on_end_fires_per_close(self):
-        ended = []
-        tracer = Tracer(on_end=ended.append)
-        with tracer.span("a"):
-            with tracer.span("b"):
-                pass
-        assert [span.name for span in ended] == ["b", "a"]

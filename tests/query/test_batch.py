@@ -201,25 +201,26 @@ class TestOperatorProtocol:
 
 class TestBatchTelemetry:
     @staticmethod
-    def _counters(run):
+    def _profile(run):
         telemetry = Telemetry()
         token = TELEMETRY.set(telemetry)
         try:
             run()
         finally:
             TELEMETRY.reset(token)
-        return telemetry, telemetry.metrics.counters()
+        return telemetry.operator_profile()
 
     def test_batch_path_reports_same_row_counts_plus_batches(self, repo):
-        _, iterated = self._counters(
+        iterated = self._profile(
             lambda: list(ContScan(repo, NAME_PATH, "id", "v")))
-        telemetry, batched = self._counters(
+        batched = self._profile(
             lambda: list(ContScan(repo, NAME_PATH, "id", "v").batches(2)))
-        assert iterated["op.ContScan.rows"] == 4
-        assert iterated["op.ContScan.batches"] == 1
-        assert batched["op.ContScan.rows"] == 4
-        assert batched["op.ContScan.batches"] == 2
-        assert "ContScan" in telemetry.operator_profile()
+        assert iterated["ContScan"]["rows"] == 4
+        assert iterated["ContScan"]["batches"] == 1
+        assert batched["ContScan"]["rows"] == 4
+        assert batched["ContScan"]["batches"] == 2
+        assert iterated["ContScan"]["count"] == \
+            batched["ContScan"]["count"] == 1
 
     def test_batch_path_mirrors_container_access_counters(self, repo):
         for pull in (list, lambda scan: list(scan.batches(2))):
@@ -237,11 +238,11 @@ class TestBatchTelemetry:
                 lambda a, b: a["person"].node_id > b["k"]),
                 repo, "person", "up")
             assert [r["person"].node_id for r in plan] == [5, 8, 11]
-        _, counters = self._counters(run)
-        assert counters["op.ContScan.batches"] > 0
-        assert counters["op.ContScan.rows"] == 4
-        assert counters["op.NestedLoopJoin.rows"] == 3
-        assert counters["op.Parent.rows"] == 3
+        profile = self._profile(run)
+        assert profile["ContScan"]["batches"] > 0
+        assert profile["ContScan"]["rows"] == 4
+        assert profile["NestedLoopJoin"]["rows"] == 3
+        assert profile["Parent"]["rows"] == 3
 
 
 # -- per-operator output at every batch width -----------------------------------

@@ -3,10 +3,20 @@
 import difflib
 from pathlib import Path
 
-from repro.query.explain import explain
+from repro.query.engine import PreparedPlan
+from repro.query.explain import explain as render
+from repro.query.optimizer import plan_query
+from repro.query.parser import parse_query
 from repro.xmark.queries import XMARK_QUERIES, query_text
 
 PLAN_FILE = Path(__file__).parent / "plans" / "xmark.explain.txt"
+
+
+def explain(text: str) -> str:
+    """The rendered plan of a query text (no repository: explain
+    renders the plan, it does not verify it)."""
+    ast = parse_query(text)
+    return render(PreparedPlan(ast, plan_query(ast)))
 
 
 def test_xmark_plans_match_regression_file():

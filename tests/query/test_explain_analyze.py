@@ -2,7 +2,7 @@
 
 The acceptance bar for the observability layer: the counters printed in
 the report are *exactly* the ``QueryResult.stats`` totals of the same
-run (both views read one shared ``MetricsRegistry``), and a cold engine
+run (the telemetry holds the result's stats object), and a cold engine
 (telemetry disabled) pays next to nothing for the instrumentation.
 """
 
@@ -12,7 +12,6 @@ import time
 
 import pytest
 
-from repro.obs.metrics import Histogram
 from repro.query.analyze import explain_analyze
 from repro.query.engine import QueryEngine
 from repro.storage.loader import load_document
@@ -156,30 +155,24 @@ def rendered_operators(text: str) -> dict[str, tuple[int, ...]]:
 
 
 class TestOperatorPercentiles:
-    def test_rows_quote_nearest_rank_of_the_runs_spans(self, engine,
-                                                        monkeypatch):
-        observed: dict[str, list[float]] = {}
-        observe = Histogram.observe
-
-        def recording(self, value):
-            observed.setdefault(self.name, []).append(value)
-            observe(self, value)
-
-        monkeypatch.setattr(Histogram, "observe", recording)
+    def test_rows_quote_nearest_rank_of_the_runs_spans(self, engine):
         report = explain_analyze(JOIN_QUERY, engine)
+        observed: dict[str, list[int]] = {}
+        for root in report.telemetry.tracer.roots:
+            for span in root.walk():
+                observed.setdefault(span.name, []).append(
+                    span.duration_ns)
         rows = rendered_operators(report.text)
         assert max(len(values) for values in observed.values()) > 1
-        assert set(rows) == {name.removeprefix("span.")
-                             for name in observed}
+        assert set(rows) == set(observed)
         for name, values in observed.items():
             ranked = sorted(values)
 
             def rank(p):
-                return int(ranked[round(p / 100 * (len(ranked) - 1))])
+                return ranked[round(p / 100 * (len(ranked) - 1))]
 
-            assert rows[name.removeprefix("span.")] == (
-                len(ranked), int(sum(ranked)), rank(50), rank(95),
-                int(ranked[-1]))
+            assert rows[name] == (len(ranked), sum(ranked), rank(50),
+                                  rank(95), ranked[-1])
 
 
 class TestJsonExport:

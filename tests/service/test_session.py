@@ -10,6 +10,8 @@ from repro.service.session import Database, PreparedQuery, Session
 from repro.service.slowlog import SlowQueryLog
 from repro.storage.loader import load_document
 from repro.storage.serialization import save_repository
+from repro.xmark.generator import generate_xmark
+from repro.xmark.queries import query_text
 
 DOC = """
 <library>
@@ -55,13 +57,15 @@ class TestExecute:
         assert session.metrics.counters()["session.executions"] == 2
 
     def test_untraced_runs_leave_no_histograms(self, session):
-        """The serving registry counts; only a traced run's own
-        registry holds distributions."""
+        """The serving registry counts; per-operator records (spans,
+        rows, batches) exist only in a traced run's own telemetry."""
         session.execute(QUERY)
         session.execute_many([QUERY, "/library/book/title"] * 2,
                              max_workers=2)
-        assert session.metrics.counters()["session.executions"] == 5
-        assert session.metrics.histograms() == {}
+        counters = session.metrics.counters()
+        assert counters["session.executions"] == 5
+        assert not [name for name in [*counters, *session.metrics.gauges()]
+                    if name.startswith(("span.", "op.", "lint."))]
 
 
 class TestPlanCache:
@@ -69,15 +73,16 @@ class TestPlanCache:
                                              monkeypatch):
         session = Session(repository)
         parses = []
-        import repro.service.session as session_module
-        real_parse = session_module.parse_query
+        import repro.query.engine as engine_module
+        real_parse = engine_module.parse_query
         monkeypatch.setattr(
-            session_module, "parse_query",
+            engine_module, "parse_query",
             lambda text: parses.append(text) or real_parse(text))
         verifies = []
-        real_verify = session.engine.verify
-        session.engine.verify = \
-            lambda ast: verifies.append(ast) or real_verify(ast)
+        real_verify = engine_module.verify_plan
+        monkeypatch.setattr(
+            engine_module, "verify_plan",
+            lambda tree: verifies.append(tree) or real_verify(tree))
         first = session.execute(QUERY)
         warm = [session.execute(QUERY) for _ in range(3)]
         assert [r.values() for r in warm] == \
@@ -112,8 +117,8 @@ class TestPlanCache:
         bad = PlanDiagnostic.make(
             "plan.missing-decompress", "XMLSerialize",
             "injected error for the prepare gate test")
-        monkeypatch.setattr(QueryEngine, "verify",
-                            lambda self, ast: [bad])
+        monkeypatch.setattr("repro.query.engine.verify_plan",
+                            lambda tree: [bad])
         with pytest.raises(PlanVerificationError):
             session.prepare("/library/book")
         monkeypatch.undo()
@@ -142,10 +147,10 @@ class TestPreparedQuery:
                                            monkeypatch):
         session = Session(repository)
         parses = []
-        import repro.service.session as session_module
-        real_parse = session_module.parse_query
+        import repro.query.engine as engine_module
+        real_parse = engine_module.parse_query
         monkeypatch.setattr(
-            session_module, "parse_query",
+            engine_module, "parse_query",
             lambda text: parses.append(text) or real_parse(text))
         prepared = session.prepare(
             "for $b in /library/book where $b/title = $t "
@@ -271,6 +276,83 @@ class TestAnalyze:
     def test_explain_does_not_execute(self, session):
         plan = session.explain(QUERY)
         assert "ContAccess" in plan or "Select" in plan
+
+    def test_explain_renders_a_plan_that_failed_verification(
+            self, session, monkeypatch):
+        bad = PlanDiagnostic.make(
+            "plan.missing-decompress", "XMLSerialize",
+            "injected error for the explain test")
+        monkeypatch.setattr("repro.query.engine.verify_plan",
+                            lambda tree: [bad])
+        assert "StructureSummaryAccess" in session.explain(
+            "/library/book")
+        with pytest.raises(PlanVerificationError):
+            session.analyze("/library/book")
+
+    def test_analyze_honours_use_block_cache_false(self):
+        """Like ``execute``, an analysed run with the block cache
+        switched off neither reads nor fills it."""
+        session = Session(load_document(generate_xmark(0.005, seed=1)))
+        session.execute(query_text("Q1")).to_xml()  # warm the cache
+
+        def block_counters():
+            return {name: value for name, value
+                    in session.metrics.counters().items()
+                    if name.startswith("cache.block.")}
+
+        before = block_counters()
+        report = session.analyze(
+            query_text("Q1"), ExecutionOptions(use_block_cache=False))
+        assert block_counters() == before
+        assert report.result.to_xml() == \
+            session.execute(query_text("Q1")).to_xml()
+
+
+class TestOnePlan:
+    """A query the session holds is planned once: no view of it —
+    EXPLAIN, EXPLAIN ANALYZE, the slow log — plans it again."""
+
+    @pytest.fixture
+    def plans(self, monkeypatch):
+        """Every ``plan_query`` call, wherever it is made from."""
+        import repro.query.engine as engine_module
+        import repro.query.explain as explain_module
+        from repro.query.optimizer import plan_query
+        calls = []
+
+        def counting(ast):
+            calls.append(ast)
+            return plan_query(ast)
+
+        for module in (engine_module, explain_module):
+            monkeypatch.setattr(module, "plan_query", counting,
+                                raising=False)
+        return calls
+
+    def test_execute_plans_on_a_miss_only(self, session, plans):
+        session.execute(QUERY)
+        assert len(plans) == 1
+        session.execute(QUERY)
+        assert len(plans) == 1
+
+    def test_explain_and_analyze_reuse_the_prepared_plan(self, session,
+                                                         plans):
+        session.prepare(QUERY)
+        session.explain(QUERY)
+        session.analyze(QUERY)
+        session.explain_analyze(QUERY)
+        assert len(plans) == 1
+
+    def test_slow_log_record_reuses_the_runs_plan(self, repository,
+                                                  plans):
+        log = SlowQueryLog(threshold_ms=0.0, exemplar_rate=1)
+        session = Session(repository, slow_log=log)
+        session.prepare(QUERY)
+        session.execute(QUERY)
+        [record] = log.recent()
+        assert record["plan_fingerprint"]
+        assert record["exemplar"] is not None
+        assert len(plans) == 1
 
 
 class TestDecompress:

@@ -19,6 +19,7 @@ import pytest
 
 from repro.errors import AdmissionError, QuerySyntaxError, ShardError
 from repro.partitioning.sharding import ShardAssignment
+from repro.service.cache import DEFAULT_PLAN_CAPACITY
 from repro.service.session import Session
 from repro.service.shards import (
     AdmissionController,
@@ -148,6 +149,21 @@ class TestRouting:
     def test_route_cache_is_stable(self, sharded):
         text = QUERIES["Q1"]
         assert sharded.route(text) is sharded.route(text)
+
+    def test_route_memo_is_bounded(self, repository):
+        """The memo keeps the ``DEFAULT_PLAN_CAPACITY`` most recently
+        routed texts; older ones are routed afresh."""
+        database = ShardedDatabase(repository, shard_count=2)
+        texts = [f"/site/people/person[{i}]/name"
+                 for i in range(DEFAULT_PLAN_CAPACITY + 10)]
+        first = database.route(texts[0])
+        for text in texts:
+            database.route(text)
+        assert len(database._routes) <= DEFAULT_PLAN_CAPACITY
+        assert database.route(texts[0]) is not first
+        assert database.route(texts[-1]) is database.route(texts[-1])
+        database.invalidate_caches()
+        assert len(database._routes) == 0
 
 
 class TestAdmission:
@@ -319,7 +335,9 @@ class TestLifecycle:
         sharded.execute_many([QUERIES["Q1"], QUERIES["Q5"]],
                              client="hist")
         sharded.gather_metrics()
-        assert sharded.metrics.histograms() == {}
+        names = [*sharded.metrics.counters(), *sharded.metrics.gauges()]
+        assert names and not [name for name in names
+                              if {"span", "op"} & set(name.split("."))]
 
     def test_invalidate_reaches_workers(self, sharded):
         sharded.execute(QUERIES["Q1"], client="inv")

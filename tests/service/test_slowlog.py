@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
+from repro.query.engine import PreparedPlan
+from repro.query.optimizer import plan_query
 from repro.query.parser import parse_query
 from repro.service.session import Database
 from repro.service.slowlog import (
@@ -15,6 +17,11 @@ from repro.service.slowlog import (
     query_fingerprint,
     snapshot_cache_counters,
 )
+
+def prepared(text):
+    ast = parse_query(text)
+    return PreparedPlan(ast, plan_query(ast), text=text)
+
 
 DOC = """
 <library>
@@ -35,9 +42,11 @@ class TestFingerprints:
         assert query_fingerprint(None) is None
 
     def test_plan_fingerprint_groups_spellings(self):
-        a = plan_fingerprint(parse_query("/library/book"))
-        b = plan_fingerprint(parse_query("/library/book"))
+        a = plan_fingerprint(prepared("/library/book"))
+        b = plan_fingerprint(prepared("  /library/book "))
         assert a == b and len(a) == 12
+        # the hash of the rendered plan, stable across releases
+        assert a == "f00d8f093b03"
 
     def test_plan_fingerprint_survives_garbage(self):
         assert plan_fingerprint(object()) is None
@@ -61,14 +70,14 @@ class TestThresholdGating:
     def test_under_threshold_records_nothing(self):
         log = SlowQueryLog(threshold_ms=1000.0)
         record = log.maybe_record(
-            query="/library/book", ast=None, wall_ns=1_000_000)  # 1 ms
+            query="/library/book", plan=None, wall_ns=1_000_000)  # 1 ms
         assert record is None
         assert log.recent() == []
 
     def test_over_threshold_records(self):
         log = SlowQueryLog(threshold_ms=1.0)
         record = log.maybe_record(
-            query="/library/book", ast=parse_query("/library/book"),
+            query="/library/book", plan=prepared("/library/book"),
             wall_ns=5_000_000)  # 5 ms
         assert record is not None
         assert record["wall_ms"] == pytest.approx(5.0)
@@ -80,7 +89,7 @@ class TestThresholdGating:
     def test_ring_is_bounded(self):
         log = SlowQueryLog(threshold_ms=0.0, keep=3)
         for i in range(10):
-            log.maybe_record(query=f"q{i}", ast=None, wall_ns=1)
+            log.maybe_record(query=f"q{i}", plan=None, wall_ns=1)
         recent = log.recent()
         assert len(recent) == 3
         assert [r["query"] for r in recent] == ["q7", "q8", "q9"]
@@ -88,7 +97,7 @@ class TestThresholdGating:
     def test_recent_n(self):
         log = SlowQueryLog(threshold_ms=0.0)
         for i in range(5):
-            log.maybe_record(query=f"q{i}", ast=None, wall_ns=1)
+            log.maybe_record(query=f"q{i}", plan=None, wall_ns=1)
         assert [r["query"] for r in log.recent(2)] == ["q3", "q4"]
 
 
@@ -115,7 +124,7 @@ class TestJournalPersistence:
     def test_records_append_to_jsonl(self, tmp_path):
         path = tmp_path / "lib.slowlog.jsonl"
         with SlowQueryLog(path, threshold_ms=0.0) as log:
-            log.maybe_record(query="/library/book", ast=None,
+            log.maybe_record(query="/library/book", plan=None,
                              wall_ns=123)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1
@@ -135,7 +144,7 @@ class TestMetricsWiring:
                            metrics=metrics)
         assert metrics.gauges()["slowlog.threshold_ms"] == 7.0
         log.maybe_sample()
-        log.maybe_record(query="q", ast=None,
+        log.maybe_record(query="q", plan=None,
                          wall_ns=10_000_000)
         counters = metrics.counters()
         assert counters["slowlog.sampled"] == 1

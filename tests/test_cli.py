@@ -93,8 +93,9 @@ class TestTrace:
                            "/library/book/title/text()")
         assert code == 0
         doc = json.loads(output)
-        assert sorted(doc) == ["diagnostics", "metrics", "operators",
-                               "stats", "trace"]
+        assert sorted(doc) == ["diagnostics", "operators", "stats",
+                               "trace"]
+        assert doc["operators"]["Execute"]["count"] == 1
         assert doc["stats"]["summary_accesses"] >= 1
         # read after materialisation: the final Decompress is counted
         assert doc["stats"]["decompressions"] >= 1
@@ -359,14 +360,13 @@ class TestAnalyzeExitCode:
     def test_verification_error_exits_nonzero(self, repository_file,
                                               monkeypatch):
         from repro.lint.diagnostics import PlanDiagnostic
-        from repro.query.engine import QueryEngine
         bad = PlanDiagnostic.make(
             "plan.missing-decompress", "XMLSerialize",
             "injected error for the CLI gate test")
-        monkeypatch.setattr(QueryEngine, "verify",
-                            lambda self, query: [bad])
+        monkeypatch.setattr("repro.query.engine.verify_plan",
+                            lambda tree: [bad])
         code, output = run("query", str(repository_file),
-                           "/library/book/title/text()", "--analyze")
+                           "/library/book/title", "--analyze")
         assert code == 1
         assert "plan verification failed" in output
         assert "plan.missing-decompress" in output
