@@ -178,8 +178,7 @@ def _path(expr: PathExpr, env: dict, document) -> list:
             first = steps.pop(0)
             if first.test not in ("*", root.name):
                 context = []
-            context = _filter_predicates(context, first.predicates, env,
-                                         document)
+            context = _filter_predicates(context, first, env, document)
         elif steps and steps[0].axis == "descendant":
             first = steps.pop(0)
             name = None if first.test == "*" else first.test
@@ -187,8 +186,7 @@ def _path(expr: PathExpr, env: dict, document) -> list:
             if first.test in ("*", root.name):
                 context.append(root)
             context.extend(root.descendants(name))
-            context = _filter_predicates(context, first.predicates, env,
-                                         document)
+            context = _filter_predicates(context, first, env, document)
     else:
         context = _eval(expr.start, env, document)
         steps = list(expr.steps)
@@ -199,34 +197,45 @@ def _path(expr: PathExpr, env: dict, document) -> list:
 
 def _apply_step(context: list, step: Step, env: dict,
                 document) -> list:
+    """Each context node's ``step``, filtered by the step's predicates
+    on its own, one after the other."""
     output: list = []
     for item in context:
         if not isinstance(item, Element):
             continue
         if step.axis == "attribute":
             value = item.attribute(step.test)
-            if value is not None:
-                output.append(value)
+            found = [] if value is None else [value]
         elif step.test == "text()":
-            output.extend(text.value for text in (
+            found = [text.value for text in (
                 item.descendant_texts() if step.axis == "descendant"
-                else item.child_texts()))
+                else item.child_texts())]
         elif step.axis == "child":
-            output.extend(item.child_elements(
-                None if step.test == "*" else step.test))
+            found = item.child_elements(
+                None if step.test == "*" else step.test)
         else:
-            output.extend(item.descendants(
+            found = list(item.descendants(
                 None if step.test == "*" else step.test))
-    return _filter_predicates(output, step.predicates, env, document)
+        output.extend(_filter_predicates(found, step, env, document))
+    return output
 
 
-def _filter_predicates(items: list, predicates, env: dict,
+def _filter_predicates(items: list, step: Step, env: dict,
                        document) -> list:
-    for predicate in predicates:
+    """``[k]`` is ``position() = k``, counted per parent element: the
+    context node of a child step, and of ``child::a[k]`` in the
+    ``descendant-or-self::node()/child::a[k]`` that ``//a[k]``
+    abbreviates; per context node for text and attribute values."""
+    for predicate in step.predicates:
         if isinstance(predicate, NumberLiteral):
-            position = int(predicate.value)
-            items = ([items[position - 1]]
-                     if 1 <= position <= len(items) else [])
+            counts: dict = {}
+            kept = []
+            for item in items:
+                key = id(getattr(item, "parent", None))
+                counts[key] = counts.get(key, 0) + 1
+                if counts[key] == predicate.value:
+                    kept.append(item)
+            items = kept
             continue
         kept = []
         for item in items:

@@ -20,10 +20,12 @@ classifies nothing itself:
   strategy); a conjunct the containers answer exactly is not
   evaluated per binding at all, a ``contains`` is re-checked on the
   candidates only;
-* a relative value path below a for-variable (``$b/initial/text()``)
-  is a projection (:func:`~repro.query.optimizer.assign_projection`):
-  a binding looks its values up among the leaf containers' records,
-  grouped by owner once — it navigates only where the data refuse;
+* a relative path below a for-variable (``$b/initial/text()``,
+  ``$i/description``, ``$b/bidder[1]/increase/text()``) is a
+  projection (:func:`~repro.query.optimizer.assign_projection`): a
+  binding looks its nodes or values up among the summary extents and
+  leaf containers' records, grouped by owner once, and ``count`` reads
+  the group's size — it navigates only where the data refuse;
 * equality joins between binding variables run once per execution,
   as one ``MergeJoin`` over the two value-sorted key containers
   (:func:`~repro.query.optimizer.assign_equi_join`), keys decoded — a
@@ -439,12 +441,8 @@ class _Evaluator:
 
     def _eval_logical(self, expr: Logical, env: dict) -> list:
         left = effective_boolean(self.eval(expr.left, env))
-        if expr.op == "and":
-            if not left:
-                return [False]
-            return [effective_boolean(self.eval(expr.right, env))]
-        if left:
-            return [True]
+        if left == (expr.op == "or"):  # false and …, true or …
+            return [left]
         return [effective_boolean(self.eval(expr.right, env))]
 
     def _eval_comparison(self, expr: Comparison, env: dict) -> list:
@@ -489,12 +487,13 @@ class _Evaluator:
         function = FUNCTIONS.get(expr.name)
         if function is None:
             raise QueryError(f"unknown function {expr.name}()")
-        if expr.name == "count" and len(expr.args) == 1 and \
-                _returns_for_variable(expr.args[0]):
-            # One item per binding: count bindings, and let a theta
-            # join add whole slot ranges without binding them.
-            counter = _BindingCounter()
-            self._eval_flwor(expr.args[0], env, counter)
+        counter = self._counter(expr.args[0]) \
+            if expr.name == "count" and len(expr.args) == 1 else None
+        if counter is not None:
+            if isinstance(expr.args[0], FLWOR):
+                self._eval_flwor(expr.args[0], env, counter)
+            else:
+                counter(env)
             return [float(counter.count)]
         if expr.name in self._SEQUENCE_FUNCTIONS:
             args = [self.eval(arg, env) for arg in expr.args]
@@ -502,6 +501,24 @@ class _Evaluator:
             args = [self._atomize_sequence(self.eval(arg, env))
                     for arg in expr.args]
         return function(args, self.stats)
+
+    def _counter(self, expr: Expression):
+        """The sink counting the items of ``expr`` without evaluating
+        them: a path projected below a binding (its group's size), an
+        unordered FLWOR returning a for-variable (one item per binding)
+        or such a path; else ``None``."""
+        if isinstance(expr, PathExpr):
+            projection = self._projection(expr)
+            return None if projection is None else \
+                _BindingCounter(projection)
+        if not isinstance(expr, FLWOR) or expr.order:
+            return None
+        if not isinstance(expr.result, VarRef):
+            return self._counter(expr.result) \
+                if isinstance(expr.result, PathExpr) else None
+        binders = [c for c in expr.clauses if c.var == expr.result.name]
+        return _BindingCounter() if binders and \
+            isinstance(binders[-1], ForClause) else None
 
     # -- FLWOR ---------------------------------------------------------------------
 
@@ -571,8 +588,8 @@ class _Evaluator:
                                        step.decidable, results)
             return
         if isinstance(results, _BindingCounter) and not rest and \
-                not plan.residual and index + 1 == len(plan.clauses):
-            results.count += len(ids)
+                not plan.residual and index + 1 == len(plan.clauses) and \
+                results.add(clause.var, ids):
             return
         if isinstance(ids, np.ndarray):
             # A theta join's slots are in value order; bindings leave
@@ -714,30 +731,25 @@ class _Evaluator:
             start_items = self.eval(expr.start, env)
             return self._apply_steps(start_items, expr.steps, env)
         repo = self._repo(expr.document)
-        if not len(repo.structure):
-            return []
         steps = list(expr.steps)
-        # StructureSummaryAccess fast path: resolve the longest
-        # predicate-free element-step prefix against the path summary
-        # and jump straight to its extents (Figure 4) instead of
-        # navigating the structure tree.
+        # StructureSummaryAccess fast path: resolve the longest element-
+        # step prefix whose steps, but the last, are predicate-free
+        # against the path summary and jump straight to its extents
+        # (Figure 4) instead of navigating the structure tree.
         prefix: list[Step] = []
-        while steps and not steps[0].predicates and \
+        while steps and not (prefix and prefix[-1].predicates) and \
                 steps[0].axis in ("child", "descendant") and \
                 steps[0].test != "text()":
             prefix.append(steps.pop(0))
-        if prefix:
-            self.stats.summary_accesses += 1
-            summary_steps = [(s.axis, s.test) for s in prefix]
-            with span_on(self.telemetry,
-                         "StructureSummaryAccess") as span:
-                nodes = repo.resolve_path(summary_steps)
-                ids = sorted({i for n in nodes for i in n.extent})
-                span.set_attribute("rows", len(ids))
-            context: list = [NodeItem(i, expr.document) for i in ids]
-        else:
-            context = self._document_step(steps.pop(0), env,
-                                          expr.document)
+        if not prefix or not len(repo.structure):
+            return []  # the document node has no values
+        self.stats.summary_accesses += 1
+        with span_on(self.telemetry, "StructureSummaryAccess") as span:
+            nodes = repo.resolve_path([(s.axis, s.test) for s in prefix])
+            ids = sorted({i for n in nodes for i in n.extent})
+            span.set_attribute("rows", len(ids))
+        context = self._filter_predicates(
+            [NodeItem(i, expr.document) for i in ids], prefix[-1], env)
         return self._apply_steps(context, steps, env)
 
     def _projection(self, expr: PathExpr):
@@ -753,28 +765,6 @@ class _Evaluator:
                 self._index_cache[key] = assign_projection(plan, self._repo)
         return self._index_cache[key]
 
-    def _document_step(self, step: Step, env: dict,
-                       doc: str | None) -> list:
-        """First step of an absolute path, from the document node."""
-        repo = self._repo(doc)
-        root_tag = repo.tag_of(0)
-        items: list = []
-        if step.axis == "child":
-            if _test_matches_root(step, root_tag):
-                items = [NodeItem(0, doc)]
-        elif step.axis == "descendant":
-            ids = []
-            if _test_matches_root(step, root_tag):
-                ids.append(0)
-            tag_code = (None if step.test == "*"
-                        else repo.dictionary.code_of(step.test))
-            if step.test == "*" or tag_code is not None:
-                ids.extend(repo.structure.descendants_of(0, tag_code))
-            items = [NodeItem(i, doc) for i in sorted(set(ids))]
-        if step.predicates:
-            items = self._filter_predicates(items, step.predicates, env)
-        return items
-
     def _apply_steps(self, context: list, steps, env: dict) -> list:
         for step in steps:
             context = self._apply_step(context, step, env)
@@ -784,19 +774,18 @@ class _Evaluator:
         output: list = []
         seen: set[int] = set()
         for item in context:
-            if isinstance(item, NodeItem):
-                for result in self._step_from_node(item, step):
-                    if isinstance(result, NodeItem):
-                        key = (result.node_id, result.doc)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                    output.append(result)
-            elif isinstance(item, Element):
-                output.extend(self._step_from_element(item, step))
             # Atomic items have no children: step yields nothing.
-        if step.predicates:
-            output = self._filter_predicates(output, step.predicates, env)
+            found = self._step_from_node(item, step) \
+                if isinstance(item, NodeItem) else \
+                self._step_from_element(item, step) \
+                if isinstance(item, Element) else []
+            for result in self._filter_predicates(found, step, env):
+                if isinstance(result, NodeItem):
+                    key = (result.node_id, result.doc)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                output.append(result)
         return output
 
     def _step_from_node(self, item: NodeItem, step: Step) -> list:
@@ -851,21 +840,30 @@ class _Evaluator:
                 None if step.test == "*" else step.test))
         return list(candidates)
 
-    def _filter_predicates(self, items: list, predicates, env: dict
+    def _filter_predicates(self, items: list, step: Step, env: dict
                            ) -> list:
-        for predicate in predicates:
+        """One context node's ``step`` output, filtered by the step's
+        predicates.  A position counts per parent — the context node of
+        a child step; ``//a[k]`` abbreviates
+        ``descendant-or-self::node()/child::a[k]`` — and per context
+        node for values, whose parents the items do not carry."""
+        for predicate in step.predicates:
             if isinstance(predicate, NumberLiteral):
-                position = int(predicate.value)
-                items = ([items[position - 1]]
-                         if 1 <= position <= len(items) else [])
+                counts: dict = {}
+                kept = []
+                for item in items:
+                    key = (item.doc, self._repo(item.doc).structure
+                           .parents.item(item.node_id)) \
+                        if isinstance(item, NodeItem) else \
+                        id(getattr(item, "parent", None))
+                    counts[key] = counts.get(key, 0) + 1
+                    # ``[k]`` is ``position() = k``: ``[1.5]`` keeps none.
+                    if counts[key] == predicate.value:
+                        kept.append(item)
+                items = kept
                 continue
-            filtered = []
-            for item in items:
-                child_env = dict(env)
-                child_env["."] = item
-                if effective_boolean(self.eval(predicate, child_env)):
-                    filtered.append(item)
-            items = filtered
+            items = [item for item in items if effective_boolean(
+                self.eval(predicate, {**env, ".": item}))]
         return items
 
     # -- constructors --------------------------------------------------------------------
@@ -958,26 +956,27 @@ def _matches_by_probe(join, probe: str, build: str) -> dict[int, list]:
 
 
 class _BindingCounter:
-    """FLWOR sink of ``count(for … return $forvar)``: one item per
-    binding, so whole matching ranges can be added unbound."""
+    """FLWOR sink of ``count(…)`` over one item per binding — whole
+    matching ranges are added unbound — or over a projection: each
+    binding's group."""
 
     count = 0
 
+    def __init__(self, projection=None):
+        self.projection = projection
+
+    def add(self, var: str, ids) -> bool:
+        """Count the bindings ``ids`` of ``var`` unbound, if they do not
+        need binding."""
+        if self.projection is None:
+            self.count += len(ids)
+        elif self.projection.plan.var == var:
+            self.count += sum(map(self.projection.size, ids))
+        return self.projection is None or self.projection.plan.var == var
+
     def __call__(self, env: dict) -> None:
-        self.count += 1
-
-
-def _returns_for_variable(expr: Expression) -> bool:
-    """An unordered FLWOR returning one of its for-clause variables:
-    exactly one item per binding, nothing else evaluated for it."""
-    if not isinstance(expr, FLWOR) or expr.order or \
-            not isinstance(expr.result, VarRef):
-        return False
-    binders = [c for c in expr.clauses if c.var == expr.result.name]
-    return bool(binders) and isinstance(binders[-1], ForClause)
-
-
-def _test_matches_root(step: Step, root_tag: str) -> bool:
-    return step.test == "*" or step.test == root_tag
-
-
+        if self.projection is None:
+            self.count += 1
+        else:
+            (item,) = env[self.projection.plan.var]
+            self.count += self.projection.size(item.node_id)

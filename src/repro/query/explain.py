@@ -19,6 +19,7 @@ from repro.query.ast import (
     FLWOR,
     FunctionCall,
     LetClause,
+    NumberLiteral,
     PathExpr,
     VarRef,
 )
@@ -29,6 +30,8 @@ from repro.query.optimizer import (
     SelectionTerm,
     ThetaPlan,
     is_absolute_simple_path,
+    is_element_step,
+    parent_hops,
 )
 
 
@@ -137,15 +140,39 @@ def _conjunct_text(chosen, var: str) -> str:
 
 
 def _projection_text(plan: ProjectionPlan) -> str:
-    """A relative value path read as a column of its owners."""
-    leaf = _path_text(plan.source) + "".join(
+    """A relative path read as columns of its owners: per stage, the
+    extents or containers it reaches and the hops up to the owner."""
+    stages, above = [], plan.source
+    for steps, k in plan.stages:
+        above = PathExpr(None, above.steps + steps, above.document)
+        access = "StructureSummaryAccess" if is_element_step(steps[-1]) \
+            else "ContScan"
+        stages.append(f"{access} {_leaf_text(above)} + Parent^"
+                      f"{_hops_text(steps)}"
+                      + ("" if k is None else f", #{k} per parent"))
+    note = "extents grouped by owner once per summary node" \
+        if is_element_step(plan.steps[-1]) else \
+        "records grouped by owner once per container, looked up per " \
+        "binding; navigated where a container is a blob or has mixed " \
+        "content"
+    return (f"Projection {_path_text(plan.path)} ← "
+            f"{' → '.join(stages)} ({note})")
+
+
+def _hops_text(steps) -> str:
+    """``Parent`` hops from what ``steps`` reach back up: ``n`` (read
+    per summary node) past a ``//``."""
+    return "n" if any(step.axis == "descendant" for step in steps) \
+        else str(parent_hops(steps))
+
+
+def _leaf_text(path: PathExpr) -> str:
+    """An absolute path as the summary names its extent or container."""
+    return "".join(
         "/#text" if step.test == "text()" else
-        f"/@{step.test}" if step.axis == "attribute" else f"/{step.test}"
-        for step in plan.steps)
-    return (f"Projection {_path_text(plan.path)} ← ContScan {leaf} + "
-            f"Parent^{plan.ascend} (records grouped by owner once per "
-            "container, looked up per binding; navigated where a "
-            "container is a blob or has mixed content)")
+        f"/@{step.test}" if step.axis == "attribute" else
+        f"{'//' if step.axis == 'descendant' else '/'}{step.test}"
+        for step in path.steps)
 
 
 def _term_text(term, var: str, fallback: str) -> str:
@@ -178,10 +205,13 @@ def _term_text(term, var: str, fallback: str) -> str:
         order = "numeric" if hops.constant_kind == "number" else "string"
         note = (f"exact where the containers are {order}-ordered "
                 f"records, else {fallback}")
+    elif is_element_step(hops.leaf_steps[-1]):
+        access = f"StructureSummaryAccess {term.kind} {leaf}"
+        note = "exact: the summary's extents"
     else:
         access = f"ContScan {term.kind} {leaf}"
         note = f"exact on record containers, else {fallback}"
-    return f"{access} + Parent^{hops.ascend} ({note})"
+    return f"{access} + Parent^{_hops_text(hops.leaf_steps)} ({note})"
 
 
 def _path_text(expr: PathExpr) -> str:
@@ -195,4 +225,6 @@ def _path_text(expr: PathExpr) -> str:
             parts.append(f"/@{step.test}")
         else:
             parts.append(f"{separator}{step.test}")
+        parts += [f"[{p.value:g}]" if isinstance(p, NumberLiteral)
+                  else "[…]" for p in step.predicates]
     return "".join(parts)

@@ -8,7 +8,7 @@ evaluation strategies, chosen **once per query**:
   in scope and returns a frozen :class:`QueryPlan`: per FLWOR, per
   clause, the ``where`` conjuncts that become decidable there and the
   strategy they select (:class:`ClausePlan` holds the precedence), and
-  per relative value path below a for-variable its
+  per relative path below a for-variable that the summary answers its
   :class:`ProjectionPlan`.  The engine executes that plan, ``explain``
   renders it, the plan cache keeps it — nobody else classifies a
   conjunct or a path;
@@ -22,14 +22,16 @@ evaluation strategies, chosen **once per query**:
   value-sorted key containers) and inequality joins
   (:func:`assign_theta_join`) are the very trees the engine runs;
   a projection (:func:`assign_projection`) is ``ContScan →
-  Parent^k`` over the path's leaf containers, read off their
-  memoised owner groups.
+  Parent^k`` over the path's leaf containers and
+  ``StructureSummaryAccess → Parent^k`` over its element extents, read
+  off their memoised owner groups.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 from repro.query.ast import (
@@ -50,7 +52,7 @@ from repro.query.ast import (
     StringLiteral,
     VarRef,
 )
-from repro.query.context import CompressedItem
+from repro.query.context import CompressedItem, NodeItem
 from repro.query.functions import tokenize
 from repro.query.physical import (ColumnCompare, Concat, ContAccess,
                                   ContScan, ContSubstring, Decompress,
@@ -232,7 +234,7 @@ def find_theta_plan(conjunct: Expression, clause_var: str,
         steps = _simple_value_steps(key, clause_var)
         if steps is not None:
             return ThetaPlan(conjunct, steps, op, scale, probe,
-                             _ascend(steps), tuple(sorted(probe_vars)))
+                             parent_hops(steps), tuple(sorted(probe_vars)))
     return None
 
 
@@ -289,7 +291,7 @@ def find_range_plan(conjunct: Expression, clause_var: str | None
             return RangePlan(
                 steps, constant if low else None,
                 constant if high else None, low_inclusive,
-                high_inclusive, _ascend(steps),
+                high_inclusive, parent_hops(steps),
                 "number" if isinstance(const_side, NumberLiteral)
                 else "string")
     return None
@@ -374,9 +376,14 @@ def _selection_term(conjunct: Expression, clause_var: str | None
         kind, call = "exists", call.args[0]
     if isinstance(call, FunctionCall) and call.name == "empty" and \
             len(call.args) == 1:
-        steps = _simple_value_steps(call.args[0], clause_var)
+        steps = _simple_value_steps(call.args[0], clause_var) or \
+            _element_steps(call.args[0], clause_var)
         if steps is not None:
             return SelectionTerm(conjunct, kind, _whole(steps))
+    elif call is conjunct:  # a bare element path holds if it has a node
+        steps = _element_steps(conjunct, clause_var)
+        if steps is not None:
+            return SelectionTerm(conjunct, "exists", _whole(steps))
     return None
 
 
@@ -414,8 +421,10 @@ def _number(expr: Expression) -> float | None:
 
 
 def _whole(steps: tuple[Step, ...]) -> RangePlan:
-    """Every value ``steps`` reach, unbounded."""
-    return RangePlan(steps, None, None, True, True, _ascend(steps))
+    """Every value or element ``steps`` reach, unbounded (``ascend``
+    read off the summary where a step is ``//``)."""
+    return RangePlan(steps, None, None, True, True, None if any(
+        s.axis == "descendant" for s in steps) else parent_hops(steps))
 
 
 def find_selection_plan(clause: ForClause, decidable: list[Expression]
@@ -484,9 +493,63 @@ def _simple_value_steps(expr: Expression, clause_var: str | None,
     return None
 
 
-def _ascend(steps: tuple[Step, ...]) -> int:
-    """``Parent`` hops from a value's owning element back up to the
-    clause variable's node: one per element step."""
+def _relative_steps(expr: Expression, clause_var: str | None
+                    ) -> tuple[Step, ...] | None:
+    """``expr``'s steps where it is a path below ``$clause_var`` (the
+    context item for ``None``) that the summary's extents answer: child
+    and ``//`` element steps — a child one may carry one positive
+    integer position (:func:`_position`) — ending at an element, an
+    attribute or a child ``text()``; else ``None``."""
+    if not isinstance(expr, PathExpr) or not expr.steps or \
+            expr.start != (ContextItem() if clause_var is None
+                           else VarRef(clause_var)):
+        return None
+    if not all(map(is_element_step, expr.steps[:-1])) or \
+            not all(map(_answerable, expr.steps)):
+        return None
+    return expr.steps
+
+
+def _answerable(step: Step) -> bool:
+    """A child or ``//`` element step — a child one with at most one
+    positive integer position — an attribute or a child ``text()``."""
+    if not is_element_step(step):
+        return step.axis in ("child", "attribute") and not step.predicates
+    return step.axis in ("child", "descendant") and (
+        not step.predicates
+        or step.axis == "child" and _position(step) is not None)
+
+
+def _element_steps(expr: Expression, clause_var: str | None
+                   ) -> tuple[Step, ...] | None:
+    """:func:`_relative_steps` of a predicate-free path ending at an
+    element (``$v/a``, ``$v//a/b``); else ``None``."""
+    steps = _relative_steps(expr, clause_var)
+    if steps is None or not is_element_step(steps[-1]) or \
+            any(step.predicates for step in steps):
+        return None
+    return steps
+
+
+def is_element_step(step: Step) -> bool:
+    """The step reaches elements, not attribute or text values."""
+    return step.axis != "attribute" and step.test != "text()"
+
+
+def _position(step: Step) -> int | None:
+    """``k`` of a step whose one predicate is the integer ``k >= 1``."""
+    if len(step.predicates) != 1 or \
+            not isinstance(step.predicates[0], NumberLiteral):
+        return None
+    value = step.predicates[0].value
+    return int(value) if math.isfinite(value) and value >= 1 and \
+        value == int(value) else None
+
+
+def parent_hops(steps: tuple[Step, ...]) -> int:
+    """``Parent`` hops from a value's owning element — or from an
+    element the steps end at — back up to the clause variable's node:
+    one per child element step."""
     return sum(1 for s in steps
                if s.axis == "child" and s.test != "text()")
 
@@ -575,7 +638,7 @@ def _key_stream(repository, source: PathExpr, steps: tuple[Step, ...],
     if any(c.is_blob or c.value_type != "string"
            for c in map(repository.container, paths)):
         return None
-    key, hops = f"{column}~key", _ascend(steps)
+    key, hops = f"{column}~key", parent_hops(steps)
     stream = None
     for path in paths:
         node = _climb(ContScan(repository, path, _hop_column(column, hops),
@@ -632,12 +695,13 @@ def _climb(node: Operator, repository, column: str, hops: int,
 
 
 def _summary_hops(leaf, reach: dict) -> list[int]:
-    """``Parent`` hops from the element owning ``leaf``'s values up to
-    each summary node of ``reach`` above it from which the leaf is
-    reached (``reach``: ``id`` of a source node -> the ids of the leaf
-    nodes its leaf steps resolve to): several when a source element
-    nests inside itself."""
-    found, hops, node = [], 0, leaf.parent
+    """``Parent`` hops from ``leaf``'s elements — the elements owning
+    its values, for a value leaf — up to each summary node of ``reach``
+    above it from which the leaf is reached (``reach``: ``id`` of a
+    source node -> the ids of the leaf nodes its leaf steps resolve
+    to): several when a source element nests inside itself."""
+    found, hops = [], 0
+    node = leaf if leaf.container_path is None else leaf.parent
     while node is not None:
         if id(leaf) in reach.get(id(node), ()):
             found.append(hops)
@@ -649,8 +713,9 @@ def _term_owners(term: SelectionTerm, repository, source: PathExpr,
                  leaves, column: str, stats):
     """The owners of a term's values as an operator emitting ``column``:
     :func:`_leaf_access` on the container of every summary node of
-    ``leaves`` and ``Parent`` hops up to the source's nodes — ``ascend``
-    of them, else as many as the summary says lie between
+    ``leaves`` — an element leaf's extent, ``StructureSummaryAccess`` —
+    and ``Parent`` hops up to the source's nodes — ``ascend`` of them,
+    else as many as the summary says lie between
     (:func:`_summary_hops`).  The chains are united (one row per
     value), or — an exact ``substring`` term — concatenated under the
     ``FirstHit`` that keeps the owners whose first value they hold."""
@@ -668,10 +733,12 @@ def _term_owners(term: SelectionTerm, repository, source: PathExpr,
     for leaf in leaves:
         for hops in [ascend] if ascend is not None \
                 else _summary_hops(leaf, reach):
-            node = _climb(_leaf_access(
+            access = StructureSummaryAccess(
+                repository, _node_steps(leaf), _hop_column(column, hops),
+                stats) if leaf.container_path is None else _leaf_access(
                 term, repository, leaf.container_path,
-                _hop_column(column, hops), f"{column}~value", stats),
-                repository, column, hops, stats)
+                _hop_column(column, hops), f"{column}~value", stats)
+            node = _climb(access, repository, column, hops, stats)
             chains.append((leaf.container_path, hops))
             owners = node if owners is None else \
                 Concat(owners, node) if first else \
@@ -682,6 +749,12 @@ def _term_owners(term: SelectionTerm, repository, source: PathExpr,
             column, stats)
     return FirstHit(owners, repository, chains, column, f"{column}~value",
                     stats) if first else owners
+
+
+def _node_steps(node) -> list[tuple[str, str]]:
+    """The child steps from the root that resolve to summary node
+    ``node`` alone."""
+    return [("child", step) for step in node.path.split("/")[1:]]
 
 
 def _compared_owners(term: SelectionTerm, repository, source: PathExpr,
@@ -738,7 +811,9 @@ def assign_selection(clause: ForClause, plan: SelectionPlan, repo_of,
             leaf_summary_steps(plan.source, term.range.leaf_steps))
         if stats is not None:
             stats.summary_accesses += 1
-        paths = [leaf.container_path for leaf in leaves]
+        # An element leaf's extent is the answer: no container.
+        paths = [leaf.container_path for leaf in leaves] \
+            if not is_element_step(term.range.leaf_steps[-1]) else []
         containers = [] if None in paths else \
             [repository.container(path) for path in paths]
         usable = None not in paths and all(
@@ -791,8 +866,9 @@ def _summary_steps(steps: tuple[Step, ...]) -> list[tuple[str, str]]:
 
 @dataclass(frozen=True)
 class ProjectionPlan:
-    """A relative simple value path ``path`` (``$v/a/b/text()``,
-    ``$v/@x``, ``$v/a/@x``) read as a column: ``steps`` below the
+    """A relative path ``path`` below a for-variable read as columns:
+    ``steps`` (:func:`_relative_steps`: ``$v/a/b/text()``, ``$v/@x``,
+    ``$v/a``, ``$v//item``, ``$v/bidder[1]/increase/text()``) below the
     nodes of ``var``, whose binding for-clause in scope iterates
     ``source`` (:func:`_node_path` of it).  Keyed by the ``path`` node,
     the way a :class:`FlworPlan` is by its FLWOR."""
@@ -802,70 +878,140 @@ class ProjectionPlan:
     steps: tuple[Step, ...]
     source: PathExpr
 
-    @property
-    def ascend(self) -> int:
-        """``Parent`` hops from a value's owning element up to the
-        variable's node."""
-        return _ascend(self.steps)
+    @cached_property
+    def stages(self) -> tuple[tuple[tuple[Step, ...], int | None], ...]:
+        """``(steps, k)`` runs of ``steps``, cut around each positional
+        step: that step alone, bare, with its ``k`` (the ``k``-th node
+        per parent), the runs between with ``None``."""
+        stages: list = []
+        for step in self.steps:
+            k = _position(step)
+            if k is not None:
+                stages.append(((replace(step, predicates=()),), k))
+            elif stages and stages[-1][1] is None:
+                stages[-1] = (stages[-1][0] + (step,), None)
+            else:
+                stages.append(((step,), None))
+        return tuple(stages)
 
 
 class Projection(NamedTuple):
-    """A :class:`ProjectionPlan` bound to its document: per leaf
-    container the summary names, its records grouped by owner — the
-    rows of ``ContScan → Parent^ascend``, read off
-    ``ContainerArrays.by_owner`` — with its codec and value type."""
+    """A :class:`ProjectionPlan` bound to its document: per element
+    stage (the plan's :attr:`~ProjectionPlan.stages`), the summary
+    extents it reaches grouped by owner —
+    ``SummaryNode.by_owner``, one group per summary node and hop count
+    — with its ``k``; for a value path, per leaf container the summary
+    names, its records grouped by owner — the rows of ``ContScan →
+    Parent^k``, read off ``ContainerArrays.by_owner`` — with its codec
+    and value type (``leaves`` ``None`` for an element path)."""
 
     plan: ProjectionPlan
-    groups: tuple[tuple[dict, object, str], ...]
+    stages: tuple[tuple[tuple[dict, ...], int | None], ...]
+    leaves: tuple[tuple[dict, object, str], ...] | None
 
     def values(self, node_id: int) -> list:
-        """The path's values below node ``node_id``, compressed, in
-        document order: by the element owning each, across leaves."""
-        if len(self.groups) == 1:
-            ((groups, codec, value_type),) = self.groups
+        """The path's nodes or compressed values below node
+        ``node_id``, in document order, each once."""
+        ids = [node_id]
+        for groups, k in self.stages:
+            ids = _members(groups, ids, k)
+        leaves = self.leaves
+        if leaves is None:
+            document = self.plan.source.document
+            return [NodeItem(i, document) for i in ids]
+        if len(leaves) == 1 and len(ids) == 1:
+            ((groups, codec, value_type),) = leaves
             return [CompressedItem(record.compressed, codec, value_type)
-                    for record in groups.get(node_id, ())]
-        found = [(record, codec, value_type)
-                 for groups, codec, value_type in self.groups
-                 for record in groups.get(node_id, ())]
-        found.sort(key=lambda hit: hit[0].parent_id)
+                    for record in groups.get(ids[0], ())]
+        # By the element owning each value; a value below two nested
+        # owners once.
+        found = {id(record): (record, codec, value_type) for i in ids
+                 for groups, codec, value_type in leaves
+                 for record in groups.get(i, ())}
         return [CompressedItem(record.compressed, codec, value_type)
-                for record, codec, value_type in found]
+                for record, codec, value_type in sorted(
+                    found.values(), key=lambda hit: hit[0].parent_id)]
+
+    def size(self, node_id: int) -> int:
+        """``len(self.values(node_id))``, read off the group sizes where
+        the path is one element stage."""
+        if self.leaves is None and len(self.stages) == 1 and \
+                self.stages[0][1] is None:
+            return sum(len(group.get(node_id, ()))
+                       for group in self.stages[0][0])
+        return len(self.values(node_id))
+
+
+def _members(groups: tuple[dict, ...], owners: list[int],
+             k: int | None) -> list[int]:
+    """The node ids ``groups`` hold below each of ``owners`` (the
+    ``k``-th of an owner's only, if ``k``), in document order, each
+    once.  An owner's hits are disjoint — each is one summary node's
+    extent at one hop count — so only two owners can share a node."""
+    found: list[int] = []
+    for owner in owners:
+        hits = [group[owner] for group in groups if owner in group]
+        members = hits[0] if len(hits) == 1 else sorted(
+            i for hit in hits for i in hit)
+        found += members if k is None else members[k - 1:k]
+    return found if len(owners) < 2 else sorted(set(found))
 
 
 def assign_projection(plan: ProjectionPlan, repo_of) -> Projection | None:
-    """The bound projection the engine looks a binding's values up in,
-    else ``None``: then the path is navigated per binding.
+    """The bound projection the engine looks a binding's nodes or
+    values up in, else ``None``: then the path is navigated per
+    binding.
 
-    Refused, from the data, where a leaf container is a blob (no
-    record slots) or holds two values of one element (mixed content:
-    slot order is not their document order).  A path the summary lacks
-    projects to empty."""
+    Each stage resolves its steps on the summary from the nodes the
+    previous one reached (the source's first), and groups what they
+    reach by owner, the hop counts read off the summary
+    (:func:`_summary_hops`: an element nested in itself has an owner
+    per nesting).  Refused, from the data, where a leaf container is a
+    blob (no record slots) or holds two values of one element (mixed
+    content: slot order is not their document order).  A path the
+    summary lacks projects to empty."""
     repository = repo_of(plan.source.document)
-    paths = [leaf.container_path for leaf in repository.resolve_path(
-        leaf_summary_steps(plan.source, plan.steps))]
-    if None in paths:
-        return None
-    containers = [repository.container(path) for path in paths]
-    if any(c.is_blob or not c.as_arrays().one_per_parent
-           for c in containers):
-        return None
     parents = repository.structure.parents
-    return Projection(plan, tuple(
-        (c.as_arrays().by_owner(plan.ascend, parents), c.codec,
-         c.value_type)
-        for c in containers))
+    nodes = repository.resolve_path(_summary_steps(plan.source.steps))
+    stages, leaves = [], None
+    for steps, k in plan.stages:
+        reach = {id(node): repository.summary.resolve(
+            _summary_steps(steps), node) for node in nodes}
+        nodes = list({id(target): target for targets in reach.values()
+                      for target in targets}.values())
+        if any(step.axis == "descendant" for step in steps):
+            reached = {key: set(map(id, targets))
+                       for key, targets in reach.items()}
+            pairs = [(node, hops) for node in nodes
+                     for hops in _summary_hops(node, reached)]
+        else:  # a child chain: one owner, a fixed climb
+            pairs = [(node, parent_hops(steps)) for node in nodes]
+        if is_element_step(steps[-1]):
+            stages.append((tuple(node.by_owner(hops, parents)
+                                 for node, hops in pairs), k))
+            continue
+        if any(node.container_path is None for node in nodes):
+            return None
+        containers = [(repository.container(node.container_path), hops)
+                      for node, hops in pairs]
+        if any(c.is_blob or not c.as_arrays().one_per_parent
+               for c, _ in containers):
+            return None
+        leaves = tuple((c.as_arrays().by_owner(hops, parents), c.codec,
+                        c.value_type) for c, hops in containers)
+    return Projection(plan, tuple(stages), leaves)
 
 
 def _projection_plan(expr: Expression, scope: dict[str, PathExpr | None]
                      ) -> ProjectionPlan | None:
-    """``expr`` as a projection: a simple value path from a variable a
-    for-clause in ``scope`` binds over a summary-resolvable source."""
+    """``expr`` as a projection: a path :func:`_relative_steps` accepts
+    from a variable a for-clause in ``scope`` binds over a
+    summary-resolvable source."""
     if not isinstance(expr, PathExpr) or \
             not isinstance(expr.start, VarRef):
         return None
     var = expr.start.name
-    steps = _simple_value_steps(expr, var)
+    steps = _relative_steps(expr, var)
     source = scope.get(var)
     if steps is None or source is None:
         return None

@@ -145,9 +145,13 @@ class CompressedRepository:
         charges :meth:`ValueContainer.as_arrays
         <repro.storage.containers.ValueContainer.as_arrays>` views to
         its byte budget, so flushing that cache must also drop the
-        memos or the bytes stay resident unaccounted."""
+        memos or the bytes stay resident unaccounted.  The summary's
+        owner groups (:meth:`SummaryNode.by_owner
+        <repro.storage.summary.SummaryNode.by_owner>`) go with them."""
         for container in self._containers.values():
             container.drop_arrays()
+        for node in self.summary.root.walk():
+            node.drop_groups()
 
     # -- accounting -----------------------------------------------------------
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
+import numpy as np
+
 #: virtual step names for value children.
 TEXT_STEP = "#text"
 
@@ -23,7 +25,7 @@ class SummaryNode:
     """One distinct path in the document."""
 
     __slots__ = ("step", "parent", "path", "children", "extent",
-                 "container_path")
+                 "container_path", "_by_owner")
 
     def __init__(self, step: str, parent: "SummaryNode | None" = None):
         self.step = step
@@ -36,6 +38,7 @@ class SummaryNode:
         self.extent: list[int] = []
         #: container fed by this path (leaf steps only).
         self.container_path: str | None = None
+        self._by_owner: dict[int, dict[int, list[int]]] = {}
 
     def child(self, step: str) -> "SummaryNode":
         """Get or create the child summary node for ``step``."""
@@ -44,6 +47,32 @@ class SummaryNode:
             node = SummaryNode(step, self)
             self.children[step] = node
         return node
+
+    def by_owner(self, hops: int, parents: np.ndarray
+                 ) -> dict[int, list[int]]:
+        """The extent grouped by the element ``hops`` parent steps above
+        each node (``parents``: the structure's parent array), each
+        group in document order — memoised per ``hops``, what a
+        projected element path reads.  The nodes of one summary node
+        share a depth, so their owners ascend along the extent: a
+        group is a run, cut where the owner changes."""
+        groups = self._by_owner.get(hops)
+        if groups is None:
+            owners = np.asarray(self.extent, dtype=np.int64)
+            for _ in range(hops):
+                owners = np.where(owners >= 0, parents[owners], -1)
+            keys, starts, sizes = np.unique(owners, return_index=True,
+                                            return_counts=True)
+            extent = self.extent
+            groups = {owner: extent[start:start + size]
+                      for owner, start, size in zip(
+                          keys.tolist(), starts.tolist(), sizes.tolist())}
+            self._by_owner[hops] = groups
+        return groups
+
+    def drop_groups(self) -> None:
+        """Forget the :meth:`by_owner` memos."""
+        self._by_owner = {}
 
     def walk(self) -> Iterator["SummaryNode"]:
         """This node and all descendants, preorder (one stack, not a
@@ -84,7 +113,11 @@ class StructureSummary:
             seen: set[int] = set()
             for node in frontier:
                 candidates: Iterator[SummaryNode]
-                if axis == "child":
+                if axis == "child" and name != "*":
+                    # A node's children are keyed by their step.
+                    child = node.children.get(name)
+                    candidates = iter(() if child is None else (child,))
+                elif axis == "child":
                     candidates = iter(node.children.values())
                 elif axis == "descendant":
                     candidates = (n for child in node.children.values()

@@ -27,7 +27,9 @@ shadowed variable) and same-binding comparisons ``$v/a <op> K *
 $v/b`` decided in bulk (``ColumnCompare``) or refused; the string value
 of mixed content (``string()``, ``=`` and ``contains`` across a child);
 every text below a variable (``$v//text()``, stored and constructed) in
-document order.
+document order; element paths below a variable (positional steps past
+the group size, ``//`` below nested owners, ``empty`` of an element,
+``count`` of a group) and positions over several contexts.
 Constants are drawn from the document's own value pools plus
 adversarial neighbours (absent values, fractional bounds over int
 containers, the empty string, the same number spelt as text, values
@@ -348,6 +350,52 @@ def _projection(rng: random.Random) -> str:
         f"{source}{where} return $v/{first}}}</o>"))
 
 
+#: per element-path subject: sources (a ``//`` one where a node has two
+#: owners), element children with 0–3 of them per owner, a value below
+#: each, and descendant paths that reach a node from two owners.
+_ELEMENTS = (
+    (("/site/people/person", "//person"),
+     (("phone", "text()"), ("interest", "@category"),
+      ("income", "text()"), ("fax", "text()")), ()),
+    (("//item", "/site/regions//item", "/site/regions/item"),
+     (("item", "@id"), ("description", "note/text()"),
+      ("name", "text()")), ("item", "name", "description")),
+    (("//description", "/site/regions/item/description"),
+     (("description", "text()"), ("note", "text()")),
+     ("description", "note")),
+)
+
+
+def _element_paths(rng: random.Random) -> str:
+    """Element paths below a binding, read off the summary's extents:
+    positional steps ``$v/a[k]/…`` (k past the group size included),
+    absolute ones over several contexts (``/…/a/b[k]``, ``//a[k]``: a
+    position counts per parent), ``empty`` / ``not(empty)`` / a bare
+    step predicate of an element, ``count`` of an element path and of
+    a FLWOR returning one, ``//`` paths below nested owners."""
+    sources, children, below = rng.choice(_ELEMENTS)
+    source = rng.choice(sources)
+    child, value = rng.choice(children)
+    k = rng.choice((1, 1, 2, 3))
+    path = rng.choice((f"{child}[{k}]/{value}", f"{child}[{k}]",
+                       f"{child}/{value}", child)
+                      + tuple(f"/{name}" for name in below))
+    test = rng.choice((f"empty($v/{child})", f"not(empty($v/{child}))")
+                      + tuple(f"empty($v//{name})" for name in below))
+    return rng.choice((
+        f"for $v in {source} return $v/{path}",
+        f"for $v in {source} return <r>{{$v/{path}}}</r>",
+        f"for $v in {source} return count($v/{path})",
+        f"count(for $v in {source} return $v/{path})",
+        f"count({source}/{child}[{k}])",
+        f"{source}/{child}[{k}]/{value}",
+        f"count(//{child}[{k}])",
+        f"for $v in {source} where {test} return $v/{path}",
+        f"count(for $v in {source}[{child}] return $v)",
+        f"for $v in {source}[{child}] where {test} "
+        f"return count($v/{child})"))
+
+
 def _string_value(rng: random.Random, pools: dict) -> str:
     """A mixed-content ``description`` atomized — by ``string()``, by
     ``=`` against a whole string value, by ``contains`` with a needle
@@ -464,6 +512,9 @@ def generate_queries(entities: dict, rng: random.Random,
         lambda: _projection(rng),
         lambda: _projection(rng),
         lambda: _projection(rng),
+        lambda: _element_paths(rng),    # three times: 1 000+ shapes
+        lambda: _element_paths(rng),
+        lambda: _element_paths(rng),
         lambda: _string_value(rng, pools),
         lambda: _descendant_texts(rng),
         lambda: _exact_contains(rng, pools),    # twice: four needle kinds

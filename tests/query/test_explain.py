@@ -40,6 +40,15 @@ class TestExplain:
         plan = explain("/site/people/person")
         assert "StructureSummaryAccess" in plan
 
+    def test_step_predicates_reported(self):
+        plan = explain("for $p in /site/people/person "
+                       'return $p/phone[@kind = "cell"][2]/text()')
+        assert 'navigate $p/phone[…][2]/text()' in plan
+        plan = explain("for $p in /site/people/person "
+                       "return $p/phone[2]/text()")
+        assert "Projection $p/phone[2]/text() ← StructureSummaryAccess " \
+            "/site/people/person/phone + Parent^1, #2 per parent" in plan
+
     def test_range_plan_reported(self):
         plan = explain(
             'for $p in /site/people/person '
@@ -69,7 +78,8 @@ class TestExplain:
             "for $p in /site/people/person for $w in $p/watches/watch "
             "where $w/@open_auction = $p/@id return $w")
         assert "MergeJoin" not in plan
-        assert "navigate $p/watches/watch" in plan
+        assert "Projection $p/watches/watch ← StructureSummaryAccess" \
+            in plan
         assert "Select (evaluated per binding" in plan
 
     def test_theta_join_reported(self):

@@ -220,6 +220,15 @@ class TestSelectionPlans:
             ("interval", "3", None, 1), ("interval", None, "m", 0),
             ("not-exists", None, None, 2), ("exists", None, None, 0)]
 
+    def test_element_existence_is_a_term(self):
+        # The summary's extents answer it: Parent hops off the element,
+        # n (None) of them past a ``//``.
+        assert self.kinds(
+            "for $v in /a/b[c/d] where empty($v/e) and "
+            "not(empty($v//f)) and $v/g return $v") == [
+            ("exists", None, None, 2), ("not-exists", None, None, 1),
+            ("exists", None, None, None), ("exists", None, None, 1)]
+
     def test_both_operand_orders_give_one_interval(self):
         for where in ("$v/c/text() < 7", "7 > $v/c/text()"):
             (term,) = self.plan(
@@ -263,7 +272,9 @@ class TestSelectionPlans:
                 "for $v in /a/b where $v/@k = $v/@j return $v",
                 "for $v in /a/b where $v/@k = $w/@k return $v",
                 "for $v in /a/b where not($v/@k = 1) return $v",
-                "for $v in /a/b where empty($v/c) return $v",
+                "for $v in /a/b where empty($v/c[1]) return $v",
+                "for $v in /a/b where not($v/c) return $v",
+                "for $v in /a/b[@k] return $v",           # a value
                 "for $v in /a/b where empty($v//c/text()) return $v",
                 "for $v in /a/b return $v"):
             assert self.plan(query) is None, query
