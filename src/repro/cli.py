@@ -378,8 +378,7 @@ def _print_container_table(repository, out) -> None:
 
 
 def _cmd_decompress(args, out) -> int:
-    repository = load_repository(args.repository)
-    text = Session(repository).decompress()
+    text = load_repository(args.repository).to_xml()
     if args.output is not None:
         args.output.write_text(text, encoding="utf-8")
     else:

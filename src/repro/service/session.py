@@ -285,11 +285,9 @@ class Session:
     # -- repository-level helpers -------------------------------------------
 
     def decompress(self) -> str:
-        """Reconstruct the whole document as XML text."""
-        from repro.query.context import EvaluationStats
-        from repro.xmlio.writer import serialize
-        element = self.engine.materialize_node(0, EvaluationStats())
-        return serialize(element)
+        """The whole document as XML text, from the raw repository:
+        no DOM, and nothing passes through the block cache."""
+        return self.repository.to_xml()
 
     def invalidate_caches(self) -> None:
         """Explicitly flush both caches (e.g. after swapping the

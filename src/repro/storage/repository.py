@@ -11,12 +11,15 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ContainerNotFoundError
 from repro.storage.containers import ValueContainer
 from repro.storage.name_dictionary import NameDictionary
 from repro.storage.statistics import DocumentStatistics
 from repro.storage.structure import StructureTree
 from repro.storage.summary import TEXT_STEP, StructureSummary, SummaryNode
+from repro.xmlio.escape import escape_attribute, escape_text
 
 
 @dataclass(frozen=True)
@@ -127,6 +130,63 @@ class CompressedRepository:
     def _value(self, container: int, slot: int) -> str:
         return self._containers[self.structure.paths[container]] \
             .value_at(slot)
+
+    def to_xml(self, node_id: int = 0) -> str:
+        """The stored subtree at ``node_id`` as compact XML, straight
+        from the columns: ``serialize`` of ``materialize_node`` with no
+        DOM, each container read raw (no cache), its slots decoded once.
+        Tokens — ``<name``, attributes, ``>`` or ``/>``, texts,
+        ``</name>`` — sort into document order by the node opened next
+        (a node's own tokens: its id), then by rank: the texts and
+        closes before a node climb the tree, deepest first."""
+        s, end = self.structure, self.structure.subtree_end(node_id)
+        ids, tags, levels = (np.arange(node_id, end), s.tags[node_id:end],
+                             s.levels[node_id:end])
+        stops = s.posts[node_id:end] + levels + 1
+        low, high = s.pointer_offsets[[node_id, end]].tolist()
+        which, slots = (s.pointer_containers[low:high],
+                        s.pointer_slots[low:high])
+        markup = np.empty(len(slots), dtype=object)
+        order = np.lexsort((slots, which))
+        bounds = np.flatnonzero(np.diff(which[order])) + 1
+        for run in np.split(order, bounds) if len(order) else ():
+            path, step = s.paths[which[run[0]]], s.steps[which[run[0]]]
+            values = map(self._containers[path].value_at,
+                         slots[run].tolist())
+            markup[run] = list(map(escape_text, values)) \
+                if step == TEXT_STEP else \
+                [f' {step[1:]}="{escape_attribute(value)}"'
+                 for value in values]
+        attributes = np.flatnonzero(np.array(
+            [step != TEXT_STEP for step in s.steps], dtype=bool)[which])
+        holders = np.repeat(ids, np.diff(
+            s.pointer_offsets[node_id:end + 1]))[attributes]
+        # A text comes before its owner's next child, else its owner's
+        # end; the content ends in a sentinel child owned by no node.
+        counts = np.diff(s.content_offsets[node_id:end + 1])
+        first, last = s.content_offsets[[node_id, end]].tolist()
+        content = np.append(s.content[first:last], 0)
+        owners = np.append(np.repeat(ids, counts), -1)
+        texts = np.flatnonzero(content < 0)
+        children = np.flatnonzero(content >= 0)
+        following = children[np.searchsorted(children, texts)]
+        owner, full = owners[texts], counts > 0
+        local, names = owner - node_id, self.dictionary.names()
+        opens = np.array(["<" + name for name in names], dtype=object)
+        closes = np.array([f"</{name}>" for name in names], dtype=object)
+        # (tokens, node opened next, rank, tie) per kind of token
+        kinds = [
+            (opens[tags], ids, 1, 0),
+            (markup[attributes], holders, 2, attributes),
+            (np.where(full, ">", "/>").astype(object), ids, 3, 0),
+            (markup[s.pointer_offsets[owner] + ~content[texts] - low],
+             np.where(owners[following] == owner, content[following],
+                      stops[local]), -2 * levels[local] - 1, texts),
+            (closes[tags[full]], stops[full], -2 * levels[full], 0)]
+        tokens, after, rank, tie = (np.concatenate([
+            np.broadcast_to(kind[column], len(kind[0])) for kind in kinds])
+            for column in range(4))
+        return "".join(tokens[np.lexsort((tie, rank, after))].tolist())
 
     def tag_of(self, node_id: int) -> str:
         """Element name of a node."""

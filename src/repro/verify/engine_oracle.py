@@ -8,9 +8,9 @@ paths and diffs the outcomes:
   default (ALM) string codec and once forcing Huffman, so both the
   order-preserving and the prefix-code fast paths are exercised;
 * **decompress-first reference** — the repository is fully
-  reconstructed to XML (``materialize_node`` + serialize) and the
-  query is evaluated by the naive plaintext
-  :class:`~repro.baselines.galax.GalaxEngine`.
+  reconstructed to XML (``to_xml``, checked per document against
+  ``materialize_node`` + serialize) and the query is evaluated by the
+  naive plaintext :class:`~repro.baselines.galax.GalaxEngine`.
 
 Agreement means byte-equal serialized results, or the same
 :class:`~repro.errors.XQueCError` subclass when both sides raise.  A
@@ -103,19 +103,13 @@ def _outcome(run) -> tuple[str, str]:
         return ("crash", f"{type(exc).__name__}: {exc}")
 
 
-def _reference_xml(repository) -> str:
-    """The forced decompress-first document text."""
-    engine = QueryEngine(repository)
-    return serialize(engine.materialize_node(0, EvaluationStats()))
-
-
 def _run_pair(xml: str, query: str, codec_variant: str
               ) -> tuple[tuple[str, str], tuple[str, str]]:
     repository = load_document(xml, default_string_codec=codec_variant)
     engine = QueryEngine(repository)
     compressed_outcome = _outcome(
         lambda: engine.execute(query).to_xml())
-    reference = GalaxEngine(_reference_xml(repository))
+    reference = GalaxEngine(repository.to_xml())
     reference_outcome = _outcome(lambda: reference.execute_to_xml(query))
     return compressed_outcome, reference_outcome
 
@@ -158,6 +152,15 @@ def check_document(entities: dict, queries: list[str],
     """Diff every query over one document, under every codec variant."""
     xml = render_xml(entities)
     for codec_variant in VARIANTS:
+        # The reference's column walk must write what the DOM path does.
+        report.checks_run += 1
+        repository = load_document(xml, default_string_codec=codec_variant)
+        if repository.to_xml() != serialize(QueryEngine(
+                repository).materialize_node(0, EvaluationStats())):
+            report.add(Mismatch(
+                layer="engine", check="decompress", codec=codec_variant,
+                plan_node="XMLSerialize", reproducer={"xml": xml},
+                description="to_xml() != serialized materialize_node(0)"))
         for query in queries:
             report.checks_run += 1
             compressed, reference = _run_pair(xml, query, codec_variant)

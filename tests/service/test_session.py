@@ -361,6 +361,21 @@ class TestDecompress:
         assert text.startswith("<library>")
         assert "<title>Dune</title>" in text
 
+    def test_leaves_the_block_cache_alone(self, session):
+        """A full decompress reads the raw repository: it neither fills
+        the byte-budgeted block cache the session's queries share (and
+        so evicts nothing of their working set) nor counts in it."""
+        session.execute(QUERY)
+        counters = session.metrics.counters()
+        before = (session.block_cache.used_bytes,
+                  counters.get("cache.block.hit", 0),
+                  counters.get("cache.block.miss", 0))
+        session.decompress()
+        counters = session.metrics.counters()
+        assert (session.block_cache.used_bytes,
+                counters.get("cache.block.hit", 0),
+                counters.get("cache.block.miss", 0)) == before
+
 
 class TestDatabase:
     def test_from_xml_and_sessions_share_caches(self):

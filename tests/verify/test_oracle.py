@@ -37,7 +37,8 @@ class TestCleanRun:
     def test_engine_oracle_clean(self):
         report = run_engine_oracle(seed=0, docs=2, queries=8)
         assert report.ok, report.render_text()
-        assert report.checks_run == 2 * 8 * 2   # docs x queries x variants
+        # docs x (queries + the decompress self-check) x variants
+        assert report.checks_run == 2 * (8 + 1) * 2
 
     def test_run_verify_merges_both_layers(self):
         report = run_verify(seed=0, docs=1, queries=4,
@@ -180,6 +181,21 @@ class TestPlantedOffsetBlindLookup:
                               progress=stop_at_first)
         mismatch = caught.value.args[0].mismatches[0]
         assert "contains(" in mismatch.reproducer["query"], mismatch
+
+
+class TestPlantedDecompressBug:
+    """Each document checks the reference's column walk against the DOM
+    path: a walk that drops its last byte is reported, with no query
+    run."""
+
+    def test_mismatch_reported(self, monkeypatch):
+        from repro.storage.repository import CompressedRepository
+        walk = CompressedRepository.to_xml
+        monkeypatch.setattr(CompressedRepository, "to_xml",
+                            lambda self, node_id=0: walk(self, node_id)[:-1])
+        report = run_engine_oracle(seed=0, docs=3, queries=0)
+        assert report.checks_run == 3 * 2
+        assert {m.check for m in report.mismatches} == {"decompress"}
 
 
 class TestReporting:
