@@ -238,10 +238,9 @@ def watch_session(watchdog: LockOrderWatchdog, session) -> None:
     """Wrap the serving layer's inventoried locks on one session.
 
     Covers the locks the Tier-C analyzer names in its DESIGN
-    hierarchy: the session's engine lock, both cache locks, the
-    metrics registry.  Undo with ``watchdog.unwatch_all()``.
+    hierarchy: both cache locks and the metrics registry.  Undo with
+    ``watchdog.unwatch_all()``.
     """
-    watchdog.watch(session, "_engine_lock", "Session._engine_lock")
     watchdog.watch(session.plan_cache, "_lock", "PlanCache._lock")
     watchdog.watch(session.block_cache, "_lock", "BlockCache._lock")
     watchdog.watch(session.metrics, "_lock", "MetricsRegistry._lock")

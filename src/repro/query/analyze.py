@@ -41,16 +41,17 @@ class AnalyzeReport:
 
 
 #: plan-line keyword -> (EvaluationStats counter, operator span name);
-#: a projection reads memoised owner groups and counts nothing.
+#: a projection counts nothing, and spans its lookups (a theta join its
+#: probes): both are bound at prepare.
 _LINE_METRICS = (
     ("ContAccess interval", "container_accesses", "ContAccess"),
     # Before "ContScan ": these lines name their scans.
     ("MergeJoin", "container_scans", "MergeJoin.build"),
     ("ColumnCompare", "container_scans", "ColumnCompare"),
-    ("Projection ", None, "Projection.build"),
+    ("Projection ", None, "Projection"),
     ("ContScan ", "container_scans", "ContScan"),
     ("ContSubstring", "container_accesses", "ContSubstring"),
-    ("ThetaJoin", "container_accesses", "ThetaJoin.build"),
+    ("ThetaJoin", "container_accesses", "ThetaJoin.probe"),
     ("StructureSummaryAccess", "summary_accesses",
      "StructureSummaryAccess"),
 )

@@ -111,19 +111,20 @@ class LazyText(Text):
     the result-set frame ships an unread one as its code bits
     (:meth:`hole`).  The content is a :class:`CompressedItem`, or — for
     a repository node's text — the ``container`` and ``slot`` it lives
-    at, read through ``container.value_at`` so that a session's block
-    cache serves it.
+    at, read through a session's block ``cache`` where the run uses it.
     """
 
-    __slots__ = ("item", "container", "slot", "_stats", "_value")
+    __slots__ = ("item", "container", "slot", "cache", "_stats",
+                 "_value")
 
     def __init__(self, stats: EvaluationStats,
                  item: CompressedItem | None = None,
-                 container=None, slot: int = 0):
+                 container=None, slot: int = 0, cache=None):
         Node.__init__(self)
         self.item = item
         self.container = container
         self.slot = slot
+        self.cache = cache
         self._stats = stats
         self._value: str | None = None
 
@@ -134,7 +135,9 @@ class LazyText(Text):
                 self._value = self.item.decode(self._stats)
             else:
                 self._stats.decompressions += 1
-                self._value = self.container.value_at(self.slot)
+                self._value = self.container.value_at(self.slot) \
+                    if self.cache is None else \
+                    self.cache.value_at(self.container, self.slot)
         return self._value
 
     @property

@@ -2,16 +2,17 @@
 
 Evaluates the supported XQuery subset directly over a
 :class:`~repro.storage.repository.CompressedRepository`, keeping values
-compressed for as long as possible.  A query is planned once
-(:func:`~repro.query.optimizer.plan_query`, at prepare time) into a
+compressed for as long as possible.  A query is planned and bound
+once (:func:`~repro.query.optimizer.plan_query`,
+:func:`~repro.query.optimizer.bind_plan`, at prepare time) into a
 :class:`PreparedPlan`; that one object is what the Tier-A verifier
 checks, what the plan cache holds, what EXPLAIN and the slow log
-render and what the evaluator dispatches on — the evaluator
-classifies nothing itself:
+render and what the evaluator runs — the evaluator classifies, binds
+and resolves nothing itself:
 
 * absolute paths resolve through the structure summary
-  (``StructureSummaryAccess``) — never by walking the full structure
-  tree (Figure 4);
+  (``StructureSummaryAccess``, resolved at bind) — never by walking
+  the full structure tree (Figure 4);
 * a for-clause's selections — ``$v/leaf op constant``, ``empty(…)``,
   ``contains($v/leaf, "literal")``, ``$v/p op K * $v/q``, predicates
   on the source's last step — run once, as the ``ContAccess → Parent
@@ -83,15 +84,15 @@ from repro.query.context import (
 from repro.query.functions import FUNCTIONS
 from repro.query.options import ExecutionOptions
 from repro.query.optimizer import (
+    BoundPlan,
     ClausePlan,
     FlworPlan,
     QueryPlan,
-    assign_projection,
     bind_plan,
     plan_query,
 )
 from repro.query.parser import parse_query
-from repro.query.physical import TELEMETRY, node_ids
+from repro.query.physical import counting, node_ids
 from repro.storage.repository import CompressedRepository
 from repro.storage.summary import TEXT_STEP
 from repro.xmlio.dom import Element, Text
@@ -111,7 +112,7 @@ class QueryResult:
     def __init__(self, items: list, stats: EvaluationStats,
                  engine: "QueryEngine",
                  telemetry: Telemetry | None = None,
-                 lazy_texts: list | None = None):
+                 lazy_texts: list | None = None, cache=None):
         self._raw_items = items
         self._materialized: list | None = None
         self.stats = stats
@@ -120,6 +121,7 @@ class QueryResult:
         self.telemetry = telemetry
         #: every :class:`~repro.query.context.LazyText` the run built.
         self._lazy_texts = lazy_texts if lazy_texts is not None else []
+        self._cache = cache  # the run's block cache, if any
 
     @property
     def items(self) -> list:
@@ -140,7 +142,8 @@ class QueryResult:
 
     def _materialize(self) -> list:
         lazy = self._lazy_texts
-        items = [self._engine.materialize_item(item, self.stats, lazy)
+        items = [self._engine.materialize_item(item, self.stats, lazy,
+                                               self._cache)
                  for item in self._raw_items]
         for text in lazy:
             text.value  # decodes, charging the run's stats
@@ -182,10 +185,12 @@ class QueryResult:
 
 
 class PreparedPlan:
-    """A query planned and verified once: its AST, its
+    """A query planned, bound and verified once: its AST, its
     :class:`~repro.query.optimizer.QueryPlan`, what the Tier-A verifier
-    found in the plan's operator trees and the text it was prepared
-    from (``None`` for a pre-parsed expression).
+    found, the text it was prepared from (``None`` for a pre-parsed
+    expression) and its :class:`~repro.query.optimizer.BoundPlan` — the
+    operators the verifier checked and every run executes (``None``: a
+    plan only rendered, which cannot run).
 
     The one copy of a query's plan, which the plan cache holds, every
     run executes and EXPLAIN, EXPLAIN ANALYZE and the slow log render.
@@ -193,12 +198,14 @@ class PreparedPlan:
     several sessions over the same repository.
     """
 
-    __slots__ = ("ast", "plan", "diagnostics", "text")
+    __slots__ = ("ast", "plan", "bound", "diagnostics", "text")
 
     def __init__(self, ast: Expression, plan: QueryPlan,
-                 diagnostics: list = (), text: str | None = None):
+                 diagnostics: list = (), text: str | None = None,
+                 bound: BoundPlan | None = None):
         self.ast = ast
         self.plan = plan
+        self.bound = bound
         self.diagnostics = list(diagnostics)
         self.text = text
 
@@ -228,13 +235,16 @@ class QueryEngine:
     ``document("name")/...`` paths (joins across documents included).
     The engine keeps no plans: a caller that re-runs a query holds
     its :class:`PreparedPlan` (the session's plan cache does).
+    ``block_cache`` (a session's) memoises the records results read,
+    unless a run's ``ExecutionOptions.use_block_cache`` is off.
     """
 
     def __init__(self, repository: CompressedRepository,
                  collection: dict[str, CompressedRepository]
-                 | None = None):
+                 | None = None, block_cache=None):
         self.repository = repository
         self.collection = collection or {}
+        self.block_cache = block_cache
 
     def repository_of(self, doc: str | None) -> CompressedRepository:
         """Repository for a document name (default when unknown)."""
@@ -254,42 +264,48 @@ class QueryEngine:
         verification entirely.  Either way the Tier-A gate has passed
         before any row is produced; the verifier's warnings flow into a
         traced run's telemetry, whose ``Execute`` span is named by the
-        plan's text (the expression's type for a pre-parsed one).
+        plan's text (the expression's type for a pre-parsed one).  A
+        plan bound to another repository, or to none, raises
+        :class:`~repro.errors.QueryError`.
         """
         if options is None:
             options = ExecutionOptions()
         prepared = (query if isinstance(query, PreparedPlan)
                     else self.prepare(query)).checked()
-        ast = prepared.ast
-        telemetry = options.telemetry
-        evaluator = _Evaluator(self, prepared.plan, telemetry)
-        base_env = options.binding_environment()
-        if telemetry is None:
-            items = evaluator.eval(ast, base_env)
-        else:
+        bound = prepared.bound
+        if bound is None or any(
+                self.repository_of(doc) is not repository
+                for doc, repository in bound.repositories.items()):
+            raise QueryError("the plan is bound to another repository; "
+                             "prepare it on this engine")
+        ast, telemetry = prepared.ast, options.telemetry
+        evaluator = _Evaluator(self, prepared, telemetry,
+                               self.block_cache if options.use_block_cache
+                               else None)
+        if telemetry is not None:
             telemetry.diagnostics.extend(prepared.diagnostics)
-            token = TELEMETRY.set(telemetry)
-            try:
-                with telemetry.span("Execute", query=prepared.text
-                                    or type(ast).__name__):
-                    items = evaluator.eval(ast, base_env)
-            finally:
-                TELEMETRY.reset(token)
+        with counting(evaluator.stats, telemetry), span_on(
+                telemetry, "Execute",
+                query=prepared.text or type(ast).__name__):
+            items = evaluator.eval(ast, options.binding_environment())
         return QueryResult(items, evaluator.stats, self,
                            telemetry=telemetry,
-                           lazy_texts=evaluator.lazy_texts)
+                           lazy_texts=evaluator.lazy_texts,
+                           cache=evaluator.cache)
 
     def prepare(self, query: str | Expression) -> PreparedPlan:
-        """Plan the query and run the Tier-A verifier over the plan's
-        operator trees — every FLWOR, every absolute path — bound to
-        this engine's repositories.  Error diagnostics are kept, not
-        raised: a failed plan can still be explained."""
+        """Plan the query, bind the plan to this engine's repositories
+        — once: every run executes what is bound here — and run the
+        Tier-A verifier over its operator trees, every FLWOR and every
+        absolute path.  Error diagnostics are kept, not raised: a
+        failed plan can still be explained."""
         text, ast = (query, parse_query(query)) \
             if isinstance(query, str) else (None, query)
         plan = plan_query(ast)
+        bound = bind_plan(ast, plan, self.repository_of)
         return PreparedPlan(ast, plan, [
-            diagnostic for tree in bind_plan(plan, self.repository_of)
-            for diagnostic in verify_plan(tree)], text)
+            diagnostic for tree in bound.trees
+            for diagnostic in verify_plan(tree)], text, bound)
 
     def plan(self, query: str | Expression) -> PreparedPlan:
         """The query's plan, past the Tier-A gate
@@ -319,7 +335,7 @@ class QueryEngine:
     # -- result materialization ------------------------------------------------
 
     def materialize_item(self, item, stats: EvaluationStats,
-                         lazy_texts: list | None = None):
+                         lazy_texts: list | None = None, cache=None):
         """Decompress one result item (the final Decompress step); a
         node's texts stay compressed (see :meth:`materialize_node`)."""
         if isinstance(item, CompressedItem):
@@ -327,13 +343,15 @@ class QueryEngine:
         if isinstance(item, NodeItem):
             return self.materialize_node(item.node_id, stats,
                                          doc=item.doc,
-                                         lazy_texts=lazy_texts)
+                                         lazy_texts=lazy_texts,
+                                         cache=cache)
         return item
 
     def materialize_node(self, node_id: int,
                          stats: EvaluationStats,
                          doc: str | None = None,
-                         lazy_texts: list | None = None) -> Element:
+                         lazy_texts: list | None = None,
+                         cache=None) -> Element:
         """Rebuild a repository node as an XML element (XMLSerialize):
         every element of the subtree first, then each takes its
         attributes and, in content order, its texts and children.
@@ -341,7 +359,8 @@ class QueryEngine:
         Attributes are decoded; each text is a
         :class:`~repro.query.context.LazyText` over its container slot,
         decoded on first read (blob texts, already plain, excepted).
-        ``lazy_texts`` collects them."""
+        ``lazy_texts`` collects them.  Records are read through ``cache``
+        (a run's block cache), if given."""
         repo = self.repository_of(doc)
         structure, steps = repo.structure, repo.structure.steps
         tags, pointers, indexes, slots, offsets, content = \
@@ -358,14 +377,16 @@ class QueryEngine:
 
         def value(pointer: int) -> str:
             stats.decompressions += 1
-            return container_of(pointer).value_at(slots[pointer])
+            container = container_of(pointer)
+            return container.value_at(slots[pointer]) if cache is None \
+                else cache.value_at(container, slots[pointer])
 
         def text(pointer: int) -> Text:
             container = container_of(pointer)
             if container.is_blob:
                 return Text(value(pointer))
             lazy.append(LazyText(stats, container=container,
-                                 slot=slots[pointer]))
+                                 slot=slots[pointer], cache=cache))
             return lazy[-1]
 
         elements = [Element(names[tag]) for tag in tags]
@@ -381,25 +402,24 @@ class QueryEngine:
 
 
 class _Evaluator:
-    def __init__(self, engine: QueryEngine, plan: QueryPlan,
-                 telemetry: Telemetry | None = None):
+    def __init__(self, engine: QueryEngine, prepared: PreparedPlan,
+                 telemetry: Telemetry | None = None, cache=None):
         self._engine = engine
         self._repo = engine.repository_of
-        #: the evaluated query's plan: every FLWOR and every projected
-        #: path dispatches on it.
-        self._plans = plan.by_node()
+        #: every FLWOR dispatches on the plan and runs what it is bound
+        #: to, as every path does.
+        self._plans, self._bound = prepared.plan.by_node(), prepared.bound
         self.telemetry = telemetry
         # A traced run counts into its telemetry's stats, so every view
         # of the telemetry quotes QueryResult.stats.
         self.stats = telemetry.stats if telemetry is not None \
             else EvaluationStats()
+        #: the block cache the run reads records through, if any.
+        self.cache = cache
         #: cached sequences for binding-independent source expressions.
         self._source_cache: dict[int, list] = {}
-        #: built once per execution: theta joins by clause identity,
-        #: equality-join matches by ``("join", clause identity)``,
-        #: selected node ids by ``("selection", clause identity)``,
-        #: projections by ``("projection", plan identity)``.
-        self._index_cache: dict = {}
+        #: what each clause's selection or equality join produced this run.
+        self._outputs: dict[int, tuple] = {}
         #: the still-compressed texts constructors built
         #: (:attr:`QueryResult.items` reads them).
         self.lazy_texts: list = []
@@ -412,13 +432,8 @@ class _Evaluator:
             raise QueryError(f"cannot evaluate {type(expr).__name__}")
         return method(self, expr, env)
 
-    def _eval_string(self, expr: StringLiteral, env: dict) -> list:
-        return [expr.value]
-
-    def _eval_number(self, expr: NumberLiteral, env: dict) -> list:
-        return [expr.value]
-
-    def _eval_text_literal(self, expr: TextLiteral, env: dict) -> list:
+    def _eval_literal(self, expr: StringLiteral | NumberLiteral
+                      | TextLiteral, env: dict) -> list:
         return [expr.value]
 
     def _eval_var(self, expr: VarRef, env: dict) -> list:
@@ -508,7 +523,7 @@ class _Evaluator:
         unordered FLWOR returning a for-variable (one item per binding)
         or such a path; else ``None``."""
         if isinstance(expr, PathExpr):
-            projection = self._projection(expr)
+            projection = self._bound.projections.get(id(expr))
             return None if projection is None else \
                 _BindingCounter(projection)
         if not isinstance(expr, FLWOR) or expr.order:
@@ -578,10 +593,12 @@ class _Evaluator:
         # inequality join (one binary search per outer binding), else
         # the constant selections.  Refused, every binding of the
         # source checks every conjunct.
-        ids, rest = self._join(step, env) if step.join is not None \
-            else self._theta_range(step, env)
-        if ids is None:
-            ids, rest = self._selection(step)
+        bound = self._bound.clauses[id(step)]
+        ids, rest = self._join(step, bound.join, env) if bound.join \
+            else self._theta_range(step, bound.theta, env) \
+            if bound.theta else (None, None)
+        if ids is None and bound.selection:
+            ids, rest = self._selection(step, bound.selection)
         if ids is None:
             for item in self._clause_items(step, env):
                 self._bind_and_descend(plan, index, env, item,
@@ -610,33 +627,23 @@ class _Evaluator:
                 return
         self._flwor_clause(plan, index + 1, child_env, results)
 
-    def _selection(self, step: ClausePlan):
-        """``(node ids, conjuncts left to check)`` of a clause whose
-        constant selections run as one operator tree on the containers
-        (:func:`~repro.query.optimizer.assign_selection`), ``(None,
-        None)`` for per-binding evaluation.  The source is absolute and
-        the terms constant, so a clause re-entered per outer binding
-        selects once per execution."""
-        if step.selection is None:
-            return None, None
-        key = ("selection", id(step))
-        if key not in self._index_cache:
-            found = step.bind_selection(self._repo, stats=self.stats)
-            if found is None:
-                self._index_cache[key] = (None, None)
-            else:
-                selection, operator = found
-                exact = [t.conjunct for t in selection.terms if t.exact]
-                with span_on(self.telemetry, "Selection",
-                             terms=len(selection.terms)) as span:
-                    ids = [node_id for batch in operator.batches()
-                           for node_id in batch.column(
-                               f"${step.clause.var}").ids.tolist()]
-                    span.set_attribute("rows", len(ids))
-                self._index_cache[key] = (ids, [
-                    c for c in step.decidable
-                    if not any(c is e for e in exact)])
-        return self._index_cache[key]
+    def _selection(self, step: ClausePlan, bound: tuple):
+        """``(node ids, conjuncts left to check)`` of a clause's bound
+        selection tree (:func:`~repro.query.optimizer.assign_selection`),
+        run once per execution however often the clause is re-entered."""
+        if id(step) not in self._outputs:
+            selection, operator = bound
+            exact = [t.conjunct for t in selection.terms if t.exact]
+            with span_on(self.telemetry, "Selection",
+                         terms=len(selection.terms)) as span:
+                ids = [node_id for batch in operator.batches()
+                       for node_id in batch.column(
+                           f"${step.clause.var}").ids.tolist()]
+                span.set_attribute("rows", len(ids))
+            self._outputs[id(step)] = (ids, [
+                c for c in step.decidable
+                if not any(c is e for e in exact)])
+        return self._outputs[id(step)]
 
     def _clause_items(self, step: ClausePlan, env: dict) -> list:
         """Items for a for-clause; a binding-independent source is
@@ -652,49 +659,30 @@ class _Evaluator:
 
     # -- equality joins ---------------------------------------------------------------
 
-    def _join(self, step: ClausePlan, env: dict):
-        """``(node ids, conjuncts left to check)`` of a clause whose
-        equality join runs as one ``MergeJoin`` on the key containers
-        (:func:`~repro.query.optimizer.assign_equi_join`), ``(None,
-        None)`` for per-binding evaluation.  Both sides are absolute
-        paths, so the join runs once per execution: the ids are the
-        probe node's matches, each once, in document order."""
-        key = ("join", id(step))
-        if key not in self._index_cache:
-            found = step.bind_join(self._repo, stats=self.stats)
-            if found is not None:
-                with span_on(self.telemetry, "MergeJoin.build") as span:
-                    matches = _matches_by_probe(
-                        found[1], f"${step.join.probe_vars[0]}",
-                        f"${step.clause.var}")
-                    span.set_attribute("rows", len(matches))
-                found = matches, step.rest(step.join.conjunct)
-            self._index_cache[key] = found
-        if self._index_cache[key] is None:
-            return None, None
-        matches, rest = self._index_cache[key]
-        (probe,) = env[step.join.probe_vars[0]]
+    def _join(self, step: ClausePlan, bound: tuple, env: dict):
+        """``(node ids, conjuncts left to check)`` of a clause's bound
+        ``MergeJoin`` (:func:`~repro.query.optimizer.assign_equi_join`),
+        run once per execution: the probe node's matches, each once, in
+        document order."""
+        plan, join = bound
+        (probe_var,) = plan.probe_vars
+        if id(step) not in self._outputs:
+            with span_on(self.telemetry, "MergeJoin.build") as span:
+                matches = _matches_by_probe(join, f"${probe_var}",
+                                            f"${step.clause.var}")
+                span.set_attribute("rows", len(matches))
+            self._outputs[id(step)] = matches, step.rest(plan.conjunct)
+        matches, rest = self._outputs[id(step)]
+        (probe,) = env[probe_var]
         return matches.get(probe.node_id, ()), rest
 
     # -- theta joins ------------------------------------------------------------------
 
-    def _theta_range(self, step: ClausePlan, env: dict):
-        """``(owners, conjuncts left to check)``: the owners of the slot
-        range of the clause's theta join matching this binding, in value
-        order; ``(None, None)`` for the nested loop.  Assigned and built
-        once per execution."""
-        if not step.thetas:
-            return None, None
-        if id(step) not in self._index_cache:
-            found = step.bind_theta(self._repo, stats=self.stats)
-            if found is not None:
-                with span_on(self.telemetry, "ThetaJoin.build"):
-                    if not found[1].build():
-                        found = None
-            self._index_cache[id(step)] = found
-        if self._index_cache[id(step)] is None:
-            return None, None
-        plan, join = self._index_cache[id(step)]
+    def _theta_range(self, step: ClausePlan, bound: tuple, env: dict):
+        """``(owners, conjuncts left to check)`` of this binding's probe
+        of the clause's bound theta join, in value order; ``(None,
+        None)`` for the nested loop."""
+        plan, join = bound
         try:
             items = self._atomize_sequence(
                 self.eval(plan.probe_expr, env))
@@ -716,54 +704,43 @@ class _Evaluator:
             values.append(item)
         # Existential over the probe values: the widest range, a
         # prefix of the sorted keys for < / <=, a suffix for > / >=.
-        start, end = (0, 0) if not values else join.probe(
+        start, end = (0, 0) if not values else self._traced(
+            "ThetaJoin.probe", join.probe,
             max(values) if plan.op in ("<", "<=") else min(values))
         return join.owners[start:end], step.rest(plan.conjunct)
+
+    def _traced(self, name: str, function, *args):
+        """``function(*args)``, under a span of a traced run."""
+        if self.telemetry is None:
+            return function(*args)
+        with self.telemetry.span(name):
+            return function(*args)
 
     # -- paths ------------------------------------------------------------------------
 
     def _eval_path(self, expr: PathExpr, env: dict) -> list:
         if expr.start is not None:
-            projection = self._projection(expr)
+            projection = self._bound.projections.get(id(expr))
             if projection is not None:
                 (item,) = env[projection.plan.var]
-                return projection.values(item.node_id)
+                return self._traced("Projection", projection.values,
+                                    item.node_id)
             start_items = self.eval(expr.start, env)
             return self._apply_steps(start_items, expr.steps, env)
-        repo = self._repo(expr.document)
-        steps = list(expr.steps)
-        # StructureSummaryAccess fast path: resolve the longest element-
-        # step prefix whose steps, but the last, are predicate-free
-        # against the path summary and jump straight to its extents
-        # (Figure 4) instead of navigating the structure tree.
-        prefix: list[Step] = []
-        while steps and not (prefix and prefix[-1].predicates) and \
-                steps[0].axis in ("child", "descendant") and \
-                steps[0].test != "text()":
-            prefix.append(steps.pop(0))
-        if not prefix or not len(repo.structure):
+        # StructureSummaryAccess fast path: the longest element-step
+        # prefix whose steps, but the last, are predicate-free was
+        # resolved against the path summary at bind; jump straight to
+        # its extents (Figure 4) instead of navigating the structure.
+        access = self._bound.paths.get(id(expr))
+        if access is None or not len(self._repo(expr.document).structure):
             return []  # the document node has no values
-        self.stats.summary_accesses += 1
-        with span_on(self.telemetry, "StructureSummaryAccess") as span:
-            nodes = repo.resolve_path([(s.axis, s.test) for s in prefix])
-            ids = sorted({i for n in nodes for i in n.extent})
-            span.set_attribute("rows", len(ids))
-        context = self._filter_predicates(
-            [NodeItem(i, expr.document) for i in ids], prefix[-1], env)
-        return self._apply_steps(context, steps, env)
-
-    def _projection(self, expr: PathExpr):
-        """The bound projection of a planned relative value path
-        (:func:`~repro.query.optimizer.assign_projection`), assigned
-        once per execution; ``None``: navigate."""
-        plan = self._plans.get(id(expr))
-        if plan is None:
-            return None
-        key = ("projection", id(plan))
-        if key not in self._index_cache:
-            with span_on(self.telemetry, "Projection.build"):
-                self._index_cache[key] = assign_projection(plan, self._repo)
-        return self._index_cache[key]
+        cut = len(access.steps)
+        context = self._filter_predicates([
+            NodeItem(node_id, expr.document)
+            for batch in access.batches(max(len(access.ids), 1))
+            for node_id in batch.column(access.column).ids.tolist()],
+            expr.steps[cut - 1], env)
+        return self._apply_steps(context, expr.steps[cut:], env)
 
     def _apply_steps(self, context: list, steps, env: dict) -> list:
         for step in steps:
@@ -813,14 +790,15 @@ class _Evaluator:
         """Attribute/text values of one node (``subtree``: every text
         below it, in document order), as CompressedItems."""
         repo = self._repo(item.doc)
-        structure = repo.structure
+        structure, cache = repo.structure, self.cache
         items = []
         for index, slot in (structure.subtree_texts(item.node_id)
                             if subtree else
                             structure.values_of(item.node_id, step_name)):
             container = repo.container(structure.paths[index])
-            items.append(CompressedItem(container.record_at(slot).compressed,
-                                        container.codec,
+            record = container.record_at(slot) if cache is None else \
+                cache.record_at(container, slot)
+            items.append(CompressedItem(record.compressed, container.codec,
                                         container.value_type))
         return items
 
@@ -893,7 +871,7 @@ class _Evaluator:
         if isinstance(item, NodeItem):
             element.append(self._engine.materialize_node(
                 item.node_id, self.stats, doc=item.doc,
-                lazy_texts=self.lazy_texts))
+                lazy_texts=self.lazy_texts, cache=self.cache))
         elif isinstance(item, (Element, Text)):
             element.append(item)
         elif isinstance(item, CompressedItem):
@@ -927,9 +905,9 @@ class _Evaluator:
         return [self._atomize(item) for item in items]
 
     _DISPATCH = {
-        StringLiteral: _eval_string,
-        NumberLiteral: _eval_number,
-        TextLiteral: _eval_text_literal,
+        StringLiteral: _eval_literal,
+        NumberLiteral: _eval_literal,
+        TextLiteral: _eval_literal,
         VarRef: _eval_var,
         ContextItem: _eval_context,
         SequenceExpr: _eval_sequence,

@@ -12,11 +12,12 @@ evaluation strategies, chosen **once per query**:
   :class:`ProjectionPlan`.  The engine executes that plan, ``explain``
   renders it, the plan cache keeps it — nobody else classifies a
   conjunct or a path;
-* :func:`bind_plan` binds a plan to repositories and returns the
-  operator trees the Tier-A verifier checks.  Constant selections
-  (:func:`assign_selection`: ``ContAccess`` interval searches on the
-  sorted containers, ``ContSubstring`` candidates for ``contains``,
-  ``Parent`` steps back up — bottom-up evaluation — and
+* :func:`bind_plan` binds a plan to repositories, once per prepare,
+  into a :class:`BoundPlan`: the operator trees the Tier-A verifier
+  checks and, the same objects, what every run executes.  Constant
+  selections (:func:`assign_selection`: ``ContAccess`` interval
+  searches on the sorted containers, ``ContSubstring`` candidates for
+  ``contains``, ``Parent`` steps back up — bottom-up evaluation — and
   ``ColumnCompare`` for ``$v/p <op> K * $v/q``), equality joins
   (:func:`assign_equi_join`: one ``MergeJoin`` over the two
   value-sorted key containers) and inequality joins
@@ -24,7 +25,8 @@ evaluation strategies, chosen **once per query**:
   a projection (:func:`assign_projection`) is ``ContScan →
   Parent^k`` over the path's leaf containers and
   ``StructureSummaryAccess → Parent^k`` over its element extents, read
-  off their memoised owner groups.
+  off their owner groups; every absolute path's summary prefix is
+  resolved there too.  Nothing is resolved or assigned at run time.
 """
 
 from __future__ import annotations
@@ -568,7 +570,7 @@ def is_absolute_simple_path(expr: Expression) -> bool:
 
 
 def assign_theta_join(clause: ForClause, plans: tuple[ThetaPlan, ...],
-                      repo_of, left=None, stats=None):
+                      repo_of, left=None):
     """``(ThetaPlan, ThetaJoin)`` for the first of the clause's theta
     candidates whose key path ends at numeric-ordered containers, else
     ``None``: the assignment the engine runs and the Tier-A verifier
@@ -576,7 +578,8 @@ def assign_theta_join(clause: ForClause, plans: tuple[ThetaPlan, ...],
 
     The clause's source is an absolute simple path (``plan_query``
     keeps no candidate otherwise); ``repo_of`` maps its document name
-    to a repository.  The operator is returned unbuilt.
+    to a repository.  The operator is returned built; where
+    :meth:`~repro.query.physical.ThetaJoin.build` refuses, ``None``.
     """
     repository = repo_of(clause.source.document)
     for plan in plans:
@@ -586,14 +589,13 @@ def assign_theta_join(clause: ForClause, plans: tuple[ThetaPlan, ...],
             continue  # the key path does not end at containers
         join = ThetaJoin(left, repository, paths, plan.op, None,
                          f"${clause.var}", scale=plan.scale or 1.0,
-                         ascend=plan.ascend, stats=stats)
+                         ascend=plan.ascend)
         if join.numeric_ordered():
-            return plan, join
+            return (plan, join) if join.build() else None
     return None
 
 
-def assign_equi_join(clause: ForClause, plan: JoinPlan, repo_of,
-                     stats=None):
+def assign_equi_join(clause: ForClause, plan: JoinPlan, repo_of):
     """``(JoinPlan, MergeJoin)`` pairing every node of the probe
     variable with every node of the clause's source that shares a key
     value, else ``None``: the assignment the engine runs and the Tier-A
@@ -609,7 +611,7 @@ def assign_equi_join(clause: ForClause, plan: JoinPlan, repo_of,
         return None
     (probe_var,) = plan.probe_vars
     sides = [_key_stream(repo_of(source.document), source, steps,
-                         f"${var}", stats)
+                         f"${var}")
              for source, steps, var in (
                  (plan.probe_source, plan.probe_steps, probe_var),
                  (clause.source, plan.build_steps, clause.var))]
@@ -620,7 +622,7 @@ def assign_equi_join(clause: ForClause, plan: JoinPlan, repo_of,
 
 
 def _key_stream(repository, source: PathExpr, steps: tuple[Step, ...],
-                column: str, stats):
+                column: str):
     """``(operator, key column)``: every value ``steps`` reach below the
     nodes of ``source``, decoded, beside its owner in ``column``, in
     value order — ``ContScan → Parent^ascend → Decompress`` on each
@@ -630,8 +632,6 @@ def _key_stream(repository, source: PathExpr, steps: tuple[Step, ...],
     the string order the reference compares by, and decoded keys
     compare across two sides trained on different source models."""
     leaves = repository.resolve_path(leaf_summary_steps(source, steps))
-    if stats is not None:
-        stats.summary_accesses += 1
     paths = [leaf.container_path for leaf in leaves]
     if not paths or None in paths:
         return None
@@ -642,9 +642,9 @@ def _key_stream(repository, source: PathExpr, steps: tuple[Step, ...],
     stream = None
     for path in paths:
         node = _climb(ContScan(repository, path, _hop_column(column, hops),
-                               key, stats), repository, column, hops, stats)
+                               key), repository, column, hops)
         stream = node if stream is None else Concat(stream, node)
-    stream = Decompress(stream, [key], stats)
+    stream = Decompress(stream, [key])
     if len(paths) > 1:
         stream = Sort(stream, (key,))
     return stream, key
@@ -663,19 +663,18 @@ def _order_answers(container, plan: RangePlan) -> bool:
 
 
 def _leaf_access(term: SelectionTerm, repository, path: str,
-                 id_column: str, value_column: str, stats) -> Operator:
+                 id_column: str, value_column: str) -> Operator:
     """The container operator of a term's kind: ``ContAccess``
     (interval), ``ContSubstring`` or — existence — ``ContScan``."""
     if term.kind == "interval":
         bounds = term.range
         return ContAccess(repository, path, id_column, value_column,
                           bounds.low, bounds.high, bounds.low_inclusive,
-                          bounds.high_inclusive, stats=stats)
+                          bounds.high_inclusive)
     if term.kind == "substring":
         return ContSubstring(repository, path, id_column, value_column,
-                             term.needle, stats, term.conjunct.name,
-                             term.exact)
-    return ContScan(repository, path, id_column, value_column, stats)
+                             term.needle, term.conjunct.name, term.exact)
+    return ContScan(repository, path, id_column, value_column)
 
 
 def _hop_column(column: str, hop: int) -> str:
@@ -684,13 +683,13 @@ def _hop_column(column: str, hop: int) -> str:
     return f"{column}~up{hop}" if hop else column
 
 
-def _climb(node: Operator, repository, column: str, hops: int,
-           stats) -> Operator:
+def _climb(node: Operator, repository, column: str, hops: int
+           ) -> Operator:
     """``node`` and ``hops`` ``Parent`` steps from its
     ``_hop_column(column, hops)`` up to ``column``."""
     for hop in range(hops, 0, -1):
         node = Parent(node, repository, _hop_column(column, hop),
-                      _hop_column(column, hop - 1), stats)
+                      _hop_column(column, hop - 1))
     return node
 
 
@@ -710,7 +709,7 @@ def _summary_hops(leaf, reach: dict) -> list[int]:
 
 
 def _term_owners(term: SelectionTerm, repository, source: PathExpr,
-                 leaves, column: str, stats):
+                 leaves, column: str):
     """The owners of a term's values as an operator emitting ``column``:
     :func:`_leaf_access` on the container of every summary node of
     ``leaves`` — an element leaf's extent, ``StructureSummaryAccess`` —
@@ -726,19 +725,17 @@ def _term_owners(term: SelectionTerm, repository, source: PathExpr,
                             repository.summary.resolve(steps, node)}
                  for node in repository.resolve_path(
                      leaf_summary_steps(source, ()))}
-        if stats is not None:
-            stats.summary_accesses += 1
     first = term.kind == "substring" and term.exact
     owners, chains = None, []
     for leaf in leaves:
         for hops in [ascend] if ascend is not None \
                 else _summary_hops(leaf, reach):
             access = StructureSummaryAccess(
-                repository, _node_steps(leaf), _hop_column(column, hops),
-                stats) if leaf.container_path is None else _leaf_access(
+                repository, _node_steps(leaf), _hop_column(column, hops)
+            ) if leaf.container_path is None else _leaf_access(
                 term, repository, leaf.container_path,
-                _hop_column(column, hops), f"{column}~value", stats)
-            node = _climb(access, repository, column, hops, stats)
+                _hop_column(column, hops), f"{column}~value")
+            node = _climb(access, repository, column, hops)
             chains.append((leaf.container_path, hops))
             owners = node if owners is None else \
                 Concat(owners, node) if first else \
@@ -746,9 +743,9 @@ def _term_owners(term: SelectionTerm, repository, source: PathExpr,
     if owners is None:  # no such path in this document: nobody
         return StructureSummaryAccess(
             repository, leaf_summary_steps(source, term.range.leaf_steps),
-            column, stats)
-    return FirstHit(owners, repository, chains, column, f"{column}~value",
-                    stats) if first else owners
+            column)
+    return FirstHit(owners, repository, chains, column,
+                    f"{column}~value") if first else owners
 
 
 def _node_steps(node) -> list[tuple[str, str]]:
@@ -758,12 +755,10 @@ def _node_steps(node) -> list[tuple[str, str]]:
 
 
 def _compared_owners(term: SelectionTerm, repository, source: PathExpr,
-                     column: str, stats) -> ColumnCompare | None:
-    """The ``ColumnCompare`` deciding a ``compare`` term over both
+                     column: str) -> ColumnCompare | None:
+    """The built ``ColumnCompare`` deciding a ``compare`` term over both
     sides' containers, or ``None`` where the summary names none on a
     side or the data refuse it (:meth:`ColumnCompare.build`)."""
-    if stats is not None:
-        stats.summary_accesses += 1
     sides = [[leaf.container_path for leaf in repository.resolve_path(
         leaf_summary_steps(source, side.leaf_steps))]
         for side in (term.range, term.scaled)]
@@ -771,12 +766,11 @@ def _compared_owners(term: SelectionTerm, repository, source: PathExpr,
         return None
     compare = ColumnCompare(repository, sides[0], term.range.ascend,
                             sides[1], term.scaled.ascend, term.op,
-                            term.scale, column, stats)
+                            term.scale, column)
     return compare if compare.build() else None
 
 
-def assign_selection(clause: ForClause, plan: SelectionPlan, repo_of,
-                     stats=None):
+def assign_selection(clause: ForClause, plan: SelectionPlan, repo_of):
     """``(SelectionPlan, operator)`` for the clause's constant
     selections ``plan``, else ``None``: the tree the engine runs, the
     Tier-A verifier checks and ``explain`` describes.
@@ -801,7 +795,7 @@ def assign_selection(clause: ForClause, plan: SelectionPlan, repo_of,
     for position, term in enumerate(plan.terms):
         if term.kind == "compare":  # a ``where`` conjunct: may refuse
             owners = _compared_owners(term, repository, plan.source,
-                                      column, stats)
+                                      column)
             if owners is not None:
                 terms.append(term)
                 selected = owners if selected is None else \
@@ -809,8 +803,6 @@ def assign_selection(clause: ForClause, plan: SelectionPlan, repo_of,
             continue
         leaves = repository.resolve_path(
             leaf_summary_steps(plan.source, term.range.leaf_steps))
-        if stats is not None:
-            stats.summary_accesses += 1
         # An element leaf's extent is the answer: no container.
         paths = [leaf.container_path for leaf in leaves] \
             if not is_element_step(term.range.leaf_steps[-1]) else []
@@ -829,7 +821,7 @@ def assign_selection(clause: ForClause, plan: SelectionPlan, repo_of,
         term = term if exact else replace(term, exact=False)
         terms.append(term)
         owners = _term_owners(term, repository, plan.source, leaves,
-                              column, stats)
+                              column)
         if term.kind == "not-exists":
             excluded = owners if excluded is None else \
                 NodeSet(excluded, owners, column, "union")
@@ -841,8 +833,7 @@ def assign_selection(clause: ForClause, plan: SelectionPlan, repo_of,
     if excluded is not None:
         if selected is None:
             selected = StructureSummaryAccess(
-                repository, leaf_summary_steps(plan.source, ()), column,
-                stats)
+                repository, leaf_summary_steps(plan.source, ()), column)
         selected = NodeSet(selected, excluded, column, "difference")
     elif not isinstance(selected, NodeSet):
         selected = NodeSet(selected, None, column)
@@ -1057,18 +1048,6 @@ class ClausePlan:
         """``decidable`` less the conjunct a join already decided."""
         return tuple(c for c in self.decidable if c is not conjunct)
 
-    def bind_join(self, repo_of, stats=None):
-        return assign_equi_join(self.clause, self.join, repo_of,
-                                stats) if self.join else None
-
-    def bind_theta(self, repo_of, left=None, stats=None):
-        return assign_theta_join(self.clause, self.thetas, repo_of, left,
-                                 stats) if self.thetas else None
-
-    def bind_selection(self, repo_of, stats=None):
-        return assign_selection(self.clause, self.selection, repo_of,
-                                stats) if self.selection else None
-
 
 @dataclass(frozen=True)
 class FlworPlan:
@@ -1183,49 +1162,118 @@ def _plan_clause(clause: ForClause, pending: list[Expression],
         find_selection_plan(clause, decidable)), later
 
 
-def bind_plan(plan: QueryPlan, repo_of) -> list[Operator]:
-    """The plan's operator trees over the repositories ``repo_of``
-    names, each under ``XMLSerialize``: one per FLWOR — its for-clauses
-    joined left to right — and one per absolute path."""
-    trees = [XMLSerialize(_bind_flwor(f, repo_of), ())
+class BoundClause(NamedTuple):
+    """A for-clause's ``(plan, operator)`` pairs, ``None`` where the plan
+    has none or the data refuse it.  A run takes the first present; a
+    binding whose theta probe is no number falls back to the selection,
+    then to the per-binding check."""
+
+    join: tuple | None
+    theta: tuple | None
+    selection: tuple | None
+
+
+class BoundPlan(NamedTuple):
+    """A :class:`QueryPlan` bound to repositories, once: the ``trees``
+    the Tier-A verifier checks and, the same objects, what every run
+    executes — per :class:`ClausePlan` its :class:`BoundClause`, per
+    path node its :class:`Projection` (``None``: navigate) or the
+    ``StructureSummaryAccess`` of its summary prefix — all by ``id``.
+    ``repositories``: each document name bound, to its repository.
+    Read-only after binding, so runs and threads share it."""
+
+    trees: tuple[Operator, ...]
+    clauses: dict[int, BoundClause]
+    projections: dict[int, Projection | None]
+    paths: dict[int, StructureSummaryAccess | None]
+    repositories: dict
+
+
+def bind_plan(ast: Expression, plan: QueryPlan, repo_of) -> BoundPlan:
+    """Bind ``plan``, the plan of ``ast``, to the repositories
+    ``repo_of`` names: a tree per FLWOR — its for-clauses joined left to
+    right — and per path of ``plan.paths``, then every other absolute
+    path's summary prefix and every projection."""
+    repositories: dict = {}
+
+    def bound_repo(doc):
+        repositories[doc] = repo_of(doc)
+        return repositories[doc]
+
+    clauses: dict[int, BoundClause] = {}
+    paths: dict[int, StructureSummaryAccess | None] = {}
+    trees = [XMLSerialize(_bind_flwor(f, bound_repo, clauses, paths), ())
              for f in plan.flwors]
-    return trees + [
-        XMLSerialize(_source_access(path, "$path", repo_of), ("$path",))
-        for path in plan.paths]
+    trees += [XMLSerialize(_summary_access(path, "$path", bound_repo,
+                                           paths), ("$path",))
+              for path in plan.paths]
+    for path in _absolute_paths(ast):
+        _summary_access(path, "$path", bound_repo, paths)
+    projections = {id(p.path): assign_projection(p, bound_repo)
+                   for p in plan.projections}
+    return BoundPlan(tuple(trees), clauses, projections, paths,
+                     repositories)
 
 
-def _source_access(source: Expression, column: str, repo_of) -> Operator:
-    if is_absolute_simple_path(source) and source.steps:
-        return StructureSummaryAccess(
-            repo_of(source.document),
-            [(s.axis, s.test) for s in source.steps], column)
-    return OpaqueSource(f"{column} in opaque source")
+def _absolute_paths(expr: Expression):
+    """Every absolute path the evaluator can reach from ``expr``."""
+    if isinstance(expr, PathExpr) and expr.start is None:
+        yield expr
+    for child in _children(expr):
+        yield from _absolute_paths(child)
 
 
-def _bind_flwor(plan: FlworPlan, repo_of) -> Operator:
+def _summary_access(path: PathExpr, column: str, repo_of,
+                    paths: dict) -> StructureSummaryAccess | None:
+    """The ``StructureSummaryAccess`` of the longest prefix of absolute
+    ``path`` the summary answers (Figure 4) — element steps, up to and
+    including the first with predicates — built once per plan: a
+    verifier's tree holds the one a run reads.  ``None``: no prefix."""
+    if id(path) not in paths:
+        prefix: list[tuple[str, str]] = []
+        for step in path.steps:
+            if step.axis not in ("child", "descendant") or \
+                    step.test == "text()":
+                break
+            prefix.append((step.axis, step.test))
+            if step.predicates:
+                break
+        paths[id(path)] = StructureSummaryAccess(
+            repo_of(path.document), prefix, column) if prefix else None
+    return paths[id(path)]
+
+
+def _bind_flwor(plan: FlworPlan, repo_of, clauses: dict,
+                paths: dict) -> Operator:
     tree = None
     for step in plan.clauses:
         clause = step.clause
         if isinstance(clause, LetClause):
             continue
-        column = f"${clause.var}"
         if tree is None and (step.join or step.thetas):
             # A nested FLWOR joining against outer variables: the
             # binding stream it runs under is its left input.
             tree = OpaqueSource("enclosing bindings")
-        theta = step.bind_theta(repo_of, left=tree)
-        if theta is not None:
-            tree = theta[1]
-            continue
-        join = step.bind_join(repo_of)
-        if join is not None:
+        bound = clauses[id(step)] = BoundClause(
+            assign_equi_join(clause, step.join, repo_of)
+            if step.join else None,
+            assign_theta_join(clause, step.thetas, repo_of, tree)
+            if step.thetas else None,
+            assign_selection(clause, step.selection, repo_of)
+            if step.selection else None)
+        if bound.theta is not None:
+            tree = bound.theta[1]
+        elif bound.join is not None:
             # Run once; each binding of the probe variable looks its
             # matches up.
-            tree = NestedLoopJoin(tree, join[1], None)
-            continue
-        selection = step.bind_selection(repo_of)
-        access = selection[1] if selection is not None else \
-            _source_access(clause.source, column, repo_of)
-        tree = access if tree is None else \
-            NestedLoopJoin(tree, access, None)
+            tree = NestedLoopJoin(tree, bound.join[1], None)
+        else:
+            column = f"${clause.var}"
+            access = bound.selection[1] if bound.selection else \
+                _summary_access(clause.source, column, repo_of, paths) \
+                if is_absolute_simple_path(clause.source) and \
+                clause.source.steps else \
+                OpaqueSource(f"{column} in opaque source")
+            tree = access if tree is None else \
+                NestedLoopJoin(tree, access, None)
     return tree if tree is not None else OpaqueSource("empty FLWOR")

@@ -3,7 +3,8 @@
 Every run option lives on one frozen dataclass that all layers
 (``QueryEngine.execute``, ``Session.execute``, ``PreparedQuery.run``,
 the CLI) accept; each layer consumes the fields
-that apply to it and passes the rest through unchanged.
+that apply to it and passes the rest through unchanged.  No option
+changes a plan, which is bound once, at prepare.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ class ExecutionOptions:
         :class:`~repro.query.context.EvaluationStats` counters of
         ``QueryResult.stats`` are kept.
     ``use_plan_cache`` / ``use_block_cache``
-        Session-level switches for the prepared-plan LRU and the
-        decoded-block cache; the bare engine ignores them.
+        Switches for the session's prepared-plan LRU and its
+        decoded-record cache (the ``value_at`` / blob ``record_at``
+        reads of materialisation and atomization).
     ``bindings``
         External variable bindings (name -> value) seeded into the
         evaluation environment, so one prepared query re-runs under

@@ -33,6 +33,7 @@ sorting.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from contextvars import ContextVar
 from time import perf_counter_ns
 
@@ -42,7 +43,7 @@ from repro.errors import QueryTypeError
 from repro.query.batch import (DEFAULT_BATCH_SIZE, ItemColumn,
                                NodeColumn, RecordBatch, ValueColumn,
                                batches_from_rows, rows_of_batches)
-from repro.query.context import CompressedItem, EvaluationStats, NodeItem
+from repro.query.context import CompressedItem, NodeItem
 from repro.storage.repository import CompressedRepository
 
 Row = dict
@@ -51,6 +52,23 @@ Row = dict
 #: it.  Context-local: a thread starts with an empty context, so a
 #: concurrent untraced run reads ``None`` and never reports here.
 TELEMETRY: ContextVar = ContextVar("telemetry", default=None)
+
+#: the running query's EvaluationStats, which the operators count
+#: into; context-local like ``TELEMETRY`` (``None``: nobody counts).
+STATS: ContextVar = ContextVar("stats", default=None)
+
+
+@contextmanager
+def counting(stats, telemetry=None):
+    """One query run: operators pulled inside count into ``stats`` and,
+    traced, report to ``telemetry``, never into themselves (shared)."""
+    stats_token = STATS.set(stats)
+    telemetry_token = TELEMETRY.set(telemetry)
+    try:
+        yield stats
+    finally:
+        TELEMETRY.reset(telemetry_token)
+        STATS.reset(stats_token)
 
 
 def _traced(name: str, batches: Iterator[RecordBatch]
@@ -78,6 +96,13 @@ def _traced(name: str, batches: Iterator[RecordBatch]
             telemetry.tracer.record(name, start, perf_counter_ns(),
                                     rows=rows, batches=count)
     return traced()
+
+
+def _count(counter: str, amount: int = 1) -> None:
+    """Add ``amount`` to the running query's ``counter``, if any."""
+    stats = STATS.get()
+    if stats is not None:
+        setattr(stats, counter, getattr(stats, counter) + amount)
 
 
 def _input_batches(source, size: int) -> Iterator[RecordBatch]:
@@ -155,40 +180,35 @@ class ContScan(Operator):
     """
 
     def __init__(self, repository: CompressedRepository, path: str,
-                 id_column: str, value_column: str,
-                 stats: EvaluationStats | None = None):
-        self._container = repository.container(path)
-        self._id_column = id_column
-        self._value_column = value_column
-        self._stats = stats
-        self.container = self._container
+                 id_column: str, value_column: str):
+        self.container = repository.container(path)
         self.id_column = id_column
         self.value_column = value_column
 
-    def _scan_rows(self) -> Iterator[Row]:
-        container = self._container
-        codec = container.codec
-        value_type = container.value_type
-        for parent_id, compressed in container.scan():
-            yield {self._id_column: NodeItem(parent_id),
-                   self._value_column: CompressedItem(
-                       compressed, codec, value_type)}
-
     def _batches(self, size: int) -> Iterator[RecordBatch]:
-        if self._stats is not None:
-            self._stats.container_scans += 1
-        container = self._container
+        _count("container_scans")
+        container = self.container
         if container.is_blob:  # no record slots: decompressing scan
-            yield from batches_from_rows(self._scan_rows(), size)
+            yield from _blob_batches(self, container.scan(), size)
             return
         arrays = container.as_arrays()
         for start in range(0, arrays.count, size):
             stop = min(start + size, arrays.count)
             yield RecordBatch({
-                self._id_column:
+                self.id_column:
                     NodeColumn(arrays.parent_ids[start:stop]),
-                self._value_column:
+                self.value_column:
                     ValueColumn(container, np.arange(start, stop))})
+
+
+def _blob_batches(access, pairs, size: int) -> Iterator[RecordBatch]:
+    """A blob container access's ``(parent id, compressed)`` pairs as
+    rows of its id and value columns, in batches."""
+    codec, value_type = access.container.codec, access.container.value_type
+    return batches_from_rows(({
+        access.id_column: NodeItem(parent_id),
+        access.value_column: CompressedItem(compressed, codec, value_type)}
+        for parent_id, compressed in pairs), size)
 
 
 class ContAccess(Operator):
@@ -201,45 +221,26 @@ class ContAccess(Operator):
     def __init__(self, repository: CompressedRepository, path: str,
                  id_column: str, value_column: str,
                  low: str | None = None, high: str | None = None,
-                 low_inclusive: bool = True, high_inclusive: bool = True,
-                 stats: EvaluationStats | None = None):
-        self._container = repository.container(path)
-        self._id_column = id_column
-        self._value_column = value_column
-        self._interval = (low, high, low_inclusive, high_inclusive)
-        self._stats = stats
-        self.container = self._container
+                 low_inclusive: bool = True, high_inclusive: bool = True):
+        self.container = repository.container(path)
         self.id_column = id_column
         self.value_column = value_column
-        self.interval = self._interval
-
-    def _interval_rows(self) -> Iterator[Row]:
-        container = self._container
-        codec = container.codec
-        value_type = container.value_type
-        low, high, low_inc, high_inc = self._interval
-        for parent_id, compressed in container.interval_search(
-                low, high, low_inc, high_inc):
-            yield {self._id_column: NodeItem(parent_id),
-                   self._value_column: CompressedItem(
-                       compressed, codec, value_type)}
+        self.interval = (low, high, low_inclusive, high_inclusive)
 
     def _batches(self, size: int) -> Iterator[RecordBatch]:
-        if self._stats is not None:
-            self._stats.container_accesses += 1
-        container = self._container
-        low, high, low_inc, high_inc = self._interval
+        _count("container_accesses")
+        container = self.container
         if container.is_blob:  # no record slots: filtered full scan
-            yield from batches_from_rows(self._interval_rows(), size)
+            yield from _blob_batches(
+                self, container.interval_search(*self.interval), size)
             return
         arrays = container.as_arrays()
-        start, end = container.interval_positions(low, high, low_inc,
-                                                  high_inc)
+        start, end = container.interval_positions(*self.interval)
         for lo in range(start, end, size):
             hi = min(lo + size, end)
             yield RecordBatch({
-                self._id_column: NodeColumn(arrays.parent_ids[lo:hi]),
-                self._value_column:
+                self.id_column: NodeColumn(arrays.parent_ids[lo:hi]),
+                self.value_column:
                     ValueColumn(container, np.arange(lo, hi))})
 
 
@@ -257,9 +258,7 @@ class ContSubstring(Operator):
 
     def __init__(self, repository: CompressedRepository, path: str,
                  id_column: str, value_column: str, needle: str,
-                 stats: EvaluationStats | None = None,
                  function: str = "contains", exact: bool = False):
-        self._stats = stats
         self.container = repository.container(path)
         self.id_column = id_column
         self.value_column = value_column
@@ -268,8 +267,7 @@ class ContSubstring(Operator):
         self.exact = exact
 
     def _batches(self, size: int) -> Iterator[RecordBatch]:
-        if self._stats is not None:
-            self._stats.container_accesses += 1
+        _count("container_accesses")
         container = self.container
         slots = container.substring_slots(self.needle) if self.exact \
             else container.substring_candidates(self.needle)
@@ -307,10 +305,9 @@ class FirstHit(Operator):
     def __init__(self, source: Iterable[Row],
                  repository: CompressedRepository,
                  leaves: list[tuple[str, int]], column: str,
-                 value_column: str, stats: EvaluationStats | None = None):
+                 value_column: str):
         self._source = source
         self._repository = repository
-        self._stats = stats
         self.leaves = tuple(leaves)
         self.column = column
         self.value_column = value_column
@@ -349,9 +346,7 @@ class FirstHit(Operator):
         """Is the first of ``owner``'s values one of ``hits``?"""
         structure = self._repository.structure
         if next(iter(owned)).endswith("/#text"):
-            if self._stats is not None:
-                self._stats.nodes_visited += \
-                    structure.subtree_end(owner) - owner
+            _count("nodes_visited", structure.subtree_end(owner) - owner)
             for container, slot in structure.subtree_texts(owner):
                 path = structure.paths[container]
                 if any(o[slot] == owner for o in owned.get(path, ())):
@@ -371,32 +366,24 @@ class FirstHit(Operator):
 
 
 class StructureSummaryAccess(Operator):
-    """All element ids reachable by a path, in document order."""
+    """All element ids reachable by a path, in document order; the
+    summary ``steps`` resolve when the operator is built, once per plan.
+    """
 
     def __init__(self, repository: CompressedRepository,
-                 steps: list[tuple[str, str]], column: str,
-                 stats: EvaluationStats | None = None):
-        self._repository = repository
-        self._steps = steps
-        self._column = column
-        self._stats = stats
+                 steps: list[tuple[str, str]], column: str):
+        self.steps = steps
         self.column = column
-
-    def _merged_ids(self) -> np.ndarray:
-        merged: set[int] = set()
-        for node in self._repository.resolve_path(self._steps):
-            merged.update(node.extent)
-        ids = np.fromiter(merged, dtype=np.int64, count=len(merged))
-        ids.sort()
-        return ids
+        extents = [node.extent for node in repository.resolve_path(steps)]
+        self.ids = np.unique(np.concatenate(extents)).astype(np.int64) \
+            if extents else np.empty(0, dtype=np.int64)
 
     def _batches(self, size: int) -> Iterator[RecordBatch]:
-        if self._stats is not None:
-            self._stats.summary_accesses += 1
-        ids = self._merged_ids()
+        _count("summary_accesses")
+        ids = self.ids
         for start in range(0, len(ids), size):
             yield RecordBatch({
-                self._column: NodeColumn(ids[start:start + size])})
+                self.column: NodeColumn(ids[start:start + size])})
 
 
 class OpaqueSource(Operator):
@@ -422,20 +409,16 @@ class Parent(Operator):
 
     def __init__(self, source: Iterable[Row],
                  repository: CompressedRepository,
-                 input_column: str, output_column: str,
-                 stats: EvaluationStats | None = None):
+                 input_column: str, output_column: str):
         self._source = source
         self._repository = repository
-        self._input = input_column
-        self._output = output_column
-        self._stats = stats
         self.input_column = input_column
         self.output_column = output_column
 
     def _batches(self, size: int) -> Iterator[RecordBatch]:
         parents = self._repository.structure.parents
         for batch in _input_batches(self._source, size):
-            ids = node_ids(batch, self._input)
+            ids = node_ids(batch, self.input_column)
             out_parents = parents[ids]
             keep = out_parents >= 0
             if not keep.all():
@@ -443,9 +426,8 @@ class Parent(Operator):
                 out_parents = out_parents[keep]
             if not len(batch):
                 continue
-            if self._stats is not None:
-                self._stats.nodes_visited += len(batch)
-            yield batch.with_column(self._output,
+            _count("nodes_visited", len(batch))
+            yield batch.with_column(self.output_column,
                                     NodeColumn(out_parents))
 
 
@@ -701,7 +683,7 @@ class ThetaJoin(Operator):
     outer value; its slot range's length is the match count.
     :meth:`build` refuses — before any counter —
     wherever position is not the comparison; callers then evaluate
-    the condition per pair.
+    the condition per pair.  Once built, the operator is read-only.
     """
 
     INPUTS = ("_left",)
@@ -710,14 +692,12 @@ class ThetaJoin(Operator):
                  repository: CompressedRepository,
                  container_paths: list[str], op: str, probe_key,
                  output_column: str, *, scale: float = 1.0,
-                 ascend: int = 0,
-                 stats: EvaluationStats | None = None):
+                 ascend: int = 0):
         self._left = left
         self._parents = repository.structure.parents
         self._probe_key = probe_key
         self._scale = scale
         self._ascend = ascend
-        self._stats = stats
         self._keys: np.ndarray | None = None
         self.containers = [repository.container(path)
                            for path in container_paths]
@@ -752,8 +732,7 @@ class ThetaJoin(Operator):
 
     def probe(self, value: float) -> tuple[int, int]:
         """Slot range of the keys with ``key <op> value``."""
-        if self._stats is not None:
-            self._stats.container_accesses += 1
+        _count("container_accesses")
         side = "left" if self.op in ("<", ">=") else "right"
         cut = int(np.searchsorted(self._keys, value, side=side))
         return (0, cut) if self.op in ("<", "<=") \
@@ -791,17 +770,16 @@ class ColumnCompare(Operator):
     either value fails it, like the reference's empty arithmetic.
     :meth:`build` refuses, before any counter, where ``ThetaJoin``
     would or an owner holds two values of one side; callers then
-    check the conjunct per binding.  Owners leave in document order.
+    check the conjunct per binding.  Owners leave in document order;
+    once built, the operator is read-only.
     """
 
     def __init__(self, repository: CompressedRepository,
                  left_paths: list[str], left_ascend: int,
                  right_paths: list[str], right_ascend: int, op: str,
-                 scale: float, column: str,
-                 stats: EvaluationStats | None = None):
+                 scale: float, column: str):
         self._parents = repository.structure.parents
         self._ascend = (left_ascend, right_ascend)
-        self._stats = stats
         self._sides: list | None = None
         self.left = [repository.container(path) for path in left_paths]
         self.right = [repository.container(path) for path in right_paths]
@@ -824,8 +802,7 @@ class ColumnCompare(Operator):
             raise QueryTypeError(
                 "ColumnCompare needs numeric record containers with a "
                 "decode kernel and one value per owner on each side")
-        if self._stats is not None:
-            self._stats.container_scans += len(self.left) + len(self.right)
+        _count("container_scans", len(self.left) + len(self.right))
         (left_owners, left), (right_owners, right) = self._sides
         owners, at_left, at_right = np.intersect1d(
             left_owners, right_owners, assume_unique=True,
@@ -887,31 +864,21 @@ class Decompress(Operator):
 
     INPUTS = ("_source",)
 
-    def __init__(self, source: Iterable[Row], columns: list[str],
-                 stats: EvaluationStats):
+    def __init__(self, source: Iterable[Row], columns: list[str]):
         self._source = source
-        self._columns = columns
-        self._stats = stats
         self.columns = tuple(columns)
 
-    def _decoded_column(self, column):
-        stats = self._stats
-        if isinstance(column, ValueColumn):
-            return ItemColumn([item.decode(stats)
-                               for item in column.to_items()])
-        if isinstance(column, ItemColumn):
-            return ItemColumn([
-                item.decode(stats) if isinstance(item, CompressedItem)
-                else item for item in column.to_items()])
-        return column  # NodeColumn: nothing compressed to decode
-
     def _batches(self, size: int) -> Iterator[RecordBatch]:
-        targets = self._columns
+        stats = STATS.get()
         for batch in _input_batches(self._source, size):
             columns = batch.columns()
-            for name in targets:
-                if name in columns:
-                    columns[name] = self._decoded_column(columns[name])
+            for name in self.columns:
+                # A NodeColumn holds nothing compressed to decode.
+                if isinstance(columns.get(name), (ValueColumn, ItemColumn)):
+                    columns[name] = ItemColumn([
+                        item.decode(stats)
+                        if isinstance(item, CompressedItem) else item
+                        for item in columns[name].to_items()])
             yield RecordBatch(columns, len(batch))
 
 

@@ -185,7 +185,8 @@ def ship_result(result) -> bytes:
         elif isinstance(item, (NodeItem, Element)):
             if isinstance(item, NodeItem):
                 item = result._engine.materialize_node(
-                    item.node_id, EvaluationStats(), doc=item.doc)
+                    item.node_id, EvaluationStats(), doc=item.doc,
+                    cache=result._cache)
             body.byte(_KIND_XML)
             frame.element(item)
         elif isinstance(item, bool):

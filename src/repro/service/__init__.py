@@ -4,10 +4,6 @@ decoded-block cache, and a telemetry plane (``/metrics`` endpoint,
 slow-query log) behind one unified execution API."""
 
 from repro.query.options import ExecutionOptions
-from repro.service.blocks import (
-    CachedContainerView,
-    CachedRepositoryView,
-)
 from repro.service.cache import (
     DEFAULT_BLOCK_BUDGET,
     DEFAULT_PLAN_CAPACITY,
@@ -26,8 +22,6 @@ from repro.service.telemetry_http import TelemetryServer
 
 __all__ = [
     "BlockCache",
-    "CachedContainerView",
-    "CachedRepositoryView",
     "Database",
     "DEFAULT_BLOCK_BUDGET",
     "DEFAULT_PLAN_CAPACITY",

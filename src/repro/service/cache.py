@@ -8,15 +8,17 @@ thread-safe: one session serves ``execute_many`` worker threads from
 one plan cache and one block cache.
 
 * :class:`PlanCache` — an LRU over *prepared plans* keyed on
-  normalized query text.  A hit skips parsing and static plan
-  verification entirely (the paper's processor assumes a resident
-  repository answering many queries; re-deriving the plan per call is
-  pure overhead).
+  normalized query text.  A hit skips parsing, planning, binding and
+  static plan verification entirely (the paper's processor assumes a
+  resident repository answering many queries), and threads missing
+  one text together prepare it once.
 * :class:`BlockCache` — a byte-budgeted LRU memoizing decoded
-  container records and structure-summary resolutions.  Decoding a
-  container value is the engine's per-item unit of decompression work;
-  a resident session answering similar queries re-decodes the same
-  hot records constantly.
+  container records: the ``value_at`` reads that materialise result
+  nodes and their texts, and the blob ``record_at`` reads that
+  re-encode a blob value.  A resident session answering similar
+  queries re-decodes the same hot records constantly; summary paths
+  are resolved once, when a plan is bound, so nothing else is left to
+  memoise at run time.
 
 Invalidation is explicit (:meth:`PlanCache.invalidate`,
 :meth:`BlockCache.invalidate`): the repository is immutable once
@@ -29,14 +31,19 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from concurrent.futures import Future
 
 from repro.obs.metrics import MetricsRegistry
 
 #: default number of prepared plans kept resident.
 DEFAULT_PLAN_CAPACITY = 128
 
-#: default decoded-block budget: 4 MiB of decoded values/resolutions.
+#: default decoded-block budget: 4 MiB of decoded records.
 DEFAULT_BLOCK_BUDGET = 4 * 1024 * 1024
+
+#: approximate bookkeeping charged per entry on top of its payload
+#: (key tuple, OrderedDict slot, string header).
+_ENTRY_OVERHEAD = 96
 
 
 def normalize_query_text(text: str) -> str:
@@ -58,7 +65,7 @@ class PlanCache:
     so nothing that can itself block is ever called while holding it.
     """
 
-    GUARDED_BY = {"_entries": "_lock"}
+    GUARDED_BY = {"_entries": "_lock", "_pending": "_lock"}
 
     def __init__(self, capacity: int = DEFAULT_PLAN_CAPACITY,
                  metrics: MetricsRegistry | None = None):
@@ -69,6 +76,8 @@ class PlanCache:
         self.metrics = metrics if metrics is not None \
             else MetricsRegistry()
         self._entries: OrderedDict[str, object] = OrderedDict()
+        #: the plan being prepared, by key, for threads missing it too.
+        self._pending: dict[str, Future] = {}
         self._lock = threading.Lock()
 
     def get(self, key: str):
@@ -82,6 +91,36 @@ class PlanCache:
             return None
         self.metrics.add("cache.plan.hit")
         return entry
+
+    def get_or_prepare(self, key: str, prepare):
+        """The cached plan for ``key``, else ``prepare()``'s, cached
+        unless it ``has_errors``.  Threads that miss one key together
+        prepare it once: the others wait for that plan, and count a
+        hit, since they prepared nothing."""
+        with self._lock:
+            plan = self._entries.get(key)
+            if plan is not None:
+                self._entries.move_to_end(key)
+            pending = self._pending.get(key)
+            mine = plan is None and pending is None
+            if mine:
+                pending = self._pending[key] = Future()
+        if not mine:
+            self.metrics.add("cache.plan.hit")
+            return plan if plan is not None else pending.result()
+        self.metrics.add("cache.plan.miss")
+        try:
+            plan = prepare()
+            if not plan.has_errors:
+                self.put(key, plan)
+            pending.set_result(plan)
+            return plan
+        except BaseException as error:
+            pending.set_exception(error)
+            raise
+        finally:
+            with self._lock:
+                del self._pending[key]
 
     def put(self, key: str, plan) -> None:
         """Insert (or refresh) a plan, evicting LRU entries over
@@ -181,6 +220,29 @@ class BlockCache:
                 evicted += 1
         if evicted:
             self.metrics.add("cache.block.evictions", evicted)
+
+    def value_at(self, container, slot: int) -> str:
+        """``container.value_at(slot)``, memoised (keyed by the container
+        object: documents sharing a path never collide)."""
+        key = ("value", container, slot)
+        value = self.get(key)
+        if value is None:
+            value = container.value_at(slot)
+            self.put(key, value, len(value) + _ENTRY_OVERHEAD)
+        return value
+
+    def record_at(self, container, slot: int):
+        """``container.record_at(slot)``, memoised for a blob container,
+        whose every access re-encodes the value (elsewhere a list index)."""
+        if not container.is_blob:
+            return container.record_at(slot)
+        key = ("record", container, slot)
+        record = self.get(key)
+        if record is None:
+            record = container.record_at(slot)
+            self.put(key, record,
+                     record.compressed.nbytes + _ENTRY_OVERHEAD)
+        return record
 
     def invalidate(self) -> None:
         """Drop every cached block."""

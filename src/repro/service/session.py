@@ -7,19 +7,19 @@ A :class:`Database` holds one loaded
 caches tied to it; a :class:`Session` is the unit of query serving over
 it — the one public way to run queries:
 
-* :meth:`Session.prepare` parses, plans and statically verifies a
-  query **once**, returning a :class:`PreparedQuery` that re-runs any
-  number of times (optionally under fresh constant bindings) without
-  touching the parser, the planner or the plan verifier again —
-  :meth:`Session.explain`, :meth:`Session.analyze` and the slow log
-  render that same :class:`~repro.query.engine.PreparedPlan`;
+* :meth:`Session.prepare` parses, plans, binds and statically
+  verifies a query **once**, returning a :class:`PreparedQuery` that
+  re-runs any number of times (optionally under fresh constant
+  bindings) without touching the parser, the planner, the summary or
+  the verifier again — :meth:`Session.explain`, :meth:`Session.analyze`
+  and the slow log render that same :class:`~repro.query.engine
+  .PreparedPlan`;
 * every textual ``execute`` goes through the LRU **plan cache** keyed
   on normalized query text — a warm hit skips parse + planning +
-  verification entirely (``cache.plan.hit`` counts it);
-* the engine underneath evaluates over a
-  :class:`~repro.service.blocks.CachedRepositoryView`, so decoded
-  container records and structure-summary resolutions are memoised in
-  the byte-budgeted **block cache**;
+  binding + verification entirely (``cache.plan.hit`` counts it);
+* one engine evaluates over the raw repository; the container records
+  results read are memoised in the byte-budgeted **block cache**,
+  unless a run switches it off (``ExecutionOptions.use_block_cache``);
 * :meth:`Session.execute_many` serves a batch from a thread pool,
   sharing both caches and the session's thread-safe metrics registry;
 * telemetry and plan verification both flow through this one code
@@ -28,7 +28,6 @@ it — the one public way to run queries:
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -38,7 +37,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.query.ast import Expression
 from repro.query.engine import PreparedPlan, QueryEngine, QueryResult
 from repro.query.options import ExecutionOptions
-from repro.service.blocks import CachedRepositoryView
 from repro.service.cache import (
     DEFAULT_BLOCK_BUDGET,
     DEFAULT_PLAN_CAPACITY,
@@ -113,8 +111,6 @@ class Session:
     :class:`Database` does.
     """
 
-    GUARDED_BY = {"_raw_engine": "_engine_lock"}
-
     def __init__(self, repository: CompressedRepository,
                  collection: dict[str, CompressedRepository]
                  | None = None, *,
@@ -133,17 +129,15 @@ class Session:
         #: over-threshold executions append here (usually the owning
         #: Database's shared log); None disables slow-query logging.
         self.slow_log = slow_log
-        self._view = CachedRepositoryView(repository, self.block_cache)
-        self.engine = QueryEngine(
-            self._view, collection=self.collection or None)
-        self._raw_engine: QueryEngine | None = None
-        self._engine_lock = threading.Lock()
+        self.engine = QueryEngine(repository, self.collection or None,
+                                  block_cache=self.block_cache)
 
     # -- preparing -----------------------------------------------------------
 
     def prepare(self, query: str | Expression,
                 use_cache: bool = True) -> PreparedQuery:
-        """Parse + plan + statically verify once; re-run many times.
+        """Parse + plan + bind + statically verify once; re-run many
+        times.
 
         Textual queries go through the plan cache (keyed on normalized
         text); a hit returns without touching the parser, the planner
@@ -159,18 +153,15 @@ class Session:
                  use_cache: bool = True) -> PreparedPlan:
         """The session's plan of ``query``: the plan cache's, else
         planned and verified now — and cached unless it failed."""
+        def prepare() -> PreparedPlan:
+            self.metrics.add("session.parses")
+            return self.engine.prepare(query)
+
         if isinstance(query, Expression):
             return self.engine.prepare(query)
-        key = normalize_query_text(query)
-        if use_cache:
-            plan = self.plan_cache.get(key)
-            if plan is not None:
-                return plan
-        self.metrics.add("session.parses")
-        plan = self.engine.prepare(query)
-        if use_cache and not plan.has_errors:
-            self.plan_cache.put(key, plan)
-        return plan
+        return self.plan_cache.get_or_prepare(
+            normalize_query_text(query), prepare) if use_cache \
+            else prepare()
 
     # -- executing -----------------------------------------------------------
 
@@ -216,7 +207,6 @@ class Session:
     def _run(self, prepared: PreparedQuery,
              options: ExecutionOptions,
              cache_before: dict | None = None) -> QueryResult:
-        engine = self._engine_for(options)
         # Slow-query exemplar sampling: every Nth execution runs with
         # a fresh per-run telemetry so an over-threshold run has a
         # span breakdown to attach.  Caller-provided telemetry serves
@@ -233,7 +223,7 @@ class Session:
         start_ns = now_ns()
         failed = True
         try:
-            result = engine.execute(prepared.plan, options)
+            result = self.engine.execute(prepared.plan, options)
             failed = False
             return result
         finally:
@@ -248,16 +238,6 @@ class Session:
                     cache_after=snapshot_cache_counters(self.metrics),
                     error=failed)
 
-    def _engine_for(self, options: ExecutionOptions) -> QueryEngine:
-        if options.use_block_cache:
-            return self.engine
-        with self._engine_lock:
-            if self._raw_engine is None:
-                self._raw_engine = QueryEngine(
-                    self.repository,
-                    collection=self.collection or None)
-            return self._raw_engine
-
     # -- explain / analyze ---------------------------------------------------
 
     def explain(self, query: str | Expression) -> str:
@@ -270,12 +250,12 @@ class Session:
     def analyze(self, query: str | Expression,
                 options: ExecutionOptions | None = None):
         """``EXPLAIN ANALYZE`` of the session's prepared plan (plan
-        cache included) on the engine ``options`` selects: returns the
-        full :class:`~repro.query.analyze.AnalyzeReport`."""
+        cache included) under ``options``: returns the full
+        :class:`~repro.query.analyze.AnalyzeReport`."""
         from repro.query.analyze import explain_analyze
         options = options if options is not None else ExecutionOptions()
         prepared = self.prepare(query, use_cache=options.use_plan_cache)
-        return explain_analyze(prepared.plan, self._engine_for(options),
+        return explain_analyze(prepared.plan, self.engine,
                                options=options)
 
     def explain_analyze(self, query: str | Expression) -> str:
@@ -291,17 +271,10 @@ class Session:
 
     def invalidate_caches(self) -> None:
         """Explicitly flush both caches (e.g. after swapping the
-        repository a Database serves).
-
-        Also drops every container's memoized ``as_arrays`` view: the
-        block cache charged those views to its byte budget, so
-        flushing the cache without dropping the memos would leave the
-        arrays resident (and the next batch-mode access would
-        resurrect them from the stale memo instead of rebuilding and
-        re-charging them)."""
-        self.plan_cache.invalidate()
-        self.block_cache.invalidate()
-        _drop_array_views(self.repository, self.collection)
+        repository a Database serves), and every container's memoized
+        ``as_arrays`` view and q-gram index with them: what is rebuilt
+        next is rebuilt from the containers."""
+        _invalidate(self)
 
     def __enter__(self) -> "Session":
         return self
@@ -314,12 +287,12 @@ class Session:
                 f"plan={self.plan_cache!r} block={self.block_cache!r}>")
 
 
-def _drop_array_views(repository, collection) -> None:
-    """Drop memoized container array views on a repository (and the
-    collection documents served next to it)."""
-    repository.drop_array_views()
-    for other in (collection or {}).values():
-        other.drop_array_views()
+def _invalidate(owner: "Session | Database") -> None:
+    """Flush ``owner``'s caches and its documents' array memos."""
+    owner.plan_cache.invalidate()
+    owner.block_cache.invalidate()
+    for repository in (owner.repository, *owner.collection.values()):
+        repository.drop_array_views()
 
 
 class Database:
@@ -384,17 +357,9 @@ class Database:
                        self.collection or None, **kwargs)
 
     def invalidate_caches(self) -> None:
-        """Flush the shared plan and block caches *and* the per-
-        container array memos they charged to their budget.
-
-        Every session spawned by :meth:`session` shares these caches,
-        so one call invalidates them for the whole database; the
-        array-view memos live on the containers themselves and must be
-        dropped here too or they survive eviction (see
-        ``Session.invalidate_caches``)."""
-        self.plan_cache.invalidate()
-        self.block_cache.invalidate()
-        _drop_array_views(self.repository, self.collection)
+        """``Session.invalidate_caches`` of the caches every session
+        :meth:`session` spawns shares: one call serves them all."""
+        _invalidate(self)
 
     # -- telemetry plane -----------------------------------------------------
 

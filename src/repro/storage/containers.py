@@ -512,10 +512,7 @@ class ValueContainer:
     def as_arrays(self) -> ContainerArrays:
         """Cached array view of the sealed records (DESIGN.md §13).
 
-        Built once per container (records are frozen at seal time);
-        the serving layer's block cache additionally charges the view's
-        bytes against its budget via
-        :class:`repro.service.blocks.CachedContainerView`.
+        Built once per container (records are frozen at seal time).
         """
         self._require_sealed()
         if self._arrays is None:
@@ -535,13 +532,10 @@ class ValueContainer:
         """Release the memoized :meth:`as_arrays` view and the
         :meth:`substring_index`.
 
-        The serving layer charges the view's bytes to its block cache;
-        a cache invalidation that evicted the charged entry must drop
-        this memo too, or the "freed" arrays stay resident here and the
-        next :meth:`as_arrays` resurrects them outside any budget
-        (the staleness bug pinned by
-        ``tests/storage/test_array_staleness.py``).  Safe at any time:
-        records are frozen at seal, so a rebuilt view is identical.
+        Serving-layer cache invalidation calls it, so that a flush
+        frees these memos too (``tests/storage/test_array_staleness.py``).
+        Safe at any time: records are frozen at seal, so a rebuilt view
+        is identical.
         """
         self._arrays = None
         self._substring_index = None

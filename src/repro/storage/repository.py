@@ -201,12 +201,10 @@ class CompressedRepository:
     def drop_array_views(self) -> None:
         """Release every container's memoized array view.
 
-        Part of serving-layer cache invalidation: the block cache
-        charges :meth:`ValueContainer.as_arrays
-        <repro.storage.containers.ValueContainer.as_arrays>` views to
-        its byte budget, so flushing that cache must also drop the
-        memos or the bytes stay resident unaccounted.  The summary's
-        owner groups (:meth:`SummaryNode.by_owner
+        Part of serving-layer cache invalidation: flushing the caches
+        also frees the :meth:`ValueContainer.as_arrays
+        <repro.storage.containers.ValueContainer.as_arrays>` memos, and
+        the summary's owner groups (:meth:`SummaryNode.by_owner
         <repro.storage.summary.SummaryNode.by_owner>`) go with them."""
         for container in self._containers.values():
             container.drop_arrays()

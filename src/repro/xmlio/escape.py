@@ -29,12 +29,12 @@ def escape_attribute(value: str) -> str:
     """Escape character data for a double-quoted attribute value
     (whitespace other than a space as references, so that
     attribute-value normalization keeps it)."""
-    return (value.replace("&", "&amp;")
-                 .replace("<", "&lt;")
-                 .replace('"', "&quot;")
-                 .replace("\t", "&#9;")
-                 .replace("\n", "&#10;")
-                 .replace("\r", "&#13;"))
+    if "&" in value or "<" in value or '"' in value or "\t" in value \
+            or "\n" in value or "\r" in value:
+        return (value.replace("&", "&amp;").replace("<", "&lt;")
+                .replace('"', "&quot;").replace("\t", "&#9;")
+                .replace("\n", "&#10;").replace("\r", "&#13;"))
+    return value
 
 
 def syntax_error(text: str, message: str, at: int) -> XMLSyntaxError:

@@ -136,7 +136,6 @@ class TestInPlaceWatching:
         watchdog = LockOrderWatchdog()
         with watchdog:
             watch_session(watchdog, session)
-            assert isinstance(session._engine_lock, WatchedLock)
             assert isinstance(session.plan_cache._lock, WatchedLock)
             assert isinstance(session.block_cache._lock, WatchedLock)
             assert isinstance(session.metrics._lock, WatchedLock)

@@ -4,10 +4,8 @@ import pytest
 
 from repro.baselines.galax import GalaxEngine
 from repro.obs.telemetry import Telemetry
-from repro.query.optimizer import plan_query
 from repro.query.physical import ContScan
 from repro.query.options import ExecutionOptions
-from repro.query.parser import parse_query
 from repro.query.engine import QueryEngine
 from repro.service.session import Database
 from repro.storage.loader import load_document
@@ -82,8 +80,9 @@ class TestCrossDocumentJoin:
         assert traced.stats.container_scans == 2
         assert traced.stats.hash_joins == 0
         engine = session.engine
-        (flwor,) = plan_query(parse_query(JOIN_QUERY)).flwors
-        _, join = flwor.clauses[1].bind_join(engine.repository_of)
+        prepared = engine.prepare(JOIN_QUERY)
+        (flwor,) = prepared.plan.flwors
+        _, join = prepared.bound.clauses[id(flwor.clauses[1])].join
         people, orders = (scan.container for side in join.inputs()
                           for scan in _scans(side))
         assert people is engine.repository_of(

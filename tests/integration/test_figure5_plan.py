@@ -51,7 +51,8 @@ def repo(xml):
 @pytest.fixture(scope="module")
 def q9_tree(repo):
     """The bound tree of Q9's join FLWOR (the one with MergeJoins)."""
-    trees = bind_plan(plan_query(parse_query(Q9)), lambda doc: repo)
+    ast = parse_query(Q9)
+    trees = bind_plan(ast, plan_query(ast), lambda doc: repo).trees
     (tree,) = [t for t in trees
                if any(isinstance(n, MergeJoin) for n in nodes(t))]
     return tree
@@ -106,5 +107,5 @@ class TestFigure5Plan:
         """Container scans arrive in value order (the §4 property)."""
         stats = EvaluationStats()
         keys = [row["person_id"].decode(stats) for row in
-                ContScan(repo, PERSON_ID, "n", "person_id", stats)]
+                ContScan(repo, PERSON_ID, "n", "person_id")]
         assert keys == sorted(keys)

@@ -1,12 +1,12 @@
 """The engine's pre-execution verification gate.
 
 ``QueryEngine.plan`` plans a query once (``optimizer.plan_query``),
-binds the plan to its repositories (``optimizer.bind_plan``) and
+binds the plan to its repositories once (``optimizer.bind_plan``) and
 verifies every tree before any row is produced: errors raise
 :class:`~repro.errors.PlanVerificationError`, warnings ride along in
 the run's telemetry.  Engine-planned trees must be error-free by
 construction; constant selections, equality and theta joins are the
-very operator trees the engine then runs
+very operator objects every run of the prepared plan executes
 (``optimizer.assign_selection`` / ``assign_equi_join`` /
 ``assign_theta_join``), and the plan verified is the plan executed.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.galax import GalaxEngine
-from repro.errors import PlanVerificationError
+from repro.errors import PlanVerificationError, QueryError
 from repro.lint.diagnostics import PlanDiagnostic
 from repro.lint.plan import verify_plan
 from repro.obs.telemetry import Telemetry
@@ -25,7 +25,6 @@ from repro.partitioning.config import (
     ContainerGroup,
 )
 from repro.query.engine import QueryEngine
-from repro.query.optimizer import bind_plan, plan_query
 from repro.query.options import ExecutionOptions
 from repro.query.parser import parse_query
 from repro.query.physical import XMLSerialize
@@ -50,7 +49,7 @@ def build_repo(title_codec: str = "huffman"):
 
 def plan_trees(query: str, repo) -> list:
     """The operator trees the gate verifies for ``query`` on ``repo``."""
-    return bind_plan(plan_query(parse_query(query)), lambda doc: repo)
+    return list(QueryEngine(repo).prepare(query).bound.trees)
 
 
 def shape(node) -> tuple:
@@ -144,28 +143,35 @@ class TestSelectionSketch:
         assert shape(tree) == ("XMLSerialize", ("OpaqueSource",))
 
     def test_engine_runs_the_tree_the_verifier_saw(self, monkeypatch):
-        from repro.query import optimizer
-        built = []
+        """One ``assign_selection`` per prepare; every run pulls the
+        very operator object the verifier walked."""
+        from repro.query import optimizer, physical
+        built, walked, pulled = [], [], []
         assign = optimizer.assign_selection
-
-        def spy(*args, **kwargs):
-            found = assign(*args, **kwargs)
-            built.append(found)
-            return found
-
-        monkeypatch.setattr(optimizer, "assign_selection", spy)
+        monkeypatch.setattr(optimizer, "assign_selection", lambda *args:
+                            built.append(assign(*args)) or built[-1])
+        monkeypatch.setattr("repro.query.engine.verify_plan", lambda tree:
+                            walked.append(tree) or verify_plan(tree))
+        batches = physical.Operator.batches
+        monkeypatch.setattr(physical.Operator, "batches",
+                            lambda self, *args:
+                            pulled.append(self) or batches(self, *args))
         engine = QueryEngine(build_repo("alm"))
-        result = engine.execute(
+        prepared = engine.prepare(
             'for $b in /lib/b[u/text() >= "uri02"] where '
             '$b/t/text() < "title 04" return $b/u/text()')
-        assert result.items == ["uri02", "uri03"]
-        (verified, _), (executed, tree) = built
-        assert verified == executed and len(executed.terms) == 2
+        ((selection, tree),) = built
+        (verified,) = walked
+        assert verified.inputs()[0] is tree and len(selection.terms) == 2
         assert shape(tree) == (
             "NodeSet", ("Parent", ("ContAccess",)),
             ("Parent", ("ContAccess",)))
-        assert result.stats.container_accesses == 2
-        assert result.stats.compressed_comparisons == 0
+        for run in (1, 2):
+            result = engine.execute(prepared)
+            assert result.items == ["uri02", "uri03"]
+            assert pulled.count(tree) == run and len(built) == 1
+            assert result.stats.container_accesses == 2
+            assert result.stats.compressed_comparisons == 0
 
 
 class TestThetaJoinSketch:
@@ -207,7 +213,7 @@ class TestNestedJoins:
         verified = engine.plan(text)
         assert [d for d in verified.diagnostics
                 if d.severity == "error"] == []
-        names = operators(bind_plan(verified.plan, engine.repository_of))
+        names = operators(verified.bound.trees)
         telemetry = Telemetry()
         stats = engine.execute(
             text, ExecutionOptions(telemetry=telemetry)).stats
@@ -231,8 +237,7 @@ class TestNestedJoins:
         nor EXPLAIN may promise a hash join the engine does not run."""
         text = ("for $p in /site/people/person for $w in $p/watches/watch "
                 "where $w/@open_auction = $p/@id return $w")
-        names = operators(bind_plan(engine.plan(text).plan,
-                                    engine.repository_of))
+        names = operators(engine.plan(text).bound.trees)
         assert names == ["XMLSerialize", "NestedLoopJoin",
                          "StructureSummaryAccess", "OpaqueSource"]
         assert "HashJoin" not in engine.explain(text)
@@ -309,3 +314,67 @@ class TestEngineGate:
         engine = QueryEngine(repo)
         text = engine.explain_analyze("/lib/b/t")
         assert "plan diagnostics" not in text
+
+
+class TestBoundOnce:
+    """A plan is bound at prepare, once: a cached run assigns no
+    operator and resolves no summary path, an ad hoc run binds what
+    one prepare binds, and a plan runs only where it was bound."""
+
+    BINDERS = ("assign_selection", "assign_equi_join",
+               "assign_theta_join", "assign_projection")
+
+    @pytest.fixture(scope="class")
+    def repository(self):
+        return load_document(generate_xmark(0.005, seed=1))
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every binder and ``StructureSummary.resolve`` call, by name."""
+        from repro.query import optimizer
+        from repro.storage.summary import StructureSummary
+        calls: list[str] = []
+
+        def spy(name, function):
+            return lambda *args: calls.append(name) or function(*args)
+
+        for name in self.BINDERS:
+            monkeypatch.setattr(optimizer, name,
+                                spy(name, getattr(optimizer, name)))
+        monkeypatch.setattr(StructureSummary, "resolve",
+                            spy("resolve", StructureSummary.resolve))
+        return calls
+
+    @pytest.mark.parametrize("query_id", sorted(XMARK_QUERIES))
+    def test_cached_run_binds_and_resolves_nothing(
+            self, repository, calls, query_id):
+        from repro.service.session import Session
+        session = Session(repository)
+        text = query_text(query_id)
+        cold = session.execute(text).to_xml()
+        calls.clear()
+        assert session.execute(text).to_xml() == cold
+        assert calls == []
+
+    @pytest.mark.parametrize("query_id", ["Q1", "Q3", "Q8", "Q11",
+                                          "Q14", "Q20"])
+    def test_adhoc_run_binds_each_clause_once(self, repository, calls,
+                                              query_id):
+        from repro.service.session import Session
+        text = query_text(query_id)
+        QueryEngine(repository).prepare(text)
+        once = sorted(calls)
+        assert once and [c for c in once if c != "resolve"]
+        calls.clear()
+        Session(repository).execute(
+            text, ExecutionOptions(use_plan_cache=False)).to_xml()
+        assert sorted(calls) == once
+
+    def test_plan_of_another_repository_is_refused(self, repository):
+        text = query_text("Q1")
+        prepared = QueryEngine(repository).prepare(text)
+        other = QueryEngine(load_document(generate_xmark(0.005, seed=1)))
+        with pytest.raises(QueryError, match="another repository"):
+            other.execute(prepared)
+        assert other.execute(text).to_xml() == \
+            QueryEngine(repository).execute(prepared).to_xml()

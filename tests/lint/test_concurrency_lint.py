@@ -435,7 +435,7 @@ class TestOnRealSources:
     def test_src_repro_inventory_covers_known_locks(self):
         report = lint_concurrency([REPRO_SRC])
         identities = {p.identity for p in report.primitives}
-        assert {"Session._engine_lock", "PlanCache._lock",
+        assert {"PlanCache._lock",
                 "BlockCache._lock", "MetricsRegistry._lock",
                 "WorkloadJournal._lock", "ShardedDatabase._pool",
                 "ShardWorker.lock", "cli:_SERVE_STOP"} <= identities

@@ -32,7 +32,7 @@ from repro.query.physical import (
     ThetaJoin,
     XMLSerialize,
 )
-from repro.query.context import EvaluationStats, NodeItem
+from repro.query.context import NodeItem
 from repro.storage.loader import load_document
 
 TITLE = "/lib/b/t/#text"
@@ -217,21 +217,19 @@ class TestDecompressDiscipline:
     def test_decompress_then_serialize_accepted(self, repo):
         scan = ContScan(repo, TITLE, "node", "title")
         plan = XMLSerialize(
-            Decompress(scan, ["title"], EvaluationStats()), ("title",))
+            Decompress(scan, ["title"]), ("title",))
         assert verify_plan(plan) == []
 
     def test_duplicate_decompress_warned(self, repo):
         scan = ContScan(repo, TITLE, "node", "title")
-        stats = EvaluationStats()
-        plan = Decompress(Decompress(scan, ["title"], stats),
-                          ["title"], stats)
+        plan = Decompress(Decompress(scan, ["title"]), ["title"])
         diagnostics = verify_plan(plan)
         assert rules_of(diagnostics) == ["plan.duplicate-decompress"]
         assert diagnostics[0].severity == "warning"
 
     def test_decompress_of_node_column_warned(self, repo):
         scan = ContScan(repo, TITLE, "node", "title")
-        plan = Decompress(scan, ["node"], EvaluationStats())
+        plan = Decompress(scan, ["node"])
         assert rules_of(verify_plan(plan)) == \
             ["plan.duplicate-decompress"]
 
@@ -254,7 +252,7 @@ class TestSchemaChecks:
         scan = ContScan(repo, TITLE, "node", "title")
         inner = Sort(scan, ("missing",))
         plan = XMLSerialize(
-            Decompress(inner, ["title"], EvaluationStats()),
+            Decompress(inner, ["title"]),
             ("title",))
         diagnostics = verify_plan(plan)
         assert diagnostics[0].operator_path == \
@@ -321,7 +319,7 @@ class TestErrorType:
         merge = MergeJoin(ContAccess(repo, TITLE, "a", "title", "t", "u"),
                           ContScan(repo, URI, "c", "uri"), "a", "uri")
         plan = XMLSerialize(
-            Decompress(merge, ["a"], EvaluationStats()), ("title",))
+            Decompress(merge, ["a"]), ("title",))
         diagnostics = verify_plan(plan)
         assert {d.rule for d in diagnostics} == {
             "plan.interval-decompressing", "plan.merge-join-unordered",

@@ -32,6 +32,7 @@ from repro.query.physical import (
     Parent,
     Sort,
     StructureSummaryAccess,
+    counting,
 )
 from repro.storage.loader import load_document
 
@@ -224,8 +225,8 @@ class TestBatchTelemetry:
 
     def test_batch_path_mirrors_container_access_counters(self, repo):
         for pull in (list, lambda scan: list(scan.batches(2))):
-            stats = EvaluationStats()
-            pull(ContScan(repo, NAME_PATH, "id", "v", stats=stats))
+            with counting(EvaluationStats()) as stats:
+                pull(ContScan(repo, NAME_PATH, "id", "v"))
             assert stats.container_scans == 1
 
     def test_per_row_operator_keeps_upstream_on_batches(self, repo):
@@ -356,7 +357,7 @@ class TestOperatorParity:
     def test_decompress(self, repo):
         def build():
             scan = ContScan(repo, NAME_PATH, "id", "v")
-            return Decompress(scan, ["v"], EvaluationStats())
+            return Decompress(scan, ["v"])
         _check(build,
                [{"id": 6, "v": "Alice"}, {"id": 9, "v": "Bob"},
                 {"id": 3, "v": "Carol"}, {"id": 12, "v": "Dave"}])

@@ -138,8 +138,8 @@ class TestFLWOR:
         group can answer another."""
         from repro.baselines.galax import GalaxEngine
         from repro.query.engine import _Evaluator
-        from repro.query.optimizer import plan_query
         from repro.query.parser import parse_query
+        from repro.query.physical import counting
         doc = "<doc>" + "".join(
             f"<g><k>{i}</k><t><v>{i + i % 2}</v></t></g>"
             for i in range(40)) + "</doc>"
@@ -149,12 +149,15 @@ class TestFLWOR:
         evens = "\n".join(str(i) for i in range(0, 40, 2))
         assert engine.execute(query).to_xml() == evens \
             == GalaxEngine(doc).execute_to_xml(query)
-        ast = parse_query(query)
-        evaluator = _Evaluator(engine, plan_query(ast))
-        evaluator.eval(ast, {})
+        prepared = engine.prepare(parse_query(query))
+        assert all(bound.join is None
+                   for bound in prepared.bound.clauses.values())
+        evaluator = _Evaluator(engine, prepared)
+        with counting(evaluator.stats):
+            evaluator.eval(prepared.ast, {})
         assert evaluator.stats.hash_joins == 0
         assert evaluator.stats.container_scans == 0
-        assert list(evaluator._index_cache.values()) in ([], [None])
+        assert evaluator._outputs == {}
 
     def test_prepared_query_runs_without_planning_again(self, monkeypatch):
         """Plan once: after ``prepare`` nothing classifies a conjunct,

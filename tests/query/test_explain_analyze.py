@@ -120,8 +120,8 @@ class TestHashJoin:
 
     def test_projection_line_carries_its_build_span(self, engine):
         """``$p/name/text()`` is a projection: its plan line shows the
-        ``Projection.build`` span, and no counter (it reads memoised
-        owner groups)."""
+        run's ``Projection`` lookup spans, and no counter (it reads
+        owner groups bound at prepare, when nothing is built)."""
         report = explain_analyze(JOIN_QUERY, engine)
         line = next(line for line in report.text.splitlines()
                     if "Projection $p/name/text()" in line)

@@ -44,8 +44,9 @@ def test_every_operator_is_built_by_a_plan(repo):
     queries = [query_text(q) for q in XMARK_QUERIES]
     found: set[type] = set()
     for query in queries + [MULTI_CONTAINER_JOIN]:
-        for tree in bind_plan(plan_query(parse_query(query)),
-                              lambda doc: repo):
+        ast = parse_query(query)
+        for tree in bind_plan(ast, plan_query(ast),
+                              lambda doc: repo).trees:
             reached(tree, found)
     declared = {cls for _, cls in inspect.getmembers(physical,
                                                      inspect.isclass)

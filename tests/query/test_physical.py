@@ -15,6 +15,7 @@ from repro.query.physical import (
     Sort,
     StructureSummaryAccess,
     ThetaJoin,
+    counting,
 )
 from repro.storage.loader import load_document
 
@@ -45,12 +46,15 @@ def repo():
 
 @pytest.fixture
 def stats():
-    return EvaluationStats()
+    """The counters of one run: what the operators pulled in the test
+    count into."""
+    with counting(EvaluationStats()) as stats:
+        yield stats
 
 
 class TestDataAccess:
     def test_cont_scan_value_order(self, repo, stats):
-        rows = ContScan(repo, NAME_PATH, "id", "v", stats).rows()
+        rows = ContScan(repo, NAME_PATH, "id", "v").rows()
         codec = repo.container(NAME_PATH).codec
         values = [codec.decode(r["v"].compressed) for r in rows]
         assert values == ["Alice", "Bob", "Carol"]
@@ -58,7 +62,7 @@ class TestDataAccess:
 
     def test_cont_access_interval(self, repo, stats):
         rows = ContAccess(repo, NAME_PATH, "id", "v",
-                          low="Alice", high="Bob", stats=stats).rows()
+                          low="Alice", high="Bob").rows()
         codec = repo.container(NAME_PATH).codec
         assert [codec.decode(r["v"].compressed) for r in rows] == \
             ["Alice", "Bob"]
@@ -66,7 +70,7 @@ class TestDataAccess:
 
     def test_summary_access_document_order(self, repo, stats):
         rows = StructureSummaryAccess(
-            repo, [("descendant", "person")], "n", stats).rows()
+            repo, [("descendant", "person")], "n").rows()
         ids = [r["n"].node_id for r in rows]
         assert ids == sorted(ids)
         assert len(ids) == 3
@@ -97,7 +101,7 @@ class TestDataAccess:
     def test_attribute_content(self, repo):
         """An attribute container pairs each owner with its value."""
         rows = Decompress(ContScan(repo, ID_PATH, "n", "id_val"),
-                          ["id_val"], EvaluationStats()).rows()
+                          ["id_val"]).rows()
         assert [r["id_val"] for r in rows] == ["p0", "p1", "p2"]
         assert {repo.tag_of(r["n"].node_id) for r in rows} == {"person"}
 
@@ -153,8 +157,8 @@ class TestCombination:
     def test_node_set_over_operators(self, repo, stats):
         """ContAccess -> Parent streams: persons aged >= 30 that are
         not named Carol, in document order."""
-        older = Parent(ContAccess(repo, AGE_PATH, "o", "v", low="30",
-                                  stats=stats), repo, "o", "n", stats)
+        older = Parent(ContAccess(repo, AGE_PATH, "o", "v", low="30"),
+                       repo, "o", "n")
         carol = Parent(ContAccess(repo, NAME_PATH, "o", "v", low="Carol",
                                   high="Carol"), repo, "o", "n")
         rows = NodeSet(older, carol, "n", "difference").rows()
@@ -183,7 +187,7 @@ class TestCombination:
         outer = [{"bound": b} for b in (0, 54, 62, 62.5, 90, 1000)]
         join = ThetaJoin(outer, repo, [AGE_PATH], op,
                          lambda row: row["bound"], "person", scale=2.0,
-                         ascend=1, stats=stats)
+                         ascend=1)
         ages = {2: 45, 5: 31, 8: 27}   # person node id -> age
         persons = StructureSummaryAccess(
             repo, [("child", "site"), ("child", "people"),
@@ -225,12 +229,12 @@ class TestCombination:
 class TestCompressionOperators:
     def test_decompress_operator(self, repo, stats):
         rows = ContScan(repo, NAME_PATH, "id", "v").rows()
-        out = Decompress(rows, ["v"], stats).rows()
+        out = Decompress(rows, ["v"]).rows()
         assert sorted(r["v"] for r in out) == ["Alice", "Bob", "Carol"]
         assert stats.decompressions == 3
 
     def test_decompress_skips_plain_columns(self, stats):
-        out = Decompress([{"v": "already plain"}], ["v"], stats).rows()
+        out = Decompress([{"v": "already plain"}], ["v"]).rows()
         assert out == [{"v": "already plain"}]
         assert stats.decompressions == 0
 
@@ -242,13 +246,12 @@ class TestCompressedJoinPipeline:
         # person/@id and sale/@buyer were compressed independently, so
         # join via decoded keys (with a shared model the compressed
         # bytes themselves would be the keys).
-        stats = EvaluationStats()
-        persons = Decompress(ContScan(repo, ID_PATH, "person", "pid",
-                                      stats), ["pid"], stats)
+        persons = Decompress(ContScan(repo, ID_PATH, "person", "pid"),
+                             ["pid"])
         sales = Decompress(ContScan(repo, "/site/sales/sale/@buyer",
-                                    "sale", "buyer", stats),
-                           ["buyer"], stats)
-        out = MergeJoin(persons, sales, "pid", "buyer").rows()
+                                    "sale", "buyer"), ["buyer"])
+        with counting(EvaluationStats()) as stats:
+            out = MergeJoin(persons, sales, "pid", "buyer").rows()
         assert [r["pid"] for r in out] == ["p0", "p1"]
         assert all(r["pid"] == r["buyer"] for r in out)
         assert stats.container_scans == 2 and stats.hash_joins == 0

@@ -64,6 +64,64 @@ class TestPlanCache:
             PlanCache(0)
 
 
+class _Plan:
+    """A stand-in prepared plan."""
+
+    def __init__(self, has_errors: bool = False):
+        self.has_errors = has_errors
+
+
+class TestPlanCacheSingleFlight:
+    """Threads missing one key together prepare it once."""
+
+    def test_a_waiting_thread_gets_the_first_threads_plan(self):
+        import threading
+        import time
+        metrics = MetricsRegistry()
+        cache = PlanCache(4, metrics=metrics)
+        started, release = threading.Event(), threading.Event()
+        plan, calls, results = _Plan(), [], []
+
+        def prepare():
+            calls.append(threading.current_thread().name)
+            started.set()
+            assert release.wait(5)
+            return plan
+
+        def ask():
+            results.append(cache.get_or_prepare("q", prepare))
+
+        threads = [threading.Thread(target=ask) for _ in range(2)]
+        threads[0].start()
+        assert started.wait(5)
+        threads[1].start()
+        time.sleep(0.05)  # the second thread now waits on the first
+        release.set()
+        for thread in threads:
+            thread.join(5)
+        assert results == [plan, plan] and len(calls) == 1
+        counters = metrics.counters()
+        assert (counters["cache.plan.miss"], counters["cache.plan.hit"]) \
+            == (1, 1)
+        assert cache.get_or_prepare("q", prepare) is plan
+        assert len(calls) == 1
+
+    def test_failed_plans_and_errors_are_not_cached(self):
+        cache = PlanCache(4)
+        failed = _Plan(has_errors=True)
+        assert cache.get_or_prepare("q", lambda: failed) is failed
+        assert "q" not in cache
+
+        def broken():
+            raise ValueError("cannot prepare")
+
+        with pytest.raises(ValueError):
+            cache.get_or_prepare("r", broken)
+        plan = _Plan()
+        assert cache.get_or_prepare("r", lambda: plan) is plan
+        assert "r" in cache
+
+
 class TestBlockCache:
     def test_miss_then_hit_and_bytes(self):
         metrics = MetricsRegistry()

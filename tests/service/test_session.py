@@ -179,20 +179,67 @@ class TestBlockCache:
         warm_hits = session.metrics.counters()["cache.block.hit"]
         assert warm_hits > cold_hits
 
+    def test_warm_q13_reads_descriptions_from_the_block_cache(self):
+        """Q13 materialises each item's description: warm, every text
+        is a block-cache hit; with the cache off, no counter moves."""
+        session = Session(load_document(generate_xmark(0.005, seed=1)))
+        text = query_text("Q13")
+
+        def block_counters():
+            counters = session.metrics.counters()
+            return (counters.get("cache.block.hit", 0),
+                    counters.get("cache.block.miss", 0))
+
+        cold = session.execute(text).to_xml()
+        hits, misses = block_counters()
+        assert misses > 0
+        assert session.execute(text).to_xml() == cold
+        warm_hits, warm_misses = block_counters()
+        assert warm_hits > hits and warm_misses == misses
+        assert session.execute(text, ExecutionOptions(
+            use_block_cache=False)).to_xml() == cold
+        assert block_counters() == (warm_hits, warm_misses)
+
     def test_use_block_cache_false_runs_raw_engine(self, repository):
+        """One engine, over the raw repository, serves both settings;
+        switched off, a run neither reads nor fills the block cache."""
         session = Session(repository)
+        assert session.engine.repository is repository
         options = ExecutionOptions(use_block_cache=False)
+        before = dict(session.metrics.counters())
         result = session.execute("/library/book/title", options)
-        assert result._engine is not session.engine
+        assert result.values() == [
+            "<title>Dune</title>", "<title>Foundation</title>",
+            "<title>Hyperion</title>"]
+        assert result._engine is session.engine
+        assert {name: value for name, value
+                in session.metrics.counters().items()
+                if name.startswith("cache.block.")} == \
+            {name: value for name, value in before.items()
+             if name.startswith("cache.block.")}
+        assert session.block_cache.used_bytes == 0
         assert result.values() == \
             session.execute("/library/book/title").values()
 
-    def test_resolutions_are_cached(self, repository):
+    def test_resolutions_happen_at_prepare(self, repository,
+                                           monkeypatch):
+        """The summary is resolved when a plan is bound: a cached run
+        resolves nothing, and the block cache holds no resolution."""
+        from repro.storage.summary import StructureSummary
         session = Session(repository)
         session.execute(QUERY)
+        session.execute("/library/book").to_xml()
+        calls = []
+        resolve = StructureSummary.resolve
+        monkeypatch.setattr(StructureSummary, "resolve",
+                            lambda *args: calls.append(args)
+                            or resolve(*args))
+        session.execute(QUERY).to_xml()
+        session.execute("/library/book").to_xml()
+        assert calls == []
+        session.invalidate_caches()
         session.execute("/library/book")
-        counters = session.metrics.counters()
-        assert counters["cache.block.miss"] >= 1
+        assert calls
 
 
 class TestRecording:

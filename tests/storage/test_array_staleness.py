@@ -1,19 +1,15 @@
 """Staleness regression: cache invalidation must drop array memos.
 
 ``ValueContainer.as_arrays()`` memoizes its :class:`ContainerArrays`
-on the container itself, while the serving layer's block cache charges
-the view's bytes to its budget through ``CachedContainerView``.
-Invalidating the serving caches used to evict only the *charged cache
-entry* — the memo survived, so the bytes stayed resident unaccounted
-and the next batch access resurrected the stale view instead of
-rebuilding it.  ``invalidate_caches`` (Session and Database) now drops
-the memos too.
+on the container itself.  Invalidating the serving caches once evicted
+only the block cache's entries — the memo survived, so the bytes stayed
+resident and the next batch access resurrected the stale view instead
+of rebuilding it.  ``invalidate_caches`` (Session and Database) drops
+the memos too; the block cache itself holds decoded records only.
 """
 
 import pytest
 
-from repro.service.blocks import CachedRepositoryView
-from repro.service.cache import BlockCache
 from repro.service.session import Database, Session
 from repro.storage.loader import load_document
 
@@ -94,7 +90,7 @@ def test_only_a_substring_term_builds_an_index(tmp_path):
     built = indexed(database.repository)
     assert built and all(path.endswith("/description/text/#text")
                          for path in built)
-    # The view the block cache wraps and the raw repository share it.
+    # Runs with and without the block cache share it.
     from repro.query.options import ExecutionOptions
     before = [database.repository.container(p)._substring_index
               for p in built]
@@ -110,34 +106,30 @@ def test_only_a_substring_term_builds_an_index(tmp_path):
 class TestServingInvalidation:
     def test_session_invalidate_drops_memoized_views(self, repository):
         session = Session(repository)
-        path = _an_arrays_path(repository)
-        view = session._view.container(path)
-        first = view.as_arrays()
-        assert view.as_arrays() is first  # cache hit
+        session.execute("/site/people/person/name/text()").to_xml()
+        container = repository.container(_an_arrays_path(repository))
+        first = container.as_arrays()
+        assert container.as_arrays() is first  # memoized
         session.invalidate_caches()
         assert session.block_cache.used_bytes == 0
-        rebuilt = view.as_arrays()
-        assert rebuilt is not first  # memo gone, view rebuilt...
-        assert session.block_cache.used_bytes > 0  # ...and re-charged
+        assert container.as_arrays() is not first  # memo gone, rebuilt
 
     def test_database_invalidate_reaches_every_session(self, repository):
         db = Database(repository)
         sessions = [db.session(), db.session()]
         path = _an_arrays_path(repository)
-        views = [s._view.container(path).as_arrays() for s in sessions]
-        assert views[0] is views[1]  # one shared block cache
+        views = [s.repository.container(path).as_arrays()
+                 for s in sessions]
+        assert views[0] is views[1]  # one shared repository
         db.invalidate_caches()
         for session in sessions:
-            rebuilt = session._view.container(path).as_arrays()
+            rebuilt = session.repository.container(path).as_arrays()
             assert rebuilt is not views[0]
 
     def test_rebuild_is_identical(self, repository):
-        cache = BlockCache(1 << 20)
-        view = CachedRepositoryView(repository, cache)
         path = _an_arrays_path(repository)
-        first = view.container(path).as_arrays()
-        cache.invalidate()
+        first = repository.container(path).as_arrays()
         repository.drop_array_views()
-        rebuilt = view.container(path).as_arrays()
+        rebuilt = repository.container(path).as_arrays()
         assert (rebuilt.parent_ids == first.parent_ids).all()
         assert rebuilt.count == first.count

@@ -18,8 +18,6 @@ from repro.compression.kernels import (
     IntegerKernel,
     kernel_for,
 )
-from repro.service.blocks import CachedRepositoryView
-from repro.service.cache import BlockCache
 from repro.storage.loader import load_document
 
 DOC = """
@@ -143,20 +141,17 @@ class TestParentArray:
 
 
 class TestBlockCacheArrays:
-    def test_as_arrays_memoized_in_cache(self, repo):
-        cache = BlockCache(budget_bytes=1 << 20)
-        view = CachedRepositoryView(repo, cache)
-        container = view.container(NAME_PATH)
-        first = container.as_arrays()
-        hits_before = cache.metrics.counters().get(
-            "cache.block.hit", 0)
-        assert container.as_arrays() is first
-        assert cache.metrics.counters().get("cache.block.hit", 0) == \
-            hits_before + 1
-
-    def test_arrays_charged_to_budget(self, repo):
-        cache = BlockCache(budget_bytes=1 << 20)
-        view = CachedRepositoryView(repo, cache)
-        used_before = cache.used_bytes
-        view.container(NAME_PATH).as_arrays()
-        assert cache.used_bytes > used_before
+    def test_runs_charge_no_arrays_to_the_block_cache(self, repo):
+        """The array views are the containers' own memo; the block
+        cache holds decoded records only, and a batch run that
+        materialises nothing leaves it empty."""
+        from repro.service.session import Session
+        session = Session(repo)
+        result = session.execute(
+            'count(for $i in /store/item where $i/name/text() >= "c" '
+            "return $i)")
+        assert result.items == [3.0] and result.stats.container_accesses
+        assert repo.container(NAME_PATH).as_arrays() is \
+            repo.container(NAME_PATH).as_arrays()
+        assert session.block_cache.used_bytes == 0
+        assert len(session.block_cache) == 0

@@ -42,27 +42,40 @@ ALL_QUERIES = sorted(XMARK_QUERIES)
 #: (42 -> 21) and counts ``$i/price`` off the group sizes; Q17's
 #: ``empty($p/phone)`` is a not-exists term — the 42 phones' ``Parent``
 #: hops (60 -> 42) and two more summary accesses (the term's extent and
-#: the source it is subtracted from; 1 -> 3).
+#: the source it is subtracted from; 1 -> 3).  Then plans became bound
+#: once, at prepare, on purpose: a summary path an operator is *built*
+#: from is resolved there and no longer counts in a run, so
+#: ``summary_accesses`` counts only what a run reads off the summary —
+#: a ``StructureSummaryAccess`` pulled, an absolute path evaluated.
+#: The other seven columns did not move.  Per query: Q1, Q4 and Q5
+#: lose their interval term's resolution (1 -> 0); Q3 its
+#: ColumnCompare's (1 -> 0); Q14 its substring term's two, leaf
+#: containers and ``//`` hops (2 -> 0); Q17 its not-exists term's
+#: (3 -> 2: the term's extent and the source are still pulled); Q20
+#: its five terms' (6 -> 1: the not-exists source is still pulled);
+#: Q8, Q9 and Q10 one per MergeJoin key side (3 -> 1, 5 -> 1, 3 -> 1:
+#: the outer for-clause's source is still read).  Q2, Q6, Q7, Q11,
+#: Q13 and Q15–Q19 bind nothing from the summary and keep theirs.
 PINNED_STATS = {
-    "Q1": (1, 0, 0, 0, 1, 1, 0, 0),
-    "Q10": (47, 0, 0, 2, 0, 3, 0, 86),
+    "Q1": (1, 0, 0, 0, 1, 0, 0, 0),
+    "Q10": (47, 0, 0, 2, 0, 1, 0, 86),
     "Q11": (43, 0, 0, 0, 43, 1, 0, 0),
     "Q13": (18, 0, 0, 0, 0, 1, 0, 0),
-    "Q14": (5, 0, 0, 0, 6, 2, 0, 10),
+    "Q14": (5, 0, 0, 0, 6, 0, 0, 10),
     "Q15": (23, 0, 0, 0, 0, 1, 0, 0),
     "Q16": (23, 0, 0, 0, 0, 1, 0, 0),
-    "Q17": (18, 0, 0, 0, 0, 3, 0, 42),
+    "Q17": (18, 0, 0, 0, 0, 2, 0, 42),
     "Q18": (28, 0, 0, 0, 0, 1, 0, 0),
     "Q19": (18, 0, 0, 0, 0, 1, 0, 0),
     "Q2": (24, 0, 0, 0, 0, 1, 0, 0),
-    "Q20": (0, 0, 0, 1, 4, 6, 0, 129),
-    "Q3": (18, 0, 0, 2, 0, 1, 0, 0),
-    "Q4": (2, 0, 0, 0, 1, 1, 0, 6),
-    "Q5": (0, 0, 0, 0, 1, 1, 0, 21),
+    "Q20": (0, 0, 0, 1, 4, 1, 0, 129),
+    "Q3": (18, 0, 0, 2, 0, 0, 0, 0),
+    "Q4": (2, 0, 0, 0, 1, 0, 0, 6),
+    "Q5": (0, 0, 0, 0, 1, 0, 0, 21),
     "Q6": (0, 0, 0, 0, 0, 1, 0, 0),
     "Q7": (0, 0, 0, 0, 0, 3, 0, 0),
-    "Q8": (143, 0, 0, 2, 0, 3, 0, 23),
-    "Q9": (177, 0, 0, 4, 0, 5, 0, 46),
+    "Q8": (143, 0, 0, 2, 0, 1, 0, 23),
+    "Q9": (177, 0, 0, 4, 0, 1, 0, 46),
 }
 
 

@@ -136,3 +136,38 @@ class TestEscapeKeepsNormalizedCharacters:
 
     def test_attribute_whitespace_is_referenced(self):
         assert escape_attribute("a\tb\nc\rd") == "a&#9;b&#10;c&#13;d"
+
+
+#: each character an attribute value escapes, and its reference.
+ATTRIBUTE_ESCAPES = {"&": "&amp;", "<": "&lt;", '"': "&quot;",
+                     "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
+
+
+class TestAttributeFastPath:
+    """A value holding none of ``& < " \\t \\n \\r`` comes back as is;
+    any one of them takes the escaping path, byte for byte."""
+
+    def test_plain_value_is_returned_untouched(self):
+        value = "person0 > 'x' ünïcode"
+        assert escape_attribute(value) is value
+
+    @pytest.mark.parametrize("char", list(ATTRIBUTE_ESCAPES))
+    def test_each_character_alone(self, char):
+        reference = ATTRIBUTE_ESCAPES[char]
+        assert escape_attribute(char) == reference
+        assert escape_attribute(f"a{char}b") == f"a{reference}b"
+
+    def test_all_of_them_together(self):
+        value = "x" + "".join(ATTRIBUTE_ESCAPES) + "y&amp;"
+        assert escape_attribute(value) == (
+            "x&amp;&lt;&quot;&#9;&#10;&#13;y&amp;amp;")
+        assert unescape(escape_attribute(value)) == value
+
+
+@given(st.text(alphabet=st.sampled_from("ab &<>\"'\t\n\ré"),
+               max_size=40))
+def test_attribute_matches_the_full_replacement_chain(text):
+    expected = text
+    for char, reference in ATTRIBUTE_ESCAPES.items():
+        expected = expected.replace(char, reference)
+    assert escape_attribute(text) == expected
