@@ -25,6 +25,7 @@ from repro.partitioning.search import greedy_search
 from repro.partitioning.workload import Predicate, Workload
 from repro.query.ast import (
     Comparison,
+    ContextItem,
     Expression,
     FLWOR,
     FunctionCall,
@@ -106,8 +107,9 @@ class _PathResolver:
 
     def __init__(self, repository: CompressedRepository):
         self._repository = repository
-        #: variable -> absolute summary steps it ranges over.
-        self._bindings: dict[str, list[tuple[str, str]]] = {}
+        #: variable (``.``: the context item) -> absolute summary steps
+        #: it ranges over.
+        self._bindings: dict[str, list[tuple[str, str]] | None] = {}
         #: (kind, left container paths, right container paths)
         self.predicates: list[tuple[str, list[str], list[str]]] = []
 
@@ -127,6 +129,8 @@ class _PathResolver:
                 kind,
                 self._container_paths(expr.left),
                 self._container_paths(expr.right)))
+        elif isinstance(expr, PathExpr):
+            self._walk_path(expr)
         elif isinstance(expr, FunctionCall):
             # starts-with is the prefix-match ("wild") predicate kind;
             # contains() is full-text — no algorithm evaluates it in
@@ -146,11 +150,28 @@ class _PathResolver:
                         if isinstance(element, Expression):
                             self.walk(element)
 
+    def _walk_path(self, expr: PathExpr) -> None:
+        """The path's start, then each step's predicates with the
+        context item ``.`` bound to the summary steps up to that step
+        (``None``: not summary-resolvable)."""
+        if expr.start is not None:
+            self.walk(expr.start)
+        outer = self._bindings.get(".")
+        for position, step in enumerate(expr.steps):
+            if step.predicates:
+                self._bindings["."] = self._absolute_steps(PathExpr(
+                    expr.start, expr.steps[:position + 1], expr.document))
+                for predicate in step.predicates:
+                    self.walk(predicate)
+        self._bindings["."] = outer
+
     def _absolute_steps(self, expr) -> list[tuple[str, str]] | None:
         if not isinstance(expr, PathExpr):
             return None
-        if isinstance(expr.start, VarRef):
-            base = self._bindings.get(expr.start.name)
+        if isinstance(expr.start, (VarRef, ContextItem)):
+            base = self._bindings.get(
+                "." if isinstance(expr.start, ContextItem)
+                else expr.start.name)
             if base is None:
                 return None
             return base + leaf_summary_steps(expr, ())

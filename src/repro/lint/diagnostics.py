@@ -12,7 +12,7 @@ class PlanDiagnostic:
     """One plan-verifier finding, tagged with its rule.
 
     ``operator_path`` locates the offending operator inside the plan
-    tree (e.g. ``"XMLSerialize/Decompress/MergeJoin/left=ContScan"``).
+    tree (e.g. ``"MergeJoin/left=Decompress/source=ContScan"``).
     """
 
     rule: str

@@ -17,8 +17,7 @@ Checked invariants (see :mod:`repro.lint.rules` for the catalog):
   sides;
 * a ``MergeJoin``'s compressed keys must stay within one compressed
   domain (shared source model, §3.1);
-* every value reaching ``XMLSerialize`` passed through ``Decompress``
-  exactly once (§4);
+* ``Decompress`` decodes each compressed column once (§4);
 * operators only reference columns produced upstream;
 * ``ContAccess`` interval search wants a binary-searchable container
   whose codec preserves order (§2.2/§3.2);
@@ -35,7 +34,6 @@ from repro.lint.diagnostics import PlanDiagnostic
 from repro.lint.properties import (
     COMPRESSED,
     NODE,
-    PLAIN,
     ColumnInfo,
     PlanProperties,
 )
@@ -69,10 +67,8 @@ class PlanVerifier:
             "MergeJoin": self._merge_join,
             "ThetaJoin": self._theta_join,
             "ColumnCompare": self._column_compare,
-            "NestedLoopJoin": self._nested_loop_join,
             "Sort": self._sort,
             "Decompress": self._decompress,
-            "XMLSerialize": self._xml_serialize,
         }
 
     # -- traversal ------------------------------------------------------------
@@ -285,7 +281,7 @@ class PlanVerifier:
                 "plan.theta-join-unordered", path,
                 f"key containers {[c.path for c in containers]} are "
                 "not all numeric-ordered; a slot range is not the set "
-                "of matching keys", "use a NestedLoopJoin")
+                "of matching keys", "check the conjunct per binding")
         # Probes stream in the left input's order; the key side adds
         # the owning-element column.
         return children[0].with_column(
@@ -309,15 +305,6 @@ class PlanVerifier:
         column = node.column  # type: ignore[attr-defined]
         return PlanProperties({column: ColumnInfo(NODE)}, (column,))
 
-    def _nested_loop_join(self, node: object, path: str,
-                          children: list[PlanProperties]
-                          ) -> PlanProperties:
-        left, right = children
-        merged = PlanProperties.merge(left, right)
-        for name in node.references or ():  # type: ignore[attr-defined]
-            self._require_column(merged, name, path, "condition")
-        return merged
-
     def _sort(self, node: object, path: str,
               children: list[PlanProperties]) -> PlanProperties:
         props = children[0]
@@ -327,7 +314,7 @@ class PlanVerifier:
         return PlanProperties(props.columns, tuple(columns),
                               props.open_schema)
 
-    # -- (de)compression / serialization --------------------------------------
+    # -- decompression --------------------------------------------------------
 
     def _decompress(self, node: object, path: str,
                     children: list[PlanProperties]) -> PlanProperties:
@@ -354,23 +341,4 @@ class PlanVerifier:
                     f"column {name!r} is {kind}; Decompress has "
                     "nothing to do",
                     "drop the column from the Decompress list")
-        return props
-
-    def _xml_serialize(self, node: object, path: str,
-                       children: list[PlanProperties]) -> PlanProperties:
-        props = children[0]
-        for name in node.columns:  # type: ignore[attr-defined]
-            info = self._require_column(props, name, path,
-                                        "serialized")
-            if info is not None and info.kind == COMPRESSED \
-                    and not info.decompressed:
-                self._report(
-                    "plan.missing-decompress", path,
-                    f"column {name!r} (codec "
-                    f"{info.codec.name!r}) reaches serialization "  # type: ignore[union-attr]
-                    "still compressed",
-                    "insert Decompress([...]) below XMLSerialize")
-            serialized = ColumnInfo(PLAIN, decompressed=True) \
-                if info is None else info.decompress()
-            props = props.with_column(name, serialized)
         return props

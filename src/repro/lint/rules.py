@@ -51,10 +51,6 @@ _ALL: tuple[Rule, ...] = (
          "under different source models",
          "§3.1 (containers must share a source model to compare "
          "compressed)"),
-    Rule("plan.missing-decompress", "error",
-         "a compressed column reaches XMLSerialize without passing "
-         "through Decompress",
-         "§4 (Decompress precedes serialization)"),
     Rule("plan.duplicate-decompress", "warning",
          "Decompress applied to a column that is already plain",
          "§4 (decompress exactly once, at the top of the plan)"),

@@ -25,7 +25,7 @@ from repro.xmlio.dom import Element, Node, Text
 
 
 class EvaluationStats:
-    """The eight counters of one query run, as plain integers.
+    """The seven counters of one query run, as plain integers.
 
     ``stats.decompressions += 1`` is a slot store.  Exposed as
     :attr:`repro.query.engine.QueryResult.stats`; a traced run's
@@ -34,8 +34,7 @@ class EvaluationStats:
 
     FIELDS = ("decompressions", "compressed_comparisons",
               "decompressed_comparisons", "container_scans",
-              "container_accesses", "summary_accesses", "hash_joins",
-              "nodes_visited")
+              "container_accesses", "summary_accesses", "nodes_visited")
 
     __slots__ = FIELDS
 

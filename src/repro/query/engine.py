@@ -186,11 +186,11 @@ class QueryResult:
 
 class PreparedPlan:
     """A query planned, bound and verified once: its AST, its
-    :class:`~repro.query.optimizer.QueryPlan`, what the Tier-A verifier
-    found, the text it was prepared from (``None`` for a pre-parsed
-    expression) and its :class:`~repro.query.optimizer.BoundPlan` — the
-    operators the verifier checked and every run executes (``None``: a
-    plan only rendered, which cannot run).
+    :class:`~repro.query.optimizer.QueryPlan`, its
+    :class:`~repro.query.optimizer.BoundPlan` — the operators every run
+    executes, the verifier checked and EXPLAIN prints — what the
+    Tier-A verifier found and the text it was prepared from (``None``
+    for a pre-parsed expression).
 
     The one copy of a query's plan, which the plan cache holds, every
     run executes and EXPLAIN, EXPLAIN ANALYZE and the slow log render.
@@ -201,8 +201,8 @@ class PreparedPlan:
     __slots__ = ("ast", "plan", "bound", "diagnostics", "text")
 
     def __init__(self, ast: Expression, plan: QueryPlan,
-                 diagnostics: list = (), text: str | None = None,
-                 bound: BoundPlan | None = None):
+                 bound: BoundPlan, diagnostics: list = (),
+                 text: str | None = None):
         self.ast = ast
         self.plan = plan
         self.bound = bound
@@ -265,17 +265,15 @@ class QueryEngine:
         before any row is produced; the verifier's warnings flow into a
         traced run's telemetry, whose ``Execute`` span is named by the
         plan's text (the expression's type for a pre-parsed one).  A
-        plan bound to another repository, or to none, raises
+        plan bound to another repository raises
         :class:`~repro.errors.QueryError`.
         """
         if options is None:
             options = ExecutionOptions()
         prepared = (query if isinstance(query, PreparedPlan)
                     else self.prepare(query)).checked()
-        bound = prepared.bound
-        if bound is None or any(
-                self.repository_of(doc) is not repository
-                for doc, repository in bound.repositories.items()):
+        if any(self.repository_of(doc) is not repository
+               for doc, repository in prepared.bound.repositories.items()):
             raise QueryError("the plan is bound to another repository; "
                              "prepare it on this engine")
         ast, telemetry = prepared.ast, options.telemetry
@@ -296,16 +294,15 @@ class QueryEngine:
     def prepare(self, query: str | Expression) -> PreparedPlan:
         """Plan the query, bind the plan to this engine's repositories
         — once: every run executes what is bound here — and run the
-        Tier-A verifier over its operator trees, every FLWOR and every
-        absolute path.  Error diagnostics are kept, not raised: a
-        failed plan can still be explained."""
+        Tier-A verifier over each bound operator.  Error diagnostics
+        are kept, not raised: a failed plan can still be explained."""
         text, ast = (query, parse_query(query)) \
             if isinstance(query, str) else (None, query)
         plan = plan_query(ast)
         bound = bind_plan(ast, plan, self.repository_of)
-        return PreparedPlan(ast, plan, [
-            diagnostic for tree in bound.trees
-            for diagnostic in verify_plan(tree)], text, bound)
+        return PreparedPlan(ast, plan, bound, [
+            diagnostic for operator in bound.operators()
+            for diagnostic in verify_plan(operator)], text)
 
     def plan(self, query: str | Expression) -> PreparedPlan:
         """The query's plan, past the Tier-A gate
@@ -352,9 +349,10 @@ class QueryEngine:
                          doc: str | None = None,
                          lazy_texts: list | None = None,
                          cache=None) -> Element:
-        """Rebuild a repository node as an XML element (XMLSerialize):
-        every element of the subtree first, then each takes its
-        attributes and, in content order, its texts and children.
+        """Rebuild a repository node as an XML element (Figure 5's
+        XMLSerialize step): every element of the subtree first, then
+        each takes its attributes and, in content order, its texts and
+        children.
 
         Attributes are decoded; each text is a
         :class:`~repro.query.context.LazyText` over its container slot,
@@ -633,16 +631,13 @@ class _Evaluator:
         run once per execution however often the clause is re-entered."""
         if id(step) not in self._outputs:
             selection, operator = bound
-            exact = [t.conjunct for t in selection.terms if t.exact]
             with span_on(self.telemetry, "Selection",
                          terms=len(selection.terms)) as span:
                 ids = [node_id for batch in operator.batches()
                        for node_id in batch.column(
                            f"${step.clause.var}").ids.tolist()]
                 span.set_attribute("rows", len(ids))
-            self._outputs[id(step)] = (ids, [
-                c for c in step.decidable
-                if not any(c is e for e in exact)])
+            self._outputs[id(step)] = ids, step.rest(selection)
         return self._outputs[id(step)]
 
     def _clause_items(self, step: ClausePlan, env: dict) -> list:
@@ -671,7 +666,7 @@ class _Evaluator:
                 matches = _matches_by_probe(join, f"${probe_var}",
                                             f"${step.clause.var}")
                 span.set_attribute("rows", len(matches))
-            self._outputs[id(step)] = matches, step.rest(plan.conjunct)
+            self._outputs[id(step)] = matches, step.rest(plan)
         matches, rest = self._outputs[id(step)]
         (probe,) = env[probe_var]
         return matches.get(probe.node_id, ()), rest
@@ -707,7 +702,7 @@ class _Evaluator:
         start, end = (0, 0) if not values else self._traced(
             "ThetaJoin.probe", join.probe,
             max(values) if plan.op in ("<", "<=") else min(values))
-        return join.owners[start:end], step.rest(plan.conjunct)
+        return join.owners[start:end], step.rest(plan)
 
     def _traced(self, name: str, function, *args):
         """``function(*args)``, under a span of a traced run."""

@@ -9,15 +9,15 @@ evaluation strategies, chosen **once per query**:
   clause, the ``where`` conjuncts that become decidable there and the
   strategy they select (:class:`ClausePlan` holds the precedence), and
   per relative path below a for-variable that the summary answers its
-  :class:`ProjectionPlan`.  The engine executes that plan, ``explain``
-  renders it, the plan cache keeps it — nobody else classifies a
-  conjunct or a path;
+  :class:`ProjectionPlan`.  The engine executes that plan, the plan
+  cache keeps it — nobody else classifies a conjunct or a path;
 * :func:`bind_plan` binds a plan to repositories, once per prepare,
-  into a :class:`BoundPlan`: the operator trees the Tier-A verifier
-  checks and, the same objects, what every run executes.  Constant
-  selections (:func:`assign_selection`: ``ContAccess`` interval
-  searches on the sorted containers, ``ContSubstring`` candidates for
-  ``contains``, ``Parent`` steps back up — bottom-up evaluation — and
+  into a :class:`BoundPlan`: the operators every run executes and, the
+  same objects, what the Tier-A verifier checks and ``explain``
+  prints.  Constant selections (:func:`assign_selection`:
+  ``ContAccess`` interval searches on the sorted containers,
+  ``ContSubstring`` candidates for ``contains``, ``Parent`` steps back
+  up — bottom-up evaluation — and
   ``ColumnCompare`` for ``$v/p <op> K * $v/q``), equality joins
   (:func:`assign_equi_join`: one ``MergeJoin`` over the two
   value-sorted key containers) and inequality joins
@@ -58,10 +58,9 @@ from repro.query.context import CompressedItem, NodeItem
 from repro.query.functions import tokenize
 from repro.query.physical import (ColumnCompare, Concat, ContAccess,
                                   ContScan, ContSubstring, Decompress,
-                                  FirstHit, MergeJoin, NestedLoopJoin,
-                                  NodeSet, OpaqueSource, Operator, Parent,
-                                  Sort, StructureSummaryAccess, ThetaJoin,
-                                  XMLSerialize)
+                                  FirstHit, MergeJoin, NodeSet, Operator,
+                                  Parent, Sort, StructureSummaryAccess,
+                                  ThetaJoin)
 from repro.storage.containers import SUBSTRING_Q
 from repro.storage.summary import TEXT_STEP
 
@@ -570,7 +569,7 @@ def is_absolute_simple_path(expr: Expression) -> bool:
 
 
 def assign_theta_join(clause: ForClause, plans: tuple[ThetaPlan, ...],
-                      repo_of, left=None):
+                      repo_of):
     """``(ThetaPlan, ThetaJoin)`` for the first of the clause's theta
     candidates whose key path ends at numeric-ordered containers, else
     ``None``: the assignment the engine runs and the Tier-A verifier
@@ -587,7 +586,7 @@ def assign_theta_join(clause: ForClause, plans: tuple[ThetaPlan, ...],
             leaf_summary_steps(clause.source, plan.leaf_steps))]
         if None in paths:
             continue  # the key path does not end at containers
-        join = ThetaJoin(left, repository, paths, plan.op, None,
+        join = ThetaJoin(None, repository, paths, plan.op, None,
                          f"${clause.var}", scale=plan.scale or 1.0,
                          ascend=plan.ascend)
         if join.numeric_ordered():
@@ -894,11 +893,13 @@ class Projection(NamedTuple):
     — with its ``k``; for a value path, per leaf container the summary
     names, its records grouped by owner — the rows of ``ContScan →
     Parent^k``, read off ``ContainerArrays.by_owner`` — with its codec
-    and value type (``leaves`` ``None`` for an element path)."""
+    and value type (``leaves`` ``None`` for an element path).
+    ``reads``: per stage, the summary paths it reads."""
 
     plan: ProjectionPlan
     stages: tuple[tuple[tuple[dict, ...], int | None], ...]
     leaves: tuple[tuple[dict, object, str], ...] | None
+    reads: tuple[tuple[str, ...], ...]
 
     def values(self, node_id: int) -> list:
         """The path's nodes or compressed values below node
@@ -964,12 +965,13 @@ def assign_projection(plan: ProjectionPlan, repo_of) -> Projection | None:
     repository = repo_of(plan.source.document)
     parents = repository.structure.parents
     nodes = repository.resolve_path(_summary_steps(plan.source.steps))
-    stages, leaves = [], None
+    stages, leaves, reads = [], None, []
     for steps, k in plan.stages:
         reach = {id(node): repository.summary.resolve(
             _summary_steps(steps), node) for node in nodes}
         nodes = list({id(target): target for targets in reach.values()
                       for target in targets}.values())
+        reads.append(tuple(node.path for node in nodes))
         if any(step.axis == "descendant" for step in steps):
             reached = {key: set(map(id, targets))
                        for key, targets in reach.items()}
@@ -990,7 +992,7 @@ def assign_projection(plan: ProjectionPlan, repo_of) -> Projection | None:
             return None
         leaves = tuple((c.as_arrays().by_owner(hops, parents), c.codec,
                         c.value_type) for c, hops in containers)
-    return Projection(plan, tuple(stages), leaves)
+    return Projection(plan, tuple(stages), leaves, tuple(reads))
 
 
 def _projection_plan(expr: Expression, scope: dict[str, PathExpr | None]
@@ -1044,9 +1046,16 @@ class ClausePlan:
         return self.join or next(iter(self.thetas), None) or \
             self.selection
 
-    def rest(self, conjunct: Expression) -> tuple[Expression, ...]:
-        """``decidable`` less the conjunct a join already decided."""
-        return tuple(c for c in self.decidable if c is not conjunct)
+    def rest(self, chosen) -> tuple[Expression, ...]:
+        """``decidable`` less what the bound strategy ``chosen``
+        decides: a join's conjunct (a theta join asks per binding),
+        a selection's exact terms."""
+        if not isinstance(chosen, SelectionPlan):
+            return tuple(c for c in self.decidable
+                         if c is not chosen.conjunct)
+        decided = [t.conjunct for t in chosen.terms if t.exact]
+        return tuple(c for c in self.decidable
+                     if not any(c is d for d in decided))
 
 
 @dataclass(frozen=True)
@@ -1061,13 +1070,11 @@ class FlworPlan:
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """Every FLWOR the evaluator can reach, outermost first, the
-    absolute simple paths that are no for-clause's access path and the
+    """Every FLWOR the evaluator can reach, outermost first, and the
     relative value paths read as projections: a value (equal queries
     plan equal) shared across sessions and threads."""
 
     flwors: tuple[FlworPlan, ...]
-    paths: tuple[PathExpr, ...]
     projections: tuple[ProjectionPlan, ...]
 
     def by_node(self) -> dict[int, FlworPlan | ProjectionPlan]:
@@ -1085,15 +1092,13 @@ def plan_query(ast: Expression) -> QueryPlan:
     query's free variables — external bindings, bound before anything
     runs."""
     flwors: list = []
-    paths: list[PathExpr] = []
     projections: list[ProjectionPlan] = []
-    _plan(ast, dict.fromkeys(free_vars(ast)), flwors, paths, projections)
-    return QueryPlan(tuple(flwors), tuple(paths), tuple(projections))
+    _plan(ast, dict.fromkeys(free_vars(ast)), flwors, projections)
+    return QueryPlan(tuple(flwors), tuple(projections))
 
 
 def _plan(expr: Expression, scope: dict[str, PathExpr | None],
-          flwors: list, paths: list[PathExpr],
-          projections: list[ProjectionPlan]) -> None:
+          flwors: list, projections: list[ProjectionPlan]) -> None:
     """``scope`` maps every variable in scope, lexically, to
     :func:`_node_path` of the for-clause binding it (``None`` for a
     let or an external binding)."""
@@ -1101,10 +1106,8 @@ def _plan(expr: Expression, scope: dict[str, PathExpr | None],
         projection = _projection_plan(expr, scope)
         if projection is not None:
             projections.append(projection)
-        elif is_absolute_simple_path(expr) and expr.steps:
-            paths.append(expr)
         for child in _children(expr):
-            _plan(child, scope, flwors, paths, projections)
+            _plan(child, scope, flwors, projections)
         return
     slot = len(flwors)
     flwors.append(None)  # outermost first
@@ -1117,15 +1120,12 @@ def _plan(expr: Expression, scope: dict[str, PathExpr | None],
             rebound = {c.var for c in expr.clauses[position + 1:]}
             planned, pending = _plan_clause(clause, pending, scope,
                                             rebound)
-        # A for-clause's summary-resolved source is its access path.
-        if isinstance(clause, LetClause) or \
-                not is_absolute_simple_path(clause.source):
-            _plan(clause.source, scope, flwors, paths, projections)
+        _plan(clause.source, scope, flwors, projections)
         clauses.append(planned)
         scope = {**scope, clause.var: _node_path(clause.source)
                  if isinstance(clause, ForClause) else None}
     for child in _children(expr)[len(expr.clauses):]:
-        _plan(child, scope, flwors, paths, projections)
+        _plan(child, scope, flwors, projections)
     flwors[slot] = FlworPlan(expr, tuple(clauses), tuple(pending))
 
 
@@ -1172,27 +1172,38 @@ class BoundClause(NamedTuple):
     theta: tuple | None
     selection: tuple | None
 
+    def operators(self) -> list[Operator]:
+        """The bound operators, in the order a run tries them."""
+        return [pair[1] for pair in self if pair is not None]
+
 
 class BoundPlan(NamedTuple):
-    """A :class:`QueryPlan` bound to repositories, once: the ``trees``
-    the Tier-A verifier checks and, the same objects, what every run
+    """A :class:`QueryPlan` bound to repositories, once: what every run
     executes — per :class:`ClausePlan` its :class:`BoundClause`, per
     path node its :class:`Projection` (``None``: navigate) or the
-    ``StructureSummaryAccess`` of its summary prefix — all by ``id``.
-    ``repositories``: each document name bound, to its repository.
-    Read-only after binding, so runs and threads share it."""
+    ``StructureSummaryAccess`` of its summary prefix, all by ``id`` —
+    and, the same objects, what the Tier-A verifier checks
+    (:meth:`operators`).  ``repositories``: each document name bound,
+    to its repository.  Read-only after binding, so runs and threads
+    share it."""
 
-    trees: tuple[Operator, ...]
     clauses: dict[int, BoundClause]
     projections: dict[int, Projection | None]
     paths: dict[int, StructureSummaryAccess | None]
     repositories: dict
 
+    def operators(self) -> list[Operator]:
+        """Every bound operator tree, each once: the clauses' and the
+        absolute paths' summary accesses."""
+        return [operator for bound in self.clauses.values()
+                for operator in bound.operators()] + \
+            [access for access in self.paths.values()
+             if access is not None]
+
 
 def bind_plan(ast: Expression, plan: QueryPlan, repo_of) -> BoundPlan:
     """Bind ``plan``, the plan of ``ast``, to the repositories
-    ``repo_of`` names: a tree per FLWOR — its for-clauses joined left to
-    right — and per path of ``plan.paths``, then every other absolute
+    ``repo_of`` names: every for-clause's strategies, every absolute
     path's summary prefix and every projection."""
     repositories: dict = {}
 
@@ -1200,19 +1211,20 @@ def bind_plan(ast: Expression, plan: QueryPlan, repo_of) -> BoundPlan:
         repositories[doc] = repo_of(doc)
         return repositories[doc]
 
-    clauses: dict[int, BoundClause] = {}
-    paths: dict[int, StructureSummaryAccess | None] = {}
-    trees = [XMLSerialize(_bind_flwor(f, bound_repo, clauses, paths), ())
-             for f in plan.flwors]
-    trees += [XMLSerialize(_summary_access(path, "$path", bound_repo,
-                                           paths), ("$path",))
-              for path in plan.paths]
-    for path in _absolute_paths(ast):
-        _summary_access(path, "$path", bound_repo, paths)
+    clauses = {id(step): BoundClause(
+        assign_equi_join(step.clause, step.join, bound_repo)
+        if step.join else None,
+        assign_theta_join(step.clause, step.thetas, bound_repo)
+        if step.thetas else None,
+        assign_selection(step.clause, step.selection, bound_repo)
+        if step.selection else None)
+        for flwor in plan.flwors for step in flwor.clauses
+        if isinstance(step.clause, ForClause)}
+    paths = {id(path): _summary_access(path, bound_repo)
+             for path in _absolute_paths(ast)}
     projections = {id(p.path): assign_projection(p, bound_repo)
                    for p in plan.projections}
-    return BoundPlan(tuple(trees), clauses, projections, paths,
-                     repositories)
+    return BoundPlan(clauses, projections, paths, repositories)
 
 
 def _absolute_paths(expr: Expression):
@@ -1223,57 +1235,19 @@ def _absolute_paths(expr: Expression):
         yield from _absolute_paths(child)
 
 
-def _summary_access(path: PathExpr, column: str, repo_of,
-                    paths: dict) -> StructureSummaryAccess | None:
+def _summary_access(path: PathExpr, repo_of
+                    ) -> StructureSummaryAccess | None:
     """The ``StructureSummaryAccess`` of the longest prefix of absolute
     ``path`` the summary answers (Figure 4) — element steps, up to and
-    including the first with predicates — built once per plan: a
-    verifier's tree holds the one a run reads.  ``None``: no prefix."""
-    if id(path) not in paths:
-        prefix: list[tuple[str, str]] = []
-        for step in path.steps:
-            if step.axis not in ("child", "descendant") or \
-                    step.test == "text()":
-                break
-            prefix.append((step.axis, step.test))
-            if step.predicates:
-                break
-        paths[id(path)] = StructureSummaryAccess(
-            repo_of(path.document), prefix, column) if prefix else None
-    return paths[id(path)]
-
-
-def _bind_flwor(plan: FlworPlan, repo_of, clauses: dict,
-                paths: dict) -> Operator:
-    tree = None
-    for step in plan.clauses:
-        clause = step.clause
-        if isinstance(clause, LetClause):
-            continue
-        if tree is None and (step.join or step.thetas):
-            # A nested FLWOR joining against outer variables: the
-            # binding stream it runs under is its left input.
-            tree = OpaqueSource("enclosing bindings")
-        bound = clauses[id(step)] = BoundClause(
-            assign_equi_join(clause, step.join, repo_of)
-            if step.join else None,
-            assign_theta_join(clause, step.thetas, repo_of, tree)
-            if step.thetas else None,
-            assign_selection(clause, step.selection, repo_of)
-            if step.selection else None)
-        if bound.theta is not None:
-            tree = bound.theta[1]
-        elif bound.join is not None:
-            # Run once; each binding of the probe variable looks its
-            # matches up.
-            tree = NestedLoopJoin(tree, bound.join[1], None)
-        else:
-            column = f"${clause.var}"
-            access = bound.selection[1] if bound.selection else \
-                _summary_access(clause.source, column, repo_of, paths) \
-                if is_absolute_simple_path(clause.source) and \
-                clause.source.steps else \
-                OpaqueSource(f"{column} in opaque source")
-            tree = access if tree is None else \
-                NestedLoopJoin(tree, access, None)
-    return tree if tree is not None else OpaqueSource("empty FLWOR")
+    including the first with predicates — built once per plan.
+    ``None``: no prefix."""
+    prefix: list[tuple[str, str]] = []
+    for step in path.steps:
+        if step.axis not in ("child", "descendant") or \
+                step.test == "text()":
+            break
+        prefix.append((step.axis, step.test))
+        if step.predicates:
+            break
+    return StructureSummaryAccess(repo_of(path.document), prefix,
+                                  "$path") if prefix else None

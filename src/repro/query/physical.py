@@ -5,12 +5,13 @@ groups:
 
 * **data access** — :class:`ContScan`, :class:`ContAccess`,
   :class:`ContSubstring`, :class:`StructureSummaryAccess`,
-  :class:`OpaqueSource`, :class:`Parent`;
+  :class:`Parent`;
 * **data combination** — :class:`NodeSet`, :class:`FirstHit`,
   :class:`Concat`, :class:`MergeJoin`, :class:`ThetaJoin`,
-  :class:`ColumnCompare`, :class:`NestedLoopJoin`, :class:`Sort`;
-* **(de)compression / serialization** — :class:`Decompress`,
-  :class:`XMLSerialize`.
+  :class:`ColumnCompare`, :class:`Sort`;
+* **decompression** — :class:`Decompress`.  Figure 5's final
+  XMLSerialize step is the materialization of the
+  :class:`~repro.query.engine.QueryResult`, not an operator.
 
 Operators move data through one **batch-pull protocol** (DESIGN.md
 §13): an operator implements ``_batches(size)``, ``batches(size)``
@@ -19,9 +20,9 @@ the scan/selection/join operators evaluate over numpy arrays — container
 slot ranges for compressed-domain predicates, ``np.searchsorted`` for
 merge keys.  Iterating an operator yields *rows* (dicts mapping column
 names to items): the same batches, flattened, so plans compose by
-nesting either way.  Operators whose work is per-row (nested-loop
-conditions, theta probes, blob-container fallbacks) run one private
-row generator over their input's batches and chunk it.
+nesting either way.  Operators whose work is per-row (theta probes,
+sorts, blob-container fallbacks) run one private row generator over
+their input's batches and chunk it.
 
 Order guarantees mirror §4: ``StructureSummaryAccess``, ``NodeSet`` and
 ``FirstHit`` emit element ids in document order, ``Parent`` preserves
@@ -386,18 +387,6 @@ class StructureSummaryAccess(Operator):
                 self.column: NodeColumn(ids[start:start + size])})
 
 
-class OpaqueSource(Operator):
-    """Plan placeholder for a row stream no operator produces — a
-    for-clause source evaluated per binding, the bindings enclosing a
-    nested FLWOR; the verifier treats it as an open schema."""
-
-    def __init__(self, label: str):
-        self.label = label
-
-    def _batches(self, size: int) -> Iterator[RecordBatch]:
-        return iter(())
-
-
 class Parent(Operator):
     """Append each input node's parent; preserves input order (§4).
 
@@ -648,31 +637,6 @@ class MergeJoin(Operator):
                     yield out.slice(start, start + size)
 
 
-class NestedLoopJoin(Operator):
-    """Theta-join by nested iteration (the baseline engines' only join)."""
-
-    INPUTS = ("_left", "_right")
-
-    def __init__(self, left: Iterable[Row], right: Iterable[Row],
-                 condition, *,
-                 references: tuple[str, ...] | None = None):
-        self._left = left
-        self._right = right
-        self._condition = condition
-        self.references = tuple(references) if references is not None \
-            else None
-
-    def _loop(self, size: int) -> Iterator[Row]:
-        right_rows = list(input_rows(self._right, size))
-        for left_row in input_rows(self._left, size):
-            for right_row in right_rows:
-                if self._condition(left_row, right_row):
-                    yield {**left_row, **right_row}
-
-    def _batches(self, size: int) -> Iterator[RecordBatch]:
-        return batches_from_rows(self._loop(size), size)
-
-
 class ThetaJoin(Operator):
     """Sort-based inequality join: ``scale * key <op> probe`` (§2.2/§4).
 
@@ -696,8 +660,8 @@ class ThetaJoin(Operator):
         self._left = left
         self._parents = repository.structure.parents
         self._probe_key = probe_key
-        self._scale = scale
-        self._ascend = ascend
+        self.scale = scale
+        self.ascend = ascend
         self._keys: np.ndarray | None = None
         self.containers = [repository.container(path)
                            for path in container_paths]
@@ -716,14 +680,14 @@ class ThetaJoin(Operator):
         """Assemble the sorted key run once; ``False`` means fall back."""
         if self._keys is not None:
             return True
-        found = _owned_values(self.containers, self._ascend,
+        found = _owned_values(self.containers, self.ascend,
                               self._parents)
         if found is None:
             return False
         owners, keys = found
         # The product the reference computes, in float64 — never
         # probe / scale, which rounds differently.
-        keys = self._scale * keys
+        keys = self.scale * keys
         if len(self.containers) > 1:
             order = np.argsort(keys, kind="stable")
             keys, owners = keys[order], owners[order]
@@ -851,15 +815,15 @@ class Sort(Operator):
         return batches_from_rows(ordered, size)
 
 
-# -- compression / decompression operators -------------------------------------
+# -- decompression ---------------------------------------------------------------
 
 class Decompress(Operator):
     """Replace a compressed column with its decoded string value.
 
-    In the paper's plans (Figure 5) this sits at the very top: values
-    stay compressed through selections and joins, and only the final
-    results are decompressed — exactly once per value (the plan
-    verifier's missing/duplicate-Decompress rule).
+    Values stay compressed through selections and joins; a plan
+    decodes only what it must compare across compressed domains — a
+    ``MergeJoin``'s keys — exactly once per value (the plan verifier's
+    duplicate-Decompress rule).  Results decode at materialization.
     """
 
     INPUTS = ("_source",)
@@ -880,39 +844,3 @@ class Decompress(Operator):
                         if isinstance(item, CompressedItem) else item
                         for item in columns[name].to_items()])
             yield RecordBatch(columns, len(batch))
-
-
-class XMLSerialize(Operator):
-    """Render value columns of each row as plain strings (plan sink).
-
-    The topmost operator of the paper's plans: by the time rows reach
-    serialization every value must have passed through ``Decompress``
-    exactly once.  The invariant is enforced statically by the plan
-    verifier and dynamically here — a :class:`CompressedItem` reaching
-    serialization raises :class:`~repro.errors.QueryTypeError` instead
-    of silently emitting compressed bytes.
-    """
-
-    INPUTS = ("_source",)
-
-    def __init__(self, source: Iterable[Row],
-                 columns: list[str] | tuple[str, ...]):
-        self._source = source
-        self.columns = tuple(columns)
-
-    def _serialized(self, size: int) -> Iterator[Row]:
-        for row in input_rows(self._source, size):
-            out = dict(row)
-            for column in self.columns:
-                item = out.get(column)
-                if isinstance(item, CompressedItem):
-                    raise QueryTypeError(
-                        f"column {column!r} reached XMLSerialize still "
-                        "compressed; plans must Decompress every "
-                        "serialized value exactly once")
-                if not isinstance(item, str):
-                    out[column] = str(item)
-            yield out
-
-    def _batches(self, size: int) -> Iterator[RecordBatch]:
-        return batches_from_rows(self._serialized(size), size)

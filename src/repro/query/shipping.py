@@ -7,10 +7,10 @@ must be shipped around a network".
 
 :func:`ship_result` frames a query's *raw* result sequence for the
 sharded serving plane without decompressing it, and
-:func:`receive_result` unpacks it in the coordinator.  Frame v2:
+:func:`receive_result` unpacks it in the coordinator.  Frame v3:
 
-* ``XQRS`` magic, version byte ``2``;
-* the run's :class:`~repro.query.context.EvaluationStats`: eight
+* ``XQRS`` magic, version byte ``3``;
+* the run's :class:`~repro.query.context.EvaluationStats`: seven
   varints in ``EvaluationStats.FIELDS`` order, no names;
 * the codec table: a count, then one 8-byte content digest per
   distinct codec (:func:`~repro.compression.serialization
@@ -66,7 +66,7 @@ _KIND_BOOLEAN = 4
 
 #: result-set frame header (:func:`ship_result`).
 FRAME_MAGIC = b"XQRS"
-FRAME_VERSION = 2
+FRAME_VERSION = 3
 #: bytes of a codec digest in the codec table.
 DIGEST_BYTES = 8
 

@@ -5,10 +5,12 @@ import hashlib
 import pytest
 
 from repro.core.system import extract_workload, tuned_configuration
+from repro.partitioning import assign_shards
 from repro.service.session import Database
 from repro.storage.loader import load_document
 from repro.storage.serialization import save_repository
 from repro.xmark.generator import generate_xmark
+from repro.xmark.queries import query_text
 
 QUERIES = [
     'for $p in /site/people/person where $p/name/text() > "M" '
@@ -77,6 +79,58 @@ class TestWorkloadExtraction:
         repo = load_document(xml_text)
         workload = extract_workload([QUERIES[0]], repo)
         assert any(not p.is_join and p.kind == "ineq" for p in workload)
+
+
+def _predicates(workload) -> list[tuple]:
+    return [(p.kind, p.left_path, p.right_path) for p in workload]
+
+
+class TestStepPredicates:
+    """Step predicates are workload predicates too: each is walked with
+    the context item ``.`` bound to its step's summary path."""
+
+    def test_q1_yields_its_id_lookup(self, xml_text):
+        workload = extract_workload([query_text("Q1")],
+                                    load_document(xml_text))
+        assert _predicates(workload) == \
+            [("eq", "/site/people/person/@id", None)]
+
+    def test_nested_predicates_take_their_own_context(self, xml_text):
+        workload = extract_workload(
+            ["/site/people/person[profile[@income > 5000]]"
+             "[name/text() = $n]/@id"], load_document(xml_text))
+        assert sorted(_predicates(workload)) == [
+            ("eq", "/site/people/person/name/#text", None),
+            ("ineq", "/site/people/person/profile/@income", None)]
+
+    def test_q1_tuned_load_binds_the_selection(self, xml_text):
+        """Tuned to Q1, ``@id`` is no longer a bzip2 blob: Q1's step
+        predicate binds a ``ContAccess`` and answers as before."""
+        q1 = query_text("Q1")
+        configuration, database = _tuned(xml_text, [q1])
+        assert configuration.algorithm_of(
+            "/site/people/person/@id") == "alm"
+        session = database.session()
+        (clause,) = session.prepare(q1).plan.bound.clauses.values()
+        assert clause.selection is not None
+        assert "ContAccess interval ['person0', 'person0'] on " \
+            "/site/people/person/@id" in session.explain(q1)
+        expected = Database.from_xml(xml_text).session().execute(q1)
+        assert session.execute(q1).to_xml() == expected.to_xml() != ""
+
+    def test_serve_placement_keeps_its_subtrees(self):
+        """The serve workload's placement (15 queries, XMark f 0.05,
+        seed 42, two shards): Q1's ``@id`` predicate moves a weight,
+        no subtree."""
+        serve = ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7", "Q13", "Q14",
+                 "Q15", "Q16", "Q17", "Q18", "Q19", "Q20")
+        repository = load_document(generate_xmark(factor=0.05, seed=42))
+        assignment = assign_shards(repository, 2,
+                                   queries=[query_text(q) for q in serve])
+        assert assignment.subtrees_by_shard == [
+            ["/site/regions"],
+            ["/site/categories", "/site/closed_auctions",
+             "/site/open_auctions", "/site/people"]]
 
 
 class TestLoadWithWorkload:

@@ -78,7 +78,6 @@ class TestCrossDocumentJoin:
         assert traced.to_xml() == session.execute(JOIN_QUERY).to_xml()
         assert telemetry.operator_profile()["MergeJoin"]["count"] == 1
         assert traced.stats.container_scans == 2
-        assert traced.stats.hash_joins == 0
         engine = session.engine
         prepared = engine.prepare(JOIN_QUERY)
         (flwor,) = prepared.plan.flwors

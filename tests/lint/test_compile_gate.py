@@ -2,9 +2,9 @@
 
 ``QueryEngine.plan`` plans a query once (``optimizer.plan_query``),
 binds the plan to its repositories once (``optimizer.bind_plan``) and
-verifies every tree before any row is produced: errors raise
+verifies every bound operator before any row is produced: errors raise
 :class:`~repro.errors.PlanVerificationError`, warnings ride along in
-the run's telemetry.  Engine-planned trees must be error-free by
+the run's telemetry.  Engine-bound operators must be error-free by
 construction; constant selections, equality and theta joins are the
 very operator objects every run of the prepared plan executes
 (``optimizer.assign_selection`` / ``assign_equi_join`` /
@@ -27,7 +27,6 @@ from repro.partitioning.config import (
 from repro.query.engine import QueryEngine
 from repro.query.options import ExecutionOptions
 from repro.query.parser import parse_query
-from repro.query.physical import XMLSerialize
 from repro.storage.loader import load_document
 from repro.xmark.generator import generate_xmark
 from repro.xmark.queries import XMARK_QUERIES, query_text
@@ -47,18 +46,20 @@ def build_repo(title_codec: str = "huffman"):
     return load_document(xml, configuration=configuration)
 
 
-def plan_trees(query: str, repo) -> list:
-    """The operator trees the gate verifies for ``query`` on ``repo``."""
-    return list(QueryEngine(repo).prepare(query).bound.trees)
+def bound_operators(query: str, repo) -> list:
+    """The bound operators the gate verifies for ``query`` on
+    ``repo``: the for-clauses', then the absolute paths'."""
+    return QueryEngine(repo).prepare(query).bound.operators()
 
 
 def shape(node) -> tuple:
     inputs = getattr(node, "inputs", lambda: [])()
-    return (type(node).__name__, *map(shape, inputs))
+    return (type(node).__name__,
+            *(shape(i) for i in inputs if i is not None))
 
 
 def operators(trees) -> list[str]:
-    """Operator class names of the trees, pre-order."""
+    """Operator class names of the operator trees, pre-order."""
     names = []
 
     def walk(shaped):
@@ -102,12 +103,23 @@ class TestVerifyQuery:
             "return $b/t/text()")
         assert diagnostics == []
 
-    def test_sketches_end_in_xml_serialize(self):
-        trees = plan_trees(
-            'for $b in /lib/b where $b/u >= "uri04" '
-            "return $b/u/text()", build_repo())
-        assert trees
-        assert all(isinstance(tree, XMLSerialize) for tree in trees)
+    def test_prepare_verifies_each_bound_operator_once(self,
+                                                       monkeypatch):
+        """What the verifier checks is the bound plan: ``prepare``
+        hands ``verify_plan`` exactly the operators of
+        ``prepared.bound``, each once."""
+        walked = []
+        monkeypatch.setattr("repro.query.engine.verify_plan",
+                            lambda tree: walked.append(tree)
+                            or verify_plan(tree))
+        engine = QueryEngine(build_repo())
+        for query in EXAMPLE_QUERIES:
+            walked.clear()
+            bound = engine.prepare(query).bound.operators()
+            assert bound and len(walked) == len(bound)
+            assert all(seen is operator
+                       for seen, operator in zip(walked, bound))
+            assert len(set(map(id, walked))) == len(walked)
 
     def test_ineq_sketch_keeps_alm_compressed(self):
         """An order-preserving codec answers the interval on compressed
@@ -126,21 +138,27 @@ class TestSelectionSketch:
              "return $b/u/text()")
 
     def test_sketch_is_the_selection_tree(self):
-        (tree,) = plan_trees(
+        tree, source = bound_operators(
             'for $b in /lib/b where $b/t/text() >= "title 03" and '
             '$b/u/text() < "uri07" and empty($b/ghost/@x) '
             "return $b", build_repo("alm"))
         owners = ("Parent", ("ContAccess",))
         assert shape(tree) == (
-            "XMLSerialize", ("NodeSet", ("NodeSet", owners, owners),
-                             ("StructureSummaryAccess",)))
-        assert tree.inputs()[0].mode == "difference"
+            "NodeSet", ("NodeSet", owners, owners),
+            ("StructureSummaryAccess",))
+        assert tree.mode == "difference"
         assert verify_plan(tree) == []
+        # The source's summary access is bound too; the selection
+        # replaces it.
+        assert shape(source) == ("StructureSummaryAccess",)
 
     def test_step_predicate_that_is_no_term_stays_opaque(self):
         # u atomizes an element: not a value leaf, so per-step.
-        (tree,) = plan_trees(self.QUERY, build_repo("alm"))
-        assert shape(tree) == ("XMLSerialize", ("OpaqueSource",))
+        prepared = QueryEngine(build_repo("alm")).prepare(self.QUERY)
+        assert [clause.operators() for clause
+                in prepared.bound.clauses.values()] == [[]]
+        assert operators(prepared.bound.operators()) == \
+            ["StructureSummaryAccess"]
 
     def test_engine_runs_the_tree_the_verifier_saw(self, monkeypatch):
         """One ``assign_selection`` per prepare; every run pulls the
@@ -161,8 +179,8 @@ class TestSelectionSketch:
             'for $b in /lib/b[u/text() >= "uri02"] where '
             '$b/t/text() < "title 04" return $b/u/text()')
         ((selection, tree),) = built
-        (verified,) = walked
-        assert verified.inputs()[0] is tree and len(selection.terms) == 2
+        assert walked == prepared.bound.operators()
+        assert walked[0] is tree and len(selection.terms) == 2
         assert shape(tree) == (
             "NodeSet", ("Parent", ("ContAccess",)),
             ("Parent", ("ContAccess",)))
@@ -179,7 +197,7 @@ class TestThetaJoinSketch:
            "</p><a><init>4</init><tag>x</tag></a></r>")
 
     def operators(self, query):
-        return operators(plan_trees(query, load_document(self.XML)))
+        return operators(bound_operators(query, load_document(self.XML)))
 
     def test_numeric_inequality_compiles_to_theta_join(self):
         """Also inside count(): aggregates' arguments are planned."""
@@ -187,7 +205,8 @@ class TestThetaJoinSketch:
                 "where $p/inc/text() > 10 * $a/init/text() return $p")
         for query in (join, f"count({join})"):
             assert self.operators(query) == [
-                "XMLSerialize", "ThetaJoin", "StructureSummaryAccess"]
+                "ThetaJoin", "StructureSummaryAccess",
+                "StructureSummaryAccess"]
             assert QueryEngine(load_document(self.XML)) \
                 .verify(query) == []
 
@@ -195,7 +214,7 @@ class TestThetaJoinSketch:
         names = self.operators(
             "for $p in /r/p, $a in /r/a "
             "where $p/inc/text() > 10 * $a/tag/text() return $p")
-        assert "NestedLoopJoin" in names and "ThetaJoin" not in names
+        assert names == ["StructureSummaryAccess"] * 2
 
 
 class TestNestedJoins:
@@ -213,7 +232,7 @@ class TestNestedJoins:
         verified = engine.plan(text)
         assert [d for d in verified.diagnostics
                 if d.severity == "error"] == []
-        names = operators(verified.bound.trees)
+        names = operators(verified.bound.operators())
         telemetry = Telemetry()
         stats = engine.execute(
             text, ExecutionOptions(telemetry=telemetry)).stats
@@ -221,7 +240,7 @@ class TestNestedJoins:
         ran = telemetry.operator_profile().get("MergeJoin", {})
         assert names.count("MergeJoin") == ran.get("count", 0) == \
             {"Q8": 1, "Q9": 2, "Q10": 1}.get(query_id, 0)
-        assert "HashJoin" not in names and stats.hash_joins == 0
+        assert "HashJoin" not in names
         assert ("ThetaJoin" in names) == (query_id == "Q11")
         if query_id in ("Q1", "Q4", "Q5", "Q20"):
             assert "NodeSet" in names and "ContAccess" in names
@@ -233,16 +252,15 @@ class TestNestedJoins:
 
     def test_relative_source_is_no_hash_join(self, engine):
         """An equality against a bound variable over a *binding-
-        dependent* source runs per binding: neither the verified tree
-        nor EXPLAIN may promise a hash join the engine does not run."""
+        dependent* source runs per binding: neither the verified
+        operators nor EXPLAIN may promise a join the engine does not
+        run."""
         text = ("for $p in /site/people/person for $w in $p/watches/watch "
                 "where $w/@open_auction = $p/@id return $w")
-        names = operators(engine.plan(text).bound.trees)
-        assert names == ["XMLSerialize", "NestedLoopJoin",
-                         "StructureSummaryAccess", "OpaqueSource"]
-        assert "HashJoin" not in engine.explain(text)
+        names = operators(engine.plan(text).bound.operators())
+        assert names == ["StructureSummaryAccess"]
+        assert "Join" not in engine.explain(text)
         result = engine.execute(text)
-        assert result.stats.hash_joins == 0
         assert result.to_xml() == GalaxEngine(
             generate_xmark(0.005, seed=1)).execute_to_xml(text)
 
@@ -257,19 +275,21 @@ class TestEngineGate:
             'for $b in /lib/b where $b/t/text() = "title 03" '
             "return $b/u/text()")
         assert result.items == ["uri03"]
-        assert len(verified) == 1
+        # The clause's selection and the source's summary access.
+        assert operators(verified) == [
+            "NodeSet", "Parent", "ContAccess", "StructureSummaryAccess"]
 
     def test_errors_raise_before_execution(self, monkeypatch):
         engine = QueryEngine(build_repo())
         bad = PlanDiagnostic.make(
-            "plan.missing-decompress", "XMLSerialize",
+            "plan.merge-join-unordered", "MergeJoin",
             "injected error for the gate test")
         monkeypatch.setattr("repro.query.engine.verify_plan",
                             lambda tree: [bad])
         with pytest.raises(PlanVerificationError) as exc_info:
             engine.execute("/lib/b/t")
         assert exc_info.value.diagnostics == [bad]
-        assert "plan.missing-decompress" in str(exc_info.value)
+        assert "plan.merge-join-unordered" in str(exc_info.value)
 
     def test_warnings_flow_into_telemetry(self):
         repo = build_repo("huffman")

@@ -2,8 +2,8 @@
 
 Plans breaking the paper's invariants — a ``MergeJoin`` over inputs
 not sorted on its keys, compressed keys of two source models meeting,
-a value reaching serialization compressed — must be rejected with
-rule-tagged diagnostics, while plans respecting them verify clean.
+a column decompressed twice — must be rejected with rule-tagged
+diagnostics, while plans respecting them verify clean.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.query.physical import (
     Sort,
     StructureSummaryAccess,
     ThetaJoin,
-    XMLSerialize,
 )
 from repro.query.context import NodeItem
 from repro.storage.loader import load_document
@@ -160,7 +159,7 @@ class TestThetaJoin:
             repo, [("child", "r"), ("child", "o")], "o")
         plan = ThetaJoin(outer, repo, ["/r/k/v/#text"], "<", None, "k",
                          ascend=1)
-        assert verify_plan(XMLSerialize(plan, ())) == []
+        assert verify_plan(plan) == []
 
     @pytest.mark.parametrize("path", [TITLE, URI, NOTE])
     def test_key_container_without_numeric_order_rejected(self, repo,
@@ -181,7 +180,7 @@ class TestColumnCompare:
                              "<a><n>20</n><m>4.0</m></a></r>")
         plan = ColumnCompare(repo, ["/r/a/n/#text"], 1, ["/r/a/m/#text"],
                              1, ">=", 2.0, "a")
-        assert verify_plan(XMLSerialize(plan, ())) == []
+        assert verify_plan(plan) == []
         assert plan.build() and \
             plan.rows() == [{"a": NodeItem(1)}, {"a": NodeItem(4)}]
 
@@ -208,17 +207,9 @@ class TestCompressedDomains:
 
 
 class TestDecompressDiscipline:
-    def test_missing_decompress_rejected(self, repo):
+    def test_decompress_accepted(self, repo):
         scan = ContScan(repo, TITLE, "node", "title")
-        plan = XMLSerialize(scan, ("title",))
-        assert rules_of(verify_plan(plan)) == \
-            ["plan.missing-decompress"]
-
-    def test_decompress_then_serialize_accepted(self, repo):
-        scan = ContScan(repo, TITLE, "node", "title")
-        plan = XMLSerialize(
-            Decompress(scan, ["title"]), ("title",))
-        assert verify_plan(plan) == []
+        assert verify_plan(Decompress(scan, ["title"])) == []
 
     def test_duplicate_decompress_warned(self, repo):
         scan = ContScan(repo, TITLE, "node", "title")
@@ -251,12 +242,9 @@ class TestSchemaChecks:
     def test_operator_path_locates_the_offender(self, repo):
         scan = ContScan(repo, TITLE, "node", "title")
         inner = Sort(scan, ("missing",))
-        plan = XMLSerialize(
-            Decompress(inner, ["title"]),
-            ("title",))
+        plan = Decompress(inner, ["title"])
         diagnostics = verify_plan(plan)
-        assert diagnostics[0].operator_path == \
-            "XMLSerialize/source=Decompress/source=Sort"
+        assert diagnostics[0].operator_path == "Decompress/source=Sort"
 
 
 class TestNodeSet:
@@ -266,11 +254,11 @@ class TestNodeSet:
         owners = NodeSet(ContAccess(repo, URI, "n", "v", "uri03"),
                          ContScan(repo, TITLE, "n", "t"), "n",
                          "intersect")
-        assert verify_plan(XMLSerialize(owners, ())) == []
+        assert verify_plan(owners) == []
         merge = MergeJoin(owners, StructureSummaryAccess(
             repo, [("descendant", "b")], "m"), "n", "m")
         assert verify_plan(merge) == []
-        assert rules_of(verify_plan(XMLSerialize(owners, ("v",)))) == \
+        assert rules_of(verify_plan(Decompress(owners, ["v"]))) == \
             ["plan.unknown-column"]
 
     def test_each_input_must_produce_the_column(self, repo):
@@ -309,21 +297,20 @@ class TestIntervalAccess:
 class TestErrorType:
     def test_plan_verification_error_lists_errors(self, repo):
         scan = ContScan(repo, TITLE, "node", "title")
-        plan = XMLSerialize(scan, ("title",))
+        plan = Sort(scan, ("no_such_column",))
         diagnostics = verify_plan(plan)
         error = PlanVerificationError(diagnostics)
         assert error.diagnostics == diagnostics
-        assert "plan.missing-decompress" in str(error)
+        assert "plan.unknown-column" in str(error)
 
     def test_every_diagnostic_rule_is_cataloged(self, repo):
         merge = MergeJoin(ContAccess(repo, TITLE, "a", "title", "t", "u"),
                           ContScan(repo, URI, "c", "uri"), "a", "uri")
-        plan = XMLSerialize(
-            Decompress(merge, ["a"]), ("title",))
+        plan = Sort(Decompress(merge, ["a", "title"]), ("missing",))
         diagnostics = verify_plan(plan)
         assert {d.rule for d in diagnostics} == {
             "plan.interval-decompressing", "plan.merge-join-unordered",
-            "plan.duplicate-decompress", "plan.missing-decompress"}
+            "plan.duplicate-decompress", "plan.unknown-column"}
         for diagnostic in diagnostics:
             assert diagnostic.rule in RULES
             assert diagnostic.severity == RULES[diagnostic.rule].severity

@@ -27,7 +27,6 @@ from repro.query.physical import (
     ContScan,
     Decompress,
     MergeJoin,
-    NestedLoopJoin,
     Operator,
     Parent,
     Sort,
@@ -230,20 +229,18 @@ class TestBatchTelemetry:
             assert stats.container_scans == 1
 
     def test_per_row_operator_keeps_upstream_on_batches(self, repo):
-        """A ``NestedLoopJoin`` mid-pipeline pulls its input as
+        """A per-row ``Sort`` mid-pipeline pulls its input as
         batches."""
         def run():
             scan = ContScan(repo, ID_PATH, "person", "pid")
-            plan = Parent(NestedLoopJoin(
-                scan, [{"k": 4}],
-                lambda a, b: a["person"].node_id > b["k"]),
-                repo, "person", "up")
-            assert [r["person"].node_id for r in plan] == [5, 8, 11]
+            plan = Parent(Sort(Decompress(scan, ["pid"]), ("pid",)),
+                          repo, "person", "up")
+            assert [r["person"].node_id for r in plan] == [2, 5, 8, 11]
         profile = self._profile(run)
         assert profile["ContScan"]["batches"] > 0
         assert profile["ContScan"]["rows"] == 4
-        assert profile["NestedLoopJoin"]["rows"] == 3
-        assert profile["Parent"]["rows"] == 3
+        assert profile["Sort"]["rows"] == 4
+        assert profile["Parent"]["rows"] == 4
 
 
 # -- per-operator output at every batch width -----------------------------------
@@ -326,12 +323,6 @@ class TestOperatorParity:
         _check(lambda: ContScan(repo, ID_PATH, "n", "id"),
                [{"n": 2, "id": "p0"}, {"n": 5, "id": "p1"},
                 {"n": 8, "id": "p2"}, {"n": 11, "id": "p3"}])
-
-    def test_nested_loop_join(self, repo):
-        _check(lambda: NestedLoopJoin(
-            [{"l": 1}, {"l": 4}], [{"r": 2}, {"r": 3}],
-            lambda a, b: a["l"] < b["r"]),
-            [{"l": 1, "r": 2}, {"l": 1, "r": 3}])
 
     def test_merge_join_duplicate_runs(self, repo):
         left = [{"l": k} for k in (1, 2, 2, 5, 5, 5)]

@@ -314,7 +314,6 @@ class TestEquiJoinBindings:
         result = QueryEngine(load_document(xml)).execute(
             query, ExecutionOptions(telemetry=telemetry))
         result.to_xml()
-        assert result.stats.hash_joins == 0
         return telemetry.operator_profile().get(
             "MergeJoin", {}).get("count", 0)
 

@@ -1,9 +1,10 @@
 """No operator without a plan.
 
 Every :class:`~repro.query.physical.Operator` subclass in
-``query/physical.py`` must be built by ``bind_plan`` for some tested
-query: XMark Q1–Q20, plus one equijoin whose key path names several
-containers (``Concat``/``Sort``).  An operator no plan contains is a
+``query/physical.py`` must be bound by ``QueryEngine.prepare`` — an
+operator of ``PreparedPlan.bound``, which runs, is verified and is
+explained — for some tested query: XMark Q1–Q20, plus one equijoin
+whose key path names several containers (``Concat``/``Sort``).  An operator no plan contains is a
 second algebra the verifier and the docs must keep alive for nothing —
 a new operator lands with the plan that builds it.
 """
@@ -15,8 +16,7 @@ import inspect
 import pytest
 
 from repro.query import physical
-from repro.query.optimizer import bind_plan, plan_query
-from repro.query.parser import parse_query
+from repro.query.engine import QueryEngine
 from repro.storage.loader import load_document
 from repro.xmark.generator import generate_xmark
 from repro.xmark.queries import XMARK_QUERIES, query_text
@@ -44,10 +44,8 @@ def test_every_operator_is_built_by_a_plan(repo):
     queries = [query_text(q) for q in XMARK_QUERIES]
     found: set[type] = set()
     for query in queries + [MULTI_CONTAINER_JOIN]:
-        ast = parse_query(query)
-        for tree in bind_plan(ast, plan_query(ast),
-                              lambda doc: repo).trees:
-            reached(tree, found)
+        for operator in QueryEngine(repo).prepare(query).bound.operators():
+            reached(operator, found)
     declared = {cls for _, cls in inspect.getmembers(physical,
                                                      inspect.isclass)
                 if issubclass(cls, physical.Operator)

@@ -510,7 +510,6 @@ class TestPlanQuery:
         first, second = flwor.clauses
         assert first.independent and not first.context_free
         assert isinstance(second.strategy, JoinPlan)
-        assert plan.paths == ()  # predicated: not summary-resolvable
 
     def test_conjuncts_are_decided_at_the_first_clause_binding_them(self):
         (flwor,) = plan_query(parse_query(
@@ -534,7 +533,7 @@ class TestPlanQuery:
             "and $a/@buyer = $p/@id return $p")).flwors
         step = flwor.clauses[1]
         assert step.thetas == () and step.selection is None
-        assert len(step.rest(step.join.conjunct)) == 1
+        assert len(step.rest(step.join)) == 1
 
     def test_equality_join_key_paths(self):
         """Both sides simple value paths, the clause's source and the
@@ -632,7 +631,14 @@ class TestPlanQuery:
             plan_query(parse_query("for $a in /s/b return $a"))
 
     def test_absolute_paths_outside_for_sources_are_planned(self):
-        plan = plan_query(parse_query(
+        """Every absolute path, a for-clause's source too, is bound to
+        the summary access of its prefix."""
+        from repro.query.engine import QueryEngine
+        from repro.storage.loader import load_document
+        repo = load_document(
+            '<s><a k="1"/><b/><keys><k>1</k></keys><c/></s>')
+        bound = QueryEngine(repo).prepare(
             "for $a in /s/a let $all := /s/b "
-            "where $a/@k = /s/keys/k return count(/s/c)"))
-        assert [len(p.steps) for p in plan.paths] == [2, 3, 2]
+            "where $a/@k = /s/keys/k return count(/s/c)").bound
+        assert sorted(len(access.steps)
+                      for access in bound.paths.values()) == [2, 2, 2, 3]

@@ -9,7 +9,6 @@ from repro.query.physical import (
     ContScan,
     Decompress,
     MergeJoin,
-    NestedLoopJoin,
     NodeSet,
     Parent,
     Sort,
@@ -171,13 +170,6 @@ class TestCombination:
         with pytest.raises(ValueError):
             NodeSet([], None, "n", "xor")
 
-    def test_nested_loop_join_theta(self):
-        left = [{"l": 1}, {"l": 4}]
-        right = [{"r": 2}, {"r": 3}]
-        out = NestedLoopJoin(left, right,
-                             lambda a, b: a["l"] < b["r"]).rows()
-        assert len(out) == 2  # (1,2) and (1,3)
-
     @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
     def test_theta_join_matches_nested_loop(self, repo, stats, op):
         """Key side: 2 * age, owners one Parent hop up (the persons)."""
@@ -193,10 +185,9 @@ class TestCombination:
             repo, [("child", "site"), ("child", "people"),
                    ("child", "person")], "person").rows()
         assert [p["person"].node_id for p in persons] == sorted(ages)
-        expected = NestedLoopJoin(
-            outer, persons,
-            lambda a, b: holds(2.0 * ages[b["person"].node_id],
-                               a["bound"])).rows()
+        expected = [{**a, **b} for a in outer for b in persons
+                    if holds(2.0 * ages[b["person"].node_id],
+                             a["bound"])]
         assert join.rows() == expected   # document order per outer row
         assert stats.container_accesses == len(outer)
 
@@ -254,4 +245,4 @@ class TestCompressedJoinPipeline:
             out = MergeJoin(persons, sales, "pid", "buyer").rows()
         assert [r["pid"] for r in out] == ["p0", "p1"]
         assert all(r["pid"] == r["buyer"] for r in out)
-        assert stats.container_scans == 2 and stats.hash_joins == 0
+        assert stats.container_scans == 2

@@ -115,7 +115,7 @@ class TestPlanCache:
                                                   monkeypatch):
         session = Session(repository)
         bad = PlanDiagnostic.make(
-            "plan.missing-decompress", "XMLSerialize",
+            "plan.merge-join-unordered", "MergeJoin",
             "injected error for the prepare gate test")
         monkeypatch.setattr("repro.query.engine.verify_plan",
                             lambda tree: [bad])
@@ -327,7 +327,7 @@ class TestAnalyze:
     def test_explain_renders_a_plan_that_failed_verification(
             self, session, monkeypatch):
         bad = PlanDiagnostic.make(
-            "plan.missing-decompress", "XMLSerialize",
+            "plan.merge-join-unordered", "MergeJoin",
             "injected error for the explain test")
         monkeypatch.setattr("repro.query.engine.verify_plan",
                             lambda tree: [bad])

@@ -5,9 +5,7 @@ import json
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.query.engine import PreparedPlan
-from repro.query.optimizer import plan_query
-from repro.query.parser import parse_query
+from repro.query.engine import QueryEngine
 from repro.service.session import Database
 from repro.service.slowlog import (
     SLOWLOG_SUFFIX,
@@ -17,11 +15,7 @@ from repro.service.slowlog import (
     query_fingerprint,
     snapshot_cache_counters,
 )
-
-def prepared(text):
-    ast = parse_query(text)
-    return PreparedPlan(ast, plan_query(ast), text=text)
-
+from repro.storage.loader import load_document
 
 DOC = """
 <library>
@@ -29,6 +23,10 @@ DOC = """
   <book isbn="2"><title>Foundation</title><price>7.5</price></book>
 </library>
 """
+
+
+def prepared(text):
+    return QueryEngine(load_document(DOC)).prepare(text)
 
 
 class TestFingerprints:

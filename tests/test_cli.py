@@ -361,7 +361,7 @@ class TestAnalyzeExitCode:
                                               monkeypatch):
         from repro.lint.diagnostics import PlanDiagnostic
         bad = PlanDiagnostic.make(
-            "plan.missing-decompress", "XMLSerialize",
+            "plan.merge-join-unordered", "MergeJoin",
             "injected error for the CLI gate test")
         monkeypatch.setattr("repro.query.engine.verify_plan",
                             lambda tree: [bad])
@@ -369,7 +369,7 @@ class TestAnalyzeExitCode:
                            "/library/book/title", "--analyze")
         assert code == 1
         assert "plan verification failed" in output
-        assert "plan.missing-decompress" in output
+        assert "plan.merge-join-unordered" in output
 
 
 class TestVerify:

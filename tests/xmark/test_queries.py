@@ -56,26 +56,28 @@ ALL_QUERIES = sorted(XMARK_QUERIES)
 #: Q8, Q9 and Q10 one per MergeJoin key side (3 -> 1, 5 -> 1, 3 -> 1:
 #: the outer for-clause's source is still read).  Q2, Q6, Q7, Q11,
 #: Q13 and Q15–Q19 bind nothing from the summary and keep theirs.
+#: Last, the ``hash_joins`` column went: no operator counted it, and
+#: it read 0 for every query.
 PINNED_STATS = {
-    "Q1": (1, 0, 0, 0, 1, 0, 0, 0),
-    "Q10": (47, 0, 0, 2, 0, 1, 0, 86),
-    "Q11": (43, 0, 0, 0, 43, 1, 0, 0),
-    "Q13": (18, 0, 0, 0, 0, 1, 0, 0),
-    "Q14": (5, 0, 0, 0, 6, 0, 0, 10),
-    "Q15": (23, 0, 0, 0, 0, 1, 0, 0),
-    "Q16": (23, 0, 0, 0, 0, 1, 0, 0),
-    "Q17": (18, 0, 0, 0, 0, 2, 0, 42),
-    "Q18": (28, 0, 0, 0, 0, 1, 0, 0),
-    "Q19": (18, 0, 0, 0, 0, 1, 0, 0),
-    "Q2": (24, 0, 0, 0, 0, 1, 0, 0),
-    "Q20": (0, 0, 0, 1, 4, 1, 0, 129),
-    "Q3": (18, 0, 0, 2, 0, 0, 0, 0),
-    "Q4": (2, 0, 0, 0, 1, 0, 0, 6),
-    "Q5": (0, 0, 0, 0, 1, 0, 0, 21),
-    "Q6": (0, 0, 0, 0, 0, 1, 0, 0),
-    "Q7": (0, 0, 0, 0, 0, 3, 0, 0),
-    "Q8": (143, 0, 0, 2, 0, 1, 0, 23),
-    "Q9": (177, 0, 0, 4, 0, 1, 0, 46),
+    "Q1": (1, 0, 0, 0, 1, 0, 0),
+    "Q10": (47, 0, 0, 2, 0, 1, 86),
+    "Q11": (43, 0, 0, 0, 43, 1, 0),
+    "Q13": (18, 0, 0, 0, 0, 1, 0),
+    "Q14": (5, 0, 0, 0, 6, 0, 10),
+    "Q15": (23, 0, 0, 0, 0, 1, 0),
+    "Q16": (23, 0, 0, 0, 0, 1, 0),
+    "Q17": (18, 0, 0, 0, 0, 2, 42),
+    "Q18": (28, 0, 0, 0, 0, 1, 0),
+    "Q19": (18, 0, 0, 0, 0, 1, 0),
+    "Q2": (24, 0, 0, 0, 0, 1, 0),
+    "Q20": (0, 0, 0, 1, 4, 1, 129),
+    "Q3": (18, 0, 0, 2, 0, 0, 0),
+    "Q4": (2, 0, 0, 0, 1, 0, 6),
+    "Q5": (0, 0, 0, 0, 1, 0, 21),
+    "Q6": (0, 0, 0, 0, 0, 1, 0),
+    "Q7": (0, 0, 0, 0, 0, 3, 0),
+    "Q8": (143, 0, 0, 2, 0, 1, 23),
+    "Q9": (177, 0, 0, 4, 0, 1, 46),
 }
 
 
@@ -137,7 +139,6 @@ class TestEnginesAgree:
         result = xquec.execute(query_text("Q8"),
                                ExecutionOptions(telemetry=telemetry))
         assert telemetry.operator_profile()["MergeJoin"]["count"] == 1
-        assert result.stats.hash_joins == 0
 
     def test_q14_finds_gold(self, xquec, galax):
         ours = xquec.execute(query_text("Q14")).items
