@@ -282,9 +282,9 @@ class PlanVerifier:
                 f"key containers {[c.path for c in containers]} are "
                 "not all numeric-ordered; a slot range is not the set "
                 "of matching keys", "check the conjunct per binding")
-        # Probes stream in the left input's order; the key side adds
-        # the owning-element column.
-        return children[0].with_column(
+        # No input stream: the evaluator probes it per outer binding;
+        # the key side adds the owning-element column.
+        return PlanProperties.opaque().with_column(
             node.output_column,  # type: ignore[attr-defined]
             ColumnInfo(NODE))
 

@@ -8,7 +8,9 @@ Items flowing through the engine are:
   without decompressing);
 * plain Python ``str``/``float``/``bool`` — computed atomics;
 * :class:`repro.xmlio.dom.Element` — constructed results, whose text
-  content stays compressed as :class:`LazyText` until read.
+  content stays compressed as :class:`LazyText` until read;
+* :class:`WrittenItem` — a constructed result a row plan wrote from
+  its template: markup with :class:`LazyText` holes, never a DOM.
 
 :class:`EvaluationStats` counts decompressions and operator activity;
 the compressed-domain comparison helpers charge it only when they must
@@ -17,11 +19,13 @@ leave the compressed domain.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from repro.compression.base import Codec, CompressedValue
 from repro.errors import QueryTypeError
 from repro.xmlio.dom import Element, Node, Text
+from repro.xmlio.escape import escape_text
 
 
 class EvaluationStats:
@@ -158,6 +162,24 @@ class LazyText(Text):
         return f"LazyText({self.container.path!r}[{self.slot}])"
 
 
+class WrittenItem:
+    """A constructed element written as its serialization: escaped
+    markup strings and, in output order between them, the
+    :class:`LazyText` holes of its still-compressed texts.  Only the
+    query result holds one (nothing navigates or atomizes it)."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: list):
+        self.parts = parts
+
+    def xml(self) -> str:
+        """The element's XML, each hole decoded (and charged) once."""
+        return "".join([part if part.__class__ is str
+                        else escape_text(part.value)
+                        for part in self.parts])
+
+
 def compare_items(op: str, left, right, stats: EvaluationStats) -> bool:
     """Compare two atomic items, staying compressed when possible.
 
@@ -261,6 +283,10 @@ def _ordered(op: str, a, b) -> bool:
     return not a < b  # >=
 
 
+_DECODED_ORDER = {"<": operator.lt, "<=": operator.le,
+                  ">": operator.gt, ">=": operator.ge}
+
+
 def _flip(op: str) -> str:
     return {"=": "=", "!=": "!=", "<": ">", "<=": ">=",
             ">": "<", ">=": "<="}[op]
@@ -282,7 +308,9 @@ def _compare_decoded(op: str, left, right,
     if op == "!=":
         return lv != rv
     try:
-        return _ordered(op, lv, rv)
+        # The operators themselves: NaN orders against nothing, so
+        # ``NaN >= x`` is false where ``not NaN < x`` would hold.
+        return _DECODED_ORDER[op](lv, rv)
     except TypeError as exc:
         raise QueryTypeError(f"cannot order {lv!r} and {rv!r}") from exc
 

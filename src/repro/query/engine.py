@@ -37,6 +37,14 @@ and resolves nothing itself:
   search per outer binding on the value-sorted containers
   (:class:`~repro.query.physical.ThetaJoin`), falling back to the
   nested loop wherever position is not the reference comparison;
+* a FLWOR whose bindings those strategies decide whole runs as columns
+  (:class:`~repro.query.optimizer.RowPlan`, dispatched in
+  ``_eval_flwor``): one node-id column per for-variable, expanded by
+  each join's matches or theta probe, ``count`` read off group sizes,
+  and a constructor written per row from the template bound once per
+  plan — markup strings and compressed holes
+  (:class:`~repro.query.context.WrittenItem`), no env dict and no DOM;
+  anything else runs per binding;
 * everything that reaches the query result passes through an explicit
   decompression step, counted in
   :class:`~repro.query.context.EvaluationStats`.
@@ -58,7 +66,6 @@ from repro.query.ast import (
     ElementConstructor,
     Expression,
     FLWOR,
-    ForClause,
     FunctionCall,
     LetClause,
     Logical,
@@ -75,6 +82,7 @@ from repro.query.context import (
     EvaluationStats,
     LazyText,
     NodeItem,
+    WrittenItem,
     _format_number,
     compare_items,
     effective_boolean,
@@ -85,9 +93,11 @@ from repro.query.functions import FUNCTIONS
 from repro.query.options import ExecutionOptions
 from repro.query.optimizer import (
     BoundPlan,
+    BoundRows,
     ClausePlan,
     FlworPlan,
     QueryPlan,
+    Template,
     bind_plan,
     plan_query,
 )
@@ -95,8 +105,9 @@ from repro.query.parser import parse_query
 from repro.query.physical import counting, node_ids
 from repro.storage.repository import CompressedRepository
 from repro.storage.summary import TEXT_STEP
-from repro.xmlio.dom import Element, Text
-from repro.xmlio.writer import serialize
+from repro.xmlio.dom import Element, Text, parse
+from repro.xmlio.escape import escape_attribute, escape_text
+from repro.xmlio.writer import markup, serialize
 
 
 class QueryResult:
@@ -114,6 +125,7 @@ class QueryResult:
                  telemetry: Telemetry | None = None,
                  lazy_texts: list | None = None, cache=None):
         self._raw_items = items
+        self._decoded: list | None = None
         self._materialized: list | None = None
         self.stats = stats
         self._engine = engine
@@ -123,36 +135,41 @@ class QueryResult:
         self._lazy_texts = lazy_texts if lazy_texts is not None else []
         self._cache = cache  # the run's block cache, if any
 
+    def _decode(self) -> list:
+        """Each raw item decompressed (str/float/bool/Element), a
+        :class:`~repro.query.context.WrittenItem` to its XML — the final
+        Decompress step, run once: repeated access must not redo — or
+        double-count — it.  Every text the run left compressed is read
+        here, so the counters are those of a run that decoded its
+        constructed content eagerly."""
+        if self._decoded is None:
+            lazy = self._lazy_texts
+            with span_on(self.telemetry, "Decompress"):
+                self._decoded = [
+                    item.xml() if isinstance(item, WrittenItem) else
+                    self._engine.materialize_item(item, self.stats, lazy,
+                                                  self._cache)
+                    for item in self._raw_items]
+                for text in lazy:
+                    text.value  # decodes, charging the run's stats
+        return self._decoded
+
     @property
     def items(self) -> list:
-        """Fully decompressed result items (str/float/bool/Element).
-
-        Materialized once and memoised — repeated access (``to_xml``
-        after ``values``, the sequence protocol) must not redo — or
-        double-count — the final Decompress step.  Every text the run
-        left compressed is read here, so the counters are those of a
-        run that decoded its constructed content eagerly.
-        """
-        if self._materialized is not None:
-            return self._materialized
-        # Materialization is the final Decompress step of the run.
-        with span_on(self.telemetry, "Decompress"):
-            self._materialized = self._materialize()
+        """Fully decompressed result items (str/float/bool/Element): a
+        written element is parsed back into one here, and only here."""
+        if self._materialized is None:
+            self._materialized = [
+                parse(value, keep_whitespace=True).root
+                if isinstance(item, WrittenItem) else value
+                for item, value in zip(self._raw_items, self._decode())]
         return self._materialized
 
-    def _materialize(self) -> list:
-        lazy = self._lazy_texts
-        items = [self._engine.materialize_item(item, self.stats, lazy,
-                                               self._cache)
-                 for item in self._raw_items]
-        for text in lazy:
-            text.value  # decodes, charging the run's stats
-        return items
-
     def values(self) -> list:
-        """Items with Elements serialized to XML strings."""
+        """Items with Elements serialized to XML strings; a written
+        element's runs are joined, its holes decoded in order."""
         return [serialize(item) if isinstance(item, Element) else item
-                for item in self.items]
+                for item in self._decode()]
 
     def ship(self) -> bytes:
         """The result-set frame of :func:`repro.query.shipping
@@ -164,15 +181,8 @@ class QueryResult:
 
     def to_xml(self) -> str:
         """Serialize the whole result sequence as XML/text."""
-        parts = []
-        for item in self.items:
-            if isinstance(item, Element):
-                parts.append(serialize(item))
-            elif isinstance(item, float):
-                parts.append(_format_number(item))
-            else:
-                parts.append(str(item))
-        return "\n".join(parts)
+        return "\n".join(_format_number(value) if isinstance(value, float)
+                         else str(value) for value in self.values())
 
     def __len__(self) -> int:
         return len(self._raw_items)
@@ -500,14 +510,10 @@ class _Evaluator:
         function = FUNCTIONS.get(expr.name)
         if function is None:
             raise QueryError(f"unknown function {expr.name}()")
-        counter = self._counter(expr.args[0]) \
+        size = self._size(expr.args[0], env) \
             if expr.name == "count" and len(expr.args) == 1 else None
-        if counter is not None:
-            if isinstance(expr.args[0], FLWOR):
-                self._eval_flwor(expr.args[0], env, counter)
-            else:
-                counter(env)
-            return [float(counter.count)]
+        if size is not None:
+            return [float(size)]
         if expr.name in self._SEQUENCE_FUNCTIONS:
             args = [self.eval(arg, env) for arg in expr.args]
         else:
@@ -515,27 +521,28 @@ class _Evaluator:
                     for arg in expr.args]
         return function(args, self.stats)
 
-    def _counter(self, expr: Expression):
-        """The sink counting the items of ``expr`` without evaluating
-        them: a path projected below a binding (its group's size), an
-        unordered FLWOR returning a for-variable (one item per binding)
-        or such a path; else ``None``."""
+    def _size(self, expr: Expression, env: dict) -> int | None:
+        """The number of items ``expr`` evaluates to, read off group
+        sizes without building them: a path projected below a binding,
+        a countable row FLWOR; else ``None``."""
         if isinstance(expr, PathExpr):
             projection = self._bound.projections.get(id(expr))
-            return None if projection is None else \
-                _BindingCounter(projection)
-        if not isinstance(expr, FLWOR) or expr.order:
-            return None
-        if not isinstance(expr.result, VarRef):
-            return self._counter(expr.result) \
-                if isinstance(expr.result, PathExpr) else None
-        binders = [c for c in expr.clauses if c.var == expr.result.name]
-        return _BindingCounter() if binders and \
-            isinstance(binders[-1], ForClause) else None
+            if projection is not None:
+                (item,) = env[projection.plan.var]
+                return projection.size(item.node_id)
+        elif isinstance(expr, FLWOR):
+            rows = self._bound.rows.get(id(expr))
+            if rows is not None and rows.plan.countable:
+                return self._counts(rows, self._outer(rows, env), 1,
+                                    env)[0]
+        return None
 
     # -- FLWOR ---------------------------------------------------------------------
 
-    def _eval_flwor(self, expr: FLWOR, env: dict, sink=None) -> list:
+    def _eval_flwor(self, expr: FLWOR, env: dict) -> list:
+        rows = self._bound.rows.get(id(expr))
+        if rows is not None:
+            return self._grouped(rows, self._outer(rows, env), 1, env)[0]
         results: list = []
         # order by: collect (sort keys, result items) per binding,
         # then stable-sort from the last key to the first.
@@ -549,8 +556,7 @@ class _Evaluator:
             else:
                 results.extend(items)
 
-        self._flwor_clause(self._plans[id(expr)], 0, dict(env),
-                           collect if sink is None else sink)
+        self._flwor_clause(self._plans[id(expr)], 0, dict(env), collect)
         for position in range(len(expr.order) - 1, -1, -1):
             keyed.sort(key=lambda pair, p=position: pair[0][p],
                        reverse=expr.order[position].descending)
@@ -595,35 +601,34 @@ class _Evaluator:
         ids, rest = self._join(step, bound.join, env) if bound.join \
             else self._theta_range(step, bound.theta, env) \
             if bound.theta else (None, None)
-        if ids is None and bound.selection:
-            ids, rest = self._selection(step, bound.selection)
         if ids is None:
-            for item in self._clause_items(step, env):
-                self._bind_and_descend(plan, index, env, item,
-                                       step.decidable, results)
-            return
-        if isinstance(results, _BindingCounter) and not rest and \
-                not plan.residual and index + 1 == len(plan.clauses) and \
-                results.add(clause.var, ids):
-            return
-        if isinstance(ids, np.ndarray):
-            # A theta join's slots are in value order; bindings leave
-            # in document order (the other strategies' ids already do).
-            ids = np.sort(ids).tolist()
-        document = clause.source.document
-        for node_id in ids:
-            self._bind_and_descend(plan, index, env,
-                                   NodeItem(node_id, document), rest,
-                                   results)
+            items, rest = self._fallback(step, bound, env)
+        else:
+            document = clause.source.document
+            items = [NodeItem(node_id, document) for node_id in (
+                # A theta join's slots are in value order; bindings
+                # leave in document order (the others' ids already do).
+                np.sort(ids).tolist() if isinstance(ids, np.ndarray)
+                else ids)]
+        for item in items:
+            child_env = dict(env)
+            child_env[clause.var] = [item]
+            if self._passes(rest, child_env):
+                self._flwor_clause(plan, index + 1, child_env, results)
 
-    def _bind_and_descend(self, plan: FlworPlan, index: int, env: dict,
-                          item, conjuncts, results) -> None:
-        child_env = dict(env)
-        child_env[plan.clauses[index].clause.var] = [item]
-        for conjunct in conjuncts:
-            if not effective_boolean(self.eval(conjunct, child_env)):
-                return
-        self._flwor_clause(plan, index + 1, child_env, results)
+    def _passes(self, conjuncts, env: dict) -> bool:
+        return all(effective_boolean(self.eval(conjunct, env))
+                   for conjunct in conjuncts)
+
+    def _fallback(self, step: ClausePlan, bound, env: dict):
+        """``(items, conjuncts each binding checks)`` of a clause no
+        join or theta probe decides: the selection's nodes, else every
+        item of the source."""
+        if bound.selection:
+            ids, rest = self._selection(step, bound.selection)
+            document = step.clause.source.document
+            return [NodeItem(node_id, document) for node_id in ids], rest
+        return self._clause_items(step, env), step.decidable
 
     def _selection(self, step: ClausePlan, bound: tuple):
         """``(node ids, conjuncts left to check)`` of a clause's bound
@@ -652,6 +657,247 @@ class _Evaluator:
             self._source_cache[id(source)] = cached
         return cached
 
+    # -- rows -----------------------------------------------------------------------
+
+    def _outer(self, rows: BoundRows, env: dict) -> dict:
+        """One row of the enclosing for-variables' node ids a row plan
+        reads, from the run's bindings."""
+        columns = {}
+        for var in rows.plan.outer:
+            (item,) = env[var]
+            columns[var] = [item.node_id]
+        return columns
+
+    def _expand(self, rows: BoundRows, clauses, columns: dict, n: int,
+                env: dict) -> tuple[dict, list]:
+        """The rows ``clauses`` (of ``rows``) bind below ``n`` outer rows
+        of node-id ``columns``: ``(columns, origin)``, each row's outer
+        row in ``origin``.  A clause no row reaches runs nothing."""
+        origin = list(range(n))
+        for clause in clauses:
+            groups = self._groups(rows, clause, columns, len(origin),
+                                  env) if origin else []
+            if clause.kind == "theta":
+                # A probe's owners are in value order; rows leave in
+                # document order.
+                groups = [np.sort(group).tolist() for group in groups]
+            if len(groups) == 1:  # one row: repeat it, gather nothing
+                size = len(groups[0])
+                columns = {var: column * size
+                           for var, column in columns.items()}
+                columns[clause.step.clause.var] = list(groups[0])
+                origin = origin * size
+                continue
+            parents = [row for row, group in enumerate(groups)
+                       for _ in group]
+            columns = {var: [column[row] for row in parents]
+                       for var, column in columns.items()}
+            columns[clause.step.clause.var] = [
+                node for group in groups for node in group]
+            origin = [origin[row] for row in parents]
+        return columns, origin
+
+    def _groups(self, rows: BoundRows, clause, columns: dict, n: int,
+                env: dict) -> list:
+        """Per row of the ``n`` of ``columns``, the node ids ``clause``
+        binds: a join's matches, a theta join's probe range (in value
+        order), the selection's or the source's ids — each operator run
+        once per execution."""
+        step, kind = clause.step, clause.kind
+        if kind == "join":
+            matches = self._matches(step, clause.bound)
+            return [matches.get(node, ()) for node in columns[clause.probe]]
+        if kind == "theta":
+            return [self._theta_group(rows, clause, columns, row, env)
+                    for row in range(n)]
+        ids = self._selection(step, clause.bound)[0] \
+            if kind == "selection" else self._source_ids(step)
+        return [ids] * n
+
+    def _source_ids(self, step: ClausePlan) -> list[int]:
+        """A summary-resolved source's node ids, pulled once per run."""
+        if id(step) not in self._outputs:
+            source = step.clause.source
+            access = self._bound.paths[id(source)]
+            self._outputs[id(step)] = [
+                node for batch in access.batches(max(len(access.ids), 1))
+                for node in batch.column(access.column).ids.tolist()
+            ] if len(self._repo(source.document).structure) else []
+        return self._outputs[id(step)]
+
+    def _theta_group(self, rows: BoundRows, clause, columns: dict,
+                     row: int, env: dict) -> list[int]:
+        """One row's theta join probe: its owners, in value order, or
+        — a probe that is no number — the fallback's bindings that pass
+        the conjuncts under the row's bindings."""
+        probe = clause.probe
+        owners = self._theta_owners(clause.bound, self._atomize_sequence(
+            self._traced("Projection", probe.values,
+                         columns[probe.plan.var][row])))
+        if owners is not None:
+            return owners
+        step = clause.step
+        env = {**env, **{var: [NodeItem(columns[var][row], doc)]
+                         for var, doc in rows.plan.docs if var in columns}}
+        items, rest = self._fallback(step, self._bound.clauses[id(step)],
+                                     env)
+        return [item.node_id for item in items
+                if self._passes(rest, {**env, step.clause.var: [item]})]
+
+    def _grouped(self, rows: BoundRows, columns: dict, n: int, env: dict
+                 ) -> list[list]:
+        """Per outer row, the items row plan ``rows`` returns below it:
+        its rows expanded once, each column read or written from its
+        template."""
+        columns, origin = self._expand(rows, rows.clauses, columns, n, env)
+        values = self._lets(rows, columns, len(origin), env)
+        result = rows.result
+        per_row = [[WrittenItem(parts)] for parts in self._written(
+            result, columns, values, len(origin))] \
+            if result.__class__ is Template else \
+            self._column(result, columns, values, len(origin))
+        if n == 1:
+            return [[item for items in per_row for item in items]]
+        groups: list[list] = [[] for _ in range(n)]
+        for outer, items in zip(origin, per_row):
+            groups[outer] += items
+        return groups
+
+    def _counts(self, rows: BoundRows, columns: dict, n: int, env: dict
+                ) -> list[int]:
+        """Per outer row, how many items countable row plan ``rows``
+        returns below it, read off group sizes: its last clause's, or a
+        projected path's, never expanded."""
+        sizes = [0] * n
+        *clauses, last = rows.clauses
+        columns, origin = self._expand(rows, clauses, columns, n, env)
+        if not origin:
+            return sizes
+        groups = self._groups(rows, last, columns, len(origin), env)
+        counts = map(len, groups)
+        if rows.result[0] == "path":
+            _, var, projection = rows.result
+            counts = [sum(map(projection.size, group.tolist()
+                              if isinstance(group, np.ndarray) else group))
+                      for group in groups] \
+                if var == last.step.clause.var else \
+                [projection.size(node) * len(group)
+                 for node, group in zip(columns[var], groups)]
+        for outer, count in zip(origin, counts):
+            sizes[outer] += count
+        return sizes
+
+    def _lets(self, rows: BoundRows, columns: dict, n: int, env: dict
+              ) -> dict:
+        """Each let's value per row: a count, or the items a nested
+        row plan writes as content."""
+        values: dict = {}
+        for key, counted, source in rows.lets:
+            values[key] = self._grouped(source, columns, n, env) \
+                if not counted else \
+                self._counts(source, columns, n, env) \
+                if isinstance(source, BoundRows) else \
+                self._sizes(source, columns, values)
+        return values
+
+    @staticmethod
+    def _sizes(source: tuple, columns: dict, values: dict) -> list[int]:
+        """A count's group size per row: a counted let's, or a
+        projected path's."""
+        if source[0] == "let":
+            return values[source[1]]
+        _, var, projection = source
+        return [projection.size(node) for node in columns[var]]
+
+    def _column(self, expr: tuple, columns: dict, values: dict, n: int
+                ) -> list[list]:
+        """A bound row expression's items in each of the ``n`` rows."""
+        kind = expr[0]
+        if kind == "path":
+            _, var, projection = expr
+            if self.telemetry is None:
+                return [projection.values(node) for node in columns[var]]
+            return [self._traced("Projection", projection.values, node)
+                    for node in columns[var]]
+        if kind == "node":
+            return [[NodeItem(node, expr[2])] for node in columns[expr[1]]]
+        if kind == "count":
+            return [[float(size)]
+                    for size in self._sizes(expr[1], columns, values)]
+        if kind == "literal":
+            return [[expr[1]]] * n
+        return values[expr[1]]  # a content let's items
+
+    def _written(self, template: Template, columns: dict, values: dict,
+                 n: int) -> list[list]:
+        """``template`` filled in each of the ``n`` rows: its markup
+        strings and holes, as :func:`~repro.xmlio.writer.markup` would
+        serialize the element the DOM path builds."""
+        written: list[list] = [[] for _ in range(n)]
+        self._fill(template, columns, values, written)
+        return written
+
+    def _fill(self, template: Template, columns: dict, values: dict,
+              written: list[list]) -> None:
+        """Append ``template``, slot by slot, to every row's parts."""
+        n = len(written)
+        for piece in template.head:
+            if piece.__class__ is str:
+                for parts in written:
+                    parts.append(piece)
+                continue
+            for parts, items in zip(written, self._column(
+                    piece, columns, values, n)):
+                parts.append(escape_attribute(self._attribute(items)))
+        starts = [len(parts) for parts in written]
+        for parts in written:
+            parts.append(">")
+        filled = [template.filled] * n
+        for piece in template.content:
+            if piece.__class__ is str:
+                for parts in written:
+                    parts.append(piece)
+            elif piece.__class__ is Template:
+                self._fill(piece, columns, values, written)
+            elif piece[0] == "count":  # a number: no escaping, never empty
+                for parts, size in zip(written, self._sizes(
+                        piece[1], columns, values)):
+                    parts.append(str(size))
+                filled = [True] * n
+            else:
+                for row, (parts, items) in enumerate(zip(
+                        written, self._column(piece, columns, values, n))):
+                    if items:
+                        filled[row] = True
+                        for item in items:
+                            self._write_item(item, parts)
+        close = template.close
+        for row, parts in enumerate(written):
+            if filled[row]:
+                parts.append(close)
+            else:
+                parts[starts[row]] = "/>"
+
+    def _write_item(self, item, out: list) -> None:
+        """One content item's markup: a written element's parts, a
+        compressed value's hole, a stored node's markup with its texts
+        as holes, an atomic value's escaped text."""
+        if isinstance(item, WrittenItem):
+            out += item.parts
+        elif isinstance(item, CompressedItem):
+            # Content stays compressed until read: decompress at the end.
+            self.lazy_texts.append(LazyText(self.stats, item=item))
+            out.append(self.lazy_texts[-1])
+        elif isinstance(item, NodeItem):
+            element = self._engine.materialize_node(
+                item.node_id, self.stats, doc=item.doc,
+                lazy_texts=self.lazy_texts, cache=self.cache)
+            out += [part if part.__class__ is str
+                    or part.__class__ is LazyText else escape_text(part.value)
+                    for part in markup(element, keep_texts=True)]
+        else:
+            out.append(escape_text(string_value(item, self.stats)))
+
     # -- equality joins ---------------------------------------------------------------
 
     def _join(self, step: ClausePlan, bound: tuple, env: dict):
@@ -659,17 +905,20 @@ class _Evaluator:
         ``MergeJoin`` (:func:`~repro.query.optimizer.assign_equi_join`),
         run once per execution: the probe node's matches, each once, in
         document order."""
-        plan, join = bound
-        (probe_var,) = plan.probe_vars
+        (probe,) = env[bound[0].probe_vars[0]]
+        return self._matches(step, bound).get(probe.node_id, ()), \
+            step.rest(bound[0])
+
+    def _matches(self, step: ClausePlan, bound: tuple) -> dict:
+        """The clause's bound ``MergeJoin`` run, once per execution:
+        its matches by probe node id."""
         if id(step) not in self._outputs:
+            plan, join = bound
             with span_on(self.telemetry, "MergeJoin.build") as span:
-                matches = _matches_by_probe(join, f"${probe_var}",
-                                            f"${step.clause.var}")
-                span.set_attribute("rows", len(matches))
-            self._outputs[id(step)] = matches, step.rest(plan)
-        matches, rest = self._outputs[id(step)]
-        (probe,) = env[probe_var]
-        return matches.get(probe.node_id, ()), rest
+                self._outputs[id(step)] = _matches_by_probe(
+                    join, f"${plan.probe_vars[0]}", f"${step.clause.var}")
+                span.set_attribute("rows", len(self._outputs[id(step)]))
+        return self._outputs[id(step)]
 
     # -- theta joins ------------------------------------------------------------------
 
@@ -677,13 +926,21 @@ class _Evaluator:
         """``(owners, conjuncts left to check)`` of this binding's probe
         of the clause's bound theta join, in value order; ``(None,
         None)`` for the nested loop."""
-        plan, join = bound
         try:
             items = self._atomize_sequence(
-                self.eval(plan.probe_expr, env))
+                self.eval(bound[0].probe_expr, env))
         except QueryError:
             # The nested loop raises it, if it gets there.
             return None, None
+        owners = self._theta_owners(bound, items)
+        return (None, None) if owners is None else \
+            (owners, step.rest(bound[0]))
+
+    def _theta_owners(self, bound: tuple, items: list):
+        """The owners a theta join's probe with the atomized ``items``
+        matches, in value order; ``None`` where the probe is no number
+        (the caller checks the conjunct per binding)."""
+        plan, join = bound
         values = []
         for item in items:
             # Text orders numerically only against an actual number:
@@ -695,14 +952,14 @@ class _Evaluator:
                 except ValueError:
                     continue
             if type(item) is not float or not math.isfinite(item):
-                return None, None
+                return None
             values.append(item)
         # Existential over the probe values: the widest range, a
         # prefix of the sorted keys for < / <=, a suffix for > / >=.
         start, end = (0, 0) if not values else self._traced(
             "ThetaJoin.probe", join.probe,
             max(values) if plan.op in ("<", "<=") else min(values))
-        return join.owners[start:end], step.rest(plan)
+        return join.owners[start:end]
 
     def _traced(self, name: str, function, *args):
         """``function(*args)``, under a span of a traced run."""
@@ -845,15 +1102,10 @@ class _Evaluator:
                           env: dict) -> list:
         element = Element(expr.name)
         for name, parts in expr.attributes:
-            rendered = []
-            for part in parts:
-                if isinstance(part, TextLiteral):
-                    rendered.append(part.value)
-                else:
-                    rendered.append(" ".join(
-                        string_value(self._atomize(i), self.stats)
-                        for i in self.eval(part, env)))
-            element.set_attribute(name, "".join(rendered))
+            element.set_attribute(name, "".join(
+                part.value if isinstance(part, TextLiteral)
+                else self._attribute(self.eval(part, env))
+                for part in parts))
         for content in expr.content:
             if isinstance(content, TextLiteral):
                 element.append(Text(content.value))
@@ -861,6 +1113,15 @@ class _Evaluator:
             for item in self.eval(content, env):
                 self._append_content(element, item)
         return [element]
+
+    def _attribute(self, items: list) -> str:
+        """An attribute part's value: its items' string values,
+        space-separated."""
+        stats = self.stats
+        return " ".join([item.decode(stats)
+                         if item.__class__ is CompressedItem
+                         else string_value(self._atomize(item), stats)
+                         for item in items])
 
     def _append_content(self, element: Element, item) -> None:
         if isinstance(item, NodeItem):
@@ -926,30 +1187,3 @@ def _matches_by_probe(join, probe: str, build: str) -> dict[int, list]:
                                       node_ids(batch, build).tolist()):
             matches.setdefault(probe_id, set()).add(build_id)
     return {probe_id: sorted(ids) for probe_id, ids in matches.items()}
-
-
-class _BindingCounter:
-    """FLWOR sink of ``count(…)`` over one item per binding — whole
-    matching ranges are added unbound — or over a projection: each
-    binding's group."""
-
-    count = 0
-
-    def __init__(self, projection=None):
-        self.projection = projection
-
-    def add(self, var: str, ids) -> bool:
-        """Count the bindings ``ids`` of ``var`` unbound, if they do not
-        need binding."""
-        if self.projection is None:
-            self.count += len(ids)
-        elif self.projection.plan.var == var:
-            self.count += sum(map(self.projection.size, ids))
-        return self.projection is None or self.projection.plan.var == var
-
-    def __call__(self, env: dict) -> None:
-        if self.projection is None:
-            self.count += 1
-        else:
-            (item,) = env[self.projection.plan.var]
-            self.count += self.projection.size(item.node_id)

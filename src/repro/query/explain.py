@@ -29,6 +29,7 @@ from repro.query.ast import (
     StringLiteral,
     VarRef,
 )
+from repro.query.optimizer import BoundRows, Template
 from repro.query.physical import (ColumnCompare, Concat, ContAccess,
                                   ContScan, ContSubstring, Decompress,
                                   FirstHit, MergeJoin, NodeSet, Operator,
@@ -72,6 +73,9 @@ def _explain(expr: Expression, lines: list[str], depth: int,
 def _explain_flwor(expr: FLWOR, lines: list[str], depth: int,
                    plans: dict, bound) -> None:
     plan = plans[id(expr)]
+    rows = bound.rows.get(id(expr))
+    if rows is not None:
+        _emit(lines, depth, _rows_label(rows))
     for step in plan.clauses:
         clause = step.clause
         if isinstance(clause, LetClause):
@@ -168,6 +172,65 @@ _LABELS = {
     Sort: lambda op: f"Sort {', '.join(op.columns)}",
     Decompress: lambda op: f"Decompress {', '.join(op.columns)}",
 }
+
+
+#: how a row plan's clause binds its column against the rows before.
+_CLAUSE_SIGNS = {"join": "⋈", "theta": "θ"}
+
+
+def _rows_label(rows: BoundRows) -> str:
+    """A row FLWOR: its columns — each clause's variable, a join's
+    ``⋈``, a theta join's ``θ``, a cross product's ``×``, a nested row
+    plan's after its own — and what a row returns."""
+    columns: list[str] = []
+    _row_columns(rows, columns)
+    return f"Rows {' '.join(columns)} → {_returned(rows)}"
+
+
+def _row_columns(rows: BoundRows, columns: list[str]) -> None:
+    for clause in rows.clauses:
+        sign = _CLAUSE_SIGNS.get(clause.kind, "×" if columns else "")
+        columns.append(f"{sign} ${clause.step.clause.var}".lstrip())
+    for _, _, source in rows.lets:
+        if isinstance(source, BoundRows):
+            _row_columns(source, columns)
+
+
+def _returned(rows: BoundRows) -> str:
+    """``write`` and the template, ``{…}`` per slot, else the slot."""
+    result = rows.result
+    if not isinstance(result, Template):
+        return _slot_text(result)
+    return "write " + _template_text(result, rows)
+
+
+def _slot_text(expr: tuple) -> str:
+    kind = expr[0]
+    if kind == "node":
+        return f"${expr[1]}"
+    if kind == "path":
+        return _expr_text(expr[2].plan.path)
+    return repr(expr[1]) if kind == "literal" else kind  # a count
+
+
+def _template_text(template: Template, rows: BoundRows) -> str:
+    parts = [part if isinstance(part, str) else "{…}"
+             for part in template.head]
+    parts.append(">" if template.content else "/>")
+    for part in template.content:
+        if isinstance(part, str):
+            parts.append(part)
+        elif isinstance(part, Template):
+            parts.append(_template_text(part, rows))
+        elif part[0] == "let":  # a nested plan's items, any number
+            source = next(s for key, _, s in rows.lets if key == part[1])
+            parts.append("{" + _returned(source).removeprefix("write ")
+                         + "…}")
+        else:
+            parts.append("{" + _slot_text(part) + "}")
+    if template.content:
+        parts.append(template.close)
+    return "".join(parts)
 
 
 def _projection_label(projection) -> str:

@@ -26,7 +26,11 @@ evaluation strategies, chosen **once per query**:
   Parent^k`` over the path's leaf containers and
   ``StructureSummaryAccess → Parent^k`` over its element extents, read
   off their owner groups; every absolute path's summary prefix is
-  resolved there too.  Nothing is resolved or assigned at run time.
+  resolved there too.  Nothing is resolved or assigned at run time;
+* a FLWOR whose for-clauses' strategies decide every binding gets a
+  :class:`RowPlan` (:func:`_row_plan`), bound into :class:`BoundRows`
+  — the same operators and projections, each constructor compiled
+  into a :class:`Template` — that the engine runs as columns.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from repro.query.ast import (
     SequenceExpr,
     Step,
     StringLiteral,
+    TextLiteral,
     VarRef,
 )
 from repro.query.context import CompressedItem, NodeItem
@@ -63,6 +68,7 @@ from repro.query.physical import (ColumnCompare, Concat, ContAccess,
                                   ThetaJoin)
 from repro.storage.containers import SUBSTRING_Q
 from repro.storage.summary import TEXT_STEP
+from repro.xmlio.escape import escape_attribute, escape_text
 
 
 def _children(expr: Expression) -> tuple[Expression, ...]:
@@ -586,9 +592,8 @@ def assign_theta_join(clause: ForClause, plans: tuple[ThetaPlan, ...],
             leaf_summary_steps(clause.source, plan.leaf_steps))]
         if None in paths:
             continue  # the key path does not end at containers
-        join = ThetaJoin(None, repository, paths, plan.op, None,
-                         f"${clause.var}", scale=plan.scale or 1.0,
-                         ascend=plan.ascend)
+        join = ThetaJoin(repository, paths, plan.op, f"${clause.var}",
+                         scale=plan.scale or 1.0, ascend=plan.ascend)
         if join.numeric_ordered():
             return (plan, join) if join.build() else None
     return None
@@ -1060,12 +1065,54 @@ class ClausePlan:
 
 @dataclass(frozen=True)
 class FlworPlan:
-    """A FLWOR's clauses in order, and the ``where`` conjuncts no
-    for-clause decides (checked after the last one)."""
+    """A FLWOR's clauses in order, the ``where`` conjuncts no
+    for-clause decides (checked after the last one) and, where its
+    for-clauses' strategies decide every binding, its
+    :class:`RowPlan`."""
 
     flwor: FLWOR
     clauses: tuple[ClausePlan, ...]
     residual: tuple[Expression, ...]
+    rows: RowPlan | None = None
+
+
+class RowPlan(NamedTuple):
+    """A FLWOR run as columns (Arion et al.'s path partitions: each
+    for-variable one column of owner ids), with no per-binding
+    recursion: the first for-clause's selection or summary ids, each
+    join clause's matches per row, each theta clause's probe range per
+    row; a ``count`` read off group sizes; the return read per row, a
+    constructor written from one template.
+
+    ``fors``: the for-clauses' plans, in order — each an independent
+    summary-resolved source with no conjunct, or a join, theta or
+    selection strategy leaving nothing to check per binding.  ``lets``:
+    ``(key, counted, source)`` after them — read only by
+    ``count($key)`` (``counted``; the source a ``path`` row expression
+    or a :attr:`countable` plan), or only as constructor content (the
+    source a plan that writes); an inline ``count(FLWOR)`` is a counted
+    let with an integer key.  ``result``: the return as a row
+    expression, a tagged tuple — ``("node", var, doc)``, ``("path",
+    path)``, ``("count", source)`` (source a ``path`` expression or a
+    ``("let", key)``), ``("literal", value)``, ``("let", key)`` (content
+    only) or ``("element", name, attributes, content)``, whose
+    attribute parts and content are text or row expressions.
+    ``outer``: the enclosing for-variables read, columns taken from the
+    run's bindings; ``docs``: each for-variable's document.
+    """
+
+    fors: tuple[ClausePlan, ...]
+    lets: tuple[tuple, ...]
+    result: tuple
+    outer: tuple[str, ...]
+    docs: tuple[tuple[str, str | None], ...]
+
+    @property
+    def countable(self) -> bool:
+        """Its item count per row is a group size: one item per row,
+        or a projected path's group, and nothing else to evaluate."""
+        return not self.lets and self.result[0] in ("node", "path",
+                                                    "literal")
 
 
 @dataclass(frozen=True)
@@ -1093,22 +1140,29 @@ def plan_query(ast: Expression) -> QueryPlan:
     runs."""
     flwors: list = []
     projections: list[ProjectionPlan] = []
-    _plan(ast, dict.fromkeys(free_vars(ast)), flwors, projections)
+    _plan(ast, dict.fromkeys(free_vars(ast)), flwors, projections, {},
+          True)
     return QueryPlan(tuple(flwors), tuple(projections))
 
 
 def _plan(expr: Expression, scope: dict[str, PathExpr | None],
-          flwors: list, projections: list[ProjectionPlan]) -> None:
+          flwors: list, projections: list[ProjectionPlan],
+          scopes: dict, sink: bool = False) -> None:
     """``scope`` maps every variable in scope, lexically, to
     :func:`_node_path` of the for-clause binding it (``None`` for a
-    let or an external binding)."""
+    let or an external binding); ``scopes`` collects, per FLWOR, the
+    scopes before and after its clauses.  ``sink``: ``expr``'s items
+    are the query's result items — only there may a :class:`RowPlan`
+    write its constructors (nothing navigates or atomizes them)."""
     if not isinstance(expr, FLWOR):
         projection = _projection_plan(expr, scope)
         if projection is not None:
             projections.append(projection)
+        sink = sink and isinstance(expr, SequenceExpr)
         for child in _children(expr):
-            _plan(child, scope, flwors, projections)
+            _plan(child, scope, flwors, projections, scopes, sink)
         return
+    outer = scope
     slot = len(flwors)
     flwors.append(None)  # outermost first
     pending = flatten_conjuncts(expr.where)
@@ -1120,13 +1174,183 @@ def _plan(expr: Expression, scope: dict[str, PathExpr | None],
             rebound = {c.var for c in expr.clauses[position + 1:]}
             planned, pending = _plan_clause(clause, pending, scope,
                                             rebound)
-        _plan(clause.source, scope, flwors, projections)
+        _plan(clause.source, scope, flwors, projections, scopes)
         clauses.append(planned)
         scope = {**scope, clause.var: _node_path(clause.source)
                  if isinstance(clause, ForClause) else None}
-    for child in _children(expr)[len(expr.clauses):]:
-        _plan(child, scope, flwors, projections)
-    flwors[slot] = FlworPlan(expr, tuple(clauses), tuple(pending))
+    *rest, result = _children(expr)[len(expr.clauses):]
+    for child in rest:
+        _plan(child, scope, flwors, projections, scopes)
+    _plan(result, scope, flwors, projections, scopes, sink)
+    clauses, pending = tuple(clauses), tuple(pending)
+    scopes[id(expr)] = outer, scope
+    flwors[slot] = FlworPlan(expr, clauses, pending, _row_plan(
+        expr, clauses, pending, sink, flwors, scopes))
+
+
+def _row_plan(expr: FLWOR, clauses: tuple[ClausePlan, ...],
+              residual: tuple, writes: bool, flwors: list, scopes: dict
+              ) -> RowPlan | None:
+    """The FLWOR ``expr`` planned as ``clauses`` and ``residual``, as a
+    :class:`RowPlan` (constructors written only if ``writes``), else
+    ``None``: an ``order by``, a residual conjunct, a clause that
+    checks a conjunct per binding, a rebound name, a let before a
+    for-clause or read otherwise than its kind, or a return that is no
+    row expression keeps the per-binding path."""
+    scope, inner = scopes[id(expr)]
+    # Every name new and bound once: each added one scope entry.
+    if expr.order or residual or \
+            len(inner) != len(scope) + len(clauses):
+        return None
+    fors: list[ClausePlan] = []
+    docs: list[tuple] = []
+    for step in clauses:
+        if not isinstance(step.clause, ForClause):
+            break
+        if not _row_clause(step, inner):
+            return None
+        fors.append(step)
+        docs.append((step.clause.var, inner[step.clause.var].document))
+    if not fors or any(isinstance(step.clause, ForClause)
+                       for step in clauses[len(fors):]):
+        return None
+    # Outermost, nothing is in scope to read (an unbound name stays
+    # unbound in the clause or expression that refuses it).
+    outer = tuple(sorted(free_vars(expr))) if scope else ()
+    for var in outer:
+        if scope.get(var) is None:
+            return None
+        docs.append((var, scope[var].document))
+    lets: list[tuple] = []
+    for step in clauses[len(fors):]:
+        var, source = step.clause.var, step.clause.source
+        reads = _reads(expr.result, var)
+        if reads == {"count"}:
+            found = _count_source(source, inner, flwors)
+        elif reads == {"content"} and isinstance(source, FLWOR):
+            nested = _planned(flwors, source)
+            found = _row_plan(source, nested.clauses, nested.residual,
+                              True, flwors, scopes)
+        else:
+            return None
+        if found is None:
+            return None
+        lets.append((var, reads == {"count"}, found))
+    kinds = {key: counted for key, counted, _ in lets} if lets else {}
+    result = _row_expr(expr.result, inner, kinds, writes, flwors, lets)
+    if result is None:
+        return None
+    return RowPlan(tuple(fors), tuple(lets), result, outer, tuple(docs))
+
+
+def _planned(flwors: list, expr: FLWOR) -> FlworPlan:
+    """The plan of a FLWOR nested in the one being planned."""
+    return next(plan for plan in flwors
+                if plan is not None and plan.flwor is expr)
+
+
+def _row_clause(step: ClausePlan, scope: dict[str, PathExpr | None]
+                ) -> bool:
+    """Does the clause's strategy decide its bindings whole?  A
+    selection's exact terms are the data's to say (bind)."""
+    strategy = step.strategy
+    if strategy is None:
+        source = step.clause.source
+        return step.independent and step.context_free and \
+            not step.decidable and is_absolute_simple_path(source) and \
+            bool(source.steps)
+    if isinstance(strategy, JoinPlan):
+        return strategy.probe_source is not None and \
+            not step.rest(strategy)
+    if isinstance(strategy, ThetaPlan):
+        # A bare key path faces a probe of text, which never orders
+        # numerically: every row would fall back.
+        return strategy.scale is not None and not step.rest(strategy) \
+            and _var_path(strategy.probe_expr, scope)
+    return True
+
+
+def _var_path(expr: Expression, scope: dict[str, PathExpr | None]
+              ) -> bool:
+    """A path from a for-variable: a projection, unless
+    :func:`_relative_steps` refuses it — then it binds none, and
+    :func:`_bind_rows` refuses the plan."""
+    return isinstance(expr, PathExpr) and \
+        isinstance(expr.start, VarRef) and \
+        scope.get(expr.start.name) is not None
+
+
+def _reads(expr: Expression, var: str, context: str = "other"
+           ) -> set[str]:
+    """How ``expr`` reads ``$var``: ``count`` (as ``count($var)``),
+    ``content`` (as constructor content), ``other``."""
+    if expr == VarRef(var):
+        return {context}
+    if isinstance(expr, FunctionCall) and expr.name == "count" and \
+            len(expr.args) == 1:
+        return _reads(expr.args[0], var, "count")
+    if isinstance(expr, ElementConstructor):
+        return set().union(
+            *(_reads(p, var) for _, parts in expr.attributes
+              for p in parts),
+            *(_reads(c, var, "content") for c in expr.content))
+    return set().union(*(_reads(c, var) for c in _children(expr)))
+
+
+def _count_source(expr: Expression, scope: dict[str, PathExpr | None],
+                  flwors: list):
+    """A counted expression as a ``path`` row expression or a
+    countable :class:`RowPlan`, else ``None``."""
+    if isinstance(expr, PathExpr):
+        return ("path", expr) if _var_path(expr, scope) else None
+    rows = _planned(flwors, expr).rows if isinstance(expr, FLWOR) \
+        else None
+    return rows if rows is not None and rows.countable else None
+
+
+def _row_expr(expr: Expression, scope: dict[str, PathExpr | None],
+              lets: dict, writes: bool, flwors: list,
+              counted: list, content: bool = False) -> tuple | None:
+    """``expr`` as a row expression (:class:`RowPlan`) over the for-
+    and let-variables of ``scope`` and ``lets`` (key -> counted), else
+    ``None``; an inline ``count(FLWOR)`` joins ``counted`` as a let."""
+    if isinstance(expr, VarRef):
+        if content and lets.get(expr.name) is False:
+            return ("let", expr.name)
+        path = scope.get(expr.name)
+        return None if path is None else ("node", expr.name, path.document)
+    if isinstance(expr, PathExpr):
+        return ("path", expr) if _var_path(expr, scope) else None
+    if isinstance(expr, (StringLiteral, NumberLiteral)):
+        return ("literal", expr.value)
+    if isinstance(expr, FunctionCall) and expr.name == "count" and \
+            len(expr.args) == 1:
+        (arg,) = expr.args
+        if isinstance(arg, VarRef):
+            return ("count", ("let", arg.name)) if lets.get(arg.name) \
+                else None
+        source = _count_source(arg, scope, flwors)
+        if isinstance(source, RowPlan):
+            counted.append((len(counted), True, source))
+            source = ("let", counted[-1][0])
+        return None if source is None else ("count", source)
+    if not isinstance(expr, ElementConstructor) or not writes or \
+            len({name for name, _ in expr.attributes}) < \
+            len(expr.attributes):  # the DOM keeps a name's last value
+        return None
+    found: list = []
+    for name, parts in expr.attributes:
+        found.append((name, tuple(
+            part.value if isinstance(part, TextLiteral) else
+            None if isinstance(part, ElementConstructor) else
+            _row_expr(part, scope, lets, writes, flwors, counted)
+            for part in parts)))
+    body = tuple(part.value if isinstance(part, TextLiteral) else
+                 _row_expr(part, scope, lets, writes, flwors, counted,
+                           True) for part in expr.content)
+    if None in body or any(None in parts for _, parts in found):
+        return None
+    return ("element", expr.name, tuple(found), body)
 
 
 def _plan_clause(clause: ForClause, pending: list[Expression],
@@ -1177,12 +1401,50 @@ class BoundClause(NamedTuple):
         return [pair[1] for pair in self if pair is not None]
 
 
+class RowClause(NamedTuple):
+    """A :class:`RowPlan` for-clause bound: ``kind`` ``source`` (its
+    summary ids), ``selection``, ``join`` or ``theta`` with the bound
+    ``(plan, operator)`` pair; ``probe``: a join's probe column, a
+    theta join's probe :class:`Projection`."""
+
+    step: ClausePlan
+    kind: str
+    bound: tuple | None = None
+    probe: str | Projection | None = None
+
+
+class Template(NamedTuple):
+    """A constructor compiled once per plan: ``head`` — the escaped
+    start tag's markup and attribute slots — then ``content`` — escaped
+    text, slots and nested templates — then ``close``.  ``filled``: the
+    content has literal text or an element, so the element is never
+    written empty (``<a/>``).  A slot is a bound row expression
+    (:func:`_bind_expr`)."""
+
+    head: tuple
+    content: tuple
+    close: str
+    filled: bool
+
+
+class BoundRows(NamedTuple):
+    """A :class:`RowPlan` bound: its clauses, its lets' bound sources
+    (a nested :class:`BoundRows` or a ``path`` slot) and its return,
+    compiled; no operator of its own."""
+
+    plan: RowPlan
+    clauses: tuple[RowClause, ...]
+    lets: tuple[tuple, ...]
+    result: tuple
+
+
 class BoundPlan(NamedTuple):
     """A :class:`QueryPlan` bound to repositories, once: what every run
     executes — per :class:`ClausePlan` its :class:`BoundClause`, per
     path node its :class:`Projection` (``None``: navigate) or the
-    ``StructureSummaryAccess`` of its summary prefix, all by ``id`` —
-    and, the same objects, what the Tier-A verifier checks
+    ``StructureSummaryAccess`` of its summary prefix, per FLWOR its
+    :class:`BoundRows` (``None``: per binding), all by ``id`` — and,
+    the same objects, what the Tier-A verifier checks
     (:meth:`operators`).  ``repositories``: each document name bound,
     to its repository.  Read-only after binding, so runs and threads
     share it."""
@@ -1191,6 +1453,7 @@ class BoundPlan(NamedTuple):
     projections: dict[int, Projection | None]
     paths: dict[int, StructureSummaryAccess | None]
     repositories: dict
+    rows: dict[int, BoundRows | None]
 
     def operators(self) -> list[Operator]:
         """Every bound operator tree, each once: the clauses' and the
@@ -1224,7 +1487,94 @@ def bind_plan(ast: Expression, plan: QueryPlan, repo_of) -> BoundPlan:
              for path in _absolute_paths(ast)}
     projections = {id(p.path): assign_projection(p, bound_repo)
                    for p in plan.projections}
-    return BoundPlan(clauses, projections, paths, repositories)
+    rows = {id(flwor.flwor): _bind_rows(flwor.rows, clauses, projections)
+            for flwor in plan.flwors if flwor.rows is not None}
+    return BoundPlan(clauses, projections, paths, repositories, rows)
+
+
+def _bind_rows(plan: RowPlan, clauses: dict[int, BoundClause],
+               projections: dict[int, Projection | None]
+               ) -> BoundRows | None:
+    """``plan`` over its clauses' bound strategies — the one a run
+    takes, as :meth:`BoundClause.operators` orders them — and its
+    projections, its constructors compiled; ``None`` where the data
+    refuse a strategy, leave a conjunct to check per binding or refuse
+    a projection."""
+    bound = []
+    for step in plan.fors:
+        pairs = clauses[id(step)]
+        chosen = next(filter(None, pairs), None)
+        if chosen is None:
+            if step.strategy is not None:
+                return None
+            bound.append(RowClause(step, "source"))
+        elif step.rest(chosen[0]):
+            return None
+        elif chosen is pairs.join:
+            bound.append(RowClause(step, "join", chosen,
+                                   chosen[0].probe_vars[0]))
+        elif chosen is pairs.theta:
+            probe = projections.get(id(chosen[0].probe_expr))
+            if probe is None:
+                return None
+            bound.append(RowClause(step, "theta", chosen, probe))
+        else:
+            bound.append(RowClause(step, "selection", chosen))
+    lets = []
+    for key, counted, source in plan.lets:
+        source = _bind_rows(source, clauses, projections) \
+            if isinstance(source, RowPlan) else \
+            _bind_expr(source, projections)
+        if source is None:
+            return None
+        lets.append((key, counted, source))
+    result = _bind_expr(plan.result, projections)
+    return None if result is None else \
+        BoundRows(plan, tuple(bound), tuple(lets), result)
+
+
+def _bind_expr(expr: tuple, projections: dict[int, Projection | None]):
+    """A row expression bound: ``("path", var, Projection)``, a count
+    of one or of a ``("let", key)``, a :class:`Template`; the others as
+    planned.  ``None`` where a projection is refused."""
+    kind = expr[0]
+    if kind == "path":
+        projection = projections.get(id(expr[1]))
+        return None if projection is None else \
+            ("path", projection.plan.var, projection)
+    if kind == "count":
+        source = expr[1] if expr[1][0] == "let" else \
+            _bind_expr(expr[1], projections)
+        return None if source is None else ("count", source)
+    if kind != "element":
+        return expr
+    _, name, attributes, content = expr
+    head: list = [f"<{name}"]
+    for attribute, parts in attributes:
+        head.append(f' {attribute}="')
+        for part in parts:
+            head.append(escape_attribute(part) if isinstance(part, str)
+                        else _bind_expr(part, projections))
+        head.append('"')
+    body = [escape_text(part) if isinstance(part, str)
+            else _bind_expr(part, projections) for part in content]
+    if None in head or None in body:
+        return None
+    filled = any(part.__class__ is str or part.__class__ is Template
+                 for part in body)
+    return Template(_merged(head), _merged(body), f"</{name}>", filled)
+
+
+def _merged(parts: list) -> tuple:
+    """``parts`` with each run of adjacent strings joined."""
+    merged: list = []
+    for part in parts:
+        if part.__class__ is str and merged and \
+                merged[-1].__class__ is str:
+            merged[-1] += part
+        else:
+            merged.append(part)
+    return tuple(merged)
 
 
 def _absolute_paths(expr: Expression):

@@ -7,8 +7,9 @@ groups:
   :class:`ContSubstring`, :class:`StructureSummaryAccess`,
   :class:`Parent`;
 * **data combination** — :class:`NodeSet`, :class:`FirstHit`,
-  :class:`Concat`, :class:`MergeJoin`, :class:`ThetaJoin`,
-  :class:`ColumnCompare`, :class:`Sort`;
+  :class:`Concat`, :class:`MergeJoin`, :class:`ColumnCompare`,
+  :class:`Sort`, and :class:`ThetaJoin` — a sorted key run the
+  evaluator probes per outer binding, not a stream;
 * **decompression** — :class:`Decompress`.  Figure 5's final
   XMLSerialize step is the materialization of the
   :class:`~repro.query.engine.QueryResult`, not an operator.
@@ -20,9 +21,9 @@ the scan/selection/join operators evaluate over numpy arrays — container
 slot ranges for compressed-domain predicates, ``np.searchsorted`` for
 merge keys.  Iterating an operator yields *rows* (dicts mapping column
 names to items): the same batches, flattened, so plans compose by
-nesting either way.  Operators whose work is per-row (theta probes,
-sorts, blob-container fallbacks) run one private row generator over
-their input's batches and chunk it.
+nesting either way.  Operators whose work is per-row (sorts,
+blob-container fallbacks) run one private row generator over their
+input's batches and chunk it.
 
 Order guarantees mirror §4: ``StructureSummaryAccess``, ``NodeSet`` and
 ``FirstHit`` emit element ids in document order, ``Parent`` preserves
@@ -376,7 +377,10 @@ class StructureSummaryAccess(Operator):
         self.steps = steps
         self.column = column
         extents = [node.extent for node in repository.resolve_path(steps)]
-        self.ids = np.unique(np.concatenate(extents)).astype(np.int64) \
+        # One summary node's extent is in document order, each node once.
+        self.ids = np.array(extents[0], dtype=np.int64) \
+            if len(extents) == 1 else \
+            np.unique(np.concatenate(extents)).astype(np.int64) \
             if extents else np.empty(0, dtype=np.int64)
 
     def _batches(self, size: int) -> Iterator[RecordBatch]:
@@ -637,29 +641,25 @@ class MergeJoin(Operator):
                     yield out.slice(start, start + size)
 
 
-class ThetaJoin(Operator):
+class ThetaJoin:
     """Sort-based inequality join: ``scale * key <op> probe`` (§2.2/§4).
 
     Containers are value-sorted and the numeric codecs order
     preserving, so the scaled ``sort_keys`` of the key containers *are*
     the sorted run, paired with their owning elements (``ascend``
     ``Parent`` gathers up).  A probe is one ``np.searchsorted`` per
-    outer value; its slot range's length is the match count.
-    :meth:`build` refuses — before any counter —
-    wherever position is not the comparison; callers then evaluate
-    the condition per pair.  Once built, the operator is read-only.
+    outer value; its slot range's length is the match count, its
+    ``owners`` slice the matches.  Not a stream: the evaluator probes
+    it once per outer binding or row.  :meth:`build` refuses — before
+    any counter — wherever position is not the comparison; callers then
+    evaluate the condition per pair.  Once built, it is read-only.
     """
 
-    INPUTS = ("_left",)
-
-    def __init__(self, left: Iterable[Row] | None,
-                 repository: CompressedRepository,
-                 container_paths: list[str], op: str, probe_key,
+    def __init__(self, repository: CompressedRepository,
+                 container_paths: list[str], op: str,
                  output_column: str, *, scale: float = 1.0,
                  ascend: int = 0):
-        self._left = left
         self._parents = repository.structure.parents
-        self._probe_key = probe_key
         self.scale = scale
         self.ascend = ascend
         self._keys: np.ndarray | None = None
@@ -669,6 +669,11 @@ class ThetaJoin(Operator):
         self.output_column = output_column
         #: owning element per key slot, aligned with the sorted keys.
         self.owners: np.ndarray | None = None
+
+    def inputs(self) -> list:
+        """No input stream: the plan views (EXPLAIN, the verifier) see
+        a leaf."""
+        return []
 
     def numeric_ordered(self) -> bool:
         """Every key container keeps record slots in numeric order."""
@@ -701,20 +706,6 @@ class ThetaJoin(Operator):
         cut = int(np.searchsorted(self._keys, value, side=side))
         return (0, cut) if self.op in ("<", "<=") \
             else (cut, len(self._keys))
-
-    def _joined(self, size: int) -> Iterator[Row]:
-        for row in input_rows(self._left, size):
-            start, end = self.probe(self._probe_key(row))
-            # Matches of one outer row leave in document order.
-            for node_id in np.sort(self.owners[start:end]).tolist():
-                yield {**row, self.output_column: NodeItem(node_id)}
-
-    def _batches(self, size: int) -> Iterator[RecordBatch]:
-        if not self.build():
-            raise QueryTypeError(
-                "ThetaJoin needs numeric-ordered key containers with "
-                "one key per owning element")
-        return batches_from_rows(self._joined(size), size)
 
 
 #: ``ColumnCompare`` comparisons, elementwise over float64 columns.

@@ -19,8 +19,9 @@ sharded serving plane without decompressing it, and
   still-compressed value is one *hole* ``(codec ref, bits, bytes)``;
   an element (constructed, or a repository node rebuilt by
   :meth:`~repro.query.engine.QueryEngine.materialize_node`) is the
-  :func:`~repro.xmlio.writer.markup` walk: escaped markup strings with
-  one hole in place of each unread
+  :func:`~repro.xmlio.writer.markup` walk — or, written by a row plan,
+  the :class:`~repro.query.context.WrittenItem`'s parts, the same
+  bytes: escaped markup strings with one hole in place of each unread
   :class:`~repro.query.context.LazyText`.  Attribute values, numbers,
   booleans and computed strings go plain.
 
@@ -50,6 +51,7 @@ from repro.query.context import (
     EvaluationStats,
     LazyText,
     NodeItem,
+    WrittenItem,
     _format_number,
 )
 from repro.storage.repository import live_repositories
@@ -148,13 +150,14 @@ class _FrameWriter:
             self.digests.append(codec_digest(codec))
         self.body.varint(ref).varint(compressed.bits).raw(compressed.data)
 
-    def element(self, element: Element) -> None:
-        """Markup runs between holes: ``h``, a run, then ``h`` × (hole,
-        run)."""
+    def element(self, parts: list) -> None:
+        """An element's markup ``parts`` — strings and texts, as
+        :func:`~repro.xmlio.writer.markup` keeps them — as runs between
+        holes: ``h``, a run, then ``h`` × (hole, run)."""
         runs: list[str] = []
         holes: list[LazyText] = []
         run: list[str] = []
-        for part in markup(element, keep_texts=True):
+        for part in parts:
             if part.__class__ is str:
                 run.append(part)
             elif part.__class__ is LazyText and not part.read:
@@ -182,13 +185,16 @@ def ship_result(result) -> bytes:
         if isinstance(item, CompressedItem):
             body.byte(_KIND_COMPRESSED)
             frame.hole(item.compressed, item.codec)
+        elif isinstance(item, WrittenItem):
+            body.byte(_KIND_XML)
+            frame.element(item.parts)
         elif isinstance(item, (NodeItem, Element)):
             if isinstance(item, NodeItem):
                 item = result._engine.materialize_node(
                     item.node_id, EvaluationStats(), doc=item.doc,
                     cache=result._cache)
             body.byte(_KIND_XML)
-            frame.element(item)
+            frame.element(markup(item, keep_texts=True))
         elif isinstance(item, bool):
             body.byte(_KIND_BOOLEAN)
             body.byte(1 if item else 0)

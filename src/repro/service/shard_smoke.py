@@ -8,9 +8,12 @@ the whole chain:
 2. replay every XMark query for a few rounds from concurrent
    threads through the coordinator (``execute_many``);
 3. assert the run completed cleanly: every query answered with zero
-   errors, **nonzero cross-shard queries** (the XMark joins must
-   span the placement) and **fewer bytes on the wire than the plain
-   XML** the same results would have cost;
+   errors, **each answer's XML byte for byte what an in-process
+   ``Database(repository).session()`` returns** (frames a row plan
+   wrote from its templates cross real pipes), **nonzero cross-shard
+   queries** (the XMark joins must span the placement) and **fewer
+   bytes on the wire than the plain XML** the same results would have
+   cost;
 4. scrape the folded per-shard counters off the coordinator's
    registry and assert every worker reported executions;
 5. SIGKILL worker 0 and assert one more round still answers with zero
@@ -44,6 +47,7 @@ def main(argv: list[str] | None = None, out=sys.stdout) -> int:
     args = parser.parse_args(argv)
 
     from repro.errors import XQueCError
+    from repro.service.session import Database
     from repro.service.shards import ShardedDatabase
     from repro.storage.loader import load_document
     from repro.xmark.generator import generate_xmark
@@ -72,9 +76,12 @@ def main(argv: list[str] | None = None, out=sys.stdout) -> int:
           f"{args.shards} worker processes forked: {pids}")
     check(database.ready(), "coordinator is ready (all workers ping)")
 
+    answers: list = []
+
     def answer(batch: list[str]) -> str:
         try:
-            database.execute_many(batch, max_workers=args.clients)
+            answers[:] = database.execute_many(batch,
+                                               max_workers=args.clients)
             return ""
         except XQueCError as exc:
             return f": {exc}"
@@ -83,6 +90,14 @@ def main(argv: list[str] | None = None, out=sys.stdout) -> int:
     failure = answer(batch)
     check(not failure,
           f"all {len(batch)} queries answered with 0 errors{failure}")
+    session = Database(repository).session()
+    local = {text: session.execute(text).to_xml() for text in texts}
+    differ = sorted({qid for qid, text, received in zip(
+        list(XMARK_QUERIES) * max(args.rounds, 1), batch, answers)
+        if received.to_xml() != local[text]})
+    check(len(answers) == len(batch) and not differ,
+          f"every answer equals the in-process session's XML, byte for "
+          f"byte{f': {differ} differ' if differ else ''}")
     database.gather_metrics()
     counters = database.metrics.counters()
     cross_shard = counters.get("coordinator.cross_shard_queries", 0)

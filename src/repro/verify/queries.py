@@ -29,7 +29,10 @@ of mixed content (``string()``, ``=`` and ``contains`` across a child);
 every text below a variable (``$v//text()``, stored and constructed) in
 document order; element paths below a variable (positional steps past
 the group size, ``//`` below nested owners, ``empty`` of an element,
-``count`` of a group) and positions over several contexts.
+``count`` of a group) and positions over several contexts; FLWORs run
+as columns (Q9's chained joins written as content, empty content
+beside an empty string, multi-valued attributes) and their near
+misses (a ``let`` counted and written, a name bound again inside).
 Constants are drawn from the document's own value pools plus
 adversarial neighbours (absent values, fractional bounds over int
 containers, the empty string, the same number spelt as text, values
@@ -413,6 +416,33 @@ def _string_value(rng: random.Random, pools: dict) -> str:
         f'"{needle}") return $v/@id'))
 
 
+def _rows(rng: random.Random) -> str:
+    """FLWORs a row plan runs as columns, and their near misses: XMark
+    Q9's two chained equality joins in a ``let`` written as constructor
+    content; empty content (``<r/>``) beside an empty string
+    (``<r></r>``); attributes over multi-valued paths (the values
+    space-joined); a ``let`` both counted and written, and an outer
+    name bound again inside — both per binding."""
+    person = "/site/people/person"
+    return rng.choice((
+        f"for $p in {person} let $a := for $t in "
+        "/site/closed_auctions/auction, $i in //item "
+        "where $t/buyer/text() = $p/@id and $t/itemref/text() = $i/@id "
+        "return <i>{$i/name/text()}</i> "
+        'return <p n="{$p/name/text()}">{$a}</p>',
+        f"for $p in {person} return <o><r>{{$p/fax/text()}}</r>"
+        '<r>{""}</r><r>{$p/phone/text()}</r><r/></o>',
+        f'for $p in {person} return <r a="{{$p/phone/text()}}" '
+        'b="{$p/interest/@category} x">{$p/interest/@category}</r>',
+        "for $c in /site/categories/category let $a := for $p in "
+        f"{person} where $p/interest/@category = $c/@id "
+        "return <i>{$p/name/text()}</i> "
+        'return <c n="{count($a)}">{$a}</c>',
+        f"for $p in {person} return <o>{{count(for $p in "
+        "/site/categories/category where $p/@id = \"c1\" "
+        "return $p)}</o>"))
+
+
 def _descendant_texts(rng: random.Random) -> str:
     """``$v//text()`` over mixed content — a description's text, its
     note's, the tail after the note, an inner description's — read
@@ -517,6 +547,7 @@ def generate_queries(entities: dict, rng: random.Random,
         lambda: _element_paths(rng),
         lambda: _string_value(rng, pools),
         lambda: _descendant_texts(rng),
+        lambda: _rows(rng),
         lambda: _exact_contains(rng, pools),    # twice: four needle kinds
         lambda: _exact_contains(rng, pools),
     )

@@ -155,10 +155,7 @@ class TestThetaJoin:
     def test_numeric_key_container_accepted(self):
         repo = load_document(
             "<r><o><n>3</n></o><k><v>1</v></k><k><v>20</v></k></r>")
-        outer = StructureSummaryAccess(
-            repo, [("child", "r"), ("child", "o")], "o")
-        plan = ThetaJoin(outer, repo, ["/r/k/v/#text"], "<", None, "k",
-                         ascend=1)
+        plan = ThetaJoin(repo, ["/r/k/v/#text"], "<", "k", ascend=1)
         assert verify_plan(plan) == []
 
     @pytest.mark.parametrize("path", [TITLE, URI, NOTE])
@@ -166,8 +163,7 @@ class TestThetaJoin:
                                                           path):
         """Order-agnostic, lexicographic and blob key sides alike: a
         slot range is not the set of numerically matching keys."""
-        outer = StructureSummaryAccess(repo, [("child", "lib")], "l")
-        plan = ThetaJoin(outer, repo, [path], ">=", None, "b", ascend=1)
+        plan = ThetaJoin(repo, [path], ">=", "b", ascend=1)
         diagnostics = verify_plan(plan)
         assert rules_of(errors_of(diagnostics)) == \
             ["plan.theta-join-unordered"]

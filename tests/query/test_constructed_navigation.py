@@ -8,6 +8,17 @@ from repro.storage.loader import load_document
 
 DOC = "<db><x><v>1</v></x><x><v>2</v></x></db>"
 
+#: every query below navigates or counts constructed elements.
+QUERIES = (
+    "for $r in <a><b>hello</b></a> return $r/b/text()",
+    'for $r in <a id="7"/> return $r/@id',
+    "for $r in <a><b><c>x</c></b></a> return $r//c/text()",
+    "let $t := <t>{for $x in /db/x return <n>{$x/v/text()}"
+    "</n>}</t> return count($t/n)",
+    "for $r in <a><p/><q/></a> return count($r/*)",
+    "let $w := <wrap>{/db/x}</wrap> return count($w/x/v)",
+)
+
 
 @pytest.fixture(scope="module")
 def engine():
@@ -46,6 +57,14 @@ class TestConstructedNavigation:
         result = engine.execute(
             "let $w := <wrap>{/db/x}</wrap> return count($w/x/v)")
         assert result.items == [2.0]
+
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_runs_per_binding(self, engine, query):
+        """A constructed element that is navigated is built: no FLWOR
+        here runs as a row plan, whose written items only the result
+        reads."""
+        prepared = engine.prepare(query)
+        assert not any(prepared.bound.rows.values())
 
     def test_galax_agrees(self, engine):
         queries = [

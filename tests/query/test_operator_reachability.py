@@ -34,7 +34,8 @@ def repo():
 
 
 def reached(tree, found: set[type]) -> None:
-    found.add(type(tree))
+    if isinstance(tree, physical.Operator):  # not a ThetaJoin's key run
+        found.add(type(tree))
     for child in tree.inputs():
         if isinstance(child, physical.Operator):
             reached(child, found)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import QueryTypeError
 from repro.query.context import EvaluationStats, NodeItem
 from repro.query.physical import (
     ContAccess,
@@ -172,42 +171,39 @@ class TestCombination:
 
     @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
     def test_theta_join_matches_nested_loop(self, repo, stats, op):
-        """Key side: 2 * age, owners one Parent hop up (the persons)."""
+        """Key side: 2 * age, owners one Parent hop up (the persons);
+        each probe's owners are the persons the nested loop keeps."""
         import operator
         holds = {"<": operator.lt, "<=": operator.le,
                  ">": operator.gt, ">=": operator.ge}[op]
-        outer = [{"bound": b} for b in (0, 54, 62, 62.5, 90, 1000)]
-        join = ThetaJoin(outer, repo, [AGE_PATH], op,
-                         lambda row: row["bound"], "person", scale=2.0,
+        bounds = (0, 54, 62, 62.5, 90, 1000)
+        join = ThetaJoin(repo, [AGE_PATH], op, "person", scale=2.0,
                          ascend=1)
+        assert join.build()
         ages = {2: 45, 5: 31, 8: 27}   # person node id -> age
         persons = StructureSummaryAccess(
             repo, [("child", "site"), ("child", "people"),
                    ("child", "person")], "person").rows()
         assert [p["person"].node_id for p in persons] == sorted(ages)
-        expected = [{**a, **b} for a in outer for b in persons
-                    if holds(2.0 * ages[b["person"].node_id],
-                             a["bound"])]
-        assert join.rows() == expected   # document order per outer row
-        assert stats.container_accesses == len(outer)
+        for bound in bounds:
+            start, end = join.probe(bound)
+            assert sorted(join.owners[start:end].tolist()) == [
+                node for node, age in ages.items()
+                if holds(2.0 * age, bound)]
+        assert stats.container_accesses == len(bounds)
 
     def test_theta_join_range_length_is_the_match_count(self, repo):
-        join = ThetaJoin(None, repo, [AGE_PATH], ">", None, "person")
+        join = ThetaJoin(repo, [AGE_PATH], ">", "person")
         assert join.build()
         start, end = join.probe(30)
         assert end - start == 2 and join.probe(45) == (3, 3)
 
     def test_theta_join_refuses_what_position_cannot_answer(self, repo):
         # String container; and two <total> keys owned by one <sales>.
-        assert not ThetaJoin(None, repo, [NAME_PATH], "<", None,
-                             "p").build()
-        assert ThetaJoin(None, repo, [TOTAL_PATH], "<", None, "s",
-                         ascend=1).build()
-        shared_owner = ThetaJoin(None, repo, [TOTAL_PATH], "<", None,
-                                 "s", ascend=2)
-        assert not shared_owner.build()
-        with pytest.raises(QueryTypeError):
-            shared_owner.rows()
+        assert not ThetaJoin(repo, [NAME_PATH], "<", "p").build()
+        assert ThetaJoin(repo, [TOTAL_PATH], "<", "s", ascend=1).build()
+        assert not ThetaJoin(repo, [TOTAL_PATH], "<", "s",
+                             ascend=2).build()
 
     def test_sort(self):
         out = Sort(self.ROWS, ("v",)).rows()
