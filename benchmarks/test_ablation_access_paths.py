@@ -70,18 +70,14 @@ def test_physical_operators_agree(benchmark, xquec_default):
     repository = xquec_default.repository
 
     def run():
-        access_rows = ContAccess(repository, _NAME_PATH, "id", "value",
-                                 low="B", high="C",
-                                 high_inclusive=False).rows()
-        codec = repository.container(_NAME_PATH).codec
-        scan_rows = [row for row in
-                     ContScan(repository, _NAME_PATH, "id",
-                              "value").rows()
-                     if "B" <= codec.decode(row["value"].compressed)
-                     < "C"]
-        return access_rows, scan_rows
+        access = ContAccess(repository, _NAME_PATH, "id", "value",
+                            low="B", high="C", high_inclusive=False).run()
+        scan = ContScan(repository, _NAME_PATH, "id", "value").run()
+        ((container, slots),) = scan["value"].segments
+        keep = ["B" <= container.value_at(slot) < "C"
+                for slot in slots.tolist()]
+        return access["id"], scan["id"][keep]
 
-    access_rows, scan_rows = benchmark.pedantic(run, rounds=1,
-                                                iterations=1)
-    assert {r["id"].node_id for r in access_rows} == \
-        {r["id"].node_id for r in scan_rows}
+    access_ids, scan_ids = benchmark.pedantic(run, rounds=1,
+                                              iterations=1)
+    assert set(access_ids.tolist()) == set(scan_ids.tolist())

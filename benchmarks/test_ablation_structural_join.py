@@ -5,7 +5,7 @@ IDs ("our data model imposes a large number of parent-child joins")
 and expects "much better once XQueC will migrate to 3-valued IDs"
 (§5/§6).  We implemented that migration: the loader assigns
 ``(pre, post, level)`` to every node, and
-:class:`structural_join.StructuralJoin` pairs ancestors with
+:func:`structural_join.structural_join` pairs ancestors with
 descendants in one stack-tree merge pass.
 
 This ablation measures both strategies on an ancestor/descendant

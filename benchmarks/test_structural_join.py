@@ -1,15 +1,15 @@
 """Tests for the structural-join extension (3-valued IDs)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.query.context import NodeItem
 from repro.storage.loader import load_document
 from repro.xmark.generator import generate_xmark
 from structural_join import (
-    StructuralJoin,
     navigation_pairs,
+    structural_join,
     structural_pairs,
 )
 
@@ -76,19 +76,19 @@ class TestStructuralJoin:
         descendants = [d for _, d in pairs]
         assert descendants == sorted(descendants)
 
-    def test_rows_merged(self, repo):
-        join = StructuralJoin(
-            [{"a": NodeItem(0), "tag": "root"}],
-            [{"d": NodeItem(n)} for n in
-             extent(repo, ("descendant", "person"))],
-            repo.structure, "a", "d")
-        rows = join.rows()
-        assert rows and rows[0]["tag"] == "root"
+    def test_id_arrays_in(self, repo):
+        persons = np.array(extent(repo, ("descendant", "person")),
+                           dtype=np.int64)
+        ancestors, descendants = structural_join(
+            repo.structure, np.array([0], dtype=np.int64), persons)
+        assert ancestors.tolist() == [0] * len(persons)
+        assert descendants.tolist() == persons.tolist()
 
     def test_bad_axis(self, repo):
+        empty = np.empty(0, dtype=np.int64)
         with pytest.raises(ValueError):
-            StructuralJoin([], [], repo.structure, "a", "d",
-                           axis="following")
+            structural_join(repo.structure, empty, empty,
+                            axis="following")
 
 
 @settings(deadline=None, max_examples=15)

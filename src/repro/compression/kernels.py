@@ -1,6 +1,6 @@
 """Vectorized codec kernels: bulk codeword decoding into numpy keys.
 
-The batch execution engine (DESIGN.md §13) evaluates compressed-domain
+The array operators (DESIGN.md §13) evaluate compressed-domain
 predicates positionally: containers are value-sorted, so any eq/ineq/
 interval predicate over ALM, Huffman or numeric codewords reduces to a
 ``[start, end)`` slot range and a boolean mask over record positions —

@@ -14,10 +14,10 @@ flows* (or a PR merges).
   and verifies every resulting tree before executing the same plan
   (:meth:`repro.query.engine.QueryEngine.plan`, a fail-fast gate).
 * **Tier B — source lint** (:mod:`repro.lint.source`): an ``ast``-based
-  checker for the repo's engine-invariant conventions (operator
-  ``_batches``/``_traced`` routing, codec property declarations, sanctioned
-  decompression sites, no bare ``except``/mutable defaults), run as
-  ``repro lint-src`` and in CI.
+  checker for the repo's engine-invariant conventions (operators
+  implement ``_run`` under the traced base ``run``, codec property
+  declarations, sanctioned decompression sites, no bare
+  ``except``/mutable defaults), run as ``repro lint-src`` and in CI.
 """
 
 from repro.lint.diagnostics import PlanDiagnostic, SourceDiagnostic

@@ -75,14 +75,10 @@ class PlanVerifier:
 
     def visit(self, node: object, path: str) -> PlanProperties:
         """Infer the properties of one plan node's output."""
-        inputs = getattr(node, "inputs", None)
-        if not callable(inputs):
-            # A plain iterable (list, generator): untyped input.
-            return PlanProperties.opaque()
         labels = [name.lstrip("_")
                   for name in getattr(node, "INPUTS", ())]
         children = []
-        for label, child in zip(labels, inputs()):
+        for label, child in zip(labels, node.inputs()):
             child_name = type(child).__name__
             children.append(
                 self.visit(child, f"{path}/{label}={child_name}"))
@@ -282,7 +278,7 @@ class PlanVerifier:
                 f"key containers {[c.path for c in containers]} are "
                 "not all numeric-ordered; a slot range is not the set "
                 "of matching keys", "check the conjunct per binding")
-        # No input stream: the evaluator probes it per outer binding;
+        # No input: the evaluator probes it per outer binding;
         # the key side adds the owning-element column.
         return PlanProperties.opaque().with_column(
             node.output_column,  # type: ignore[attr-defined]

@@ -6,9 +6,9 @@ the rows an operator emits: which columns exist and in what state
 container a compressed column came from (its *compressed domain*), and
 the sort order the stream is known to satisfy.
 
-``open_schema`` marks streams fed by inputs the verifier cannot type
-(plain Python iterables, unknown operator classes): column-existence
-checks are suppressed there rather than reporting false positives.
+``open_schema`` marks outputs fed by operators the verifier cannot type
+(unknown operator classes): column-existence checks are suppressed
+there rather than reporting false positives.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ class PlanProperties:
               order: tuple[str, ...] | None = None) -> "PlanProperties":
         """Join output schema: left's columns updated by right's.
 
-        Mirrors the operators' ``{**left_row, **right_row}`` row merge;
-        the output order defaults to the left (streamed) input's.
+        Mirrors the operators' ``{**left, **right}`` column merge; the
+        output order defaults to the left input's.
         """
         columns = dict(left.columns)
         columns.update(right.columns)

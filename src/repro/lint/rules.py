@@ -77,12 +77,12 @@ _ALL: tuple[Rule, ...] = (
          "§4 (bottom-up evaluation from the containers)"),
     # -- Tier B: source lint --------------------------------------------------
     Rule("src.operator-rows", "error",
-         "Operator subclass does not implement _batches, the one "
-         "protocol its rows and batches are both derived from",
+         "Operator subclass does not implement _run, the one call "
+         "its whole output comes from",
          "§4 (one physical algebra); DESIGN.md §13"),
     Rule("src.operator-iter-override", "error",
-         "Operator subclass overrides __iter__, bypassing the _traced "
-         "telemetry routing",
+         "Operator subclass overrides run, bypassing the telemetry "
+         "span the base wraps _run in",
          "observability invariant (PR 1)"),
     Rule("src.codec-properties", "error",
          "codec registered in compression.registry does not declare "

@@ -1,8 +1,8 @@
 """Tier B: ``ast``-based source lint for engine-wide invariants.
 
 Unlike the plan verifier (which checks one query's plan), this tier
-checks the *code*: every physical operator routes iteration through the
-traced base ``__iter__`` and implements ``_batches``; every codec wired
+checks the *code*: every physical operator implements ``_run`` and
+inherits the traced base ``run``; every codec wired
 into :mod:`repro.compression.registry` declares its §3.2
 :class:`~repro.compression.base.CompressionProperties` capability
 tuple; decompression inside :mod:`repro.query.physical` happens only at
@@ -46,8 +46,8 @@ class _ClassRecord:
     """One class definition seen anywhere in the linted tree."""
 
     __slots__ = ("name", "bases", "file", "line",
-                 "declares_properties", "declares_iter",
-                 "declares_batches")
+                 "declares_properties", "declares_run",
+                 "declares_private_run")
 
     def __init__(self, node: ast.ClassDef, file: str):
         self.name = node.name
@@ -55,8 +55,8 @@ class _ClassRecord:
         self.file = file
         self.line = node.lineno
         self.declares_properties = _assigns(node, "properties")
-        self.declares_iter = _defines(node, "__iter__")
-        self.declares_batches = _defines(node, "_batches")
+        self.declares_run = _defines(node, "run")
+        self.declares_private_run = _defines(node, "_run")
 
 
 def _base_name(node: ast.expr) -> str | None:
@@ -222,22 +222,20 @@ def _check_operators(classes: dict[str, _ClassRecord]
     for record in classes.values():
         if "Operator" not in record.bases:
             continue
-        if not record.declares_batches:
+        if not record.declares_private_run:
             diagnostics.append(SourceDiagnostic.make(
                 "src.operator-rows", record.file, record.line,
-                f"operator {record.name} does not implement _batches",
-                hint="operators yield RecordBatches from "
-                     "_batches(size) (chunk a per-row generator with "
-                     "batches_from_rows); __iter__/batches() on the "
-                     "base route them through _traced"))
-        if record.declares_iter:
+                f"operator {record.name} does not implement _run",
+                hint="operators return their output columns from "
+                     "_run(); run() on the base wraps it in the "
+                     "run's telemetry span"))
+        if record.declares_run:
             diagnostics.append(SourceDiagnostic.make(
                 "src.operator-iter-override", record.file,
                 record.line,
-                f"operator {record.name} overrides __iter__, "
+                f"operator {record.name} overrides run, "
                 "bypassing telemetry",
-                hint="implement _batches and inherit "
-                     "Operator.__iter__"))
+                hint="implement _run and inherit Operator.run"))
     return diagnostics
 
 

@@ -6,7 +6,7 @@ none.  It is the run record: the tracer's spans, the run's
 :class:`~repro.query.context.EvaluationStats` — the same object
 ``QueryResult.stats`` is, so every view of the run quotes the same
 eight counters — and the plan verifier's findings.  Every physical
-operator stream is one span carrying its ``rows`` and ``batches``, so
+operator run is one span carrying its ``rows``, so
 :meth:`Telemetry.operator_profile` (per-operator count, total, max and
 exact nearest-rank p50/p95/p99) is read off the spans; EXPLAIN
 ANALYZE, the slow-log exemplar and ``repro trace`` all quote it.
@@ -45,7 +45,7 @@ class Telemetry:
     def operator_profile(self) -> dict[str, dict]:
         """The finished spans grouped by name: count, total, max and
         nearest-rank p50/p95/p99 of their durations (ns), and their
-        summed ``rows`` and ``batches`` attributes.
+        summed ``rows`` attributes.
 
         Keyed in sorted name order, independent of span-open order, so
         exported documents are stable across runs of the same plan.
@@ -83,8 +83,7 @@ def _summary(spans: list) -> dict:
            "max": durations[-1]}
     for p in (50, 95, 99):
         out[f"p{p}"] = durations[round(p / 100.0 * last)]
-    for key in ("rows", "batches"):
-        out[key] = sum(span.attributes.get(key, 0) for span in spans)
+    out["rows"] = sum(span.attributes.get("rows", 0) for span in spans)
     return out
 
 

@@ -2,11 +2,10 @@
 
 ``Tracer.span(name, **attributes)`` is used as a context manager; spans
 nest by dynamic scope, so the finished trace is a forest mirroring the
-evaluation.  ``Tracer.record`` files a region timed elsewhere (a
-physical operator's batch stream) as one finished span under the span
-open when it ends.  A tracer exists only for a traced run; untraced span
-sites get :data:`NOOP_SPAN`, one shared span whose enter/exit do
-nothing (:func:`repro.obs.telemetry.span_on` hands it out).
+evaluation: a physical operator's span holds its inputs' spans.  A
+tracer exists only for a traced run; untraced span sites get
+:data:`NOOP_SPAN`, one shared span whose enter/exit do nothing
+(:func:`repro.obs.telemetry.span_on` hands it out).
 """
 
 from __future__ import annotations
@@ -125,15 +124,6 @@ class Tracer:
             top = self._stack.pop()
             if top is span:
                 break
-
-    def record(self, name: str, start_ns: int, end_ns: int,
-               **attributes) -> None:
-        """File a finished span (an operator's batch stream) under the
-        innermost open one, or as a root when none is open."""
-        span = Span(name, self, attributes or None)
-        span.start_ns, span.end_ns = start_ns, end_ns
-        (self._stack[-1].children if self._stack
-         else self.roots).append(span)
 
     def to_dict(self) -> dict:
         """JSON-ready trace forest."""

@@ -102,7 +102,7 @@ from repro.query.optimizer import (
     plan_query,
 )
 from repro.query.parser import parse_query
-from repro.query.physical import counting, node_ids
+from repro.query.physical import counting
 from repro.storage.repository import CompressedRepository
 from repro.storage.summary import TEXT_STEP
 from repro.xmlio.dom import Element, Text, parse
@@ -638,9 +638,7 @@ class _Evaluator:
             selection, operator = bound
             with span_on(self.telemetry, "Selection",
                          terms=len(selection.terms)) as span:
-                ids = [node_id for batch in operator.batches()
-                       for node_id in batch.column(
-                           f"${step.clause.var}").ids.tolist()]
+                ids = operator.run()[f"${step.clause.var}"].tolist()
                 span.set_attribute("rows", len(ids))
             self._outputs[id(step)] = ids, step.rest(selection)
         return self._outputs[id(step)]
@@ -719,10 +717,9 @@ class _Evaluator:
         if id(step) not in self._outputs:
             source = step.clause.source
             access = self._bound.paths[id(source)]
-            self._outputs[id(step)] = [
-                node for batch in access.batches(max(len(access.ids), 1))
-                for node in batch.column(access.column).ids.tolist()
-            ] if len(self._repo(source.document).structure) else []
+            self._outputs[id(step)] = \
+                access.run()[access.column].tolist() \
+                if len(self._repo(source.document).structure) else []
         return self._outputs[id(step)]
 
     def _theta_group(self, rows: BoundRows, clause, columns: dict,
@@ -732,8 +729,8 @@ class _Evaluator:
         the conjuncts under the row's bindings."""
         probe = clause.probe
         owners = self._theta_owners(clause.bound, self._atomize_sequence(
-            self._traced("Projection", probe.values,
-                         columns[probe.plan.var][row])))
+            self._in_span("Projection", probe.values,
+                          columns[probe.plan.var][row])))
         if owners is not None:
             return owners
         step = clause.step
@@ -817,7 +814,7 @@ class _Evaluator:
             _, var, projection = expr
             if self.telemetry is None:
                 return [projection.values(node) for node in columns[var]]
-            return [self._traced("Projection", projection.values, node)
+            return [self._in_span("Projection", projection.values, node)
                     for node in columns[var]]
         if kind == "node":
             return [[NodeItem(node, expr[2])] for node in columns[expr[1]]]
@@ -956,12 +953,12 @@ class _Evaluator:
             values.append(item)
         # Existential over the probe values: the widest range, a
         # prefix of the sorted keys for < / <=, a suffix for > / >=.
-        start, end = (0, 0) if not values else self._traced(
+        start, end = (0, 0) if not values else self._in_span(
             "ThetaJoin.probe", join.probe,
             max(values) if plan.op in ("<", "<=") else min(values))
         return join.owners[start:end]
 
-    def _traced(self, name: str, function, *args):
+    def _in_span(self, name: str, function, *args):
         """``function(*args)``, under a span of a traced run."""
         if self.telemetry is None:
             return function(*args)
@@ -975,8 +972,8 @@ class _Evaluator:
             projection = self._bound.projections.get(id(expr))
             if projection is not None:
                 (item,) = env[projection.plan.var]
-                return self._traced("Projection", projection.values,
-                                    item.node_id)
+                return self._in_span("Projection", projection.values,
+                                     item.node_id)
             start_items = self.eval(expr.start, env)
             return self._apply_steps(start_items, expr.steps, env)
         # StructureSummaryAccess fast path: the longest element-step
@@ -989,8 +986,7 @@ class _Evaluator:
         cut = len(access.steps)
         context = self._filter_predicates([
             NodeItem(node_id, expr.document)
-            for batch in access.batches(max(len(access.ids), 1))
-            for node_id in batch.column(access.column).ids.tolist()],
+            for node_id in access.run()[access.column].tolist()],
             expr.steps[cut - 1], env)
         return self._apply_steps(context, expr.steps[cut:], env)
 
@@ -1181,9 +1177,11 @@ def _matches_by_probe(join, probe: str, build: str) -> dict[int, list]:
     """The ``build`` node ids of a join's rows by ``probe`` node id,
     each list sorted and duplicate-free: a value shared twice, or two
     values shared, still binds a node once, and in document order."""
-    matches: dict[int, set] = {}
-    for batch in join.batches():
-        for probe_id, build_id in zip(node_ids(batch, probe).tolist(),
-                                      node_ids(batch, build).tolist()):
-            matches.setdefault(probe_id, set()).add(build_id)
-    return {probe_id: sorted(ids) for probe_id, ids in matches.items()}
+    columns = join.run()
+    # The distinct (probe, build) pairs, sorted by probe, then build.
+    probes, builds = np.unique(np.stack((columns[probe], columns[build])),
+                               axis=1)
+    starts = np.flatnonzero(np.diff(probes)) + 1
+    return dict(zip(probes[np.r_[0, starts]].tolist(),
+                    (group.tolist() for group in np.split(builds, starts)))
+                ) if len(probes) else {}

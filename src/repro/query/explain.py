@@ -125,8 +125,7 @@ def _operator(operator: Operator, lines: list[str], depth: int) -> None:
     """One operator's label, its input operators indented below."""
     _emit(lines, depth, _LABELS[type(operator)](operator))
     for child in operator.inputs():
-        if isinstance(child, Operator):
-            _operator(child, lines, depth + 1)
+        _operator(child, lines, depth + 1)
 
 
 def _paths(paths) -> str:

@@ -391,8 +391,9 @@ class _Parser:
             if text[i] == "{":
                 self.lexer.reset(i + 1)
                 content.append(self.parse_expression())
-                self.lexer.expect_punct("RBRACE")
-                i = self.lexer.mark()
+                # Resume just after the brace: mark() would skip the
+                # whitespace the next text starts with.
+                i = self.lexer.expect_punct("RBRACE").position + 1
                 continue
             j = i
             while j < len(text) and text[j] not in "<{":
@@ -421,8 +422,7 @@ class _Parser:
                     buffer = []
                 self.lexer.reset(i + 1)
                 parts.append(self.parse_expression())
-                self.lexer.expect_punct("RBRACE")
-                i = self.lexer.mark()
+                i = self.lexer.expect_punct("RBRACE").position + 1
                 continue
             buffer.append(ch)
             i += 1

@@ -9,21 +9,20 @@ groups:
 * **data combination** — :class:`NodeSet`, :class:`FirstHit`,
   :class:`Concat`, :class:`MergeJoin`, :class:`ColumnCompare`,
   :class:`Sort`, and :class:`ThetaJoin` — a sorted key run the
-  evaluator probes per outer binding, not a stream;
+  evaluator probes per outer binding, not an input;
 * **decompression** — :class:`Decompress`.  Figure 5's final
   XMLSerialize step is the materialization of the
   :class:`~repro.query.engine.QueryResult`, not an operator.
 
-Operators move data through one **batch-pull protocol** (DESIGN.md
-§13): an operator implements ``_batches(size)``, ``batches(size)``
-yields its :class:`~repro.query.batch.RecordBatch` columnar slices, and
-the scan/selection/join operators evaluate over numpy arrays — container
-slot ranges for compressed-domain predicates, ``np.searchsorted`` for
-merge keys.  Iterating an operator yields *rows* (dicts mapping column
-names to items): the same batches, flattened, so plans compose by
-nesting either way.  Operators whose work is per-row (sorts,
-blob-container fallbacks) run one private row generator over their
-input's batches and chunk it.
+Operators hand over whole columns (DESIGN.md §13): ``run()`` returns
+an operator's output as a dict of equal-length named columns, and an
+operator's inputs are operators whose ``run()`` it calls.  A node
+column is an ``int64`` array of element ids, a decoded column an
+object array, and a value column :class:`Slots` — record slots into
+its containers, so values stay compressed in place until
+:class:`Decompress` decodes them.  The scan/selection/join operators
+are numpy passes over those arrays: container slot ranges for
+compressed-domain predicates, ``np.searchsorted`` for merge keys.
 
 Order guarantees mirror §4: ``StructureSummaryAccess``, ``NodeSet`` and
 ``FirstHit`` emit element ids in document order, ``Parent`` preserves
@@ -34,21 +33,14 @@ sorting.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from time import perf_counter_ns
 
 import numpy as np
 
 from repro.errors import QueryTypeError
-from repro.query.batch import (DEFAULT_BATCH_SIZE, ItemColumn,
-                               NodeColumn, RecordBatch, ValueColumn,
-                               batches_from_rows, rows_of_batches)
-from repro.query.context import CompressedItem, NodeItem
+from repro.query.context import CompressedItem
 from repro.storage.repository import CompressedRepository
-
-Row = dict
 
 #: the traced run's Telemetry while ``QueryEngine.execute`` evaluates
 #: it.  Context-local: a thread starts with an empty context, so a
@@ -62,7 +54,7 @@ STATS: ContextVar = ContextVar("stats", default=None)
 
 @contextmanager
 def counting(stats, telemetry=None):
-    """One query run: operators pulled inside count into ``stats`` and,
+    """One query run: operators run inside count into ``stats`` and,
     traced, report to ``telemetry``, never into themselves (shared)."""
     stats_token = STATS.set(stats)
     telemetry_token = TELEMETRY.set(telemetry)
@@ -73,33 +65,6 @@ def counting(stats, telemetry=None):
         STATS.reset(stats_token)
 
 
-def _traced(name: str, batches: Iterator[RecordBatch]
-            ) -> Iterator[RecordBatch]:
-    """Wrap an operator's batch stream with the run's telemetry.
-
-    Records the full iteration as one finished span named ``name``,
-    with its ``rows`` (from batch lengths) and ``batches`` attributes,
-    under the span open when the stream ends; on an untraced run the
-    stream is returned untouched.
-    """
-    telemetry = TELEMETRY.get()
-    if telemetry is None:
-        return batches
-
-    def traced() -> Iterator[RecordBatch]:
-        rows = count = 0
-        start = perf_counter_ns()
-        try:
-            for batch in batches:
-                rows += len(batch)
-                count += 1
-                yield batch
-        finally:
-            telemetry.tracer.record(name, start, perf_counter_ns(),
-                                    rows=rows, batches=count)
-    return traced()
-
-
 def _count(counter: str, amount: int = 1) -> None:
     """Add ``amount`` to the running query's ``counter``, if any."""
     stats = STATS.get()
@@ -107,78 +72,105 @@ def _count(counter: str, amount: int = 1) -> None:
         setattr(stats, counter, getattr(stats, counter) + amount)
 
 
-def _input_batches(source, size: int) -> Iterator[RecordBatch]:
-    """Batches from an operator input (operator or plain row iterable)."""
-    if isinstance(source, Operator):
-        return source.batches(size)
-    return batches_from_rows(iter(source), size)
+class Slots:
+    """A value column: per row, the record slot its value sits at.
+
+    ``segments`` are ``(container, int64 slots)`` pairs in row order —
+    one per container, or more where :class:`Concat` appended another
+    run — so the codewords never leave their containers.  Indexing
+    picks rows like an array's.
+    """
+
+    __slots__ = ("segments",)
+
+    def __init__(self, segments):
+        self.segments = tuple(segments)
+
+    def __len__(self) -> int:
+        return sum(len(slots) for _, slots in self.segments)
+
+    def __getitem__(self, rows) -> "Slots":
+        if len(self.segments) == 1:
+            ((container, slots),) = self.segments
+            return Slots([(container, slots[rows])])
+        # Each picked row's segment, then one segment per run of them.
+        which = np.repeat(np.arange(len(self.segments)),
+                          [len(slots) for _, slots in self.segments])[rows]
+        picked = np.concatenate([s for _, s in self.segments])[rows]
+        cuts = np.flatnonzero(np.diff(which)) + 1
+        return Slots((self.segments[part[0]][0], slots) for part, slots
+                     in zip(np.split(which, cuts), np.split(picked, cuts))
+                     if len(part))
 
 
-def input_rows(source, size: int) -> Iterator[Row]:
-    """Rows from an operator input, pulled ``size`` at a time."""
-    if isinstance(source, Operator):
-        return rows_of_batches(source.batches(size))
-    return iter(source)
-
-
-def node_ids(batch: RecordBatch, name: str) -> np.ndarray:
-    """The ``int64`` element ids of one batch column."""
-    column = batch.column(name)
-    if isinstance(column, NodeColumn):
-        return column.ids
-    return np.fromiter((item.node_id for item in column.to_items()),
-                       dtype=np.int64, count=len(batch))
+def _rows(columns: dict) -> int:
+    """How many rows an operator's output holds."""
+    return len(next(iter(columns.values())))
 
 
 class Operator:
-    """Base class: a batch-pull operator that is also iterable as rows.
+    """Base class: an operator whose whole output one call computes.
 
-    Subclasses implement ``_batches(size)``; ``batches(size)``
-    routes it through :func:`_traced`, and ``__iter__``/``rows()`` are
-    those batches flattened.
+    Subclasses implement ``_run()``, returning their output columns;
+    :meth:`run` wraps it in the run's telemetry span.
 
-    ``INPUTS`` names the attributes holding the operator's stream
-    inputs, in plan order — the static plan verifier
+    ``INPUTS`` names the attributes holding the operator's input
+    operators, in plan order — the static plan verifier
     (:mod:`repro.lint.plan`) walks plans through it without executing
     them.
     """
 
-    #: attribute names of this operator's stream inputs, in order.
+    #: attribute names of this operator's input operators, in order.
     INPUTS: tuple[str, ...] = ()
 
-    def __iter__(self) -> Iterator[Row]:
-        return rows_of_batches(self.batches())
+    def run(self) -> dict:
+        """The operator's output, column name -> column; on a traced
+        run one span named after the class, with its ``rows``."""
+        telemetry = TELEMETRY.get()
+        if telemetry is None:
+            return self._run()
+        with telemetry.span(type(self).__name__) as span:
+            columns = self._run()
+            span.set_attribute("rows", _rows(columns))
+        return columns
 
-    def batches(self, batch_size: int | None = None
-                ) -> Iterator[RecordBatch]:
-        """The operator's output as traced RecordBatch slices."""
-        size = DEFAULT_BATCH_SIZE if batch_size is None \
-            else int(batch_size)
-        if size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {size}")
-        return _traced(type(self).__name__, self._batches(size))
-
-    def _batches(self, size: int) -> Iterator[RecordBatch]:
+    def _run(self) -> dict:
         raise NotImplementedError(
-            f"{type(self).__name__} does not implement _batches")
+            f"{type(self).__name__} does not implement _run")
 
     def inputs(self) -> list:
-        """The operator's input streams (operators or plain iterables)."""
+        """The operator's input operators."""
         return [getattr(self, name) for name in self.INPUTS]
-
-    def rows(self) -> list[Row]:
-        """Materialize the full output (convenience for tests/benches)."""
-        return list(self)
 
 
 # -- data access operators ----------------------------------------------------
+
+def _slot_columns(access, slots: np.ndarray) -> dict:
+    """A record container access's rows at ``slots``: the parent ids
+    and the slots themselves, no value decoded."""
+    container = access.container
+    slots = np.asarray(slots, dtype=np.int64)
+    return {access.id_column: container.as_arrays().parent_ids[slots],
+            access.value_column: Slots([(container, slots)])}
+
+
+def _blob_columns(access, pairs) -> dict:
+    """A blob container access's ``(parent id, compressed)`` pairs:
+    a blob has no record slots, so its values are items."""
+    codec, value_type = access.container.codec, access.container.value_type
+    pairs = list(pairs)
+    return {access.id_column: np.array([parent for parent, _ in pairs],
+                                       dtype=np.int64),
+            access.value_column: np.array(
+                [CompressedItem(compressed, codec, value_type)
+                 for _, compressed in pairs], dtype=object)}
+
 
 class ContScan(Operator):
     """Scan all (elementID, compressed value) pairs of a container.
 
     Never materializes per-record objects: ids come straight from
-    the container's cached parent-id array and values ride as slot
-    ranges (:class:`~repro.query.batch.ValueColumn`).
+    the container's cached parent-id array and values are its slots.
     """
 
     def __init__(self, repository: CompressedRepository, path: str,
@@ -187,37 +179,19 @@ class ContScan(Operator):
         self.id_column = id_column
         self.value_column = value_column
 
-    def _batches(self, size: int) -> Iterator[RecordBatch]:
+    def _run(self) -> dict:
         _count("container_scans")
         container = self.container
         if container.is_blob:  # no record slots: decompressing scan
-            yield from _blob_batches(self, container.scan(), size)
-            return
-        arrays = container.as_arrays()
-        for start in range(0, arrays.count, size):
-            stop = min(start + size, arrays.count)
-            yield RecordBatch({
-                self.id_column:
-                    NodeColumn(arrays.parent_ids[start:stop]),
-                self.value_column:
-                    ValueColumn(container, np.arange(start, stop))})
-
-
-def _blob_batches(access, pairs, size: int) -> Iterator[RecordBatch]:
-    """A blob container access's ``(parent id, compressed)`` pairs as
-    rows of its id and value columns, in batches."""
-    codec, value_type = access.container.codec, access.container.value_type
-    return batches_from_rows(({
-        access.id_column: NodeItem(parent_id),
-        access.value_column: CompressedItem(compressed, codec, value_type)}
-        for parent_id, compressed in pairs), size)
+            return _blob_columns(self, container.scan())
+        return _slot_columns(self, np.arange(len(container)))
 
 
 class ContAccess(Operator):
     """Interval access into a container (binary search, §2.2).
 
     Resolves the interval to one slot range (``interval_positions``)
-    and emits array slices of it.
+    and emits its rows.
     """
 
     def __init__(self, repository: CompressedRepository, path: str,
@@ -229,21 +203,14 @@ class ContAccess(Operator):
         self.value_column = value_column
         self.interval = (low, high, low_inclusive, high_inclusive)
 
-    def _batches(self, size: int) -> Iterator[RecordBatch]:
+    def _run(self) -> dict:
         _count("container_accesses")
         container = self.container
         if container.is_blob:  # no record slots: filtered full scan
-            yield from _blob_batches(
-                self, container.interval_search(*self.interval), size)
-            return
-        arrays = container.as_arrays()
-        start, end = container.interval_positions(*self.interval)
-        for lo in range(start, end, size):
-            hi = min(lo + size, end)
-            yield RecordBatch({
-                self.id_column: NodeColumn(arrays.parent_ids[lo:hi]),
-                self.value_column:
-                    ValueColumn(container, np.arange(lo, hi))})
+            return _blob_columns(
+                self, container.interval_search(*self.interval))
+        return _slot_columns(self, np.arange(
+            *container.interval_positions(*self.interval)))
 
 
 class ContSubstring(Operator):
@@ -268,7 +235,7 @@ class ContSubstring(Operator):
         self.function = function
         self.exact = exact
 
-    def _batches(self, size: int) -> Iterator[RecordBatch]:
+    def _run(self) -> dict:
         _count("container_accesses")
         container = self.container
         slots = container.substring_slots(self.needle) if self.exact \
@@ -278,12 +245,7 @@ class ContSubstring(Operator):
                 f"container {container.path!r} has no substring "
                 f"{'slots' if self.exact else 'candidates'} for "
                 f"{self.needle!r}")
-        parents = container.as_arrays().parent_ids
-        for start in range(0, len(slots), size):
-            part = slots[start:start + size]
-            yield RecordBatch({
-                self.id_column: NodeColumn(parents[part]),
-                self.value_column: ValueColumn(container, part)})
+        return _slot_columns(self, slots)
 
 
 class FirstHit(Operator):
@@ -294,17 +256,18 @@ class FirstHit(Operator):
     ``leaves`` are ``(container path, hops)`` pairs: each slot of the
     container belongs to the element ``hops`` ``Parent`` steps above
     its parent.  The input carries the owners (``column``) of some of
-    those values (``value_column``, as slots) — exact ``ContSubstring
-    → Parent^hops`` chains.  An owner holding one value is decided by
-    counting the owner columns; one holding several by structure
-    order: the first of its texts (``subtree_texts``), else — an
-    attribute leaf, one value per element — the one of the lowest
-    parent.  No value is decoded.  Owners leave in document order.
+    those values (``value_column``, one slot segment per container) —
+    exact ``ContSubstring → Parent^hops`` chains.  An owner holding one
+    value is decided by counting the owner columns; one holding
+    several by structure order: the first of its texts
+    (``subtree_texts``), else — an attribute leaf, one value per
+    element — the one of the lowest parent.  No value is decoded.
+    Owners leave in document order.
     """
 
     INPUTS = ("_source",)
 
-    def __init__(self, source: Iterable[Row],
+    def __init__(self, source: Operator,
                  repository: CompressedRepository,
                  leaves: list[tuple[str, int]], column: str,
                  value_column: str):
@@ -314,15 +277,13 @@ class FirstHit(Operator):
         self.column = column
         self.value_column = value_column
 
-    def _batches(self, size: int) -> Iterator[RecordBatch]:
-        owners, hit_slots = [], {}
-        for batch in _input_batches(self._source, size):
-            owners.append(node_ids(batch, self.column))
-            values = batch.column(self.value_column)
-            hit_slots.setdefault(values.container.path, []).append(
-                values.indices)
-        if not owners:
-            return
+    def _run(self) -> dict:
+        columns = self._source.run()
+        if not _rows(columns):
+            return {self.column: np.empty(0, dtype=np.int64)}
+        hit_slots: dict[str, list] = {}
+        for container, slots in columns[self.value_column].segments:
+            hit_slots.setdefault(container.path, []).append(slots)
         repository = self._repository
         parents = repository.structure.parents
         owned: dict[str, list[np.ndarray]] = {}
@@ -333,16 +294,14 @@ class FirstHit(Operator):
         every, counts = np.unique(np.concatenate(
             [o for arrays in owned.values() for o in arrays]),
             return_counts=True)
-        found = np.unique(np.concatenate(owners))
+        found = np.unique(columns[self.column])
         several = counts[np.searchsorted(every, found)] > 1
         hits = {path: set(np.concatenate(parts).tolist())
                 for path, parts in hit_slots.items()}
         firsts = [owner for owner in found[several].tolist()
                   if self._first_is_hit(owner, owned, hits)]
-        ids = np.union1d(found[~several], firsts).astype(np.int64)
-        for start in range(0, len(ids), size):
-            yield RecordBatch({
-                self.column: NodeColumn(ids[start:start + size])})
+        return {self.column:
+                np.union1d(found[~several], firsts).astype(np.int64)}
 
     def _first_is_hit(self, owner: int, owned: dict, hits: dict) -> bool:
         """Is the first of ``owner``'s values one of ``hits``?"""
@@ -383,24 +342,22 @@ class StructureSummaryAccess(Operator):
             np.unique(np.concatenate(extents)).astype(np.int64) \
             if extents else np.empty(0, dtype=np.int64)
 
-    def _batches(self, size: int) -> Iterator[RecordBatch]:
+    def _run(self) -> dict:
         _count("summary_accesses")
-        ids = self.ids
-        for start in range(0, len(ids), size):
-            yield RecordBatch({
-                self.column: NodeColumn(ids[start:start + size])})
+        return {self.column: self.ids}
 
 
 class Parent(Operator):
     """Append each input node's parent; preserves input order (§4).
 
     Gathers parents from the structure tree's parent column in one
-    indexing operation per batch.
+    indexing operation; a row whose node is the root has none and is
+    dropped.
     """
 
     INPUTS = ("_source",)
 
-    def __init__(self, source: Iterable[Row],
+    def __init__(self, source: Operator,
                  repository: CompressedRepository,
                  input_column: str, output_column: str):
         self._source = source
@@ -408,20 +365,17 @@ class Parent(Operator):
         self.input_column = input_column
         self.output_column = output_column
 
-    def _batches(self, size: int) -> Iterator[RecordBatch]:
-        parents = self._repository.structure.parents
-        for batch in _input_batches(self._source, size):
-            ids = node_ids(batch, self.input_column)
-            out_parents = parents[ids]
-            keep = out_parents >= 0
-            if not keep.all():
-                batch = batch.take(np.flatnonzero(keep))
-                out_parents = out_parents[keep]
-            if not len(batch):
-                continue
-            _count("nodes_visited", len(batch))
-            yield batch.with_column(self.output_column,
-                                    NodeColumn(out_parents))
+    def _run(self) -> dict:
+        columns = self._source.run()
+        parents = self._repository.structure.parents[
+            columns[self.input_column]]
+        keep = parents >= 0
+        if not keep.all():
+            columns = {name: column[keep]
+                       for name, column in columns.items()}
+            parents = parents[keep]
+        _count("nodes_visited", len(parents))
+        return {**columns, self.output_column: parents}
 
 
 def _concat_ranges(lo: np.ndarray, hi: np.ndarray,
@@ -442,16 +396,15 @@ class NodeSet(Operator):
     sorted and duplicate-free, or — with a ``right`` input — their
     ``union`` / ``intersect`` / ``difference`` with its ``column``.
 
-    What turns value-ordered ``ContAccess → Parent`` streams (an owner
+    What turns value-ordered ``ContAccess → Parent`` outputs (an owner
     once per matching value) into the nodes a selection binds, and
     conjuncts into set algebra.  Every other column is dropped.
     """
 
     INPUTS = ("_left", "_right")
 
-    def __init__(self, left: Iterable[Row],
-                 right: Iterable[Row] | None, column: str,
-                 mode: str = "union"):
+    def __init__(self, left: Operator, right: Operator | None,
+                 column: str, mode: str = "union"):
         if mode not in _SET_OPERATIONS:
             raise ValueError(f"unknown NodeSet mode {mode!r}")
         self._left = left
@@ -463,125 +416,31 @@ class NodeSet(Operator):
         return [self._left] if self._right is None \
             else [self._left, self._right]
 
-    def _ids(self, source, size: int) -> np.ndarray:
-        parts = [node_ids(batch, self.column)
-                 for batch in _input_batches(source, size) if len(batch)]
-        return np.concatenate(parts) if parts \
-            else np.empty(0, dtype=np.int64)
-
-    def _batches(self, size: int) -> Iterator[RecordBatch]:
-        ids = self._ids(self._left, size)
-        ids = np.unique(ids) if self._right is None else \
-            _SET_OPERATIONS[self.mode](ids, self._ids(self._right, size))
-        for start in range(0, len(ids), size):
-            yield RecordBatch({
-                self.column: NodeColumn(ids[start:start + size])})
+    def _run(self) -> dict:
+        ids = self._left.run()[self.column]
+        return {self.column: np.unique(ids) if self._right is None
+                else _SET_OPERATIONS[self.mode](
+                    ids, self._right.run()[self.column])}
 
 
 class Concat(Operator):
-    """Bag union: ``left``'s rows, then ``right``'s — what a ``Sort``
-    merges several containers' value-ordered runs from.  No order is
-    established."""
+    """Bag union: ``left``'s rows, then ``right``'s, in the columns
+    both carry — what a ``Sort`` merges several containers'
+    value-ordered runs from.  A value column keeps one slot segment
+    per container.  No order is established."""
 
     INPUTS = ("_left", "_right")
 
-    def __init__(self, left: Iterable[Row], right: Iterable[Row]):
+    def __init__(self, left: Operator, right: Operator):
         self._left = left
         self._right = right
 
-    def _batches(self, size: int) -> Iterator[RecordBatch]:
-        yield from _input_batches(self._left, size)
-        yield from _input_batches(self._right, size)
-
-
-class _BatchCursor:
-    """Streaming cursor over one merge-join input.
-
-    Holds exactly one batch plus its key column's items at a time;
-    equal-key *runs* are located with ``np.searchsorted`` and may span
-    batch boundaries, in which case only the run is buffered.
-    """
-
-    def __init__(self, batches: Iterator[RecordBatch], column: str):
-        self._batches = batches
-        self._column = column
-        self._batch: RecordBatch | None = None
-        self._keys: np.ndarray | None = None
-        self._pos = 0
-
-    def _fetch(self) -> bool:
-        for batch in self._batches:
-            if not len(batch):
-                continue
-            keys = np.empty(len(batch), dtype=object)
-            keys[:] = batch.column(self._column).to_items()
-            self._batch = batch
-            self._keys = keys
-            self._pos = 0
-            return True
-        self._batch = None
-        self._keys = None
-        return False
-
-    def ensure(self) -> bool:
-        """True when a current row exists (fetching as needed)."""
-        if self._keys is not None and self._pos < len(self._keys):
-            return True
-        return self._fetch()
-
-    def current_key(self):
-        assert self._keys is not None
-        return self._keys[self._pos]
-
-    def last_key(self):
-        assert self._keys is not None
-        return self._keys[-1]
-
-    def skip_below(self, key) -> None:
-        """Drop rows with keys ``< key`` from the current batch."""
-        assert self._keys is not None
-        self._pos += int(np.searchsorted(self._keys[self._pos:], key,
-                                         side="left"))
-
-    def take_below(self, key) -> tuple[RecordBatch, np.ndarray]:
-        """Consume the current batch's rows with keys ``< key``: the
-        rows and their keys."""
-        assert self._batch is not None and self._keys is not None
-        start = self._pos
-        self.skip_below(key)
-        return (self._batch.slice(start, self._pos),
-                self._keys[start:self._pos])
-
-    def take_run(self) -> RecordBatch:
-        """Consume the current equal-key run (may span batches)."""
-        assert self._keys is not None
-        run_key = self._keys[self._pos]
-        parts = []
-        while True:
-            end = self._pos + int(np.searchsorted(
-                self._keys[self._pos:], run_key, side="right"))
-            parts.append(self._batch.slice(self._pos, end))
-            self._pos = end
-            if self._pos < len(self._keys):
-                break
-            if not self._fetch():
-                break
-            if not (self._keys[0] == run_key):
-                break
-        return parts[0] if len(parts) == 1 else RecordBatch.concat(parts)
-
-
-def _equal_key_rows(left: RecordBatch, left_keys: np.ndarray,
-                    right: RecordBatch, right_keys: np.ndarray
-                    ) -> RecordBatch:
-    """Every pair of equal-key rows of two key-sorted batches, merged:
-    by key, then left row, then right row — a run's cross product in
-    the order the run-by-run merge emits it."""
-    lo = np.searchsorted(right_keys, left_keys, side="left")
-    hi = np.searchsorted(right_keys, left_keys, side="right")
-    total = int((hi - lo).sum())
-    return left.take(np.repeat(np.arange(len(left_keys)), hi - lo)) \
-        .merged_with(right.take(_concat_ranges(lo, hi, total)))
+    def _run(self) -> dict:
+        left, right = self._left.run(), self._right.run()
+        return {name: Slots(column.segments + right[name].segments)
+                if isinstance(column, Slots)
+                else np.concatenate((column, right[name]))
+                for name, column in left.items() if name in right}
 
 
 class MergeJoin(Operator):
@@ -593,52 +452,32 @@ class MergeJoin(Operator):
     the items of its key columns ``left_column``/``right_column``,
     whose order the plan verifier proves (or refutes) statically.
 
-    Both sides stream: one batch per side is buffered, plus the
-    current equal-key run.  The keys below both batches' last key have
-    every row in the batches at hand and join in one vectorized step
-    (``np.searchsorted`` of one key array in the other); the run at
-    that key, which may continue in the next batches, merges row-run
-    by row-run.
+    One vectorized pass: each left key's run of equal right keys is
+    ``np.searchsorted`` of the left key array in the right one.  Rows
+    leave by key, then left row, then right row.
     """
 
     INPUTS = ("_left", "_right")
 
-    def __init__(self, left: Iterable[Row], right: Iterable[Row],
+    def __init__(self, left: Operator, right: Operator,
                  left_column: str, right_column: str):
         self._left = left
         self._right = right
         self.left_column = left_column
         self.right_column = right_column
 
-    def _batches(self, size: int) -> Iterator[RecordBatch]:
-        left = _BatchCursor(_input_batches(self._left, size),
-                            self.left_column)
-        right = _BatchCursor(_input_batches(self._right, size),
-                             self.right_column)
-        while left.ensure() and right.ensure():
-            # No row below the smaller last key is in a later batch.
-            bound = min(left.last_key(), right.last_key())
-            out = _equal_key_rows(*left.take_below(bound),
-                                  *right.take_below(bound))
-            for start in range(0, len(out), size):
-                yield out.slice(start, start + size)
-            # Both batches still hold their last key's rows.
-            left_key = left.current_key()
-            right_key = right.current_key()
-            if left_key < right_key:
-                left.skip_below(right_key)
-            elif right_key < left_key:
-                right.skip_below(left_key)
-            else:
-                left_run = left.take_run()
-                right_run = right.take_run()
-                n_left = len(left_run)
-                n_right = len(right_run)
-                out = left_run.take(
-                    np.repeat(np.arange(n_left), n_right)).merged_with(
-                    right_run.take(np.tile(np.arange(n_right), n_left)))
-                for start in range(0, n_left * n_right, size):
-                    yield out.slice(start, start + size)
+    def _run(self) -> dict:
+        left, right = self._left.run(), self._right.run()
+        left_keys = left[self.left_column]
+        right_keys = right[self.right_column]
+        lo = np.searchsorted(right_keys, left_keys, side="left")
+        hi = np.searchsorted(right_keys, left_keys, side="right")
+        left_rows = np.repeat(np.arange(len(left_keys)), hi - lo)
+        right_rows = _concat_ranges(lo, hi, len(left_rows))
+        return {**{name: column[left_rows]
+                   for name, column in left.items()},
+                **{name: column[right_rows]
+                   for name, column in right.items()}}
 
 
 class ThetaJoin:
@@ -649,8 +488,8 @@ class ThetaJoin:
     the sorted run, paired with their owning elements (``ascend``
     ``Parent`` gathers up).  A probe is one ``np.searchsorted`` per
     outer value; its slot range's length is the match count, its
-    ``owners`` slice the matches.  Not a stream: the evaluator probes
-    it once per outer binding or row.  :meth:`build` refuses — before
+    ``owners`` slice the matches.  Not an operator: the evaluator
+    probes it once per outer binding or row.  :meth:`build` refuses — before
     any counter — wherever position is not the comparison; callers then
     evaluate the condition per pair.  Once built, it is read-only.
     """
@@ -671,8 +510,8 @@ class ThetaJoin:
         self.owners: np.ndarray | None = None
 
     def inputs(self) -> list:
-        """No input stream: the plan views (EXPLAIN, the verifier) see
-        a leaf."""
+        """No input: the plan views (EXPLAIN, the verifier) see a
+        leaf."""
         return []
 
     def numeric_ordered(self) -> bool:
@@ -752,7 +591,7 @@ class ColumnCompare(Operator):
                                (self.left, self.right), self._ascend)]
         return None not in self._sides
 
-    def _batches(self, size: int) -> Iterator[RecordBatch]:
+    def _run(self) -> dict:
         if not self.build():
             raise QueryTypeError(
                 "ColumnCompare needs numeric record containers with a "
@@ -763,11 +602,8 @@ class ColumnCompare(Operator):
             left_owners, right_owners, assume_unique=True,
             return_indices=True)
         # The product the reference computes, in float64.
-        ids = owners[_COMPARE[self.op](left[at_left],
-                                       self.scale * right[at_right])]
-        for start in range(0, len(ids), size):
-            yield RecordBatch({
-                self.column: NodeColumn(ids[start:start + size])})
+        return {self.column: owners[_COMPARE[self.op](
+            left[at_left], self.scale * right[at_right])]}
 
 
 def _owned_values(containers, ascend: int, parents: np.ndarray):
@@ -796,20 +632,21 @@ class Sort(Operator):
 
     INPUTS = ("_source",)
 
-    def __init__(self, source: Iterable[Row], columns: tuple[str, ...]):
+    def __init__(self, source: Operator, columns: tuple[str, ...]):
         self._source = source
         self.columns = tuple(columns)
 
-    def _batches(self, size: int) -> Iterator[RecordBatch]:
-        ordered = sorted(input_rows(self._source, size),
-                         key=lambda row: [row[c] for c in self.columns])
-        return batches_from_rows(ordered, size)
+    def _run(self) -> dict:
+        columns = self._source.run()
+        # lexsort's last key is the most significant; it is stable.
+        order = np.lexsort([columns[name] for name in self.columns[::-1]])
+        return {name: column[order] for name, column in columns.items()}
 
 
 # -- decompression ---------------------------------------------------------------
 
 class Decompress(Operator):
-    """Replace a compressed column with its decoded string value.
+    """Replace a compressed column with its decoded string values.
 
     Values stay compressed through selections and joins; a plan
     decodes only what it must compare across compressed domains — a
@@ -819,19 +656,28 @@ class Decompress(Operator):
 
     INPUTS = ("_source",)
 
-    def __init__(self, source: Iterable[Row], columns: list[str]):
+    def __init__(self, source: Operator, columns: list[str]):
         self._source = source
         self.columns = tuple(columns)
 
-    def _batches(self, size: int) -> Iterator[RecordBatch]:
+    def _run(self) -> dict:
         stats = STATS.get()
-        for batch in _input_batches(self._source, size):
-            columns = batch.columns()
-            for name in self.columns:
-                # A NodeColumn holds nothing compressed to decode.
-                if isinstance(columns.get(name), (ValueColumn, ItemColumn)):
-                    columns[name] = ItemColumn([
-                        item.decode(stats)
-                        if isinstance(item, CompressedItem) else item
-                        for item in columns[name].to_items()])
-            yield RecordBatch(columns, len(batch))
+        columns = dict(self._source.run())
+        for name in self.columns:
+            column = columns.get(name)
+            if isinstance(column, Slots):
+                values = []
+                for container, slots in column.segments:
+                    records = container.as_arrays().records
+                    values += [container.codec.decode(
+                        records[slot].compressed) for slot in slots.tolist()]
+                _count("decompressions", len(values))
+            elif column is not None and column.dtype == object:
+                # A blob container's items, or values already decoded.
+                values = [item.decode(stats)
+                          if isinstance(item, CompressedItem) else item
+                          for item in column]
+            else:  # absent, or a node column: nothing to decode
+                continue
+            columns[name] = np.array(values, dtype=object)
+        return columns

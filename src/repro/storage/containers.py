@@ -184,7 +184,7 @@ class SubstringIndex:
 
 
 class ContainerArrays:
-    """Array-shaped view of a sealed container (batch engine input).
+    """Array-shaped view of a sealed container (the operators' input).
 
     ``parent_ids``
         int64 array of parent pointers, in value order (slot *i* of
@@ -590,8 +590,8 @@ class ValueContainer:
         """Slot range ``[start, end)`` of the interval, or ``None``.
 
         The positional core of :meth:`interval_search` (same bound
-        semantics) and ``ContAccess``'s probe — the batch engine turns
-        the range into a boolean mask over record slots.  ``None`` means the container is a blob and has no
+        semantics) and ``ContAccess``'s probe, whose rows are the range's
+        slots.  ``None`` means the container is a blob and has no
         positional access path.
         """
         self._require_sealed()

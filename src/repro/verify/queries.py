@@ -421,7 +421,8 @@ def _rows(rng: random.Random) -> str:
     Q9's two chained equality joins in a ``let`` written as constructor
     content; empty content (``<r/>``) beside an empty string
     (``<r></r>``); attributes over multi-valued paths (the values
-    space-joined); a ``let`` both counted and written, and an outer
+    space-joined); text after an enclosed expression, in an attribute
+    and in content; a ``let`` both counted and written, and an outer
     name bound again inside — both per binding."""
     person = "/site/people/person"
     return rng.choice((
@@ -434,6 +435,8 @@ def _rows(rng: random.Random) -> str:
         '<r>{""}</r><r>{$p/phone/text()}</r><r/></o>',
         f'for $p in {person} return <r a="{{$p/phone/text()}}" '
         'b="{$p/interest/@category} x">{$p/interest/@category}</r>',
+        f"for $p in {person} return <r>{{$p/name/text()}} has "
+        "{count($p/watches/watch)} watches</r>",
         "for $c in /site/categories/category let $a := for $p in "
         f"{person} where $p/interest/@category = $c/@id "
         "return <i>{$p/name/text()}</i> "

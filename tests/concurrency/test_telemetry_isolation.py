@@ -36,7 +36,7 @@ TIMEOUT = 30
 
 def test_untraced_thread_never_reports_into_a_traced_run():
     """Thread A holds its traced run mid-evaluation while thread B
-    pulls a ``ContScan`` untraced: none of B's rows reach A."""
+    runs a ``ContScan`` untraced: none of B's rows reach A."""
     repository = load_document(DOC)
     container = repository.container("/r/a/x/#text")
     a_evaluating = threading.Event()
@@ -60,7 +60,7 @@ def test_untraced_thread_never_reports_into_a_traced_run():
     def thread_b():
         assert a_evaluating.wait(TIMEOUT), "thread A never paused"
         scan = ContScan(repository, "/r/a/y/#text", "id", "v")
-        outcome["b"] = sum(len(batch) for batch in scan.batches())
+        outcome["b"] = len(scan.run()["id"])
         b_done.set()
 
     workers = [threading.Thread(target=thread_a),

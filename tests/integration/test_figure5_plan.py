@@ -19,7 +19,6 @@ import pytest
 
 from repro.baselines.galax import GalaxEngine
 from repro.lint.plan import verify_plan
-from repro.query.context import EvaluationStats
 from repro.query.engine import QueryEngine
 from repro.query.physical import (
     ContScan,
@@ -99,7 +98,6 @@ class TestFigure5Plan:
 
     def test_merge_join_needs_no_sort(self, repo):
         """Container scans arrive in value order (the §4 property)."""
-        stats = EvaluationStats()
-        keys = [row["person_id"].decode(stats) for row in
-                ContScan(repo, PERSON_ID, "n", "person_id")]
+        keys = Decompress(ContScan(repo, PERSON_ID, "n", "person_id"),
+                          ["person_id"]).run()["person_id"].tolist()
         assert keys == sorted(keys)

@@ -170,10 +170,9 @@ class TestSelectionSketch:
                             built.append(assign(*args)) or built[-1])
         monkeypatch.setattr("repro.query.engine.verify_plan", lambda tree:
                             walked.append(tree) or verify_plan(tree))
-        batches = physical.Operator.batches
-        monkeypatch.setattr(physical.Operator, "batches",
-                            lambda self, *args:
-                            pulled.append(self) or batches(self, *args))
+        operator_run = physical.Operator.run
+        monkeypatch.setattr(physical.Operator, "run", lambda self:
+                            pulled.append(self) or operator_run(self))
         engine = QueryEngine(build_repo("alm"))
         prepared = engine.prepare(
             'for $b in /lib/b[u/text() >= "uri02"] where '

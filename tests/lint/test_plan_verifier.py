@@ -31,8 +31,8 @@ from repro.query.physical import (
     StructureSummaryAccess,
     ThetaJoin,
 )
-from repro.query.context import NodeItem
 from repro.storage.loader import load_document
+from tests.query.test_physical import Literal
 
 TITLE = "/lib/b/t/#text"
 URI = "/lib/b/u/#text"
@@ -110,9 +110,8 @@ class TestContSubstring:
         plan = NodeSet(ContSubstring(repo, URI, "b", "uri", "uri0"),
                        None, "b")
         assert verify_plan(plan) == []
-        assert [row["b"].node_id for row in plan] == \
-            sorted(row["b"].node_id for row in plan)
-        assert len(plan.rows()) == 10
+        ids = plan.run()["b"].tolist()
+        assert ids == sorted(ids) and len(ids) == 10
 
     @pytest.mark.parametrize("path,needle", [(NOTE, "note"), (URI, "ur"),
                                              (URI, "")])
@@ -126,7 +125,7 @@ class TestContSubstring:
             ["plan.substring-not-indexable"]
         assert path in diagnostics[0].message
         with pytest.raises(QueryTypeError):
-            plan.rows()
+            plan.run()
 
 
     def test_exact_access_under_first_hit_accepted(self, repo):
@@ -134,7 +133,7 @@ class TestContSubstring:
                                       exact=True),
                         repo, [(URI, 0)], "b", "uri")
         assert verify_plan(plan) == []
-        assert len(plan.rows()) == 10
+        assert len(plan.run()["b"]) == 10
 
     @pytest.mark.parametrize("needle,function,rules", [
         ("uri0", "word-contains", ["plan.substring-inexact"]),
@@ -177,8 +176,7 @@ class TestColumnCompare:
         plan = ColumnCompare(repo, ["/r/a/n/#text"], 1, ["/r/a/m/#text"],
                              1, ">=", 2.0, "a")
         assert verify_plan(plan) == []
-        assert plan.build() and \
-            plan.rows() == [{"a": NodeItem(1)}, {"a": NodeItem(4)}]
+        assert plan.build() and plan.run()["a"].tolist() == [1, 4]
 
     @pytest.mark.parametrize("path", [TITLE, URI, NOTE])
     def test_side_without_numeric_order_rejected(self, repo, path):
@@ -230,9 +228,9 @@ class TestSchemaChecks:
         assert "no_such_column" in diagnostics[0].message
 
     def test_open_schema_suppresses_unknown_column(self, repo):
-        """A plain-list input is untyped: no false positives."""
-        rows = [{"anything": 1}]
-        plan = Sort(rows, ("anything",))
+        """An unknown operator's output is untyped: no false
+        positives."""
+        plan = Sort(Literal(anything=[1]), ("anything",))
         assert verify_plan(plan) == []
 
     def test_operator_path_locates_the_offender(self, repo):

@@ -26,7 +26,7 @@ class TestOperatorInvariants:
     def test_missing_rows_reported(self, tmp_path):
         write(tmp_path, "ops.py", """\
             class Operator:
-                def _batches(self, size):
+                def _run(self):
                     raise NotImplementedError
 
             class Broken(Operator):
@@ -38,30 +38,31 @@ class TestOperatorInvariants:
         assert "Broken" in diagnostics[0].message
 
     def test_iter_override_reported(self, tmp_path):
+        """Overriding ``run`` bypasses the base's telemetry span."""
         write(tmp_path, "ops.py", """\
             class Operator:
-                def _batches(self, size):
+                def _run(self):
                     raise NotImplementedError
 
             class Sneaky(Operator):
-                def _batches(self, size):
-                    return iter(())
+                def _run(self):
+                    return {}
 
-                def __iter__(self):
-                    return iter(())
+                def run(self):
+                    return {}
             """)
         assert rules_of(lint_paths([tmp_path])) == \
             ["src.operator-iter-override"]
 
     def test_rows_only_operator_reported(self, tmp_path):
-        """A ``_rows`` method is not the protocol: same error."""
+        """A ``_batches`` generator is not the protocol: same error."""
         write(tmp_path, "ops.py", """\
             class Operator:
-                def _batches(self, size):
+                def _run(self):
                     raise NotImplementedError
 
             class Legacy(Operator):
-                def _rows(self):
+                def _batches(self, size):
                     return iter(())
             """)
         diagnostics = lint_paths([tmp_path])
@@ -72,12 +73,12 @@ class TestOperatorInvariants:
     def test_conforming_operator_is_clean(self, tmp_path):
         write(tmp_path, "ops.py", """\
             class Operator:
-                def _batches(self, size):
+                def _run(self):
                     raise NotImplementedError
 
             class Fine(Operator):
-                def _batches(self, size):
-                    return iter(())
+                def _run(self):
+                    return {}
             """)
         assert lint_paths([tmp_path]) == []
 
@@ -133,12 +134,12 @@ class TestRawDecode:
     def test_decode_in_operator_body_reported(self, tmp_path):
         write(tmp_path, "query/physical.py", """\
             class Operator:
-                def _batches(self, size):
+                def _run(self):
                     raise NotImplementedError
 
             class Leaky(Operator):
-                def _batches(self, size):
-                    yield {"v": self._codec.decode(b"x")}
+                def _run(self):
+                    return {"v": self._codec.decode(b"x")}
             """)
         diagnostics = lint_paths([tmp_path])
         assert rules_of(diagnostics) == ["src.raw-decode"]
@@ -147,16 +148,16 @@ class TestRawDecode:
     def test_sanctioned_sites_accepted(self, tmp_path):
         write(tmp_path, "query/physical.py", """\
             class Operator:
-                def _batches(self, size):
+                def _run(self):
                     raise NotImplementedError
 
             class Decompress(Operator):
-                def _batches(self, size):
-                    yield {"v": self._codec.decode(b"x")}
+                def _run(self):
+                    return {"v": self._codec.decode(b"x")}
 
             class TextContent(Operator):
-                def _batches(self, size):
-                    yield {"v": self._codec.decode(b"x")}
+                def _run(self):
+                    return {"v": self._codec.decode(b"x")}
             """)
         # Decompress is the one sanctioned site.
         diagnostics = lint_paths([tmp_path])
@@ -166,12 +167,12 @@ class TestRawDecode:
     def test_decode_outside_physical_py_not_flagged(self, tmp_path):
         write(tmp_path, "storage.py", """\
             class Operator:
-                def _batches(self, size):
+                def _run(self):
                     raise NotImplementedError
 
             class Container(Operator):
-                def _batches(self, size):
-                    yield self._codec.decode(b"x")
+                def _run(self):
+                    return self._codec.decode(b"x")
             """)
         assert lint_paths([tmp_path]) == []
 

@@ -6,11 +6,18 @@ from repro.obs.telemetry import Telemetry, span_on
 from repro.obs.tracer import NOOP_SPAN
 
 
+def _finished(telemetry, name, start_ns, end_ns, **attributes):
+    """One finished span over a set interval."""
+    with telemetry.span(name, **attributes) as span:
+        pass
+    span.start_ns, span.end_ns = start_ns, end_ns
+
+
 def _profile(durations, name="Op", **attributes):
     """The profile row of finished spans of the given durations."""
     telemetry = Telemetry()
     for duration in durations:
-        telemetry.tracer.record(name, 1000, 1000 + duration, **attributes)
+        _finished(telemetry, name, 1000, 1000 + duration, **attributes)
     return telemetry.operator_profile()[name]
 
 
@@ -68,9 +75,9 @@ class TestProfileSummary:
         assert row["max"] == 100
 
     def test_summary_fields(self):
-        row = _profile((3, 1, 2), rows=4, batches=1)
+        row = _profile((3, 1, 2), rows=4)
         assert row == {"count": 3, "total": 6, "max": 3, "p50": 2,
-                       "p95": 3, "p99": 3, "rows": 12, "batches": 3}
+                       "p95": 3, "p99": 3, "rows": 12}
 
     def test_order_independent(self):
         assert _profile((5, 1, 9, 3)) == _profile((9, 5, 3, 1))
@@ -140,7 +147,7 @@ class TestDeterministicExport:
         def run():
             telemetry = Telemetry()
             telemetry.stats.decompressions = 5
-            telemetry.tracer.record("Select", 0, 100, rows=3, batches=1)
+            _finished(telemetry, "Select", 0, 100, rows=3)
             return telemetry.to_json(indent=2)
 
         assert run() == run()

@@ -170,6 +170,19 @@ class TestConstructors:
             "<out>{for $x in /a/b return $x/text()}</out>")
         assert isinstance(ast.content[0], FLWOR)
 
+    def test_attribute_text_after_expression_kept_whole(self):
+        ast = parse_query('<r b="{1} x { 2 }  y"/>')
+        (_, parts), = ast.attributes
+        assert [part.value for part in parts
+                if isinstance(part, TextLiteral)] == [" x ", "  y"]
+
+    def test_content_text_after_expression_keeps_its_whitespace(self):
+        ast = parse_query("<r>{1} y {2}  {3}\n z</r>")
+        assert [part.value for part in ast.content
+                if isinstance(part, TextLiteral)] == [" y ", "\n z"]
+        # Whitespace-only text between two expressions is dropped.
+        assert len(ast.content) == 5
+
 
 class TestErrors:
     @pytest.mark.parametrize("text", [

@@ -57,8 +57,8 @@ class TestExecute:
         assert session.metrics.counters()["session.executions"] == 2
 
     def test_untraced_runs_leave_no_histograms(self, session):
-        """The serving registry counts; per-operator records (spans,
-        rows, batches) exist only in a traced run's own telemetry."""
+        """The serving registry counts; per-operator records (spans and
+        their rows) exist only in a traced run's own telemetry."""
         session.execute(QUERY)
         session.execute_many([QUERY, "/library/book/title"] * 2,
                              max_workers=2)

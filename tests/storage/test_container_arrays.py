@@ -1,4 +1,4 @@
-"""The container array view backing the batch engine (DESIGN.md §13).
+"""The container array view backing the array operators (DESIGN.md §13).
 
 ``as_arrays()`` caching, ``interval_positions``
 parity with the scalar ``interval_search``, the vectorized codec
