@@ -13,8 +13,8 @@ Commands mirror how the paper's system is used:
 * ``decompress`` — reconstruct the XML document from a repository;
 * ``lint-plan``  — statically verify the plans a query would run as;
 * ``lint-src``   — check engine-wide source invariants (Tier B lint);
-* ``lint-concurrency`` — check lock discipline: acquisition order,
-  release guarantees, guarded fields (Tier C lint);
+* ``lint-concurrency`` — check lock discipline: no nested
+  acquisition, release guarantees, guarded fields (Tier C lint);
 * ``verify``     — differential correctness oracle: compressed-domain
   evaluation vs a decompress-first reference (CI ``verify-oracle``);
 * ``xmlgen``     — generate an XMark auction document.
@@ -39,7 +39,7 @@ from repro.util.text import table
 from repro.xmark.generator import generate_xmark
 
 #: set by SIGINT/SIGTERM to stop a running ``repro serve`` loop; a
-#: module constant so the Tier-C inventory and watchdog can see it.
+#: module constant so the Tier-C inventory can see it.
 _SERVE_STOP = threading.Event()
 
 
@@ -129,14 +129,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_conc = commands.add_parser(
         "lint-concurrency",
-        help="check lock discipline: acquisition order, release "
+        help="check lock discipline: no nested acquisition, release "
              "guarantees, guarded fields (Tier C lint)")
     lint_conc.add_argument("paths", type=Path, nargs="*",
                            help="files/directories to lint (default: "
                                 "the installed repro package)")
     lint_conc.add_argument("--json", action="store_true",
                           help="emit the full report (inventory, "
-                               "edges, levels, diagnostics) as JSON")
+                               "nestings, diagnostics) as JSON")
 
     verify = commands.add_parser(
         "verify",
@@ -448,7 +448,7 @@ def _cmd_lint_concurrency(args, out) -> int:
         print(f"{len(report.diagnostics)} diagnostic(s); "
               f"{len(report.primitives)} primitive(s) "
               f"({locks} locks), "
-              f"{len(report.edges)} acquisition edge(s)", file=out)
+              f"{len(report.edges)} nested acquisition(s)", file=out)
     return 0 if report.ok else 1
 
 

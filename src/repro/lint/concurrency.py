@@ -1,23 +1,21 @@
 """Tier C: whole-program lock-discipline analysis.
 
-The serving layer (PR 4) and the observability stack (PRs 1/6) hold
-roughly twenty ``threading`` primitives across nine modules; ROADMAP
-item 3 (sharded multi-process serving) will multiply that surface.
-This pass makes the locking *discipline* machine-checked, the way
-Tier A checks plans and Tier B checks source invariants:
+The serving plane holds a dozen ``threading`` primitives across its
+caches, metrics, slow log and shard coordinator.  Its lock hierarchy is
+flat, and this pass keeps it flat, the way Tier A checks plans and
+Tier B checks source invariants:
 
 * **inventory** — every ``threading.Lock/RLock/Event/Condition/
   Semaphore/Thread`` created under the linted tree, identified as
   ``Class.attr`` (instance locks) or ``module:NAME`` (module-level
   locks);
-* **static lock-acquisition graph** — an edge ``A -> B`` whenever some
-  code path acquires ``B`` (via ``with`` nesting or a resolved method
-  call chain) while holding ``A``.  A cycle means two paths take the
-  same locks in opposite orders: a deadlock waiting for the right
-  interleaving (``conc.lock-order-cycle``).  The acyclic graph's
-  longest-path *levels* are the repo's documented lock hierarchy, and
-  :meth:`ConcurrencyReport.static_edges` feeds the runtime
-  :class:`~repro.obs.lockwatch.LockOrderWatchdog` cross-check;
+* **no nesting** — no lock is acquired while another is held, either
+  directly (``with`` / ``acquire()`` nesting) or through a resolved
+  call chain (a may-acquire fixpoint over the call graph)
+  (``conc.nested-lock``).  Two locks never held together cannot be
+  taken in opposite orders, so no deadlock needs an order to be
+  chosen.  Re-entering an ``RLock`` is allowed; re-acquiring a held
+  non-reentrant lock is ``conc.self-deadlock``;
 * **release discipline** — a bare ``lock.acquire()`` whose release is
   not guaranteed on exception paths (``with`` or an immediately
   following ``try/finally: release()``) is flagged
@@ -48,7 +46,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from repro.lint.diagnostics import SourceDiagnostic
 
@@ -58,9 +56,9 @@ PRIMITIVE_KINDS = frozenset({
     "Event", "Barrier", "Thread",
 })
 
-#: the subset that participates in the acquisition graph.  A
-#: ``Condition`` is entered with ``with`` like a lock and is checked
-#: as a plain one: re-entering it counts as a self-deadlock.
+#: the subset the nesting rule applies to.  A ``Condition`` is
+#: entered with ``with`` like a lock and is checked as a plain one:
+#: re-entering it counts as a self-deadlock.
 LOCK_KINDS = frozenset({"Lock", "RLock", "Condition"})
 
 #: kinds a thread may legally re-acquire while holding.
@@ -95,10 +93,10 @@ class Primitive:
                 "file": self.file, "line": self.line}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class LockEdge:
-    """``source`` is held at ``file:line`` when ``target`` is acquired
-    (``via`` names the function whose acquisition closes the edge)."""
+    """A nesting: ``source`` is held at ``file:line`` when ``target``
+    is acquired (``via`` names the function that acquires it)."""
 
     source: str
     target: str
@@ -116,23 +114,19 @@ class ConcurrencyReport:
     """Everything the Tier-C pass knows about the linted tree."""
 
     primitives: list[Primitive]
+    #: the nestings found; each is also a ``conc.nested-lock``
+    #: diagnostic, so a clean tree has none.
     edges: list[LockEdge]
-    levels: dict[str, int]
     diagnostics: list[SourceDiagnostic]
 
     @property
     def ok(self) -> bool:
         return not any(d.severity == "error" for d in self.diagnostics)
 
-    def static_edges(self) -> set[tuple[str, str]]:
-        """The acquisition-order edges, for the runtime watchdog."""
-        return {(edge.source, edge.target) for edge in self.edges}
-
     def to_dict(self) -> dict[str, object]:
         return {
             "primitives": [p.to_dict() for p in self.primitives],
             "edges": [e.to_dict() for e in self.edges],
-            "levels": dict(sorted(self.levels.items())),
             "diagnostics": [d.to_dict() for d in self.diagnostics],
             "ok": self.ok,
         }
@@ -186,7 +180,7 @@ class _Class:
             else base.attr if isinstance(base, ast.Attribute) else ""
             for base in node.bases)
         self.methods: dict[str, _AnyFunc] = {}
-        #: lock-like attributes only (participate in the graph).
+        #: lock-like attributes only (the nesting rule's subjects).
         self.locks: dict[str, Primitive] = {}
         #: every inventoried primitive attribute (threads/events too).
         self.primitives: dict[str, Primitive] = {}
@@ -219,9 +213,9 @@ class _Analysis:
         self.may_acquire: dict[str, set[str]] = {}
         #: all (caller, callee, held, file, line) call observations.
         self.calls: list[tuple[str, str, tuple[str, ...], str, int]] = []
-        #: direct with-nesting edges.
-        self.edges: dict[tuple[str, str], LockEdge] = {}
-        #: identity -> Primitive for every lock in the graph.
+        #: every acquisition made while another lock is held.
+        self.edges: set[LockEdge] = set()
+        #: identity -> Primitive for every inventoried lock.
         self.locks_by_identity: dict[str, Primitive] = {}
 
 
@@ -680,11 +674,9 @@ class _Scanner:
                         "already held on this path"))
             return held
         for holder in held:
-            edge = (holder, identity)
-            if edge not in self.analysis.edges:
-                self.analysis.edges[edge] = LockEdge(
-                    holder, identity, str(self.module.path), lineno,
-                    self.function.funcid)
+            self.analysis.edges.add(LockEdge(
+                holder, identity, str(self.module.path), lineno,
+                self.function.funcid))
         return held + (identity,)
 
     def _walk_stmt(self, stmt: ast.stmt,
@@ -845,7 +837,7 @@ class _Scanner:
         return False
 
 
-# -- graph closure ------------------------------------------------------------
+# -- call closure -------------------------------------------------------------
 
 
 def _fixpoint_may_acquire(analysis: _Analysis,
@@ -868,7 +860,7 @@ def _fixpoint_may_acquire(analysis: _Analysis,
     analysis.may_acquire = may
 
 
-def _close_call_edges(analysis: _Analysis) -> None:
+def _check_calls(analysis: _Analysis) -> None:
     for caller, callee, held, file, line in analysis.calls:
         callee_function = analysis.functions.get(callee)
         if callee_function is not None:
@@ -896,97 +888,8 @@ def _close_call_edges(analysis: _Analysis) -> None:
                                 f"calling {callee}, which may "
                                 "acquire it again (non-reentrant)"))
                     continue
-                edge = (holder, target)
-                if edge not in analysis.edges:
-                    analysis.edges[edge] = LockEdge(
-                        holder, target, file, line, callee)
-
-
-def _find_cycles(edges: dict[tuple[str, str], LockEdge]
-                 ) -> list[list[str]]:
-    """Strongly connected components with >= 2 nodes (cycles)."""
-    graph: dict[str, list[str]] = {}
-    for source, target in edges:
-        graph.setdefault(source, []).append(target)
-        graph.setdefault(target, [])
-    index_counter = 0
-    indices: dict[str, int] = {}
-    lowlinks: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    cycles: list[list[str]] = []
-
-    for root in sorted(graph):
-        if root in indices:
-            continue
-        work: list[tuple[str, Iterator[str]]] = \
-            [(root, iter(graph[root]))]
-        indices[root] = lowlinks[root] = index_counter
-        index_counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, successors = work[-1]
-            advanced = False
-            for successor in successors:
-                if successor not in indices:
-                    indices[successor] = lowlinks[successor] = \
-                        index_counter
-                    index_counter += 1
-                    stack.append(successor)
-                    on_stack.add(successor)
-                    work.append((successor, iter(graph[successor])))
-                    advanced = True
-                    break
-                if successor in on_stack:
-                    lowlinks[node] = min(lowlinks[node],
-                                         indices[successor])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlinks[parent] = min(lowlinks[parent],
-                                       lowlinks[node])
-            if lowlinks[node] == indices[node]:
-                component: list[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                if len(component) > 1:
-                    cycles.append(sorted(component))
-    return cycles
-
-
-def _levels(primitives: dict[str, Primitive],
-            edges: dict[tuple[str, str], LockEdge]) -> dict[str, int]:
-    """Longest-path level per lock: leaves (innermost) are level 0."""
-    graph: dict[str, list[str]] = {identity: []
-                                   for identity in primitives}
-    for source, target in edges:
-        graph.setdefault(source, []).append(target)
-        graph.setdefault(target, [])
-    levels: dict[str, int] = {}
-
-    def level_of(node: str, trail: set[str]) -> int:
-        if node in levels:
-            return levels[node]
-        if node in trail:
-            return 0  # cycle: reported separately.
-        trail.add(node)
-        successors = graph.get(node, [])
-        value = 0 if not successors else 1 + max(
-            level_of(successor, trail) for successor in successors)
-        trail.discard(node)
-        levels[node] = value
-        return value
-
-    for node in sorted(graph):
-        level_of(node, set())
-    return levels
+                analysis.edges.add(LockEdge(
+                    holder, target, file, line, callee))
 
 
 # -- entry point --------------------------------------------------------------
@@ -1053,33 +956,21 @@ def lint_concurrency(paths: Iterable[str | Path]
         scanner.scan()
         direct[funcid] = scanner.direct - set(function.assumed_held)
     _fixpoint_may_acquire(analysis, direct)
-    _close_call_edges(analysis)
+    _check_calls(analysis)
 
-    for cycle in _find_cycles(analysis.edges):
-        members = ", ".join(cycle)
-        witnesses = sorted(
-            f"{edge.source}->{edge.target} at "
-            f"{Path(edge.file).name}:{edge.line}"
-            for (source, target), edge in analysis.edges.items()
-            if source in cycle and target in cycle)
-        first = analysis.edges[next(
-            (source, target) for (source, target)
-            in sorted(analysis.edges)
-            if source in cycle and target in cycle)]
+    edges = sorted(analysis.edges)
+    for edge in edges:
         analysis.diagnostics.append(SourceDiagnostic.make(
-            "conc.lock-order-cycle", first.file, first.line,
-            f"lock-order cycle between {members}: "
-            + "; ".join(witnesses),
-            hint="pick one global order for these locks and "
-                 "restructure the inverted path"))
+            "conc.nested-lock", edge.file, edge.line,
+            f"{edge.target} is acquired (by {edge.via}) while "
+            f"{edge.source} is held",
+            hint="release the held lock first: no lock is taken "
+                 "while another is held"))
 
     analysis.primitives.sort(key=lambda p: (p.file, p.line))
     analysis.diagnostics.sort(key=lambda d: (d.file, d.line, d.rule))
-    edges = sorted(analysis.edges.values(),
-                   key=lambda e: (e.source, e.target))
     return ConcurrencyReport(
         primitives=analysis.primitives,
         edges=edges,
-        levels=_levels(analysis.locks_by_identity, analysis.edges),
         diagnostics=analysis.diagnostics,
     )

@@ -102,13 +102,12 @@ _ALL: tuple[Rule, ...] = (
     Rule("src.untracked-threading-primitive", "error",
          "threading primitive created outside the inventoried "
          "positions (module constant, class-body constant or "
-         "self-attribute) — invisible to the Tier-C lock analysis "
-         "and the runtime watchdog",
+         "self-attribute) — invisible to the Tier-C lock analysis",
          "concurrency discipline (PR 7)"),
     # -- Tier C: concurrency lint ---------------------------------------------
-    Rule("conc.lock-order-cycle", "error",
-         "cycle in the static lock-acquisition graph: two code paths "
-         "acquire the same locks in opposite orders (deadlock)",
+    Rule("conc.nested-lock", "error",
+         "a lock is acquired, directly or through a resolved call, "
+         "while another lock is held (the hierarchy is flat)",
          "concurrency discipline (PR 7)"),
     Rule("conc.self-deadlock", "error",
          "a non-reentrant lock may be acquired again while already "

@@ -301,8 +301,8 @@ def _check_threading_primitives(file: Path, tree: ast.Module
     class-body constant, a ``self.attr = ...`` assignment, or a local
     variable the same function then publishes as ``self.attr =
     name``.  Anything else (a lock born inside a loop, passed straight
-    into a call, stuffed in a dict) is invisible to the static lock
-    graph and the runtime watchdog.
+    into a call, stuffed in a dict) is invisible to the lock
+    analysis.
     """
     calls = _threading_calls(tree)
     if not calls:
@@ -356,7 +356,7 @@ def _check_threading_primitives(file: Path, tree: ast.Module
                 "inventoried positions",
                 hint="bind it as a module constant, class-body "
                      "constant or self-attribute so the Tier-C lock "
-                     "analysis and the watchdog can see it"))
+                     "analysis can see it"))
     return diagnostics
 
 

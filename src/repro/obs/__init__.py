@@ -18,11 +18,7 @@ never import it; a run's access counts are its ``EvaluationStats``):
   *traced* query run: its spans, its ``EvaluationStats`` and its plan
   diagnostics; per-operator profiles are read off the spans, and the
   record is JSON-exportable (``to_json``) for the ``repro trace``
-  CLI;
-* :class:`~repro.obs.lockwatch.LockOrderWatchdog` — opt-in runtime
-  recorder of per-thread lock acquisition orders, cross-checked
-  against the Tier-C static acquisition graph
-  (:mod:`repro.lint.concurrency`).
+  CLI.
 """
 
 from repro.obs.export import (
@@ -30,12 +26,6 @@ from repro.obs.export import (
     render_prometheus,
 )
 from repro.obs.journal import WorkloadJournal
-from repro.obs.lockwatch import (
-    LockOrderViolation,
-    LockOrderWatchdog,
-    WatchedLock,
-    watch_session,
-)
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -48,14 +38,10 @@ __all__ = [
     "Counter",
     "Gauge",
     "PROMETHEUS_CONTENT_TYPE",
-    "LockOrderViolation",
-    "LockOrderWatchdog",
     "MetricsRegistry",
     "Span",
     "Telemetry",
     "Tracer",
-    "WatchedLock",
     "WorkloadJournal",
     "render_prometheus",
-    "watch_session",
 ]

@@ -2,11 +2,12 @@
 
 ``explain(prepared)`` renders a
 :class:`~repro.query.engine.PreparedPlan` as indented text.  It walks
-the query's skeleton — for/let, order by, return, constructors and
-function calls — and prints, under each for-clause, the operator tree
-that the clause's :class:`~repro.query.optimizer.BoundClause` runs: one
-line per operator, its inputs indented below it, then a ``Select per
-binding`` line for each conjunct left to per-binding checks.  A path
+the query's skeleton — for/let, order by, return, constructors,
+function calls, arithmetic, and/or and sequences — and prints, under
+each for-clause, the operator tree that the clause's
+:class:`~repro.query.optimizer.BoundClause` runs: one line per
+operator, its inputs indented below it, then a ``Select per binding``
+line for each conjunct left to per-binding checks.  A path
 prints its bound ``Projection`` or summary access, else ``navigate``.
 It plans, binds and classifies nothing itself: each caller passes the
 plan it already holds, so a plan with error diagnostics renders too.
@@ -26,6 +27,7 @@ from repro.query.ast import (
     Logical,
     NumberLiteral,
     PathExpr,
+    SequenceExpr,
     StringLiteral,
     VarRef,
 )
@@ -66,6 +68,14 @@ def _explain(expr: Expression, lines: list[str], depth: int,
         for arg in expr.args:
             if isinstance(arg, (FLWOR, PathExpr)):
                 _explain(arg, lines, depth + 1, plans, bound)
+    elif isinstance(expr, (Arithmetic, Logical)):
+        _emit(lines, depth, f"{type(expr).__name__.lower()} {expr.op}")
+        for operand in (expr.left, expr.right):
+            _explain(operand, lines, depth + 1, plans, bound)
+    elif isinstance(expr, SequenceExpr):
+        _emit(lines, depth, "sequence")
+        for item in expr.items:
+            _explain(item, lines, depth + 1, plans, bound)
     elif isinstance(expr, Comparison):
         _emit(lines, depth, f"compare {expr.op}")
 

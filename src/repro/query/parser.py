@@ -338,8 +338,15 @@ class _Parser:
     # -- direct constructors (raw scanning + {expr} re-entry) ------------------
 
     def _parse_constructor(self) -> ElementConstructor:
+        end, constructor = self._scan_constructor(self.lexer.mark())
+        self.lexer.reset(end)
+        return constructor
+
+    def _scan_constructor(self, pos: int
+                          ) -> tuple[int, ElementConstructor]:
+        """The constructor starting at raw position ``pos``, and the
+        raw position just after it."""
         text = self.lexer.text
-        pos = self.lexer.mark()
         if text[pos] != "<":
             raise QuerySyntaxError("expected '<'", pos)
         i = pos + 1
@@ -350,8 +357,8 @@ class _Parser:
             if i >= len(text):
                 raise QuerySyntaxError("unterminated constructor", pos)
             if text.startswith("/>", i):
-                self.lexer.reset(i + 2)
-                return ElementConstructor(name, tuple(attributes), ())
+                return i + 2, ElementConstructor(name, tuple(attributes),
+                                                 ())
             if text[i] == ">":
                 i += 1
                 break
@@ -380,13 +387,13 @@ class _Parser:
                     raise QuerySyntaxError(
                         f"end tag </{end_name}> does not match "
                         f"<{name}>", i)
-                self.lexer.reset(i + 1)
-                return ElementConstructor(name, tuple(attributes),
-                                          tuple(content))
+                return i + 1, ElementConstructor(name, tuple(attributes),
+                                                 tuple(content))
             if text[i] == "<":
-                self.lexer.reset(i)
-                content.append(self._parse_constructor())
-                i = self.lexer.mark()
+                # Resume at the raw end: mark() would skip the
+                # whitespace the next text starts with.
+                i, nested = self._scan_constructor(i)
+                content.append(nested)
                 continue
             if text[i] == "{":
                 self.lexer.reset(i + 1)

@@ -422,8 +422,9 @@ def _rows(rng: random.Random) -> str:
     content; empty content (``<r/>``) beside an empty string
     (``<r></r>``); attributes over multi-valued paths (the values
     space-joined); text after an enclosed expression, in an attribute
-    and in content; a ``let`` both counted and written, and an outer
-    name bound again inside — both per binding."""
+    and in content, and after a nested constructor; a ``let`` both
+    counted and written, and an outer name bound again inside — both
+    per binding."""
     person = "/site/people/person"
     return rng.choice((
         f"for $p in {person} let $a := for $t in "
@@ -437,6 +438,8 @@ def _rows(rng: random.Random) -> str:
         'b="{$p/interest/@category} x">{$p/interest/@category}</r>',
         f"for $p in {person} return <r>{{$p/name/text()}} has "
         "{count($p/watches/watch)} watches</r>",
+        f"for $p in {person} return <r><n>{{$p/name/text()}}</n> has "
+        "{count($p/watches/watch)}<w/> watches</r>",
         "for $c in /site/categories/category let $a := for $p in "
         f"{person} where $p/interest/@category = $c/@id "
         "return <i>{$p/name/text()}</i> "

@@ -17,6 +17,9 @@ Every wait carries a timeout — a worker that cannot reach its next
 checkpoint (deadlock) fails the test with a diagnosis instead of
 hanging the suite (CI additionally runs this under ``faulthandler``
 with a hard external timeout).
+
+:class:`NestingProbe` checks the serving plane's flat lock rule at run
+time: no thread takes one watched lock while it holds another.
 """
 
 from __future__ import annotations
@@ -118,3 +121,79 @@ class InterleavingScheduler:
         for name in sorted(self._errors):
             raise self._errors[name]
         return self.steps_granted
+
+
+class NestingProbe:
+    """Records every acquisition of a watched lock by a thread that
+    already holds another watched lock.
+
+    Usage::
+
+        with NestingProbe() as probe:
+            probe.watch(session.plan_cache, "_lock", "PlanCache._lock")
+            ...  # run the workload
+        assert probe.nestings == []
+
+    :meth:`watch` swaps ``obj.attr`` for a forwarding proxy (so watch
+    while the lock is free); leaving the ``with`` block puts the
+    originals back.  Re-entering a held ``RLock`` is no nesting.
+    """
+
+    def __init__(self) -> None:
+        #: (held, acquired, thread name), in the order seen.
+        self.nestings: list[tuple[str, str, str]] = []
+        self._held = threading.local()
+        self._originals: list[tuple[object, str, object]] = []
+
+    def watch(self, obj, attr: str, name: str) -> None:
+        original = getattr(obj, attr)
+        setattr(obj, attr, _ProbedLock(original, name, self))
+        self._originals.append((obj, attr, original))
+
+    def __enter__(self) -> "NestingProbe":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        while self._originals:
+            obj, attr, original = self._originals.pop()
+            setattr(obj, attr, original)
+
+    def _entered(self, name: str) -> None:
+        held = self._held.__dict__.setdefault("names", [])
+        for other in set(held) - {name}:
+            self.nestings.append(
+                (other, name, threading.current_thread().name))
+        held.append(name)
+
+    def _left(self, name: str) -> None:
+        self._held.names.remove(name)
+
+
+class _ProbedLock:
+    """Forwards the lock protocol (and a ``Condition``'s ``wait`` /
+    ``notify``) to the real primitive, telling the probe what the
+    calling thread holds."""
+
+    def __init__(self, inner, name: str, probe: NestingProbe):
+        self._inner = inner
+        self._name = name
+        self._probe = probe
+
+    def acquire(self, *args, **kwargs) -> bool:
+        acquired = self._inner.acquire(*args, **kwargs)
+        if acquired:
+            self._probe._entered(self._name)
+        return acquired
+
+    def release(self) -> None:
+        self._probe._left(self._name)
+        self._inner.release()
+
+    def __enter__(self) -> bool:
+        return self.acquire()
+
+    def __exit__(self, *exc_info) -> None:
+        self.release()
+
+    def __getattr__(self, attr: str):
+        return getattr(self._inner, attr)

@@ -3,31 +3,29 @@
 Each test drives Session / PlanCache / BlockCache / WorkloadJournal /
 MetricsRegistry from multiple workers under the deterministic
 :class:`~tests.concurrency.harness.InterleavingScheduler`, with a
-:class:`~repro.obs.lockwatch.LockOrderWatchdog` wrapping the
-inventoried locks.  The assertions are the Tier-C contract at runtime:
-no witnessed lock-order inversion, no observed order that inverts a
-static-graph edge, and no deadlock (the harness raises instead of
-hanging; CI adds ``faulthandler`` plus a hard timeout on top).
+:class:`~tests.concurrency.harness.NestingProbe` on the serving locks.
+The assertions are the Tier-C contract at run time: no thread takes
+one of those locks while it holds another, and no deadlock (the
+harness raises instead of hanging; CI adds ``faulthandler`` plus a
+hard timeout on top).  The shard coordinator's locks get the same
+probe under real threads.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
+import threading
 
 import pytest
 
-from repro.lint.concurrency import lint_concurrency
-from repro.obs.lockwatch import LockOrderWatchdog, watch_session
 from repro.obs.telemetry import Telemetry
 from repro.query.options import ExecutionOptions
 from repro.service.session import Session
+from repro.service.shards import ShardedDatabase
 from repro.service.slowlog import SlowQueryLog
 from repro.xmark.generator import generate_xmark
 from repro.xmark.queries import query_text
 
-from tests.concurrency.harness import InterleavingScheduler
-
-REPRO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+from tests.concurrency.harness import InterleavingScheduler, NestingProbe
 
 #: the seeded schedules CI runs; three genuinely different orders.
 SEEDS = (11, 23, 37)
@@ -40,35 +38,23 @@ def repository():
 
 
 @pytest.fixture(scope="module")
-def static_edges():
-    return lint_concurrency([REPRO_SRC]).static_edges()
-
-
-@pytest.fixture(scope="module")
 def expected_q1(repository):
     return Session(repository).execute(query_text("Q1")).to_xml()
 
 
-def _assert_discipline(watchdog: LockOrderWatchdog) -> None:
-    """The runtime lock-discipline contract, shared by every seed."""
-    assert watchdog.violations() == []
-    observed = watchdog.observed_edges()
-    static = watchdog.static
-    inverted = {(a, b) for (a, b) in observed if (b, a) in static}
-    assert inverted == set(), \
-        f"observed orders invert static edges: {sorted(inverted)}"
-
-
 @pytest.mark.parametrize("seed", SEEDS)
-def test_serving_surface_interleaved(seed, repository, static_edges,
-                                     expected_q1, tmp_path):
+def test_serving_surface_interleaved(seed, repository, expected_q1,
+                                     tmp_path):
     # A zero threshold journals every run through the slow log.
     session = Session(repository, slow_log=SlowQueryLog(
         tmp_path / f"stress-{seed}.jsonl", threshold_ms=0.0))
     journal = session.slow_log.journal
-    watchdog = LockOrderWatchdog(static_edges)
-    watch_session(watchdog, session)
-    watchdog.watch(journal, "_lock", "WorkloadJournal._lock")
+    probe = NestingProbe()
+    probe.watch(session.plan_cache, "_lock", "PlanCache._lock")
+    probe.watch(session.block_cache, "_lock", "BlockCache._lock")
+    probe.watch(session.metrics, "_lock", "MetricsRegistry._lock")
+    probe.watch(session.slow_log, "_lock", "SlowQueryLog._lock")
+    probe.watch(journal, "_lock", "WorkloadJournal._lock")
     outputs: list[str] = []
 
     def executor(step):
@@ -102,7 +88,7 @@ def test_serving_surface_interleaved(seed, repository, static_edges,
         step()
         journal.append({"seed": seed, "op": 2})
 
-    with watchdog:
+    with probe:
         sched = InterleavingScheduler(seed)
         sched.spawn("executor", executor)
         sched.spawn("invalidator", invalidator)
@@ -112,12 +98,41 @@ def test_serving_surface_interleaved(seed, repository, static_edges,
 
     assert steps >= 10  # every worker actually stepped.
     assert outputs == [expected_q1] * 3
-    _assert_discipline(watchdog)
+    assert probe.nestings == []
     # The journal interleaved whole lines, never torn ones.
     records = journal.records()
     assert {(r["seed"], r["op"]) for r in records
             if "op" in r} >= {(seed, 1), (seed, 2)}
     assert sum(1 for r in records if r.get("query")) == 3
+
+
+def test_probe_sees_nesting_not_reentry():
+    """The probe forwards the lock protocol, records a lock taken
+    under another (from any thread), not an ``RLock`` re-entry, and
+    puts the real locks back on exit."""
+    class Owner:
+        def __init__(self):
+            self.a = threading.Lock()
+            self.b = threading.RLock()
+
+    owner = Owner()
+    original = owner.a
+    with NestingProbe() as probe:
+        probe.watch(owner, "a", "a")
+        probe.watch(owner, "b", "b")
+        with owner.b:
+            with owner.b:
+                assert owner.a.acquire(blocking=False)
+                owner.a.release()
+        assert not owner.a.locked()
+        # Another thread holding `a` is no nesting for this one.
+        thread = threading.Thread(target=owner.a.acquire)
+        thread.start()
+        thread.join()
+        with owner.b:
+            pass
+    assert probe.nestings == [("b", "a", "MainThread")]
+    assert owner.a is original
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -144,19 +159,32 @@ def test_same_seed_replays_same_schedule(seed):
     assert trace_of() == trace_of()
 
 
-def test_watchdog_crosscheck_feeds_on_real_static_graph(
-        repository, static_edges, expected_q1):
-    """Novel edges (observed but statically invisible) are reported
-    for triage, not silently merged into the verified graph."""
-    session = Session(repository)
-    watchdog = LockOrderWatchdog(static_edges)
-    with watchdog:
-        watch_session(watchdog, session)
-        assert session.execute(query_text("Q1")).to_xml() \
-            == expected_q1
-    assert watchdog.violations() == []
-    for edge in watchdog.novel_edges():
-        assert edge not in static_edges
-    report = watchdog.report()
-    assert set(report) == {"observed_edges", "violations",
-                           "novel_edges"}
+def test_shard_coordinator_never_nests_locks(repository, expected_q1):
+    """DESIGN §9b: ``_pool`` is never held while taking a worker's
+    lock, and no coordinator lock is held while taking another."""
+    texts = [query_text(qid) for qid in ("Q1", "Q8", "Q14")]
+    # The probe outlives the database, so close() runs watched too.
+    with NestingProbe() as probe, ShardedDatabase(
+            repository, shard_count=2, queries=texts) as database:
+        probe.watch(database, "_pool", "ShardedDatabase._pool")
+        probe.watch(database, "_routes_lock",
+                    "ShardedDatabase._routes_lock")
+        for worker in database._workers:
+            probe.watch(worker, "lock", "ShardWorker.lock")
+        answers: dict[str, list[str]] = {}
+
+        def client(name: str) -> None:
+            answers[name] = [database.execute(text, client=name).to_xml()
+                             for text in texts * 3]
+
+        threads = [threading.Thread(target=client, args=(f"c{i}",))
+                   for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+        database.invalidate_caches()
+    assert len(answers) == 2
+    assert {xml for run in answers.values() for xml in run[::3]} \
+        == {expected_q1}
+    assert probe.nestings == []

@@ -25,6 +25,9 @@ def rules_of(report):
 
 
 class TestLockOrderCycle:
+    """An inversion fails as a nesting: the rule is stricter than a
+    cycle check."""
+
     def test_planted_inversion_reported(self, tmp_path):
         write(tmp_path, "inverted.py", """\
             import threading
@@ -47,11 +50,10 @@ class TestLockOrderCycle:
             """)
         report = lint_concurrency([tmp_path])
         assert not report.ok
-        assert "conc.lock-order-cycle" in rules_of(report)
-        [cycle] = [d for d in report.diagnostics
-                   if d.rule == "conc.lock-order-cycle"]
-        assert "Inverted._a" in cycle.message
-        assert "Inverted._b" in cycle.message
+        assert rules_of(report) == ["conc.nested-lock"] * 2
+        assert {(e.source, e.target) for e in report.edges} == \
+            {("Inverted._a", "Inverted._b"), ("Inverted._b", "Inverted._a")}
+        assert "Inverted._b is acquired" in report.diagnostics[0].message
 
     def test_inversion_through_method_calls(self, tmp_path):
         # Neither method nests two `with` statements directly; the
@@ -87,9 +89,12 @@ class TestLockOrderCycle:
                         pass
             """)
         report = lint_concurrency([tmp_path])
-        assert "conc.lock-order-cycle" in rules_of(report)
+        assert set(rules_of(report)) == {"conc.nested-lock"}
+        assert {(e.source, e.target, e.via) for e in report.edges} == {
+            ("Outer._lock", "Inner._lock", "Inner.poke"),
+            ("Inner._lock", "Outer._lock", "Outer.touch")}
 
-    def test_consistent_order_is_clean(self, tmp_path):
+    def test_consistent_order_is_reported(self, tmp_path):
         write(tmp_path, "ordered.py", """\
             import threading
 
@@ -110,10 +115,10 @@ class TestLockOrderCycle:
                             pass
             """)
         report = lint_concurrency([tmp_path])
-        assert report.ok
-        assert report.static_edges() == {("Ordered._a", "Ordered._b")}
-        assert report.levels["Ordered._a"] == 1
-        assert report.levels["Ordered._b"] == 0
+        assert not report.ok
+        assert rules_of(report) == ["conc.nested-lock"] * 2
+        assert [(e.source, e.target) for e in report.edges] == \
+            [("Ordered._a", "Ordered._b")] * 2
 
 
 class TestSelfDeadlock:
@@ -301,8 +306,10 @@ class TestGuardedFields:
                     self.idle.append(1)
             """)
         report = lint_concurrency([tmp_path])
-        assert rules_of(report) == ["conc.unguarded-field"]
-        assert report.static_edges() == {("Pool._pool", "Pool._lock")}
+        assert sorted(rules_of(report)) == \
+            ["conc.nested-lock", "conc.unguarded-field"]
+        assert [(e.source, e.target) for e in report.edges] == \
+            [("Pool._pool", "Pool._lock")]
 
     def test_unknown_guard_reported(self, tmp_path):
         write(tmp_path, "ghost.py", """\
@@ -444,9 +451,9 @@ class TestOnRealSources:
         """The hierarchy is flat: no lock is held while another is
         taken, so no order can invert."""
         report = lint_concurrency([REPRO_SRC])
-        assert report.static_edges() == set()
-        assert report.levels
-        assert set(report.levels.values()) == {0}
+        assert report.edges == []
+        assert "conc.nested-lock" not in rules_of(report)
+        assert "levels" not in report.to_dict()
 
 
 class TestUntrackedPrimitiveTierB:
@@ -539,7 +546,7 @@ class TestCli:
         out = io.StringIO()
         assert main(["lint-concurrency", str(tmp_path)],
                     out=out) == 1
-        assert "conc.lock-order-cycle" in out.getvalue()
+        assert "conc.nested-lock" in out.getvalue()
 
     def test_exit_one_on_planted_unguarded_write(self, tmp_path):
         import io

@@ -49,6 +49,18 @@ def test_xmark_plans_match_regression_file(explain):
 
 
 class TestExplain:
+    def test_every_xmark_query_explains(self, explain):
+        assert [query_id for query_id in XMARK_QUERIES
+                if not explain(query_text(query_id)).strip()] == []
+
+    def test_arithmetic_operands_reported(self, explain):
+        plan = explain(query_text("Q7"))
+        for path in ("description", "annotation", "emailaddress"):
+            assert f"StructureSummaryAccess /site//{path}" in plan
+        plan = explain(query_text("Q18"))
+        assert "return\n  arithmetic *\n    Projection " \
+            "$i/current/text()" in plan
+
     def test_summary_access_reported(self, explain):
         assert explain("/site/people/person") == \
             "StructureSummaryAccess /site/people/person"

@@ -183,6 +183,16 @@ class TestConstructors:
         # Whitespace-only text between two expressions is dropped.
         assert len(ast.content) == 5
 
+    @pytest.mark.parametrize("text, content", [
+        ("<r><b/> x</r>", ["b", " x"]),
+        ("<r><b></b> x{1}</r>", ["b", " x", 1.0]),
+    ])
+    def test_content_text_after_nested_constructor_keeps_its_whitespace(
+            self, text, content):
+        ast = parse_query(text)
+        assert [part.name if isinstance(part, ElementConstructor)
+                else part.value for part in ast.content] == content
+
 
 class TestErrors:
     @pytest.mark.parametrize("text", [
